@@ -290,7 +290,7 @@ func BenchmarkOptSpeedup(b *testing.B) {
 
 // BenchmarkQuantizedPhase is the ablation behind the uint16 diagonal:
 // phase application via per-amplitude sincos (float64 diagonal) versus
-// the 2^16-entry lookup table (quantized codes).
+// a per-γ table build plus a gather by the uint16 level codes.
 func BenchmarkQuantizedPhase(b *testing.B) {
 	n := 18
 	diag := costvec.PrecomputePool(statevec.NewPool(0), poly.Compile(problems.LABSTerms(n)), n)
@@ -302,12 +302,14 @@ func BenchmarkQuantizedPhase(b *testing.B) {
 	v := statevec.NewUniform(n)
 	b.Run("sincos-f64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pool.PhaseDiag(v, diag, 0.31)
+			pool.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.31})
 		}
 	})
 	b.Run("uint16-table", func(b *testing.B) {
+		tab := make([]complex128, int(q.MaxCode())+1)
 		for i := 0; i < b.N; i++ {
-			q.PhaseApply(pool, v, 0.31)
+			q.PhaseTableInto(tab, 0.31)
+			pool.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.31, Codes: q.Codes, Tab: tab})
 		}
 	})
 }

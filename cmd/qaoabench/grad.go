@@ -84,7 +84,7 @@ func runGrad(w io.Writer, args []string) error {
 	})
 
 	tab := benchutil.NewTable("method", "sims/grad", "time", "time/sim")
-	tab.Add("adjoint", "≈4", benchutil.Seconds(tAdj), benchutil.Seconds(tAdj/4))
+	tab.Add("adjoint", "≈3", benchutil.Seconds(tAdj), benchutil.Seconds(tAdj/3))
 	nSims := 4**p + 1
 	tab.Add("central-fd", fmt.Sprint(nSims), benchutil.Seconds(tFD), benchutil.Seconds(tFD/time.Duration(nSims)))
 

@@ -1,6 +1,6 @@
 // Gradient-based QAOA optimization: adjoint-mode differentiation
 // gives the exact gradient of ⟨γ,β|Ĉ|γ,β⟩ with respect to all 2p
-// parameters for ≈ 4 simulations' cost, independent of p — so a
+// parameters for ≈ 3 simulations' cost, independent of p — so a
 // high-depth optimization that costs Nelder–Mead thousands of full
 // simulations costs Adam a few hundred. This example optimizes LABS
 // at increasing depth twice, derivative-free versus gradient-based,
@@ -52,7 +52,7 @@ func run(w io.Writer) error {
 	ctx := context.Background()
 
 	fmt.Fprintf(w, "LABS n=%d: Nelder–Mead vs Adam over adjoint gradients (TQA warm start)\n", n)
-	fmt.Fprintf(w, "(one gradient evaluation ≈ 4 simulations; one NM evaluation = 1 simulation)\n\n")
+	fmt.Fprintf(w, "(one gradient evaluation ≈ 3 simulations; one NM evaluation = 1 simulation)\n\n")
 	fmt.Fprintf(w, "%2s  %12s  %8s  %12s  %10s  %8s\n",
 		"p", "E(NM)", "NM sims", "E(Adam)", "Adam evals", "≈sims")
 
@@ -71,7 +71,7 @@ func run(w io.Writer) error {
 			return simErr
 		}
 		fmt.Fprintf(w, "%2d  %12.6f  %8d  %12.6f  %10d  %8d\n",
-			p, nm.F, nm.Evals, adam.F, adam.Evals, 4*adam.Evals)
+			p, nm.F, nm.Evals, adam.F, adam.Evals, 3*adam.Evals)
 	}
 
 	// The service also serves batch gradient workloads: evaluate the

@@ -14,7 +14,7 @@ import (
 // subsystem. The QAOA objective's structure — diagonal phase operator,
 // product-form mixer — admits reverse-mode differentiation: one
 // forward pass plus one cost-weighted reverse pass yields the exact
-// gradient with respect to all 2p parameters for ≈ 4 simulations'
+// gradient with respect to all 2p parameters for ≈ 3 simulations'
 // cost, independent of p, where central finite differences pay 4p
 // simulations. Every gradient evaluation reuses one pair of state
 // buffers, so optimizer loops allocate nothing per step.
@@ -74,7 +74,7 @@ func GradientDescent(f FuncGrad, x0 []float64, opt GDOptions) GDResult {
 
 // OptimizeParametersAdam tunes the 2p QAOA parameters of sim with Adam
 // over exact adjoint gradients from a TQA warm start. Each iteration
-// costs one gradient evaluation (≈ 4 simulations regardless of p)
+// costs one gradient evaluation (≈ 3 simulations regardless of p)
 // where a Nelder–Mead step costs one to a few full simulations per
 // probed vertex — at high depth the gradient path reaches the same
 // energies in a fraction of the evaluations (see internal/optimize's

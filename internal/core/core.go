@@ -136,8 +136,10 @@ type Options struct {
 	// defaults to n/2. Ignored for MixerX.
 	HammingWeight int
 	// Quantize stores the diagonal as uint16 codes (§V-B). It fails at
-	// construction if the costs are not exactly representable; the
-	// phase operator then runs through per-γ lookup tables.
+	// construction if the costs are not representable to within 1e-9 of
+	// the quantization step; the phase operator then runs through per-γ
+	// lookup tables. Diagonals that are exactly such a grid with few
+	// points take the tables without this option (see Simulator).
 	Quantize bool
 	// QuantScale fixes the quantization step; 0 selects automatically.
 	QuantScale float64
@@ -185,14 +187,27 @@ type Options struct {
 // evolves its own Result (NewResult + SimulateQAOAInto) — the sharing
 // pattern the internal/sweep batch engine is built on. The precomputed
 // diagonal is shared by every evaluation, never copied.
+//
+// When the diagonal is exactly an affine grid Min + Scale·k with at
+// most 2^n/phaseTableRatio points (LABS, unweighted MaxCut, any integer
+// cost of modest range), the simulator also keeps its uint16 level
+// codes, and each phase application gathers e^{−iγ·level} from a
+// per-γ table instead of calling sincos per amplitude. The table
+// entries are the sincos of the same float64 values the diagonal
+// holds, so states are bit-identical either way; other diagonals (SK,
+// portfolio) keep per-amplitude sincos.
 type Simulator struct {
 	n       int
 	opts    Options
 	backend Backend
 	pool    *statevec.Pool
 
-	diag  []float64
-	quant *costvec.Quantized
+	diag []float64
+	// levels holds the level codes the phase tables are indexed by (the
+	// Quantize option's codes, or an exact grid found at construction);
+	// nil selects per-amplitude sincos. nlevels is the table length.
+	levels  *costvec.Quantized
+	nlevels int
 	// compiled is retained for the RecomputePhase ablation.
 	compiled poly.Compiled
 
@@ -307,22 +322,30 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 	if opts.SinglePrecision && (opts.Quantize || opts.RecomputePhase) {
 		return nil, fmt.Errorf("core: SinglePrecision does not compose with Quantize or RecomputePhase")
 	}
-	if opts.Quantize {
-		if prequant != nil {
-			s.quant = prequant
+	switch {
+	case opts.Quantize && prequant != nil:
+		s.levels = prequant
+	case opts.Quantize:
+		var q *costvec.Quantized
+		var err error
+		if opts.QuantScale > 0 {
+			q, err = costvec.Quantize(diag, opts.QuantScale)
 		} else {
-			var q *costvec.Quantized
-			var err error
-			if opts.QuantScale > 0 {
-				q, err = costvec.Quantize(diag, opts.QuantScale)
-			} else {
-				q, err = costvec.QuantizeAuto(diag)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: quantized diagonal requested: %w", err)
-			}
-			s.quant = q
+			q, err = costvec.QuantizeAuto(diag)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("core: quantized diagonal requested: %w", err)
+		}
+		s.levels = q
+	case !opts.RecomputePhase:
+		// The Fig. 2 ablation must keep re-deriving f(x) per phase
+		// application, so it never takes tables.
+		if q, err := costvec.QuantizeExact(diag, len(diag)/phaseTableRatio); err == nil {
+			s.levels = q
+		}
+	}
+	if s.levels != nil {
+		s.nlevels = int(s.levels.MaxCode()) + 1
 	}
 	switch opts.Mixer {
 	case MixerX:
@@ -342,6 +365,11 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 	s.computeGroundStates()
 	return s, nil
 }
+
+// phaseTableRatio bounds the grids that take phase tables to 2^n/16
+// points, so one per-γ table build costs at most 1/16 of the 2^n
+// sincos calls it replaces.
+const phaseTableRatio = 16
 
 // setupInitialState resolves the initial state: a caller-provided
 // vector, |+⟩^n for the x mixer, or a Dicke state for xy mixers.
@@ -433,7 +461,7 @@ func (s *Simulator) resolveRoute() error {
 }
 
 // KernelPoolView returns a simulator sharing every precomputed
-// structure with s — diagonal, quantization, compiled terms, mixer
+// structure with s — diagonal, level codes, compiled terms, mixer
 // sweep, ground states, initial state, CVaR cache — but running its
 // kernels on its own pool of the given size (≤ 0 means GOMAXPROCS).
 // The sweep engine uses single-worker views so that batch-level
@@ -443,7 +471,7 @@ func (s *Simulator) resolveRoute() error {
 // they may differ from a differently-sized pool in the last ULPs.
 func (s *Simulator) KernelPoolView(workers int) *Simulator {
 	// Whole-struct copy so future Simulator fields are never silently
-	// zero in views; every reference field (diag, quant, costCache, …)
+	// zero in views; every reference field (diag, levels, costCache, …)
 	// is shared, which is exactly the semantics a view wants.
 	v := *s
 	v.pool = statevec.NewPool(workers)

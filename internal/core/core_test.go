@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"qokit/internal/costvec"
@@ -500,34 +501,135 @@ func TestFusedMixerMatchesDefault(t *testing.T) {
 	}
 }
 
+// TestRecomputePhaseMatchesPrecomputed checks the Fig. 2 ablation
+// against the precomputed simulator on both sides of the phase-table
+// rule. RecomputePhase takes sincos of the same f(x) per amplitude, so
+// it is the reference: states must agree exactly, whether the
+// precomputed side gathers from a level table (LABS n=14) or calls
+// sincos itself (LABS n=7, SK). The adjoint gradients, whose reverse
+// phase re-derives f(x) too, agree to 1e-12 of their max-norm.
 func TestRecomputePhaseMatchesPrecomputed(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	n := 7
-	ts := problems.LABSTerms(n)
-	gamma, beta := randomAngles(rng, 3)
-	for _, backend := range allBackends() {
-		pre, err := New(n, ts, Options{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := New(n, ts, Options{Backend: backend, RecomputePhase: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := pre.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := rec.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d > 1e-10 {
-			t.Errorf("%v: recompute phase differs: %g", backend, d)
+	for _, c := range []tableCase{
+		{"labs", 7, problems.LABSTerms(7), false},
+		{"labs", 14, problems.LABSTerms(14), true},
+		{"sk", 10, skTerms(10, 44), false},
+	} {
+		gamma, beta := randomAngles(rng, 3)
+		for _, backend := range allBackends() {
+			label := c.name + itoa(c.n) + "/" + backend.String()
+			pre, err := New(c.n, c.terms, Options{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireTableSide(t, label, pre, c.table)
+			rec, err := New(c.n, c.terms, Options{Backend: backend, RecomputePhase: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireTableSide(t, label+"/recompute", rec, false)
+			r1, err := pre.SimulateQAOA(gamma, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := rec.SimulateQAOA(gamma, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d != 0 {
+				t.Errorf("%s: recompute phase differs: %g", label, d)
+			}
+			_, pG, pB, err := pre.SimulateQAOAGrad(gamma, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rG, rB, err := rec.SimulateQAOAGrad(gamma, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm := maxAbs(rG, rB)
+			for l := range rG {
+				if d := math.Max(math.Abs(pG[l]-rG[l]), math.Abs(pB[l]-rB[l])); d > 1e-12*norm {
+					t.Errorf("%s layer %d: gradient differs from recompute by %.3g", label, l, d)
+				}
+			}
 		}
 	}
-	if _, err := New(n, ts, Options{RecomputePhase: true, Quantize: true}); err == nil {
+	if _, err := New(7, problems.LABSTerms(7), Options{RecomputePhase: true, Quantize: true}); err == nil {
 		t.Error("RecomputePhase+Quantize accepted")
+	}
+}
+
+// TestPhaseTableRule pins which diagonals take phase tables: the
+// decision reads the diagonal alone — an exact affine grid with at
+// most 2^n/16 points — except that Quantize always tables its codes
+// and RecomputePhase never tables.
+func TestPhaseTableRule(t *testing.T) {
+	g, err := graphs.RandomRegular(12, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label string
+		n     int
+		terms poly.Terms
+		opts  Options
+		table bool
+	}{
+		{"labs n=14", 14, problems.LABSTerms(14), Options{}, true},
+		{"labs n=12 (≈500 levels > 2^12/16)", 12, problems.LABSTerms(12), Options{}, false},
+		{"labs n=12 Quantize", 12, problems.LABSTerms(12), Options{Quantize: true}, true},
+		{"labs n=14 RecomputePhase", 14, problems.LABSTerms(14), Options{RecomputePhase: true}, false},
+		{"labs n=14 float32", 14, problems.LABSTerms(14), Options{SinglePrecision: true}, true},
+		{"maxcut n=12", 12, problems.MaxCutTerms(g), Options{Backend: BackendSerial}, true},
+		{"weighted maxcut n=12", 12, problems.MaxCutTerms(g).Scale(math.Pi), Options{}, false},
+		{"sk n=12", 12, skTerms(12, 3), Options{}, false},
+	} {
+		s, err := New(c.n, c.terms, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		requireTableSide(t, c.label, s, c.table)
+	}
+}
+
+// TestQuantizedSoAWarmAllocs bounds what a warm Quantize evaluation on
+// the SoA backend allocates: the per-γ phase table lives in the Result
+// (a few KiB, built once), so an energy or a gradient allocates well
+// under one state buffer (16·2^n bytes) — only the kernels' per-launch
+// closures remain.
+func TestQuantizedSoAWarmAllocs(t *testing.T) {
+	const n, p, runs = 12, 4, 5
+	s, err := New(n, problems.LABSTerms(n), Options{Backend: BackendSoA, Workers: 1, Quantize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma, beta := randomAngles(rand.New(rand.NewSource(38)), p)
+	r := s.NewResult()
+	w := s.NewGradBuffers()
+	gG, gB := make([]float64, p), make([]float64, p)
+	for name, eval := range map[string]func(){
+		"energy": func() {
+			if err := s.SimulateQAOAInto(r, gamma, beta); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"gradient": func() {
+			if _, err := s.SimulateQAOAGradInto(w, gamma, beta, gG, gB); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		eval() // warm-up
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			eval()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<n {
+			t.Errorf("warm quantized %s allocates %d B per evaluation, want < %d (one state buffer)", name, per, 16<<n)
+		}
 	}
 }
 

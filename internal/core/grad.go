@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"qokit/internal/statevec"
 )
@@ -25,22 +26,29 @@ import (
 //	                                 Trotterized xy mixers)
 //	∂E/∂γ_ℓ = 2·Im ⟨λ|Ĉ|ψ⟩          (after undoing the mixer)
 //
-// then both states are evolved one layer backwards by applying the
-// exact inverses B(−β_ℓ), G(−γ_ℓ). Every reduction and inverse costs
-// the same as the forward kernel it mirrors, so a full gradient is
-// ≈ 4× one simulation — versus 4p simulations for central finite
-// differences, the asymptotic win the high-depth regime needs.
+// and both states are evolved one layer backwards through the exact
+// inverses B(−β_ℓ), G(−γ_ℓ). Each generator term commutes with its own
+// factor of the layer, so the reverse pass evolves ψ and λ together and
+// reads each derivative off the amplitudes it is already rotating: one
+// joint pass per qubit (per edge for the xy mixers) adds up
+// Im ⟨λ|X_q|ψ⟩ and applies RX(−β) to both states, and one elementwise
+// pass adds up Im ⟨λ|Ĉ|ψ⟩ and undoes the phase on both from a single
+// table read or sincos per amplitude (statevec's Reverse kernels). A
+// gradient is therefore one forward pass plus one joint reverse pass —
+// about three mixer sweeps of memory traffic per layer — versus 4p
+// simulations for central finite differences, the asymptotic win the
+// high-depth regime needs. The reverse always runs per-qubit sweeps,
+// whatever route (FWHT, F = 2 fusion) the forward took.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
-// the reverse pass evolves. Allocate once per goroutine with
-// NewGradBuffers and reuse across arbitrarily many
-// SimulateQAOAGradInto calls; after warm-up a gradient evaluation
-// performs zero state-buffer allocations on the non-quantized paths
-// (the quantized phase operator tabulates per-γ factors exactly as in
-// the forward pass). A GradBuffers must not be shared by concurrent
-// evaluations — give each worker its own pair, the pattern
-// internal/sweep.Engine.SweepGrad implements.
+// the reverse pass evolves, and the phase-table scratch inside them.
+// Allocate once per goroutine with NewGradBuffers and reuse across
+// arbitrarily many SimulateQAOAGradInto calls; after warm-up a
+// gradient evaluation performs zero state-buffer allocations. A
+// GradBuffers must not be shared by concurrent evaluations — give each
+// worker its own pair, the pattern internal/sweep.Engine.SweepGrad
+// implements.
 type GradBuffers struct {
 	psi, lam *Result
 }
@@ -68,14 +76,13 @@ func (s *Simulator) SimulateQAOAGrad(gamma, beta []float64) (energy float64, gra
 }
 
 // SimulateQAOAGradInto is SimulateQAOAGrad evolving into caller-owned
-// storage: one forward pass fills w's ψ buffer, the cost-weighted
-// reverse pass walks both buffers back through the layers, and the
-// per-layer derivatives are written into gradGamma and gradBeta (which
-// must have length p). w must come from NewGradBuffers on a simulator
-// with the same backend and qubit count; its previous contents are
-// overwritten. On return, w's ψ buffer no longer holds the final
-// state — callers needing the state should run SimulateQAOAInto
-// separately.
+// storage: one forward pass fills w's ψ buffer, the joint reverse pass
+// walks both buffers back through the layers, and the per-layer
+// derivatives are written into gradGamma and gradBeta (which must have
+// length p). w must come from NewGradBuffers on a simulator with the
+// same backend and qubit count; its previous contents are overwritten.
+// On return, w's ψ buffer no longer holds the final state — callers
+// needing the state should run SimulateQAOAInto separately.
 //
 // Distinct GradBuffers may be evolved concurrently against one shared
 // Simulator, exactly like Results in SimulateQAOAInto.
@@ -84,48 +91,12 @@ func (s *Simulator) SimulateQAOAGradInto(w *GradBuffers, gamma, beta, gradGamma,
 }
 
 // SimulateQAOAGradIntoCtx is SimulateQAOAGradInto under a request
-// context: both the forward pass and the reverse mixer undos reach the
-// RouteAuto calibration path, and ctx lets a cancelled request fail
-// fast there instead of burning a timed mixer application. A nil ctx
-// behaves like SimulateQAOAGradInto.
+// context: the forward pass reaches the RouteAuto calibration path,
+// and ctx lets a cancelled request fail fast there instead of burning
+// a timed mixer application. A nil ctx behaves like
+// SimulateQAOAGradInto.
 func (s *Simulator) SimulateQAOAGradIntoCtx(ctx context.Context, w *GradBuffers, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
-	if len(gamma) != len(beta) {
-		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
-	}
-	if len(gradGamma) != len(gamma) || len(gradBeta) != len(beta) {
-		return 0, fmt.Errorf("core: gradient storage lengths (%d, %d) do not match depth p=%d",
-			len(gradGamma), len(gradBeta), len(gamma))
-	}
-	if w == nil || w.psi == nil || w.lam == nil {
-		return 0, fmt.Errorf("core: nil GradBuffers; use NewGradBuffers")
-	}
-	if err := s.SimulateQAOAIntoCtx(ctx, w.psi, gamma, beta); err != nil {
-		return 0, err
-	}
-	if err := s.bindResult(w.lam); err != nil {
-		return 0, err
-	}
-	energy := w.psi.Expectation()
-
-	// Seed the bra side: λ = Ĉ|ψ_p⟩ (the only non-unitary step).
-	s.copyState(w.lam, w.psi)
-	s.mulDiag(w.lam)
-
-	for l := len(gamma) - 1; l >= 0; l-- {
-		d, err := s.mixerDerivUndo(ctx, w.lam, w.psi, beta[l])
-		if err != nil {
-			return 0, err
-		}
-		gradBeta[l] = 2 * d
-		gradGamma[l] = 2 * s.imDotDiag(w.lam, w.psi)
-		if l > 0 {
-			// Undo the phase on both states; skipped on the last
-			// iteration, where no earlier derivative needs them.
-			s.applyPhase(w.psi, -gamma[l])
-			s.applyPhase(w.lam, -gamma[l])
-		}
-	}
-	return energy, nil
+	return s.adjoint(ctx, w, gamma, beta, nil, gradGamma, gradBeta)
 }
 
 // SimulateQAOAGradObsIntoCtx differentiates the expectation of a
@@ -143,6 +114,12 @@ func (s *Simulator) SimulateQAOAGradObsIntoCtx(ctx context.Context, w *GradBuffe
 	if len(obs) != 1<<uint(s.n) {
 		return 0, fmt.Errorf("core: observable diagonal length %d, want 2^%d = %d", len(obs), s.n, 1<<uint(s.n))
 	}
+	return s.adjoint(ctx, w, gamma, beta, obs, gradGamma, gradBeta)
+}
+
+// adjoint is the shared gradient loop: forward pass, λ = obs⊙ψ_p (the
+// cost diagonal when obs is nil), then one joint reverse step per layer.
+func (s *Simulator) adjoint(ctx context.Context, w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(gamma) != len(beta) {
 		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
 	}
@@ -159,52 +136,131 @@ func (s *Simulator) SimulateQAOAGradObsIntoCtx(ctx context.Context, w *GradBuffe
 	if err := s.bindResult(w.lam); err != nil {
 		return 0, err
 	}
+	if obs == nil {
+		obs = s.diag
+	}
 	energy := w.psi.ExpectationOf(obs)
 
-	// Seed the bra side with the observable: λ = obs⊙|ψ_p⟩.
+	// Seed the bra side: λ = obs⊙|ψ_p⟩ (the only non-unitary step).
 	s.copyState(w.lam, w.psi)
 	s.mulVec(w.lam, obs)
 
 	for l := len(gamma) - 1; l >= 0; l-- {
-		d, err := s.mixerDerivUndo(ctx, w.lam, w.psi, beta[l])
-		if err != nil {
-			return 0, err
-		}
-		gradBeta[l] = 2 * d
-		gradGamma[l] = 2 * s.imDotDiag(w.lam, w.psi)
-		if l > 0 {
-			s.applyPhase(w.psi, -gamma[l])
-			s.applyPhase(w.lam, -gamma[l])
-		}
+		gradBeta[l] = 2 * s.reverseMixer(w, beta[l])
+		// The phase undo is skipped on the last step, where no earlier
+		// derivative needs the states.
+		gradGamma[l] = 2 * s.reversePhase(w, gamma[l], l > 0)
 	}
 	return energy, nil
 }
 
-// mixerDerivUndo accumulates Im ⟨λ|∂B/∂β · B†|…⟩ for layer angle beta
-// and rewinds both states through the mixer. For the transverse-field
-// mixer all factors commute with their product, so the reduction runs
-// once against the post-mixer pair; for the Trotterized xy mixers the
-// per-edge factors do not commute, so the sweep interleaves one edge
-// reduction with one edge undo, in reverse application order.
-func (s *Simulator) mixerDerivUndo(ctx context.Context, lam, psi *Result, beta float64) (float64, error) {
+// reverseMixer undoes the layer's mixer on both states and returns
+// Im ⟨λ|M|ψ⟩ for the post-mixer pair. For the transverse-field mixer
+// each qubit's term commutes with every RX factor, so the per-qubit
+// joint passes read it at any point of the undo; for the Trotterized
+// xy mixers the edge factors do not commute, so the edges are undone
+// in reverse application order, each reading its own term.
+func (s *Simulator) reverseMixer(w *GradBuffers, beta float64) float64 {
+	lam, psi := w.lam, w.psi
 	var d float64
 	if s.opts.Mixer == MixerX {
-		d = s.imDotXAll(lam, psi)
-		if err := s.applyMixerCtx(ctx, psi, -beta); err != nil {
-			return 0, err
+		for q := 0; q < s.n; q++ {
+			switch {
+			case lam.soa32 != nil:
+				d += lam.soa32.ReverseRX(s.pool, psi.soa32, q, beta)
+			case lam.soa != nil:
+				d += lam.soa.ReverseRX(s.pool, psi.soa, q, beta)
+			case s.backend == BackendSerial:
+				d += statevec.ReverseRX(lam.vec, psi.vec, q, beta)
+			default:
+				d += s.pool.ReverseRX(lam.vec, psi.vec, q, beta)
+			}
 		}
-		if err := s.applyMixerCtx(ctx, lam, -beta); err != nil {
-			return 0, err
-		}
-		return d, nil
+		return d
 	}
 	for k := len(s.mixerPairs) - 1; k >= 0; k-- {
 		e := s.mixerPairs[k]
-		d += s.imDotXY(lam, psi, e.U, e.V)
-		s.applyXYPair(psi, e.U, e.V, -beta)
-		s.applyXYPair(lam, e.U, e.V, -beta)
+		switch {
+		case lam.soa32 != nil:
+			d += lam.soa32.ReverseXY(s.pool, psi.soa32, e.U, e.V, beta)
+		case lam.soa != nil:
+			d += lam.soa.ReverseXY(s.pool, psi.soa, e.U, e.V, beta)
+		case s.backend == BackendSerial:
+			d += statevec.ReverseXY(lam.vec, psi.vec, e.U, e.V, beta)
+		default:
+			d += s.pool.ReverseXY(lam.vec, psi.vec, e.U, e.V, beta)
+		}
 	}
-	return d, nil
+	return d
+}
+
+// reversePhase returns Im ⟨λ|Ĉ|ψ⟩ and, when undo is set, undoes the
+// layer's phase e^{−iγĈ} on both states.
+func (s *Simulator) reversePhase(w *GradBuffers, gamma float64, undo bool) float64 {
+	lam, psi := w.lam, w.psi
+	if s.opts.RecomputePhase {
+		return s.reversePhaseRecompute(lam, psi, gamma, undo)
+	}
+	ph := statevec.Phase{Diag: s.diag, Gamma: gamma}
+	if undo {
+		ph = s.phase(psi, gamma)
+	}
+	switch {
+	case lam.soa32 != nil:
+		return lam.soa32.ReversePhase(s.pool, psi.soa32, ph, undo)
+	case lam.soa != nil:
+		return lam.soa.ReversePhase(s.pool, psi.soa, ph, undo)
+	case s.backend == BackendSerial:
+		return statevec.ReversePhase(lam.vec, psi.vec, ph, undo)
+	default:
+		return s.pool.ReversePhase(lam.vec, psi.vec, ph, undo)
+	}
+}
+
+// reversePhaseRecompute is reversePhase for the RecomputePhase
+// ablation: f(x) is re-derived from the compiled terms for the
+// reduction and the undo alike, as in the forward pass.
+func (s *Simulator) reversePhaseRecompute(lam, psi *Result, gamma float64, undo bool) float64 {
+	eval := s.compiled.Eval
+	if s.compiled.Len() == 0 {
+		diag := s.diag
+		eval = func(x uint64) float64 { return diag[x] }
+	}
+	if lam.soa != nil {
+		lr, li, pr, pi := lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im
+		return s.pool.Reduce(len(lr), func(lo, hi int) float64 {
+			var acc float64
+			for i := lo; i < hi; i++ {
+				f := eval(uint64(i))
+				a, b, c, d := lr[i], li[i], pr[i], pi[i]
+				acc += f * (a*d - b*c)
+				if undo {
+					sn, cs := math.Sincos(-gamma * f)
+					lr[i], li[i] = a*cs+b*sn, b*cs-a*sn
+					pr[i], pi[i] = c*cs+d*sn, d*cs-c*sn
+				}
+			}
+			return acc
+		})
+	}
+	lv, pv := lam.vec, psi.vec
+	reduce := func(lo, hi int) float64 {
+		var acc float64
+		for i := lo; i < hi; i++ {
+			f := eval(uint64(i))
+			x, y := lv[i], pv[i]
+			acc += f * (real(x)*imag(y) - imag(x)*real(y))
+			if undo {
+				sn, cs := math.Sincos(-gamma * f)
+				lv[i], pv[i] = x*complex(cs, -sn), y*complex(cs, -sn)
+			}
+		}
+		return acc
+	}
+	if s.backend == BackendSerial {
+		return reduce(0, len(lv))
+	}
+	return s.pool.Reduce(len(lv), reduce)
 }
 
 // copyState overwrites dst's amplitudes with src's (same backend, no
@@ -220,10 +276,7 @@ func (s *Simulator) copyState(dst, src *Result) {
 	}
 }
 
-// mulDiag multiplies r elementwise by the cost diagonal: r ← Ĉ r.
-func (s *Simulator) mulDiag(r *Result) { s.mulVec(r, s.diag) }
-
-// mulVec multiplies r elementwise by an arbitrary real diagonal.
+// mulVec multiplies r elementwise by a real diagonal.
 func (s *Simulator) mulVec(r *Result, diag []float64) {
 	switch {
 	case r.soa32 != nil:
@@ -234,62 +287,5 @@ func (s *Simulator) mulVec(r *Result, diag []float64) {
 		statevec.MulDiag(r.vec, diag)
 	default:
 		s.pool.MulDiag(r.vec, diag)
-	}
-}
-
-// imDotDiag returns Im ⟨λ|Ĉ|ψ⟩ against the cached diagonal.
-func (s *Simulator) imDotDiag(lam, psi *Result) float64 {
-	switch {
-	case lam.soa32 != nil:
-		return lam.soa32.ImDotDiag(s.pool, psi.soa32, s.diag)
-	case lam.soa != nil:
-		return lam.soa.ImDotDiag(s.pool, psi.soa, s.diag)
-	case s.backend == BackendSerial:
-		return statevec.ImDotDiag(lam.vec, psi.vec, s.diag)
-	default:
-		return s.pool.ImDotDiag(lam.vec, psi.vec, s.diag)
-	}
-}
-
-// imDotXAll returns Σ_q Im ⟨λ|X_q|ψ⟩ — the full transverse-field
-// mixer derivative in one fused reduction.
-func (s *Simulator) imDotXAll(lam, psi *Result) float64 {
-	switch {
-	case lam.soa32 != nil:
-		return lam.soa32.ImDotXAll(s.pool, psi.soa32)
-	case lam.soa != nil:
-		return lam.soa.ImDotXAll(s.pool, psi.soa)
-	case s.backend == BackendSerial:
-		return statevec.ImDotXAll(lam.vec, psi.vec)
-	default:
-		return s.pool.ImDotXAll(lam.vec, psi.vec)
-	}
-}
-
-// imDotXY returns Im ⟨λ|(X_uX_v+Y_uY_v)/2|ψ⟩.
-func (s *Simulator) imDotXY(lam, psi *Result, u, v int) float64 {
-	switch {
-	case lam.soa32 != nil:
-		return lam.soa32.ImDotXY(s.pool, psi.soa32, u, v)
-	case lam.soa != nil:
-		return lam.soa.ImDotXY(s.pool, psi.soa, u, v)
-	case s.backend == BackendSerial:
-		return statevec.ImDotXY(lam.vec, psi.vec, u, v)
-	default:
-		return s.pool.ImDotXY(lam.vec, psi.vec, u, v)
-	}
-}
-
-// applyXYPair applies one xy edge factor e^{−iβ(X_uX_v+Y_uY_v)/2}.
-func (s *Simulator) applyXYPair(r *Result, u, v int, beta float64) {
-	switch {
-	case r.soa32 != nil:
-		r.soa32.ApplyXY(s.pool, u, v, beta)
-	case r.soa != nil:
-		r.soa.ApplyXY(s.pool, u, v, beta)
-	case s.backend == BackendSerial:
-		statevec.ApplyXY(r.vec, u, v, beta)
-	default:
-		s.pool.ApplyXY(r.vec, u, v, beta)
 	}
 }

@@ -97,18 +97,52 @@ func testInstances(t *testing.T, n int) map[string]poly.Terms {
 	}
 }
 
+// requireTableSide asserts which side of the phase-table rule s is on,
+// so a test meant to cover one side cannot silently drift to the other.
+func requireTableSide(t *testing.T, label string, s *Simulator, want bool) {
+	t.Helper()
+	if got := s.levels != nil; got != want {
+		t.Fatalf("%s: takes phase tables = %v, want %v", label, got, want)
+	}
+}
+
+// tableCase is a problem instance together with the side of the
+// phase-table rule its diagonal falls on.
+type tableCase struct {
+	name  string
+	n     int
+	terms poly.Terms
+	table bool
+}
+
+// tableCases covers both sides of the phase-table rule: at n = 8 the
+// 3-regular MaxCut grid (13 levels ≤ 2^8/16) takes tables while LABS
+// and SK do not; at n = 14 LABS (≈ 800 levels) takes them and SK
+// still does not.
+func tableCases(t *testing.T) []tableCase {
+	t.Helper()
+	var cs []tableCase
+	for name, terms := range testInstances(t, 8) {
+		cs = append(cs, tableCase{name, 8, terms, name == "maxcut"})
+	}
+	return append(cs,
+		tableCase{"labs", 14, problems.LABSTerms(14), true},
+		tableCase{"sk", 14, skTerms(14, 43), false})
+}
+
 // TestAdjointGradientMatchesFiniteDifference is the cross-backend
 // differential suite: every float64 backend × both mixer families ×
-// p ∈ {1, 4, 12} on random MaxCut/LABS/SK instances, adjoint vs
-// central finite differences at rtol 1e-6.
+// p ∈ {1, 4, 12} on random MaxCut/LABS/SK instances on both sides of
+// the phase-table rule, adjoint vs central finite differences at rtol
+// 1e-6 (the n = 14 instances run p ∈ {1, 4}).
 func TestAdjointGradientMatchesFiniteDifference(t *testing.T) {
-	const n = 8
-	depths := []int{1, 4, 12}
-	if testing.Short() {
-		depths = []int{1, 4}
-	}
 	rng := rand.New(rand.NewSource(7))
-	for name, terms := range testInstances(t, n) {
+	for _, c := range tableCases(t) {
+		n, name, terms := c.n, c.name, c.terms
+		depths := []int{1, 4, 12}
+		if testing.Short() || n > 8 {
+			depths = []int{1, 4}
+		}
 		for _, backend := range []Backend{BackendSerial, BackendParallel, BackendSoA} {
 			for _, mixer := range []Mixer{MixerX, MixerXYRing} {
 				for _, p := range depths {
@@ -117,7 +151,8 @@ func TestAdjointGradientMatchesFiniteDifference(t *testing.T) {
 						t.Fatal(err)
 					}
 					gamma, beta := randomAngles(rng, p)
-					label := name + "/" + backend.String() + "/" + mixer.String() + "/p=" + itoa(p)
+					label := name + itoa(n) + "/" + backend.String() + "/" + mixer.String() + "/p=" + itoa(p)
+					requireTableSide(t, label, s, c.table)
 					e, gG, gB, err := s.SimulateQAOAGrad(gamma, beta)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -143,6 +178,56 @@ func itoa(p int) string {
 		return string(rune('0'+p/10)) + string(rune('0'+p%10))
 	}
 	return string(rune('0' + p))
+}
+
+// TestAdjointGradientCrossBackend checks that every representation
+// computes the same gradient on both sides of the phase-table rule:
+// Parallel and SoA within 1e-12 of the Serial gradient's max-norm
+// (they differ only in reduction order), SoA32 within its 2e-3 band,
+// for the x and xy-ring mixers.
+func TestAdjointGradientCrossBackend(t *testing.T) {
+	const p = 4
+	rng := rand.New(rand.NewSource(37))
+	for _, c := range tableCases(t) {
+		for _, mixer := range []Mixer{MixerX, MixerXYRing} {
+			gamma, beta := randomAngles(rng, p)
+			var refG, refB []float64
+			for _, o := range []Options{
+				{Backend: BackendSerial},
+				{Backend: BackendParallel, Workers: 3},
+				{Backend: BackendSoA, Workers: 3},
+				{Backend: BackendSoA, Workers: 3, SinglePrecision: true},
+			} {
+				o.Mixer = mixer
+				s, err := New(c.n, c.terms, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := c.name + itoa(c.n) + "/" + o.Backend.String() + "/" + mixer.String()
+				if o.SinglePrecision {
+					label += "/f32"
+				}
+				requireTableSide(t, label, s, c.table)
+				_, gG, gB, err := s.SimulateQAOAGrad(gamma, beta)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				switch {
+				case refG == nil:
+					refG, refB = gG, gB
+				case o.SinglePrecision:
+					assertGradClose(t, label, gG, gB, refG, refB, 2e-3)
+				default:
+					norm := maxAbs(refG, refB)
+					for l := range refG {
+						if d := math.Max(math.Abs(gG[l]-refG[l]), math.Abs(gB[l]-refB[l])); d > 1e-12*norm {
+							t.Errorf("%s layer %d: |Δ| = %.3g > 1e-12 × max-norm %.3g", label, l, d, norm)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestAdjointGradientXYComplete covers the densest mixer sweep (all
@@ -383,7 +468,6 @@ func TestAdjointGradObsMatchesFiniteDifference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	terms := problems.MaxCutTerms(g)
 	// A Z_0Z_3 parity observable plus random diagonal noise — distinct
 	// from the evolution cost, which is the whole point of the variant.
 	obs := make([]float64, 1<<n)
@@ -394,53 +478,68 @@ func TestAdjointGradObsMatchesFiniteDifference(t *testing.T) {
 		}
 		obs[x] = zz + 0.25*rng.Float64()
 	}
-	for _, backend := range []Backend{BackendSerial, BackendParallel, BackendSoA} {
-		for _, mixer := range []Mixer{MixerX, MixerXYRing} {
-			for _, p := range []int{1, 3} {
-				s, err := New(n, terms, Options{Backend: backend, Mixer: mixer, Workers: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				gamma, beta := randomAngles(rng, p)
-				label := backend.String() + "/" + mixer.String() + "/p=" + itoa(p)
-
-				w := s.NewGradBuffers()
-				gG := make([]float64, p)
-				gB := make([]float64, p)
-				e, err := s.SimulateQAOAGradObsIntoCtx(nil, w, gamma, beta, obs, gG, gB)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-
-				// Finite-difference reference of ⟨obs⟩.
-				r := s.NewResult()
-				eval := func() float64 {
-					if err := s.SimulateQAOAInto(r, gamma, beta); err != nil {
+	// MaxCut evolves through phase tables, SK through per-amplitude
+	// sincos: both sides of the table rule.
+	for _, c := range []tableCase{
+		{"maxcut", n, problems.MaxCutTerms(g), true},
+		{"sk", n, skTerms(n, 42), false},
+	} {
+		for _, backend := range []Backend{BackendSerial, BackendParallel, BackendSoA} {
+			for _, mixer := range []Mixer{MixerX, MixerXYRing} {
+				for _, p := range []int{1, 3} {
+					s, err := New(n, c.terms, Options{Backend: backend, Mixer: mixer, Workers: 3})
+					if err != nil {
 						t.Fatal(err)
 					}
-					return r.ExpectationOf(obs)
+					gamma, beta := randomAngles(rng, p)
+					label := c.name + "/" + backend.String() + "/" + mixer.String() + "/p=" + itoa(p)
+					requireTableSide(t, label, s, c.table)
+					checkGradObs(t, label, s, gamma, beta, obs)
 				}
-				if got := eval(); math.Abs(got-e) > 1e-12*math.Max(1, math.Abs(got)) {
-					t.Errorf("%s: energy %v, want %v", label, e, got)
-				}
-				const h = 1e-5
-				refG := make([]float64, p)
-				refB := make([]float64, p)
-				for _, half := range []struct{ ang, grad []float64 }{{gamma, refG}, {beta, refB}} {
-					for l := range half.ang {
-						orig := half.ang[l]
-						half.ang[l] = orig + h
-						ep := eval()
-						half.ang[l] = orig - h
-						em := eval()
-						half.ang[l] = orig
-						half.grad[l] = (ep - em) / (2 * h)
-					}
-				}
-				assertGradClose(t, label, gG, gB, refG, refB, 1e-6)
 			}
 		}
 	}
+}
+
+// checkGradObs compares the observable-seeded adjoint of one simulator
+// against central finite differences of ⟨obs⟩.
+func checkGradObs(t *testing.T, label string, s *Simulator, gamma, beta, obs []float64) {
+	t.Helper()
+	p := len(gamma)
+	w := s.NewGradBuffers()
+	gG := make([]float64, p)
+	gB := make([]float64, p)
+	e, err := s.SimulateQAOAGradObsIntoCtx(nil, w, gamma, beta, obs, gG, gB)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+
+	// Finite-difference reference of ⟨obs⟩.
+	r := s.NewResult()
+	eval := func() float64 {
+		if err := s.SimulateQAOAInto(r, gamma, beta); err != nil {
+			t.Fatal(err)
+		}
+		return r.ExpectationOf(obs)
+	}
+	if got := eval(); math.Abs(got-e) > 1e-12*math.Max(1, math.Abs(got)) {
+		t.Errorf("%s: energy %v, want %v", label, e, got)
+	}
+	const h = 1e-5
+	refG := make([]float64, p)
+	refB := make([]float64, p)
+	for _, half := range []struct{ ang, grad []float64 }{{gamma, refG}, {beta, refB}} {
+		for l := range half.ang {
+			orig := half.ang[l]
+			half.ang[l] = orig + h
+			ep := eval()
+			half.ang[l] = orig - h
+			em := eval()
+			half.ang[l] = orig
+			half.grad[l] = (ep - em) / (2 * h)
+		}
+	}
+	assertGradClose(t, label, gG, gB, refG, refB, 1e-6)
 }
 
 // TestAdjointGradObsEqualsStandardOnCost pins the degenerate case: with

@@ -18,6 +18,10 @@ type Result struct {
 	vec   statevec.Vec    // non-nil for Serial/Parallel backends
 	soa   *statevec.SoA   // non-nil for the SoA backend
 	soa32 *statevec.SoA32 // non-nil for the SoA backend in single precision
+	// tab is the per-γ phase-table scratch of simulators with level
+	// codes; it lives here so concurrent evaluations on one Simulator
+	// never share it.
+	tab []complex128
 }
 
 // SimulateQAOA runs Algorithm 3: it initializes the state, then for
@@ -40,7 +44,7 @@ func (s *Simulator) SimulateQAOA(gamma, beta []float64) (*Result, error) {
 // backend, for reuse across many SimulateQAOAInto calls. The buffer
 // holds no meaningful state until the first evolution.
 func (s *Simulator) NewResult() *Result {
-	r := &Result{sim: s}
+	r := &Result{sim: s, tab: make([]complex128, s.nlevels)}
 	switch {
 	case s.backend == BackendSoA && s.opts.SinglePrecision:
 		r.soa32 = statevec.NewSoA32(s.n)
@@ -53,8 +57,9 @@ func (s *Simulator) NewResult() *Result {
 }
 
 // SimulateQAOAInto is SimulateQAOA evolving into caller-owned storage:
-// it resets r to the initial state and applies the p layers in place,
-// allocating nothing on the non-quantized paths. r must come from
+// it resets r to the initial state and applies the p layers in place;
+// the serial backend allocates nothing, and the pooled backends only
+// their kernel launches. r must come from
 // NewResult (or a prior SimulateQAOA) on a simulator with the same
 // backend and qubit count; its previous contents are overwritten.
 //
@@ -141,12 +146,12 @@ func (s *Simulator) applyLayer(r *Result, gamma, beta float64) {
 // applyLayerCtx applies e^{−iβM}·e^{−iγĈ}. On the default x-mixer
 // sweep path the phase folds into the first mixer pass (bit-identical
 // to the separate passes, one traversal cheaper); every other
-// configuration — xy mixers, the FWHT route, quantized/recomputed
-// phases, the SeparatePhase ablation, and auto shapes still
-// calibrating — runs the two operators separately. ctx gates only the
-// calibration path (see routeDecision.apply); it may be nil.
+// configuration — xy mixers, the FWHT route, recomputed phases, the
+// SeparatePhase ablation, and auto shapes still calibrating — runs the
+// two operators separately. ctx gates only the calibration path (see
+// routeDecision.apply); it may be nil.
 func (s *Simulator) applyLayerCtx(ctx context.Context, r *Result, gamma, beta float64) error {
-	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase && s.quant == nil {
+	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase {
 		route := s.route
 		if route == RouteAuto {
 			route = s.routeDec.decided()
@@ -163,24 +168,43 @@ func (s *Simulator) applyLayerCtx(ctx context.Context, r *Result, gamma, beta fl
 // applyFusedLayer dispatches the fused phase+mixer sweep kernels.
 func (s *Simulator) applyFusedLayer(r *Result, gamma, beta float64) {
 	fused := s.opts.FusedMixer
+	ph := s.phase(r, gamma)
 	switch {
 	case r.soa32 != nil && fused:
-		r.soa32.ApplyPhaseThenUniformRXFused(s.pool, s.diag, gamma, beta)
+		r.soa32.ApplyPhaseThenUniformRXFused(s.pool, ph, beta)
 	case r.soa32 != nil:
-		r.soa32.ApplyPhaseThenUniformRX(s.pool, s.diag, gamma, beta)
+		r.soa32.ApplyPhaseThenUniformRX(s.pool, ph, beta)
 	case r.soa != nil && fused:
-		r.soa.ApplyPhaseThenUniformRXFused(s.pool, s.diag, gamma, beta)
+		r.soa.ApplyPhaseThenUniformRXFused(s.pool, ph, beta)
 	case r.soa != nil:
-		r.soa.ApplyPhaseThenUniformRX(s.pool, s.diag, gamma, beta)
+		r.soa.ApplyPhaseThenUniformRX(s.pool, ph, beta)
 	case s.backend == BackendSerial && fused:
-		statevec.ApplyPhaseThenUniformRXFused(r.vec, s.diag, gamma, beta)
+		statevec.ApplyPhaseThenUniformRXFused(r.vec, ph, beta)
 	case s.backend == BackendSerial:
-		statevec.ApplyPhaseThenUniformRX(r.vec, s.diag, gamma, beta)
+		statevec.ApplyPhaseThenUniformRX(r.vec, ph, beta)
 	case fused:
-		s.pool.ApplyPhaseThenUniformRXFused(r.vec, s.diag, gamma, beta)
+		s.pool.ApplyPhaseThenUniformRXFused(r.vec, ph, beta)
 	default:
-		s.pool.ApplyPhaseThenUniformRX(r.vec, s.diag, gamma, beta)
+		s.pool.ApplyPhaseThenUniformRX(r.vec, ph, beta)
 	}
+}
+
+// phase returns the source of e^{−iγĈ}: with level codes, the per-γ
+// table rebuilt in r's scratch (a few hundred sincos calls instead of
+// 2^n); otherwise per-amplitude sincos of the diagonal.
+func (s *Simulator) phase(r *Result, gamma float64) statevec.Phase {
+	ph := statevec.Phase{Diag: s.diag, Gamma: gamma}
+	if s.levels == nil {
+		return ph
+	}
+	if cap(r.tab) < s.nlevels {
+		// A Result last bound to a simulator with fewer levels grows once.
+		r.tab = make([]complex128, s.nlevels)
+	}
+	r.tab = r.tab[:s.nlevels]
+	s.levels.PhaseTableInto(r.tab, gamma)
+	ph.Codes, ph.Tab = s.levels.Codes, r.tab
+	return ph
 }
 
 func (s *Simulator) applyPhase(r *Result, gamma float64) {
@@ -188,31 +212,16 @@ func (s *Simulator) applyPhase(r *Result, gamma float64) {
 		s.applyPhaseRecompute(r, gamma)
 		return
 	}
+	ph := s.phase(r, gamma)
 	switch {
 	case r.soa32 != nil:
-		r.soa32.PhaseDiag(s.pool, s.diag, gamma)
+		r.soa32.ApplyPhase(s.pool, ph)
 	case r.soa != nil:
-		// The quantized path tabulates e^{−iγ(Min+Scale·k)} once per γ
-		// (≤ 2^16 entries) instead of 2^n sincos evaluations.
-		if s.quant != nil {
-			tab := s.quant.PhaseTable(gamma)
-			cosT, sinT := tableToSoA(tab, s.quant.Codes)
-			r.soa.PhaseFactors(s.pool, cosT, sinT)
-			return
-		}
-		r.soa.PhaseDiag(s.pool, s.diag, gamma)
+		r.soa.ApplyPhase(s.pool, ph)
 	case s.backend == BackendSerial:
-		if s.quant != nil {
-			s.quant.PhaseApply(nil, r.vec, gamma)
-			return
-		}
-		statevec.PhaseDiag(r.vec, s.diag, gamma)
+		statevec.ApplyPhase(r.vec, ph)
 	default:
-		if s.quant != nil {
-			s.quant.PhaseApply(s.pool, r.vec, gamma)
-			return
-		}
-		s.pool.PhaseDiag(r.vec, s.diag, gamma)
+		s.pool.ApplyPhase(r.vec, ph)
 	}
 }
 
@@ -250,18 +259,6 @@ func (s *Simulator) applyPhaseRecompute(r *Result, gamma float64) {
 		return
 	}
 	s.pool.Run(len(r.vec), apply)
-}
-
-// tableToSoA expands a per-code phase table into full-length cos/sin
-// factor arrays for the SoA kernel.
-func tableToSoA(tab []complex128, codes []uint16) (cosT, sinT []float64) {
-	cosT = make([]float64, len(codes))
-	sinT = make([]float64, len(codes))
-	for i, c := range codes {
-		cosT[i] = real(tab[c])
-		sinT[i] = imag(tab[c])
-	}
-	return cosT, sinT
 }
 
 func (s *Simulator) applyMixer(r *Result, beta float64) {

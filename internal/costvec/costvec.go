@@ -166,6 +166,13 @@ var AutoScales = []float64{1, 0.5, 0.25, 0.125, 0.0625}
 // zero scale must never reach the code-assignment division).
 func Quantize(diag []float64, scale float64) (*Quantized, error) {
 	lo, hi := MinMax(diag)
+	return quantize(diag, lo, hi, scale, false)
+}
+
+// quantize assigns codes against the diagonal's extrema (lo, hi). In
+// exact mode a value must equal Min + Scale·k bit for bit; otherwise
+// within 1e-9·scale.
+func quantize(diag []float64, lo, hi, scale float64, exact bool) (*Quantized, error) {
 	if hi == lo {
 		return &Quantized{Codes: make([]uint16, len(diag)), Min: lo, Scale: 0}, nil
 	}
@@ -179,7 +186,8 @@ func Quantize(diag []float64, scale float64) (*Quantized, error) {
 	tol := 1e-9 * scale
 	for i, v := range diag {
 		k := math.Round((v - lo) / scale)
-		if math.Abs(v-(lo+k*scale)) > tol {
+		w := lo + k*scale
+		if exact && (w != v || math.Signbit(w) != math.Signbit(v)) || !exact && math.Abs(v-w) > tol {
 			return nil, fmt.Errorf("costvec: value %v at index %d is not representable as %v + k·%v", v, i, lo, scale)
 		}
 		q.Codes[i] = uint16(k)
@@ -193,12 +201,31 @@ func Quantize(diag []float64, scale float64) (*Quantized, error) {
 // circuits to the degenerate Scale-0 representation. Non-integer-
 // valued objectives should keep the float64 diagonal instead.
 func QuantizeAuto(diag []float64) (*Quantized, error) {
-	if lo, hi := MinMax(diag); hi == lo {
-		return &Quantized{Codes: make([]uint16, len(diag)), Min: lo, Scale: 0}, nil
+	return quantizeAuto(diag, false, 1<<16)
+}
+
+// QuantizeExact is QuantizeAuto with bitwise equality instead of its
+// 1e-9·Scale tolerance — every diag[x] equals Min + Scale·Codes[x]
+// exactly — and with at most maxLevels grid points (MaxCode < maxLevels).
+// It fails on any other diagonal. The simulator uses it to decide
+// whether a diagonal takes per-γ phase tables: sincos of a level is
+// then the sincos of the very value the diagonal stores.
+func QuantizeExact(diag []float64, maxLevels int) (*Quantized, error) {
+	return quantizeAuto(diag, true, maxLevels)
+}
+
+func quantizeAuto(diag []float64, exact bool, maxLevels int) (*Quantized, error) {
+	lo, hi := MinMax(diag)
+	if hi == lo {
+		return quantize(diag, lo, hi, 0, exact)
 	}
-	var lastErr error
+	lastErr := fmt.Errorf("costvec: range %v needs more than %d levels at every scale", hi-lo, maxLevels)
 	for _, scale := range AutoScales {
-		q, err := Quantize(diag, scale)
+		if (hi-lo)/scale >= float64(maxLevels) {
+			// Finer rungs only need more levels.
+			break
+		}
+		q, err := quantize(diag, lo, hi, scale, exact)
 		if err == nil {
 			return q, nil
 		}
@@ -298,36 +325,26 @@ func (q *Quantized) MaxCode() uint16 {
 // One table build (≤ 2^16 sincos calls) replaces 2^n of them per phase
 // application; the multiply itself becomes a gather from the table.
 func (q *Quantized) PhaseTable(gamma float64) []complex128 {
-	size := int(q.MaxCode()) + 1
-	tab := make([]complex128, size)
+	tab := make([]complex128, int(q.MaxCode())+1)
+	q.PhaseTableInto(tab, gamma)
+	return tab
+}
+
+// PhaseTableInto is PhaseTable into caller-owned storage: it fills
+// tab[k] = e^{−iγ(Min+Scale·k)} for k < len(tab), so a caller that
+// sized tab to MaxCode()+1 once rebuilds it per γ without allocating.
+func (q *Quantized) PhaseTableInto(tab []complex128, gamma float64) {
 	for k := range tab {
 		s, c := math.Sincos(-gamma * (q.Min + q.Scale*float64(k)))
 		tab[k] = complex(c, s)
 	}
-	return tab
 }
 
-// PhaseApply multiplies each amplitude by its quantized phase factor
-// using a per-γ lookup table: the fast path of the quantized phase
-// operator.
-func (q *Quantized) PhaseApply(p *statevec.Pool, v statevec.Vec, gamma float64) {
-	if len(v) != len(q.Codes) {
-		panic(fmt.Sprintf("costvec: PhaseApply length mismatch %d vs %d", len(v), len(q.Codes)))
-	}
-	tab := q.PhaseTable(gamma)
-	codes := q.Codes
-	p.Run(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] *= tab[codes[i]]
-		}
-	})
-}
-
-// PhaseApplyVec is the serial PhaseApply: one per-γ table build, then
-// a straight-line gather-multiply — the form the distributed simulator
-// runs on each rank's shard (rank goroutines are already the
-// parallelism; nesting a kernel pool underneath would oversubscribe
-// the host).
+// PhaseApplyVec multiplies each amplitude by its quantized phase
+// factor through one per-γ table build and a straight-line
+// gather-multiply — the form the distributed simulator runs on each
+// rank's shard (rank goroutines are already the parallelism; nesting
+// a kernel pool underneath would oversubscribe the host).
 func (q *Quantized) PhaseApplyVec(v statevec.Vec, gamma float64) {
 	if len(v) != len(q.Codes) {
 		panic(fmt.Sprintf("costvec: PhaseApplyVec length mismatch %d vs %d", len(v), len(q.Codes)))

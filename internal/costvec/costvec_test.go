@@ -187,6 +187,55 @@ func TestQuantizeErrors(t *testing.T) {
 	}
 }
 
+// TestQuantizeExact pins the bitwise rule that decides whether a
+// diagonal takes phase tables: integer costs pass and round-trip bit
+// for bit, while values off the grid by far less than QuantizeAuto's
+// tolerance, Gaussian couplings, NaN and grids wider than maxLevels
+// fail.
+func TestQuantizeExact(t *testing.T) {
+	const n = 10
+	diag := Precompute(poly.Compile(problems.LABSTerms(n)), n)
+	q, err := QuantizeExact(diag, 1<<n)
+	if err != nil {
+		t.Fatalf("LABS n=%d: %v", n, err)
+	}
+	for i, v := range diag {
+		if w := q.Value(i); math.Float64bits(w) != math.Float64bits(v) {
+			t.Fatalf("LABS value %d: %v round-trips to %v", i, v, w)
+		}
+	}
+	span := int(q.MaxCode()) + 1
+	if _, err := QuantizeExact(diag, span); err != nil {
+		t.Errorf("%d levels rejected at maxLevels=%d: %v", span, span, err)
+	}
+	if _, err := QuantizeExact(diag, span-1); err == nil {
+		t.Errorf("%d levels accepted at maxLevels=%d", span, span-1)
+	}
+	if _, err := QuantizeExact([]float64{2, 2, 2}, 1); err != nil {
+		t.Errorf("constant diagonal rejected: %v", err)
+	}
+
+	offGrid := append([]float64(nil), diag...)
+	offGrid[3] += 1e-12
+	if _, err := QuantizeAuto(offGrid); err != nil {
+		t.Errorf("QuantizeAuto rejected a value within its tolerance: %v", err)
+	}
+	if _, err := QuantizeExact(offGrid, 1<<n); err == nil {
+		t.Error("QuantizeExact accepted a value off the grid by 1e-12")
+	}
+	rng := rand.New(rand.NewSource(5))
+	sk := make([]float64, 1<<n)
+	for i := range sk {
+		sk[i] = rng.NormFloat64()
+	}
+	if _, err := QuantizeExact(sk, 1<<n); err == nil {
+		t.Error("QuantizeExact accepted a Gaussian diagonal")
+	}
+	if _, err := QuantizeExact([]float64{0, math.NaN(), 1}, 4); err == nil {
+		t.Error("QuantizeExact accepted NaN")
+	}
+}
+
 func TestPhaseTableAndApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 8
@@ -206,9 +255,18 @@ func TestPhaseTableAndApply(t *testing.T) {
 	direct := v.Clone()
 	statevec.PhaseDiag(direct, diag, gamma)
 	viaTable := v.Clone()
-	q.PhaseApply(p, viaTable, gamma)
+	q.PhaseApplyVec(viaTable, gamma)
 	if d := statevec.MaxAbsDiff(direct, viaTable); d > 1e-12 {
 		t.Fatalf("quantized phase apply differs: %g", d)
+	}
+	// The in-place table build fills exactly PhaseTable's entries.
+	tab := q.PhaseTable(gamma)
+	into := make([]complex128, len(tab))
+	q.PhaseTableInto(into, gamma)
+	for k := range tab {
+		if into[k] != tab[k] {
+			t.Fatalf("PhaseTableInto[%d] = %v, want %v", k, into[k], tab[k])
+		}
 	}
 
 	eDirect := statevec.ExpectationDiag(direct, diag)
@@ -275,7 +333,7 @@ func randomTerms(rng *rand.Rand, n, count int) poly.Terms {
 // TestQuantizeConstantDiagonal pins the degenerate-diagonal contract:
 // a constant diagonal (hi == lo) quantizes to Scale 0 with all-zero
 // codes — no zero/NaN step, no divide-by-zero in code assignment —
-// and Value, Expand, PhaseTable, PhaseApply, and the expectation stay
+// and Value, Expand, PhaseTable, PhaseApplyVec, and the expectation stay
 // exact.
 func TestQuantizeConstantDiagonal(t *testing.T) {
 	for _, c := range []float64{0, -3.5, 7} {
@@ -309,7 +367,7 @@ func TestQuantizeConstantDiagonal(t *testing.T) {
 			}
 		}
 
-		// PhaseApply and the expectation agree with the float64 path.
+		// PhaseApplyVec and the expectation agree with the float64 path.
 		q, err := QuantizeAuto(diag)
 		if err != nil {
 			t.Fatal(err)
@@ -318,7 +376,7 @@ func TestQuantizeConstantDiagonal(t *testing.T) {
 		v := statevec.NewUniform(2)
 		direct := v.Clone()
 		statevec.PhaseDiag(direct, diag, 0.7)
-		q.PhaseApply(p, v, 0.7)
+		q.PhaseApplyVec(v, 0.7)
 		if d := statevec.MaxAbsDiff(direct, v); d > 1e-15 {
 			t.Fatalf("constant %v: quantized phase differs by %g", c, d)
 		}

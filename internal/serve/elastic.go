@@ -74,7 +74,8 @@ type elastic struct {
 	live      int   // workers running or starting
 	idle      int   // workers parked waiting for tasks
 	peak      int   // high-water mark of live
-	usedBytes int64 // Σ StateBytes of current builds
+	usedBytes int64 // Σ StateBytes of current and in-flight builds
+	building  int   // builds charged to usedBytes whose New has not returned
 	buildErr  error // latched most-recent factory failure
 }
 
@@ -239,9 +240,11 @@ func (s *Service) bind() *elBuild {
 	}
 	// Pick the cheapest factory fitting the budget. The first build
 	// ever is exempt so a too-small budget degrades to one evaluator
-	// instead of a pool that can serve nothing.
+	// instead of a pool that can serve nothing. A build still in New
+	// already holds its charge, so it counts as existing: cold binds
+	// racing the first build do not all claim the exemption.
 	var slot *factorySlot
-	haveAny := false
+	haveAny := el.building > 0
 	for _, cand := range el.slots {
 		if len(cand.builds) > 0 {
 			haveAny = true
@@ -264,11 +267,13 @@ func (s *Service) bind() *elBuild {
 	// Charge the budget while building so concurrent binds cannot
 	// collectively overshoot it.
 	el.usedBytes += slot.caps.StateBytes
+	el.building++
 	s.mu.Unlock()
 
 	ev, err := slot.f.New(context.Background())
 
 	s.mu.Lock()
+	el.building--
 	if err != nil {
 		el.usedBytes -= slot.caps.StateBytes
 		el.buildErr = err

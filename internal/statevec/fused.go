@@ -91,40 +91,52 @@ func (p *Pool) ApplyUniformRXFused(v Vec, beta float64) {
 // sweep, composing the split layout with F = 2 fusion — the fastest
 // single-node mixer in this package.
 func (sv *SoA) ApplyUniformRXFused(p *Pool, beta float64) {
-	n := sv.NumQubits()
+	applyUniformRXFusedPlanes(p, sv.Re, sv.Im, beta)
+	if n := sv.NumQubits(); n%2 == 1 {
+		sv.ApplyRX(p, n-1, beta)
+	}
+}
+
+// applyUniformRXFusedPlanes sweeps RX⊗RX over the qubit pairs (0,1),
+// (2,3), … of split planes; odd n leaves the last qubit to the caller.
+func applyUniformRXFusedPlanes[T planeElem](p *Pool, re, im []T, beta float64) {
+	cc, ss, cs := rxPairCoeffs[T](beta)
+	for q := 0; q+1 < numQubits(len(re)); q += 2 {
+		rxPairPlanes(p, re, im, q, cc, ss, cs)
+	}
+}
+
+// rxPairCoeffs returns the RX⊗RX block's cos²β, sin²β and cosβ·sinβ,
+// computed in float64 and rounded once to the plane type.
+func rxPairCoeffs[T planeElem](beta float64) (cc, ss, cs T) {
 	s, c := math.Sincos(beta)
-	cc := c * c
-	ss := s * s
-	cs := c * s
-	re, im := sv.Re, sv.Im
-	q := 0
-	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(re)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				i01 := i00 + stride
-				i10 := i00 + 2*stride
-				i11 := i01 + 2*stride
-				r00, m00 := re[i00], im[i00]
-				r01, m01 := re[i01], im[i01]
-				r10, m10 := re[i10], im[i10]
-				r11, m11 := re[i11], im[i11]
-				// (cc − i·cs·(01+10) − ss·(11)) pattern expanded into
-				// real arithmetic: −i·x has re = im(x), im = −re(x).
-				re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
-				im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
-				re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
-				im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
-				re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
-				im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
-				re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
-				im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
-			}
-		})
-	}
-	if q < n {
-		sv.ApplyRX(p, q, beta)
-	}
+	return T(c * c), T(s * s), T(c * s)
+}
+
+// rxPairPlanes applies RX⊗RX on the adjacent qubits (q, q+1) of split
+// planes: the (cc − i·cs·(01+10) − ss·(11)) pattern of the fused block
+// expanded into real arithmetic (−i·x has re = im(x), im = −re(x)).
+func rxPairPlanes[T planeElem](p *Pool, re, im []T, q int, cc, ss, cs T) {
+	stride := 1 << uint(q)
+	mask := stride - 1
+	p.Run(len(re)/4, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
+			i01 := i00 + stride
+			i10 := i00 + 2*stride
+			i11 := i01 + 2*stride
+			r00, m00 := re[i00], im[i00]
+			r01, m01 := re[i01], im[i01]
+			r10, m10 := re[i10], im[i10]
+			r11, m11 := re[i11], im[i11]
+			re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
+			im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
+			re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
+			im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
+			re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
+			im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
+			re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
+			im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
+		}
+	})
 }

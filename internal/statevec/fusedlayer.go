@@ -1,9 +1,6 @@
 package statevec
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file holds the fused phase+mixer layer kernels — the tentpole
 // of the kernel speed pass. A QAOA layer is one elementwise diagonal
@@ -17,35 +14,26 @@ import (
 // (n ≥ 20) this removes one traversal per layer.
 //
 // The fused kernels compute the exact arithmetic sequence of
-// PhaseDiag followed by the mixer — each amplitude is phased into a
+// ApplyPhase followed by the mixer — each amplitude is phased into a
 // local temporary and then rotated with the same expressions the
 // unfused kernels use — so their results are bit-identical to the
-// separate passes, not merely close.
+// separate passes, not merely close. The phase factor comes from the
+// Phase source: per-amplitude sincos, or a gather from the per-γ level
+// table, which holds the same values.
 
-// ApplyPhaseThenUniformRX applies e^{−iβΣX_i}·e^{−iγ·diag} in one
+// ApplyPhaseThenUniformRX applies e^{−iβΣX_i}·e^{−iγĈ} in one
 // combined sweep: the phase is folded into the qubit-0 butterfly and
 // qubits 1..n−1 follow as plain Algorithm 1 passes.
-func ApplyPhaseThenUniformRX(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(v), len(diag)))
-	}
+func ApplyPhaseThenUniformRX(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseThenUniformRX", len(v))
 	n := v.NumQubits()
 	if n == 0 {
-		PhaseDiag(v, diag, gamma)
+		ApplyPhase(v, ph)
 		return
 	}
 	s64, c64 := math.Sincos(beta)
 	a, b := complex(c64, 0), complex(0, -s64)
-	ac, bc := conj(a), conj(b)
-	for l1 := 0; l1 < len(v); l1 += 2 {
-		l2 := l1 + 1
-		sn1, cs1 := math.Sincos(-gamma * diag[l1])
-		sn2, cs2 := math.Sincos(-gamma * diag[l2])
-		y1 := v[l1] * complex(cs1, sn1)
-		y2 := v[l2] * complex(cs2, sn2)
-		v[l1] = a*y1 - bc*y2
-		v[l2] = b*y1 + ac*y2
-	}
+	phaseRX0Range(v, ph, a, b, 0, len(v)/2)
 	for q := 1; q < n; q++ {
 		ApplySU2(v, q, a, b)
 	}
@@ -53,32 +41,41 @@ func ApplyPhaseThenUniformRX(v Vec, diag []float64, gamma, beta float64) {
 
 // ApplyPhaseThenUniformRX is the pool version of the combined
 // phase+mixer sweep.
-func (p *Pool) ApplyPhaseThenUniformRX(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(v), len(diag)))
-	}
+func (p *Pool) ApplyPhaseThenUniformRX(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseThenUniformRX", len(v))
 	n := v.NumQubits()
 	if n == 0 {
-		p.PhaseDiag(v, diag, gamma)
+		p.ApplyPhase(v, ph)
 		return
 	}
 	s64, c64 := math.Sincos(beta)
 	a, b := complex(c64, 0), complex(0, -s64)
-	ac, bc := conj(a), conj(b)
-	p.Run(len(v)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := 2 * t
-			l2 := l1 + 1
-			sn1, cs1 := math.Sincos(-gamma * diag[l1])
-			sn2, cs2 := math.Sincos(-gamma * diag[l2])
-			y1 := v[l1] * complex(cs1, sn1)
-			y2 := v[l2] * complex(cs2, sn2)
-			v[l1] = a*y1 - bc*y2
-			v[l2] = b*y1 + ac*y2
-		}
-	})
+	p.Run(len(v)/2, func(lo, hi int) { phaseRX0Range(v, ph, a, b, lo, hi) })
 	for q := 1; q < n; q++ {
 		p.ApplySU2(v, q, a, b)
+	}
+}
+
+// phaseRX0Range phases the amplitude pairs (2t, 2t+1), t ∈ [lo, hi),
+// and applies the qubit-0 butterfly of ApplySU2(·, 0, a, b) to them.
+func phaseRX0Range(v Vec, ph Phase, a, b complex128, lo, hi int) {
+	ac, bc := conj(a), conj(b)
+	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
+	for t := lo; t < hi; t++ {
+		l1 := 2 * t
+		l2 := l1 + 1
+		var f1, f2 complex128
+		if codes != nil {
+			f1, f2 = tab[codes[l1]], tab[codes[l2]]
+		} else {
+			sn1, cs1 := math.Sincos(-gamma * diag[l1])
+			sn2, cs2 := math.Sincos(-gamma * diag[l2])
+			f1, f2 = complex(cs1, sn1), complex(cs2, sn2)
+		}
+		y1 := v[l1] * f1
+		y2 := v[l2] * f2
+		v[l1] = a*y1 - bc*y2
+		v[l2] = b*y1 + ac*y2
 	}
 }
 
@@ -86,34 +83,18 @@ func (p *Pool) ApplyPhaseThenUniformRX(v Vec, diag []float64, gamma, beta float6
 // fused mixer: the phase folds into the first RX⊗RX quadruple pass
 // (qubits 0–1), the remaining pairs sweep as usual, and odd n
 // finishes with one single-qubit pass.
-func ApplyPhaseThenUniformRXFused(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(v), len(diag)))
-	}
+func ApplyPhaseThenUniformRXFused(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseThenUniformRXFused", len(v))
 	n := v.NumQubits()
 	if n < 2 {
-		ApplyPhaseThenUniformRX(v, diag, gamma, beta)
+		ApplyPhaseThenUniformRX(v, ph, beta)
 		return
 	}
 	s, c := math.Sincos(beta)
 	cc := complex(c*c, 0)
 	ss := complex(-s*s, 0)
 	ics := complex(0, -c*s)
-	for i00 := 0; i00 < len(v); i00 += 4 {
-		i01, i10, i11 := i00+1, i00+2, i00+3
-		sn0, cs0 := math.Sincos(-gamma * diag[i00])
-		sn1, cs1 := math.Sincos(-gamma * diag[i01])
-		sn2, cs2 := math.Sincos(-gamma * diag[i10])
-		sn3, cs3 := math.Sincos(-gamma * diag[i11])
-		y00 := v[i00] * complex(cs0, sn0)
-		y01 := v[i01] * complex(cs1, sn1)
-		y10 := v[i10] * complex(cs2, sn2)
-		y11 := v[i11] * complex(cs3, sn3)
-		v[i00] = cc*y00 + ics*y01 + ics*y10 + ss*y11
-		v[i01] = ics*y00 + cc*y01 + ss*y10 + ics*y11
-		v[i10] = ics*y00 + ss*y01 + cc*y10 + ics*y11
-		v[i11] = ss*y00 + ics*y01 + ics*y10 + cc*y11
-	}
+	phaseRXPair0Range(v, ph, cc, ss, ics, 0, len(v)/4)
 	q := 2
 	for ; q+1 < n; q += 2 {
 		applyFusedRXPair(v, q, cc, ss, ics)
@@ -125,37 +106,18 @@ func ApplyPhaseThenUniformRXFused(v Vec, diag []float64, gamma, beta float64) {
 
 // ApplyPhaseThenUniformRXFused is the pool version of the combined
 // phase + F = 2 fused sweep.
-func (p *Pool) ApplyPhaseThenUniformRXFused(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(v), len(diag)))
-	}
+func (p *Pool) ApplyPhaseThenUniformRXFused(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseThenUniformRXFused", len(v))
 	n := v.NumQubits()
 	if n < 2 {
-		p.ApplyPhaseThenUniformRX(v, diag, gamma, beta)
+		p.ApplyPhaseThenUniformRX(v, ph, beta)
 		return
 	}
 	s, c := math.Sincos(beta)
 	cc := complex(c*c, 0)
 	ss := complex(-s*s, 0)
 	ics := complex(0, -c*s)
-	p.Run(len(v)/4, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			i00 := 4 * t
-			i01, i10, i11 := i00+1, i00+2, i00+3
-			sn0, cs0 := math.Sincos(-gamma * diag[i00])
-			sn1, cs1 := math.Sincos(-gamma * diag[i01])
-			sn2, cs2 := math.Sincos(-gamma * diag[i10])
-			sn3, cs3 := math.Sincos(-gamma * diag[i11])
-			y00 := v[i00] * complex(cs0, sn0)
-			y01 := v[i01] * complex(cs1, sn1)
-			y10 := v[i10] * complex(cs2, sn2)
-			y11 := v[i11] * complex(cs3, sn3)
-			v[i00] = cc*y00 + ics*y01 + ics*y10 + ss*y11
-			v[i01] = ics*y00 + cc*y01 + ss*y10 + ics*y11
-			v[i10] = ics*y00 + ss*y01 + cc*y10 + ics*y11
-			v[i11] = ss*y00 + ics*y01 + ics*y10 + cc*y11
-		}
-	})
+	p.Run(len(v)/4, func(lo, hi int) { phaseRXPair0Range(v, ph, cc, ss, ics, lo, hi) })
 	q := 2
 	for ; q+1 < n; q += 2 {
 		stride := 1 << uint(q)
@@ -179,137 +141,81 @@ func (p *Pool) ApplyPhaseThenUniformRXFused(v Vec, diag []float64, gamma, beta f
 	}
 }
 
-// ApplyPhaseThenUniformRX is the split-layout combined sweep: phase
-// rotation and qubit-0 RX butterfly expanded into real arithmetic in
-// one pass, then plain ApplyRX passes for qubits 1..n−1.
-func (s *SoA) ApplyPhaseThenUniformRX(p *Pool, diag []float64, gamma, beta float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
-	n := s.NumQubits()
-	if n == 0 {
-		s.PhaseDiag(p, diag, gamma)
-		return
-	}
-	sn, cs := math.Sincos(beta)
-	re, im := s.Re, s.Im
-	p.Run(len(re)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := 2 * t
-			l2 := l1 + 1
-			p1s, p1c := math.Sincos(-gamma * diag[l1])
-			p2s, p2c := math.Sincos(-gamma * diag[l2])
-			r1 := re[l1]*p1c - im[l1]*p1s
-			i1 := re[l1]*p1s + im[l1]*p1c
-			r2 := re[l2]*p2c - im[l2]*p2s
-			i2 := re[l2]*p2s + im[l2]*p2c
-			re[l1] = cs*r1 + sn*i2
-			im[l1] = cs*i1 - sn*r2
-			re[l2] = cs*r2 + sn*i1
-			im[l2] = cs*i2 - sn*r1
+// phaseRXPair0Range phases the amplitude quadruples 4t..4t+3,
+// t ∈ [lo, hi), and applies the RX⊗RX block on qubits 0–1 to them.
+func phaseRXPair0Range(v Vec, ph Phase, cc, ss, ics complex128, lo, hi int) {
+	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
+	for t := lo; t < hi; t++ {
+		i00 := 4 * t
+		i01, i10, i11 := i00+1, i00+2, i00+3
+		var f0, f1, f2, f3 complex128
+		if codes != nil {
+			f0, f1, f2, f3 = tab[codes[i00]], tab[codes[i01]], tab[codes[i10]], tab[codes[i11]]
+		} else {
+			sn0, cs0 := math.Sincos(-gamma * diag[i00])
+			sn1, cs1 := math.Sincos(-gamma * diag[i01])
+			sn2, cs2 := math.Sincos(-gamma * diag[i10])
+			sn3, cs3 := math.Sincos(-gamma * diag[i11])
+			f0, f1, f2, f3 = complex(cs0, sn0), complex(cs1, sn1), complex(cs2, sn2), complex(cs3, sn3)
 		}
-	})
-	for q := 1; q < n; q++ {
-		s.ApplyRX(p, q, beta)
+		y00 := v[i00] * f0
+		y01 := v[i01] * f1
+		y10 := v[i10] * f2
+		y11 := v[i11] * f3
+		v[i00] = cc*y00 + ics*y01 + ics*y10 + ss*y11
+		v[i01] = ics*y00 + cc*y01 + ss*y10 + ics*y11
+		v[i10] = ics*y00 + ss*y01 + cc*y10 + ics*y11
+		v[i11] = ss*y00 + ics*y01 + ics*y10 + cc*y11
 	}
 }
 
-// ApplyPhaseThenUniformRXFused is the split-layout combined phase +
-// F = 2 fused sweep.
-func (sv *SoA) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, beta float64) {
-	if len(sv.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(sv.Re), len(diag)))
-	}
-	n := sv.NumQubits()
-	if n < 2 {
-		sv.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
-		return
-	}
-	s, c := math.Sincos(beta)
-	cc := c * c
-	ss := s * s
-	cs := c * s
-	re, im := sv.Re, sv.Im
-	p.Run(len(re)/4, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			i00 := 4 * t
-			i01, i10, i11 := i00+1, i00+2, i00+3
-			p0s, p0c := math.Sincos(-gamma * diag[i00])
-			p1s, p1c := math.Sincos(-gamma * diag[i01])
-			p2s, p2c := math.Sincos(-gamma * diag[i10])
-			p3s, p3c := math.Sincos(-gamma * diag[i11])
-			r00 := re[i00]*p0c - im[i00]*p0s
-			m00 := re[i00]*p0s + im[i00]*p0c
-			r01 := re[i01]*p1c - im[i01]*p1s
-			m01 := re[i01]*p1s + im[i01]*p1c
-			r10 := re[i10]*p2c - im[i10]*p2s
-			m10 := re[i10]*p2s + im[i10]*p2c
-			r11 := re[i11]*p3c - im[i11]*p3s
-			m11 := re[i11]*p3s + im[i11]*p3c
-			re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
-			im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
-			re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
-			im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
-			re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
-			im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
-			re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
-			im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
-		}
-	})
-	q := 2
-	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(re)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				i01 := i00 + stride
-				i10 := i00 + 2*stride
-				i11 := i01 + 2*stride
-				r00, m00 := re[i00], im[i00]
-				r01, m01 := re[i01], im[i01]
-				r10, m10 := re[i10], im[i10]
-				r11, m11 := re[i11], im[i11]
-				re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
-				im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
-				re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
-				im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
-				re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
-				im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
-				re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
-				im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
-			}
-		})
-	}
-	if q < n {
-		sv.ApplyRX(p, q, beta)
+// ApplyPhaseThenUniformRX is the split-layout combined sweep: phase
+// rotation and qubit-0 RX butterfly expanded into real arithmetic in
+// one pass, then plain ApplyRX passes for qubits 1..n−1.
+func (s *SoA) ApplyPhaseThenUniformRX(p *Pool, ph Phase, beta float64) {
+	phaseRX0Planes(p, s.Re, s.Im, ph, beta)
+	for q := 1; q < s.NumQubits(); q++ {
+		s.ApplyRX(p, q, beta)
 	}
 }
 
 // ApplyPhaseThenUniformRX is the single-precision combined sweep.
 // Phase factors and rotation coefficients are evaluated in float64
 // and rounded once; the amplitude arithmetic is float32, matching the
-// unfused PhaseDiag→ApplyRX sequence bit for bit.
-func (s *SoA32) ApplyPhaseThenUniformRX(p *Pool, diag []float64, gamma, beta float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(s.Re), len(diag)))
+// unfused ApplyPhase→ApplyRX sequence bit for bit.
+func (s *SoA32) ApplyPhaseThenUniformRX(p *Pool, ph Phase, beta float64) {
+	phaseRX0Planes(p, s.Re, s.Im, ph, beta)
+	for q := 1; q < s.NumQubits(); q++ {
+		s.ApplyRX(p, q, beta)
 	}
-	n := s.NumQubits()
-	if n == 0 {
-		s.PhaseDiag(p, diag, gamma)
+}
+
+// phaseRX0Planes is the first pass of the split-layout combined sweep:
+// the phase folded into the qubit-0 RX butterfly (the phase alone at
+// n = 0). The caller sweeps qubits 1..n−1.
+func phaseRX0Planes[T planeElem](p *Pool, re, im []T, ph Phase, beta float64) {
+	ph.check("ApplyPhaseThenUniformRX", len(re))
+	if len(re) == 1 {
+		applyPhasePlanes(p, re, im, ph)
 		return
 	}
 	sn64, cs64 := math.Sincos(beta)
-	sn, cs := float32(sn64), float32(cs64)
-	re, im := s.Re, s.Im
+	sn, cs := T(sn64), T(cs64)
+	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
 	p.Run(len(re)/2, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			l1 := 2 * t
 			l2 := l1 + 1
-			p1s64, p1c64 := math.Sincos(-gamma * diag[l1])
-			p2s64, p2c64 := math.Sincos(-gamma * diag[l2])
-			p1s, p1c := float32(p1s64), float32(p1c64)
-			p2s, p2c := float32(p2s64), float32(p2c64)
+			var p1s64, p1c64, p2s64, p2c64 float64
+			if codes != nil {
+				f1, f2 := tab[codes[l1]], tab[codes[l2]]
+				p1s64, p1c64, p2s64, p2c64 = imag(f1), real(f1), imag(f2), real(f2)
+			} else {
+				p1s64, p1c64 = math.Sincos(-gamma * diag[l1])
+				p2s64, p2c64 = math.Sincos(-gamma * diag[l2])
+			}
+			p1s, p1c := T(p1s64), T(p1c64)
+			p2s, p2c := T(p2s64), T(p2c64)
 			r1 := re[l1]*p1c - im[l1]*p1s
 			i1 := re[l1]*p1s + im[l1]*p1c
 			r2 := re[l2]*p2c - im[l2]*p2s
@@ -320,39 +226,62 @@ func (s *SoA32) ApplyPhaseThenUniformRX(p *Pool, diag []float64, gamma, beta flo
 			im[l2] = cs*i2 - sn*r1
 		}
 	})
-	for q := 1; q < n; q++ {
-		s.ApplyRX(p, q, beta)
+}
+
+// ApplyPhaseThenUniformRXFused is the split-layout combined phase +
+// F = 2 fused sweep.
+func (sv *SoA) ApplyPhaseThenUniformRXFused(p *Pool, ph Phase, beta float64) {
+	n := sv.NumQubits()
+	if n < 2 {
+		sv.ApplyPhaseThenUniformRX(p, ph, beta)
+		return
+	}
+	q := phaseRXPairsPlanes(p, sv.Re, sv.Im, ph, beta)
+	if q < n {
+		sv.ApplyRX(p, q, beta)
 	}
 }
 
 // ApplyPhaseThenUniformRXFused is the single-precision combined phase
 // + F = 2 fused sweep.
-func (s *SoA32) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, beta float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
+func (s *SoA32) ApplyPhaseThenUniformRXFused(p *Pool, ph Phase, beta float64) {
 	n := s.NumQubits()
 	if n < 2 {
-		s.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
+		s.ApplyPhaseThenUniformRX(p, ph, beta)
 		return
 	}
-	sn64, cs64 := math.Sincos(beta)
-	cc := float32(cs64 * cs64)
-	ss := float32(sn64 * sn64)
-	cs := float32(cs64 * sn64)
-	re, im := s.Re, s.Im
+	q := phaseRXPairsPlanes(p, s.Re, s.Im, ph, beta)
+	if q < n {
+		s.ApplyRX(p, q, beta)
+	}
+}
+
+// phaseRXPairsPlanes folds the phase into the RX⊗RX pass on qubits 0–1
+// and sweeps the remaining qubit pairs (n ≥ 2). It returns the first
+// qubit left unswept: n for even n, n−1 for odd n.
+func phaseRXPairsPlanes[T planeElem](p *Pool, re, im []T, ph Phase, beta float64) int {
+	ph.check("ApplyPhaseThenUniformRXFused", len(re))
+	cc, ss, cs := rxPairCoeffs[T](beta)
+	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
 	p.Run(len(re)/4, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			i00 := 4 * t
 			i01, i10, i11 := i00+1, i00+2, i00+3
-			p0s64, p0c64 := math.Sincos(-gamma * diag[i00])
-			p1s64, p1c64 := math.Sincos(-gamma * diag[i01])
-			p2s64, p2c64 := math.Sincos(-gamma * diag[i10])
-			p3s64, p3c64 := math.Sincos(-gamma * diag[i11])
-			p0s, p0c := float32(p0s64), float32(p0c64)
-			p1s, p1c := float32(p1s64), float32(p1c64)
-			p2s, p2c := float32(p2s64), float32(p2c64)
-			p3s, p3c := float32(p3s64), float32(p3c64)
+			var p0s64, p0c64, p1s64, p1c64, p2s64, p2c64, p3s64, p3c64 float64
+			if codes != nil {
+				f0, f1, f2, f3 := tab[codes[i00]], tab[codes[i01]], tab[codes[i10]], tab[codes[i11]]
+				p0s64, p0c64, p1s64, p1c64 = imag(f0), real(f0), imag(f1), real(f1)
+				p2s64, p2c64, p3s64, p3c64 = imag(f2), real(f2), imag(f3), real(f3)
+			} else {
+				p0s64, p0c64 = math.Sincos(-gamma * diag[i00])
+				p1s64, p1c64 = math.Sincos(-gamma * diag[i01])
+				p2s64, p2c64 = math.Sincos(-gamma * diag[i10])
+				p3s64, p3c64 = math.Sincos(-gamma * diag[i11])
+			}
+			p0s, p0c := T(p0s64), T(p0c64)
+			p1s, p1c := T(p1s64), T(p1c64)
+			p2s, p2c := T(p2s64), T(p2c64)
+			p3s, p3c := T(p3s64), T(p3c64)
 			r00 := re[i00]*p0c - im[i00]*p0s
 			m00 := re[i00]*p0s + im[i00]*p0c
 			r01 := re[i01]*p1c - im[i01]*p1s
@@ -372,31 +301,8 @@ func (s *SoA32) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, bet
 		}
 	})
 	q := 2
-	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(re)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				i01 := i00 + stride
-				i10 := i00 + 2*stride
-				i11 := i01 + 2*stride
-				r00, m00 := re[i00], im[i00]
-				r01, m01 := re[i01], im[i01]
-				r10, m10 := re[i10], im[i10]
-				r11, m11 := re[i11], im[i11]
-				re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
-				im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
-				re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
-				im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
-				re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
-				im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
-				re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
-				im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
-			}
-		})
+	for ; q+1 < numQubits(len(re)); q += 2 {
+		rxPairPlanes(p, re, im, q, cc, ss, cs)
 	}
-	if q < n {
-		s.ApplyRX(p, q, beta)
-	}
+	return q
 }

@@ -1,17 +1,20 @@
 package statevec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // TestFusedLayerMatchesUnfused is the property suite for the fused
 // phase+mixer kernels: on every representation (serial Vec, Pool, SoA,
-// SoA32), for odd and even n including the n < 2 degenerate cases, the
-// combined kernel must reproduce PhaseDiag followed by the mixer sweep
-// to rtol 1e-12. The fused kernels replay the exact unfused arithmetic
-// per amplitude, so the double-precision paths agree bit-for-bit and
-// even the float32 path sits far inside the tolerance.
+// SoA32), for odd and even n including the n < 2 degenerate cases, and
+// for both phase sources (per-amplitude sincos of a random diagonal,
+// and a level table over an integer grid), the combined kernel must
+// reproduce PhaseDiag followed by the mixer sweep to rtol 1e-12. The
+// fused kernels replay the exact unfused arithmetic per amplitude, so
+// the double-precision paths agree bit-for-bit and even the float32
+// path sits far inside the tolerance.
 func TestFusedLayerMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, n := range []int{0, 1, 2, 3, 6, 7} {
@@ -23,74 +26,113 @@ func TestFusedLayerMatchesUnfused(t *testing.T) {
 		for i := range diag {
 			diag[i] = rng.NormFloat64() * 3
 		}
+		grid, codes, tab := randomLevels(rng, len(v), gamma)
+		for _, ph := range []Phase{
+			{Diag: diag, Gamma: gamma},
+			{Diag: grid, Gamma: gamma, Codes: codes, Tab: tab},
+		} {
+			checkFusedLayer(t, n, v, ph, beta)
+		}
+	}
+}
 
-		// Reference: separate phase + per-qubit sweep, and separate
-		// phase + F=2 pair sweep.
-		want := v.Clone()
-		PhaseDiag(want, diag, gamma)
-		ApplyUniformRX(want, beta)
-		wantPair := v.Clone()
-		PhaseDiag(wantPair, diag, gamma)
-		ApplyUniformRXFused(wantPair, beta)
+// randomLevels returns a diagonal on the grid −3 + ½·k with random
+// level codes, and the level table of e^{−iγ·diag} for it.
+func randomLevels(rng *rand.Rand, size int, gamma float64) ([]float64, []uint16, []complex128) {
+	const levels = 9
+	diag := make([]float64, size)
+	codes := make([]uint16, size)
+	for i := range codes {
+		codes[i] = uint16(rng.Intn(levels))
+		diag[i] = -3 + 0.5*float64(codes[i])
+	}
+	tab := make([]complex128, levels)
+	for k := range tab {
+		s, c := math.Sincos(-gamma * (-3 + 0.5*float64(k)))
+		tab[k] = complex(c, s)
+	}
+	return diag, codes, tab
+}
 
-		check := func(name string, got Vec, ref Vec) {
-			t.Helper()
-			for i := range got {
-				d := cmplxAbs(got[i] - ref[i])
-				if d > 1e-12*(1+cmplxAbs(ref[i])) {
-					t.Fatalf("n=%d %s deviates at %d by %g", n, name, i, d)
-					return
-				}
+func checkFusedLayer(t *testing.T, n int, v Vec, ph Phase, beta float64) {
+	t.Helper()
+	label := "sincos"
+	if ph.Codes != nil {
+		label = "table"
+	}
+	diag, gamma := ph.Diag, ph.Gamma
+	// Reference: separate phase + per-qubit sweep, and separate phase +
+	// F=2 pair sweep, both through per-amplitude sincos.
+	want := v.Clone()
+	PhaseDiag(want, diag, gamma)
+	ApplyUniformRX(want, beta)
+	wantPair := v.Clone()
+	PhaseDiag(wantPair, diag, gamma)
+	ApplyUniformRXFused(wantPair, beta)
+
+	check := func(name string, got Vec, ref Vec) {
+		t.Helper()
+		for i := range got {
+			d := cmplxAbs(got[i] - ref[i])
+			if d > 1e-12*(1+cmplxAbs(ref[i])) {
+				t.Fatalf("n=%d %s %s deviates at %d by %g", n, label, name, i, d)
+				return
 			}
 		}
+	}
 
-		fused := v.Clone()
-		ApplyPhaseThenUniformRX(fused, diag, gamma, beta)
-		check("serial", fused, want)
+	phased := v.Clone()
+	ApplyPhase(phased, ph)
+	ref := v.Clone()
+	PhaseDiag(ref, diag, gamma)
+	check("serial phase", phased, ref)
 
-		fusedPair := v.Clone()
-		ApplyPhaseThenUniformRXFused(fusedPair, diag, gamma, beta)
-		check("serial pair-fused", fusedPair, wantPair)
+	fused := v.Clone()
+	ApplyPhaseThenUniformRX(fused, ph, beta)
+	check("serial", fused, want)
 
-		for _, workers := range []int{1, 3} {
-			p := NewPool(workers)
-			p.minParallel = 1
-			pf := v.Clone()
-			p.ApplyPhaseThenUniformRX(pf, diag, gamma, beta)
-			check("pool", pf, want)
+	fusedPair := v.Clone()
+	ApplyPhaseThenUniformRXFused(fusedPair, ph, beta)
+	check("serial pair-fused", fusedPair, wantPair)
 
-			pfp := v.Clone()
-			p.ApplyPhaseThenUniformRXFused(pfp, diag, gamma, beta)
-			check("pool pair-fused", pfp, wantPair)
+	for _, workers := range []int{1, 3} {
+		p := NewPool(workers)
+		p.minParallel = 1
+		pf := v.Clone()
+		p.ApplyPhaseThenUniformRX(pf, ph, beta)
+		check("pool", pf, want)
 
-			soa := SoAFromVec(v)
-			soa.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
-			soaWant := SoAFromVec(v)
-			soaWant.PhaseDiag(p, diag, gamma)
-			soaWant.ApplyUniformRX(p, beta)
-			check("soa", soa.ToVec(), soaWant.ToVec())
+		pfp := v.Clone()
+		p.ApplyPhaseThenUniformRXFused(pfp, ph, beta)
+		check("pool pair-fused", pfp, wantPair)
 
-			soaPair := SoAFromVec(v)
-			soaPair.ApplyPhaseThenUniformRXFused(p, diag, gamma, beta)
-			soaPairWant := SoAFromVec(v)
-			soaPairWant.PhaseDiag(p, diag, gamma)
-			soaPairWant.ApplyUniformRXFused(p, beta)
-			check("soa pair-fused", soaPair.ToVec(), soaPairWant.ToVec())
+		soa := SoAFromVec(v)
+		soa.ApplyPhaseThenUniformRX(p, ph, beta)
+		soaWant := SoAFromVec(v)
+		soaWant.PhaseDiag(p, diag, gamma)
+		soaWant.ApplyUniformRX(p, beta)
+		check("soa", soa.ToVec(), soaWant.ToVec())
 
-			soa32 := SoA32FromVec(v)
-			soa32.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
-			soa32Want := SoA32FromVec(v)
-			soa32Want.PhaseDiag(p, diag, gamma)
-			soa32Want.ApplyUniformRX(p, beta)
-			check("soa32", soa32.ToVec(), soa32Want.ToVec())
+		soaPair := SoAFromVec(v)
+		soaPair.ApplyPhaseThenUniformRXFused(p, ph, beta)
+		soaPairWant := SoAFromVec(v)
+		soaPairWant.PhaseDiag(p, diag, gamma)
+		soaPairWant.ApplyUniformRXFused(p, beta)
+		check("soa pair-fused", soaPair.ToVec(), soaPairWant.ToVec())
 
-			soa32Pair := SoA32FromVec(v)
-			soa32Pair.ApplyPhaseThenUniformRXFused(p, diag, gamma, beta)
-			soa32PairWant := SoA32FromVec(v)
-			soa32PairWant.PhaseDiag(p, diag, gamma)
-			soa32PairWant.ApplyUniformRXFused(p, beta)
-			check("soa32 pair-fused", soa32Pair.ToVec(), soa32PairWant.ToVec())
-		}
+		soa32 := SoA32FromVec(v)
+		soa32.ApplyPhaseThenUniformRX(p, ph, beta)
+		soa32Want := SoA32FromVec(v)
+		soa32Want.PhaseDiag(p, diag, gamma)
+		soa32Want.ApplyUniformRX(p, beta)
+		check("soa32", soa32.ToVec(), soa32Want.ToVec())
+
+		soa32Pair := SoA32FromVec(v)
+		soa32Pair.ApplyPhaseThenUniformRXFused(p, ph, beta)
+		soa32PairWant := SoA32FromVec(v)
+		soa32PairWant.PhaseDiag(p, diag, gamma)
+		soa32PairWant.ApplyUniformRXFused(p, beta)
+		check("soa32 pair-fused", soa32Pair.ToVec(), soa32PairWant.ToVec())
 	}
 }
 
@@ -121,7 +163,7 @@ func TestFusedLayerOddTail(t *testing.T) {
 	for i := range diag {
 		diag[i] = float64(i%7) - 3
 	}
-	ApplyPhaseThenUniformRXFused(v, diag, 0.9, 0.4)
+	ApplyPhaseThenUniformRXFused(v, Phase{Diag: diag, Gamma: 0.9}, 0.4)
 	if d := v.Norm(); d < 1-1e-12 || d > 1+1e-12 {
 		t.Fatalf("odd-n pair-fused layer broke the norm: %v", d)
 	}
@@ -147,7 +189,7 @@ func BenchmarkFusedLayer(b *testing.B) {
 		s := NewSoAUniform(n)
 		b.SetBytes(int64(16 * len(diag)))
 		for i := 0; i < b.N; i++ {
-			s.ApplyPhaseThenUniformRXFused(p, diag, 0.7, 0.3)
+			s.ApplyPhaseThenUniformRXFused(p, Phase{Diag: diag, Gamma: 0.7}, 0.3)
 		}
 	})
 }

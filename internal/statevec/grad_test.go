@@ -48,31 +48,52 @@ func applyXYRef(v Vec, i, j int) Vec {
 // (minParallel is zero for in-package composite literals).
 func gradPool() *Pool { return &Pool{Workers: 4} }
 
+// TestImDotDiagAgainstReference checks every Im ⟨λ|Ĉ|ψ⟩ reduction
+// against the explicit inner product: the standalone serial and SoA32
+// reductions the distributed engine calls, and ReversePhase on all
+// four representations, with and without the phase undo and through
+// both phase sources.
 func TestImDotDiagAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 5
 	lam, psi := randState(rng, n), randState(rng, n)
-	diag := make([]float64, 1<<n)
-	for i := range diag {
-		diag[i] = rng.NormFloat64()
+	gamma := 0.7
+	random := make([]float64, 1<<n)
+	for i := range random {
+		random[i] = rng.NormFloat64()
 	}
-	cpsi := psi.Clone()
-	MulDiag(cpsi, diag)
-	want := imDot(lam, cpsi)
+	grid, codes, tab := randomLevels(rng, 1<<n, gamma)
+	for _, ph := range []Phase{{Diag: random, Gamma: gamma}, {Diag: grid, Gamma: gamma, Codes: codes, Tab: tab}} {
+		diag := ph.Diag
+		cpsi := psi.Clone()
+		MulDiag(cpsi, diag)
+		want := imDot(lam, cpsi)
 
-	if got := ImDotDiag(lam, psi, diag); math.Abs(got-want) > 1e-12 {
-		t.Errorf("serial ImDotDiag = %v, want %v", got, want)
-	}
-	if got := gradPool().ImDotDiag(lam, psi, diag); math.Abs(got-want) > 1e-12 {
-		t.Errorf("pool ImDotDiag = %v, want %v", got, want)
-	}
-	sl, sp := SoAFromVec(lam), SoAFromVec(psi)
-	if got := sl.ImDotDiag(gradPool(), sp, diag); math.Abs(got-want) > 1e-12 {
-		t.Errorf("SoA ImDotDiag = %v, want %v", got, want)
-	}
-	sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
-	if got := sl32.ImDotDiag(gradPool(), sp32, diag); math.Abs(got-want) > 1e-5 {
-		t.Errorf("SoA32 ImDotDiag = %v, want %v", got, want)
+		if got := ImDotDiag(lam, psi, diag); math.Abs(got-want) > 1e-12 {
+			t.Errorf("serial ImDotDiag = %v, want %v", got, want)
+		}
+		sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
+		if got := sl32.ImDotDiag(gradPool(), sp32, diag); math.Abs(got-want) > 1e-5 {
+			t.Errorf("SoA32 ImDotDiag = %v, want %v", got, want)
+		}
+		for _, undo := range []bool{false, true} {
+			got := map[string]float64{}
+			l, ps := lam.Clone(), psi.Clone()
+			got["serial"] = ReversePhase(l, ps, ph, undo)
+			l, ps = lam.Clone(), psi.Clone()
+			got["pool"] = gradPool().ReversePhase(l, ps, ph, undo)
+			sl, sp := SoAFromVec(lam), SoAFromVec(psi)
+			got["soa"] = sl.ReversePhase(gradPool(), sp, ph, undo)
+			for name, g := range got {
+				if math.Abs(g-want) > 1e-12 {
+					t.Errorf("%s ReversePhase(undo=%v, table=%v) = %v, want %v", name, undo, ph.Codes != nil, g, want)
+				}
+			}
+			sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
+			if g := sl32.ReversePhase(gradPool(), sp32, ph, undo); math.Abs(g-want) > 1e-5 {
+				t.Errorf("SoA32 ReversePhase(undo=%v) = %v, want %v", undo, g, want)
+			}
+		}
 	}
 }
 
@@ -104,9 +125,15 @@ func TestMulDiagBackends(t *testing.T) {
 	}
 }
 
+// TestImDotXAllAgainstReference checks the transverse-field mixer
+// derivative Σ_q Im ⟨λ|X_q|ψ⟩: the fused serial and SoA32 reductions,
+// and the sum of the per-qubit ReverseRX reductions on all four
+// representations (each qubit's term is invariant under the RX undos
+// of the other qubits, so the running sweep reads the same value).
 func TestImDotXAllAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 5
+	const beta = 0.37
 	lam, psi := randState(rng, n), randState(rng, n)
 	// Reference: Σ_q Im ⟨λ|X_q|ψ⟩ by explicit bit-flip application.
 	var want float64
@@ -116,19 +143,34 @@ func TestImDotXAllAgainstReference(t *testing.T) {
 	if got := ImDotXAll(lam, psi); math.Abs(got-want) > 1e-12 {
 		t.Errorf("serial ImDotXAll = %v, want %v", got, want)
 	}
-	if got := gradPool().ImDotXAll(lam, psi); math.Abs(got-want) > 1e-12 {
-		t.Errorf("pool ImDotXAll = %v, want %v", got, want)
-	}
-	sl, sp := SoAFromVec(lam), SoAFromVec(psi)
-	if got := sl.ImDotXAll(gradPool(), sp); math.Abs(got-want) > 1e-12 {
-		t.Errorf("SoA ImDotXAll = %v, want %v", got, want)
-	}
 	sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
 	if got := sl32.ImDotXAll(gradPool(), sp32); math.Abs(got-want) > 1e-5 {
 		t.Errorf("SoA32 ImDotXAll = %v, want %v", got, want)
 	}
+	var got [4]float64
+	l, ps := lam.Clone(), psi.Clone()
+	lp, pp := lam.Clone(), psi.Clone()
+	sl, sp := SoAFromVec(lam), SoAFromVec(psi)
+	for q := 0; q < n; q++ {
+		got[0] += ReverseRX(l, ps, q, beta)
+		got[1] += gradPool().ReverseRX(lp, pp, q, beta)
+		got[2] += sl.ReverseRX(gradPool(), sp, q, beta)
+		got[3] += sl32.ReverseRX(gradPool(), sp32, q, beta)
+	}
+	for k, name := range []string{"serial", "pool", "soa", "soa32"} {
+		tol := 1e-12
+		if name == "soa32" {
+			tol = 1e-5
+		}
+		if math.Abs(got[k]-want) > tol {
+			t.Errorf("%s Σ_q ReverseRX = %v, want %v", name, got[k], want)
+		}
+	}
 }
 
+// TestImDotXYAgainstReference checks the per-edge xy derivative
+// Im ⟨λ|H_e|ψ⟩ of the standalone serial and SoA32 reductions and of
+// ReverseXY on all four representations.
 func TestImDotXYAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const n = 5
@@ -142,17 +184,112 @@ func TestImDotXYAgainstReference(t *testing.T) {
 			if got := ImDotXY(lam, psi, i, j); math.Abs(got-want) > 1e-12 {
 				t.Errorf("serial ImDotXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
-			if got := gradPool().ImDotXY(lam, psi, i, j); math.Abs(got-want) > 1e-12 {
-				t.Errorf("pool ImDotXY (%d,%d): got %v, want %v", i, j, got, want)
+			if got := ReverseXY(lam.Clone(), psi.Clone(), i, j, 0.4); math.Abs(got-want) > 1e-12 {
+				t.Errorf("serial ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
+			}
+			if got := gradPool().ReverseXY(lam.Clone(), psi.Clone(), i, j, 0.4); math.Abs(got-want) > 1e-12 {
+				t.Errorf("pool ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
 			sl, sp := SoAFromVec(lam), SoAFromVec(psi)
-			if got := sl.ImDotXY(gradPool(), sp, i, j); math.Abs(got-want) > 1e-12 {
-				t.Errorf("SoA ImDotXY (%d,%d): got %v, want %v", i, j, got, want)
+			if got := sl.ReverseXY(gradPool(), sp, i, j, 0.4); math.Abs(got-want) > 1e-12 {
+				t.Errorf("SoA ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
 			sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
 			if got := sl32.ImDotXY(gradPool(), sp32, i, j); math.Abs(got-want) > 1e-5 {
 				t.Errorf("SoA32 ImDotXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
+			if got := sl32.ReverseXY(gradPool(), sp32, i, j, 0.4); math.Abs(got-want) > 1e-5 {
+				t.Errorf("SoA32 ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestReverseKernelsUndoForward checks that each Reverse kernel is the
+// exact inverse of its forward kernel on both states: a forward
+// phase, RX sweep and xy edge, then the reverse steps in reverse
+// order, must return λ and ψ to where they started. The double-
+// precision reverse steps apply the forward arithmetic at the negated
+// angle, so they must also match the forward kernels run at −β and
+// −γ bit for bit.
+func TestReverseKernelsUndoForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const n = 6
+	const beta, gamma = 0.61, 0.43
+	lam0, psi0 := randState(rng, n), randState(rng, n)
+	grid, codes, tab := randomLevels(rng, 1<<n, gamma)
+	for _, ph := range []Phase{{Diag: grid, Gamma: gamma}, {Diag: grid, Gamma: gamma, Codes: codes, Tab: tab}} {
+		undoPh := Phase{Diag: grid, Gamma: -gamma}
+		// complex128, serial and pool: forward then reverse.
+		for _, pool := range []*Pool{nil, gradPool()} {
+			l, ps := lam0.Clone(), psi0.Clone()
+			for _, v := range []Vec{l, ps} {
+				ApplyPhase(v, ph)
+				ApplyUniformRX(v, beta)
+				ApplyXY(v, 1, 4, beta)
+			}
+			ref := []Vec{l.Clone(), ps.Clone()}
+			for _, v := range ref {
+				ApplyXY(v, 1, 4, -beta)
+				ApplyUniformRX(v, -beta)
+			}
+			if pool == nil {
+				ReverseXY(l, ps, 1, 4, beta)
+				for q := 0; q < n; q++ {
+					ReverseRX(l, ps, q, beta)
+				}
+			} else {
+				pool.ReverseXY(l, ps, 1, 4, beta)
+				for q := 0; q < n; q++ {
+					pool.ReverseRX(l, ps, q, beta)
+				}
+			}
+			if d := MaxAbsDiff(l, ref[0]) + MaxAbsDiff(ps, ref[1]); d != 0 {
+				t.Errorf("pool=%v: reverse mixer differs from the forward kernels at −β by %g", pool != nil, d)
+			}
+			for _, v := range ref {
+				ApplyPhase(v, undoPh)
+			}
+			if pool == nil {
+				ReversePhase(l, ps, ph, true)
+			} else {
+				pool.ReversePhase(l, ps, ph, true)
+			}
+			if d := MaxAbsDiff(l, ref[0]) + MaxAbsDiff(ps, ref[1]); d != 0 {
+				t.Errorf("pool=%v table=%v: reverse phase differs from the forward phase at −γ by %g", pool != nil, ph.Codes != nil, d)
+			}
+			if d := MaxAbsDiff(l, lam0) + MaxAbsDiff(ps, psi0); d > 1e-12 {
+				t.Errorf("pool=%v table=%v: reverse steps leave the states off by %g", pool != nil, ph.Codes != nil, d)
+			}
+		}
+		p := gradPool()
+		sl, sp := SoAFromVec(lam0), SoAFromVec(psi0)
+		for _, v := range []*SoA{sl, sp} {
+			v.ApplyPhase(p, ph)
+			v.ApplyUniformRX(p, beta)
+			v.ApplyXY(p, 1, 4, beta)
+		}
+		sl.ReverseXY(p, sp, 1, 4, beta)
+		for q := 0; q < n; q++ {
+			sl.ReverseRX(p, sp, q, beta)
+		}
+		sl.ReversePhase(p, sp, ph, true)
+		if d := MaxAbsDiff(sl.ToVec(), lam0) + MaxAbsDiff(sp.ToVec(), psi0); d > 1e-12 {
+			t.Errorf("SoA table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
+		}
+		sl32, sp32 := SoA32FromVec(lam0), SoA32FromVec(psi0)
+		for _, v := range []*SoA32{sl32, sp32} {
+			v.ApplyPhase(p, ph)
+			v.ApplyUniformRX(p, beta)
+			v.ApplyXY(p, 1, 4, beta)
+		}
+		sl32.ReverseXY(p, sp32, 1, 4, beta)
+		for q := 0; q < n; q++ {
+			sl32.ReverseRX(p, sp32, q, beta)
+		}
+		sl32.ReversePhase(p, sp32, ph, true)
+		if d := MaxAbsDiff(sl32.ToVec(), lam0) + MaxAbsDiff(sp32.ToVec(), psi0); d > 1e-5 {
+			t.Errorf("SoA32 table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
 	}
 }

@@ -210,19 +210,6 @@ func (p *Pool) Apply2Q(v Vec, q1, q2 int, u [4][4]complex128) {
 	})
 }
 
-// PhaseDiag is the pool version of the phase operator.
-func (p *Pool) PhaseDiag(v Vec, diag []float64, gamma float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: PhaseDiag length mismatch %d vs %d", len(v), len(diag)))
-	}
-	p.Run(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, c := math.Sincos(-gamma * diag[i])
-			v[i] *= complex(c, s)
-		}
-	})
-}
-
 // ExpectationDiag is the pool version of the objective inner product.
 func (p *Pool) ExpectationDiag(v Vec, diag []float64) float64 {
 	if len(v) != len(diag) {

@@ -70,7 +70,7 @@ func TestPoolPhaseDiagConcurrent(t *testing.T) {
 
 	concurrently(workers, func(id int) {
 		j := &jobs[id]
-		pool.PhaseDiag(j.vec, j.diag, j.gamma)
+		pool.ApplyPhase(j.vec, Phase{Diag: j.diag, Gamma: j.gamma})
 		j.soa.PhaseDiag(pool, j.diag, j.gamma)
 	})
 

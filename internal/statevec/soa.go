@@ -146,36 +146,7 @@ func (s *SoA) ApplyXY(p *Pool, i, j int, beta float64) {
 
 // PhaseDiag multiplies amplitude x by e^{−iγ·diag_x} in place.
 func (s *SoA) PhaseDiag(p *Pool, diag []float64, gamma float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: PhaseDiag length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
-	re, im := s.Re, s.Im
-	p.Run(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sn, cs := math.Sincos(-gamma * diag[i])
-			r, m := re[i], im[i]
-			re[i] = r*cs - m*sn
-			im[i] = r*sn + m*cs
-		}
-	})
-}
-
-// PhaseFactors multiplies amplitude x elementwise by the precomputed
-// unit phases (cosTab[x], sinTab[x]); the uint16-quantized phase path
-// in internal/costvec feeds table-looked-up factors through this.
-func (s *SoA) PhaseFactors(p *Pool, cosTab, sinTab []float64) {
-	if len(s.Re) != len(cosTab) || len(s.Re) != len(sinTab) {
-		panic("statevec: PhaseFactors length mismatch")
-	}
-	re, im := s.Re, s.Im
-	p.Run(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r, m := re[i], im[i]
-			cs, sn := cosTab[i], sinTab[i]
-			re[i] = r*cs - m*sn
-			im[i] = r*sn + m*cs
-		}
-	})
+	s.ApplyPhase(p, Phase{Diag: diag, Gamma: gamma})
 }
 
 // ExpectationDiag returns Σ_x diag_x (re_x² + im_x²).

@@ -117,39 +117,9 @@ func (s *SoA32) ApplyUniformRX(p *Pool, beta float64) {
 
 // ApplyUniformRXFused is the F = 2 fused sweep in single precision.
 func (s *SoA32) ApplyUniformRXFused(p *Pool, beta float64) {
-	n := s.NumQubits()
-	sn64, cs64 := math.Sincos(beta)
-	cc := float32(cs64 * cs64)
-	ss := float32(sn64 * sn64)
-	cs := float32(cs64 * sn64)
-	re, im := s.Re, s.Im
-	q := 0
-	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(re)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				i01 := i00 + stride
-				i10 := i00 + 2*stride
-				i11 := i01 + 2*stride
-				r00, m00 := re[i00], im[i00]
-				r01, m01 := re[i01], im[i01]
-				r10, m10 := re[i10], im[i10]
-				r11, m11 := re[i11], im[i11]
-				re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
-				im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
-				re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
-				im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
-				re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
-				im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
-				re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
-				im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
-			}
-		})
-	}
-	if q < n {
-		s.ApplyRX(p, q, beta)
+	applyUniformRXFusedPlanes(p, s.Re, s.Im, beta)
+	if n := s.NumQubits(); n%2 == 1 {
+		s.ApplyRX(p, n-1, beta)
 	}
 }
 
@@ -188,19 +158,7 @@ func (s *SoA32) ApplyXY(p *Pool, i, j int, beta float64) {
 // PhaseDiag multiplies amplitude x by e^{−iγ·diag_x}; the phase
 // factors are evaluated in double precision.
 func (s *SoA32) PhaseDiag(p *Pool, diag []float64, gamma float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: PhaseDiag length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
-	re, im := s.Re, s.Im
-	p.Run(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sn64, cs64 := math.Sincos(-gamma * diag[i])
-			sn, cs := float32(sn64), float32(cs64)
-			r, m := re[i], im[i]
-			re[i] = r*cs - m*sn
-			im[i] = r*sn + m*cs
-		}
-	})
+	s.ApplyPhase(p, Phase{Diag: diag, Gamma: gamma})
 }
 
 // ExpectationDiag returns Σ_x diag_x|ψ_x|², accumulated in float64 so

@@ -205,11 +205,5 @@ func MaxAbsDiff(a, b Vec) float64 {
 // QAOA phase operator applied from the precomputed cost diagonal
 // (Algorithm 3, step 4).
 func PhaseDiag(v Vec, diag []float64, gamma float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: PhaseDiag length mismatch %d vs %d", len(v), len(diag)))
-	}
-	for i := range v {
-		s, c := math.Sincos(-gamma * diag[i])
-		v[i] *= complex(c, s)
-	}
+	ApplyPhase(v, Phase{Diag: diag, Gamma: gamma})
 }

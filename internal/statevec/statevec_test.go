@@ -422,7 +422,7 @@ func TestPoolKernelsMatchSerial(t *testing.T) {
 		}
 
 		PhaseDiag(serial, diag, 0.33)
-		p.PhaseDiag(pooled, diag, 0.33)
+		p.ApplyPhase(pooled, Phase{Diag: diag, Gamma: 0.33})
 		if d := MaxAbsDiff(serial, pooled); d > tol {
 			t.Fatalf("workers=%d PhaseDiag mismatch: %g", workers, d)
 		}
@@ -525,24 +525,21 @@ func TestSoAKernelsMatchAoS(t *testing.T) {
 	}
 }
 
-func TestSoAPhaseFactors(t *testing.T) {
+// TestSoAPhaseTable checks the table-fed SoA phase against the
+// per-amplitude sincos phase: the table holds the sincos values of the
+// same arguments, so the states must agree bit for bit.
+func TestSoAPhaseTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p := NewPool(1)
 	v := randomState(rng, 4)
-	diag := make([]float64, len(v))
-	cosT := make([]float64, len(v))
-	sinT := make([]float64, len(v))
 	gamma := 0.55
-	for i := range diag {
-		diag[i] = rng.NormFloat64()
-		sinT[i], cosT[i] = math.Sincos(-gamma * diag[i])
-	}
+	diag, codes, tab := randomLevels(rng, len(v), gamma)
 	a := SoAFromVec(v)
 	b := SoAFromVec(v)
 	a.PhaseDiag(p, diag, gamma)
-	b.PhaseFactors(p, cosT, sinT)
-	if d := MaxAbsDiff(a.ToVec(), b.ToVec()); d > tol {
-		t.Errorf("PhaseFactors vs PhaseDiag: %g", d)
+	b.ApplyPhase(p, Phase{Diag: diag, Gamma: gamma, Codes: codes, Tab: tab})
+	if d := MaxAbsDiff(a.ToVec(), b.ToVec()); d != 0 {
+		t.Errorf("table phase vs PhaseDiag: %g", d)
 	}
 }
 
