@@ -87,7 +87,7 @@ func TestSuiteJSONRoundTrips(t *testing.T) {
 		t.Errorf("schema = %q", report.Schema)
 	}
 	want := []string{"forward", "grad", "sweep", "registry_cache_hit",
-		"unfused_layer", "fused_layer", "fwht_mixer",
+		"unfused_layer", "fused_layer",
 		"lightcone_energy", "lightcone_grad",
 		"distributed_forward", "distributed_grad",
 		"distributed_forward_float32", "distributed_grad_float32", "distributed_grad_quantized",

@@ -47,9 +47,9 @@ type suiteConfig struct {
 	Points int `json:"sweep_points"`
 	Reps   int `json:"reps"`
 	// KernelN is the qubit count of the kernel-speed rows
-	// (unfused_layer, fused_layer, fwht_mixer) — larger than N so the
-	// state outgrows cache and the rows measure memory traffic, the
-	// regime the fused and FWHT kernels target.
+	// (unfused_layer, fused_layer) — larger than N so the state
+	// outgrows cache and the rows measure memory traffic, the regime
+	// the fused kernels target.
 	KernelN int `json:"kernel_n"`
 	// LightConeN is the vertex count of the light-cone rows
 	// (lightcone_energy, lightcone_grad) — a 3-regular MaxCut instance
@@ -238,12 +238,11 @@ func runSuite(w io.Writer, args []string) error {
 
 	// Kernel speed: one p-layer evolution at the larger kernelN over
 	// the default (SoA) backend — the separate phase + per-qubit sweep
-	// the repository started from, the fused single-pass layer (phase
-	// folded into the first pass of the F = 2 pair-fused sweep), and
-	// the cache-blocked FWHT mixer route. The sweep rows pin
-	// RouteSweep so no auto-calibration runs inside a timing window. A
-	// synthetic diagonal keeps setup cheap at the larger size; the
-	// evolution cost does not depend on the diagonal's values.
+	// the repository started from, and the fused single-pass layer
+	// (phase folded into the first pass of the F = 2 pair-fused
+	// sweep). A synthetic diagonal keeps setup cheap at the larger
+	// size; the evolution cost does not depend on the diagonal's
+	// values.
 	kdiag := make([]float64, 1<<uint(*kernelN))
 	for i := range kdiag {
 		kdiag[i] = float64((i*2654435761)%31) - 15
@@ -252,9 +251,8 @@ func runSuite(w io.Writer, args []string) error {
 		name string
 		opts core.Options
 	}{
-		{"unfused_layer", core.Options{SeparatePhase: true, MixerRoute: core.RouteSweep}},
-		{"fused_layer", core.Options{FusedMixer: true, MixerRoute: core.RouteSweep}},
-		{"fwht_mixer", core.Options{MixerRoute: core.RouteFWHT}},
+		{"unfused_layer", core.Options{SeparatePhase: true}},
+		{"fused_layer", core.Options{FusedMixer: true}},
 	} {
 		ksim, err := core.NewFromDiagonal(*kernelN, kdiag, kv.opts)
 		if err != nil {

@@ -105,9 +105,41 @@ func (m Mixer) String() string {
 	}
 }
 
+// MixerRoute names how the transverse-field mixer runs. Every
+// simulator runs the per-qubit sweep (Algorithm 2, optionally F = 2
+// pair-fused), so Simulator.MixerRoute always reports RouteSweep; the
+// type and its three values remain only because the repository
+// benchmark (perfbench) prints and compares them.
+type MixerRoute int
+
+const (
+	// RouteAuto is the zero value; no simulator reports it.
+	RouteAuto MixerRoute = iota
+	// RouteSweep is the per-qubit (or F = 2 pair-fused) sweep.
+	RouteSweep
+	// RouteFWHT names a Walsh–Hadamard mixer route this package does
+	// not implement; no simulator reports it.
+	RouteFWHT
+)
+
+// String returns the canonical route name.
+func (r MixerRoute) String() string {
+	switch r {
+	case RouteAuto:
+		return "auto"
+	case RouteSweep:
+		return "sweep"
+	case RouteFWHT:
+		return "fwht"
+	default:
+		return fmt.Sprintf("MixerRoute(%d)", int(r))
+	}
+}
+
 // Options configures a Simulator. The zero value requests the auto
 // backend, the transverse-field mixer, a GOMAXPROCS-sized pool and a
-// float64 diagonal.
+// float64 diagonal. The options and the diagonal alone fix which
+// kernels a simulator runs: nothing is calibrated against the clock.
 type Options struct {
 	Backend Backend
 	Mixer   Mixer
@@ -117,17 +149,6 @@ type Options struct {
 	// construction (observable through Simulator.Workers), never
 	// silently retained.
 	Workers int
-	// AutoWorkers calibrates the pool size per shape instead of taking
-	// Workers or GOMAXPROCS: the first construction of an
-	// (n, backend, precision, fusion) shape times one memory-bound pass
-	// over the cost diagonal per candidate size (1, 2, 4, …,
-	// GOMAXPROCS) and every simulator of that shape uses the winner for
-	// the process lifetime — the RouteAuto calibration pattern applied
-	// to pool sizing. Shapes below n = 16 always resolve to one worker
-	// (cache-resident states; no wall-clock dependence in tests).
-	// Incompatible with an explicit Workers > 0. The resolved size is
-	// observable through Simulator.Workers.
-	AutoWorkers bool
 	// InitialState overrides the default initial state (uniform
 	// superposition for MixerX, a Dicke state for the xy mixers). The
 	// vector is copied; it must have length 2^n.
@@ -135,14 +156,6 @@ type Options struct {
 	// HammingWeight is the Dicke-state weight for xy mixers; ≤ 0
 	// defaults to n/2. Ignored for MixerX.
 	HammingWeight int
-	// Quantize stores the diagonal as uint16 codes (§V-B). It fails at
-	// construction if the costs are not representable to within 1e-9 of
-	// the quantization step; the phase operator then runs through per-γ
-	// lookup tables. Diagonals that are exactly such a grid with few
-	// points take the tables without this option (see Simulator).
-	Quantize bool
-	// QuantScale fixes the quantization step; 0 selects automatically.
-	QuantScale float64
 	// SinglePrecision stores the state as float32 pairs (8 bytes per
 	// amplitude instead of 16), the complex64 mode of the paper's §V
 	// baselines: one more qubit fits in the same memory, at the cost
@@ -154,16 +167,8 @@ type Options struct {
 	// §VI's "gate fusion with F = 2" applied to the mixer, halving
 	// passes over the state. Combined with the SoA backend this is the
 	// fastest single-node engine and recovers the paper's ≈2×
-	// vendor-kernel gap. Ignored by the xy mixers and by the FWHT
-	// mixer route (which has no per-qubit sweeps to fuse).
+	// vendor-kernel gap. Ignored by the xy mixers.
 	FusedMixer bool
-	// MixerRoute selects the execution route for the transverse-field
-	// mixer: the per-qubit sweep, the cache-blocked Walsh–Hadamard
-	// route (forward FWHT · popcount diagonal · inverse FWHT), or — the
-	// zero value — automatic per-shape calibration (sweeps outright
-	// below the calibration threshold of n = 18). RouteFWHT is rejected
-	// at construction for the xy mixers, which have no FWHT form.
-	MixerRoute MixerRoute
 	// SeparatePhase forces the phase operator to run as its own full
 	// pass over the state instead of being folded into the first mixer
 	// sweep of each layer. The fused layer is the default because it is
@@ -176,8 +181,10 @@ type Options struct {
 	// every layer (O(|T|·2^n) per layer) instead of reading the cached
 	// diagonal. This is the ablation baseline standing in for
 	// OpenQAOA-style simulators in Fig. 2 and isolates exactly what
-	// precomputation buys. Only available when the simulator is built
-	// from terms (New), not from a raw diagonal.
+	// precomputation buys. A simulator built from a raw diagonal
+	// (NewFromDiagonal) has no terms to re-evaluate, so it re-reads the
+	// diagonal instead: it still pays sincos per amplitude per layer,
+	// but not the polynomial evaluation.
 	RecomputePhase bool
 }
 
@@ -203,9 +210,9 @@ type Simulator struct {
 	pool    *statevec.Pool
 
 	diag []float64
-	// levels holds the level codes the phase tables are indexed by (the
-	// Quantize option's codes, or an exact grid found at construction);
-	// nil selects per-amplitude sincos. nlevels is the table length.
+	// levels holds the level codes the phase tables are indexed by (an
+	// exact grid found at construction); nil selects per-amplitude
+	// sincos. nlevels is the table length.
 	levels  *costvec.Quantized
 	nlevels int
 	// compiled is retained for the RecomputePhase ablation.
@@ -213,11 +220,6 @@ type Simulator struct {
 
 	// mixerPairs is the ordered edge list swept by the xy mixers.
 	mixerPairs []graphs.Edge
-
-	// route is the resolved mixer route; routeDec carries the shared
-	// calibration state when route is RouteAuto (nil otherwise).
-	route    MixerRoute
-	routeDec *routeDecision
 
 	minCost      float64
 	groundStates []uint64
@@ -259,27 +261,6 @@ func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
 // (QOKit's `costs` constructor argument). The diagonal is retained,
 // not copied; callers must not mutate it afterwards.
 func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
-	return newFromDiagonal(n, diag, nil, opts)
-}
-
-// NewFromDiagonalQuantized is NewFromDiagonal for callers that already
-// hold the diagonal's uint16-quantized form (e.g. from a problem
-// registry): the simulator runs quantized without re-paying the
-// O(2^n) quantization pass. Quantize is implied; QuantScale is
-// ignored. The quantized form is retained, not copied.
-func NewFromDiagonalQuantized(n int, diag []float64, q *costvec.Quantized, opts Options) (*Simulator, error) {
-	if q == nil {
-		return nil, fmt.Errorf("core: NewFromDiagonalQuantized requires a non-nil quantized diagonal")
-	}
-	if len(q.Codes) != len(diag) {
-		return nil, fmt.Errorf("core: quantized form has %d codes for a %d-entry diagonal", len(q.Codes), len(diag))
-	}
-	opts.Quantize = true
-	opts.QuantScale = 0
-	return newFromDiagonal(n, diag, q, opts)
-}
-
-func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Options) (*Simulator, error) {
 	if n < 1 || n > 34 {
 		return nil, fmt.Errorf("core: n=%d outside practical range [1,34]", n)
 	}
@@ -287,23 +268,19 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 		return nil, fmt.Errorf("core: diagonal length %d, want 2^%d = %d", len(diag), n, 1<<uint(n))
 	}
 	backend := opts.Backend
-	if backend == BackendAuto {
+	switch backend {
+	case BackendAuto:
 		backend = BackendSoA
+	case BackendSerial, BackendParallel, BackendSoA:
+	default:
+		return nil, fmt.Errorf("core: unknown backend %v", opts.Backend)
 	}
 	workers := opts.Workers
-	if opts.AutoWorkers && workers > 0 {
-		return nil, fmt.Errorf("core: Options.AutoWorkers is incompatible with an explicit Options.Workers=%d — pick one sizing policy", workers)
-	}
 	if backend == BackendSerial {
 		// The serial backend never consults the pool; normalize the
 		// worker count to 1 so Options cannot silently claim parallelism
 		// the engine does not deliver.
 		workers = 1
-	} else if opts.AutoWorkers {
-		workers = autoWorkersFor(workersKey{
-			n: n, backend: backend,
-			single: opts.SinglePrecision, fused: opts.FusedMixer,
-		}, diag)
 	}
 	s := &Simulator{
 		n:         n,
@@ -313,39 +290,19 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 		diag:      diag,
 		costCache: &costOrderCache{},
 	}
-	if opts.RecomputePhase && opts.Quantize {
-		return nil, fmt.Errorf("core: RecomputePhase and Quantize are mutually exclusive")
-	}
 	if opts.SinglePrecision && backend != BackendSoA {
 		return nil, fmt.Errorf("core: SinglePrecision requires the SoA backend, got %v", backend)
 	}
-	if opts.SinglePrecision && (opts.Quantize || opts.RecomputePhase) {
-		return nil, fmt.Errorf("core: SinglePrecision does not compose with Quantize or RecomputePhase")
+	if opts.SinglePrecision && opts.RecomputePhase {
+		return nil, fmt.Errorf("core: SinglePrecision does not compose with RecomputePhase")
 	}
-	switch {
-	case opts.Quantize && prequant != nil:
-		s.levels = prequant
-	case opts.Quantize:
-		var q *costvec.Quantized
-		var err error
-		if opts.QuantScale > 0 {
-			q, err = costvec.Quantize(diag, opts.QuantScale)
-		} else {
-			q, err = costvec.QuantizeAuto(diag)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: quantized diagonal requested: %w", err)
-		}
-		s.levels = q
-	case !opts.RecomputePhase:
-		// The Fig. 2 ablation must keep re-deriving f(x) per phase
-		// application, so it never takes tables.
+	// The Fig. 2 ablation must keep re-deriving f(x) per phase
+	// application, so it never takes tables.
+	if !opts.RecomputePhase {
 		if q, err := costvec.QuantizeExact(diag, len(diag)/phaseTableRatio); err == nil {
 			s.levels = q
+			s.nlevels = int(q.MaxCode()) + 1
 		}
-	}
-	if s.levels != nil {
-		s.nlevels = int(s.levels.MaxCode()) + 1
 	}
 	switch opts.Mixer {
 	case MixerX:
@@ -355,9 +312,6 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 		s.mixerPairs = completeSweep(n)
 	default:
 		return nil, fmt.Errorf("core: unknown mixer %v", opts.Mixer)
-	}
-	if err := s.resolveRoute(); err != nil {
-		return nil, err
 	}
 	if err := s.setupInitialState(); err != nil {
 		return nil, err
@@ -425,41 +379,6 @@ func (s *Simulator) computeGroundStates() {
 	}
 }
 
-// resolveRoute validates Options.MixerRoute against the mixer family
-// and fixes the route for this simulator's shape: xy mixers always
-// sweep, explicit routes pass through, and RouteAuto either collapses
-// to the sweep (small n) or binds the shared per-shape calibration.
-func (s *Simulator) resolveRoute() error {
-	switch s.opts.MixerRoute {
-	case RouteAuto, RouteSweep, RouteFWHT:
-	default:
-		return fmt.Errorf("core: unknown Options.MixerRoute %v", s.opts.MixerRoute)
-	}
-	if s.opts.Mixer != MixerX {
-		if s.opts.MixerRoute == RouteFWHT {
-			return fmt.Errorf("core: Options.MixerRoute fwht requires the x mixer, got %v", s.opts.Mixer)
-		}
-		s.route, s.routeDec = RouteSweep, nil
-		return nil
-	}
-	s.route = s.opts.MixerRoute
-	s.routeDec = nil
-	if s.route == RouteAuto {
-		if s.n < routeAutoMinQubits {
-			s.route = RouteSweep
-			return nil
-		}
-		s.routeDec = routeDecisionFor(routeKey{
-			n:       s.n,
-			workers: s.pool.Workers,
-			backend: s.backend,
-			single:  s.opts.SinglePrecision,
-			fused:   s.opts.FusedMixer,
-		})
-	}
-	return nil
-}
-
 // KernelPoolView returns a simulator sharing every precomputed
 // structure with s — diagonal, level codes, compiled terms, mixer
 // sweep, ground states, initial state, CVaR cache — but running its
@@ -475,13 +394,6 @@ func (s *Simulator) KernelPoolView(workers int) *Simulator {
 	// is shared, which is exactly the semantics a view wants.
 	v := *s
 	v.pool = statevec.NewPool(workers)
-	// The sweep-vs-FWHT crossover depends on the worker count, so a
-	// view re-resolves its route instead of inheriting the parent
-	// shape's calibration (resolveRoute cannot fail here: the options
-	// already validated at construction).
-	if err := v.resolveRoute(); err != nil {
-		panic(fmt.Sprintf("core: KernelPoolView route re-resolution failed on validated options: %v", err))
-	}
 	return &v
 }
 
@@ -496,16 +408,9 @@ func (s *Simulator) Backend() Backend { return s.backend }
 // Serial backend.
 func (s *Simulator) Workers() int { return s.pool.Workers }
 
-// MixerRoute returns the route the transverse-field mixer currently
-// runs on: RouteSweep or RouteFWHT once fixed (explicitly, by the
-// small-n collapse, or by calibration), or RouteAuto while an
-// auto-routed shape has not yet measured both candidates.
-func (s *Simulator) MixerRoute() MixerRoute {
-	if s.route != RouteAuto {
-		return s.route
-	}
-	return s.routeDec.decided()
-}
+// MixerRoute reports the mixer route, which is always RouteSweep (see
+// the MixerRoute type).
+func (s *Simulator) MixerRoute() MixerRoute { return RouteSweep }
 
 // CostDiagonal returns the precomputed cost vector (shared storage —
 // do not mutate). This is QOKit's get_cost_diagonal.

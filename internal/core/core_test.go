@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"qokit/internal/costvec"
@@ -60,14 +61,14 @@ func TestConstructionErrors(t *testing.T) {
 	if _, err := New(2, ts, Options{Mixer: Mixer(99)}); err == nil {
 		t.Error("unknown mixer accepted")
 	}
+	if _, err := New(2, ts, Options{Backend: Backend(7)}); err == nil || !strings.Contains(err.Error(), "unknown backend Backend(7)") {
+		t.Errorf("unknown backend: error %v, want one naming Backend(7)", err)
+	}
 	if _, err := New(2, ts, Options{InitialState: statevec.New(3)}); err == nil {
 		t.Error("wrong initial state length accepted")
 	}
 	if _, err := New(2, ts, Options{Mixer: MixerXYRing, HammingWeight: 5}); err == nil {
 		t.Error("infeasible Hamming weight accepted")
-	}
-	if _, err := New(2, poly.New(poly.NewTerm(math.Pi, 0)), Options{Quantize: true}); err == nil {
-		t.Error("non-quantizable diagonal accepted with Quantize")
 	}
 }
 
@@ -184,37 +185,6 @@ func TestSingleQubitAnalytic(t *testing.T) {
 	wantE := w*(real(want0)*real(want0)+imag(want0)*imag(want0)) - w*(real(want1)*real(want1)+imag(want1)*imag(want1))
 	if e := r.Expectation(); math.Abs(e-wantE) > 1e-12 {
 		t.Errorf("expectation %v, want %v", e, wantE)
-	}
-}
-
-func TestQuantizedPathMatchesFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	n := 8
-	ts := problems.LABSTerms(n)
-	gamma, beta := randomAngles(rng, 3)
-	for _, backend := range allBackends() {
-		plain, err := New(n, ts, Options{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		quant, err := New(n, ts, Options{Backend: backend, Quantize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := plain.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := quant.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d > 1e-10 {
-			t.Errorf("%v: quantized state differs: %g", backend, d)
-		}
-		if a, b := r1.Expectation(), r2.Expectation(); math.Abs(a-b) > 1e-9 {
-			t.Errorf("%v: quantized expectation %v vs %v", backend, b, a)
-		}
 	}
 }
 
@@ -461,9 +431,6 @@ func TestSinglePrecisionValidation(t *testing.T) {
 	if _, err := New(4, ts, Options{Backend: BackendSerial, SinglePrecision: true}); err == nil {
 		t.Error("SinglePrecision with serial backend accepted")
 	}
-	if _, err := New(4, ts, Options{SinglePrecision: true, Quantize: true}); err == nil {
-		t.Error("SinglePrecision+Quantize accepted")
-	}
 	if _, err := New(4, ts, Options{SinglePrecision: true, RecomputePhase: true}); err == nil {
 		t.Error("SinglePrecision+RecomputePhase accepted")
 	}
@@ -555,15 +522,11 @@ func TestRecomputePhaseMatchesPrecomputed(t *testing.T) {
 			}
 		}
 	}
-	if _, err := New(7, problems.LABSTerms(7), Options{RecomputePhase: true, Quantize: true}); err == nil {
-		t.Error("RecomputePhase+Quantize accepted")
-	}
 }
 
 // TestPhaseTableRule pins which diagonals take phase tables: the
 // decision reads the diagonal alone — an exact affine grid with at
-// most 2^n/16 points — except that Quantize always tables its codes
-// and RecomputePhase never tables.
+// most 2^n/16 points — except that RecomputePhase never tables.
 func TestPhaseTableRule(t *testing.T) {
 	g, err := graphs.RandomRegular(12, 3, 5)
 	if err != nil {
@@ -578,7 +541,6 @@ func TestPhaseTableRule(t *testing.T) {
 	}{
 		{"labs n=14", 14, problems.LABSTerms(14), Options{}, true},
 		{"labs n=12 (≈500 levels > 2^12/16)", 12, problems.LABSTerms(12), Options{}, false},
-		{"labs n=12 Quantize", 12, problems.LABSTerms(12), Options{Quantize: true}, true},
 		{"labs n=14 RecomputePhase", 14, problems.LABSTerms(14), Options{RecomputePhase: true}, false},
 		{"labs n=14 float32", 14, problems.LABSTerms(14), Options{SinglePrecision: true}, true},
 		{"maxcut n=12", 12, problems.MaxCutTerms(g), Options{Backend: BackendSerial}, true},
@@ -593,17 +555,18 @@ func TestPhaseTableRule(t *testing.T) {
 	}
 }
 
-// TestQuantizedSoAWarmAllocs bounds what a warm Quantize evaluation on
-// the SoA backend allocates: the per-γ phase table lives in the Result
-// (a few KiB, built once), so an energy or a gradient allocates well
-// under one state buffer (16·2^n bytes) — only the kernels' per-launch
-// closures remain.
+// TestQuantizedSoAWarmAllocs bounds what a warm evaluation on the
+// phase-table path of the SoA backend allocates: the per-γ phase table
+// lives in the Result (a few KiB, built once), so an energy or a
+// gradient allocates well under one state buffer (16·2^n bytes) — only
+// the kernels' per-launch closures remain.
 func TestQuantizedSoAWarmAllocs(t *testing.T) {
-	const n, p, runs = 12, 4, 5
-	s, err := New(n, problems.LABSTerms(n), Options{Backend: BackendSoA, Workers: 1, Quantize: true})
+	const n, p, runs = 14, 4, 5
+	s, err := New(n, problems.LABSTerms(n), Options{Backend: BackendSoA, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireTableSide(t, "labs n=14", s, true)
 	gamma, beta := randomAngles(rand.New(rand.NewSource(38)), p)
 	r := s.NewResult()
 	w := s.NewGradBuffers()
@@ -634,7 +597,7 @@ func TestQuantizedSoAWarmAllocs(t *testing.T) {
 }
 
 func TestMixerAndBackendStrings(t *testing.T) {
-	if BackendSoA.String() != "soa" || MixerXYRing.String() != "xy-ring" {
+	if BackendSoA.String() != "soa" || MixerXYRing.String() != "xy-ring" || RouteSweep.String() != "sweep" {
 		t.Error("String() labels changed")
 	}
 	if Backend(42).String() == "" || Mixer(42).String() == "" {
@@ -665,6 +628,50 @@ func TestRingSweepCoversRing(t *testing.T) {
 			if !ring.HasEdge(e.U, e.V) {
 				t.Errorf("n=%d: sweep edge (%d,%d) not in ring", n, e.U, e.V)
 			}
+		}
+	}
+}
+
+// TestEvaluationsDeterministicAtN18 pins that a result depends only on
+// the inputs at n = 18, the size from which kernels were once chosen by
+// timing them. The first and second evaluations of one simulator, and
+// an evaluation on a second simulator over the same diagonal, must give
+// bit-identical states. Workers: 3 keeps the shape apart from every
+// other test in the package.
+func TestEvaluationsDeterministicAtN18(t *testing.T) {
+	const n = 18
+	diag := separatePhaseDiag(n)
+	gamma := []float64{0.6, -0.2, 0.35}
+	beta := []float64{0.3, 0.7, -0.4}
+	opts := Options{Workers: 3}
+	s1, err := NewFromDiagonal(n, diag, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewFromDiagonal(n, diag, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s1.MixerRoute(); got != RouteSweep {
+		t.Errorf("MixerRoute() = %v, want sweep", got)
+	}
+	var states [3]statevec.Vec
+	for i, s := range []*Simulator{s1, s1, s2} {
+		r, err := s.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[i] = r.StateVector()
+	}
+	for i, label := range []string{"second evaluation", "second simulator"} {
+		differ := 0
+		for x, a := range states[0] {
+			if states[i+1][x] != a {
+				differ++
+			}
+		}
+		if differ != 0 {
+			t.Errorf("%s differs from the first evaluation in %d of %d amplitudes", label, differ, len(states[0]))
 		}
 	}
 }

@@ -126,20 +126,7 @@ func (f *Factory) NewSimulator(ctx context.Context) (*Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sim *Simulator
-		if f.opts.Quantize && f.opts.QuantScale == 0 {
-			// The source's cached quantized form replaces the O(2^n)
-			// quantization pass; an explicit QuantScale falls through
-			// to NewFromDiagonal, which honors it.
-			q, qerr := src.Quantized()
-			if qerr != nil {
-				src.Release()
-				return nil, qerr
-			}
-			sim, err = NewFromDiagonalQuantized(f.n, src.Diag(), q, f.opts)
-		} else {
-			sim, err = NewFromDiagonal(f.n, src.Diag(), f.opts)
-		}
+		sim, err := NewFromDiagonal(f.n, src.Diag(), f.opts)
 		if err != nil {
 			src.Release()
 			return nil, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -38,7 +37,7 @@ import (
 // about three mixer sweeps of memory traffic per layer — versus 4p
 // simulations for central finite differences, the asymptotic win the
 // high-depth regime needs. The reverse always runs per-qubit sweeps,
-// whatever route (FWHT, F = 2 fusion) the forward took.
+// whether or not the forward pass fused qubit pairs (F = 2).
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
@@ -87,19 +86,10 @@ func (s *Simulator) SimulateQAOAGrad(gamma, beta []float64) (energy float64, gra
 // Distinct GradBuffers may be evolved concurrently against one shared
 // Simulator, exactly like Results in SimulateQAOAInto.
 func (s *Simulator) SimulateQAOAGradInto(w *GradBuffers, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
-	return s.SimulateQAOAGradIntoCtx(nil, w, gamma, beta, gradGamma, gradBeta)
+	return s.adjoint(w, gamma, beta, nil, gradGamma, gradBeta)
 }
 
-// SimulateQAOAGradIntoCtx is SimulateQAOAGradInto under a request
-// context: the forward pass reaches the RouteAuto calibration path,
-// and ctx lets a cancelled request fail fast there instead of burning
-// a timed mixer application. A nil ctx behaves like
-// SimulateQAOAGradInto.
-func (s *Simulator) SimulateQAOAGradIntoCtx(ctx context.Context, w *GradBuffers, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
-	return s.adjoint(ctx, w, gamma, beta, nil, gradGamma, gradBeta)
-}
-
-// SimulateQAOAGradObsIntoCtx differentiates the expectation of a
+// SimulateQAOAGradObsInto differentiates the expectation of a
 // caller-supplied diagonal observable instead of the evolution cost:
 // it returns ⟨obs⟩ after evolving under THIS simulator's cost diagonal
 // together with ∂⟨obs⟩/∂γ_ℓ and ∂⟨obs⟩/∂β_ℓ. The reverse pass is the
@@ -109,17 +99,17 @@ func (s *Simulator) SimulateQAOAGradIntoCtx(ctx context.Context, w *GradBuffers,
 // multiply. The light-cone backend uses this with obs = Z_uZ_v on a
 // cone's root edge while evolving under the cone's full MaxCut cost.
 // obs must have length 2^n; storage contracts match
-// SimulateQAOAGradIntoCtx.
-func (s *Simulator) SimulateQAOAGradObsIntoCtx(ctx context.Context, w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
+// SimulateQAOAGradInto.
+func (s *Simulator) SimulateQAOAGradObsInto(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(obs) != 1<<uint(s.n) {
 		return 0, fmt.Errorf("core: observable diagonal length %d, want 2^%d = %d", len(obs), s.n, 1<<uint(s.n))
 	}
-	return s.adjoint(ctx, w, gamma, beta, obs, gradGamma, gradBeta)
+	return s.adjoint(w, gamma, beta, obs, gradGamma, gradBeta)
 }
 
 // adjoint is the shared gradient loop: forward pass, λ = obs⊙ψ_p (the
 // cost diagonal when obs is nil), then one joint reverse step per layer.
-func (s *Simulator) adjoint(ctx context.Context, w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
+func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(gamma) != len(beta) {
 		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
 	}
@@ -130,7 +120,7 @@ func (s *Simulator) adjoint(ctx context.Context, w *GradBuffers, gamma, beta, ob
 	if w == nil || w.psi == nil || w.lam == nil {
 		return 0, fmt.Errorf("core: nil GradBuffers; use NewGradBuffers")
 	}
-	if err := s.SimulateQAOAIntoCtx(ctx, w.psi, gamma, beta); err != nil {
+	if err := s.SimulateQAOAInto(w.psi, gamma, beta); err != nil {
 		return 0, err
 	}
 	if err := s.bindResult(w.lam); err != nil {

@@ -291,43 +291,6 @@ func TestAdjointGradientSinglePrecision(t *testing.T) {
 	}
 }
 
-// TestAdjointGradientQuantized covers the uint16-quantized-diagonal
-// path. Quantization is exact by construction (Quantize fails on
-// non-representable costs), so the quantized phase tables reproduce
-// e^{−iγ·cost} up to rounding and the adjoint gradient matches both
-// finite differences and the unquantized gradient at float64 tightness
-// — the "error band" of this path is ordinary f64 rounding, not a
-// quantization loss.
-func TestAdjointGradientQuantized(t *testing.T) {
-	const n = 8
-	rng := rand.New(rand.NewSource(23))
-	for _, backend := range []Backend{BackendSerial, BackendParallel, BackendSoA} {
-		for _, p := range []int{1, 4, 12} {
-			terms := problems.LABSTerms(n)
-			q, err := New(n, terms, Options{Backend: backend, Quantize: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := New(n, terms, Options{Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gamma, beta := randomAngles(rng, p)
-			_, gG, gB, err := q.SimulateQAOAGrad(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refG, refB := fdGrad(t, q, gamma, beta, 1e-6)
-			assertGradClose(t, "quantized-fd/"+backend.String(), gG, gB, refG, refB, 1e-6)
-			_, pG, pB, err := plain.SimulateQAOAGrad(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertGradClose(t, "quantized-vs-plain/"+backend.String(), gG, gB, pG, pB, 1e-9)
-		}
-	}
-}
-
 // TestAdjointGradientFusedMixer checks the F = 2 fused mixer path
 // differentiates identically to the per-qubit sweep.
 func TestAdjointGradientFusedMixer(t *testing.T) {
@@ -509,7 +472,7 @@ func checkGradObs(t *testing.T, label string, s *Simulator, gamma, beta, obs []f
 	w := s.NewGradBuffers()
 	gG := make([]float64, p)
 	gB := make([]float64, p)
-	e, err := s.SimulateQAOAGradObsIntoCtx(nil, w, gamma, beta, obs, gG, gB)
+	e, err := s.SimulateQAOAGradObsInto(w, gamma, beta, obs, gG, gB)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -561,7 +524,7 @@ func TestAdjointGradObsEqualsStandardOnCost(t *testing.T) {
 	w := s.NewGradBuffers()
 	gG := make([]float64, 4)
 	gB := make([]float64, 4)
-	e, err := s.SimulateQAOAGradObsIntoCtx(nil, w, gamma, beta, diag, gG, gB)
+	e, err := s.SimulateQAOAGradObsInto(w, gamma, beta, diag, gG, gB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +547,7 @@ func TestAdjointGradObsValidation(t *testing.T) {
 	}
 	w := s.NewGradBuffers()
 	g1 := []float64{0.3}
-	if _, err := s.SimulateQAOAGradObsIntoCtx(nil, w, g1, g1, make([]float64, 16), []float64{0}, []float64{0}); err == nil {
+	if _, err := s.SimulateQAOAGradObsInto(w, g1, g1, make([]float64, 16), []float64{0}, []float64{0}); err == nil {
 		t.Error("short observable accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -67,14 +66,6 @@ func (s *Simulator) NewResult() *Result {
 // Simulator — the simulator is read-only during evolution — which is
 // what the internal/sweep batch engine does.
 func (s *Simulator) SimulateQAOAInto(r *Result, gamma, beta []float64) error {
-	return s.SimulateQAOAIntoCtx(nil, r, gamma, beta)
-}
-
-// SimulateQAOAIntoCtx is SimulateQAOAInto under a request context: the
-// RouteAuto calibration path consults ctx and fails fast instead of
-// timing a live mixer application for a request nobody is waiting on.
-// A nil ctx behaves like SimulateQAOAInto.
-func (s *Simulator) SimulateQAOAIntoCtx(ctx context.Context, r *Result, gamma, beta []float64) error {
 	if len(gamma) != len(beta) {
 		return fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
 	}
@@ -82,9 +73,7 @@ func (s *Simulator) SimulateQAOAIntoCtx(ctx context.Context, r *Result, gamma, b
 		return err
 	}
 	for l := range gamma {
-		if err := s.applyLayerCtx(ctx, r, gamma[l], beta[l]); err != nil {
-			return err
-		}
+		s.ApplyLayer(r, gamma[l], beta[l])
 	}
 	return nil
 }
@@ -130,39 +119,20 @@ func (s *Simulator) bindResult(r *Result) error {
 	return nil
 }
 
-// ApplyLayer applies one more QAOA layer to an existing result. It
-// lets callers build up depth incrementally (e.g. the Fig. 4 sweep
-// reuses a single evolution instead of re-simulating prefixes).
+// ApplyLayer applies one more QAOA layer e^{−iβM}·e^{−iγĈ} to an
+// existing result. It lets callers build up depth incrementally (e.g.
+// the Fig. 4 sweep reuses a single evolution instead of re-simulating
+// prefixes). With the x mixer the phase folds into the first mixer
+// pass (bit-identical to the separate passes, one traversal cheaper);
+// the xy mixers, recomputed phases and the SeparatePhase ablation run
+// the two operators separately.
 func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) {
-	s.applyLayer(r, gamma, beta)
-}
-
-// applyLayer is applyLayerCtx without a request context (nil ctx never
-// fails, so the error is statically nil).
-func (s *Simulator) applyLayer(r *Result, gamma, beta float64) {
-	s.applyLayerCtx(nil, r, gamma, beta)
-}
-
-// applyLayerCtx applies e^{−iβM}·e^{−iγĈ}. On the default x-mixer
-// sweep path the phase folds into the first mixer pass (bit-identical
-// to the separate passes, one traversal cheaper); every other
-// configuration — xy mixers, the FWHT route, recomputed phases, the
-// SeparatePhase ablation, and auto shapes still calibrating — runs the
-// two operators separately. ctx gates only the calibration path (see
-// routeDecision.apply); it may be nil.
-func (s *Simulator) applyLayerCtx(ctx context.Context, r *Result, gamma, beta float64) error {
 	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase {
-		route := s.route
-		if route == RouteAuto {
-			route = s.routeDec.decided()
-		}
-		if route == RouteSweep {
-			s.applyFusedLayer(r, gamma, beta)
-			return nil
-		}
+		s.applyFusedLayer(r, gamma, beta)
+		return
 	}
 	s.applyPhase(r, gamma)
-	return s.applyMixerCtx(ctx, r, beta)
+	s.applyMixer(r, beta)
 }
 
 // applyFusedLayer dispatches the fused phase+mixer sweep kernels.
@@ -262,41 +232,23 @@ func (s *Simulator) applyPhaseRecompute(r *Result, gamma float64) {
 }
 
 func (s *Simulator) applyMixer(r *Result, beta float64) {
-	s.applyMixerCtx(nil, r, beta)
-}
-
-func (s *Simulator) applyMixerCtx(ctx context.Context, r *Result, beta float64) error {
-	switch s.opts.Mixer {
-	case MixerX:
-		switch s.route {
-		case RouteSweep:
-			s.applyMixerSweep(r, beta)
-		case RouteFWHT:
-			s.applyMixerFWHT(r, beta)
-		default: // RouteAuto: calibrate on live applications
-			return s.routeDec.apply(ctx, func(rt MixerRoute) {
-				if rt == RouteFWHT {
-					s.applyMixerFWHT(r, beta)
-				} else {
-					s.applyMixerSweep(r, beta)
-				}
-			})
-		}
-	default: // xy mixers share the per-edge sweep
-		for _, e := range s.mixerPairs {
-			switch {
-			case r.soa32 != nil:
-				r.soa32.ApplyXY(s.pool, e.U, e.V, beta)
-			case r.soa != nil:
-				r.soa.ApplyXY(s.pool, e.U, e.V, beta)
-			case s.backend == BackendSerial:
-				statevec.ApplyXY(r.vec, e.U, e.V, beta)
-			default:
-				s.pool.ApplyXY(r.vec, e.U, e.V, beta)
-			}
+	if s.opts.Mixer == MixerX {
+		s.applyMixerSweep(r, beta)
+		return
+	}
+	// xy mixers share the per-edge sweep.
+	for _, e := range s.mixerPairs {
+		switch {
+		case r.soa32 != nil:
+			r.soa32.ApplyXY(s.pool, e.U, e.V, beta)
+		case r.soa != nil:
+			r.soa.ApplyXY(s.pool, e.U, e.V, beta)
+		case s.backend == BackendSerial:
+			statevec.ApplyXY(r.vec, e.U, e.V, beta)
+		default:
+			s.pool.ApplyXY(r.vec, e.U, e.V, beta)
 		}
 	}
-	return nil
 }
 
 // applyMixerSweep runs the transverse-field mixer as per-qubit (or
@@ -319,21 +271,6 @@ func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
 		s.pool.ApplyUniformRXFused(r.vec, beta)
 	default:
 		s.pool.ApplyUniformRX(r.vec, beta)
-	}
-}
-
-// applyMixerFWHT runs the transverse-field mixer through the
-// cache-blocked Walsh–Hadamard route.
-func (s *Simulator) applyMixerFWHT(r *Result, beta float64) {
-	switch {
-	case r.soa32 != nil:
-		r.soa32.ApplyUniformRXViaFWHT(s.pool, beta)
-	case r.soa != nil:
-		r.soa.ApplyUniformRXViaFWHT(s.pool, beta)
-	case s.backend == BackendSerial:
-		statevec.ApplyUniformRXViaFWHT(r.vec, beta)
-	default:
-		s.pool.ApplyUniformRXViaFWHT(r.vec, beta)
 	}
 }
 

@@ -101,7 +101,7 @@ func (e *Engine) EnergyGradAngles(ctx context.Context, gamma, beta, gradGamma, g
 	}
 	w := e.acquire()
 	defer e.release(w)
-	return e.sim.SimulateQAOAGradIntoCtx(ctx, w, gamma, beta, gradGamma, gradBeta)
+	return e.sim.SimulateQAOAGradInto(w, gamma, beta, gradGamma, gradBeta)
 }
 
 // The gradient engine implements evaluator.Evaluator: point energies
@@ -121,7 +121,7 @@ func (e *Engine) Energy(ctx context.Context, x []float64) (float64, error) {
 	}
 	r := e.acquireRes()
 	defer e.releaseRes(r)
-	if err := e.sim.SimulateQAOAIntoCtx(ctx, r, gamma, beta); err != nil {
+	if err := e.sim.SimulateQAOAInto(r, gamma, beta); err != nil {
 		return 0, err
 	}
 	return r.Expectation(), nil
@@ -216,7 +216,7 @@ func (e *Engine) FiniteDiffGrad(ctx context.Context, gamma, beta []float64, step
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if err := e.sim.SimulateQAOAIntoCtx(ctx, r, g, b); err != nil {
+		if err := e.sim.SimulateQAOAInto(r, g, b); err != nil {
 			return 0, err
 		}
 		return r.Expectation(), nil

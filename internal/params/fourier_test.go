@@ -40,8 +40,8 @@ func TestFourierAnglesShapes(t *testing.T) {
 
 func TestFourierAnglesValidation(t *testing.T) {
 	for _, fn := range []func(){
-		func() { FourierAngles([]float64{1}, []float64{1, 2}, 4) }, // q mismatch
-		func() { FourierAngles(nil, nil, 4) },                      // q = 0
+		func() { FourierAngles([]float64{1}, []float64{1, 2}, 4) },    // q mismatch
+		func() { FourierAngles(nil, nil, 4) },                         // q = 0
 		func() { FourierAngles([]float64{1, 2}, []float64{1, 2}, 1) }, // p < q
 	} {
 		func() {

@@ -36,22 +36,6 @@ func (p *Pool) Run(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	p.runParallel(n, fn)
-}
-
-// runWork is Run for coarse work items: the inline threshold is taken
-// on the total element count (n items × work elements each) rather
-// than the item count, so a pass over a few large blocks still splits
-// across workers (n blocks alone would always sit under minParallel).
-func (p *Pool) runWork(n, work int, fn func(lo, hi int)) {
-	if p == nil || p.Workers <= 1 || n*work < p.minParallel {
-		fn(0, n)
-		return
-	}
-	p.runParallel(n, fn)
-}
-
-func (p *Pool) runParallel(n int, fn func(lo, hi int)) {
 	w := p.Workers
 	if w > n {
 		w = n

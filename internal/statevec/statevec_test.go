@@ -433,13 +433,6 @@ func TestPoolKernelsMatchSerial(t *testing.T) {
 		if a, b := serial.Norm(), math.Sqrt(p.NormSquared(pooled)); math.Abs(a-b) > 1e-10 {
 			t.Fatalf("workers=%d norm mismatch: %v vs %v", workers, a, b)
 		}
-
-		fa, fb := serial.Clone(), pooled.Clone()
-		FWHT(fa)
-		p.FWHT(fb)
-		if d := MaxAbsDiff(fa, fb); d > tol {
-			t.Fatalf("workers=%d FWHT mismatch: %g", workers, d)
-		}
 	}
 }
 

@@ -132,7 +132,7 @@ func (e *Engine) Evaluate(ctx context.Context, gamma, beta []float64) (float64, 
 	}
 	r := e.acquire()
 	defer e.release(r)
-	if err := e.sim.SimulateQAOAIntoCtx(ctx, r, gamma, beta); err != nil {
+	if err := e.sim.SimulateQAOAInto(r, gamma, beta); err != nil {
 		return 0, err
 	}
 	return r.Expectation(), nil
@@ -270,7 +270,7 @@ func (e *Engine) EnergyGrad(ctx context.Context, x, grad []float64) (float64, er
 	p := len(gamma)
 	w := e.acquireGrad()
 	defer e.releaseGrad(w)
-	return e.sim.SimulateQAOAGradIntoCtx(ctx, w, gamma, beta, grad[:p], grad[p:])
+	return e.sim.SimulateQAOAGradInto(w, gamma, beta, grad[:p], grad[p:])
 }
 
 // Caps reports the engine's evaluation metadata: gradient-capable,

@@ -16,8 +16,8 @@
 //   - one-line helpers for common problems (MaxCutTerms, LABSTerms,
 //     SATTerms, PortfolioData.PortfolioTerms) feeding NewSimulator,
 //   - a low-level API (ChooseSimulator, Options, backends, mixers,
-//     diagonal quantization, the distributed engine) for everything
-//     else.
+//     the distributed engine with its quantized diagonal) for
+//     everything else.
 //
 // A minimal end-to-end evaluation of the QAOA objective — the paper's
 // Listing 1 — looks like:
@@ -57,7 +57,9 @@ func NewTerms(terms ...Term) Terms { return poly.New(terms...) }
 type StateVector = statevec.Vec
 
 // Options configures a Simulator (backend, mixer, worker count,
-// initial state, uint16 diagonal quantization, ablation switches).
+// initial state, precision, F = 2 mixer fusion, ablation switches).
+// Which kernels a simulator runs follows from its Options and its cost
+// diagonal alone.
 type Options = core.Options
 
 // Simulator is a QAOA fast simulator bound to one problem instance;
@@ -92,22 +94,17 @@ const (
 	MixerXYComplete = core.MixerXYComplete
 )
 
-// MixerRoute selects how the x mixer is executed: the per-qubit sweep
-// or the cache-blocked Walsh–Hadamard route (Options.MixerRoute).
+// MixerRoute names how the x mixer runs. Simulator.MixerRoute always
+// reports RouteSweep, the per-qubit sweep; the type and its values
+// remain only because the repository benchmark (perfbench) reads them.
 type MixerRoute = core.MixerRoute
 
-// Mixer routes: RouteAuto (the default) calibrates sweep vs FWHT once
-// per (n, workers, backend, precision, fusion) shape and uses the
-// winner; the other two force a route. RouteFWHT is valid only with
-// MixerX.
+// Mixer routes. Only RouteSweep is ever reported.
 const (
 	RouteAuto  = core.RouteAuto
 	RouteSweep = core.RouteSweep
 	RouteFWHT  = core.RouteFWHT
 )
-
-// ParseMixerRoute resolves a route name ("auto", "sweep", "fwht").
-func ParseMixerRoute(name string) (MixerRoute, error) { return core.ParseMixerRoute(name) }
 
 // NewSimulator builds a simulator for an n-qubit problem from its cost
 // polynomial, precomputing the cost diagonal (the paper's Fig. 1
