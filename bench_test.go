@@ -332,8 +332,9 @@ func BenchmarkGateCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkMixerKernels isolates the three mixer kernel families of
-// §III-B on one qubit sweep (Algorithm 2).
+// BenchmarkMixerKernels isolates the mixer kernel families of §III-B
+// on one mixer application: Algorithm 2's per-qubit sweep on each
+// representation, and the split layouts' tiled F = 2 kernel.
 func BenchmarkMixerKernels(b *testing.B) {
 	n := 18
 	pool := statevec.NewPool(0)
@@ -355,14 +356,23 @@ func BenchmarkMixerKernels(b *testing.B) {
 		s := statevec.NewSoAUniform(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyUniformRX(pool, 0.57)
+			for q := 0; q < n; q++ {
+				s.ApplyRX(pool, q, 0.57)
+			}
 		}
 	})
-	b.Run("soa-fused-f2", func(b *testing.B) {
+	b.Run("soa-tiled-f2", func(b *testing.B) {
 		s := statevec.NewSoAUniform(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyUniformRXFused(pool, 0.57)
+			s.ApplyUniformRX(pool, 0.57)
+		}
+	})
+	b.Run("soa32-tiled-f2", func(b *testing.B) {
+		s := statevec.NewSoA32Uniform(n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.ApplyUniformRX(pool, 0.57)
 		}
 	})
 	b.Run("fwht-method-ref43", func(b *testing.B) {

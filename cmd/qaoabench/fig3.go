@@ -46,7 +46,7 @@ func runFig3(w io.Writer, args []string) error {
 	series := []benchutil.Series{
 		{Name: "tn-size"}, {Name: "tn-flops"},
 		{Name: "qiskit-analog"}, {Name: "gates-pooled"},
-		{Name: "qokit"}, {Name: "qokit-soa"}, {Name: "qokit-soa-fused"},
+		{Name: "qokit"}, {Name: "qokit-soa"},
 	}
 
 	for n := *nmin; n <= *nmax; n += 2 {
@@ -95,7 +95,6 @@ func runFig3(w io.Writer, args []string) error {
 		for i, opts := range []core.Options{
 			{Backend: core.BackendParallel},
 			{Backend: core.BackendSoA},
-			{Backend: core.BackendSoA, FusedMixer: true},
 		} {
 			sim, err := core.New(n, terms, opts)
 			if err != nil {
@@ -116,7 +115,7 @@ func runFig3(w io.Writer, args []string) error {
 	benchutil.FprintSeries(w, "n", "seconds", series)
 	fmt.Fprintln(w, "\nDerived ratios at the largest n:")
 	printLastRatio(w, series, "qiskit-analog", "qokit", "gate-based / qokit (paper: ~20× at n=26)")
-	printLastRatio(w, series, "qokit", "qokit-soa-fused", "qokit / qokit-soa-fused kernel gap (paper: ≈2×)")
+	printLastRatio(w, series, "qokit", "qokit-soa", "qokit / qokit-soa kernel gap (paper: ≈2×)")
 	return nil
 }
 

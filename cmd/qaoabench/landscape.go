@@ -52,7 +52,7 @@ func runLandscape(w io.Writer, args []string) error {
 	}
 
 	terms := problems.LABSTerms(*n)
-	sim, err := core.New(*n, terms, core.Options{Backend: core.BackendSoA, FusedMixer: true})
+	sim, err := core.New(*n, terms, core.Options{Backend: core.BackendSoA})
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ func TestRunnersSmoke(t *testing.T) {
 		{"fig2", runFig2, []string{"-nmin", "6", "-nmax", "8", "-reps", "1", "-p", "2"},
 			[]string{"qokit-cpu", "qiskit-analog", "Speedup"}},
 		{"fig3", runFig3, []string{"-nmin", "6", "-nmax", "8", "-tnmax", "6", "-reps", "1"},
-			[]string{"qokit-soa-fused", "tn-size", "Derived ratios"}},
+			[]string{"qokit-soa", "tn-size", "Derived ratios", "kernel gap"}},
 		{"fig4", runFig4, []string{"-n", "8", "-pmax", "16", "-reps", "1"},
 			[]string{"crossover", "additivity check", "gates"}},
 		{"fig5", runFig5, []string{"-local", "8", "-kmax", "4", "-reps", "1"},

@@ -44,7 +44,7 @@ func runScaling(w io.Writer, args []string) error {
 
 	for n := *nmin; n <= *nmax; n++ {
 		terms := problems.LABSTerms(n)
-		sim, err := core.New(n, terms, core.Options{Backend: core.BackendSoA, FusedMixer: true})
+		sim, err := core.New(n, terms, core.Options{Backend: core.BackendSoA})
 		if err != nil {
 			return err
 		}

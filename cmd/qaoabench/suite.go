@@ -237,12 +237,11 @@ func runSuite(w io.Writer, args []string) error {
 	})
 
 	// Kernel speed: one p-layer evolution at the larger kernelN over
-	// the default (SoA) backend — the separate phase + per-qubit sweep
-	// the repository started from, and the fused single-pass layer
-	// (phase folded into the first pass of the F = 2 pair-fused
-	// sweep). A synthetic diagonal keeps setup cheap at the larger
-	// size; the evolution cost does not depend on the diagonal's
-	// values.
+	// the default (SoA) backend — a separate phase pass + tiled mixer
+	// (the SeparatePhase ablation), and the default fused layer (phase
+	// folded into the first block of the tiled F = 2 mixer). A
+	// synthetic diagonal keeps setup cheap at the larger size; the
+	// evolution cost does not depend on the diagonal's values.
 	kdiag := make([]float64, 1<<uint(*kernelN))
 	for i := range kdiag {
 		kdiag[i] = float64((i*2654435761)%31) - 15
@@ -252,7 +251,7 @@ func runSuite(w io.Writer, args []string) error {
 		opts core.Options
 	}{
 		{"unfused_layer", core.Options{SeparatePhase: true}},
-		{"fused_layer", core.Options{FusedMixer: true}},
+		{"fused_layer", core.Options{}},
 	} {
 		ksim, err := core.NewFromDiagonal(*kernelN, kdiag, kv.opts)
 		if err != nil {

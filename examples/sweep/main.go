@@ -47,7 +47,6 @@ func run(w io.Writer) error {
 		return err
 	}
 	svc, err := qokit.NewRegistryService(reg, key, qokit.RegistryServiceOptions{
-		Simulator: qokit.Options{FusedMixer: true},
 		Elastic: qokit.ElasticOptions{
 			MinWorkers: 1,
 			MaxWorkers: runtime.GOMAXPROCS(0),

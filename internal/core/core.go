@@ -106,16 +106,16 @@ func (m Mixer) String() string {
 }
 
 // MixerRoute names how the transverse-field mixer runs. Every
-// simulator runs the per-qubit sweep (Algorithm 2, optionally F = 2
-// pair-fused), so Simulator.MixerRoute always reports RouteSweep; the
-// type and its three values remain only because the repository
-// benchmark (perfbench) prints and compares them.
+// simulator runs a sweep (Algorithm 2's per-qubit passes, or the split
+// layouts' tiled F = 2 kernel), so Simulator.MixerRoute always reports
+// RouteSweep; the type and its three values remain only because the
+// repository benchmark (perfbench) prints and compares them.
 type MixerRoute int
 
 const (
 	// RouteAuto is the zero value; no simulator reports it.
 	RouteAuto MixerRoute = iota
-	// RouteSweep is the per-qubit (or F = 2 pair-fused) sweep.
+	// RouteSweep is the per-qubit or tiled F = 2 sweep.
 	RouteSweep
 	// RouteFWHT names a Walsh–Hadamard mixer route this package does
 	// not implement; no simulator reports it.
@@ -140,6 +140,10 @@ func (r MixerRoute) String() string {
 // backend, the transverse-field mixer, a GOMAXPROCS-sized pool and a
 // float64 diagonal. The options and the diagonal alone fix which
 // kernels a simulator runs: nothing is calibrated against the clock.
+// The transverse-field mixer runs as Algorithm 2's per-qubit sweep on
+// the complex128 backends (Serial, Parallel) and as the cache-tiled
+// F = 2 kernel (§VI's gate fusion, RX⊗RX on qubit pairs) on SoA in
+// either precision; no option selects between them.
 type Options struct {
 	Backend Backend
 	Mixer   Mixer
@@ -162,13 +166,6 @@ type Options struct {
 	// of accumulating rounding error with depth (measured by
 	// `qaoabench precision`). Requires the SoA (or Auto) backend.
 	SinglePrecision bool
-	// FusedMixer applies the transverse-field mixer two qubits per
-	// pass (RX⊗RX blocks) instead of Algorithm 2's per-qubit sweeps —
-	// §VI's "gate fusion with F = 2" applied to the mixer, halving
-	// passes over the state. Combined with the SoA backend this is the
-	// fastest single-node engine and recovers the paper's ≈2×
-	// vendor-kernel gap. Ignored by the xy mixers.
-	FusedMixer bool
 	// SeparatePhase forces the phase operator to run as its own full
 	// pass over the state instead of being folded into the first mixer
 	// sweep of each layer. The fused layer is the default because it is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -351,9 +352,16 @@ func TestExpectationMatchesManualSum(t *testing.T) {
 	if got := r.Expectation(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("expectation %v, want %v", got, want)
 	}
-	// And the custom-diagonal variant.
-	if got := r.ExpectationOf(s.CostDiagonal()); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ExpectationOf %v, want %v", got, want)
+	// And the custom-diagonal variant, which rejects a diagonal of the
+	// wrong length with a named error instead of panicking.
+	got, err := r.ExpectationOf(s.CostDiagonal())
+	if err != nil || math.Abs(got-want) > 1e-9 {
+		t.Errorf("ExpectationOf = %v, %v; want %v", got, err, want)
+	}
+	for _, bad := range [][]float64{nil, make([]float64, len(probs)/2), make([]float64, len(probs)+1)} {
+		if _, err := r.ExpectationOf(bad); !errors.Is(err, ErrObservableLength) {
+			t.Errorf("ExpectationOf(len %d) error = %v, want ErrObservableLength", len(bad), err)
+		}
 	}
 }
 
@@ -381,46 +389,41 @@ func TestSinglePrecisionTracksDouble(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	n := 8
 	for _, mixer := range []Mixer{MixerX, MixerXYRing} {
-		for _, fused := range []bool{false, true} {
-			if fused && mixer != MixerX {
-				continue
-			}
-			ts := problems.LABSTerms(n)
-			double, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer, FusedMixer: fused})
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer, FusedMixer: fused, SinglePrecision: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gamma, beta := randomAngles(rng, 4)
-			r64, err := double.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r32, err := single.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := statevec.MaxAbsDiff(r64.StateVector(), r32.StateVector()); d > 1e-4 {
-				t.Errorf("mixer=%v fused=%v: float32 state deviates by %g", mixer, fused, d)
-			}
-			if math.Abs(r32.Norm()-1) > 1e-5 {
-				t.Errorf("mixer=%v: float32 norm drift %g", mixer, r32.Norm()-1)
-			}
-			if math.Abs(r64.Expectation()-r32.Expectation()) > 1e-3 {
-				t.Errorf("mixer=%v: expectation gap %g", mixer, r64.Expectation()-r32.Expectation())
-			}
-			if math.Abs(r64.Overlap()-r32.Overlap()) > 1e-4 {
-				t.Errorf("mixer=%v: overlap gap %g", mixer, r64.Overlap()-r32.Overlap())
-			}
-			p64 := r64.Probabilities(nil, true)
-			p32 := r32.Probabilities(nil, true)
-			for i := range p64 {
-				if math.Abs(p64[i]-p32[i]) > 1e-5 {
-					t.Fatalf("mixer=%v: probability %d gap %g", mixer, i, p64[i]-p32[i])
-				}
+		ts := problems.LABSTerms(n)
+		double, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer, SinglePrecision: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gamma, beta := randomAngles(rng, 4)
+		r64, err := double.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r32, err := single.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := statevec.MaxAbsDiff(r64.StateVector(), r32.StateVector()); d > 1e-4 {
+			t.Errorf("mixer=%v: float32 state deviates by %g", mixer, d)
+		}
+		if math.Abs(r32.Norm()-1) > 1e-5 {
+			t.Errorf("mixer=%v: float32 norm drift %g", mixer, r32.Norm()-1)
+		}
+		if math.Abs(r64.Expectation()-r32.Expectation()) > 1e-3 {
+			t.Errorf("mixer=%v: expectation gap %g", mixer, r64.Expectation()-r32.Expectation())
+		}
+		if math.Abs(r64.Overlap()-r32.Overlap()) > 1e-4 {
+			t.Errorf("mixer=%v: overlap gap %g", mixer, r64.Overlap()-r32.Overlap())
+		}
+		p64 := r64.Probabilities(nil, true)
+		p32 := r32.Probabilities(nil, true)
+		for i := range p64 {
+			if math.Abs(p64[i]-p32[i]) > 1e-5 {
+				t.Fatalf("mixer=%v: probability %d gap %g", mixer, i, p64[i]-p32[i])
 			}
 		}
 	}
@@ -437,34 +440,6 @@ func TestSinglePrecisionValidation(t *testing.T) {
 	// Auto backend resolves to SoA, so it must be accepted.
 	if _, err := New(4, ts, Options{SinglePrecision: true}); err != nil {
 		t.Errorf("SinglePrecision with auto backend rejected: %v", err)
-	}
-}
-
-func TestFusedMixerMatchesDefault(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	n := 7
-	ts := problems.LABSTerms(n)
-	gamma, beta := randomAngles(rng, 3)
-	for _, backend := range allBackends() {
-		plain, err := New(n, ts, Options{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := New(n, ts, Options{Backend: backend, FusedMixer: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := plain.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := fused.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d > 1e-11 {
-			t.Errorf("%v: fused mixer differs: %g", backend, d)
-		}
 	}
 }
 

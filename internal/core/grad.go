@@ -28,16 +28,20 @@ import (
 // and both states are evolved one layer backwards through the exact
 // inverses B(−β_ℓ), G(−γ_ℓ). Each generator term commutes with its own
 // factor of the layer, so the reverse pass evolves ψ and λ together and
-// reads each derivative off the amplitudes it is already rotating: one
-// joint pass per qubit (per edge for the xy mixers) adds up
-// Im ⟨λ|X_q|ψ⟩ and applies RX(−β) to both states, and one elementwise
-// pass adds up Im ⟨λ|Ĉ|ψ⟩ and undoes the phase on both from a single
-// table read or sincos per amplitude (statevec's Reverse kernels). A
-// gradient is therefore one forward pass plus one joint reverse pass —
-// about three mixer sweeps of memory traffic per layer — versus 4p
-// simulations for central finite differences, the asymptotic win the
-// high-depth regime needs. The reverse always runs per-qubit sweeps,
-// whether or not the forward pass fused qubit pairs (F = 2).
+// reads each derivative off the amplitudes it is already rotating: per
+// qubit (per edge for the xy mixers) it adds up Im ⟨λ|X_q|ψ⟩ and
+// applies RX(−β) to both states, then it adds up Im ⟨λ|Ĉ|ψ⟩ and undoes
+// the phase on both from a single table read or sincos per amplitude.
+// On the split layouts (SoA, SoA32) the whole x-mixer step, phase
+// included, is one cache-tiled kernel (statevec's ReverseUniformRX):
+// 2–3 passes over the state pair per layer instead of n + 1, and the
+// forward layer is the tiled F = 2 kernel, 2–3 passes instead of n.
+// The complex128 backends run one joint pass per qubit and one phase
+// pass. A gradient therefore costs one forward pass plus one joint
+// reverse pass, versus 4p simulations for central finite differences —
+// the asymptotic win the high-depth regime needs. The reverse stays
+// per qubit even where the forward pass fuses qubit pairs: a pair-fused
+// reverse measured slower.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
@@ -102,7 +106,7 @@ func (s *Simulator) SimulateQAOAGradInto(w *GradBuffers, gamma, beta, gradGamma,
 // SimulateQAOAGradInto.
 func (s *Simulator) SimulateQAOAGradObsInto(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(obs) != 1<<uint(s.n) {
-		return 0, fmt.Errorf("core: observable diagonal length %d, want 2^%d = %d", len(obs), s.n, 1<<uint(s.n))
+		return 0, fmt.Errorf("%w: %d, want 2^%d = %d", ErrObservableLength, len(obs), s.n, 1<<uint(s.n))
 	}
 	return s.adjoint(w, gamma, beta, obs, gradGamma, gradBeta)
 }
@@ -129,19 +133,42 @@ func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBet
 	if obs == nil {
 		obs = s.diag
 	}
-	energy := w.psi.ExpectationOf(obs)
+	energy, err := w.psi.ExpectationOf(obs)
+	if err != nil {
+		return 0, err
+	}
 
 	// Seed the bra side: λ = obs⊙|ψ_p⟩ (the only non-unitary step).
 	s.copyState(w.lam, w.psi)
 	s.mulVec(w.lam, obs)
 
 	for l := len(gamma) - 1; l >= 0; l-- {
-		gradBeta[l] = 2 * s.reverseMixer(w, beta[l])
 		// The phase undo is skipped on the last step, where no earlier
 		// derivative needs the states.
-		gradGamma[l] = 2 * s.reversePhase(w, gamma[l], l > 0)
+		dBeta, dGamma := s.reverseLayer(w, gamma[l], beta[l], l > 0)
+		gradBeta[l], gradGamma[l] = 2*dBeta, 2*dGamma
 	}
 	return energy, nil
+}
+
+// reverseLayer walks both states back through one layer and returns
+// Im ⟨λ|M|ψ⟩ and Im ⟨λ|Ĉ|ψ⟩, undoing the phase only when undo is set.
+// On the split layouts the x-mixer step and the phase are one tiled
+// kernel, except in the Fig. 2 ablation, whose phase step re-derives
+// f(x) from the compiled terms.
+func (s *Simulator) reverseLayer(w *GradBuffers, gamma, beta float64, undo bool) (dBeta, dGamma float64) {
+	lam, psi := w.lam, w.psi
+	if s.opts.Mixer != MixerX || lam.vec != nil || s.opts.RecomputePhase {
+		return s.reverseMixer(w, beta), s.reversePhase(w, gamma, undo)
+	}
+	ph := statevec.Phase{Diag: s.diag, Gamma: gamma}
+	if undo {
+		ph = s.phase(psi, gamma)
+	}
+	if lam.soa32 != nil {
+		return lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, ph, undo)
+	}
+	return lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, ph, undo)
 }
 
 // reverseMixer undoes the layer's mixer on both states and returns
@@ -154,16 +181,18 @@ func (s *Simulator) reverseMixer(w *GradBuffers, beta float64) float64 {
 	lam, psi := w.lam, w.psi
 	var d float64
 	if s.opts.Mixer == MixerX {
-		for q := 0; q < s.n; q++ {
-			switch {
-			case lam.soa32 != nil:
-				d += lam.soa32.ReverseRX(s.pool, psi.soa32, q, beta)
-			case lam.soa != nil:
-				d += lam.soa.ReverseRX(s.pool, psi.soa, q, beta)
-			case s.backend == BackendSerial:
-				d += statevec.ReverseRX(lam.vec, psi.vec, q, beta)
-			default:
-				d += s.pool.ReverseRX(lam.vec, psi.vec, q, beta)
+		switch {
+		case lam.soa32 != nil:
+			d, _ = lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, statevec.Phase{}, false)
+		case lam.soa != nil:
+			d, _ = lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, statevec.Phase{}, false)
+		default:
+			for q := 0; q < s.n; q++ {
+				if s.backend == BackendSerial {
+					d += statevec.ReverseRX(lam.vec, psi.vec, q, beta)
+				} else {
+					d += s.pool.ReverseRX(lam.vec, psi.vec, q, beta)
+				}
 			}
 		}
 		return d

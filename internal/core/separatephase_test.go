@@ -13,13 +13,14 @@ func separatePhaseDiag(n int) []float64 {
 
 // TestSeparatePhaseAblation pins the fused layer's contract: the default
 // fused phase+mixer layer is bit-identical to the SeparatePhase
-// ablation on the double-precision backends (the fused kernels replay
-// the exact unfused arithmetic), with and without the F = 2 pair
-// fusion, for odd and even n.
+// ablation on every backend (the fused kernels replay the exact
+// unfused arithmetic) — the per-qubit sweep on complex128 and the
+// tiled F = 2 kernel on SoA and SoA32 — for odd and even n, on both
+// sides of the tile boundary at n = 12.
 func TestSeparatePhaseAblation(t *testing.T) {
 	gamma := []float64{0.7, -0.3}
 	beta := []float64{0.4, 0.9}
-	for _, n := range []int{5, 6} {
+	for _, n := range []int{5, 6, 13, 14} {
 		diag := separatePhaseDiag(n)
 		for _, base := range []struct {
 			name string
@@ -29,9 +30,6 @@ func TestSeparatePhaseAblation(t *testing.T) {
 			{"parallel", Options{Backend: BackendParallel, Workers: 3}},
 			{"soa", Options{Backend: BackendSoA, Workers: 2}},
 			{"soa32", Options{Backend: BackendSoA, SinglePrecision: true}},
-			{"serial+pairfused", Options{Backend: BackendSerial, FusedMixer: true}},
-			{"soa+pairfused", Options{Backend: BackendSoA, FusedMixer: true}},
-			{"soa32+pairfused", Options{Backend: BackendSoA, SinglePrecision: true, FusedMixer: true}},
 		} {
 			fusedOpts := base.opts
 			sepOpts := base.opts

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"qokit/internal/evaluator"
 	"qokit/internal/statevec"
 )
 
@@ -68,6 +70,9 @@ func (s *Simulator) NewResult() *Result {
 func (s *Simulator) SimulateQAOAInto(r *Result, gamma, beta []float64) error {
 	if len(gamma) != len(beta) {
 		return fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
+	}
+	if err := evaluator.CheckAngles(gamma, beta); err != nil {
+		return err
 	}
 	if err := s.resetResult(r); err != nil {
 		return err
@@ -135,25 +140,18 @@ func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) {
 	s.applyMixer(r, beta)
 }
 
-// applyFusedLayer dispatches the fused phase+mixer sweep kernels.
+// applyFusedLayer dispatches the fused phase+mixer kernels: the tiled
+// F = 2 layer on the split layouts, the per-qubit sweep with the phase
+// in its first pass on complex128.
 func (s *Simulator) applyFusedLayer(r *Result, gamma, beta float64) {
-	fused := s.opts.FusedMixer
 	ph := s.phase(r, gamma)
 	switch {
-	case r.soa32 != nil && fused:
-		r.soa32.ApplyPhaseThenUniformRXFused(s.pool, ph, beta)
 	case r.soa32 != nil:
 		r.soa32.ApplyPhaseThenUniformRX(s.pool, ph, beta)
-	case r.soa != nil && fused:
-		r.soa.ApplyPhaseThenUniformRXFused(s.pool, ph, beta)
 	case r.soa != nil:
 		r.soa.ApplyPhaseThenUniformRX(s.pool, ph, beta)
-	case s.backend == BackendSerial && fused:
-		statevec.ApplyPhaseThenUniformRXFused(r.vec, ph, beta)
 	case s.backend == BackendSerial:
 		statevec.ApplyPhaseThenUniformRX(r.vec, ph, beta)
-	case fused:
-		s.pool.ApplyPhaseThenUniformRXFused(r.vec, ph, beta)
 	default:
 		s.pool.ApplyPhaseThenUniformRX(r.vec, ph, beta)
 	}
@@ -251,24 +249,17 @@ func (s *Simulator) applyMixer(r *Result, beta float64) {
 	}
 }
 
-// applyMixerSweep runs the transverse-field mixer as per-qubit (or
-// F = 2 pair-fused) sweeps — Algorithm 2.
+// applyMixerSweep runs the transverse-field mixer alone: the tiled
+// F = 2 kernel on the split layouts, Algorithm 2's per-qubit sweep on
+// complex128.
 func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
 	switch {
-	case r.soa32 != nil && s.opts.FusedMixer:
-		r.soa32.ApplyUniformRXFused(s.pool, beta)
 	case r.soa32 != nil:
 		r.soa32.ApplyUniformRX(s.pool, beta)
-	case r.soa != nil && s.opts.FusedMixer:
-		r.soa.ApplyUniformRXFused(s.pool, beta)
 	case r.soa != nil:
 		r.soa.ApplyUniformRX(s.pool, beta)
-	case s.backend == BackendSerial && s.opts.FusedMixer:
-		statevec.ApplyUniformRXFused(r.vec, beta)
 	case s.backend == BackendSerial:
 		statevec.ApplyUniformRX(r.vec, beta)
-	case s.opts.FusedMixer:
-		s.pool.ApplyUniformRXFused(r.vec, beta)
 	default:
 		s.pool.ApplyUniformRX(r.vec, beta)
 	}
@@ -291,24 +282,29 @@ func (r *Result) Expectation() float64 {
 	return s.pool.ExpectationDiag(r.vec, s.diag)
 }
 
+// ErrObservableLength reports a diagonal observable whose length is
+// not 2^n.
+var ErrObservableLength = errors.New("core: observable diagonal has the wrong length")
+
 // ExpectationOf evaluates the expectation of a caller-supplied
 // diagonal observable (QOKit's get_expectation with a custom costs
-// argument).
-func (r *Result) ExpectationOf(diag []float64) float64 {
+// argument). A diagonal whose length is not 2^n returns an error
+// wrapping ErrObservableLength.
+func (r *Result) ExpectationOf(diag []float64) (float64, error) {
 	s := r.sim
 	if len(diag) != 1<<uint(s.n) {
-		panic(fmt.Sprintf("core: ExpectationOf diagonal length %d, want %d", len(diag), 1<<uint(s.n)))
+		return 0, fmt.Errorf("%w: %d, want 2^%d = %d", ErrObservableLength, len(diag), s.n, 1<<uint(s.n))
 	}
 	if r.soa32 != nil {
-		return r.soa32.ExpectationDiag(s.pool, diag)
+		return r.soa32.ExpectationDiag(s.pool, diag), nil
 	}
 	if r.soa != nil {
-		return r.soa.ExpectationDiag(s.pool, diag)
+		return r.soa.ExpectationDiag(s.pool, diag), nil
 	}
 	if s.backend == BackendSerial {
-		return statevec.ExpectationDiag(r.vec, diag)
+		return statevec.ExpectationDiag(r.vec, diag), nil
 	}
-	return s.pool.ExpectationDiag(r.vec, diag)
+	return s.pool.ExpectationDiag(r.vec, diag), nil
 }
 
 // Overlap returns the probability of measuring an optimal solution:

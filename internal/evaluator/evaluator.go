@@ -16,7 +16,9 @@ package evaluator
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 )
 
 // Caps describes what an evaluator can do and what one evaluation
@@ -63,6 +65,10 @@ type Evaluator interface {
 	Caps() Caps
 }
 
+// ErrNonFiniteAngle reports a NaN or infinite QAOA angle. Simulating
+// one would return a NaN energy and gradient instead of an error.
+var ErrNonFiniteAngle = errors.New("evaluator: non-finite angle")
+
 // SplitFlat validates a flat parameter vector and returns its γ and β
 // halves (aliases into x, not copies).
 func SplitFlat(x []float64) (gamma, beta []float64, err error) {
@@ -70,7 +76,26 @@ func SplitFlat(x []float64) (gamma, beta []float64, err error) {
 		return nil, nil, fmt.Errorf("evaluator: flat parameter vector has odd length %d", len(x))
 	}
 	p := len(x) / 2
+	if err := CheckAngles(x[:p], x[p:]); err != nil {
+		return nil, nil, err
+	}
 	return x[:p], x[p:], nil
+}
+
+// CheckAngles returns an error wrapping ErrNonFiniteAngle that names
+// the first NaN or ±Inf entry of gamma, then beta; nil if there is none.
+func CheckAngles(gamma, beta []float64) error {
+	for i, v := range gamma {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: gamma[%d] = %v", ErrNonFiniteAngle, i, v)
+		}
+	}
+	for i, v := range beta {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: beta[%d] = %v", ErrNonFiniteAngle, i, v)
+		}
+	}
+	return nil
 }
 
 // CheckGradStorage validates the (x, grad) pair of an EnergyGrad call.

@@ -370,7 +370,11 @@ func (e *Engine) coneLoop(ctx context.Context, ws *workspace, gamma, beta []floa
 			if err := c.sim.SimulateQAOAInto(r, gamma, beta); err != nil {
 				return err
 			}
-			cb.vals[i] = r.ExpectationOf(c.obs)
+			val, err := r.ExpectationOf(c.obs)
+			if err != nil {
+				return err
+			}
+			cb.vals[i] = val
 		}
 	}
 }

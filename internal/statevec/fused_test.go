@@ -7,46 +7,44 @@ import (
 	"testing/quick"
 )
 
+// TestFusedMixerMatchesAlgorithm2 checks the split layouts' tiled F = 2
+// mixer (ApplyUniformRX) against Algorithm 2's per-qubit sweep on the
+// serial complex128 reference, on one and three workers.
 func TestFusedMixerMatchesAlgorithm2(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13, 14} {
 		for _, beta := range []float64{0, 0.31, -1.2, math.Pi / 2} {
 			v := randomState(rng, n)
 			want := v.Clone()
 			ApplyUniformRX(want, beta)
-
-			serial := v.Clone()
-			ApplyUniformRXFused(serial, beta)
-			if d := MaxAbsDiff(serial, want); d > 1e-12 {
-				t.Fatalf("n=%d β=%v: serial fused differs by %g", n, beta, d)
-			}
-
-			p := NewPool(3)
-			p.minParallel = 1
-			pooled := v.Clone()
-			p.ApplyUniformRXFused(pooled, beta)
-			if d := MaxAbsDiff(pooled, want); d > 1e-12 {
-				t.Fatalf("n=%d β=%v: pooled fused differs by %g", n, beta, d)
-			}
-
-			soa := SoAFromVec(v)
-			soa.ApplyUniformRXFused(p, beta)
-			if d := MaxAbsDiff(soa.ToVec(), want); d > 1e-12 {
-				t.Fatalf("n=%d β=%v: SoA fused differs by %g", n, beta, d)
+			for _, workers := range []int{1, 3} {
+				p := NewPool(workers)
+				soa := SoAFromVec(v)
+				soa.ApplyUniformRX(p, beta)
+				if d := MaxAbsDiff(soa.ToVec(), want); d > 1e-12 {
+					t.Fatalf("n=%d β=%v workers=%d: SoA tiled mixer differs by %g", n, beta, workers, d)
+				}
+				soa32 := SoA32FromVec(v)
+				soa32.ApplyUniformRX(p, beta)
+				if d := MaxAbsDiff(soa32.ToVec(), want); d > 1e-5 {
+					t.Fatalf("n=%d β=%v workers=%d: SoA32 tiled mixer differs by %g", n, beta, workers, d)
+				}
 			}
 		}
 	}
 }
 
-// Property (testing/quick): the fused sweep is unitary for any angle.
+// Property (testing/quick): the tiled F = 2 mixer is unitary for any
+// angle.
 func TestQuickFusedUnitary(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	v := randomState(rng, 7) // odd n exercises the tail sweep
+	v := randomState(rng, 7) // odd n exercises the lone last qubit
+	p := NewPool(1)
 	f := func(raw int8) bool {
 		beta := float64(raw) / 13
-		w := v.Clone()
-		ApplyUniformRXFused(w, beta)
-		return math.Abs(w.Norm()-1) < 1e-9
+		w := SoAFromVec(v)
+		w.ApplyUniformRX(p, beta)
+		return math.Abs(w.ToVec().Norm()-v.Norm()) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -63,25 +61,20 @@ func BenchmarkFusedVsPerQubitMixer(b *testing.B) {
 			ApplyUniformRX(v, 0.57)
 		}
 	})
-	b.Run("fused-aos", func(b *testing.B) {
-		v := NewUniform(n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ApplyUniformRXFused(v, 0.57)
-		}
-	})
 	b.Run("per-qubit-soa", func(b *testing.B) {
 		s := NewSoAUniform(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyUniformRX(p, 0.57)
+			for q := 0; q < n; q++ {
+				s.ApplyRX(p, q, 0.57)
+			}
 		}
 	})
-	b.Run("fused-soa", func(b *testing.B) {
+	b.Run("tiled-soa", func(b *testing.B) {
 		s := NewSoAUniform(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyUniformRXFused(p, 0.57)
+			s.ApplyUniformRX(p, 0.57)
 		}
 	})
 }

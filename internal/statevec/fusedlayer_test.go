@@ -11,10 +11,10 @@ import (
 // SoA32), for odd and even n including the n < 2 degenerate cases, and
 // for both phase sources (per-amplitude sincos of a random diagonal,
 // and a level table over an integer grid), the combined kernel must
-// reproduce PhaseDiag followed by the mixer sweep to rtol 1e-12. The
-// fused kernels replay the exact unfused arithmetic per amplitude, so
-// the double-precision paths agree bit-for-bit and even the float32
-// path sits far inside the tolerance.
+// reproduce its own mixer after a separate phase pass bit for bit (the
+// fused kernels replay the exact unfused arithmetic per amplitude), and
+// the double-precision results must match PhaseDiag followed by the
+// per-qubit sweep to rtol 1e-12.
 func TestFusedLayerMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, n := range []int{0, 1, 2, 3, 6, 7} {
@@ -61,14 +61,11 @@ func checkFusedLayer(t *testing.T, n int, v Vec, ph Phase, beta float64) {
 		label = "table"
 	}
 	diag, gamma := ph.Diag, ph.Gamma
-	// Reference: separate phase + per-qubit sweep, and separate phase +
-	// F=2 pair sweep, both through per-amplitude sincos.
+	// Reference: separate phase + per-qubit sweep through per-amplitude
+	// sincos.
 	want := v.Clone()
 	PhaseDiag(want, diag, gamma)
 	ApplyUniformRX(want, beta)
-	wantPair := v.Clone()
-	PhaseDiag(wantPair, diag, gamma)
-	ApplyUniformRXFused(wantPair, beta)
 
 	check := func(name string, got Vec, ref Vec) {
 		t.Helper()
@@ -77,6 +74,14 @@ func checkFusedLayer(t *testing.T, n int, v Vec, ph Phase, beta float64) {
 			if d > 1e-12*(1+cmplxAbs(ref[i])) {
 				t.Fatalf("n=%d %s %s deviates at %d by %g", n, label, name, i, d)
 				return
+			}
+		}
+	}
+	exact := func(name string, got, ref Vec) {
+		t.Helper()
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("n=%d %s %s: fused layer not bit-identical to the separate passes at %d", n, label, name, i)
 			}
 		}
 	}
@@ -89,50 +94,31 @@ func checkFusedLayer(t *testing.T, n int, v Vec, ph Phase, beta float64) {
 
 	fused := v.Clone()
 	ApplyPhaseThenUniformRX(fused, ph, beta)
-	check("serial", fused, want)
-
-	fusedPair := v.Clone()
-	ApplyPhaseThenUniformRXFused(fusedPair, ph, beta)
-	check("serial pair-fused", fusedPair, wantPair)
+	exact("serial", fused, want)
 
 	for _, workers := range []int{1, 3} {
 		p := NewPool(workers)
 		p.minParallel = 1
 		pf := v.Clone()
 		p.ApplyPhaseThenUniformRX(pf, ph, beta)
-		check("pool", pf, want)
+		exact("pool", pf, want)
 
-		pfp := v.Clone()
-		p.ApplyPhaseThenUniformRXFused(pfp, ph, beta)
-		check("pool pair-fused", pfp, wantPair)
-
+		// The split layouts run the tiled F = 2 layer: bit-identical to
+		// its own separate phase pass, and close to the per-qubit sweep.
 		soa := SoAFromVec(v)
 		soa.ApplyPhaseThenUniformRX(p, ph, beta)
-		soaWant := SoAFromVec(v)
-		soaWant.PhaseDiag(p, diag, gamma)
-		soaWant.ApplyUniformRX(p, beta)
-		check("soa", soa.ToVec(), soaWant.ToVec())
-
-		soaPair := SoAFromVec(v)
-		soaPair.ApplyPhaseThenUniformRXFused(p, ph, beta)
-		soaPairWant := SoAFromVec(v)
-		soaPairWant.PhaseDiag(p, diag, gamma)
-		soaPairWant.ApplyUniformRXFused(p, beta)
-		check("soa pair-fused", soaPair.ToVec(), soaPairWant.ToVec())
+		soaSep := SoAFromVec(v)
+		soaSep.PhaseDiag(p, diag, gamma)
+		soaSep.ApplyUniformRX(p, beta)
+		exact("soa", soa.ToVec(), soaSep.ToVec())
+		check("soa", soa.ToVec(), want)
 
 		soa32 := SoA32FromVec(v)
 		soa32.ApplyPhaseThenUniformRX(p, ph, beta)
-		soa32Want := SoA32FromVec(v)
-		soa32Want.PhaseDiag(p, diag, gamma)
-		soa32Want.ApplyUniformRX(p, beta)
-		check("soa32", soa32.ToVec(), soa32Want.ToVec())
-
-		soa32Pair := SoA32FromVec(v)
-		soa32Pair.ApplyPhaseThenUniformRXFused(p, ph, beta)
-		soa32PairWant := SoA32FromVec(v)
-		soa32PairWant.PhaseDiag(p, diag, gamma)
-		soa32PairWant.ApplyUniformRXFused(p, beta)
-		check("soa32 pair-fused", soa32Pair.ToVec(), soa32PairWant.ToVec())
+		soa32Sep := SoA32FromVec(v)
+		soa32Sep.PhaseDiag(p, diag, gamma)
+		soa32Sep.ApplyUniformRX(p, beta)
+		exact("soa32", soa32.ToVec(), soa32Sep.ToVec())
 	}
 }
 
@@ -150,11 +136,10 @@ func cmplxAbs(z complex128) float64 {
 	return re + im // 1-norm bound; fine for tolerance checks
 }
 
-// TestFusedLayerOddTail pins the odd-n tail of the pair-fused kernel:
-// at n = 5 the final qubit is swept alone after two fused pair passes,
-// and the result must still be a unit-norm state equal to the unfused
-// composition (covered above) — here we additionally check norm
-// preservation directly, the symptom a broken tail shows first.
+// TestFusedLayerOddTail pins the odd-n tail of the split layouts'
+// tiled F = 2 layer: at n = 5 the final qubit is swept alone after two
+// pair passes, and the result must still be a unit-norm state — the
+// symptom a broken tail shows first.
 func TestFusedLayerOddTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	v := randomState(rng, 5)
@@ -163,9 +148,10 @@ func TestFusedLayerOddTail(t *testing.T) {
 	for i := range diag {
 		diag[i] = float64(i%7) - 3
 	}
-	ApplyPhaseThenUniformRXFused(v, Phase{Diag: diag, Gamma: 0.9}, 0.4)
-	if d := v.Norm(); d < 1-1e-12 || d > 1+1e-12 {
-		t.Fatalf("odd-n pair-fused layer broke the norm: %v", d)
+	s := SoAFromVec(v)
+	s.ApplyPhaseThenUniformRX(NewPool(1), Phase{Diag: diag, Gamma: 0.9}, 0.4)
+	if d := s.ToVec().Norm(); d < 1-1e-12 || d > 1+1e-12 {
+		t.Fatalf("odd-n tiled layer broke the norm: %v", d)
 	}
 }
 
@@ -182,14 +168,14 @@ func BenchmarkFusedLayer(b *testing.B) {
 		b.SetBytes(int64(16 * len(diag)))
 		for i := 0; i < b.N; i++ {
 			s.PhaseDiag(p, diag, 0.7)
-			s.ApplyUniformRXFused(p, 0.3)
+			s.ApplyUniformRX(p, 0.3)
 		}
 	})
 	b.Run("fused", func(b *testing.B) {
 		s := NewSoAUniform(n)
 		b.SetBytes(int64(16 * len(diag)))
 		for i := 0; i < b.N; i++ {
-			s.ApplyPhaseThenUniformRXFused(p, Phase{Diag: diag, Gamma: 0.7}, 0.3)
+			s.ApplyPhaseThenUniformRX(p, Phase{Diag: diag, Gamma: 0.7}, 0.3)
 		}
 	})
 }

@@ -22,11 +22,13 @@ import (
 // the amplitude pair it already holds and applies the inverse rotation
 // to both states, and one elementwise pass (ReversePhase) adds up the
 // phase derivative and undoes the phase on both states from a single
-// table read or sincos per amplitude. A reverse layer therefore costs
-// about two forward mixer sweeps of memory traffic and no separate
-// reduction passes. The Reverse kernels come in the package's four
-// flavours (serial and worker-pool complex128, SoA, SoA32 — the last
-// accumulating in float64); they apply the same rotation arithmetic as
+// table read or sincos per amplitude. ReverseXY and ReversePhase come
+// in the package's four flavours (serial and worker-pool complex128,
+// SoA, SoA32 — the last accumulating in float64); ReverseRX is
+// complex128 only, because the split layouts run a whole x-mixer
+// reverse step, phase included, as one tiled kernel
+// (ReverseUniformRX, tiled.go) in 2–3 cache-sized passes instead of
+// n + 1 full ones. All of them apply the same rotation arithmetic as
 // the forward kernels at the negated angle.
 //
 // The standalone reductions below (ImDotDiag, ImDotXAll, ImDotXRange,
@@ -450,47 +452,6 @@ func reversePhaseRange(lam, psi Vec, ph Phase, undo bool, lo, hi int) float64 {
 	return acc
 }
 
-// ReverseRX is the split-layout joint RX reverse step with s as λ.
-func (s *SoA) ReverseRX(p *Pool, psi *SoA, q int, beta float64) float64 {
-	return reverseRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, q, beta)
-}
-
-// ReverseRX is the single-precision joint RX reverse step with s as λ,
-// accumulating in float64.
-func (s *SoA32) ReverseRX(p *Pool, psi *SoA32, q int, beta float64) float64 {
-	return reverseRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, q, beta)
-}
-
-func reverseRXPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, q int, beta float64) float64 {
-	checkPair("ReverseRX", len(lr), len(pr))
-	if n := numQubits(len(lr)); q < 0 || q >= n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range for n=%d", q, n))
-	}
-	sn64, cs64 := math.Sincos(-beta)
-	sn, cs := T(sn64), T(cs64)
-	stride := 1 << uint(q)
-	mask := stride - 1
-	return p.Reduce(len(lr)/2, func(lo, hi int) float64 {
-		var acc float64
-		for t := lo; t < hi; t++ {
-			l1 := (t>>uint(q))<<uint(q+1) | (t & mask)
-			l2 := l1 + stride
-			a1, b1, a2, b2 := lr[l1], li[l1], lr[l2], li[l2]
-			c1, d1, c2, d2 := pr[l1], pi[l1], pr[l2], pi[l2]
-			acc += float64(a1)*float64(d2) - float64(b1)*float64(c2) + float64(a2)*float64(d1) - float64(b2)*float64(c1)
-			lr[l1] = cs*a1 + sn*b2
-			li[l1] = cs*b1 - sn*a2
-			lr[l2] = cs*a2 + sn*b1
-			li[l2] = cs*b2 - sn*a1
-			pr[l1] = cs*c1 + sn*d2
-			pi[l1] = cs*d1 - sn*c2
-			pr[l2] = cs*c2 + sn*d1
-			pi[l2] = cs*d2 - sn*c1
-		}
-		return acc
-	})
-}
-
 // ReverseXY is the split-layout joint xy reverse step with s as λ.
 func (s *SoA) ReverseXY(p *Pool, psi *SoA, i, j int, beta float64) float64 {
 	return reverseXYPlanes(p, s.Re, s.Im, psi.Re, psi.Im, i, j, beta)
@@ -544,33 +505,37 @@ func (s *SoA32) ReversePhase(p *Pool, psi *SoA32, ph Phase, undo bool) float64 {
 func reversePhasePlanes[T planeElem](p *Pool, lr, li, pr, pi []T, ph Phase, undo bool) float64 {
 	checkPair("ReversePhase", len(lr), len(pr))
 	ph.check("ReversePhase", len(lr))
-	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
-	if !undo {
-		return p.Reduce(len(lr), func(lo, hi int) float64 {
-			var acc float64
-			for i := lo; i < hi; i++ {
-				acc += diag[i] * (float64(lr[i])*float64(pi[i]) - float64(li[i])*float64(pr[i]))
-			}
-			return acc
-		})
-	}
 	return p.Reduce(len(lr), func(lo, hi int) float64 {
-		var acc float64
+		return reversePhaseRangePlanes(lr, li, pr, pi, ph, undo, lo, hi)
+	})
+}
+
+// reversePhaseRangePlanes returns the share of Im ⟨λ|Ĉ|ψ⟩ of the
+// amplitudes [lo, hi) and, when undo is set, undoes the phase on them
+// in both states.
+func reversePhaseRangePlanes[T planeElem](lr, li, pr, pi []T, ph Phase, undo bool, lo, hi int) float64 {
+	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
+	var acc float64
+	if !undo {
 		for i := lo; i < hi; i++ {
-			a, b, c, d := lr[i], li[i], pr[i], pi[i]
-			acc += diag[i] * (float64(a)*float64(d) - float64(b)*float64(c))
-			var sn64, cs64 float64
-			if codes != nil {
-				cs64, sn64 = real(tab[codes[i]]), imag(tab[codes[i]])
-			} else {
-				sn64, cs64 = math.Sincos(-gamma * diag[i])
-			}
-			sn, cs := T(sn64), T(cs64)
-			lr[i] = a*cs + b*sn
-			li[i] = b*cs - a*sn
-			pr[i] = c*cs + d*sn
-			pi[i] = d*cs - c*sn
+			acc += diag[i] * (float64(lr[i])*float64(pi[i]) - float64(li[i])*float64(pr[i]))
 		}
 		return acc
-	})
+	}
+	for i := lo; i < hi; i++ {
+		a, b, c, d := lr[i], li[i], pr[i], pi[i]
+		acc += diag[i] * (float64(a)*float64(d) - float64(b)*float64(c))
+		var sn64, cs64 float64
+		if codes != nil {
+			cs64, sn64 = real(tab[codes[i]]), imag(tab[codes[i]])
+		} else {
+			sn64, cs64 = math.Sincos(-gamma * diag[i])
+		}
+		sn, cs := T(sn64), T(cs64)
+		lr[i] = a*cs + b*sn
+		li[i] = b*cs - a*sn
+		pr[i] = c*cs + d*sn
+		pi[i] = d*cs - c*sn
+	}
+	return acc
 }

@@ -127,8 +127,9 @@ func TestMulDiagBackends(t *testing.T) {
 
 // TestImDotXAllAgainstReference checks the transverse-field mixer
 // derivative Σ_q Im ⟨λ|X_q|ψ⟩: the fused serial and SoA32 reductions,
-// and the sum of the per-qubit ReverseRX reductions on all four
-// representations (each qubit's term is invariant under the RX undos
+// the sum of the per-qubit ReverseRX reductions on the complex128
+// representations, and the mixer reduction of the split layouts' tiled
+// ReverseUniformRX (each qubit's term is invariant under the RX undos
 // of the other qubits, so the running sweep reads the same value).
 func TestImDotXAllAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
@@ -150,20 +151,20 @@ func TestImDotXAllAgainstReference(t *testing.T) {
 	var got [4]float64
 	l, ps := lam.Clone(), psi.Clone()
 	lp, pp := lam.Clone(), psi.Clone()
-	sl, sp := SoAFromVec(lam), SoAFromVec(psi)
 	for q := 0; q < n; q++ {
 		got[0] += ReverseRX(l, ps, q, beta)
 		got[1] += gradPool().ReverseRX(lp, pp, q, beta)
-		got[2] += sl.ReverseRX(gradPool(), sp, q, beta)
-		got[3] += sl32.ReverseRX(gradPool(), sp32, q, beta)
 	}
+	sl, sp := SoAFromVec(lam), SoAFromVec(psi)
+	got[2], _ = sl.ReverseUniformRX(gradPool(), sp, beta, Phase{}, false)
+	got[3], _ = sl32.ReverseUniformRX(gradPool(), sp32, beta, Phase{}, false)
 	for k, name := range []string{"serial", "pool", "soa", "soa32"} {
 		tol := 1e-12
 		if name == "soa32" {
 			tol = 1e-5
 		}
 		if math.Abs(got[k]-want) > tol {
-			t.Errorf("%s Σ_q ReverseRX = %v, want %v", name, got[k], want)
+			t.Errorf("%s reverse mixer reduction = %v, want %v", name, got[k], want)
 		}
 	}
 }
@@ -262,6 +263,8 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 				t.Errorf("pool=%v table=%v: reverse steps leave the states off by %g", pool != nil, ph.Codes != nil, d)
 			}
 		}
+		// The split layouts: the tiled ReverseUniformRX undoes the tiled
+		// F = 2 forward mixer and the phase in one call.
 		p := gradPool()
 		sl, sp := SoAFromVec(lam0), SoAFromVec(psi0)
 		for _, v := range []*SoA{sl, sp} {
@@ -270,10 +273,7 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 			v.ApplyXY(p, 1, 4, beta)
 		}
 		sl.ReverseXY(p, sp, 1, 4, beta)
-		for q := 0; q < n; q++ {
-			sl.ReverseRX(p, sp, q, beta)
-		}
-		sl.ReversePhase(p, sp, ph, true)
+		sl.ReverseUniformRX(p, sp, beta, ph, true)
 		if d := MaxAbsDiff(sl.ToVec(), lam0) + MaxAbsDiff(sp.ToVec(), psi0); d > 1e-12 {
 			t.Errorf("SoA table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
@@ -284,10 +284,7 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 			v.ApplyXY(p, 1, 4, beta)
 		}
 		sl32.ReverseXY(p, sp32, 1, 4, beta)
-		for q := 0; q < n; q++ {
-			sl32.ReverseRX(p, sp32, q, beta)
-		}
-		sl32.ReversePhase(p, sp32, ph, true)
+		sl32.ReverseUniformRX(p, sp32, beta, ph, true)
 		if d := MaxAbsDiff(sl32.ToVec(), lam0) + MaxAbsDiff(sp32.ToVec(), psi0); d > 1e-5 {
 			t.Errorf("SoA32 table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}

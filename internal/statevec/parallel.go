@@ -31,63 +31,76 @@ func NewPool(w int) *Pool {
 // Run partitions [0, n) into Workers contiguous chunks and invokes fn
 // on each concurrently, blocking until all finish. Chunks are disjoint
 // so fn may write freely within its range.
-func (p *Pool) Run(n int, fn func(lo, hi int)) {
-	if p == nil || p.Workers <= 1 || n < p.minParallel {
+func (p *Pool) Run(n int, fn func(lo, hi int)) { p.runTasks(n, n, fn) }
+
+// Reduce runs fn over [0, n) in chunks, collecting one float64 partial
+// result per chunk and returning their sum in chunk order.
+func (p *Pool) Reduce(n int, fn func(lo, hi int) float64) float64 {
+	if _, count := p.split(n, n); count == 1 {
+		return fn(0, n)
+	}
+	s, _ := p.reduceTasks(n, n, func(lo, hi int) (float64, float64) { return fn(lo, hi), 0 })
+	return s
+}
+
+// split returns the chunk length and chunk count Run and Reduce use for
+// n tasks covering work amplitudes: one inline chunk when the pool is
+// serial or work is below minParallel, else at most Workers chunks.
+func (p *Pool) split(n, work int) (size, count int) {
+	if p == nil || p.Workers <= 1 || work < p.minParallel || n < 2 {
+		return n, 1
+	}
+	w := min(p.Workers, n)
+	size = (n + w - 1) / w
+	return size, (n + size - 1) / size
+}
+
+// runTasks is Run over n coarse tasks, such as the tiles of the tiled
+// mixer kernels, that together cover work amplitudes: work, not the
+// task count, decides whether the call is worth splitting.
+func (p *Pool) runTasks(n, work int, fn func(lo, hi int)) {
+	size, count := p.split(n, work)
+	if count == 1 {
 		fn(0, n)
 		return
 	}
-	w := p.Workers
-	if w > n {
-		w = n
-	}
 	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
+	wg.Add(count)
+	for lo := 0; lo < n; lo += size {
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+size, n))
 	}
 	wg.Wait()
 }
 
-// reduce runs fn over [0, n) in chunks, collecting one float64 partial
-// result per chunk and returning the sum.
-func (p *Pool) Reduce(n int, fn func(lo, hi int) float64) float64 {
-	if p == nil || p.Workers <= 1 || n < p.minParallel {
+// reduceTasks is the two-sum reduction over n coarse tasks covering
+// work amplitudes: fn returns two partials per chunk, and each sum is
+// taken in chunk order, so results depend on the chunking alone.
+func (p *Pool) reduceTasks(n, work int, fn func(lo, hi int) (float64, float64)) (a, b float64) {
+	size, count := p.split(n, work)
+	if count == 1 {
 		return fn(0, n)
 	}
-	w := p.Workers
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	partial := make([]float64, (n+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			partial[slot] = fn(lo, hi)
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	var s float64
+	partial := make([][2]float64, count)
+	p.runTasks(n, work, func(lo, hi int) {
+		k := lo / size
+		partial[k][0], partial[k][1] = fn(lo, hi)
+	})
 	for _, x := range partial {
-		s += x
+		a += x[0]
+		b += x[1]
 	}
-	return s
+	return a, b
+}
+
+// workers returns the pool size (1 for a nil pool).
+func (p *Pool) workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.Workers
 }
 
 // ApplySU2 is the pool version of Algorithm 1: each of the 2^{n−1}

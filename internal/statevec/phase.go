@@ -76,19 +76,23 @@ func (s *SoA32) ApplyPhase(p *Pool, ph Phase) { applyPhasePlanes(p, s.Re, s.Im, 
 
 func applyPhasePlanes[T planeElem](p *Pool, re, im []T, ph Phase) {
 	ph.check("ApplyPhase", len(re))
+	p.Run(len(re), func(lo, hi int) { phaseRangePlanes(re, im, ph, lo, hi) })
+}
+
+// phaseRangePlanes multiplies the amplitudes [lo, hi) of split planes
+// by their phase factors.
+func phaseRangePlanes[T planeElem](re, im []T, ph Phase, lo, hi int) {
 	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
-	p.Run(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sn64, cs64 float64
-			if codes != nil {
-				cs64, sn64 = real(tab[codes[i]]), imag(tab[codes[i]])
-			} else {
-				sn64, cs64 = math.Sincos(-gamma * diag[i])
-			}
-			sn, cs := T(sn64), T(cs64)
-			r, m := re[i], im[i]
-			re[i] = r*cs - m*sn
-			im[i] = r*sn + m*cs
+	for i := lo; i < hi; i++ {
+		var sn64, cs64 float64
+		if codes != nil {
+			cs64, sn64 = real(tab[codes[i]]), imag(tab[codes[i]])
+		} else {
+			sn64, cs64 = math.Sincos(-gamma * diag[i])
 		}
-	})
+		sn, cs := T(sn64), T(cs64)
+		r, m := re[i], im[i]
+		re[i] = r*cs - m*sn
+		im[i] = r*sn + m*cs
+	}
 }

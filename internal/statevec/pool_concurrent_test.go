@@ -84,10 +84,11 @@ func TestPoolPhaseDiagConcurrent(t *testing.T) {
 	}
 }
 
-// TestPoolApplyUniformRXConcurrent pins the mixer sweep (plain and
-// fused, complex and SoA layouts) under a shared pool.
+// TestPoolApplyUniformRXConcurrent pins the mixer under a shared pool:
+// the complex128 per-qubit sweep, and the tiled F = 2 kernel on SoA and
+// SoA32 (at n = 14 so the tiled passes split across the pool).
 func TestPoolApplyUniformRXConcurrent(t *testing.T) {
-	const n, workers = 11, 8
+	const n, workers = 14, 8
 	pool := NewPool(4)
 	pool.minParallel = 1
 
@@ -104,36 +105,32 @@ func TestPoolApplyUniformRXConcurrent(t *testing.T) {
 
 	variants := []struct {
 		name  string
-		apply func(v Vec, soa *SoA, beta float64)
+		tol   float64
+		apply func(v Vec, beta float64) Vec
 	}{
-		{"pool", func(v Vec, _ *SoA, beta float64) { pool.ApplyUniformRX(v, beta) }},
-		{"pool-fused", func(v Vec, _ *SoA, beta float64) { pool.ApplyUniformRXFused(v, beta) }},
-		{"soa", func(_ Vec, s *SoA, beta float64) { s.ApplyUniformRX(pool, beta) }},
-		{"soa-fused", func(_ Vec, s *SoA, beta float64) { s.ApplyUniformRXFused(pool, beta) }},
+		// The per-qubit sweep must match exactly; the F = 2 pairs
+		// reassociate the arithmetic, so they get a few ULPs, and
+		// float32 its rounding.
+		{"pool", 0, func(v Vec, beta float64) Vec { pool.ApplyUniformRX(v, beta); return v }},
+		{"soa", 1e-13, func(v Vec, beta float64) Vec {
+			s := SoAFromVec(v)
+			s.ApplyUniformRX(pool, beta)
+			return s.ToVec()
+		}},
+		{"soa32", 1e-4, func(v Vec, beta float64) Vec {
+			s := SoA32FromVec(v)
+			s.ApplyUniformRX(pool, beta)
+			return s.ToVec()
+		}},
 	}
 	for _, vt := range variants {
 		t.Run(vt.name, func(t *testing.T) {
-			vecs := make([]Vec, workers)
-			soas := make([]*SoA, workers)
-			for k := range vecs {
-				vecs[k] = inputs[k].Clone()
-				soas[k] = SoAFromVec(inputs[k])
-			}
+			got := make([]Vec, workers)
 			concurrently(workers, func(id int) {
-				vt.apply(vecs[id], soas[id], betas[id])
+				got[id] = vt.apply(inputs[id].Clone(), betas[id])
 			})
 			for k := 0; k < workers; k++ {
-				got := vecs[k]
-				if vt.name == "soa" || vt.name == "soa-fused" {
-					got = soas[k].ToVec()
-				}
-				// The fused sweeps reassociate the arithmetic, so allow
-				// a few ULPs there; unfused must match exactly.
-				tol := 0.0
-				if vt.name == "pool-fused" || vt.name == "soa-fused" {
-					tol = 1e-14
-				}
-				if d := MaxAbsDiff(got, wants[k]); d > tol {
+				if d := MaxAbsDiff(got[k], wants[k]); d > vt.tol {
 					t.Errorf("worker %d: %s deviates from serial ApplyUniformRX by %g", k, vt.name, d)
 				}
 			}

@@ -75,41 +75,17 @@ func (s *SoA) Len() int { return len(s.Re) }
 // NumQubits returns n for a 2^n-length state.
 func (s *SoA) NumQubits() int { return numQubits(len(s.Re)) }
 
-// ApplyRX applies e^{−iβX} on qubit q with pure real arithmetic:
-//
-//	re1' =  c·re1 + s·im2    im1' = c·im1 − s·re2
-//	re2' =  c·re2 + s·im1    im2' = c·im2 − s·re1
-//
-// (c = cos β, s = sin β), which is [[c, −is], [−is, c]] expanded.
-func (s *SoA) ApplyRX(p *Pool, q int, beta float64) {
-	n := s.NumQubits()
-	if q < 0 || q >= n {
+// ApplyRX applies e^{−iβX} on qubit q with pure real arithmetic (see
+// rxRange): one full pass over the state, Algorithm 1 on split planes.
+func (s *SoA) ApplyRX(p *Pool, q int, beta float64) { applyRXPlanes(p, s.Re, s.Im, q, beta) }
+
+// applyRXPlanes is the per-qubit RX pass on split planes.
+func applyRXPlanes[T planeElem](p *Pool, re, im []T, q int, beta float64) {
+	if n := numQubits(len(re)); q < 0 || q >= n {
 		panic(fmt.Sprintf("statevec: qubit %d out of range for n=%d", q, n))
 	}
 	sn, cs := math.Sincos(beta)
-	stride := 1 << uint(q)
-	mask := stride - 1
-	re, im := s.Re, s.Im
-	p.Run(len(re)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := (t>>uint(q))<<uint(q+1) | (t & mask)
-			l2 := l1 + stride
-			r1, i1 := re[l1], im[l1]
-			r2, i2 := re[l2], im[l2]
-			re[l1] = cs*r1 + sn*i2
-			im[l1] = cs*i1 - sn*r2
-			re[l2] = cs*r2 + sn*i1
-			im[l2] = cs*i2 - sn*r1
-		}
-	})
-}
-
-// ApplyUniformRX sweeps ApplyRX over all qubits (Algorithm 2).
-func (s *SoA) ApplyUniformRX(p *Pool, beta float64) {
-	n := s.NumQubits()
-	for q := 0; q < n; q++ {
-		s.ApplyRX(p, q, beta)
-	}
+	p.Run(len(re)/2, func(lo, hi int) { rxRange(re, im, q, T(cs), T(sn), lo, hi) })
 }
 
 // ApplyXY applies e^{−iβ(XX+YY)/2} on the pair (i, j); the rotated

@@ -83,45 +83,7 @@ func (s *SoA32) MemoryBytes() int { return 8 * len(s.Re) }
 
 // ApplyRX applies e^{−iβX} on qubit q (same update as SoA.ApplyRX with
 // float32 storage).
-func (s *SoA32) ApplyRX(p *Pool, q int, beta float64) {
-	n := s.NumQubits()
-	if q < 0 || q >= n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range for n=%d", q, n))
-	}
-	sn64, cs64 := math.Sincos(beta)
-	sn, cs := float32(sn64), float32(cs64)
-	stride := 1 << uint(q)
-	mask := stride - 1
-	re, im := s.Re, s.Im
-	p.Run(len(re)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := (t>>uint(q))<<uint(q+1) | (t & mask)
-			l2 := l1 + stride
-			r1, i1 := re[l1], im[l1]
-			r2, i2 := re[l2], im[l2]
-			re[l1] = cs*r1 + sn*i2
-			im[l1] = cs*i1 - sn*r2
-			re[l2] = cs*r2 + sn*i1
-			im[l2] = cs*i2 - sn*r1
-		}
-	})
-}
-
-// ApplyUniformRX sweeps ApplyRX over all qubits (Algorithm 2).
-func (s *SoA32) ApplyUniformRX(p *Pool, beta float64) {
-	n := s.NumQubits()
-	for q := 0; q < n; q++ {
-		s.ApplyRX(p, q, beta)
-	}
-}
-
-// ApplyUniformRXFused is the F = 2 fused sweep in single precision.
-func (s *SoA32) ApplyUniformRXFused(p *Pool, beta float64) {
-	applyUniformRXFusedPlanes(p, s.Re, s.Im, beta)
-	if n := s.NumQubits(); n%2 == 1 {
-		s.ApplyRX(p, n-1, beta)
-	}
-}
+func (s *SoA32) ApplyRX(p *Pool, q int, beta float64) { applyRXPlanes(p, s.Re, s.Im, q, beta) }
 
 // ApplyXY applies e^{−iβ(XX+YY)/2} on the pair (i, j).
 func (s *SoA32) ApplyXY(p *Pool, i, j int, beta float64) {

@@ -26,7 +26,7 @@ func BenchmarkBatchEvaluation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{16, 18, 20} {
 		terms := problems.LABSTerms(n)
-		sim, err := core.New(n, terms, core.Options{Backend: core.BackendSoA, FusedMixer: true})
+		sim, err := core.New(n, terms, core.Options{Backend: core.BackendSoA})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkSingleEvaluate(b *testing.B) {
 	const n, p = 16, 10
 	rng := rand.New(rand.NewSource(2))
 	terms := problems.LABSTerms(n)
-	sim, err := core.New(n, terms, core.Options{Backend: core.BackendSoA, FusedMixer: true})
+	sim, err := core.New(n, terms, core.Options{Backend: core.BackendSoA})
 	if err != nil {
 		b.Fatal(err)
 	}

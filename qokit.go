@@ -6,8 +6,9 @@
 // The central idea: QAOA's phase operator is diagonal and identical in
 // every layer and every objective evaluation, so the simulator
 // precomputes the 2^n cost diagonal once per problem. Each layer then
-// costs one elementwise multiply plus n in-place mixer sweeps
-// (Algorithm 1–2 of the paper), and the QAOA objective is a single
+// costs one elementwise multiply plus the in-place mixer (Algorithm 1–2
+// of the paper, qubit pairs fused and cache-tiled into 2–3 passes over
+// the state on the default backend), and the QAOA objective is a single
 // inner product — orders of magnitude cheaper than gate-by-gate
 // simulation for dense, high-order objectives like LABS.
 //
@@ -57,9 +58,12 @@ func NewTerms(terms ...Term) Terms { return poly.New(terms...) }
 type StateVector = statevec.Vec
 
 // Options configures a Simulator (backend, mixer, worker count,
-// initial state, precision, F = 2 mixer fusion, ablation switches).
-// Which kernels a simulator runs follows from its Options and its cost
-// diagonal alone.
+// initial state, precision, ablation switches). Which kernels a
+// simulator runs follows from its Options and its cost diagonal alone:
+// on the default SoA backend, in either precision, the x mixer always
+// runs as the cache-tiled F = 2 kernel (RX⊗RX on qubit pairs, 2–3
+// cache-sized passes per layer); the complex128 backends run
+// Algorithm 2's per-qubit sweep.
 type Options = core.Options
 
 // Simulator is a QAOA fast simulator bound to one problem instance;
@@ -69,6 +73,10 @@ type Simulator = core.Simulator
 // Result is an evolved QAOA state; use its output methods
 // (Expectation, Overlap, StateVector, Probabilities).
 type Result = core.Result
+
+// ErrObservableLength is wrapped by the error Result.ExpectationOf
+// returns for a diagonal whose length is not 2^n.
+var ErrObservableLength = core.ErrObservableLength
 
 // Backend selects the execution engine.
 type Backend = core.Backend

@@ -243,7 +243,7 @@ func TestSKAndObjectivesFacade(t *testing.T) {
 		t.Errorf("QASM output malformed: %.40q", src)
 	}
 	// Single precision through the facade.
-	sp, err := NewSimulator(n, terms, Options{SinglePrecision: true, FusedMixer: true})
+	sp, err := NewSimulator(n, terms, Options{SinglePrecision: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,11 @@ type OutputEvaluator = evaluator.OutputEvaluator
 // (EvaluatorCaps.Streaming).
 type SampleStreamer = evaluator.SampleStreamer
 
+// ErrNonFiniteAngle is wrapped by the error every evaluation entry
+// point (Service, Simulator and the engines) returns for a NaN or ±Inf
+// angle; the message names the offending index.
+var ErrNonFiniteAngle = evaluator.ErrNonFiniteAngle
+
 const (
 	// MaxShotsPerRequest bounds OutputSpec.Shots on the buffered
 	// EvalOutputs path; larger shot counts go through SampleStreamer.
