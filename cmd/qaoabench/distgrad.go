@@ -12,7 +12,6 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
-	"qokit/internal/grad"
 	"qokit/internal/optimize"
 	"qokit/internal/problems"
 	"qokit/internal/serve"
@@ -61,14 +60,14 @@ func runDistGrad(w io.Writer, args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	eng := grad.New(sim)
+	refBufs := sim.NewGradBuffers()
 	refG := make([]float64, *p)
 	refB := make([]float64, *p)
-	if _, err := eng.EnergyGradAngles(ctx, gamma, beta, refG, refB); err != nil {
+	if _, err := sim.SimulateQAOAGradInto(refBufs, gamma, beta, refG, refB); err != nil {
 		return err
 	}
 	tSingle := bestOf(*reps, func() error {
-		_, err := eng.EnergyGradAngles(ctx, gamma, beta, refG, refB)
+		_, err := sim.SimulateQAOAGradInto(refBufs, gamma, beta, refG, refB)
 		return err
 	})
 

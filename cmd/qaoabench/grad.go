@@ -11,7 +11,6 @@ import (
 	"qokit/internal/benchutil"
 	"qokit/internal/core"
 	"qokit/internal/evaluator"
-	"qokit/internal/grad"
 	"qokit/internal/optimize"
 	"qokit/internal/problems"
 	"qokit/internal/serve"
@@ -43,16 +42,17 @@ func runGrad(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	eng := grad.New(sim)
-	// The adjoint path runs through a one-worker evaluation service —
-	// the production route for optimizer gradients — so its timing
-	// includes the (sub-µs) queue hop; the FD baseline stays on the
-	// bare engine, being generous to the baseline.
-	svc, err := serve.New([]evaluator.Evaluator{eng}, serve.Options{WorkersPerEvaluator: 1})
+	// The adjoint path runs through a one-worker evaluation service over
+	// one workspace — the production route for optimizer gradients — so
+	// its timing includes the (sub-µs) queue hop; the FD baseline calls
+	// the simulator directly on one reused state, being generous to the
+	// baseline.
+	svc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()}, serve.Options{})
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
+	fdState := sim.NewResult()
 	ctx := context.Background()
 	gamma, beta := optimize.TQAInit(*p, 0.75)
 	x := optimize.JoinAngles(gamma, beta)
@@ -65,7 +65,7 @@ func runGrad(w io.Writer, args []string) error {
 	if _, err := svc.EnergyGrad(ctx, x, gradFlat); err != nil {
 		return err
 	}
-	if _, err := eng.FiniteDiffGrad(ctx, gamma, beta, 0, gFD, bFD); err != nil {
+	if _, err := finiteDiffGrad(ctx, sim, fdState, gamma, beta, 0, gFD, bFD); err != nil {
 		return err
 	}
 	var maxDiff float64
@@ -79,7 +79,7 @@ func runGrad(w io.Writer, args []string) error {
 		return err
 	})
 	tFD := bestOf(*reps, func() error {
-		_, err := eng.FiniteDiffGrad(ctx, gamma, beta, 0, gFD, bFD)
+		_, err := finiteDiffGrad(ctx, sim, fdState, gamma, beta, 0, gFD, bFD)
 		return err
 	})
 
@@ -93,6 +93,60 @@ func runGrad(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "\nspeedup: %.1f× (theory: ~p = %d×); max |Δ| adjoint vs fd: %.2g\n",
 		tFD.Seconds()/tAdj.Seconds(), *p, maxDiff)
 	return nil
+}
+
+// finiteDiffGrad evaluates the gradient by central finite differences,
+// 4p full simulations evolved in the one state buffer r, and returns
+// the center energy. step ≤ 0 selects 1e-6. Cancellation is honored
+// between the 4p+1 simulations.
+func finiteDiffGrad(ctx context.Context, sim *core.Simulator, r *core.Result, gamma, beta []float64, step float64, gradGamma, gradBeta []float64) (float64, error) {
+	if len(gamma) != len(beta) {
+		return 0, fmt.Errorf("grad: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
+	}
+	if len(gradGamma) != len(gamma) || len(gradBeta) != len(beta) {
+		return 0, fmt.Errorf("grad: gradient storage lengths (%d, %d) do not match depth p=%d",
+			len(gradGamma), len(gradBeta), len(gamma))
+	}
+	if step <= 0 {
+		step = 1e-6
+	}
+	// Perturb copies so the caller's schedules are never modified.
+	g := append([]float64(nil), gamma...)
+	b := append([]float64(nil), beta...)
+	eval := func() (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		if err := sim.SimulateQAOAInto(r, g, b); err != nil {
+			return 0, err
+		}
+		return r.Expectation(), nil
+	}
+	energy, err := eval()
+	if err != nil {
+		return 0, err
+	}
+	for _, half := range []struct {
+		ang  []float64
+		grad []float64
+	}{{g, gradGamma}, {b, gradBeta}} {
+		for l := range half.ang {
+			orig := half.ang[l]
+			half.ang[l] = orig + step
+			ep, err := eval()
+			if err != nil {
+				return 0, err
+			}
+			half.ang[l] = orig - step
+			em, err := eval()
+			if err != nil {
+				return 0, err
+			}
+			half.ang[l] = orig
+			half.grad[l] = (ep - em) / (2 * step)
+		}
+	}
+	return energy, nil
 }
 
 // bestOf runs fn reps times and returns the fastest wall-clock,

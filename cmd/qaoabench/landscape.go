@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"time"
 
 	"qokit/internal/benchutil"
@@ -13,9 +14,9 @@ import (
 	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/lightcone"
+	"qokit/internal/optimize"
 	"qokit/internal/problems"
 	"qokit/internal/serve"
-	"qokit/internal/sweep"
 )
 
 // runLandscape scans the p = 1 QAOA energy landscape on a γ × β grid —
@@ -24,13 +25,13 @@ import (
 // precomputed diagonal. The same grid is evaluated twice: with
 // point-at-a-time SimulateQAOA (a fresh state vector per point) and
 // as one batch request through the evaluation service (FIFO queue →
-// sweep-engine workers with per-worker reusable buffers), verifying
-// both agree and reporting the throughput gap.
+// workers each bound to one reusable workspace), verifying both agree
+// bit for bit and reporting the throughput gap.
 func runLandscape(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("landscape", flag.ContinueOnError)
 	n := fs.Int("n", 14, "qubit count")
 	grid := fs.Int("grid", 24, "grid points per axis (grid² evaluations)")
-	workers := fs.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "service workers (0 = GOMAXPROCS)")
 	backend := fs.String("backend", "statevector", "evaluator: statevector (LABS) or lightcone (random-regular MaxCut)")
 	graphN := fs.Int("graphn", 1000, "lightcone: graph vertex count")
 	degree := fs.Int("degree", 3, "lightcone: graph degree")
@@ -63,14 +64,13 @@ func runLandscape(w io.Writer, args []string) error {
 		gammas[i] = math.Pi * float64(i) / float64(*grid)
 		betas[i] = math.Pi / 2 * float64(i) / float64(*grid)
 	}
-	points := sweep.Grid(gammas, betas)
+	xs := optimize.Grid(gammas, betas)
 
-	// Point at a time: the pre-engine hot path, one fresh state buffer
-	// per evaluation.
-	serialRes := make([]float64, len(points))
+	// Point at a time: one fresh state buffer per evaluation.
+	serialRes := make([]float64, len(xs))
 	startSerial := time.Now()
-	for i, pt := range points {
-		r, err := sim.SimulateQAOA(pt.Gamma, pt.Beta)
+	for i, x := range xs {
+		r, err := sim.SimulateQAOA(x[:1], x[1:])
 		if err != nil {
 			return err
 		}
@@ -79,18 +79,20 @@ func runLandscape(w io.Writer, args []string) error {
 	tSerial := time.Since(startSerial)
 
 	// Batched: one request through the evaluation service fans the
-	// same grid across the sweep-engine workers, each reusing one
-	// buffer.
-	eng := sweep.New(sim, sweep.Options{Workers: *workers})
-	svc, err := serve.New([]evaluator.Evaluator{eng}, serve.Options{WorkersPerEvaluator: *workers})
+	// same grid across its workers, each reusing one workspace.
+	nw := *workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	evals := make([]evaluator.Evaluator, nw)
+	for i := range evals {
+		evals[i] = sim.NewWorkspace()
+	}
+	svc, err := serve.New(evals, serve.Options{})
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
-	xs := make([][]float64, len(points))
-	for i, pt := range points {
-		xs[i] = []float64{pt.Gamma[0], pt.Beta[0]}
-	}
 	startBatch := time.Now()
 	energies, err := svc.EnergyBatch(context.Background(), xs, nil)
 	if err != nil {
@@ -98,36 +100,27 @@ func runLandscape(w io.Writer, args []string) error {
 	}
 	tBatch := time.Since(startBatch)
 
-	var maxDiff, scale float64
+	// Every workspace runs its kernels on the simulator's own pool, so
+	// each batched energy is the point-at-a-time one bit for bit.
 	for i := range energies {
-		if d := math.Abs(energies[i] - serialRes[i]); d > maxDiff {
-			maxDiff = d
+		if energies[i] != serialRes[i] {
+			return fmt.Errorf("landscape: batch result %d differs from point-at-a-time (%v vs %v)",
+				i, energies[i], serialRes[i])
 		}
-		if a := math.Abs(serialRes[i]); a > scale {
-			scale = a
-		}
-	}
-	// The engine's workers reduce on single-worker kernel views, so on
-	// multi-core machines the expectation sums may differ from the
-	// pooled point-at-a-time reduction by reassociation roundoff. That
-	// grows with 2^n and the energy scale, hence a relative bound —
-	// still orders of magnitude below any landscape feature.
-	if maxDiff > 1e-9*math.Max(1, scale) {
-		return fmt.Errorf("landscape: batched results deviate from point-at-a-time by %g", maxDiff)
 	}
 
-	best := sweep.ArgMinEnergies(energies)
+	best := optimize.ArgMinEnergies(energies)
 	fmt.Fprintf(w, "p=1 landscape scan, LABS n=%d, %d×%d grid (%d evaluations, one shared diagonal)\n",
-		*n, *grid, *grid, len(points))
+		*n, *grid, *grid, len(xs))
 	tab := benchutil.NewTable("path", "total(s)", "µs/point")
 	tab.Add("point-at-a-time", benchutil.Seconds(tSerial),
-		fmt.Sprintf("%.1f", float64(tSerial.Microseconds())/float64(len(points))))
+		fmt.Sprintf("%.1f", float64(tSerial.Microseconds())/float64(len(xs))))
 	tab.Add("service-batch", benchutil.Seconds(tBatch),
-		fmt.Sprintf("%.1f", float64(tBatch.Microseconds())/float64(len(points))))
+		fmt.Sprintf("%.1f", float64(tBatch.Microseconds())/float64(len(xs))))
 	tab.Fprint(w)
-	fmt.Fprintf(w, "\nbatched/serial agreement: max |Δ| = %.2g; speedup %.2f×\n", maxDiff, tSerial.Seconds()/tBatch.Seconds())
+	fmt.Fprintf(w, "\nbatched/serial agreement: bit-identical; speedup %.2f×\n", tSerial.Seconds()/tBatch.Seconds())
 	fmt.Fprintf(w, "landscape minimum E = %.6f at γ = %.4f, β = %.4f\n",
-		energies[best], points[best].Gamma[0], points[best].Beta[0])
+		energies[best], xs[best][0], xs[best][1])
 	return nil
 }
 
@@ -155,13 +148,9 @@ func runLandscapeLightCone(w io.Writer, graphN, degree int, seed int64, grid, wo
 		gammas[i] = math.Pi * float64(i) / float64(grid)
 		betas[i] = math.Pi / 2 * float64(i) / float64(grid)
 	}
-	points := sweep.Grid(gammas, betas)
-	xs := make([][]float64, len(points))
-	for i, pt := range points {
-		xs[i] = []float64{pt.Gamma[0], pt.Beta[0]}
-	}
+	xs := optimize.Grid(gammas, betas)
 
-	serialRes := make([]float64, len(points))
+	serialRes := make([]float64, len(xs))
 	startSerial := time.Now()
 	for i, x := range xs {
 		if serialRes[i], err = eng.Energy(context.Background(), x); err != nil {
@@ -189,20 +178,20 @@ func runLandscapeLightCone(w io.Writer, graphN, degree int, seed int64, grid, wo
 		}
 	}
 
-	best := sweep.ArgMinEnergies(energies)
+	best := optimize.ArgMinEnergies(energies)
 	fmt.Fprintf(w, "p=1 landscape scan, light-cone MaxCut %d-vertex %d-regular, %d×%d grid (%d evaluations)\n",
-		graphN, degree, grid, grid, len(points))
+		graphN, degree, grid, grid, len(xs))
 	fmt.Fprintf(w, "cones: %d edges → %d unique classes (hit rate %.3f), max cone %d qubits\n",
 		st.Edges, st.UniqueCones, st.HitRate, st.MaxConeQubits)
 	tab := benchutil.NewTable("path", "total(s)", "ms/point")
 	tab.Add("point-at-a-time", benchutil.Seconds(tSerial),
-		fmt.Sprintf("%.2f", float64(tSerial.Microseconds())/1000/float64(len(points))))
+		fmt.Sprintf("%.2f", float64(tSerial.Microseconds())/1000/float64(len(xs))))
 	tab.Add("service-batch", benchutil.Seconds(tBatch),
-		fmt.Sprintf("%.2f", float64(tBatch.Microseconds())/1000/float64(len(points))))
+		fmt.Sprintf("%.2f", float64(tBatch.Microseconds())/1000/float64(len(xs))))
 	tab.Fprint(w)
 	// With E = Σ (w/2)⟨ZZ⟩ − W/2, the expected cut is exactly −E.
 	fmt.Fprintf(w, "\nlandscape minimum E = %.6f at γ = %.4f, β = %.4f (expected cut %.1f of %d edges)\n",
-		energies[best], points[best].Gamma[0], points[best].Beta[0],
+		energies[best], xs[best][0], xs[best][1],
 		-energies[best], st.Edges)
 	return nil
 }

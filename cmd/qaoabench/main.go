@@ -40,7 +40,7 @@ func commands() []command {
 		{"fig4", "Fig. 4: total simulation time vs depth p (precompute amortization)", runFig4},
 		{"fig5", "Fig. 5: weak scaling of the distributed mixer (pairwise vs transpose)", runFig5},
 		{"opt", "§I/§V: end-to-end parameter-optimization speedup", runOpt},
-		{"landscape", "Fig. 3/4 workload: batched γ×β landscape scan via the sweep engine", runLandscape},
+		{"landscape", "Fig. 3/4 workload: batched γ×β landscape scan through the evaluation service", runLandscape},
 		{"memory", "§V-B: memory overhead of the precomputed diagonal (float64 vs uint16)", runMemory},
 		{"gates", "§VI: compiled gate counts per QAOA layer (LABS)", runGates},
 		{"scaling", "§I/§VII: LABS time-to-solution scaling, QAOA vs simulated annealing", runScaling},

@@ -19,7 +19,6 @@ import (
 	"qokit/internal/registry"
 	"qokit/internal/serve"
 	"qokit/internal/statevec"
-	"qokit/internal/sweep"
 )
 
 // runOpt reproduces the headline claim ("we reduce the time for a
@@ -74,8 +73,7 @@ func runOpt(w io.Writer, args []string) error {
 		}
 		return h, nil
 	})
-	svc, err := serve.NewElastic([]evaluator.Factory{sweep.NewFactory(cf, sweep.Options{Workers: 1})},
-		serve.ElasticOptions{MinWorkers: 1, MaxWorkers: 1})
+	svc, err := serve.NewElastic([]evaluator.Factory{cf}, serve.ElasticOptions{MinWorkers: 1, MaxWorkers: 1})
 	if err != nil {
 		return err
 	}

@@ -14,14 +14,12 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
-	"qokit/internal/grad"
 	"qokit/internal/graphs"
 	"qokit/internal/lightcone"
 	"qokit/internal/optimize"
 	"qokit/internal/problems"
 	"qokit/internal/registry"
 	"qokit/internal/serve"
-	"qokit/internal/sweep"
 )
 
 // suiteReport is the machine-readable benchmark trajectory: one fixed
@@ -142,11 +140,12 @@ func runSuite(w io.Writer, args []string) error {
 	})
 
 	// Gradient: one exact 2p-component adjoint gradient through a
-	// one-worker evaluation service (the production optimizer path).
+	// one-worker evaluation service over one workspace (the production
+	// optimizer path).
 	ctx := context.Background()
 	x := optimize.JoinAngles(gamma, beta)
 	gFlat := make([]float64, 2**p)
-	gsvc, err := serve.New([]evaluator.Evaluator{grad.New(sim)}, serve.Options{WorkersPerEvaluator: 1})
+	gsvc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()}, serve.Options{})
 	if err != nil {
 		return err
 	}
@@ -165,10 +164,13 @@ func runSuite(w io.Writer, args []string) error {
 		SecondsPerUnit: tGrad.Seconds() / float64(2**p),
 	})
 
-	// Sweep: one batch request through the evaluation service over the
-	// concurrent engine, reused buffers.
-	seng := sweep.New(sim, sweep.Options{})
-	ssvc, err := serve.New([]evaluator.Evaluator{seng}, serve.Options{})
+	// Sweep: one batch request through the evaluation service over
+	// GOMAXPROCS workspaces, one per worker, reused buffers.
+	sevals := make([]evaluator.Evaluator, runtime.GOMAXPROCS(0))
+	for i := range sevals {
+		sevals[i] = sim.NewWorkspace()
+	}
+	ssvc, err := serve.New(sevals, serve.Options{})
 	if err != nil {
 		return err
 	}
@@ -213,7 +215,7 @@ func runSuite(w io.Writer, args []string) error {
 		}
 		return h, nil
 	})
-	rsvc, err := serve.NewElastic([]evaluator.Factory{sweep.NewFactory(rcf, sweep.Options{})},
+	rsvc, err := serve.NewElastic([]evaluator.Factory{rcf},
 		serve.ElasticOptions{MinWorkers: 1, MaxWorkers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		return err

@@ -113,8 +113,8 @@ type DistGradResult = distsim.GradResult
 // independent of depth — the single-node adjoint win (ROADMAP
 // "Gradients") carried onto the cluster. Safe for up to
 // DistOptions.Concurrency concurrent evaluations: each one leases its
-// own rank group and buffers (NewDistributedService builds a request
-// queue over exactly this).
+// own rank group and buffers (NewService with WorkersPerEvaluator up to
+// that concurrency builds a request queue over exactly this).
 type DistributedGradEngine = distsim.GradEngine
 
 // NewDistributedGradEngine builds a distributed gradient engine: each

@@ -67,11 +67,7 @@ func run(w io.Writer) error {
 		gammas[i] = math.Pi * float64(i) / float64(gridSize)
 		betas[i] = math.Pi / 2 * float64(i) / float64(gridSize)
 	}
-	points := qokit.SweepGrid(gammas, betas)
-	xs := make([][]float64, len(points))
-	for i, pt := range points {
-		xs[i] = []float64{pt.Gamma[0], pt.Beta[0]}
-	}
+	xs := qokit.SweepGrid(gammas, betas)
 	energies, err := svc.EnergyBatch(ctx, xs, nil)
 	if err != nil {
 		return err
@@ -85,9 +81,9 @@ func run(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "LABS n=%d: swept %d-point p=1 landscape through the elastic service\n",
-		n, len(points))
+		n, len(xs))
 	fmt.Fprintf(w, "landscape minimum E = %.4f at γ = %.4f, β = %.4f (overlap %.4g)\n",
-		energies[best], points[best].Gamma[0], points[best].Beta[0], bestOuts.Overlap)
+		energies[best], xs[best][0], xs[best][1], bestOuts.Overlap)
 	fmt.Fprintf(w, "pool scaled to %d workers for the batch (floor 1, ceiling %d)\n",
 		grew, runtime.GOMAXPROCS(0))
 
@@ -110,7 +106,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "best time step dt = %.2f with E = %.4f\n", dts[best2], res2[best2])
 
 	// The same service then serves the optimizer: every Nelder–Mead
-	// evaluation goes through the queue onto a pooled state buffer.
+	// evaluation goes through the queue onto a worker's workspace.
 	var simErr error
 	g0, b0 := qokit.TQAInit(p, dts[best2])
 	nm := qokit.NelderMead(svc.Objective(ctx, &simErr),

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"qokit/internal/grad"
 	"qokit/internal/optimize"
 	"qokit/internal/params"
-	"qokit/internal/sweep"
 )
 
 // This file is the public façade of the adjoint-mode gradient
@@ -23,26 +21,14 @@ import (
 //
 //   - Simulator.SimulateQAOAGrad / SimulateQAOAGradInto — one
 //     evaluation (energy + ∂E/∂γ_ℓ + ∂E/∂β_ℓ).
-//   - GradEngine — pooled workspaces over one shared simulator;
-//     FlatObjective feeds Adam/GradientDescent, FiniteDiffGrad is the
-//     baseline.
-//   - SweepEngine.SweepGrad — concurrent batched gradients.
+//   - Workspace.EnergyGrad — the same on the flat [γ|β] vector, reusing
+//     the workspace's ψ/λ pair across calls.
+//   - Service.GradObjective feeds Adam/GradientDescent, and
+//     Service.EnergyGradBatch fans batched gradients across a pool of
+//     workspaces (NewService, NewRegistryService).
 //   - OptimizeParametersAdam / OptimizeParametersAdamInterp — full
 //     gradient-based parameter optimization with TQA / INTERP warm
 //     starts.
-
-// GradEngine evaluates energies and exact adjoint gradients against
-// one shared simulator with pooled workspaces; safe for concurrent
-// use.
-type GradEngine = grad.Engine
-
-// NewGradEngine builds a gradient engine over sim. The simulator is
-// shared, not copied — the same reuse pattern as NewSweepEngine.
-func NewGradEngine(sim *Simulator) *GradEngine { return grad.New(sim) }
-
-// SweepGradResult holds the energy and adjoint gradient evaluated at
-// one sweep point (SweepEngine.SweepGrad).
-type SweepGradResult = sweep.GradResult
 
 // FuncGrad is a value-and-gradient objective: it returns f(x) and
 // writes ∇f(x) into grad.
@@ -85,7 +71,7 @@ func OptimizeParametersAdam(sim *Simulator, p int, opt AdamOptions) (gamma, beta
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth p=%d < 1", p)
 	}
 	g0, b0 := TQAInit(p, 0.75)
-	svc, err := NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 1})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -105,13 +91,13 @@ func OptimizeParametersAdam(sim *Simulator, p int, opt AdamOptions) (gamma, beta
 // OptimizeParametersInterp with the derivative-free inner loop
 // replaced by adjoint gradients. itersPerDepth bounds Adam iterations
 // (one gradient evaluation each) at each level. All evaluations run
-// through one engine's pooled workspace, so the whole schedule touches
-// a single pair of state buffers.
+// through one workspace, so the whole schedule touches a single pair of
+// state buffers.
 func OptimizeParametersAdamInterp(sim *Simulator, pmax, itersPerDepth int) (gamma, beta []float64, energy float64, totalEvals int, err error) {
 	if pmax < 1 {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth pmax=%d < 1", pmax)
 	}
-	svc, err := NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 1})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -167,7 +153,7 @@ func OptimizeParametersAdamFourier(sim *Simulator, pmax, q, itersPerDepth int) (
 	if q < 1 || q > pmax {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: Fourier components q=%d outside [1, pmax=%d]", q, pmax)
 	}
-	svc, err := NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 1})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSimulateQAOAGradFacade checks the gradient entry point through
-// the public Simulator type and the GradEngine wrapper.
+// the public Simulator type and a Workspace over it.
 func TestSimulateQAOAGradFacade(t *testing.T) {
 	const n, p = 8, 4
 	sim, err := NewSimulator(n, LABSTerms(n), Options{})
@@ -22,19 +22,18 @@ func TestSimulateQAOAGradFacade(t *testing.T) {
 	if len(gG) != p || len(gB) != p {
 		t.Fatalf("gradient lengths (%d, %d), want %d", len(gG), len(gB), p)
 	}
-	eng := NewGradEngine(sim)
-	gG2 := make([]float64, p)
-	gB2 := make([]float64, p)
-	e2, err := eng.EnergyGradAngles(context.Background(), gamma, beta, gG2, gB2)
+	ws := sim.NewWorkspace()
+	g2 := make([]float64, 2*p)
+	e2, err := ws.EnergyGrad(context.Background(), append(gamma, beta...), g2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e != e2 {
-		t.Errorf("engine energy %v != simulator energy %v", e2, e)
+		t.Errorf("workspace energy %v != simulator energy %v", e2, e)
 	}
 	for l := 0; l < p; l++ {
-		if gG[l] != gG2[l] || gB[l] != gB2[l] {
-			t.Errorf("layer %d: engine grad differs", l)
+		if gG[l] != g2[l] || gB[l] != g2[p+l] {
+			t.Errorf("layer %d: workspace grad differs", l)
 		}
 	}
 }
@@ -153,33 +152,39 @@ func TestOptimizeParametersAdamFourier(t *testing.T) {
 	}
 }
 
-// TestSweepGradFacade checks the batched gradient path through the
-// public SweepEngine.
+// TestSweepGradFacade checks the batched gradient path: a service over
+// two workspaces returns, for a mixed-depth batch, the gradients
+// SimulateQAOAGrad computes point by point, bit for bit.
 func TestSweepGradFacade(t *testing.T) {
 	const n = 8
 	sim, err := NewSimulator(n, LABSTerms(n), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewSweepEngine(sim, SweepOptions{Workers: 2})
-	g1, b1 := TQAInit(2, 0.5)
-	g2, b2 := TQAInit(2, 1.0)
-	points := []SweepPoint{{Gamma: g1, Beta: b1}, {Gamma: g2, Beta: b2}}
-	var results []SweepGradResult
-	results, err = eng.SweepGrad(context.Background(), points, nil)
+	svc, err := NewService([]Evaluator{sim.NewWorkspace(), sim.NewWorkspace()}, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pt := range points {
-		e, gG, gB, err := sim.SimulateQAOAGrad(pt.Gamma, pt.Beta)
+	defer svc.Close()
+	g1, b1 := TQAInit(2, 0.5)
+	g2, b2 := TQAInit(3, 1.0)
+	xs := [][]float64{append(g1, b1...), append(g2, b2...)}
+	grads := [][]float64{make([]float64, 4), make([]float64, 6)}
+	energies, err := svc.EnergyGradBatch(context.Background(), xs, nil, grads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		p := len(x) / 2
+		e, gG, gB, err := sim.SimulateQAOAGrad(x[:p], x[p:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(results[i].Energy-e) > 1e-9 {
-			t.Errorf("point %d energy %v != %v", i, results[i].Energy, e)
+		if energies[i] != e {
+			t.Errorf("point %d energy %v != %v", i, energies[i], e)
 		}
 		for l := range gG {
-			if math.Abs(results[i].GradGamma[l]-gG[l]) > 1e-9 || math.Abs(results[i].GradBeta[l]-gB[l]) > 1e-9 {
+			if grads[i][l] != gG[l] || grads[i][p+l] != gB[l] {
 				t.Errorf("point %d layer %d gradient mismatch", i, l)
 			}
 		}

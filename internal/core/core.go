@@ -188,8 +188,8 @@ type Options struct {
 // Simulator is a QAOA fast simulator bound to one problem instance
 // (one precomputed cost diagonal). After construction it is read-only,
 // so one Simulator may serve many goroutines at once as long as each
-// evolves its own Result (NewResult + SimulateQAOAInto) — the sharing
-// pattern the internal/sweep batch engine is built on. The precomputed
+// evolves its own Result (NewResult + SimulateQAOAInto) or Workspace —
+// the sharing pattern the evaluation service is built on. The precomputed
 // diagonal is shared by every evaluation, never copied.
 //
 // When the diagonal is exactly an affine grid Min + Scale·k with at
@@ -221,9 +221,8 @@ type Simulator struct {
 	minCost      float64
 	groundStates []uint64
 	// costCache holds the lazily-built ascending-cost basis order for
-	// CVaR; it is a pointer so kernel-pool views share one cache and
-	// the once-guarded build stays safe under concurrent Results.
-	costCache *costOrderCache
+	// CVaR.
+	costCache costOrderCache
 
 	initial statevec.Vec
 }
@@ -280,12 +279,11 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 		workers = 1
 	}
 	s := &Simulator{
-		n:         n,
-		opts:      opts,
-		backend:   backend,
-		pool:      statevec.NewPool(workers),
-		diag:      diag,
-		costCache: &costOrderCache{},
+		n:       n,
+		opts:    opts,
+		backend: backend,
+		pool:    statevec.NewPool(workers),
+		diag:    diag,
 	}
 	if opts.SinglePrecision && backend != BackendSoA {
 		return nil, fmt.Errorf("core: SinglePrecision requires the SoA backend, got %v", backend)
@@ -374,24 +372,6 @@ func (s *Simulator) computeGroundStates() {
 			s.groundStates = append(s.groundStates, uint64(x))
 		}
 	}
-}
-
-// KernelPoolView returns a simulator sharing every precomputed
-// structure with s — diagonal, level codes, compiled terms, mixer
-// sweep, ground states, initial state, CVaR cache — but running its
-// kernels on its own pool of the given size (≤ 0 means GOMAXPROCS).
-// The sweep engine uses single-worker views so that batch-level
-// parallelism does not nest a second layer of kernel goroutines on
-// the same cores. Evolution kernels are elementwise and bit-identical
-// across pool sizes; reductions (Expectation) sum chunk partials, so
-// they may differ from a differently-sized pool in the last ULPs.
-func (s *Simulator) KernelPoolView(workers int) *Simulator {
-	// Whole-struct copy so future Simulator fields are never silently
-	// zero in views; every reference field (diag, levels, costCache, …)
-	// is shared, which is exactly the semantics a view wants.
-	v := *s
-	v.pool = statevec.NewPool(workers)
-	return &v
 }
 
 // NumQubits returns n.

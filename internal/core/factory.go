@@ -57,10 +57,10 @@ func (s *staticDiag) Quantized() (*costvec.Quantized, error) {
 
 func (s *staticDiag) Release() {}
 
-// CapsFor reports the Caps a Simulator built from (n, opts) will
+// capsFor reports the Caps a Simulator built from (n, opts) will
 // advertise, without building one — the up-front cost metadata the
 // Factory contract requires.
-func CapsFor(n int, opts Options) evaluator.Caps {
+func capsFor(n int, opts Options) evaluator.Caps {
 	backend := opts.Backend
 	if backend == BackendAuto {
 		backend = BackendSoA
@@ -79,49 +79,40 @@ func CapsFor(n int, opts Options) evaluator.Caps {
 	}
 }
 
-// Factory builds core Simulators over a leased diagonal. All builds
-// share one read-only Simulator (evolution never mutates it), so the
-// factory refcounts New/Retire pairs and holds the diagonal lease from
-// the first build to the last retire. The registry acquire — and any
-// precompute behind it — is deferred to the first New.
+// Factory builds workspaces over one shared Simulator whose diagonal it
+// leases. Every build is a Workspace over the same read-only Simulator
+// (evolution never mutates it), so growing a pool by one build costs
+// only that workspace's two state buffers, never a second diagonal. The
+// registry acquire, and any precompute behind it, waits for the first
+// New; the lease is held until the last build retires.
 type Factory struct {
 	n       int
 	opts    Options
 	acquire AcquireFunc
 
-	mu   sync.Mutex
-	src  DiagSource
-	sim  *Simulator
-	refs int
+	mu     sync.Mutex
+	src    DiagSource
+	sim    *Simulator
+	builds map[*Workspace]bool
 }
 
 var _ evaluator.Factory = (*Factory)(nil)
 
-// NewFactory builds a simulator factory for an n-qubit problem whose
+// NewFactory builds a workspace factory for an n-qubit problem whose
 // diagonal comes from acquire.
 func NewFactory(n int, opts Options, acquire AcquireFunc) *Factory {
-	return &Factory{n: n, opts: opts, acquire: acquire}
+	return &Factory{n: n, opts: opts, acquire: acquire, builds: make(map[*Workspace]bool)}
 }
 
-// Caps reports the metadata of the simulators this factory builds.
-func (f *Factory) Caps() evaluator.Caps { return CapsFor(f.n, f.opts) }
+// Caps reports the metadata of the workspaces this factory builds.
+func (f *Factory) Caps() evaluator.Caps { return workspaceCaps(capsFor(f.n, f.opts)) }
 
-// New returns the shared simulator, building it (and acquiring the
-// diagonal lease) on first use.
+// New returns a workspace over the shared simulator, building the
+// simulator (and acquiring the diagonal lease) on first use.
 func (f *Factory) New(ctx context.Context) (evaluator.Evaluator, error) {
-	sim, err := f.NewSimulator(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return sim, nil
-}
-
-// NewSimulator is New with the concrete simulator type, for the
-// engine factories (sweep, grad) that wrap it.
-func (f *Factory) NewSimulator(ctx context.Context) (*Simulator, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.refs == 0 {
+	if len(f.builds) == 0 {
 		src, err := f.acquire(ctx)
 		if err != nil {
 			return nil, err
@@ -133,22 +124,21 @@ func (f *Factory) NewSimulator(ctx context.Context) (*Simulator, error) {
 		}
 		f.src, f.sim = src, sim
 	}
-	f.refs++
-	return f.sim, nil
+	w := f.sim.NewWorkspace()
+	f.builds[w] = true
+	return w, nil
 }
 
 // Retire releases one build; the last retire drops the diagonal lease.
 func (f *Factory) Retire(ev evaluator.Evaluator) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.refs == 0 {
-		return fmt.Errorf("core: Retire with no outstanding builds")
+	w, ok := ev.(*Workspace)
+	if !ok || !f.builds[w] {
+		return fmt.Errorf("core: Retire of an evaluator this factory did not build (%T)", ev)
 	}
-	if sim, ok := ev.(*Simulator); !ok || sim != f.sim {
-		return fmt.Errorf("core: Retire of an evaluator this factory did not build")
-	}
-	f.refs--
-	if f.refs == 0 {
+	delete(f.builds, w)
+	if len(f.builds) == 0 {
 		f.src.Release()
 		f.src, f.sim = nil, nil
 	}

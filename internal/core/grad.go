@@ -50,8 +50,7 @@ import (
 // arbitrarily many SimulateQAOAGradInto calls; after warm-up a
 // gradient evaluation performs zero state-buffer allocations. A
 // GradBuffers must not be shared by concurrent evaluations — give each
-// worker its own pair, the pattern internal/sweep.Engine.SweepGrad
-// implements.
+// worker its own pair, as each Workspace holds one.
 type GradBuffers struct {
 	psi, lam *Result
 }

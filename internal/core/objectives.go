@@ -74,7 +74,7 @@ func (r *Result) CVaR(alpha float64) (float64, error) {
 
 // costOrderCache lazily holds the ascending-cost basis order; the
 // sync.Once guard keeps the first build safe when concurrent Results
-// (the sweep engine's sharing pattern) hit CVaR simultaneously.
+// on one Simulator hit CVaR simultaneously.
 type costOrderCache struct {
 	once  sync.Once
 	order []uint64
@@ -83,7 +83,7 @@ type costOrderCache struct {
 // costOrder returns (building and caching on first use) the basis
 // states sorted by ascending cost.
 func (s *Simulator) costOrder() []uint64 {
-	c := s.costCache
+	c := &s.costCache
 	c.once.Do(func() {
 		order := make([]uint64, len(s.diag))
 		for i := range order {

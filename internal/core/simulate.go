@@ -66,7 +66,7 @@ func (s *Simulator) NewResult() *Result {
 //
 // Distinct Results may be evolved concurrently against one shared
 // Simulator — the simulator is read-only during evolution — which is
-// what the internal/sweep batch engine does.
+// what workspaces on separate service workers do.
 func (s *Simulator) SimulateQAOAInto(r *Result, gamma, beta []float64) error {
 	if len(gamma) != len(beta) {
 		return fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))

@@ -9,12 +9,11 @@ import (
 	"qokit/internal/problems"
 )
 
-// checkTiledPoolSizeInvariance pins KernelPoolView's promise on the
-// split layouts, whose tile shapes depend on the pool size: at n = 13,
-// 14 and 18, simulators on 1, 2 and 3 workers and a one-worker view of
-// the three-worker simulator evolve bit-identical states, and their
-// adjoint gradients, whose reductions are summed per tile, agree to
-// 1e-13 of the gradient's max-norm.
+// checkTiledPoolSizeInvariance pins the split layouts' pool-size
+// invariance, since their tile shapes depend on the pool size: at n =
+// 13, 14 and 18, simulators on 1, 2 and 3 workers evolve bit-identical
+// states, and their adjoint gradients, whose reductions are summed per
+// tile, agree to 1e-13 of the gradient's max-norm.
 func checkTiledPoolSizeInvariance(t *testing.T, single bool) {
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{13, 14, 18} {
@@ -28,7 +27,6 @@ func checkTiledPoolSizeInvariance(t *testing.T, single bool) {
 			}
 			sims = append(sims, s)
 		}
-		sims = append(sims, sims[2].KernelPoolView(1))
 		var refState []complex128
 		var refG, refB []float64
 		for k, s := range sims {

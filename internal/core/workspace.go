@@ -1,0 +1,97 @@
+package core
+
+import (
+	"context"
+
+	"qokit/internal/evaluator"
+)
+
+// Workspace is one worker's evaluator over a shared Simulator. It holds
+// the two states an evaluation needs: ψ, which energies evolve in and
+// which is the adjoint's ket, and λ, the cost-weighted bra adjoint
+// gradients add (Medvidović & Carleo, arXiv:2009.01760). Each buffer is
+// allocated on first use and reused by every later call, so a warm
+// workspace evaluates without allocating state.
+//
+// Any number of workspaces may run on one Simulator at once (it is
+// read-only during evolution), but a Workspace is not safe for
+// concurrent use: give each worker its own, as the evaluation service
+// does when a factory builds one per worker.
+type Workspace struct {
+	sim *Simulator
+	buf GradBuffers
+}
+
+// NewWorkspace returns a workspace over s; its buffers are allocated by
+// the first evaluation that needs them.
+func (s *Simulator) NewWorkspace() *Workspace { return &Workspace{sim: s} }
+
+var _ evaluator.Evaluator = (*Workspace)(nil)
+
+// Energy evolves ψ to the flat parameter vector [γ₀…γ_{p−1},
+// β₀…β_{p−1}] and returns the QAOA objective ⟨ψ|Ĉ|ψ⟩.
+func (w *Workspace) Energy(ctx context.Context, x []float64) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	gamma, beta, err := evaluator.SplitFlat(x)
+	if err != nil {
+		return 0, err
+	}
+	if w.buf.psi == nil {
+		w.buf.psi = w.sim.NewResult()
+	}
+	if err := w.sim.SimulateQAOAInto(w.buf.psi, gamma, beta); err != nil {
+		return 0, err
+	}
+	return w.buf.psi.Expectation(), nil
+}
+
+// EnergyGrad evaluates the objective and its exact adjoint gradient at
+// the flat parameter vector on the (ψ, λ) pair, writing ∇E into grad.
+func (w *Workspace) EnergyGrad(ctx context.Context, x, grad []float64) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	gamma, beta, err := evaluator.SplitFlat(x)
+	if err != nil {
+		return 0, err
+	}
+	if err := evaluator.CheckGradStorage(x, grad); err != nil {
+		return 0, err
+	}
+	if w.buf.psi == nil {
+		w.buf.psi = w.sim.NewResult()
+	}
+	if w.buf.lam == nil {
+		w.buf.lam = w.sim.NewResult()
+	}
+	p := len(gamma)
+	return w.sim.SimulateQAOAGradInto(&w.buf, gamma, beta, grad[:p], grad[p:])
+}
+
+// Caps reports one evaluation at a time, pinning the ψ/λ pair.
+func (w *Workspace) Caps() evaluator.Caps { return workspaceCaps(w.sim.Caps()) }
+
+// workspaceCaps turns a simulator's Caps into those of one workspace
+// over it.
+func workspaceCaps(c evaluator.Caps) evaluator.Caps {
+	c.MaxConcurrent = 1
+	c.StateBytes *= 2
+	return c
+}
+
+var _ evaluator.OutputEvaluator = (*Workspace)(nil)
+
+// EvalOutputs forwards to the simulator, which evolves a state of its
+// own for the call.
+func (w *Workspace) EvalOutputs(ctx context.Context, x []float64, spec evaluator.OutputSpec) (*evaluator.Outputs, error) {
+	return w.sim.EvalOutputs(ctx, x, spec)
+}
+
+var _ evaluator.SampleStreamer = (*Workspace)(nil)
+
+// StreamSamples forwards to the simulator.
+func (w *Workspace) StreamSamples(ctx context.Context, x []float64, spec evaluator.OutputSpec, fn func(chunk []uint64) error) error {
+	return w.sim.StreamSamples(ctx, x, spec, fn)
+}

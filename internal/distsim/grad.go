@@ -634,7 +634,7 @@ func reverseMixerXY(c *cluster.Comm, psi, lam, recvPsi, recvLam, send statevec.V
 // runs unchanged against the sharded state. The first simulator error
 // (including ctx cancellation) is latched into *simErr; subsequent
 // calls return 0 without evaluating. This mirrors
-// internal/grad.Engine.FlatObjective.
+// serve.Service.GradObjective.
 func (e *GradEngine) FlatObjective(ctx context.Context, simErr *error) func(x, g []float64) float64 {
 	return func(x, g []float64) float64 {
 		if *simErr != nil {

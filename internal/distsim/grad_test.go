@@ -12,7 +12,6 @@ import (
 
 	"qokit/internal/cluster"
 	"qokit/internal/core"
-	"qokit/internal/grad"
 	"qokit/internal/graphs"
 	"qokit/internal/optimize"
 	"qokit/internal/poly"
@@ -209,9 +208,9 @@ func TestGradEngineReuse(t *testing.T) {
 }
 
 // TestFlatObjectiveAdamMatchesSingleNode runs the same Adam
-// optimization through the distributed FlatObjective and through the
-// single-node gradient engine: identical trajectories, identical
-// optimum (the distributed objective is a drop-in).
+// optimization through the distributed FlatObjective and through a
+// single-node workspace: identical trajectories, identical optimum (the
+// distributed objective is a drop-in).
 func TestFlatObjectiveAdamMatchesSingleNode(t *testing.T) {
 	n, p := 8, 3
 	terms := problems.LABSTerms(n)
@@ -234,7 +233,14 @@ func TestFlatObjectiveAdamMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var singleErr error
-	singleRes := optimize.Adam(grad.New(single).FlatObjective(context.Background(), &singleErr), x0, opt)
+	ws := single.NewWorkspace()
+	singleRes := optimize.Adam(func(x, g []float64) float64 {
+		e, err := ws.EnergyGrad(context.Background(), x, g)
+		if err != nil && singleErr == nil {
+			singleErr = err
+		}
+		return e
+	}, x0, opt)
 	if singleErr != nil {
 		t.Fatal(singleErr)
 	}

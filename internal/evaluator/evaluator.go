@@ -7,9 +7,9 @@
 // The contract is deliberately minimal — the flat vector
 // [γ₀…γ_{p−1}, β₀…β_{p−1}] is exactly what the gradient optimizers
 // already consume, and a context.Context threads cancellation through
-// every implementation — so the single-node simulator (core.Simulator),
-// the batch engine (sweep.Engine), the adjoint engine (grad.Engine),
-// and the sharded cluster engine (distsim.GradEngine) are
+// every implementation — so the single-node simulator (core.Simulator)
+// and its per-worker workspaces (core.Workspace), the sharded cluster
+// engine (distsim.GradEngine) and the light-cone engine are
 // interchangeable behind it. internal/serve schedules requests over
 // pools of these.
 package evaluator

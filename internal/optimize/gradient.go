@@ -6,11 +6,11 @@ import (
 )
 
 // FuncGrad is a value-and-gradient objective: it returns f(x) and
-// writes ∇f(x) into grad (len(grad) == len(x)). The adjoint engine
-// (internal/grad.Engine.FlatObjective) produces these for QAOA
-// parameters at ≈ 4 simulations' cost regardless of dimension, which
-// is what makes the gradient optimizers below asymptotically cheaper
-// than Nelder–Mead at high depth.
+// writes ∇f(x) into grad (len(grad) == len(x)). The evaluation
+// service's adjoint objective (serve.Service.GradObjective) produces
+// these for QAOA parameters at ≈ 4 simulations' cost regardless of
+// dimension, which is what makes the gradient optimizers below
+// asymptotically cheaper than Nelder–Mead at high depth.
 type FuncGrad func(x, grad []float64) float64
 
 // CountingGrad wraps a FuncGrad and counts evaluations; read Calls

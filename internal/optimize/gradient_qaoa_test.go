@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"qokit/internal/core"
-	"qokit/internal/grad"
+	"qokit/internal/evaluator"
 	"qokit/internal/optimize"
 	"qokit/internal/problems"
+	"qokit/internal/serve"
 )
 
 // TestAdamBeatsNelderMeadBudget is the optimizer convergence
@@ -39,9 +40,13 @@ func TestAdamBeatsNelderMeadBudget(t *testing.T) {
 		return r.Expectation()
 	}, x0, optimize.NMOptions{})
 
-	eng := grad.New(sim)
+	svc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()}, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
 	var simErr error
-	adam := optimize.Adam(eng.FlatObjective(context.Background(), &simErr), x0,
+	adam := optimize.Adam(svc.GradObjective(context.Background(), &simErr), x0,
 		optimize.AdamOptions{MaxIter: nm.Evals / 2})
 	if simErr != nil {
 		t.Fatal(simErr)

@@ -273,3 +273,30 @@ func JoinAngles(gamma, beta []float64) []float64 {
 	out = append(out, beta...)
 	return out
 }
+
+// Grid builds the p = 1 cartesian product of γ and β values as flat
+// [γ, β] vectors in row-major order (β varies fastest): the landscape
+// scans of the paper's Figs. 3–4. Index a point as xs[i*len(betas)+j]
+// for (gammas[i], betas[j]).
+func Grid(gammas, betas []float64) [][]float64 {
+	xs := make([][]float64, 0, len(gammas)*len(betas))
+	for _, g := range gammas {
+		for _, b := range betas {
+			xs = append(xs, []float64{g, b})
+		}
+	}
+	return xs
+}
+
+// ArgMinEnergies returns the index of the lowest energy (−1 for an
+// empty slice): the reduction every landscape scan and multi-start
+// schedule ends with.
+func ArgMinEnergies(energies []float64) int {
+	best := -1
+	for i, e := range energies {
+		if best < 0 || e < energies[best] {
+			best = i
+		}
+	}
+	return best
+}

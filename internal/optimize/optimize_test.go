@@ -142,6 +142,34 @@ func TestSplitJoinAngles(t *testing.T) {
 	SplitAngles([]float64{1, 2, 3})
 }
 
+// TestGridAndArgMin covers the landscape helpers.
+func TestGridAndArgMin(t *testing.T) {
+	gammas := []float64{0.1, 0.2, 0.3}
+	betas := []float64{0.4, 0.5}
+	xs := Grid(gammas, betas)
+	if len(xs) != 6 {
+		t.Fatalf("grid size %d, want 6", len(xs))
+	}
+	// Row-major: xs[i*len(betas)+j] = [gammas[i], betas[j]].
+	for i, g := range gammas {
+		for j, b := range betas {
+			x := xs[i*len(betas)+j]
+			if len(x) != 2 || x[0] != g || x[1] != b {
+				t.Fatalf("grid[%d,%d] = %v, want [%g %g]", i, j, x, g, b)
+			}
+		}
+	}
+	if got := ArgMinEnergies(nil); got != -1 {
+		t.Errorf("ArgMinEnergies(nil) = %d, want -1", got)
+	}
+	if got := ArgMinEnergies([]float64{}); got != -1 {
+		t.Errorf("ArgMinEnergies(empty) = %d, want -1", got)
+	}
+	if got := ArgMinEnergies([]float64{2, -1, 0.5}); got != 1 {
+		t.Errorf("ArgMinEnergies = %d, want 1", got)
+	}
+}
+
 // TestOptimizerCancellation pins the Options.Ctx contract across all
 // four optimizers: a cancelled context stops the loop at the next
 // iteration boundary, well short of the budget, and the best iterate

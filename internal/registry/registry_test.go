@@ -13,7 +13,6 @@ import (
 	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/serve"
-	"qokit/internal/sweep"
 )
 
 func mustRegister(t *testing.T, r *Registry, spec Spec) Key {
@@ -178,7 +177,7 @@ func TestEvictionUnderConcurrentEvalBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEng := sweep.New(refSim, sweep.Options{Workers: 1})
+	refEng := refSim.NewWorkspace()
 	want := make([]float64, points)
 	for i, x := range xs {
 		if want[i], err = refEng.Energy(context.Background(), x); err != nil {
@@ -211,7 +210,7 @@ func TestEvictionUnderConcurrentEvalBatch(t *testing.T) {
 			}
 			return h, nil
 		})
-		svc, err := serve.NewElastic([]evaluator.Factory{sweep.NewFactory(cf, sweep.Options{})}, serve.ElasticOptions{MinWorkers: 1, MaxWorkers: 4})
+		svc, err := serve.NewElastic([]evaluator.Factory{cf}, serve.ElasticOptions{MinWorkers: 1, MaxWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 // context error — and the live task returned, so dead requests never
 // claim a worker iteration each.
 func TestPopSettlesCancelledTasks(t *testing.T) {
-	s := &Service{}
-	s.cond = sync.NewCond(&s.mu)
+	// One worker counted live and none started: push never grows it.
+	s := newService(evaluator.Caps{}, ElasticOptions{MinWorkers: 1, MaxWorkers: 1}, nil)
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()

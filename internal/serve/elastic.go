@@ -1,19 +1,19 @@
-// Elastic scheduling: the Service's worker pool, fixed at construction
-// since its introduction, here learns to grow and shrink from observed
-// queue depth. Workers are built on demand from evaluator.Factory
-// descriptors — so the pool can pack heterogeneous capacity
-// (float64/float32/quantized simulators, sharded rank groups,
+// Elastic scheduling: the Service's worker pool grows and shrinks from
+// observed queue depth. Workers are built on demand from
+// evaluator.Factory descriptors — so the pool can pack heterogeneous
+// capacity (float64/float32/quantized workspaces, sharded rank groups,
 // light-cone fan-outs) against one memory budget using each factory's
 // up-front Caps().StateBytes cost metadata — and retire back to their
 // factories after sitting idle, returning state-vector-scale memory.
 //
-// The fixed-pool path (New) is untouched: an elastic service is the
-// same Service with the same FIFO queue, task pooling, cancellation
-// and batch semantics; only worker lifetime differs. Scale-up happens
-// at push time (a queued task with no idle worker spawns one, up to
-// MaxWorkers and the budget); scale-down happens at pop time (a worker
-// above the MinWorkers floor that stays idle past IdleDecay exits and,
-// when it was its evaluator's last worker, retires the evaluator).
+// Every service runs this one worker loop and this one pop. Scale-up
+// happens at push time (a queued task with no idle worker spawns one,
+// up to MaxWorkers and the budget); scale-down happens at pop time (a
+// worker above the MinWorkers floor that stays idle past IdleDecay
+// exits and, when it was its evaluator's last worker, retires the
+// evaluator). New's pool of caller-built evaluators is the degenerate
+// case: its workers start bound, and MinWorkers == MaxWorkers, so
+// neither path ever fires.
 package serve
 
 import (
@@ -86,7 +86,8 @@ type factorySlot struct {
 	builds []*elBuild
 }
 
-// elBuild is one built evaluator and the workers bound to it.
+// elBuild is one built evaluator and the workers bound to it. A nil
+// slot marks an evaluator the caller built (New), never retired.
 type elBuild struct {
 	slot     *factorySlot
 	ev       evaluator.Evaluator
@@ -104,8 +105,13 @@ func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, e
 	if len(factories) == 0 {
 		return nil, fmt.Errorf("serve: no factories")
 	}
+	for i, f := range factories {
+		if f == nil {
+			return nil, fmt.Errorf("serve: factory %d is nil", i)
+		}
+	}
 	opts = opts.withDefaults()
-	el := &elastic{opts: opts}
+	var slots []*factorySlot
 	caps := factories[0].Caps()
 	caps.MaxConcurrent = 0
 	caps.StateBytes = 0
@@ -131,54 +137,53 @@ func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, e
 		if c.StateBytes > maxBuild {
 			maxBuild = c.StateBytes
 		}
-		el.slots = append(el.slots, &factorySlot{f: f, caps: c})
+		slots = append(slots, &factorySlot{f: f, caps: c})
 	}
-	if el.opts.MaxWorkers <= 0 {
-		el.opts.MaxWorkers = capacity
+	if opts.MaxWorkers <= 0 {
+		opts.MaxWorkers = capacity
 	}
-	if el.opts.MaxWorkers < el.opts.MinWorkers {
-		el.opts.MaxWorkers = el.opts.MinWorkers
+	if opts.MaxWorkers < opts.MinWorkers {
+		opts.MaxWorkers = opts.MinWorkers
 	}
-	caps.MaxConcurrent = el.opts.MaxWorkers
+	caps.MaxConcurrent = opts.MaxWorkers
 	if opts.MemoryBudget > 0 {
 		caps.StateBytes = opts.MemoryBudget
 	} else {
-		caps.StateBytes = int64(el.opts.MaxWorkers) * maxBuild
+		caps.StateBytes = int64(opts.MaxWorkers) * maxBuild
 	}
-
-	s := &Service{caps: caps, el: el}
-	s.cond = sync.NewCond(&s.mu)
-	s.taskPool.New = func() interface{} {
-		return &task{done: make(chan struct{}, 1)}
-	}
-	s.workers = el.opts.MinWorkers
-	el.live = el.opts.MinWorkers
-	el.peak = el.live
-	for i := 0; i < el.opts.MinWorkers; i++ {
+	s := newService(caps, opts, slots)
+	for i := 0; i < opts.MinWorkers; i++ {
 		s.wg.Add(1)
-		go s.elasticWorker()
+		go s.worker(nil)
 	}
 	return s, nil
 }
 
-// LiveWorkers reports the current worker count of an elastic service
-// (including workers still binding an evaluator); for a fixed pool it
-// equals Workers().
-func (s *Service) LiveWorkers() int {
-	if s.el == nil {
-		return s.workers
+// newService builds a service with MinWorkers workers counted live; the
+// caller starts them.
+func newService(caps evaluator.Caps, opts ElasticOptions, slots []*factorySlot) *Service {
+	opts = opts.withDefaults()
+	s := &Service{caps: caps}
+	s.el = &elastic{opts: opts, slots: slots, live: opts.MinWorkers, peak: opts.MinWorkers}
+	s.cond = sync.NewCond(&s.mu)
+	s.taskPool.New = func() interface{} {
+		return &task{done: make(chan struct{}, 1)}
 	}
+	return s
+}
+
+// LiveWorkers reports the current worker count (including workers
+// still binding an evaluator); for a pool built by New it equals
+// Workers().
+func (s *Service) LiveWorkers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.el.live
 }
 
-// PeakWorkers reports the elastic pool's high-water mark (Workers()
-// for a fixed pool).
+// PeakWorkers reports the pool's high-water mark (Workers() for a pool
+// built by New).
 func (s *Service) PeakWorkers() int {
-	if s.el == nil {
-		return s.workers
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.el.peak
@@ -199,19 +204,23 @@ func (s *Service) maybeGrowLocked() {
 		el.peak = el.live
 	}
 	s.wg.Add(1)
-	go s.elasticWorker()
+	go s.worker(nil)
 }
 
-// elasticWorker binds an evaluator (building one if needed), serves
-// tasks until close or idle decay, then unbinds.
-func (s *Service) elasticWorker() {
+// worker serves tasks against one bound evaluator until close or idle
+// decay, then unbinds. A worker started unbound (b == nil) first binds
+// one, building it if needed. The binding is what makes buffer reuse
+// worker-affine: an evaluator's buffers are touched by at most its
+// capacity of workers, so the warm path never allocates states.
+func (s *Service) worker(b *elBuild) {
 	defer s.wg.Done()
-	b := s.bind()
 	if b == nil {
-		return
+		if b = s.bind(); b == nil {
+			return
+		}
 	}
 	for {
-		t := s.popElastic()
+		t := s.pop()
 		if t == nil {
 			break
 		}
@@ -300,8 +309,12 @@ func (s *Service) bind() *elBuild {
 }
 
 // unbind detaches a worker from its build; the build's last worker
-// retires the evaluator back to its factory.
+// retires the evaluator back to its factory. Caller-built evaluators
+// stay with the caller.
 func (s *Service) unbind(b *elBuild) {
+	if b.slot == nil {
+		return
+	}
 	s.mu.Lock()
 	b.workers--
 	retire := b.workers == 0
@@ -327,11 +340,15 @@ func (s *Service) unbind(b *elBuild) {
 	}
 }
 
-// popElastic is pop with idle decay: a worker above the floor whose
-// wait outlives IdleDecay returns nil (its exit signal) instead of
-// parking forever. Floor workers wait untimed — the steady-state path
-// arms no timers and allocates nothing.
-func (s *Service) popElastic() *task {
+// pop blocks for the oldest live task; nil means the service closed or,
+// for a worker above the floor whose wait outlives IdleDecay, that the
+// worker should exit. Floor workers wait untimed — the steady-state
+// path arms no timers and allocates nothing. Tasks whose context is
+// already cancelled are settled here with the cancellation error and
+// never returned: a queue full of dead requests costs the popping
+// worker a scan, not one worker occupancy per corpse — the request
+// behind them starts immediately.
+func (s *Service) pop() *task {
 	el := s.el
 	for {
 		s.mu.Lock()
@@ -372,6 +389,8 @@ func (s *Service) popElastic() *task {
 		s.queue[s.head] = nil
 		s.head++
 		if s.head == len(s.queue) {
+			// Drained: rewind so the backing array is reused, keeping the
+			// steady-state queue allocation-free.
 			s.queue = s.queue[:0]
 			s.head = 0
 		}

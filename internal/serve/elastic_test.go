@@ -11,7 +11,6 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/evaluator"
 	"qokit/internal/problems"
-	"qokit/internal/sweep"
 )
 
 // fakeFactory builds gated fakeEvals and counts builds/retires, so the
@@ -171,7 +170,7 @@ func TestElasticFixedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 2})}, Options{WorkersPerEvaluator: 2})
+	fixed, err := New(workspaces(sim, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestElasticFixedParity(t *testing.T) {
 	cf := core.NewFactory(n, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
 		return core.StaticDiag(sim.CostDiagonal()), nil
 	})
-	elastic, err := NewElastic([]evaluator.Factory{sweep.NewFactory(cf, sweep.Options{})}, ElasticOptions{
+	elastic, err := NewElastic([]evaluator.Factory{cf}, ElasticOptions{
 		MinWorkers: 1, MaxWorkers: 4, IdleDecay: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -249,7 +248,7 @@ func TestElasticSteadyStateAllocations(t *testing.T) {
 	// ScaleThreshold 2 keeps sequential (backlog ≤ 1) load from
 	// re-growing the decayed pool, so the measurement runs entirely on
 	// the floor worker's warm buffers; the burst still grows it.
-	svc, err := NewElastic([]evaluator.Factory{sweep.NewFactory(cf, sweep.Options{})}, ElasticOptions{
+	svc, err := NewElastic([]evaluator.Factory{cf}, ElasticOptions{
 		MinWorkers: 1, MaxWorkers: 4, IdleDecay: 10 * time.Millisecond, ScaleThreshold: 2,
 	})
 	if err != nil {

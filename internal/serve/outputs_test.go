@@ -10,7 +10,6 @@ import (
 	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
 	"qokit/internal/problems"
-	"qokit/internal/sweep"
 )
 
 // TestServiceOutputsMatchEngine: EvalOutputs through the queue
@@ -22,8 +21,8 @@ func TestServiceOutputsMatchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	s, err := New([]evaluator.Evaluator{eng}, Options{})
+	eng := sim.NewWorkspace()
+	s, err := New(workspaces(sim, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestServiceOutputsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 1})}, Options{})
+	s, err := New(workspaces(sim, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package serve is the concurrent evaluation service: one FIFO
-// request queue feeding a pool of evaluator.Evaluator workers. It is
-// the layer the ROADMAP's "distributed sweep/optimizer service" item
-// asked for — the piece that turns the engines (single-node sweep and
-// adjoint, sharded cluster) into one schedulable resource:
+// request queue feeding one pool of workers, each bound to an
+// evaluator.Evaluator — caller-built (New) or built on demand from
+// factories (NewElastic). It turns the evaluators (single-node
+// workspaces, sharded cluster engines, light-cone engines) into one
+// schedulable resource:
 //
 //   - requests are point energies, point gradients, measurement-style
 //     outputs (sampling, CVaR, overlap — when every evaluator in the
@@ -10,9 +11,9 @@
 //     fans out as per-point tasks, so its points fill every idle
 //     worker instead of serializing behind one;
 //   - workers are evaluator-affine: each worker is bound to one
-//     evaluator for its lifetime, so the evaluator's pooled buffers
-//     stay warm per worker and a steady request stream performs no
-//     per-request state allocations;
+//     evaluator for its lifetime, so the evaluator's buffers stay warm
+//     per worker and a steady request stream performs no per-request
+//     state allocations;
 //   - the queue is strictly FIFO — a point query enqueued after a
 //     large batch runs after that batch's points, and nothing
 //     reorders within a batch — which makes latency predictable under
@@ -55,8 +56,7 @@ type Options struct {
 // Service schedules evaluation requests over a pool of evaluators.
 // All methods are safe for concurrent use.
 type Service struct {
-	caps    evaluator.Caps
-	workers int
+	caps evaluator.Caps
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -67,8 +67,8 @@ type Service struct {
 	wg       sync.WaitGroup
 	taskPool sync.Pool
 
-	// el is non-nil for services built with NewElastic; the fixed-pool
-	// path never consults it beyond one nil check in push.
+	// el is the worker pool's scale state; a pool built by New is the
+	// elastic pool with MinWorkers == MaxWorkers.
 	el *elastic
 }
 
@@ -129,47 +129,51 @@ func (tr *batchTracker) failedErr() error {
 	return tr.firstErr
 }
 
-// New builds a service over the given evaluators and starts its
+// New builds a service over caller-built evaluators and starts its
 // workers. All evaluators must be bound to the same qubit count; the
 // aggregate Caps reports Grad only when every evaluator supports it.
+// Each evaluator is a build bound to its workers at start and never
+// retired (the caller owns it), so the pool is the elastic one with
+// MinWorkers == MaxWorkers: it never grows or decays.
 func New(evals []evaluator.Evaluator, opts Options) (*Service, error) {
 	if len(evals) == 0 {
 		return nil, fmt.Errorf("serve: no evaluators")
 	}
-	s := &Service{}
-	s.cond = sync.NewCond(&s.mu)
-	s.taskPool.New = func() interface{} {
-		return &task{done: make(chan struct{}, 1)}
+	for i, ev := range evals {
+		if ev == nil {
+			return nil, fmt.Errorf("serve: evaluator %d is nil", i)
+		}
 	}
 	// Validate the whole pool before starting any worker: a mismatch
 	// must not leak goroutines parked on a queue no one will close.
-	s.caps = evals[0].Caps()
-	s.caps.MaxConcurrent = 0
-	s.caps.StateBytes = 0
-	workers := make([]int, len(evals))
+	caps := evals[0].Caps()
+	caps.MaxConcurrent = 0
+	caps.StateBytes = 0
+	builds := make([]*elBuild, len(evals))
 	for i, ev := range evals {
 		c := ev.Caps()
-		if c.NumQubits != s.caps.NumQubits {
+		if c.NumQubits != caps.NumQubits {
 			return nil, fmt.Errorf("serve: evaluator %d is bound to n=%d, evaluator 0 to n=%d",
-				i, c.NumQubits, s.caps.NumQubits)
+				i, c.NumQubits, caps.NumQubits)
 		}
-		s.caps.Grad = s.caps.Grad && c.Grad
-		s.caps.Outputs = s.caps.Outputs && c.Outputs
-		s.caps.Streaming = s.caps.Streaming && c.Streaming
-		if c.Ranks > s.caps.Ranks {
-			s.caps.Ranks = c.Ranks
+		caps.Grad = caps.Grad && c.Grad
+		caps.Outputs = caps.Outputs && c.Outputs
+		caps.Streaming = caps.Streaming && c.Streaming
+		if c.Ranks > caps.Ranks {
+			caps.Ranks = c.Ranks
 		}
-		workers[i] = workersFor(c, opts)
-		s.caps.MaxConcurrent += workers[i]
-		s.caps.StateBytes += int64(workers[i]) * c.StateBytes
+		w := workersFor(c, opts)
+		caps.MaxConcurrent += w
+		caps.StateBytes += int64(w) * c.StateBytes
+		builds[i] = &elBuild{ev: ev, workers: w, capacity: w}
 	}
-	for i, ev := range evals {
-		for k := 0; k < workers[i]; k++ {
+	s := newService(caps, ElasticOptions{MinWorkers: caps.MaxConcurrent, MaxWorkers: caps.MaxConcurrent}, nil)
+	for _, b := range builds {
+		for k := 0; k < b.workers; k++ {
 			s.wg.Add(1)
-			go s.worker(ev)
+			go s.worker(b)
 		}
 	}
-	s.workers = s.caps.MaxConcurrent
 	return s, nil
 }
 
@@ -191,8 +195,9 @@ func workersFor(c evaluator.Caps, opts Options) int {
 // load, Ranks the widest substrate in the pool.
 func (s *Service) Caps() evaluator.Caps { return s.caps }
 
-// Workers returns the number of pool workers.
-func (s *Service) Workers() int { return s.workers }
+// Workers returns the pool's floor: every worker of a pool built by
+// New, MinWorkers of an elastic one.
+func (s *Service) Workers() int { return s.el.opts.MinWorkers }
 
 // The service is itself an evaluator, so services substitute for
 // engines anywhere the contract is accepted (including inside another
@@ -415,8 +420,8 @@ func (s *Service) Objective(ctx context.Context, simErr *error) func(x []float64
 }
 
 // GradObjective adapts the service into the value-and-gradient
-// objective the gradient optimizers consume, mirroring the engines'
-// FlatObjective.
+// objective the gradient optimizers consume, latching the first error
+// like Objective.
 func (s *Service) GradObjective(ctx context.Context, simErr *error) func(x, g []float64) float64 {
 	return func(x, g []float64) float64 {
 		if *simErr != nil {
@@ -460,45 +465,10 @@ func (s *Service) push(t *task) error {
 		return ErrClosed
 	}
 	s.queue = append(s.queue, t)
-	if s.el != nil {
-		s.maybeGrowLocked()
-	}
+	s.maybeGrowLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
 	return nil
-}
-
-// pop blocks for the oldest live task; nil means the service closed.
-// Tasks whose context is already cancelled are settled here with the
-// cancellation error and never returned: a queue full of dead requests
-// costs the popping worker a scan, not one worker occupancy per corpse
-// — the request behind them starts immediately.
-func (s *Service) pop() *task {
-	for {
-		s.mu.Lock()
-		for !s.closed && s.head == len(s.queue) {
-			s.cond.Wait()
-		}
-		if s.head == len(s.queue) {
-			s.mu.Unlock()
-			return nil
-		}
-		t := s.queue[s.head]
-		s.queue[s.head] = nil
-		s.head++
-		if s.head == len(s.queue) {
-			// Drained: rewind so the backing array is reused, keeping the
-			// steady-state queue allocation-free.
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
-		s.mu.Unlock()
-		if err := t.ctx.Err(); err != nil {
-			s.finish(t, 0, err)
-			continue
-		}
-		return t
-	}
 }
 
 // tryRemove withdraws a still-queued task (cancellation of a waiting
@@ -516,21 +486,6 @@ func (s *Service) tryRemove(t *task) bool {
 	}
 	s.mu.Unlock()
 	return false
-}
-
-// worker serves tasks against its bound evaluator until close. The
-// binding is what makes buffer reuse worker-affine: an engine's
-// pooled buffers are touched by at most this many workers, so the
-// warm path never allocates states.
-func (s *Service) worker(ev evaluator.Evaluator) {
-	defer s.wg.Done()
-	for {
-		t := s.pop()
-		if t == nil {
-			return
-		}
-		s.serveTask(ev, t)
-	}
 }
 
 // serveTask evaluates one claimed task against a worker's bound

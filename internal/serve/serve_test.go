@@ -15,7 +15,6 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/evaluator"
 	"qokit/internal/problems"
-	"qokit/internal/sweep"
 )
 
 // fakeEval is a scriptable evaluator for scheduler-behaviour tests:
@@ -74,6 +73,15 @@ func (f *fakeEval) Caps() evaluator.Caps {
 
 func flat(vals ...float64) []float64 { return vals }
 
+// workspaces builds k workspaces over sim, one per service worker.
+func workspaces(sim *core.Simulator, k int) []evaluator.Evaluator {
+	evs := make([]evaluator.Evaluator, k)
+	for i := range evs {
+		evs[i] = sim.NewWorkspace()
+	}
+	return evs
+}
+
 // TestServiceMatchesEngine is the equivalence contract: point, batch,
 // and gradient requests through the service reproduce the direct
 // engine paths bit for bit (same engine, same buffers, same kernels).
@@ -84,8 +92,8 @@ func TestServiceMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	svc, err := New([]evaluator.Evaluator{eng}, Options{})
+	eng := sim.NewWorkspace()
+	svc, err := New(workspaces(sim, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +258,8 @@ func TestServiceConcurrentMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	svc, err := New([]evaluator.Evaluator{eng}, Options{})
+	eng := sim.NewWorkspace()
+	svc, err := New(workspaces(sim, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,6 +466,14 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := New([]evaluator.Evaluator{&fakeEval{n: 4}, &fakeEval{n: 6}}, Options{}); err == nil {
 		t.Error("mixed qubit counts accepted")
 	}
+	if _, err := New([]evaluator.Evaluator{&fakeEval{n: 4}, nil}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "evaluator 1 is nil") {
+		t.Errorf("nil evaluator: err = %v", err)
+	}
+	if _, err := NewElastic([]evaluator.Factory{nil}, ElasticOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "factory 0 is nil") {
+		t.Errorf("nil factory: err = %v", err)
+	}
 	noGrad := &fakeEval{n: 4, grad: false}
 	svc, err := New([]evaluator.Evaluator{noGrad}, Options{})
 	if err != nil {
@@ -487,8 +503,9 @@ func TestServiceWorkerSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Workers() != 4 {
-		t.Errorf("default workers %d, want the evaluator's MaxConcurrent 4", svc.Workers())
+	if svc.Workers() != 4 || svc.LiveWorkers() != 4 || svc.PeakWorkers() != 4 {
+		t.Errorf("default workers %d (live %d, peak %d), want the evaluator's MaxConcurrent 4",
+			svc.Workers(), svc.LiveWorkers(), svc.PeakWorkers())
 	}
 	svc.Close()
 	svc, err = New([]evaluator.Evaluator{fe, fe}, Options{WorkersPerEvaluator: 2})
@@ -536,11 +553,11 @@ func TestServiceConcurrencyObserved(t *testing.T) {
 }
 
 // TestServiceNoPerRequestStateAllocations is the zero-alloc-warm pin
-// for the pooled engine path: a warmed service adds only constant
-// queue bookkeeping per request — no state-vector-sized allocations.
-// The bound is 1/8 of one state buffer per point, the same bar the
-// sweep engine's own pin uses; a fresh state per point would blow it
-// by an order of magnitude.
+// for the workspace path: a warmed service adds only constant queue
+// bookkeeping per request — no state-vector-sized allocations. The
+// bound is 1/8 of one state buffer per point, the same bar core's batch
+// pin uses; a fresh state per point would blow it by an order of
+// magnitude.
 func TestServiceNoPerRequestStateAllocations(t *testing.T) {
 	const n, p, count = 12, 4, 64
 	stateBytes := 16 << n
@@ -549,8 +566,7 @@ func TestServiceNoPerRequestStateAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sweep.New(sim, sweep.Options{Workers: 2})
-	svc, err := New([]evaluator.Evaluator{eng}, Options{WorkersPerEvaluator: 2})
+	svc, err := New(workspaces(sim, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,6 +606,45 @@ func TestServiceNoPerRequestStateAllocations(t *testing.T) {
 	}
 }
 
+// TestGradObjective: the service's value-and-gradient objective returns
+// the adjoint energy and gradient, and latches the first error so an
+// optimizer loop unwinds without evaluating again.
+func TestGradObjective(t *testing.T) {
+	const n, p = 8, 3
+	sim, err := core.New(n, problems.LABSTerms(n), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(workspaces(sim, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var simErr error
+	obj := svc.GradObjective(context.Background(), &simErr)
+	x := flat(0.3, -0.4, 0.7, 0.2, 0.5, -0.1)
+	g := make([]float64, 2*p)
+	v := obj(x, g)
+	want, wG, wB, err := sim.SimulateQAOAGrad(x[:p], x[p:])
+	if err != nil || simErr != nil {
+		t.Fatal(err, simErr)
+	}
+	if v != want {
+		t.Errorf("objective %v != %v", v, want)
+	}
+	for l := 0; l < p; l++ {
+		if g[l] != wG[l] || g[p+l] != wB[l] {
+			t.Errorf("layer %d: grad (%v, %v) != (%v, %v)", l, g[l], g[p+l], wG[l], wB[l])
+		}
+	}
+	if got := obj(x[:5], g[:5]); got != 0 || simErr == nil {
+		t.Errorf("odd-length x: got %v, err %v; want 0 and a latched error", got, simErr)
+	}
+	if got := obj(x, g); got != 0 {
+		t.Errorf("after a latched error: got %v, want 0 (short-circuit)", got)
+	}
+}
+
 // TestServiceComposes: a Service is itself an evaluator, so it nests
 // inside another Service and behind any engine-shaped API.
 func TestServiceComposes(t *testing.T) {
@@ -597,7 +652,7 @@ func TestServiceComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 2})}, Options{})
+	inner, err := New(workspaces(sim, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

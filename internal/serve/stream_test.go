@@ -9,7 +9,6 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/evaluator"
 	"qokit/internal/problems"
-	"qokit/internal/sweep"
 )
 
 // TestServiceStreamSamples: StreamSamples through the queue reproduces
@@ -21,8 +20,8 @@ func TestServiceStreamSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	s, err := New([]evaluator.Evaluator{eng}, Options{})
+	eng := sim.NewWorkspace()
+	s, err := New(workspaces(sim, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestServiceStreamClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 1})}, Options{})
+	s, err := New(workspaces(sim, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

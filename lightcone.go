@@ -13,8 +13,8 @@ import (
 // and radius), not the vertex count: thousand-vertex 3-regular MaxCut
 // at p = 2 runs in seconds where the statevector path caps out near
 // n ≈ 30. It serves the same Energy/EnergyGrad/Caps contract as
-// Simulator, so optimizers, SweepEngine-style loops, and Service pools
-// drive it unchanged.
+// Simulator, so optimizers, batch loops, and Service pools drive it
+// unchanged.
 type LightConeSimulator = lightcone.Engine
 
 // LightConeOptions configures a LightConeSimulator (cone radius — the

@@ -40,14 +40,14 @@ func TQAInit(p int, dt float64) (gamma, beta []float64) { return optimize.TQAIni
 // the standard recipe for the high-depth regime this simulator
 // targets, far more robust than optimizing 2·pmax parameters cold.
 // evalsPerDepth bounds the optimizer budget at each level. Every
-// objective evaluation runs through a one-worker Service over the
-// shared simulator — the same queue that serves batches and
-// distributed pools — touching a single pooled state buffer.
+// objective evaluation runs through a one-worker Service over one
+// Workspace — the same queue that serves batches and distributed
+// pools — touching a single state buffer.
 func OptimizeParametersInterp(sim *Simulator, pmax, evalsPerDepth int) (gamma, beta []float64, energy float64, totalEvals int, err error) {
 	if pmax < 1 {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth pmax=%d < 1", pmax)
 	}
-	svc, err := NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 1})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -76,15 +76,15 @@ func OptimizeParametersInterp(sim *Simulator, pmax, evalsPerDepth int) (gamma, b
 // returns the best parameters, the best objective, and the number of
 // objective evaluations — the workload whose end-to-end time the
 // paper's "11× faster optimization" claim is about. Evaluations run
-// through a one-worker Service over the shared simulator: one pooled
-// state buffer serves the entire optimization.
+// through a one-worker Service over one Workspace: one state buffer
+// serves the entire optimization.
 func OptimizeParameters(sim *Simulator, p int, opt NMOptions) (gamma, beta []float64, energy float64, evals int, err error) {
 	if p < 1 {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth p=%d < 1", p)
 	}
 	g0, b0 := TQAInit(p, 0.75)
 	x0 := optimize.JoinAngles(g0, b0)
-	svc, err := NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 1})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

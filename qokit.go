@@ -34,9 +34,9 @@ package qokit
 import (
 	"qokit/internal/core"
 	"qokit/internal/costvec"
+	"qokit/internal/optimize"
 	"qokit/internal/poly"
 	"qokit/internal/statevec"
-	"qokit/internal/sweep"
 )
 
 // Term is one weighted monomial of a cost polynomial on spins
@@ -73,6 +73,13 @@ type Simulator = core.Simulator
 // Result is an evolved QAOA state; use its output methods
 // (Expectation, Overlap, StateVector, Probabilities).
 type Result = core.Result
+
+// Workspace is one worker's Evaluator over a shared Simulator
+// (Simulator.NewWorkspace): it keeps the ψ state energies evolve in and
+// the λ state adjoint gradients add, reusing both across calls, so warm
+// evaluations allocate no state. It is not safe for concurrent use;
+// serve one through NewService, or give each goroutine its own.
+type Workspace = core.Workspace
 
 // ErrObservableLength is wrapped by the error Result.ExpectationOf
 // returns for a diagonal whose length is not 2^n.
@@ -158,50 +165,20 @@ func chooseWithMixer(name string, mixer Mixer) (func(n int, terms Terms) (*Simul
 	}, nil
 }
 
-// SweepPoint is one QAOA parameter set (γ and β schedules of equal
-// length) in a batch evaluation.
-type SweepPoint = sweep.Point
-
-// SweepResult holds the observables evaluated at one sweep point.
-type SweepResult = sweep.Result
-
-// SweepOptions configures a SweepEngine (worker count, whether to
-// also compute overlaps).
-type SweepOptions = sweep.Options
-
-// SweepEngine is the concurrent batch evaluator: one shared simulator
-// (one precomputed diagonal), a worker pool, and one reusable state
-// buffer per worker, so arbitrarily large parameter sweeps perform no
-// per-point state-vector allocations. This is the intended engine for
-// optimizer loops, landscape scans, and any service evaluating many
-// (γ, β) points against one problem.
-type SweepEngine = sweep.Engine
-
-// NewSweepEngine builds a batch evaluator over sim. The simulator is
-// shared by every worker — exactly the reuse the paper's precomputed
-// diagonal is designed for.
-func NewSweepEngine(sim *Simulator, opts SweepOptions) *SweepEngine {
-	return sweep.New(sim, opts)
+// SweepGrid builds the p = 1 cartesian product of γ and β values as
+// flat [γ, β] vectors in row-major order (β varies fastest) — the
+// landscape-scan batch of the paper's Figs. 3–4, in the shape
+// Service.EnergyBatch takes.
+func SweepGrid(gammas, betas []float64) [][]float64 {
+	return optimize.Grid(gammas, betas)
 }
 
-// SweepGrid builds the p = 1 cartesian product of γ and β values in
-// row-major order (β varies fastest) — the landscape-scan batch of the
-// paper's Figs. 3–4.
-func SweepGrid(gammas, betas []float64) []SweepPoint {
-	return sweep.Grid(gammas, betas)
-}
-
-// SweepArgMin returns the index of the lowest-energy result. An empty
-// (or nil) batch returns −1, never a panic — callers must check the
-// sign before indexing, exactly like a not-found sentinel.
-func SweepArgMin(results []SweepResult) int {
-	return sweep.ArgMin(results)
-}
-
-// ArgMinEnergies is SweepArgMin over a bare energy slice — the shape
-// Service.EnergyBatch returns. Same −1-on-empty contract.
+// ArgMinEnergies returns the index of the lowest energy, the shape
+// Service.EnergyBatch returns. An empty (or nil) slice returns −1,
+// never a panic — callers must check the sign before indexing, exactly
+// like a not-found sentinel.
 func ArgMinEnergies(energies []float64) int {
-	return sweep.ArgMinEnergies(energies)
+	return optimize.ArgMinEnergies(energies)
 }
 
 // PrecomputeDiagonal evaluates the cost diagonal for the given terms

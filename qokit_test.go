@@ -283,16 +283,17 @@ func TestPortfolioEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSweepArgMinEmpty pins the façade's empty-batch contract: −1 and
-// no panic, for both nil and zero-length result slices.
+// TestSweepArgMinEmpty pins the façade's empty-batch contract for the
+// argmin over a sweep's energies: −1 and no panic, for both nil and
+// zero-length slices.
 func TestSweepArgMinEmpty(t *testing.T) {
-	if got := SweepArgMin(nil); got != -1 {
-		t.Errorf("SweepArgMin(nil) = %d, want -1", got)
+	if got := ArgMinEnergies(nil); got != -1 {
+		t.Errorf("ArgMinEnergies(nil) = %d, want -1", got)
 	}
-	if got := SweepArgMin([]SweepResult{}); got != -1 {
-		t.Errorf("SweepArgMin(empty) = %d, want -1", got)
+	if got := ArgMinEnergies([]float64{}); got != -1 {
+		t.Errorf("ArgMinEnergies(empty) = %d, want -1", got)
 	}
-	if got := SweepArgMin([]SweepResult{{Energy: 3}, {Energy: -2}, {Energy: 1}}); got != 1 {
-		t.Errorf("SweepArgMin = %d, want 1", got)
+	if got := ArgMinEnergies([]float64{3, -2, 1}); got != 1 {
+		t.Errorf("ArgMinEnergies = %d, want 1", got)
 	}
 }

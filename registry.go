@@ -7,11 +7,9 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
-	"qokit/internal/grad"
 	"qokit/internal/lightcone"
 	"qokit/internal/registry"
 	"qokit/internal/serve"
-	"qokit/internal/sweep"
 )
 
 // This file is the public façade of the problem registry and the
@@ -81,8 +79,7 @@ type ElasticOptions = serve.ElasticOptions
 // factories: MinWorkers workers start immediately, queue backlog grows
 // the pool toward MaxWorkers within the memory budget, and workers
 // idle past IdleDecay retire their evaluators back to the factories.
-// The request API — and its numerics — are identical to NewService's
-// fixed pool.
+// The request API — and its numerics — are identical to NewService's.
 func NewElasticService(factories []EvaluatorFactory, opts ElasticOptions) (*Service, error) {
 	return serve.NewElastic(factories, opts)
 }
@@ -99,35 +96,29 @@ func registryAcquire(reg *ProblemRegistry, key ProblemKey) core.AcquireFunc {
 	}
 }
 
-// NewSweepFactory builds single-node pooled engines (batched energies
-// and adjoint gradients) over a registered problem. Every build shares
-// one read-only simulator whose diagonal comes from the registry cache;
-// workersPerBuild ≤ 0 means one worker per build, the finest elastic
-// granularity. The spec's mixer and Hamming weight override opts.
-func NewSweepFactory(reg *ProblemRegistry, key ProblemKey, opts Options, workersPerBuild int) (EvaluatorFactory, error) {
-	spec, err := reg.Spec(key)
-	if err != nil {
-		return nil, err
+// registeredSpec looks up a registered problem's spec, rejecting a nil
+// registry with an error instead of a panic.
+func registeredSpec(reg *ProblemRegistry, key ProblemKey) (ProblemSpec, error) {
+	if reg == nil {
+		return ProblemSpec{}, fmt.Errorf("qokit: nil ProblemRegistry")
 	}
-	opts.Mixer = spec.Mixer
-	opts.HammingWeight = spec.HammingWeight
-	cf := core.NewFactory(spec.N, opts, registryAcquire(reg, key))
-	return sweep.NewFactory(cf, sweep.Options{Workers: workersPerBuild}), nil
+	return reg.Spec(key)
 }
 
-// NewGradFactory builds single-node adjoint-gradient engines over a
-// registered problem — for heterogeneous pools that want dedicated
-// gradient capacity next to sweep builds. poolCap ≤ 0 means one
-// two-buffer workspace per build.
-func NewGradFactory(reg *ProblemRegistry, key ProblemKey, opts Options, poolCap int) (EvaluatorFactory, error) {
-	spec, err := reg.Spec(key)
+// NewSweepFactory builds single-node workspaces (energies and adjoint
+// gradients) over a registered problem. Every build shares one
+// read-only simulator whose diagonal comes from the registry cache, and
+// pins two state buffers of its own. The workersPerBuild argument is
+// ignored: every build serves one evaluation at a time. The spec's
+// mixer and Hamming weight override opts.
+func NewSweepFactory(reg *ProblemRegistry, key ProblemKey, opts Options, workersPerBuild int) (EvaluatorFactory, error) {
+	spec, err := registeredSpec(reg, key)
 	if err != nil {
 		return nil, err
 	}
 	opts.Mixer = spec.Mixer
 	opts.HammingWeight = spec.HammingWeight
-	cf := core.NewFactory(spec.N, opts, registryAcquire(reg, key))
-	return grad.NewFactory(cf, poolCap), nil
+	return core.NewFactory(spec.N, opts, registryAcquire(reg, key)), nil
 }
 
 // NewDistributedFactory builds sharded cluster engines over a
@@ -138,7 +129,7 @@ func NewGradFactory(reg *ProblemRegistry, key ProblemKey, opts Options, poolCap 
 // (min, scale) with no agreement collective. The spec's mixer and
 // Hamming weight override dopts.
 func NewDistributedFactory(reg *ProblemRegistry, key ProblemKey, dopts DistOptions) (EvaluatorFactory, error) {
-	spec, err := reg.Spec(key)
+	spec, err := registeredSpec(reg, key)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +144,7 @@ func NewDistributedFactory(reg *ProblemRegistry, key ProblemKey, dopts DistOptio
 // under the transverse-field mixer; cone extraction runs once, at
 // factory construction, and every build shares the engine.
 func NewLightConeFactory(reg *ProblemRegistry, key ProblemKey, opts LightConeOptions) (EvaluatorFactory, error) {
-	spec, err := reg.Spec(key)
+	spec, err := registeredSpec(reg, key)
 	if err != nil {
 		return nil, err
 	}
@@ -165,14 +156,16 @@ func NewLightConeFactory(reg *ProblemRegistry, key ProblemKey, opts LightConeOpt
 
 // RegistryServiceOptions configures NewRegistryService. The zero value
 // serves the single-node statevector backend with default simulator
-// options and an elastic pool scaled by queue depth.
+// options on a one-worker pool: Elastic.MaxWorkers defaults to the
+// per-build capacity, which is one evaluation for a single-node build,
+// so set Elastic.MaxWorkers to let the pool grow with queue depth.
 type RegistryServiceOptions struct {
 	// Simulator configures single-node builds (backend, precision,
-	// quantization, …). The registered spec's mixer and Hamming weight
+	// worker count, …). The registered spec's mixer and Hamming weight
 	// always win over the same fields here.
 	Simulator Options
-	// WorkersPerBuild sets each single-node build's internal worker
-	// count (≤ 0 means 1, the finest elastic granularity).
+	// WorkersPerBuild is ignored: every single-node build serves one
+	// evaluation at a time.
 	WorkersPerBuild int
 	// Distributed, when non-nil, serves the problem on the sharded
 	// cluster backend instead: each elastic build is one rank-group
@@ -183,8 +176,10 @@ type RegistryServiceOptions struct {
 	// under the transverse-field mixer).
 	LightCone *LightConeOptions
 	// Elastic configures the pool (floor, ceiling, memory budget,
-	// idle decay). The degenerate MinWorkers == MaxWorkers setting is a
-	// fixed pool with the registry still deduplicating precompute.
+	// idle decay). MaxWorkers ≤ 0 means the per-build capacity (one
+	// worker for single-node builds). The degenerate MinWorkers ==
+	// MaxWorkers setting is a fixed pool with the registry still
+	// deduplicating precompute.
 	Elastic ElasticOptions
 }
 

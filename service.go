@@ -1,32 +1,30 @@
 package qokit
 
 import (
-	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
-	"qokit/internal/grad"
 	"qokit/internal/serve"
-	"qokit/internal/sweep"
 )
 
 // This file is the public façade of the evaluation service — the
-// request-queue → engine-pool layer that unifies the three evaluation
-// worlds (single-node point/batch, adjoint gradients, distributed
-// sharded evaluation) behind one contract:
+// request-queue → worker-pool layer that serves single-node points,
+// batches and adjoint gradients and distributed sharded evaluation
+// behind one contract:
 //
 //   - Evaluator is the contract every engine implements: Energy and
 //     EnergyGrad on the flat parameter vector [γ…, β…], plus Caps
 //     metadata (qubit count, gradient support, concurrency, ranks,
 //     state memory) a scheduler can place work with. Simulator,
-//     SweepEngine, GradEngine, and DistributedGradEngine all satisfy
-//     it, as does Service itself.
+//     Workspace, DistributedGradEngine, the light-cone and gate
+//     engines all satisfy it, as does Service itself.
 //   - Service schedules point, gradient, and batch requests FIFO over
-//     a pool of evaluators with worker-affine buffer reuse and
+//     a pool of workers, each bound to one evaluator, with
 //     context.Context cancellation at every layer.
 //
-// One Service therefore serves a landscape grid, a stream of optimizer
-// steps, and concurrent sharded evaluations through the same queue —
-// the "distributed sweep/optimizer service" scaling rung of the
-// ROADMAP.
+// Three constructors build a Service: NewService over caller-built
+// evaluators, NewElasticService over evaluator factories, and
+// NewRegistryService over a registered problem (registry.go). One
+// Service serves a landscape grid, a stream of optimizer steps, and
+// concurrent sharded evaluations through the same queue.
 
 // Evaluator is the unified evaluation contract (energy and exact
 // gradient on flat parameters, plus capability/cost metadata).
@@ -83,43 +81,13 @@ type Service = serve.Service
 // ServiceOptions configures a Service's worker pool.
 type ServiceOptions = serve.Options
 
-// NewService builds a service over an explicit evaluator pool — mix
-// single-node engines and distributed engines freely, as long as they
-// are bound to the same problem size. Close the service to stop its
-// workers.
+// NewService builds a service over caller-built evaluators — single-
+// node workspaces (one per worker: Simulator.NewWorkspace), distributed
+// engines, light-cone and gate engines, mixed freely as long as they
+// are bound to the same problem size. Each evaluator gets
+// ServiceOptions.WorkersPerEvaluator workers, capped by its
+// Caps().MaxConcurrent. Close the service to stop its workers; the
+// evaluators stay the caller's.
 func NewService(evals []Evaluator, opts ServiceOptions) (*Service, error) {
 	return serve.New(evals, opts)
 }
-
-// NewLocalService builds a service over one shared single-node
-// simulator: a sweep engine supplies pooled point-energy buffers and
-// pooled adjoint workspaces, so the service's warm path allocates no
-// state vectors. workersPerEvaluator ≤ 0 selects GOMAXPROCS workers.
-func NewLocalService(sim *Simulator, opts ServiceOptions) (*Service, error) {
-	eng := sweep.New(sim, sweep.Options{Workers: opts.WorkersPerEvaluator})
-	return serve.New([]Evaluator{eng}, opts)
-}
-
-// NewDistributedService builds a service over one distributed engine
-// pool: each of workersPerEvaluator workers drives its own rank-group
-// lease, so that many sharded evaluations run concurrently on the
-// cluster substrate — the lifting of the old single-flight
-// restriction. The DistOptions' Concurrency is raised to the worker
-// count when lower.
-func NewDistributedService(n int, terms Terms, dopts DistOptions, opts ServiceOptions) (*Service, error) {
-	if dopts.Concurrency < opts.WorkersPerEvaluator {
-		dopts.Concurrency = opts.WorkersPerEvaluator
-	}
-	eng, err := distsim.NewGradEngine(n, terms, dopts)
-	if err != nil {
-		return nil, err
-	}
-	return serve.New([]Evaluator{eng}, opts)
-}
-
-// NewGradEvaluator exposes the pooled adjoint engine as an Evaluator —
-// useful for assembling heterogeneous NewService pools. (Service
-// objectives come from the service itself: Service.Objective feeds the
-// derivative-free optimizers, Service.GradObjective the gradient
-// ones.)
-func NewGradEvaluator(sim *Simulator) Evaluator { return grad.New(sim) }

@@ -3,6 +3,7 @@ package qokit
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +15,10 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(1, math.Abs(b))
 }
 
-// TestServiceRoundTrip is the PR's acceptance test: one Service
-// round-trips the same three request shapes — a single point, a
-// 64-point grid, and an Adam run — on both the single-node sweep
-// engine and a ranks=4 distributed engine pool, matching the direct
-// engine paths to rtol 1e-10.
+// TestServiceRoundTrip: one Service round-trips the same three request
+// shapes — a single point, a 64-point grid, and an Adam run — on both
+// a pool of single-node workspaces and a ranks=4 distributed engine,
+// matching the direct simulator paths to rtol 1e-10.
 func TestServiceRoundTrip(t *testing.T) {
 	const n, p, rtol = 8, 3, 1e-10
 	terms := LABSTerms(n)
@@ -28,8 +28,8 @@ func TestServiceRoundTrip(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Direct reference paths: one simulator evaluation, one grid via
-	// the sweep engine, one Adam run via the adjoint engine.
+	// Direct reference paths: one simulator evaluation, the grid point
+	// by point, one Adam run on a workspace.
 	gamma, beta := TQAInit(p, 0.75)
 	x := append(append([]float64(nil), gamma...), beta...)
 	refPoint, err := sim.Energy(ctx, x)
@@ -43,23 +43,25 @@ func TestServiceRoundTrip(t *testing.T) {
 		gammas[i] = 0.1 + 0.3*float64(i)
 		betas[i] = 0.05 + 0.15*float64(i)
 	}
-	grid := SweepGrid(gammas, betas) // 64 points
-	eng := NewSweepEngine(sim, SweepOptions{})
-	refGrid, err := eng.Sweep(ctx, grid, nil)
-	if err != nil {
-		t.Fatal(err)
+	xs := SweepGrid(gammas, betas) // 64 points
+	refGrid := make([]float64, len(xs))
+	for i, xi := range xs {
+		if refGrid[i], err = sim.Energy(ctx, xi); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var refErr error
-	geng := NewGradEngine(sim)
-	refAdam := Adam(geng.FlatObjective(ctx, &refErr), x, AdamOptions{MaxIter: 20})
+	ws := sim.NewWorkspace()
+	refAdam := Adam(func(x, g []float64) float64 {
+		e, err := ws.EnergyGrad(ctx, x, g)
+		if err != nil && refErr == nil {
+			refErr = err
+		}
+		return e
+	}, x, AdamOptions{MaxIter: 20})
 	if refErr != nil {
 		t.Fatal(refErr)
-	}
-
-	xs := make([][]float64, len(grid))
-	for i, pt := range grid {
-		xs[i] = append(append([]float64(nil), pt.Gamma...), pt.Beta...)
 	}
 
 	services := []struct {
@@ -67,11 +69,14 @@ func TestServiceRoundTrip(t *testing.T) {
 		build func() (*Service, error)
 	}{
 		{"local", func() (*Service, error) {
-			return NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 2})
+			return NewService([]Evaluator{sim.NewWorkspace(), sim.NewWorkspace()}, ServiceOptions{})
 		}},
 		{"distributed-4ranks", func() (*Service, error) {
-			return NewDistributedService(n, terms, DistOptions{Ranks: 4, Algo: Transpose},
-				ServiceOptions{WorkersPerEvaluator: 2})
+			deng, err := NewDistributedGradEngine(n, terms, DistOptions{Ranks: 4, Algo: Transpose, Concurrency: 2})
+			if err != nil {
+				return nil, err
+			}
+			return NewService([]Evaluator{deng}, ServiceOptions{WorkersPerEvaluator: 2})
 		}},
 	}
 	for _, tc := range services {
@@ -100,7 +105,7 @@ func TestServiceRoundTrip(t *testing.T) {
 				t.Fatalf("grid returned %d energies", len(got))
 			}
 			for i := range got {
-				if d := relDiff(got[i], refGrid[i].Energy); d > rtol {
+				if d := relDiff(got[i], refGrid[i]); d > rtol {
 					t.Errorf("grid point %d off by rtol %g", i, d)
 				}
 			}
@@ -217,4 +222,54 @@ func TestDistributedServiceConcurrentEvaluations(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+}
+
+// TestNilInputsRejected: every service and factory constructor of the
+// façade answers a nil evaluator, factory or registry with an error
+// naming it, never a nil-pointer panic.
+func TestNilInputsRejected(t *testing.T) {
+	reg := NewProblemRegistry(RegistryOptions{})
+	key, err := reg.Register(ProblemSpec{N: 4, Terms: LABSTerms(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		build      func() error
+	}{
+		{"NewService", "evaluator 1 is nil", func() error {
+			sim, err := NewSimulator(4, LABSTerms(4), Options{})
+			if err != nil {
+				return err
+			}
+			_, err = NewService([]Evaluator{sim.NewWorkspace(), nil}, ServiceOptions{})
+			return err
+		}},
+		{"NewElasticService", "factory 0 is nil", func() error {
+			_, err := NewElasticService([]EvaluatorFactory{nil}, ElasticOptions{})
+			return err
+		}},
+		{"NewRegistryService", "nil ProblemRegistry", func() error {
+			_, err := NewRegistryService(nil, key, RegistryServiceOptions{})
+			return err
+		}},
+		{"NewSweepFactory", "nil ProblemRegistry", func() error {
+			_, err := NewSweepFactory(nil, key, Options{}, 0)
+			return err
+		}},
+		{"NewDistributedFactory", "nil ProblemRegistry", func() error {
+			_, err := NewDistributedFactory(nil, key, DistOptions{Ranks: 2})
+			return err
+		}},
+		{"NewLightConeFactory", "nil ProblemRegistry", func() error {
+			_, err := NewLightConeFactory(nil, key, LightConeOptions{})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
 }
