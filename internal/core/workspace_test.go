@@ -91,14 +91,10 @@ func simulateRef(t *testing.T, sim *Simulator, x []float64) float64 {
 	return r.Expectation()
 }
 
-// TestWorkspaceMatchesSimulate: on every backend and mixer, workspace
-// Energy and EnergyGrad are bit-identical to SimulateQAOAInto and
-// SimulateQAOAGradInto, call after call, with energies and gradients
-// interleaved on the one ψ buffer.
-func TestWorkspaceMatchesSimulate(t *testing.T) {
-	const n, p = 8, 3
-	rng := rand.New(rand.NewSource(3))
-	ctx := context.Background()
+// forEachWorkspaceConfig builds a simulator on every backend and mixer
+// and hands it, with a fresh workspace and a label, to check.
+func forEachWorkspaceConfig(t *testing.T, n int, check func(label string, sim *Simulator, ws *Workspace)) {
+	t.Helper()
 	for _, mixer := range []Mixer{MixerX, MixerXYRing, MixerXYComplete} {
 		for _, be := range workspaceBackends {
 			opts := be.opts
@@ -107,75 +103,126 @@ func TestWorkspaceMatchesSimulate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := be.name + "/" + mixer.String()
-			ws := sim.NewWorkspace()
-			r := sim.NewResult()
-			bufs := sim.NewGradBuffers()
-			for rep, x := range randomXs(rng, 3, p) {
-				e, err := ws.Energy(ctx, x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sim.SimulateQAOAInto(r, x[:p], x[p:]); err != nil {
-					t.Fatal(err)
-				}
-				if want := r.Expectation(); e != want {
-					t.Errorf("%s rep %d: Energy %v != SimulateQAOAInto %v", label, rep, e, want)
-				}
-				g := make([]float64, 2*p)
-				eg, err := ws.EnergyGrad(ctx, x, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wG, wB := make([]float64, p), make([]float64, p)
-				want, err := sim.SimulateQAOAGradInto(bufs, x[:p], x[p:], wG, wB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if eg != want {
-					t.Errorf("%s rep %d: EnergyGrad energy %v != %v", label, rep, eg, want)
-				}
-				for l := 0; l < p; l++ {
-					if g[l] != wG[l] || g[p+l] != wB[l] {
-						t.Errorf("%s rep %d layer %d: (%v, %v) != (%v, %v)", label, rep, l, g[l], g[p+l], wG[l], wB[l])
-					}
-				}
-			}
+			check(be.name+"/"+mixer.String(), sim, sim.NewWorkspace())
 		}
 	}
 }
 
-// TestWorkspaceZeroAllocsWarm: after its first evaluations, a
-// workspace's Energy and EnergyGrad allocate nothing. The serial
-// backend's kernels are straight loops with no goroutine machinery, so
-// the bound is exact there.
-func TestWorkspaceZeroAllocsWarm(t *testing.T) {
+// TestWorkspaceEnergyMatchesSimulate: on every backend and mixer,
+// workspace Energy is bit-identical to SimulateQAOAInto, call after
+// call on the one ψ buffer.
+func TestWorkspaceEnergyMatchesSimulate(t *testing.T) {
+	const n, p = 8, 3
+	rng := rand.New(rand.NewSource(3))
+	ctx := context.Background()
+	forEachWorkspaceConfig(t, n, func(label string, sim *Simulator, ws *Workspace) {
+		r := sim.NewResult()
+		for rep, x := range randomXs(rng, 3, p) {
+			e, err := ws.Energy(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.SimulateQAOAInto(r, x[:p], x[p:]); err != nil {
+				t.Fatal(err)
+			}
+			if want := r.Expectation(); e != want {
+				t.Errorf("%s rep %d: Energy %v != SimulateQAOAInto %v", label, rep, e, want)
+			}
+		}
+	})
+}
+
+// TestWorkspaceEnergyGradMatchesSimulate: on every backend and mixer,
+// workspace EnergyGrad is bit-identical to SimulateQAOAGradInto, call
+// after call, with an Energy evolved into the same ψ buffer before
+// each gradient.
+func TestWorkspaceEnergyGradMatchesSimulate(t *testing.T) {
+	const n, p = 8, 3
+	rng := rand.New(rand.NewSource(4))
+	ctx := context.Background()
+	forEachWorkspaceConfig(t, n, func(label string, sim *Simulator, ws *Workspace) {
+		bufs := sim.NewGradBuffers()
+		for rep, x := range randomXs(rng, 3, p) {
+			if _, err := ws.Energy(ctx, x); err != nil {
+				t.Fatal(err)
+			}
+			g := make([]float64, 2*p)
+			eg, err := ws.EnergyGrad(ctx, x, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wG, wB := make([]float64, p), make([]float64, p)
+			want, err := sim.SimulateQAOAGradInto(bufs, x[:p], x[p:], wG, wB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eg != want {
+				t.Errorf("%s rep %d: EnergyGrad energy %v != %v", label, rep, eg, want)
+			}
+			for l := 0; l < p; l++ {
+				if g[l] != wG[l] || g[p+l] != wB[l] {
+					t.Errorf("%s rep %d layer %d: (%v, %v) != (%v, %v)", label, rep, l, g[l], g[p+l], wG[l], wB[l])
+				}
+			}
+		}
+	})
+}
+
+// checkWorkspaceZeroAllocs runs eval over count parameter vectors on a
+// serial-backend workspace, once to warm it up and then under
+// AllocsPerRun, which must read 0. The serial backend's kernels are
+// straight loops with no goroutine machinery, so the bound is exact
+// there.
+func checkWorkspaceZeroAllocs(t *testing.T, count int, seed int64, eval func(ws *Workspace, x, g []float64) error) {
+	t.Helper()
 	const n, p = 8, 4
 	sim, err := New(n, problems.LABSTerms(n), Options{Backend: BackendSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := sim.NewWorkspace()
-	x := randomXs(rand.New(rand.NewSource(5)), 1, p)[0]
+	xs := randomXs(rand.New(rand.NewSource(seed)), count, p)
 	g := make([]float64, 2*p)
-	ctx := context.Background()
-	for name, eval := range map[string]func(){
-		"Energy": func() {
-			if _, err := ws.Energy(ctx, x); err != nil {
+	run := func() {
+		for _, x := range xs {
+			if err := eval(ws, x, g); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"EnergyGrad": func() {
-			if _, err := ws.EnergyGrad(ctx, x, g); err != nil {
-				t.Fatal(err)
-			}
-		},
-	} {
-		eval() // warm-up: allocates the buffers this call needs
-		if allocs := testing.AllocsPerRun(10, eval); allocs != 0 {
-			t.Errorf("warm %s allocated %.1f times per call, want 0", name, allocs)
 		}
 	}
+	run() // warm-up: allocates the buffers these calls need
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("warm %d-point run allocated %.1f times per run, want 0", count, allocs)
+	}
+}
+
+func workspaceEnergy(ws *Workspace, x, _ []float64) error {
+	_, err := ws.Energy(context.Background(), x)
+	return err
+}
+
+func workspaceEnergyGrad(ws *Workspace, x, g []float64) error {
+	_, err := ws.EnergyGrad(context.Background(), x, g)
+	return err
+}
+
+// TestWorkspaceEnergyGradZeroAllocsWarm: after its first gradient, a
+// workspace's EnergyGrad at the same point allocates nothing.
+func TestWorkspaceEnergyGradZeroAllocsWarm(t *testing.T) {
+	checkWorkspaceZeroAllocs(t, 1, 5, workspaceEnergyGrad)
+}
+
+// TestWorkspaceBatchZeroAllocsPerPoint: a warm workspace evaluates the
+// energies of a 64-point batch without allocating, so one worker's
+// share of a service batch costs nothing per point.
+func TestWorkspaceBatchZeroAllocsPerPoint(t *testing.T) {
+	checkWorkspaceZeroAllocs(t, 64, 6, workspaceEnergy)
+}
+
+// TestWorkspaceGradBatchZeroAllocsPerPoint: a warm workspace evaluates
+// the energies and gradients of a 32-point batch without allocating.
+func TestWorkspaceGradBatchZeroAllocsPerPoint(t *testing.T) {
+	checkWorkspaceZeroAllocs(t, 32, 7, workspaceEnergyGrad)
 }
 
 // TestWorkspacesConcurrent runs several workspaces on one Simulator at
