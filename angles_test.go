@@ -62,3 +62,60 @@ func TestNonFiniteAnglesRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteCostRejected: a NaN or ±Inf cost — a term weight through
+// NewSimulator or ProblemRegistry.Register, a diagonal entry through
+// NewSimulatorFromDiagonal — returns an error wrapping
+// ErrNonFiniteCost, never a simulator or registered problem whose
+// energies and gradients come out NaN.
+func TestNonFiniteCostRejected(t *testing.T) {
+	const n = 4
+	diag, err := PrecomputeDiagonal(n, LABSTerms(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withWeight := func(w float64) Terms { return append(LABSTerms(n), NewTerm(w, 0, 1)) }
+	withEntry := func(x int, v float64) []float64 {
+		d := append([]float64(nil), diag...)
+		d[x] = v
+		return d
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"NewSimulator NaN weight", func() error {
+			_, err := NewSimulator(n, withWeight(math.NaN()), Options{})
+			return err
+		}},
+		{"NewSimulator +Inf weight (serial)", func() error {
+			_, err := NewSimulator(n, withWeight(math.Inf(1)), Options{Backend: BackendSerial})
+			return err
+		}},
+		{"Register NaN weight", func() error {
+			_, err := NewProblemRegistry(RegistryOptions{}).Register(ProblemSpec{N: n, Terms: withWeight(math.NaN())})
+			return err
+		}},
+		{"Register weights cancelling to NaN", func() error {
+			terms := append(withWeight(math.Inf(1)), NewTerm(math.Inf(-1), 1, 0))
+			_, err := NewProblemRegistry(RegistryOptions{}).Register(ProblemSpec{N: n, Terms: terms})
+			return err
+		}},
+		{"NewSimulatorFromDiagonal +Inf entry", func() error {
+			_, err := NewSimulatorFromDiagonal(n, withEntry(5, math.Inf(1)), Options{})
+			return err
+		}},
+		{"NewSimulatorFromDiagonal NaN entry (parallel)", func() error {
+			_, err := NewSimulatorFromDiagonal(n, withEntry(0, math.NaN()), Options{Backend: BackendParallel})
+			return err
+		}},
+		{"NewSimulatorFromDiagonal −Inf entry (xy-ring)", func() error {
+			_, err := NewSimulatorFromDiagonal(n, withEntry(1<<n-1, math.Inf(-1)), Options{Mixer: MixerXYRing})
+			return err
+		}},
+	} {
+		if err := c.run(); !errors.Is(err, ErrNonFiniteCost) {
+			t.Errorf("%s: error %v, want ErrNonFiniteCost", c.name, err)
+		}
+	}
+}

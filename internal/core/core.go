@@ -143,7 +143,10 @@ func (r MixerRoute) String() string {
 // The transverse-field mixer runs as Algorithm 2's per-qubit sweep on
 // the complex128 backends (Serial, Parallel) and as the cache-tiled
 // F = 2 kernel (§VI's gate fusion, RX⊗RX on qubit pairs) on SoA in
-// either precision; no option selects between them.
+// either precision; no option selects between them. Likewise no
+// option selects the half state (see Simulator): it follows from the
+// backend, the mixer, InitialState, n and the diagonal, and setting
+// InitialState, even to the uniform state, keeps the full state.
 type Options struct {
 	Backend Backend
 	Mixer   Mixer
@@ -200,11 +203,28 @@ type Options struct {
 // entries are the sincos of the same float64 values the diagonal
 // holds, so states are bit-identical either way; other diagonals (SK,
 // portfolio) keep per-amplitude sincos.
+//
+// When the cost is flip-symmetric — diag[x] == diag[x̄] bitwise for the
+// bitwise complement x̄ of every x, as for LABS, MaxCut and SK, whose
+// terms all have even degree — and the simulator runs SoA (in either
+// precision) with the x mixer, the default |+⟩ start and n ≥ 2, every
+// state it evolves keeps ψ(x) = ψ(x̄), and so does the adjoint's bra.
+// It then stores ψ and λ over the 2^(n−1) representatives x < 2^(n−1)
+// only: half the memory and half the traffic of every pass, the same
+// one-more-qubit gain §V-B buys with float32. The stored values are
+// the full state's amplitudes; outputs (StateVector, Probabilities,
+// Overlap, CVaR, Variance, samples) expand them to all 2^n basis
+// states, and Caps still reports the full state as an upper bound.
+// Serial, Parallel, the xy mixers, costs with odd-degree terms and any
+// caller-supplied InitialState keep the full state.
 type Simulator struct {
 	n       int
 	opts    Options
 	backend Backend
 	pool    *statevec.Pool
+	// half is set when states are stored over the 2^(n−1)
+	// representatives x < 2^(n−1) of a flip-symmetric cost (half.go).
+	half bool
 
 	diag []float64
 	// levels holds the level codes the phase tables are indexed by (an
@@ -255,7 +275,8 @@ func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
 
 // NewFromDiagonal builds a simulator from an existing cost diagonal
 // (QOKit's `costs` constructor argument). The diagonal is retained,
-// not copied; callers must not mutate it afterwards.
+// not copied; callers must not mutate it afterwards. A NaN or ±Inf
+// entry returns an error wrapping poly.ErrNonFiniteCost.
 func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if n < 1 || n > 34 {
 		return nil, fmt.Errorf("core: n=%d outside practical range [1,34]", n)
@@ -291,10 +312,16 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if opts.SinglePrecision && opts.RecomputePhase {
 		return nil, fmt.Errorf("core: SinglePrecision does not compose with RecomputePhase")
 	}
+	symmetric, err := checkDiagonal(diag)
+	if err != nil {
+		return nil, err
+	}
+	s.half = symmetric && n >= 2 && backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil
 	// The Fig. 2 ablation must keep re-deriving f(x) per phase
-	// application, so it never takes tables.
+	// application, so it never takes tables. A half state's codes cover
+	// the representatives only.
 	if !opts.RecomputePhase {
-		if q, err := costvec.QuantizeExact(diag, len(diag)/phaseTableRatio); err == nil {
+		if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/phaseTableRatio); err == nil {
 			s.levels = q
 			s.nlevels = int(q.MaxCode()) + 1
 		}

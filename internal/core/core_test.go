@@ -7,6 +7,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -449,7 +450,10 @@ func TestSinglePrecisionValidation(t *testing.T) {
 // it is the reference: states must agree exactly, whether the
 // precomputed side gathers from a level table (LABS n=14) or calls
 // sincos itself (LABS n=7, SK). The adjoint gradients, whose reverse
-// phase re-derives f(x) too, agree to 1e-12 of their max-norm.
+// phase re-derives f(x) too, agree to 1e-12 of their max-norm. Both
+// sides follow the half-state rule, so SoA runs each case on the half
+// state and again, from an explicit uniform InitialState, on the full
+// state.
 func TestRecomputePhaseMatchesPrecomputed(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, c := range []tableCase{
@@ -459,49 +463,67 @@ func TestRecomputePhaseMatchesPrecomputed(t *testing.T) {
 	} {
 		gamma, beta := randomAngles(rng, 3)
 		for _, backend := range allBackends() {
-			label := c.name + itoa(c.n) + "/" + backend.String()
-			pre, err := New(c.n, c.terms, Options{Backend: backend})
-			if err != nil {
-				t.Fatal(err)
+			for _, start := range []statevec.Vec{nil, statevec.NewUniform(c.n)} {
+				checkRecomputePhase(t, c, Options{Backend: backend, InitialState: start}, gamma, beta)
 			}
-			requireTableSide(t, label, pre, c.table)
-			rec, err := New(c.n, c.terms, Options{Backend: backend, RecomputePhase: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireTableSide(t, label+"/recompute", rec, false)
-			r1, err := pre.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := rec.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d != 0 {
-				t.Errorf("%s: recompute phase differs: %g", label, d)
-			}
-			_, pG, pB, err := pre.SimulateQAOAGrad(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, rG, rB, err := rec.SimulateQAOAGrad(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			norm := maxAbs(rG, rB)
-			for l := range rG {
-				if d := math.Max(math.Abs(pG[l]-rG[l]), math.Abs(pB[l]-rB[l])); d > 1e-12*norm {
-					t.Errorf("%s layer %d: gradient differs from recompute by %.3g", label, l, d)
-				}
-			}
+		}
+	}
+}
+
+// checkRecomputePhase runs TestRecomputePhaseMatchesPrecomputed on one
+// case and set of options.
+func checkRecomputePhase(t *testing.T, c tableCase, opts Options, gamma, beta []float64) {
+	label := c.name + itoa(c.n) + "/" + opts.Backend.String()
+	if opts.InitialState != nil {
+		label += "/explicit start"
+	}
+	half := opts.Backend == BackendSoA && opts.InitialState == nil
+	pre, err := New(c.n, c.terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTableSide(t, label, pre, c.table)
+	requireHalfSide(t, label, pre, half)
+	recOpts := opts
+	recOpts.RecomputePhase = true
+	rec, err := New(c.n, c.terms, recOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTableSide(t, label+"/recompute", rec, false)
+	requireHalfSide(t, label+"/recompute", rec, half)
+	r1, err := pre.SimulateQAOA(gamma, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := rec.SimulateQAOA(gamma, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d != 0 {
+		t.Errorf("%s: recompute phase differs: %g", label, d)
+	}
+	_, pG, pB, err := pre.SimulateQAOAGrad(gamma, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rG, rB, err := rec.SimulateQAOAGrad(gamma, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := maxAbs(rG, rB)
+	for l := range rG {
+		if d := math.Max(math.Abs(pG[l]-rG[l]), math.Abs(pB[l]-rB[l])); d > 1e-12*norm {
+			t.Errorf("%s layer %d: gradient differs from recompute by %.3g", label, l, d)
 		}
 	}
 }
 
 // TestPhaseTableRule pins which diagonals take phase tables: the
 // decision reads the diagonal alone — an exact affine grid with at
-// most 2^n/16 points — except that RecomputePhase never tables.
+// most 2^n/16 points — except that RecomputePhase never tables. A half
+// state quantizes the representatives only, under the same level
+// bound, and its codes are the first half of the full diagonal's.
 func TestPhaseTableRule(t *testing.T) {
 	g, err := graphs.RandomRegular(12, 3, 5)
 	if err != nil {
@@ -518,7 +540,9 @@ func TestPhaseTableRule(t *testing.T) {
 		{"labs n=12 (≈500 levels > 2^12/16)", 12, problems.LABSTerms(12), Options{}, false},
 		{"labs n=14 RecomputePhase", 14, problems.LABSTerms(14), Options{RecomputePhase: true}, false},
 		{"labs n=14 float32", 14, problems.LABSTerms(14), Options{SinglePrecision: true}, true},
+		{"labs n=14 explicit start", 14, problems.LABSTerms(14), Options{InitialState: statevec.NewUniform(14)}, true},
 		{"maxcut n=12", 12, problems.MaxCutTerms(g), Options{Backend: BackendSerial}, true},
+		{"maxcut n=12 soa", 12, problems.MaxCutTerms(g), Options{}, true},
 		{"weighted maxcut n=12", 12, problems.MaxCutTerms(g).Scale(math.Pi), Options{}, false},
 		{"sk n=12", 12, skTerms(12, 3), Options{}, false},
 	} {
@@ -527,6 +551,12 @@ func TestPhaseTableRule(t *testing.T) {
 			t.Fatalf("%s: %v", c.label, err)
 		}
 		requireTableSide(t, c.label, s, c.table)
+		if s.half && s.levels != nil {
+			full, err := costvec.QuantizeExact(s.diag, len(s.diag)/phaseTableRatio)
+			if err != nil || !slices.Equal(s.levels.Codes, full.Codes[:len(s.diag)/2]) {
+				t.Errorf("%s: half-state codes are not the first half of the full diagonal's (%v)", c.label, err)
+			}
+		}
 	}
 }
 

@@ -41,7 +41,10 @@ import (
 // reverse pass, versus 4p simulations for central finite differences —
 // the asymptotic win the high-depth regime needs. The reverse stays
 // per qubit even where the forward pass fuses qubit pairs: a pair-fused
-// reverse measured slower.
+// reverse measured slower. On a half state (see Simulator) both states
+// hold the representatives only, qubit n−1's joint step is the mirror
+// reverse that runs before the tiled step, and every reduction over
+// the stored amplitudes is half the full state's, so it is doubled.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
@@ -111,7 +114,8 @@ func (s *Simulator) SimulateQAOAGradObsInto(w *GradBuffers, gamma, beta, obs, gr
 }
 
 // adjoint is the shared gradient loop: forward pass, λ = obs⊙ψ_p (the
-// cost diagonal when obs is nil), then one joint reverse step per layer.
+// cost diagonal when obs is nil; its symmetric projection on a half
+// state), then one joint reverse step per layer.
 func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(gamma) != len(beta) {
 		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
@@ -129,23 +133,25 @@ func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBet
 	if err := s.bindResult(w.lam); err != nil {
 		return 0, err
 	}
+	var energy float64
 	if obs == nil {
-		obs = s.diag
-	}
-	energy, err := w.psi.ExpectationOf(obs)
-	if err != nil {
-		return 0, err
+		obs, energy = s.diag, w.psi.Expectation()
+	} else {
+		var err error
+		if energy, err = w.psi.ExpectationOf(obs); err != nil {
+			return 0, err
+		}
 	}
 
 	// Seed the bra side: λ = obs⊙|ψ_p⟩ (the only non-unitary step).
-	s.copyState(w.lam, w.psi)
-	s.mulVec(w.lam, obs)
+	s.seedBra(w, obs)
 
+	scale := 2 * s.weight()
 	for l := len(gamma) - 1; l >= 0; l-- {
 		// The phase undo is skipped on the last step, where no earlier
 		// derivative needs the states.
 		dBeta, dGamma := s.reverseLayer(w, gamma[l], beta[l], l > 0)
-		gradBeta[l], gradGamma[l] = 2*dBeta, 2*dGamma
+		gradBeta[l], gradGamma[l] = scale*dBeta, scale*dGamma
 	}
 	return energy, nil
 }
@@ -160,14 +166,19 @@ func (s *Simulator) reverseLayer(w *GradBuffers, gamma, beta float64, undo bool)
 	if s.opts.Mixer != MixerX || lam.vec != nil || s.opts.RecomputePhase {
 		return s.reverseMixer(w, beta), s.reversePhase(w, gamma, undo)
 	}
-	ph := statevec.Phase{Diag: s.diag, Gamma: gamma}
+	ph := statevec.Phase{Diag: s.diag[:s.stored()], Gamma: gamma}
 	if undo {
 		ph = s.phase(psi, gamma)
 	}
+	// The mirror goes first: the tiled step reads the phase term in its
+	// last pass, after every RX of the layer is undone.
+	mirror := s.reverseMirrorRX(w, beta)
 	if lam.soa32 != nil {
-		return lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, ph, undo)
+		dBeta, dGamma = lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, ph, undo)
+	} else {
+		dBeta, dGamma = lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, ph, undo)
 	}
-	return lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, ph, undo)
+	return mirror + dBeta, dGamma
 }
 
 // reverseMixer undoes the layer's mixer on both states and returns
@@ -180,11 +191,14 @@ func (s *Simulator) reverseMixer(w *GradBuffers, beta float64) float64 {
 	lam, psi := w.lam, w.psi
 	var d float64
 	if s.opts.Mixer == MixerX {
+		d = s.reverseMirrorRX(w, beta)
 		switch {
 		case lam.soa32 != nil:
-			d, _ = lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, statevec.Phase{}, false)
+			tiled, _ := lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, statevec.Phase{}, false)
+			d += tiled
 		case lam.soa != nil:
-			d, _ = lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, statevec.Phase{}, false)
+			tiled, _ := lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, statevec.Phase{}, false)
+			d += tiled
 		default:
 			for q := 0; q < s.n; q++ {
 				if s.backend == BackendSerial {
@@ -219,7 +233,7 @@ func (s *Simulator) reversePhase(w *GradBuffers, gamma float64, undo bool) float
 	if s.opts.RecomputePhase {
 		return s.reversePhaseRecompute(lam, psi, gamma, undo)
 	}
-	ph := statevec.Phase{Diag: s.diag, Gamma: gamma}
+	ph := statevec.Phase{Diag: s.diag[:s.stored()], Gamma: gamma}
 	if undo {
 		ph = s.phase(psi, gamma)
 	}
@@ -281,29 +295,27 @@ func (s *Simulator) reversePhaseRecompute(lam, psi *Result, gamma float64, undo 
 	return s.pool.Reduce(len(lv), reduce)
 }
 
-// copyState overwrites dst's amplitudes with src's (same backend, no
-// allocation).
-func (s *Simulator) copyState(dst, src *Result) {
+// seedBra sets λ = obs⊙ψ without allocating: a copy and a diagonal
+// multiply on the full state, and on a half state one pass of
+// seedHalf, which reads each complement entry of obs on the fly.
+func (s *Simulator) seedBra(w *GradBuffers, obs []float64) {
+	lam, psi := w.lam, w.psi
 	switch {
-	case src.soa32 != nil:
-		dst.soa32.Copy(src.soa32)
-	case src.soa != nil:
-		dst.soa.Copy(src.soa)
-	default:
-		copy(dst.vec, src.vec)
-	}
-}
-
-// mulVec multiplies r elementwise by a real diagonal.
-func (s *Simulator) mulVec(r *Result, diag []float64) {
-	switch {
-	case r.soa32 != nil:
-		r.soa32.MulDiag(s.pool, diag)
-	case r.soa != nil:
-		r.soa.MulDiag(s.pool, diag)
+	case s.half && psi.soa32 != nil:
+		seedHalf(s.pool, lam.soa32.Re, lam.soa32.Im, psi.soa32.Re, psi.soa32.Im, obs)
+	case s.half:
+		seedHalf(s.pool, lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im, obs)
+	case psi.soa32 != nil:
+		lam.soa32.Copy(psi.soa32)
+		lam.soa32.MulDiag(s.pool, obs)
+	case psi.soa != nil:
+		lam.soa.Copy(psi.soa)
+		lam.soa.MulDiag(s.pool, obs)
 	case s.backend == BackendSerial:
-		statevec.MulDiag(r.vec, diag)
+		copy(lam.vec, psi.vec)
+		statevec.MulDiag(lam.vec, obs)
 	default:
-		s.pool.MulDiag(r.vec, diag)
+		copy(lam.vec, psi.vec)
+		s.pool.MulDiag(lam.vec, obs)
 	}
 }

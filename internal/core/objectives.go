@@ -8,24 +8,14 @@ import (
 )
 
 // Variance returns Var(Ĉ) = ⟨Ĉ²⟩ − ⟨Ĉ⟩² over the evolved state,
-// computed from the cached diagonal in one pass. The variance is the
+// computed from the cached diagonal by the same Welford pass as
+// EvalOutputs (costVariance), so the two agree bit for bit and neither
+// suffers the cancellation of ⟨Ĉ²⟩ − ⟨Ĉ⟩². The variance is the
 // standard diagnostic for parameter-optimization landscapes (it
 // vanishes exactly on eigenstates, so small variance near a low
 // expectation signals concentration on good solutions).
 func (r *Result) Variance() float64 {
-	s := r.sim
-	probs := r.Probabilities(nil, true)
-	var mean, second float64
-	for x, p := range probs {
-		c := s.diag[x]
-		mean += p * c
-		second += p * c * c
-	}
-	v := second - mean*mean
-	if v < 0 {
-		return 0 // numerical guard
-	}
-	return v
+	return costVariance(r.Probabilities(nil, true), r.sim.diag)
 }
 
 // CVaR returns the Conditional Value at Risk objective at level

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"qokit/internal/evaluator"
 	"qokit/internal/problems"
+	"qokit/internal/statevec"
 )
 
 func TestVarianceZeroOnEigenstate(t *testing.T) {
@@ -55,6 +59,39 @@ func TestVarianceMatchesDirectSum(t *testing.T) {
 	}
 	if got := r.Variance(); got < 0 {
 		t.Errorf("negative variance %v", got)
+	}
+}
+
+// TestVarianceMatchesEvalOutputs: Result.Variance and EvalOutputs'
+// Variance run the one Welford pass (costVariance), so they agree bit
+// for bit on every backend, on the half state and on the full state.
+func TestVarianceMatchesEvalOutputs(t *testing.T) {
+	const n = 9
+	gamma, beta := randomAngles(rand.New(rand.NewSource(41)), 3)
+	x := append(append([]float64(nil), gamma...), beta...)
+	for _, opts := range []Options{
+		{Backend: BackendSerial},
+		{Backend: BackendParallel},
+		{Backend: BackendSoA},
+		{Backend: BackendSoA, SinglePrecision: true},
+		{Backend: BackendSoA, InitialState: statevec.NewUniform(n)},
+	} {
+		sim, err := New(n, problems.LABSTerms(n), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%v single=%v half=%v", sim.Backend(), opts.SinglePrecision, sim.half)
+		r, err := sim.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sim.EvalOutputs(context.Background(), x, evaluator.OutputSpec{Variance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Variance(), out.Variance; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Result.Variance %v, EvalOutputs %v", label, got, want)
+		}
 	}
 }
 

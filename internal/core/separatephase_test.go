@@ -16,46 +16,64 @@ func separatePhaseDiag(n int) []float64 {
 // ablation on every backend (the fused kernels replay the exact
 // unfused arithmetic) — the per-qubit sweep on complex128 and the
 // tiled F = 2 kernel on SoA and SoA32 — for odd and even n, on both
-// sides of the tile boundary at n = 12.
+// sides of the tile boundary at n = 12, and on both sides of the
+// half-state rule: a hashed diagonal keeps the full state, LABS takes
+// the half state on the split layouts.
 func TestSeparatePhaseAblation(t *testing.T) {
 	gamma := []float64{0.7, -0.3}
 	beta := []float64{0.4, 0.9}
 	for _, n := range []int{5, 6, 13, 14} {
-		diag := separatePhaseDiag(n)
-		for _, base := range []struct {
-			name string
-			opts Options
+		for _, c := range []struct {
+			name      string
+			diag      []float64
+			symmetric bool
 		}{
-			{"serial", Options{Backend: BackendSerial}},
-			{"parallel", Options{Backend: BackendParallel, Workers: 3}},
-			{"soa", Options{Backend: BackendSoA, Workers: 2}},
-			{"soa32", Options{Backend: BackendSoA, SinglePrecision: true}},
+			{"hashed", separatePhaseDiag(n), false},
+			{"labs", problemDiag(t, n), true},
 		} {
-			fusedOpts := base.opts
-			sepOpts := base.opts
-			sepOpts.SeparatePhase = true
-			fs, err := NewFromDiagonal(n, diag, fusedOpts)
-			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, base.name, err)
-			}
-			sp, err := NewFromDiagonal(n, diag, sepOpts)
-			if err != nil {
-				t.Fatalf("n=%d %s separate: %v", n, base.name, err)
-			}
-			rf, err := fs.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, err := sp.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, b := rf.StateVector(), rs.StateVector()
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("n=%d %s: fused layer not bit-identical to separate phase at %d: %v vs %v",
-						n, base.name, i, a[i], b[i])
-				}
+			checkSeparatePhase(t, n, c.name, c.diag, c.symmetric, gamma, beta)
+		}
+	}
+}
+
+// checkSeparatePhase runs TestSeparatePhaseAblation on one diagonal.
+func checkSeparatePhase(t *testing.T, n int, name string, diag []float64, symmetric bool, gamma, beta []float64) {
+	for _, base := range []struct {
+		name string
+		opts Options
+	}{
+		{"serial", Options{Backend: BackendSerial}},
+		{"parallel", Options{Backend: BackendParallel, Workers: 3}},
+		{"soa", Options{Backend: BackendSoA, Workers: 2}},
+		{"soa32", Options{Backend: BackendSoA, SinglePrecision: true}},
+	} {
+		fusedOpts := base.opts
+		sepOpts := base.opts
+		sepOpts.SeparatePhase = true
+		fs, err := NewFromDiagonal(n, diag, fusedOpts)
+		if err != nil {
+			t.Fatalf("n=%d %s: %v", n, base.name, err)
+		}
+		sp, err := NewFromDiagonal(n, diag, sepOpts)
+		if err != nil {
+			t.Fatalf("n=%d %s separate: %v", n, base.name, err)
+		}
+		half := symmetric && base.opts.Backend == BackendSoA
+		requireHalfSide(t, name+" "+base.name, fs, half)
+		requireHalfSide(t, name+" "+base.name+" separate", sp, half)
+		rf, err := fs.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := sp.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := rf.StateVector(), rs.StateVector()
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("n=%d %s %s: fused layer not bit-identical to separate phase at %d: %v vs %v",
+					n, name, base.name, i, a[i], b[i])
 			}
 		}
 	}

@@ -11,9 +11,12 @@ import (
 
 // Result is the evolved QAOA state together with the simulator that
 // produced it. Mirroring QOKit, the underlying representation depends
-// on the backend (complex128 vector or SoA pair); portable consumers
-// should use the output methods (Expectation, Overlap, StateVector,
-// Probabilities) rather than reach into the representation.
+// on the backend (complex128 vector or SoA pair) and, for
+// flip-symmetric costs on SoA, holds only the 2^(n−1) representatives
+// (see Simulator); portable consumers should use the output methods
+// (Expectation, Overlap, StateVector, Probabilities), which always
+// speak of all 2^n basis states, rather than reach into the
+// representation.
 type Result struct {
 	sim   *Simulator
 	vec   statevec.Vec    // non-nil for Serial/Parallel backends
@@ -42,15 +45,16 @@ func (s *Simulator) SimulateQAOA(gamma, beta []float64) (*Result, error) {
 }
 
 // NewResult allocates a state buffer sized for this simulator's
-// backend, for reuse across many SimulateQAOAInto calls. The buffer
-// holds no meaningful state until the first evolution.
+// backend (half of it on a half state), for reuse across many
+// SimulateQAOAInto calls. The buffer holds no meaningful state until
+// the first evolution.
 func (s *Simulator) NewResult() *Result {
 	r := &Result{sim: s, tab: make([]complex128, s.nlevels)}
 	switch {
 	case s.backend == BackendSoA && s.opts.SinglePrecision:
-		r.soa32 = statevec.NewSoA32(s.n)
+		r.soa32 = statevec.NewSoA32(s.storedQubits())
 	case s.backend == BackendSoA:
-		r.soa = statevec.NewSoA(s.n)
+		r.soa = statevec.NewSoA(s.storedQubits())
 	default:
 		r.vec = statevec.New(s.n)
 	}
@@ -91,9 +95,9 @@ func (s *Simulator) resetResult(r *Result) error {
 	}
 	switch {
 	case r.soa32 != nil:
-		r.soa32.SetFromVec(s.initial)
+		r.soa32.SetFromVec(s.initial[:s.stored()])
 	case r.soa != nil:
-		r.soa.SetFromVec(s.initial)
+		r.soa.SetFromVec(s.initial[:s.stored()])
 	default:
 		copy(r.vec, s.initial)
 	}
@@ -105,7 +109,7 @@ func (s *Simulator) resetResult(r *Result) error {
 // the shared validation step of resetResult and the adjoint reverse
 // pass (which rebinds the λ buffer without resetting it).
 func (s *Simulator) bindResult(r *Result) error {
-	size := 1 << uint(s.n)
+	size := s.stored()
 	switch {
 	case s.backend == BackendSoA && s.opts.SinglePrecision:
 		if r.soa32 == nil || r.soa32.Len() != size {
@@ -130,7 +134,8 @@ func (s *Simulator) bindResult(r *Result) error {
 // prefixes). With the x mixer the phase folds into the first mixer
 // pass (bit-identical to the separate passes, one traversal cheaper);
 // the xy mixers, recomputed phases and the SeparatePhase ablation run
-// the two operators separately.
+// the two operators separately. A half state then runs qubit n−1's
+// mirror pass.
 func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) {
 	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase {
 		s.applyFusedLayer(r, gamma, beta)
@@ -155,13 +160,15 @@ func (s *Simulator) applyFusedLayer(r *Result, gamma, beta float64) {
 	default:
 		s.pool.ApplyPhaseThenUniformRX(r.vec, ph, beta)
 	}
+	s.mirrorRX(r, beta)
 }
 
-// phase returns the source of e^{−iγĈ}: with level codes, the per-γ
-// table rebuilt in r's scratch (a few hundred sincos calls instead of
-// 2^n); otherwise per-amplitude sincos of the diagonal.
+// phase returns the source of e^{−iγĈ} over the stored amplitudes:
+// with level codes, the per-γ table rebuilt in r's scratch (a few
+// hundred sincos calls instead of 2^n); otherwise per-amplitude sincos
+// of the diagonal.
 func (s *Simulator) phase(r *Result, gamma float64) statevec.Phase {
-	ph := statevec.Phase{Diag: s.diag, Gamma: gamma}
+	ph := statevec.Phase{Diag: s.diag[:s.stored()], Gamma: gamma}
 	if s.levels == nil {
 		return ph
 	}
@@ -250,8 +257,8 @@ func (s *Simulator) applyMixer(r *Result, beta float64) {
 }
 
 // applyMixerSweep runs the transverse-field mixer alone: the tiled
-// F = 2 kernel on the split layouts, Algorithm 2's per-qubit sweep on
-// complex128.
+// F = 2 kernel on the split layouts (and the mirror pass on a half
+// state), Algorithm 2's per-qubit sweep on complex128.
 func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
 	switch {
 	case r.soa32 != nil:
@@ -263,6 +270,7 @@ func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
 	default:
 		s.pool.ApplyUniformRX(r.vec, beta)
 	}
+	s.mirrorRX(r, beta)
 }
 
 // Expectation returns ⟨γ,β|Ĉ|γ,β⟩ against the cached cost diagonal —
@@ -271,10 +279,10 @@ func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
 func (r *Result) Expectation() float64 {
 	s := r.sim
 	if r.soa32 != nil {
-		return r.soa32.ExpectationDiag(s.pool, s.diag)
+		return s.weight() * r.soa32.ExpectationDiag(s.pool, s.diag[:s.stored()])
 	}
 	if r.soa != nil {
-		return r.soa.ExpectationDiag(s.pool, s.diag)
+		return s.weight() * r.soa.ExpectationDiag(s.pool, s.diag[:s.stored()])
 	}
 	if s.backend == BackendSerial {
 		return statevec.ExpectationDiag(r.vec, s.diag)
@@ -295,6 +303,12 @@ func (r *Result) ExpectationOf(diag []float64) (float64, error) {
 	if len(diag) != 1<<uint(s.n) {
 		return 0, fmt.Errorf("%w: %d, want 2^%d = %d", ErrObservableLength, len(diag), s.n, 1<<uint(s.n))
 	}
+	switch {
+	case s.half && r.soa32 != nil:
+		return expectHalf(s.pool, r.soa32.Re, r.soa32.Im, diag), nil
+	case s.half:
+		return expectHalf(s.pool, r.soa.Re, r.soa.Im, diag), nil
+	}
 	if r.soa32 != nil {
 		return r.soa32.ExpectationDiag(s.pool, diag), nil
 	}
@@ -308,12 +322,14 @@ func (r *Result) ExpectationOf(diag []float64) (float64, error) {
 }
 
 // Overlap returns the probability of measuring an optimal solution:
-// Σ_{x∈argmin} |ψ_x|² (QOKit's get_overlap).
+// Σ_{x∈argmin} |ψ_x|² (QOKit's get_overlap). A half state reads each
+// ground state at its representative.
 func (r *Result) Overlap() float64 {
 	if r.soa32 != nil {
 		var s float64
 		for _, x := range r.sim.groundStates {
-			re, im := float64(r.soa32.Re[x]), float64(r.soa32.Im[x])
+			i := r.sim.rep(x)
+			re, im := float64(r.soa32.Re[i]), float64(r.soa32.Im[i])
 			s += re*re + im*im
 		}
 		return s
@@ -321,7 +337,8 @@ func (r *Result) Overlap() float64 {
 	if r.soa != nil {
 		var s float64
 		for _, x := range r.sim.groundStates {
-			s += r.soa.Re[x]*r.soa.Re[x] + r.soa.Im[x]*r.soa.Im[x]
+			i := r.sim.rep(x)
+			s += r.soa.Re[i]*r.soa.Re[i] + r.soa.Im[i]*r.soa.Im[i]
 		}
 		return s
 	}
@@ -329,8 +346,19 @@ func (r *Result) Overlap() float64 {
 }
 
 // StateVector returns the evolved state as a complex128 vector
-// (QOKit's get_statevector). The returned slice is a copy.
+// (QOKit's get_statevector) over all 2^n basis states, expanded from
+// the representatives on a half state. The returned slice is a copy.
 func (r *Result) StateVector() statevec.Vec {
+	if r.sim.half {
+		v := make(statevec.Vec, 1<<uint(r.sim.n))
+		if r.soa32 != nil {
+			planesInto(v, r.soa32.Re, r.soa32.Im)
+		} else {
+			planesInto(v, r.soa.Re, r.soa.Im)
+		}
+		mirrorFill(v)
+		return v
+	}
 	if r.soa32 != nil {
 		return r.soa32.ToVec()
 	}
@@ -340,13 +368,29 @@ func (r *Result) StateVector() statevec.Vec {
 	return r.vec.Clone()
 }
 
-// Probabilities returns |ψ_x|² for every basis state (QOKit's
-// get_probabilities). dst is reused when large enough. When
-// preserveState is false the SoA backend is permitted to overwrite its
-// real parts with the probabilities to save a pass — mirroring the
-// preserve_state=False memory optimization of Listing 3 — after which
-// the Result must not be reused.
+// Probabilities returns |ψ_x|² for every one of the 2^n basis states
+// (QOKit's get_probabilities). dst is reused when large enough. When
+// preserveState is false the full-state SoA backend is permitted to
+// overwrite its real parts with the probabilities to save a pass —
+// mirroring the preserve_state=False memory optimization of Listing 3
+// — after which the Result must not be reused. A half state's planes
+// are too short to hold 2^n probabilities, so it fills dst (expanded
+// from the representatives) either way.
 func (r *Result) Probabilities(dst []float64, preserveState bool) []float64 {
+	if r.sim.half {
+		full := 1 << uint(r.sim.n)
+		if cap(dst) < full {
+			dst = make([]float64, full)
+		}
+		dst = dst[:full]
+		if r.soa32 != nil {
+			r.soa32.Probabilities(dst[:full/2])
+		} else {
+			r.soa.Probabilities(dst[:full/2])
+		}
+		mirrorFill(dst)
+		return dst
+	}
 	if r.soa32 != nil {
 		return r.soa32.Probabilities(dst)
 	}
@@ -367,10 +411,10 @@ func (r *Result) Probabilities(dst []float64, preserveState bool) []float64 {
 // (useful as a numerical health check).
 func (r *Result) Norm() float64 {
 	if r.soa32 != nil {
-		return math.Sqrt(r.soa32.NormSquared(r.sim.pool))
+		return math.Sqrt(r.sim.weight() * r.soa32.NormSquared(r.sim.pool))
 	}
 	if r.soa != nil {
-		return math.Sqrt(r.soa.NormSquared(r.sim.pool))
+		return math.Sqrt(r.sim.weight() * r.soa.NormSquared(r.sim.pool))
 	}
 	return r.vec.Norm()
 }

@@ -18,6 +18,7 @@ import (
 	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/serve"
+	"qokit/internal/statevec"
 )
 
 // workspaceBackends are the four execution engines a workspace runs on.
@@ -91,19 +92,33 @@ func simulateRef(t *testing.T, sim *Simulator, x []float64) float64 {
 	return r.Expectation()
 }
 
-// forEachWorkspaceConfig builds a simulator on every backend and mixer
-// and hands it, with a fresh workspace and a label, to check.
+// forEachWorkspaceConfig builds a LABS simulator on every backend and
+// mixer and hands it, with a fresh workspace and a label, to check. On
+// the x mixer each backend also runs from an explicit uniform
+// InitialState, so the split layouts cover both sides of the
+// half-state rule.
 func forEachWorkspaceConfig(t *testing.T, n int, check func(label string, sim *Simulator, ws *Workspace)) {
 	t.Helper()
 	for _, mixer := range []Mixer{MixerX, MixerXYRing, MixerXYComplete} {
+		starts := []statevec.Vec{nil}
+		if mixer == MixerX {
+			starts = append(starts, statevec.NewUniform(n))
+		}
 		for _, be := range workspaceBackends {
-			opts := be.opts
-			opts.Mixer = mixer
-			sim, err := New(n, problems.LABSTerms(n), opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, start := range starts {
+				opts := be.opts
+				opts.Mixer, opts.InitialState = mixer, start
+				sim, err := New(n, problems.LABSTerms(n), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := be.name + "/" + mixer.String()
+				if start != nil {
+					label += "/explicit start"
+				}
+				requireHalfSide(t, label, sim, start == nil && mixer == MixerX && opts.Backend == BackendSoA)
+				check(label, sim, sim.NewWorkspace())
 			}
-			check(be.name+"/"+mixer.String(), sim, sim.NewWorkspace())
 		}
 	}
 }

@@ -16,7 +16,9 @@
 package poly
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -134,14 +136,23 @@ func (ts Terms) Eval(x uint64) float64 {
 	return f
 }
 
-// Validate checks that every variable index is in [0, n) and that no
-// term repeats a variable. It returns a descriptive error for the
-// first violation found.
+// ErrNonFiniteCost reports a NaN or infinite cost: a term weight, or
+// an entry of a cost diagonal. Simulating one would return a NaN
+// energy and gradient instead of an error.
+var ErrNonFiniteCost = errors.New("poly: non-finite cost")
+
+// Validate checks that every weight is finite, every variable index is
+// in [0, n) and no term repeats a variable. It returns a descriptive
+// error for the first violation found, wrapping ErrNonFiniteCost for a
+// NaN or ±Inf weight.
 func (ts Terms) Validate(n int) error {
 	if n < 0 || n > 64 {
 		return fmt.Errorf("poly: n=%d out of supported range [0,64]", n)
 	}
 	for k, t := range ts {
+		if math.IsNaN(t.Weight) || math.IsInf(t.Weight, 0) {
+			return fmt.Errorf("%w: term %d (%s)", ErrNonFiniteCost, k, t)
+		}
 		var seen uint64
 		for _, v := range t.Vars {
 			if v < 0 || v >= n {

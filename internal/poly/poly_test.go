@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,6 +100,11 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Terms(nil).Validate(65); err == nil {
 		t.Error("n=65 accepted")
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := New(NewTerm(1, 0), NewTerm(w, 0, 1)).Validate(2); !errors.Is(err, ErrNonFiniteCost) {
+			t.Errorf("weight %v: error %v, want ErrNonFiniteCost", w, err)
+		}
 	}
 }
 

@@ -127,6 +127,8 @@ func New(opts Options) *Registry {
 }
 
 // KeyFor computes the canonical key of a spec without registering it.
+// A NaN or ±Inf canonical weight returns an error wrapping
+// poly.ErrNonFiniteCost.
 func KeyFor(spec Spec) (Key, error) {
 	if spec.N < 1 || spec.N > 34 {
 		return "", fmt.Errorf("registry: n=%d outside supported range [1, 34]", spec.N)
@@ -135,6 +137,11 @@ func KeyFor(spec Spec) (Key, error) {
 	for _, t := range canon {
 		if m := t.Mask(); m >= 1<<uint(spec.N) {
 			return "", fmt.Errorf("registry: term %v references a qubit ≥ n=%d", t, spec.N)
+		}
+		// Canonical sums the weights of equal masks, so this also
+		// catches finite weights that overflow or cancel to NaN.
+		if math.IsNaN(t.Weight) || math.IsInf(t.Weight, 0) {
+			return "", fmt.Errorf("registry: %w: term %v", poly.ErrNonFiniteCost, t)
 		}
 	}
 	hw := spec.HammingWeight

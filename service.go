@@ -2,6 +2,7 @@ package qokit
 
 import (
 	"qokit/internal/evaluator"
+	"qokit/internal/poly"
 	"qokit/internal/serve"
 )
 
@@ -64,6 +65,12 @@ type SampleStreamer = evaluator.SampleStreamer
 // point (Service, Simulator and the engines) returns for a NaN or ±Inf
 // angle; the message names the offending index.
 var ErrNonFiniteAngle = evaluator.ErrNonFiniteAngle
+
+// ErrNonFiniteCost is wrapped by the error every problem entry point
+// (NewSimulator, NewSimulatorFromDiagonal, ProblemRegistry.Register and
+// ProblemKeyFor) returns for a NaN or ±Inf term weight or diagonal
+// entry.
+var ErrNonFiniteCost = poly.ErrNonFiniteCost
 
 const (
 	// MaxShotsPerRequest bounds OutputSpec.Shots on the buffered
