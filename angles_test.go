@@ -4,15 +4,17 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestNonFiniteAnglesRejected sends NaN, +Inf and −Inf in each of γ and
-// β through every evaluation entry point of a registry-backed Service
-// and through Simulator.SimulateQAOA: each must return an error
-// wrapping ErrNonFiniteAngle that names the offending index, never a
-// NaN result, and the pool must still serve a finite point afterwards.
+// β through every evaluation entry point of a registry-backed Service,
+// through Simulator.SimulateQAOA and through every distributed entry
+// point: each must return an error wrapping ErrNonFiniteAngle that
+// names the offending index, never a NaN result, and the pool must
+// still serve a finite point afterwards.
 func TestNonFiniteAnglesRejected(t *testing.T) {
 	const n = 6
 	ctx := context.Background()
@@ -30,6 +32,12 @@ func TestNonFiniteAnglesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dopts := DistOptions{Ranks: 2}
+	deng, err := NewDistributedGradEngine(n, LABSTerms(n), dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := DistCheckpointOptions{Path: filepath.Join(t.TempDir(), "fwd.ckpt")}
 	good := []float64{0.2, 0.3, 0.4, 0.1}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for idx, name := range []string{"gamma[0]", "gamma[1]", "beta[0]", "beta[1]"} {
@@ -49,7 +57,26 @@ func TestNonFiniteAnglesRejected(t *testing.T) {
 			check("Service.EvalOutputs", err)
 			_, err = sim.SimulateQAOA(x[:2], x[2:])
 			check("Simulator.SimulateQAOA", err)
+
+			gamma, beta := x[:2], x[2:]
+			_, err = SimulateQAOADistributed(n, LABSTerms(n), gamma, beta, dopts)
+			check("SimulateQAOADistributed", err)
+			_, err = SimulateQAOADistributedGrad(n, LABSTerms(n), gamma, beta, dopts)
+			check("SimulateQAOADistributedGrad", err)
+			_, err = SimulateQAOADistributedCheckpointed(n, LABSTerms(n), gamma, beta, dopts, ckpt)
+			check("SimulateQAOADistributedCheckpointed", err)
+			_, err = SimulateQAOADistributedOutputs(n, LABSTerms(n), gamma, beta, dopts, OutputSpec{Shots: 4, CVaRAlphas: []float64{0.5}})
+			check("SimulateQAOADistributedOutputs", err)
+			_, err = deng.EnergyGradAngles(ctx, gamma, beta, make([]float64, 2), make([]float64, 2))
+			check("DistributedGradEngine.EnergyGradAngles", err)
+			_, err = deng.Outputs(ctx, gamma, beta, OutputSpec{Shots: 4})
+			check("DistributedGradEngine.Outputs", err)
+			_, err = deng.Energy(ctx, x)
+			check("DistributedGradEngine.Energy", err)
 		}
+	}
+	if e, err := deng.Energy(ctx, good); err != nil || math.IsNaN(e) {
+		t.Fatalf("distributed engine after rejections: energy %v, error %v", e, err)
 	}
 	grad := make([]float64, len(good))
 	e, err := svc.EnergyGrad(ctx, good, grad)
@@ -79,6 +106,21 @@ func TestNonFiniteCostRejected(t *testing.T) {
 		d := append([]float64(nil), diag...)
 		d[x] = v
 		return d
+	}
+	overflow := Terms{NewTerm(1e308, 0), NewTerm(1e308, 1)}
+	registryServiceEnergy := func(dist *DistOptions) error {
+		reg := NewProblemRegistry(RegistryOptions{})
+		key, err := reg.Register(ProblemSpec{N: n, Terms: overflow})
+		if err != nil {
+			return err
+		}
+		svc, err := NewRegistryService(reg, key, RegistryServiceOptions{Distributed: dist})
+		if err != nil {
+			return err
+		}
+		defer svc.Close()
+		_, err = svc.Energy(context.Background(), []float64{0.1, 0.2})
+		return err
 	}
 	for _, c := range []struct {
 		name string
@@ -112,6 +154,35 @@ func TestNonFiniteCostRejected(t *testing.T) {
 		{"NewSimulatorFromDiagonal −Inf entry (xy-ring)", func() error {
 			_, err := NewSimulatorFromDiagonal(n, withEntry(1<<n-1, math.Inf(-1)), Options{Mixer: MixerXYRing})
 			return err
+		}},
+		// Finite weights whose sum overflows: Terms.Validate passes, but
+		// the n = 4 diagonal holds +Inf, which every shard scan rejects.
+		{"NewDistributedGradEngine overflowing weights", func() error {
+			_, err := NewDistributedGradEngine(n, overflow, DistOptions{Ranks: 2})
+			return err
+		}},
+		{"NewDistributedGradEngine overflowing weights (quantized)", func() error {
+			_, err := NewDistributedGradEngine(n, overflow, DistOptions{Ranks: 2, Quantize: true})
+			return err
+		}},
+		{"SimulateQAOADistributed overflowing weights", func() error {
+			_, err := SimulateQAOADistributed(n, overflow, []float64{0.1}, []float64{0.2}, DistOptions{Ranks: 2})
+			return err
+		}},
+		{"SimulateQAOADistributedOutputs overflowing weights", func() error {
+			_, err := SimulateQAOADistributedOutputs(n, overflow, []float64{0.1}, []float64{0.2}, DistOptions{Ranks: 2},
+				OutputSpec{CVaRAlphas: []float64{0.1}})
+			return err
+		}},
+		{"NewSimulator overflowing weights", func() error {
+			_, err := NewSimulator(n, overflow, Options{})
+			return err
+		}},
+		{"distributed registry service overflowing weights", func() error {
+			return registryServiceEnergy(&DistOptions{Ranks: 2})
+		}},
+		{"single-node registry service overflowing weights", func() error {
+			return registryServiceEnergy(nil)
 		}},
 	} {
 		if err := c.run(); !errors.Is(err, ErrNonFiniteCost) {

@@ -227,9 +227,9 @@ func BenchmarkFig5Alltoall(b *testing.B) {
 		n := localQubits + logK
 		for _, algo := range []cluster.AlltoallAlgo{cluster.Pairwise, cluster.Transpose} {
 			b.Run(fmt.Sprintf("%v/K=%d", algo, k), func(b *testing.B) {
-				slices := make([]statevec.Vec, k)
+				slices := make([]*statevec.SoA, k)
 				for r := range slices {
-					slices[r] = statevec.NewUniform(localQubits)
+					slices[r] = statevec.NewSoAUniform(localQubits)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -51,9 +51,9 @@ func runFig5(w io.Writer, args []string) error {
 		for i, algo := range []cluster.AlltoallAlgo{cluster.Pairwise, cluster.Transpose} {
 			var counters cluster.Counters
 			t, _ := benchutil.TimeRepeat(*reps, func() {
-				slices := make([]statevec.Vec, k)
+				slices := make([]*statevec.SoA, k)
 				for r := range slices {
-					slices[r] = statevec.NewUniform(*local)
+					slices[r] = statevec.NewSoAUniform(*local)
 				}
 				ctr, err := distsim.MixerOnly(n, k, algo, slices, 0.41)
 				if err != nil {

@@ -45,10 +45,10 @@ type DistOptions = distsim.Options
 // DistFloat64/DistFloat32 constants).
 type DistPrecision = distsim.Precision
 
-// Distributed shard precisions: DistFloat64 is the default complex128
-// representation; DistFloat32 stores split float32 pairs with float32
-// wire formats — half the state memory and half the fabric bytes, at
-// the single-node SoA32 accuracy (gradient band ~2e-3).
+// Distributed shard precisions: DistFloat64, the default, stores
+// float64 (re, im) planes; DistFloat32 stores float32 planes with
+// float32 wire formats — half the state memory and half the fabric
+// bytes, at the single-node SoA32 accuracy (gradient band ~2e-3).
 const (
 	DistFloat64 = distsim.PrecisionFloat64
 	DistFloat32 = distsim.PrecisionFloat32

@@ -124,16 +124,14 @@ type Group struct {
 
 	// published per-rank pointers, valid between barrier pairs.
 	bufs     [][]complex128
-	scratch  [][]complex128
 	floats   []float64
 	fvecs    [][]float64
 	fscratch [][]float64
-	// float32 wire format: the single-precision shards publish their
-	// split Re/Im component slices and move 8 bytes per amplitude
-	// instead of 16 — half the fabric volume at identical message and
-	// synchronization counts.
-	bufs32    [][2][]float32
-	scratch32 [][2][]float32
+	// Plane wire formats: the state collectives publish split (re, im)
+	// planes, float64 or float32, and move 2·sizeof(element) bytes per
+	// amplitude.
+	planes64 planeFabric[float64]
+	planes32 planeFabric[float32]
 
 	counters []Counters
 
@@ -155,17 +153,16 @@ func NewGroup(k int, algo AlltoallAlgo) (*Group, error) {
 		return nil, fmt.Errorf("cluster: group size %d < 1", k)
 	}
 	return &Group{
-		size:      k,
-		algo:      algo,
-		bar:       newBarrier(k),
-		bufs:      make([][]complex128, k),
-		scratch:   make([][]complex128, k),
-		floats:    make([]float64, k),
-		fvecs:     make([][]float64, k),
-		fscratch:  make([][]float64, k),
-		bufs32:    make([][2][]float32, k),
-		scratch32: make([][2][]float32, k),
-		counters:  make([]Counters, k),
+		size:     k,
+		algo:     algo,
+		bar:      newBarrier(k),
+		bufs:     make([][]complex128, k),
+		floats:   make([]float64, k),
+		fvecs:    make([][]float64, k),
+		fscratch: make([][]float64, k),
+		planes64: newPlaneFabric[float64](k),
+		planes32: newPlaneFabric[float32](k),
+		counters: make([]Counters, k),
 	}, nil
 }
 
@@ -360,74 +357,135 @@ func (c *Comm) checkFault(op string) error {
 	return nil
 }
 
-// Alltoall performs the in-place all-to-all exchange: buf is split
-// into Size() equal subchunks; subchunk s is sent to rank s, which
-// stores it as its subchunk Rank(). Every rank must call with equal
-// buffer lengths divisible by Size(). This is the collective at the
-// heart of Algorithm 4 — for a state vector it transposes the
-// (rank, top-local-qubits) index pair.
-func (c *Comm) Alltoall(buf []complex128) error {
+// Elem is the element type of a state's split (re, im) planes: float64
+// or float32. The state collectives move both planes of an amplitude
+// range together, 2·sizeof(Elem) bytes per amplitude, so float32
+// shards cost half the fabric volume of float64 ones at identical
+// message and synchronization counts.
+type Elem interface {
+	float32 | float64
+}
+
+// planeFabric holds the per-rank plane pointers one element type's
+// collectives publish, valid between barrier pairs, and each rank's
+// receive scratch.
+type planeFabric[T Elem] struct {
+	pub     [][2][]T
+	scratch [][2][]T
+}
+
+func newPlaneFabric[T Elem](k int) planeFabric[T] {
+	return planeFabric[T]{pub: make([][2][]T, k), scratch: make([][2][]T, k)}
+}
+
+// fabric returns the group's plane fabric for element type T.
+func fabric[T Elem](g *Group) *planeFabric[T] {
+	var f any
+	switch any(T(0)).(type) {
+	case float64:
+		f = &g.planes64
+	case float32:
+		f = &g.planes32
+	}
+	return f.(*planeFabric[T])
+}
+
+// scratchFor returns rank's receive scratch of at least size
+// amplitudes, grown on first use.
+func (f *planeFabric[T]) scratchFor(rank, size int) (re, im []T) {
+	if len(f.scratch[rank][0]) < size {
+		f.scratch[rank] = [2][]T{make([]T, size), make([]T, size)}
+	}
+	return f.scratch[rank][0][:size], f.scratch[rank][1][:size]
+}
+
+// ampBytes is the wire size of one amplitude in planes of T.
+func ampBytes[T Elem]() int64 {
+	if _, ok := any(T(0)).(float32); ok {
+		return 8
+	}
+	return 16
+}
+
+// Alltoall performs the in-place all-to-all exchange on a state's split
+// planes: re and im are split into Size() equal subchunks; subchunk s
+// is sent to rank s, which stores it as its subchunk Rank(). Every rank
+// must call with equal plane lengths divisible by Size(). This is the
+// collective at the heart of Algorithm 4 — for a state vector it
+// transposes the (rank, top-local-qubits) index pair. Both planes move
+// inside one barrier pair; the counters charge one message per peer
+// subchunk and 2·sizeof(T) bytes per amplitude. The fault injector sees
+// the op name "Alltoall" for every element type.
+func Alltoall[T Elem](c *Comm, re, im []T) error {
 	if err := c.checkFault("Alltoall"); err != nil {
 		return err
 	}
 	g := c.g
 	k := g.size
-	if len(buf)%k != 0 {
-		return fmt.Errorf("cluster: Alltoall buffer length %d not divisible by %d ranks", len(buf), k)
+	if len(re) != len(im) {
+		return fmt.Errorf("cluster: Alltoall plane lengths differ: %d vs %d", len(re), len(im))
+	}
+	if len(re)%k != 0 {
+		return fmt.Errorf("cluster: Alltoall buffer length %d not divisible by %d ranks", len(re), k)
 	}
 	if g.algo == Pairwise && bits.OnesCount(uint(k)) != 1 {
 		return fmt.Errorf("cluster: pairwise all-to-all requires power-of-two ranks, got %d", k)
 	}
 	start := time.Now()
-	sub := len(buf) / k
+	f := fabric[T](g)
+	sub := len(re) / k
+	bytes := int64(sub) * ampBytes[T]()
 	ctr := &g.counters[c.rank]
+	f.pub[c.rank] = [2][]T{re, im}
 	switch g.algo {
 	case Transpose:
-		// Publish, then read each peer's subchunk destined for us into
-		// scratch, then copy back — two barriers total.
-		g.bufs[c.rank] = buf
-		if g.scratch[c.rank] == nil || len(g.scratch[c.rank]) < len(buf) {
-			g.scratch[c.rank] = make([]complex128, len(buf))
+		// Read each peer's subchunk destined for us into scratch, then
+		// copy back — two barriers total. The rank's own subchunk stays
+		// where it is, so only the K−1 remote ones are copied.
+		tmpRe, tmpIm := f.scratchFor(c.rank, len(re))
+		if !g.bar.wait() {
+			return c.abortErr()
 		}
-		tmp := g.scratch[c.rank][:len(buf)]
+		own := c.rank * sub
+		for s := 0; s < k; s++ {
+			if s == c.rank {
+				continue
+			}
+			copy(tmpRe[s*sub:(s+1)*sub], f.pub[s][0][own:own+sub])
+			copy(tmpIm[s*sub:(s+1)*sub], f.pub[s][1][own:own+sub])
+			ctr.Messages++
+			ctr.BytesSent += bytes
+		}
 		if !g.bar.wait() {
 			return c.abortErr()
 		}
 		for s := 0; s < k; s++ {
-			copy(tmp[s*sub:(s+1)*sub], g.bufs[s][c.rank*sub:(c.rank+1)*sub])
 			if s != c.rank {
-				ctr.Messages++
-				ctr.BytesSent += int64(sub) * 16
+				copy(re[s*sub:(s+1)*sub], tmpRe[s*sub:(s+1)*sub])
+				copy(im[s*sub:(s+1)*sub], tmpIm[s*sub:(s+1)*sub])
 			}
 		}
-		if !g.bar.wait() {
-			return c.abortErr()
-		}
-		copy(buf, tmp)
 		ctr.Syncs += 2
 	case Pairwise:
 		// K−1 rounds; in round r, exchange subchunks with rank⊕r. Each
 		// round publishes, swaps, and re-synchronizes (the per-round
 		// handshakes are what make this algorithm slower on fabrics
 		// with cheap direct peer access, as in Fig. 5).
-		g.bufs[c.rank] = buf
+		tmpRe, tmpIm := f.scratchFor(c.rank, sub)
 		for round := 1; round < k; round++ {
 			partner := c.rank ^ round
 			if !g.bar.wait() {
 				return c.abortErr()
 			}
-			// Read partner's subchunk[c.rank] into scratch.
-			if g.scratch[c.rank] == nil || len(g.scratch[c.rank]) < sub {
-				g.scratch[c.rank] = make([]complex128, len(buf))
-			}
-			tmp := g.scratch[c.rank][:sub]
-			copy(tmp, g.bufs[partner][c.rank*sub:(c.rank+1)*sub])
+			copy(tmpRe, f.pub[partner][0][c.rank*sub:(c.rank+1)*sub])
+			copy(tmpIm, f.pub[partner][1][c.rank*sub:(c.rank+1)*sub])
 			if !g.bar.wait() {
 				return c.abortErr()
 			}
-			copy(buf[partner*sub:(partner+1)*sub], tmp)
+			copy(re[partner*sub:(partner+1)*sub], tmpRe)
+			copy(im[partner*sub:(partner+1)*sub], tmpIm)
 			ctr.Messages++
-			ctr.BytesSent += int64(sub) * 16
+			ctr.BytesSent += bytes
 			ctr.Syncs += 2
 		}
 		if !g.bar.wait() {
@@ -439,6 +497,70 @@ func (c *Comm) Alltoall(buf []complex128) error {
 	}
 	ctr.CommWall += time.Since(start)
 	return nil
+}
+
+// Sendrecv exchanges split planes between paired ranks: this rank's
+// (re, im) is made visible to partner, and partner's published planes
+// are copied into (recvRe, recvIm). Every rank in the group must call
+// once per round; a rank with partner < 0 (or partner == its own rank)
+// participates in the synchronization but moves no data. Pairings must
+// be mutual — if rank a names b, rank b must name a. This is the
+// MPI_Sendrecv the distributed xy mixer builds on: an xy edge touching
+// a global qubit couples each amplitude to one on exactly one partner
+// rank (the rank index flipped in that qubit's bit), so the gate needs
+// a point-to-point slice exchange, not a full all-to-all (the
+// cuStateVec index-bit-swap pattern). A sending rank is charged one
+// message and 2·sizeof(T) bytes per amplitude of re.
+func Sendrecv[T Elem](c *Comm, partner int, re, im, recvRe, recvIm []T) error {
+	if err := c.checkFault("Sendrecv"); err != nil {
+		return err
+	}
+	g := c.g
+	start := time.Now()
+	// Validation must not strand the peers: an erroring rank still
+	// walks both barriers (moving no data) so the error surfaces
+	// through Run instead of deadlocking the group — the same
+	// no-stranding convention AllreduceSumVec follows.
+	var err error
+	if len(recvRe) != len(recvIm) {
+		err = fmt.Errorf("cluster: Sendrecv receive plane lengths differ: %d vs %d", len(recvRe), len(recvIm))
+		partner = -1
+	}
+	if len(re) != len(im) {
+		err = fmt.Errorf("cluster: Sendrecv send plane lengths differ: %d vs %d", len(re), len(im))
+		partner = -1
+	}
+	if partner >= g.size {
+		err = fmt.Errorf("cluster: Sendrecv partner %d out of range [0,%d)", partner, g.size)
+		partner = -1
+	}
+	f := fabric[T](g)
+	f.pub[c.rank] = [2][]T{re, im}
+	if !g.bar.wait() {
+		return c.abortErr()
+	}
+	ctr := &g.counters[c.rank]
+	if partner >= 0 && partner != c.rank {
+		// Guard both published planes: a peer that published a
+		// mismatched pair must surface as this rank's error, never as a
+		// slice-bounds panic inside the group goroutine.
+		srcRe, srcIm := f.pub[partner][0], f.pub[partner][1]
+		if len(srcRe) < len(recvRe) || len(srcIm) < len(recvIm) {
+			err = fmt.Errorf("cluster: Sendrecv rank %d published (%d, %d) amplitudes, rank %d expects %d",
+				partner, len(srcRe), len(srcIm), c.rank, len(recvRe))
+		} else {
+			copy(recvRe, srcRe[:len(recvRe)])
+			copy(recvIm, srcIm[:len(recvIm)])
+			ctr.Messages++
+			ctr.BytesSent += int64(len(re)) * ampBytes[T]()
+		}
+	}
+	if !g.bar.wait() {
+		return c.abortErr()
+	}
+	ctr.Syncs += 2
+	ctr.CommWall += time.Since(start)
+	return err
 }
 
 // AllreduceSum returns the sum of x across ranks, on every rank.
@@ -557,193 +679,6 @@ func firstMismatch(vecs [][]float64, want int) int {
 		}
 	}
 	return -1
-}
-
-// Alltoall32 is Alltoall for the single-precision (SoA32) shard: the
-// state's split Re/Im component slices are exchanged together inside
-// one barrier pair, so the collective costs the same messages and
-// synchronizations as the complex128 exchange while moving 8 bytes per
-// amplitude instead of 16 — the float32 wire format that halves the
-// fabric volume of every mixer transpose (§V-B single precision,
-// carried onto the cluster). Both slices must have equal lengths
-// divisible by Size(), identical on every rank.
-func (c *Comm) Alltoall32(re, im []float32) error {
-	if err := c.checkFault("Alltoall32"); err != nil {
-		return err
-	}
-	g := c.g
-	k := g.size
-	if len(re) != len(im) {
-		return fmt.Errorf("cluster: Alltoall32 component lengths differ: %d vs %d", len(re), len(im))
-	}
-	if len(re)%k != 0 {
-		return fmt.Errorf("cluster: Alltoall32 buffer length %d not divisible by %d ranks", len(re), k)
-	}
-	if g.algo == Pairwise && bits.OnesCount(uint(k)) != 1 {
-		return fmt.Errorf("cluster: pairwise all-to-all requires power-of-two ranks, got %d", k)
-	}
-	start := time.Now()
-	sub := len(re) / k
-	ctr := &g.counters[c.rank]
-	switch g.algo {
-	case Transpose:
-		g.bufs32[c.rank] = [2][]float32{re, im}
-		if g.scratch32[c.rank][0] == nil || len(g.scratch32[c.rank][0]) < len(re) {
-			g.scratch32[c.rank] = [2][]float32{make([]float32, len(re)), make([]float32, len(re))}
-		}
-		tmpRe := g.scratch32[c.rank][0][:len(re)]
-		tmpIm := g.scratch32[c.rank][1][:len(re)]
-		if !g.bar.wait() {
-			return c.abortErr()
-		}
-		for s := 0; s < k; s++ {
-			copy(tmpRe[s*sub:(s+1)*sub], g.bufs32[s][0][c.rank*sub:(c.rank+1)*sub])
-			copy(tmpIm[s*sub:(s+1)*sub], g.bufs32[s][1][c.rank*sub:(c.rank+1)*sub])
-			if s != c.rank {
-				ctr.Messages++
-				ctr.BytesSent += int64(sub) * 8
-			}
-		}
-		if !g.bar.wait() {
-			return c.abortErr()
-		}
-		copy(re, tmpRe)
-		copy(im, tmpIm)
-		ctr.Syncs += 2
-	case Pairwise:
-		g.bufs32[c.rank] = [2][]float32{re, im}
-		for round := 1; round < k; round++ {
-			partner := c.rank ^ round
-			if !g.bar.wait() {
-				return c.abortErr()
-			}
-			if g.scratch32[c.rank][0] == nil || len(g.scratch32[c.rank][0]) < sub {
-				g.scratch32[c.rank] = [2][]float32{make([]float32, len(re)), make([]float32, len(re))}
-			}
-			tmpRe := g.scratch32[c.rank][0][:sub]
-			tmpIm := g.scratch32[c.rank][1][:sub]
-			copy(tmpRe, g.bufs32[partner][0][c.rank*sub:(c.rank+1)*sub])
-			copy(tmpIm, g.bufs32[partner][1][c.rank*sub:(c.rank+1)*sub])
-			if !g.bar.wait() {
-				return c.abortErr()
-			}
-			copy(re[partner*sub:(partner+1)*sub], tmpRe)
-			copy(im[partner*sub:(partner+1)*sub], tmpIm)
-			ctr.Messages++
-			ctr.BytesSent += int64(sub) * 8
-			ctr.Syncs += 2
-		}
-		if !g.bar.wait() {
-			return c.abortErr()
-		}
-		ctr.Syncs++
-	default:
-		return fmt.Errorf("cluster: unknown all-to-all algorithm %v", g.algo)
-	}
-	ctr.CommWall += time.Since(start)
-	return nil
-}
-
-// Sendrecv exchanges buffers between paired ranks: this rank's buf is
-// made visible to partner, and partner's published buffer is copied
-// into recv (len(recv) amplitudes). Every rank in the group must call
-// once per round; a rank with partner < 0 (or partner == its own
-// rank) participates in the synchronization but moves no data.
-// Pairings must be mutual — if rank a names b, rank b must name a.
-// This is the MPI_Sendrecv the distributed xy mixer builds on: an xy
-// edge touching a global qubit couples each amplitude to one on
-// exactly one partner rank (the rank index flipped in that qubit's
-// bit), so the gate needs a point-to-point slice exchange, not a full
-// all-to-all (the cuStateVec index-bit-swap pattern).
-func (c *Comm) Sendrecv(partner int, buf []complex128, recv []complex128) error {
-	if err := c.checkFault("Sendrecv"); err != nil {
-		return err
-	}
-	g := c.g
-	start := time.Now()
-	// Validation must not strand the peers: an erroring rank still
-	// walks both barriers (moving no data) so the error surfaces
-	// through Run instead of deadlocking the group — the same
-	// no-stranding convention AllreduceSumVec follows.
-	var err error
-	if partner >= g.size {
-		err = fmt.Errorf("cluster: Sendrecv partner %d out of range [0,%d)", partner, g.size)
-		partner = -1
-	}
-	g.bufs[c.rank] = buf
-	if !g.bar.wait() {
-		return c.abortErr()
-	}
-	ctr := &g.counters[c.rank]
-	if partner >= 0 && partner != c.rank {
-		src := g.bufs[partner]
-		if len(src) < len(recv) {
-			err = fmt.Errorf("cluster: Sendrecv rank %d published %d amplitudes, rank %d expects %d",
-				partner, len(src), c.rank, len(recv))
-		} else {
-			copy(recv, src[:len(recv)])
-			ctr.Messages++
-			ctr.BytesSent += int64(len(buf)) * 16
-		}
-	}
-	if !g.bar.wait() {
-		return c.abortErr()
-	}
-	ctr.Syncs += 2
-	ctr.CommWall += time.Since(start)
-	return err
-}
-
-// Sendrecv32 is Sendrecv for the single-precision shard: the paired
-// ranks exchange split Re/Im float32 slices in one barrier pair,
-// moving 8 bytes per amplitude instead of 16 — the wire format behind
-// the float32 xy partner exchanges. Same pairing and no-stranding
-// contract as Sendrecv; recvRe/recvIm must have equal lengths.
-func (c *Comm) Sendrecv32(partner int, re, im, recvRe, recvIm []float32) error {
-	if err := c.checkFault("Sendrecv32"); err != nil {
-		return err
-	}
-	g := c.g
-	start := time.Now()
-	var err error
-	if len(recvRe) != len(recvIm) {
-		err = fmt.Errorf("cluster: Sendrecv32 receive component lengths differ: %d vs %d", len(recvRe), len(recvIm))
-		partner = -1
-	}
-	if len(re) != len(im) {
-		err = fmt.Errorf("cluster: Sendrecv32 send component lengths differ: %d vs %d", len(re), len(im))
-		partner = -1
-	}
-	if partner >= g.size {
-		err = fmt.Errorf("cluster: Sendrecv32 partner %d out of range [0,%d)", partner, g.size)
-		partner = -1
-	}
-	g.bufs32[c.rank] = [2][]float32{re, im}
-	if !g.bar.wait() {
-		return c.abortErr()
-	}
-	ctr := &g.counters[c.rank]
-	if partner >= 0 && partner != c.rank {
-		// Guard both published components: a peer that published a
-		// mismatched pair must surface as this rank's error, never as a
-		// slice-bounds panic inside the group goroutine.
-		srcRe, srcIm := g.bufs32[partner][0], g.bufs32[partner][1]
-		if len(srcRe) < len(recvRe) || len(srcIm) < len(recvIm) {
-			err = fmt.Errorf("cluster: Sendrecv32 rank %d published (%d, %d) amplitudes, rank %d expects %d",
-				partner, len(srcRe), len(srcIm), c.rank, len(recvRe))
-		} else {
-			copy(recvRe, srcRe[:len(recvRe)])
-			copy(recvIm, srcIm[:len(recvIm)])
-			ctr.Messages++
-			ctr.BytesSent += int64(len(re)) * 8
-		}
-	}
-	if !g.bar.wait() {
-		return c.abortErr()
-	}
-	ctr.Syncs += 2
-	ctr.CommWall += time.Since(start)
-	return err
 }
 
 // AllGather concatenates every rank's local buffer in rank order and

@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-func TestAlltoallSemantics(t *testing.T) {
-	// Each rank r fills subchunk s with value 100r+s; after all-to-all
-	// rank r's subchunk s must hold 100s+r.
+// checkAlltoallSemantics: each rank r fills subchunk s with value
+// 100r+s in re and the element index in im; after the all-to-all rank
+// r's subchunk s must hold 100s+r.
+func checkAlltoallSemantics[T Elem](t *testing.T) {
 	for _, algo := range []AlltoallAlgo{Pairwise, Transpose} {
 		for _, k := range []int{1, 2, 4, 8} {
 			g, err := NewGroup(k, algo)
@@ -24,75 +25,84 @@ func TestAlltoallSemantics(t *testing.T) {
 				sub = 4 // keep lengths divisible for every k
 			}
 			err = g.Run(func(c *Comm) error {
-				buf := make([]complex128, k*sub)
+				re, im := make([]T, k*sub), make([]T, k*sub)
 				for s := 0; s < k; s++ {
 					for i := 0; i < sub; i++ {
-						buf[s*sub+i] = complex(float64(100*c.Rank()+s), float64(i))
+						re[s*sub+i], im[s*sub+i] = T(100*c.Rank()+s), T(i)
 					}
 				}
-				if err := c.Alltoall(buf); err != nil {
+				if err := Alltoall(c, re, im); err != nil {
 					return err
 				}
 				for s := 0; s < k; s++ {
 					for i := 0; i < sub; i++ {
-						want := complex(float64(100*s+c.Rank()), float64(i))
-						if buf[s*sub+i] != want {
-							return fmt.Errorf("rank %d subchunk %d elem %d: got %v, want %v", c.Rank(), s, i, buf[s*sub+i], want)
+						if re[s*sub+i] != T(100*s+c.Rank()) || im[s*sub+i] != T(i) {
+							return fmt.Errorf("rank %d subchunk %d elem %d: got (%v, %v)", c.Rank(), s, i, re[s*sub+i], im[s*sub+i])
 						}
 					}
 				}
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("%v k=%d: %v", algo, k, err)
+				t.Fatalf("%T %v k=%d: %v", T(0), algo, k, err)
+			}
+		}
+	}
+}
+
+func TestAlltoallSemantics(t *testing.T) {
+	checkAlltoallSemantics[float64](t)
+	checkAlltoallSemantics[float32](t)
+}
+
+func checkAlltoallIsInvolution[T Elem](t *testing.T) {
+	for _, algo := range []AlltoallAlgo{Pairwise, Transpose} {
+		for _, k := range []int{1, 2, 4, 8} {
+			g, err := NewGroup(k, algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = g.Run(func(c *Comm) error {
+				re, im := make([]T, 2*k), make([]T, 2*k)
+				for i := range re {
+					re[i], im[i] = T(c.Rank()*2*k+i), -T(i)
+				}
+				origRe, origIm := append([]T(nil), re...), append([]T(nil), im...)
+				for pass := 0; pass < 2; pass++ {
+					if err := Alltoall(c, re, im); err != nil {
+						return err
+					}
+				}
+				for i := range re {
+					if re[i] != origRe[i] || im[i] != origIm[i] {
+						return fmt.Errorf("rank %d: double all-to-all changed element %d", c.Rank(), i)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%T %v k=%d: %v", T(0), algo, k, err)
 			}
 		}
 	}
 }
 
 func TestAlltoallIsInvolution(t *testing.T) {
-	for _, algo := range []AlltoallAlgo{Pairwise, Transpose} {
-		g, err := NewGroup(4, algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = g.Run(func(c *Comm) error {
-			buf := make([]complex128, 8)
-			orig := make([]complex128, 8)
-			for i := range buf {
-				buf[i] = complex(float64(c.Rank()*8+i), -float64(i))
-				orig[i] = buf[i]
-			}
-			if err := c.Alltoall(buf); err != nil {
-				return err
-			}
-			if err := c.Alltoall(buf); err != nil {
-				return err
-			}
-			for i := range buf {
-				if buf[i] != orig[i] {
-					return fmt.Errorf("rank %d: double all-to-all changed element %d", c.Rank(), i)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-	}
+	checkAlltoallIsInvolution[float64](t)
+	checkAlltoallIsInvolution[float32](t)
 }
 
 func TestAlltoallErrors(t *testing.T) {
 	g, _ := NewGroup(3, Pairwise)
 	err := g.Run(func(c *Comm) error {
-		return c.Alltoall(make([]complex128, 6))
+		return Alltoall(c, make([]float64, 6), make([]float64, 6))
 	})
 	if err == nil {
 		t.Error("pairwise with non-power-of-two ranks accepted")
 	}
 	g2, _ := NewGroup(2, Transpose)
 	err = g2.Run(func(c *Comm) error {
-		return c.Alltoall(make([]complex128, 3))
+		return Alltoall(c, make([]float64, 3), make([]float64, 3))
 	})
 	if err == nil {
 		t.Error("indivisible buffer accepted")
@@ -176,7 +186,7 @@ func TestCountersAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = g.Run(func(c *Comm) error {
-			return c.Alltoall(make([]complex128, 16))
+			return Alltoall(c, make([]float64, 16), make([]float64, 16))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +216,7 @@ func TestPairwiseCostsMoreSyncs(t *testing.T) {
 	syncs := map[AlltoallAlgo]int64{}
 	for _, algo := range []AlltoallAlgo{Pairwise, Transpose} {
 		g, _ := NewGroup(8, algo)
-		if err := g.Run(func(c *Comm) error { return c.Alltoall(make([]complex128, 64)) }); err != nil {
+		if err := g.Run(func(c *Comm) error { return Alltoall(c, make([]float64, 64), make([]float64, 64)) }); err != nil {
 			t.Fatal(err)
 		}
 		syncs[algo] = g.Counters(0).Syncs
@@ -261,11 +271,11 @@ func TestGroupSizeOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = g.Run(func(c *Comm) error {
-		buf := []complex128{1, 2}
-		if err := c.Alltoall(buf); err != nil {
+		re, im := []float64{1, 2}, []float64{3, 4}
+		if err := Alltoall(c, re, im); err != nil {
 			return err
 		}
-		if buf[0] != 1 || buf[1] != 2 {
+		if re[0] != 1 || re[1] != 2 || im[0] != 3 || im[1] != 4 {
 			return fmt.Errorf("K=1 all-to-all changed data")
 		}
 		if s, err := c.AllreduceSum(3.5); err != nil || s != 3.5 {
@@ -338,14 +348,14 @@ func TestSendrecvPairs(t *testing.T) {
 	// Ranks pair as r ↔ r^1: each receives the partner's payload.
 	g, _ := NewGroup(4, Transpose)
 	err := g.Run(func(c *Comm) error {
-		buf := []complex128{complex(float64(c.Rank()), 0), complex(0, float64(c.Rank()))}
-		recv := make([]complex128, 2)
-		if err := c.Sendrecv(c.Rank()^1, buf, recv); err != nil {
+		re, im := []float64{float64(c.Rank()), 0}, []float64{0, float64(c.Rank())}
+		recvRe, recvIm := make([]float64, 2), make([]float64, 2)
+		if err := Sendrecv(c, c.Rank()^1, re, im, recvRe, recvIm); err != nil {
 			return err
 		}
 		want := float64(c.Rank() ^ 1)
-		if recv[0] != complex(want, 0) || recv[1] != complex(0, want) {
-			return fmt.Errorf("rank %d received %v", c.Rank(), recv)
+		if recvRe[0] != want || recvRe[1] != 0 || recvIm[0] != 0 || recvIm[1] != want {
+			return fmt.Errorf("rank %d received (%v, %v)", c.Rank(), recvRe, recvIm)
 		}
 		return nil
 	})
@@ -369,13 +379,13 @@ func TestSendrecvIdleRanks(t *testing.T) {
 		case 3:
 			partner = 0
 		}
-		buf := []complex128{complex(float64(c.Rank()), 0)}
-		recv := make([]complex128, 1)
-		if err := c.Sendrecv(partner, buf, recv); err != nil {
+		re, im := []float64{float64(c.Rank())}, []float64{0}
+		recvRe, recvIm := make([]float64, 1), make([]float64, 1)
+		if err := Sendrecv(c, partner, re, im, recvRe, recvIm); err != nil {
 			return err
 		}
-		if partner >= 0 && recv[0] != complex(float64(partner), 0) {
-			return fmt.Errorf("rank %d received %v", c.Rank(), recv[0])
+		if partner >= 0 && recvRe[0] != float64(partner) {
+			return fmt.Errorf("rank %d received %v", c.Rank(), recvRe[0])
 		}
 		return nil
 	})
@@ -396,13 +406,13 @@ func TestSendrecvIdleRanks(t *testing.T) {
 func TestSendrecvSelfIsNoop(t *testing.T) {
 	g, _ := NewGroup(2, Transpose)
 	err := g.Run(func(c *Comm) error {
-		buf := []complex128{complex(float64(c.Rank()), 0)}
-		recv := []complex128{42}
-		if err := c.Sendrecv(c.Rank(), buf, recv); err != nil {
+		re, im := []float64{float64(c.Rank())}, []float64{0}
+		recvRe, recvIm := []float64{42}, []float64{42}
+		if err := Sendrecv(c, c.Rank(), re, im, recvRe, recvIm); err != nil {
 			return err
 		}
-		if recv[0] != 42 {
-			return fmt.Errorf("self exchange wrote recv: %v", recv[0])
+		if recvRe[0] != 42 || recvIm[0] != 42 {
+			return fmt.Errorf("self exchange wrote recv: (%v, %v)", recvRe[0], recvIm[0])
 		}
 		return nil
 	})
@@ -428,7 +438,7 @@ func TestRunContextCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- g.RunContext(ctx, func(c *Comm) error {
-			buf := make([]complex128, 8)
+			re, im := make([]float64, 8), make([]float64, 8)
 			for {
 				// Rank 3 never joins the second collective, so without
 				// poisoning the peers would block forever.
@@ -437,7 +447,7 @@ func TestRunContextCancellation(t *testing.T) {
 					return ctx.Err()
 				}
 				entered.Add(1)
-				if err := c.Alltoall(buf); err != nil {
+				if err := Alltoall(c, re, im); err != nil {
 					return err
 				}
 			}
@@ -523,9 +533,8 @@ func TestSendrecvBadPartnerDoesNotStrand(t *testing.T) {
 			if c.Rank() == 0 {
 				partner = 99
 			}
-			buf := []complex128{1}
-			recv := make([]complex128, 1)
-			return c.Sendrecv(partner, buf, recv)
+			buf := []float64{1}
+			return Sendrecv(c, partner, buf, buf, make([]float64, 1), make([]float64, 1))
 		})
 	}()
 	select {
@@ -558,69 +567,30 @@ func TestAllreduceMax(t *testing.T) {
 	}
 }
 
-func TestAlltoall32Semantics(t *testing.T) {
-	// Same transpose semantics as the complex128 exchange, carried by
-	// the split float32 pair: rank r's subchunk s (value 100r+s in Re,
-	// the element index in Im) must arrive as subchunk r on rank s.
-	for _, algo := range []AlltoallAlgo{Pairwise, Transpose} {
-		for _, k := range []int{1, 2, 4, 8} {
-			g, err := NewGroup(k, algo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const sub = 4
-			err = g.Run(func(c *Comm) error {
-				re := make([]float32, k*sub)
-				im := make([]float32, k*sub)
-				for s := 0; s < k; s++ {
-					for i := 0; i < sub; i++ {
-						re[s*sub+i] = float32(100*c.Rank() + s)
-						im[s*sub+i] = float32(i)
-					}
-				}
-				if err := c.Alltoall32(re, im); err != nil {
-					return err
-				}
-				for s := 0; s < k; s++ {
-					for i := 0; i < sub; i++ {
-						if re[s*sub+i] != float32(100*s+c.Rank()) || im[s*sub+i] != float32(i) {
-							return fmt.Errorf("rank %d subchunk %d elem %d: got (%v, %v)", c.Rank(), s, i, re[s*sub+i], im[s*sub+i])
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%v k=%d: %v", algo, k, err)
-			}
-		}
-	}
-}
-
 func TestAlltoall32HalvesBytes(t *testing.T) {
-	// The float32 wire format moves exactly half the bytes of the
-	// complex128 exchange at identical message and sync counts — the
-	// counter contract the distributed float32 shards rely on.
+	// The float32 planes move exactly half the bytes of the float64
+	// exchange at identical message and sync counts — the counter
+	// contract the distributed float32 shards rely on.
 	for _, algo := range []AlltoallAlgo{Pairwise, Transpose} {
 		const k, sub = 4, 8
 		g64, _ := NewGroup(k, algo)
 		if err := g64.Run(func(c *Comm) error {
-			return c.Alltoall(make([]complex128, k*sub))
+			return Alltoall(c, make([]float64, k*sub), make([]float64, k*sub))
 		}); err != nil {
 			t.Fatal(err)
 		}
 		g32, _ := NewGroup(k, algo)
 		if err := g32.Run(func(c *Comm) error {
-			return c.Alltoall32(make([]float32, k*sub), make([]float32, k*sub))
+			return Alltoall(c, make([]float32, k*sub), make([]float32, k*sub))
 		}); err != nil {
 			t.Fatal(err)
 		}
 		c64, c32 := g64.TotalCounters(), g32.TotalCounters()
 		if 2*c32.BytesSent != c64.BytesSent {
-			t.Errorf("%v: float32 moved %d bytes, complex128 %d — want exactly half", algo, c32.BytesSent, c64.BytesSent)
+			t.Errorf("%v: float32 moved %d bytes, float64 %d — want exactly half", algo, c32.BytesSent, c64.BytesSent)
 		}
 		if c32.Messages != c64.Messages || c32.Syncs != c64.Syncs {
-			t.Errorf("%v: float32 (%d msgs, %d syncs) vs complex128 (%d msgs, %d syncs) — want identical",
+			t.Errorf("%v: float32 (%d msgs, %d syncs) vs float64 (%d msgs, %d syncs) — want identical",
 				algo, c32.Messages, c32.Syncs, c64.Messages, c64.Syncs)
 		}
 	}
@@ -629,13 +599,13 @@ func TestAlltoall32HalvesBytes(t *testing.T) {
 func TestAlltoall32Errors(t *testing.T) {
 	g, _ := NewGroup(2, Transpose)
 	if err := g.Run(func(c *Comm) error {
-		return c.Alltoall32(make([]float32, 4), make([]float32, 6))
+		return Alltoall(c, make([]float32, 4), make([]float32, 6))
 	}); err == nil {
 		t.Error("mismatched component lengths accepted")
 	}
 	g2, _ := NewGroup(2, Transpose)
 	if err := g2.Run(func(c *Comm) error {
-		return c.Alltoall32(make([]float32, 3), make([]float32, 3))
+		return Alltoall(c, make([]float32, 3), make([]float32, 3))
 	}); err == nil {
 		t.Error("indivisible buffer accepted")
 	}
@@ -659,7 +629,7 @@ func TestSendrecv32Pairs(t *testing.T) {
 		recvRe := make([]float32, size)
 		recvIm := make([]float32, size)
 		partner := c.Rank() ^ 1
-		if err := c.Sendrecv32(partner, re, im, recvRe, recvIm); err != nil {
+		if err := Sendrecv(c, partner, re, im, recvRe, recvIm); err != nil {
 			return err
 		}
 		for i := range recvRe {
@@ -685,9 +655,9 @@ func TestSendrecv32IdleAndErrors(t *testing.T) {
 	g, _ := NewGroup(2, Transpose)
 	err := g.Run(func(c *Comm) error {
 		if c.Rank() == 1 {
-			return c.Sendrecv32(-1, nil, nil, nil, nil)
+			return Sendrecv[float32](c, -1, nil, nil, nil, nil)
 		}
-		return c.Sendrecv32(-1, make([]float32, 2), make([]float32, 2), nil, nil)
+		return Sendrecv(c, -1, make([]float32, 2), make([]float32, 2), nil, nil)
 	})
 	if err != nil {
 		t.Fatalf("idle exchange failed: %v", err)
@@ -695,9 +665,9 @@ func TestSendrecv32IdleAndErrors(t *testing.T) {
 	g2, _ := NewGroup(2, Transpose)
 	err = g2.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Sendrecv32(1, make([]float32, 2), make([]float32, 2), make([]float32, 2), make([]float32, 3))
+			return Sendrecv(c, 1, make([]float32, 2), make([]float32, 2), make([]float32, 2), make([]float32, 3))
 		}
-		return c.Sendrecv32(-1, nil, nil, nil, nil)
+		return Sendrecv[float32](c, -1, nil, nil, nil, nil)
 	})
 	if err == nil {
 		t.Error("mismatched receive component lengths accepted")
@@ -705,9 +675,9 @@ func TestSendrecv32IdleAndErrors(t *testing.T) {
 	g3, _ := NewGroup(2, Transpose)
 	err = g3.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Sendrecv32(7, make([]float32, 2), make([]float32, 2), make([]float32, 2), make([]float32, 2))
+			return Sendrecv(c, 7, make([]float32, 2), make([]float32, 2), make([]float32, 2), make([]float32, 2))
 		}
-		return c.Sendrecv32(-1, nil, nil, nil, nil)
+		return Sendrecv[float32](c, -1, nil, nil, nil, nil)
 	})
 	if err == nil {
 		t.Error("out-of-range partner accepted")
@@ -718,9 +688,9 @@ func TestSendrecv32IdleAndErrors(t *testing.T) {
 	g4, _ := NewGroup(2, Transpose)
 	err = g4.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Sendrecv32(1, make([]float32, 4), make([]float32, 2), make([]float32, 4), make([]float32, 4))
+			return Sendrecv(c, 1, make([]float32, 4), make([]float32, 2), make([]float32, 4), make([]float32, 4))
 		}
-		return c.Sendrecv32(0, make([]float32, 4), make([]float32, 4), make([]float32, 4), make([]float32, 4))
+		return Sendrecv(c, 0, make([]float32, 4), make([]float32, 4), make([]float32, 4), make([]float32, 4))
 	})
 	if err == nil {
 		t.Error("mismatched send component lengths accepted")

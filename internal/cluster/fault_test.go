@@ -52,42 +52,39 @@ func TestAbortFirstCauseSticky(t *testing.T) {
 func TestFaultInjectionMatrix(t *testing.T) {
 	boom := errors.New("simulated node death")
 	const k = 4
+	// Each plane collective reports one op name for both element types:
+	// the "…32" cases run the float32 instance under the same name.
 	ops := []struct {
-		name string
-		body func(c *Comm) error
+		name, op string
+		body     func(c *Comm) error
 	}{
-		{"Barrier", func(c *Comm) error { return c.Barrier() }},
-		{"Alltoall", func(c *Comm) error {
-			buf := make([]complex128, 4*k)
-			return c.Alltoall(buf)
+		{"Barrier", "Barrier", func(c *Comm) error { return c.Barrier() }},
+		{"Alltoall", "Alltoall", func(c *Comm) error {
+			return Alltoall(c, make([]float64, 4*k), make([]float64, 4*k))
 		}},
-		{"Alltoall32", func(c *Comm) error {
-			re := make([]float32, 4*k)
-			im := make([]float32, 4*k)
-			return c.Alltoall32(re, im)
+		{"Alltoall32", "Alltoall", func(c *Comm) error {
+			return Alltoall(c, make([]float32, 4*k), make([]float32, 4*k))
 		}},
-		{"AllreduceSum", func(c *Comm) error {
+		{"AllreduceSum", "AllreduceSum", func(c *Comm) error {
 			_, err := c.AllreduceSum(1)
 			return err
 		}},
-		{"AllreduceMin", func(c *Comm) error {
+		{"AllreduceMin", "AllreduceMin", func(c *Comm) error {
 			_, err := c.AllreduceMin(float64(c.Rank()))
 			return err
 		}},
-		{"AllreduceSumVec", func(c *Comm) error {
+		{"AllreduceSumVec", "AllreduceSumVec", func(c *Comm) error {
 			return c.AllreduceSumVec(make([]float64, 6))
 		}},
-		{"Sendrecv", func(c *Comm) error {
-			buf := make([]complex128, 8)
-			recv := make([]complex128, 8)
-			return c.Sendrecv(c.Rank()^1, buf, recv)
+		{"Sendrecv", "Sendrecv", func(c *Comm) error {
+			re, im := make([]float64, 8), make([]float64, 8)
+			return Sendrecv(c, c.Rank()^1, re, im, make([]float64, 8), make([]float64, 8))
 		}},
-		{"Sendrecv32", func(c *Comm) error {
+		{"Sendrecv32", "Sendrecv", func(c *Comm) error {
 			re, im := make([]float32, 8), make([]float32, 8)
-			rr, ri := make([]float32, 8), make([]float32, 8)
-			return c.Sendrecv32(c.Rank()^1, re, im, rr, ri)
+			return Sendrecv(c, c.Rank()^1, re, im, make([]float32, 8), make([]float32, 8))
 		}},
-		{"AllGather", func(c *Comm) error {
+		{"AllGather", "AllGather", func(c *Comm) error {
 			_, err := c.AllGather(make([]complex128, 4))
 			return err
 		}},
@@ -104,7 +101,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 					// collective under test: the first call proves the
 					// healthy path still completes with a fault injector
 					// installed.
-					if rank == victim && o == op.name && call == 1 {
+					if rank == victim && o == op.op && call == 1 {
 						return boom
 					}
 					return nil

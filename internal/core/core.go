@@ -196,7 +196,7 @@ type Options struct {
 // diagonal is shared by every evaluation, never copied.
 //
 // When the diagonal is exactly an affine grid Min + Scale·k with at
-// most 2^n/phaseTableRatio points (LABS, unweighted MaxCut, any integer
+// most 2^n/PhaseTableRatio points (LABS, unweighted MaxCut, any integer
 // cost of modest range), the simulator also keeps its uint16 level
 // codes, and each phase application gathers e^{−iγ·level} from a
 // per-γ table instead of calling sincos per amplitude. The table
@@ -321,7 +321,7 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	// application, so it never takes tables. A half state's codes cover
 	// the representatives only.
 	if !opts.RecomputePhase {
-		if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/phaseTableRatio); err == nil {
+		if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/PhaseTableRatio); err == nil {
 			s.levels = q
 			s.nlevels = int(q.MaxCode()) + 1
 		}
@@ -342,10 +342,11 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	return s, nil
 }
 
-// phaseTableRatio bounds the grids that take phase tables to 2^n/16
+// PhaseTableRatio bounds the grids that take phase tables to 2^n/16
 // points, so one per-γ table build costs at most 1/16 of the 2^n
-// sincos calls it replaces.
-const phaseTableRatio = 16
+// sincos calls it replaces. The distributed engine applies the same
+// bound to each rank's slice.
+const PhaseTableRatio = 16
 
 // setupInitialState resolves the initial state: a caller-provided
 // vector, |+⟩^n for the x mixer, or a Dicke state for xy mixers.

@@ -552,7 +552,7 @@ func TestPhaseTableRule(t *testing.T) {
 		}
 		requireTableSide(t, c.label, s, c.table)
 		if s.half && s.levels != nil {
-			full, err := costvec.QuantizeExact(s.diag, len(s.diag)/phaseTableRatio)
+			full, err := costvec.QuantizeExact(s.diag, len(s.diag)/PhaseTableRatio)
 			if err != nil || !slices.Equal(s.levels.Codes, full.Codes[:len(s.diag)/2]) {
 				t.Errorf("%s: half-state codes are not the first half of the full diagonal's (%v)", c.label, err)
 			}

@@ -340,67 +340,6 @@ func (q *Quantized) PhaseTableInto(tab []complex128, gamma float64) {
 	}
 }
 
-// PhaseApplyVec multiplies each amplitude by its quantized phase
-// factor through one per-γ table build and a straight-line
-// gather-multiply — the form the distributed simulator runs on each
-// rank's shard (rank goroutines are already the parallelism; nesting
-// a kernel pool underneath would oversubscribe the host).
-func (q *Quantized) PhaseApplyVec(v statevec.Vec, gamma float64) {
-	if len(v) != len(q.Codes) {
-		panic(fmt.Sprintf("costvec: PhaseApplyVec length mismatch %d vs %d", len(v), len(q.Codes)))
-	}
-	tab := q.PhaseTable(gamma)
-	for i := range v {
-		v[i] *= tab[q.Codes[i]]
-	}
-}
-
-// ExpectationVec computes Σ_x value_x |ψ_x|² serially, reconstructing
-// each value in index order — the same operation sequence as
-// statevec.ExpectationDiag against the expanded diagonal, so an exact
-// quantization reproduces the float64 objective bit for bit.
-func (q *Quantized) ExpectationVec(v statevec.Vec) float64 {
-	if len(v) != len(q.Codes) {
-		panic(fmt.Sprintf("costvec: ExpectationVec length mismatch %d vs %d", len(v), len(q.Codes)))
-	}
-	var s float64
-	for i, a := range v {
-		s += (q.Min + q.Scale*float64(q.Codes[i])) * (real(a)*real(a) + imag(a)*imag(a))
-	}
-	return s
-}
-
-// MulVec multiplies amplitude x by its reconstructed cost value_x in
-// place: ψ ← Ĉ|ψ⟩ straight off the codes, the cost-weighted seed of
-// the adjoint reverse pass on a quantized shard. Value reconstruction
-// (Min + Scale·k, with Scale·k exact for power-of-two scales) matches
-// the float64 diagonal bit for bit when the quantization is exact, so
-// quantized adjoint gradients inherit the float64 path's rounding.
-func (q *Quantized) MulVec(v statevec.Vec) {
-	if len(v) != len(q.Codes) {
-		panic(fmt.Sprintf("costvec: MulVec length mismatch %d vs %d", len(v), len(q.Codes)))
-	}
-	for i := range v {
-		v[i] *= complex(q.Min+q.Scale*float64(q.Codes[i]), 0)
-	}
-}
-
-// ImDotDiag returns Σ_x value_x · Im(conj(lam_x)·psi_x) = Im ⟨λ|Ĉ|ψ⟩
-// against the quantized diagonal: the phase-operator derivative
-// reduction of the adjoint gradient, evaluated directly from the
-// codes. It panics on length mismatch.
-func (q *Quantized) ImDotDiag(lam, psi statevec.Vec) float64 {
-	if len(lam) != len(psi) || len(lam) != len(q.Codes) {
-		panic(fmt.Sprintf("costvec: ImDotDiag length mismatch %d/%d/%d", len(lam), len(psi), len(q.Codes)))
-	}
-	var s float64
-	for i := range lam {
-		v := q.Min + q.Scale*float64(q.Codes[i])
-		s += v * (real(lam[i])*imag(psi[i]) - imag(lam[i])*real(psi[i]))
-	}
-	return s
-}
-
 // ExpectationQuantized computes Σ_x value_x |ψ_x|² directly from the
 // codes without expanding the diagonal: E = Min·‖ψ‖² + Scale·Σ_x
 // code_x |ψ_x|².

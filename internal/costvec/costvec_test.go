@@ -255,7 +255,7 @@ func TestPhaseTableAndApply(t *testing.T) {
 	direct := v.Clone()
 	statevec.PhaseDiag(direct, diag, gamma)
 	viaTable := v.Clone()
-	q.PhaseApplyVec(viaTable, gamma)
+	statevec.ApplyPhase(viaTable, statevec.Phase{Diag: diag, Gamma: gamma, Codes: q.Codes, Tab: q.PhaseTable(gamma)})
 	if d := statevec.MaxAbsDiff(direct, viaTable); d > 1e-12 {
 		t.Fatalf("quantized phase apply differs: %g", d)
 	}
@@ -333,8 +333,8 @@ func randomTerms(rng *rand.Rand, n, count int) poly.Terms {
 // TestQuantizeConstantDiagonal pins the degenerate-diagonal contract:
 // a constant diagonal (hi == lo) quantizes to Scale 0 with all-zero
 // codes — no zero/NaN step, no divide-by-zero in code assignment —
-// and Value, Expand, PhaseTable, PhaseApplyVec, and the expectation stay
-// exact.
+// and Value, Expand, PhaseTable, the table phase, and the expectation
+// stay exact.
 func TestQuantizeConstantDiagonal(t *testing.T) {
 	for _, c := range []float64{0, -3.5, 7} {
 		diag := []float64{c, c, c, c}
@@ -367,7 +367,7 @@ func TestQuantizeConstantDiagonal(t *testing.T) {
 			}
 		}
 
-		// PhaseApplyVec and the expectation agree with the float64 path.
+		// The table phase and the expectation agree with the float64 path.
 		q, err := QuantizeAuto(diag)
 		if err != nil {
 			t.Fatal(err)
@@ -376,7 +376,7 @@ func TestQuantizeConstantDiagonal(t *testing.T) {
 		v := statevec.NewUniform(2)
 		direct := v.Clone()
 		statevec.PhaseDiag(direct, diag, 0.7)
-		q.PhaseApplyVec(v, 0.7)
+		statevec.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.7, Codes: q.Codes, Tab: q.PhaseTable(0.7)})
 		if d := statevec.MaxAbsDiff(direct, v); d > 1e-15 {
 			t.Fatalf("constant %v: quantized phase differs by %g", c, d)
 		}
@@ -454,11 +454,13 @@ func TestQuantizeRangeErrors(t *testing.T) {
 	}
 }
 
-// TestQuantizedAdjointHelpers checks the serial adjoint-path methods
-// against their float64 counterparts: PhaseApplyVec, ExpectationVec,
-// MulVec, and ImDotDiag must reproduce the expanded-diagonal results
-// exactly (bit for bit for exact quantizations — the property that
-// makes quantized distributed gradients match float64 to rounding).
+// TestQuantizedAdjointHelpers checks the quantized adjoint path, a
+// codes-only statevec.Phase built from the quantization (Diag nil,
+// levels Min + Scale·code), against the expanded float64 diagonal on
+// the split-layout kernels: the phase, the expectation, the λ seed
+// (MulDiag) and Im ⟨λ|Ĉ|ψ⟩ with the phase undo must match bit for bit
+// for an exact quantization — the property that makes quantized
+// distributed energies and gradients equal the float64 ones.
 func TestQuantizedAdjointHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n := 8
@@ -476,26 +478,33 @@ func TestQuantizedAdjointHelpers(t *testing.T) {
 	for i := range lam {
 		lam[i] *= complex(rng.NormFloat64(), 0.5)
 	}
-
-	viaTable := psi.Clone()
-	q.PhaseApplyVec(viaTable, 0.41)
-	direct := psi.Clone()
-	statevec.PhaseDiag(direct, diag, 0.41)
-	if d := statevec.MaxAbsDiff(direct, viaTable); d > 0 {
-		t.Errorf("PhaseApplyVec differs from PhaseDiag by %g", d)
-	}
-
-	if got, want := q.ExpectationVec(psi), statevec.ExpectationDiag(psi, diag); got != want {
-		t.Errorf("ExpectationVec = %v, want %v", got, want)
-	}
-	if got, want := q.ImDotDiag(lam, psi), statevec.ImDotDiag(lam, psi, diag); got != want {
-		t.Errorf("ImDotDiag = %v, want %v", got, want)
-	}
-	seeded := psi.Clone()
-	q.MulVec(seeded)
-	wantSeed := psi.Clone()
-	statevec.MulDiag(wantSeed, diag)
-	if d := statevec.MaxAbsDiff(seeded, wantSeed); d > 0 {
-		t.Errorf("MulVec differs from MulDiag by %g", d)
+	const gamma = 0.41
+	p := statevec.NewPool(1)
+	tab := q.PhaseTable(gamma)
+	codesOnly := statevec.Phase{Gamma: gamma, Codes: q.Codes, Tab: tab, Min: q.Min, Scale: q.Scale}
+	for name, ref := range map[string]statevec.Phase{
+		"sincos": {Diag: diag, Gamma: gamma},
+		"table":  {Diag: diag, Gamma: gamma, Codes: q.Codes, Tab: tab},
+	} {
+		a, b := statevec.SoAFromVec(psi), statevec.SoAFromVec(psi)
+		statevec.ApplyPhasePlanes(p, a.Re, a.Im, ref)
+		statevec.ApplyPhasePlanes(p, b.Re, b.Im, codesOnly)
+		if d := statevec.MaxAbsDiff(a.ToVec(), b.ToVec()); d > 0 {
+			t.Errorf("%s: codes-only phase differs by %g", name, d)
+		}
+		if got, want := statevec.ExpectationPlanes(p, b.Re, b.Im, codesOnly), statevec.ExpectationPlanes(p, a.Re, a.Im, ref); got != want {
+			t.Errorf("%s: codes-only expectation %v, want %v", name, got, want)
+		}
+		la, lb := statevec.SoAFromVec(lam), statevec.SoAFromVec(lam)
+		got := statevec.ReversePhasePlanes(p, lb.Re, lb.Im, b.Re, b.Im, codesOnly, true)
+		want := statevec.ReversePhasePlanes(p, la.Re, la.Im, a.Re, a.Im, ref, true)
+		if got != want || statevec.MaxAbsDiff(a.ToVec(), b.ToVec()) > 0 || statevec.MaxAbsDiff(la.ToVec(), lb.ToVec()) > 0 {
+			t.Errorf("%s: codes-only reverse phase %v, want %v (states must match bitwise)", name, got, want)
+		}
+		statevec.MulDiagPlanes(p, a.Re, a.Im, ref)
+		statevec.MulDiagPlanes(p, b.Re, b.Im, codesOnly)
+		if d := statevec.MaxAbsDiff(a.ToVec(), b.ToVec()); d > 0 {
+			t.Errorf("%s: codes-only MulDiag differs by %g", name, d)
+		}
 	}
 }

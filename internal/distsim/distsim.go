@@ -4,42 +4,47 @@
 // index bits are the "global" qubits fixed by the rank id, the rest
 // are "local".
 //
-// Per layer:
+// Each rank runs the single-node split-layout kernels on its slice,
+// held as (re, im) planes in float64 or float32 (shard.go). Per layer:
 //   - the phase operator and the cost-diagonal precomputation touch
 //     only local data (each rank computed its diagonal slice from the
-//     terms with PrecomputeRange — no communication, §III-A locality),
-//   - the transverse-field mixer applies Algorithm 1 to the n−k local
-//     qubits, performs one all-to-all (which transposes the rank bits
-//     with the top k local bits), applies the remaining k rotations —
-//     now local, at positions n−2k…n−k−1 — and restores the layout
-//     with a second all-to-all,
+//     terms with PrecomputeRange — no communication, §III-A locality);
+//     the phase gathers from per-γ tables when the rank's slice is an
+//     exact grid, as single-node does,
+//   - the transverse-field mixer runs the tiled F = 2 layer on the n−k
+//     local qubits, with the phase in its first pass, performs one
+//     all-to-all (which transposes the rank bits with the top k local
+//     bits), runs one tiled pass over the k swapped-in qubits — now
+//     local, at positions n−2k…n−k−1 — and restores the layout with a
+//     second all-to-all,
 //   - the xy mixers sweep their edge list in the exact single-node
 //     order (core.MixerSweepEdges): edges between local qubits run the
-//     single-node SU(4) kernel; an edge touching a global qubit
-//     couples each amplitude to one on exactly one partner rank (the
-//     rank id with that qubit's bit flipped), so it costs one
-//     point-to-point slice exchange (cluster.Comm.Sendrecv, the
-//     cuStateVec index-bit-swap pattern) instead of an all-to-all.
+//     single-node kernel; an edge touching a global qubit couples each
+//     amplitude to one on exactly one partner rank (the rank id with
+//     that qubit's bit flipped), so it costs one point-to-point slice
+//     exchange (cluster.Sendrecv, the cuStateVec index-bit-swap
+//     pattern) instead of an all-to-all.
 //
 // The objective is one local partial inner product plus an all-reduce.
 // Algorithm 4 requires 2k ≤ n so each all-to-all subchunk holds at
 // least one amplitude.
 //
-// grad.go extends the pipeline to adjoint-mode gradients: the sharded
-// ket and cost-weighted bra walk backwards through exact layer
-// inverses, with per-layer derivative partials combined by one vector
-// all-reduce (Comm.AllreduceSumVec) — communication stays mixer-shaped.
+// Every entry point — the GradEngine's energy, gradient, outputs and
+// streaming, and the one-shot SimulateQAOA* functions, which run one
+// lease of a fresh engine — goes through one evolution function,
+// shard.evolve. grad.go adds the adjoint gradient: the ket and the
+// cost-weighted bra walk backwards through the tiled joint reverse
+// step, and one vector all-reduce (AllreduceSumVec) combines the
+// per-layer partials — communication stays mixer-shaped.
 package distsim
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"qokit/internal/cluster"
 	"qokit/internal/core"
-	"qokit/internal/costvec"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/statevec"
@@ -70,11 +75,10 @@ type Options struct {
 	// rank group and state buffers, so memory grows linearly with it.
 	Concurrency int
 	// Precision selects the sharded amplitude storage (§V-B): float64
-	// complex128 shards (the default), or float32 split-component
-	// shards with float32 wire formats on every collective — half the
-	// state memory per rank and half the fabric bytes, at the
-	// single-node SoA32 accuracy (state error ~few ULPs per layer,
-	// gradient band ~2e-3).
+	// planes (the default), or float32 planes with float32 wire formats
+	// on every collective — half the state memory per rank and half the
+	// fabric bytes, at the single-node SoA32 accuracy (state error ~few
+	// ULPs per layer, gradient band ~2e-3).
 	Precision Precision
 	// Quantize stores each rank's diagonal slice as uint16 codes
 	// (§V-B): every rank quantizes only its PrecomputeRange shard
@@ -92,50 +96,6 @@ type Options struct {
 	// the checkpoint/restart suite uses to kill ranks mid-collective.
 	// Production callers leave it nil.
 	Fault cluster.FaultFn
-}
-
-// Precision selects the sharded state's amplitude storage.
-type Precision int
-
-const (
-	// PrecisionFloat64 stores complex128 amplitudes (16 B each) with
-	// complex128 wire formats.
-	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 stores split float32 component pairs (8 B each)
-	// with float32 wire formats, halving state memory and fabric bytes.
-	PrecisionFloat32
-)
-
-// String names the precision.
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFloat64:
-		return "float64"
-	case PrecisionFloat32:
-		return "float32"
-	default:
-		return fmt.Sprintf("Precision(%d)", int(p))
-	}
-}
-
-// AmpBytes returns the wire and storage size of one amplitude.
-func (p Precision) AmpBytes() int64 {
-	if p == PrecisionFloat32 {
-		return 8
-	}
-	return 16
-}
-
-// ParsePrecision resolves a precision name.
-func ParsePrecision(name string) (Precision, error) {
-	switch name {
-	case "", "float64", "f64", "double":
-		return PrecisionFloat64, nil
-	case "float32", "f32", "single":
-		return PrecisionFloat32, nil
-	default:
-		return 0, fmt.Errorf("distsim: unknown precision %q (want float64 or float32)", name)
-	}
 }
 
 // validate checks the option set against the problem size and resolves
@@ -253,208 +213,40 @@ type Result struct {
 }
 
 // SimulateQAOA runs the full distributed Algorithm 3/4 pipeline for
-// the problem given by terms. Cancelling ctx releases every rank from
-// its next collective and returns ctx.Err().
+// the problem given by terms: one lease of a fresh GradEngine.
+// Cancelling ctx releases every rank from its next collective and
+// returns ctx.Err().
 func SimulateQAOA(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options) (*Result, error) {
-	return simulateQAOAPlan(ctx, n, terms, gamma, beta, opts, ckptPlan{})
+	return simulate(ctx, n, terms, gamma, beta, opts, ckptPlan{})
 }
 
-// simulateQAOAPlan is SimulateQAOA threaded through a checkpoint plan:
-// the zero plan is a plain run; SimulateQAOACheckpointed passes a plan
-// that seeds the shards from a snapshot and captures layer boundaries.
-func simulateQAOAPlan(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options, plan ckptPlan) (*Result, error) {
-	if err := terms.Validate(n); err != nil {
-		return nil, err
-	}
-	if len(gamma) != len(beta) {
-		return nil, fmt.Errorf("distsim: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
-	}
-	k, err := opts.validate(n)
+// simulate is SimulateQAOA threaded through a checkpoint plan: the zero
+// plan is a plain run; SimulateQAOACheckpointed passes a plan that
+// seeds the shards from a snapshot and captures layer boundaries.
+func simulate(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options, plan ckptPlan) (*Result, error) {
+	eng, err := NewGradEngine(n, terms, opts)
 	if err != nil {
 		return nil, err
 	}
-	edges, err := core.MixerSweepEdges(n, opts.Mixer)
-	if err != nil {
-		return nil, err
-	}
-	compiled := poly.Compile(terms)
-	g, err := cluster.NewGroup(opts.Ranks, opts.Algo)
-	if err != nil {
-		return nil, err
-	}
-	g.SetFault(opts.Fault)
-	if opts.Precision == PrecisionFloat32 {
-		return simulateQAOA32(ctx, g, n, k, compiled, edges, gamma, beta, opts, plan)
-	}
-
-	localN := n - k
-	localSize := 1 << uint(localN)
-	hw := opts.hammingWeight(n)
-	restrict := opts.Mixer != core.MixerX
 	res := &Result{}
-	locals := make([]statevec.Vec, opts.Ranks)
-	expectParts := make([]float64, opts.Ranks)
-	overlapParts := make([]float64, opts.Ranks)
-	minParts := make([]float64, opts.Ranks)
-
-	err = g.RunContext(ctx, func(c *cluster.Comm) error {
-		rank := c.Rank()
-		offset := uint64(rank) << uint(localN)
-
-		// Local precompute: no communication (§III-A). With Quantize the
-		// float64 shard is scratch — it is compressed to uint16 codes
-		// against the globally agreed (min, scale) and released, leaving
-		// 2 B per amplitude of diagonal storage (§V-B).
-		diag := make([]float64, localSize)
-		costvec.PrecomputeRange(compiled, offset, diag)
-		var quant *costvec.Quantized
-		if opts.Quantize {
-			q, err := agreeQuantization(c, diag, opts.QuantScale)
-			if err != nil {
-				return err
+	r := &run{
+		gamma: gamma, beta: beta, plan: plan, energy: &res.Expectation,
+		outputs: func(c *cluster.Comm, v shardView) error {
+			gmin, overlap, err := rankGround(c, v)
+			if c.Rank() == 0 {
+				res.MinCost, res.Overlap = gmin, overlap
 			}
-			if q == nil {
-				return nil // a peer's shard failed; that rank reports
-			}
-			quant = q
-			diag = nil
-		}
-		cost := func(i int) float64 {
-			if quant != nil {
-				return quant.Min + quant.Scale*float64(quant.Codes[i])
-			}
-			return diag[i]
-		}
-
-		// Local slice of the initial state: |+⟩^n or the Dicke shard, or
-		// the snapshotted mid-run shard when resuming from a checkpoint.
-		local := make(statevec.Vec, localSize)
-		if plan.resume != nil {
-			copy(local, plan.resume.Shards[rank])
-		} else {
-			initLocalState(local, n, rank, opts.Mixer, hw)
-		}
-		var recv, send statevec.Vec
-		if restrict {
-			recv = make(statevec.Vec, localSize)
-			send = make(statevec.Vec, localSize/2)
-		}
-
-		for l := plan.start; l < len(gamma); l++ {
-			if quant != nil {
-				quant.PhaseApplyVec(local, gamma[l])
-			} else {
-				statevec.PhaseDiag(local, diag, gamma[l])
-			}
-			if opts.Mixer == core.MixerX {
-				if err := distributedMixer(c, local, n, k, beta[l]); err != nil {
-					return err
-				}
-			} else if err := distributedMixerXY(c, local, recv, send, localN, edges, beta[l]); err != nil {
-				return err
-			}
-			if plan.capture != nil {
-				if err := plan.capture(c, l+1, local); err != nil {
-					return err
-				}
-			}
-		}
-
-		// Objective: local partial sums + all-reduce.
-		localE := 0.0
-		if quant != nil {
-			localE = quant.ExpectationVec(local)
-		} else {
-			localE = statevec.ExpectationDiag(local, diag)
-		}
-		e, err := c.AllreduceSum(localE)
-		if err != nil {
 			return err
-		}
-		expectParts[rank] = e
-
-		// Ground states: global (feasible-subspace) minimum, then local
-		// overlap mass. The xy mixers never leave the fixed-Hamming-
-		// weight subspace, so their argmin search is restricted to it,
-		// matching the single-node simulator.
-		localMin := math.Inf(1)
-		for i := 0; i < localSize; i++ {
-			if restrict && bits.OnesCount64(offset+uint64(i)) != hw {
-				continue
-			}
-			if v := cost(i); v < localMin {
-				localMin = v
-			}
-		}
-		globalMin, err := c.AllreduceMin(localMin)
-		if err != nil {
-			return err
-		}
-		minParts[rank] = globalMin
-		var ov float64
-		for i := 0; i < localSize; i++ {
-			if restrict && bits.OnesCount64(offset+uint64(i)) != hw {
-				continue
-			}
-			if cost(i) <= globalMin+1e-9 {
-				a := local[i]
-				ov += real(a)*real(a) + imag(a)*imag(a)
-			}
-		}
-		if overlapParts[rank], err = c.AllreduceSum(ov); err != nil {
-			return err
-		}
-
-		if opts.Gather {
-			full, err := c.AllGather(local)
-			if err != nil {
-				return err
-			}
-			if rank == 0 {
-				locals[0] = full
-			}
-		}
-		return nil
-	})
-	if err != nil {
+		},
+	}
+	if opts.Gather {
+		r.state = &res.State
+	}
+	if err := eng.eval(ctx, r); err != nil {
 		return nil, err
 	}
-
-	res.Expectation = expectParts[0]
-	res.Overlap = overlapParts[0]
-	res.MinCost = minParts[0]
-	if opts.Gather {
-		res.State = locals[0]
-	}
-	res.PerRank = make([]cluster.Counters, opts.Ranks)
-	for r := 0; r < opts.Ranks; r++ {
-		res.PerRank[r] = g.Counters(r)
-	}
-	res.Comm = g.TotalCounters()
+	res.Comm, res.PerRank = eng.Counters(), eng.perRank()
 	return res, nil
-}
-
-// initLocalState fills rank's slice of the QAOA initial state: the
-// uniform superposition for the transverse-field mixer, or the Dicke
-// state |D^n_hw⟩ shard for the xy mixers — entries whose full index
-// (global rank bits ‖ local index) has Hamming weight hw.
-func initLocalState(v statevec.Vec, n, rank int, mixer core.Mixer, hw int) {
-	if mixer == core.MixerX {
-		amp := complex(1/math.Sqrt(float64(uint64(1)<<uint(n))), 0)
-		for i := range v {
-			v[i] = amp
-		}
-		return
-	}
-	need := hw - bits.OnesCount(uint(rank))
-	amp := complex(1/math.Sqrt(float64(binomial(n, hw))), 0)
-	for i := range v {
-		if bits.OnesCount(uint(i)) == need {
-			v[i] = amp
-		} else {
-			v[i] = 0
-		}
-	}
 }
 
 func binomial(n, k int) int {
@@ -471,65 +263,6 @@ func binomial(n, k int) int {
 	return c
 }
 
-// distributedMixer is Algorithm 4: local sweeps, transpose, global
-// sweeps (now local), transpose back.
-func distributedMixer(c *cluster.Comm, local statevec.Vec, n, k int, beta float64) error {
-	s, cs := math.Sincos(beta)
-	a, b := complex(cs, 0), complex(0, -s)
-	localN := n - k
-	for q := 0; q < localN; q++ {
-		statevec.ApplySU2(local, q, a, b)
-	}
-	if k == 0 {
-		return nil
-	}
-	if err := c.Alltoall(local); err != nil {
-		return err
-	}
-	// Global qubit j (index bit n−k+j) now lives at local bit n−2k+j.
-	for j := 0; j < k; j++ {
-		statevec.ApplySU2(local, localN-k+j, a, b)
-	}
-	return c.Alltoall(local)
-}
-
-// distributedMixerXY applies one Trotter step of an xy mixer to the
-// sharded state, sweeping edges in the exact single-node order. Local
-// edges are communication-free. A half-remote edge (one local, one
-// global qubit) exchanges only the selected half-slice — each rank
-// sends exactly the entries its partner consumes, packed contiguously
-// into send — halving the wire volume relative to a full-slice
-// exchange. A fully-global edge pairs every local amplitude with the
-// same index on the partner rank, so its full slice is irreducible.
-func distributedMixerXY(c *cluster.Comm, local, recv, send statevec.Vec, localN int, edges []graphs.Edge, beta float64) error {
-	s64, c64 := math.Sincos(beta)
-	cc, ss := complex(c64, 0), complex(0, -s64)
-	for _, e := range edges {
-		u, v := orderEdge(e)
-		if v < localN {
-			statevec.ApplyXY(local, u, v, beta)
-			continue
-		}
-		partner, uMask, selMask, selVal := xyEdgePlan(c.Rank(), localN, u, v)
-		if uMask != 0 {
-			half := len(local) / 2
-			packHalf(send[:half], local, uMask, selVal)
-			if err := c.Sendrecv(partner, send[:half], recv[:half]); err != nil {
-				return err
-			}
-			applyRemotePairsHalf(local, recv[:half], uMask, selVal, cc, ss)
-			continue
-		}
-		if err := c.Sendrecv(partner, local, recv); err != nil {
-			return err
-		}
-		if partner >= 0 {
-			applyRemotePairs(local, recv, uMask, selMask, selVal, cc, ss)
-		}
-	}
-	return nil
-}
-
 // orderEdge returns the edge's qubits with u < v (the xy factor is
 // symmetric in its qubits, so normalizing loses nothing).
 func orderEdge(e graphs.Edge) (u, v int) {
@@ -539,121 +272,68 @@ func orderEdge(e graphs.Edge) (u, v int) {
 	return e.V, e.U
 }
 
-// xyEdgePlan maps an xy edge with at least one global qubit
-// (u < v, v ≥ localN) onto this rank's exchange: the partner rank
-// holding the paired amplitudes, the local-index bit flip between
-// pair halves (uMask), and the selector (selMask, selVal) of the
-// entries this rank owns and updates. partner < 0 means the edge acts
-// as the identity on this rank's amplitudes (both of the edge's rank
-// bits agree: the |00⟩/|11⟩ subspace); such ranks still join the
-// exchange's synchronization but move no data.
+// remoteEdge is one rank's side of an xy edge with at least one global
+// qubit: the partner rank holding the paired amplitudes, the
+// local-index bit flip between pair halves (uMask, 0 when both qubits
+// are global), and the value x & uMask of the local entries this rank
+// owns and updates (selVal). partner < 0 means the edge acts as the
+// identity on this rank's amplitudes (both of the edge's rank bits
+// agree: the |00⟩/|11⟩ subspace); such ranks still join the exchange's
+// synchronization but move no data.
 //
 // The xy factor rotates each (|…1_u…0_v…⟩, |…0_u…1_v…⟩) amplitude
 // pair by the symmetric matrix [[cos β, −i sin β], [−i sin β, cos β]]
 // — symmetry is what lets one formula (local ← c·local + s·remote)
 // cover both halves of every pair.
-func xyEdgePlan(rank, localN, u, v int) (partner, uMask, selMask, selVal int) {
+type remoteEdge struct{ partner, uMask, selVal int }
+
+// xyEdgePlan maps an xy edge with at least one global qubit
+// (u < v, v ≥ localN) onto this rank's exchange.
+func xyEdgePlan(rank, localN, u, v int) remoteEdge {
 	jb := 1 << uint(v-localN)
 	if u < localN {
 		// Half-remote: u stays a local bit, v is rank bit j. A rank
 		// with v-bit b owns the pair halves whose u-bit is 1−b.
-		partner = rank ^ jb
-		uMask = 1 << uint(u)
-		selMask = uMask
+		re := remoteEdge{partner: rank ^ jb, uMask: 1 << uint(u)}
 		if rank&jb == 0 {
-			selVal = uMask
+			re.selVal = re.uMask
 		}
-		return partner, uMask, selMask, selVal
+		return re
 	}
 	ib := 1 << uint(u-localN)
 	if (rank&ib != 0) == (rank&jb != 0) {
-		return -1, 0, 0, 0
+		return remoteEdge{partner: -1}
 	}
 	// Both qubits are rank bits: the paired amplitude sits at the same
 	// local index on the rank with both bits flipped.
-	return rank ^ ib ^ jb, 0, 0, 0
+	return remoteEdge{partner: rank ^ ib ^ jb}
 }
 
-// applyRemotePairs rotates the selected amplitude pairs (local[x],
-// remote[x^uMask]) by [[cc, ss], [ss, cc]], writing only the local
-// half — the partner rank runs the same kernel for the other half.
-// remote is a full partner slice; the half-remote fast path uses
-// applyRemotePairsHalf on a packed half-slice instead.
-func applyRemotePairs(local, remote statevec.Vec, uMask, selMask, selVal int, cc, ss complex128) {
-	for x := range local {
-		if x&selMask == selVal {
-			local[x] = cc*local[x] + ss*remote[x^uMask]
+// forPairs calls fn(x, j) for every local index x this rank updates,
+// in ascending order, with j the index of x's partner amplitude in the
+// received planes: the packed position for a half-remote edge (both
+// sides share every index bit except u, so ascending order on the
+// sender lines up with the receiver's), x itself for a fully global
+// one.
+func (re remoteEdge) forPairs(size int, fn func(x, j int)) {
+	if re.partner < 0 {
+		return
+	}
+	j := 0
+	for x := re.selVal; x < size; x++ {
+		if x&re.uMask == re.selVal {
+			fn(x, j)
+			j++
 		}
 	}
-}
-
-// packHalf gathers the entries this rank contributes to a half-remote
-// exchange — src[x] for x & uMask == selVal, in ascending x — into the
-// contiguous dst. Because both sides of the pair share every index bit
-// except bit u, ascending order on the sender lines packed index i up
-// with the receiver's ascending selected x: entry i is exactly
-// src[x^uMask] for the receiver's i-th selected x. The packed
-// half-slice is what crosses the wire — half the bytes of the full
-// slice the pre-optimization exchange moved.
-func packHalf(dst, src statevec.Vec, uMask, selVal int) {
-	i := 0
-	for x := selVal; x < len(src); x++ {
-		if x&uMask == selVal {
-			dst[i] = src[x]
-			i++
-		}
-	}
-}
-
-// applyRemotePairsHalf is applyRemotePairs against a packed half-slice
-// from packHalf: the i-th selected local entry pairs with remoteHalf[i].
-func applyRemotePairsHalf(local statevec.Vec, remoteHalf statevec.Vec, uMask, selVal int, cc, ss complex128) {
-	i := 0
-	for x := selVal; x < len(local); x++ {
-		if x&uMask == selVal {
-			local[x] = cc*local[x] + ss*remoteHalf[i]
-			i++
-		}
-	}
-}
-
-// imDotRemotePairsHalf is imDotRemotePairs against a packed half-slice:
-// this rank's half of Im ⟨λ|H_e|ψ⟩ with the partner's ψ entries
-// arriving as packHalf output.
-func imDotRemotePairsHalf(lam statevec.Vec, psiHalf statevec.Vec, uMask, selVal int) float64 {
-	var s float64
-	i := 0
-	for x := selVal; x < len(lam); x++ {
-		if x&uMask == selVal {
-			p := psiHalf[i]
-			s += real(lam[x])*imag(p) - imag(lam[x])*real(p)
-			i++
-		}
-	}
-	return s
-}
-
-// imDotRemotePairs accumulates this rank's half of Im ⟨λ|H_e|ψ⟩ for a
-// global-touching xy edge: the terms whose λ index is local, against
-// the partner's exchanged ψ slice. Summed over ranks (the gradient's
-// vector all-reduce) the halves reassemble statevec.ImDotXY exactly.
-func imDotRemotePairs(lam, psiRemote statevec.Vec, uMask, selMask, selVal int) float64 {
-	var s float64
-	for x := range lam {
-		if x&selMask == selVal {
-			p := psiRemote[x^uMask]
-			s += real(lam[x])*imag(p) - imag(lam[x])*real(p)
-		}
-	}
-	return s
 }
 
 // MixerOnly runs just the distributed transverse-field mixer once on a
-// caller-provided distributed state (one slice per rank, modified in
-// place) and returns the group counters. It is the kernel benchmarked
-// by the weak-scaling experiment (Fig. 5 measures one LABS layer,
-// which is dominated by this collective pattern).
-func MixerOnly(n int, ranks int, algo cluster.AlltoallAlgo, slices []statevec.Vec, beta float64) (cluster.Counters, error) {
+// caller-provided distributed state (one 2^(n−k)-amplitude slice per
+// rank, modified in place) and returns the group counters. It is the
+// kernel benchmarked by the weak-scaling experiment (Fig. 5 measures
+// one LABS layer, which is dominated by this collective pattern).
+func MixerOnly(n int, ranks int, algo cluster.AlltoallAlgo, slices []*statevec.SoA, beta float64) (cluster.Counters, error) {
 	k, err := Options{Ranks: ranks, Algo: algo}.validate(n)
 	if err != nil {
 		return cluster.Counters{}, err
@@ -661,12 +341,18 @@ func MixerOnly(n int, ranks int, algo cluster.AlltoallAlgo, slices []statevec.Ve
 	if len(slices) != ranks {
 		return cluster.Counters{}, fmt.Errorf("distsim: len(slices)=%d != Options.Ranks=%d", len(slices), ranks)
 	}
+	for r, s := range slices {
+		if s == nil || s.Len() != 1<<uint(n-k) {
+			return cluster.Counters{}, fmt.Errorf("distsim: slice %d is not a 2^%d-amplitude state", r, n-k)
+		}
+	}
 	g, err := cluster.NewGroup(ranks, algo)
 	if err != nil {
 		return cluster.Counters{}, err
 	}
 	err = g.Run(func(c *cluster.Comm) error {
-		return distributedMixer(c, slices[c.Rank()], n, k, beta)
+		s := slices[c.Rank()]
+		return mixerX(c, planes[float64]{s.Re, s.Im}, statevec.Phase{}, k, beta)
 	})
 	if err != nil {
 		return cluster.Counters{}, err

@@ -192,10 +192,10 @@ func TestMixerOnlyMatchesSingleNode(t *testing.T) {
 	statevec.ApplyUniformRX(want, beta)
 
 	for _, k := range []int{2, 4, 8} {
-		slices := make([]statevec.Vec, k)
+		slices := make([]*statevec.SoA, k)
 		sliceLen := len(full) / k
 		for r := 0; r < k; r++ {
-			slices[r] = full[r*sliceLen : (r+1)*sliceLen].Clone()
+			slices[r] = statevec.SoAFromVec(full[r*sliceLen : (r+1)*sliceLen])
 		}
 		ctr, err := MixerOnly(n, k, cluster.Transpose, slices, beta)
 		if err != nil {
@@ -206,7 +206,7 @@ func TestMixerOnlyMatchesSingleNode(t *testing.T) {
 		}
 		got := make(statevec.Vec, 0, len(full))
 		for _, s := range slices {
-			got = append(got, s...)
+			got = append(got, s.ToVec()...)
 		}
 		if d := statevec.MaxAbsDiff(got, want); d > 1e-11 {
 			t.Errorf("K=%d: distributed mixer differs by %g", k, d)
@@ -215,11 +215,14 @@ func TestMixerOnlyMatchesSingleNode(t *testing.T) {
 }
 
 func TestMixerOnlyValidation(t *testing.T) {
-	if _, err := MixerOnly(4, 2, cluster.Transpose, make([]statevec.Vec, 3), 0.1); err == nil {
+	if _, err := MixerOnly(4, 2, cluster.Transpose, make([]*statevec.SoA, 3), 0.1); err == nil {
 		t.Error("wrong slice count accepted")
 	}
-	if _, err := MixerOnly(4, 16, cluster.Transpose, make([]statevec.Vec, 16), 0.1); err == nil {
+	if _, err := MixerOnly(4, 16, cluster.Transpose, make([]*statevec.SoA, 16), 0.1); err == nil {
 		t.Error("2k > n accepted")
+	}
+	if _, err := MixerOnly(4, 2, cluster.Transpose, []*statevec.SoA{statevec.NewSoA(2), statevec.NewSoA(3)}, 0.1); err == nil {
+		t.Error("wrong slice length accepted")
 	}
 }
 
@@ -318,4 +321,74 @@ func mustRing(t *testing.T, n int) graphs.Graph {
 		g.Edges = append(g.Edges, graphs.Edge{U: i, V: (i + 1) % n})
 	}
 	return g
+}
+
+// shardState returns the ψ planes of every rank of eng's one lease, in
+// rank order, as one full state: after a forward evaluation they hold
+// the evolved state.
+func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
+	t.Helper()
+	if len(eng.all) != 1 {
+		t.Fatalf("engine holds %d leases, want 1", len(eng.all))
+	}
+	var full planes[T]
+	for _, ev := range eng.all[0].shards {
+		sh := ev.(*shard[T])
+		full.re = append(full.re, sh.psi.re...)
+		full.im = append(full.im, sh.psi.im...)
+	}
+	return full
+}
+
+// TestShardStatesMatchSingleNodeBitwise pins what running the
+// single-node kernels on the shards gives: with n − k and k even, every
+// amplitude of a forward shard sees the same phase factor and the same
+// ascending RX⊗RX pair blocks as the single-node tiled layer, so the
+// gathered forward state equals the single-node SoA (SoA32) full state
+// bit for bit. The single-node simulator reaches the full state through
+// an explicit uniform InitialState.
+func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{8, 10} {
+		terms := problems.LABSTerms(n)
+		for _, p := range []int{1, 4, 12} {
+			gamma, beta := randomAngles(rng, p)
+			x := append(append([]float64(nil), gamma...), beta...)
+			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+				single, err := core.New(n, terms, core.Options{
+					Backend: core.BackendSoA, SinglePrecision: prec == PrecisionFloat32,
+					InitialState: statevec.NewUniform(n), Workers: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := single.SimulateQAOA(gamma, beta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.StateVector()
+				for _, ranks := range []int{1, 4} {
+					eng, err := NewGradEngine(n, terms, Options{Ranks: ranks, Precision: prec})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := eng.Energy(context.Background(), x); err != nil {
+						t.Fatal(err)
+					}
+					var got statevec.Vec
+					if prec == PrecisionFloat32 {
+						got = shardState[float32](t, eng).vec()
+					} else {
+						got = shardState[float64](t, eng).vec()
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("n=%d p=%d %v K=%d: amplitude %d is %v, single-node %v", n, p, prec, ranks, i, got[i], want[i])
+							break
+						}
+					}
+				}
+			}
+		}
+	}
 }

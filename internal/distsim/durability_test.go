@@ -46,7 +46,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 		wantCkpt bool // a snapshot must exist after the kill
 	}{
 		{"f64-ranks4-alltoall", Options{Ranks: 4}, "Alltoall", 2, 2, true},
-		{"f32-ranks4-alltoall32", Options{Ranks: 4, Precision: PrecisionFloat32}, "Alltoall32", 1, 2, true},
+		{"f32-ranks4-alltoall32", Options{Ranks: 4, Precision: PrecisionFloat32}, "Alltoall", 1, 2, true},
 		{"quant-ranks4-alltoall", Options{Ranks: 4, Quantize: true}, "Alltoall", 3, 2, true},
 		{"f64-ranks1-allreduce", Options{Ranks: 1}, "AllreduceSum", 0, 0, true},
 		{"f64-ranks4-xy-sendrecv", Options{Ranks: 4, Mixer: core.MixerXYRing}, "Sendrecv", 1, 4, true},

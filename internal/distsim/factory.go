@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
@@ -13,42 +12,14 @@ import (
 	"qokit/internal/statevec"
 )
 
-// newGradEngineShared builds a GradEngine whose per-rank diagonal
-// shards (exactly one of diags/quants non-nil, matching opts.Quantize)
-// were materialized by the caller — typically slices of one
-// registry-cached full diagonal — so construction performs zero
-// precompute and zero quantization-agreement communication.
-func newGradEngineShared(n int, opts Options, diags [][]float64, quants []*costvec.Quantized) (*GradEngine, error) {
-	k, err := opts.validate(n)
-	if err != nil {
-		return nil, err
-	}
-	edges, err := core.MixerSweepEdges(n, opts.Mixer)
-	if err != nil {
-		return nil, err
-	}
-	e := &GradEngine{
-		n: n, k: k, hw: opts.hammingWeight(n),
-		opts:     opts,
-		edges:    edges,
-		diags:    diags,
-		quants:   quants,
-		slots:    make(chan *gradLease, opts.concurrency()),
-		deadRank: make([]cluster.Counters, opts.Ranks),
-	}
-	for i := 0; i < opts.concurrency(); i++ {
-		e.slots <- nil
-	}
-	return e, nil
-}
-
 // Factory builds distributed gradient engines on demand. The per-rank
 // diagonal shards are materialized once — sliced out of one shared
-// full diagonal lease — and shared read-only across every build, so an
-// elastic pool growing a new engine (one rank-group lease each, since
-// builds run Concurrency 1 by default) pays for cluster state buffers
-// only, never a second precompute. A quantized factory slices one
-// full-diagonal quantization, which is globally consistent across
+// full diagonal lease, scanned for non-finite entries and for each
+// slice's phase-table grid — and shared read-only across every build,
+// so an elastic pool growing a new engine (one rank-group lease each,
+// since builds run Concurrency 1 by default) pays for cluster state
+// buffers only, never a second precompute. A quantized factory slices
+// one full-diagonal quantization, which is globally consistent across
 // ranks by construction — no agreement collective needed.
 type Factory struct {
 	n       int
@@ -57,8 +28,7 @@ type Factory struct {
 
 	mu     sync.Mutex
 	src    core.DiagSource
-	diags  [][]float64
-	quants []*costvec.Quantized
+	costs  []rankCost
 	builds map[*GradEngine]bool
 }
 
@@ -114,7 +84,7 @@ func (f *Factory) Caps() evaluator.Caps {
 // shardsLocked materializes the per-rank shards on first use
 // (f.mu held).
 func (f *Factory) shardsLocked(ctx context.Context) error {
-	if f.diags != nil || f.quants != nil {
+	if f.costs != nil {
 		return nil
 	}
 	src, err := f.acquire(ctx)
@@ -123,10 +93,20 @@ func (f *Factory) shardsLocked(ctx context.Context) error {
 	}
 	k, _ := f.opts.validate(f.n) // validated at construction
 	localSize := 1 << uint(f.n-k)
+	full := src.Diag()
+	diags := make([][]float64, f.opts.Ranks)
+	for r := range diags {
+		diags[r] = full[r*localSize : (r+1)*localSize]
+	}
+	if err := checkFinite(diags); err != nil {
+		src.Release()
+		return err
+	}
+	var quants []*costvec.Quantized
 	if f.opts.Quantize {
 		var q *costvec.Quantized
 		if f.opts.QuantScale > 0 {
-			q, err = costvec.Quantize(src.Diag(), f.opts.QuantScale)
+			q, err = costvec.Quantize(full, f.opts.QuantScale)
 		} else {
 			q, err = src.Quantized()
 		}
@@ -134,23 +114,16 @@ func (f *Factory) shardsLocked(ctx context.Context) error {
 			src.Release()
 			return fmt.Errorf("distsim: quantizing shared diagonal: %w", err)
 		}
-		quants := make([]*costvec.Quantized, f.opts.Ranks)
-		for r := 0; r < f.opts.Ranks; r++ {
+		quants = make([]*costvec.Quantized, f.opts.Ranks)
+		for r := range quants {
 			quants[r] = &costvec.Quantized{
 				Codes: q.Codes[r*localSize : (r+1)*localSize],
 				Min:   q.Min,
 				Scale: q.Scale,
 			}
 		}
-		f.src, f.quants = src, quants
-		return nil
 	}
-	full := src.Diag()
-	diags := make([][]float64, f.opts.Ranks)
-	for r := 0; r < f.opts.Ranks; r++ {
-		diags[r] = full[r*localSize : (r+1)*localSize]
-	}
-	f.src, f.diags = src, diags
+	f.src, f.costs = src, rankCosts(diags, quants)
 	return nil
 }
 
@@ -170,7 +143,7 @@ func (f *Factory) NewGradEngine(ctx context.Context) (*GradEngine, error) {
 	if err := f.shardsLocked(ctx); err != nil {
 		return nil, err
 	}
-	e, err := newGradEngineShared(f.n, f.opts, f.diags, f.quants)
+	e, err := newEngine(f.n, f.opts, f.costs)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +166,7 @@ func (f *Factory) Retire(ev evaluator.Evaluator) error {
 	delete(f.builds, eng)
 	if len(f.builds) == 0 && f.src != nil {
 		f.src.Release()
-		f.src, f.diags, f.quants = nil, nil, nil
+		f.src, f.costs = nil, nil
 	}
 	return nil
 }

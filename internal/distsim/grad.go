@@ -1,14 +1,17 @@
 // Distributed adjoint-mode gradients: the exact ∂E/∂γ_ℓ, ∂E/∂β_ℓ of
 // the QAOA objective, evaluated on the state vector sharded over the
-// in-process cluster. The algorithm is core.SimulateQAOAGradInto run
-// per rank: one forward pass fills the sharded ket ψ, the bra is
-// seeded locally as λ = Ĉψ (the diagonal is already sharded), and both
-// states walk backwards through exact layer inverses with every
-// reduction evaluated on the local slice — the PR 2 derivative kernels
-// ImDotDiag/ImDotXAll (plus ImDotXRange for the transposed global
-// qubits, and the partner-exchange xy reductions). Per-layer partials
-// accumulate rank-locally; one vector all-reduce
-// (cluster.Comm.AllreduceSumVec) at the end combines all 2p of them.
+// in-process cluster. The algorithm is core's adjoint run per rank:
+// one forward pass fills the sharded ket ψ, the bra is seeded locally
+// as λ = Ĉψ (the diagonal is already sharded), and both states walk
+// backwards through the single-node joint reverse kernels with every
+// reduction evaluated on the local slice. For the x mixer each layer
+// transposes both states, runs the joint reverse RX step over the k
+// swapped-in qubits (ReverseRXRangePlanes), transposes back and runs
+// the tiled ReverseUniformRX over the local qubits with the phase
+// reduction and undo in its last pass; the xy mixers use ReverseXY and
+// partner exchanges. Per-layer partials accumulate rank-locally; one
+// vector all-reduce (cluster.Comm.AllreduceSumVec) at the end combines
+// all 2p of them.
 //
 // Communication therefore stays mixer-shaped: the reverse pass replays
 // the forward mixer's collectives once per state (two states ⇒ exactly
@@ -23,7 +26,6 @@ package distsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"qokit/internal/cluster"
@@ -32,7 +34,6 @@ import (
 	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
-	"qokit/internal/statevec"
 )
 
 // GradEngine evaluates distributed energies and exact adjoint
@@ -54,13 +55,11 @@ type GradEngine struct {
 	opts     Options
 	edges    []graphs.Edge
 
-	// diags is shared read-only by every lease (nil with Quantize,
-	// whose shards live in quants instead).
-	diags [][]float64
-	// quants holds the per-rank uint16-quantized diagonal shards, all
-	// coded against one globally agreed (min, scale) — 2 B per
-	// amplitude instead of 8 (§V-B). Nil unless Options.Quantize.
-	quants []*costvec.Quantized
+	// costs holds each rank's slice of the diagonal, shared read-only
+	// by every lease: float64 entries, or under Options.Quantize uint16
+	// codes against one globally agreed (min, scale) — 2 B per
+	// amplitude instead of 8 (§V-B).
+	costs []rankCost
 
 	// slots holds one token per allowed concurrent evaluation; a nil
 	// token means the lease is allocated on first use. Leases poisoned
@@ -78,32 +77,11 @@ type GradEngine struct {
 	deadRank  []cluster.Counters
 }
 
-// gradLease is one evaluation's worth of mutable distributed state:
-// a rank group plus per-rank adjoint pair, xy exchange scratch, and
-// gradient-partial buffers.
+// gradLease is one evaluation's worth of mutable distributed state: a
+// rank group plus one shard workspace per rank.
 type gradLease struct {
-	group *cluster.Group
-	psi   []statevec.Vec
-	lam   []statevec.Vec
-	// recvPsi/recvLam/send are the per-rank Sendrecv scratch slices the
-	// xy partner exchanges use (nil for the transverse-field mixer,
-	// whose collectives are in-place all-to-alls). send is half-slice
-	// sized: half-remote edges pack and exchange only the selected
-	// half.
-	recvPsi []statevec.Vec
-	recvLam []statevec.Vec
-	send    []statevec.Vec
-	// psi32/lam32 and the f32 scratch pairs are the single-precision
-	// counterparts, allocated instead of the complex128 buffers when
-	// Options.Precision is PrecisionFloat32 — half the lease memory.
-	psi32     []*statevec.SoA32
-	lam32     []*statevec.SoA32
-	recvPsi32 []f32buf
-	recvLam32 []f32buf
-	send32    []f32buf
-	// flat is the per-rank [∂γ…, ∂β…] partial buffer the final vector
-	// all-reduce combines, grown to 2p on first use.
-	flat [][]float64
+	group  *cluster.Group
+	shards []evolver
 }
 
 // NewGradEngine builds a distributed gradient engine for an n-qubit
@@ -119,59 +97,63 @@ func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	edges, err := core.MixerSweepEdges(n, opts.Mixer)
-	if err != nil {
+	compiled := poly.Compile(terms)
+	localSize := 1 << uint(n-k)
+	diags := make([][]float64, opts.Ranks)
+	for r := range diags {
+		diags[r] = make([]float64, localSize)
+		costvec.PrecomputeRange(compiled, uint64(r)*uint64(localSize), diags[r])
+	}
+	if err := checkFinite(diags); err != nil {
 		return nil, err
 	}
-	compiled := poly.Compile(terms)
-	localN := n - k
-	localSize := 1 << uint(localN)
-	e := &GradEngine{
-		n: n, k: k, hw: opts.hammingWeight(n),
-		opts:     opts,
-		edges:    edges,
-		slots:    make(chan *gradLease, opts.concurrency()),
-		deadRank: make([]cluster.Counters, opts.Ranks),
-	}
-	for i := 0; i < opts.concurrency(); i++ {
-		e.slots <- nil
-	}
+	var quants []*costvec.Quantized
 	if opts.Quantize {
-		// Each rank precomputes its float64 shard as scratch, runs the
-		// global (min, scale) agreement pre-pass, and keeps only the
-		// uint16 codes — the engine never stores a float64 diagonal.
-		e.quants = make([]*costvec.Quantized, opts.Ranks)
+		// Each rank runs the global (min, scale) agreement pre-pass on
+		// its float64 shard and keeps only the uint16 codes — the engine
+		// never stores a float64 diagonal.
+		quants = make([]*costvec.Quantized, opts.Ranks)
 		qg, err := cluster.NewGroup(opts.Ranks, opts.Algo)
 		if err != nil {
 			return nil, err
 		}
 		qg.SetFault(opts.Fault)
 		if err := qg.Run(func(c *cluster.Comm) error {
-			shard := make([]float64, localSize)
-			costvec.PrecomputeRange(compiled, uint64(c.Rank())<<uint(localN), shard)
-			q, err := agreeQuantization(c, shard, opts.QuantScale)
-			if err != nil {
-				return err
-			}
-			if q != nil {
-				e.quants[c.Rank()] = q
-			}
-			return nil
+			q, err := agreeQuantization(c, diags[c.Rank()], opts.QuantScale)
+			quants[c.Rank()] = q
+			return err
 		}); err != nil {
 			return nil, err
 		}
-		return e, nil
 	}
-	e.diags = make([][]float64, opts.Ranks)
-	for r := 0; r < opts.Ranks; r++ {
-		diag := make([]float64, localSize)
-		costvec.PrecomputeRange(compiled, uint64(r)<<uint(localN), diag)
-		e.diags[r] = diag
+	return newEngine(n, opts, rankCosts(diags, quants))
+}
+
+// newEngine builds an engine over per-rank cost slices.
+func newEngine(n int, opts Options, costs []rankCost) (*GradEngine, error) {
+	k, err := opts.validate(n)
+	if err != nil {
+		return nil, err
+	}
+	edges, err := core.MixerSweepEdges(n, opts.Mixer)
+	if err != nil {
+		return nil, err
+	}
+	e := &GradEngine{
+		n: n, k: k, hw: opts.hammingWeight(n),
+		opts:     opts,
+		edges:    edges,
+		costs:    costs,
+		slots:    make(chan *gradLease, opts.concurrency()),
+		deadRank: make([]cluster.Counters, opts.Ranks),
+	}
+	for i := 0; i < opts.concurrency(); i++ {
+		e.slots <- nil
 	}
 	return e, nil
 }
 
-// newLease allocates one evaluation's rank group and buffers and
+// newLease allocates one evaluation's rank group and shards and
 // registers it for counter aggregation.
 func (e *GradEngine) newLease() (*gradLease, error) {
 	g, err := cluster.NewGroup(e.opts.Ranks, e.opts.Algo)
@@ -179,46 +161,12 @@ func (e *GradEngine) newLease() (*gradLease, error) {
 		return nil, err
 	}
 	g.SetFault(e.opts.Fault)
-	localN := e.n - e.k
-	localSize := 1 << uint(localN)
-	l := &gradLease{
-		group: g,
-		flat:  make([][]float64, e.opts.Ranks),
-	}
-	xy := e.opts.Mixer != core.MixerX
-	if e.opts.Precision == PrecisionFloat32 {
-		l.psi32 = make([]*statevec.SoA32, e.opts.Ranks)
-		l.lam32 = make([]*statevec.SoA32, e.opts.Ranks)
-		if xy {
-			l.recvPsi32 = make([]f32buf, e.opts.Ranks)
-			l.recvLam32 = make([]f32buf, e.opts.Ranks)
-			l.send32 = make([]f32buf, e.opts.Ranks)
-		}
-		for r := 0; r < e.opts.Ranks; r++ {
-			l.psi32[r] = statevec.NewSoA32(localN)
-			l.lam32[r] = statevec.NewSoA32(localN)
-			if xy {
-				l.recvPsi32[r] = newF32buf(localSize)
-				l.recvLam32[r] = newF32buf(localSize)
-				l.send32[r] = newF32buf(localSize / 2)
-			}
-		}
-	} else {
-		l.psi = make([]statevec.Vec, e.opts.Ranks)
-		l.lam = make([]statevec.Vec, e.opts.Ranks)
-		if xy {
-			l.recvPsi = make([]statevec.Vec, e.opts.Ranks)
-			l.recvLam = make([]statevec.Vec, e.opts.Ranks)
-			l.send = make([]statevec.Vec, e.opts.Ranks)
-		}
-		for r := 0; r < e.opts.Ranks; r++ {
-			l.psi[r] = make(statevec.Vec, localSize)
-			l.lam[r] = make(statevec.Vec, localSize)
-			if xy {
-				l.recvPsi[r] = make(statevec.Vec, localSize)
-				l.recvLam[r] = make(statevec.Vec, localSize)
-				l.send[r] = make(statevec.Vec, localSize/2)
-			}
+	l := &gradLease{group: g, shards: make([]evolver, e.opts.Ranks)}
+	for r := range l.shards {
+		if e.opts.Precision == PrecisionFloat32 {
+			l.shards[r] = newShard[float32](e, r)
+		} else {
+			l.shards[r] = newShard[float64](e, r)
 		}
 	}
 	e.mu.Lock()
@@ -315,6 +263,37 @@ func (e *GradEngine) RankCounters(r int) cluster.Counters {
 	return t
 }
 
+// perRank returns every rank's accumulated counters.
+func (e *GradEngine) perRank() []cluster.Counters {
+	out := make([]cluster.Counters, e.opts.Ranks)
+	for r := range out {
+		out[r] = e.RankCounters(r)
+	}
+	return out
+}
+
+// eval is the entry every evaluation shares: it rejects mismatched or
+// non-finite angles, checks out a lease and runs r on every rank of it.
+// Cancelling ctx releases every rank from its next collective and
+// returns ctx.Err().
+func (e *GradEngine) eval(ctx context.Context, r *run) error {
+	if len(r.gamma) != len(r.beta) {
+		return fmt.Errorf("distsim: len(gamma)=%d != len(beta)=%d", len(r.gamma), len(r.beta))
+	}
+	if err := evaluator.CheckAngles(r.gamma, r.beta); err != nil {
+		return err
+	}
+	lease, err := e.acquire(ctx)
+	if err != nil {
+		return err
+	}
+	err = lease.group.RunContext(ctx, func(c *cluster.Comm) error {
+		return lease.shards[c.Rank()].evolve(c, r)
+	})
+	e.release(lease, err != nil)
+	return err
+}
+
 // EnergyGradAngles evaluates E(γ,β) on the sharded state and writes
 // the exact adjoint gradients ∂E/∂γ_ℓ, ∂E/∂β_ℓ into gradGamma and
 // gradBeta (length p each). The result is identical (to floating-point
@@ -322,112 +301,15 @@ func (e *GradEngine) RankCounters(r int) cluster.Counters {
 // up to Options.Concurrency concurrent calls; cancelling ctx releases
 // every rank from its next collective and returns ctx.Err().
 func (e *GradEngine) EnergyGradAngles(ctx context.Context, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
-	p := len(gamma)
-	if len(beta) != p {
-		return 0, fmt.Errorf("distsim: len(gamma)=%d != len(beta)=%d", p, len(beta))
-	}
-	if len(gradGamma) != p || len(gradBeta) != p {
+	if p := len(gamma); len(gradGamma) != p || len(gradBeta) != p {
 		return 0, fmt.Errorf("distsim: gradient storage lengths (%d, %d) do not match depth p=%d",
 			len(gradGamma), len(gradBeta), p)
 	}
-	lease, err := e.acquire(ctx)
-	if err != nil {
-		return 0, err
-	}
 	var energy float64
-	err = lease.group.RunContext(ctx, func(c *cluster.Comm) error {
-		if e.opts.Precision == PrecisionFloat32 {
-			return e.gradRank32(c, lease, p, gamma, beta, gradGamma, gradBeta, &energy)
-		}
-		return e.gradRank64(c, lease, p, gamma, beta, gradGamma, gradBeta, &energy)
-	})
-	e.release(lease, err != nil)
-	if err != nil {
+	if err := e.eval(ctx, &run{gamma: gamma, beta: beta, energy: &energy, gradGamma: gradGamma, gradBeta: gradBeta}); err != nil {
 		return 0, err
 	}
 	return energy, nil
-}
-
-// gradRank64 is one rank's adjoint pipeline on the complex128 shard,
-// reading the diagonal from either representation (float64 slice or
-// uint16 codes — the quantized reconstruction is exact, so both read
-// identical values).
-func (e *GradEngine) gradRank64(c *cluster.Comm, lease *gradLease, p int, gamma, beta, gradGamma, gradBeta []float64, energy *float64) error {
-	rank := c.Rank()
-	psi, lam := lease.psi[rank], lease.lam[rank]
-
-	// Forward pass: evolve the sharded ket.
-	initLocalState(psi, e.n, rank, e.opts.Mixer, e.hw)
-	for l := 0; l < p; l++ {
-		e.phase(rank, psi, gamma[l])
-		if err := e.forwardMixer(c, lease, psi, rank, beta[l]); err != nil {
-			return err
-		}
-	}
-	eAll, err := c.AllreduceSum(e.expectation(rank, psi))
-	if err != nil {
-		return err
-	}
-	if rank == 0 {
-		*energy = eAll
-	}
-
-	// Seed the bra: λ = Ĉψ is elementwise against the local slice.
-	copy(lam, psi)
-	if e.quants != nil {
-		e.quants[rank].MulVec(lam)
-	} else {
-		statevec.MulDiag(lam, e.diags[rank])
-	}
-
-	// Reverse pass: per-layer partials accumulate rank-locally.
-	flat := lease.flatBuffer(rank, 2*p)
-	gG, gB := flat[:p], flat[p:]
-	for l := p - 1; l >= 0; l-- {
-		d, err := e.reverseMixer(c, lease, psi, lam, rank, beta[l])
-		if err != nil {
-			return err
-		}
-		gB[l] = 2 * d
-		if e.quants != nil {
-			gG[l] = 2 * e.quants[rank].ImDotDiag(lam, psi)
-		} else {
-			gG[l] = 2 * statevec.ImDotDiag(lam, psi, e.diags[rank])
-		}
-		if l > 0 {
-			e.phase(rank, psi, -gamma[l])
-			e.phase(rank, lam, -gamma[l])
-		}
-	}
-
-	// One vector all-reduce combines every per-layer partial.
-	if err := c.AllreduceSumVec(flat); err != nil {
-		return err
-	}
-	if rank == 0 {
-		copy(gradGamma, flat[:p])
-		copy(gradBeta, flat[p:])
-	}
-	return nil
-}
-
-// phase applies the rank's phase operator to a complex128 shard from
-// whichever diagonal representation the engine holds.
-func (e *GradEngine) phase(rank int, v statevec.Vec, gamma float64) {
-	if e.quants != nil {
-		e.quants[rank].PhaseApplyVec(v, gamma)
-		return
-	}
-	statevec.PhaseDiag(v, e.diags[rank], gamma)
-}
-
-// expectation is the rank-local objective partial over either
-// diagonal representation.
-func (e *GradEngine) expectation(rank int, v statevec.Vec) float64 {
-	if e.quants != nil {
-		return e.quants[rank].ExpectationVec(v)
-	}
-	return statevec.ExpectationDiag(v, e.diags[rank])
 }
 
 // The distributed engine implements evaluator.Evaluator, so a serving
@@ -442,35 +324,8 @@ func (e *GradEngine) Energy(ctx context.Context, x []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lease, err := e.acquire(ctx)
-	if err != nil {
-		return 0, err
-	}
 	var energy float64
-	err = lease.group.RunContext(ctx, func(c *cluster.Comm) error {
-		if e.opts.Precision == PrecisionFloat32 {
-			return e.forwardRank32(c, lease, gamma, beta, &energy)
-		}
-		rank := c.Rank()
-		psi := lease.psi[rank]
-		initLocalState(psi, e.n, rank, e.opts.Mixer, e.hw)
-		for l := range gamma {
-			e.phase(rank, psi, gamma[l])
-			if err := e.forwardMixer(c, lease, psi, rank, beta[l]); err != nil {
-				return err
-			}
-		}
-		eAll, err := c.AllreduceSum(e.expectation(rank, psi))
-		if err != nil {
-			return err
-		}
-		if rank == 0 {
-			energy = eAll
-		}
-		return nil
-	})
-	e.release(lease, err != nil)
-	if err != nil {
+	if err := e.eval(ctx, &run{gamma: gamma, beta: beta, energy: &energy}); err != nil {
 		return 0, err
 	}
 	return energy, nil
@@ -493,7 +348,7 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 // Caps reports the engine's evaluation metadata: K ranks behind each
 // evaluation, Options.Concurrency evaluations in flight at once, and
 // the adjoint pair's sharded state memory per evaluation — per
-// amplitude 16 B for the complex128 shards, 8 B for float32, so a
+// amplitude 16 B for float64 planes, 8 B for float32, so a
 // scheduler packing heterogeneous pools by StateBytes sees the real
 // footprint of each precision.
 func (e *GradEngine) Caps() evaluator.Caps {
@@ -510,122 +365,6 @@ func (e *GradEngine) Caps() evaluator.Caps {
 		Outputs:       true,
 		Streaming:     true,
 	}
-}
-
-// forwardMixer applies one mixer layer to a sharded state.
-func (e *GradEngine) forwardMixer(c *cluster.Comm, l *gradLease, state statevec.Vec, rank int, beta float64) error {
-	if e.opts.Mixer == core.MixerX {
-		return distributedMixer(c, state, e.n, e.k, beta)
-	}
-	return distributedMixerXY(c, state, l.recvPsi[rank], l.send[rank], e.n-e.k, e.edges, beta)
-}
-
-// reverseMixer accumulates this rank's share of Im ⟨λ|∂B/∂β·B†|…⟩ for
-// one layer and rewinds both states through the exact mixer inverse,
-// mirroring core's mixerDerivUndo on the sharded pair.
-func (e *GradEngine) reverseMixer(c *cluster.Comm, l *gradLease, psi, lam statevec.Vec, rank int, beta float64) (float64, error) {
-	if e.opts.Mixer == core.MixerX {
-		return reverseMixerX(c, psi, lam, e.n, e.k, beta)
-	}
-	return reverseMixerXY(c, psi, lam, l.recvPsi[rank], l.recvLam[rank], l.send[rank], e.n-e.k, e.edges, beta)
-}
-
-func (l *gradLease) flatBuffer(rank, size int) []float64 {
-	if cap(l.flat[rank]) < size {
-		l.flat[rank] = make([]float64, size)
-	}
-	return l.flat[rank][:size]
-}
-
-// reverseMixerX is the transverse-field reverse sweep: the local-qubit
-// derivative reduction runs in the sharded layout, the k global-qubit
-// terms in the transposed layout — reusing the forward mixer's
-// all-to-all exchange, once per state. Every X_q commutes with the
-// whole mixer product, so splitting the reduction across the partial
-// undo is an exact operator identity, not an approximation.
-func reverseMixerX(c *cluster.Comm, psi, lam statevec.Vec, n, k int, beta float64) (float64, error) {
-	s, cs := math.Sincos(-beta)
-	a, b := complex(cs, 0), complex(0, -s)
-	localN := n - k
-	d := statevec.ImDotXAll(lam, psi)
-	for q := 0; q < localN; q++ {
-		statevec.ApplySU2(psi, q, a, b)
-		statevec.ApplySU2(lam, q, a, b)
-	}
-	if k == 0 {
-		return d, nil
-	}
-	if err := c.Alltoall(psi); err != nil {
-		return 0, err
-	}
-	if err := c.Alltoall(lam); err != nil {
-		return 0, err
-	}
-	// Global qubit j now lives at local bit localN−k+j (Algorithm 4).
-	d += statevec.ImDotXRange(lam, psi, localN-k, localN)
-	for j := 0; j < k; j++ {
-		statevec.ApplySU2(psi, localN-k+j, a, b)
-		statevec.ApplySU2(lam, localN-k+j, a, b)
-	}
-	if err := c.Alltoall(psi); err != nil {
-		return 0, err
-	}
-	if err := c.Alltoall(lam); err != nil {
-		return 0, err
-	}
-	return d, nil
-}
-
-// reverseMixerXY interleaves one edge reduction with one edge undo in
-// reverse application order (the xy factors do not commute), exactly
-// as the single-node engine does. Each global-touching edge exchanges
-// both states' slices with the partner rank — the same Sendrecv the
-// forward sweep uses, twice — so the half-slice packing of half-remote
-// edges halves the reverse pass's wire volume too, keeping the
-// traffic ratio at exactly 3× one forward run.
-func reverseMixerXY(c *cluster.Comm, psi, lam, recvPsi, recvLam, send statevec.Vec, localN int, edges []graphs.Edge, beta float64) (float64, error) {
-	s64, c64 := math.Sincos(-beta)
-	cc, ss := complex(c64, 0), complex(0, -s64)
-	var d float64
-	for i := len(edges) - 1; i >= 0; i-- {
-		u, v := orderEdge(edges[i])
-		if v < localN {
-			d += statevec.ImDotXY(lam, psi, u, v)
-			statevec.ApplyXY(psi, u, v, -beta)
-			statevec.ApplyXY(lam, u, v, -beta)
-			continue
-		}
-		partner, uMask, selMask, selVal := xyEdgePlan(c.Rank(), localN, u, v)
-		if uMask != 0 {
-			// Half-remote: pack each state's selected half. Sendrecv's
-			// closing barrier makes reusing one send buffer safe.
-			half := len(psi) / 2
-			packHalf(send[:half], psi, uMask, selVal)
-			if err := c.Sendrecv(partner, send[:half], recvPsi[:half]); err != nil {
-				return 0, err
-			}
-			packHalf(send[:half], lam, uMask, selVal)
-			if err := c.Sendrecv(partner, send[:half], recvLam[:half]); err != nil {
-				return 0, err
-			}
-			d += imDotRemotePairsHalf(lam, recvPsi[:half], uMask, selVal)
-			applyRemotePairsHalf(psi, recvPsi[:half], uMask, selVal, cc, ss)
-			applyRemotePairsHalf(lam, recvLam[:half], uMask, selVal, cc, ss)
-			continue
-		}
-		if err := c.Sendrecv(partner, psi, recvPsi); err != nil {
-			return 0, err
-		}
-		if err := c.Sendrecv(partner, lam, recvLam); err != nil {
-			return 0, err
-		}
-		if partner >= 0 {
-			d += imDotRemotePairs(lam, recvPsi, uMask, selMask, selVal)
-			applyRemotePairs(psi, recvPsi, uMask, selMask, selVal, cc, ss)
-			applyRemotePairs(lam, recvLam, uMask, selMask, selVal, cc, ss)
-		}
-	}
-	return d, nil
 }
 
 // FlatObjective adapts the engine into a value-and-gradient objective
@@ -697,9 +436,5 @@ func simulateGradInto(ctx context.Context, n int, terms poly.Terms, gamma, beta,
 	if err != nil {
 		return 0, cluster.Counters{}, nil, err
 	}
-	perRank := make([]cluster.Counters, opts.Ranks)
-	for r := 0; r < opts.Ranks; r++ {
-		perRank[r] = eng.RankCounters(r)
-	}
-	return energy, eng.Counters(), perRank, nil
+	return energy, eng.Counters(), eng.perRank(), nil
 }

@@ -5,7 +5,8 @@
 // turns the §V-B memory-reduced representations (float32 shards,
 // uint16-quantized diagonals) into full solver backends: every
 // quantity below needs only |ψ_x|² and the cost of locally owned basis
-// states, both of which each rank holds.
+// states, both of which each rank holds. The output stage runs inside
+// the shared evolution (shard.evolve) over the rank's evolved planes.
 //
 // The three mechanisms:
 //
@@ -46,13 +47,9 @@ import (
 	"sort"
 
 	"qokit/internal/cluster"
-	"qokit/internal/core"
-	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
-	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/sampling"
-	"qokit/internal/statevec"
 )
 
 // OutputSpec selects the gather-free outputs of one distributed
@@ -61,9 +58,9 @@ type OutputSpec = evaluator.OutputSpec
 
 // shardView is one rank's read-only view of its evolved shard for the
 // output stage: probability and cost by local index, plus the rank's
-// place in the global index space. It abstracts over the three shard
-// representations (complex128, SoA32, quantized diagonal) — the whole
-// output stage needs nothing else.
+// place in the global index space. It abstracts over the shard
+// representations (float64 or float32 planes, float64 or quantized
+// diagonal) — the whole output stage needs nothing else.
 type shardView struct {
 	size     int
 	localN   int
@@ -88,19 +85,12 @@ func popcount64(x uint64) int {
 	return n
 }
 
-// rankOutputs runs one rank's share of the gather-free output stage:
-// ground-state overlap and minimum, the most probable state, then the
-// spec's CVaR levels, probability queries, and sampled shots. Every
-// rank executes the same collective sequence; rank 0 stores the
-// (identical) reduced values into the shared res, and sampled shots
-// are written into disjoint slots of res.Samples by their winning
-// ranks. Safe to publish because Group.RunContext joins every rank
-// before the caller reads res.
-func rankOutputs(c *cluster.Comm, v shardView, spec OutputSpec, res *Result) error {
-	rank := c.Rank()
-
-	// Ground states: global (feasible-subspace) minimum, local overlap
-	// mass — the same reduction SimulateQAOA performs.
+// rankGround returns the global (feasible-subspace) minimum cost and
+// the probability mass on the states that attain it, on every rank.
+// The xy mixers never leave the fixed-Hamming-weight subspace, so the
+// argmin search is restricted to it, matching the single-node
+// simulator.
+func rankGround(c *cluster.Comm, v shardView) (gmin, overlap float64, err error) {
 	localMin := math.Inf(1)
 	for i := 0; i < v.size; i++ {
 		if !v.feasible(i) {
@@ -110,9 +100,8 @@ func rankOutputs(c *cluster.Comm, v shardView, spec OutputSpec, res *Result) err
 			localMin = cv
 		}
 	}
-	gmin, err := c.AllreduceMin(localMin)
-	if err != nil {
-		return err
+	if gmin, err = c.AllreduceMin(localMin); err != nil {
+		return 0, 0, err
 	}
 	var ov float64
 	for i := 0; i < v.size; i++ {
@@ -123,7 +112,21 @@ func rankOutputs(c *cluster.Comm, v shardView, spec OutputSpec, res *Result) err
 			ov += v.prob(i)
 		}
 	}
-	ovAll, err := c.AllreduceSum(ov)
+	overlap, err = c.AllreduceSum(ov)
+	return gmin, overlap, err
+}
+
+// rankOutputs runs one rank's share of the gather-free output stage:
+// ground-state overlap and minimum, the most probable state, then the
+// spec's CVaR levels, probability queries, and sampled shots. Every
+// rank executes the same collective sequence; rank 0 stores the
+// (identical) reduced values into the shared res, and sampled shots
+// are written into disjoint slots of res.Samples by their winning
+// ranks. Safe to publish because Group.RunContext joins every rank
+// before the caller reads res.
+func rankOutputs(c *cluster.Comm, v shardView, spec OutputSpec, res *Result) error {
+	rank := c.Rank()
+	gmin, ovAll, err := rankGround(c, v)
 	if err != nil {
 		return err
 	}
@@ -431,171 +434,28 @@ func rankCVaR(c *cluster.Comm, v shardView, alphas []float64) ([]float64, error)
 // SimulateQAOAOutputs runs the distributed forward pipeline and
 // serves the gather-free outputs the spec selects — sampling, CVaR,
 // overlap, probability queries — on any shard representation
-// (float64, float32, quantized). It is the output path the
-// Gather-rejection errors point at: nothing here materializes a
-// node-scale buffer, so it composes with every §V-B memory reduction.
-// Options.Gather must be false (gathering is exactly what this entry
-// point exists to avoid).
+// (float64, float32, quantized): one lease of a fresh GradEngine. It
+// is the output path the Gather-rejection errors point at: nothing
+// here materializes a node-scale buffer, so it composes with every
+// §V-B memory reduction. Options.Gather must be false (gathering is
+// exactly what this entry point exists to avoid).
 func SimulateQAOAOutputs(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options, spec OutputSpec) (*Result, error) {
-	if err := terms.Validate(n); err != nil {
-		return nil, err
-	}
-	if len(gamma) != len(beta) {
-		return nil, fmt.Errorf("distsim: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
-	}
 	if opts.Gather {
 		return nil, fmt.Errorf("distsim: Options.Gather=true is redundant with SimulateQAOAOutputs — the outputs are computed shard-locally; use SimulateQAOA for a gathered state")
-	}
-	k, err := opts.validate(n)
-	if err != nil {
-		return nil, err
 	}
 	if err := spec.Validate(n); err != nil {
 		return nil, err
 	}
-	edges, err := core.MixerSweepEdges(n, opts.Mixer)
+	eng, err := NewGradEngine(n, terms, opts)
 	if err != nil {
 		return nil, err
 	}
-	compiled := poly.Compile(terms)
-	g, err := cluster.NewGroup(opts.Ranks, opts.Algo)
+	res, err := eng.Outputs(ctx, gamma, beta, spec)
 	if err != nil {
 		return nil, err
 	}
-	g.SetFault(opts.Fault)
-
-	localN := n - k
-	localSize := 1 << uint(localN)
-	hw := opts.hammingWeight(n)
-	restrict := opts.Mixer != core.MixerX
-	res := &Result{}
-	if spec.Shots > 0 {
-		res.Samples = make([]uint64, spec.Shots)
-	}
-
-	err = g.RunContext(ctx, func(c *cluster.Comm) error {
-		rank := c.Rank()
-		offset := uint64(rank) << uint(localN)
-		diag := make([]float64, localSize)
-		costvec.PrecomputeRange(compiled, offset, diag)
-		cost := func(i int) float64 { return diag[i] }
-		if opts.Quantize {
-			q, err := agreeQuantization(c, diag, opts.QuantScale)
-			if err != nil {
-				return err
-			}
-			if q == nil {
-				return nil // a peer's shard failed; that rank reports
-			}
-			cost = q.Value
-			return outputsRank64(c, res, spec, n, k, hw, edges, gamma, beta, opts, nil, q, cost, offset, restrict)
-		}
-		if opts.Precision == PrecisionFloat32 {
-			return outputsRank32(c, res, spec, n, k, hw, edges, gamma, beta, opts, diag, offset, restrict)
-		}
-		return outputsRank64(c, res, spec, n, k, hw, edges, gamma, beta, opts, diag, nil, cost, offset, restrict)
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.PerRank = make([]cluster.Counters, opts.Ranks)
-	for r := 0; r < opts.Ranks; r++ {
-		res.PerRank[r] = g.Counters(r)
-	}
-	res.Comm = g.TotalCounters()
+	res.Comm, res.PerRank = eng.Counters(), eng.perRank()
 	return res, nil
-}
-
-// outputsRank64 is one rank's forward-evolve-then-outputs pipeline on
-// the complex128 shard, reading the diagonal from either
-// representation (float64 slice or exact uint16 codes).
-func outputsRank64(c *cluster.Comm, res *Result, spec OutputSpec, n, k, hw int, edges []graphs.Edge, gamma, beta []float64, opts Options, diag []float64, quant *costvec.Quantized, cost func(int) float64, offset uint64, restrict bool) error {
-	localN := n - k
-	localSize := 1 << uint(localN)
-	rank := c.Rank()
-	local := make(statevec.Vec, localSize)
-	initLocalState(local, n, rank, opts.Mixer, hw)
-	var recv, send statevec.Vec
-	if restrict {
-		recv = make(statevec.Vec, localSize)
-		send = make(statevec.Vec, localSize/2)
-	}
-	for l := range gamma {
-		if quant != nil {
-			quant.PhaseApplyVec(local, gamma[l])
-		} else {
-			statevec.PhaseDiag(local, diag, gamma[l])
-		}
-		if opts.Mixer == core.MixerX {
-			if err := distributedMixer(c, local, n, k, beta[l]); err != nil {
-				return err
-			}
-		} else if err := distributedMixerXY(c, local, recv, send, localN, edges, beta[l]); err != nil {
-			return err
-		}
-	}
-	localE := 0.0
-	if quant != nil {
-		localE = quant.ExpectationVec(local)
-	} else {
-		localE = statevec.ExpectationDiag(local, diag)
-	}
-	e, err := c.AllreduceSum(localE)
-	if err != nil {
-		return err
-	}
-	if rank == 0 {
-		res.Expectation = e
-	}
-	return rankOutputs(c, shardView{
-		size: localSize, localN: localN, offset: offset, restrict: restrict, hw: hw,
-		prob: func(i int) float64 {
-			a := local[i]
-			return real(a)*real(a) + imag(a)*imag(a)
-		},
-		cost: cost,
-	}, spec, res)
-}
-
-// outputsRank32 is outputsRank64 on the float32 shard (float64
-// diagonal, single-precision state and wire, reductions in float64 —
-// the single-node SoA32 error model).
-func outputsRank32(c *cluster.Comm, res *Result, spec OutputSpec, n, k, hw int, edges []graphs.Edge, gamma, beta []float64, opts Options, diag []float64, offset uint64, restrict bool) error {
-	localN := n - k
-	localSize := 1 << uint(localN)
-	rank := c.Rank()
-	local := statevec.NewSoA32(localN)
-	initLocalState32(local, n, rank, opts.Mixer, hw)
-	var recv, send f32buf
-	if restrict {
-		recv = newF32buf(localSize)
-		send = newF32buf(localSize / 2)
-	}
-	for l := range gamma {
-		local.PhaseDiag(serialPool, diag, gamma[l])
-		if opts.Mixer == core.MixerX {
-			if err := distributedMixer32(c, local, n, k, beta[l]); err != nil {
-				return err
-			}
-		} else if err := distributedMixerXY32(c, local, recv, send, localN, edges, beta[l]); err != nil {
-			return err
-		}
-	}
-	e, err := c.AllreduceSum(local.ExpectationDiag(serialPool, diag))
-	if err != nil {
-		return err
-	}
-	if rank == 0 {
-		res.Expectation = e
-	}
-	return rankOutputs(c, shardView{
-		size: localSize, localN: localN, offset: offset, restrict: restrict, hw: hw,
-		prob: func(i int) float64 {
-			r, m := float64(local.Re[i]), float64(local.Im[i])
-			return r*r + m*m
-		},
-		cost: func(i int) float64 { return diag[i] },
-	}, spec, res)
 }
 
 // Outputs evaluates the gather-free outputs at (γ, β) on a leased rank
@@ -605,88 +465,21 @@ func outputsRank32(c *cluster.Comm, res *Result, spec OutputSpec, n, k, hw int, 
 // Communication accumulates on the engine's counters (Counters /
 // RankCounters); Result.Comm and Result.PerRank are left zero here.
 func (e *GradEngine) Outputs(ctx context.Context, gamma, beta []float64, spec OutputSpec) (*Result, error) {
-	if len(gamma) != len(beta) {
-		return nil, fmt.Errorf("distsim: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
-	}
 	if err := spec.Validate(e.n); err != nil {
-		return nil, err
-	}
-	lease, err := e.acquire(ctx)
-	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	if spec.Shots > 0 {
 		res.Samples = make([]uint64, spec.Shots)
 	}
-	err = lease.group.RunContext(ctx, func(c *cluster.Comm) error {
-		rank := c.Rank()
-		view, localE, err := e.evolveView(c, lease, rank, gamma, beta)
-		if err != nil {
-			return err
-		}
-		eAll, err := c.AllreduceSum(localE)
-		if err != nil {
-			return err
-		}
-		if rank == 0 {
-			res.Expectation = eAll
-		}
-		return rankOutputs(c, view, spec, res)
+	err := e.eval(ctx, &run{
+		gamma: gamma, beta: beta, energy: &res.Expectation,
+		outputs: func(c *cluster.Comm, v shardView) error { return rankOutputs(c, v, spec, res) },
 	})
-	e.release(lease, err != nil)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// evolveView evolves rank's leased shard at (γ, β) from scratch and
-// returns the output-stage view over it plus the rank-local energy
-// contribution (callers allreduce it if they need the expectation).
-// The shared forward path of Outputs and StreamSamples.
-func (e *GradEngine) evolveView(c *cluster.Comm, lease *gradLease, rank int, gamma, beta []float64) (shardView, float64, error) {
-	localN := e.n - e.k
-	localSize := 1 << uint(localN)
-	offset := uint64(rank) << uint(localN)
-	restrict := e.opts.Mixer != core.MixerX
-	view := shardView{size: localSize, localN: localN, offset: offset, restrict: restrict, hw: e.hw}
-	if e.quants != nil {
-		view.cost = e.quants[rank].Value
-	} else {
-		diag := e.diags[rank]
-		view.cost = func(i int) float64 { return diag[i] }
-	}
-
-	if e.opts.Precision == PrecisionFloat32 {
-		psi := lease.psi32[rank]
-		initLocalState32(psi, e.n, rank, e.opts.Mixer, e.hw)
-		for l := range gamma {
-			psi.PhaseDiag(serialPool, e.diags[rank], gamma[l])
-			if err := e.forwardMixer32(c, lease, psi, rank, beta[l]); err != nil {
-				return shardView{}, 0, err
-			}
-		}
-		view.prob = func(i int) float64 {
-			r, m := float64(psi.Re[i]), float64(psi.Im[i])
-			return r*r + m*m
-		}
-		return view, psi.ExpectationDiag(serialPool, e.diags[rank]), nil
-	}
-
-	psi := lease.psi[rank]
-	initLocalState(psi, e.n, rank, e.opts.Mixer, e.hw)
-	for l := range gamma {
-		e.phase(rank, psi, gamma[l])
-		if err := e.forwardMixer(c, lease, psi, rank, beta[l]); err != nil {
-			return shardView{}, 0, err
-		}
-	}
-	view.prob = func(i int) float64 {
-		a := psi[i]
-		return real(a)*real(a) + imag(a)*imag(a)
-	}
-	return view, e.expectation(rank, psi), nil
 }
 
 // The distributed engine also serves the chunked sampling contract:
@@ -721,22 +514,14 @@ func (e *GradEngine) StreamSamples(ctx context.Context, x []float64, spec evalua
 	if spec.Shots == 0 {
 		return nil
 	}
-	lease, err := e.acquire(ctx)
-	if err != nil {
-		return err
-	}
 	chunkLen := evaluator.SampleChunkSize
 	if spec.Shots < chunkLen {
 		chunkLen = spec.Shots
 	}
 	chunk := make([]uint64, chunkLen)
 	var fnErr error // written by rank 0 between the per-chunk barriers
-	err = lease.group.RunContext(ctx, func(c *cluster.Comm) error {
+	stream := func(c *cluster.Comm, view shardView) error {
 		rank := c.Rank()
-		view, _, err := e.evolveView(c, lease, rank, gamma, beta)
-		if err != nil {
-			return err
-		}
 		// Stage-1/stage-2 samplers, seeded exactly like rankSample.
 		localProbs := make([]float64, view.size)
 		var mass float64
@@ -788,9 +573,8 @@ func (e *GradEngine) StreamSamples(ctx context.Context, x []float64, spec evalua
 			drawn += len(cur)
 		}
 		return nil
-	})
-	e.release(lease, err != nil)
-	return err
+	}
+	return e.eval(ctx, &run{gamma: gamma, beta: beta, outputs: stream})
 }
 
 // The distributed engine also implements the optional output contract,

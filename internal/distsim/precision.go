@@ -1,454 +1,60 @@
 // Single-precision distributed shards (§V-B carried onto the
-// cluster): the sharded state is stored as split float32 component
-// pairs (statevec.SoA32, 8 B per amplitude) and every collective moves
-// the float32 wire format (cluster.Alltoall32 / Sendrecv32), halving
-// both per-rank state memory and fabric bytes at identical message and
-// synchronization counts. Rotation coefficients and all reductions
-// stay float64 — only storage and wire are single precision — so the
-// distributed float32 path inherits exactly the single-node SoA32
-// error model (a few ULPs per layer, gradient band ~2e-3).
-//
-// Per-rank kernels run on an inline (single-worker) pool: the rank
-// goroutines are already the host's parallelism, and nesting a kernel
-// pool underneath would oversubscribe the cores.
+// cluster): a shard's ψ and λ are float32 (re, im) planes, 8 B per
+// amplitude, the layout of the single-node SoA32 backend. The shard
+// engine is generic over the plane element (shard.go), so float32
+// shards run the same kernels as float64 ones, and every collective
+// (cluster.Alltoall and cluster.Sendrecv instantiated at float32) moves
+// 8 B per amplitude: half the per-rank state memory and half the fabric
+// bytes, at identical message and synchronization counts. Phase factors,
+// rotation coefficients and all reductions stay float64 — only storage
+// and wire are single precision — so the distributed float32 path
+// inherits the single-node SoA32 error model (a few ULPs per layer,
+// gradient band ~2e-3).
 package distsim
 
-import (
-	"context"
-	"math"
-	"math/bits"
+import "fmt"
 
-	"qokit/internal/cluster"
-	"qokit/internal/core"
-	"qokit/internal/costvec"
-	"qokit/internal/graphs"
-	"qokit/internal/poly"
-	"qokit/internal/statevec"
+// Precision selects the sharded state's amplitude storage.
+type Precision int
+
+const (
+	// PrecisionFloat64 stores float64 (re, im) planes (16 B per
+	// amplitude) with float64 wire formats.
+	PrecisionFloat64 Precision = iota
+	// PrecisionFloat32 stores float32 (re, im) planes (8 B per
+	// amplitude) with float32 wire formats, halving state memory and
+	// fabric bytes.
+	PrecisionFloat32
 )
 
-// serialPool is the shared inline kernel pool behind every per-rank
-// SoA32 method call. A Pool is immutable configuration, so one
-// instance serves all ranks and leases concurrently.
-var serialPool = statevec.NewPool(1)
-
-// f32buf is a split-component float32 scratch pair (one Sendrecv32 /
-// pack buffer).
-type f32buf struct {
-	re, im []float32
-}
-
-func newF32buf(size int) f32buf {
-	return f32buf{re: make([]float32, size), im: make([]float32, size)}
-}
-
-// initLocalState32 is initLocalState for the single-precision shard.
-func initLocalState32(s *statevec.SoA32, n, rank int, mixer core.Mixer, hw int) {
-	if mixer == core.MixerX {
-		amp := float32(1 / math.Sqrt(float64(uint64(1)<<uint(n))))
-		for i := range s.Re {
-			s.Re[i] = amp
-			s.Im[i] = 0
-		}
-		return
-	}
-	need := hw - bits.OnesCount(uint(rank))
-	amp := float32(1 / math.Sqrt(float64(binomial(n, hw))))
-	for i := range s.Re {
-		if bits.OnesCount(uint(i)) == need {
-			s.Re[i] = amp
-		} else {
-			s.Re[i] = 0
-		}
-		s.Im[i] = 0
+// String names the precision.
+func (p Precision) String() string {
+	switch p {
+	case PrecisionFloat64:
+		return "float64"
+	case PrecisionFloat32:
+		return "float32"
+	default:
+		return fmt.Sprintf("Precision(%d)", int(p))
 	}
 }
 
-// distributedMixer32 is Algorithm 4 on the float32 shard: the same
-// local sweeps and transposes as distributedMixer, with the all-to-all
-// moving split float32 components — half the bytes per exchange.
-func distributedMixer32(c *cluster.Comm, s *statevec.SoA32, n, k int, beta float64) error {
-	localN := n - k
-	for q := 0; q < localN; q++ {
-		s.ApplyRX(serialPool, q, beta)
+// AmpBytes returns the wire and storage size of one amplitude.
+func (p Precision) AmpBytes() int64 {
+	if p == PrecisionFloat32 {
+		return 8
 	}
-	if k == 0 {
-		return nil
-	}
-	if err := c.Alltoall32(s.Re, s.Im); err != nil {
-		return err
-	}
-	for j := 0; j < k; j++ {
-		s.ApplyRX(serialPool, localN-k+j, beta)
-	}
-	return c.Alltoall32(s.Re, s.Im)
+	return 16
 }
 
-// distributedMixerXY32 is distributedMixerXY on the float32 shard:
-// identical edge plan and half-slice packing, float32 wire format.
-func distributedMixerXY32(c *cluster.Comm, s *statevec.SoA32, recv, send f32buf, localN int, edges []graphs.Edge, beta float64) error {
-	sn64, cs64 := math.Sincos(beta)
-	cs, sn := float32(cs64), float32(sn64)
-	for _, e := range edges {
-		u, v := orderEdge(e)
-		if v < localN {
-			s.ApplyXY(serialPool, u, v, beta)
-			continue
-		}
-		partner, uMask, selMask, selVal := xyEdgePlan(c.Rank(), localN, u, v)
-		if uMask != 0 {
-			half := s.Len() / 2
-			packHalf32(send.re[:half], send.im[:half], s, uMask, selVal)
-			if err := c.Sendrecv32(partner, send.re[:half], send.im[:half], recv.re[:half], recv.im[:half]); err != nil {
-				return err
-			}
-			applyRemotePairsHalf32(s, recv.re[:half], recv.im[:half], uMask, selVal, cs, sn)
-			continue
-		}
-		if err := c.Sendrecv32(partner, s.Re, s.Im, recv.re, recv.im); err != nil {
-			return err
-		}
-		if partner >= 0 {
-			applyRemotePairs32(s, recv.re, recv.im, uMask, selMask, selVal, cs, sn)
-		}
+// ParsePrecision resolves a precision name.
+func ParsePrecision(name string) (Precision, error) {
+	switch name {
+	case "", "float64", "f64", "double":
+		return PrecisionFloat64, nil
+	case "float32", "f32", "single":
+		return PrecisionFloat32, nil
+	default:
+		return 0, fmt.Errorf("distsim: unknown precision %q (want float64 or float32)", name)
 	}
-	return nil
-}
-
-// applyRemotePairs32 rotates the selected pairs (local[x],
-// remote[x^uMask]) by [[cos β, −i sin β], [−i sin β, cos β]] in the
-// split layout: new_re = cs·re + sn·im_remote, new_im = cs·im −
-// sn·re_remote — the same float32 arithmetic as SoA32.ApplyXY, so the
-// distributed update rounds identically to the single-node kernel.
-func applyRemotePairs32(s *statevec.SoA32, remRe, remIm []float32, uMask, selMask, selVal int, cs, sn float32) {
-	re, im := s.Re, s.Im
-	for x := range re {
-		if x&selMask == selVal {
-			j := x ^ uMask
-			r, m := re[x], im[x]
-			re[x] = cs*r + sn*remIm[j]
-			im[x] = cs*m - sn*remRe[j]
-		}
-	}
-}
-
-// packHalf32 is packHalf for the split layout: the selected entries of
-// both component slices, packed contiguously in ascending index order.
-func packHalf32(dstRe, dstIm []float32, s *statevec.SoA32, uMask, selVal int) {
-	i := 0
-	for x := selVal; x < s.Len(); x++ {
-		if x&uMask == selVal {
-			dstRe[i] = s.Re[x]
-			dstIm[i] = s.Im[x]
-			i++
-		}
-	}
-}
-
-// applyRemotePairsHalf32 is applyRemotePairs32 against a packed
-// half-slice from packHalf32.
-func applyRemotePairsHalf32(s *statevec.SoA32, remRe, remIm []float32, uMask, selVal int, cs, sn float32) {
-	re, im := s.Re, s.Im
-	i := 0
-	for x := selVal; x < len(re); x++ {
-		if x&uMask == selVal {
-			r, m := re[x], im[x]
-			re[x] = cs*r + sn*remIm[i]
-			im[x] = cs*m - sn*remRe[i]
-			i++
-		}
-	}
-}
-
-// imDotRemotePairsHalf32 accumulates this rank's half of Im ⟨λ|H_e|ψ⟩
-// against a packed float32 half-slice, in float64 like every SoA32
-// reduction.
-func imDotRemotePairsHalf32(lam *statevec.SoA32, psiRe, psiIm []float32, uMask, selVal int) float64 {
-	lr, li := lam.Re, lam.Im
-	var s float64
-	i := 0
-	for x := selVal; x < len(lr); x++ {
-		if x&uMask == selVal {
-			s += float64(lr[x])*float64(psiIm[i]) - float64(li[x])*float64(psiRe[i])
-			i++
-		}
-	}
-	return s
-}
-
-// imDotRemotePairs32 is imDotRemotePairs for full float32 slices.
-func imDotRemotePairs32(lam *statevec.SoA32, psiRe, psiIm []float32, uMask, selMask, selVal int) float64 {
-	lr, li := lam.Re, lam.Im
-	var s float64
-	for x := range lr {
-		if x&selMask == selVal {
-			j := x ^ uMask
-			s += float64(lr[x])*float64(psiIm[j]) - float64(li[x])*float64(psiRe[j])
-		}
-	}
-	return s
-}
-
-// simulateQAOA32 is the float32 forward pipeline behind SimulateQAOA:
-// the diagonal stays float64 (as in the single-node SoA32 backend) but
-// the state and every wire format are single precision. Gather is
-// rejected at validation, so there is no assembly branch.
-func simulateQAOA32(ctx context.Context, g *cluster.Group, n, k int, compiled poly.Compiled, edges []graphs.Edge, gamma, beta []float64, opts Options, plan ckptPlan) (*Result, error) {
-	localN := n - k
-	localSize := 1 << uint(localN)
-	hw := opts.hammingWeight(n)
-	restrict := opts.Mixer != core.MixerX
-	expectParts := make([]float64, opts.Ranks)
-	overlapParts := make([]float64, opts.Ranks)
-	minParts := make([]float64, opts.Ranks)
-
-	err := g.RunContext(ctx, func(c *cluster.Comm) error {
-		rank := c.Rank()
-		offset := uint64(rank) << uint(localN)
-		diag := make([]float64, localSize)
-		costvec.PrecomputeRange(compiled, offset, diag)
-
-		local := statevec.NewSoA32(localN)
-		if plan.resume != nil {
-			copy(local.Re, plan.resume.Re[rank])
-			copy(local.Im, plan.resume.Im[rank])
-		} else {
-			initLocalState32(local, n, rank, opts.Mixer, hw)
-		}
-		var recv, send f32buf
-		if restrict {
-			recv = newF32buf(localSize)
-			send = newF32buf(localSize / 2)
-		}
-
-		for l := plan.start; l < len(gamma); l++ {
-			local.PhaseDiag(serialPool, diag, gamma[l])
-			if opts.Mixer == core.MixerX {
-				if err := distributedMixer32(c, local, n, k, beta[l]); err != nil {
-					return err
-				}
-			} else if err := distributedMixerXY32(c, local, recv, send, localN, edges, beta[l]); err != nil {
-				return err
-			}
-			if plan.capture32 != nil {
-				if err := plan.capture32(c, l+1, local); err != nil {
-					return err
-				}
-			}
-		}
-
-		e, err := c.AllreduceSum(local.ExpectationDiag(serialPool, diag))
-		if err != nil {
-			return err
-		}
-		expectParts[rank] = e
-
-		localMin := math.Inf(1)
-		for i, v := range diag {
-			if restrict && bits.OnesCount64(offset+uint64(i)) != hw {
-				continue
-			}
-			if v < localMin {
-				localMin = v
-			}
-		}
-		globalMin, err := c.AllreduceMin(localMin)
-		if err != nil {
-			return err
-		}
-		minParts[rank] = globalMin
-		var ov float64
-		for i, v := range diag {
-			if restrict && bits.OnesCount64(offset+uint64(i)) != hw {
-				continue
-			}
-			if v <= globalMin+1e-9 {
-				r, m := float64(local.Re[i]), float64(local.Im[i])
-				ov += r*r + m*m
-			}
-		}
-		overlapParts[rank], err = c.AllreduceSum(ov)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Expectation: expectParts[0],
-		Overlap:     overlapParts[0],
-		MinCost:     minParts[0],
-		PerRank:     make([]cluster.Counters, opts.Ranks),
-	}
-	for r := 0; r < opts.Ranks; r++ {
-		res.PerRank[r] = g.Counters(r)
-	}
-	res.Comm = g.TotalCounters()
-	return res, nil
-}
-
-// forwardRank32 is one rank's forward-only float32 pipeline (the
-// Energy path of the gradient engine).
-func (e *GradEngine) forwardRank32(c *cluster.Comm, lease *gradLease, gamma, beta []float64, energy *float64) error {
-	rank := c.Rank()
-	psi, diag := lease.psi32[rank], e.diags[rank]
-	initLocalState32(psi, e.n, rank, e.opts.Mixer, e.hw)
-	for l := range gamma {
-		psi.PhaseDiag(serialPool, diag, gamma[l])
-		if err := e.forwardMixer32(c, lease, psi, rank, beta[l]); err != nil {
-			return err
-		}
-	}
-	eAll, err := c.AllreduceSum(psi.ExpectationDiag(serialPool, diag))
-	if err != nil {
-		return err
-	}
-	if rank == 0 {
-		*energy = eAll
-	}
-	return nil
-}
-
-// gradRank32 is one rank's adjoint pipeline on the float32 shard,
-// mirroring gradRank64 with SoA32 kernels and float32 wire formats.
-func (e *GradEngine) gradRank32(c *cluster.Comm, lease *gradLease, p int, gamma, beta, gradGamma, gradBeta []float64, energy *float64) error {
-	rank := c.Rank()
-	psi, lam, diag := lease.psi32[rank], lease.lam32[rank], e.diags[rank]
-
-	initLocalState32(psi, e.n, rank, e.opts.Mixer, e.hw)
-	for l := 0; l < p; l++ {
-		psi.PhaseDiag(serialPool, diag, gamma[l])
-		if err := e.forwardMixer32(c, lease, psi, rank, beta[l]); err != nil {
-			return err
-		}
-	}
-	eAll, err := c.AllreduceSum(psi.ExpectationDiag(serialPool, diag))
-	if err != nil {
-		return err
-	}
-	if rank == 0 {
-		*energy = eAll
-	}
-
-	lam.Copy(psi)
-	lam.MulDiag(serialPool, diag)
-
-	flat := lease.flatBuffer(rank, 2*p)
-	gG, gB := flat[:p], flat[p:]
-	for l := p - 1; l >= 0; l-- {
-		d, err := e.reverseMixer32(c, lease, psi, lam, rank, beta[l])
-		if err != nil {
-			return err
-		}
-		gB[l] = 2 * d
-		gG[l] = 2 * lam.ImDotDiag(serialPool, psi, diag)
-		if l > 0 {
-			psi.PhaseDiag(serialPool, diag, -gamma[l])
-			lam.PhaseDiag(serialPool, diag, -gamma[l])
-		}
-	}
-
-	if err := c.AllreduceSumVec(flat); err != nil {
-		return err
-	}
-	if rank == 0 {
-		copy(gradGamma, flat[:p])
-		copy(gradBeta, flat[p:])
-	}
-	return nil
-}
-
-// forwardMixer32 applies one mixer layer to a float32 shard.
-func (e *GradEngine) forwardMixer32(c *cluster.Comm, l *gradLease, s *statevec.SoA32, rank int, beta float64) error {
-	if e.opts.Mixer == core.MixerX {
-		return distributedMixer32(c, s, e.n, e.k, beta)
-	}
-	return distributedMixerXY32(c, s, l.recvPsi32[rank], l.send32[rank], e.n-e.k, e.edges, beta)
-}
-
-// reverseMixer32 is reverseMixer on the float32 pair.
-func (e *GradEngine) reverseMixer32(c *cluster.Comm, l *gradLease, psi, lam *statevec.SoA32, rank int, beta float64) (float64, error) {
-	if e.opts.Mixer == core.MixerX {
-		return reverseMixerX32(c, psi, lam, e.n, e.k, beta)
-	}
-	return reverseMixerXY32(c, psi, lam, l.recvPsi32[rank], l.recvLam32[rank], l.send32[rank], e.n-e.k, e.edges, beta)
-}
-
-// reverseMixerX32 is reverseMixerX with SoA32 kernels and the float32
-// all-to-all: derivative reduction split at the shard boundary, both
-// states rewound through the exact mixer inverse.
-func reverseMixerX32(c *cluster.Comm, psi, lam *statevec.SoA32, n, k int, beta float64) (float64, error) {
-	localN := n - k
-	d := lam.ImDotXAll(serialPool, psi)
-	for q := 0; q < localN; q++ {
-		psi.ApplyRX(serialPool, q, -beta)
-		lam.ApplyRX(serialPool, q, -beta)
-	}
-	if k == 0 {
-		return d, nil
-	}
-	if err := c.Alltoall32(psi.Re, psi.Im); err != nil {
-		return 0, err
-	}
-	if err := c.Alltoall32(lam.Re, lam.Im); err != nil {
-		return 0, err
-	}
-	d += lam.ImDotXRange(serialPool, psi, localN-k, localN)
-	for j := 0; j < k; j++ {
-		psi.ApplyRX(serialPool, localN-k+j, -beta)
-		lam.ApplyRX(serialPool, localN-k+j, -beta)
-	}
-	if err := c.Alltoall32(psi.Re, psi.Im); err != nil {
-		return 0, err
-	}
-	if err := c.Alltoall32(lam.Re, lam.Im); err != nil {
-		return 0, err
-	}
-	return d, nil
-}
-
-// reverseMixerXY32 is reverseMixerXY on the float32 pair: one edge
-// reduction interleaved with one edge undo in reverse order, both
-// states' slices exchanged through Sendrecv32 with half-slice packing
-// for half-remote edges — the 3×-forward traffic invariant carries
-// over at half the bytes.
-func reverseMixerXY32(c *cluster.Comm, psi, lam *statevec.SoA32, recvPsi, recvLam, send f32buf, localN int, edges []graphs.Edge, beta float64) (float64, error) {
-	sn64, cs64 := math.Sincos(-beta)
-	cs, sn := float32(cs64), float32(sn64)
-	var d float64
-	for i := len(edges) - 1; i >= 0; i-- {
-		u, v := orderEdge(edges[i])
-		if v < localN {
-			d += lam.ImDotXY(serialPool, psi, u, v)
-			psi.ApplyXY(serialPool, u, v, -beta)
-			lam.ApplyXY(serialPool, u, v, -beta)
-			continue
-		}
-		partner, uMask, selMask, selVal := xyEdgePlan(c.Rank(), localN, u, v)
-		if uMask != 0 {
-			half := psi.Len() / 2
-			packHalf32(send.re[:half], send.im[:half], psi, uMask, selVal)
-			if err := c.Sendrecv32(partner, send.re[:half], send.im[:half], recvPsi.re[:half], recvPsi.im[:half]); err != nil {
-				return 0, err
-			}
-			packHalf32(send.re[:half], send.im[:half], lam, uMask, selVal)
-			if err := c.Sendrecv32(partner, send.re[:half], send.im[:half], recvLam.re[:half], recvLam.im[:half]); err != nil {
-				return 0, err
-			}
-			d += imDotRemotePairsHalf32(lam, recvPsi.re[:half], recvPsi.im[:half], uMask, selVal)
-			applyRemotePairsHalf32(psi, recvPsi.re[:half], recvPsi.im[:half], uMask, selVal, cs, sn)
-			applyRemotePairsHalf32(lam, recvLam.re[:half], recvLam.im[:half], uMask, selVal, cs, sn)
-			continue
-		}
-		if err := c.Sendrecv32(partner, psi.Re, psi.Im, recvPsi.re, recvPsi.im); err != nil {
-			return 0, err
-		}
-		if err := c.Sendrecv32(partner, lam.Re, lam.Im, recvLam.re, recvLam.im); err != nil {
-			return 0, err
-		}
-		if partner >= 0 {
-			d += imDotRemotePairs32(lam, recvPsi.re, recvPsi.im, uMask, selMask, selVal)
-			applyRemotePairs32(psi, recvPsi.re, recvPsi.im, uMask, selMask, selVal, cs, sn)
-			applyRemotePairs32(lam, recvLam.re, recvLam.im, uMask, selMask, selVal, cs, sn)
-		}
-	}
-	return d, nil
 }

@@ -38,9 +38,9 @@ const (
 // ShardSnapshot is the durable image of a distributed run at one layer
 // boundary: every rank's amplitude shard plus the metadata a resuming
 // run is validated against. Exactly one amplitude representation is
-// populated — Shards for complex128 state (the float64 and
-// quantized-diagonal paths; quantization compresses the cost diagonal,
-// never the state) or Re/Im for the float32 split-component path.
+// populated — Shards for float64 state, encoded as complex128 (the
+// float64 and quantized-diagonal paths; quantization compresses the
+// cost diagonal, never the state), or Re/Im for float32 planes.
 type ShardSnapshot struct {
 	N             int
 	Ranks         int
@@ -206,15 +206,43 @@ func (s *ShardSnapshot) compat(n int, gamma, beta []float64, opts Options) error
 	return nil
 }
 
-// ckptPlan threads resume and capture state through the forward rank
-// bodies; the zero value is a plain uncheckpointed run. capture and
-// capture32 are invoked by every rank after every completed layer with
-// the 1-based count of layers applied.
+// ckptPlan threads resume and capture state through shard.evolve; the
+// zero value is a plain uncheckpointed run. When snap is set, every
+// rank stores its shard in it after each layer l with l%every == 0 and
+// after the last layer, and rank 0 writes it to path.
 type ckptPlan struct {
-	start     int
-	resume    *ShardSnapshot
-	capture   func(c *cluster.Comm, layer int, local statevec.Vec) error
-	capture32 func(c *cluster.Comm, layer int, local *statevec.SoA32) error
+	start  int
+	resume *ShardSnapshot
+	snap   *ShardSnapshot
+	every  int
+	path   string
+}
+
+// loadShard copies rank's snapshotted amplitudes into the planes.
+func loadShard[T statevec.Float](s *ShardSnapshot, rank int, re, im []T) {
+	if s.Precision == PrecisionFloat32 {
+		for i := range re {
+			re[i], im[i] = T(s.Re[rank][i]), T(s.Im[rank][i])
+		}
+		return
+	}
+	for i, a := range s.Shards[rank] {
+		re[i], im[i] = T(real(a)), T(imag(a))
+	}
+}
+
+// storeShard copies the planes into rank's slot of s, in the
+// snapshot's layout.
+func storeShard[T statevec.Float](s *ShardSnapshot, rank int, re, im []T) {
+	if s.Precision == PrecisionFloat32 {
+		for i := range re {
+			s.Re[rank][i], s.Im[rank][i] = float32(re[i]), float32(im[i])
+		}
+		return
+	}
+	for i := range re {
+		s.Shards[rank][i] = complex(float64(re[i]), float64(im[i]))
+	}
 }
 
 // CheckpointOptions configures durable layer-boundary snapshots for a
@@ -245,8 +273,7 @@ func SimulateQAOACheckpointed(ctx context.Context, n int, terms poly.Terms, gamm
 	if err != nil {
 		return nil, err
 	}
-	p := len(gamma)
-	plan := ckptPlan{}
+	plan := ckptPlan{path: ck.Path, every: ck.EveryLayers}
 	snap, err := LoadShardSnapshot(ck.Path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -259,49 +286,28 @@ func SimulateQAOACheckpointed(ctx context.Context, n int, terms poly.Terms, gamm
 		}
 		plan.resume, plan.start = snap, snap.Layer
 	}
-	every := ck.EveryLayers
-	if every <= 0 {
-		every = 1
+	if plan.every <= 0 {
+		plan.every = 1
 	}
 
-	// Capture buffers are shared across ranks; the barriers inside
+	// The capture buffer is shared across ranks; the barriers inside
 	// writeSnapshot order every rank's copy against rank 0's file write.
 	localSize := 1 << uint(n-k)
-	buf := &ShardSnapshot{
+	plan.snap = &ShardSnapshot{
 		N: n, Ranks: opts.Ranks, Mixer: opts.Mixer,
 		HammingWeight: opts.hammingWeight(n),
 		Precision:     opts.Precision, Quantize: opts.Quantize,
 	}
-	if opts.Precision == PrecisionFloat32 {
-		buf.Re = make([][]float32, opts.Ranks)
-		buf.Im = make([][]float32, opts.Ranks)
-		for r := range buf.Re {
-			buf.Re[r] = make([]float32, localSize)
-			buf.Im[r] = make([]float32, localSize)
-		}
-		plan.capture32 = func(c *cluster.Comm, layer int, local *statevec.SoA32) error {
-			if layer%every != 0 && layer != p {
-				return nil
-			}
-			copy(buf.Re[c.Rank()], local.Re)
-			copy(buf.Im[c.Rank()], local.Im)
-			return writeSnapshot(c, buf, layer, gamma, beta, ck.Path)
-		}
-	} else {
-		buf.Shards = make([]statevec.Vec, opts.Ranks)
-		for r := range buf.Shards {
-			buf.Shards[r] = make(statevec.Vec, localSize)
-		}
-		plan.capture = func(c *cluster.Comm, layer int, local statevec.Vec) error {
-			if layer%every != 0 && layer != p {
-				return nil
-			}
-			copy(buf.Shards[c.Rank()], local)
-			return writeSnapshot(c, buf, layer, gamma, beta, ck.Path)
+	for r := 0; r < opts.Ranks; r++ {
+		if opts.Precision == PrecisionFloat32 {
+			plan.snap.Re = append(plan.snap.Re, make([]float32, localSize))
+			plan.snap.Im = append(plan.snap.Im, make([]float32, localSize))
+		} else {
+			plan.snap.Shards = append(plan.snap.Shards, make(statevec.Vec, localSize))
 		}
 	}
 
-	res, err := simulateQAOAPlan(ctx, n, terms, gamma, beta, opts, plan)
+	res, err := simulate(ctx, n, terms, gamma, beta, opts, plan)
 	if err != nil {
 		return nil, err
 	}

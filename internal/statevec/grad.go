@@ -31,9 +31,11 @@ import (
 // n + 1 full ones. All of them apply the same rotation arithmetic as
 // the forward kernels at the negated angle.
 //
-// The standalone reductions below (ImDotDiag, ImDotXAll, ImDotXRange,
-// ImDotXY, in serial complex128 and SoA32) serve the distributed
-// engine, which splits the mixer derivative at the shard boundary.
+// The standalone complex128 reductions below (ImDotDiag, ImDotXAll,
+// ImDotXRange, ImDotXY) are the references the tiled, mirror, fused and
+// costvec tests check the kernels against. The distributed engine runs
+// the split-layout kernels on its shards and splits the mixer
+// derivative at the shard boundary with ReverseRXRangePlanes.
 
 // MulDiag multiplies amplitude x by the real scalar diag_x in place:
 // ψ ← Ĉ|ψ⟩ for a diagonal observable, the "cost-weighted" seed of the
@@ -104,10 +106,7 @@ func ImDotXRange(lam, psi Vec, lo, hi int) float64 {
 	if len(lam) != len(psi) {
 		panic(fmt.Sprintf("statevec: ImDotXRange length mismatch %d vs %d", len(lam), len(psi)))
 	}
-	n := lam.NumQubits()
-	if lo < 0 || hi > n || lo > hi {
-		panic(fmt.Sprintf("statevec: ImDotXRange qubit range [%d,%d) invalid for n=%d", lo, hi, n))
-	}
+	checkRange("ImDotXRange", lam.NumQubits(), lo, hi)
 	var s float64
 	for i := range lam {
 		lr, li := real(lam[i]), imag(lam[i])
@@ -162,18 +161,7 @@ func (s *SoA) Copy(src *SoA) {
 
 // MulDiag multiplies amplitude x by diag_x in place (SoA layout: one
 // real scale per component slice).
-func (s *SoA) MulDiag(p *Pool, diag []float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: MulDiag length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
-	re, im := s.Re, s.Im
-	p.Run(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			re[i] *= diag[i]
-			im[i] *= diag[i]
-		}
-	})
-}
+func (s *SoA) MulDiag(p *Pool, diag []float64) { MulDiagPlanes(p, s.Re, s.Im, Phase{Diag: diag}) }
 
 // Copy overwrites s with src without allocating; it panics on length
 // mismatch.
@@ -187,114 +175,52 @@ func (s *SoA32) Copy(src *SoA32) {
 
 // MulDiag multiplies amplitude x by diag_x in place. The product is
 // formed in float64 and rounded once on store.
-func (s *SoA32) MulDiag(p *Pool, diag []float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: MulDiag length mismatch %d vs %d", len(s.Re), len(diag)))
+func (s *SoA32) MulDiag(p *Pool, diag []float64) { MulDiagPlanes(p, s.Re, s.Im, Phase{Diag: diag}) }
+
+// MulDiagPlanes multiplies amplitude x of split planes by its cost C_x
+// in place, ψ ← Ĉ|ψ⟩ for the cost source of ph (Gamma and Tab are not
+// read): the product is formed in float64 and rounded once on store.
+func MulDiagPlanes[T Float](p *Pool, re, im []T, ph Phase) {
+	ph.check("MulDiag", len(re))
+	if diag := ph.Diag; diag != nil {
+		p.Run(len(re), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				re[i] = T(float64(re[i]) * diag[i])
+				im[i] = T(float64(im[i]) * diag[i])
+			}
+		})
+		return
 	}
-	re, im := s.Re, s.Im
+	codes, lmin, scale := ph.Codes, ph.Min, ph.Scale
 	p.Run(len(re), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			re[i] = float32(float64(re[i]) * diag[i])
-			im[i] = float32(float64(im[i]) * diag[i])
+			c := lmin + scale*float64(codes[i])
+			re[i] = T(float64(re[i]) * c)
+			im[i] = T(float64(im[i]) * c)
 		}
 	})
 }
 
-// ImDotDiag returns Im ⟨λ|Ĉ|ψ⟩ with s as λ, accumulated in float64.
-func (s *SoA32) ImDotDiag(p *Pool, psi *SoA32, diag []float64) float64 {
-	if len(s.Re) != len(psi.Re) || len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ImDotDiag length mismatch %d/%d/%d", len(s.Re), len(psi.Re), len(diag)))
+// ExpectationPlanes returns Σ_x C_x (re_x² + im_x²) for the cost source
+// of ph (Gamma and Tab are not read), accumulated in float64.
+func ExpectationPlanes[T Float](p *Pool, re, im []T, ph Phase) float64 {
+	ph.check("Expectation", len(re))
+	if diag := ph.Diag; diag != nil {
+		return p.Reduce(len(re), func(lo, hi int) float64 {
+			var acc float64
+			for i := lo; i < hi; i++ {
+				r, m := float64(re[i]), float64(im[i])
+				acc += diag[i] * (r*r + m*m)
+			}
+			return acc
+		})
 	}
-	lr, li := s.Re, s.Im
-	pr, pi := psi.Re, psi.Im
-	return p.Reduce(len(lr), func(lo, hi int) float64 {
+	codes, lmin, scale := ph.Codes, ph.Min, ph.Scale
+	return p.Reduce(len(re), func(lo, hi int) float64 {
 		var acc float64
 		for i := lo; i < hi; i++ {
-			acc += diag[i] * (float64(lr[i])*float64(pi[i]) - float64(li[i])*float64(pr[i]))
-		}
-		return acc
-	})
-}
-
-// ImDotXAll returns Σ_q Im ⟨λ|X_q|ψ⟩ in one fused pass with s as λ,
-// accumulated in float64.
-func (s *SoA32) ImDotXAll(p *Pool, psi *SoA32) float64 {
-	if len(s.Re) != len(psi.Re) {
-		panic(fmt.Sprintf("statevec: ImDotXAll length mismatch %d vs %d", len(s.Re), len(psi.Re)))
-	}
-	n := s.NumQubits()
-	lr, li := s.Re, s.Im
-	pr, pi := psi.Re, psi.Im
-	return p.Reduce(len(lr), func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			r, m := float64(lr[i]), float64(li[i])
-			for q := 0; q < n; q++ {
-				j := i ^ (1 << uint(q))
-				acc += r*float64(pi[j]) - m*float64(pr[j])
-			}
-		}
-		return acc
-	})
-}
-
-// ImDotXRange returns Σ_{q∈[lo,hi)} Im ⟨λ|X_q|ψ⟩ with s as λ,
-// accumulated in float64 — the SoA32 counterpart of the complex128
-// ImDotXRange the distributed adjoint gradient splits the transverse-
-// field mixer derivative with: local qubits reduce with ImDotXAll in
-// the sharded layout, the k global qubits reduce with this kernel in
-// the transposed layout.
-func (s *SoA32) ImDotXRange(p *Pool, psi *SoA32, lo, hi int) float64 {
-	if len(s.Re) != len(psi.Re) {
-		panic(fmt.Sprintf("statevec: ImDotXRange length mismatch %d vs %d", len(s.Re), len(psi.Re)))
-	}
-	n := s.NumQubits()
-	if lo < 0 || hi > n || lo > hi {
-		panic(fmt.Sprintf("statevec: ImDotXRange qubit range [%d,%d) invalid for n=%d", lo, hi, n))
-	}
-	lr, li := s.Re, s.Im
-	pr, pi := psi.Re, psi.Im
-	return p.Reduce(len(lr), func(from, to int) float64 {
-		var acc float64
-		for i := from; i < to; i++ {
-			r, m := float64(lr[i]), float64(li[i])
-			for q := lo; q < hi; q++ {
-				j := i ^ (1 << uint(q))
-				acc += r*float64(pi[j]) - m*float64(pr[j])
-			}
-		}
-		return acc
-	})
-}
-
-// ImDotXY returns Im ⟨λ|H_e|ψ⟩ for the xy edge term with s as λ,
-// accumulated in float64.
-func (s *SoA32) ImDotXY(p *Pool, psi *SoA32, i, j int) float64 {
-	if i == j {
-		panic("statevec: ImDotXY requires distinct qubits")
-	}
-	n := s.NumQubits()
-	if i < 0 || i >= n || j < 0 || j >= n {
-		panic(fmt.Sprintf("statevec: ImDotXY qubits (%d,%d) out of range for n=%d", i, j, n))
-	}
-	if len(s.Re) != len(psi.Re) {
-		panic(fmt.Sprintf("statevec: ImDotXY length mismatch %d vs %d", len(s.Re), len(psi.Re)))
-	}
-	lo, hi := i, j
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	maskI, maskJ := 1<<uint(i), 1<<uint(j)
-	lr, li := s.Re, s.Im
-	pr, pi := psi.Re, psi.Im
-	return p.Reduce(len(lr)>>2, func(from, to int) float64 {
-		var acc float64
-		for t := from; t < to; t++ {
-			base := expand2(t, lo, hi)
-			xa := base | maskI
-			xb := base | maskJ
-			acc += float64(lr[xa])*float64(pi[xb]) - float64(li[xa])*float64(pr[xb])
-			acc += float64(lr[xb])*float64(pi[xa]) - float64(li[xb])*float64(pr[xa])
+			r, m := float64(re[i]), float64(im[i])
+			acc += (lmin + scale*float64(codes[i])) * (r*r + m*m)
 		}
 		return acc
 	})
@@ -454,16 +380,18 @@ func reversePhaseRange(lam, psi Vec, ph Phase, undo bool, lo, hi int) float64 {
 
 // ReverseXY is the split-layout joint xy reverse step with s as λ.
 func (s *SoA) ReverseXY(p *Pool, psi *SoA, i, j int, beta float64) float64 {
-	return reverseXYPlanes(p, s.Re, s.Im, psi.Re, psi.Im, i, j, beta)
+	return ReverseXYPlanes(p, s.Re, s.Im, psi.Re, psi.Im, i, j, beta)
 }
 
 // ReverseXY is the single-precision joint xy reverse step with s as λ,
 // accumulating in float64.
 func (s *SoA32) ReverseXY(p *Pool, psi *SoA32, i, j int, beta float64) float64 {
-	return reverseXYPlanes(p, s.Re, s.Im, psi.Re, psi.Im, i, j, beta)
+	return ReverseXYPlanes(p, s.Re, s.Im, psi.Re, psi.Im, i, j, beta)
 }
 
-func reverseXYPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, i, j int, beta float64) float64 {
+// ReverseXYPlanes is the joint xy reverse step on split planes with
+// (lr, li) as λ, the kernel behind SoA.ReverseXY and SoA32.ReverseXY.
+func ReverseXYPlanes[T Float](p *Pool, lr, li, pr, pi []T, i, j int, beta float64) float64 {
 	checkPair("ReverseXY", len(lr), len(pr))
 	lo, hi := checkEdge("ReverseXY", numQubits(len(lr)), i, j)
 	sn64, cs64 := math.Sincos(-beta)
@@ -493,16 +421,19 @@ func reverseXYPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, i, j int, beta fl
 
 // ReversePhase is the split-layout joint phase reverse step with s as λ.
 func (s *SoA) ReversePhase(p *Pool, psi *SoA, ph Phase, undo bool) float64 {
-	return reversePhasePlanes(p, s.Re, s.Im, psi.Re, psi.Im, ph, undo)
+	return ReversePhasePlanes(p, s.Re, s.Im, psi.Re, psi.Im, ph, undo)
 }
 
 // ReversePhase is the single-precision joint phase reverse step with s
 // as λ: factors in float64 rounded once, reduction in float64.
 func (s *SoA32) ReversePhase(p *Pool, psi *SoA32, ph Phase, undo bool) float64 {
-	return reversePhasePlanes(p, s.Re, s.Im, psi.Re, psi.Im, ph, undo)
+	return ReversePhasePlanes(p, s.Re, s.Im, psi.Re, psi.Im, ph, undo)
 }
 
-func reversePhasePlanes[T planeElem](p *Pool, lr, li, pr, pi []T, ph Phase, undo bool) float64 {
+// ReversePhasePlanes is the joint phase reverse step on split planes
+// with (lr, li) as λ, the kernel behind SoA.ReversePhase and
+// SoA32.ReversePhase.
+func ReversePhasePlanes[T Float](p *Pool, lr, li, pr, pi []T, ph Phase, undo bool) float64 {
 	checkPair("ReversePhase", len(lr), len(pr))
 	ph.check("ReversePhase", len(lr))
 	return p.Reduce(len(lr), func(lo, hi int) float64 {
@@ -513,8 +444,11 @@ func reversePhasePlanes[T planeElem](p *Pool, lr, li, pr, pi []T, ph Phase, undo
 // reversePhaseRangePlanes returns the share of Im ⟨λ|Ĉ|ψ⟩ of the
 // amplitudes [lo, hi) and, when undo is set, undoes the phase on them
 // in both states.
-func reversePhaseRangePlanes[T planeElem](lr, li, pr, pi []T, ph Phase, undo bool, lo, hi int) float64 {
+func reversePhaseRangePlanes[T Float](lr, li, pr, pi []T, ph Phase, undo bool, lo, hi int) float64 {
 	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
+	if diag == nil {
+		return reversePhaseCodesPlanes(lr, li, pr, pi, ph, undo, lo, hi)
+	}
 	var acc float64
 	if !undo {
 		for i := lo; i < hi; i++ {
@@ -536,6 +470,27 @@ func reversePhaseRangePlanes[T planeElem](lr, li, pr, pi []T, ph Phase, undo boo
 		li[i] = b*cs - a*sn
 		pr[i] = c*cs + d*sn
 		pi[i] = d*cs - c*sn
+	}
+	return acc
+}
+
+// reversePhaseCodesPlanes is reversePhaseRangePlanes for a codes-only
+// source: the reduction reads level Min + Scale·code and the undo the
+// table, the same values and arithmetic as a Diag source on that grid.
+func reversePhaseCodesPlanes[T Float](lr, li, pr, pi []T, ph Phase, undo bool, lo, hi int) float64 {
+	codes, tab, lmin, scale := ph.Codes, ph.Tab, ph.Min, ph.Scale
+	var acc float64
+	for i := lo; i < hi; i++ {
+		a, b, c, d := lr[i], li[i], pr[i], pi[i]
+		acc += (lmin + scale*float64(codes[i])) * (float64(a)*float64(d) - float64(b)*float64(c))
+		if undo {
+			f := tab[codes[i]]
+			sn, cs := T(imag(f)), T(real(f))
+			lr[i] = a*cs + b*sn
+			li[i] = b*cs - a*sn
+			pr[i] = c*cs + d*sn
+			pi[i] = d*cs - c*sn
+		}
 	}
 	return acc
 }

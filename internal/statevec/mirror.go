@@ -47,7 +47,7 @@ func checkMirror(op string, size int) {
 	numQubits(size)
 }
 
-func mirrorRXPlanes[T planeElem](p *Pool, re, im []T, beta float64) {
+func mirrorRXPlanes[T Float](p *Pool, re, im []T, beta float64) {
 	checkMirror("ApplyMirrorRX", len(re))
 	sn64, cs64 := math.Sincos(beta)
 	sn, cs := T(sn64), T(cs64)
@@ -65,7 +65,7 @@ func mirrorRXPlanes[T planeElem](p *Pool, re, im []T, beta float64) {
 	})
 }
 
-func reverseMirrorRXPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, beta float64) float64 {
+func reverseMirrorRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, beta float64) float64 {
 	checkPair("ReverseMirrorRX", len(lr), len(pr))
 	checkMirror("ReverseMirrorRX", len(lr))
 	sn64, cs64 := math.Sincos(-beta)

@@ -8,7 +8,7 @@ import (
 
 // symmetricPlanes draws a random n-qubit state with ψ(x) = ψ(x̄) for
 // every x and the bitwise complement x̄.
-func symmetricPlanes[T planeElem](rng *rand.Rand, n int) planes[T] {
+func symmetricPlanes[T Float](rng *rand.Rand, n int) planes[T] {
 	s := randomPlanes[T](rng, n)
 	mask := len(s.re) - 1
 	for x := len(s.re) / 2; x < len(s.re); x++ {
@@ -39,7 +39,7 @@ func mirrorShapes() []tiledShape {
 // checkMirrorRX requires ApplyMirrorRX on the half state to end bit
 // for bit equal to the lower half of ApplyRX on qubit n−1 of the full
 // symmetric state, which must stay symmetric.
-func checkMirrorRX[T planeElem](t *testing.T) {
+func checkMirrorRX[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	for _, sh := range mirrorShapes() {
 		p := NewPool(sh.workers)
@@ -60,7 +60,7 @@ func checkMirrorRX[T planeElem](t *testing.T) {
 
 // symmetricCopy returns s with its upper half rebuilt from its lower
 // half by the complement map.
-func symmetricCopy[T planeElem](s planes[T]) planes[T] {
+func symmetricCopy[T Float](s planes[T]) planes[T] {
 	c := s.clone()
 	mask := len(c.re) - 1
 	for x := len(c.re) / 2; x < len(c.re); x++ {
@@ -76,7 +76,7 @@ func TestMirrorRXSoA32MatchesFullState(t *testing.T) { checkMirrorRX[float32](t)
 // to end bit for bit equal to the lower halves of the full-state joint
 // RX(−β) step on qubit n−1, and its reduction to be half of the full
 // state's Im ⟨λ|X_(n−1)|ψ⟩ to 1e-12 relative.
-func checkReverseMirrorRX[T planeElem](t *testing.T) {
+func checkReverseMirrorRX[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for _, sh := range mirrorShapes() {
 		p := NewPool(sh.workers)

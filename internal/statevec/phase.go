@@ -14,18 +14,30 @@ import (
 // per γ: kernels then gather Tab[Codes[x]] instead of calling sincos.
 // The caller guarantees that level_{Codes[x]} equals Diag[x] bit for
 // bit, so each table entry is the sincos of the same float64 argument
-// and both sources give bit-identical states. Diag is always required:
-// the adjoint reduction ReversePhase reads Ĉ from it.
+// and both sources give bit-identical states.
+//
+// Diag may be nil when Codes is set: a codes-only source, as a
+// quantized diagonal shard holds. The split-layout reductions
+// (ReversePhase, Expectation, MulCost) then read level_k = Min +
+// Scale·k, which equals the float64 entry bitwise when the codes are
+// an exact grid. The complex128 reductions require Diag.
 type Phase struct {
 	Diag  []float64
 	Gamma float64
 	Codes []uint16
 	Tab   []complex128
+	// Min and Scale define level_k = Min + Scale·k of a codes-only
+	// source; they are not read while Diag is set.
+	Min, Scale float64
 }
+
+// active reports whether ph has a cost source (a zero Phase has none).
+func (ph *Phase) active() bool { return ph.Diag != nil || ph.Codes != nil }
 
 // check panics unless the phase source covers a size-amplitude state.
 func (ph *Phase) check(op string, size int) {
-	if len(ph.Diag) != size || (ph.Codes != nil && len(ph.Codes) != size) {
+	codesOnly := ph.Diag == nil && ph.Codes != nil
+	if !codesOnly && len(ph.Diag) != size || ph.Codes != nil && len(ph.Codes) != size {
 		panic(fmt.Sprintf("statevec: %s length mismatch: state %d, diagonal %d, codes %d", op, size, len(ph.Diag), len(ph.Codes)))
 	}
 }
@@ -58,30 +70,32 @@ func phaseRange(v Vec, ph Phase, lo, hi int) {
 	}
 }
 
-// planeElem is the element type of the split-layout states' real and
+// Float is the element type of the split-layout states' real and
 // imaginary planes: float64 for SoA, float32 for SoA32. The SoA and
 // SoA32 kernels run the same arithmetic on either, with rotation
 // coefficients and phase factors computed in float64 and rounded once
 // to the plane type, and reductions accumulated in float64.
-type planeElem interface {
-	~float32 | ~float64
+type Float interface {
+	float32 | float64
 }
 
 // ApplyPhase multiplies amplitude x by e^{−iγ·diag_x} in place.
-func (s *SoA) ApplyPhase(p *Pool, ph Phase) { applyPhasePlanes(p, s.Re, s.Im, ph) }
+func (s *SoA) ApplyPhase(p *Pool, ph Phase) { ApplyPhasePlanes(p, s.Re, s.Im, ph) }
 
 // ApplyPhase multiplies amplitude x by e^{−iγ·diag_x}; the phase
 // factors are evaluated in double precision and rounded once.
-func (s *SoA32) ApplyPhase(p *Pool, ph Phase) { applyPhasePlanes(p, s.Re, s.Im, ph) }
+func (s *SoA32) ApplyPhase(p *Pool, ph Phase) { ApplyPhasePlanes(p, s.Re, s.Im, ph) }
 
-func applyPhasePlanes[T planeElem](p *Pool, re, im []T, ph Phase) {
+// ApplyPhasePlanes is the phase operator on split planes, the kernel
+// behind SoA.ApplyPhase and SoA32.ApplyPhase.
+func ApplyPhasePlanes[T Float](p *Pool, re, im []T, ph Phase) {
 	ph.check("ApplyPhase", len(re))
 	p.Run(len(re), func(lo, hi int) { phaseRangePlanes(re, im, ph, lo, hi) })
 }
 
 // phaseRangePlanes multiplies the amplitudes [lo, hi) of split planes
 // by their phase factors.
-func phaseRangePlanes[T planeElem](re, im []T, ph Phase, lo, hi int) {
+func phaseRangePlanes[T Float](re, im []T, ph Phase, lo, hi int) {
 	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
 	for i := lo; i < hi; i++ {
 		var sn64, cs64 float64

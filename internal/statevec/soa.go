@@ -80,7 +80,7 @@ func (s *SoA) NumQubits() int { return numQubits(len(s.Re)) }
 func (s *SoA) ApplyRX(p *Pool, q int, beta float64) { applyRXPlanes(p, s.Re, s.Im, q, beta) }
 
 // applyRXPlanes is the per-qubit RX pass on split planes.
-func applyRXPlanes[T planeElem](p *Pool, re, im []T, q int, beta float64) {
+func applyRXPlanes[T Float](p *Pool, re, im []T, q int, beta float64) {
 	if n := numQubits(len(re)); q < 0 || q >= n {
 		panic(fmt.Sprintf("statevec: qubit %d out of range for n=%d", q, n))
 	}
@@ -90,21 +90,15 @@ func applyRXPlanes[T planeElem](p *Pool, re, im []T, q int, beta float64) {
 
 // ApplyXY applies e^{−iβ(XX+YY)/2} on the pair (i, j); the rotated
 // amplitude pair update is identical in form to ApplyRX.
-func (s *SoA) ApplyXY(p *Pool, i, j int, beta float64) {
-	if i == j {
-		panic("statevec: ApplyXY requires distinct qubits")
-	}
-	n := s.NumQubits()
-	if i < 0 || i >= n || j < 0 || j >= n {
-		panic(fmt.Sprintf("statevec: ApplyXY qubits (%d,%d) out of range for n=%d", i, j, n))
-	}
-	sn, cs := math.Sincos(beta)
-	lo, hi := i, j
-	if lo > hi {
-		lo, hi = hi, lo
-	}
+func (s *SoA) ApplyXY(p *Pool, i, j int, beta float64) { ApplyXYPlanes(p, s.Re, s.Im, i, j, beta) }
+
+// ApplyXYPlanes applies e^{−iβ(XX+YY)/2} on the pair (i, j) of split
+// planes, the kernel behind SoA.ApplyXY and SoA32.ApplyXY.
+func ApplyXYPlanes[T Float](p *Pool, re, im []T, i, j int, beta float64) {
+	lo, hi := checkEdge("ApplyXY", numQubits(len(re)), i, j)
+	sn64, cs64 := math.Sincos(beta)
+	sn, cs := T(sn64), T(cs64)
 	maskI, maskJ := 1<<uint(i), 1<<uint(j)
-	re, im := s.Re, s.Im
 	p.Run(len(re)>>2, func(from, to int) {
 		for t := from; t < to; t++ {
 			base := expand2(t, lo, hi)
@@ -127,17 +121,7 @@ func (s *SoA) PhaseDiag(p *Pool, diag []float64, gamma float64) {
 
 // ExpectationDiag returns Σ_x diag_x (re_x² + im_x²).
 func (s *SoA) ExpectationDiag(p *Pool, diag []float64) float64 {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ExpectationDiag length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
-	re, im := s.Re, s.Im
-	return p.Reduce(len(re), func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += diag[i] * (re[i]*re[i] + im[i]*im[i])
-		}
-		return acc
-	})
+	return ExpectationPlanes(p, s.Re, s.Im, Phase{Diag: diag})
 }
 
 // NormSquared returns ‖ψ‖₂².

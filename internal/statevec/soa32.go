@@ -86,36 +86,7 @@ func (s *SoA32) MemoryBytes() int { return 8 * len(s.Re) }
 func (s *SoA32) ApplyRX(p *Pool, q int, beta float64) { applyRXPlanes(p, s.Re, s.Im, q, beta) }
 
 // ApplyXY applies e^{−iβ(XX+YY)/2} on the pair (i, j).
-func (s *SoA32) ApplyXY(p *Pool, i, j int, beta float64) {
-	if i == j {
-		panic("statevec: ApplyXY requires distinct qubits")
-	}
-	n := s.NumQubits()
-	if i < 0 || i >= n || j < 0 || j >= n {
-		panic(fmt.Sprintf("statevec: ApplyXY qubits (%d,%d) out of range for n=%d", i, j, n))
-	}
-	sn64, cs64 := math.Sincos(beta)
-	sn, cs := float32(sn64), float32(cs64)
-	lo, hi := i, j
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	maskI, maskJ := 1<<uint(i), 1<<uint(j)
-	re, im := s.Re, s.Im
-	p.Run(len(re)>>2, func(from, to int) {
-		for t := from; t < to; t++ {
-			base := expand2(t, lo, hi)
-			xa := base | maskI
-			xb := base | maskJ
-			ra, ia := re[xa], im[xa]
-			rb, ib := re[xb], im[xb]
-			re[xa] = cs*ra + sn*ib
-			im[xa] = cs*ia - sn*rb
-			re[xb] = cs*rb + sn*ia
-			im[xb] = cs*ib - sn*ra
-		}
-	})
-}
+func (s *SoA32) ApplyXY(p *Pool, i, j int, beta float64) { ApplyXYPlanes(p, s.Re, s.Im, i, j, beta) }
 
 // PhaseDiag multiplies amplitude x by e^{−iγ·diag_x}; the phase
 // factors are evaluated in double precision.
@@ -127,18 +98,7 @@ func (s *SoA32) PhaseDiag(p *Pool, diag []float64, gamma float64) {
 // the reduction does not add single-precision error on top of the
 // state's.
 func (s *SoA32) ExpectationDiag(p *Pool, diag []float64) float64 {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ExpectationDiag length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
-	re, im := s.Re, s.Im
-	return p.Reduce(len(re), func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			r, m := float64(re[i]), float64(im[i])
-			acc += diag[i] * (r*r + m*m)
-		}
-		return acc
-	})
+	return ExpectationPlanes(p, s.Re, s.Im, Phase{Diag: diag})
 }
 
 // NormSquared returns ‖ψ‖₂² in float64.

@@ -1,6 +1,9 @@
 package statevec
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the cache-tiled transverse-field mixer kernels of the
 // split layouts (SoA, SoA32): one forward layer and one adjoint reverse
@@ -26,6 +29,13 @@ import "math"
 // costs no pass of its own. The reverse step is per qubit — a
 // pair-fused reverse measured slower — and folds the phase reduction
 // and undo into its last pass.
+//
+// The qubit-range kernels (UniformRXRangePlanes, ReverseRXRangePlanes)
+// run the later passes alone over a range [lo, hi) of qubits. A
+// distributed shard applies them to the global qubits that an
+// all-to-all has swapped into its top local positions, so the layer on
+// the local qubits and the range pass together give each amplitude the
+// single-node layer's arithmetic.
 
 // Tile shape. These are constants of the kernels, not settings.
 const (
@@ -79,20 +89,20 @@ func forTileRows(base, q0, g, j, width int, fn func(i int)) {
 // rxCoeffs holds the RX(β) coefficients in the plane type: cos β and
 // sin β for single-qubit steps, and the RX⊗RX block's cos²β, sin²β and
 // cos β·sin β, each computed in float64 and rounded once.
-type rxCoeffs[T planeElem] struct{ c, s, cc, ss, cs T }
+type rxCoeffs[T Float] struct{ c, s, cc, ss, cs T }
 
-func newRXCoeffs[T planeElem](beta float64) rxCoeffs[T] {
+func newRXCoeffs[T Float](beta float64) rxCoeffs[T] {
 	s, c := math.Sincos(beta)
 	return rxCoeffs[T]{c: T(c), s: T(s), cc: T(c * c), ss: T(s * s), cs: T(c * s)}
 }
 
 // ApplyUniformRX applies the transverse-field mixer e^{−iβΣX_q} with
 // the tiled F = 2 kernel.
-func (s *SoA) ApplyUniformRX(p *Pool, beta float64) { rxLayerPlanes(p, s.Re, s.Im, Phase{}, beta) }
+func (s *SoA) ApplyUniformRX(p *Pool, beta float64) { UniformRXPlanes(p, s.Re, s.Im, Phase{}, beta) }
 
 // ApplyUniformRX applies the transverse-field mixer with the tiled
 // F = 2 kernel in single precision.
-func (s *SoA32) ApplyUniformRX(p *Pool, beta float64) { rxLayerPlanes(p, s.Re, s.Im, Phase{}, beta) }
+func (s *SoA32) ApplyUniformRX(p *Pool, beta float64) { UniformRXPlanes(p, s.Re, s.Im, Phase{}, beta) }
 
 // ApplyPhaseThenUniformRX applies one QAOA layer e^{−iβΣX_q}·e^{−iγĈ}
 // with the tiled F = 2 kernel, the phase applied to each first-pass
@@ -100,7 +110,7 @@ func (s *SoA32) ApplyUniformRX(p *Pool, beta float64) { rxLayerPlanes(p, s.Re, s
 // followed by ApplyUniformRX.
 func (s *SoA) ApplyPhaseThenUniformRX(p *Pool, ph Phase, beta float64) {
 	ph.check("ApplyPhaseThenUniformRX", len(s.Re))
-	rxLayerPlanes(p, s.Re, s.Im, ph, beta)
+	UniformRXPlanes(p, s.Re, s.Im, ph, beta)
 }
 
 // ApplyPhaseThenUniformRX is the single-precision tiled layer. Phase
@@ -108,46 +118,87 @@ func (s *SoA) ApplyPhaseThenUniformRX(p *Pool, ph Phase, beta float64) {
 // rounded once; the amplitude arithmetic is float32.
 func (s *SoA32) ApplyPhaseThenUniformRX(p *Pool, ph Phase, beta float64) {
 	ph.check("ApplyPhaseThenUniformRX", len(s.Re))
-	rxLayerPlanes(p, s.Re, s.Im, ph, beta)
+	UniformRXPlanes(p, s.Re, s.Im, ph, beta)
 }
 
 // ReverseUniformRX is the adjoint reverse step of one x-mixer layer,
 // with s as the bra λ: for q = 0, …, n−1 it adds Im ⟨λ|X_q|ψ⟩ and
 // applies RX(−β) on qubit q to λ and ψ, and returns the sum as mixer.
-// When ph.Diag is set it then returns Im ⟨λ|Ĉ|ψ⟩ as phase and, with
-// undo, undoes ph on both states. The states end bit-identical to
+// When ph has a cost source it then returns Im ⟨λ|Ĉ|ψ⟩ as phase and,
+// with undo, undoes ph on both states. The states end bit-identical to
 // per-qubit ApplyRX(−β) steps followed by ReversePhase; reductions
 // accumulate in float64.
 func (s *SoA) ReverseUniformRX(p *Pool, psi *SoA, beta float64, ph Phase, undo bool) (mixer, phase float64) {
-	return reverseLayerPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta, ph, undo)
+	return ReverseUniformRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta, ph, undo)
 }
 
 // ReverseUniformRX is the single-precision tiled reverse step with s
 // as λ.
 func (s *SoA32) ReverseUniformRX(p *Pool, psi *SoA32, beta float64, ph Phase, undo bool) (mixer, phase float64) {
-	return reverseLayerPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta, ph, undo)
+	return ReverseUniformRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta, ph, undo)
 }
 
-// rxLayerPlanes is the tiled forward layer on split planes; a zero ph
-// (nil Diag) applies the mixer alone.
-func rxLayerPlanes[T planeElem](p *Pool, re, im []T, ph Phase, beta float64) {
+// UniformRXPlanes is the tiled forward layer on split planes, the
+// kernel behind ApplyPhaseThenUniformRX; a zero ph applies the mixer
+// alone.
+func UniformRXPlanes[T Float](p *Pool, re, im []T, ph Phase, beta float64) {
+	if ph.active() {
+		ph.check("UniformRXPlanes", len(re))
+	}
 	n := numQubits(len(re))
 	k := newRXCoeffs[T](beta)
 	low := tileLowQubits(n, p.workers())
 	size := 1 << uint(low)
-	work := len(re) / 2
-	p.runTasks(len(re)>>uint(low), work, func(lo, hi int) {
+	p.runTasks(len(re)>>uint(low), len(re)/2, func(lo, hi int) {
 		for b := lo * size; b < hi*size; b += size {
 			rxBlock(re, im, ph, k, low, b, b+size)
 		}
 	})
-	for q0 := low; q0 < n; q0 += tileGroup {
-		g := min(tileGroup, n-q0)
-		p.runTasks(len(re)>>uint(g+tileRunBits), work, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
+	rxPasses(p, re, im, k, low, n)
+}
+
+// UniformRXRangePlanes applies RX(β) on the qubits [lo, hi) of split
+// planes: RX⊗RX on the pairs (lo, lo+1), (lo+2, lo+3), …, then RX alone
+// on qubit hi−1 when hi−lo is odd. It runs the tiled layer's later
+// passes over the range, each amplitude seeing the same arithmetic as
+// in UniformRXPlanes when lo is even; below tileRunBits, where rows
+// are shorter than a run, it takes one untiled pass per pair.
+func UniformRXRangePlanes[T Float](p *Pool, re, im []T, lo, hi int, beta float64) {
+	checkRange("UniformRXRangePlanes", numQubits(len(re)), lo, hi)
+	k := newRXCoeffs[T](beta)
+	if lo >= tileRunBits {
+		rxPasses(p, re, im, k, lo, hi)
+		return
+	}
+	work := len(re) / 2
+	q := lo
+	for ; q+1 < hi; q += 2 {
+		p.runTasks(len(re)/4, work, func(a, b int) { rxPairRange(re, im, q, k, a, b) })
+	}
+	if q < hi {
+		p.runTasks(len(re)/2, work, func(a, b int) { rxRange(re, im, q, k.c, k.s, a, b) })
+	}
+}
+
+// rxPasses runs the tiled forward passes over the qubits [lo, hi),
+// tileGroup qubits per pass; lo ≥ tileRunBits unless the range is
+// empty.
+func rxPasses[T Float](p *Pool, re, im []T, k rxCoeffs[T], lo, hi int) {
+	for q0 := lo; q0 < hi; q0 += tileGroup {
+		g := min(tileGroup, hi-q0)
+		p.runTasks(len(re)>>uint(g+tileRunBits), len(re)/2, func(a, b int) {
+			for t := a; t < b; t++ {
 				rxTile(re, im, k, tileBase(t, q0, g), q0, g)
 			}
 		})
+	}
+}
+
+// checkRange panics unless [lo, hi) is a qubit range of an n-qubit
+// state.
+func checkRange(op string, n, lo, hi int) {
+	if lo < 0 || hi > n || lo > hi {
+		panic(fmt.Sprintf("statevec: %s qubit range [%d,%d) invalid for n=%d", op, lo, hi, n))
 	}
 }
 
@@ -155,8 +206,8 @@ func rxLayerPlanes[T planeElem](p *Pool, re, im []T, ph Phase, beta float64) {
 // a block of 2^low: the phase, then RX⊗RX on the pairs below low, then
 // RX alone on the last qubit if low is odd (which happens only when the
 // block is the whole state).
-func rxBlock[T planeElem](re, im []T, ph Phase, k rxCoeffs[T], low, lo, hi int) {
-	if ph.Diag != nil {
+func rxBlock[T Float](re, im []T, ph Phase, k rxCoeffs[T], low, lo, hi int) {
+	if ph.active() {
 		phaseRangePlanes(re, im, ph, lo, hi)
 	}
 	q := 0
@@ -179,7 +230,7 @@ func rxBlock[T planeElem](re, im []T, ph Phase, k rxCoeffs[T], low, lo, hi int) 
 
 // rxTile runs one tile of a later forward pass: RX⊗RX on the group's
 // qubit pairs, then RX alone on its last qubit if g is odd.
-func rxTile[T planeElem](re, im []T, k rxCoeffs[T], base, q0, g int) {
+func rxTile[T Float](re, im []T, k rxCoeffs[T], base, q0, g int) {
 	j := 0
 	for ; j+1 < g; j += 2 {
 		s := 1 << uint(q0+j)
@@ -199,7 +250,7 @@ func rxTile[T planeElem](re, im []T, k rxCoeffs[T], base, q0, g int) {
 //	re2' =  c·re2 + s·im1    im2' = c·im2 − s·re1
 //
 // which is [[c, −is], [−is, c]] expanded into real arithmetic.
-func rxRange[T planeElem](re, im []T, q int, cs, sn T, lo, hi int) {
+func rxRange[T Float](re, im []T, q int, cs, sn T, lo, hi int) {
 	stride := 1 << uint(q)
 	mask := stride - 1
 	for t := lo; t < hi; t++ {
@@ -224,7 +275,7 @@ func rxRange[T planeElem](re, im []T, q int, cs, sn T, lo, hi int) {
 //	[ −ss  −ics  −ics   cc ]
 //
 // expanded into real arithmetic (−i·x has re = im(x), im = −re(x)).
-func rxPairRange[T planeElem](re, im []T, q int, k rxCoeffs[T], lo, hi int) {
+func rxPairRange[T Float](re, im []T, q int, k rxCoeffs[T], lo, hi int) {
 	cc, ss, cs := k.cc, k.ss, k.cs
 	stride := 1 << uint(q)
 	mask := stride - 1
@@ -250,7 +301,7 @@ func rxPairRange[T planeElem](re, im []T, q int, k rxCoeffs[T], lo, hi int) {
 
 // rxPairRun is rxPairRange on the tileRun quadruples
 // (i+c, i+s+c, i+2s+c, i+3s+c) of a tile's rows.
-func rxPairRun[T planeElem](re, im []T, i, s int, k rxCoeffs[T]) {
+func rxPairRun[T Float](re, im []T, i, s int, k rxCoeffs[T]) {
 	cc, ss, cs := k.cc, k.ss, k.cs
 	a0, b0 := (*[tileRun]T)(re[i:]), (*[tileRun]T)(im[i:])
 	a1, b1 := (*[tileRun]T)(re[i+s:]), (*[tileRun]T)(im[i+s:])
@@ -272,11 +323,11 @@ func rxPairRun[T planeElem](re, im []T, i, s int, k rxCoeffs[T]) {
 	}
 }
 
-// reverseLayerPlanes is the tiled reverse step on split planes (see
-// SoA.ReverseUniformRX); a zero ph (nil Diag) runs the mixer alone.
-func reverseLayerPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, beta float64, ph Phase, undo bool) (mixer, phase float64) {
+// ReverseUniformRXPlanes is the tiled reverse step on split planes, the
+// kernel behind ReverseUniformRX; a zero ph runs the mixer alone.
+func ReverseUniformRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, beta float64, ph Phase, undo bool) (mixer, phase float64) {
 	checkPair("ReverseUniformRX", len(lr), len(pr))
-	if ph.Diag != nil {
+	if ph.active() {
 		ph.check("ReverseUniformRX", len(lr))
 	}
 	n := numQubits(len(lr))
@@ -284,9 +335,8 @@ func reverseLayerPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, beta float64, 
 	sn, cs := T(sn64), T(cs64)
 	low := tileLowQubits(n, p.workers())
 	size := 1 << uint(low)
-	work := len(lr) / 2
-	phaseInBlocks := ph.Diag != nil && low == n
-	mixer, phase = p.reduceTasks(len(lr)>>uint(low), work, func(lo, hi int) (dx, dc float64) {
+	phaseInBlocks := ph.active() && low == n
+	mixer, phase = p.reduceTasks(len(lr)>>uint(low), len(lr)/2, func(lo, hi int) (dx, dc float64) {
 		for b := lo * size; b < hi*size; b += size {
 			for q := 0; q < min(low, tileRunBits); q++ {
 				dx += reverseRXRangePlanes(lr, li, pr, pi, q, cs, sn, b/2, (b+size)/2)
@@ -305,11 +355,44 @@ func reverseLayerPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, beta float64, 
 		}
 		return dx, dc
 	})
-	for q0 := low; q0 < n; q0 += tileGroup {
-		g := min(tileGroup, n-q0)
-		last := ph.Diag != nil && q0+g == n
-		dx, dc := p.reduceTasks(len(lr)>>uint(g+tileRunBits), work, func(lo, hi int) (dx, dc float64) {
-			for t := lo; t < hi; t++ {
+	return reversePasses(p, lr, li, pr, pi, cs, sn, low, n, ph, undo, mixer, phase)
+}
+
+// ReverseRXRangePlanes is the joint reverse step on the qubits
+// [lo, hi) of split planes with (lr, li) as λ: for each qubit q it adds
+// Im ⟨λ|X_q|ψ⟩ and applies RX(−β) to λ and ψ, and returns the sum. It
+// runs the tiled reverse step's later passes over the range; below
+// tileRunBits it takes one untiled pass per qubit.
+func ReverseRXRangePlanes[T Float](p *Pool, lr, li, pr, pi []T, lo, hi int, beta float64) float64 {
+	checkPair("ReverseRXRangePlanes", len(lr), len(pr))
+	checkRange("ReverseRXRangePlanes", numQubits(len(lr)), lo, hi)
+	sn64, cs64 := math.Sincos(-beta)
+	sn, cs := T(sn64), T(cs64)
+	if lo >= tileRunBits {
+		mixer, _ := reversePasses(p, lr, li, pr, pi, cs, sn, lo, hi, Phase{}, false, 0, 0)
+		return mixer
+	}
+	var mixer float64
+	for q := lo; q < hi; q++ {
+		dx, _ := p.reduceTasks(len(lr)/2, len(lr)/2, func(a, b int) (float64, float64) {
+			return reverseRXRangePlanes(lr, li, pr, pi, q, cs, sn, a, b), 0
+		})
+		mixer += dx
+	}
+	return mixer
+}
+
+// reversePasses runs the tiled reverse passes over the qubits
+// [lo, hi), tileGroup qubits per pass, with the phase reduction and
+// undo in the last pass when ph has a cost source, and adds each
+// pass's reductions to mixer and phase in pass order; lo ≥ tileRunBits
+// unless the range is empty.
+func reversePasses[T Float](p *Pool, lr, li, pr, pi []T, cs, sn T, lo, hi int, ph Phase, undo bool, mixer, phase float64) (float64, float64) {
+	for q0 := lo; q0 < hi; q0 += tileGroup {
+		g := min(tileGroup, hi-q0)
+		last := ph.active() && q0+g == hi
+		dx, dc := p.reduceTasks(len(lr)>>uint(g+tileRunBits), len(lr)/2, func(a, b int) (dx, dc float64) {
+			for t := a; t < b; t++ {
 				base := tileBase(t, q0, g)
 				for j := 0; j < g; j++ {
 					s := 1 << uint(q0+j)
@@ -332,7 +415,7 @@ func reverseLayerPlanes[T planeElem](p *Pool, lr, li, pr, pi []T, beta float64, 
 // reverseRXRangePlanes runs the joint RX(−β) reverse step on qubit q
 // over the amplitude pairs t ∈ [lo, hi) of λ (lr, li) and ψ (pr, pi),
 // returning their share of Im ⟨λ|X_q|ψ⟩; (cs, sn) = (cos, sin)(−β).
-func reverseRXRangePlanes[T planeElem](lr, li, pr, pi []T, q int, cs, sn T, lo, hi int) float64 {
+func reverseRXRangePlanes[T Float](lr, li, pr, pi []T, q int, cs, sn T, lo, hi int) float64 {
 	stride := 1 << uint(q)
 	mask := stride - 1
 	var acc float64
@@ -356,7 +439,7 @@ func reverseRXRangePlanes[T planeElem](lr, li, pr, pi []T, q int, cs, sn T, lo, 
 
 // reverseRXRun is reverseRXRangePlanes on the tileRun pairs
 // (i+c, i+s+c) of a tile row.
-func reverseRXRun[T planeElem](lr, li, pr, pi []T, i, s int, cs, sn T) float64 {
+func reverseRXRun[T Float](lr, li, pr, pi []T, i, s int, cs, sn T) float64 {
 	lr1, li1 := (*[tileRun]T)(lr[i:]), (*[tileRun]T)(li[i:])
 	lr2, li2 := (*[tileRun]T)(lr[i+s:]), (*[tileRun]T)(li[i+s:])
 	pr1, pi1 := (*[tileRun]T)(pr[i:]), (*[tileRun]T)(pi[i:])

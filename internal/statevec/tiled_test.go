@@ -47,7 +47,7 @@ func tiledPhases(rng *rand.Rand, size int, gamma float64) map[string]Phase {
 // pairwiseLayerRef is the untiled F = 2 layer written out one full pass
 // at a time: the phase (when ph.Diag is set), then RX⊗RX on each qubit
 // pair (0,1), (2,3), …, then RX alone on the last qubit of odd n.
-func pairwiseLayerRef[T planeElem](re, im []T, ph Phase, beta float64) {
+func pairwiseLayerRef[T Float](re, im []T, ph Phase, beta float64) {
 	n := numQubits(len(re))
 	for i := range re {
 		if ph.Diag == nil {
@@ -100,7 +100,7 @@ func pairwiseLayerRef[T planeElem](re, im []T, ph Phase, beta float64) {
 }
 
 // planes is the test's view of a split state of either precision.
-type planes[T planeElem] struct{ re, im []T }
+type planes[T Float] struct{ re, im []T }
 
 func (s planes[T]) clone() planes[T] {
 	return planes[T]{append([]T(nil), s.re...), append([]T(nil), s.im...)}
@@ -115,7 +115,7 @@ func (s planes[T]) vec() Vec {
 }
 
 // bitDiff returns the first index where a and b differ in any bit, or −1.
-func bitDiff[T planeElem](a, b planes[T]) int {
+func bitDiff[T Float](a, b planes[T]) int {
 	for i := range a.re {
 		if a.re[i] != b.re[i] || a.im[i] != b.im[i] {
 			return i
@@ -124,7 +124,7 @@ func bitDiff[T planeElem](a, b planes[T]) int {
 	return -1
 }
 
-func randomPlanes[T planeElem](rng *rand.Rand, n int) planes[T] {
+func randomPlanes[T Float](rng *rand.Rand, n int) planes[T] {
 	v := randState(rng, n)
 	s := planes[T]{make([]T, len(v)), make([]T, len(v))}
 	for i, a := range v {
@@ -137,7 +137,7 @@ func randomPlanes[T planeElem](rng *rand.Rand, n int) planes[T] {
 // phase source and requires it to match the pairwise reference bit for
 // bit; for float64 it must also agree with the per-qubit ApplyRX sweep
 // to 1e-13.
-func checkTiledLayer[T planeElem](t *testing.T) {
+func checkTiledLayer[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, sh := range tiledShapes(t) {
 		p := NewPool(sh.workers)
@@ -147,10 +147,10 @@ func checkTiledLayer[T planeElem](t *testing.T) {
 			label := fmt.Sprintf("n=%d workers=%d %s", sh.n, sh.workers, name)
 			got := in.clone()
 			if ph.Diag == nil {
-				rxLayerPlanes(p, got.re, got.im, Phase{}, beta)
+				UniformRXPlanes(p, got.re, got.im, Phase{}, beta)
 			} else {
 				ph.check("test", len(got.re))
-				rxLayerPlanes(p, got.re, got.im, ph, beta)
+				UniformRXPlanes(p, got.re, got.im, ph, beta)
 			}
 			want := in.clone()
 			pairwiseLayerRef(want.re, want.im, ph, beta)
@@ -185,7 +185,7 @@ func TestTiledLayerSoA32MatchesPairwise(t *testing.T) { checkTiledLayer[float32]
 // the same points to 1e-12 relative. For float64, where the per-qubit
 // terms do not depend on the point of the sweep they are read at, the
 // mixer reduction must also agree with ImDotXAll of the input pair.
-func checkTiledReverse[T planeElem](t *testing.T) {
+func checkTiledReverse[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	_, single := any([]T(nil)).([]float32)
 	for _, sh := range tiledShapes(t) {
@@ -202,7 +202,7 @@ func checkTiledReverse[T planeElem](t *testing.T) {
 				}
 				label := fmt.Sprintf("n=%d workers=%d %s undo=%v", sh.n, sh.workers, name, undo)
 				lam, psi := lam0.clone(), psi0.clone()
-				mixer, phase := reverseLayerPlanes(p, lam.re, lam.im, psi.re, psi.im, beta, ph, undo)
+				mixer, phase := ReverseUniformRXPlanes(p, lam.re, lam.im, psi.re, psi.im, beta, ph, undo)
 
 				wl, wp := lam0.clone(), psi0.clone()
 				var wantMixer, wantPhase float64
@@ -347,4 +347,106 @@ func BenchmarkTiledMixer(b *testing.B) {
 			lam.ReverseUniformRX(p, psi, 0.3, ph, true)
 		}
 	})
+}
+
+// checkRXRange runs the qubit-range forward and reverse kernels over
+// ranges that take the tiled passes (lo ≥ tileRunBits) and the untiled
+// ones, and requires their states to match one full pass per pair (per
+// qubit in reverse) bit for bit; the reverse reduction must agree with
+// ImDotXRange of the input pair.
+func checkRXRange[T Float](t *testing.T, tol float64) {
+	rng := rand.New(rand.NewSource(57))
+	const beta = 0.61
+	for _, n := range []int{3, 6, 9, 14} {
+		for _, r := range [][2]int{{0, n}, {n / 2, n}, {1, n - 1}, {4, n}, {n - 1, n}} {
+			lo, hi := r[0], r[1]
+			if lo > hi || hi > n {
+				continue
+			}
+			label := fmt.Sprintf("n=%d [%d,%d)", n, lo, hi)
+			in := randomPlanes[T](rng, n)
+			got, want := in.clone(), in.clone()
+			UniformRXRangePlanes(NewPool(2), got.re, got.im, lo, hi, beta)
+			k := newRXCoeffs[T](beta)
+			q := lo
+			for ; q+1 < hi; q += 2 {
+				rxPairRange(want.re, want.im, q, k, 0, len(want.re)/4)
+			}
+			if q < hi {
+				rxRange(want.re, want.im, q, k.c, k.s, 0, len(want.re)/2)
+			}
+			if i := bitDiff(got, want); i >= 0 {
+				t.Errorf("%s forward: amplitude %d differs from the per-pair passes", label, i)
+			}
+
+			lam, psi := randomPlanes[T](rng, n), randomPlanes[T](rng, n)
+			wl, wp := lam.clone(), psi.clone()
+			wantMixer := ImDotXRange(lam.vec(), psi.vec(), lo, hi)
+			mixer := ReverseRXRangePlanes(NewPool(2), lam.re, lam.im, psi.re, psi.im, lo, hi, beta)
+			sn64, cs64 := math.Sincos(-beta)
+			for q := lo; q < hi; q++ {
+				reverseRXRangePlanes(wl.re, wl.im, wp.re, wp.im, q, T(cs64), T(sn64), 0, len(wl.re)/2)
+			}
+			if bitDiff(lam, wl) >= 0 || bitDiff(psi, wp) >= 0 {
+				t.Errorf("%s reverse: states differ from the per-qubit passes", label)
+			}
+			if d := math.Abs(mixer - wantMixer); d > tol*(math.Abs(wantMixer)+1) {
+				t.Errorf("%s reverse: reduction %v, want %v", label, mixer, wantMixer)
+			}
+		}
+	}
+}
+
+func TestRXRangePlanes(t *testing.T) {
+	checkRXRange[float64](t, 1e-12)
+	checkRXRange[float32](t, 1e-5)
+}
+
+// checkCodesOnlyPhase requires every split-layout kernel that reads a
+// cost source to give bit-identical states and reductions for a
+// codes-only source (Diag nil, levels Min + Scale·code) and for the
+// Diag source of the same grid: the forward layer, the tiled reverse
+// step with its phase in pass 1 (n = 5) and in the last later pass
+// (n = 14), the reverse phase, the expectation and MulDiag.
+func checkCodesOnlyPhase[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	const gamma, beta = 0.43, -0.29
+	for _, n := range []int{5, 14} {
+		grid, codes, tab := randomLevels(rng, 1<<n, gamma)
+		withDiag := Phase{Diag: grid, Gamma: gamma, Codes: codes, Tab: tab}
+		codesOnly := Phase{Gamma: gamma, Codes: codes, Tab: tab, Min: -3, Scale: 0.5}
+		p := NewPool(1)
+		in := randomPlanes[T](rng, n)
+		a, b := in.clone(), in.clone()
+		UniformRXPlanes(p, a.re, a.im, withDiag, beta)
+		UniformRXPlanes(p, b.re, b.im, codesOnly, beta)
+		if i := bitDiff(a, b); i >= 0 {
+			t.Errorf("n=%d layer: amplitude %d differs", n, i)
+		}
+		if ea, eb := ExpectationPlanes(p, a.re, a.im, withDiag), ExpectationPlanes(p, b.re, b.im, codesOnly); ea != eb {
+			t.Errorf("n=%d expectation %v vs %v", n, ea, eb)
+		}
+		lam := randomPlanes[T](rng, n)
+		la, lb := lam.clone(), lam.clone()
+		for _, undo := range []bool{false, true} {
+			ma, pa := ReverseUniformRXPlanes(p, la.re, la.im, a.re, a.im, beta, withDiag, undo)
+			mb, pb := ReverseUniformRXPlanes(p, lb.re, lb.im, b.re, b.im, beta, codesOnly, undo)
+			if ma != mb || pa != pb || bitDiff(la, lb) >= 0 || bitDiff(a, b) >= 0 {
+				t.Errorf("n=%d undo=%v reverse step differs", n, undo)
+			}
+			if ra, rb := ReversePhasePlanes(p, la.re, la.im, a.re, a.im, withDiag, undo), ReversePhasePlanes(p, lb.re, lb.im, b.re, b.im, codesOnly, undo); ra != rb || bitDiff(la, lb) >= 0 {
+				t.Errorf("n=%d undo=%v reverse phase differs", n, undo)
+			}
+		}
+		MulDiagPlanes(p, a.re, a.im, withDiag)
+		MulDiagPlanes(p, b.re, b.im, codesOnly)
+		if i := bitDiff(a, b); i >= 0 {
+			t.Errorf("n=%d MulDiag: amplitude %d differs", n, i)
+		}
+	}
+}
+
+func TestCodesOnlyPhase(t *testing.T) {
+	checkCodesOnlyPhase[float64](t)
+	checkCodesOnlyPhase[float32](t)
 }
