@@ -65,21 +65,7 @@ func NewFactoryFromSource(n int, opts Options, acquire core.AcquireFunc) (*Facto
 // Caps reports per-build metadata: the rank count and the cluster
 // state bytes one in-flight evaluation pins (builds default to one
 // concurrent evaluation each).
-func (f *Factory) Caps() evaluator.Caps {
-	buffers := int64(2) // psi + lam
-	if f.opts.Mixer != core.MixerX {
-		buffers = 4 // + recvPsi + recvLam (send is half, ignored)
-	}
-	return evaluator.Caps{
-		NumQubits:     f.n,
-		Grad:          true,
-		MaxConcurrent: f.opts.concurrency(),
-		Ranks:         f.opts.Ranks,
-		StateBytes:    buffers * f.opts.Precision.AmpBytes() << uint(f.n),
-		Outputs:       true,
-		Streaming:     true,
-	}
-}
+func (f *Factory) Caps() evaluator.Caps { return f.opts.caps(f.n) }
 
 // shardsLocked materializes the per-rank shards on first use
 // (f.mu held).

@@ -351,17 +351,20 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 // amplitude 16 B for float64 planes, 8 B for float32, so a
 // scheduler packing heterogeneous pools by StateBytes sees the real
 // footprint of each precision.
-func (e *GradEngine) Caps() evaluator.Caps {
+func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n) }
+
+// caps is the Caps of an engine for n qubits under o.
+func (o Options) caps(n int) evaluator.Caps {
 	buffers := int64(2) // psi + lam
-	if e.opts.Mixer != core.MixerX {
+	if o.Mixer != core.MixerX {
 		buffers = 4 // + recvPsi + recvLam (send is half, ignored)
 	}
 	return evaluator.Caps{
-		NumQubits:     e.n,
+		NumQubits:     n,
 		Grad:          true,
-		MaxConcurrent: e.opts.concurrency(),
-		Ranks:         e.opts.Ranks,
-		StateBytes:    buffers * e.opts.Precision.AmpBytes() << uint(e.n),
+		MaxConcurrent: o.concurrency(),
+		Ranks:         o.Ranks,
+		StateBytes:    buffers * o.Precision.AmpBytes() << uint(n),
 		Outputs:       true,
 		Streaming:     true,
 	}

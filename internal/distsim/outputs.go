@@ -210,6 +210,23 @@ func rankOutputs(c *cluster.Comm, v shardView, spec OutputSpec, res *Result) err
 // into the shot's slot. Zero-mass shards never win stage 1 and build
 // no sampler. The closing barrier models the O(Shots) shot merge.
 func rankSample(c *cluster.Comm, v shardView, spec OutputSpec, samples []uint64) error {
+	rankSampler, local, err := shotSamplers(c, v, spec.Seed)
+	if err != nil {
+		return err
+	}
+	for j := range samples {
+		if int(rankSampler.Sample()) == c.Rank() {
+			samples[j] = v.offset | local.Sample()
+		}
+	}
+	return c.Barrier()
+}
+
+// shotSamplers builds the two stages of the distributed draw: the
+// rank-level sampler over the allreduced rank masses (seed, identical
+// on every rank) and this rank's shard sampler over |ψ|² (seed+rank+1;
+// nil for a zero-mass shard, which never wins stage 1).
+func shotSamplers(c *cluster.Comm, v shardView, seed int64) (rankSampler, local *sampling.Sampler, err error) {
 	rank := c.Rank()
 	localProbs := make([]float64, v.size)
 	var mass float64
@@ -221,26 +238,17 @@ func rankSample(c *cluster.Comm, v shardView, spec OutputSpec, samples []uint64)
 	masses := make([]float64, c.Size())
 	masses[rank] = mass
 	if err := c.AllreduceSumVec(masses); err != nil {
-		return err
+		return nil, nil, err
 	}
-	rankSampler, err := sampling.NewSampler(masses, spec.Seed)
-	if err != nil {
-		return fmt.Errorf("distsim: rank-mass distribution: %w", err)
+	if rankSampler, err = sampling.NewSampler(masses, seed); err != nil {
+		return nil, nil, fmt.Errorf("distsim: rank-mass distribution: %w", err)
 	}
-	var local *sampling.Sampler
 	if mass > 0 {
-		local, err = sampling.NewSampler(localProbs, spec.Seed+int64(rank)+1)
-		if err != nil {
-			return fmt.Errorf("distsim: rank %d shard distribution: %w", rank, err)
+		if local, err = sampling.NewSampler(localProbs, seed+int64(rank)+1); err != nil {
+			return nil, nil, fmt.Errorf("distsim: rank %d shard distribution: %w", rank, err)
 		}
 	}
-	for j := range samples {
-		w := rankSampler.Sample()
-		if int(w) == rank {
-			samples[j] = v.offset | local.Sample()
-		}
-	}
-	return c.Barrier()
+	return rankSampler, local, nil
 }
 
 // rankVariance computes Var(C) over the measurement distribution with
@@ -522,29 +530,9 @@ func (e *GradEngine) StreamSamples(ctx context.Context, x []float64, spec evalua
 	var fnErr error // written by rank 0 between the per-chunk barriers
 	stream := func(c *cluster.Comm, view shardView) error {
 		rank := c.Rank()
-		// Stage-1/stage-2 samplers, seeded exactly like rankSample.
-		localProbs := make([]float64, view.size)
-		var mass float64
-		for i := range localProbs {
-			p := view.prob(i)
-			localProbs[i] = p
-			mass += p
-		}
-		masses := make([]float64, c.Size())
-		masses[rank] = mass
-		if err := c.AllreduceSumVec(masses); err != nil {
-			return err
-		}
-		rankSampler, err := sampling.NewSampler(masses, spec.Seed)
+		rankSampler, local, err := shotSamplers(c, view, spec.Seed)
 		if err != nil {
-			return fmt.Errorf("distsim: rank-mass distribution: %w", err)
-		}
-		var local *sampling.Sampler
-		if mass > 0 {
-			local, err = sampling.NewSampler(localProbs, spec.Seed+int64(rank)+1)
-			if err != nil {
-				return fmt.Errorf("distsim: rank %d shard distribution: %w", rank, err)
-			}
+			return err
 		}
 		for drawn := 0; drawn < spec.Shots; {
 			cur := chunk
