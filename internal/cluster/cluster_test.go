@@ -52,6 +52,9 @@ func checkAlltoallSemantics[T Elem](t *testing.T) {
 
 func TestAlltoallSemantics(t *testing.T) {
 	checkAlltoallSemantics[float64](t)
+}
+
+func TestAlltoall32Semantics(t *testing.T) {
 	checkAlltoallSemantics[float32](t)
 }
 
