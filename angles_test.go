@@ -92,9 +92,10 @@ func TestNonFiniteAnglesRejected(t *testing.T) {
 
 // TestNonFiniteCostRejected: a NaN or ±Inf cost — a term weight through
 // NewSimulator or ProblemRegistry.Register, a diagonal entry through
-// NewSimulatorFromDiagonal — returns an error wrapping
-// ErrNonFiniteCost, never a simulator or registered problem whose
-// energies and gradients come out NaN.
+// NewSimulatorFromDiagonal, finite weights whose sum overflows through
+// PrecomputeDiagonal or ProblemRegistry.Acquire — returns an error
+// wrapping ErrNonFiniteCost, never a simulator, registered problem or
+// diagonal whose energies and gradients come out NaN.
 func TestNonFiniteCostRejected(t *testing.T) {
 	const n = 4
 	diag, err := PrecomputeDiagonal(n, LABSTerms(n))
@@ -176,6 +177,24 @@ func TestNonFiniteCostRejected(t *testing.T) {
 		}},
 		{"NewSimulator overflowing weights", func() error {
 			_, err := NewSimulator(n, overflow, Options{})
+			return err
+		}},
+		{"PrecomputeDiagonal overflowing weights", func() error {
+			_, err := PrecomputeDiagonal(n, overflow)
+			return err
+		}},
+		{"ProblemRegistry.Acquire overflowing weights", func() error {
+			reg := NewProblemRegistry(RegistryOptions{})
+			key, err := reg.Register(ProblemSpec{N: n, Terms: overflow})
+			if err != nil {
+				return err
+			}
+			// A failed miss caches nothing: the second Acquire misses too.
+			_, err = reg.Acquire(context.Background(), key)
+			_, err2 := reg.Acquire(context.Background(), key)
+			if st := reg.Stats(); st.Misses != 2 || st.ResidentBytes != 0 || !errors.Is(err2, ErrNonFiniteCost) {
+				t.Errorf("second Acquire after a failed miss: error %v, stats %+v", err2, st)
+			}
 			return err
 		}},
 		{"distributed registry service overflowing weights", func() error {

@@ -165,26 +165,35 @@ func BenchmarkFig3Layer(b *testing.B) {
 // BenchmarkFig4Precompute measures the cost-diagonal precomputation —
 // the quantity amortized over layers in Fig. 4 — for the serial
 // ("CPU"), pooled ("GPU"-analogue), and paper-faithful per-term-kernel
-// variants.
+// variants. LABS's integer weights take the blocked-WHT route and SK's
+// Gaussian weights the term loop.
 func BenchmarkFig4Precompute(b *testing.B) {
 	for _, n := range []int{16, 20} {
-		compiled := poly.Compile(problems.LABSTerms(n))
-		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = costvec.Precompute(compiled, n)
-			}
-		})
-		pool := statevec.NewPool(0)
-		b.Run(fmt.Sprintf("pooled/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = costvec.PrecomputePool(pool, compiled, n)
-			}
-		})
-		b.Run(fmt.Sprintf("per-term-kernels/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = costvec.PrecomputeTermKernels(pool, compiled, n)
-			}
-		})
+		for _, prob := range []struct {
+			name  string
+			terms poly.Terms
+		}{
+			{"labs", problems.LABSTerms(n)},
+			{"sk", problems.SKTerms(n, 1)},
+		} {
+			compiled := poly.Compile(prob.terms)
+			b.Run(fmt.Sprintf("%s/serial/n=%d", prob.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = costvec.Precompute(compiled, n)
+				}
+			})
+			pool := statevec.NewPool(0)
+			b.Run(fmt.Sprintf("%s/pooled/n=%d", prob.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = costvec.PrecomputePool(pool, compiled, n)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/per-term-kernels/n=%d", prob.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = costvec.PrecomputeTermKernels(pool, compiled, n)
+				}
+			})
+		}
 	}
 }
 

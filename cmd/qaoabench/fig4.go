@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strings"
+	"time"
 
 	"qokit/internal/benchutil"
 	"qokit/internal/core"
@@ -23,10 +25,13 @@ import (
 //
 // which is exactly how the paper constructs the figure ("to obtain the
 // time for multiple function evaluations, one can simply use this plot
-// with aggregate number of layers"). The harness measures the three
-// primitive costs directly — serial ("CPU") and pooled ("GPU"-
-// analogue) precompute, fast layer, compiled gate layer — verifies the
-// additivity on a few real depths, and prints the synthesized curves.
+// with aggregate number of layers"). The harness measures the primitive
+// costs directly — precompute, fast layer, compiled gate layer —
+// verifies the additivity on a few real depths, and prints the
+// synthesized curves. Precompute is timed three ways: serial ("CPU")
+// and pooled ("GPU"-analogue) Precompute, which on LABS's integer
+// weights take the blocked Walsh–Hadamard route, and the paper's
+// per-term algorithm (one pooled pass over the diagonal per term).
 func runFig4(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("fig4", flag.ContinueOnError)
 	n := fs.Int("n", 18, "qubit count (paper: 26)")
@@ -46,6 +51,9 @@ func runFig4(w io.Writer, args []string) error {
 	pool := statevec.NewPool(0)
 	tPrePool, _ := benchutil.TimeRepeat(*reps, func() {
 		_ = costvec.PrecomputePool(pool, compiled, *n)
+	})
+	tPreTerm, _ := benchutil.TimeRepeat(*reps, func() {
+		_ = costvec.PrecomputeTermKernels(pool, compiled, *n)
 	})
 
 	sim, err := core.New(*n, terms, core.Options{Backend: core.BackendSoA})
@@ -73,29 +81,41 @@ func runFig4(w io.Writer, args []string) error {
 	})
 
 	fmt.Fprintf(w, "Fig. 4 — total time vs depth, LABS n=%d\n", *n)
-	fmt.Fprintf(w, "measured primitives: precompute serial %ss, precompute pooled %ss, qokit layer %ss, gate layer %ss\n",
-		benchutil.Seconds(tPreSerial), benchutil.Seconds(tPrePool), benchutil.Seconds(tLayer), benchutil.Seconds(tGate))
+	fmt.Fprintf(w, "measured primitives: precompute serial %ss, pooled %ss, per-term %ss; qokit layer %ss, gate layer %ss\n",
+		benchutil.Seconds(tPreSerial), benchutil.Seconds(tPrePool), benchutil.Seconds(tPreTerm),
+		benchutil.Seconds(tLayer), benchutil.Seconds(tGate))
 
-	series := []benchutil.Series{
-		{Name: "qokit+serial-precompute"},
-		{Name: "qokit+pooled-precompute"},
-		{Name: "gates"},
+	precomputes := []struct {
+		name string
+		t    time.Duration
+	}{
+		{"serial", tPreSerial},
+		{"pooled", tPrePool},
+		{"per-term", tPreTerm},
 	}
+	var series []benchutil.Series
+	for _, pre := range precomputes {
+		s := benchutil.Series{Name: "qokit+" + pre.name + "-precompute"}
+		for p := 1; p <= *pmax; p *= 4 {
+			s.Add(float64(p), pre.t.Seconds()+float64(p)*tLayer.Seconds())
+		}
+		series = append(series, s)
+	}
+	gates := benchutil.Series{Name: "gates"}
 	for p := 1; p <= *pmax; p *= 4 {
-		fp := float64(p)
-		series[0].Add(fp, tPreSerial.Seconds()+fp*tLayer.Seconds())
-		series[1].Add(fp, tPrePool.Seconds()+fp*tLayer.Seconds())
-		series[2].Add(fp, fp*tGate.Seconds())
+		gates.Add(float64(p), float64(p)*tGate.Seconds())
 	}
-	benchutil.FprintSeries(w, "p", "seconds", series)
+	benchutil.FprintSeries(w, "p", "seconds", append(series, gates))
 
 	// Crossover depth where the precomputed path overtakes gates:
 	// p* = t_precompute / (t_gate_layer − t_layer).
 	if tGate > tLayer {
-		crossSerial := tPreSerial.Seconds() / (tGate.Seconds() - tLayer.Seconds())
-		crossPool := tPrePool.Seconds() / (tGate.Seconds() - tLayer.Seconds())
-		fmt.Fprintf(w, "\ncrossover vs gates: serial precompute p* ≈ %.2f, pooled p* ≈ %.2f\n", crossSerial, crossPool)
-		fmt.Fprintln(w, "(paper: GPU precompute amortizes within a single layer, CPU precompute by p ≈ 10²)")
+		cross := make([]string, len(precomputes))
+		for i, pre := range precomputes {
+			cross[i] = fmt.Sprintf("%s precompute p* ≈ %.2f", pre.name, pre.t.Seconds()/(tGate.Seconds()-tLayer.Seconds()))
+		}
+		fmt.Fprintf(w, "\ncrossover vs gates: %s\n", strings.Join(cross, ", "))
+		fmt.Fprintln(w, "(paper, per-term precompute: GPU amortizes within a single layer, CPU by p ≈ 10²)")
 	}
 
 	// Additivity check on real runs (guards the synthesized curves).

@@ -25,7 +25,7 @@ func TestRunnersSmoke(t *testing.T) {
 		{"fig3", runFig3, []string{"-nmin", "6", "-nmax", "8", "-tnmax", "6", "-reps", "1"},
 			[]string{"qokit-soa", "tn-size", "Derived ratios", "kernel gap"}},
 		{"fig4", runFig4, []string{"-n", "8", "-pmax", "16", "-reps", "1"},
-			[]string{"crossover", "additivity check", "gates"}},
+			[]string{"crossover", "additivity check", "gates", "qokit+per-term-precompute", "per-term precompute p*"}},
 		{"fig5", runFig5, []string{"-local", "8", "-kmax", "4", "-reps", "1"},
 			[]string{"pairwise", "transpose", "modeled"}},
 		{"opt", runOpt, []string{"-n", "8", "-p", "2", "-evals", "10"},

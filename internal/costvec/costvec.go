@@ -7,8 +7,10 @@
 //
 // The package provides
 //   - serial and worker-pool precomputation from compiled polynomial
-//     terms (the XOR+popcount kernel), plus a paper-faithful
-//     one-kernel-per-term variant for ablation,
+//     terms: a blocked Walsh–Hadamard transform of the term weights
+//     when they sum exactly, else a branch-free XOR+popcount loop, both
+//     bit-identical to summing the terms entry by entry, plus a
+//     paper-faithful one-kernel-per-term variant for ablation,
 //   - range-sliced precomputation for the distributed simulator
 //     (each rank computes its slice with no communication, §III-C),
 //   - a quantized uint16 store with exact round-trip for integer-
@@ -31,18 +33,23 @@ import (
 // precompute" path of the paper's Fig. 4.
 func Precompute(c poly.Compiled, n int) []float64 {
 	diag := make([]float64, 1<<uint(n))
-	precomputeRange(c, 0, diag)
+	PrecomputeRange(c, 0, diag)
 	return diag
 }
 
 // PrecomputePool evaluates the cost diagonal on the worker-pool
-// engine: the "GPU precompute" path of Fig. 4. Each worker computes a
-// contiguous slice of the diagonal; every element is fully accumulated
-// in registers before its single write (fused kernel).
+// engine: the "GPU precompute" path of Fig. 4. Each worker fills a
+// contiguous run of whole blocks, so the result is Precompute's bit
+// for bit.
 func PrecomputePool(p *statevec.Pool, c poly.Compiled, n int) []float64 {
 	diag := make([]float64, 1<<uint(n))
-	p.Run(len(diag), func(lo, hi int) {
-		precomputeRange(c, uint64(lo), diag[lo:hi])
+	if !exactSums(c.Weights) {
+		p.Run(len(diag), func(lo, hi int) { sumTerms(c, uint64(lo), diag[lo:hi]) })
+		return diag
+	}
+	b := min(n, blockBits)
+	p.RunTasks(len(diag)>>uint(b), len(diag), func(lo, hi int) {
+		transformBlocks(c, uint64(lo)<<uint(b), diag[lo<<uint(b):hi<<uint(b)], b)
 	})
 	return diag
 }
@@ -50,26 +57,151 @@ func PrecomputePool(p *statevec.Pool, c poly.Compiled, n int) []float64 {
 // PrecomputeRange fills out[i] = f(offset + i) for the compiled terms:
 // the building block for distributed precomputation, where rank r
 // computes the slice starting at r·2^{n−k} locally (the paper's
-// locality argument: precomputation needs no communication).
+// locality argument: precomputation needs no communication). Any
+// offset and length give the same bits as the same entries of
+// Precompute.
 func PrecomputeRange(c poly.Compiled, offset uint64, out []float64) {
-	precomputeRange(c, offset, out)
+	if !exactSums(c.Weights) {
+		sumTerms(c, offset, out)
+		return
+	}
+	// The largest block, at most 2^blockBits, that divides both the
+	// offset and the length.
+	b := bits.TrailingZeros64(offset | uint64(len(out)) | 1<<blockBits)
+	transformBlocks(c, offset, out, b)
 }
 
-func precomputeRange(c poly.Compiled, offset uint64, out []float64) {
-	masks, weights := c.Masks, c.Weights
+// The diagonal takes one of two routes, picked by the weights alone.
+//
+// f(x) = Σ_k w_k·(−1)^{|x ∧ m_k|} is the unnormalized Walsh–Hadamard
+// transform (WHT) of the coefficient vector that holds w_k at index
+// m_k. When the weights sum exactly (exactSums), transformBlocks fills
+// each 2^b-aligned block at offset o as a WHT over the block's low b
+// bits: term k adds (−1)^{|o ∧ m_k|}·w_k to coefficient m_k mod 2^b,
+// and b butterfly stages finish the block. That is about b·2^n
+// additions plus |T|·2^(n−b) folds, against |T|·2^n for the term loop.
+// Every value the fold and the butterflies form is a signed sum of
+// distinct weights, exact in any order, so each entry is the exact
+// f(x) whatever the block size.
+//
+// Other weights take sumTerms, the per-entry loop in term order, which
+// rounds as poly.Compiled.Eval does. A WHT would round differently for
+// each block size, so a distributed rank's slice would stop matching
+// the same slice of the whole diagonal.
+//
+// Neither route forms −0: sums start at +0, and in round-to-nearest
+// x + (−x) is +0.
+
+// blockBits is log2 of the exact route's largest block: 2^12 float64
+// entries, 32 KiB, which stays in cache through the butterfly stages.
+const blockBits = 12
+
+// exactSums reports whether every signed sum of distinct weights, in
+// any order of addition, is exact: every weight is finite and, with
+// 2^e the largest power of two dividing all of them, Σ|w_k| = S·2^e
+// with integer S < 2^53 and Σ|w_k| < 2^1024. Every partial sum is then
+// a multiple of 2^e no larger than Σ|w_k| in magnitude, which binary64
+// represents. Integer (LABS), half-integer (unweighted MaxCut) and
+// other dyadic weights pass; Gaussian or decimal weights fail.
+func exactSums(weights []float64) bool {
+	e := math.MaxInt // the grid exponent, once a weight is nonzero
+	for _, w := range weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return false
+		}
+		if w != 0 {
+			_, q := oddMantissa(w)
+			e = min(e, q)
+		}
+	}
+	var sum uint64 // Σ|w_k| / 2^e
+	for _, w := range weights {
+		if w == 0 {
+			continue
+		}
+		m, q := oddMantissa(w)
+		if bits.Len64(m)+q-e > 53 {
+			return false // this weight alone is 2^53 grid steps or more
+		}
+		if sum += m << uint(q-e); sum >= 1<<53 {
+			return false
+		}
+	}
+	return sum == 0 || bits.Len64(sum)+e <= 1024
+}
+
+// oddMantissa splits a finite nonzero w into |w| = m·2^q with m odd.
+func oddMantissa(w float64) (m uint64, q int) {
+	frac, exp := math.Frexp(math.Abs(w))
+	m = uint64(math.Ldexp(frac, 53)) // frac ∈ [½, 1) has at most 53 significant bits
+	tz := bits.TrailingZeros64(m)
+	return m >> uint(tz), exp - 53 + tz
+}
+
+// transformBlocks fills out[i] = f(offset + i) one 2^b-entry block at a
+// time (the exact route); offset and len(out) are multiples of 2^b.
+func transformBlocks(c poly.Compiled, offset uint64, out []float64, b int) {
+	size := 1 << uint(b)
+	low := uint64(size - 1)
+	weights := c.Weights[:len(c.Masks)]
+	for lo := 0; lo < len(out); lo += size {
+		blk := out[lo : lo+size]
+		o := offset + uint64(lo)
+		clear(blk)
+		for k, m := range c.Masks {
+			blk[m&low] += signed(weights[k], o&m)
+		}
+		wht(blk)
+	}
+}
+
+// wht runs the unnormalized Walsh–Hadamard transform in place: one
+// butterfly stage (u, v) → (u+v, u−v) per index bit.
+func wht(a []float64) {
+	for h := 1; h < len(a); h <<= 1 {
+		for i := 0; i < len(a); i += 2 * h {
+			x, y := a[i:i+h], a[i+h:i+2*h]
+			for j, u := range x {
+				v := y[j]
+				x[j], y[j] = u+v, u-v
+			}
+		}
+	}
+}
+
+// sumTerms fills out[i] = f(offset + i) by the per-entry loop over the
+// terms in order (the route for weights that fail exactSums).
+func sumTerms(c poly.Compiled, offset uint64, out []float64) {
+	weights := c.Weights[:len(c.Masks)]
 	for i := range out {
 		x := offset + uint64(i)
 		var f float64
-		for k, m := range masks {
-			w := weights[k]
-			if bits.OnesCount64(x&m)&1 == 1 {
-				f -= w
-			} else {
-				f += w
-			}
+		for k, m := range c.Masks {
+			f += signed(weights[k], x&m)
 		}
 		out[i] = f
 	}
+}
+
+// signed returns w, negated when x has odd parity, without a branch:
+// the parity flips the sign bit. f + (−w) and f − w are the same IEEE
+// operation, so for any weight but NaN the sums match a branching
+// loop's bit for bit.
+func signed(w float64, x uint64) float64 {
+	return math.Float64frombits(math.Float64bits(w) ^ uint64(bits.OnesCount64(x))<<63)
+}
+
+// CheckFinite returns an error wrapping poly.ErrNonFiniteCost that
+// names the first NaN or ±Inf entry of a diagonal slice starting at
+// global index offset, or nil. Only weights that fail exactSums can
+// overflow to ±Inf.
+func CheckFinite(diag []float64, offset uint64) error {
+	for i, v := range diag {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: diagonal entry %d is %v", poly.ErrNonFiniteCost, offset+uint64(i), v)
+		}
+	}
+	return nil
 }
 
 // PrecomputeTermKernels is the paper-faithful variant: one data-

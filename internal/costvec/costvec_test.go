@@ -1,6 +1,7 @@
 package costvec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func TestPrecomputeVariantsAgree(t *testing.T) {
 		pooled := PrecomputePool(p, c, 10)
 		perTerm := PrecomputeTermKernels(p, c, 10)
 		for i := range serial {
-			if math.Abs(serial[i]-pooled[i]) > 1e-12 {
+			if math.Float64bits(serial[i]) != math.Float64bits(pooled[i]) {
 				t.Fatalf("workers=%d pooled[%d] = %v, want %v", workers, i, pooled[i], serial[i])
 			}
 			if math.Abs(serial[i]-perTerm[i]) > 1e-9 {
@@ -66,6 +67,148 @@ func TestPrecomputeRangeSlices(t *testing.T) {
 			t.Fatalf("slice mismatch at %d: %v vs %v", i, sliced[i], whole[i])
 		}
 	}
+}
+
+// TestExactSumsRule pins the rule that sends a polynomial to the WHT
+// route at its edges, with each weight on a mask of its own, and checks
+// that the diagonal both routes give for it is Compiled.Eval's bit for
+// bit.
+func TestExactSumsRule(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64 // 2^−1074
+	for _, c := range []struct {
+		name    string
+		weights []float64
+		want    bool
+	}{
+		{"empty", nil, true},
+		{"integers", []float64{3, -7, 12, 1}, true},
+		{"halves", []float64{0.5, -0.5, 1.5, -3}, true},
+		{"2^52 twice", []float64{1 << 52, 1 << 52}, true},
+		{"MaxFloat64", []float64{math.MaxFloat64}, true},
+		{"subnormals", []float64{3 * tiny, tiny}, true},
+		{"lone third", []float64{1.0 / 3}, true},
+		{"2^53 grid steps", []float64{1 << 52, 1<<52 - 1, 1}, false},
+		{"MaxFloat64 and 2^971", []float64{math.MaxFloat64, math.Ldexp(1, 971)}, false},
+		{"sum overflows", []float64{1e308, 1e308}, false},
+		{"decimal", []float64{0.1, 1}, false},
+		{"subnormal and one", []float64{tiny, 1}, false},
+		{"third and one", []float64{1.0 / 3, 1}, false},
+		{"NaN", []float64{1, math.NaN()}, false},
+		{"+Inf", []float64{math.Inf(1)}, false},
+	} {
+		if got := exactSums(c.weights); got != c.want {
+			t.Errorf("%s: exactSums(%v) = %t, want %t", c.name, c.weights, got, c.want)
+		}
+		if c.name == "NaN" {
+			continue // NaN propagation does not fix the sign bit
+		}
+		n := len(c.weights)
+		comp := poly.Compiled{Masks: make([]uint64, n), Weights: c.weights}
+		for k := range comp.Masks {
+			comp.Masks[k] = 1 << uint(k)
+		}
+		requireBits(t, c.name, 0, Precompute(comp, n), evalAll(comp, n))
+	}
+
+	for _, c := range []struct {
+		name  string
+		terms poly.Terms
+		want  bool
+	}{
+		{"LABS n=18", problems.LABSTerms(18), true},
+		{"MaxCut 3-regular", maxCutTerms(t, 16, 1), true},
+		{"SK", problems.SKTerms(16, 1), false},
+		{"decimal-weighted MaxCut", problems.WeightedMaxCutTerms(graphs.RandomWeights(graphs.Ring(8), 0, 1, 1)), false},
+		{"portfolio", problems.SyntheticPortfolio(8, 4, 0.5, 1).PortfolioTerms(), false},
+	} {
+		if got := exactSums(poly.Compile(c.terms).Weights); got != c.want {
+			t.Errorf("%s: exactSums = %t, want %t", c.name, got, c.want)
+		}
+	}
+}
+
+func maxCutTerms(t *testing.T, n int, seed int64) poly.Terms {
+	t.Helper()
+	g, err := graphs.RandomRegular(n, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return problems.MaxCutTerms(g)
+}
+
+// evalAll returns Compiled.Eval over the 2^n entries: the reference
+// the bit-identity tests compare against.
+func evalAll(c poly.Compiled, n int) []float64 {
+	want := make([]float64, 1<<uint(n))
+	for x := range want {
+		want[x] = c.Eval(uint64(x))
+	}
+	return want
+}
+
+// requireBits fails unless got equals want bit for bit; offset names
+// got[0]'s index in the diagonal.
+func requireBits(t *testing.T, name string, offset int, got, want []float64) {
+	t.Helper()
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d = %v (%#x), Compiled.Eval gives %v (%#x)",
+				name, offset+i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestPrecomputeBitIdentical checks every entry point against
+// Compiled.Eval bit for bit, on polynomials that take the WHT route
+// (LABS, unweighted MaxCut, the empty and constant polynomials) and the
+// loop route (weighted MaxCut, SK, portfolio, weights whose sums
+// overflow to +Inf): Precompute, PrecomputePool at 1–3 workers, and
+// PrecomputeRange over K aligned slices and over unaligned pieces.
+func TestPrecomputeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	check := func(name string, n int, terms poly.Terms) {
+		c := poly.Compile(terms)
+		want := evalAll(c, n)
+		size := len(want)
+		requireBits(t, name+"/Precompute", 0, Precompute(c, n), want)
+		for _, w := range []int{1, 2, 3} {
+			requireBits(t, fmt.Sprintf("%s/PrecomputePool(%d)", name, w), 0, PrecomputePool(statevec.NewPool(w), c, n), want)
+		}
+		piece := func(label string, lo, hi int) {
+			out := make([]float64, hi-lo)
+			PrecomputeRange(c, uint64(lo), out)
+			requireBits(t, fmt.Sprintf("%s/PrecomputeRange%s[%d:%d]", name, label, lo, hi), lo, out, want[lo:hi])
+		}
+		for _, k := range []int{1, 2, 4, 8} {
+			for lo := 0; k <= size && lo < size; lo += size / k {
+				piece(fmt.Sprintf("(K=%d)", k), lo, lo+size/k)
+			}
+		}
+		for lo := 0; lo < size; {
+			hi := min(size, lo+1+rng.Intn(size/3+1))
+			piece("", lo, hi)
+			lo = hi
+		}
+	}
+	for n := 1; n <= 14; n++ {
+		g := graphs.ErdosRenyi(n, 0.5, int64(n))
+		for _, p := range []struct {
+			name  string
+			terms poly.Terms
+		}{
+			{"LABS", problems.LABSTerms(n)},
+			{"MaxCut", problems.MaxCutTerms(g)},
+			{"weighted MaxCut", problems.WeightedMaxCutTerms(graphs.RandomWeights(g, 0, 1, int64(n)))},
+			{"SK", problems.SKTerms(n, int64(n))},
+			{"portfolio", problems.SyntheticPortfolio(n, (n+1)/2, 0.5, int64(n)).PortfolioTerms()},
+			{"empty", nil},
+			{"constant", poly.Terms{poly.NewTerm(-2.5)}},
+			{"overflow", poly.Terms{poly.NewTerm(1e308), poly.NewTerm(1e308, 0), poly.NewTerm(-1.7e308, n-1)}},
+		} {
+			check(fmt.Sprintf("%s n=%d", p.name, n), n, p.terms)
+		}
+	}
+	check("LABS n=16", 16, problems.LABSTerms(16))
 }
 
 func TestFromFunc(t *testing.T) {

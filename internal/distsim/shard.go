@@ -14,7 +14,6 @@ import (
 	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/costvec"
-	"qokit/internal/poly"
 	"qokit/internal/statevec"
 )
 
@@ -64,10 +63,8 @@ func (rc *rankCost) phase(gamma float64, tab []complex128) statevec.Phase {
 // slices of the diagonal.
 func checkFinite(diags [][]float64) error {
 	for r, diag := range diags {
-		for i, v := range diag {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("distsim: %w: diagonal entry %d is %v", poly.ErrNonFiniteCost, r*len(diag)+i, v)
-			}
+		if err := costvec.CheckFinite(diag, uint64(r*len(diag))); err != nil {
+			return fmt.Errorf("distsim: %w", err)
 		}
 	}
 	return nil

@@ -7,9 +7,14 @@ package poly_test
 // representation is checked against direct summation on the full
 // 2^n assignment space:
 //
-//	Terms.Eval  ==  Canonical().Eval  ==  Compiled.Eval
-//	            ==  costvec.Precompute == costvec.PrecomputePool
-//	            ==  Quantize(…, 1/8).Expand()   (weights are dyadic)
+//	Terms.Eval  ≈  Canonical().Eval  ≈  Compiled.Eval
+//	Compiled.Eval  ==  costvec.Precompute  ==  costvec.PrecomputePool
+//	               ==  costvec.PrecomputeRange slices   (bit for bit)
+//	            ==  Quantize(…, 1/8).Expand()   (all weights dyadic)
+//
+// A decoded weight may be divided by 3, so inputs reach both of the
+// precompute's routes: the blocked WHT for weights that sum exactly
+// and the term loop for the rest.
 //
 // Seed corpora live in testdata/fuzz/; CI runs a short -fuzztime
 // smoke on top of the checked-in seeds.
@@ -25,18 +30,23 @@ import (
 
 // decodeTerms maps an arbitrary byte string onto (n, terms): byte 0
 // selects n ∈ [4,8]; each following chunk is one term — a dyadic
-// weight in [−16, 15.875], a degree in [0,3], and degree variable
-// bytes reduced mod n (duplicates intentionally allowed: s_i² = 1
-// folding is part of what is under test).
-func decodeTerms(data []byte) (int, poly.Terms) {
-	n := 4
+// weight in [−16, 15.875], a degree in [0,3] from the low two bits of
+// the second byte (bit 2 divides the weight by 3, making it
+// non-dyadic), and degree variable bytes reduced mod n (duplicates
+// intentionally allowed: s_i² = 1 folding is part of what is under
+// test). dyadic reports whether every weight stayed dyadic.
+func decodeTerms(data []byte) (n int, ts poly.Terms, dyadic bool) {
+	n, dyadic = 4, true
 	if len(data) > 0 {
 		n += int(data[0] % 5)
 		data = data[1:]
 	}
-	var ts poly.Terms
 	for len(data) >= 2 && len(ts) < 32 {
 		w := float64(int8(data[0])) / 8
+		if data[1]&4 != 0 {
+			w /= 3
+			dyadic = false
+		}
 		deg := int(data[1] % 4)
 		if len(data) < 2+deg {
 			break
@@ -48,7 +58,7 @@ func decodeTerms(data []byte) (int, poly.Terms) {
 		ts = append(ts, poly.Term{Weight: w, Vars: vars})
 		data = data[2+deg:]
 	}
-	return n, ts
+	return n, ts, dyadic
 }
 
 func FuzzTermsCompileAndPrecompute(f *testing.F) {
@@ -60,8 +70,11 @@ func FuzzTermsCompileAndPrecompute(f *testing.F) {
 	// degenerate case that must quantize to Scale 0 with all-zero codes
 	// instead of a zero/NaN step (see the degenerate branch below).
 	f.Add([]byte{0, 16, 0})
+	// Weights of 1/3 and 1: not all sums are exact, so the diagonal
+	// takes the term loop.
+	f.Add([]byte{1, 8, 6, 0, 1, 8, 1, 2, 24, 5, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, ts := decodeTerms(data)
+		n, ts, dyadic := decodeTerms(data)
 		canon := ts.Canonical()
 		if err := canon.Validate(n); err != nil {
 			t.Fatalf("canonical form fails validation: %v", err)
@@ -81,21 +94,29 @@ func FuzzTermsCompileAndPrecompute(f *testing.F) {
 		}
 		tol := 1e-9 * (1 + sumW)
 
+		size := 1 << uint(n)
 		diag := costvec.Precompute(compiled, n)
-		diagPool := costvec.PrecomputePool(statevec.NewPool(2), compiled, n)
-		for x := uint64(0); x < 1<<uint(n); x++ {
+		diagPool := costvec.PrecomputePool(statevec.NewPool(3), compiled, n)
+		diagRange := make([]float64, size)
+		for lo := 0; lo < size; lo += size / 4 {
+			costvec.PrecomputeRange(compiled, uint64(lo), diagRange[lo:lo+size/4])
+		}
+		for x := uint64(0); x < uint64(size); x++ {
 			direct := ts.Eval(x)
 			if d := math.Abs(canon.Eval(x) - direct); d > tol {
 				t.Fatalf("x=%d: Canonical eval differs by %g", x, d)
 			}
-			if d := math.Abs(compiled.Eval(x) - direct); d > tol {
+			want := compiled.Eval(x)
+			if d := math.Abs(want - direct); d > tol {
 				t.Fatalf("x=%d: Compiled eval differs by %g", x, d)
 			}
-			if d := math.Abs(diag[x] - direct); d > tol {
-				t.Fatalf("x=%d: precomputed diagonal differs by %g", x, d)
-			}
-			if diagPool[x] != diag[x] {
-				t.Fatalf("x=%d: pool precompute %v != serial %v", x, diagPool[x], diag[x])
+			for _, got := range []struct {
+				name string
+				v    float64
+			}{{"Precompute", diag[x]}, {"PrecomputePool", diagPool[x]}, {"PrecomputeRange", diagRange[x]}} {
+				if math.Float64bits(got.v) != math.Float64bits(want) {
+					t.Fatalf("x=%d: %s gives %v, Compiled.Eval %v", x, got.name, got.v, want)
+				}
 			}
 		}
 
@@ -103,7 +124,7 @@ func FuzzTermsCompileAndPrecompute(f *testing.F) {
 		// multiple of 1/8, so the §V-B uint16 quantization must round-
 		// trip exactly whenever the range fits its capacity.
 		lo, hi := costvec.MinMax(diag)
-		if hi-lo <= 0.125*65535 {
+		if dyadic && hi-lo <= 0.125*65535 {
 			q, err := costvec.Quantize(diag, 0.125)
 			if err != nil {
 				t.Fatalf("exact-representable diagonal rejected: %v", err)

@@ -3,7 +3,7 @@
 // mixer family) and get back a canonical key; every evaluator factory
 // then acquires the problem's precomputed cost diagonal — float64 and,
 // on demand, quantized — from a byte-budgeted LRU cache instead of
-// re-paying the 2ⁿ precompute per construction. A second EvalBatch for
+// re-building the 2ⁿ diagonal per construction. A second EvalBatch for
 // the same graph therefore performs zero diagonal-precompute work,
 // which is the property the registry_cache_hit bench row gates.
 //
@@ -64,9 +64,6 @@ type Options struct {
 	// acquisitions may hold the cache transiently over budget; they
 	// are reclaimed on final release.
 	MaxBytes int64
-	// PrecomputeWorkers sizes the worker pool used for diagonal
-	// precompute on a cache miss (0 = GOMAXPROCS).
-	PrecomputeWorkers int
 }
 
 // Stats reports registry cache behavior. Precomputes counts actual
@@ -121,7 +118,7 @@ type entry struct {
 func New(opts Options) *Registry {
 	return &Registry{
 		opts:  opts,
-		pool:  statevec.NewPool(opts.PrecomputeWorkers),
+		pool:  statevec.NewPool(0),
 		byKey: make(map[Key]*entry),
 	}
 }
@@ -220,7 +217,10 @@ type Handle struct {
 
 // Acquire returns a handle on the problem's float64 diagonal,
 // precomputing it on first use. Concurrent acquirers of a cold entry
-// share one precompute. ctx bounds the wait on an in-flight build.
+// share one precompute. ctx bounds the wait on an in-flight build. A
+// diagonal with a NaN or ±Inf entry (finite weights whose sum
+// overflows) returns an error wrapping poly.ErrNonFiniteCost and is
+// not cached.
 func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 	for {
 		r.mu.Lock()
@@ -262,6 +262,13 @@ func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 		r.mu.Unlock()
 
 		diag := costvec.PrecomputePool(r.pool, e.compiled, e.spec.N)
+		if err := costvec.CheckFinite(diag, 0); err != nil {
+			r.mu.Lock()
+			close(e.building)
+			e.building = nil
+			r.mu.Unlock()
+			return nil, fmt.Errorf("registry: %s: %w", key, err)
+		}
 
 		r.mu.Lock()
 		e.diag = diag

@@ -31,7 +31,7 @@ func NewPool(w int) *Pool {
 // Run partitions [0, n) into Workers contiguous chunks and invokes fn
 // on each concurrently, blocking until all finish. Chunks are disjoint
 // so fn may write freely within its range.
-func (p *Pool) Run(n int, fn func(lo, hi int)) { p.runTasks(n, n, fn) }
+func (p *Pool) Run(n int, fn func(lo, hi int)) { p.RunTasks(n, n, fn) }
 
 // Reduce runs fn over [0, n) in chunks, collecting one float64 partial
 // result per chunk and returning their sum in chunk order.
@@ -55,10 +55,11 @@ func (p *Pool) split(n, work int) (size, count int) {
 	return size, (n + size - 1) / size
 }
 
-// runTasks is Run over n coarse tasks, such as the tiles of the tiled
-// mixer kernels, that together cover work amplitudes: work, not the
-// task count, decides whether the call is worth splitting.
-func (p *Pool) runTasks(n, work int, fn func(lo, hi int)) {
+// RunTasks is Run over n coarse tasks, such as the tiles of the tiled
+// mixer kernels or the blocks of a cost diagonal, that together cover
+// work amplitudes: work, not the task count, decides whether the call
+// is worth splitting.
+func (p *Pool) RunTasks(n, work int, fn func(lo, hi int)) {
 	size, count := p.split(n, work)
 	if count == 1 {
 		fn(0, n)
@@ -84,7 +85,7 @@ func (p *Pool) reduceTasks(n, work int, fn func(lo, hi int) (float64, float64)) 
 		return fn(0, n)
 	}
 	partial := make([][2]float64, count)
-	p.runTasks(n, work, func(lo, hi int) {
+	p.RunTasks(n, work, func(lo, hi int) {
 		k := lo / size
 		partial[k][0], partial[k][1] = fn(lo, hi)
 	})

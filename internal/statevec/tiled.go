@@ -149,7 +149,7 @@ func UniformRXPlanes[T Float](p *Pool, re, im []T, ph Phase, beta float64) {
 	k := newRXCoeffs[T](beta)
 	low := tileLowQubits(n, p.workers())
 	size := 1 << uint(low)
-	p.runTasks(len(re)>>uint(low), len(re)/2, func(lo, hi int) {
+	p.RunTasks(len(re)>>uint(low), len(re)/2, func(lo, hi int) {
 		for b := lo * size; b < hi*size; b += size {
 			rxBlock(re, im, ph, k, low, b, b+size)
 		}
@@ -173,10 +173,10 @@ func UniformRXRangePlanes[T Float](p *Pool, re, im []T, lo, hi int, beta float64
 	work := len(re) / 2
 	q := lo
 	for ; q+1 < hi; q += 2 {
-		p.runTasks(len(re)/4, work, func(a, b int) { rxPairRange(re, im, q, k, a, b) })
+		p.RunTasks(len(re)/4, work, func(a, b int) { rxPairRange(re, im, q, k, a, b) })
 	}
 	if q < hi {
-		p.runTasks(len(re)/2, work, func(a, b int) { rxRange(re, im, q, k.c, k.s, a, b) })
+		p.RunTasks(len(re)/2, work, func(a, b int) { rxRange(re, im, q, k.c, k.s, a, b) })
 	}
 }
 
@@ -186,7 +186,7 @@ func UniformRXRangePlanes[T Float](p *Pool, re, im []T, lo, hi int, beta float64
 func rxPasses[T Float](p *Pool, re, im []T, k rxCoeffs[T], lo, hi int) {
 	for q0 := lo; q0 < hi; q0 += tileGroup {
 		g := min(tileGroup, hi-q0)
-		p.runTasks(len(re)>>uint(g+tileRunBits), len(re)/2, func(a, b int) {
+		p.RunTasks(len(re)>>uint(g+tileRunBits), len(re)/2, func(a, b int) {
 			for t := a; t < b; t++ {
 				rxTile(re, im, k, tileBase(t, q0, g), q0, g)
 			}

@@ -32,6 +32,8 @@
 package qokit
 
 import (
+	"fmt"
+
 	"qokit/internal/core"
 	"qokit/internal/costvec"
 	"qokit/internal/optimize"
@@ -183,12 +185,17 @@ func ArgMinEnergies(energies []float64) int {
 
 // PrecomputeDiagonal evaluates the cost diagonal for the given terms
 // without building a simulator — useful for inspecting the spectrum or
-// feeding NewSimulatorFromDiagonal.
+// feeding NewSimulatorFromDiagonal. Finite weights whose sum overflows
+// to ±Inf return an error wrapping ErrNonFiniteCost.
 func PrecomputeDiagonal(n int, terms Terms) ([]float64, error) {
 	if err := terms.Validate(n); err != nil {
 		return nil, err
 	}
-	return costvec.PrecomputePool(statevec.NewPool(0), poly.Compile(terms), n), nil
+	diag := costvec.PrecomputePool(statevec.NewPool(0), poly.Compile(terms), n)
+	if err := costvec.CheckFinite(diag, 0); err != nil {
+		return nil, fmt.Errorf("qokit: %w", err)
+	}
+	return diag, nil
 }
 
 // GroundStates returns the indices attaining the minimum of a cost

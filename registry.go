@@ -48,8 +48,8 @@ type ProblemKey = registry.Key
 // use; see RegistryStats for its counters.
 type ProblemRegistry = registry.Registry
 
-// RegistryOptions configures a ProblemRegistry (diagonal-cache byte
-// budget, precompute worker count).
+// RegistryOptions configures a ProblemRegistry (its diagonal-cache
+// byte budget).
 type RegistryOptions = registry.Options
 
 // RegistryStats reports registry cache behavior — Precomputes is the
