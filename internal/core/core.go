@@ -312,9 +312,9 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if opts.SinglePrecision && opts.RecomputePhase {
 		return nil, fmt.Errorf("core: SinglePrecision does not compose with RecomputePhase")
 	}
-	symmetric, err := checkDiagonal(diag)
+	symmetric, err := costvec.CheckDiagonal(diag)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.half = symmetric && n >= 2 && backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil
 	// The Fig. 2 ablation must keep re-deriving f(x) per phase

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"qokit/internal/poly"
-	"qokit/internal/statevec"
-)
+import "qokit/internal/statevec"
 
 // This file holds the half state of flip-symmetric costs (see
 // Simulator). With C(x) = C(x̄), the |+⟩ start and the x mixer, every
@@ -23,27 +17,6 @@ import (
 // ReverseMirrorRX): a forward layer is the tiled layer, then one mirror
 // pass; a reverse step is the mirror reverse, then the tiled reverse,
 // whose last pass reads and undoes the phase after every RX is undone.
-
-// checkDiagonal returns an error wrapping poly.ErrNonFiniteCost for a
-// NaN or ±Inf entry and otherwise reports whether diag[x] == diag[x̄]
-// bitwise for every x. It reads each complement pair once.
-func checkDiagonal(diag []float64) (symmetric bool, err error) {
-	mask := len(diag) - 1
-	symmetric = true
-	for x, a := range diag[:len(diag)/2] {
-		b := diag[x^mask]
-		if !finite(a) || !finite(b) {
-			if finite(a) {
-				x, a = x^mask, b
-			}
-			return false, fmt.Errorf("core: %w: diagonal entry %d is %v", poly.ErrNonFiniteCost, x, a)
-		}
-		symmetric = symmetric && math.Float64bits(a) == math.Float64bits(b)
-	}
-	return symmetric, nil
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // storedQubits returns the qubit count of the stored state: n, or n−1
 // on a half state.

@@ -204,6 +204,34 @@ func CheckFinite(diag []float64, offset uint64) error {
 	return nil
 }
 
+// CheckDiagonal scans a full 2^n diagonal once, reading each
+// complement pair (x, x̄) together. It returns an error wrapping
+// poly.ErrNonFiniteCost that names a NaN or ±Inf entry, and otherwise
+// reports whether diag[x] == diag[x̄] bitwise for every x: the
+// flip symmetry that lets an engine store the half state. The
+// single-node and distributed engines both decide the half state
+// here, so they cannot disagree about which costs take it.
+func CheckDiagonal(diag []float64) (symmetric bool, err error) {
+	mask := len(diag) - 1
+	symmetric = true
+	for x, a := range diag[:len(diag)/2] {
+		b := diag[x^mask]
+		if !finite(a) || !finite(b) {
+			if finite(a) {
+				x, a = x^mask, b
+			}
+			return false, fmt.Errorf("%w: diagonal entry %d is %v", poly.ErrNonFiniteCost, x, a)
+		}
+		symmetric = symmetric && math.Float64bits(a) == math.Float64bits(b)
+	}
+	if len(diag) == 1 && !finite(diag[0]) {
+		return false, fmt.Errorf("%w: diagonal entry 0 is %v", poly.ErrNonFiniteCost, diag[0])
+	}
+	return symmetric, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // PrecomputeTermKernels is the paper-faithful variant: one data-
 // parallel kernel launch per term, each accumulating into the diagonal
 // in place ("iterate over terms in T, applying a GPU kernel in-parallel

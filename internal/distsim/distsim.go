@@ -352,7 +352,7 @@ func MixerOnly(n int, ranks int, algo cluster.AlltoallAlgo, slices []*statevec.S
 	}
 	err = g.Run(func(c *cluster.Comm) error {
 		s := slices[c.Rank()]
-		return mixerX(c, planes[float64]{s.Re, s.Im}, statevec.Phase{}, k, beta)
+		return mixerX(c, planes[float64]{s.Re, s.Im}, statevec.Phase{}, k, beta, false)
 	})
 	if err != nil {
 		return cluster.Counters{}, err

@@ -9,6 +9,7 @@ import (
 	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/graphs"
+	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/statevec"
 )
@@ -67,9 +68,11 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 
 func TestCommunicationOnlyForGlobalQubits(t *testing.T) {
 	// K=1 must perform zero communication; K>1 exactly 2 all-to-alls
-	// per layer (Algorithm 4), visible through the byte counters.
+	// per layer (Algorithm 4), visible through the byte counters. The
+	// odd-degree cost keeps full shards (TestHalfShardTraffic pins the
+	// halved volume of half shards).
 	n, p := 8, 2
-	ts := problems.LABSTerms(n)
+	ts := oddCost(n)
 	gamma := []float64{0.3, 0.5}
 	beta := []float64{0.4, 0.1}
 	res1, err := SimulateQAOA(context.Background(), n, ts, gamma[:p], beta[:p], Options{Ranks: 1, Algo: cluster.Transpose})
@@ -314,6 +317,12 @@ func TestXYHalfSliceTraffic(t *testing.T) {
 	}
 }
 
+// oddCost is LABS plus one Z₀ field: the odd-degree term breaks the
+// flip symmetry, so every engine keeps full shards on it.
+func oddCost(n int) poly.Terms {
+	return problems.LABSTerms(n).Plus(poly.New(poly.NewTerm(1, 0)))
+}
+
 func mustRing(t *testing.T, n int) graphs.Graph {
 	t.Helper()
 	g := graphs.Graph{N: n}
@@ -341,16 +350,18 @@ func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
 }
 
 // TestShardStatesMatchSingleNodeBitwise pins what running the
-// single-node kernels on the shards gives: with n − k and k even, every
-// amplitude of a forward shard sees the same phase factor and the same
-// ascending RX⊗RX pair blocks as the single-node tiled layer, so the
-// gathered forward state equals the single-node SoA (SoA32) full state
-// bit for bit. The single-node simulator reaches the full state through
-// an explicit uniform InitialState.
+// single-node kernels on full shards gives: with n − k and k even,
+// every amplitude of a forward shard sees the same phase factor and the
+// same ascending RX⊗RX pair blocks as the single-node tiled layer, so
+// the gathered forward state equals the single-node SoA (SoA32) full
+// state bit for bit. The odd-degree cost keeps full shards, and the
+// single-node simulator keeps the full state through an explicit
+// uniform InitialState. TestHalfShardStatesMatchSingleNodeBitwise pins
+// half shards.
 func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for _, n := range []int{8, 10} {
-		terms := problems.LABSTerms(n)
+		terms := oddCost(n)
 		for _, p := range []int{1, 4, 12} {
 			gamma, beta := randomAngles(rng, p)
 			x := append(append([]float64(nil), gamma...), beta...)

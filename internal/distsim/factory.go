@@ -14,8 +14,9 @@ import (
 
 // Factory builds distributed gradient engines on demand. The per-rank
 // diagonal shards are materialized once — sliced out of one shared
-// full diagonal lease, scanned for non-finite entries and for each
-// slice's phase-table grid — and shared read-only across every build,
+// full diagonal lease after one scan for non-finite entries and flip
+// symmetry (which picks half shards, see GradEngine), and scanned for
+// each slice's phase-table grid — and shared read-only across every build,
 // so an elastic pool growing a new engine (one rank-group lease each,
 // since builds run Concurrency 1 by default) pays for cluster state
 // buffers only, never a second precompute. A quantized factory slices
@@ -29,6 +30,7 @@ type Factory struct {
 	mu     sync.Mutex
 	src    core.DiagSource
 	costs  []rankCost
+	half   bool
 	builds map[*GradEngine]bool
 }
 
@@ -78,13 +80,9 @@ func (f *Factory) shardsLocked(ctx context.Context) error {
 		return err
 	}
 	k, _ := f.opts.validate(f.n) // validated at construction
-	localSize := 1 << uint(f.n-k)
 	full := src.Diag()
-	diags := make([][]float64, f.opts.Ranks)
-	for r := range diags {
-		diags[r] = full[r*localSize : (r+1)*localSize]
-	}
-	if err := checkFinite(diags); err != nil {
+	diags, half, err := cutShards(full, f.n, k, f.opts)
+	if err != nil {
 		src.Release()
 		return err
 	}
@@ -101,15 +99,16 @@ func (f *Factory) shardsLocked(ctx context.Context) error {
 			return fmt.Errorf("distsim: quantizing shared diagonal: %w", err)
 		}
 		quants = make([]*costvec.Quantized, f.opts.Ranks)
-		for r := range quants {
+		for r, diag := range diags {
+			lo := r * len(diag)
 			quants[r] = &costvec.Quantized{
-				Codes: q.Codes[r*localSize : (r+1)*localSize],
+				Codes: q.Codes[lo : lo+len(diag)],
 				Min:   q.Min,
 				Scale: q.Scale,
 			}
 		}
 	}
-	f.src, f.costs = src, rankCosts(diags, quants)
+	f.src, f.costs, f.half = src, rankCosts(diags, quants, half), half
 	return nil
 }
 
@@ -129,7 +128,7 @@ func (f *Factory) NewGradEngine(ctx context.Context) (*GradEngine, error) {
 	if err := f.shardsLocked(ctx); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(f.n, f.opts, f.costs)
+	e, err := newEngine(f.n, f.opts, f.costs, f.half)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,10 @@
 // vector all-reduce (cluster.Comm.AllreduceSumVec) at the end combines
 // all 2p of them.
 //
+// On half shards the reverse step runs the joint mirror reverse
+// (ReverseMirrorRXPlanes) on the transposed planes before the range
+// step, and every reduction over the stored amplitudes doubles exactly.
+//
 // Communication therefore stays mixer-shaped: the reverse pass replays
 // the forward mixer's collectives once per state (two states ⇒ exactly
 // 3× the forward mixer traffic in bytes and messages), and the only
@@ -34,6 +38,7 @@ import (
 	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
+	"qokit/internal/statevec"
 )
 
 // GradEngine evaluates distributed energies and exact adjoint
@@ -50,10 +55,21 @@ import (
 // two jobs on a real cluster. A warmed-up loop still performs no
 // per-evaluation state-vector allocations; memory grows linearly with
 // Concurrency, not with call rate.
+//
+// When the diagonal is bitwise flip-symmetric (LABS, MaxCut, SK), the
+// mixer is x and 2k ≤ n−2, the engine runs half shards: ψ(x) = ψ(x̄)
+// after every layer, as on single-node SoA, so each rank stores only
+// its 2^(n−1−k) representatives x < 2^(n−1). That halves shard memory,
+// kernel work and all-to-all bytes at the same message and sync
+// counts. Outputs weight each representative twice and still cover all
+// 2^n basis states. No option selects it; every other case keeps full
+// shards.
 type GradEngine struct {
 	n, k, hw int
 	opts     Options
 	edges    []graphs.Edge
+	// half is set on half shards (cutShards).
+	half bool
 
 	// costs holds each rank's slice of the diagonal, shared read-only
 	// by every lease: float64 entries, or under Options.Quantize uint16
@@ -97,14 +113,14 @@ func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	if err != nil {
 		return nil, err
 	}
+	full := make([]float64, 1<<uint(n))
 	compiled := poly.Compile(terms)
-	localSize := 1 << uint(n-k)
-	diags := make([][]float64, opts.Ranks)
-	for r := range diags {
-		diags[r] = make([]float64, localSize)
-		costvec.PrecomputeRange(compiled, uint64(r)*uint64(localSize), diags[r])
+	localSize := len(full) >> uint(k)
+	for r := 0; r < opts.Ranks; r++ {
+		costvec.PrecomputeRange(compiled, uint64(r*localSize), full[r*localSize:(r+1)*localSize])
 	}
-	if err := checkFinite(diags); err != nil {
+	diags, half, err := cutShards(full, n, k, opts)
+	if err != nil {
 		return nil, err
 	}
 	var quants []*costvec.Quantized
@@ -126,11 +142,12 @@ func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 			return nil, err
 		}
 	}
-	return newEngine(n, opts, rankCosts(diags, quants))
+	return newEngine(n, opts, rankCosts(diags, quants, half), half)
 }
 
-// newEngine builds an engine over per-rank cost slices.
-func newEngine(n int, opts Options, costs []rankCost) (*GradEngine, error) {
+// newEngine builds an engine over per-rank cost slices, cut for half
+// shards when half is set.
+func newEngine(n int, opts Options, costs []rankCost, half bool) (*GradEngine, error) {
 	k, err := opts.validate(n)
 	if err != nil {
 		return nil, err
@@ -143,6 +160,7 @@ func newEngine(n int, opts Options, costs []rankCost) (*GradEngine, error) {
 		n: n, k: k, hw: opts.hammingWeight(n),
 		opts:     opts,
 		edges:    edges,
+		half:     half,
 		costs:    costs,
 		slots:    make(chan *gradLease, opts.concurrency()),
 		deadRank: make([]cluster.Counters, opts.Ranks),
@@ -232,6 +250,39 @@ func addCounters(dst *cluster.Counters, src cluster.Counters) {
 
 // NumQubits returns n.
 func (e *GradEngine) NumQubits() int { return e.n }
+
+// localQubits returns the qubit count of one rank's stored slice: n−k,
+// or n−1−k on half shards.
+func (e *GradEngine) localQubits() int {
+	if e.half {
+		return e.n - 1 - e.k
+	}
+	return e.n - e.k
+}
+
+// weight is the number of basis states each stored amplitude stands
+// for: 2 on half shards, else 1. Energies and gradient reductions over
+// the stored amplitudes scale by it, exactly.
+func (e *GradEngine) weight() float64 {
+	if e.half {
+		return 2
+	}
+	return 1
+}
+
+// expand returns the 2^n state from the gathered stored amplitudes: on
+// half shards entry x ≥ 2^(n−1) takes the value of its complement.
+func (e *GradEngine) expand(stored statevec.Vec) statevec.Vec {
+	if !e.half {
+		return stored
+	}
+	full := append(stored, make(statevec.Vec, len(stored))...)
+	last := len(full) - 1
+	for i, a := range stored {
+		full[last-i] = a
+	}
+	return full
+}
 
 // Ranks returns K, the number of simulated nodes.
 func (e *GradEngine) Ranks() int { return e.opts.Ranks }
@@ -347,24 +398,34 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 
 // Caps reports the engine's evaluation metadata: K ranks behind each
 // evaluation, Options.Concurrency evaluations in flight at once, and
-// the adjoint pair's sharded state memory per evaluation — per
-// amplitude 16 B for float64 planes, 8 B for float32, so a
-// scheduler packing heterogeneous pools by StateBytes sees the real
-// footprint of each precision.
+// the sharded state memory one evaluation pins — per amplitude 16 B
+// for float64 planes, 8 B for float32, so a scheduler packing
+// heterogeneous pools by StateBytes sees the real footprint of each
+// precision.
 func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n) }
 
-// caps is the Caps of an engine for n qubits under o.
+// caps is the Caps of an engine for n qubits under o. It counts the
+// full-state figures, an upper bound on half shards, which hold half of
+// each: ψ and λ, plus for the x mixer at K ≥ 2 the receive scratch each
+// rank's all-to-all keeps for the lease's lifetime (a whole slice under
+// Transpose, one subchunk under Pairwise), or for the xy mixers the
+// partner-exchange receive planes of both states.
 func (o Options) caps(n int) evaluator.Caps {
-	buffers := int64(2) // psi + lam
-	if o.Mixer != core.MixerX {
-		buffers = 4 // + recvPsi + recvLam (send is half, ignored)
+	amps := int64(2) << uint(n) // psi + lam
+	switch {
+	case o.Mixer != core.MixerX:
+		amps *= 2 // + recvPsi + recvLam (send is half, ignored)
+	case o.Ranks > 1 && o.Algo == cluster.Transpose:
+		amps += 1 << uint(n)
+	case o.Ranks > 1:
+		amps += (int64(1) << uint(n)) / int64(o.Ranks)
 	}
 	return evaluator.Caps{
 		NumQubits:     n,
 		Grad:          true,
 		MaxConcurrent: o.concurrency(),
 		Ranks:         o.Ranks,
-		StateBytes:    buffers * o.Precision.AmpBytes() << uint(n),
+		StateBytes:    amps * o.Precision.AmpBytes(),
 		Outputs:       true,
 		Streaming:     true,
 	}

@@ -38,12 +38,19 @@
 //     one AllreduceMin, the overlap mass one AllreduceSum; a
 //     ProbIndices query costs one vector all-reduce of len(queries)
 //     entries, each filled by the owning rank.
+//
+// On half shards every stored amplitude stands for a representative
+// and its mirror: masses count it twice, a probability query reads the
+// representative of its index, the most probable state is the
+// representative (the lower index of the pair), and a shot picks
+// either member of the drawn pair with probability ½.
 package distsim
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"qokit/internal/cluster"
@@ -67,8 +74,37 @@ type shardView struct {
 	offset   uint64
 	restrict bool
 	hw       int
-	prob     func(i int) float64
-	cost     func(i int) float64
+	// half marks a half shard of an n-qubit state.
+	half bool
+	n    int
+	prob func(i int) float64
+	cost func(i int) float64
+}
+
+// mass returns the probability of measuring any basis state local
+// index i stands for: |ψ_i|², doubled on a half shard.
+func (v *shardView) mass(i int) float64 {
+	if v.half {
+		return 2 * v.prob(i)
+	}
+	return v.prob(i)
+}
+
+// flip returns the mask that maps a basis state to its mirror on a half
+// shard, and 0 on a full shard.
+func (v *shardView) flip() uint64 {
+	if v.half {
+		return 1<<uint(v.n) - 1
+	}
+	return 0
+}
+
+// rep returns the stored global index of basis state x.
+func (v *shardView) rep(x uint64) uint64 {
+	if x>>uint(v.n-1) != 0 {
+		return x ^ v.flip()
+	}
+	return x
 }
 
 // feasible reports whether local index i lies in the mixer's feasible
@@ -109,7 +145,7 @@ func rankGround(c *cluster.Comm, v shardView) (gmin, overlap float64, err error)
 			continue
 		}
 		if v.cost(i) <= gmin+1e-9 {
-			ov += v.prob(i)
+			ov += v.mass(i)
 		}
 	}
 	overlap, err = c.AllreduceSum(ov)
@@ -181,8 +217,8 @@ func rankOutputs(c *cluster.Comm, v shardView, spec OutputSpec, res *Result) err
 	if len(spec.ProbIndices) > 0 {
 		buf := make([]float64, len(spec.ProbIndices))
 		for j, q := range spec.ProbIndices {
-			if q>>uint(v.localN) == uint64(rank) {
-				buf[j] = v.prob(int(q & uint64(v.size-1)))
+			if x := v.rep(q); x>>uint(v.localN) == uint64(rank) {
+				buf[j] = v.prob(int(x & uint64(v.size-1)))
 			}
 		}
 		if err := c.AllreduceSumVec(buf); err != nil {
@@ -210,13 +246,13 @@ func rankOutputs(c *cluster.Comm, v shardView, spec OutputSpec, res *Result) err
 // into the shot's slot. Zero-mass shards never win stage 1 and build
 // no sampler. The closing barrier models the O(Shots) shot merge.
 func rankSample(c *cluster.Comm, v shardView, spec OutputSpec, samples []uint64) error {
-	rankSampler, local, err := shotSamplers(c, v, spec.Seed)
+	rankSampler, draw, err := shotSamplers(c, v, spec.Seed)
 	if err != nil {
 		return err
 	}
 	for j := range samples {
 		if int(rankSampler.Sample()) == c.Rank() {
-			samples[j] = v.offset | local.Sample()
+			samples[j] = draw()
 		}
 	}
 	return c.Barrier()
@@ -224,14 +260,17 @@ func rankSample(c *cluster.Comm, v shardView, spec OutputSpec, samples []uint64)
 
 // shotSamplers builds the two stages of the distributed draw: the
 // rank-level sampler over the allreduced rank masses (seed, identical
-// on every rank) and this rank's shard sampler over |ψ|² (seed+rank+1;
-// nil for a zero-mass shard, which never wins stage 1).
-func shotSamplers(c *cluster.Comm, v shardView, seed int64) (rankSampler, local *sampling.Sampler, err error) {
+// on every rank) and this rank's draw of a global basis index from its
+// shard's alias sampler over |ψ|² (seed+rank+1; nil for a zero-mass
+// shard, which never wins stage 1). A half shard's draw then takes the
+// mirror of the drawn representative on a fair coin (seed+K+rank+1),
+// so shots follow the distribution over all 2^n states.
+func shotSamplers(c *cluster.Comm, v shardView, seed int64) (rankSampler *sampling.Sampler, draw func() uint64, err error) {
 	rank := c.Rank()
 	localProbs := make([]float64, v.size)
 	var mass float64
 	for i := range localProbs {
-		p := v.prob(i)
+		p := v.mass(i)
 		localProbs[i] = p
 		mass += p
 	}
@@ -243,12 +282,25 @@ func shotSamplers(c *cluster.Comm, v shardView, seed int64) (rankSampler, local 
 	if rankSampler, err = sampling.NewSampler(masses, seed); err != nil {
 		return nil, nil, fmt.Errorf("distsim: rank-mass distribution: %w", err)
 	}
-	if mass > 0 {
-		if local, err = sampling.NewSampler(localProbs, seed+int64(rank)+1); err != nil {
-			return nil, nil, fmt.Errorf("distsim: rank %d shard distribution: %w", rank, err)
+	if mass == 0 {
+		return rankSampler, nil, nil
+	}
+	local, err := sampling.NewSampler(localProbs, seed+int64(rank)+1)
+	if err != nil {
+		return nil, nil, fmt.Errorf("distsim: rank %d shard distribution: %w", rank, err)
+	}
+	draw = func() uint64 { return v.offset | local.Sample() }
+	if flip := v.flip(); flip != 0 {
+		coin := rand.New(rand.NewSource(seed + int64(c.Size()+rank) + 1))
+		draw = func() uint64 {
+			x := v.offset | local.Sample()
+			if coin.Int63()&1 != 0 {
+				x ^= flip
+			}
+			return x
 		}
 	}
-	return rankSampler, local, nil
+	return rankSampler, draw, nil
 }
 
 // rankVariance computes Var(C) over the measurement distribution with
@@ -268,7 +320,7 @@ func rankVariance(c *cluster.Comm, v shardView) (float64, error) {
 	rank, size := c.Rank(), c.Size()
 	var w, mean, m2 float64
 	for i := 0; i < v.size; i++ {
-		p := v.prob(i)
+		p := v.mass(i)
 		if p == 0 {
 			continue
 		}
@@ -311,7 +363,7 @@ func rankCVaR(c *cluster.Comm, v shardView, alphas []float64) ([]float64, error)
 	costs := make([]float64, 0, v.size)
 	probs := make([]float64, 0, v.size)
 	for i := 0; i < v.size; i++ {
-		if p := v.prob(i); p > 0 {
+		if p := v.mass(i); p > 0 {
 			costs = append(costs, v.cost(i))
 			probs = append(probs, p)
 		}
@@ -530,7 +582,7 @@ func (e *GradEngine) StreamSamples(ctx context.Context, x []float64, spec evalua
 	var fnErr error // written by rank 0 between the per-chunk barriers
 	stream := func(c *cluster.Comm, view shardView) error {
 		rank := c.Rank()
-		rankSampler, local, err := shotSamplers(c, view, spec.Seed)
+		rankSampler, draw, err := shotSamplers(c, view, spec.Seed)
 		if err != nil {
 			return err
 		}
@@ -541,7 +593,7 @@ func (e *GradEngine) StreamSamples(ctx context.Context, x []float64, spec evalua
 			}
 			for i := range cur {
 				if int(rankSampler.Sample()) == rank {
-					cur[i] = view.offset | local.Sample()
+					cur[i] = draw()
 				}
 			}
 			if err := c.Barrier(); err != nil {

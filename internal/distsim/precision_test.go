@@ -302,7 +302,8 @@ func TestQuantizedEngineRejectsUnrepresentable(t *testing.T) {
 
 // TestCapsStateBytesReflectPrecision pins the pool-packing contract:
 // the float32 engine reports exactly half the float64 engine's
-// per-evaluation state memory, for both mixer families.
+// per-evaluation state memory, for both mixer families, and every
+// buffer a lease keeps is counted.
 func TestCapsStateBytesReflectPrecision(t *testing.T) {
 	terms := problems.LABSTerms(8)
 	for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
@@ -331,6 +332,30 @@ func TestCapsStateBytesReflectPrecision(t *testing.T) {
 	if eq.Caps().StateBytes != e64.Caps().StateBytes {
 		t.Errorf("quantized StateBytes %d differs from float64 %d — quantization compresses the diagonal, not the state",
 			eq.Caps().StateBytes, e64.Caps().StateBytes)
+	}
+
+	// The figures count full states (an upper bound on half shards): ψ
+	// and λ, plus the all-to-all receive scratch an x-mixer lease keeps
+	// at K ≥ 2 — a slice per rank under Transpose, a subchunk under
+	// Pairwise — or the xy mixers' two receive planes.
+	const state = int64(16) << 8
+	for _, c := range []struct {
+		opts Options
+		want int64
+	}{
+		{Options{Ranks: 1, Algo: cluster.Transpose}, 2 * state},
+		{Options{Ranks: 4, Algo: cluster.Transpose}, 3 * state},
+		{Options{Ranks: 4, Algo: cluster.Pairwise}, 2*state + state/4},
+		{Options{Ranks: 2, Algo: cluster.Pairwise}, 2*state + state/2},
+		{Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing}, 4 * state},
+	} {
+		e, err := NewGradEngine(8, terms, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Caps().StateBytes; got != c.want {
+			t.Errorf("K=%d %v %v: StateBytes %d, want %d", c.opts.Ranks, c.opts.Algo, c.opts.Mixer, got, c.want)
+		}
 	}
 }
 

@@ -2,8 +2,18 @@
 // outputs, sampling, checkpointed and gathered runs — is one call of
 // shard.evolve per rank. A shard holds its rank's ψ and λ as split
 // (re, im) planes of either precision and runs the single-node plane
-// kernels on them (statevec's phase tables, tiled F = 2 layer and joint
-// reverse step), with the cluster collectives moving the same planes.
+// kernels on them (statevec's phase tables, tiled F = 2 layer, mirror
+// kernels and joint reverse step), with the cluster collectives moving
+// the same planes.
+//
+// A half shard (see GradEngine) holds the representatives x < 2^(n−1)
+// of a flip-symmetric state, 2^(n−1−k) per rank, and runs qubit n−1 as
+// the mirror kernel inside the all-to-all the x mixer already makes:
+// before the transpose each rank swaps the upper halves of its
+// subchunks s and K−1−s (swapMirrorHalves), so that after it every
+// amplitude's mirror partner 2^(n−1)−1−x sits at its local complement
+// on the same rank. The swap needs 2k ≤ n−2, so that a subchunk has an
+// upper half. At K = 1 the mirror pass is simply local.
 package distsim
 
 import (
@@ -58,23 +68,36 @@ func (rc *rankCost) phase(gamma float64, tab []complex128) statevec.Phase {
 	return ph
 }
 
-// checkFinite returns an error wrapping poly.ErrNonFiniteCost that
-// names the global index of the first NaN or ±Inf entry of the ranks'
-// slices of the diagonal.
-func checkFinite(diags [][]float64) error {
-	for r, diag := range diags {
-		if err := costvec.CheckFinite(diag, uint64(r*len(diag))); err != nil {
-			return fmt.Errorf("distsim: %w", err)
-		}
+// cutShards scans the full diagonal once with costvec.CheckDiagonal,
+// rejecting NaN/±Inf and testing flip symmetry, and cuts each rank's
+// cost slice: 2^(n−k) entries of the whole diagonal, or on half shards
+// 2^(n−1−k) entries of its first half. Half shards take the
+// single-node rule, plus the room the mirror swap needs: the x mixer,
+// n ≥ 2, 2k ≤ n−2 and a bitwise flip-symmetric diagonal.
+func cutShards(full []float64, n, k int, opts Options) (diags [][]float64, half bool, err error) {
+	symmetric, err := costvec.CheckDiagonal(full)
+	if err != nil {
+		return nil, false, fmt.Errorf("distsim: %w", err)
 	}
-	return nil
+	half = symmetric && opts.Mixer == core.MixerX && n >= 2 && 2*k <= n-2
+	size := len(full) >> uint(k)
+	if half {
+		size /= 2
+	}
+	diags = make([][]float64, opts.Ranks)
+	for r := range diags {
+		diags[r] = full[r*size : (r+1)*size]
+	}
+	return diags, half, nil
 }
 
 // rankCosts builds each rank's cost source from its float64 slice of
 // the diagonal. Without quants, a slice that is an exact grid of at
 // most 2^(n−k)/core.PhaseTableRatio levels keeps its codes for phase
-// tables; with quants, the uint16 codes replace the float64 entries.
-func rankCosts(diags [][]float64, quants []*costvec.Quantized) []rankCost {
+// tables: the single-node bound, which on half shards counts the basis
+// states a slice stands for, twice its entries. With quants, the
+// uint16 codes replace the float64 entries.
+func rankCosts(diags [][]float64, quants []*costvec.Quantized, half bool) []rankCost {
 	costs := make([]rankCost, len(diags))
 	for r, diag := range diags {
 		costs[r].offset = uint64(r) * uint64(len(diag))
@@ -83,7 +106,11 @@ func rankCosts(diags [][]float64, quants []*costvec.Quantized) []rankCost {
 			continue
 		}
 		costs[r].diag = diag
-		if q, err := costvec.QuantizeExact(diag, len(diag)/core.PhaseTableRatio); err == nil {
+		maxLevels := len(diag) / core.PhaseTableRatio
+		if half {
+			maxLevels *= 2
+		}
+		if q, err := costvec.QuantizeExact(diag, maxLevels); err == nil {
 			costs[r].levels = q
 		}
 	}
@@ -145,7 +172,7 @@ type shard[T statevec.Float] struct {
 }
 
 func newShard[T statevec.Float](e *GradEngine, rank int) *shard[T] {
-	size := 1 << uint(e.n-e.k)
+	size := 1 << uint(e.localQubits())
 	sh := &shard[T]{e: e, rank: rank, cost: &e.costs[rank], psi: newPlanes[T](size)}
 	if q := sh.cost.levels; q != nil {
 		sh.tab = make([]complex128, int(q.MaxCode())+1)
@@ -162,7 +189,7 @@ func newShard[T statevec.Float](e *GradEngine, rank int) *shard[T] {
 // the gather and the adjoint gradient, as r requests.
 func (sh *shard[T]) evolve(c *cluster.Comm, r *run) error {
 	if r.plan.resume != nil {
-		loadShard(r.plan.resume, sh.rank, sh.psi.re, sh.psi.im)
+		sh.load(r.plan.resume)
 	} else {
 		sh.initial()
 	}
@@ -172,14 +199,14 @@ func (sh *shard[T]) evolve(c *cluster.Comm, r *run) error {
 			return err
 		}
 		if snap := r.plan.snap; snap != nil && ((l+1)%r.plan.every == 0 || l+1 == p) {
-			storeShard(snap, sh.rank, sh.psi.re, sh.psi.im)
+			sh.store(snap)
 			if err := writeSnapshot(c, snap, l+1, r.gamma, r.beta, r.plan.path); err != nil {
 				return err
 			}
 		}
 	}
 	if r.energy != nil {
-		e, err := c.AllreduceSum(statevec.ExpectationPlanes(serialPool, sh.psi.re, sh.psi.im, sh.cost.phase(0, nil)))
+		e, err := c.AllreduceSum(sh.e.weight() * statevec.ExpectationPlanes(serialPool, sh.psi.re, sh.psi.im, sh.cost.phase(0, nil)))
 		if err != nil {
 			return err
 		}
@@ -198,7 +225,7 @@ func (sh *shard[T]) evolve(c *cluster.Comm, r *run) error {
 			return err
 		}
 		if sh.rank == 0 {
-			*r.state = full
+			*r.state = sh.e.expand(full)
 		}
 	}
 	if r.gradGamma != nil {
@@ -208,9 +235,10 @@ func (sh *shard[T]) evolve(c *cluster.Comm, r *run) error {
 }
 
 // initial fills ψ with the rank's slice of the QAOA initial state: the
-// uniform superposition for the transverse-field mixer, or the Dicke
-// state |D^n_hw⟩ for the xy mixers — the entries whose full index
-// (rank bits ‖ local index) has Hamming weight hw.
+// uniform superposition for the transverse-field mixer (with the
+// full-state amplitude on a half shard too), or the Dicke state
+// |D^n_hw⟩ for the xy mixers — the entries whose full index (rank bits
+// ‖ local index) has Hamming weight hw.
 func (sh *shard[T]) initial() {
 	e, re, im := sh.e, sh.psi.re, sh.psi.im
 	if e.opts.Mixer == core.MixerX {
@@ -234,28 +262,87 @@ func (sh *shard[T]) initial() {
 func (sh *shard[T]) forward(c *cluster.Comm, gamma, beta float64) error {
 	ph := sh.cost.phase(gamma, sh.tab)
 	if sh.e.opts.Mixer == core.MixerX {
-		return mixerX(c, sh.psi, ph, sh.e.k, beta)
+		return mixerX(c, sh.psi, ph, sh.e.k, beta, sh.e.half)
 	}
 	statevec.ApplyPhasePlanes(serialPool, sh.psi.re, sh.psi.im, ph)
 	return sh.mixerXY(c, beta)
 }
 
 // mixerX is Algorithm 4 on one rank's planes: the tiled F = 2 layer on
-// the n−k local qubits (with ph in its first pass when ph has a cost
-// source), the all-to-all that swaps the k global qubits in at local
-// positions n−2k…n−k−1, one tiled pass over them, and the all-to-all
-// back.
-func mixerX[T statevec.Float](c *cluster.Comm, s planes[T], ph statevec.Phase, k int, beta float64) error {
+// the local qubits (with ph in its first pass when ph has a cost
+// source), the all-to-all that swaps the k global qubits in at the top
+// k local positions, one tiled pass over them, and the all-to-all
+// back. On a half shard the mirror kernel runs qubit n−1 while the
+// planes are transposed (or in place at K = 1).
+func mixerX[T statevec.Float](c *cluster.Comm, s planes[T], ph statevec.Phase, k int, beta float64, half bool) error {
 	statevec.UniformRXPlanes(serialPool, s.re, s.im, ph, beta)
 	if k == 0 {
+		if half {
+			statevec.MirrorRXPlanes(serialPool, s.re, s.im, beta)
+		}
 		return nil
 	}
-	if err := cluster.Alltoall(c, s.re, s.im); err != nil {
+	if err := transpose(c, half, s); err != nil {
 		return err
 	}
 	localN := bits.TrailingZeros(uint(len(s.re)))
 	statevec.UniformRXRangePlanes(serialPool, s.re, s.im, localN-k, localN, beta)
-	return cluster.Alltoall(c, s.re, s.im)
+	if half {
+		statevec.MirrorRXPlanes(serialPool, s.re, s.im, beta)
+	}
+	return transposeBack(c, half, s)
+}
+
+// transpose runs the all-to-all into the swapped layout on each state
+// in turn. On a half shard it first swaps the mirror halves, so that
+// each amplitude's mirror partner arrives at its local complement.
+func transpose[T statevec.Float](c *cluster.Comm, half bool, states ...planes[T]) error {
+	for _, s := range states {
+		if half {
+			swapMirrorHalves(s, c.Size())
+		}
+		if err := cluster.Alltoall(c, s.re, s.im); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// transposeBack runs the all-to-all back to the rank layout on each
+// state in turn, then on a half shard the inverse swap.
+func transposeBack[T statevec.Float](c *cluster.Comm, half bool, states ...planes[T]) error {
+	for _, s := range states {
+		if err := cluster.Alltoall(c, s.re, s.im); err != nil {
+			return err
+		}
+		if half {
+			swapMirrorHalves(s, c.Size())
+		}
+	}
+	return nil
+}
+
+// swapMirrorHalves exchanges the upper halves of subchunks a and
+// K−1−a of a half shard's planes, for every a < K/2; it is its own
+// inverse. Subchunk a holds the amplitudes destined for rank a, and the
+// mirror of a representative in the lower half of rank r's subchunk a
+// lies in the upper half of rank K−1−r's subchunk K−1−a. After the swap
+// both travel to rank a, where they land at complementary local
+// indices.
+func swapMirrorHalves[T statevec.Float](s planes[T], ranks int) {
+	sub := len(s.re) / ranks
+	h := sub / 2
+	for a := 0; a < ranks/2; a++ {
+		lo, hi := a*sub+h, (ranks-1-a)*sub+h
+		swapRuns(s.re[lo:lo+h], s.re[hi:hi+h])
+		swapRuns(s.im[lo:lo+h], s.im[hi:hi+h])
+	}
+}
+
+func swapRuns[T statevec.Float](x, y []T) {
+	for i := range x {
+		x[i], y[i] = y[i], x[i]
+	}
 }
 
 // adjoint seeds λ = Ĉψ and walks both states back through every layer,
@@ -277,6 +364,7 @@ func (sh *shard[T]) adjoint(c *cluster.Comm, r *run) error {
 		sh.flat = make([]float64, 2*p)
 	}
 	flat := sh.flat[:2*p]
+	scale := 2 * sh.e.weight()
 	for l := p - 1; l >= 0; l-- {
 		// The phase undo is skipped on the last step, where no earlier
 		// derivative needs the states, so that step needs no table.
@@ -289,7 +377,7 @@ func (sh *shard[T]) adjoint(c *cluster.Comm, r *run) error {
 		if err != nil {
 			return err
 		}
-		flat[l], flat[p+l] = 2*dGamma, 2*dBeta
+		flat[l], flat[p+l] = scale*dGamma, scale*dBeta
 	}
 	if err := c.AllreduceSumVec(flat); err != nil {
 		return err
@@ -302,39 +390,39 @@ func (sh *shard[T]) adjoint(c *cluster.Comm, r *run) error {
 }
 
 // reverse walks ψ and λ back through one layer and returns this rank's
-// shares of Im ⟨λ|M|ψ⟩ and Im ⟨λ|Ĉ|ψ⟩, undoing the phase only when
-// undo is set. For the x mixer the swapped-in global qubits go first:
-// every X_q commutes with the layer's mixer, so reading and undoing
-// them before the local qubits is exact. Each state crosses the
-// all-to-all twice, so a gradient moves 3× the forward traffic.
+// shares of Im ⟨λ|M|ψ⟩ and Im ⟨λ|Ĉ|ψ⟩ over its stored amplitudes,
+// undoing the phase only when undo is set. For the x mixer the joint
+// mirror reverse of a half shard goes first, then the swapped-in global
+// qubits, then the local ones: every X_q commutes with the layer's
+// mixer, so reading and undoing them in any order is exact. Each state
+// crosses the all-to-all twice, so a gradient moves 3× the forward
+// traffic.
 func (sh *shard[T]) reverse(c *cluster.Comm, ph statevec.Phase, beta float64, undo bool) (dBeta, dGamma float64, err error) {
-	psi, lam := sh.psi, sh.lam
+	psi, lam, half := sh.psi, sh.lam, sh.e.half
 	if sh.e.opts.Mixer != core.MixerX {
 		if dBeta, err = sh.reverseXY(c, beta); err != nil {
 			return 0, 0, err
 		}
 		return dBeta, statevec.ReversePhasePlanes(serialPool, lam.re, lam.im, psi.re, psi.im, ph, undo), nil
 	}
-	if k := sh.e.k; k > 0 {
-		localN := sh.e.n - k
-		if err := alltoallPair(c, psi, lam); err != nil {
+	k := sh.e.k
+	if k > 0 {
+		if err := transpose(c, half, psi, lam); err != nil {
 			return 0, 0, err
 		}
-		dBeta = statevec.ReverseRXRangePlanes(serialPool, lam.re, lam.im, psi.re, psi.im, localN-k, localN, beta)
-		if err := alltoallPair(c, psi, lam); err != nil {
+	}
+	if half {
+		dBeta = statevec.ReverseMirrorRXPlanes(serialPool, lam.re, lam.im, psi.re, psi.im, beta)
+	}
+	if k > 0 {
+		localN := sh.e.localQubits()
+		dBeta += statevec.ReverseRXRangePlanes(serialPool, lam.re, lam.im, psi.re, psi.im, localN-k, localN, beta)
+		if err := transposeBack(c, half, psi, lam); err != nil {
 			return 0, 0, err
 		}
 	}
 	mixer, phase := statevec.ReverseUniformRXPlanes(serialPool, lam.re, lam.im, psi.re, psi.im, beta, ph, undo)
 	return dBeta + mixer, phase, nil
-}
-
-// alltoallPair transposes ψ, then λ.
-func alltoallPair[T statevec.Float](c *cluster.Comm, psi, lam planes[T]) error {
-	if err := cluster.Alltoall(c, psi.re, psi.im); err != nil {
-		return err
-	}
-	return cluster.Alltoall(c, lam.re, lam.im)
 }
 
 // mixerXY applies one Trotter step of an xy mixer to ψ, sweeping edges
@@ -428,10 +516,10 @@ func rotatePair[T statevec.Float](s, remote planes[T], x, j int, cs, sn T) {
 // view is the output stage's read-only view of the evolved ψ.
 func (sh *shard[T]) view() shardView {
 	re, im := sh.psi.re, sh.psi.im
-	localN := sh.e.n - sh.e.k
 	return shardView{
-		size: len(re), localN: localN, offset: sh.cost.offset,
+		size: len(re), localN: sh.e.localQubits(), offset: sh.cost.offset,
 		restrict: sh.e.opts.Mixer != core.MixerX, hw: sh.e.hw,
+		half: sh.e.half, n: sh.e.n,
 		prob: func(i int) float64 {
 			r, m := float64(re[i]), float64(im[i])
 			return r*r + m*m

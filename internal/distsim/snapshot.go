@@ -218,30 +218,51 @@ type ckptPlan struct {
 	path   string
 }
 
-// loadShard copies rank's snapshotted amplitudes into the planes.
-func loadShard[T statevec.Float](s *ShardSnapshot, rank int, re, im []T) {
-	if s.Precision == PrecisionFloat32 {
-		for i := range re {
-			re[i], im[i] = T(s.Re[rank][i]), T(s.Im[rank][i])
+// A snapshot always holds the full state, split over the ranks in
+// 2^(n−k)-amplitude slices, whichever shard form wrote it. A half
+// shard stores each representative's amplitude at the representative
+// and at its mirror, and loads its representatives only, so full and
+// half shards resume from each other's files.
+
+// slot returns the (rank, local index) of global basis index x in the
+// snapshot layout.
+func (sh *shard[T]) slot(x uint64) (r, i uint64) {
+	localN := uint(sh.e.n - sh.e.k)
+	return x >> localN, x & (1<<localN - 1)
+}
+
+// load copies this rank's stored amplitudes out of s.
+func (sh *shard[T]) load(s *ShardSnapshot) {
+	re, im := sh.psi.re, sh.psi.im
+	for i := range re {
+		r, j := sh.slot(sh.cost.offset + uint64(i))
+		if s.Precision == PrecisionFloat32 {
+			re[i], im[i] = T(s.Re[r][j]), T(s.Im[r][j])
+		} else {
+			a := s.Shards[r][j]
+			re[i], im[i] = T(real(a)), T(imag(a))
 		}
-		return
-	}
-	for i, a := range s.Shards[rank] {
-		re[i], im[i] = T(real(a)), T(imag(a))
 	}
 }
 
-// storeShard copies the planes into rank's slot of s, in the
-// snapshot's layout.
-func storeShard[T statevec.Float](s *ShardSnapshot, rank int, re, im []T) {
-	if s.Precision == PrecisionFloat32 {
-		for i := range re {
-			s.Re[rank][i], s.Im[rank][i] = float32(re[i]), float32(im[i])
+// store copies ψ into s: each stored amplitude at its global index and,
+// on a half shard, at its mirror. Ranks write disjoint slots.
+func (sh *shard[T]) store(s *ShardSnapshot) {
+	put := func(x uint64, re, im T) {
+		r, j := sh.slot(x)
+		if s.Precision == PrecisionFloat32 {
+			s.Re[r][j], s.Im[r][j] = float32(re), float32(im)
+		} else {
+			s.Shards[r][j] = complex(float64(re), float64(im))
 		}
-		return
 	}
-	for i := range re {
-		s.Shards[rank][i] = complex(float64(re[i]), float64(im[i]))
+	flip := uint64(1)<<uint(sh.e.n) - 1
+	for i, re := range sh.psi.re {
+		x, im := sh.cost.offset+uint64(i), sh.psi.im[i]
+		put(x, re, im)
+		if sh.e.half {
+			put(x^flip, re, im)
+		}
 	}
 }
 

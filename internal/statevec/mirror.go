@@ -18,24 +18,24 @@ import (
 
 // ApplyMirrorRX applies RX(β) on qubit n−1 of the half state s: the
 // pair update of ApplyRX with amplitude i paired with its mirror.
-func (s *SoA) ApplyMirrorRX(p *Pool, beta float64) { mirrorRXPlanes(p, s.Re, s.Im, beta) }
+func (s *SoA) ApplyMirrorRX(p *Pool, beta float64) { MirrorRXPlanes(p, s.Re, s.Im, beta) }
 
 // ApplyMirrorRX applies RX(β) on qubit n−1 of the single-precision
 // half state s.
-func (s *SoA32) ApplyMirrorRX(p *Pool, beta float64) { mirrorRXPlanes(p, s.Re, s.Im, beta) }
+func (s *SoA32) ApplyMirrorRX(p *Pool, beta float64) { MirrorRXPlanes(p, s.Re, s.Im, beta) }
 
 // ReverseMirrorRX is the adjoint reverse step of qubit n−1 on a half
 // state pair, with s as the bra λ: it applies RX(−β) on the mirror
 // pairs of λ and ψ and returns Im ⟨λ|X_(n−1)|ψ⟩ summed over the stored
 // amplitudes, half the full state's value, accumulated in float64.
 func (s *SoA) ReverseMirrorRX(p *Pool, psi *SoA, beta float64) float64 {
-	return reverseMirrorRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta)
+	return ReverseMirrorRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta)
 }
 
 // ReverseMirrorRX is the single-precision mirror reverse step with s
 // as λ.
 func (s *SoA32) ReverseMirrorRX(p *Pool, psi *SoA32, beta float64) float64 {
-	return reverseMirrorRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta)
+	return ReverseMirrorRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta)
 }
 
 // checkMirror panics unless a half state of size amplitudes has mirror
@@ -47,7 +47,11 @@ func checkMirror(op string, size int) {
 	numQubits(size)
 }
 
-func mirrorRXPlanes[T Float](p *Pool, re, im []T, beta float64) {
+// MirrorRXPlanes is the mirror kernel on split planes, behind
+// ApplyMirrorRX: RX(β) on every pair (i, len(re)−1−i). A distributed
+// half shard runs it on planes whose local complement is the mirror
+// partner of each amplitude.
+func MirrorRXPlanes[T Float](p *Pool, re, im []T, beta float64) {
 	checkMirror("ApplyMirrorRX", len(re))
 	sn64, cs64 := math.Sincos(beta)
 	sn, cs := T(sn64), T(cs64)
@@ -65,7 +69,9 @@ func mirrorRXPlanes[T Float](p *Pool, re, im []T, beta float64) {
 	})
 }
 
-func reverseMirrorRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, beta float64) float64 {
+// ReverseMirrorRXPlanes is the joint mirror reverse step on split
+// planes, behind ReverseMirrorRX, with (lr, li) as λ.
+func ReverseMirrorRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, beta float64) float64 {
 	checkPair("ReverseMirrorRX", len(lr), len(pr))
 	checkMirror("ReverseMirrorRX", len(lr))
 	sn64, cs64 := math.Sincos(-beta)

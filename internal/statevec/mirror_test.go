@@ -47,7 +47,7 @@ func checkMirrorRX[T Float](t *testing.T) {
 		full := symmetricPlanes[T](rng, sh.n)
 		half := full.lowerHalf()
 		applyRXPlanes(p, full.re, full.im, sh.n-1, beta)
-		mirrorRXPlanes(p, half.re, half.im, beta)
+		MirrorRXPlanes(p, half.re, half.im, beta)
 		label := fmt.Sprintf("n=%d workers=%d", sh.n, sh.workers)
 		if i := bitDiff(half, full.lowerHalf()); i >= 0 {
 			t.Fatalf("%s: mirror RX differs from the full-state RX at %d", label, i)
@@ -83,7 +83,7 @@ func checkReverseMirrorRX[T Float](t *testing.T) {
 		beta := 0.71 - 0.04*float64(sh.n)
 		lam, psi := symmetricPlanes[T](rng, sh.n), symmetricPlanes[T](rng, sh.n)
 		hl, hp := lam.lowerHalf(), psi.lowerHalf()
-		got := reverseMirrorRXPlanes(p, hl.re, hl.im, hp.re, hp.im, beta)
+		got := ReverseMirrorRXPlanes(p, hl.re, hl.im, hp.re, hp.im, beta)
 
 		want := ImDotXRange(lam.vec(), psi.vec(), sh.n-1, sh.n) / 2
 		applyRXPlanes(p, lam.re, lam.im, sh.n-1, -beta)
