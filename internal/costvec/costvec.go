@@ -191,31 +191,20 @@ func signed(w float64, x uint64) float64 {
 	return math.Float64frombits(math.Float64bits(w) ^ uint64(bits.OnesCount64(x))<<63)
 }
 
-// CheckFinite returns an error wrapping poly.ErrNonFiniteCost that
-// names the first NaN or ±Inf entry of a diagonal slice starting at
-// global index offset, or nil. Only weights that fail exactSums can
-// overflow to ±Inf.
-func CheckFinite(diag []float64, offset uint64) error {
-	for i, v := range diag {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: diagonal entry %d is %v", poly.ErrNonFiniteCost, offset+uint64(i), v)
-		}
-	}
-	return nil
-}
-
 // CheckDiagonal scans a full 2^n diagonal once, reading each
 // complement pair (x, x̄) together. It returns an error wrapping
 // poly.ErrNonFiniteCost that names a NaN or ±Inf entry, and otherwise
 // reports whether diag[x] == diag[x̄] bitwise for every x: the
 // flip symmetry that lets an engine store the half state. The
 // single-node and distributed engines both decide the half state
-// here, so they cannot disagree about which costs take it.
+// here, so they cannot disagree about which costs take it. Only
+// weights that fail exactSums can overflow to ±Inf.
 func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 	mask := len(diag) - 1
 	symmetric = true
-	for x, a := range diag[:len(diag)/2] {
-		b := diag[x^mask]
+	// x ≤ mask/2 visits each pair once, and the lone entry of n = 0.
+	for x := 0; x <= mask>>1; x++ {
+		a, b := diag[x], diag[x^mask]
 		if !finite(a) || !finite(b) {
 			if finite(a) {
 				x, a = x^mask, b
@@ -223,9 +212,6 @@ func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 			return false, fmt.Errorf("%w: diagonal entry %d is %v", poly.ErrNonFiniteCost, x, a)
 		}
 		symmetric = symmetric && math.Float64bits(a) == math.Float64bits(b)
-	}
-	if len(diag) == 1 && !finite(diag[0]) {
-		return false, fmt.Errorf("%w: diagonal entry 0 is %v", poly.ErrNonFiniteCost, diag[0])
 	}
 	return symmetric, nil
 }

@@ -1,9 +1,11 @@
 package costvec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +211,50 @@ func TestPrecomputeBitIdentical(t *testing.T) {
 		}
 	}
 	check("LABS n=16", 16, problems.LABSTerms(16))
+}
+
+// TestCheckDiagonal pins the one scan both engines decide the half
+// state by: bitwise flip symmetry for even-degree costs, none for a
+// cost with an odd-degree term or for a −0 facing a +0, and an error
+// wrapping poly.ErrNonFiniteCost that names a NaN or ±Inf entry in
+// either half, down to the one-entry diagonal of n = 0.
+func TestCheckDiagonal(t *testing.T) {
+	const n = 6
+	g, err := graphs.RandomRegular(n, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labs := Precompute(poly.Compile(problems.LABSTerms(n)), n)
+	for _, c := range []struct {
+		name string
+		diag []float64
+		want bool
+	}{
+		{"LABS", labs, true},
+		{"MaxCut", Precompute(poly.Compile(problems.MaxCutTerms(g)), n), true},
+		{"SK", Precompute(poly.Compile(problems.SKTerms(n, 3)), n), true},
+		{"LABS plus a Z0 field", Precompute(poly.Compile(problems.LABSTerms(n).Plus(poly.New(poly.NewTerm(1, 0)))), n), false},
+		{"+0 facing −0", []float64{0, 1, 1, math.Copysign(0, -1)}, false},
+		{"n=0", []float64{7}, true},
+	} {
+		got, err := CheckDiagonal(c.diag)
+		if err != nil || got != c.want {
+			t.Errorf("%s: CheckDiagonal = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	for _, x := range []int{0, 5, 1<<(n-1) - 1, 1 << (n - 1), 1<<n - 1} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			d := append([]float64(nil), labs...)
+			d[x] = bad
+			_, err := CheckDiagonal(d)
+			if !errors.Is(err, poly.ErrNonFiniteCost) || !strings.Contains(err.Error(), fmt.Sprintf("entry %d ", x)) {
+				t.Errorf("entry %d = %v: error %v, want ErrNonFiniteCost naming the entry", x, bad, err)
+			}
+		}
+	}
+	if _, err := CheckDiagonal([]float64{math.NaN()}); !errors.Is(err, poly.ErrNonFiniteCost) {
+		t.Errorf("n=0 NaN: error %v, want ErrNonFiniteCost", err)
+	}
 }
 
 func TestFromFunc(t *testing.T) {

@@ -29,6 +29,13 @@
 // Algorithm 4 requires 2k ≤ n so each all-to-all subchunk holds at
 // least one amplitude.
 //
+// When the cost is bitwise flip-symmetric (LABS, MaxCut, SK), the mixer
+// is x, n ≥ 2 and 2k ≤ n − 2, the ranks hold half shards: only the
+// representatives x < 2^(n−1) of the symmetric state, 2^(n−1−k) per
+// rank, with qubit n−1 applied as a mirror pass while the planes are
+// transposed. The stricter bound leaves each subchunk an upper half to
+// swap with its mirror subchunk before the all-to-all (shard.go).
+//
 // Every entry point — the GradEngine's energy, gradient, outputs and
 // streaming, and the one-shot SimulateQAOA* functions, which run one
 // lease of a fresh engine — goes through one evolution function,

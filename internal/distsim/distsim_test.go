@@ -350,52 +350,72 @@ func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
 }
 
 // TestShardStatesMatchSingleNodeBitwise pins what running the
-// single-node kernels on full shards gives: with n − k and k even,
-// every amplitude of a forward shard sees the same phase factor and the
-// same ascending RX⊗RX pair blocks as the single-node tiled layer, so
-// the gathered forward state equals the single-node SoA (SoA32) full
-// state bit for bit. The odd-degree cost keeps full shards, and the
-// single-node simulator keeps the full state through an explicit
-// uniform InitialState. TestHalfShardStatesMatchSingleNodeBitwise pins
-// half shards.
+// single-node kernels on the shards gives, for both shard forms. Full
+// shards (the odd-degree cost, n ∈ {8, 10}): with n − k and k even,
+// every amplitude sees the same phase factor and the same ascending
+// RX⊗RX pair blocks as the single-node tiled layer, so the gathered
+// forward state equals the single-node SoA (SoA32) full state bit for
+// bit; the single-node simulator keeps the full state through an
+// explicit uniform InitialState. Half shards (LABS, n ∈ {9, 11}): with
+// n − 1 − k and k even, every representative also sees the same mirror
+// pair update, so the gathered shards equal the single-node half state.
 func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
-	for _, n := range []int{8, 10} {
-		terms := oddCost(n)
-		for _, p := range []int{1, 4, 12} {
-			gamma, beta := randomAngles(rng, p)
-			x := append(append([]float64(nil), gamma...), beta...)
-			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-				single, err := core.New(n, terms, core.Options{
-					Backend: core.BackendSoA, SinglePrecision: prec == PrecisionFloat32,
-					InitialState: statevec.NewUniform(n), Workers: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := single.SimulateQAOA(gamma, beta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := ref.StateVector()
-				for _, ranks := range []int{1, 4} {
-					eng, err := NewGradEngine(n, terms, Options{Ranks: ranks, Precision: prec})
+	for _, form := range []struct {
+		half  bool
+		ns    []int
+		terms func(n int) poly.Terms
+	}{{false, []int{8, 10}, oddCost}, {true, []int{9, 11}, problems.LABSTerms}} {
+		for _, n := range form.ns {
+			terms := form.terms(n)
+			stored := 1 << uint(n)
+			var initial statevec.Vec
+			if form.half {
+				stored /= 2
+			} else {
+				initial = statevec.NewUniform(n)
+			}
+			for _, p := range []int{1, 4, 12} {
+				gamma, beta := randomAngles(rng, p)
+				x := append(append([]float64(nil), gamma...), beta...)
+				for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+					single, err := core.New(n, terms, core.Options{
+						Backend: core.BackendSoA, SinglePrecision: prec == PrecisionFloat32,
+						InitialState: initial, Workers: 2,
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := eng.Energy(context.Background(), x); err != nil {
+					ref, err := single.SimulateQAOA(gamma, beta)
+					if err != nil {
 						t.Fatal(err)
 					}
-					var got statevec.Vec
-					if prec == PrecisionFloat32 {
-						got = shardState[float32](t, eng).vec()
-					} else {
-						got = shardState[float64](t, eng).vec()
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("n=%d p=%d %v K=%d: amplitude %d is %v, single-node %v", n, p, prec, ranks, i, got[i], want[i])
-							break
+					want := ref.StateVector()[:stored]
+					for _, ranks := range []int{1, 4} {
+						eng, err := NewGradEngine(n, terms, Options{Ranks: ranks, Precision: prec})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if eng.half != form.half {
+							t.Fatalf("n=%d K=%d: half=%v, want %v", n, ranks, eng.half, form.half)
+						}
+						if _, err := eng.Energy(context.Background(), x); err != nil {
+							t.Fatal(err)
+						}
+						var got statevec.Vec
+						if prec == PrecisionFloat32 {
+							got = shardState[float32](t, eng).vec()
+						} else {
+							got = shardState[float64](t, eng).vec()
+						}
+						if len(got) != len(want) {
+							t.Fatalf("n=%d K=%d: shards hold %d amplitudes, want %d", n, ranks, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("n=%d p=%d %v K=%d: amplitude %d is %v, single-node %v", n, p, prec, ranks, i, got[i], want[i])
+								break
+							}
 						}
 					}
 				}

@@ -201,63 +201,6 @@ func TestHalfShardTraffic(t *testing.T) {
 	}
 }
 
-// TestHalfShardStatesMatchSingleNodeBitwise pins half shards against
-// the single-node half state: with n − 1 − k and k even, every
-// representative sees the same phase factor, the same ascending RX⊗RX
-// pair blocks and the same mirror pair update as on single-node SoA
-// (SoA32), so the gathered shards equal its stored half state bit for
-// bit.
-func TestHalfShardStatesMatchSingleNodeBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	for _, n := range []int{9, 11} {
-		terms := problems.LABSTerms(n)
-		for _, p := range []int{1, 4, 12} {
-			gamma, beta := randomAngles(rng, p)
-			x := append(append([]float64(nil), gamma...), beta...)
-			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-				single, err := core.New(n, terms, core.Options{
-					Backend: core.BackendSoA, SinglePrecision: prec == PrecisionFloat32, Workers: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := single.SimulateQAOA(gamma, beta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := ref.StateVector()[:1<<uint(n-1)]
-				for _, ranks := range []int{1, 4} {
-					eng, err := NewGradEngine(n, terms, Options{Ranks: ranks, Precision: prec})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !eng.half {
-						t.Fatalf("n=%d K=%d: LABS runs full shards", n, ranks)
-					}
-					if _, err := eng.Energy(context.Background(), x); err != nil {
-						t.Fatal(err)
-					}
-					var got statevec.Vec
-					if prec == PrecisionFloat32 {
-						got = shardState[float32](t, eng).vec()
-					} else {
-						got = shardState[float64](t, eng).vec()
-					}
-					if len(got) != len(want) {
-						t.Fatalf("n=%d K=%d: shards hold %d amplitudes, want %d", n, ranks, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("n=%d p=%d %v K=%d: representative %d is %v, single-node %v", n, p, prec, ranks, i, got[i], want[i])
-							break
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // halfEval is everything one engine returns at one point.
 type halfEval struct {
 	energy float64
@@ -357,96 +300,18 @@ func halfChiSquared(probs []float64, samples []uint64) float64 {
 	return chi2
 }
 
-// TestHalfShardGradMatchesSingleNode is the half-shard energy and
-// gradient differential: LABS, MaxCut and SK × K ∈ {1, 2, 4, 8} ×
-// p ∈ {1, 4, 12} on half shards against the single-node Serial engine,
-// which keeps the full state: rtol 1e-10 in float64, the SoA32 band
-// (2e-3) in float32. Quantized shards equal float64 ones bit for bit
-// (SK on its weights rounded to the 1/16 step, which is an exact grid).
-func TestHalfShardGradMatchesSingleNode(t *testing.T) {
-	const n, rtol, band = 8, 1e-10, 2e-3
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(82))
-	for _, prob := range halfProblems(t, n) {
-		single, err := core.New(n, prob.terms, core.Options{Backend: core.BackendSerial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ranks := range []int{1, 2, 4, 8} {
-			engines := map[string]*GradEngine{}
-			for name, o := range map[string]struct {
-				terms poly.Terms
-				opts  Options
-			}{
-				"float64":      {prob.terms, Options{Ranks: ranks}},
-				"float32":      {prob.terms, Options{Ranks: ranks, Precision: PrecisionFloat32}},
-				"grid float64": {prob.grid, Options{Ranks: ranks}},
-				"quantized":    {prob.grid, Options{Ranks: ranks, Quantize: true}},
-			} {
-				eng, err := NewGradEngine(n, o.terms, o.opts)
-				if err != nil {
-					t.Fatalf("%s K=%d %s: %v", prob.name, ranks, name, err)
-				}
-				if !eng.half {
-					t.Fatalf("%s K=%d %s: runs full shards", prob.name, ranks, name)
-				}
-				engines[name] = eng
-			}
-			for _, p := range []int{1, 4, 12} {
-				gamma, beta := randomAngles(rng, p)
-				x := append(append([]float64(nil), gamma...), beta...)
-				refE, refGG, refGB, err := single.SimulateQAOAGrad(gamma, beta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := append(append([]float64(nil), refGG...), refGB...)
-				grads := map[string][]float64{}
-				energies := map[string]float64{}
-				for name, eng := range engines {
-					g := make([]float64, 2*p)
-					e, err := eng.EnergyGrad(ctx, x, g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					energies[name], grads[name] = e, g
-				}
-				where := fmt.Sprintf("%s K=%d p=%d", prob.name, ranks, p)
-				if d := rtolDiff(energies["float64"], refE); d > rtol {
-					t.Errorf("%s: float64 energy rtol %g", where, d)
-				}
-				scale := math.Max(maxAbs(ref), 1)
-				for i := range ref {
-					if d := math.Abs(grads["float64"][i] - ref[i]); d > rtol*scale {
-						t.Errorf("%s: float64 gradient %d off by %g", where, i, d)
-					}
-					if d := math.Abs(grads["float32"][i] - ref[i]); d > band*scale {
-						t.Errorf("%s: float32 gradient %d off by %g", where, i, d)
-					}
-					if grads["quantized"][i] != grads["grid float64"][i] {
-						t.Errorf("%s: quantized gradient %d is %v, float64 %v", where, i, grads["quantized"][i], grads["grid float64"][i])
-					}
-				}
-				if d := math.Abs(energies["float32"] - refE); d > band*math.Max(math.Abs(refE), 1) {
-					t.Errorf("%s: float32 energy off by %g", where, d)
-				}
-				if energies["quantized"] != energies["grid float64"] {
-					t.Errorf("%s: quantized energy %v, float64 %v", where, energies["quantized"], energies["grid float64"])
-				}
-			}
-		}
-	}
-}
-
-// TestHalfShardOutputsMatchSingleNode is the half-shard output
-// differential over the same matrix as TestHalfShardGradMatchesSingleNode:
-// Overlap, MinCost, CVaR, Variance, MaxProb and ProbIndices on both
-// sides of 2^(n−1) against the single-node Serial engine (rtol 1e-10 in
-// float64, the 2e-3 band in float32); MaxProbIndex attains the maximum
-// and is the lower index of its mirror pair; the shots pass a χ² test against the full
-// distribution (df = 19, p = 1e-5) and stream exactly as they buffer;
-// Gather returns all 2^n amplitudes; quantized outputs, shots included,
-// equal float64 ones bit for bit.
-func TestHalfShardOutputsMatchSingleNode(t *testing.T) {
+// TestHalfShardGradAndOutputsMatchSingleNode is the half-shard
+// differential: LABS, MaxCut and SK × K ∈ {1, 2, 4, 8} × p ∈ {1, 4, 12}
+// on half shards against the single-node Serial engine, which keeps the
+// full state. Energy, gradient, Overlap, MinCost, CVaR, Variance,
+// MaxProb and ProbIndices on both sides of 2^(n−1) agree to rtol 1e-10
+// in float64 and within the SoA32 band (2e-3) in float32; MaxProbIndex
+// attains the maximum and is the lower index of its mirror pair; the
+// shots pass a χ² test against the full distribution (df = 19,
+// p = 1e-5) and stream exactly as they buffer; Gather returns all 2^n
+// amplitudes. Quantized results, shots included, equal float64 ones bit
+// for bit (SK on its weights rounded to the 1/16 step, an exact grid).
+func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 	const n, rtol, band, shots = 8, 1e-10, 2e-3, 10_000
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(83))
@@ -457,22 +322,20 @@ func TestHalfShardOutputsMatchSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ranks := range []int{1, 2, 4, 8} {
-			f64, err := NewGradEngine(n, prob.terms, Options{Ranks: ranks})
-			if err != nil {
-				t.Fatal(err)
+			engine := func(terms poly.Terms, opts Options) *GradEngine {
+				eng, err := NewGradEngine(n, terms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !eng.half {
+					t.Fatalf("%s K=%d %+v: runs full shards", prob.name, ranks, opts)
+				}
+				return eng
 			}
-			f32, err := NewGradEngine(n, prob.terms, Options{Ranks: ranks, Precision: PrecisionFloat32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			grid, err := NewGradEngine(n, prob.grid, Options{Ranks: ranks})
-			if err != nil {
-				t.Fatal(err)
-			}
-			quant, err := NewGradEngine(n, prob.grid, Options{Ranks: ranks, Quantize: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			f64 := engine(prob.terms, Options{Ranks: ranks})
+			f32 := engine(prob.terms, Options{Ranks: ranks, Precision: PrecisionFloat32})
+			grid := engine(prob.grid, Options{Ranks: ranks})
+			quant := engine(prob.grid, Options{Ranks: ranks, Quantize: true})
 			for _, p := range []int{1, 4, 12} {
 				gamma, beta := randomAngles(rng, p)
 				x := append(append([]float64(nil), gamma...), beta...)
@@ -481,6 +344,11 @@ func TestHalfShardOutputsMatchSingleNode(t *testing.T) {
 					CVaRAlphas: []float64{1, 0.5, 0.1}, ProbIndices: queries, Variance: true,
 					Shots: shots, Seed: int64(17 * p),
 				}
+				refE, refGG, refGB, err := single.SimulateQAOAGrad(gamma, beta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refGrad := append(append([]float64(nil), refGG...), refGB...)
 				refOut, err := single.EvalOutputs(ctx, x, evaluator.OutputSpec{CVaRAlphas: spec.CVaRAlphas, ProbIndices: queries, Variance: true})
 				if err != nil {
 					t.Fatal(err)
@@ -500,6 +368,13 @@ func TestHalfShardOutputsMatchSingleNode(t *testing.T) {
 					near := func(what string, a, b float64) {
 						if d := rtolDiff(a, b); d > c.tol && math.Abs(a-b) > c.tol {
 							t.Errorf("%s %s: %s = %v, single-node %v", where, c.name, what, a, b)
+						}
+					}
+					near("energy", got.energy, refE)
+					scale := math.Max(maxAbs(refGrad), 1)
+					for i := range refGrad {
+						if d := math.Abs(got.grad[i] - refGrad[i]); d > c.tol*scale {
+							t.Errorf("%s %s: gradient %d = %v, single-node %v", where, c.name, i, got.grad[i], refGrad[i])
 						}
 					}
 					near("Energy", out.Energy, refOut.Energy)
@@ -532,7 +407,7 @@ func TestHalfShardOutputsMatchSingleNode(t *testing.T) {
 					}
 				}
 				if err := sameEval(evalAll(t, quant, x, spec), evalAll(t, grid, x, spec)); err != nil {
-					t.Errorf("%s: quantized outputs differ from float64: %v", where, err)
+					t.Errorf("%s: quantized results differ from float64: %v", where, err)
 				}
 
 				res, err := SimulateQAOA(ctx, n, prob.terms, gamma, beta, Options{Ranks: ranks, Gather: true})

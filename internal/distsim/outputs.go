@@ -553,9 +553,9 @@ var _ evaluator.SampleStreamer = (*GradEngine)(nil)
 // chunks of at most evaluator.SampleChunkSize, drawn by the same
 // two-stage distributed alias scheme as the buffered path: the
 // replicated rank-level sampler (seed spec.Seed) picks each shot's
-// winning rank, the winner draws the local index from its shard
-// sampler (seed spec.Seed+rank+1, advanced only on wins) and writes
-// the chunk slot. The samplers persist across chunks, so the
+// winning rank, the winner draws the global index from its shard
+// (shotSamplers; advanced only on wins) and writes the chunk slot.
+// The samplers persist across chunks, so the
 // concatenated chunks are exactly the Outputs.Samples sequence
 // EvalOutputs returns for the same spec — chunking never perturbs a
 // shot. Per chunk, one barrier publishes the slots before rank 0

@@ -262,7 +262,7 @@ func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 		r.mu.Unlock()
 
 		diag := costvec.PrecomputePool(r.pool, e.compiled, e.spec.N)
-		if err := costvec.CheckFinite(diag, 0); err != nil {
+		if _, err := costvec.CheckDiagonal(diag); err != nil {
 			r.mu.Lock()
 			close(e.building)
 			e.building = nil

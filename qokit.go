@@ -192,7 +192,7 @@ func PrecomputeDiagonal(n int, terms Terms) ([]float64, error) {
 		return nil, err
 	}
 	diag := costvec.PrecomputePool(statevec.NewPool(0), poly.Compile(terms), n)
-	if err := costvec.CheckFinite(diag, 0); err != nil {
+	if _, err := costvec.CheckDiagonal(diag); err != nil {
 		return nil, fmt.Errorf("qokit: %w", err)
 	}
 	return diag, nil
