@@ -73,13 +73,13 @@ func (rc *rankCost) phase(gamma float64, tab []complex128) statevec.Phase {
 // cost slice: 2^(n−k) entries of the whole diagonal, or on half shards
 // 2^(n−1−k) entries of its first half. Half shards take the
 // single-node rule, plus the room the mirror swap needs: the x mixer,
-// n ≥ 2, 2k ≤ n−2 and a bitwise flip-symmetric diagonal.
+// 2k ≤ n−2 (so n ≥ 2) and a bitwise flip-symmetric diagonal.
 func cutShards(full []float64, n, k int, opts Options) (diags [][]float64, half bool, err error) {
 	symmetric, err := costvec.CheckDiagonal(full)
 	if err != nil {
 		return nil, false, fmt.Errorf("distsim: %w", err)
 	}
-	half = symmetric && opts.Mixer == core.MixerX && n >= 2 && 2*k <= n-2
+	half = symmetric && opts.Mixer == core.MixerX && 2*k <= n-2
 	size := len(full) >> uint(k)
 	if half {
 		size /= 2
