@@ -162,8 +162,14 @@ func TestNonFiniteCostRejected(t *testing.T) {
 			_, err := NewDistributedGradEngine(n, overflow, DistOptions{Ranks: 2})
 			return err
 		}},
-		{"NewDistributedGradEngine overflowing weights (quantized)", func() error {
-			_, err := NewDistributedGradEngine(n, overflow, DistOptions{Ranks: 2, Quantize: true})
+		// 3-regular MaxCut n = 12 at K = 4 alone takes coded slices; the
+		// overflowing terms added to it must still be rejected.
+		{"NewDistributedGradEngine overflowing weights (coded size)", func() error {
+			g, err := RandomRegular(12, 3, 1)
+			if err != nil {
+				return err
+			}
+			_, err = NewDistributedGradEngine(12, append(MaxCutTerms(g), overflow...), DistOptions{Ranks: 4})
 			return err
 		}},
 		{"SimulateQAOADistributed overflowing weights", func() error {

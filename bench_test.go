@@ -303,7 +303,7 @@ func BenchmarkOptSpeedup(b *testing.B) {
 func BenchmarkQuantizedPhase(b *testing.B) {
 	n := 18
 	diag := costvec.PrecomputePool(statevec.NewPool(0), poly.Compile(problems.LABSTerms(n)), n)
-	q, err := costvec.Quantize(diag, 1)
+	q, err := costvec.QuantizeExact(diag, 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,7 +35,6 @@ func runDistGrad(w io.Writer, args []string) error {
 	kmax := fs.Int("kmax", 8, "largest rank count (power of two)")
 	reps := fs.Int("reps", 3, "timing repetitions (best-of)")
 	precision := fs.String("precision", "float64", "sharded state precision: float64 or float32 (float32 halves bytes/rank)")
-	quantize := fs.Bool("quantize", false, "store each rank's diagonal shard as uint16 codes (§V-B, exact)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,9 +42,9 @@ func runDistGrad(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	// The float64/quantized paths reproduce the single-node adjoint to
-	// rounding; float32 shards carry the single-node SoA32 state error
-	// into the gradient (band ~2e-3 of the gradient scale).
+	// float64 shards reproduce the single-node adjoint to rounding;
+	// float32 shards carry the single-node SoA32 state error into the
+	// gradient (band ~2e-3 of the gradient scale).
 	tolerance := 1e-9
 	if prec == distsim.PrecisionFloat32 {
 		tolerance = 2e-3
@@ -84,7 +83,7 @@ func runDistGrad(w io.Writer, args []string) error {
 	for _, algo := range []cluster.AlltoallAlgo{cluster.Pairwise, cluster.Transpose} {
 		for k := 2; k <= *kmax; k *= 2 {
 			deng, err := distsim.NewGradEngine(*n, terms, distsim.Options{
-				Ranks: k, Algo: algo, Precision: prec, Quantize: *quantize,
+				Ranks: k, Algo: algo, Precision: prec,
 			})
 			if err != nil {
 				return err
@@ -120,12 +119,8 @@ func runDistGrad(w io.Writer, args []string) error {
 		}
 	}
 
-	diagRepr := "float64 diagonal"
-	if *quantize {
-		diagRepr = "uint16-quantized diagonal"
-	}
-	fmt.Fprintf(w, "Distributed adjoint gradient, LABS n=%d p=%d, %v shards, %s (best of %d)\n",
-		*n, *p, prec, diagRepr, *reps)
+	fmt.Fprintf(w, "Distributed adjoint gradient, LABS n=%d p=%d, %v shards (best of %d)\n",
+		*n, *p, prec, *reps)
 	tab.Fprint(w)
 	fmt.Fprintln(w, "\nEach gradient is exact (adjoint reverse pass, ≈4 sharded simulations")
 	fmt.Fprintln(w, "independent of p); traffic is 3× one forward run's mixer collectives —")

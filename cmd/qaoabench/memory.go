@@ -28,9 +28,9 @@ func runMemory(w io.Writer, args []string) error {
 	compiled := poly.Compile(problems.LABSTerms(*n))
 	pool := statevec.NewPool(0)
 	diag := costvec.PrecomputePool(pool, compiled, *n)
-	q, err := costvec.Quantize(diag, 1)
+	q, err := costvec.QuantizeExact(diag, 1<<16)
 	if err != nil {
-		return fmt.Errorf("LABS diagonal must quantize exactly at scale 1: %w", err)
+		return fmt.Errorf("LABS diagonal must be an exact uint16 grid: %w", err)
 	}
 	exact := true
 	for i := range diag {

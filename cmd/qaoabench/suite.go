@@ -317,9 +317,7 @@ func runSuite(w io.Writer, args []string) error {
 
 	// Distributed forward: full sharded pipeline. Each precision
 	// variant's forward and grad workloads share one Options value, so
-	// the pair cannot drift apart structurally (harnesses that build
-	// the two option sets independently should cross-check them with
-	// distsim.ValidateEnginePair instead).
+	// the pair cannot drift apart.
 	dist64opts := distsim.Options{Ranks: *ranks, Algo: cluster.Transpose}
 	var dres *distsim.Result
 	tDist, _ := benchutil.TimeRepeat(*reps, func() {
@@ -365,12 +363,9 @@ func runSuite(w io.Writer, args []string) error {
 		ModeledNetSeconds: perRankGrad.ModeledTime(model).Seconds(),
 	})
 
-	// Distributed §V-B memory representations: the same forward and
-	// gradient workloads over float32 shards (half the bytes/rank on
-	// the wire) and over the uint16-quantized diagonal (exact and
-	// gradient-only — its traffic and results track the float64 rows).
-	// One shared Options value per variant keeps each forward/grad
-	// pair on the same numeric contract.
+	// Distributed §V-B float32 shards: the same forward and gradient
+	// workloads at half the bytes/rank on the wire, over one shared
+	// Options value.
 	f32opts := distsim.Options{Ranks: *ranks, Algo: cluster.Transpose, Precision: distsim.PrecisionFloat32}
 	var dres32 *distsim.Result
 	tDist32, _ := benchutil.TimeRepeat(*reps, func() {
@@ -387,47 +382,36 @@ func runSuite(w io.Writer, args []string) error {
 		ModeledNetSeconds: perRankCounters(dres32.Comm, *ranks).ModeledTime(model).Seconds(),
 	})
 
-	qopts := distsim.Options{Ranks: *ranks, Algo: cluster.Transpose, Quantize: true}
-	for _, pv := range []struct {
-		name string
-		opts distsim.Options
-	}{
-		{"distributed_grad_float32", f32opts},
-		{"distributed_grad_quantized", qopts},
-	} {
-		peng, err := distsim.NewGradEngine(*n, terms, pv.opts)
-		if err != nil {
-			return err
-		}
-		psvc, err := serve.New([]evaluator.Evaluator{peng}, serve.Options{WorkersPerEvaluator: 1})
-		if err != nil {
-			return err
-		}
-		if _, err := psvc.EnergyGrad(ctx, x, gFlat); err != nil {
-			psvc.Close()
-			return err
-		}
-		before := peng.Counters()
-		tP, _ := benchutil.TimeRepeat(*reps, func() {
-			if _, err := psvc.EnergyGrad(ctx, x, gFlat); err != nil {
-				panic(err)
-			}
-		})
-		perRank := perRankDelta(peng.Counters(), before, *reps, *ranks)
-		psvc.Close()
-		report.Benchmarks = append(report.Benchmarks, suiteBenchmark{
-			Name: pv.name, N: *n, P: *p, Ranks: *ranks,
-			SecondsPerOp:      tP.Seconds(),
-			BytesPerRank:      perRank.BytesSent,
-			ModeledNetSeconds: perRank.ModeledTime(model).Seconds(),
-		})
+	peng, err := distsim.NewGradEngine(*n, terms, f32opts)
+	if err != nil {
+		return err
 	}
+	psvc, err := serve.New([]evaluator.Evaluator{peng}, serve.Options{WorkersPerEvaluator: 1})
+	if err != nil {
+		return err
+	}
+	defer psvc.Close()
+	if _, err := psvc.EnergyGrad(ctx, x, gFlat); err != nil {
+		return err
+	}
+	before = peng.Counters()
+	tP, _ := benchutil.TimeRepeat(*reps, func() {
+		if _, err := psvc.EnergyGrad(ctx, x, gFlat); err != nil {
+			panic(err)
+		}
+	})
+	perRank32 := perRankDelta(peng.Counters(), before, *reps, *ranks)
+	report.Benchmarks = append(report.Benchmarks, suiteBenchmark{
+		Name: "distributed_grad_float32", N: *n, P: *p, Ranks: *ranks,
+		SecondsPerOp:      tP.Seconds(),
+		BytesPerRank:      perRank32.BytesSent,
+		ModeledNetSeconds: perRank32.ModeledTime(model).Seconds(),
+	})
 
-	// Gather-free distributed outputs: CVaR via the k-way threshold
-	// reduction and k-shot two-stage sampling, both over quantized
-	// shards (the representation whose point is never gathering) —
-	// evolution included, so the rows track the full serving cost of
-	// one output request.
+	// Gather-free distributed outputs on the gradient row's engine: CVaR
+	// via the k-way threshold reduction and k-shot two-stage sampling —
+	// evolution included, so the rows track the full serving cost of one
+	// output request.
 	outSpecs := []struct {
 		name string
 		spec evaluator.OutputSpec
@@ -435,21 +419,17 @@ func runSuite(w io.Writer, args []string) error {
 		{"distributed_cvar", evaluator.OutputSpec{CVaRAlphas: []float64{0.5, 0.1, 0.02}}},
 		{"distributed_sample", evaluator.OutputSpec{Shots: 1024, Seed: 1}},
 	}
-	oeng, err := distsim.NewGradEngine(*n, terms, qopts)
-	if err != nil {
-		return err
-	}
 	for _, ws := range outSpecs {
-		if _, err := oeng.Outputs(ctx, gamma, beta, ws.spec); err != nil {
+		if _, err := deng.Outputs(ctx, gamma, beta, ws.spec); err != nil {
 			return err
 		}
-		before := oeng.Counters()
+		before := deng.Counters()
 		tO, _ := benchutil.TimeRepeat(*reps, func() {
-			if _, err := oeng.Outputs(ctx, gamma, beta, ws.spec); err != nil {
+			if _, err := deng.Outputs(ctx, gamma, beta, ws.spec); err != nil {
 				panic(err)
 			}
 		})
-		perRank := perRankDelta(oeng.Counters(), before, *reps, *ranks)
+		perRank := perRankDelta(deng.Counters(), before, *reps, *ranks)
 		report.Benchmarks = append(report.Benchmarks, suiteBenchmark{
 			Name: ws.name, N: *n, P: *p, Ranks: *ranks,
 			SecondsPerOp:      tO.Seconds(),

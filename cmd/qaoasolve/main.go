@@ -12,7 +12,6 @@
 //	qaoasolve -problem portfolio -n 12 -budget 5 -p 6
 //	qaoasolve -problem sat -n 12 -k 3 -clauses 40 -p 4
 //	qaoasolve -problem labs -n 14 -p 4 -ranks 4             (distributed solve)
-//	qaoasolve -problem labs -n 14 -p 4 -ranks 4 -quantize   (uint16 diagonal shards)
 //	qaoasolve -problem portfolio -n 12 -p 4 -ranks 4 -precision float32
 //	qaoasolve -problem labs -n 14 -p 4 -checkpoint job.ckpt (durable Adam job)
 //
@@ -24,8 +23,8 @@
 // With -ranks > 0 the entire solve runs on the sharded cluster
 // substrate: Adam over the distributed adjoint gradient from a TQA
 // warm start, then sampling, CVaR, and overlap served gather-free on
-// the shards — no node ever holds the full state, so -quantize and
-// -precision float32 stay memory-reduced end to end.
+// the shards — no node ever holds the full state, so -precision float32
+// stays memory-reduced end to end.
 package main
 
 import (
@@ -52,17 +51,16 @@ func main() {
 	backend := flag.String("backend", "auto", "auto | serial | parallel | soa")
 	ranks := flag.Int("ranks", 0, "solve on the distributed sharded backend with this many ranks (0 = single node)")
 	precision := flag.String("precision", "float64", "distributed shard precision: float64 | float32")
-	quantize := flag.Bool("quantize", false, "distributed: store diagonal shards as uint16 codes")
 	checkpoint := flag.String("checkpoint", "", "durable Adam job: optimizer-state file (an existing file resumes the interrupted job)")
 	flag.Parse()
 
-	if err := run(*problem, *n, *p, *d, *k, *clauses, *budget, *seed, *evals, *backend, *ranks, *precision, *quantize, *checkpoint); err != nil {
+	if err := run(*problem, *n, *p, *d, *k, *clauses, *budget, *seed, *evals, *backend, *ranks, *precision, *checkpoint); err != nil {
 		fmt.Fprintf(os.Stderr, "qaoasolve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(problem string, n, p, d, k, clauses, budget int, seed int64, evals int, backend string, ranks int, precision string, quantize bool, checkpoint string) error {
+func run(problem string, n, p, d, k, clauses, budget int, seed int64, evals int, backend string, ranks int, precision string, checkpoint string) error {
 	var terms qokit.Terms
 	mixer := qokit.MixerX
 	hw := 0
@@ -109,7 +107,7 @@ func run(problem string, n, p, d, k, clauses, budget int, seed int64, evals int,
 		return err
 	}
 	if ranks > 0 {
-		return runDistributed(problem, reg, key, n, p, seed, evals, ranks, precision, quantize, checkpoint)
+		return runDistributed(problem, reg, key, n, p, seed, evals, ranks, precision, checkpoint)
 	}
 
 	be, err := parseBackend(backend)
@@ -207,7 +205,7 @@ func run(problem string, n, p, d, k, clauses, budget int, seed int64, evals int,
 // warm start, then the final outputs — shots, CVaR, overlap, most
 // probable state — served gather-free on the shards through the same
 // evaluation service that handled the optimizer's requests.
-func runDistributed(problem string, reg *qokit.ProblemRegistry, key qokit.ProblemKey, n, p int, seed int64, evals, ranks int, precision string, quantize bool, checkpoint string) error {
+func runDistributed(problem string, reg *qokit.ProblemRegistry, key qokit.ProblemKey, n, p int, seed int64, evals, ranks int, precision string, checkpoint string) error {
 	prec := qokit.DistFloat64
 	switch precision {
 	case "", "float64":
@@ -219,10 +217,7 @@ func runDistributed(problem string, reg *qokit.ProblemRegistry, key qokit.Proble
 	// The mixer and Hamming-weight sector come from the registered spec;
 	// each elastic build is one rank-group lease whose diagonal shards
 	// are slices of the registry's cached full diagonal.
-	dopts := qokit.DistOptions{
-		Ranks: ranks, Algo: qokit.Transpose,
-		Precision: prec, Quantize: quantize,
-	}
+	dopts := qokit.DistOptions{Ranks: ranks, Algo: qokit.Transpose, Precision: prec}
 	start := time.Now()
 	svc, err := qokit.NewRegistryService(reg, key, qokit.RegistryServiceOptions{
 		Distributed: &dopts,
@@ -231,14 +226,8 @@ func runDistributed(problem string, reg *qokit.ProblemRegistry, key qokit.Proble
 		return err
 	}
 	defer svc.Close()
-	rep := "float64"
-	if quantize {
-		rep = "uint16-quantized diagonal"
-	} else if prec == qokit.DistFloat32 {
-		rep = "float32"
-	}
-	fmt.Printf("distributed setup: %v (K=%d ranks, %s shards, %d workers)\n",
-		time.Since(start).Round(time.Microsecond), ranks, rep, svc.LiveWorkers())
+	fmt.Printf("distributed setup: %v (K=%d ranks, %v shards, %d workers)\n",
+		time.Since(start).Round(time.Microsecond), ranks, prec, svc.LiveWorkers())
 
 	ctx := context.Background()
 	gamma, beta := qokit.TQAInit(p, 0.75)

@@ -10,21 +10,23 @@ import (
 // TestSolverSmoke runs the end-to-end solver on every problem family
 // at tiny sizes; the CLI is a deliverable and gets tested like one.
 // The distributed cases run the whole solve on the sharded backend —
-// including the xy-mixer portfolio and both memory-reduced shard
-// representations, which the gather-free output path made servable.
+// including the xy-mixer portfolio, float32 shards and coded diagonal
+// slices, which the gather-free output path made servable.
 func TestSolverSmoke(t *testing.T) {
 	cases := []struct {
 		name string
 		call func() error
 	}{
-		{"labs", func() error { return run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "soa", 0, "float64", false, "") }},
-		{"maxcut", func() error { return run("maxcut", 8, 2, 3, 3, 20, 0, 1, 30, "serial", 0, "float64", false, "") }},
-		{"sat", func() error { return run("sat", 8, 2, 3, 3, 20, 0, 1, 30, "parallel", 0, "float64", false, "") }},
-		{"portfolio", func() error { return run("portfolio", 8, 2, 3, 3, 20, 3, 1, 30, "auto", 0, "float64", false, "") }},
-		{"distributed", func() error { return run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "float64", false, "") }},
-		{"distributed-quantized", func() error { return run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "float64", true, "") }},
-		{"distributed-float32", func() error { return run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "float32", false, "") }},
-		{"distributed-portfolio", func() error { return run("portfolio", 8, 2, 3, 3, 20, 4, 1, 30, "auto", 2, "float64", false, "") }},
+		{"labs", func() error { return run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "soa", 0, "float64", "") }},
+		{"maxcut", func() error { return run("maxcut", 8, 2, 3, 3, 20, 0, 1, 30, "serial", 0, "float64", "") }},
+		{"sat", func() error { return run("sat", 8, 2, 3, 3, 20, 0, 1, 30, "parallel", 0, "float64", "") }},
+		{"portfolio", func() error { return run("portfolio", 8, 2, 3, 3, 20, 3, 1, 30, "auto", 0, "float64", "") }},
+		{"distributed", func() error { return run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "float64", "") }},
+		// 3-regular MaxCut n = 10 at K = 2: each rank's half slice is an
+		// exact grid within the table bound, so it holds uint16 codes only.
+		{"distributed-quantized", func() error { return run("maxcut", 10, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "float64", "") }},
+		{"distributed-float32", func() error { return run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "float32", "") }},
+		{"distributed-portfolio", func() error { return run("portfolio", 8, 2, 3, 3, 20, 4, 1, 30, "auto", 2, "float64", "") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,10 +42,10 @@ func TestSolverSmoke(t *testing.T) {
 // job completes in one invocation and removes its state file.
 func TestSolverDurableSmoke(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "job.ckpt")
-	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 10, "soa", 0, "float64", false, ckpt); err != nil {
+	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 10, "soa", 0, "float64", ckpt); err != nil {
 		t.Fatalf("single-node durable solve: %v", err)
 	}
-	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 10, "auto", 2, "float64", false, ckpt); err != nil {
+	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 10, "auto", 2, "float64", ckpt); err != nil {
 		t.Fatalf("distributed durable solve: %v", err)
 	}
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
@@ -52,16 +54,13 @@ func TestSolverDurableSmoke(t *testing.T) {
 }
 
 func TestSolverErrors(t *testing.T) {
-	if err := run("unknown-problem", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 0, "float64", false, ""); err == nil {
+	if err := run("unknown-problem", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 0, "float64", ""); err == nil {
 		t.Error("unknown problem accepted")
 	}
-	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "not-a-backend", 0, "float64", false, ""); err == nil {
+	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "not-a-backend", 0, "float64", ""); err == nil {
 		t.Error("unknown backend accepted")
 	}
-	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "not-a-precision", false, ""); err == nil {
+	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "not-a-precision", ""); err == nil {
 		t.Error("unknown distributed precision accepted")
-	}
-	if err := run("labs", 8, 2, 3, 3, 20, 0, 1, 30, "auto", 2, "float32", true, ""); err == nil {
-		t.Error("quantize + float32 accepted (distsim rejects the combination)")
 	}
 }

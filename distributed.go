@@ -34,11 +34,13 @@ func DefaultNetworkModel() NetworkModel { return cluster.DefaultNetworkModel() }
 // DistOptions configures a distributed QAOA simulation (§III-C):
 // rank count K (power of two, 2·log2(K) ≤ n), the all-to-all
 // algorithm, the mixer family, whether to gather the full state, and
-// the §V-B memory representations — Precision selects float64 or
-// float32 shards (float32 halves state memory and fabric bytes), and
-// Quantize stores each rank's diagonal slice as uint16 codes against
-// one globally agreed (min, scale). Caps().StateBytes reflects the
-// chosen precision, so service pools pack honestly.
+// the §V-B state precision — float64 or float32 shards (float32 halves
+// state memory and fabric bytes). The diagonal's form follows from the
+// problem alone: a rank whose slice is an exact grid of at most
+// 2^(n−k)/16 levels keeps only its uint16 codes, 2 bytes per amplitude
+// instead of 8, with results bit-identical to float64 slices.
+// Caps().StateBytes reflects the chosen precision, so service pools
+// pack honestly.
 type DistOptions = distsim.Options
 
 // DistPrecision selects the sharded amplitude storage (see the
@@ -74,8 +76,8 @@ func SimulateQAOADistributed(n int, terms Terms, gamma, beta []float64, opts Dis
 // queries are all computed on the shards (per-rank sorts and alias
 // tables plus scalar/short-vector all-reduces), so no node ever holds
 // a 2^n buffer. This is what makes the §V-B memory-reduced
-// representations — float32 shards, quantized diagonals — full solver
-// backends: set DistOptions.Precision or Quantize as usual and leave
+// representations — float32 shards, uint16-coded diagonal slices —
+// full solver backends: set DistOptions.Precision as usual and leave
 // Gather false (it is rejected here). Sampling uses a two-stage alias
 // draw (rank by global mass, then index within the winning shard);
 // with a fixed OutputSpec.Seed the shot sequence is reproducible.

@@ -58,7 +58,7 @@ type ShardSnapshot = distsim.ShardSnapshot
 // layers; otherwise it starts fresh. Each captured boundary atomically
 // replaces the file, and a completed run removes it. Checkpointed and
 // uninterrupted runs agree bitwise in every shard representation
-// (float64, float32, quantized-diagonal).
+// (float64 or float32 planes, float64 or uint16-coded diagonal slices).
 func SimulateQAOADistributedCheckpointed(n int, terms Terms, gamma, beta []float64, opts DistOptions, ck DistCheckpointOptions) (*DistResult, error) {
 	return distsim.SimulateQAOACheckpointed(context.Background(), n, terms, gamma, beta, opts, ck)
 }

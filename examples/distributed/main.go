@@ -135,11 +135,10 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "optimization at cluster-only sizes costs ≈4 sharded simulations per step.")
 
 	// §V-B memory representations on the cluster: the same sharded
-	// gradient over (a) the uint16-quantized diagonal — each rank codes
-	// only its shard against one global (min, scale) agreed by an
-	// allreduce pre-pass, exact for LABS's integer costs — and (b)
-	// float32 shards with float32 wire formats, halving both state
-	// memory and fabric bytes per rank.
+	// gradient over float64 shards and over float32 shards with float32
+	// wire formats, halving both state memory and fabric bytes per rank.
+	// (A rank whose diagonal slice is an exact grid of few enough levels
+	// keeps it as uint16 codes on its own; results are unchanged.)
 	fmt.Fprintf(w, "\n§V-B shard representations (K=%d):\n", optRanks)
 	fmt.Fprintf(w, "  %-22s %14s  %12s  %12s\n", "representation", "energy", "bytes/rank", "max |Δgrad|")
 	f64Bytes := distGrad.Comm.BytesSent / int64(optRanks)
@@ -148,7 +147,6 @@ func run(w io.Writer) error {
 		opts qokit.DistOptions
 	}{
 		{"float64 (baseline)", qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose}},
-		{"uint16-quantized diag", qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose, Quantize: true}},
 		{"float32 state + wire", qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose, Precision: qokit.DistFloat32}},
 	} {
 		pres, err := qokit.SimulateQAOADistributedGrad(n, terms, gamma, beta, cfg.opts)
@@ -174,8 +172,7 @@ func run(w io.Writer) error {
 				pres.Comm.BytesSent/int64(optRanks), f64Bytes)
 		}
 	}
-	fmt.Fprintln(w, "The quantized diagonal is exact by construction (gradients match float64")
-	fmt.Fprintln(w, "to rounding); float32 shards halve bytes/rank and inherit the ~2e-3 band.")
+	fmt.Fprintln(w, "float32 shards halve bytes/rank and inherit the ~2e-3 gradient band.")
 
 	// Concurrent distributed serving through the problem registry: the
 	// problem is registered once, and the elastic service builds
@@ -226,15 +223,14 @@ func run(w io.Writer) error {
 		st.Precomputes, st.Hits)
 
 	// Gather-free outputs: CVaR, sampling, and overlap served directly
-	// on the shards — on the quantized representation, whose whole point
-	// is never holding a node-scale buffer. The two-stage alias draw
-	// picks a rank from the allreduced shard masses, then an index
-	// within the winning shard; CVaR comes from a k-way threshold
+	// on the shards, never holding a node-scale buffer. The two-stage
+	// alias draw picks a rank from the allreduced shard masses, then an
+	// index within the winning shard; CVaR comes from a k-way threshold
 	// reduction over per-rank ascending-cost prefix sums.
 	bestX := resOpt.X
 	bestGamma, bestBeta := bestX[:p], bestX[p:]
 	outs, err := qokit.SimulateQAOADistributedOutputs(n, terms, bestGamma, bestBeta,
-		qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose, Quantize: true},
+		qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose},
 		qokit.OutputSpec{CVaRAlphas: []float64{0.5, 0.1}, Shots: 2000, Seed: 7, Variance: true})
 	if err != nil {
 		return err
@@ -273,7 +269,7 @@ func run(w io.Writer) error {
 			below++
 		}
 	}
-	fmt.Fprintf(w, "\nGather-free outputs at the optimum (K=%d, quantized shards):\n", optRanks)
+	fmt.Fprintf(w, "\nGather-free outputs at the optimum (K=%d):\n", optRanks)
 	fmt.Fprintf(w, "  CVaR(0.5) = %.6f   CVaR(0.1) = %.6f  (single-node match ≤ 1e-9)\n", outs.CVaR[0], outs.CVaR[1])
 	fmt.Fprintf(w, "  ground-state overlap %.4g, most probable state %0*b (p=%.4g)\n",
 		outs.Overlap, n, outs.MaxProbIndex, outs.MaxProb)

@@ -27,7 +27,7 @@ func TestRun(t *testing.T) {
 		"Every configuration reproduces the single-node expectation exactly.",
 		"Distributed adjoint gradient (K=4)",
 		"§V-B shard representations (K=4)",
-		"uint16-quantized diag",
+		"float64 (baseline)",
 		"float32 state + wire",
 		"Distributed Adam (K=4",
 		"optimized  E =",

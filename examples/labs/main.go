@@ -41,8 +41,8 @@ func run(w io.Writer) error {
 	// simulator keeps uint16 level codes beside the float64 diagonal
 	// and gathers each phase from a per-γ table instead of calling
 	// sincos per amplitude. The codes add memory rather than save it:
-	// the §V-B memory saving, which drops the float64 diagonal, is the
-	// distributed engine's DistOptions.Quantize.
+	// the §V-B memory saving, which drops the float64 diagonal, is made
+	// by distributed ranks whose diagonal slice is such a grid.
 	sim, err := qokit.NewSimulator(n, terms, qokit.Options{})
 	if err != nil {
 		return err

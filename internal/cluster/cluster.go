@@ -609,10 +609,8 @@ func (c *Comm) AllreduceMin(x float64) (float64, error) {
 
 // AllreduceMax returns the maximum of x across ranks, on every rank:
 // AllreduceMin under negation, with identical synchronization and
-// abort behavior. Together with AllreduceMin it is the agreement
-// pre-pass of the distributed quantized diagonal: every rank learns
-// the global cost extrema, so all shards quantize against one shared
-// (min, scale) and codes stay comparable across ranks.
+// abort behavior. The distributed outputs use it for the most probable
+// state and the CVaR bisection bounds.
 func (c *Comm) AllreduceMax(x float64) (float64, error) {
 	m, err := c.AllreduceMin(-x)
 	if err != nil {

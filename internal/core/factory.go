@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
 )
 
@@ -13,14 +12,11 @@ import (
 // evaluator factory. internal/registry's Handle implements it; a
 // static in-memory diagonal does too (StaticDiag), so factories work
 // with or without a registry behind them. Release must be called
-// exactly once when the factory is done with the lease; the slices
+// exactly once when the factory is done with the lease; the diagonal
 // must not be read afterwards.
 type DiagSource interface {
 	// Diag returns the float64 cost diagonal (read-only).
 	Diag() []float64
-	// Quantized returns the uint16-quantized form, building it on
-	// first use.
-	Quantized() (*costvec.Quantized, error)
 	// Release ends the lease.
 	Release()
 }
@@ -34,26 +30,9 @@ type AcquireFunc func(ctx context.Context) (DiagSource, error)
 // themselves.
 func StaticDiag(diag []float64) DiagSource { return &staticDiag{diag: diag} }
 
-type staticDiag struct {
-	mu    sync.Mutex
-	diag  []float64
-	quant *costvec.Quantized
-}
+type staticDiag struct{ diag []float64 }
 
 func (s *staticDiag) Diag() []float64 { return s.diag }
-
-func (s *staticDiag) Quantized() (*costvec.Quantized, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quant == nil {
-		q, err := costvec.QuantizeAuto(s.diag)
-		if err != nil {
-			return nil, err
-		}
-		s.quant = q
-	}
-	return s.quant, nil
-}
 
 func (s *staticDiag) Release() {}
 

@@ -13,11 +13,12 @@
 //     paper-faithful one-kernel-per-term variant for ablation,
 //   - range-sliced precomputation for the distributed simulator
 //     (each rank computes its slice with no communication, §III-C),
-//   - a quantized uint16 store with exact round-trip for integer-
-//     valued costs, reproducing the paper's §V-B memory optimization
-//     (state 16 B/amplitude, costs 2 B/amplitude ⇒ +12.5%), and
-//   - phase lookup tables over the 2^16 code space so the quantized
-//     phase operator replaces per-amplitude sin/cos with table reads.
+//   - a uint16 code store for diagonals on an exact power-of-two grid,
+//     reproducing the paper's §V-B memory optimization (state 16
+//     B/amplitude, costs 2 B/amplitude ⇒ +12.5%), and
+//   - phase lookup tables over the 2^16 code space so the phase
+//     operator on such a grid replaces per-amplitude sin/cos with table
+//     reads.
 package costvec
 
 import (
@@ -286,92 +287,39 @@ func GroundStates(diag []float64, tol float64) []uint64 {
 }
 
 // Quantized is the uint16-compressed cost diagonal of §V-B: value_i =
-// Min + Scale·Codes[i]. For integer-valued costs (LABS, unweighted
-// MaxCut) the representation is exact as long as the cost range fits
-// in Scale·65535; the paper relies on LABS optima being below 2^16 for
-// n < 65. Scale 0 is the degenerate constant-diagonal representation:
-// every code is 0 and every value is exactly Min.
+// Min + Scale·Codes[i]. Scale 0 is the degenerate constant-diagonal
+// representation: every code is 0 and every value is exactly Min.
 type Quantized struct {
 	Codes []uint16
 	Min   float64
 	Scale float64
 }
 
-// AutoScales is the power-of-two step ladder QuantizeAuto walks, from
-// coarsest to finest. Exported so the distributed quantization
-// agreement can walk the same ladder per shard and reconcile the
-// chosen rung across ranks.
-var AutoScales = []float64{1, 0.5, 0.25, 0.125, 0.0625}
+// autoScales is the power-of-two step ladder QuantizeExact walks, from
+// coarsest to finest.
+var autoScales = []float64{1, 0.5, 0.25, 0.125, 0.0625}
 
-// Quantize compresses the diagonal with the given scale, failing if
-// any value is not exactly (within 1e-9·scale) Min + k·Scale with
-// integer k ≤ 65535. Scale must be positive, except that a constant
-// diagonal (hi == lo) always quantizes to Scale 0 with all-zero codes
-// — the degenerate representation that keeps Value and PhaseTable
-// exact without a step size (no span exists to derive one from, and a
-// zero scale must never reach the code-assignment division).
-func Quantize(diag []float64, scale float64) (*Quantized, error) {
-	lo, hi := MinMax(diag)
-	return quantize(diag, lo, hi, scale, false)
-}
-
-// quantize assigns codes against the diagonal's extrema (lo, hi). In
-// exact mode a value must equal Min + Scale·k bit for bit; otherwise
-// within 1e-9·scale.
-func quantize(diag []float64, lo, hi, scale float64, exact bool) (*Quantized, error) {
-	if hi == lo {
-		return &Quantized{Codes: make([]uint16, len(diag)), Min: lo, Scale: 0}, nil
-	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("costvec: scale %v must be positive", scale)
-	}
-	if span := hi - lo; span > scale*65535 {
-		return nil, fmt.Errorf("costvec: range %v exceeds uint16 capacity %v at scale %v", span, scale*65535, scale)
-	}
-	q := &Quantized{Codes: make([]uint16, len(diag)), Min: lo, Scale: scale}
-	tol := 1e-9 * scale
-	for i, v := range diag {
-		k := math.Round((v - lo) / scale)
-		w := lo + k*scale
-		if exact && (w != v || math.Signbit(w) != math.Signbit(v)) || !exact && math.Abs(v-w) > tol {
-			return nil, fmt.Errorf("costvec: value %v at index %d is not representable as %v + k·%v", v, i, lo, scale)
-		}
-		q.Codes[i] = uint16(k)
-	}
-	return q, nil
-}
-
-// QuantizeAuto tries the AutoScales ladder (1, ½, ¼, ⅛, 1/16) and
-// returns the first exact quantization, or an error if the diagonal is
-// not exactly representable at any of them. A constant diagonal short-
-// circuits to the degenerate Scale-0 representation. Non-integer-
-// valued objectives should keep the float64 diagonal instead.
-func QuantizeAuto(diag []float64) (*Quantized, error) {
-	return quantizeAuto(diag, false, 1<<16)
-}
-
-// QuantizeExact is QuantizeAuto with bitwise equality instead of its
-// 1e-9·Scale tolerance — every diag[x] equals Min + Scale·Codes[x]
-// exactly — and with at most maxLevels grid points (MaxCode < maxLevels).
-// It fails on any other diagonal. The simulator uses it to decide
-// whether a diagonal takes per-γ phase tables: sincos of a level is
-// then the sincos of the very value the diagonal stores.
+// QuantizeExact returns the uint16 codes of a diagonal that lies on a
+// power-of-two grid: at the coarsest autoScales step that works (Scale
+// 0 for a constant diagonal), every diag[x] equals Min + Scale·Codes[x]
+// bit for bit, with at most maxLevels grid points (MaxCode < maxLevels).
+// It fails on any other diagonal. The engines use it to decide whether
+// a diagonal takes per-γ phase tables — sincos of a level is then the
+// sincos of the very value the diagonal stores — and distsim shards to
+// keep the codes alone.
 func QuantizeExact(diag []float64, maxLevels int) (*Quantized, error) {
-	return quantizeAuto(diag, true, maxLevels)
-}
-
-func quantizeAuto(diag []float64, exact bool, maxLevels int) (*Quantized, error) {
 	lo, hi := MinMax(diag)
 	if hi == lo {
-		return quantize(diag, lo, hi, 0, exact)
+		return quantize(diag, lo, 0)
 	}
+	maxLevels = min(maxLevels, 1<<16)
 	lastErr := fmt.Errorf("costvec: range %v needs more than %d levels at every scale", hi-lo, maxLevels)
-	for _, scale := range AutoScales {
+	for _, scale := range autoScales {
 		if (hi-lo)/scale >= float64(maxLevels) {
 			// Finer rungs only need more levels.
 			break
 		}
-		q, err := quantize(diag, lo, hi, scale, exact)
+		q, err := quantize(diag, lo, scale)
 		if err == nil {
 			return q, nil
 		}
@@ -380,63 +328,21 @@ func quantizeAuto(diag []float64, exact bool, maxLevels int) (*Quantized, error)
 	return nil, fmt.Errorf("costvec: no exact power-of-two quantization found: %w", lastErr)
 }
 
-// QuantizeRange compresses one shard of a larger diagonal against an
-// externally agreed global (min, scale) — the distributed §V-B path,
-// where each rank quantizes only its PrecomputeRange slice but all
-// ranks share the extrema reconciled by an allreduce pre-pass, so
-// codes are comparable across shards. Scale 0 selects the degenerate
-// constant representation and requires every shard value to equal min
-// exactly.
-func QuantizeRange(diag []float64, min, scale float64) (*Quantized, error) {
-	if scale < 0 {
-		return nil, fmt.Errorf("costvec: scale %v must be ≥ 0", scale)
-	}
-	q := &Quantized{Codes: make([]uint16, len(diag)), Min: min, Scale: scale}
-	if scale == 0 {
-		for i, v := range diag {
-			if v != min {
-				return nil, fmt.Errorf("costvec: value %v at index %d differs from %v (scale 0 represents constant diagonals only)", v, i, min)
-			}
-		}
-		return q, nil
-	}
-	tol := 1e-9 * scale
+// quantize assigns the codes of the grid lo + scale·k, failing unless
+// every value equals its level bit for bit as Value computes it.
+func quantize(diag []float64, lo, scale float64) (*Quantized, error) {
+	q := &Quantized{Codes: make([]uint16, len(diag)), Min: lo, Scale: scale}
 	for i, v := range diag {
-		k := math.Round((v - min) / scale)
-		if k < 0 || k > 65535 {
-			return nil, fmt.Errorf("costvec: value %v at index %d needs code %g outside uint16 range at min %v, scale %v", v, i, k, min, scale)
+		var k float64
+		if scale > 0 {
+			k = math.Round((v - lo) / scale)
 		}
-		if math.Abs(v-(min+k*scale)) > tol {
-			return nil, fmt.Errorf("costvec: value %v at index %d is not representable as %v + k·%v", v, i, min, scale)
+		if w := lo + scale*k; w != v || math.Signbit(w) != math.Signbit(v) {
+			return nil, fmt.Errorf("costvec: value %v at index %d is not representable as %v + k·%v", v, i, lo, scale)
 		}
 		q.Codes[i] = uint16(k)
 	}
 	return q, nil
-}
-
-// CanQuantizeRange reports whether QuantizeRange would succeed,
-// without allocating the code store — the cheap probe the distributed
-// scale agreement walks the AutoScales ladder with.
-func CanQuantizeRange(diag []float64, min, scale float64) bool {
-	if scale < 0 {
-		return false
-	}
-	if scale == 0 {
-		for _, v := range diag {
-			if v != min {
-				return false
-			}
-		}
-		return true
-	}
-	tol := 1e-9 * scale
-	for _, v := range diag {
-		k := math.Round((v - min) / scale)
-		if k < 0 || k > 65535 || math.Abs(v-(min+k*scale)) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Value reconstructs the cost of index i.
@@ -484,24 +390,4 @@ func (q *Quantized) PhaseTableInto(tab []complex128, gamma float64) {
 		s, c := math.Sincos(-gamma * (q.Min + q.Scale*float64(k)))
 		tab[k] = complex(c, s)
 	}
-}
-
-// ExpectationQuantized computes Σ_x value_x |ψ_x|² directly from the
-// codes without expanding the diagonal: E = Min·‖ψ‖² + Scale·Σ_x
-// code_x |ψ_x|².
-func (q *Quantized) ExpectationQuantized(p *statevec.Pool, v statevec.Vec) float64 {
-	if len(v) != len(q.Codes) {
-		panic(fmt.Sprintf("costvec: ExpectationQuantized length mismatch %d vs %d", len(v), len(q.Codes)))
-	}
-	codes := q.Codes
-	norm := p.NormSquared(v)
-	codeSum := p.Reduce(len(v), func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			a := v[i]
-			s += float64(codes[i]) * (real(a)*real(a) + imag(a)*imag(a))
-		}
-		return s
-	})
-	return q.Min*norm + q.Scale*codeSum
 }

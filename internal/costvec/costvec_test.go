@@ -309,12 +309,15 @@ func TestGroundStatesMatchLABSBruteForce(t *testing.T) {
 }
 
 func TestQuantizeExactRoundTripLABS(t *testing.T) {
-	// LABS energies are integers; quantization at scale 1 must be exact.
+	// LABS energies are integers, an exact grid at scale 1.
 	n := 12
 	diag := Precompute(poly.Compile(problems.LABSTerms(n)), n)
-	q, err := Quantize(diag, 1)
+	q, err := QuantizeExact(diag, 1<<16)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q.Scale != 1 {
+		t.Errorf("Scale = %v, want 1", q.Scale)
 	}
 	expanded := q.Expand()
 	for i := range diag {
@@ -331,56 +334,54 @@ func TestQuantizeExactRoundTripLABS(t *testing.T) {
 }
 
 func TestQuantizeExactRoundTripMaxCut(t *testing.T) {
-	// MaxCut with odd |E| has half-integer offsets; scale ½ is exact.
-	g := graphs.Ring(5) // 5 edges → offset −2.5
-	diag := Precompute(poly.Compile(problems.MaxCutTerms(g)), 5)
-	if _, err := Quantize(diag, 1); err == nil {
-		// −cut is integral, actually: f = −cut exactly. So scale 1 works;
-		// adjust the check to assert success both ways.
-		q, err := Quantize(diag, 1)
+	// MaxCut costs are −cut, integers; at a quarter of the weights the
+	// ring's even cuts fall on a half-integer grid, which scale ½
+	// represents.
+	g := graphs.Ring(5)
+	terms := problems.MaxCutTerms(g)
+	for _, c := range []struct {
+		terms poly.Terms
+		scale float64
+	}{{terms, 1}, {terms.Scale(0.25), 0.5}} {
+		diag := Precompute(poly.Compile(c.terms), 5)
+		q, err := QuantizeExact(diag, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if q.Scale != c.scale {
+			t.Errorf("Scale = %v, want %v", q.Scale, c.scale)
+		}
 		for i := range diag {
 			if q.Value(i) != diag[i] {
-				t.Fatalf("lossy at %d", i)
+				t.Fatalf("scale %v: lossy at %d: %v vs %v", c.scale, i, q.Value(i), diag[i])
 			}
-		}
-	}
-	qa, err := QuantizeAuto(diag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range diag {
-		if qa.Value(i) != diag[i] {
-			t.Fatalf("QuantizeAuto lossy at %d: %v vs %v", i, qa.Value(i), diag[i])
 		}
 	}
 }
 
 func TestQuantizeErrors(t *testing.T) {
-	if _, err := Quantize([]float64{0, 1}, 0); err == nil {
-		t.Error("zero scale accepted")
-	}
-	if _, err := Quantize([]float64{0, 1}, -1); err == nil {
-		t.Error("negative scale accepted")
-	}
-	if _, err := Quantize([]float64{0, 70000}, 1); err == nil {
-		t.Error("range overflow accepted")
-	}
-	if _, err := Quantize([]float64{0, 0.3}, 1); err == nil {
-		t.Error("non-representable value accepted")
-	}
-	if _, err := QuantizeAuto([]float64{0, math.Pi}); err == nil {
-		t.Error("irrational diagonal accepted by QuantizeAuto")
+	for _, c := range []struct {
+		name string
+		diag []float64
+	}{
+		{"range beyond uint16", []float64{0, 70000}},
+		{"value between grid points", []float64{0, 0.3}},
+		{"irrational value", []float64{0, math.Pi}},
+		{"step finer than 1/16", []float64{0, 1.0 / 32}},
+		{"+Inf", []float64{0, math.Inf(1)}},
+		{"NaN beside a constant", []float64{2, math.NaN(), 2}},
+		{"−0 beside +0", []float64{0, math.Copysign(0, -1)}},
+	} {
+		if _, err := QuantizeExact(c.diag, 1<<20); err == nil {
+			t.Errorf("%s: %v accepted", c.name, c.diag)
+		}
 	}
 }
 
 // TestQuantizeExact pins the bitwise rule that decides whether a
 // diagonal takes phase tables: integer costs pass and round-trip bit
-// for bit, while values off the grid by far less than QuantizeAuto's
-// tolerance, Gaussian couplings, NaN and grids wider than maxLevels
-// fail.
+// for bit, while values off the grid by 1e-12, Gaussian couplings, NaN
+// and grids wider than maxLevels fail.
 func TestQuantizeExact(t *testing.T) {
 	const n = 10
 	diag := Precompute(poly.Compile(problems.LABSTerms(n)), n)
@@ -406,9 +407,6 @@ func TestQuantizeExact(t *testing.T) {
 
 	offGrid := append([]float64(nil), diag...)
 	offGrid[3] += 1e-12
-	if _, err := QuantizeAuto(offGrid); err != nil {
-		t.Errorf("QuantizeAuto rejected a value within its tolerance: %v", err)
-	}
 	if _, err := QuantizeExact(offGrid, 1<<n); err == nil {
 		t.Error("QuantizeExact accepted a value off the grid by 1e-12")
 	}
@@ -429,11 +427,10 @@ func TestPhaseTableAndApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 8
 	diag := Precompute(poly.Compile(problems.LABSTerms(n)), n)
-	q, err := Quantize(diag, 1)
+	q, err := QuantizeExact(diag, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := statevec.NewPool(2)
 	v := statevec.NewUniform(n)
 	for i := range v {
 		v[i] *= complex(rng.NormFloat64(), rng.NormFloat64())
@@ -456,12 +453,6 @@ func TestPhaseTableAndApply(t *testing.T) {
 		if into[k] != tab[k] {
 			t.Fatalf("PhaseTableInto[%d] = %v, want %v", k, into[k], tab[k])
 		}
-	}
-
-	eDirect := statevec.ExpectationDiag(direct, diag)
-	eQuant := q.ExpectationQuantized(p, viaTable)
-	if math.Abs(eDirect-eQuant) > 1e-9 {
-		t.Fatalf("quantized expectation %v, want %v", eQuant, eDirect)
 	}
 }
 
@@ -522,124 +513,79 @@ func randomTerms(rng *rand.Rand, n, count int) poly.Terms {
 // TestQuantizeConstantDiagonal pins the degenerate-diagonal contract:
 // a constant diagonal (hi == lo) quantizes to Scale 0 with all-zero
 // codes — no zero/NaN step, no divide-by-zero in code assignment —
-// and Value, Expand, PhaseTable, the table phase, and the expectation
-// stay exact.
+// and Value, Expand, PhaseTable, the table phase, and the codes-only
+// expectation stay exact.
 func TestQuantizeConstantDiagonal(t *testing.T) {
 	for _, c := range []float64{0, -3.5, 7} {
 		diag := []float64{c, c, c, c}
-		for name, quantize := range map[string]func() (*Quantized, error){
-			"Quantize(scale=1)":   func() (*Quantized, error) { return Quantize(diag, 1) },
-			"Quantize(scale=0.5)": func() (*Quantized, error) { return Quantize(diag, 0.5) },
-			"QuantizeAuto":        func() (*Quantized, error) { return QuantizeAuto(diag) },
-			"QuantizeRange":       func() (*Quantized, error) { return QuantizeRange(diag, c, 0) },
-		} {
-			q, err := quantize()
-			if err != nil {
-				t.Fatalf("%s on constant %v: %v", name, c, err)
+		q, err := QuantizeExact(diag, 1)
+		if err != nil {
+			t.Fatalf("constant %v: %v", c, err)
+		}
+		if q.Scale != 0 || q.Min != c {
+			t.Fatalf("constant %v: (Min, Scale) = (%v, %v), want (%v, 0)", c, q.Min, q.Scale, c)
+		}
+		for i := range diag {
+			if q.Codes[i] != 0 {
+				t.Fatalf("constant %v: code[%d] = %d, want 0", c, i, q.Codes[i])
 			}
-			if q.Scale != 0 || q.Min != c {
-				t.Fatalf("%s on constant %v: (Min, Scale) = (%v, %v), want (%v, 0)", name, c, q.Min, q.Scale, c)
+			if q.Value(i) != c {
+				t.Fatalf("constant %v: Value(%d) = %v, want %v", c, i, q.Value(i), c)
 			}
-			for i := range diag {
-				if q.Codes[i] != 0 {
-					t.Fatalf("%s: code[%d] = %d, want 0", name, i, q.Codes[i])
-				}
-				if q.Value(i) != c {
-					t.Fatalf("%s: Value(%d) = %v, want %v", name, i, q.Value(i), c)
-				}
-			}
-			if got := q.Expand(); got[0] != c {
-				t.Fatalf("%s: Expand()[0] = %v, want %v", name, got[0], c)
-			}
-			if tab := q.PhaseTable(0.7); len(tab) != 1 {
-				t.Fatalf("%s: PhaseTable size %d, want 1", name, len(tab))
-			}
+		}
+		if got := q.Expand(); got[0] != c {
+			t.Fatalf("constant %v: Expand()[0] = %v, want %v", c, got[0], c)
+		}
+		if tab := q.PhaseTable(0.7); len(tab) != 1 {
+			t.Fatalf("constant %v: PhaseTable size %d, want 1", c, len(tab))
 		}
 
 		// The table phase and the expectation agree with the float64 path.
-		q, err := QuantizeAuto(diag)
-		if err != nil {
-			t.Fatal(err)
-		}
 		p := statevec.NewPool(1)
 		v := statevec.NewUniform(2)
 		direct := v.Clone()
 		statevec.PhaseDiag(direct, diag, 0.7)
 		statevec.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.7, Codes: q.Codes, Tab: q.PhaseTable(0.7)})
 		if d := statevec.MaxAbsDiff(direct, v); d > 1e-15 {
-			t.Fatalf("constant %v: quantized phase differs by %g", c, d)
+			t.Fatalf("constant %v: table phase differs by %g", c, d)
 		}
-		if got, want := q.ExpectationQuantized(p, v), statevec.ExpectationDiag(direct, diag); math.Abs(got-want) > 1e-12 {
+		s := statevec.SoAFromVec(v)
+		codesOnly := statevec.Phase{Codes: q.Codes, Min: q.Min, Scale: q.Scale}
+		if got, want := statevec.ExpectationPlanes(p, s.Re, s.Im, codesOnly), statevec.ExpectationDiag(direct, diag); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("constant %v: expectation %v, want %v", c, got, want)
 		}
 	}
 }
 
-// TestQuantizeRangeShards checks the distributed contract: slicing a
-// diagonal into shards, quantizing each against the whole diagonal's
-// (min, scale), and concatenating the codes must reproduce the
-// monolithic quantization exactly.
+// TestQuantizeRangeShards checks the distributed contract: each
+// PrecomputeRange shard of a diagonal codes exactly on its own, against
+// its own (Min, Scale), and reproduces its entries bit for bit — so
+// ranks need not agree on a grid.
 func TestQuantizeRangeShards(t *testing.T) {
+	// LABS plus a field on the top qubit, so the shards' minima differ.
 	n := 10
-	diag := Precompute(poly.Compile(problems.LABSTerms(n)), n)
-	whole, err := Quantize(diag, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardLen := len(diag) / 8
+	compiled := poly.Compile(append(problems.LABSTerms(n), poly.NewTerm(4, n-1)))
+	shardLen := (1 << n) / 8
+	mins := map[float64]bool{}
 	for r := 0; r < 8; r++ {
-		shard := diag[r*shardLen : (r+1)*shardLen]
-		q, err := QuantizeRange(shard, whole.Min, whole.Scale)
+		shard := make([]float64, shardLen)
+		PrecomputeRange(compiled, uint64(r*shardLen), shard)
+		q, err := QuantizeExact(shard, 1<<16)
 		if err != nil {
 			t.Fatalf("shard %d: %v", r, err)
 		}
-		if q.Min != whole.Min || q.Scale != whole.Scale {
-			t.Fatalf("shard %d: (Min, Scale) = (%v, %v), want (%v, %v)", r, q.Min, q.Scale, whole.Min, whole.Scale)
+		if lo, _ := MinMax(shard); q.Min != lo {
+			t.Fatalf("shard %d: Min %v, want the shard minimum %v", r, q.Min, lo)
 		}
-		for i := range shard {
-			if q.Codes[i] != whole.Codes[r*shardLen+i] {
-				t.Fatalf("shard %d code %d: %d != monolithic %d", r, i, q.Codes[i], whole.Codes[r*shardLen+i])
-			}
-			if q.Value(i) != shard[i] {
-				t.Fatalf("shard %d: Value(%d) = %v, want %v", r, i, q.Value(i), shard[i])
+		mins[q.Min] = true
+		for i, v := range shard {
+			if w := q.Value(i); math.Float64bits(w) != math.Float64bits(v) {
+				t.Fatalf("shard %d: Value(%d) = %v, want %v", r, i, w, v)
 			}
 		}
-		if !CanQuantizeRange(shard, whole.Min, whole.Scale) {
-			t.Fatalf("shard %d: CanQuantizeRange false for a workable (min, scale)", r)
-		}
 	}
-}
-
-func TestQuantizeRangeErrors(t *testing.T) {
-	if _, err := QuantizeRange([]float64{0, 1}, 0, -1); err == nil {
-		t.Error("negative scale accepted")
-	}
-	if _, err := QuantizeRange([]float64{0, 1}, 0, 0); err == nil {
-		t.Error("scale 0 accepted for a non-constant shard")
-	}
-	if _, err := QuantizeRange([]float64{-1, 0}, 0, 1); err == nil {
-		t.Error("value below min accepted (negative code)")
-	}
-	if _, err := QuantizeRange([]float64{0, 70000}, 0, 1); err == nil {
-		t.Error("code above uint16 capacity accepted")
-	}
-	if _, err := QuantizeRange([]float64{0, 0.3}, 0, 1); err == nil {
-		t.Error("non-representable value accepted")
-	}
-	for _, c := range []struct {
-		diag       []float64
-		min, scale float64
-		want       bool
-	}{
-		{[]float64{0, 1, 2}, 0, 1, true},
-		{[]float64{5, 5}, 5, 0, true},
-		{[]float64{5, 6}, 5, 0, false},
-		{[]float64{0, 0.3}, 0, 1, false},
-		{[]float64{0, 1}, 0, -1, false},
-	} {
-		if got := CanQuantizeRange(c.diag, c.min, c.scale); got != c.want {
-			t.Errorf("CanQuantizeRange(%v, %v, %v) = %t, want %t", c.diag, c.min, c.scale, got, c.want)
-		}
+	if len(mins) < 2 {
+		t.Error("every shard has the same minimum; the test needs shards on different grids")
 	}
 }
 
@@ -654,7 +600,7 @@ func TestQuantizedAdjointHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n := 8
 	diag := Precompute(poly.Compile(problems.LABSTerms(n)), n)
-	q, err := QuantizeAuto(diag)
+	q, err := QuantizeExact(diag, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,260 @@
+package distsim
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"qokit/internal/cluster"
+	"qokit/internal/core"
+	"qokit/internal/costvec"
+	"qokit/internal/evaluator"
+	"qokit/internal/graphs"
+	"qokit/internal/poly"
+	"qokit/internal/problems"
+	"qokit/internal/registry"
+)
+
+// costForm is one way a rank can hold its slice of the diagonal.
+type costForm int
+
+const (
+	// codesOnly keeps the uint16 codes alone: what rankCosts picks for
+	// an exact grid within the table bound.
+	codesOnly costForm = iota
+	// float64AndCodes keeps the float64 entries beside the codes: table
+	// phases, float64 reductions.
+	float64AndCodes
+	// float64Only keeps the float64 entries: per-amplitude sincos.
+	float64Only
+)
+
+func (f costForm) String() string {
+	return [...]string{"codes only", "float64 + codes", "float64 only"}[f]
+}
+
+// formEngine builds an engine whose every rank holds its cost slice in
+// form, cutting the shards as NewGradEngine does. The codes are taken
+// at any number of levels, so every grid cost has all three forms.
+func formEngine(t *testing.T, n int, terms poly.Terms, opts Options, form costForm) *GradEngine {
+	t.Helper()
+	k, err := opts.validate(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, half, err := cutShards(costvec.Precompute(poly.Compile(terms), n), n, k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := make([]rankCost, len(diags))
+	for r, diag := range diags {
+		costs[r].offset = uint64(r) * uint64(len(diag))
+		if form != codesOnly {
+			costs[r].diag = diag
+		}
+		if form != float64Only {
+			q, err := costvec.QuantizeExact(diag, 1<<16)
+			if err != nil {
+				t.Fatalf("rank %d slice is not an exact grid: %v", r, err)
+			}
+			costs[r].levels = q
+		}
+	}
+	e, err := newEngine(n, opts, costs, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// coded reports whether every rank of e holds its slice as codes alone.
+func coded(e *GradEngine) bool {
+	for r := range e.costs {
+		if rc := &e.costs[r]; rc.diag != nil || rc.levels == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// codedProblem is 3-regular MaxCut on 10 vertices: at K ≤ 4 its half
+// slices are exact grids within the table bound, so NewGradEngine keeps
+// their codes alone.
+func codedProblem(t *testing.T) (int, poly.Terms) {
+	t.Helper()
+	g, err := graphs.RandomRegular(10, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 10, problems.MaxCutTerms(g)
+}
+
+// TestShardCostFormsMatchBitwise is the cost-form acceptance matrix:
+// rank slices held as codes alone, as float64 entries beside the codes,
+// or as float64 entries alone give the same energies, gradients,
+// traffic and EvalOutputs (CVaR, probabilities, variance, buffered and
+// streamed shots) bit for bit, and order their slices by cost alike,
+// over K ∈ {1, 2, 4, 8} × {x, xy-ring} × p ∈ {1, 4, 12} ×
+// float64/float32, on half shards (LABS with x) and full shards (LABS
+// with xy-ring, LABS + Z₀). Min + Scale·code equals
+// the float64 entry bitwise, every reader forms that same value, and a
+// table entry is the sincos of the float64 entry.
+func TestShardCostFormsMatchBitwise(t *testing.T) {
+	const n = 8
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(91))
+	queries := []uint64{0, 7, 1 << (n - 1), 1<<n - 1}
+	for _, prob := range []struct {
+		name  string
+		terms poly.Terms
+	}{{"labs", problems.LABSTerms(n)}, {"labs+z0", oddCost(n)}} {
+		for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
+			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+				for _, ranks := range []int{1, 2, 4, 8} {
+					opts := Options{Ranks: ranks, Algo: cluster.Transpose, Mixer: mixer, Precision: prec}
+					var engs [3]*GradEngine
+					for f := range engs {
+						engs[f] = formEngine(t, n, prob.terms, opts, costForm(f))
+					}
+					// The counting sort of coded slices orders like the
+					// comparison sort of float64 slices.
+					for r := range engs[0].costs {
+						a, b := engs[codesOnly].costs[r].ascending(), engs[float64Only].costs[r].ascending()
+						for i := range a {
+							if a[i] != b[i] {
+								t.Errorf("%s %v K=%d rank %d: cost order differs at %d: %d vs %d", prob.name, mixer, ranks, r, i, a[i], b[i])
+								break
+							}
+						}
+					}
+					for _, p := range []int{1, 4, 12} {
+						gamma, beta := randomAngles(rng, p)
+						x := append(append([]float64(nil), gamma...), beta...)
+						spec := evaluator.OutputSpec{
+							CVaRAlphas: []float64{1, 0.5, 0.1}, ProbIndices: queries, Variance: true,
+							Shots: 500, Seed: int64(p),
+						}
+						where := fmt.Sprintf("%s %v %v K=%d p=%d", prob.name, mixer, prec, ranks, p)
+						var ref halfEval
+						var refE float64
+						var refC cluster.Counters
+						for f, eng := range engs {
+							before := eng.Counters()
+							e, err := eng.Energy(ctx, x)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := evalAll(t, eng, x, spec)
+							after := eng.Counters()
+							c := cluster.Counters{
+								BytesSent: after.BytesSent - before.BytesSent,
+								Messages:  after.Messages - before.Messages,
+								Syncs:     after.Syncs - before.Syncs,
+							}
+							if f == 0 {
+								ref, refE, refC = got, e, c
+								continue
+							}
+							if e != refE {
+								t.Errorf("%s: %v energy %v, %v %v", where, costForm(f), e, codesOnly, refE)
+							}
+							if err := sameEval(got, ref); err != nil {
+								t.Errorf("%s: %v differs from %v: %v", where, costForm(f), codesOnly, err)
+							}
+							if len(got.stream) != len(ref.stream) {
+								t.Errorf("%s: %v streamed %d shots, %v %d", where, costForm(f), len(got.stream), codesOnly, len(ref.stream))
+							}
+							for i := range got.stream {
+								if i < len(ref.stream) && got.stream[i] != ref.stream[i] {
+									t.Errorf("%s: %v streamed shot %d = %d, %v %d", where, costForm(f), i, got.stream[i], codesOnly, ref.stream[i])
+									break
+								}
+							}
+							if c != refC {
+								t.Errorf("%s: %v traffic %+v, %v %+v", where, costForm(f), c, codesOnly, refC)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCodedShardRule pins which rank slices keep their uint16 codes
+// alone: those that are an exact grid within the single-node table
+// bound, 2^(n−k)/core.PhaseTableRatio levels (basis states, twice a
+// half slice's entries). LABS n = 16 at K = 2 (1217 levels, bound
+// 2048) and 3-regular MaxCut n = 12 at K = 4 hold no float64 slice;
+// LABS n = 14 at K = 4 (bound 256) and SK keep their float64 slices and
+// no codes. NewGradEngine and a Factory over a registry handle decide
+// alike.
+func TestCodedShardRule(t *testing.T) {
+	ctx := context.Background()
+	g, err := graphs.RandomRegular(12, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.New(registry.Options{})
+	for _, tc := range []struct {
+		name  string
+		n     int
+		terms poly.Terms
+		ranks int
+		coded bool
+	}{
+		{"labs n=16 K=2", 16, problems.LABSTerms(16), 2, true},
+		{"maxcut n=12 K=4", 12, problems.MaxCutTerms(g), 4, true},
+		{"labs n=14 K=4", 14, problems.LABSTerms(14), 4, false},
+		{"sk n=10 K=2", 10, problems.SKTerms(10, 6), 2, false},
+	} {
+		opts := Options{Ranks: tc.ranks}
+		eng, err := NewGradEngine(tc.n, tc.terms, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		key, err := reg.Register(registry.Spec{N: tc.n, Terms: tc.terms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewFactoryFromSource(tc.n, opts, func(ctx context.Context) (core.DiagSource, error) {
+			h, err := reg.Acquire(ctx, key)
+			if err != nil {
+				return nil, err
+			}
+			return h, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := f.NewGradEngine(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for src, e := range map[string]*GradEngine{"NewGradEngine": eng, "registry Factory": built} {
+			if !e.half {
+				t.Errorf("%s %s: runs full shards", tc.name, src)
+			}
+			for r := range e.costs {
+				if rc := &e.costs[r]; (rc.diag == nil) != tc.coded || (rc.levels != nil) != tc.coded {
+					t.Errorf("%s %s rank %d: float64 slice %v, codes %v; want codes alone %v",
+						tc.name, src, r, rc.diag != nil, rc.levels != nil, tc.coded)
+				}
+			}
+		}
+		if err := f.Retire(built); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, terms := codedProblem(t)
+	for _, ranks := range []int{1, 2, 4} {
+		eng, err := NewGradEngine(n, terms, Options{Ranks: ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !coded(eng) {
+			t.Errorf("codedProblem at K=%d keeps a float64 slice", ranks)
+		}
+	}
+}

@@ -9,8 +9,9 @@
 //   - the phase operator and the cost-diagonal precomputation touch
 //     only local data (each rank computed its diagonal slice from the
 //     terms with PrecomputeRange — no communication, §III-A locality);
-//     the phase gathers from per-γ tables when the rank's slice is an
-//     exact grid, as single-node does,
+//     when the rank's slice is an exact grid, the phase gathers from
+//     per-γ tables, as single-node does, and the rank keeps only the
+//     slice's uint16 codes (§V-B: 2 B per amplitude instead of 8),
 //   - the transverse-field mixer runs the tiled F = 2 layer on the n−k
 //     local qubits, with the phase in its first pass, performs one
 //     all-to-all (which transposes the rank bits with the top k local
@@ -87,17 +88,6 @@ type Options struct {
 	// fabric bytes, at the single-node SoA32 accuracy (state error ~few
 	// ULPs per layer, gradient band ~2e-3).
 	Precision Precision
-	// Quantize stores each rank's diagonal slice as uint16 codes
-	// (§V-B): every rank quantizes only its PrecomputeRange shard
-	// against one global (min, scale) agreed by an AllreduceMin/Max
-	// pre-pass, so codes stay comparable across ranks. Exact by
-	// construction — quantized energies and gradients match the float64
-	// distributed path to rounding. Fails at engine construction if any
-	// shard is not exactly representable.
-	Quantize bool
-	// QuantScale fixes the quantization step; 0 selects automatically
-	// (the AutoScales power-of-two ladder, reconciled across ranks).
-	QuantScale float64
 	// Fault, when non-nil, is installed on every rank group this run
 	// creates (cluster.Group.SetFault) — the test-only fault injector
 	// the checkpoint/restart suite uses to kill ranks mid-collective.
@@ -134,41 +124,10 @@ func (o Options) validate(n int) (k int, err error) {
 	default:
 		return 0, fmt.Errorf("distsim: Options.Precision=%v unknown (want PrecisionFloat64 or PrecisionFloat32)", o.Precision)
 	}
-	if o.Quantize && o.Precision == PrecisionFloat32 {
-		return 0, fmt.Errorf("distsim: Options.Quantize does not compose with Options.Precision=float32 (matching the single-node rule: quantized phases are exact complex128 tables)")
-	}
-	if o.QuantScale < 0 {
-		return 0, fmt.Errorf("distsim: Options.QuantScale=%v must be ≥ 0", o.QuantScale)
-	}
-	if o.QuantScale > 0 && !o.Quantize {
-		return 0, fmt.Errorf("distsim: Options.QuantScale=%v set without Options.Quantize", o.QuantScale)
-	}
-	if o.Gather && o.Quantize {
-		return 0, fmt.Errorf("distsim: Options.Gather=true does not compose with Options.Quantize — the memory-reduced shards exist to avoid materializing node-scale buffers; use the gather-free outputs (SimulateQAOAOutputs or GradEngine.Outputs: sampling, CVaR, overlap, probability queries)")
-	}
 	if o.Gather && o.Precision == PrecisionFloat32 {
 		return 0, fmt.Errorf("distsim: Options.Gather=true does not compose with Options.Precision=float32 — the memory-reduced shards exist to avoid materializing node-scale buffers; use the gather-free outputs (SimulateQAOAOutputs or GradEngine.Outputs: sampling, CVaR, overlap, probability queries)")
 	}
 	return k, nil
-}
-
-// ValidateEnginePair checks that a forward-simulation option set and a
-// gradient-engine option set describe the same numeric contract, so a
-// harness pairing the two (a benchmark trajectory, a verification
-// gate) fails fast instead of comparing a float32 forward pass against
-// a float64 gradient. Every violation names the offending Options
-// field, matching validate's convention.
-func ValidateEnginePair(forward, grad Options) error {
-	if forward.Precision != grad.Precision {
-		return fmt.Errorf("distsim: Options.Precision mismatch between forward (%v) and grad (%v) engines", forward.Precision, grad.Precision)
-	}
-	if forward.Quantize != grad.Quantize {
-		return fmt.Errorf("distsim: Options.Quantize mismatch between forward (%t) and grad (%t) engines", forward.Quantize, grad.Quantize)
-	}
-	if forward.QuantScale != grad.QuantScale {
-		return fmt.Errorf("distsim: Options.QuantScale mismatch between forward (%v) and grad (%v) engines", forward.QuantScale, grad.QuantScale)
-	}
-	return nil
 }
 
 // concurrency resolves the lease cap the options select.

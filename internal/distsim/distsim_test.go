@@ -359,13 +359,20 @@ func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
 // explicit uniform InitialState. Half shards (LABS, n ∈ {9, 11}): with
 // n − 1 − k and k even, every representative also sees the same mirror
 // pair update, so the gathered shards equal the single-node half state.
+// MaxCut on the n = 11 ring runs half shards whose slices are held as
+// uint16 codes alone, and matches the same way.
 func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
+	ringMaxCut := func(n int) poly.Terms { return problems.MaxCutTerms(mustRing(t, n)) }
 	for _, form := range []struct {
-		half  bool
-		ns    []int
-		terms func(n int) poly.Terms
-	}{{false, []int{8, 10}, oddCost}, {true, []int{9, 11}, problems.LABSTerms}} {
+		half, coded bool
+		ns          []int
+		terms       func(n int) poly.Terms
+	}{
+		{false, false, []int{8, 10}, oddCost},
+		{true, false, []int{9, 11}, problems.LABSTerms},
+		{true, true, []int{11}, ringMaxCut},
+	} {
 		for _, n := range form.ns {
 			terms := form.terms(n)
 			stored := 1 << uint(n)
@@ -396,8 +403,8 @@ func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if eng.half != form.half {
-							t.Fatalf("n=%d K=%d: half=%v, want %v", n, ranks, eng.half, form.half)
+						if eng.half != form.half || coded(eng) != form.coded {
+							t.Fatalf("n=%d K=%d: half=%v, codes alone %v; want %v, %v", n, ranks, eng.half, coded(eng), form.half, form.coded)
 						}
 						if _, err := eng.Energy(context.Background(), x); err != nil {
 							t.Fatal(err)

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"qokit/internal/checkpoint"
 	"qokit/internal/core"
 	"qokit/internal/optimize"
+	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/statevec"
 )
@@ -30,10 +33,12 @@ func killAt(victim int, op string, call int, cause error) func(rank int, gotOp s
 // forward pipeline: in every shard representation, a rank killed
 // mid-collective must surface a clean error (not deadlock), leave the
 // last layer-boundary snapshot on disk, and a restarted run must
-// resume from it and finish bit-identical to an uninterrupted run.
+// resume from it and finish bit-identical to an uninterrupted run. The
+// quant case runs codedProblem, whose ranks hold uint16 codes alone;
+// the others run the n = 6 ring, whose slices stay float64.
 func TestCheckpointKillRestore(t *testing.T) {
-	n := 6
-	ts := problems.MaxCutTerms(mustRing(t, n))
+	ring := problems.MaxCutTerms(mustRing(t, 6))
+	codedN, codedTerms := codedProblem(t)
 	gamma := []float64{0.35, -0.2, 0.5}
 	beta := []float64{0.4, 0.15, -0.3}
 
@@ -44,16 +49,28 @@ func TestCheckpointKillRestore(t *testing.T) {
 		victim   int
 		call     int
 		wantCkpt bool // a snapshot must exist after the kill
+		coded    bool
 	}{
-		{"f64-ranks4-alltoall", Options{Ranks: 4}, "Alltoall", 2, 2, true},
-		{"f32-ranks4-alltoall32", Options{Ranks: 4, Precision: PrecisionFloat32}, "Alltoall", 1, 2, true},
-		{"quant-ranks4-alltoall", Options{Ranks: 4, Quantize: true}, "Alltoall", 3, 2, true},
-		{"f64-ranks1-allreduce", Options{Ranks: 1}, "AllreduceSum", 0, 0, true},
-		{"f64-ranks4-xy-sendrecv", Options{Ranks: 4, Mixer: core.MixerXYRing}, "Sendrecv", 1, 4, true},
-		{"f64-ranks4-capture-barrier", Options{Ranks: 4}, "Barrier", 0, 2, true},
+		{"f64-ranks4-alltoall", Options{Ranks: 4}, "Alltoall", 2, 2, true, false},
+		{"f32-ranks4-alltoall32", Options{Ranks: 4, Precision: PrecisionFloat32}, "Alltoall", 1, 2, true, false},
+		{"quant-ranks4-alltoall", Options{Ranks: 4}, "Alltoall", 3, 2, true, true},
+		{"f64-ranks1-allreduce", Options{Ranks: 1}, "AllreduceSum", 0, 0, true, false},
+		{"f64-ranks4-xy-sendrecv", Options{Ranks: 4, Mixer: core.MixerXYRing}, "Sendrecv", 1, 4, true, false},
+		{"f64-ranks4-capture-barrier", Options{Ranks: 4}, "Barrier", 0, 2, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			n, ts := 6, ring
+			if tc.coded {
+				n, ts = codedN, codedTerms
+			}
+			eng, err := NewGradEngine(n, ts, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coded(eng) != tc.coded {
+				t.Fatalf("ranks hold codes alone: %v, want %v", coded(eng), tc.coded)
+			}
 			base, err := SimulateQAOA(context.Background(), n, ts, gamma, beta, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +128,6 @@ func TestCheckpointCompatMismatch(t *testing.T) {
 	}{
 		{"ranks", Options{Ranks: 4}},
 		{"precision", Options{Ranks: 2, Precision: PrecisionFloat32}},
-		{"quantize", Options{Ranks: 2, Quantize: true}},
 		{"mixer", Options{Ranks: 2, Mixer: core.MixerXYRing}},
 	} {
 		if _, err := SimulateQAOACheckpointed(context.Background(), n, ts, gamma, beta, tc.opts, ck); err == nil {
@@ -139,7 +155,8 @@ func TestCheckpointCompatMismatch(t *testing.T) {
 }
 
 // TestShardSnapshotRoundTrip round-trips both amplitude
-// representations bitwise and rejects truncated payloads.
+// representations bitwise and rejects truncated and version-1
+// payloads.
 func TestShardSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.ckpt")
 	f64 := &ShardSnapshot{
@@ -197,21 +214,41 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("truncation to %d bytes decoded without error", cut)
 		}
 	}
+
+	// A version-1 payload, which carried a Quantize byte after the
+	// precision, is refused by its version.
+	var v1 checkpoint.Encoder
+	v1.U32(1)
+	for _, v := range []int{f64.N, f64.Ranks, int(f64.Mixer), f64.HammingWeight, int(f64.Precision)} {
+		v1.Int(v)
+	}
+	v1.Bool(false)
+	v1.Int(f64.Layer)
+	v1.F64s(f64.GammaPrefix)
+	v1.F64s(f64.BetaPrefix)
+	for _, shard := range f64.Shards {
+		v1.C128s(shard)
+	}
+	if _, err := DecodeShardSnapshot(v1.Bytes()); err == nil || !strings.Contains(err.Error(), "unsupported shard snapshot version 1") {
+		t.Errorf("version-1 payload: error %v, want the unsupported-version error", err)
+	}
 }
 
 // TestShardedAdamResumeBitIdentical is the golden durability test: a
 // sharded Adam trajectory killed by a fault injector mid-gradient and
 // resumed from its last optimizer checkpoint must land on the exact
 // bit pattern the uninterrupted run produces — every rank count, every
-// shard representation.
+// shard representation. The quantized runs take codedProblem, whose
+// ranks hold uint16 codes alone; the others the n = 6 ring, whose
+// slices stay float64.
 func TestShardedAdamResumeBitIdentical(t *testing.T) {
-	n := 6
-	ts := problems.MaxCutTerms(mustRing(t, n))
+	ring := problems.MaxCutTerms(mustRing(t, 6))
+	codedN, codedTerms := codedProblem(t)
 	x0 := []float64{0.4, -0.25, 0.2, 0.35} // p=2 flat [γ, β]
 	const maxIter = 8
 	const killCall = 5 // kill the 6th gradient all-reduce
 
-	run := func(t *testing.T, opts Options, path string, resume bool) optimize.AdamResult {
+	run := func(t *testing.T, n int, ts poly.Terms, opts Options, path string, resume bool) optimize.AdamResult {
 		eng, err := NewGradEngine(n, ts, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -243,17 +280,29 @@ func TestShardedAdamResumeBitIdentical(t *testing.T) {
 
 	for _, ranks := range []int{1, 2, 4} {
 		for _, rep := range []struct {
-			name string
-			opts Options
+			name  string
+			opts  Options
+			coded bool
 		}{
-			{"float64", Options{}},
-			{"float32", Options{Precision: PrecisionFloat32}},
-			{"quantized", Options{Quantize: true}},
+			{"float64", Options{}, false},
+			{"float32", Options{Precision: PrecisionFloat32}, false},
+			{"quantized", Options{}, true},
 		} {
 			t.Run(fmt.Sprintf("ranks%d-%s", ranks, rep.name), func(t *testing.T) {
 				opts := rep.opts
 				opts.Ranks = ranks
-				full := run(t, opts, "", false)
+				n, ts := 6, ring
+				if rep.coded {
+					n, ts = codedN, codedTerms
+				}
+				eng, err := NewGradEngine(n, ts, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if coded(eng) != rep.coded {
+					t.Fatalf("ranks hold codes alone: %v, want %v", coded(eng), rep.coded)
+				}
+				full := run(t, n, ts, opts, "", false)
 				if full.Err != nil {
 					t.Fatalf("uninterrupted run: %v", full.Err)
 				}
@@ -265,11 +314,11 @@ func TestShardedAdamResumeBitIdentical(t *testing.T) {
 				boom := errors.New("node failure")
 				killed := opts
 				killed.Fault = killAt(ranks-1, "AllreduceSumVec", killCall, boom)
-				if res := run(t, killed, path, false); !errors.Is(res.Err, boom) {
+				if res := run(t, n, ts, killed, path, false); !errors.Is(res.Err, boom) {
 					t.Fatalf("killed run stopped with %v, want the injected fault", res.Err)
 				}
 
-				res := run(t, opts, path, true)
+				res := run(t, n, ts, opts, path, true)
 				if res.Err != nil {
 					t.Fatalf("resumed run: %v", res.Err)
 				}

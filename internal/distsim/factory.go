@@ -16,12 +16,13 @@ import (
 // diagonal shards are materialized once — sliced out of one shared
 // full diagonal lease after one scan for non-finite entries and flip
 // symmetry (which picks half shards, see GradEngine), and scanned for
-// each slice's phase-table grid — and shared read-only across every build,
-// so an elastic pool growing a new engine (one rank-group lease each,
-// since builds run Concurrency 1 by default) pays for cluster state
-// buffers only, never a second precompute. A quantized factory slices
-// one full-diagonal quantization, which is globally consistent across
-// ranks by construction — no agreement collective needed.
+// each slice's phase-table grid, as NewGradEngine does — and shared
+// read-only across every build, so an elastic pool growing a new engine
+// (one rank-group lease each, since builds run Concurrency 1 by
+// default) pays for cluster state buffers only, never a second
+// precompute. The lease stays held until the last retire even when
+// every slice keeps codes alone, so the source's float64 diagonal (a
+// registry entry, typically) stays resident beside the codes.
 type Factory struct {
 	n       int
 	opts    Options
@@ -80,35 +81,12 @@ func (f *Factory) shardsLocked(ctx context.Context) error {
 		return err
 	}
 	k, _ := f.opts.validate(f.n) // validated at construction
-	full := src.Diag()
-	diags, half, err := cutShards(full, f.n, k, f.opts)
+	diags, half, err := cutShards(src.Diag(), f.n, k, f.opts)
 	if err != nil {
 		src.Release()
 		return err
 	}
-	var quants []*costvec.Quantized
-	if f.opts.Quantize {
-		var q *costvec.Quantized
-		if f.opts.QuantScale > 0 {
-			q, err = costvec.Quantize(full, f.opts.QuantScale)
-		} else {
-			q, err = src.Quantized()
-		}
-		if err != nil {
-			src.Release()
-			return fmt.Errorf("distsim: quantizing shared diagonal: %w", err)
-		}
-		quants = make([]*costvec.Quantized, f.opts.Ranks)
-		for r, diag := range diags {
-			lo := r * len(diag)
-			quants[r] = &costvec.Quantized{
-				Codes: q.Codes[lo : lo+len(diag)],
-				Min:   q.Min,
-				Scale: q.Scale,
-			}
-		}
-	}
-	f.src, f.costs, f.half = src, rankCosts(diags, quants, half), half
+	f.src, f.costs, f.half = src, rankCosts(diags, half), half
 	return nil
 }
 

@@ -72,9 +72,9 @@ type GradEngine struct {
 	half bool
 
 	// costs holds each rank's slice of the diagonal, shared read-only
-	// by every lease: float64 entries, or under Options.Quantize uint16
-	// codes against one globally agreed (min, scale) — 2 B per
-	// amplitude instead of 8 (§V-B).
+	// by every lease: float64 entries, or on an exact grid uint16 codes
+	// against the slice's own (min, scale) — 2 B per amplitude instead
+	// of 8 (§V-B).
 	costs []rankCost
 
 	// slots holds one token per allowed concurrent evaluation; a nil
@@ -123,26 +123,7 @@ func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var quants []*costvec.Quantized
-	if opts.Quantize {
-		// Each rank runs the global (min, scale) agreement pre-pass on
-		// its float64 shard and keeps only the uint16 codes — the engine
-		// never stores a float64 diagonal.
-		quants = make([]*costvec.Quantized, opts.Ranks)
-		qg, err := cluster.NewGroup(opts.Ranks, opts.Algo)
-		if err != nil {
-			return nil, err
-		}
-		qg.SetFault(opts.Fault)
-		if err := qg.Run(func(c *cluster.Comm) error {
-			q, err := agreeQuantization(c, diags[c.Rank()], opts.QuantScale)
-			quants[c.Rank()] = q
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return newEngine(n, opts, rankCosts(diags, quants, half), half)
+	return newEngine(n, opts, rankCosts(diags, half), half)
 }
 
 // newEngine builds an engine over per-rank cost slices, cut for half

@@ -22,9 +22,9 @@ import (
 )
 
 // halfProblem is one flip-symmetric cost of the half-shard suite. grid
-// is the cost the quantized column runs: the terms themselves when
-// their diagonal is an exact uint16 grid, else the weights rounded to
-// the finest quantization step.
+// is the cost the coded column runs: the terms themselves when their
+// diagonal is an exact uint16 grid, else the weights rounded to the
+// finest grid step, 1/16.
 type halfProblem struct {
 	name        string
 	terms, grid poly.Terms
@@ -37,7 +37,7 @@ func halfProblems(t *testing.T, n int) []halfProblem {
 		t.Fatal(err)
 	}
 	sk := problems.SKTerms(n, 6)
-	step := costvec.AutoScales[len(costvec.AutoScales)-1]
+	const step = 1.0 / 16
 	skGrid := make(poly.Terms, len(sk))
 	for i, term := range sk {
 		skGrid[i] = poly.NewTerm(math.Round(term.Weight/step)*step, term.Vars...)
@@ -64,7 +64,7 @@ func fullShardEngine(t *testing.T, n int, terms poly.Terms, opts Options) *GradE
 	for r := range diags {
 		diags[r] = full[r*size : (r+1)*size]
 	}
-	e, err := newEngine(n, opts, rankCosts(diags, nil, false), false)
+	e, err := newEngine(n, opts, rankCosts(diags, false), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,6 @@ func TestHalfShardRule(t *testing.T) {
 		{"labs n=3 K=2 (2k > n−2)", 3, problems.LABSTerms(3), Options{Ranks: 2}, false},
 		{"maxcut float32", n, probs[1].terms, Options{Ranks: 4, Precision: PrecisionFloat32}, true},
 		{"sk pairwise", n, probs[2].terms, Options{Ranks: 2, Algo: cluster.Pairwise}, true},
-		{"labs quantized", n, labs, Options{Ranks: 4, Quantize: true}, true},
 		{"odd-degree cost", n, oddCost(n), Options{Ranks: 4}, false},
 		{"labs xy-ring", n, labs, Options{Ranks: 4, Mixer: core.MixerXYRing}, false},
 		{"labs xy-complete", n, labs, Options{Ranks: 2, Mixer: core.MixerXYComplete}, false},
@@ -124,19 +123,6 @@ func TestHalfShardRule(t *testing.T) {
 		}
 		if err := f.Retire(built); err != nil {
 			t.Fatal(err)
-		}
-	}
-
-	// Phase tables follow the single-node bound, which counts basis
-	// states: LABS n = 16 has 1217 grid points, more than a K = 2 half
-	// slice's 2^14 entries / 16 but within 2^15 / 16.
-	eng, err := NewGradEngine(16, problems.LABSTerms(16), Options{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, rc := range eng.costs {
-		if !eng.half || rc.levels == nil {
-			t.Errorf("LABS n=16 K=2 rank %d: half=%v, phase table codes %v", r, eng.half, rc.levels != nil)
 		}
 	}
 }
@@ -309,8 +295,9 @@ func halfChiSquared(probs []float64, samples []uint64) float64 {
 // attains the maximum and is the lower index of its mirror pair; the
 // shots pass a χ² test against the full distribution (df = 19,
 // p = 1e-5) and stream exactly as they buffer; Gather returns all 2^n
-// amplitudes. Quantized results, shots included, equal float64 ones bit
-// for bit (SK on its weights rounded to the 1/16 step, an exact grid).
+// amplitudes. Results on slices held as codes alone, shots included,
+// equal float64 ones bit for bit (SK on its weights rounded to the 1/16
+// step, an exact grid).
 func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 	const n, rtol, band, shots = 8, 1e-10, 2e-3, 10_000
 	ctx := context.Background()
@@ -335,7 +322,10 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 			f64 := engine(prob.terms, Options{Ranks: ranks})
 			f32 := engine(prob.terms, Options{Ranks: ranks, Precision: PrecisionFloat32})
 			grid := engine(prob.grid, Options{Ranks: ranks})
-			quant := engine(prob.grid, Options{Ranks: ranks, Quantize: true})
+			quant := formEngine(t, n, prob.grid, Options{Ranks: ranks}, codesOnly)
+			if !quant.half {
+				t.Fatalf("%s K=%d coded: runs full shards", prob.name, ranks)
+			}
 			for _, p := range []int{1, 4, 12} {
 				gamma, beta := randomAngles(rng, p)
 				x := append(append([]float64(nil), gamma...), beta...)
@@ -407,7 +397,7 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 					}
 				}
 				if err := sameEval(evalAll(t, quant, x, spec), evalAll(t, grid, x, spec)); err != nil {
-					t.Errorf("%s: quantized results differ from float64: %v", where, err)
+					t.Errorf("%s: results on coded slices differ from float64: %v", where, err)
 				}
 
 				res, err := SimulateQAOA(ctx, n, prob.terms, gamma, beta, Options{Ranks: ranks, Gather: true})
@@ -425,26 +415,32 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 	}
 }
 
-// TestHalfShardResumeBitIdentical is the half-shard durability check on
-// LABS: a run killed mid-collective leaves a snapshot of the full state,
-// as full shards write it, and resumes from it bit-identical to an
-// uninterrupted half-shard run, in every shard representation; and a
-// snapshot written by full shards (its mirror amplitudes rounded
+// TestHalfShardResumeBitIdentical is the half-shard durability check: a
+// run killed mid-collective leaves a snapshot of the full state, as full
+// shards write it, and resumes from it bit-identical to an
+// uninterrupted half-shard run, in every shard representation (LABS
+// n = 8 on float64 slices, codedProblem on slices held as codes alone);
+// and a snapshot written by full shards (its mirror amplitudes rounded
 // independently) resumes within rounding of the uninterrupted run.
 func TestHalfShardResumeBitIdentical(t *testing.T) {
-	const n = 8
 	ctx := context.Background()
-	terms := problems.LABSTerms(n)
+	codedN, codedTerms := codedProblem(t)
 	gamma := []float64{0.35, -0.2, 0.5, 0.1}
 	beta := []float64{0.4, 0.15, -0.3, 0.25}
-	for _, opts := range []Options{
-		{Ranks: 1},
-		{Ranks: 4, Algo: cluster.Transpose},
-		{Ranks: 8},
-		{Ranks: 4, Precision: PrecisionFloat32},
-		{Ranks: 2, Quantize: true},
+	for _, c := range []struct {
+		name  string
+		n     int
+		terms poly.Terms
+		opts  Options
+	}{
+		{"labs", 8, problems.LABSTerms(8), Options{Ranks: 1}},
+		{"labs", 8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose}},
+		{"labs", 8, problems.LABSTerms(8), Options{Ranks: 8}},
+		{"labs", 8, problems.LABSTerms(8), Options{Ranks: 4, Precision: PrecisionFloat32}},
+		{"coded", codedN, codedTerms, Options{Ranks: 2}},
 	} {
-		name := fmt.Sprintf("K=%d %v quantize=%v", opts.Ranks, opts.Precision, opts.Quantize)
+		n, terms, opts := c.n, c.terms, c.opts
+		name := fmt.Sprintf("%s K=%d %v", c.name, opts.Ranks, opts.Precision)
 		base, err := SimulateQAOA(ctx, n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -507,8 +503,8 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 		}
 		fs := &ShardSnapshot{
 			N: n, Ranks: opts.Ranks, Mixer: core.MixerX, HammingWeight: n / 2,
-			Precision: opts.Precision, Quantize: opts.Quantize,
-			Layer: layer, GammaPrefix: gamma[:layer], BetaPrefix: beta[:layer],
+			Precision: opts.Precision,
+			Layer:     layer, GammaPrefix: gamma[:layer], BetaPrefix: beta[:layer],
 		}
 		if opts.Precision == PrecisionFloat32 {
 			for _, ev := range full.all[0].shards {

@@ -3,7 +3,7 @@
 // sharded state — the outputs that used to require Options.Gather, now
 // served without ever materializing a node-scale buffer. This is what
 // turns the §V-B memory-reduced representations (float32 shards,
-// uint16-quantized diagonals) into full solver backends: every
+// uint16-coded diagonal slices) into full solver backends: every
 // quantity below needs only |ψ_x|² and the cost of locally owned basis
 // states, both of which each rank holds. The output stage runs inside
 // the shared evolution (shard.evolve) over the rank's evolved planes.
@@ -21,12 +21,13 @@
 //     cluster would run as a gather of O(Shots) indices — never
 //     O(2^n) amplitudes.
 //
-//   - Distributed CVaR. Each rank sorts its positive-probability
-//     entries by ascending cost once (the costOrder pattern of
-//     internal/core/objectives.go, shard-local) and exposes prefix
-//     sums of p and p·c. The global cost threshold c* — the smallest
-//     cost value whose cumulative mass reaches α — is found by a
-//     k-way threshold reduction: scalar-allreduce bisection on the
+//   - Distributed CVaR. Each rank walks its slice's ascending-cost
+//     order, sorted once per engine (the costOrder pattern of
+//     internal/core/objectives.go, shard-local), over the
+//     positive-probability entries and forms prefix sums of p and p·c.
+//     The global cost threshold c* — the smallest cost value whose
+//     cumulative mass reaches α — is found by a k-way threshold
+//     reduction: scalar-allreduce bisection on the
 //     cost axis, then a snap step (AllreduceMin over each rank's next
 //     actual cost value) so c* lands exactly on a spectrum point. The
 //     closed form Σ_{cost<c*} p·c + (α − P(cost<c*))·c* then needs one
@@ -65,9 +66,10 @@ type OutputSpec = evaluator.OutputSpec
 
 // shardView is one rank's read-only view of its evolved shard for the
 // output stage: probability and cost by local index, plus the rank's
-// place in the global index space. It abstracts over the shard
-// representations (float64 or float32 planes, float64 or quantized
-// diagonal) — the whole output stage needs nothing else.
+// place in the global index space, and the slice's ascending-cost
+// order. It abstracts over the shard representations (float64 or
+// float32 planes, float64 or coded diagonal slice) — the whole output
+// stage needs nothing else.
 type shardView struct {
 	size     int
 	localN   int
@@ -79,6 +81,9 @@ type shardView struct {
 	n    int
 	prob func(i int) float64
 	cost func(i int) float64
+	// ascending returns the local indices by ascending cost, ties by
+	// index.
+	ascending func() []int
 }
 
 // mass returns the probability of measuring any basis state local
@@ -357,32 +362,23 @@ func rankVariance(c *cluster.Comm, v shardView) (float64, error) {
 // ascending-cost prefix sums merged by a k-way threshold reduction.
 // All ranks return the identical slice.
 func rankCVaR(c *cluster.Comm, v shardView, alphas []float64) ([]float64, error) {
-	// Shard-local ascending-cost order over positive-probability
-	// entries (the costOrder pattern, restricted to this rank's slice),
-	// with inclusive prefix sums of p and p·c.
-	costs := make([]float64, 0, v.size)
-	probs := make([]float64, 0, v.size)
-	for i := 0; i < v.size; i++ {
-		if p := v.mass(i); p > 0 {
-			costs = append(costs, v.cost(i))
-			probs = append(probs, p)
-		}
-	}
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return costs[order[a]] < costs[order[b]] })
-	sortedCosts := make([]float64, len(order))
-	cumP := make([]float64, len(order))
-	cumPC := make([]float64, len(order))
+	// The positive-probability entries in the slice's ascending-cost
+	// order, with inclusive prefix sums of p and p·c.
+	sortedCosts := make([]float64, 0, v.size)
+	cumP := make([]float64, 0, v.size)
+	cumPC := make([]float64, 0, v.size)
 	var p, pc float64
-	for j, i := range order {
-		p += probs[i]
-		pc += probs[i] * costs[i]
-		sortedCosts[j] = costs[i]
-		cumP[j] = p
-		cumPC[j] = pc
+	for _, i := range v.ascending() {
+		m := v.mass(i)
+		if m <= 0 {
+			continue
+		}
+		cv := v.cost(i)
+		p += m
+		pc += m * cv
+		sortedCosts = append(sortedCosts, cv)
+		cumP = append(cumP, p)
+		cumPC = append(cumPC, pc)
 	}
 	// massLE(x) is this rank's P(cost ≤ x); the lt variants are the
 	// strict prefix the closed form needs.
@@ -494,10 +490,10 @@ func rankCVaR(c *cluster.Comm, v shardView, alphas []float64) ([]float64, error)
 // SimulateQAOAOutputs runs the distributed forward pipeline and
 // serves the gather-free outputs the spec selects — sampling, CVaR,
 // overlap, probability queries — on any shard representation
-// (float64, float32, quantized): one lease of a fresh GradEngine. It
-// is the output path the Gather-rejection errors point at: nothing
-// here materializes a node-scale buffer, so it composes with every
-// §V-B memory reduction. Options.Gather must be false (gathering is
+// (float64 or float32 planes, float64 or coded diagonal slices): one
+// lease of a fresh GradEngine. It is the output path the
+// Gather-rejection errors point at: nothing here materializes a
+// node-scale buffer, so it composes with every §V-B memory reduction. Options.Gather must be false (gathering is
 // exactly what this entry point exists to avoid).
 func SimulateQAOAOutputs(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options, spec OutputSpec) (*Result, error) {
 	if opts.Gather {

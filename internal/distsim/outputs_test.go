@@ -11,6 +11,7 @@ import (
 
 	"qokit/internal/core"
 	"qokit/internal/evaluator"
+	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/sampling"
 )
@@ -29,9 +30,10 @@ func rtolDiff(a, b float64) float64 {
 
 // TestDistributedCVaROverlapMatchSingleNode is the tentpole acceptance
 // differential: gather-free CVaR, overlap, most-probable-state, and
-// per-index probabilities computed on sharded float64 and quantized
-// states must match the single-node values to rtol 1e-10 over ranks
-// {1, 2, 4, 8}.
+// per-index probabilities computed on sharded states must match the
+// single-node values to rtol 1e-10 over ranks {1, 2, 4, 8}. Slices held
+// as codes alone give the same outputs bit for bit
+// (TestShardCostFormsMatchBitwise).
 func TestDistributedCVaROverlapMatchSingleNode(t *testing.T) {
 	const rtol = 1e-10
 	rng := rand.New(rand.NewSource(71))
@@ -63,48 +65,46 @@ func TestDistributedCVaROverlapMatchSingleNode(t *testing.T) {
 	refProbs := ref.Probabilities(nil, true)
 	queries := []uint64{0, 7, 128, 255}
 
-	for _, quantize := range []bool{false, true} {
-		for _, ranks := range []int{1, 2, 4, 8} {
-			spec := OutputSpec{CVaRAlphas: alphas, ProbIndices: queries}
-			res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
-				Options{Ranks: ranks, Quantize: quantize}, spec)
-			if err != nil {
-				t.Fatalf("quantize=%v K=%d: %v", quantize, ranks, err)
+	for _, ranks := range []int{1, 2, 4, 8} {
+		spec := OutputSpec{CVaRAlphas: alphas, ProbIndices: queries}
+		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+			Options{Ranks: ranks}, spec)
+		if err != nil {
+			t.Fatalf("K=%d: %v", ranks, err)
+		}
+		if d := rtolDiff(res.Expectation, ref.Expectation()); d > rtol {
+			t.Errorf("K=%d: expectation rtol %g", ranks, d)
+		}
+		if d := rtolDiff(res.Overlap, ref.Overlap()); d > rtol {
+			t.Errorf("K=%d: overlap rtol %g", ranks, d)
+		}
+		if d := rtolDiff(res.MinCost, single.MinCost()); d > rtol {
+			t.Errorf("K=%d: min cost rtol %g", ranks, d)
+		}
+		for i := range alphas {
+			if d := rtolDiff(res.CVaR[i], refCVaR[i]); d > rtol {
+				t.Errorf("K=%d: CVaR(%v) = %v, want %v (rtol %g)",
+					ranks, alphas[i], res.CVaR[i], refCVaR[i], d)
 			}
-			if d := rtolDiff(res.Expectation, ref.Expectation()); d > rtol {
-				t.Errorf("quantize=%v K=%d: expectation rtol %g", quantize, ranks, d)
+		}
+		for i, q := range queries {
+			if d := rtolDiff(res.Probs[i], refProbs[q]); d > rtol {
+				t.Errorf("K=%d: prob[%d] rtol %g", ranks, q, d)
 			}
-			if d := rtolDiff(res.Overlap, ref.Overlap()); d > rtol {
-				t.Errorf("quantize=%v K=%d: overlap rtol %g", quantize, ranks, d)
+		}
+		// Most probable state: the index must attain the global max.
+		if d := rtolDiff(res.MaxProb, refProbs[res.MaxProbIndex]); d > rtol {
+			t.Errorf("K=%d: MaxProb %v but prob[%d]=%v",
+				ranks, res.MaxProb, res.MaxProbIndex, refProbs[res.MaxProbIndex])
+		}
+		wantMax := 0.0
+		for _, pr := range refProbs {
+			if pr > wantMax {
+				wantMax = pr
 			}
-			if d := rtolDiff(res.MinCost, single.MinCost()); d > rtol {
-				t.Errorf("quantize=%v K=%d: min cost rtol %g", quantize, ranks, d)
-			}
-			for i := range alphas {
-				if d := rtolDiff(res.CVaR[i], refCVaR[i]); d > rtol {
-					t.Errorf("quantize=%v K=%d: CVaR(%v) = %v, want %v (rtol %g)",
-						quantize, ranks, alphas[i], res.CVaR[i], refCVaR[i], d)
-				}
-			}
-			for i, q := range queries {
-				if d := rtolDiff(res.Probs[i], refProbs[q]); d > rtol {
-					t.Errorf("quantize=%v K=%d: prob[%d] rtol %g", quantize, ranks, q, d)
-				}
-			}
-			// Most probable state: the index must attain the global max.
-			if d := rtolDiff(res.MaxProb, refProbs[res.MaxProbIndex]); d > rtol {
-				t.Errorf("quantize=%v K=%d: MaxProb %v but prob[%d]=%v",
-					quantize, ranks, res.MaxProb, res.MaxProbIndex, refProbs[res.MaxProbIndex])
-			}
-			wantMax := 0.0
-			for _, pr := range refProbs {
-				if pr > wantMax {
-					wantMax = pr
-				}
-			}
-			if d := rtolDiff(res.MaxProb, wantMax); d > rtol {
-				t.Errorf("quantize=%v K=%d: MaxProb %v, want %v", quantize, ranks, res.MaxProb, wantMax)
-			}
+		}
+		if d := rtolDiff(res.MaxProb, wantMax); d > rtol {
+			t.Errorf("K=%d: MaxProb %v, want %v", ranks, res.MaxProb, wantMax)
 		}
 	}
 }
@@ -153,17 +153,14 @@ func TestDistributedVarianceMatchesSingleNode(t *testing.T) {
 		t.Fatalf("single-node Welford variance %v vs naive %v (rtol %g)", refOut.Variance, ec2-ec*ec, d)
 	}
 
-	for _, quantize := range []bool{false, true} {
-		for _, ranks := range []int{1, 2, 4} {
-			res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
-				Options{Ranks: ranks, Quantize: quantize}, OutputSpec{Variance: true})
-			if err != nil {
-				t.Fatalf("quantize=%v K=%d: %v", quantize, ranks, err)
-			}
-			if d := rtolDiff(res.Variance, refOut.Variance); d > rtol {
-				t.Errorf("quantize=%v K=%d: Variance = %v, want %v (rtol %g)",
-					quantize, ranks, res.Variance, refOut.Variance, d)
-			}
+	for _, ranks := range []int{1, 2, 4} {
+		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+			Options{Ranks: ranks}, OutputSpec{Variance: true})
+		if err != nil {
+			t.Fatalf("K=%d: %v", ranks, err)
+		}
+		if d := rtolDiff(res.Variance, refOut.Variance); d > rtol {
+			t.Errorf("K=%d: Variance = %v, want %v (rtol %g)", ranks, res.Variance, refOut.Variance, d)
 		}
 	}
 
@@ -435,23 +432,28 @@ func TestTwoStageSamplingDeterministic(t *testing.T) {
 }
 
 // TestEngineOutputsMatchStandalone: GradEngine.Outputs on a leased rank
-// group returns the same values as the standalone entry point, for all
-// three shard representations, and EvalOutputs round-trips through the
-// evaluator contract.
+// group returns the same values as the standalone entry point, for
+// float64 and float32 shards and for slices held as codes alone
+// (codedProblem), and EvalOutputs round-trips through the evaluator
+// contract.
 func TestEngineOutputsMatchStandalone(t *testing.T) {
 	const rtol = 1e-10
-	n := 8
-	ts := problems.LABSTerms(n)
 	gamma := []float64{0.3, -0.2}
 	beta := []float64{0.4, 0.1}
 	alphas := []float64{1, 0.1}
 	spec := OutputSpec{CVaRAlphas: alphas, Shots: 64, Seed: 11, ProbIndices: []uint64{0, 255}}
+	codedN, codedTerms := codedProblem(t)
 
-	for _, opts := range []Options{
-		{Ranks: 4},
-		{Ranks: 4, Quantize: true},
-		{Ranks: 4, Precision: PrecisionFloat32},
+	for _, c := range []struct {
+		n    int
+		ts   poly.Terms
+		opts Options
+	}{
+		{8, problems.LABSTerms(8), Options{Ranks: 4}},
+		{codedN, codedTerms, Options{Ranks: 4}},
+		{8, problems.LABSTerms(8), Options{Ranks: 4, Precision: PrecisionFloat32}},
 	} {
+		n, ts, opts := c.n, c.ts, c.opts
 		ref, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta, opts, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -559,6 +561,55 @@ func TestEngineOutputsConcurrent(t *testing.T) {
 	}
 }
 
+// TestCVaROrderConcurrentFirstUse: two leases of a Concurrency-2
+// engine computing CVaR at once both reach the lazy build of each rank
+// slice's cost order (run under -race), on coded and on float64 slices,
+// and both match a single-flight engine bit for bit.
+func TestCVaROrderConcurrentFirstUse(t *testing.T) {
+	ctx := context.Background()
+	x := []float64{0.3, -0.2, 0.4, 0.1}
+	spec := OutputSpec{CVaRAlphas: []float64{0.5, 0.1}}
+	codedN, codedTerms := codedProblem(t)
+	for _, c := range []struct {
+		n  int
+		ts poly.Terms
+	}{{codedN, codedTerms}, {8, oddCost(8)}} {
+		ref, err := NewGradEngine(c.n, c.ts, Options{Ranks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.EvalOutputs(ctx, x, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewGradEngine(c.n, c.ts, Options{Ranks: 2, Concurrency: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, err := eng.EvalOutputs(ctx, x, spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range want.CVaR {
+					if got.CVaR[i] != want.CVaR[i] {
+						t.Errorf("n=%d: concurrent CVaR(%v) = %v, single-flight %v", c.n, spec.CVaRAlphas[i], got.CVaR[i], want.CVaR[i])
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
 // TestOutputsValidation: Gather is rejected, bad specs name the field,
 // and the zero spec still serves the always-present outputs.
 func TestOutputsValidation(t *testing.T) {
@@ -595,23 +646,28 @@ func TestOutputsValidation(t *testing.T) {
 // TestStreamSamplesMatchesBuffered: the chunked distributed sample
 // stream must reproduce the buffered Outputs shot sequence exactly —
 // same two-stage samplers, same seeds, chunking invisible — across
-// rank counts, shard representations, and the restricted-subspace
-// mixer. 10 000 shots cross two SampleChunkSize boundaries.
+// rank counts, shard representations (codedProblem's slices hold codes
+// alone), and the restricted-subspace mixer. 10 000 shots cross two
+// SampleChunkSize boundaries.
 func TestStreamSamplesMatchesBuffered(t *testing.T) {
-	n := 8
-	ts := problems.LABSTerms(n)
 	gamma := []float64{0.3, -0.2}
 	beta := []float64{0.4, 0.1}
 	x := append(append([]float64{}, gamma...), beta...)
 	const shots = 10_000
 	spec := OutputSpec{Shots: shots, Seed: 11}
-	for _, opts := range []Options{
-		{Ranks: 1},
-		{Ranks: 4},
-		{Ranks: 4, Quantize: true},
-		{Ranks: 4, Precision: PrecisionFloat32},
-		{Ranks: 2, Mixer: core.MixerXYRing},
+	codedN, codedTerms := codedProblem(t)
+	for _, c := range []struct {
+		n    int
+		ts   poly.Terms
+		opts Options
+	}{
+		{8, problems.LABSTerms(8), Options{Ranks: 1}},
+		{8, problems.LABSTerms(8), Options{Ranks: 4}},
+		{codedN, codedTerms, Options{Ranks: 4}},
+		{8, problems.LABSTerms(8), Options{Ranks: 4, Precision: PrecisionFloat32}},
+		{8, problems.LABSTerms(8), Options{Ranks: 2, Mixer: core.MixerXYRing}},
 	} {
+		n, ts, opts := c.n, c.ts, c.opts
 		e, err := NewGradEngine(n, ts, opts)
 		if err != nil {
 			t.Fatal(err)

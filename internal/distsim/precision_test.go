@@ -10,68 +10,9 @@ import (
 
 	"qokit/internal/cluster"
 	"qokit/internal/core"
+	"qokit/internal/poly"
 	"qokit/internal/problems"
 )
-
-// TestDistributedQuantizedMatchesFloat64 is the quantized acceptance
-// matrix: with the uint16 diagonal agreed per rank against the global
-// (min, scale), distributed energies, adjoint gradients, MinCost and
-// overlap must equal the float64 distributed path bit for bit over
-// ranks {1,2,4,8} × {x, xy-ring} × p {1,4,12}. Both shards read the
-// same level values — the codes are exact for LABS's integer costs —
-// through the same kernels, and the per-γ table entries are the sincos
-// of the float64 entries.
-func TestDistributedQuantizedMatchesFloat64(t *testing.T) {
-	const n = 8
-	terms := problems.LABSTerms(n)
-	rng := rand.New(rand.NewSource(91))
-	for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
-		for _, p := range []int{1, 4, 12} {
-			gamma, beta := randomAngles(rng, p)
-			for _, ranks := range []int{1, 2, 4, 8} {
-				base := Options{Ranks: ranks, Algo: cluster.Transpose, Mixer: mixer}
-				ref, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				qopts := base
-				qopts.Quantize = true
-				got, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, qopts)
-				if err != nil {
-					t.Fatalf("%v K=%d p=%d quantized: %v", mixer, ranks, p, err)
-				}
-				if got.Energy != ref.Energy {
-					t.Errorf("%v K=%d p=%d: quantized energy %v, float64 %v", mixer, ranks, p, got.Energy, ref.Energy)
-				}
-				for l := 0; l < p; l++ {
-					if got.GradGamma[l] != ref.GradGamma[l] || got.GradBeta[l] != ref.GradBeta[l] {
-						t.Errorf("%v K=%d p=%d layer %d: quantized gradient (%v, %v), float64 (%v, %v)",
-							mixer, ranks, p, l, got.GradGamma[l], got.GradBeta[l], ref.GradGamma[l], ref.GradBeta[l])
-					}
-				}
-				// The diagonal representation changes nothing on the wire.
-				if got.Comm.BytesSent != ref.Comm.BytesSent || got.Comm.Messages != ref.Comm.Messages {
-					t.Errorf("%v K=%d p=%d: quantized traffic (%d B, %d msgs) differs from float64 (%d B, %d msgs)",
-						mixer, ranks, p, got.Comm.BytesSent, got.Comm.Messages, ref.Comm.BytesSent, ref.Comm.Messages)
-				}
-
-				// Forward pipeline: energy, restricted minimum, overlap.
-				fref, err := SimulateQAOA(context.Background(), n, terms, gamma, beta, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fq, err := SimulateQAOA(context.Background(), n, terms, gamma, beta, qopts)
-				if err != nil {
-					t.Fatalf("%v K=%d p=%d quantized forward: %v", mixer, ranks, p, err)
-				}
-				if fq.Expectation != fref.Expectation || fq.MinCost != fref.MinCost || fq.Overlap != fref.Overlap {
-					t.Errorf("%v K=%d p=%d: quantized forward (E %v, min %v, overlap %v), float64 (%v, %v, %v)",
-						mixer, ranks, p, fq.Expectation, fq.MinCost, fq.Overlap, fref.Expectation, fref.MinCost, fref.Overlap)
-				}
-			}
-		}
-	}
-}
 
 // TestDistributedFloat32GradBand is the single-precision acceptance
 // matrix: float32 shards inherit the single-node SoA32 error model, so
@@ -205,9 +146,8 @@ func TestFloat32TrafficHalved(t *testing.T) {
 	}
 }
 
-// TestPrecisionValidationNamesFields asserts every new option-
-// validation error names the offending Options field(s), extending the
-// PR 3 convention to the precision/quantization surface.
+// TestPrecisionValidationNamesFields asserts every precision
+// validation error names the offending Options field(s).
 func TestPrecisionValidationNamesFields(t *testing.T) {
 	terms := problems.LABSTerms(4)
 	cases := []struct {
@@ -215,10 +155,6 @@ func TestPrecisionValidationNamesFields(t *testing.T) {
 		want []string
 	}{
 		{Options{Ranks: 2, Precision: Precision(9)}, []string{"Options.Precision"}},
-		{Options{Ranks: 2, Quantize: true, Precision: PrecisionFloat32}, []string{"Options.Quantize", "Options.Precision"}},
-		{Options{Ranks: 2, QuantScale: -0.5}, []string{"Options.QuantScale"}},
-		{Options{Ranks: 2, QuantScale: 1}, []string{"Options.QuantScale", "Options.Quantize"}},
-		{Options{Ranks: 2, Gather: true, Quantize: true}, []string{"Options.Gather", "Options.Quantize"}},
 		{Options{Ranks: 2, Gather: true, Precision: PrecisionFloat32}, []string{"Options.Gather", "Options.Precision"}},
 	}
 	for _, tc := range cases {
@@ -239,64 +175,6 @@ func TestPrecisionValidationNamesFields(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestValidateEnginePairNamesFields covers the forward/grad pairing
-// check: mismatched precision or quantization between the two engines
-// of one harness fails fast, naming the field.
-func TestValidateEnginePairNamesFields(t *testing.T) {
-	ok := Options{Ranks: 2}
-	if err := ValidateEnginePair(ok, ok); err != nil {
-		t.Errorf("matched pair rejected: %v", err)
-	}
-	cases := []struct {
-		fwd, grad Options
-		want      string
-	}{
-		{Options{Ranks: 2, Precision: PrecisionFloat32}, Options{Ranks: 2}, "Options.Precision"},
-		{Options{Ranks: 2}, Options{Ranks: 2, Quantize: true}, "Options.Quantize"},
-		{Options{Ranks: 2, Quantize: true, QuantScale: 1}, Options{Ranks: 2, Quantize: true, QuantScale: 0.5}, "Options.QuantScale"},
-	}
-	for _, tc := range cases {
-		err := ValidateEnginePair(tc.fwd, tc.grad)
-		if err == nil {
-			t.Errorf("pair (%+v, %+v) accepted", tc.fwd, tc.grad)
-		} else if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("pair (%+v, %+v): error %q does not name %s", tc.fwd, tc.grad, err, tc.want)
-		}
-	}
-}
-
-// TestQuantizedEngineRejectsUnrepresentable: a fixed QuantScale that
-// cannot represent the shards fails engine construction (and the
-// one-shot pipeline) with an error instead of silently rounding — and
-// the group unwinds cleanly, no rank stranded.
-func TestQuantizedEngineRejectsUnrepresentable(t *testing.T) {
-	n := 6
-	// LABS costs are integers, so a coarse scale of 64 cannot represent
-	// the unit steps between adjacent cost levels.
-	terms := problems.LABSTerms(n)
-	if _, err := NewGradEngine(n, terms, Options{Ranks: 4, Quantize: true, QuantScale: 64}); err == nil {
-		t.Error("unrepresentable QuantScale accepted by NewGradEngine")
-	}
-	if _, err := SimulateQAOA(context.Background(), n, terms, []float64{0.3}, []float64{0.2},
-		Options{Ranks: 4, Quantize: true, QuantScale: 64}); err == nil {
-		t.Error("unrepresentable QuantScale accepted by SimulateQAOA")
-	}
-	// A workable explicit scale matches auto selection exactly.
-	a, err := SimulateQAOAGrad(context.Background(), n, terms, []float64{0.3}, []float64{0.2},
-		Options{Ranks: 4, Quantize: true, QuantScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateQAOAGrad(context.Background(), n, terms, []float64{0.3}, []float64{0.2},
-		Options{Ranks: 4, Quantize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Energy != b.Energy || a.GradGamma[0] != b.GradGamma[0] || a.GradBeta[0] != b.GradBeta[0] {
-		t.Errorf("explicit scale 1 (%v) differs from auto (%v)", a.Energy, b.Energy)
 	}
 }
 
@@ -321,19 +199,6 @@ func TestCapsStateBytesReflectPrecision(t *testing.T) {
 			t.Errorf("%v: StateBytes float32 %d vs float64 %d — want exactly half", mixer, b32, b64)
 		}
 	}
-	eq, err := NewGradEngine(8, terms, Options{Ranks: 4, Quantize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e64, err := NewGradEngine(8, terms, Options{Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq.Caps().StateBytes != e64.Caps().StateBytes {
-		t.Errorf("quantized StateBytes %d differs from float64 %d — quantization compresses the diagonal, not the state",
-			eq.Caps().StateBytes, e64.Caps().StateBytes)
-	}
-
 	// The figures count full states (an upper bound on half shards): ψ
 	// and λ, plus the all-to-all receive scratch an x-mixer lease keeps
 	// at K ≥ 2 — a slice per rank under Transpose, a subchunk under
@@ -359,20 +224,25 @@ func TestCapsStateBytesReflectPrecision(t *testing.T) {
 	}
 }
 
-// TestPrecisionEnginesConcurrent hammers the quantized and float32
-// engines with concurrent evaluations (run under -race in CI): leased
-// rank groups must reproduce the single-flight results exactly per
-// representation.
+// TestPrecisionEnginesConcurrent hammers engines on coded slices
+// (codedProblem) and on float32 shards with concurrent evaluations (run
+// under -race in CI): leased rank groups must reproduce the
+// single-flight results exactly per representation.
 func TestPrecisionEnginesConcurrent(t *testing.T) {
-	const n, p, goroutines, reps = 8, 3, 4, 2
-	terms := problems.LABSTerms(n)
+	const p, goroutines, reps = 3, 4, 2
 	rng := rand.New(rand.NewSource(95))
 	gamma, beta := randomAngles(rng, p)
-	for _, opts := range []Options{
-		{Ranks: 4, Algo: cluster.Transpose, Quantize: true, Concurrency: 2},
-		{Ranks: 4, Algo: cluster.Transpose, Precision: PrecisionFloat32, Concurrency: 2},
-		{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing, Precision: PrecisionFloat32, Concurrency: 2},
+	codedN, codedTerms := codedProblem(t)
+	for _, c := range []struct {
+		n     int
+		terms poly.Terms
+		opts  Options
+	}{
+		{codedN, codedTerms, Options{Ranks: 4, Algo: cluster.Transpose, Concurrency: 2}},
+		{8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose, Precision: PrecisionFloat32, Concurrency: 2}},
+		{8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing, Precision: PrecisionFloat32, Concurrency: 2}},
 	} {
+		n, terms, opts := c.n, c.terms, c.opts
 		ref, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)

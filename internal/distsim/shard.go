@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
+	"sync"
 
 	"qokit/internal/cluster"
 	"qokit/internal/core"
@@ -34,15 +36,21 @@ import (
 var serialPool = statevec.NewPool(1)
 
 // rankCost is one rank's slice of the cost diagonal, shared read-only
-// by every lease of an engine: the float64 entries (nil on a quantized
-// shard) and, when the slice is an exact grid or quantized, its level
-// codes, from which every phase gathers e^{−iγ·level} out of a per-γ
-// table. Levels equal the float64 entries bitwise, so both sources give
-// the same states.
+// by every lease of an engine: either the float64 entries or, when the
+// slice is an exact grid, its level codes alone, from which every phase
+// gathers e^{−iγ·level} out of a per-γ table and every reduction reads
+// Min + Scale·code. Levels equal the float64 entries bitwise, so both
+// forms give the same states and outputs. Each rank has its own (Min,
+// Scale): no cross-rank step compares codes.
 type rankCost struct {
 	offset uint64
 	diag   []float64
 	levels *costvec.Quantized
+	// order holds the local indices by ascending cost, ties by index,
+	// built by the first CVaR; once keeps that build safe when two
+	// leases compute CVaR at once.
+	once  sync.Once
+	order []int
 }
 
 // value returns the cost of local index i.
@@ -51,6 +59,42 @@ func (rc *rankCost) value(i int) float64 {
 		return rc.diag[i]
 	}
 	return rc.levels.Value(i)
+}
+
+// ascending returns the slice's local indices by ascending cost, ties
+// by index, sorting them on first use: the cost order is fixed per
+// engine, so every later CVaR only filters and sums along it. Codes
+// rise with their levels, so a coded slice takes a stable counting
+// sort by code.
+func (rc *rankCost) ascending() []int {
+	rc.once.Do(func() {
+		if q := rc.levels; q != nil {
+			next := make([]int, int(q.MaxCode())+2)
+			for _, c := range q.Codes {
+				next[int(c)+1]++
+			}
+			for c := 1; c < len(next); c++ {
+				next[c] += next[c-1]
+			}
+			rc.order = make([]int, len(q.Codes))
+			for i, c := range q.Codes {
+				rc.order[next[c]] = i
+				next[c]++
+			}
+			return
+		}
+		diag := rc.diag
+		order := make([]int, len(diag))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			i, j := order[a], order[b]
+			return diag[i] < diag[j] || diag[i] == diag[j] && i < j
+		})
+		rc.order = order
+	})
+	return rc.order
 }
 
 // phase returns the source of e^{−iγĈ} over the slice. With levels and
@@ -92,26 +136,23 @@ func cutShards(full []float64, n, k int, opts Options) (diags [][]float64, half 
 }
 
 // rankCosts builds each rank's cost source from its float64 slice of
-// the diagonal. Without quants, a slice that is an exact grid of at
-// most 2^(n−k)/core.PhaseTableRatio levels keeps its codes for phase
-// tables: the single-node bound, which on half shards counts the basis
-// states a slice stands for, twice its entries. With quants, the
-// uint16 codes replace the float64 entries.
-func rankCosts(diags [][]float64, quants []*costvec.Quantized, half bool) []rankCost {
+// the diagonal. A slice that is an exact grid of at most
+// 2^(n−k)/core.PhaseTableRatio levels keeps only its uint16 codes, for
+// phase tables and every reduction: the single-node table bound, which
+// on half shards counts the basis states a slice stands for, twice its
+// entries. Any other slice keeps its float64 entries.
+func rankCosts(diags [][]float64, half bool) []rankCost {
 	costs := make([]rankCost, len(diags))
 	for r, diag := range diags {
 		costs[r].offset = uint64(r) * uint64(len(diag))
-		if quants != nil {
-			costs[r].levels = quants[r]
-			continue
-		}
-		costs[r].diag = diag
 		maxLevels := len(diag) / core.PhaseTableRatio
 		if half {
 			maxLevels *= 2
 		}
 		if q, err := costvec.QuantizeExact(diag, maxLevels); err == nil {
 			costs[r].levels = q
+		} else {
+			costs[r].diag = diag
 		}
 	}
 	return costs
@@ -524,6 +565,6 @@ func (sh *shard[T]) view() shardView {
 			r, m := float64(re[i]), float64(im[i])
 			return r*r + m*m
 		},
-		cost: sh.cost.value,
+		cost: sh.cost.value, ascending: sh.cost.ascending,
 	}
 }

@@ -6,8 +6,8 @@
 // restarts from the last captured boundary with bit-identical state —
 // replaying the remaining layers applies exactly the operators the
 // uninterrupted run would have, so checkpointed and uninterrupted
-// results agree bitwise, in all three shard representations (float64,
-// float32, quantized-diagonal).
+// results agree bitwise, in every shard representation (float64 or
+// float32 planes, float64 or coded diagonal slices).
 //
 // The capture protocol is collective: a barrier publishes every rank's
 // copy, rank 0 alone writes the file, and a second barrier keeps peers
@@ -32,22 +32,21 @@ import (
 
 const (
 	shardSnapshotKind    = "qokit/shard-snapshot"
-	shardSnapshotVersion = 1
+	shardSnapshotVersion = 2
 )
 
 // ShardSnapshot is the durable image of a distributed run at one layer
 // boundary: every rank's amplitude shard plus the metadata a resuming
 // run is validated against. Exactly one amplitude representation is
-// populated — Shards for float64 state, encoded as complex128 (the
-// float64 and quantized-diagonal paths; quantization compresses the
-// cost diagonal, never the state), or Re/Im for float32 planes.
+// populated — Shards for float64 state, encoded as complex128, or Re/Im
+// for float32 planes. The diagonal's form is not recorded: it follows
+// from the problem, and coded slices never change the state.
 type ShardSnapshot struct {
 	N             int
 	Ranks         int
 	Mixer         core.Mixer
 	HammingWeight int
 	Precision     Precision
-	Quantize      bool
 	// Layer counts completed phase+mixer layers: resuming applies
 	// layers Layer…p−1.
 	Layer int
@@ -70,7 +69,6 @@ func (s *ShardSnapshot) Encode() []byte {
 	e.Int(int(s.Mixer))
 	e.Int(s.HammingWeight)
 	e.Int(int(s.Precision))
-	e.Bool(s.Quantize)
 	e.Int(s.Layer)
 	e.F64s(s.GammaPrefix)
 	e.F64s(s.BetaPrefix)
@@ -102,7 +100,6 @@ func DecodeShardSnapshot(payload []byte) (*ShardSnapshot, error) {
 		Mixer:         core.Mixer(d.Int()),
 		HammingWeight: d.Int(),
 		Precision:     Precision(d.Int()),
-		Quantize:      d.Bool(),
 		Layer:         d.Int(),
 	}
 	if err := d.Err(); err != nil {
@@ -113,7 +110,7 @@ func DecodeShardSnapshot(payload []byte) (*ShardSnapshot, error) {
 	}
 	k, err := Options{
 		Ranks: s.Ranks, Mixer: s.Mixer, HammingWeight: s.HammingWeight,
-		Precision: s.Precision, Quantize: s.Quantize,
+		Precision: s.Precision,
 	}.validate(s.N)
 	if err != nil {
 		return nil, fmt.Errorf("distsim: shard snapshot metadata: %w", err)
@@ -192,8 +189,6 @@ func (s *ShardSnapshot) compat(n int, gamma, beta []float64, opts Options) error
 			s.HammingWeight, opts.hammingWeight(n))
 	case s.Precision != opts.Precision:
 		return fmt.Errorf("distsim: checkpoint precision %v does not match run precision %v", s.Precision, opts.Precision)
-	case s.Quantize != opts.Quantize:
-		return fmt.Errorf("distsim: checkpoint Quantize=%t does not match run Quantize=%t", s.Quantize, opts.Quantize)
 	case s.Layer > p:
 		return fmt.Errorf("distsim: checkpoint at layer %d exceeds run depth p=%d", s.Layer, p)
 	}
@@ -317,7 +312,7 @@ func SimulateQAOACheckpointed(ctx context.Context, n int, terms poly.Terms, gamm
 	plan.snap = &ShardSnapshot{
 		N: n, Ranks: opts.Ranks, Mixer: opts.Mixer,
 		HammingWeight: opts.hammingWeight(n),
-		Precision:     opts.Precision, Quantize: opts.Quantize,
+		Precision:     opts.Precision,
 	}
 	for r := 0; r < opts.Ranks; r++ {
 		if opts.Precision == PrecisionFloat32 {

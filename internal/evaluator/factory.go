@@ -6,9 +6,9 @@ import "context"
 // shrink capacity instead of being handed live engine pointers at
 // construction. Cost metadata is available *before* the first build —
 // Caps() must not require New() to have been called — which is what
-// lets an elastic pool pack heterogeneous evaluators (float64/float32/
-// quantized, local/sharded/light-cone) against a memory budget before
-// paying for any of them.
+// lets an elastic pool pack heterogeneous evaluators (float64/float32,
+// local/sharded/light-cone) against a memory budget before paying for
+// any of them.
 //
 // Implementations are free to share heavy immutable state (a problem
 // diagonal, per-rank shards, a cone decomposition) across builds and

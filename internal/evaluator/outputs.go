@@ -10,8 +10,8 @@ import (
 // the quantities a hardware QAOA run would produce from shots rather
 // than from the exact state. Every engine computes them gather-free:
 // the distributed implementations never materialize a node-scale
-// buffer, which is what lets the §V-B memory-reduced shards (float32,
-// quantized) serve as full solver backends.
+// buffer, which is what lets the §V-B memory-reduced shards (float32
+// planes, uint16-coded diagonal slices) serve as full solver backends.
 //
 // The zero value requests nothing beyond the always-present outputs
 // (energy, ground-state overlap, minimum cost, most probable state).

@@ -10,7 +10,7 @@ package poly_test
 //	Terms.Eval  ≈  Canonical().Eval  ≈  Compiled.Eval
 //	Compiled.Eval  ==  costvec.Precompute  ==  costvec.PrecomputePool
 //	               ==  costvec.PrecomputeRange slices   (bit for bit)
-//	            ==  Quantize(…, 1/8).Expand()   (all weights dyadic)
+//	            ==  QuantizeExact(…).Expand()   (all weights dyadic)
 //
 // A decoded weight may be divided by 3, so inputs reach both of the
 // precompute's routes: the blocked WHT for weights that sum exactly
@@ -121,11 +121,11 @@ func FuzzTermsCompileAndPrecompute(f *testing.F) {
 		}
 
 		// Dyadic weights (multiples of 1/8) make every cost an exact
-		// multiple of 1/8, so the §V-B uint16 quantization must round-
-		// trip exactly whenever the range fits its capacity.
+		// multiple of 1/8, so the §V-B uint16 codes must round-trip
+		// exactly whenever the range fits their capacity.
 		lo, hi := costvec.MinMax(diag)
 		if dyadic && hi-lo <= 0.125*65535 {
-			q, err := costvec.Quantize(diag, 0.125)
+			q, err := costvec.QuantizeExact(diag, 1<<16)
 			if err != nil {
 				t.Fatalf("exact-representable diagonal rejected: %v", err)
 			}
@@ -141,7 +141,7 @@ func FuzzTermsCompileAndPrecompute(f *testing.F) {
 		// single-entry phase table — never a zero/NaN step or a
 		// divide-by-zero in code assignment.
 		if hi == lo {
-			q, err := costvec.QuantizeAuto(diag)
+			q, err := costvec.QuantizeExact(diag, 1)
 			if err != nil {
 				t.Fatalf("constant diagonal rejected: %v", err)
 			}

@@ -1,11 +1,11 @@
 // Package registry decouples problem definition from evaluator
 // construction: callers register a problem once (terms + qubit count +
 // mixer family) and get back a canonical key; every evaluator factory
-// then acquires the problem's precomputed cost diagonal — float64 and,
-// on demand, quantized — from a byte-budgeted LRU cache instead of
-// re-building the 2ⁿ diagonal per construction. A second EvalBatch for
-// the same graph therefore performs zero diagonal-precompute work,
-// which is the property the registry_cache_hit bench row gates.
+// then acquires the problem's precomputed float64 cost diagonal from a
+// byte-budgeted LRU cache instead of re-building the 2ⁿ diagonal per
+// construction. A second EvalBatch for the same graph therefore
+// performs zero diagonal-precompute work, which is the property the
+// registry_cache_hit bench row gates.
 //
 // Entries are refcounted: eviction under budget pressure removes an
 // entry from the LRU immediately, but its diagonal is only reclaimed
@@ -57,12 +57,11 @@ type Key string
 
 // Options configures a Registry.
 type Options struct {
-	// MaxBytes caps the resident bytes of cached diagonals (float64
-	// plus quantized forms, 8·2ⁿ + 2·2ⁿ per fully-materialized entry,
-	// the same byte accounting evaluator Caps().StateBytes uses for
-	// state buffers). 0 means unlimited. Entries pinned by in-flight
-	// acquisitions may hold the cache transiently over budget; they
-	// are reclaimed on final release.
+	// MaxBytes caps the resident bytes of cached diagonals (8·2ⁿ per
+	// entry, the same byte accounting evaluator Caps().StateBytes uses
+	// for state buffers). 0 means unlimited. Entries pinned by
+	// in-flight acquisitions may hold the cache transiently over
+	// budget; they are reclaimed on final release.
 	MaxBytes int64
 }
 
@@ -74,15 +73,14 @@ type Stats struct {
 	Hits          int64 // acquisitions served from cache (incl. resurrections)
 	Misses        int64 // acquisitions that had to precompute
 	Precomputes   int64 // float64 diagonal precomputes actually run
-	Quantizes     int64 // quantized forms actually built
 	Evictions     int64 // LRU evictions under budget pressure
-	ResidentBytes int64 // bytes of cached forms currently in the LRU
+	ResidentBytes int64 // bytes of cached diagonals currently in the LRU
 	PinnedBytes   int64 // bytes held by evicted-but-still-referenced entries
 }
 
 // Registry is the problem cache. All methods are safe for concurrent
-// use; diagonal precompute and quantization run outside the registry
-// lock so a large miss does not stall unrelated hits.
+// use; diagonal precompute runs outside the registry lock so a large
+// miss does not stall unrelated hits.
 type Registry struct {
 	mu    sync.Mutex
 	opts  Options
@@ -99,17 +97,15 @@ type entry struct {
 	spec     Spec
 	compiled poly.Compiled
 
-	// Cached forms. diag == nil means not materialized (never built,
-	// or reclaimed after eviction). building/quantizing are non-nil
-	// while a build is in flight so concurrent acquirers wait instead
-	// of duplicating the precompute.
-	diag       []float64
-	quant      *costvec.Quantized
-	bytes      int64
-	refs       int
-	evicted    bool
-	building   chan struct{}
-	quantizing chan struct{}
+	// The cached diagonal. diag == nil means not materialized (never
+	// built, or reclaimed after eviction). building is non-nil while a
+	// build is in flight so concurrent acquirers wait instead of
+	// duplicating the precompute.
+	diag     []float64
+	bytes    int64
+	refs     int
+	evicted  bool
+	building chan struct{}
 
 	prev, next *entry
 }
@@ -206,7 +202,7 @@ func (r *Registry) Stats() Stats {
 	return r.stats
 }
 
-// Handle is one refcounted acquisition of a problem's cached forms.
+// Handle is one refcounted acquisition of a problem's cached diagonal.
 // The diagonal it exposes stays valid — even across an eviction —
 // until Release.
 type Handle struct {
@@ -303,16 +299,15 @@ func (r *Registry) evictLocked() {
 	}
 }
 
-// reclaim drops an entry's cached forms. The float64 diagonal is
-// poisoned with NaN first so any use-after-release — the bug class the
-// refcounting exists to prevent — turns into a loud non-finite energy
-// instead of a silent stale read.
+// reclaim drops an entry's cached diagonal, poisoning it with NaN
+// first so any use-after-release — the bug class the refcounting exists
+// to prevent — turns into a loud non-finite energy instead of a silent
+// stale read.
 func reclaim(e *entry) {
 	for i := range e.diag {
 		e.diag[i] = math.NaN()
 	}
 	e.diag = nil
-	e.quant = nil
 	e.bytes = 0
 	e.evicted = false
 }
@@ -327,60 +322,8 @@ func (h *Handle) Key() Key { return h.e.key }
 // Spec returns the normalized problem spec.
 func (h *Handle) Spec() Spec { return h.e.spec }
 
-// Quantized returns the problem's uint16-quantized diagonal, building
-// and caching it on first use (its 2·2ⁿ bytes join the entry's budget
-// accounting). The quantization is computed once over the full
-// diagonal, so per-rank slices of it are globally consistent without
-// any cross-rank agreement step.
-func (h *Handle) Quantized() (*costvec.Quantized, error) {
-	r, e := h.r, h.e
-	for {
-		r.mu.Lock()
-		if h.released {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("registry: Quantized on released handle for %s", e.key)
-		}
-		if e.quant != nil {
-			q := e.quant
-			r.mu.Unlock()
-			return q, nil
-		}
-		if e.quantizing != nil {
-			done := e.quantizing
-			r.mu.Unlock()
-			<-done
-			continue
-		}
-		e.quantizing = make(chan struct{})
-		diag := e.diag
-		r.stats.Quantizes++
-		r.mu.Unlock()
-
-		q, err := costvec.QuantizeAuto(diag)
-
-		r.mu.Lock()
-		close(e.quantizing)
-		e.quantizing = nil
-		if err != nil {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("registry: quantizing diagonal for %s: %w", e.key, err)
-		}
-		e.quant = q
-		qb := int64(q.MemoryBytes())
-		e.bytes += qb
-		if e.evicted {
-			r.stats.PinnedBytes += qb
-		} else {
-			r.stats.ResidentBytes += qb
-			r.evictLocked()
-		}
-		r.mu.Unlock()
-		return q, nil
-	}
-}
-
 // Release drops the handle's reference. When the last reference to an
-// evicted entry is released, its cached forms are reclaimed; a later
+// evicted entry is released, its diagonal is reclaimed; a later
 // Acquire recomputes from scratch.
 func (h *Handle) Release() {
 	r, e := h.r, h.e

@@ -77,17 +77,11 @@ func TestCacheHitSkipsPrecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Quantized(); err != nil {
-			t.Fatal(err)
-		}
 		h.Release()
 	}
 	st := r.Stats()
 	if st.Precomputes != 1 {
 		t.Errorf("Precomputes = %d after repeated acquisitions, want 1", st.Precomputes)
-	}
-	if st.Quantizes != 1 {
-		t.Errorf("Quantizes = %d after repeated Quantized calls, want 1", st.Quantizes)
 	}
 	if st.Hits != 5 || st.Misses != 1 {
 		t.Errorf("Hits/Misses = %d/%d, want 5/1", st.Hits, st.Misses)

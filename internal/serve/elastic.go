@@ -1,7 +1,7 @@
 // Elastic scheduling: the Service's worker pool grows and shrinks from
 // observed queue depth. Workers are built on demand from
 // evaluator.Factory descriptors — so the pool can pack heterogeneous
-// capacity (float64/float32/quantized workspaces, sharded rank groups,
+// capacity (float64/float32 workspaces, sharded rank groups,
 // light-cone fan-outs) against one memory budget using each factory's
 // up-front Caps().StateBytes cost metadata — and retire back to their
 // factories after sitting idle, returning state-vector-scale memory.

@@ -9,6 +9,8 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
+	"qokit/internal/graphs"
+	"qokit/internal/poly"
 	"qokit/internal/problems"
 )
 
@@ -63,13 +65,20 @@ func TestServiceOutputsMatchEngine(t *testing.T) {
 }
 
 // TestServiceOutputsDistributedPool: output requests schedule over a
-// distributed engine's rank-group leases like energy requests, for the
-// plain and quantized representations.
+// distributed engine's rank-group leases like energy requests, for
+// float64 diagonal slices (LABS n = 7) and uint16-coded ones (3-regular
+// MaxCut n = 10, whose K = 2 half slices are exact grids).
 func TestServiceOutputsDistributedPool(t *testing.T) {
-	n := 7
-	ts := problems.LABSTerms(n)
-	for _, quantize := range []bool{false, true} {
-		eng, err := distsim.NewGradEngine(n, ts, distsim.Options{Ranks: 2, Quantize: quantize, Concurrency: 2})
+	g, err := graphs.RandomRegular(10, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prob := range []struct {
+		name string
+		n    int
+		ts   poly.Terms
+	}{{"labs", 7, problems.LABSTerms(7)}, {"maxcut", 10, problems.MaxCutTerms(g)}} {
+		eng, err := distsim.NewGradEngine(prob.n, prob.ts, distsim.Options{Ranks: 2, Concurrency: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +97,7 @@ func TestServiceOutputsDistributedPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.CVaR[0] != want.CVaR[0] || got.Overlap != want.Overlap {
-			t.Errorf("quantize=%v: service outputs diverged", quantize)
+			t.Errorf("%s: service outputs diverged", prob.name)
 		}
 		s.Close()
 	}

@@ -17,7 +17,7 @@ import (
 // and both sources give bit-identical states.
 //
 // Diag may be nil when Codes is set: a codes-only source, as a
-// quantized diagonal shard holds. The split-layout reductions
+// distributed rank whose diagonal slice is an exact grid holds. The split-layout reductions
 // (ReversePhase, Expectation, MulCost) then read level_k = Min +
 // Scale·k, which equals the float64 entry bitwise when the codes are
 // an exact grid. The complex128 reductions require Diag.

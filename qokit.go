@@ -17,8 +17,8 @@
 //   - one-line helpers for common problems (MaxCutTerms, LABSTerms,
 //     SATTerms, PortfolioData.PortfolioTerms) feeding NewSimulator,
 //   - a low-level API (ChooseSimulator, Options, backends, mixers,
-//     the distributed engine with its quantized diagonal) for
-//     everything else.
+//     the distributed engine with its float32 and uint16-coded shards)
+//     for everything else.
 //
 // A minimal end-to-end evaluation of the QAOA objective — the paper's
 // Listing 1 — looks like:

@@ -16,9 +16,8 @@ import (
 // elastic evaluation service — the registered-problem → autoscaled-pool
 // layer that replaces caller-built simulators feeding a fixed pool:
 //
-//   - ProblemRegistry holds each registered problem's precomputed cost
-//     diagonal (float64 and, on demand, uint16-quantized) in a
-//     byte-budgeted LRU keyed by a canonical hash of the terms, qubit
+//   - ProblemRegistry holds each registered problem's precomputed
+//     float64 cost diagonal (8·2ⁿ bytes) in a byte-budgeted LRU keyed by a canonical hash of the terms, qubit
 //     count, and mixer family. Every evaluator factory for the same
 //     problem shares one precompute; a second batch against the same
 //     graph performs zero diagonal work.
@@ -125,9 +124,10 @@ func NewSweepFactory(reg *ProblemRegistry, key ProblemKey, opts Options, workers
 // registered problem. Each build is one rank-group lease whose per-rank
 // diagonal shards are slices of the registry's cached full diagonal —
 // growing the pool by one engine pays for cluster state buffers only,
-// never a second precompute, and quantized shards share one global
-// (min, scale) with no agreement collective. The spec's mixer and
-// Hamming weight override dopts.
+// never a second precompute. A rank whose slice is an exact grid holds
+// its uint16 codes, as NewDistributedGradEngine does, but the
+// registry's float64 diagonal stays cached beside them. The spec's
+// mixer and Hamming weight override dopts.
 func NewDistributedFactory(reg *ProblemRegistry, key ProblemKey, dopts DistOptions) (EvaluatorFactory, error) {
 	spec, err := registeredSpec(reg, key)
 	if err != nil {
