@@ -144,8 +144,8 @@ func (r MixerRoute) String() string {
 // the complex128 backends (Serial, Parallel) and as the cache-tiled
 // F = 2 kernel (§VI's gate fusion, RX⊗RX on qubit pairs) on SoA in
 // either precision; no option selects between them. Likewise no
-// option selects the half state (see Simulator): it follows from the
-// backend, the mixer, InitialState, n and the diagonal, and setting
+// option selects the group state (see Simulator): it follows from the
+// backend, the mixer, InitialState and the diagonal, and setting
 // InitialState, even to the uniform state, keeps the full state.
 type Options struct {
 	Backend Backend
@@ -204,27 +204,33 @@ type Options struct {
 // holds, so states are bit-identical either way; other diagonals (SK,
 // portfolio) keep per-amplitude sincos.
 //
-// When the cost is flip-symmetric — diag[x] == diag[x̄] bitwise for the
-// bitwise complement x̄ of every x, as for LABS, MaxCut and SK, whose
-// terms all have even degree — and the simulator runs SoA (in either
-// precision) with the x mixer, the default |+⟩ start and n ≥ 2, every
-// state it evolves keeps ψ(x) = ψ(x̄), and so does the adjoint's bra.
-// It then stores ψ and λ over the 2^(n−1) representatives x < 2^(n−1)
-// only: half the memory and half the traffic of every pass, the same
-// one-more-qubit gain §V-B buys with float32. The stored values are
-// the full state's amplitudes; outputs (StateVector, Probabilities,
-// Overlap, CVaR, Variance, samples) expand them to all 2^n basis
-// states, and Caps still reports the full state as an upper bound.
-// Serial, Parallel, the xy mixers, costs with odd-degree terms and any
-// caller-supplied InitialState keep the full state.
+// When the cost diagonal is invariant under XOR masks — diag[x ⊕ g] ==
+// diag[x] bitwise for every x and every g of a group H, as the
+// complement is for LABS, MaxCut and SK (terms of even degree) and the
+// alternating flip is for LABS — and the simulator runs SoA (in either
+// precision) with the x mixer and the default |+⟩ start, every state
+// it evolves keeps ψ(x ⊕ g) = ψ(x), and so does the adjoint's bra.
+// costvec.SymmetryPivots picks h ≤ n−1 elements of H that carry the
+// top h bits one each, and the simulator stores ψ and λ over the
+// 2^(n−h) indices whose top h bits are zero only: 2^−h of the memory
+// and of the traffic of every pass. MaxCut and SK take h = 1, the half
+// state; LABS takes h = 2, a quarter state, two qubits where §V-B's
+// float32 gains one. The stored values are the full state's amplitudes;
+// outputs (StateVector, Probabilities, Overlap, CVaR, Variance,
+// samples) expand them to all 2^n basis states through x ↦ x ⊕ g, g
+// the element that carries x's top bits, and Caps still reports the
+// full state as an upper bound. Serial, Parallel, the xy mixers, costs
+// whose symmetries carry no top bit (h = 0) and any caller-supplied
+// InitialState keep the full state.
 type Simulator struct {
 	n       int
 	opts    Options
 	backend Backend
 	pool    *statevec.Pool
-	// half is set when states are stored over the 2^(n−1)
-	// representatives x < 2^(n−1) of a flip-symmetric cost (half.go).
-	half bool
+	// group holds the 2^h symmetry-group elements a state is stored
+	// over, indexed by their top h bits (half.go); {0} stores the full
+	// state.
+	group []uint64
 
 	diag []float64
 	// levels holds the level codes the phase tables are indexed by (an
@@ -240,8 +246,8 @@ type Simulator struct {
 
 	minCost      float64
 	groundStates []uint64
-	// costCache holds the lazily-built ascending-cost basis order for
-	// CVaR.
+	// costCache holds the lazily-built ascending-cost order of the
+	// stored indices for CVaR.
 	costCache costOrderCache
 
 	initial statevec.Vec
@@ -312,14 +318,17 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if opts.SinglePrecision && opts.RecomputePhase {
 		return nil, fmt.Errorf("core: SinglePrecision does not compose with RecomputePhase")
 	}
-	symmetric, err := costvec.CheckDiagonal(diag)
-	if err != nil {
+	if _, err := costvec.CheckDiagonal(diag); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	s.half = symmetric && n >= 2 && backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil
+	var pivots []uint64
+	if backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil {
+		pivots = costvec.SymmetryPivots(diag)
+	}
+	s.group = groupOf(pivots)
 	// The Fig. 2 ablation must keep re-deriving f(x) per phase
-	// application, so it never takes tables. A half state's codes cover
-	// the representatives only.
+	// application, so it never takes tables. A group state's codes
+	// cover the stored indices only, which hold every level.
 	if !opts.RecomputePhase {
 		if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/PhaseTableRatio); err == nil {
 			s.levels = q

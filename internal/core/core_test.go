@@ -483,7 +483,7 @@ func checkRecomputePhase(t *testing.T, c tableCase, opts Options, gamma, beta []
 		t.Fatal(err)
 	}
 	requireTableSide(t, label, pre, c.table)
-	requireHalfSide(t, label, pre, half)
+	requireGroupSide(t, label, pre, half)
 	recOpts := opts
 	recOpts.RecomputePhase = true
 	rec, err := New(c.n, c.terms, recOpts)
@@ -491,7 +491,7 @@ func checkRecomputePhase(t *testing.T, c tableCase, opts Options, gamma, beta []
 		t.Fatal(err)
 	}
 	requireTableSide(t, label+"/recompute", rec, false)
-	requireHalfSide(t, label+"/recompute", rec, half)
+	requireGroupSide(t, label+"/recompute", rec, half)
 	r1, err := pre.SimulateQAOA(gamma, beta)
 	if err != nil {
 		t.Fatal(err)
@@ -551,10 +551,10 @@ func TestPhaseTableRule(t *testing.T) {
 			t.Fatalf("%s: %v", c.label, err)
 		}
 		requireTableSide(t, c.label, s, c.table)
-		if s.half && s.levels != nil {
+		if len(s.group) > 1 && s.levels != nil {
 			full, err := costvec.QuantizeExact(s.diag, len(s.diag)/PhaseTableRatio)
-			if err != nil || !slices.Equal(s.levels.Codes, full.Codes[:len(s.diag)/2]) {
-				t.Errorf("%s: half-state codes are not the first half of the full diagonal's (%v)", c.label, err)
+			if err != nil || !slices.Equal(s.levels.Codes, full.Codes[:s.stored()]) {
+				t.Errorf("%s: group-state codes are not the stored prefix of the full diagonal's (%v)", c.label, err)
 			}
 		}
 	}

@@ -41,10 +41,11 @@ import (
 // reverse pass, versus 4p simulations for central finite differences —
 // the asymptotic win the high-depth regime needs. The reverse stays
 // per qubit even where the forward pass fuses qubit pairs: a pair-fused
-// reverse measured slower. On a half state (see Simulator) both states
-// hold the representatives only, qubit n−1's joint step is the mirror
-// reverse that runs before the tiled step, and every reduction over
-// the stored amplitudes is half the full state's, so it is doubled.
+// reverse measured slower. On a group state (see Simulator) both states
+// hold the 2^(n−h) stored indices only, each top qubit's joint step is
+// a pivot reverse pass that runs before the tiled step, and every
+// reduction over the stored amplitudes is 2^−h of the full state's, so
+// it is scaled by 2^h.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
@@ -114,7 +115,7 @@ func (s *Simulator) SimulateQAOAGradObsInto(w *GradBuffers, gamma, beta, obs, gr
 }
 
 // adjoint is the shared gradient loop: forward pass, λ = obs⊙ψ_p (the
-// cost diagonal when obs is nil; its symmetric projection on a half
+// cost diagonal when obs is nil; its symmetric projection on a group
 // state), then one joint reverse step per layer.
 func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(gamma) != len(beta) {
@@ -135,7 +136,7 @@ func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBet
 	}
 	var energy float64
 	if obs == nil {
-		obs, energy = s.diag, w.psi.Expectation()
+		energy = w.psi.Expectation()
 	} else {
 		var err error
 		if energy, err = w.psi.ExpectationOf(obs); err != nil {
@@ -170,7 +171,7 @@ func (s *Simulator) reverseLayer(w *GradBuffers, gamma, beta float64, undo bool)
 	if undo {
 		ph = s.phase(psi, gamma)
 	}
-	// The mirror goes first: the tiled step reads the phase term in its
+	// The pivots go first: the tiled step reads the phase term in its
 	// last pass, after every RX of the layer is undone.
 	mirror := s.reverseMirrorRX(w, beta)
 	if lam.soa32 != nil {
@@ -295,16 +296,21 @@ func (s *Simulator) reversePhaseRecompute(lam, psi *Result, gamma float64, undo 
 	return s.pool.Reduce(len(lv), reduce)
 }
 
-// seedBra sets λ = obs⊙ψ without allocating: a copy and a diagonal
-// multiply on the full state, and on a half state one pass of
-// seedHalf, which reads each complement entry of obs on the fly.
+// seedBra sets λ = obs⊙ψ without allocating, with the cost diagonal
+// for a nil obs: a copy and a diagonal multiply on the full state, and
+// on a group state one pass of seedGroup, which reads each orbit entry
+// of obs on the fly (the cost's one entry per orbit suffices).
 func (s *Simulator) seedBra(w *GradBuffers, obs []float64) {
 	lam, psi := w.lam, w.psi
+	group := s.group
+	if obs == nil {
+		obs, group = s.diag, group[:1]
+	}
 	switch {
-	case s.half && psi.soa32 != nil:
-		seedHalf(s.pool, lam.soa32.Re, lam.soa32.Im, psi.soa32.Re, psi.soa32.Im, obs)
-	case s.half:
-		seedHalf(s.pool, lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im, obs)
+	case len(s.group) > 1 && psi.soa32 != nil:
+		seedGroup(s.pool, lam.soa32.Re, lam.soa32.Im, psi.soa32.Re, psi.soa32.Im, obs, group)
+	case len(s.group) > 1:
+		seedGroup(s.pool, lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im, obs, group)
 	case psi.soa32 != nil:
 		lam.soa32.Copy(psi.soa32)
 		lam.soa32.MulDiag(s.pool, obs)

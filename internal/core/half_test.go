@@ -18,24 +18,36 @@ import (
 	"qokit/internal/statevec"
 )
 
-// requireHalfSide asserts which side of the half-state rule s is on,
-// so a test meant to cover one side cannot silently drift to the other.
-func requireHalfSide(tb testing.TB, label string, s *Simulator, want bool) {
+// requireGroupSide asserts which side of the group-state rule s is on
+// (a state stored over h ≥ 1 pivots, or the full state), so a test
+// meant to cover one side cannot silently drift to the other.
+func requireGroupSide(tb testing.TB, label string, s *Simulator, want bool) {
 	tb.Helper()
-	if s.half != want {
-		tb.Fatalf("%s: stores the half state = %v, want %v", label, s.half, want)
+	if got := len(s.group) > 1; got != want {
+		tb.Fatalf("%s: stores a group state = %v, want %v", label, got, want)
 	}
 }
 
-// namedTerms is one problem instance of the half-state tests.
+// requirePivots asserts that s stores its states over exactly h pivots.
+func requirePivots(tb testing.TB, label string, s *Simulator, h int) {
+	tb.Helper()
+	if got := s.pivots(); got != h {
+		tb.Fatalf("%s: stores the state over %d pivots, want %d", label, got, h)
+	}
+}
+
+// namedTerms is one problem instance of the group-state tests, with the
+// number of pivots its simulator must take.
 type namedTerms struct {
 	name  string
 	terms poly.Terms
+	h     int
 }
 
-// halfProblems returns the flip-symmetric families at n qubits, whose
-// terms all have even degree: LABS, MaxCut (a ring below 4 vertices,
-// else a random 3-regular graph, 4-regular for odd n) and SK.
+// halfProblems returns the families whose symmetry group at n qubits is
+// the complement alone, {0, 1…1}, so they take the half state (h = 1):
+// MaxCut (a ring below 4 vertices, else a random 3-regular graph,
+// 4-regular for odd n) and SK.
 func halfProblems(t *testing.T, n int) []namedTerms {
 	t.Helper()
 	g := graphs.Ring(n)
@@ -46,15 +58,36 @@ func halfProblems(t *testing.T, n int) []namedTerms {
 		}
 	}
 	return []namedTerms{
-		{"labs", problems.LABSTerms(n)},
-		{"maxcut", problems.MaxCutTerms(g)},
-		{"sk", skTerms(n, int64(100+n))},
+		{"maxcut", problems.MaxCutTerms(g), 1},
+		{"sk", skTerms(n, int64(100+n)), 1},
 	}
 }
 
-// TestHalfStateRule pins which simulators store the half state: SoA in
-// either precision with the x mixer, the default start, n ≥ 2 and a
-// flip-symmetric diagonal, whatever the phase options; nothing else.
+// labsZ0 is LABS plus one Z₀ field. At even n its symmetry group is
+// {0, 1010…10}, the alternating flip that leaves qubit 0 alone, so it
+// takes one pivot whose μ is not the complement; at odd n that flip
+// misses the top qubit and the state stays full.
+func labsZ0(n int) poly.Terms {
+	return problems.LABSTerms(n).Plus(poly.New(poly.NewTerm(1, 0)))
+}
+
+// quarterProblems returns LABS, whose symmetry group {0, 0101…,
+// 1010…, 1…1} gives it two pivots from n = 4 on (the quarter state),
+// and at even n LABS plus a Z₀ field (one pivot, μ = 1010…10).
+func quarterProblems(t *testing.T, n int) []namedTerms {
+	t.Helper()
+	out := []namedTerms{{"labs", problems.LABSTerms(n), min(2, n-1)}}
+	if n%2 == 0 && n >= 4 {
+		out = append(out, namedTerms{"labs+z0", labsZ0(n), 1})
+	}
+	return out
+}
+
+// TestHalfStateRule pins which simulators store a group state, and over
+// how many pivots: SoA in either precision with the x mixer, the
+// default start and a diagonal whose symmetry group carries top bits,
+// whatever the phase options; nothing else. Caps keeps reporting the
+// full state.
 func TestHalfStateRule(t *testing.T) {
 	const n = 8
 	g, err := graphs.RandomRegular(n, 3, 5)
@@ -66,36 +99,48 @@ func TestHalfStateRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	labs := problems.LABSTerms(n)
+	z0z1 := labsZ0(n).Plus(poly.New(poly.NewTerm(1, 1)))
 	for _, c := range []struct {
 		label string
 		n     int
 		terms poly.Terms
 		opts  Options
-		half  bool
+		h     int
 	}{
-		{"labs soa", n, labs, Options{Backend: BackendSoA}, true},
-		{"labs auto", n, labs, Options{}, true},
-		{"labs soa32", n, labs, Options{SinglePrecision: true}, true},
-		{"maxcut", n, problems.MaxCutTerms(g), Options{}, true},
-		{"sk", n, skTerms(n, 5), Options{}, true},
-		{"labs SeparatePhase", n, labs, Options{SeparatePhase: true}, true},
-		{"labs RecomputePhase", n, labs, Options{RecomputePhase: true}, true},
-		{"labs n=2", 2, problems.LABSTerms(2), Options{}, true},
-		{"labs serial", n, labs, Options{Backend: BackendSerial}, false},
-		{"labs parallel", n, labs, Options{Backend: BackendParallel}, false},
-		{"sat", n, problems.SATTerms(sat), Options{}, false},
-		{"maxcut with a linear field", n, append(problems.MaxCutTerms(g), poly.NewTerm(0.5, 2)), Options{}, false},
-		{"portfolio under x", n, problems.SyntheticPortfolio(n, n/2, 0.5, 3).PortfolioTerms(), Options{}, false},
-		{"labs custom InitialState", n, labs, Options{InitialState: statevec.NewUniform(n)}, false},
-		{"labs xy-ring", n, labs, Options{Mixer: MixerXYRing}, false},
-		{"labs xy-complete", n, labs, Options{Mixer: MixerXYComplete, SinglePrecision: true}, false},
-		{"constant n=1", 1, poly.New(poly.NewTerm(0.5)), Options{}, false},
+		{"labs soa", n, labs, Options{Backend: BackendSoA}, 2},
+		{"labs auto", n, labs, Options{}, 2},
+		{"labs soa32", n, labs, Options{SinglePrecision: true}, 2},
+		{"maxcut", n, problems.MaxCutTerms(g), Options{}, 1},
+		{"sk", n, skTerms(n, 5), Options{}, 1},
+		{"labs+z0 even n", n, labsZ0(n), Options{}, 1},
+		{"labs+z0 odd n", n + 1, labsZ0(n + 1), Options{}, 0},
+		{"labs+z0+z1", n, z0z1, Options{}, 0},
+		{"labs SeparatePhase", n, labs, Options{SeparatePhase: true}, 2},
+		{"labs RecomputePhase", n, labs, Options{RecomputePhase: true}, 2},
+		{"labs n=2", 2, problems.LABSTerms(2), Options{}, 1},
+		{"labs n=3", 3, problems.LABSTerms(3), Options{}, 1},
+		{"labs serial", n, labs, Options{Backend: BackendSerial}, 0},
+		{"labs parallel", n, labs, Options{Backend: BackendParallel}, 0},
+		{"sat", n, problems.SATTerms(sat), Options{}, 0},
+		{"maxcut with a linear field", n, append(problems.MaxCutTerms(g), poly.NewTerm(0.5, 2)), Options{}, 0},
+		{"portfolio under x", n, problems.SyntheticPortfolio(n, n/2, 0.5, 3).PortfolioTerms(), Options{}, 0},
+		{"labs custom InitialState", n, labs, Options{InitialState: statevec.NewUniform(n)}, 0},
+		{"labs xy-ring", n, labs, Options{Mixer: MixerXYRing}, 0},
+		{"labs xy-complete", n, labs, Options{Mixer: MixerXYComplete, SinglePrecision: true}, 0},
+		{"constant n=1", 1, poly.New(poly.NewTerm(0.5)), Options{}, 0},
 	} {
 		s, err := New(c.n, c.terms, c.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
-		requireHalfSide(t, c.label, s, c.half)
+		requirePivots(t, c.label, s, c.h)
+		for x := range s.diag {
+			for _, g := range s.group {
+				if s.diag[x] != s.diag[uint64(x)^g] {
+					t.Fatalf("%s: group element %b does not fix the cost at %d", c.label, g, x)
+				}
+			}
+		}
 		want := int64(16) << uint(c.n)
 		if c.opts.SinglePrecision {
 			want /= 2
@@ -106,23 +151,37 @@ func TestHalfStateRule(t *testing.T) {
 	}
 }
 
-// TestHalfStateDifferential is the half state's differential gate. Its
-// subjects are the half-state SoA and SoA32 simulators; its references
-// are the full state on the same backend (reached through an explicit
-// uniform InitialState), the Serial backend (n ≤ 14) and the gate-level
-// simulator (n ≤ 10). On LABS, MaxCut and SK at n ∈ {2, 3, 8, 13, 14,
-// 18} and p ∈ {1, 4, 12} it checks energies and adjoint gradients,
-// observable gradients for a symmetric and a non-symmetric observable,
-// incremental ApplyLayer, and every output, each to 1e-12 of the
-// reference's max-norm in float64 and within the SoA32 band (2e-3) in
-// float32; the samples pass a χ² test against the full state. At
-// n = 18 the observables and the outputs run at p = 4 only, which keeps
-// the suite's race-detector run short; n ≥ 14 already runs the tiled
-// kernels' later passes on the half planes.
+// TestHalfStateDifferential is the half state's differential gate, on
+// MaxCut and SK (one pivot, the complement). Its subjects are the
+// half-state SoA and SoA32 simulators; its references are the full
+// state on the same backend (reached through an explicit uniform
+// InitialState), the Serial backend (n ≤ 14) and the gate-level
+// simulator (n ≤ 10), at n ∈ {2, 3, 8, 13, 14, 18} and p ∈ {1, 4, 12}
+// (see runGroupDifferential).
 func TestHalfStateDifferential(t *testing.T) {
-	ns := []int{2, 3, 8, 13, 14, 18}
+	runGroupDifferential(t, []int{2, 3, 8, 13, 14, 18}, halfProblems)
+}
+
+// TestQuarterStateDifferential is the same gate for LABS, which stores
+// a quarter state (two pivots) from n = 4 on, and for LABS plus a Z₀
+// field at even n, whose one pivot pairs i with i ⊕ 1010…10 instead of
+// the mirror.
+func TestQuarterStateDifferential(t *testing.T) {
+	runGroupDifferential(t, []int{4, 5, 8, 13, 14, 18}, quarterProblems)
+}
+
+// runGroupDifferential checks, for each problem at each n, energies
+// and adjoint gradients, observable gradients for a complement-symmetric
+// and a non-symmetric observable, incremental ApplyLayer, and every
+// output, each to 1e-12 of the reference's max-norm in float64 and
+// within the SoA32 band (2e-3) in float32; the samples pass a χ² test
+// against the full state. At n = 18 the observables and the outputs
+// run at p = 4 only, which keeps the suite's race-detector run short,
+// and -short skips n = 18; n ≥ 14 already runs the tiled kernels' later
+// passes on the stored planes.
+func runGroupDifferential(t *testing.T, ns []int, problemsAt func(*testing.T, int) []namedTerms) {
 	if testing.Short() {
-		ns = ns[:5]
+		ns = ns[:len(ns)-1]
 	}
 	rng := rand.New(rand.NewSource(61))
 	for _, n := range ns {
@@ -133,7 +192,7 @@ func TestHalfStateDifferential(t *testing.T) {
 			sym[x] = float64(min(x, x^(size-1))*37%11) - 4.5
 			asym[x] = float64(x%7) - 2.5
 		}
-		for _, prob := range halfProblems(t, n) {
+		for _, prob := range problemsAt(t, n) {
 			serial, err := New(n, prob.terms, Options{Backend: BackendSerial})
 			if err != nil {
 				t.Fatal(err)
@@ -149,8 +208,8 @@ func TestHalfStateDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireHalfSide(t, label, half, true)
-				requireHalfSide(t, label+" full", full, false)
+				requirePivots(t, label, half, prob.h)
+				requireGroupSide(t, label+" full", full, false)
 				refs := map[string]*Simulator{"full": full}
 				if n <= 14 {
 					refs["serial"] = serial
@@ -222,9 +281,9 @@ func checkHalfGrad(t *testing.T, label string, half *Simulator, refs map[string]
 	}
 }
 
-// checkHalfOutputs compares every output of the half state with the
+// checkHalfOutputs compares every output of a group state with the
 // full state's: incremental ApplyLayer (bit-identical to a whole
-// evolution), the expanded state vector (exactly flip-symmetric),
+// evolution), the expanded state vector (exactly fixed by the group),
 // norm, probabilities in both preserveState modes, overlap, CVaR,
 // variance, and EvalOutputs' energy, variance and most probable state.
 func checkHalfOutputs(t *testing.T, label string, half, full *Simulator, gamma, beta []float64, tol float64) {
@@ -248,10 +307,11 @@ func checkHalfOutputs(t *testing.T, label string, half, full *Simulator, gamma, 
 	if d := statevec.MaxAbsDiff(inc.StateVector(), sv); d != 0 {
 		t.Errorf("%s: incremental ApplyLayer differs from SimulateQAOA by %g", label, d)
 	}
-	mask := len(sv) - 1
 	for x := range sv {
-		if sv[x] != sv[x^mask] {
-			t.Fatalf("%s: expanded state not flip-symmetric at %d", label, x)
+		for _, g := range half.group {
+			if sv[x] != sv[uint64(x)^g] {
+				t.Fatalf("%s: expanded state not fixed by group element %b at %d", label, g, x)
+			}
 		}
 	}
 	// Amplitudes and probabilities are O(2^−n/2) and O(2^−n), so the
@@ -409,9 +469,10 @@ func checkHalfGateLevel(t *testing.T, label string, half *Simulator, terms poly.
 	maxNormClose(t, label+" probabilities vs gate level", r.Probabilities(nil, true), v.Probabilities(nil), 1e-12, 1)
 }
 
-// TestHalfSeedSymmetricObsBitwise: on a half state the adjoint's bra
-// seed for a symmetric observable equals obs_r·ψ_r bit for bit, as the
-// full state's copy-and-multiply seed computes it.
+// TestHalfSeedSymmetricObsBitwise: on a group state (LABS, two pivots)
+// the adjoint's bra seed for an observable the group fixes equals
+// obs_i·ψ_i bit for bit, as the full state's copy-and-multiply seed
+// computes it.
 func TestHalfSeedSymmetricObsBitwise(t *testing.T) {
 	const n = 9
 	rng := rand.New(rand.NewSource(67))
@@ -425,7 +486,7 @@ func TestHalfSeedSymmetricObsBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireHalfSide(t, "labs", s, true)
+		requirePivots(t, "labs", s, 2)
 		w := s.NewGradBuffers()
 		if err := s.SimulateQAOAInto(w.psi, gamma, beta); err != nil {
 			t.Fatal(err)
@@ -434,10 +495,10 @@ func TestHalfSeedSymmetricObsBitwise(t *testing.T) {
 		want := s.NewResult()
 		if single {
 			want.soa32.Copy(w.psi.soa32)
-			want.soa32.MulDiag(s.pool, obs[:1<<(n-1)])
+			want.soa32.MulDiag(s.pool, obs[:s.stored()])
 		} else {
 			want.soa.Copy(w.psi.soa)
-			want.soa.MulDiag(s.pool, obs[:1<<(n-1)])
+			want.soa.MulDiag(s.pool, obs[:s.stored()])
 		}
 		if d := statevec.MaxAbsDiff(w.lam.StateVector(), want.StateVector()); d != 0 {
 			t.Errorf("single=%v: symmetric seed differs from obs⊙ψ by %g", single, d)
@@ -449,9 +510,10 @@ func TestHalfSeedSymmetricObsBitwise(t *testing.T) {
 var halfSink float64
 
 // BenchmarkHalfState times a forward evaluation (energy) and an adjoint
-// gradient on LABS at n = 18 and 20, p = 8, on the half state and on
-// the full state of the same diagonal, reached through an explicit
-// uniform InitialState.
+// gradient at n = 18 and 20, p = 8, on both sides of the group-state
+// rule: LABS on its quarter state (labs-h2) and on the full state of
+// the same diagonal, reached through an explicit uniform InitialState
+// (labs-full), and 3-regular MaxCut on its half state (maxcut-h1).
 func BenchmarkHalfState(b *testing.B) {
 	const p = 8
 	gamma, beta := make([]float64, p), make([]float64, p)
@@ -461,19 +523,30 @@ func BenchmarkHalfState(b *testing.B) {
 	}
 	gG, gB := make([]float64, p), make([]float64, p)
 	for _, n := range []int{18, 20} {
-		diag := problemDiag(b, n)
+		labs := problemDiag(b, n)
+		g, err := graphs.RandomRegular(n, 3, int64(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		maxcut, err := New(n, problems.MaxCutTerms(g), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, side := range []struct {
 			name string
+			diag []float64
 			opts Options
+			h    int
 		}{
-			{"half", Options{}},
-			{"full", Options{InitialState: statevec.NewUniform(n)}},
+			{"labs-h2", labs, Options{}, 2},
+			{"maxcut-h1", maxcut.CostDiagonal(), Options{}, 1},
+			{"labs-full", labs, Options{InitialState: statevec.NewUniform(n)}, 0},
 		} {
-			s, err := NewFromDiagonal(n, diag, side.opts)
+			s, err := NewFromDiagonal(n, side.diag, side.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			requireHalfSide(b, side.name, s, side.name == "half")
+			requirePivots(b, side.name, s, side.h)
 			r, buf := s.NewResult(), s.NewGradBuffers()
 			b.Run(fmt.Sprintf("n=%d/forward/%s", n, side.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

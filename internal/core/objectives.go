@@ -3,8 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
+
+	"qokit/internal/costvec"
 )
 
 // Variance returns Var(Ĉ) = ⟨Ĉ²⟩ − ⟨Ĉ⟩² over the evolved state,
@@ -24,31 +25,32 @@ func (r *Result) Variance() float64 {
 // expectation; small α rewards states whose low-cost tail is heavy —
 // the standard trick for making QAOA optimization target the solution
 // quality a sampler would actually deliver. The per-call cost is one
-// pass over the diagonal's precomputed sort order, which the simulator
-// builds lazily on first use and caches (one more reuse of the §III-A
-// precomputation idea).
+// walk of the stored amplitudes along the diagonal's precomputed sort
+// order, which the simulator builds lazily on first use and caches
+// (one more reuse of the §III-A precomputation idea). On a group state
+// each stored amplitude carries the probability of its 2^h basis
+// states, which share its cost.
 func (r *Result) CVaR(alpha float64) (float64, error) {
 	if alpha <= 0 || alpha > 1 {
 		return 0, fmt.Errorf("core: CVaR level %v outside (0,1]", alpha)
 	}
 	s := r.sim
-	order := s.costOrder()
-	probs := r.Probabilities(nil, true)
+	weight := s.weight()
 	remaining := alpha
 	var acc float64
 	last := math.NaN() // largest positive-probability cost visited
-	for _, x := range order {
-		p := probs[x]
+	for _, i := range s.costOrder() {
+		p := weight * r.prob(i)
 		if p <= 0 {
 			continue
 		}
-		last = s.diag[x]
+		last = s.diag[i]
 		if p >= remaining {
-			acc += remaining * s.diag[x]
+			acc += remaining * s.diag[i]
 			remaining = 0
 			break
 		}
-		acc += p * s.diag[x]
+		acc += p * s.diag[i]
 		remaining -= p
 	}
 	// remaining > 0 can only stem from normalization rounding; treat
@@ -62,25 +64,20 @@ func (r *Result) CVaR(alpha float64) (float64, error) {
 	return acc / alpha, nil
 }
 
-// costOrderCache lazily holds the ascending-cost basis order; the
-// sync.Once guard keeps the first build safe when concurrent Results
-// on one Simulator hit CVaR simultaneously.
+// costOrderCache lazily holds the ascending-cost order of the stored
+// indices; the sync.Once guard keeps the first build safe when
+// concurrent Results on one Simulator hit CVaR simultaneously.
 type costOrderCache struct {
 	once  sync.Once
-	order []uint64
+	order []int
 }
 
-// costOrder returns (building and caching on first use) the basis
-// states sorted by ascending cost.
-func (s *Simulator) costOrder() []uint64 {
+// costOrder returns (building and caching on first use) the stored
+// indices by ascending cost, ties by index: a counting sort by level
+// code when the simulator holds codes (costvec.Ascending, which
+// distsim's ranks share).
+func (s *Simulator) costOrder() []int {
 	c := &s.costCache
-	c.once.Do(func() {
-		order := make([]uint64, len(s.diag))
-		for i := range order {
-			order[i] = uint64(i)
-		}
-		sort.Slice(order, func(a, b int) bool { return s.diag[order[a]] < s.diag[order[b]] })
-		c.order = order
-	})
+	c.once.Do(func() { c.order = costvec.Ascending(s.diag[:s.stored()], s.levels) })
 	return c.order
 }

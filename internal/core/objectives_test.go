@@ -80,7 +80,7 @@ func TestVarianceMatchesEvalOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("%v single=%v half=%v", sim.Backend(), opts.SinglePrecision, sim.half)
+		label := fmt.Sprintf("%v single=%v h=%d", sim.Backend(), opts.SinglePrecision, sim.pivots())
 		r, err := sim.SimulateQAOA(gamma, beta)
 		if err != nil {
 			t.Fatal(err)

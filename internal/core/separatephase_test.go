@@ -59,8 +59,8 @@ func checkSeparatePhase(t *testing.T, n int, name string, diag []float64, symmet
 			t.Fatalf("n=%d %s separate: %v", n, base.name, err)
 		}
 		half := symmetric && base.opts.Backend == BackendSoA
-		requireHalfSide(t, name+" "+base.name, fs, half)
-		requireHalfSide(t, name+" "+base.name+" separate", sp, half)
+		requireGroupSide(t, name+" "+base.name, fs, half)
+		requireGroupSide(t, name+" "+base.name+" separate", sp, half)
 		rf, err := fs.SimulateQAOA(gamma, beta)
 		if err != nil {
 			t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 
 // Result is the evolved QAOA state together with the simulator that
 // produced it. Mirroring QOKit, the underlying representation depends
-// on the backend (complex128 vector or SoA pair) and, for
-// flip-symmetric costs on SoA, holds only the 2^(n−1) representatives
-// (see Simulator); portable consumers should use the output methods
+// on the backend (complex128 vector or SoA pair) and, for symmetric
+// costs on SoA, holds only the 2^(n−h) indices whose top h bits are
+// zero (see Simulator); portable consumers should use the output methods
 // (Expectation, Overlap, StateVector, Probabilities), which always
 // speak of all 2^n basis states, rather than reach into the
 // representation.
@@ -45,7 +45,7 @@ func (s *Simulator) SimulateQAOA(gamma, beta []float64) (*Result, error) {
 }
 
 // NewResult allocates a state buffer sized for this simulator's
-// backend (half of it on a half state), for reuse across many
+// backend (2^(n−h) amplitudes on a group state), for reuse across many
 // SimulateQAOAInto calls. The buffer holds no meaningful state until
 // the first evolution.
 func (s *Simulator) NewResult() *Result {
@@ -134,8 +134,8 @@ func (s *Simulator) bindResult(r *Result) error {
 // prefixes). With the x mixer the phase folds into the first mixer
 // pass (bit-identical to the separate passes, one traversal cheaper);
 // the xy mixers, recomputed phases and the SeparatePhase ablation run
-// the two operators separately. A half state then runs qubit n−1's
-// mirror pass.
+// the two operators separately. A group state then runs its top
+// qubits' pivot passes.
 func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) {
 	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase {
 		s.applyFusedLayer(r, gamma, beta)
@@ -257,7 +257,7 @@ func (s *Simulator) applyMixer(r *Result, beta float64) {
 }
 
 // applyMixerSweep runs the transverse-field mixer alone: the tiled
-// F = 2 kernel on the split layouts (and the mirror pass on a half
+// F = 2 kernel on the split layouts (and the pivot passes on a group
 // state), Algorithm 2's per-qubit sweep on complex128.
 func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
 	switch {
@@ -304,10 +304,10 @@ func (r *Result) ExpectationOf(diag []float64) (float64, error) {
 		return 0, fmt.Errorf("%w: %d, want 2^%d = %d", ErrObservableLength, len(diag), s.n, 1<<uint(s.n))
 	}
 	switch {
-	case s.half && r.soa32 != nil:
-		return expectHalf(s.pool, r.soa32.Re, r.soa32.Im, diag), nil
-	case s.half:
-		return expectHalf(s.pool, r.soa.Re, r.soa.Im, diag), nil
+	case len(s.group) > 1 && r.soa32 != nil:
+		return expectGroup(s.pool, r.soa32.Re, r.soa32.Im, diag, s.group), nil
+	case len(s.group) > 1:
+		return expectGroup(s.pool, r.soa.Re, r.soa.Im, diag, s.group), nil
 	}
 	if r.soa32 != nil {
 		return r.soa32.ExpectationDiag(s.pool, diag), nil
@@ -322,41 +322,45 @@ func (r *Result) ExpectationOf(diag []float64) (float64, error) {
 }
 
 // Overlap returns the probability of measuring an optimal solution:
-// Σ_{x∈argmin} |ψ_x|² (QOKit's get_overlap). A half state reads each
-// ground state at its representative.
+// Σ_{x∈argmin} |ψ_x|² (QOKit's get_overlap). A group state reads each
+// ground state at its stored index.
 func (r *Result) Overlap() float64 {
-	if r.soa32 != nil {
-		var s float64
-		for _, x := range r.sim.groundStates {
-			i := r.sim.rep(x)
-			re, im := float64(r.soa32.Re[i]), float64(r.soa32.Im[i])
-			s += re*re + im*im
-		}
-		return s
+	if r.vec != nil {
+		return statevec.OverlapStates(r.vec, r.sim.groundStates)
 	}
-	if r.soa != nil {
-		var s float64
-		for _, x := range r.sim.groundStates {
-			i := r.sim.rep(x)
-			s += r.soa.Re[i]*r.soa.Re[i] + r.soa.Im[i]*r.soa.Im[i]
-		}
-		return s
+	var s float64
+	for _, x := range r.sim.groundStates {
+		s += r.prob(int(r.sim.rep(x)))
 	}
-	return statevec.OverlapStates(r.vec, r.sim.groundStates)
+	return s
+}
+
+// prob returns |ψ_i|² of stored amplitude i, in float64.
+func (r *Result) prob(i int) float64 {
+	switch {
+	case r.soa32 != nil:
+		re, im := float64(r.soa32.Re[i]), float64(r.soa32.Im[i])
+		return re*re + im*im
+	case r.soa != nil:
+		return r.soa.Re[i]*r.soa.Re[i] + r.soa.Im[i]*r.soa.Im[i]
+	default:
+		a := r.vec[i]
+		return real(a)*real(a) + imag(a)*imag(a)
+	}
 }
 
 // StateVector returns the evolved state as a complex128 vector
 // (QOKit's get_statevector) over all 2^n basis states, expanded from
-// the representatives on a half state. The returned slice is a copy.
+// the stored indices on a group state. The returned slice is a copy.
 func (r *Result) StateVector() statevec.Vec {
-	if r.sim.half {
+	if len(r.sim.group) > 1 {
 		v := make(statevec.Vec, 1<<uint(r.sim.n))
 		if r.soa32 != nil {
 			planesInto(v, r.soa32.Re, r.soa32.Im)
 		} else {
 			planesInto(v, r.soa.Re, r.soa.Im)
 		}
-		mirrorFill(v)
+		groupFill(v, r.sim.group)
 		return v
 	}
 	if r.soa32 != nil {
@@ -373,22 +377,22 @@ func (r *Result) StateVector() statevec.Vec {
 // preserveState is false the full-state SoA backend is permitted to
 // overwrite its real parts with the probabilities to save a pass —
 // mirroring the preserve_state=False memory optimization of Listing 3
-// — after which the Result must not be reused. A half state's planes
+// — after which the Result must not be reused. A group state's planes
 // are too short to hold 2^n probabilities, so it fills dst (expanded
-// from the representatives) either way.
+// from the stored indices) either way.
 func (r *Result) Probabilities(dst []float64, preserveState bool) []float64 {
-	if r.sim.half {
+	if len(r.sim.group) > 1 {
 		full := 1 << uint(r.sim.n)
 		if cap(dst) < full {
 			dst = make([]float64, full)
 		}
 		dst = dst[:full]
 		if r.soa32 != nil {
-			r.soa32.Probabilities(dst[:full/2])
+			r.soa32.Probabilities(dst[:r.sim.stored()])
 		} else {
-			r.soa.Probabilities(dst[:full/2])
+			r.soa.Probabilities(dst[:r.sim.stored()])
 		}
-		mirrorFill(dst)
+		groupFill(dst, r.sim.group)
 		return dst
 	}
 	if r.soa32 != nil {

@@ -38,8 +38,8 @@ func checkPoolSizeInvariance(t *testing.T, rng *rand.Rand, n int, diag []float64
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("n=%d single=%v half=%v sim %d (workers %d)", n, opts.SinglePrecision, s.half, k, s.Workers())
-		requireHalfSide(t, label, s, opts.InitialState == nil)
+		label := fmt.Sprintf("n=%d single=%v h=%d sim %d (workers %d)", n, opts.SinglePrecision, s.pivots(), k, s.Workers())
+		requireGroupSide(t, label, s, opts.InitialState == nil)
 		r, err := s.SimulateQAOA(gamma, beta)
 		if err != nil {
 			t.Fatal(err)

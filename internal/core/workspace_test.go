@@ -116,7 +116,7 @@ func forEachWorkspaceConfig(t *testing.T, n int, check func(label string, sim *S
 				if start != nil {
 					label += "/explicit start"
 				}
-				requireHalfSide(t, label, sim, start == nil && mixer == MixerX && opts.Backend == BackendSoA)
+				requireGroupSide(t, label, sim, start == nil && mixer == MixerX && opts.Backend == BackendSoA)
 				check(label, sim, sim.NewWorkspace())
 			}
 		}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"qokit/internal/poly"
 	"qokit/internal/statevec"
@@ -195,11 +196,11 @@ func signed(w float64, x uint64) float64 {
 // CheckDiagonal scans a full 2^n diagonal once, reading each
 // complement pair (x, x̄) together. It returns an error wrapping
 // poly.ErrNonFiniteCost that names a NaN or ±Inf entry, and otherwise
-// reports whether diag[x] == diag[x̄] bitwise for every x: the
-// flip symmetry that lets an engine store the half state. The
-// single-node and distributed engines both decide the half state
-// here, so they cannot disagree about which costs take it. Only
-// weights that fail exactSums can overflow to ±Inf.
+// reports whether diag[x] == diag[x̄] bitwise for every x: the flip
+// symmetry that lets the distributed engine hold half shards. The
+// single-node engine reads its wider symmetry group from
+// SymmetryPivots instead. Only weights that fail exactSums can
+// overflow to ±Inf.
 func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 	mask := len(diag) - 1
 	symmetric = true
@@ -215,6 +216,157 @@ func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 		symmetric = symmetric && math.Float64bits(a) == math.Float64bits(b)
 	}
 	return symmetric, nil
+}
+
+// searchPasses bounds SymmetryPivots to 4·2^n diagonal reads, so a
+// diagonal with many entries equal to diag[0] costs a few passes, not
+// one pass per candidate.
+const searchPasses = 4
+
+// SymmetryPivots searches the XOR-symmetry group of a 2^n diagonal,
+// H = {m : diag[x ⊕ m] == diag[x] bitwise for every x}, for pivots: it
+// returns h elements, pivots[j] ∈ H for j < h, whose top h bits are bit
+// n−h+j alone and whose lower n−h bits μ_j are not all zero. A state
+// that every element of H leaves unchanged (as QAOA with the x mixer
+// and the |+⟩ start does) is then fixed by its 2^(n−h) amplitudes whose
+// top h bits are zero, and qubit n−h+j's RX pairs stored index i with
+// i ⊕ μ_j. LABS gives h = 2 (H holds the complement and the
+// alternating flips); MaxCut and SK give h = 1 with the complement.
+//
+// The search is deterministic. For each leading bit l from n−1 down,
+// it looks for an element of H with that leading bit: it walks the
+// candidates m ∈ [2^l, 2^(l+1)) from the top, and each m with
+// diag[m] == diag[0] is verified over every pair (x, x ⊕ m), stopping
+// at the first mismatch. It takes the first l with no element as the
+// end of the pivots and reduces them so that each top part is a single
+// bit. A pivot whose μ is zero (a qubit the cost ignores) takes a
+// lower-only element of H when one is found, else h drops by one.
+// Every read counts against a budget of searchPasses·2^n; when it runs
+// out, the pivots found so far stand, so h is the largest the budget
+// establishes. h ≤ n−1, and h = 0 (nil) keeps the full state.
+func SymmetryPivots(diag []float64) []uint64 {
+	pivots, _ := symmetryPivots(diag, searchPasses*len(diag))
+	return pivots
+}
+
+// symmetryPivots is SymmetryPivots with an explicit read budget; it
+// also returns the reads spent.
+func symmetryPivots(diag []float64, budget int) ([]uint64, int) {
+	n := bits.Len(uint(len(diag))) - 1
+	s := &groupSearch{diag: diag, budget: budget}
+	// basis[i] has leading bit n−1−i.
+	var basis []uint64
+	for l := n - 1; l >= 1; l-- {
+		g := s.find(l)
+		if g == 0 {
+			break
+		}
+		basis = append(basis, g)
+	}
+	h := len(basis)
+	// Clear the lower pivots' leading bits from the higher pivots,
+	// bottom up, so that each top part is its own bit.
+	for i := h - 2; i >= 0; i-- {
+		for j := i + 1; j < h; j++ {
+			if basis[i]>>uint(n-1-j)&1 == 1 {
+				basis[i] ^= basis[j]
+			}
+		}
+	}
+	if zeroLower(basis, n-h) {
+		// A lower-only element of H gives every coset a nonzero μ. The
+		// loop above already found none with leading bit n−h−1, unless
+		// it stopped at bit 1 with h = n−1.
+		from := n - h - 2
+		if h == n-1 {
+			from = 0
+		}
+		var low uint64
+		for l := from; l >= 0 && low == 0; l-- {
+			low = s.find(l)
+		}
+		if low == 0 && h > 0 {
+			// Without one, the lowest pivot becomes the lower-only
+			// element of h−1.
+			h--
+			low, basis = basis[h], basis[:h]
+		}
+		for i, g := range basis {
+			if g&(1<<uint(n-h)-1) == 0 {
+				basis[i] ^= low
+			}
+		}
+	}
+	// Pivot j carries qubit n−h+j, basis[h−1−j]'s leading bit.
+	var pivots []uint64
+	for i := h - 1; i >= 0; i-- {
+		pivots = append(pivots, basis[i])
+	}
+	return pivots, s.reads
+}
+
+// zeroLower reports whether some element of basis has no bit below
+// bit low set.
+func zeroLower(basis []uint64, low int) bool {
+	for _, g := range basis {
+		if g&(1<<uint(low)-1) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// groupSearch is the state of one SymmetryPivots search: the diagonal,
+// the read budget and the reads spent.
+type groupSearch struct {
+	diag   []float64
+	budget int
+	reads  int
+}
+
+// find returns the largest element of the symmetry group whose leading
+// bit is l, or 0 when there is none or the budget runs out first.
+func (s *groupSearch) find(l int) uint64 {
+	want := math.Float64bits(s.diag[0])
+	for m := 2<<uint(l) - 1; m >= 1<<uint(l); m-- {
+		if !s.spend(1) {
+			return 0
+		}
+		if math.Float64bits(s.diag[m]) == want && s.verify(m, l) {
+			return uint64(m)
+		}
+	}
+	return 0
+}
+
+// spend counts k more reads, or reports false, reading nothing more,
+// once they would exceed the budget.
+func (s *groupSearch) spend(k int) bool {
+	if s.reads+k > s.budget {
+		s.budget = s.reads
+		return false
+	}
+	s.reads += k
+	return true
+}
+
+// verify reports whether diag[x] == diag[x ⊕ m] bitwise for every x,
+// reading each pair once from the x with bit l (m's leading bit) clear
+// and stopping at the first mismatch or when the budget runs out.
+func (s *groupSearch) verify(m, l int) bool {
+	d := s.diag
+	step := 2 << uint(l)
+	for base := 0; base < len(d); base += step {
+		for x := base; x < base+step/2; x++ {
+			if !s.spend(2) {
+				return false
+			}
+			if math.Float64bits(d[x]) != math.Float64bits(d[x^m]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -371,6 +523,38 @@ func (q *Quantized) MaxCode() uint16 {
 		}
 	}
 	return m
+}
+
+// Ascending returns the indices of a cost slice by ascending cost,
+// ties by index: a stable counting sort by code when q holds the
+// slice's level codes (codes rise with their levels), else a
+// comparison sort of diag. CVaR walks this order, which is fixed per
+// engine, so both engines build it once.
+func Ascending(diag []float64, q *Quantized) []int {
+	if q != nil {
+		next := make([]int, int(q.MaxCode())+2)
+		for _, c := range q.Codes {
+			next[int(c)+1]++
+		}
+		for c := 1; c < len(next); c++ {
+			next[c] += next[c-1]
+		}
+		order := make([]int, len(q.Codes))
+		for i, c := range q.Codes {
+			order[next[c]] = i
+			next[c]++
+		}
+		return order
+	}
+	order := make([]int, len(diag))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		return diag[i] < diag[j] || diag[i] == diag[j] && i < j
+	})
+	return order
 }
 
 // PhaseTable tabulates e^{−iγ(Min+Scale·k)} for every code k in use.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -213,11 +214,12 @@ func TestPrecomputeBitIdentical(t *testing.T) {
 	check("LABS n=16", 16, problems.LABSTerms(16))
 }
 
-// TestCheckDiagonal pins the one scan both engines decide the half
-// state by: bitwise flip symmetry for even-degree costs, none for a
-// cost with an odd-degree term or for a −0 facing a +0, and an error
-// wrapping poly.ErrNonFiniteCost that names a NaN or ±Inf entry in
-// either half, down to the one-entry diagonal of n = 0.
+// TestCheckDiagonal pins the scan that rejects non-finite diagonals
+// and decides distsim's half shards: bitwise flip symmetry for
+// even-degree costs, none for a cost with an odd-degree term or for a
+// −0 facing a +0, and an error wrapping poly.ErrNonFiniteCost that
+// names a NaN or ±Inf entry in either half, down to the one-entry
+// diagonal of n = 0.
 func TestCheckDiagonal(t *testing.T) {
 	const n = 6
 	g, err := graphs.RandomRegular(n, 3, 2)
@@ -254,6 +256,328 @@ func TestCheckDiagonal(t *testing.T) {
 	}
 	if _, err := CheckDiagonal([]float64{math.NaN()}); !errors.Is(err, poly.ErrNonFiniteCost) {
 		t.Errorf("n=0 NaN: error %v, want ErrNonFiniteCost", err)
+	}
+}
+
+// bruteGroup returns every XOR mask that fixes diag bitwise.
+func bruteGroup(diag []float64) []uint64 {
+	var group []uint64
+	for m := range diag {
+		ok := true
+		for x := range diag {
+			if math.Float64bits(diag[x]) != math.Float64bits(diag[x^m]) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			group = append(group, uint64(m))
+		}
+	}
+	return group
+}
+
+// ruleH applies the pivot rule to a whole group: the largest h ≤ n−1
+// such that for each of the top h bits the group holds an element whose
+// top h bits are that bit alone and whose lower n−h bits are not all
+// zero.
+func ruleH(n int, group []uint64) int {
+	for h := n - 1; h >= 1; h-- {
+		ok := true
+		for j := 0; j < h && ok; j++ {
+			ok = false
+			for _, g := range group {
+				if g>>uint(n-h) == 1<<uint(j) && g&(1<<uint(n-h)-1) != 0 {
+					ok = true
+					break
+				}
+			}
+		}
+		if ok {
+			return h
+		}
+	}
+	return 0
+}
+
+// checkPivots requires pivots to obey the rule's shape on diag: pivot j
+// fixes diag bitwise, its top h bits are bit n−h+j alone, and its
+// lower bits are not all zero.
+func checkPivots(t *testing.T, label string, diag []float64, pivots []uint64) {
+	t.Helper()
+	n := bits.Len(uint(len(diag) - 1))
+	h := len(pivots)
+	for j, g := range pivots {
+		if g>>uint(n-h) != 1<<uint(j) || g&(1<<uint(n-h)-1) == 0 {
+			t.Fatalf("%s: pivot %d is %0*b, want top bits %b and a nonzero lower part", label, j, n, g, 1<<uint(j))
+		}
+		for x := range diag {
+			if math.Float64bits(diag[x]) != math.Float64bits(diag[uint64(x)^g]) {
+				t.Fatalf("%s: pivot %0*b does not fix entry %d", label, n, g, x)
+			}
+		}
+	}
+}
+
+// lower returns the low n−h bits of m.
+func lower(m uint64, n, h int) uint64 { return m & (1<<uint(n-h) - 1) }
+
+// alternatingMask returns the mask of the qubits below n with the
+// parity of q.
+func alternatingMask(n, q int) uint64 {
+	var m uint64
+	for i := q % 2; i < n; i += 2 {
+		m |= 1 << uint(i)
+	}
+	return m
+}
+
+// TestSymmetryPivots pins the group rule on the problem families: LABS
+// takes two pivots from n = 4 on (its alternating flips, μ the
+// alternating masks), MaxCut and SK one, the complement (μ = 1…1),
+// portfolio and LABS with Z₀ and Z₁ fields none. LABS with a Z₀ field
+// keeps the flip of the odd positions, so at even n it takes one pivot
+// with μ = 1010…10 and at odd n (where that flip misses the top qubit)
+// none. Below n = 4: n = 0 and 1 take none, LABS n = 2 (a constant) one,
+// and LABS n = 3, whose cost depends on s₀s₂ alone, one: 101.
+func TestSymmetryPivots(t *testing.T) {
+	diagOf := func(n int, ts poly.Terms) []float64 { return Precompute(poly.Compile(ts), n) }
+	z0 := func(n int) poly.Terms { return problems.LABSTerms(n).Plus(poly.New(poly.NewTerm(1, 0))) }
+	type want struct {
+		h   int
+		mus []uint64 // nil: not pinned
+	}
+	cases := map[string]struct {
+		diag []float64
+		want want
+	}{
+		"n=0":         {[]float64{7}, want{0, nil}},
+		"n=1":         {[]float64{2, 2}, want{0, nil}},
+		"labs n=2":    {diagOf(2, problems.LABSTerms(2)), want{1, []uint64{1}}},
+		"labs n=3":    {diagOf(3, problems.LABSTerms(3)), want{1, []uint64{1}}},
+		"labs+z0 n=3": {diagOf(3, z0(3)), want{0, nil}},
+	}
+	for _, n := range []int{4, 5, 8, 9, 14} {
+		cases[fmt.Sprintf("labs n=%d", n)] = struct {
+			diag []float64
+			want want
+		}{diagOf(n, problems.LABSTerms(n)), want{2, []uint64{lower(alternatingMask(n, n-2), n, 2), lower(alternatingMask(n, n-1), n, 2)}}}
+	}
+	for _, n := range []int{6, 9, 12} {
+		g, err := graphs.RandomRegular(n, 3+n%2, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := want{1, []uint64{1<<uint(n-1) - 1}}
+		cases[fmt.Sprintf("maxcut n=%d", n)] = struct {
+			diag []float64
+			want want
+		}{diagOf(n, problems.MaxCutTerms(g)), all}
+		cases[fmt.Sprintf("sk n=%d", n)] = struct {
+			diag []float64
+			want want
+		}{diagOf(n, problems.SKTerms(n, int64(n))), all}
+		cases[fmt.Sprintf("portfolio n=%d", n)] = struct {
+			diag []float64
+			want want
+		}{diagOf(n, problems.SyntheticPortfolio(n, n/2, 0.5, int64(n)).PortfolioTerms()), want{0, nil}}
+		cases[fmt.Sprintf("labs+z0+z1 n=%d", n)] = struct {
+			diag []float64
+			want want
+		}{diagOf(n, z0(n).Plus(poly.New(poly.NewTerm(1, 1)))), want{0, nil}}
+	}
+	for _, n := range []int{8, 10, 14} {
+		cases[fmt.Sprintf("labs+z0 n=%d", n)] = struct {
+			diag []float64
+			want want
+		}{diagOf(n, z0(n)), want{1, []uint64{lower(alternatingMask(n, 1), n, 1)}}}
+	}
+	for _, n := range []int{7, 9} {
+		cases[fmt.Sprintf("labs+z0 n=%d", n)] = struct {
+			diag []float64
+			want want
+		}{diagOf(n, z0(n)), want{0, nil}}
+	}
+	for label, c := range cases {
+		pivots, reads := symmetryPivots(c.diag, searchPasses*len(c.diag))
+		checkPivots(t, label, c.diag, pivots)
+		if len(pivots) != c.want.h {
+			t.Errorf("%s: %d pivots, want %d", label, len(pivots), c.want.h)
+			continue
+		}
+		n, h := bits.Len(uint(len(c.diag)-1)), c.want.h
+		for j, mu := range c.want.mus {
+			if got := lower(pivots[j], n, h); got != mu {
+				t.Errorf("%s: μ_%d = %0*b, want %0*b", label, j, n-h, got, n-h, mu)
+			}
+		}
+		if reads > 3*len(c.diag) {
+			t.Errorf("%s: %d reads, more than 3 passes over %d entries", label, reads, len(c.diag))
+		}
+		if got := SymmetryPivots(c.diag); len(got) != len(pivots) {
+			t.Errorf("%s: SymmetryPivots gives %d pivots, the search %d", label, len(got), len(pivots))
+		}
+	}
+}
+
+// TestSymmetryPivotsMatchRule compares the search, given reads enough
+// to finish, with the rule applied to the whole group found by brute
+// force, on diagonals fixed by random subspaces (orbit values drawn
+// at random, so the group is the subspace): generators drawn anywhere,
+// single-bit flips (costs that ignore a qubit, whose pivots need a
+// lower-only element) and planted masks that miss the top bits. Each
+// result must also obey the rule's shape.
+func TestSymmetryPivotsMatchRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(8)
+		var gens []uint64
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			switch rng.Intn(3) {
+			case 0:
+				gens = append(gens, uint64(1+rng.Intn(1<<uint(n)-1)))
+			case 1:
+				gens = append(gens, 1<<uint(rng.Intn(n)))
+			default:
+				if n > 2 {
+					gens = append(gens, uint64(1+rng.Intn(1<<uint(n-2)-1)))
+				}
+			}
+		}
+		diag := orbitDiag(rng, n, gens)
+		label := fmt.Sprintf("trial %d n=%d generators %b", trial, n, gens)
+		pivots, _ := symmetryPivots(diag, 1<<30)
+		checkPivots(t, label, diag, pivots)
+		if want := ruleH(n, bruteGroup(diag)); len(pivots) != want {
+			t.Errorf("%s: %d pivots, the rule gives %d", label, len(pivots), want)
+		}
+	}
+}
+
+// TestSymmetryPivotsPlantedPolynomial: a dyadic polynomial whose terms
+// all overlap two planted masks evenly, neither of which, nor their
+// sum, touches the top qubit, has exactly their span as its group (a
+// brute-force check) and takes no pivot. Planting the complement too
+// (every term of even degree) gives pivots, as many as the rule finds
+// in the brute-force group.
+func TestSymmetryPivotsPlantedPolynomial(t *testing.T) {
+	const n = 10
+	planted := []uint64{0b0101100110, 0b0000011011}
+	rng := rand.New(rand.NewSource(149))
+	build := func(masks []uint64) poly.Terms {
+		var ts poly.Terms
+		for len(ts) < 80 {
+			var qs []int
+			var m uint64
+			for d := 1 + rng.Intn(4); d > 0; d-- {
+				q := rng.Intn(n)
+				if m>>uint(q)&1 == 0 {
+					qs, m = append(qs, q), m|1<<uint(q)
+				}
+			}
+			even := true
+			for _, p := range masks {
+				even = even && bits.OnesCount64(m&p)%2 == 0
+			}
+			if even {
+				ts = append(ts, poly.NewTerm(float64(1+rng.Intn(12))/4, qs...))
+			}
+		}
+		return ts
+	}
+	low := Precompute(poly.Compile(build(planted)), n)
+	if got := len(bruteGroup(low)); got != 4 {
+		t.Fatalf("two low masks: the polynomial's group has %d elements, want the planted 4", got)
+	}
+	pivots := SymmetryPivots(low)
+	checkPivots(t, "two low masks", low, pivots)
+	if len(pivots) != 0 {
+		t.Errorf("two low masks: %d pivots, want none", len(pivots))
+	}
+	flip := Precompute(poly.Compile(build(append([]uint64{1<<n - 1}, planted...))), n)
+	pivots = SymmetryPivots(flip)
+	checkPivots(t, "with the complement", flip, pivots)
+	if want := ruleH(n, bruteGroup(flip)); len(pivots) != want || want < 1 {
+		t.Errorf("with the complement: %d pivots, the rule gives %d", len(pivots), want)
+	}
+}
+
+// orbitDiag returns a 2^n diagonal fixed by the span of gens, with one
+// random dyadic value per orbit.
+func orbitDiag(rng *rand.Rand, n int, gens []uint64) []float64 {
+	span := []uint64{0}
+	for _, g := range gens {
+		for _, s := range span {
+			span = append(span, s^g)
+		}
+	}
+	diag := make([]float64, 1<<uint(n))
+	seen := make([]bool, len(diag))
+	for x := range diag {
+		if seen[x] {
+			continue
+		}
+		v := float64(rng.Intn(1<<20)) / 4
+		for _, s := range span {
+			diag[uint64(x)^s], seen[uint64(x)^s] = v, true
+		}
+	}
+	return diag
+}
+
+// TestSymmetryPivotsBudget: diagonals whose entries mostly tie with
+// diag[0] keep the search within its read budget of searchPasses·2^n.
+// A constant diagonal (every mask a symmetry, each verified by a full
+// pass) still yields valid pivots, and a diagonal that is 0 except on
+// the all-ones state and its neighbours that keep the top bit (group
+// {0}, a candidate at nearly every mask, each rejected only after a
+// long run of ties) yields none.
+func TestSymmetryPivotsBudget(t *testing.T) {
+	const n = 12
+	constant := make([]float64, 1<<n)
+	for i := range constant {
+		constant[i] = 2.5
+	}
+	ties := make([]float64, 1<<n)
+	for x := range ties {
+		if bits.Len(uint(x)) == n && bits.OnesCount(uint(x)) >= n-1 {
+			ties[x] = 1
+		}
+	}
+	for _, c := range []struct {
+		name string
+		diag []float64
+		h    int // −1: any
+	}{{"constant", constant, -1}, {"ties", ties, 0}} {
+		pivots, reads := symmetryPivots(c.diag, searchPasses*len(c.diag))
+		checkPivots(t, c.name, c.diag, pivots)
+		if c.h >= 0 && len(pivots) != c.h {
+			t.Errorf("%s: %d pivots, want %d", c.name, len(pivots), c.h)
+		}
+		if c.h < 0 && len(pivots) == 0 {
+			t.Errorf("%s: no pivots", c.name)
+		}
+		if limit := searchPasses * len(c.diag); reads > limit {
+			t.Errorf("%s: %d reads, budget %d", c.name, reads, limit)
+		}
+		t.Logf("%s: %d pivots, %.2f passes", c.name, len(pivots), float64(reads)/float64(len(c.diag)))
+	}
+}
+
+// TestAscending pins the cost order CVaR walks: ascending cost, ties by
+// index, from the counting sort on codes and from the comparison sort
+// on float64 entries alike.
+func TestAscending(t *testing.T) {
+	diag := []float64{2, 0.5, 2, 1, 0.5, 3, 1, 2}
+	want := []int{1, 4, 3, 6, 0, 2, 7, 5}
+	q, err := QuantizeExact(diag, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]int{"codes": Ascending(nil, q), "float64": Ascending(diag, nil)} {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: order %v, want %v", name, got, want)
+		}
 	}
 }
 

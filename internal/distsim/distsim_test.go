@@ -318,9 +318,17 @@ func TestXYHalfSliceTraffic(t *testing.T) {
 }
 
 // oddCost is LABS plus one Z₀ field: the odd-degree term breaks the
-// flip symmetry, so every engine keeps full shards on it.
+// flip symmetry, so every engine keeps full shards on it. (Single-node
+// simulators still store it over one pivot at even n, whose symmetry
+// group keeps LABS's flip of the odd positions; see fixedCost.)
 func oddCost(n int) poly.Terms {
 	return problems.LABSTerms(n).Plus(poly.New(poly.NewTerm(1, 0)))
+}
+
+// fixedCost is LABS plus Z₀ and Z₁ fields, whose symmetry group is {0}:
+// every engine keeps the full state on it at any n.
+func fixedCost(n int) poly.Terms {
+	return oddCost(n).Plus(poly.New(poly.NewTerm(1, 1)))
 }
 
 func mustRing(t *testing.T, n int) graphs.Graph {
@@ -351,26 +359,29 @@ func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
 
 // TestShardStatesMatchSingleNodeBitwise pins what running the
 // single-node kernels on the shards gives, for both shard forms. Full
-// shards (the odd-degree cost, n ∈ {8, 10}): with n − k and k even,
-// every amplitude sees the same phase factor and the same ascending
-// RX⊗RX pair blocks as the single-node tiled layer, so the gathered
-// forward state equals the single-node SoA (SoA32) full state bit for
-// bit; the single-node simulator keeps the full state through an
-// explicit uniform InitialState. Half shards (LABS, n ∈ {9, 11}): with
-// n − 1 − k and k even, every representative also sees the same mirror
-// pair update, so the gathered shards equal the single-node half state.
+// shards (LABS plus Z₀ and Z₁ fields, symmetry group {0}, n ∈ {8, 10}):
+// with n − k and k even, every amplitude sees the same phase factor and
+// the same ascending RX⊗RX pair blocks as the single-node tiled layer,
+// so the gathered forward state equals the single-node SoA (SoA32)
+// full state bit for bit; the single-node simulator keeps the full
+// state through an explicit uniform InitialState. Half shards (SK,
+// whose group is the complement alone, n ∈ {9, 11}): with n − 1 − k
+// and k even, every representative also sees the same mirror pair
+// update, so the gathered shards equal the single-node half state.
 // MaxCut on the n = 11 ring runs half shards whose slices are held as
-// uint16 codes alone, and matches the same way.
+// uint16 codes alone, and matches the same way. (Single-node LABS
+// stores a quarter state, which half shards do not.)
 func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	ringMaxCut := func(n int) poly.Terms { return problems.MaxCutTerms(mustRing(t, n)) }
+	sk := func(n int) poly.Terms { return problems.SKTerms(n, int64(n)) }
 	for _, form := range []struct {
 		half, coded bool
 		ns          []int
 		terms       func(n int) poly.Terms
 	}{
-		{false, false, []int{8, 10}, oddCost},
-		{true, false, []int{9, 11}, problems.LABSTerms},
+		{false, false, []int{8, 10}, fixedCost},
+		{true, false, []int{9, 11}, sk},
 		{true, true, []int{11}, ringMaxCut},
 	} {
 		for _, n := range form.ns {

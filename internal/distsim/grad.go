@@ -63,7 +63,10 @@ import (
 // kernel work and all-to-all bytes at the same message and sync
 // counts. Outputs weight each representative twice and still cover all
 // 2^n basis states. No option selects it; every other case keeps full
-// shards.
+// shards. Shards use the complement alone: the mirror swap pairs each
+// representative with its complement, so LABS's other flips, which a
+// single-node simulator also stores over (a quarter state), stay
+// unused here.
 type GradEngine struct {
 	n, k, hw int
 	opts     Options

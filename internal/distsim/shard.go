@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"qokit/internal/cluster"
@@ -62,38 +61,11 @@ func (rc *rankCost) value(i int) float64 {
 }
 
 // ascending returns the slice's local indices by ascending cost, ties
-// by index, sorting them on first use: the cost order is fixed per
-// engine, so every later CVaR only filters and sums along it. Codes
-// rise with their levels, so a coded slice takes a stable counting
-// sort by code.
+// by index, sorting them on first use (costvec.Ascending, a counting
+// sort on a coded slice): the cost order is fixed per engine, so every
+// later CVaR only filters and sums along it.
 func (rc *rankCost) ascending() []int {
-	rc.once.Do(func() {
-		if q := rc.levels; q != nil {
-			next := make([]int, int(q.MaxCode())+2)
-			for _, c := range q.Codes {
-				next[int(c)+1]++
-			}
-			for c := 1; c < len(next); c++ {
-				next[c] += next[c-1]
-			}
-			rc.order = make([]int, len(q.Codes))
-			for i, c := range q.Codes {
-				rc.order[next[c]] = i
-				next[c]++
-			}
-			return
-		}
-		diag := rc.diag
-		order := make([]int, len(diag))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			i, j := order[a], order[b]
-			return diag[i] < diag[j] || diag[i] == diag[j] && i < j
-		})
-		rc.order = order
-	})
+	rc.once.Do(func() { rc.order = costvec.Ascending(rc.diag, rc.levels) })
 	return rc.order
 }
 
@@ -116,8 +88,9 @@ func (rc *rankCost) phase(gamma float64, tab []complex128) statevec.Phase {
 // rejecting NaN/±Inf and testing flip symmetry, and cuts each rank's
 // cost slice: 2^(n−k) entries of the whole diagonal, or on half shards
 // 2^(n−1−k) entries of its first half. Half shards take the
-// single-node rule, plus the room the mirror swap needs: the x mixer,
-// 2k ≤ n−2 (so n ≥ 2) and a bitwise flip-symmetric diagonal.
+// single-node rule restricted to the complement, plus the room the
+// mirror swap needs: the x mixer, 2k ≤ n−2 (so n ≥ 2) and a bitwise
+// flip-symmetric diagonal.
 func cutShards(full []float64, n, k int, opts Options) (diags [][]float64, half bool, err error) {
 	symmetric, err := costvec.CheckDiagonal(full)
 	if err != nil {
@@ -319,7 +292,7 @@ func mixerX[T statevec.Float](c *cluster.Comm, s planes[T], ph statevec.Phase, k
 	statevec.UniformRXPlanes(serialPool, s.re, s.im, ph, beta)
 	if k == 0 {
 		if half {
-			statevec.MirrorRXPlanes(serialPool, s.re, s.im, beta)
+			statevec.MirrorRXPlanes(serialPool, s.re, s.im, len(s.re)-1, beta)
 		}
 		return nil
 	}
@@ -329,7 +302,7 @@ func mixerX[T statevec.Float](c *cluster.Comm, s planes[T], ph statevec.Phase, k
 	localN := bits.TrailingZeros(uint(len(s.re)))
 	statevec.UniformRXRangePlanes(serialPool, s.re, s.im, localN-k, localN, beta)
 	if half {
-		statevec.MirrorRXPlanes(serialPool, s.re, s.im, beta)
+		statevec.MirrorRXPlanes(serialPool, s.re, s.im, len(s.re)-1, beta)
 	}
 	return transposeBack(c, half, s)
 }
@@ -453,7 +426,7 @@ func (sh *shard[T]) reverse(c *cluster.Comm, ph statevec.Phase, beta float64, un
 		}
 	}
 	if half {
-		dBeta = statevec.ReverseMirrorRXPlanes(serialPool, lam.re, lam.im, psi.re, psi.im, beta)
+		dBeta = statevec.ReverseMirrorRXPlanes(serialPool, lam.re, lam.im, psi.re, psi.im, len(lam.re)-1, beta)
 	}
 	if k > 0 {
 		localN := sh.e.localQubits()

@@ -443,33 +443,33 @@ func ReversePhasePlanes[T Float](p *Pool, lr, li, pr, pi []T, ph Phase, undo boo
 
 // reversePhaseRangePlanes returns the share of Im ⟨λ|Ĉ|ψ⟩ of the
 // amplitudes [lo, hi) and, when undo is set, undoes the phase on them
-// in both states.
+// in both states. Each source and mode runs its own loop, so no loop
+// tests undo or the source per amplitude.
 func reversePhaseRangePlanes[T Float](lr, li, pr, pi []T, ph Phase, undo bool, lo, hi int) float64 {
 	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
 	if diag == nil {
 		return reversePhaseCodesPlanes(lr, li, pr, pi, ph, undo, lo, hi)
 	}
 	var acc float64
-	if !undo {
+	switch {
+	case !undo:
 		for i := lo; i < hi; i++ {
 			acc += diag[i] * (float64(lr[i])*float64(pi[i]) - float64(li[i])*float64(pr[i]))
 		}
-		return acc
-	}
-	for i := lo; i < hi; i++ {
-		a, b, c, d := lr[i], li[i], pr[i], pi[i]
-		acc += diag[i] * (float64(a)*float64(d) - float64(b)*float64(c))
-		var sn64, cs64 float64
-		if codes != nil {
-			cs64, sn64 = real(tab[codes[i]]), imag(tab[codes[i]])
-		} else {
-			sn64, cs64 = math.Sincos(-gamma * diag[i])
+	case codes != nil:
+		for i := lo; i < hi; i++ {
+			a, b, c, d := lr[i], li[i], pr[i], pi[i]
+			acc += diag[i] * (float64(a)*float64(d) - float64(b)*float64(c))
+			f := tab[codes[i]]
+			undoPhase(lr, li, pr, pi, i, a, b, c, d, T(imag(f)), T(real(f)))
 		}
-		sn, cs := T(sn64), T(cs64)
-		lr[i] = a*cs + b*sn
-		li[i] = b*cs - a*sn
-		pr[i] = c*cs + d*sn
-		pi[i] = d*cs - c*sn
+	default:
+		for i := lo; i < hi; i++ {
+			a, b, c, d := lr[i], li[i], pr[i], pi[i]
+			acc += diag[i] * (float64(a)*float64(d) - float64(b)*float64(c))
+			sn, cs := math.Sincos(-gamma * diag[i])
+			undoPhase(lr, li, pr, pi, i, a, b, c, d, T(sn), T(cs))
+		}
 	}
 	return acc
 }
@@ -480,17 +480,26 @@ func reversePhaseRangePlanes[T Float](lr, li, pr, pi []T, ph Phase, undo bool, l
 func reversePhaseCodesPlanes[T Float](lr, li, pr, pi []T, ph Phase, undo bool, lo, hi int) float64 {
 	codes, tab, lmin, scale := ph.Codes, ph.Tab, ph.Min, ph.Scale
 	var acc float64
+	if !undo {
+		for i := lo; i < hi; i++ {
+			acc += (lmin + scale*float64(codes[i])) * (float64(lr[i])*float64(pi[i]) - float64(li[i])*float64(pr[i]))
+		}
+		return acc
+	}
 	for i := lo; i < hi; i++ {
 		a, b, c, d := lr[i], li[i], pr[i], pi[i]
 		acc += (lmin + scale*float64(codes[i])) * (float64(a)*float64(d) - float64(b)*float64(c))
-		if undo {
-			f := tab[codes[i]]
-			sn, cs := T(imag(f)), T(real(f))
-			lr[i] = a*cs + b*sn
-			li[i] = b*cs - a*sn
-			pr[i] = c*cs + d*sn
-			pi[i] = d*cs - c*sn
-		}
+		f := tab[codes[i]]
+		undoPhase(lr, li, pr, pi, i, a, b, c, d, T(imag(f)), T(real(f)))
 	}
 	return acc
+}
+
+// undoPhase multiplies amplitude i of λ (lr, li) and ψ (pr, pi), read
+// as (a, b) and (c, d), by the conjugate phase factor cs − i·sn.
+func undoPhase[T Float](lr, li, pr, pi []T, i int, a, b, c, d, sn, cs T) {
+	lr[i] = a*cs + b*sn
+	li[i] = b*cs - a*sn
+	pr[i] = c*cs + d*sn
+	pi[i] = d*cs - c*sn
 }

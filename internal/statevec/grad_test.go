@@ -371,3 +371,41 @@ func TestSoA32ImDotXRange(t *testing.T) {
 		}
 	}
 }
+
+// reverseSink keeps the benchmarked reductions live.
+var reverseSink float64
+
+// BenchmarkReversePhase times the joint phase reverse step on 2^14
+// float64 planes, inline on one worker, for each cost source: float64
+// entries with per-amplitude sincos ("sincos"), float64 entries with a
+// phase table ("table") and uint16 codes alone ("codes"), each as the
+// reduction alone and with the undo.
+func BenchmarkReversePhase(b *testing.B) {
+	const n = 14
+	rng := rand.New(rand.NewSource(127))
+	grid, codes, tab := randomLevels(rng, 1<<n, 0.7)
+	sincos := tiledPhases(rng, 1<<n, 0.7)["sincos"]
+	sources := []struct {
+		name string
+		ph   Phase
+	}{
+		{"sincos", sincos},
+		{"table", Phase{Diag: grid, Gamma: 0.7, Codes: codes, Tab: tab}},
+		{"codes", Phase{Gamma: 0.7, Codes: codes, Tab: tab, Min: -3, Scale: 0.5}},
+	}
+	p := NewPool(1)
+	lam, psi := randomPlanes[float64](rng, n), randomPlanes[float64](rng, n)
+	for _, src := range sources {
+		for _, undo := range []bool{false, true} {
+			name := src.name + "/reduce"
+			if undo {
+				name = src.name + "/undo"
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					reverseSink = ReversePhasePlanes(p, lam.re, lam.im, psi.re, psi.im, src.ph, undo)
+				}
+			})
+		}
+	}
+}
