@@ -318,12 +318,13 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if opts.SinglePrecision && opts.RecomputePhase {
 		return nil, fmt.Errorf("core: SinglePrecision does not compose with RecomputePhase")
 	}
-	if _, err := costvec.CheckDiagonal(diag); err != nil {
+	flip, err := costvec.CheckDiagonal(diag)
+	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var pivots []uint64
 	if backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil {
-		pivots = costvec.SymmetryPivots(diag)
+		pivots = costvec.SymmetryPivots(diag, flip)
 	}
 	s.group = groupOf(pivots)
 	// The Fig. 2 ablation must keep re-deriving f(x) per phase

@@ -451,9 +451,9 @@ func TestSinglePrecisionValidation(t *testing.T) {
 // precomputed side gathers from a level table (LABS n=14) or calls
 // sincos itself (LABS n=7, SK). The adjoint gradients, whose reverse
 // phase re-derives f(x) too, agree to 1e-12 of their max-norm. Both
-// sides follow the half-state rule, so SoA runs each case on the half
-// state and again, from an explicit uniform InitialState, on the full
-// state.
+// sides follow the group-state rule, so SoA runs each case on the
+// stored group state (LABS a quarter state, SK a half state) and again,
+// from an explicit uniform InitialState, on the full state.
 func TestRecomputePhaseMatchesPrecomputed(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, c := range []tableCase{

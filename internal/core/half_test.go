@@ -72,11 +72,17 @@ func labsZ0(n int) poly.Terms {
 }
 
 // quarterProblems returns LABS, whose symmetry group {0, 0101…,
-// 1010…, 1…1} gives it two pivots from n = 4 on (the quarter state),
-// and at even n LABS plus a Z₀ field (one pivot, μ = 1010…10).
+// 1010…, 1…1} gives it two pivots from n = 4 on (the quarter state)
+// and one below (n = 2, a constant, and n = 3, whose pivot is 101 with
+// μ = 01, not the complement), and at even n LABS plus a Z₀ field (one
+// pivot, μ = 1010…10).
 func quarterProblems(t *testing.T, n int) []namedTerms {
 	t.Helper()
-	out := []namedTerms{{"labs", problems.LABSTerms(n), min(2, n-1)}}
+	h := 2
+	if n < 4 {
+		h = 1
+	}
+	out := []namedTerms{{"labs", problems.LABSTerms(n), h}}
 	if n%2 == 0 && n >= 4 {
 		out = append(out, namedTerms{"labs+z0", labsZ0(n), 1})
 	}
@@ -163,11 +169,12 @@ func TestHalfStateDifferential(t *testing.T) {
 }
 
 // TestQuarterStateDifferential is the same gate for LABS, which stores
-// a quarter state (two pivots) from n = 4 on, and for LABS plus a Z₀
-// field at even n, whose one pivot pairs i with i ⊕ 1010…10 instead of
-// the mirror.
+// a quarter state (two pivots) from n = 4 on and a half state below, at
+// n ∈ {2, 3, 4, 5, 8, 13, 14, 18}, and for LABS plus a Z₀ field at even
+// n ≥ 4, whose one pivot pairs i with i ⊕ 1010…10 instead of the
+// mirror.
 func TestQuarterStateDifferential(t *testing.T) {
-	runGroupDifferential(t, []int{4, 5, 8, 13, 14, 18}, quarterProblems)
+	runGroupDifferential(t, []int{2, 3, 4, 5, 8, 13, 14, 18}, quarterProblems)
 }
 
 // runGroupDifferential checks, for each problem at each n, energies

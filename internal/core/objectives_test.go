@@ -64,7 +64,8 @@ func TestVarianceMatchesDirectSum(t *testing.T) {
 
 // TestVarianceMatchesEvalOutputs: Result.Variance and EvalOutputs'
 // Variance run the one Welford pass (costVariance), so they agree bit
-// for bit on every backend, on the half state and on the full state.
+// for bit on every backend, on the quarter state LABS stores and on
+// the full state.
 func TestVarianceMatchesEvalOutputs(t *testing.T) {
 	const n = 9
 	gamma, beta := randomAngles(rand.New(rand.NewSource(41)), 3)

@@ -17,8 +17,8 @@ func separatePhaseDiag(n int) []float64 {
 // unfused arithmetic) — the per-qubit sweep on complex128 and the
 // tiled F = 2 kernel on SoA and SoA32 — for odd and even n, on both
 // sides of the tile boundary at n = 12, and on both sides of the
-// half-state rule: a hashed diagonal keeps the full state, LABS takes
-// the half state on the split layouts.
+// group-state rule: a hashed diagonal keeps the full state, LABS takes
+// the quarter state (two pivots) on the split layouts.
 func TestSeparatePhaseAblation(t *testing.T) {
 	gamma := []float64{0.7, -0.3}
 	beta := []float64{0.4, 0.9}

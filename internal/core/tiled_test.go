@@ -15,8 +15,9 @@ import (
 // 13, 14 and 18, simulators on 1, 2 and 3 workers evolve bit-identical
 // states, and their adjoint gradients, whose reductions are summed per
 // tile, agree to 1e-13 of the gradient's max-norm. LABS runs on the
-// half state, which tiles n−1 qubits, and again from an explicit
-// uniform InitialState on the full state, which tiles all n.
+// quarter state, which stores 2^(n−2) amplitudes and tiles n−2 qubits,
+// and again from an explicit uniform InitialState on the full state,
+// which tiles all n.
 func checkTiledPoolSizeInvariance(t *testing.T, single bool) {
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{13, 14, 18} {

@@ -96,7 +96,7 @@ func simulateRef(t *testing.T, sim *Simulator, x []float64) float64 {
 // mixer and hands it, with a fresh workspace and a label, to check. On
 // the x mixer each backend also runs from an explicit uniform
 // InitialState, so the split layouts cover both sides of the
-// half-state rule.
+// group-state rule.
 func forEachWorkspaceConfig(t *testing.T, n int, check func(label string, sim *Simulator, ws *Workspace)) {
 	t.Helper()
 	for _, mixer := range []Mixer{MixerX, MixerXYRing, MixerXYComplete} {

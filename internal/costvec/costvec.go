@@ -198,9 +198,9 @@ func signed(w float64, x uint64) float64 {
 // poly.ErrNonFiniteCost that names a NaN or ±Inf entry, and otherwise
 // reports whether diag[x] == diag[x̄] bitwise for every x: the flip
 // symmetry that lets the distributed engine hold half shards. The
-// single-node engine reads its wider symmetry group from
-// SymmetryPivots instead. Only weights that fail exactSums can
-// overflow to ±Inf.
+// single-node engine hands that report to SymmetryPivots, which
+// searches the wider symmetry group. Only weights that fail exactSums
+// can overflow to ±Inf.
 func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 	mask := len(diag) - 1
 	symmetric = true
@@ -218,9 +218,9 @@ func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 	return symmetric, nil
 }
 
-// searchPasses bounds SymmetryPivots to 4·2^n diagonal reads, so a
-// diagonal with many entries equal to diag[0] costs a few passes, not
-// one pass per candidate.
+// searchPasses bounds SymmetryPivots to 4·2^n diagonal reads beyond
+// CheckDiagonal's pass, so a diagonal with many entries equal to
+// diag[0] costs a few passes, not one pass per candidate.
 const searchPasses = 4
 
 // SymmetryPivots searches the XOR-symmetry group of a 2^n diagonal,
@@ -233,27 +233,29 @@ const searchPasses = 4
 // i ⊕ μ_j. LABS gives h = 2 (H holds the complement and the
 // alternating flips); MaxCut and SK give h = 1 with the complement.
 //
-// The search is deterministic. For each leading bit l from n−1 down,
-// it looks for an element of H with that leading bit: it walks the
-// candidates m ∈ [2^l, 2^(l+1)) from the top, and each m with
-// diag[m] == diag[0] is verified over every pair (x, x ⊕ m), stopping
-// at the first mismatch. It takes the first l with no element as the
-// end of the pivots and reduces them so that each top part is a single
-// bit. A pivot whose μ is zero (a qubit the cost ignores) takes a
+// flip is CheckDiagonal's report for diag. The search is
+// deterministic. For each leading bit l from n−1 down, it looks for an
+// element of H with that leading bit: it walks the candidates
+// m ∈ [2^l, 2^(l+1)) from the top, and each m with diag[m] == diag[0]
+// is verified over every pair (x, x ⊕ m), stopping at the first
+// mismatch; the first candidate, the complement 1…1, is decided by
+// flip instead of read again. It takes the first l with no element as
+// the end of the pivots and reduces them so that each top part is a
+// single bit. A pivot whose μ is zero (a qubit the cost ignores) takes a
 // lower-only element of H when one is found, else h drops by one.
 // Every read counts against a budget of searchPasses·2^n; when it runs
 // out, the pivots found so far stand, so h is the largest the budget
 // establishes. h ≤ n−1, and h = 0 (nil) keeps the full state.
-func SymmetryPivots(diag []float64) []uint64 {
-	pivots, _ := symmetryPivots(diag, searchPasses*len(diag))
+func SymmetryPivots(diag []float64, flip bool) []uint64 {
+	pivots, _ := symmetryPivots(diag, flip, searchPasses*len(diag))
 	return pivots
 }
 
 // symmetryPivots is SymmetryPivots with an explicit read budget; it
 // also returns the reads spent.
-func symmetryPivots(diag []float64, budget int) ([]uint64, int) {
+func symmetryPivots(diag []float64, flip bool, budget int) ([]uint64, int) {
 	n := bits.Len(uint(len(diag))) - 1
-	s := &groupSearch{diag: diag, budget: budget}
+	s := &groupSearch{diag: diag, flip: flip, budget: budget}
 	// basis[i] has leading bit n−1−i.
 	var basis []uint64
 	for l := n - 1; l >= 1; l-- {
@@ -317,9 +319,11 @@ func zeroLower(basis []uint64, low int) bool {
 }
 
 // groupSearch is the state of one SymmetryPivots search: the diagonal,
-// the read budget and the reads spent.
+// whether its complement is a symmetry, the read budget and the reads
+// spent.
 type groupSearch struct {
 	diag   []float64
+	flip   bool
 	budget int
 	reads  int
 }
@@ -329,6 +333,12 @@ type groupSearch struct {
 func (s *groupSearch) find(l int) uint64 {
 	want := math.Float64bits(s.diag[0])
 	for m := 2<<uint(l) - 1; m >= 1<<uint(l); m-- {
+		if m == len(s.diag)-1 {
+			if s.flip {
+				return uint64(m)
+			}
+			continue
+		}
 		if !s.spend(1) {
 			return 0
 		}

@@ -300,6 +300,17 @@ func ruleH(n int, group []uint64) int {
 	return 0
 }
 
+// flipOf is CheckDiagonal's report for diag, which the simulator hands
+// to SymmetryPivots.
+func flipOf(t *testing.T, diag []float64) bool {
+	t.Helper()
+	flip, err := CheckDiagonal(diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flip
+}
+
 // checkPivots requires pivots to obey the rule's shape on diag: pivot j
 // fixes diag bitwise, its top h bits are bit n−h+j alone, and its
 // lower bits are not all zero.
@@ -399,7 +410,8 @@ func TestSymmetryPivots(t *testing.T) {
 		}{diagOf(n, z0(n)), want{0, nil}}
 	}
 	for label, c := range cases {
-		pivots, reads := symmetryPivots(c.diag, searchPasses*len(c.diag))
+		flip := flipOf(t, c.diag)
+		pivots, reads := symmetryPivots(c.diag, flip, searchPasses*len(c.diag))
 		checkPivots(t, label, c.diag, pivots)
 		if len(pivots) != c.want.h {
 			t.Errorf("%s: %d pivots, want %d", label, len(pivots), c.want.h)
@@ -414,7 +426,12 @@ func TestSymmetryPivots(t *testing.T) {
 		if reads > 3*len(c.diag) {
 			t.Errorf("%s: %d reads, more than 3 passes over %d entries", label, reads, len(c.diag))
 		}
-		if got := SymmetryPivots(c.diag); len(got) != len(pivots) {
+		// The complement comes from CheckDiagonal, so a pivot that is
+		// the complement costs the search no pass.
+		if complement := len(c.want.mus) == 1 && c.want.mus[0] == 1<<uint(n-1)-1; complement && reads >= len(c.diag) {
+			t.Errorf("%s: %d reads, a pass over %d entries for the complement", label, reads, len(c.diag))
+		}
+		if got := SymmetryPivots(c.diag, flip); len(got) != len(pivots) {
 			t.Errorf("%s: SymmetryPivots gives %d pivots, the search %d", label, len(got), len(pivots))
 		}
 	}
@@ -446,7 +463,7 @@ func TestSymmetryPivotsMatchRule(t *testing.T) {
 		}
 		diag := orbitDiag(rng, n, gens)
 		label := fmt.Sprintf("trial %d n=%d generators %b", trial, n, gens)
-		pivots, _ := symmetryPivots(diag, 1<<30)
+		pivots, _ := symmetryPivots(diag, flipOf(t, diag), 1<<30)
 		checkPivots(t, label, diag, pivots)
 		if want := ruleH(n, bruteGroup(diag)); len(pivots) != want {
 			t.Errorf("%s: %d pivots, the rule gives %d", label, len(pivots), want)
@@ -489,13 +506,13 @@ func TestSymmetryPivotsPlantedPolynomial(t *testing.T) {
 	if got := len(bruteGroup(low)); got != 4 {
 		t.Fatalf("two low masks: the polynomial's group has %d elements, want the planted 4", got)
 	}
-	pivots := SymmetryPivots(low)
+	pivots := SymmetryPivots(low, flipOf(t, low))
 	checkPivots(t, "two low masks", low, pivots)
 	if len(pivots) != 0 {
 		t.Errorf("two low masks: %d pivots, want none", len(pivots))
 	}
 	flip := Precompute(poly.Compile(build(append([]uint64{1<<n - 1}, planted...))), n)
-	pivots = SymmetryPivots(flip)
+	pivots = SymmetryPivots(flip, flipOf(t, flip))
 	checkPivots(t, "with the complement", flip, pivots)
 	if want := ruleH(n, bruteGroup(flip)); len(pivots) != want || want < 1 {
 		t.Errorf("with the complement: %d pivots, the rule gives %d", len(pivots), want)
@@ -549,7 +566,7 @@ func TestSymmetryPivotsBudget(t *testing.T) {
 		diag []float64
 		h    int // −1: any
 	}{{"constant", constant, -1}, {"ties", ties, 0}} {
-		pivots, reads := symmetryPivots(c.diag, searchPasses*len(c.diag))
+		pivots, reads := symmetryPivots(c.diag, flipOf(t, c.diag), searchPasses*len(c.diag))
 		checkPivots(t, c.name, c.diag, pivots)
 		if c.h >= 0 && len(pivots) != c.h {
 			t.Errorf("%s: %d pivots, want %d", c.name, len(pivots), c.h)
