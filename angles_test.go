@@ -148,8 +148,8 @@ func TestNonFiniteCostRejected(t *testing.T) {
 			_, err := NewSimulatorFromDiagonal(n, withEntry(5, math.Inf(1)), Options{})
 			return err
 		}},
-		{"NewSimulatorFromDiagonal NaN entry (parallel)", func() error {
-			_, err := NewSimulatorFromDiagonal(n, withEntry(0, math.NaN()), Options{Backend: BackendParallel})
+		{"NewSimulatorFromDiagonal NaN entry (soa)", func() error {
+			_, err := NewSimulatorFromDiagonal(n, withEntry(0, math.NaN()), Options{Backend: BackendSoA})
 			return err
 		}},
 		{"NewSimulatorFromDiagonal −Inf entry (xy-ring)", func() error {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"testing"
 
+	"qokit/internal/benchutil"
 	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/costvec"
@@ -46,15 +47,7 @@ func BenchmarkFig2EndToEnd(b *testing.B) {
 		terms := problems.MaxCutTerms(g)
 		b.Run(fmt.Sprintf("openqaoa-analog/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim, err := core.New(n, terms, core.Options{Backend: core.BackendSerial, RecomputePhase: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := sim.SimulateQAOA(gamma, beta)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = r.Expectation()
+				_ = benchutil.RecomputeEnergy(n, poly.Compile(terms), gamma, beta)
 			}
 		})
 		b.Run(fmt.Sprintf("qiskit-analog/n=%d", n), func(b *testing.B) {
@@ -120,12 +113,17 @@ func BenchmarkFig3Layer(b *testing.B) {
 				}
 			}
 		})
+		// One thread and the full state on each side (as in qaoabench
+		// fig3), so the pair compares representations only.
 		for _, bk := range []struct {
-			name    string
-			backend core.Backend
-		}{{"qokit", core.BackendParallel}, {"qokit-soa", core.BackendSoA}} {
+			name string
+			opts core.Options
+		}{
+			{"qokit", core.Options{Backend: core.BackendSerial}},
+			{"qokit-soa", core.Options{Backend: core.BackendSoA, Workers: 1, InitialState: statevec.NewUniform(n)}},
+		} {
 			b.Run(fmt.Sprintf("%s/n=%d", bk.name, n), func(b *testing.B) {
-				sim, err := core.New(n, terms, core.Options{Backend: bk.backend})
+				sim, err := core.New(n, terms, bk.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -298,8 +296,9 @@ func BenchmarkOptSpeedup(b *testing.B) {
 // ---------------------------------------------------------------- §V-B
 
 // BenchmarkQuantizedPhase is the ablation behind the uint16 diagonal:
-// phase application via per-amplitude sincos (float64 diagonal) versus
-// a per-γ table build plus a gather by the uint16 level codes.
+// phase application on SoA planes (the default representation) via
+// per-amplitude sincos (float64 diagonal) versus a per-γ table build
+// plus a gather by the uint16 level codes.
 func BenchmarkQuantizedPhase(b *testing.B) {
 	n := 18
 	diag := costvec.PrecomputePool(statevec.NewPool(0), poly.Compile(problems.LABSTerms(n)), n)
@@ -308,17 +307,17 @@ func BenchmarkQuantizedPhase(b *testing.B) {
 		b.Fatal(err)
 	}
 	pool := statevec.NewPool(0)
-	v := statevec.NewUniform(n)
+	s := statevec.NewSoAUniform(n)
 	b.Run("sincos-f64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pool.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.31})
+			s.ApplyPhase(pool, statevec.Phase{Diag: diag, Gamma: 0.31})
 		}
 	})
 	b.Run("uint16-table", func(b *testing.B) {
 		tab := make([]complex128, int(q.MaxCode())+1)
 		for i := 0; i < b.N; i++ {
 			q.PhaseTableInto(tab, 0.31)
-			pool.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.31, Codes: q.Codes, Tab: tab})
+			s.ApplyPhase(pool, statevec.Phase{Diag: diag, Gamma: 0.31, Codes: q.Codes, Tab: tab})
 		}
 	})
 }
@@ -352,13 +351,6 @@ func BenchmarkMixerKernels(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			statevec.ApplyUniformRX(v, 0.57)
-		}
-	})
-	b.Run("pooled-complex128", func(b *testing.B) {
-		v := statevec.NewUniform(n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pool.ApplyUniformRX(v, 0.57)
 		}
 	})
 	b.Run("soa-float64", func(b *testing.B) {

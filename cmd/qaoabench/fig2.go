@@ -10,6 +10,7 @@ import (
 	"qokit/internal/gatesim"
 	"qokit/internal/graphs"
 	"qokit/internal/optimize"
+	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/statevec"
 )
@@ -21,6 +22,7 @@ import (
 //
 //	openqaoa-analog — no cached diagonal: the phase operator
 //	                  re-evaluates the cost polynomial every layer
+//	                  (benchutil.RecomputeEnergy)
 //	qiskit-analog   — conventional gate-by-gate simulation of the
 //	                  compiled QAOA circuit
 //	qokit-cpu       — this package's precomputed-diagonal simulator
@@ -50,15 +52,7 @@ func runFig2(w io.Writer, args []string) error {
 		terms := problems.MaxCutTerms(g)
 
 		tRecompute, _ := benchutil.TimeRepeat(*reps, func() {
-			sim, err := core.New(n, terms, core.Options{Backend: core.BackendSerial, RecomputePhase: true})
-			if err != nil {
-				panic(err)
-			}
-			r, err := sim.SimulateQAOA(gamma, beta)
-			if err != nil {
-				panic(err)
-			}
-			_ = r.Expectation()
+			_ = benchutil.RecomputeEnergy(n, poly.Compile(terms), gamma, beta)
 		})
 
 		tGate, _ := benchutil.TimeRepeat(*reps, func() {

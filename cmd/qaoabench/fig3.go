@@ -29,9 +29,16 @@ import (
 //	qiskit-analog      — gate-by-gate, serial
 //	gates-pooled       — gate-by-gate on the worker pool
 //	                     ("cuStateVec (gates)")
-//	qokit              — precomputed diagonal, complex128 kernels
+//	qokit              — precomputed diagonal, the Serial backend's
+//	                     complex128 phase pass and per-qubit sweep
 //	qokit-soa          — precomputed diagonal, split-layout kernels
 //	                     (the "QOKit (cuStateVec)" ≈2× kernel gap)
+//
+// The two qokit curves run on one thread each and both hold the full
+// 2^n state (SoA starts from an explicit |+⟩, which keeps LABS off its
+// quarter state), so their ratio compares the representations and
+// kernels alone: interleaved complex128 with one pass per qubit against
+// split planes with the phase folded into the tiled F = 2 mixer.
 func runFig3(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("fig3", flag.ContinueOnError)
 	nmin := fs.Int("nmin", 6, "smallest qubit count")
@@ -93,8 +100,8 @@ func runFig3(w io.Writer, args []string) error {
 
 		// Fast simulators: one ApplyLayer on an existing result.
 		for i, opts := range []core.Options{
-			{Backend: core.BackendParallel},
-			{Backend: core.BackendSoA},
+			{Backend: core.BackendSerial},
+			{Backend: core.BackendSoA, Workers: 1, InitialState: uniformState(n)},
 		} {
 			sim, err := core.New(n, terms, opts)
 			if err != nil {

@@ -29,7 +29,7 @@ func runGrad(w io.Writer, args []string) error {
 	n := fs.Int("n", 16, "qubit count")
 	p := fs.Int("p", 12, "QAOA depth (speedup scales with p)")
 	reps := fs.Int("reps", 3, "timing repetitions (best-of)")
-	backendName := fs.String("backend", "auto", "simulator backend (auto, serial, parallel, soa)")
+	backendName := fs.String("backend", "auto", "simulator backend: auto, serial (python), soa (c, nbcuda, gpu; parallel is an alias)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func TestSuiteJSONRoundTrips(t *testing.T) {
 		t.Errorf("schema = %q", report.Schema)
 	}
 	want := []string{"forward", "grad", "sweep", "registry_cache_hit",
-		"unfused_layer", "fused_layer",
+		"fused_layer",
 		"lightcone_energy", "lightcone_grad",
 		"distributed_forward", "distributed_grad",
 		"distributed_forward_float32", "distributed_grad_float32",
@@ -305,7 +305,8 @@ func TestSuiteBaselineForwardCompat(t *testing.T) {
 		old.Benchmarks = append(old.Benchmarks, b)
 	}
 	// A row the suite no longer records, as BENCH_qaoa.json keeps
-	// distributed_grad_quantized, is skipped, not failed.
+	// distributed_grad_quantized and unfused_layer, is skipped, not
+	// failed.
 	old.Benchmarks = append(old.Benchmarks, suiteBenchmark{Name: "retired_row", N: 8, P: 2, SecondsPerOp: 1})
 	oldPath := filepath.Join(dir, "old.json")
 	oldData, err := json.Marshal(old)

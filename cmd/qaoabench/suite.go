@@ -44,10 +44,9 @@ type suiteConfig struct {
 	Ranks  int `json:"ranks"`
 	Points int `json:"sweep_points"`
 	Reps   int `json:"reps"`
-	// KernelN is the qubit count of the kernel-speed rows
-	// (unfused_layer, fused_layer) — larger than N so the state
-	// outgrows cache and the rows measure memory traffic, the regime
-	// the fused kernels target.
+	// KernelN is the qubit count of the kernel-speed row (fused_layer)
+	// — larger than N so the state outgrows cache and the row measures
+	// memory traffic, the regime the fused kernels target.
 	KernelN int `json:"kernel_n"`
 	// LightConeN is the vertex count of the light-cone rows
 	// (lightcone_energy, lightcone_grad) — a 3-regular MaxCut instance
@@ -239,41 +238,32 @@ func runSuite(w io.Writer, args []string) error {
 	})
 
 	// Kernel speed: one p-layer evolution at the larger kernelN over
-	// the default (SoA) backend — a separate phase pass + tiled mixer
-	// (the SeparatePhase ablation), and the default fused layer (phase
-	// folded into the first block of the tiled F = 2 mixer). A
-	// synthetic diagonal keeps setup cheap at the larger size; the
-	// evolution cost does not depend on the diagonal's values.
+	// the default (SoA) backend, whose layer folds the phase into the
+	// first block of the tiled F = 2 mixer. A synthetic diagonal keeps
+	// setup cheap at the larger size; the evolution cost does not
+	// depend on the diagonal's values.
 	kdiag := make([]float64, 1<<uint(*kernelN))
 	for i := range kdiag {
 		kdiag[i] = float64((i*2654435761)%31) - 15
 	}
-	for _, kv := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"unfused_layer", core.Options{SeparatePhase: true}},
-		{"fused_layer", core.Options{}},
-	} {
-		ksim, err := core.NewFromDiagonal(*kernelN, kdiag, kv.opts)
-		if err != nil {
-			return err
-		}
-		kres := ksim.NewResult()
-		if err := ksim.SimulateQAOAInto(kres, gamma, beta); err != nil {
-			return err
-		}
-		tK, _ := benchutil.TimeRepeat(*reps, func() {
-			if err := ksim.SimulateQAOAInto(kres, gamma, beta); err != nil {
-				panic(err)
-			}
-		})
-		report.Benchmarks = append(report.Benchmarks, suiteBenchmark{
-			Name: kv.name, N: *kernelN, P: *p, Workers: ksim.Workers(),
-			SecondsPerOp:   tK.Seconds(),
-			SecondsPerUnit: tK.Seconds() / float64(*p),
-		})
+	ksim, err := core.NewFromDiagonal(*kernelN, kdiag, core.Options{})
+	if err != nil {
+		return err
 	}
+	kres := ksim.NewResult()
+	if err := ksim.SimulateQAOAInto(kres, gamma, beta); err != nil {
+		return err
+	}
+	tK, _ := benchutil.TimeRepeat(*reps, func() {
+		if err := ksim.SimulateQAOAInto(kres, gamma, beta); err != nil {
+			panic(err)
+		}
+	})
+	report.Benchmarks = append(report.Benchmarks, suiteBenchmark{
+		Name: "fused_layer", N: *kernelN, P: *p, Workers: ksim.Workers(),
+		SecondsPerOp:   tK.Seconds(),
+		SecondsPerUnit: tK.Seconds() / float64(*p),
+	})
 
 	// Light-cone MaxCut: one energy and one p=2 adjoint gradient over a
 	// radius-2 cone decomposition of a 3-regular instance whose vertex

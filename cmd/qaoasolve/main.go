@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"qokit"
+	"qokit/internal/core"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 	budget := flag.Int("budget", 0, "portfolio: assets to select (default n/2)")
 	seed := flag.Int64("seed", 1, "instance seed")
 	evals := flag.Int("evals", 300, "optimizer evaluation budget")
-	backend := flag.String("backend", "auto", "auto | serial | parallel | soa")
+	backend := flag.String("backend", "auto", "single-node backend: auto | serial (python) | soa (c, nbcuda, gpu; parallel is an alias)")
 	ranks := flag.Int("ranks", 0, "solve on the distributed sharded backend with this many ranks (0 = single node)")
 	precision := flag.String("precision", "float64", "distributed shard precision: float64 | float32")
 	checkpoint := flag.String("checkpoint", "", "durable Adam job: optimizer-state file (an existing file resumes the interrupted job)")
@@ -110,7 +111,7 @@ func run(problem string, n, p, d, k, clauses, budget int, seed int64, evals int,
 		return runDistributed(problem, reg, key, n, p, seed, evals, ranks, precision, checkpoint)
 	}
 
-	be, err := parseBackend(backend)
+	be, err := core.ParseBackend(backend)
 	if err != nil {
 		return err
 	}
@@ -285,19 +286,4 @@ func runDistributed(problem string, reg *qokit.ProblemRegistry, key qokit.Proble
 	st := reg.Stats()
 	fmt.Printf("registry: %d precompute, %d cache hits\n", st.Precomputes, st.Hits)
 	return nil
-}
-
-func parseBackend(name string) (qokit.Backend, error) {
-	switch name {
-	case "", "auto":
-		return qokit.BackendAuto, nil
-	case "serial":
-		return qokit.BackendSerial, nil
-	case "parallel":
-		return qokit.BackendParallel, nil
-	case "soa":
-		return qokit.BackendSoA, nil
-	default:
-		return 0, fmt.Errorf("unknown backend %q", name)
-	}
 }

@@ -1,7 +1,8 @@
 // Package benchutil is the measurement harness shared by the
 // figure-regeneration benchmarks (cmd/qaoabench and bench_test.go):
 // repeated timing with medians, parameter-sweep series in the long
-// format the paper's plots use, and aligned/CSV table writers.
+// format the paper's plots use, aligned/CSV table writers, and the
+// Fig. 2 no-precompute baseline.
 package benchutil
 
 import (
@@ -11,7 +12,35 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"qokit/internal/poly"
+	"qokit/internal/statevec"
 )
+
+// RecomputeEnergy is Fig. 2's no-precompute baseline, the stand-in for
+// OpenQAOA-style simulators: it evolves |+⟩^n through the QAOA layers
+// with the x mixer and returns ⟨Ĉ⟩, re-evaluating the cost polynomial
+// term by term for every amplitude of every phase pass and of the
+// expectation (O(|T|·2^n) per pass) instead of reading a cached
+// diagonal. The mixer is Algorithm 2's serial sweep, so the result
+// equals the Serial simulator's Expectation bit for bit: the two differ
+// only in where f(x) comes from, which isolates what precomputation
+// buys.
+func RecomputeEnergy(n int, c poly.Compiled, gamma, beta []float64) float64 {
+	v := statevec.NewUniform(n)
+	for l := range gamma {
+		for x := range v {
+			sn, cs := math.Sincos(-gamma[l] * c.Eval(uint64(x)))
+			v[x] *= complex(cs, sn)
+		}
+		statevec.ApplyUniformRX(v, beta[l])
+	}
+	var e float64
+	for x, a := range v {
+		e += c.Eval(uint64(x)) * (real(a)*real(a) + imag(a)*imag(a))
+	}
+	return e
+}
 
 // TimeRepeat runs fn reps times (reps ≥ 1) and returns the median and
 // minimum wall time. The paper's Fig. 2 reports means over 5 runs;

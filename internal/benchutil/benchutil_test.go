@@ -1,10 +1,53 @@
 package benchutil
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"qokit/internal/core"
+	"qokit/internal/poly"
+	"qokit/internal/problems"
 )
+
+// TestRecomputeEnergyMatchesSerial pins the Fig. 2 baseline to the
+// Serial simulator bit for bit, on both sides of the phase-table rule:
+// LABS n = 7 and SK n = 10 take per-amplitude sincos of the cached
+// diagonal, LABS n = 14 gathers from a level table whose entries are the
+// sincos of the same float64 values. RecomputeEnergy re-derives f(x)
+// from the terms, so equality here is also the end-to-end pin that the
+// precomputed diagonal and its table change nothing but the cost.
+func TestRecomputeEnergyMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, c := range []struct {
+		name  string
+		n     int
+		terms poly.Terms
+	}{
+		{"labs", 7, problems.LABSTerms(7)},
+		{"labs", 14, problems.LABSTerms(14)},
+		{"sk", 10, problems.SKTerms(10, 44)},
+	} {
+		gamma, beta := make([]float64, 3), make([]float64, 3)
+		for l := range gamma {
+			gamma[l], beta[l] = rng.Float64()*2-1, rng.Float64()*2-1
+		}
+		sim, err := core.New(c.n, c.terms, core.Options{Backend: core.BackendSerial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sim.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r.Expectation()
+		if got := RecomputeEnergy(c.n, poly.Compile(c.terms), gamma, beta); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s n=%d: RecomputeEnergy = %v, Serial Expectation = %v", c.name, c.n, got, want)
+		}
+	}
+}
 
 func TestMedianAndMin(t *testing.T) {
 	ds := []time.Duration{5, 1, 3, 2, 4}

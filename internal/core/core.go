@@ -8,13 +8,15 @@
 // (Algorithm 2 or the xy SU(4) analogues); the objective
 // ⟨γ,β|Ĉ|γ,β⟩ is a single inner product against the cached diagonal.
 //
-// Three single-node backends mirror QOKit's simulator classes:
+// Two single-node backends stand in for QOKit's simulator classes:
 //
-//	Serial    — portable straight-line complex128 loops ("python")
-//	Parallel  — worker-pool complex128 kernels ("c"/OpenMP analogue)
-//	SoA       — worker-pool split real/imag kernels ("nbcuda"/GPU
-//	            analogue; see internal/statevec for why SoA stands in
-//	            for the vendor-tuned kernels)
+//	Serial — portable straight-line complex128 loops ("python"): a
+//	         phase pass, then Algorithm 2's per-qubit sweep; the
+//	         reference the fast path is tested against
+//	SoA    — worker-pool split real/imag kernels ("c", "nbcuda"/GPU
+//	         analogue; see internal/statevec for why SoA stands in for
+//	         the vendor-tuned kernels): the phase folded into the
+//	         cache-tiled F = 2 mixer, in float64 or float32 planes
 //
 // The distributed backends of §III-C live in internal/distsim and
 // share this package's Mixer and options types.
@@ -36,10 +38,9 @@ type Backend int
 const (
 	// BackendAuto picks the fastest single-node backend (SoA).
 	BackendAuto Backend = iota
-	// BackendSerial is the portable reference engine.
+	// BackendSerial is the portable single-threaded complex128
+	// reference engine.
 	BackendSerial
-	// BackendParallel runs complex128 kernels on a worker pool.
-	BackendParallel
 	// BackendSoA runs split real/imaginary kernels on a worker pool.
 	BackendSoA
 )
@@ -51,8 +52,6 @@ func (b Backend) String() string {
 		return "auto"
 	case BackendSerial:
 		return "serial"
-	case BackendParallel:
-		return "parallel"
 	case BackendSoA:
 		return "soa"
 	default:
@@ -61,19 +60,19 @@ func (b Backend) String() string {
 }
 
 // ParseBackend resolves a backend name, accepting both this package's
-// names and the corresponding QOKit simulator-class names.
+// names and the corresponding QOKit simulator-class names. QOKit's
+// pooled "c" class (and this package's former "parallel" name) maps to
+// SoA, the one pooled engine.
 func ParseBackend(name string) (Backend, error) {
 	switch name {
 	case "", "auto":
 		return BackendAuto, nil
 	case "serial", "python":
 		return BackendSerial, nil
-	case "parallel", "c":
-		return BackendParallel, nil
-	case "soa", "nbcuda", "gpu":
+	case "soa", "nbcuda", "gpu", "parallel", "c":
 		return BackendSoA, nil
 	default:
-		return 0, fmt.Errorf("core: unknown backend %q (want auto, serial/python, parallel/c, soa/nbcuda)", name)
+		return 0, fmt.Errorf("core: unknown backend %q (want auto, serial/python, or soa/parallel/c/nbcuda/gpu)", name)
 	}
 }
 
@@ -137,24 +136,23 @@ func (r MixerRoute) String() string {
 }
 
 // Options configures a Simulator. The zero value requests the auto
-// backend, the transverse-field mixer, a GOMAXPROCS-sized pool and a
-// float64 diagonal. The options and the diagonal alone fix which
-// kernels a simulator runs: nothing is calibrated against the clock.
-// The transverse-field mixer runs as Algorithm 2's per-qubit sweep on
-// the complex128 backends (Serial, Parallel) and as the cache-tiled
-// F = 2 kernel (§VI's gate fusion, RX⊗RX on qubit pairs) on SoA in
-// either precision; no option selects between them. Likewise no
-// option selects the group state (see Simulator): it follows from the
-// backend, the mixer, InitialState and the diagonal, and setting
-// InitialState, even to the uniform state, keeps the full state.
+// backend (SoA), the transverse-field mixer, a GOMAXPROCS-sized pool
+// and float64 planes. The options and the diagonal alone fix which
+// kernels a simulator runs: nothing is calibrated against the clock,
+// and no option switches an optimization off. With the x mixer, SoA
+// folds the phase into the cache-tiled F = 2 mixer (§VI's gate fusion,
+// RX⊗RX on qubit pairs) in either precision, and Serial runs a phase
+// pass, then Algorithm 2's per-qubit sweep. Likewise no option selects
+// the group state (see Simulator): it follows from the backend, the
+// mixer, InitialState and the diagonal, and setting InitialState, even
+// to the uniform state, keeps the full state.
 type Options struct {
 	Backend Backend
 	Mixer   Mixer
-	// Workers sets the pool size for the Parallel and SoA backends
-	// (≤ 0 means GOMAXPROCS). The Serial backend always runs
-	// single-threaded: any Workers value is normalized to 1 at
-	// construction (observable through Simulator.Workers), never
-	// silently retained.
+	// Workers sets the SoA pool size (≤ 0 means GOMAXPROCS). The
+	// Serial backend always runs single-threaded: any Workers value is
+	// normalized to 1 at construction (observable through
+	// Simulator.Workers), never silently retained.
 	Workers int
 	// InitialState overrides the default initial state (uniform
 	// superposition for MixerX, a Dicke state for the xy mixers). The
@@ -169,23 +167,6 @@ type Options struct {
 	// of accumulating rounding error with depth (measured by
 	// `qaoabench precision`). Requires the SoA (or Auto) backend.
 	SinglePrecision bool
-	// SeparatePhase forces the phase operator to run as its own full
-	// pass over the state instead of being folded into the first mixer
-	// sweep of each layer. The fused layer is the default because it is
-	// bit-identical and one traversal cheaper; this ablation isolates
-	// what the fusion buys, mirroring RecomputePhase's role for the
-	// diagonal precompute.
-	SeparatePhase bool
-	// RecomputePhase disables the paper's central optimization: the
-	// phase operator re-evaluates the cost polynomial term-by-term on
-	// every layer (O(|T|·2^n) per layer) instead of reading the cached
-	// diagonal. This is the ablation baseline standing in for
-	// OpenQAOA-style simulators in Fig. 2 and isolates exactly what
-	// precomputation buys. A simulator built from a raw diagonal
-	// (NewFromDiagonal) has no terms to re-evaluate, so it re-reads the
-	// diagonal instead: it still pays sincos per amplitude per layer,
-	// but not the polynomial evaluation.
-	RecomputePhase bool
 }
 
 // Simulator is a QAOA fast simulator bound to one problem instance
@@ -219,8 +200,8 @@ type Options struct {
 // outputs (StateVector, Probabilities, Overlap, CVaR, Variance,
 // samples) expand them to all 2^n basis states through x ↦ x ⊕ g, g
 // the element that carries x's top bits, and Caps still reports the
-// full state as an upper bound. Serial, Parallel, the xy mixers, costs
-// whose symmetries carry no top bit (h = 0) and any caller-supplied
+// full state as an upper bound. Serial, the xy mixers, costs whose
+// symmetries carry no top bit (h = 0) and any caller-supplied
 // InitialState keep the full state.
 type Simulator struct {
 	n       int
@@ -238,8 +219,6 @@ type Simulator struct {
 	// sincos. nlevels is the table length.
 	levels  *costvec.Quantized
 	nlevels int
-	// compiled is retained for the RecomputePhase ablation.
-	compiled poly.Compiled
 
 	// mixerPairs is the ordered edge list swept by the xy mixers.
 	mixerPairs []graphs.Edge
@@ -264,19 +243,10 @@ func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
 		return nil, fmt.Errorf("core: n=%d outside practical range [1,34]", n)
 	}
 	compiled := poly.Compile(terms)
-	pool := statevec.NewPool(opts.Workers)
-	var diag []float64
 	if opts.Backend == BackendSerial {
-		diag = costvec.Precompute(compiled, n)
-	} else {
-		diag = costvec.PrecomputePool(pool, compiled, n)
+		return NewFromDiagonal(n, costvec.Precompute(compiled, n), opts)
 	}
-	s, err := NewFromDiagonal(n, diag, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.compiled = compiled
-	return s, nil
+	return NewFromDiagonal(n, costvec.PrecomputePool(statevec.NewPool(opts.Workers), compiled, n), opts)
 }
 
 // NewFromDiagonal builds a simulator from an existing cost diagonal
@@ -294,7 +264,7 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	switch backend {
 	case BackendAuto:
 		backend = BackendSoA
-	case BackendSerial, BackendParallel, BackendSoA:
+	case BackendSerial, BackendSoA:
 	default:
 		return nil, fmt.Errorf("core: unknown backend %v", opts.Backend)
 	}
@@ -315,9 +285,6 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if opts.SinglePrecision && backend != BackendSoA {
 		return nil, fmt.Errorf("core: SinglePrecision requires the SoA backend, got %v", backend)
 	}
-	if opts.SinglePrecision && opts.RecomputePhase {
-		return nil, fmt.Errorf("core: SinglePrecision does not compose with RecomputePhase")
-	}
 	flip, err := costvec.CheckDiagonal(diag)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -327,14 +294,11 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 		pivots = costvec.SymmetryPivots(diag, flip)
 	}
 	s.group = groupOf(pivots)
-	// The Fig. 2 ablation must keep re-deriving f(x) per phase
-	// application, so it never takes tables. A group state's codes
-	// cover the stored indices only, which hold every level.
-	if !opts.RecomputePhase {
-		if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/PhaseTableRatio); err == nil {
-			s.levels = q
-			s.nlevels = int(q.MaxCode()) + 1
-		}
+	// A group state's codes cover the stored indices only, which hold
+	// every level.
+	if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/PhaseTableRatio); err == nil {
+		s.levels = q
+		s.nlevels = int(q.MaxCode()) + 1
 	}
 	switch opts.Mixer {
 	case MixerX:
@@ -419,8 +383,7 @@ func (s *Simulator) NumQubits() int { return s.n }
 func (s *Simulator) Backend() Backend { return s.backend }
 
 // Workers returns the resolved kernel-pool size: Options.Workers
-// (GOMAXPROCS when ≤ 0) for the pooled backends, always 1 for the
-// Serial backend.
+// (GOMAXPROCS when ≤ 0) on SoA, always 1 on Serial.
 func (s *Simulator) Workers() int { return s.pool.Workers }
 
 // MixerRoute reports the mixer route, which is always RouteSweep (see

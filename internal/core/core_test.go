@@ -19,7 +19,7 @@ import (
 )
 
 func allBackends() []Backend {
-	return []Backend{BackendSerial, BackendParallel, BackendSoA}
+	return []Backend{BackendSerial, BackendSoA}
 }
 
 func randomAngles(rng *rand.Rand, p int) (gamma, beta []float64) {
@@ -36,8 +36,10 @@ func TestParseBackend(t *testing.T) {
 	for name, want := range map[string]Backend{
 		"": BackendAuto, "auto": BackendAuto,
 		"serial": BackendSerial, "python": BackendSerial,
-		"parallel": BackendParallel, "c": BackendParallel,
 		"soa": BackendSoA, "nbcuda": BackendSoA, "gpu": BackendSoA,
+		// QOKit's pooled "c" class and the former Parallel backend's
+		// name resolve to the one pooled engine.
+		"parallel": BackendSoA, "c": BackendSoA,
 	} {
 		got, err := ParseBackend(name)
 		if err != nil || got != want {
@@ -337,7 +339,7 @@ func TestExpectationMatchesManualSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := problems.MaxCutTerms(g)
-	s, err := New(n, ts, Options{Backend: BackendParallel, Workers: 2})
+	s, err := New(n, ts, Options{Backend: BackendSoA, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,95 +437,17 @@ func TestSinglePrecisionValidation(t *testing.T) {
 	if _, err := New(4, ts, Options{Backend: BackendSerial, SinglePrecision: true}); err == nil {
 		t.Error("SinglePrecision with serial backend accepted")
 	}
-	if _, err := New(4, ts, Options{SinglePrecision: true, RecomputePhase: true}); err == nil {
-		t.Error("SinglePrecision+RecomputePhase accepted")
-	}
 	// Auto backend resolves to SoA, so it must be accepted.
 	if _, err := New(4, ts, Options{SinglePrecision: true}); err != nil {
 		t.Errorf("SinglePrecision with auto backend rejected: %v", err)
 	}
 }
 
-// TestRecomputePhaseMatchesPrecomputed checks the Fig. 2 ablation
-// against the precomputed simulator on both sides of the phase-table
-// rule. RecomputePhase takes sincos of the same f(x) per amplitude, so
-// it is the reference: states must agree exactly, whether the
-// precomputed side gathers from a level table (LABS n=14) or calls
-// sincos itself (LABS n=7, SK). The adjoint gradients, whose reverse
-// phase re-derives f(x) too, agree to 1e-12 of their max-norm. Both
-// sides follow the group-state rule, so SoA runs each case on the
-// stored group state (LABS a quarter state, SK a half state) and again,
-// from an explicit uniform InitialState, on the full state.
-func TestRecomputePhaseMatchesPrecomputed(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	for _, c := range []tableCase{
-		{"labs", 7, problems.LABSTerms(7), false},
-		{"labs", 14, problems.LABSTerms(14), true},
-		{"sk", 10, skTerms(10, 44), false},
-	} {
-		gamma, beta := randomAngles(rng, 3)
-		for _, backend := range allBackends() {
-			for _, start := range []statevec.Vec{nil, statevec.NewUniform(c.n)} {
-				checkRecomputePhase(t, c, Options{Backend: backend, InitialState: start}, gamma, beta)
-			}
-		}
-	}
-}
-
-// checkRecomputePhase runs TestRecomputePhaseMatchesPrecomputed on one
-// case and set of options.
-func checkRecomputePhase(t *testing.T, c tableCase, opts Options, gamma, beta []float64) {
-	label := c.name + itoa(c.n) + "/" + opts.Backend.String()
-	if opts.InitialState != nil {
-		label += "/explicit start"
-	}
-	half := opts.Backend == BackendSoA && opts.InitialState == nil
-	pre, err := New(c.n, c.terms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTableSide(t, label, pre, c.table)
-	requireGroupSide(t, label, pre, half)
-	recOpts := opts
-	recOpts.RecomputePhase = true
-	rec, err := New(c.n, c.terms, recOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTableSide(t, label+"/recompute", rec, false)
-	requireGroupSide(t, label+"/recompute", rec, half)
-	r1, err := pre.SimulateQAOA(gamma, beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := rec.SimulateQAOA(gamma, beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d != 0 {
-		t.Errorf("%s: recompute phase differs: %g", label, d)
-	}
-	_, pG, pB, err := pre.SimulateQAOAGrad(gamma, beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rG, rB, err := rec.SimulateQAOAGrad(gamma, beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm := maxAbs(rG, rB)
-	for l := range rG {
-		if d := math.Max(math.Abs(pG[l]-rG[l]), math.Abs(pB[l]-rB[l])); d > 1e-12*norm {
-			t.Errorf("%s layer %d: gradient differs from recompute by %.3g", label, l, d)
-		}
-	}
-}
-
 // TestPhaseTableRule pins which diagonals take phase tables: the
 // decision reads the diagonal alone — an exact affine grid with at
-// most 2^n/16 points — except that RecomputePhase never tables. A half
-// state quantizes the representatives only, under the same level
-// bound, and its codes are the first half of the full diagonal's.
+// most 2^n/16 points. A group state quantizes its stored indices only,
+// under the same level bound, and its codes are the stored prefix of
+// the full diagonal's.
 func TestPhaseTableRule(t *testing.T) {
 	g, err := graphs.RandomRegular(12, 3, 5)
 	if err != nil {
@@ -538,7 +462,6 @@ func TestPhaseTableRule(t *testing.T) {
 	}{
 		{"labs n=14", 14, problems.LABSTerms(14), Options{}, true},
 		{"labs n=12 (≈500 levels > 2^12/16)", 12, problems.LABSTerms(12), Options{}, false},
-		{"labs n=14 RecomputePhase", 14, problems.LABSTerms(14), Options{RecomputePhase: true}, false},
 		{"labs n=14 float32", 14, problems.LABSTerms(14), Options{SinglePrecision: true}, true},
 		{"labs n=14 explicit start", 14, problems.LABSTerms(14), Options{InitialState: statevec.NewUniform(14)}, true},
 		{"maxcut n=12", 12, problems.MaxCutTerms(g), Options{Backend: BackendSerial}, true},
@@ -605,6 +528,13 @@ func TestMixerAndBackendStrings(t *testing.T) {
 	if BackendSoA.String() != "soa" || MixerXYRing.String() != "xy-ring" || RouteSweep.String() != "sweep" {
 		t.Error("String() labels changed")
 	}
+	// Every backend name ParseBackend accepts renders as the canonical
+	// name of the backend it resolves to: parallel and c print as soa.
+	for name, want := range map[string]string{"parallel": "soa", "c": "soa", "python": "serial", "": "auto"} {
+		if b, err := ParseBackend(name); err != nil || b.String() != want {
+			t.Errorf("ParseBackend(%q).String() = %q (%v), want %q", name, b.String(), err, want)
+		}
+	}
 	if Backend(42).String() == "" || Mixer(42).String() == "" {
 		t.Error("unknown values must render non-empty")
 	}
@@ -637,6 +567,16 @@ func TestRingSweepCoversRing(t *testing.T) {
 	}
 }
 
+// hashedDiag is a deterministic integer-valued test diagonal with no
+// bit-flip symmetry, so every backend keeps the full state.
+func hashedDiag(n int) []float64 {
+	diag := make([]float64, 1<<uint(n))
+	for i := range diag {
+		diag[i] = float64((i*2654435761)%17) - 8
+	}
+	return diag
+}
+
 // TestEvaluationsDeterministicAtN18 pins that a result depends only on
 // the inputs at n = 18, the size from which kernels were once chosen by
 // timing them. The first and second evaluations of one simulator, and
@@ -645,7 +585,7 @@ func TestRingSweepCoversRing(t *testing.T) {
 // other test in the package.
 func TestEvaluationsDeterministicAtN18(t *testing.T) {
 	const n = 18
-	diag := separatePhaseDiag(n)
+	diag := hashedDiag(n)
 	gamma := []float64{0.6, -0.2, 0.35}
 	beta := []float64{0.3, 0.7, -0.4}
 	opts := Options{Workers: 3}

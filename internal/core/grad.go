@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"qokit/internal/statevec"
 )
@@ -36,7 +35,7 @@ import (
 // included, is one cache-tiled kernel (statevec's ReverseUniformRX):
 // 2–3 passes over the state pair per layer instead of n + 1, and the
 // forward layer is the tiled F = 2 kernel, 2–3 passes instead of n.
-// The complex128 backends run one joint pass per qubit and one phase
+// The Serial reference runs one joint pass per qubit and one phase
 // pass. A gradient therefore costs one forward pass plus one joint
 // reverse pass, versus 4p simulations for central finite differences —
 // the asymptotic win the high-depth regime needs. The reverse stays
@@ -160,16 +159,16 @@ func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBet
 // reverseLayer walks both states back through one layer and returns
 // Im ⟨λ|M|ψ⟩ and Im ⟨λ|Ĉ|ψ⟩, undoing the phase only when undo is set.
 // On the split layouts the x-mixer step and the phase are one tiled
-// kernel, except in the Fig. 2 ablation, whose phase step re-derives
-// f(x) from the compiled terms.
+// kernel, after the pivot passes of a group state; the Serial reference
+// and the xy mixers undo the mixer, then the phase.
 func (s *Simulator) reverseLayer(w *GradBuffers, gamma, beta float64, undo bool) (dBeta, dGamma float64) {
 	lam, psi := w.lam, w.psi
-	if s.opts.Mixer != MixerX || lam.vec != nil || s.opts.RecomputePhase {
-		return s.reverseMixer(w, beta), s.reversePhase(w, gamma, undo)
-	}
 	ph := statevec.Phase{Diag: s.diag[:s.stored()], Gamma: gamma}
 	if undo {
 		ph = s.phase(psi, gamma)
+	}
+	if s.opts.Mixer != MixerX || lam.vec != nil {
+		return s.reverseMixer(w, beta), s.reversePhase(w, ph, undo)
 	}
 	// The pivots go first: the tiled step reads the phase term in its
 	// last pass, after every RX of the layer is undone.
@@ -183,31 +182,18 @@ func (s *Simulator) reverseLayer(w *GradBuffers, gamma, beta float64, undo bool)
 }
 
 // reverseMixer undoes the layer's mixer on both states and returns
-// Im ⟨λ|M|ψ⟩ for the post-mixer pair. For the transverse-field mixer
-// each qubit's term commutes with every RX factor, so the per-qubit
-// joint passes read it at any point of the undo; for the Trotterized
-// xy mixers the edge factors do not commute, so the edges are undone
-// in reverse application order, each reading its own term.
+// Im ⟨λ|M|ψ⟩ for the post-mixer pair: per qubit on the Serial
+// reference's x mixer, where each qubit's term commutes with every RX
+// factor, so the per-qubit joint passes read it at any point of the
+// undo; per edge for the Trotterized xy mixers, whose edge factors do
+// not commute, so the edges are undone in reverse application order,
+// each reading its own term.
 func (s *Simulator) reverseMixer(w *GradBuffers, beta float64) float64 {
 	lam, psi := w.lam, w.psi
 	var d float64
 	if s.opts.Mixer == MixerX {
-		d = s.reverseMirrorRX(w, beta)
-		switch {
-		case lam.soa32 != nil:
-			tiled, _ := lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, statevec.Phase{}, false)
-			d += tiled
-		case lam.soa != nil:
-			tiled, _ := lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, statevec.Phase{}, false)
-			d += tiled
-		default:
-			for q := 0; q < s.n; q++ {
-				if s.backend == BackendSerial {
-					d += statevec.ReverseRX(lam.vec, psi.vec, q, beta)
-				} else {
-					d += s.pool.ReverseRX(lam.vec, psi.vec, q, beta)
-				}
-			}
+		for q := 0; q < s.n; q++ {
+			d += statevec.ReverseRX(lam.vec, psi.vec, q, beta)
 		}
 		return d
 	}
@@ -218,82 +204,25 @@ func (s *Simulator) reverseMixer(w *GradBuffers, beta float64) float64 {
 			d += lam.soa32.ReverseXY(s.pool, psi.soa32, e.U, e.V, beta)
 		case lam.soa != nil:
 			d += lam.soa.ReverseXY(s.pool, psi.soa, e.U, e.V, beta)
-		case s.backend == BackendSerial:
-			d += statevec.ReverseXY(lam.vec, psi.vec, e.U, e.V, beta)
 		default:
-			d += s.pool.ReverseXY(lam.vec, psi.vec, e.U, e.V, beta)
+			d += statevec.ReverseXY(lam.vec, psi.vec, e.U, e.V, beta)
 		}
 	}
 	return d
 }
 
 // reversePhase returns Im ⟨λ|Ĉ|ψ⟩ and, when undo is set, undoes the
-// layer's phase e^{−iγĈ} on both states.
-func (s *Simulator) reversePhase(w *GradBuffers, gamma float64, undo bool) float64 {
+// layer's phase ph on both states.
+func (s *Simulator) reversePhase(w *GradBuffers, ph statevec.Phase, undo bool) float64 {
 	lam, psi := w.lam, w.psi
-	if s.opts.RecomputePhase {
-		return s.reversePhaseRecompute(lam, psi, gamma, undo)
-	}
-	ph := statevec.Phase{Diag: s.diag[:s.stored()], Gamma: gamma}
-	if undo {
-		ph = s.phase(psi, gamma)
-	}
 	switch {
 	case lam.soa32 != nil:
 		return lam.soa32.ReversePhase(s.pool, psi.soa32, ph, undo)
 	case lam.soa != nil:
 		return lam.soa.ReversePhase(s.pool, psi.soa, ph, undo)
-	case s.backend == BackendSerial:
-		return statevec.ReversePhase(lam.vec, psi.vec, ph, undo)
 	default:
-		return s.pool.ReversePhase(lam.vec, psi.vec, ph, undo)
+		return statevec.ReversePhase(lam.vec, psi.vec, ph, undo)
 	}
-}
-
-// reversePhaseRecompute is reversePhase for the RecomputePhase
-// ablation: f(x) is re-derived from the compiled terms for the
-// reduction and the undo alike, as in the forward pass.
-func (s *Simulator) reversePhaseRecompute(lam, psi *Result, gamma float64, undo bool) float64 {
-	eval := s.compiled.Eval
-	if s.compiled.Len() == 0 {
-		diag := s.diag
-		eval = func(x uint64) float64 { return diag[x] }
-	}
-	if lam.soa != nil {
-		lr, li, pr, pi := lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im
-		return s.pool.Reduce(len(lr), func(lo, hi int) float64 {
-			var acc float64
-			for i := lo; i < hi; i++ {
-				f := eval(uint64(i))
-				a, b, c, d := lr[i], li[i], pr[i], pi[i]
-				acc += f * (a*d - b*c)
-				if undo {
-					sn, cs := math.Sincos(-gamma * f)
-					lr[i], li[i] = a*cs+b*sn, b*cs-a*sn
-					pr[i], pi[i] = c*cs+d*sn, d*cs-c*sn
-				}
-			}
-			return acc
-		})
-	}
-	lv, pv := lam.vec, psi.vec
-	reduce := func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			f := eval(uint64(i))
-			x, y := lv[i], pv[i]
-			acc += f * (real(x)*imag(y) - imag(x)*real(y))
-			if undo {
-				sn, cs := math.Sincos(-gamma * f)
-				lv[i], pv[i] = x*complex(cs, -sn), y*complex(cs, -sn)
-			}
-		}
-		return acc
-	}
-	if s.backend == BackendSerial {
-		return reduce(0, len(lv))
-	}
-	return s.pool.Reduce(len(lv), reduce)
 }
 
 // seedBra sets λ = obs⊙ψ without allocating, with the cost diagonal
@@ -317,11 +246,8 @@ func (s *Simulator) seedBra(w *GradBuffers, obs []float64) {
 	case psi.soa != nil:
 		lam.soa.Copy(psi.soa)
 		lam.soa.MulDiag(s.pool, obs)
-	case s.backend == BackendSerial:
-		copy(lam.vec, psi.vec)
-		statevec.MulDiag(lam.vec, obs)
 	default:
 		copy(lam.vec, psi.vec)
-		s.pool.MulDiag(lam.vec, obs)
+		statevec.MulDiag(lam.vec, obs)
 	}
 }

@@ -143,7 +143,7 @@ func TestAdjointGradientMatchesFiniteDifference(t *testing.T) {
 		if testing.Short() || n > 8 {
 			depths = []int{1, 4}
 		}
-		for _, backend := range []Backend{BackendSerial, BackendParallel, BackendSoA} {
+		for _, backend := range []Backend{BackendSerial, BackendSoA} {
 			for _, mixer := range []Mixer{MixerX, MixerXYRing} {
 				for _, p := range depths {
 					s, err := New(n, terms, Options{Backend: backend, Mixer: mixer, Workers: 3})
@@ -182,9 +182,9 @@ func itoa(p int) string {
 
 // TestAdjointGradientCrossBackend checks that every representation
 // computes the same gradient on both sides of the phase-table rule:
-// Parallel and SoA within 1e-12 of the Serial gradient's max-norm
-// (they differ only in reduction order), SoA32 within its 2e-3 band,
-// for the x and xy-ring mixers.
+// SoA within 1e-12 of the Serial gradient's max-norm (they differ only
+// in reduction order), SoA32 within its 2e-3 band, for the x and
+// xy-ring mixers.
 func TestAdjointGradientCrossBackend(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(37))
@@ -194,7 +194,6 @@ func TestAdjointGradientCrossBackend(t *testing.T) {
 			var refG, refB []float64
 			for _, o := range []Options{
 				{Backend: BackendSerial},
-				{Backend: BackendParallel, Workers: 3},
 				{Backend: BackendSoA, Workers: 3},
 				{Backend: BackendSoA, Workers: 3, SinglePrecision: true},
 			} {
@@ -375,12 +374,12 @@ func TestSerialWorkersNormalized(t *testing.T) {
 	if got := s.Workers(); got != 1 {
 		t.Errorf("serial simulator Workers() = %d, want 1", got)
 	}
-	p, err := New(4, problems.LABSTerms(4), Options{Backend: BackendParallel, Workers: 3})
+	p, err := New(4, problems.LABSTerms(4), Options{Backend: BackendSoA, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Workers(); got != 3 {
-		t.Errorf("parallel simulator Workers() = %d, want 3", got)
+		t.Errorf("soa simulator Workers() = %d, want 3", got)
 	}
 	a, err := New(4, problems.LABSTerms(4), Options{Workers: 2})
 	if err != nil {
@@ -419,7 +418,7 @@ func TestAdjointGradObsMatchesFiniteDifference(t *testing.T) {
 		{"maxcut", n, problems.MaxCutTerms(g), true},
 		{"sk", n, skTerms(n, 42), false},
 	} {
-		for _, backend := range []Backend{BackendSerial, BackendParallel, BackendSoA} {
+		for _, backend := range []Backend{BackendSerial, BackendSoA} {
 			for _, mixer := range []Mixer{MixerX, MixerXYRing} {
 				for _, p := range []int{1, 3} {
 					s, err := New(n, c.terms, Options{Backend: backend, Mixer: mixer, Workers: 3})

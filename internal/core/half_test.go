@@ -121,12 +121,9 @@ func TestHalfStateRule(t *testing.T) {
 		{"labs+z0 even n", n, labsZ0(n), Options{}, 1},
 		{"labs+z0 odd n", n + 1, labsZ0(n + 1), Options{}, 0},
 		{"labs+z0+z1", n, z0z1, Options{}, 0},
-		{"labs SeparatePhase", n, labs, Options{SeparatePhase: true}, 2},
-		{"labs RecomputePhase", n, labs, Options{RecomputePhase: true}, 2},
 		{"labs n=2", 2, problems.LABSTerms(2), Options{}, 1},
 		{"labs n=3", 3, problems.LABSTerms(3), Options{}, 1},
 		{"labs serial", n, labs, Options{Backend: BackendSerial}, 0},
-		{"labs parallel", n, labs, Options{Backend: BackendParallel}, 0},
 		{"sat", n, problems.SATTerms(sat), Options{}, 0},
 		{"maxcut with a linear field", n, append(problems.MaxCutTerms(g), poly.NewTerm(0.5, 2)), Options{}, 0},
 		{"portfolio under x", n, problems.SyntheticPortfolio(n, n/2, 0.5, 3).PortfolioTerms(), Options{}, 0},
@@ -293,6 +290,9 @@ func checkHalfGrad(t *testing.T, label string, half *Simulator, refs map[string]
 // evolution), the expanded state vector (exactly fixed by the group),
 // norm, probabilities in both preserveState modes, overlap, CVaR,
 // variance, and EvalOutputs' energy, variance and most probable state.
+// EvalOutputs reads MaxProb, its index and the probability queries off
+// the stored amplitudes; they must equal the argmax and the entries of
+// the group state's own expanded probabilities bit for bit.
 func checkHalfOutputs(t *testing.T, label string, half, full *Simulator, gamma, beta []float64, tol float64) {
 	t.Helper()
 	rh, err := half.SimulateQAOA(gamma, beta)
@@ -364,7 +364,11 @@ func checkHalfOutputs(t *testing.T, label string, half, full *Simulator, gamma, 
 	closeTo("variance", rh.Variance(), rf.Variance(), math.Max(tol, 1e-10)*scale*scale)
 
 	x := append(append([]float64(nil), gamma...), beta...)
-	spec := evaluator.OutputSpec{Variance: true, CVaRAlphas: []float64{0.5}}
+	queries := make([]uint64, len(ph))
+	for q := range queries {
+		queries[q] = uint64(q)
+	}
+	spec := evaluator.OutputSpec{Variance: true, CVaRAlphas: []float64{0.5}, ProbIndices: queries}
 	oh, err := half.EvalOutputs(context.Background(), x, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -376,6 +380,18 @@ func checkHalfOutputs(t *testing.T, label string, half, full *Simulator, gamma, 
 	if oh.Energy != rh.Expectation() || oh.Variance != rh.Variance() || oh.Overlap != rh.Overlap() {
 		t.Errorf("%s: EvalOutputs (%v, %v, %v) differs from the Result's (%v, %v, %v)",
 			label, oh.Energy, oh.Variance, oh.Overlap, rh.Expectation(), rh.Variance(), rh.Overlap())
+	}
+	wantP, wantIdx := -1.0, uint64(0)
+	for q, p := range ph {
+		if p > wantP {
+			wantP, wantIdx = p, uint64(q)
+		}
+	}
+	if math.Float64bits(oh.MaxProb) != math.Float64bits(wantP) || oh.MaxProbIndex != wantIdx {
+		t.Errorf("%s: EvalOutputs MaxProb %v at %d, expanded probabilities %v at %d", label, oh.MaxProb, oh.MaxProbIndex, wantP, wantIdx)
+	}
+	if !equalBits(oh.Probs, ph) {
+		t.Errorf("%s: EvalOutputs probability queries differ from the expanded probabilities", label)
 	}
 	closeTo("MaxProb", oh.MaxProb, of.MaxProb, probTol)
 	// x and x̄ (and, for LABS, the images of x under its other

@@ -8,15 +8,36 @@ import (
 	"qokit/internal/costvec"
 )
 
-// Variance returns Var(Ĉ) = ⟨Ĉ²⟩ − ⟨Ĉ⟩² over the evolved state,
-// computed from the cached diagonal by the same Welford pass as
-// EvalOutputs (costVariance), so the two agree bit for bit and neither
-// suffers the cancellation of ⟨Ĉ²⟩ − ⟨Ĉ⟩². The variance is the
+// Variance returns Var(Ĉ) = ⟨Ĉ²⟩ − ⟨Ĉ⟩² over the evolved state (the
+// value EvalOutputs reports), computed from the cached diagonal with a
+// weighted Welford pass: one accumulation per nonzero probability, no
+// catastrophic ⟨Ĉ²⟩ − ⟨Ĉ⟩² cancellation. The pass walks the stored
+// amplitudes; on a group state each carries p = 2^h·|ψ_i|², the mass of
+// its 2^h basis states, which share its cost. The distributed engine
+// runs the same recurrence per shard and merges the (weight, mean, M2)
+// triples, so the two paths agree to rounding. The variance is the
 // standard diagnostic for parameter-optimization landscapes (it
 // vanishes exactly on eigenstates, so small variance near a low
 // expectation signals concentration on good solutions).
 func (r *Result) Variance() float64 {
-	return costVariance(r.Probabilities(nil, true), r.sim.diag)
+	s := r.sim
+	weight := s.weight()
+	var w, mean, m2 float64
+	for i := 0; i < s.stored(); i++ {
+		p := weight * r.prob(i)
+		if p == 0 {
+			continue
+		}
+		c := s.diag[i]
+		w += p
+		delta := c - mean
+		mean += delta * p / w
+		m2 += p * delta * (c - mean)
+	}
+	if w == 0 {
+		return 0
+	}
+	return m2 / w
 }
 
 // CVaR returns the Conditional Value at Risk objective at level

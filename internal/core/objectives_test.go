@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"qokit/internal/evaluator"
@@ -62,17 +63,15 @@ func TestVarianceMatchesDirectSum(t *testing.T) {
 	}
 }
 
-// TestVarianceMatchesEvalOutputs: Result.Variance and EvalOutputs'
-// Variance run the one Welford pass (costVariance), so they agree bit
-// for bit on every backend, on the quarter state LABS stores and on
-// the full state.
+// TestVarianceMatchesEvalOutputs: EvalOutputs' Variance is
+// Result.Variance's Welford pass, so the two agree bit for bit on every
+// backend, on the quarter state LABS stores and on the full state.
 func TestVarianceMatchesEvalOutputs(t *testing.T) {
 	const n = 9
 	gamma, beta := randomAngles(rand.New(rand.NewSource(41)), 3)
 	x := append(append([]float64(nil), gamma...), beta...)
 	for _, opts := range []Options{
 		{Backend: BackendSerial},
-		{Backend: BackendParallel},
 		{Backend: BackendSoA},
 		{Backend: BackendSoA, SinglePrecision: true},
 		{Backend: BackendSoA, InitialState: statevec.NewUniform(n)},
@@ -211,5 +210,56 @@ func TestCostOrderCached(t *testing.T) {
 		if diag[a[i]] < diag[a[i-1]] {
 			t.Fatal("cost order not ascending")
 		}
+	}
+}
+
+// TestGroupOutputsWalkStoredAmplitudes pins that the outputs of a group
+// state read its 2^(n−h) stored amplitudes and never expand it. On LABS
+// n = 16 (a quarter state, 4·2^n bytes of planes): Result.Variance
+// allocates nothing; an EvalOutputs call with CVaR, the variance and
+// probability queries allocates less than one 2^n-entry float64 buffer
+// (8·2^n bytes, which the call's own state already half fills); and
+// 1024 shots add less than 16 bytes per basis state, the size of the
+// acceptance and alias tables of a sampler over all 2^n states alone.
+func TestGroupOutputsWalkStoredAmplitudes(t *testing.T) {
+	const n = 16
+	sim, err := New(n, problems.LABSTerms(n), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requirePivots(t, "labs n=16", sim, 2)
+	gamma, beta := []float64{0.3, -0.2, 0.5}, []float64{0.6, 0.4, -0.3}
+	x := append(append([]float64(nil), gamma...), beta...)
+	r, err := sim.SimulateQAOA(gamma, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(3, func() { r.Variance() }); a != 0 {
+		t.Errorf("Result.Variance allocates %v times per call, want 0", a)
+	}
+	ctx := context.Background()
+	spec := evaluator.OutputSpec{CVaRAlphas: []float64{0.1}, Variance: true, ProbIndices: []uint64{0, 1<<n - 1}}
+	perCall := func(spec evaluator.OutputSpec) uint64 {
+		const runs = 4
+		if _, err := sim.EvalOutputs(ctx, x, spec); err != nil { // builds the cost order once
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := sim.EvalOutputs(ctx, x, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	base := perCall(spec)
+	if base >= 8<<n {
+		t.Errorf("EvalOutputs without shots allocates %d B per call, want < %d (one 2^n float64 buffer)", base, 8<<n)
+	}
+	spec.Shots, spec.Seed = 1024, 3
+	if extra := perCall(spec) - base; extra >= 16<<n {
+		t.Errorf("1024 shots add %d B per call, want < %d (16 B per basis state)", extra, 16<<n)
 	}
 }

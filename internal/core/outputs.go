@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"qokit/internal/evaluator"
 	"qokit/internal/sampling"
@@ -44,24 +45,17 @@ func (s *Simulator) EvalOutputs(ctx context.Context, x []float64, spec evaluator
 			}
 		}
 	}
-	// One probability extraction serves the argmax, the queries, and
-	// the sampler (the state is consumed on the last use).
-	probs := r.Probabilities(nil, true)
-	maxP, maxIdx := -1.0, uint64(0)
-	for x, p := range probs {
-		if p > maxP {
-			maxP, maxIdx = p, uint64(x)
-		}
-	}
-	out.MaxProb, out.MaxProbIndex = maxP, maxIdx
+	// Every output below walks the stored amplitudes; none expands a
+	// group state to 2^n entries.
+	out.MaxProb, out.MaxProbIndex = r.maxProb()
 	if len(spec.ProbIndices) > 0 {
 		out.Probs = make([]float64, len(spec.ProbIndices))
 		for i, q := range spec.ProbIndices {
-			out.Probs[i] = probs[q]
+			out.Probs[i] = r.prob(int(s.rep(q)))
 		}
 	}
 	if spec.Variance {
-		out.Variance = costVariance(probs, s.diag)
+		out.Variance = r.Variance()
 	}
 	if spec.Shots > 0 {
 		// Validate bounded Shots by MaxShotsPerRequest, so this is the
@@ -69,7 +63,7 @@ func (s *Simulator) EvalOutputs(ctx context.Context, x []float64, spec evaluator
 		// the same chunked path the streaming contract uses, checking
 		// ctx at every chunk boundary.
 		out.Samples = make([]uint64, 0, spec.Shots)
-		err := sampleInChunks(ctx, probs, spec.Shots, spec.Seed, func(chunk []uint64) error {
+		err := r.sampleInChunks(ctx, spec.Shots, spec.Seed, func(chunk []uint64) error {
 			out.Samples = append(out.Samples, chunk...)
 			return nil
 		})
@@ -107,40 +101,47 @@ func (s *Simulator) StreamSamples(ctx context.Context, x []float64, spec evaluat
 	if err != nil {
 		return err
 	}
-	return sampleInChunks(ctx, r.Probabilities(nil, true), spec.Shots, spec.Seed, fn)
+	return r.sampleInChunks(ctx, spec.Shots, spec.Seed, fn)
 }
 
-// costVariance computes Var(C) = ⟨C²⟩ − ⟨C⟩² over the measurement
-// distribution with a weighted Welford pass — one accumulation per
-// nonzero probability, no catastrophic ⟨C²⟩ − ⟨C⟩² cancellation. The
-// distributed engine runs the same recurrence per shard and merges the
-// (weight, mean, M2) triples, so the two paths agree to rounding.
-func costVariance(probs, diag []float64) float64 {
-	var w, mean, m2 float64
-	for x, p := range probs {
-		if p == 0 {
-			continue
+// maxProb returns the largest |ψ_x|² and the first basis index x that
+// attains it. It walks the stored amplitudes only: on a group state
+// every other basis state repeats a stored value at a larger index, so
+// the first maximum over all 2^n states is a stored index.
+func (r *Result) maxProb() (float64, uint64) {
+	maxP, maxIdx := -1.0, uint64(0)
+	for i := 0; i < r.sim.stored(); i++ {
+		if p := r.prob(i); p > maxP {
+			maxP, maxIdx = p, uint64(i)
 		}
-		c := diag[x]
-		w += p
-		delta := c - mean
-		mean += delta * p / w
-		m2 += p * delta * (c - mean)
 	}
-	if w == 0 {
-		return 0
-	}
-	return m2 / w
+	return maxP, maxIdx
 }
 
-// sampleInChunks draws shots indices from probs into one reused
-// chunk buffer, delivering each full (or final partial) chunk to fn.
-// Both the buffered and the streaming sample paths draw through this
-// one loop, which is what guarantees their shot sequences coincide.
-func sampleInChunks(ctx context.Context, probs []float64, shots int, seed int64, fn func(chunk []uint64) error) error {
+// sampleInChunks draws shots basis indices from r's |ψ|² into one
+// reused chunk buffer, delivering each full (or final partial) chunk to
+// fn. Both the buffered and the streaming sample paths draw through
+// this one loop, which is what guarantees their shot sequences
+// coincide. A shot draws a stored index i from an alias sampler over
+// the stored |ψ_i|² (seeded by seed); on a group state it then takes
+// i ⊕ g for an element g drawn uniformly from a second stream (seed+1),
+// so basis state i ⊕ g comes up with probability |ψ_i|², as over the
+// expanded state. This is how distsim's half shards draw, with the
+// coin generalized to 2^h elements; a full state takes no second draw.
+func (r *Result) sampleInChunks(ctx context.Context, shots int, seed int64, fn func(chunk []uint64) error) error {
+	s := r.sim
+	probs := make([]float64, s.stored())
+	for i := range probs {
+		probs[i] = r.prob(i)
+	}
 	sampler, err := sampling.NewSampler(probs, seed)
 	if err != nil {
 		return fmt.Errorf("core: sampling: %w", err)
+	}
+	draw := sampler.Sample
+	if len(s.group) > 1 {
+		pick := rand.New(rand.NewSource(seed + 1))
+		draw = func() uint64 { return sampler.Sample() ^ s.group[pick.Intn(len(s.group))] }
 	}
 	chunkLen := evaluator.SampleChunkSize
 	if shots < chunkLen {
@@ -156,7 +157,7 @@ func sampleInChunks(ctx context.Context, probs []float64, shots int, seed int64,
 			c = c[:rem]
 		}
 		for i := range c {
-			c[i] = sampler.Sample()
+			c[i] = draw()
 		}
 		drawn += len(c)
 		if err := fn(c); err != nil {

@@ -4,10 +4,10 @@ package core
 // (terms of random degree/weights), random depths, and random angles,
 // every state representation must (a) preserve the norm — all QAOA
 // operators are unitary — and (b) agree with the serial complex128
-// reference state. Table-driven over all four representations:
-// serial, worker-pool complex128, SoA float64, and SoA32 single
-// precision (which inherits rounding error with depth, so its band is
-// wider but still asserted).
+// reference state. Table-driven over all three representations:
+// serial complex128, SoA float64, and SoA32 single precision (which
+// inherits rounding error with depth, so its band is wider but still
+// asserted).
 
 import (
 	"fmt"
@@ -45,7 +45,6 @@ func propertyBackends() []struct {
 		opts Options
 	}{
 		{"serial", Options{Backend: BackendSerial}},
-		{"parallel", Options{Backend: BackendParallel, Workers: 3}},
 		{"soa", Options{Backend: BackendSoA, Workers: 3}},
 		{"soa32", Options{Backend: BackendSoA, Workers: 3, SinglePrecision: true}},
 	}

@@ -19,7 +19,7 @@ import (
 // representation.
 type Result struct {
 	sim   *Simulator
-	vec   statevec.Vec    // non-nil for Serial/Parallel backends
+	vec   statevec.Vec    // non-nil for the Serial backend
 	soa   *statevec.SoA   // non-nil for the SoA backend
 	soa32 *statevec.SoA32 // non-nil for the SoA backend in single precision
 	// tab is the per-γ phase-table scratch of simulators with level
@@ -63,8 +63,8 @@ func (s *Simulator) NewResult() *Result {
 
 // SimulateQAOAInto is SimulateQAOA evolving into caller-owned storage:
 // it resets r to the initial state and applies the p layers in place;
-// the serial backend allocates nothing, and the pooled backends only
-// their kernel launches. r must come from
+// the serial backend allocates nothing, and SoA only its kernel
+// launches. r must come from
 // NewResult (or a prior SimulateQAOA) on a simulator with the same
 // backend and qubit count; its previous contents are overwritten.
 //
@@ -131,36 +131,26 @@ func (s *Simulator) bindResult(r *Result) error {
 // ApplyLayer applies one more QAOA layer e^{−iβM}·e^{−iγĈ} to an
 // existing result. It lets callers build up depth incrementally (e.g.
 // the Fig. 4 sweep reuses a single evolution instead of re-simulating
-// prefixes). With the x mixer the phase folds into the first mixer
-// pass (bit-identical to the separate passes, one traversal cheaper);
-// the xy mixers, recomputed phases and the SeparatePhase ablation run
-// the two operators separately. A group state then runs its top
-// qubits' pivot passes.
+// prefixes). With the x mixer the split layouts fold the phase into the
+// tiled F = 2 layer, and a group state then runs its top qubits' pivot
+// passes; the Serial reference and the xy mixers run a phase pass, then
+// the mixer.
 func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) {
-	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase {
-		s.applyFusedLayer(r, gamma, beta)
-		return
-	}
-	s.applyPhase(r, gamma)
-	s.applyMixer(r, beta)
-}
-
-// applyFusedLayer dispatches the fused phase+mixer kernels: the tiled
-// F = 2 layer on the split layouts, the per-qubit sweep with the phase
-// in its first pass on complex128.
-func (s *Simulator) applyFusedLayer(r *Result, gamma, beta float64) {
 	ph := s.phase(r, gamma)
 	switch {
+	case s.opts.Mixer != MixerX:
+		s.applyPhase(r, ph)
+		s.applyXY(r, beta)
 	case r.soa32 != nil:
 		r.soa32.ApplyPhaseThenUniformRX(s.pool, ph, beta)
+		s.mirrorRX(r, beta)
 	case r.soa != nil:
 		r.soa.ApplyPhaseThenUniformRX(s.pool, ph, beta)
-	case s.backend == BackendSerial:
-		statevec.ApplyPhaseThenUniformRX(r.vec, ph, beta)
+		s.mirrorRX(r, beta)
 	default:
-		s.pool.ApplyPhaseThenUniformRX(r.vec, ph, beta)
+		statevec.ApplyPhase(r.vec, ph)
+		statevec.ApplyUniformRX(r.vec, beta)
 	}
-	s.mirrorRX(r, beta)
 }
 
 // phase returns the source of e^{−iγĈ} over the stored amplitudes:
@@ -182,95 +172,29 @@ func (s *Simulator) phase(r *Result, gamma float64) statevec.Phase {
 	return ph
 }
 
-func (s *Simulator) applyPhase(r *Result, gamma float64) {
-	if s.opts.RecomputePhase {
-		s.applyPhaseRecompute(r, gamma)
-		return
-	}
-	ph := s.phase(r, gamma)
+func (s *Simulator) applyPhase(r *Result, ph statevec.Phase) {
 	switch {
 	case r.soa32 != nil:
 		r.soa32.ApplyPhase(s.pool, ph)
 	case r.soa != nil:
 		r.soa.ApplyPhase(s.pool, ph)
-	case s.backend == BackendSerial:
-		statevec.ApplyPhase(r.vec, ph)
 	default:
-		s.pool.ApplyPhase(r.vec, ph)
+		statevec.ApplyPhase(r.vec, ph)
 	}
 }
 
-// applyPhaseRecompute is the no-precompute ablation: every layer
-// re-derives f(x) from the compiled terms before exponentiating,
-// paying O(|T|) popcounts per amplitude per layer. If the simulator
-// was built from a raw diagonal (no terms available) it falls back to
-// an equivalent-cost scan so timing ablations remain meaningful.
-func (s *Simulator) applyPhaseRecompute(r *Result, gamma float64) {
-	eval := s.compiled.Eval
-	if s.compiled.Len() == 0 {
-		diag := s.diag
-		eval = func(x uint64) float64 { return diag[x] }
-	}
-	if r.soa != nil {
-		re, im := r.soa.Re, r.soa.Im
-		s.pool.Run(len(re), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sn, cs := math.Sincos(-gamma * eval(uint64(i)))
-				pr, pi := re[i], im[i]
-				re[i] = pr*cs - pi*sn
-				im[i] = pr*sn + pi*cs
-			}
-		})
-		return
-	}
-	apply := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sn, cs := math.Sincos(-gamma * eval(uint64(i)))
-			r.vec[i] *= complex(cs, sn)
-		}
-	}
-	if s.backend == BackendSerial {
-		apply(0, len(r.vec))
-		return
-	}
-	s.pool.Run(len(r.vec), apply)
-}
-
-func (s *Simulator) applyMixer(r *Result, beta float64) {
-	if s.opts.Mixer == MixerX {
-		s.applyMixerSweep(r, beta)
-		return
-	}
-	// xy mixers share the per-edge sweep.
+// applyXY runs one Trotter step of the xy mixer, edge by edge.
+func (s *Simulator) applyXY(r *Result, beta float64) {
 	for _, e := range s.mixerPairs {
 		switch {
 		case r.soa32 != nil:
 			r.soa32.ApplyXY(s.pool, e.U, e.V, beta)
 		case r.soa != nil:
 			r.soa.ApplyXY(s.pool, e.U, e.V, beta)
-		case s.backend == BackendSerial:
-			statevec.ApplyXY(r.vec, e.U, e.V, beta)
 		default:
-			s.pool.ApplyXY(r.vec, e.U, e.V, beta)
+			statevec.ApplyXY(r.vec, e.U, e.V, beta)
 		}
 	}
-}
-
-// applyMixerSweep runs the transverse-field mixer alone: the tiled
-// F = 2 kernel on the split layouts (and the pivot passes on a group
-// state), Algorithm 2's per-qubit sweep on complex128.
-func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
-	switch {
-	case r.soa32 != nil:
-		r.soa32.ApplyUniformRX(s.pool, beta)
-	case r.soa != nil:
-		r.soa.ApplyUniformRX(s.pool, beta)
-	case s.backend == BackendSerial:
-		statevec.ApplyUniformRX(r.vec, beta)
-	default:
-		s.pool.ApplyUniformRX(r.vec, beta)
-	}
-	s.mirrorRX(r, beta)
 }
 
 // Expectation returns ⟨γ,β|Ĉ|γ,β⟩ against the cached cost diagonal —
@@ -284,10 +208,7 @@ func (r *Result) Expectation() float64 {
 	if r.soa != nil {
 		return s.weight() * r.soa.ExpectationDiag(s.pool, s.diag[:s.stored()])
 	}
-	if s.backend == BackendSerial {
-		return statevec.ExpectationDiag(r.vec, s.diag)
-	}
-	return s.pool.ExpectationDiag(r.vec, s.diag)
+	return statevec.ExpectationDiag(r.vec, s.diag)
 }
 
 // ErrObservableLength reports a diagonal observable whose length is
@@ -315,10 +236,7 @@ func (r *Result) ExpectationOf(diag []float64) (float64, error) {
 	if r.soa != nil {
 		return r.soa.ExpectationDiag(s.pool, diag), nil
 	}
-	if s.backend == BackendSerial {
-		return statevec.ExpectationDiag(r.vec, diag), nil
-	}
-	return s.pool.ExpectationDiag(r.vec, diag), nil
+	return statevec.ExpectationDiag(r.vec, diag), nil
 }
 
 // Overlap returns the probability of measuring an optimal solution:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qokit/internal/evaluator"
+	"qokit/internal/problems"
 )
 
 func streamTestSim(t *testing.T, n int) *Simulator {
@@ -24,9 +25,22 @@ func streamTestSim(t *testing.T, n int) *Simulator {
 // TestStreamSamplesMatchesBuffered: with the same seed, the
 // concatenation of StreamSamples' chunks is exactly the Samples slice
 // EvalOutputs returns — both paths draw through one chunked loop — and
-// every chunk except the last has length SampleChunkSize.
+// every chunk except the last has length SampleChunkSize, on a full
+// state and on LABS's quarter state, whose shots take a second draw.
 func TestStreamSamplesMatchesBuffered(t *testing.T) {
-	s := streamTestSim(t, 6)
+	labs, err := New(6, problems.LABSTerms(6), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requirePivots(t, "labs n=6", labs, 2)
+	for _, s := range []*Simulator{streamTestSim(t, 6), labs} {
+		checkStreamMatchesBuffered(t, s)
+	}
+}
+
+// checkStreamMatchesBuffered runs TestStreamSamplesMatchesBuffered on
+// one simulator.
+func checkStreamMatchesBuffered(t *testing.T, s *Simulator) {
 	x := []float64{0.4, -0.3, 0.2, 0.5}
 	// Crosses two chunk boundaries and ends on a partial chunk.
 	shots := 2*evaluator.SampleChunkSize + 17

@@ -21,13 +21,12 @@ import (
 	"qokit/internal/statevec"
 )
 
-// workspaceBackends are the four execution engines a workspace runs on.
+// workspaceBackends are the three execution engines a workspace runs on.
 var workspaceBackends = []struct {
 	name string
 	opts Options
 }{
 	{"serial", Options{Backend: BackendSerial}},
-	{"parallel", Options{Backend: BackendParallel}},
 	{"soa", Options{Backend: BackendSoA}},
 	{"soa32", Options{Backend: BackendSoA, SinglePrecision: true}},
 }

@@ -310,7 +310,7 @@ func shotSamplers(c *cluster.Comm, v shardView, seed int64) (rankSampler *sampli
 
 // rankVariance computes Var(C) over the measurement distribution with
 // the distributed second-moment scheme: each rank runs the same
-// weighted Welford recurrence core.costVariance uses over its own
+// weighted Welford recurrence core.Result.Variance uses over its own
 // shard, the per-rank (weight, mean, M2) triples travel in disjoint
 // slots of one 3K-entry AllreduceSumVec, and every rank folds the K
 // triples in rank order with Chan's pairwise merge

@@ -23,8 +23,8 @@ import (
 // to both states, and one elementwise pass (ReversePhase) adds up the
 // phase derivative and undoes the phase on both states from a single
 // table read or sincos per amplitude. ReverseXY and ReversePhase come
-// in the package's four flavours (serial and worker-pool complex128,
-// SoA, SoA32 — the last accumulating in float64); ReverseRX is
+// in the package's three representations (serial complex128, SoA,
+// SoA32 — the last accumulating in float64); ReverseRX is serial
 // complex128 only, because the split layouts run a whole x-mixer
 // reverse step, phase included, as one tiled kernel
 // (ReverseUniformRX, tiled.go) in 2–3 cache-sized passes instead of
@@ -32,7 +32,7 @@ import (
 // the forward kernels at the negated angle.
 //
 // The standalone complex128 reductions below (ImDotDiag, ImDotXAll,
-// ImDotXRange, ImDotXY) are the references the tiled, mirror, fused and
+// ImDotXRange, ImDotXY) are the references the tiled, mirror and
 // costvec tests check the kernels against. The distributed engine runs
 // the split-layout kernels on its shards and splits the mixer
 // derivative at the shard boundary with ReverseRXRangePlanes.
@@ -47,18 +47,6 @@ func MulDiag(v Vec, diag []float64) {
 	for i := range v {
 		v[i] *= complex(diag[i], 0)
 	}
-}
-
-// MulDiag is the pool version of the diagonal-observable multiply.
-func (p *Pool) MulDiag(v Vec, diag []float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: MulDiag length mismatch %d vs %d", len(v), len(diag)))
-	}
-	p.Run(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] *= complex(diag[i], 0)
-		}
-	})
 }
 
 // ImDotDiag returns Σ_x diag_x · Im(conj(lam_x)·psi_x) = Im ⟨λ|Ĉ|ψ⟩:
@@ -258,17 +246,6 @@ func ReverseRX(lam, psi Vec, q int, beta float64) float64 {
 	return reverseRXRange(lam, psi, q, complex(c, 0), complex(0, -s), 0, len(lam)/2)
 }
 
-// ReverseRX is the pool version of the joint RX reverse step.
-func (p *Pool) ReverseRX(lam, psi Vec, q int, beta float64) float64 {
-	checkPair("ReverseRX", len(lam), len(psi))
-	checkStride(lam, q)
-	s, c := math.Sincos(-beta)
-	a, b := complex(c, 0), complex(0, -s)
-	return p.Reduce(len(lam)/2, func(lo, hi int) float64 {
-		return reverseRXRange(lam, psi, q, a, b, lo, hi)
-	})
-}
-
 // reverseRXRange runs the joint RX reverse step over the qubit-q pairs
 // t ∈ [lo, hi), rotating both states by the ApplySU2 block (a, b).
 func reverseRXRange(lam, psi Vec, q int, a, b complex128, lo, hi int) float64 {
@@ -297,17 +274,6 @@ func ReverseXY(lam, psi Vec, i, j int, beta float64) float64 {
 	checkEdge("ReverseXY", lam.NumQubits(), i, j)
 	s, c := math.Sincos(-beta)
 	return reverseXYRange(lam, psi, i, j, complex(c, 0), complex(0, -s), 0, len(lam)>>2)
-}
-
-// ReverseXY is the pool version of the joint xy reverse step.
-func (p *Pool) ReverseXY(lam, psi Vec, i, j int, beta float64) float64 {
-	checkPair("ReverseXY", len(lam), len(psi))
-	checkEdge("ReverseXY", lam.NumQubits(), i, j)
-	s, c := math.Sincos(-beta)
-	cr, sr := complex(c, 0), complex(0, -s)
-	return p.Reduce(len(lam)>>2, func(from, to int) float64 {
-		return reverseXYRange(lam, psi, i, j, cr, sr, from, to)
-	})
 }
 
 // reverseXYRange runs the joint xy reverse step over the packed
@@ -342,15 +308,6 @@ func ReversePhase(lam, psi Vec, ph Phase, undo bool) float64 {
 	checkPair("ReversePhase", len(lam), len(psi))
 	ph.check("ReversePhase", len(lam))
 	return reversePhaseRange(lam, psi, ph, undo, 0, len(lam))
-}
-
-// ReversePhase is the pool version of the joint phase reverse step.
-func (p *Pool) ReversePhase(lam, psi Vec, ph Phase, undo bool) float64 {
-	checkPair("ReversePhase", len(lam), len(psi))
-	ph.check("ReversePhase", len(lam))
-	return p.Reduce(len(lam), func(lo, hi int) float64 {
-		return reversePhaseRange(lam, psi, ph, undo, lo, hi)
-	})
 }
 
 func reversePhaseRange(lam, psi Vec, ph Phase, undo bool, lo, hi int) float64 {

@@ -50,7 +50,7 @@ func gradPool() *Pool { return &Pool{Workers: 4} }
 
 // TestImDotDiagAgainstReference checks every Im ⟨λ|Ĉ|ψ⟩ reduction
 // against the explicit inner product: the standalone serial reduction,
-// and ReversePhase on all four representations, with and without the
+// and ReversePhase on all three representations, with and without the
 // phase undo and through every phase source (the split layouts also
 // through the codes-only source of the same grid).
 func TestImDotDiagAgainstReference(t *testing.T) {
@@ -77,15 +77,8 @@ func TestImDotDiagAgainstReference(t *testing.T) {
 			split = append(split, Phase{Gamma: gamma, Codes: codes, Tab: tab, Min: -3, Scale: 0.5})
 		}
 		for _, undo := range []bool{false, true} {
-			got := map[string]float64{}
-			l, ps := lam.Clone(), psi.Clone()
-			got["serial"] = ReversePhase(l, ps, ph, undo)
-			l, ps = lam.Clone(), psi.Clone()
-			got["pool"] = gradPool().ReversePhase(l, ps, ph, undo)
-			for name, g := range got {
-				if math.Abs(g-want) > 1e-12 {
-					t.Errorf("%s ReversePhase(undo=%v, table=%v) = %v, want %v", name, undo, ph.Codes != nil, g, want)
-				}
+			if g := ReversePhase(lam.Clone(), psi.Clone(), ph, undo); math.Abs(g-want) > 1e-12 {
+				t.Errorf("serial ReversePhase(undo=%v, table=%v) = %v, want %v", undo, ph.Codes != nil, g, want)
 			}
 			for _, sph := range split {
 				sl, sp := SoAFromVec(lam), SoAFromVec(psi)
@@ -112,11 +105,6 @@ func TestMulDiagBackends(t *testing.T) {
 	want := v.Clone()
 	MulDiag(want, diag)
 
-	got := v.Clone()
-	gradPool().MulDiag(got, diag)
-	if d := MaxAbsDiff(want, got); d > 0 {
-		t.Errorf("pool MulDiag differs by %v", d)
-	}
 	soa := SoAFromVec(v)
 	soa.MulDiag(gradPool(), diag)
 	if d := MaxAbsDiff(want, soa.ToVec()); d > 1e-15 {
@@ -132,7 +120,7 @@ func TestMulDiagBackends(t *testing.T) {
 // TestImDotXAllAgainstReference checks the transverse-field mixer
 // derivative Σ_q Im ⟨λ|X_q|ψ⟩: the fused serial reduction,
 // the sum of the per-qubit ReverseRX reductions on the complex128
-// representations, and the mixer reduction of the split layouts' tiled
+// representation, and the mixer reduction of the split layouts' tiled
 // ReverseUniformRX (each qubit's term is invariant under the RX undos
 // of the other qubits, so the running sweep reads the same value).
 func TestImDotXAllAgainstReference(t *testing.T) {
@@ -149,17 +137,15 @@ func TestImDotXAllAgainstReference(t *testing.T) {
 		t.Errorf("serial ImDotXAll = %v, want %v", got, want)
 	}
 	sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
-	var got [4]float64
+	var got [3]float64
 	l, ps := lam.Clone(), psi.Clone()
-	lp, pp := lam.Clone(), psi.Clone()
 	for q := 0; q < n; q++ {
 		got[0] += ReverseRX(l, ps, q, beta)
-		got[1] += gradPool().ReverseRX(lp, pp, q, beta)
 	}
 	sl, sp := SoAFromVec(lam), SoAFromVec(psi)
-	got[2], _ = sl.ReverseUniformRX(gradPool(), sp, beta, Phase{}, false)
-	got[3], _ = sl32.ReverseUniformRX(gradPool(), sp32, beta, Phase{}, false)
-	for k, name := range []string{"serial", "pool", "soa", "soa32"} {
+	got[1], _ = sl.ReverseUniformRX(gradPool(), sp, beta, Phase{}, false)
+	got[2], _ = sl32.ReverseUniformRX(gradPool(), sp32, beta, Phase{}, false)
+	for k, name := range []string{"serial", "soa", "soa32"} {
 		tol := 1e-12
 		if name == "soa32" {
 			tol = 1e-5
@@ -172,7 +158,7 @@ func TestImDotXAllAgainstReference(t *testing.T) {
 
 // TestImDotXYAgainstReference checks the per-edge xy derivative
 // Im ⟨λ|H_e|ψ⟩ of the standalone serial reduction and of ReverseXY on
-// all four representations.
+// all three representations.
 func TestImDotXYAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const n = 5
@@ -188,9 +174,6 @@ func TestImDotXYAgainstReference(t *testing.T) {
 			}
 			if got := ReverseXY(lam.Clone(), psi.Clone(), i, j, 0.4); math.Abs(got-want) > 1e-12 {
 				t.Errorf("serial ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
-			}
-			if got := gradPool().ReverseXY(lam.Clone(), psi.Clone(), i, j, 0.4); math.Abs(got-want) > 1e-12 {
-				t.Errorf("pool ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
 			sl, sp := SoAFromVec(lam), SoAFromVec(psi)
 			if got := sl.ReverseXY(gradPool(), sp, i, j, 0.4); math.Abs(got-want) > 1e-12 {
@@ -219,47 +202,34 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 	grid, codes, tab := randomLevels(rng, 1<<n, gamma)
 	for _, ph := range []Phase{{Diag: grid, Gamma: gamma}, {Diag: grid, Gamma: gamma, Codes: codes, Tab: tab}} {
 		undoPh := Phase{Diag: grid, Gamma: -gamma}
-		// complex128, serial and pool: forward then reverse.
-		for _, pool := range []*Pool{nil, gradPool()} {
-			l, ps := lam0.Clone(), psi0.Clone()
-			for _, v := range []Vec{l, ps} {
-				ApplyPhase(v, ph)
-				ApplyUniformRX(v, beta)
-				ApplyXY(v, 1, 4, beta)
-			}
-			ref := []Vec{l.Clone(), ps.Clone()}
-			for _, v := range ref {
-				ApplyXY(v, 1, 4, -beta)
-				ApplyUniformRX(v, -beta)
-			}
-			if pool == nil {
-				ReverseXY(l, ps, 1, 4, beta)
-				for q := 0; q < n; q++ {
-					ReverseRX(l, ps, q, beta)
-				}
-			} else {
-				pool.ReverseXY(l, ps, 1, 4, beta)
-				for q := 0; q < n; q++ {
-					pool.ReverseRX(l, ps, q, beta)
-				}
-			}
-			if d := MaxAbsDiff(l, ref[0]) + MaxAbsDiff(ps, ref[1]); d != 0 {
-				t.Errorf("pool=%v: reverse mixer differs from the forward kernels at −β by %g", pool != nil, d)
-			}
-			for _, v := range ref {
-				ApplyPhase(v, undoPh)
-			}
-			if pool == nil {
-				ReversePhase(l, ps, ph, true)
-			} else {
-				pool.ReversePhase(l, ps, ph, true)
-			}
-			if d := MaxAbsDiff(l, ref[0]) + MaxAbsDiff(ps, ref[1]); d != 0 {
-				t.Errorf("pool=%v table=%v: reverse phase differs from the forward phase at −γ by %g", pool != nil, ph.Codes != nil, d)
-			}
-			if d := MaxAbsDiff(l, lam0) + MaxAbsDiff(ps, psi0); d > 1e-12 {
-				t.Errorf("pool=%v table=%v: reverse steps leave the states off by %g", pool != nil, ph.Codes != nil, d)
-			}
+		// complex128: forward then reverse.
+		l, ps := lam0.Clone(), psi0.Clone()
+		for _, v := range []Vec{l, ps} {
+			ApplyPhase(v, ph)
+			ApplyUniformRX(v, beta)
+			ApplyXY(v, 1, 4, beta)
+		}
+		ref := []Vec{l.Clone(), ps.Clone()}
+		for _, v := range ref {
+			ApplyXY(v, 1, 4, -beta)
+			ApplyUniformRX(v, -beta)
+		}
+		ReverseXY(l, ps, 1, 4, beta)
+		for q := 0; q < n; q++ {
+			ReverseRX(l, ps, q, beta)
+		}
+		if d := MaxAbsDiff(l, ref[0]) + MaxAbsDiff(ps, ref[1]); d != 0 {
+			t.Errorf("reverse mixer differs from the forward kernels at −β by %g", d)
+		}
+		for _, v := range ref {
+			ApplyPhase(v, undoPh)
+		}
+		ReversePhase(l, ps, ph, true)
+		if d := MaxAbsDiff(l, ref[0]) + MaxAbsDiff(ps, ref[1]); d != 0 {
+			t.Errorf("table=%v: reverse phase differs from the forward phase at −γ by %g", ph.Codes != nil, d)
+		}
+		if d := MaxAbsDiff(l, lam0) + MaxAbsDiff(ps, psi0); d > 1e-12 {
+			t.Errorf("table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
 		// The split layouts: the tiled ReverseUniformRX undoes the tiled
 		// F = 2 forward mixer and the phase in one call.

@@ -59,18 +59,6 @@ func ApplyUniformRX(v Vec, beta float64) {
 	}
 }
 
-// ApplyUniformSU2 is Algorithm 2 in full generality: it applies
-// ⨂_i U_i with a per-qubit SU(2) block given by (as[i], bs[i]).
-func ApplyUniformSU2(v Vec, as, bs []complex128) {
-	n := v.NumQubits()
-	if len(as) != n || len(bs) != n {
-		panic(fmt.Sprintf("statevec: ApplyUniformSU2 needs %d coefficients, got %d/%d", n, len(as), len(bs)))
-	}
-	for q := 0; q < n; q++ {
-		ApplySU2(v, q, as[q], bs[q])
-	}
-}
-
 // ApplyXY applies e^{−iβ(X_iX_j + Y_iY_j)/2} to the qubit pair (i, j)
 // in place. The operator is the identity on |00⟩ and |11⟩ and rotates
 // the (|..1_i..0_j..⟩, |..0_i..1_j..⟩) amplitude pairs by

@@ -104,35 +104,6 @@ func (p *Pool) workers() int {
 	return p.Workers
 }
 
-// ApplySU2 is the pool version of Algorithm 1: each of the 2^{n−1}
-// amplitude pairs is an independent work item, exactly the GPU kernel
-// decomposition described in §III-B.
-func (p *Pool) ApplySU2(v Vec, q int, a, b complex128) {
-	stride := checkStride(v, q)
-	ac, bc := conj(a), conj(b)
-	mask := stride - 1
-	p.Run(len(v)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := (t>>uint(q))<<uint(q+1) | (t & mask)
-			l2 := l1 + stride
-			y1, y2 := v[l1], v[l2]
-			v[l1] = a*y1 - bc*y2
-			v[l2] = b*y1 + ac*y2
-		}
-	})
-}
-
-// ApplyUniformRX applies the transverse-field mixer with the pool
-// engine (Algorithm 2 over Algorithm 1 pool kernels).
-func (p *Pool) ApplyUniformRX(v Vec, beta float64) {
-	n := v.NumQubits()
-	s, c := math.Sincos(beta)
-	a, b := complex(c, 0), complex(0, -s)
-	for q := 0; q < n; q++ {
-		p.ApplySU2(v, q, a, b)
-	}
-}
-
 // ApplyXY is the pool version of the SU(4) xy kernel.
 func (p *Pool) ApplyXY(v Vec, i, j int, beta float64) {
 	if i == j {
@@ -175,62 +146,5 @@ func (p *Pool) Apply1Q(v Vec, q int, u [2][2]complex128) {
 			v[l1] = u[0][0]*y1 + u[0][1]*y2
 			v[l2] = u[1][0]*y1 + u[1][1]*y2
 		}
-	})
-}
-
-// Apply2Q is the pool version of the generic two-qubit gate (same
-// basis convention as the serial Apply2Q).
-func (p *Pool) Apply2Q(v Vec, q1, q2 int, u [4][4]complex128) {
-	if q1 == q2 {
-		panic("statevec: Apply2Q requires distinct qubits")
-	}
-	n := v.NumQubits()
-	if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n {
-		panic(fmt.Sprintf("statevec: Apply2Q qubits (%d,%d) out of range for n=%d", q1, q2, n))
-	}
-	lo, hi := q1, q2
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	m1, m2 := 1<<uint(q1), 1<<uint(q2)
-	p.Run(len(v)>>2, func(from, to int) {
-		for t := from; t < to; t++ {
-			i00 := expand2(t, lo, hi)
-			i01 := i00 | m1
-			i10 := i00 | m2
-			i11 := i01 | m2
-			y0, y1, y2, y3 := v[i00], v[i01], v[i10], v[i11]
-			v[i00] = u[0][0]*y0 + u[0][1]*y1 + u[0][2]*y2 + u[0][3]*y3
-			v[i01] = u[1][0]*y0 + u[1][1]*y1 + u[1][2]*y2 + u[1][3]*y3
-			v[i10] = u[2][0]*y0 + u[2][1]*y1 + u[2][2]*y2 + u[2][3]*y3
-			v[i11] = u[3][0]*y0 + u[3][1]*y1 + u[3][2]*y2 + u[3][3]*y3
-		}
-	})
-}
-
-// ExpectationDiag is the pool version of the objective inner product.
-func (p *Pool) ExpectationDiag(v Vec, diag []float64) float64 {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ExpectationDiag length mismatch %d vs %d", len(v), len(diag)))
-	}
-	return p.Reduce(len(v), func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			a := v[i]
-			s += diag[i] * (real(a)*real(a) + imag(a)*imag(a))
-		}
-		return s
-	})
-}
-
-// NormSquared returns ‖v‖₂² with a parallel reduction.
-func (p *Pool) NormSquared(v Vec) float64 {
-	return p.Reduce(len(v), func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			a := v[i]
-			s += real(a)*real(a) + imag(a)*imag(a)
-		}
-		return s
 	})
 }

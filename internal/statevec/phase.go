@@ -50,12 +50,6 @@ func ApplyPhase(v Vec, ph Phase) {
 	phaseRange(v, ph, 0, len(v))
 }
 
-// ApplyPhase is the pool version of the phase operator.
-func (p *Pool) ApplyPhase(v Vec, ph Phase) {
-	ph.check("ApplyPhase", len(v))
-	p.Run(len(v), func(lo, hi int) { phaseRange(v, ph, lo, hi) })
-}
-
 func phaseRange(v Vec, ph Phase, lo, hi int) {
 	diag, gamma, codes, tab := ph.Diag, ph.Gamma, ph.Codes, ph.Tab
 	for i := lo; i < hi; i++ {

@@ -36,19 +36,21 @@ func randomVec(rng *rand.Rand, n int) Vec {
 }
 
 // TestPoolPhaseDiagConcurrent pins PhaseDiag: 8 goroutines share one
-// Pool, each phasing its own state and SoA copy against its own
-// diagonal; both layouts must match the serial kernel exactly.
+// Pool, each phasing its own SoA and SoA32 state against its own
+// diagonal. The phase is elementwise, so SoA must match the serial
+// kernel exactly and SoA32 the same kernel run alone on one worker.
 func TestPoolPhaseDiagConcurrent(t *testing.T) {
 	const n, workers = 11, 8
 	pool := NewPool(4)
 	pool.minParallel = 1 // force the parallel code path at 2^11 amplitudes
 
 	type job struct {
-		vec   Vec
-		soa   *SoA
-		want  Vec
-		diag  []float64
-		gamma float64
+		soa    *SoA
+		soa32  *SoA32
+		want   Vec
+		want32 *SoA32
+		diag   []float64
+		gamma  float64
 	}
 	jobs := make([]job, workers)
 	rng := rand.New(rand.NewSource(17))
@@ -59,34 +61,39 @@ func TestPoolPhaseDiagConcurrent(t *testing.T) {
 			diag[i] = rng.NormFloat64()
 		}
 		jobs[k] = job{
-			vec:   v.Clone(),
-			soa:   SoAFromVec(v),
-			want:  v.Clone(),
-			diag:  diag,
-			gamma: rng.Float64(),
+			soa:    SoAFromVec(v),
+			soa32:  SoA32FromVec(v),
+			want:   v.Clone(),
+			want32: SoA32FromVec(v),
+			diag:   diag,
+			gamma:  rng.Float64(),
 		}
 		PhaseDiag(jobs[k].want, diag, jobs[k].gamma) // serial reference
+		jobs[k].want32.PhaseDiag(NewPool(1), diag, jobs[k].gamma)
 	}
 
 	concurrently(workers, func(id int) {
 		j := &jobs[id]
-		pool.ApplyPhase(j.vec, Phase{Diag: j.diag, Gamma: j.gamma})
 		j.soa.PhaseDiag(pool, j.diag, j.gamma)
+		j.soa32.PhaseDiag(pool, j.diag, j.gamma)
 	})
 
 	for k, j := range jobs {
-		if d := MaxAbsDiff(j.vec, j.want); d != 0 {
-			t.Errorf("worker %d: pool PhaseDiag deviates from serial by %g", k, d)
-		}
 		if d := MaxAbsDiff(j.soa.ToVec(), j.want); d != 0 {
 			t.Errorf("worker %d: SoA PhaseDiag deviates from serial by %g", k, d)
+		}
+		if d := MaxAbsDiff(j.soa32.ToVec(), j.want32.ToVec()); d != 0 {
+			t.Errorf("worker %d: SoA32 PhaseDiag deviates from a one-worker run by %g", k, d)
 		}
 	}
 }
 
-// TestPoolApplyUniformRXConcurrent pins the mixer under a shared pool:
-// the complex128 per-qubit sweep, and the tiled F = 2 kernel on SoA and
-// SoA32 (at n = 14 so the tiled passes split across the pool).
+// TestPoolApplyUniformRXConcurrent pins the tiled F = 2 mixer on SoA
+// and SoA32 under a shared pool (at n = 14 so the tiled passes split
+// across the pool): every concurrent result equals the same kernel run
+// alone on that pool bit for bit, and Algorithm 2's serial per-qubit
+// sweep within the reassociated arithmetic's few ULPs (float32 within
+// its rounding).
 func TestPoolApplyUniformRXConcurrent(t *testing.T) {
 	const n, workers = 14, 8
 	pool := NewPool(4)
@@ -108,10 +115,6 @@ func TestPoolApplyUniformRXConcurrent(t *testing.T) {
 		tol   float64
 		apply func(v Vec, beta float64) Vec
 	}{
-		// The per-qubit sweep must match exactly; the F = 2 pairs
-		// reassociate the arithmetic, so they get a few ULPs, and
-		// float32 its rounding.
-		{"pool", 0, func(v Vec, beta float64) Vec { pool.ApplyUniformRX(v, beta); return v }},
 		{"soa", 1e-13, func(v Vec, beta float64) Vec {
 			s := SoAFromVec(v)
 			s.ApplyUniformRX(pool, beta)
@@ -125,11 +128,18 @@ func TestPoolApplyUniformRXConcurrent(t *testing.T) {
 	}
 	for _, vt := range variants {
 		t.Run(vt.name, func(t *testing.T) {
+			alone := make([]Vec, workers)
+			for k := range alone {
+				alone[k] = vt.apply(inputs[k].Clone(), betas[k])
+			}
 			got := make([]Vec, workers)
 			concurrently(workers, func(id int) {
 				got[id] = vt.apply(inputs[id].Clone(), betas[id])
 			})
 			for k := 0; k < workers; k++ {
+				if d := MaxAbsDiff(got[k], alone[k]); d != 0 {
+					t.Errorf("worker %d: concurrent %s deviates from a run alone by %g", k, vt.name, d)
+				}
 				if d := MaxAbsDiff(got[k], wants[k]); d > vt.tol {
 					t.Errorf("worker %d: %s deviates from serial ApplyUniformRX by %g", k, vt.name, d)
 				}
@@ -180,9 +190,9 @@ func TestPoolApplyXYConcurrent(t *testing.T) {
 }
 
 // TestPoolReduceConcurrent pins the reductions (ExpectationDiag,
-// NormSquared) that close every sweep evaluation: concurrent shared-
-// pool reductions must be deterministic (fixed chunking, fixed partial
-// order) and equal to the serial sum.
+// NormSquared) that close every evaluation: concurrent shared-pool
+// reductions on SoA and SoA32 must be deterministic (fixed chunking,
+// fixed partial order) and equal the same reduction run alone.
 func TestPoolReduceConcurrent(t *testing.T) {
 	const n, workers = 11, 8
 	pool := NewPool(4)
@@ -190,32 +200,31 @@ func TestPoolReduceConcurrent(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(31))
 	v := randomVec(rng, n)
-	soa := SoAFromVec(v)
+	soa, soa32 := SoAFromVec(v), SoA32FromVec(v)
 	diag := make([]float64, len(v))
 	for i := range diag {
 		diag[i] = rng.NormFloat64()
 	}
-	wantE := pool.ExpectationDiag(v, diag)
-	wantN := pool.NormSquared(v)
+	want := [2][2]float64{
+		{soa.ExpectationDiag(pool, diag), soa.NormSquared(pool)},
+		{soa32.ExpectationDiag(pool, diag), soa32.NormSquared(pool)},
+	}
 
 	results := make([][2]float64, workers)
 	concurrently(workers, func(id int) {
-		var e, nn float64
 		if id%2 == 0 {
-			e = pool.ExpectationDiag(v, diag)
-			nn = pool.NormSquared(v)
+			results[id] = [2]float64{soa.ExpectationDiag(pool, diag), soa.NormSquared(pool)}
 		} else {
-			e = soa.ExpectationDiag(pool, diag)
-			nn = soa.NormSquared(pool)
+			results[id] = [2]float64{soa32.ExpectationDiag(pool, diag), soa32.NormSquared(pool)}
 		}
-		results[id] = [2]float64{e, nn}
 	})
 	for k, r := range results {
-		if r[0] != wantE {
-			t.Errorf("worker %d: ExpectationDiag = %v, want %v", k, r[0], wantE)
+		w := want[k%2]
+		if r[0] != w[0] {
+			t.Errorf("worker %d: ExpectationDiag = %v, want %v", k, r[0], w[0])
 		}
-		if r[1] != wantN {
-			t.Errorf("worker %d: NormSquared = %v, want %v", k, r[1], wantN)
+		if r[1] != w[1] {
+			t.Errorf("worker %d: NormSquared = %v, want %v", k, r[1], w[1])
 		}
 	}
 }

@@ -6,12 +6,14 @@
 // the fast Walsh–Hadamard transform, and the reductions (norm, inner
 // product, diagonal expectation) that evaluate the QAOA objective.
 //
-// Each kernel comes in three flavours:
-//   - a serial complex128 version (the portable reference),
-//   - a worker-pool version (Pool), the CPU analogue of the paper's
-//     CUDA grid: the index space is split into independent chunks, and
-//   - a split real/imaginary (SoA) version in soa.go, the analogue of
-//     the vendor-tuned cuStateVec kernels.
+// The kernels come in two representations:
+//   - serial complex128 loops over a Vec (the portable reference, and
+//     the gate-based baseline's substrate, whose xy and generic 1-qubit
+//     gates also have worker-pool forms), and
+//   - split real/imaginary planes (SoA, SoA32) run on a worker Pool,
+//     the CPU analogue of the paper's CUDA grid (the index space is
+//     split into independent chunks) and of the vendor-tuned cuStateVec
+//     kernels.
 package statevec
 
 import (

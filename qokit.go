@@ -60,12 +60,13 @@ func NewTerms(terms ...Term) Terms { return poly.New(terms...) }
 type StateVector = statevec.Vec
 
 // Options configures a Simulator (backend, mixer, worker count,
-// initial state, precision, ablation switches). Which kernels a
-// simulator runs follows from its Options and its cost diagonal alone:
-// on the default SoA backend, in either precision, the x mixer always
-// runs as the cache-tiled F = 2 kernel (RX⊗RX on qubit pairs, 2–3
-// cache-sized passes per layer); the complex128 backends run
-// Algorithm 2's per-qubit sweep.
+// initial state, precision); no option switches an optimization off.
+// Which kernels a simulator runs follows from its Options and its cost
+// diagonal alone: on the default SoA backend, in either precision, the
+// x mixer always runs as the cache-tiled F = 2 kernel (RX⊗RX on qubit
+// pairs, 2–3 cache-sized passes per layer) with the phase folded into
+// its first pass; the Serial reference runs a phase pass, then
+// Algorithm 2's per-qubit sweep, in complex128.
 type Options = core.Options
 
 // Simulator is a QAOA fast simulator bound to one problem instance;
@@ -90,14 +91,13 @@ var ErrObservableLength = core.ErrObservableLength
 // Backend selects the execution engine.
 type Backend = core.Backend
 
-// Backends, in QOKit terms: Serial ≈ "python", Parallel ≈ "c",
-// SoA ≈ "nbcuda" (the GPU-analogue split-layout engine). Auto picks
-// SoA.
+// Backends, in QOKit terms: Serial ≈ "python", the single-threaded
+// complex128 reference; SoA ≈ "c" and "nbcuda", the pooled split-layout
+// engine (the GPU analogue). Auto picks SoA.
 const (
-	BackendAuto     = core.BackendAuto
-	BackendSerial   = core.BackendSerial
-	BackendParallel = core.BackendParallel
-	BackendSoA      = core.BackendSoA
+	BackendAuto   = core.BackendAuto
+	BackendSerial = core.BackendSerial
+	BackendSoA    = core.BackendSoA
 )
 
 // Mixer selects the QAOA mixing operator.
@@ -139,8 +139,9 @@ func NewSimulatorFromDiagonal(n int, diag []float64, opts Options) (*Simulator, 
 }
 
 // ChooseSimulator mirrors qokit.fur.choose_simulator: it resolves a
-// backend name ("auto", "serial"/"python", "parallel"/"c",
-// "soa"/"nbcuda") into a constructor with the transverse-field mixer.
+// backend name ("auto", "serial"/"python", or "soa"/"c"/"nbcuda"/"gpu",
+// with the former "parallel" as a further SoA alias) into a constructor
+// with the transverse-field mixer.
 func ChooseSimulator(name string) (func(n int, terms Terms) (*Simulator, error), error) {
 	return chooseWithMixer(name, MixerX)
 }
