@@ -12,7 +12,8 @@ import (
 // TestNonFiniteAnglesRejected sends NaN, +Inf and −Inf in each of γ and
 // β through every evaluation entry point of a registry-backed Service,
 // through Simulator.SimulateQAOA and through every distributed entry
-// point: each must return an error wrapping ErrNonFiniteAngle that
+// point (the forward one-shots and the engine's gradient, outputs and
+// energy): each must return an error wrapping ErrNonFiniteAngle that
 // names the offending index, never a NaN result, and the pool must
 // still serve a finite point afterwards.
 func TestNonFiniteAnglesRejected(t *testing.T) {
@@ -61,15 +62,11 @@ func TestNonFiniteAnglesRejected(t *testing.T) {
 			gamma, beta := x[:2], x[2:]
 			_, err = SimulateQAOADistributed(n, LABSTerms(n), gamma, beta, dopts)
 			check("SimulateQAOADistributed", err)
-			_, err = SimulateQAOADistributedGrad(n, LABSTerms(n), gamma, beta, dopts)
-			check("SimulateQAOADistributedGrad", err)
 			_, err = SimulateQAOADistributedCheckpointed(n, LABSTerms(n), gamma, beta, dopts, ckpt)
 			check("SimulateQAOADistributedCheckpointed", err)
-			_, err = SimulateQAOADistributedOutputs(n, LABSTerms(n), gamma, beta, dopts, OutputSpec{Shots: 4, CVaRAlphas: []float64{0.5}})
-			check("SimulateQAOADistributedOutputs", err)
 			_, err = deng.EnergyGradAngles(ctx, gamma, beta, make([]float64, 2), make([]float64, 2))
 			check("DistributedGradEngine.EnergyGradAngles", err)
-			_, err = deng.Outputs(ctx, gamma, beta, OutputSpec{Shots: 4})
+			_, err = deng.Outputs(ctx, gamma, beta, OutputSpec{Shots: 4, CVaRAlphas: []float64{0.5}})
 			check("DistributedGradEngine.Outputs", err)
 			_, err = deng.Energy(ctx, x)
 			check("DistributedGradEngine.Energy", err)
@@ -176,11 +173,6 @@ func TestNonFiniteCostRejected(t *testing.T) {
 			_, err := SimulateQAOADistributed(n, overflow, []float64{0.1}, []float64{0.2}, DistOptions{Ranks: 2})
 			return err
 		}},
-		{"SimulateQAOADistributedOutputs overflowing weights", func() error {
-			_, err := SimulateQAOADistributedOutputs(n, overflow, []float64{0.1}, []float64{0.2}, DistOptions{Ranks: 2},
-				OutputSpec{CVaRAlphas: []float64{0.1}})
-			return err
-		}},
 		{"NewSimulator overflowing weights", func() error {
 			_, err := NewSimulator(n, overflow, Options{})
 			return err
@@ -212,6 +204,54 @@ func TestNonFiniteCostRejected(t *testing.T) {
 	} {
 		if err := c.run(); !errors.Is(err, ErrNonFiniteCost) {
 			t.Errorf("%s: error %v, want ErrNonFiniteCost", c.name, err)
+		}
+	}
+}
+
+// TestQubitRangeRejected: every entry point that takes a qubit count
+// returns an error wrapping ErrQubitRange for n outside [1, 34] instead
+// of accepting it, panicking, or trying to allocate 2^n entries.
+func TestQubitRangeRejected(t *testing.T) {
+	ckpt := DistCheckpointOptions{Path: filepath.Join(t.TempDir(), "fwd.ckpt")}
+	gamma, beta := []float64{0.1}, []float64{0.2}
+	for _, n := range []int{0, 63, 64} {
+		for name, run := range map[string]func() error{
+			"NewSimulator": func() error {
+				_, err := NewSimulator(n, nil, Options{})
+				return err
+			},
+			"NewSimulatorFromDiagonal": func() error {
+				_, err := NewSimulatorFromDiagonal(n, []float64{0}, Options{})
+				return err
+			},
+			"PrecomputeDiagonal": func() error {
+				_, err := PrecomputeDiagonal(n, nil)
+				return err
+			},
+			"ProblemKeyFor": func() error {
+				_, err := ProblemKeyFor(ProblemSpec{N: n})
+				return err
+			},
+			"ProblemRegistry.Register": func() error {
+				_, err := NewProblemRegistry(RegistryOptions{}).Register(ProblemSpec{N: n})
+				return err
+			},
+			"NewDistributedGradEngine": func() error {
+				_, err := NewDistributedGradEngine(n, nil, DistOptions{Ranks: 1})
+				return err
+			},
+			"SimulateQAOADistributed": func() error {
+				_, err := SimulateQAOADistributed(n, nil, gamma, beta, DistOptions{Ranks: 1})
+				return err
+			},
+			"SimulateQAOADistributedCheckpointed": func() error {
+				_, err := SimulateQAOADistributedCheckpointed(n, nil, gamma, beta, DistOptions{Ranks: 1}, ckpt)
+				return err
+			},
+		} {
+			if err := run(); !errors.Is(err, ErrQubitRange) {
+				t.Errorf("%s(n=%d): error %v, want ErrQubitRange", name, n, err)
+			}
 		}
 	}
 }

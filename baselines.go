@@ -2,14 +2,11 @@ package qokit
 
 import (
 	"qokit/internal/gatesim"
-	"qokit/internal/tensornet"
 )
 
-// The baseline simulators the paper benchmarks against are part of the
-// public API so downstream users can rerun the comparisons: a
-// conventional gate-by-gate state-vector engine (Qiskit/cuStateVec
-// analogue) and a tensor-network contraction engine
-// (cuTensorNet/QTensor analogue).
+// The conventional gate-by-gate state-vector engine the paper
+// benchmarks against (Qiskit/cuStateVec analogue) is part of the public
+// API so downstream users can rerun the comparison.
 
 // Circuit is a gate-level quantum circuit (the conventional program
 // representation the fast simulator bypasses).
@@ -17,9 +14,6 @@ type Circuit = gatesim.Circuit
 
 // GateEngine executes circuits gate by gate on a state vector.
 type GateEngine = gatesim.Engine
-
-// NewCircuit returns an empty circuit on n qubits.
-func NewCircuit(n int) *Circuit { return gatesim.NewCircuit(n) }
 
 // BuildQAOACircuit compiles a full QAOA circuit the way a gate-based
 // framework must: Hadamards, then per layer a CX-ladder phase operator
@@ -31,41 +25,3 @@ func BuildQAOACircuit(n int, terms Terms, gamma, beta []float64) (*Circuit, erro
 // NewGateEngine returns a serial gate-based engine (Qiskit Aer CPU
 // analogue).
 func NewGateEngine() *GateEngine { return gatesim.NewEngine() }
-
-// NewPooledGateEngine returns a gate-based engine whose kernels run on
-// a worker pool ("cuStateVec (gates)" analogue); w ≤ 0 selects
-// GOMAXPROCS.
-func NewPooledGateEngine(w int) *GateEngine { return gatesim.NewPooledEngine(w) }
-
-// GateLayerStats reports the compiled gate counts of one QAOA layer —
-// the §VI gate-count comparison (LABS has ≈75n terms and compiles to
-// hundreds of gates per qubit, versus n mixer sweeps for the fast
-// simulator).
-type GateLayerStats = gatesim.CompileStats
-
-// LayerStats compiles one QAOA layer and reports its gate counts at
-// each optimization level.
-func LayerStats(n int, terms Terms) GateLayerStats { return gatesim.LayerStats(n, terms) }
-
-// CircuitQASM serializes a circuit as OpenQASM 2.0 so compiled QAOA
-// circuits can be replayed on external stacks (Qiskit, cuQuantum,
-// hardware) for cross-validation.
-func CircuitQASM(c *Circuit) (string, error) { return c.QASM() }
-
-// TNHeuristic selects the tensor-network contraction-order heuristic.
-type TNHeuristic = tensornet.Heuristic
-
-// Contraction-order heuristics: GreedySize (cuTensorNet-default
-// analogue) and GreedyFlops (QTensor-style local cost).
-const (
-	TNGreedySize  = tensornet.GreedySize
-	TNGreedyFlops = tensornet.GreedyFlops
-)
-
-// TNAmplitude contracts the tensor network for ⟨x|C|0…0⟩. maxSize
-// caps intermediate tensor sizes (0 = 2^26 elements); deep QAOA
-// circuits exceed any practical cap — the failure mode the paper's
-// Fig. 3 documents for TN simulators.
-func TNAmplitude(c *Circuit, x uint64, h TNHeuristic, maxSize int) (complex128, error) {
-	return tensornet.Amplitude(c, x, h, maxSize)
-}

@@ -70,50 +70,23 @@ func SimulateQAOADistributed(n int, terms Terms, gamma, beta []float64, opts Dis
 	return distsim.SimulateQAOA(context.Background(), n, terms, gamma, beta, opts)
 }
 
-// SimulateQAOADistributedOutputs runs the sharded simulation and
-// serves its measurement-style outputs gather-free: CVaR levels,
-// sampled shots, ground-state overlap, and per-index probability
-// queries are all computed on the shards (per-rank sorts and alias
-// tables plus scalar/short-vector all-reduces), so no node ever holds
-// a 2^n buffer. This is what makes the §V-B memory-reduced
-// representations — float32 shards, uint16-coded diagonal slices —
-// full solver backends: set DistOptions.Precision as usual and leave
-// Gather false (it is rejected here). Sampling uses a two-stage alias
-// draw (rank by global mass, then index within the winning shard);
-// with a fixed OutputSpec.Seed the shot sequence is reproducible.
-func SimulateQAOADistributedOutputs(n int, terms Terms, gamma, beta []float64, opts DistOptions, spec OutputSpec) (*DistResult, error) {
-	return distsim.SimulateQAOAOutputs(context.Background(), n, terms, gamma, beta, opts, spec)
-}
-
-// SampleDistributed draws shots basis-state samples from the QAOA
-// state evolved on the sharded backend, without gathering it — the
-// convenience wrapper over SimulateQAOADistributedOutputs for callers
-// that only want measurement outcomes at shard scale.
-func SampleDistributed(n int, terms Terms, gamma, beta []float64, shots int, seed int64, opts DistOptions) ([]uint64, error) {
-	res, err := distsim.SimulateQAOAOutputs(context.Background(), n, terms, gamma, beta, opts,
-		OutputSpec{Shots: shots, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Samples, nil
-}
-
-// DistGradResult carries one distributed adjoint-gradient evaluation:
-// the energy, the exact ∂E/∂γ_ℓ and ∂E/∂β_ℓ, and the run's
-// communication counters.
-type DistGradResult = distsim.GradResult
-
 // DistributedGradEngine evaluates energies and exact adjoint
 // gradients on the sharded state vector: one forward pass plus one
 // cost-weighted reverse pass through exact layer inverses, with every
 // derivative reduction running on each rank's local slice and one
 // vector all-reduce combining the per-layer partials. Bound to one
 // problem; reuses the cluster group and all per-rank buffers across
-// evaluations. Its FlatObjective plugs straight into Adam /
-// GradientDescent, so gradient-based optimization of a state too
-// large for one node costs ≈ 4 sharded simulations per step,
-// independent of depth — the single-node adjoint win (ROADMAP
-// "Gradients") carried onto the cluster. Safe for up to
+// evaluations. EnergyGradAngles returns one energy and gradient, and
+// Counters the traffic the engine has moved so far. Its FlatObjective
+// plugs straight into Adam, so gradient-based optimization of a state
+// too large for one node costs ≈ 4 sharded simulations per step,
+// independent of depth — the single-node adjoint win carried onto the
+// cluster. Outputs (and EvalOutputs) serve the measurement-style
+// outputs gather-free: CVaR levels, shots, ground-state overlap and
+// probability queries are computed on the shards, so no node holds a
+// 2^n buffer; shots take a two-stage alias draw (rank by global mass,
+// then index within the winning shard), reproducible for a fixed
+// OutputSpec.Seed. Safe for up to
 // DistOptions.Concurrency concurrent evaluations: each one leases its
 // own rank group and buffers (NewService with WorkersPerEvaluator up to
 // that concurrency builds a request queue over exactly this).
@@ -124,11 +97,4 @@ type DistributedGradEngine = distsim.GradEngine
 // two state buffers per rank are allocated for the adjoint pair.
 func NewDistributedGradEngine(n int, terms Terms, opts DistOptions) (*DistributedGradEngine, error) {
 	return distsim.NewGradEngine(n, terms, opts)
-}
-
-// SimulateQAOADistributedGrad evaluates the distributed energy and
-// exact adjoint gradient with a fresh engine — the one-shot
-// counterpart of DistributedGradEngine for callers that do not loop.
-func SimulateQAOADistributedGrad(n int, terms Terms, gamma, beta []float64, opts DistOptions) (*DistGradResult, error) {
-	return distsim.SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, opts)
 }

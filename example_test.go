@@ -42,27 +42,3 @@ func ExampleLABSTerms() {
 	// optimal energy: 6
 	// merit factor: 14.08
 }
-
-// Classical baseline: simulated annealing reaches the known LABS
-// optimum on a small instance.
-func ExampleSimulatedAnnealing() {
-	n := 10
-	res := qokit.SimulatedAnnealing(qokit.NewLABSWalker(n, 0), qokit.SAOptions{Steps: 50000, Seed: 1})
-	optimum, _ := qokit.LABSOptimalEnergy(n)
-	fmt.Println("found:", int(res.BestEnergy) == optimum)
-	// Output:
-	// found: true
-}
-
-// The exact closed-form p=1 MaxCut expectation — no state vector
-// needed — at the analytic optimum for a triangle-free cubic graph.
-func ExampleMaxCutP1Expectation() {
-	g := qokit.Petersen()
-	gamma, beta, gain, _ := qokit.P1OptimalTriangleFree(3)
-	cut := qokit.MaxCutP1Expectation(g, gamma, beta)
-	fmt.Printf("expected cut: %.4f of %d edges\n", cut, g.NumEdges())
-	fmt.Printf("gain per edge: %.4f\n", gain)
-	// Output:
-	// expected cut: 10.3868 of 15 edges
-	// gain per edge: 0.1925
-}

@@ -90,34 +90,34 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	distGrad, err := qokit.SimulateQAOADistributedGrad(n, terms, gamma, beta, qokit.DistOptions{
-		Ranks: optRanks, Algo: qokit.Transpose,
-	})
+	ctx := context.Background()
+	dopts := qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose}
+	eng, err := qokit.NewDistributedGradEngine(n, terms, dopts)
 	if err != nil {
 		return err
 	}
+	distGG, distGB := make([]float64, p), make([]float64, p)
+	distE, err := eng.EnergyGradAngles(ctx, gamma, beta, distGG, distGB)
+	if err != nil {
+		return err
+	}
+	distBytes := eng.Counters().BytesSent // this one evaluation's traffic
 	var maxDiff float64
 	for l := 0; l < p; l++ {
-		maxDiff = math.Max(maxDiff, math.Abs(distGrad.GradGamma[l]-singleGG[l]))
-		maxDiff = math.Max(maxDiff, math.Abs(distGrad.GradBeta[l]-singleGB[l]))
+		maxDiff = math.Max(maxDiff, math.Abs(distGG[l]-singleGG[l]))
+		maxDiff = math.Max(maxDiff, math.Abs(distGB[l]-singleGB[l]))
 	}
-	if maxDiff > 1e-9 || math.Abs(distGrad.Energy-singleE) > 1e-9 {
+	if maxDiff > 1e-9 || math.Abs(distE-singleE) > 1e-9 {
 		return fmt.Errorf("distributed gradient deviates from single-node adjoint by %g", maxDiff)
 	}
 	fmt.Fprintf(w, "\nDistributed adjoint gradient (K=%d): max |Δ| vs single-node %.2g,\n", optRanks, maxDiff)
 	fmt.Fprintf(w, "traffic 3× one forward run's mixer collectives (%d bytes/rank).\n",
-		distGrad.Comm.BytesSent/int64(optRanks))
+		distBytes/int64(optRanks))
 
 	// Gradient-descent optimization on the sharded state: Adam over
-	// the distributed FlatObjective, warm-started from TQA.
-	eng, err := qokit.NewDistributedGradEngine(n, terms, qokit.DistOptions{
-		Ranks: optRanks, Algo: qokit.Transpose,
-	})
-	if err != nil {
-		return err
-	}
+	// the same engine's FlatObjective, warm-started from TQA.
 	var simErr error
-	resOpt := qokit.Adam(eng.FlatObjective(context.Background(), &simErr),
+	resOpt := qokit.Adam(eng.FlatObjective(ctx, &simErr),
 		append(append([]float64(nil), gamma...), beta...),
 		qokit.AdamOptions{MaxIter: adamIters})
 	if simErr != nil {
@@ -141,22 +141,28 @@ func run(w io.Writer) error {
 	// keeps it as uint16 codes on its own; results are unchanged.)
 	fmt.Fprintf(w, "\n§V-B shard representations (K=%d):\n", optRanks)
 	fmt.Fprintf(w, "  %-22s %14s  %12s  %12s\n", "representation", "energy", "bytes/rank", "max |Δgrad|")
-	f64Bytes := distGrad.Comm.BytesSent / int64(optRanks)
+	f64Bytes := distBytes / int64(optRanks)
 	for _, cfg := range []struct {
 		name string
 		opts qokit.DistOptions
 	}{
-		{"float64 (baseline)", qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose}},
+		{"float64 (baseline)", dopts},
 		{"float32 state + wire", qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose, Precision: qokit.DistFloat32}},
 	} {
-		pres, err := qokit.SimulateQAOADistributedGrad(n, terms, gamma, beta, cfg.opts)
+		peng, err := qokit.NewDistributedGradEngine(n, terms, cfg.opts)
 		if err != nil {
 			return err
 		}
+		pGG, pGB := make([]float64, p), make([]float64, p)
+		pE, err := peng.EnergyGradAngles(ctx, gamma, beta, pGG, pGB)
+		if err != nil {
+			return err
+		}
+		pBytes := peng.Counters().BytesSent
 		var dGrad float64
 		for l := 0; l < p; l++ {
-			dGrad = math.Max(dGrad, math.Abs(pres.GradGamma[l]-singleGG[l]))
-			dGrad = math.Max(dGrad, math.Abs(pres.GradBeta[l]-singleGB[l]))
+			dGrad = math.Max(dGrad, math.Abs(pGG[l]-singleGG[l]))
+			dGrad = math.Max(dGrad, math.Abs(pGB[l]-singleGB[l]))
 		}
 		tol := 1e-9
 		if cfg.opts.Precision == qokit.DistFloat32 {
@@ -166,10 +172,10 @@ func run(w io.Writer) error {
 			return fmt.Errorf("%s: gradient deviates by %g (tolerance %g)", cfg.name, dGrad, tol)
 		}
 		fmt.Fprintf(w, "  %-22s %14.8f  %12d  %12.2g\n",
-			cfg.name, pres.Energy, pres.Comm.BytesSent/int64(optRanks), dGrad)
-		if cfg.opts.Precision == qokit.DistFloat32 && 2*pres.Comm.BytesSent != distGrad.Comm.BytesSent {
+			cfg.name, pE, pBytes/int64(optRanks), dGrad)
+		if cfg.opts.Precision == qokit.DistFloat32 && 2*pBytes != distBytes {
 			return fmt.Errorf("float32 shards moved %d bytes/rank, want exactly half the float64 path's %d",
-				pres.Comm.BytesSent/int64(optRanks), f64Bytes)
+				pBytes/int64(optRanks), f64Bytes)
 		}
 	}
 	fmt.Fprintln(w, "float32 shards halve bytes/rank and inherit the ~2e-3 gradient band.")
@@ -185,7 +191,6 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dopts := qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose}
 	svc, err := qokit.NewRegistryService(reg, key, qokit.RegistryServiceOptions{
 		Distributed: &dopts,
 		Elastic:     qokit.ElasticOptions{MinWorkers: 1, MaxWorkers: 2},
@@ -204,7 +209,7 @@ func run(w io.Writer) error {
 			defer wg.Done()
 			start := append([]float64(nil), x0...)
 			start[0] += 0.05 * float64(i) // two distinct warm starts
-			results[i] = qokit.Adam(svc.GradObjective(context.Background(), &errs[i]),
+			results[i] = qokit.Adam(svc.GradObjective(ctx, &errs[i]),
 				start, qokit.AdamOptions{MaxIter: adamIters / 2})
 		}(i)
 	}
@@ -229,8 +234,7 @@ func run(w io.Writer) error {
 	// reduction over per-rank ascending-cost prefix sums.
 	bestX := resOpt.X
 	bestGamma, bestBeta := bestX[:p], bestX[p:]
-	outs, err := qokit.SimulateQAOADistributedOutputs(n, terms, bestGamma, bestBeta,
-		qokit.DistOptions{Ranks: optRanks, Algo: qokit.Transpose},
+	outs, err := eng.Outputs(ctx, bestGamma, bestBeta,
 		qokit.OutputSpec{CVaRAlphas: []float64{0.5, 0.1}, Shots: 2000, Seed: 7, Variance: true})
 	if err != nil {
 		return err

@@ -5,18 +5,23 @@
 // heuristic needs (§I, §VII; companion Ref. [6]). This example runs
 // the whole comparison at laptop scale: simulate, sample shots,
 // estimate the energy from finite shots, and race the shot-based
-// time-to-solution against simulated annealing.
+// time-to-solution against simulated annealing. Shots come from the
+// simulator's outputs (Simulator.EvalOutputs); the estimators and the
+// annealer are the internal sampling and classical packages.
 //
 //	go run ./examples/sampling
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
 	"os"
 
 	"qokit"
+	"qokit/internal/classical"
+	"qokit/internal/sampling"
 )
 
 var (
@@ -55,35 +60,42 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "  ⟨E⟩ = %.3f (optimum %d), ground-state overlap %.4g\n", energy, optE, overlap)
 
 	// Finite-shot estimates converge to the exact expectation.
-	cost := func(x uint64) float64 { return float64(qokit.LABSEnergy(x, n)) }
+	ctx := context.Background()
+	x := append(append([]float64(nil), gamma...), beta...)
+	cost := func(shot uint64) float64 { return float64(qokit.LABSEnergy(shot, n)) }
 	exact := res.Expectation()
 	fmt.Fprintln(w, "\nshots   estimate ± stderr   (exact", fmt.Sprintf("%.4f)", exact))
 	for _, shots := range shotSizes {
-		samples, err := qokit.SampleResult(res, shots, 7)
+		out, err := sim.EvalOutputs(ctx, x, qokit.OutputSpec{Shots: shots, Seed: 7})
 		if err != nil {
 			return err
 		}
-		mean, stderr := qokit.EstimateExpectation(samples, cost)
+		mean, stderr := sampling.EstimateExpectation(out.Samples, cost)
 		fmt.Fprintf(w, "%6d  %8.4f ± %.4f\n", shots, mean, stderr)
 	}
 
 	// Quantum time-to-solution: expected shots until an optimal
 	// sequence is measured, at 99% confidence.
-	shots, err := qokit.SamplesToSolution(overlap, 0.99)
+	shots, err := sampling.SamplesToSolution(overlap, 0.99)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nexpected shots to optimal sequence (99%%): %.1f  (≈ %.0f circuit layers)\n",
 		shots, shots*float64(p))
 
-	// Empirical check: sample until the optimum actually appears.
-	samples, err := qokit.SampleResult(res, int(4*shots)+1, 11)
+	// Empirical check: sample until the optimum actually appears,
+	// within the buffered output path's shot bound.
+	draw := qokit.MaxShotsPerRequest
+	if 4*shots+1 < float64(draw) {
+		draw = int(4*shots) + 1
+	}
+	out, err := sim.EvalOutputs(ctx, x, qokit.OutputSpec{Shots: draw, Seed: 11})
 	if err != nil {
 		return err
 	}
 	firstHit := -1
-	for i, x := range samples {
-		if qokit.LABSEnergy(x, n) == optE {
+	for i, shot := range out.Samples {
+		if qokit.LABSEnergy(shot, n) == optE {
 			firstHit = i + 1
 			break
 		}
@@ -91,8 +103,8 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "empirical first optimal sample: shot #%d\n", firstHit)
 
 	// Classical race: simulated-annealing flips to the same optimum.
-	steps, err := qokit.StepsToOptimum(func(x uint64) qokit.Walker {
-		return qokit.NewLABSWalker(n, x)
+	steps, err := classical.StepsToOptimum(func(x uint64) classical.Walker {
+		return classical.NewLABSWalker(n, x)
 	}, n, float64(optE), annealBudget, 13, 100)
 	if err != nil {
 		return err

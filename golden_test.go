@@ -16,8 +16,11 @@ package qokit
 // change must be explained in the commit that re-pins them.
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"qokit/internal/graphs"
 )
 
 // goldenMeritFactors are Golay merit factors F = n²/(2E*) of the
@@ -86,7 +89,7 @@ func TestGoldenQAOAEnergies(t *testing.T) {
 		},
 		{
 			name: "maxcut-ring8-xyring-p2",
-			n:    8, terms: MaxCutTerms(Ring(8)), opts: Options{Backend: BackendSerial, Mixer: MixerXYRing},
+			n:    8, terms: MaxCutTerms(graphs.Ring(8)), opts: Options{Backend: BackendSerial, Mixer: MixerXYRing},
 			gamma: []float64{0.3, 0.1}, beta: []float64{0.2, 0.4},
 			wantE: -4.70819226425699, wantOverlap: 0.0669137051468073,
 		},
@@ -174,19 +177,23 @@ func TestGoldenAdjointGradient(t *testing.T) {
 	}
 
 	// The distributed engine must land on the same pins.
-	res, err := SimulateQAOADistributedGrad(8, LABSTerms(8),
-		[]float64{0.15, 0.3}, []float64{0.4, 0.2}, DistOptions{Ranks: 4})
+	eng, err := NewDistributedGradEngine(8, LABSTerms(8), DistOptions{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Energy-wantE) > tol {
-		t.Errorf("distributed energy %.15g drifted from golden %.15g", res.Energy, wantE)
+	dgg, dgb := make([]float64, 2), make([]float64, 2)
+	de, err := eng.EnergyGradAngles(context.Background(), []float64{0.15, 0.3}, []float64{0.4, 0.2}, dgg, dgb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(de-wantE) > tol {
+		t.Errorf("distributed energy %.15g drifted from golden %.15g", de, wantE)
 	}
 	for l := range wantGG {
-		if d := math.Abs(res.GradGamma[l] - wantGG[l]); d > tol*math.Abs(wantGG[l]) {
+		if d := math.Abs(dgg[l] - wantGG[l]); d > tol*math.Abs(wantGG[l]) {
 			t.Errorf("distributed ∂γ_%d drifted by %g", l, d)
 		}
-		if d := math.Abs(res.GradBeta[l] - wantGB[l]); d > tol*math.Abs(wantGB[l]) {
+		if d := math.Abs(dgb[l] - wantGB[l]); d > tol*math.Abs(wantGB[l]) {
 			t.Errorf("distributed ∂β_%d drifted by %g", l, d)
 		}
 	}

@@ -23,12 +23,12 @@ import (
 //     evaluation (energy + ∂E/∂γ_ℓ + ∂E/∂β_ℓ).
 //   - Workspace.EnergyGrad — the same on the flat [γ|β] vector, reusing
 //     the workspace's ψ/λ pair across calls.
-//   - Service.GradObjective feeds Adam/GradientDescent, and
-//     Service.EnergyGradBatch fans batched gradients across a pool of
-//     workspaces (NewService, NewRegistryService).
-//   - OptimizeParametersAdam / OptimizeParametersAdamInterp — full
-//     gradient-based parameter optimization with TQA / INTERP warm
-//     starts.
+//   - Service.GradObjective feeds Adam, and Service.EnergyGradBatch
+//     fans batched gradients across a pool of workspaces (NewService,
+//     NewRegistryService).
+//   - OptimizeParametersAdam / OptimizeParametersAdamInterp /
+//     OptimizeParametersAdamFourier — full gradient-based parameter
+//     optimization with TQA / INTERP / FOURIER warm starts.
 
 // FuncGrad is a value-and-gradient objective: it returns f(x) and
 // writes ∇f(x) into grad.
@@ -40,22 +40,10 @@ type AdamOptions = optimize.AdamOptions
 // AdamResult reports an Adam optimum.
 type AdamResult = optimize.AdamResult
 
-// GDOptions configures plain gradient descent.
-type GDOptions = optimize.GDOptions
-
-// GDResult reports a gradient-descent optimum.
-type GDResult = optimize.GDResult
-
 // Adam minimizes a value-and-gradient objective with the Adam update —
 // the default optimizer for adjoint-differentiated QAOA.
 func Adam(f FuncGrad, x0 []float64, opt AdamOptions) AdamResult {
 	return optimize.Adam(f, x0, opt)
-}
-
-// GradientDescent minimizes a value-and-gradient objective with plain
-// (optionally decaying-step) gradient descent.
-func GradientDescent(f FuncGrad, x0 []float64, opt GDOptions) GDResult {
-	return optimize.GradientDescent(f, x0, opt)
 }
 
 // OptimizeParametersAdam tunes the 2p QAOA parameters of sim with Adam
@@ -107,7 +95,7 @@ func OptimizeParametersAdamInterp(sim *Simulator, pmax, itersPerDepth int) (gamm
 	gamma, beta = TQAInit(1, 0.75)
 	for p := 1; p <= pmax; p++ {
 		if p > 1 {
-			gamma, beta = InterpAngles(gamma, beta)
+			gamma, beta = params.InterpAngles(gamma, beta)
 		}
 		x0 := optimize.JoinAngles(gamma, beta)
 		res := optimize.Adam(objective, x0, optimize.AdamOptions{MaxIter: itersPerDepth})
@@ -119,22 +107,6 @@ func OptimizeParametersAdamInterp(sim *Simulator, pmax, itersPerDepth int) (gamm
 		totalEvals += res.Evals
 	}
 	return gamma, beta, energy, totalEvals, nil
-}
-
-// FourierAngles synthesizes a depth-p QAOA schedule from q Fourier
-// coefficients (u for γ, v for β) — the FOURIER parameterization of
-// Zhou et al. (PRX 10, 021067): smooth annealing-like schedules from
-// a dimension that does not grow with depth.
-func FourierAngles(u, v []float64, p int) (gamma, beta []float64) {
-	return params.FourierAngles(u, v, p)
-}
-
-// FourierGrad pulls an angle-space gradient (∂E/∂γ_ℓ, ∂E/∂β_ℓ) back
-// to Fourier coefficients by the transpose of the synthesis map,
-// writing into gu and gv — exact (u, v) gradients from the adjoint
-// engine at no extra simulations.
-func FourierGrad(gradGamma, gradBeta, gu, gv []float64) {
-	params.FourierGrad(gradGamma, gradBeta, gu, gv)
 }
 
 // OptimizeParametersAdamFourier tunes a depth-pmax schedule in the

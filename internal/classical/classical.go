@@ -3,9 +3,9 @@
 // (§I, §VII and its companion Ref. [6]) is a scaling analysis showing
 // QAOA's time-to-solution on LABS growing more slowly than that of
 // state-of-the-art classical heuristics; this package supplies the
-// classical side — simulated annealing and tabu search over single-bit
-// flip neighborhoods — with the O(n) incremental LABS energy updates
-// that make long classical runs cheap.
+// classical side — simulated annealing over single-bit flip
+// neighborhoods — with the O(n) incremental LABS energy updates that
+// make long classical runs cheap.
 package classical
 
 import (
@@ -13,14 +13,13 @@ import (
 	"math"
 	"math/rand"
 
-	"qokit/internal/graphs"
 	"qokit/internal/problems"
 )
 
 // Walker is a local-search state over n-bit strings: it exposes the
 // current assignment and energy, a cheap single-flip delta, and the
 // flip itself. Implementations keep whatever incremental state they
-// need (autocorrelations for LABS, cut counts for MaxCut).
+// need (autocorrelations for LABS).
 type Walker interface {
 	N() int
 	State() uint64
@@ -109,57 +108,6 @@ func (w *LABSWalker) Flip(i int) {
 	w.x ^= 1 << uint(i)
 }
 
-// -------------------------------------------------------------- MaxCut
-
-// MaxCutWalker is a Walker minimizing f = −cut with O(deg) flips.
-type MaxCutWalker struct {
-	g   graphs.Graph
-	adj [][]int
-	x   uint64
-	cut int
-}
-
-// NewMaxCutWalker starts at assignment x.
-func NewMaxCutWalker(g graphs.Graph, x uint64) *MaxCutWalker {
-	adj := make([][]int, g.N)
-	for _, e := range g.Edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	return &MaxCutWalker{g: g, adj: adj, x: x, cut: g.CutValue(x)}
-}
-
-// N returns the vertex count.
-func (w *MaxCutWalker) N() int { return w.g.N }
-
-// State returns the current assignment.
-func (w *MaxCutWalker) State() uint64 { return w.x }
-
-// Energy returns −cut (the minimization objective).
-func (w *MaxCutWalker) Energy() float64 { return -float64(w.cut) }
-
-func (w *MaxCutWalker) cutDelta(i int) int {
-	si := w.x >> uint(i) & 1
-	d := 0
-	for _, j := range w.adj[i] {
-		if w.x>>uint(j)&1 == si {
-			d++ // currently uncut, will become cut
-		} else {
-			d--
-		}
-	}
-	return d
-}
-
-// FlipDelta returns the energy change of flipping vertex i.
-func (w *MaxCutWalker) FlipDelta(i int) float64 { return -float64(w.cutDelta(i)) }
-
-// Flip applies the flip.
-func (w *MaxCutWalker) Flip(i int) {
-	w.cut += w.cutDelta(i)
-	w.x ^= 1 << uint(i)
-}
-
 // ------------------------------------------------------------- solvers
 
 // SAOptions configures simulated annealing. Zero values select the
@@ -226,79 +174,6 @@ func SimulatedAnnealing(w Walker, opt SAOptions) SAResult {
 			}
 		}
 		temp *= cool
-	}
-	return res
-}
-
-// TabuOptions configures tabu search.
-type TabuOptions struct {
-	// Steps is the number of moves (default 1000·n).
-	Steps int
-	// Tenure is how many moves a flipped bit stays tabu (default n/2+1).
-	Tenure int
-	// Seed breaks ties deterministically.
-	Seed int64
-	// Target stops the run early when UseTarget is set.
-	Target    float64
-	UseTarget bool
-}
-
-// TabuResult reports a tabu-search run.
-type TabuResult struct {
-	Best          uint64
-	BestEnergy    float64
-	StepsToTarget int
-	Steps         int
-}
-
-// TabuSearch minimizes the walker's energy with best-improvement moves
-// under a recency tabu list with aspiration (a tabu move is allowed if
-// it beats the best energy seen).
-func TabuSearch(w Walker, opt TabuOptions) TabuResult {
-	n := w.N()
-	if opt.Steps <= 0 {
-		opt.Steps = 1000 * n
-	}
-	if opt.Tenure <= 0 {
-		opt.Tenure = n/2 + 1
-	}
-	hasTarget := opt.UseTarget
-	rng := rand.New(rand.NewSource(opt.Seed))
-	tabuUntil := make([]int, n)
-
-	res := TabuResult{Best: w.State(), BestEnergy: w.Energy(), StepsToTarget: -1, Steps: opt.Steps}
-	if hasTarget && res.BestEnergy <= opt.Target {
-		res.StepsToTarget = 0
-		return res
-	}
-	for step := 1; step <= opt.Steps; step++ {
-		bestMove := -1
-		bestDelta := math.Inf(1)
-		cur := w.Energy()
-		for i := 0; i < n; i++ {
-			d := w.FlipDelta(i)
-			aspires := cur+d < res.BestEnergy
-			if tabuUntil[i] > step && !aspires {
-				continue
-			}
-			if d < bestDelta || (d == bestDelta && rng.Intn(2) == 0) {
-				bestDelta, bestMove = d, i
-			}
-		}
-		if bestMove < 0 {
-			// Everything tabu and nothing aspires: pick uniformly.
-			bestMove = rng.Intn(n)
-		}
-		w.Flip(bestMove)
-		tabuUntil[bestMove] = step + opt.Tenure
-		if e := w.Energy(); e < res.BestEnergy {
-			res.BestEnergy = e
-			res.Best = w.State()
-			if hasTarget && e <= opt.Target {
-				res.StepsToTarget = step
-				return res
-			}
-		}
 	}
 	return res
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"qokit/internal/graphs"
 	"qokit/internal/problems"
 )
 
@@ -28,24 +27,6 @@ func TestLABSWalkerTracksEnergyThroughRandomFlips(t *testing.T) {
 			if predicted != direct {
 				t.Fatalf("n=%d step %d: FlipDelta predicted %v, got %v", n, step, predicted, direct)
 			}
-		}
-	}
-}
-
-func TestMaxCutWalkerTracksEnergy(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	g, err := graphs.RandomRegular(12, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewMaxCutWalker(g, 0)
-	for step := 0; step < 300; step++ {
-		i := rng.Intn(12)
-		predicted := w.Energy() + w.FlipDelta(i)
-		w.Flip(i)
-		direct := -float64(g.CutValue(w.State()))
-		if w.Energy() != direct || predicted != direct {
-			t.Fatalf("step %d: energy %v, predicted %v, direct %v", step, w.Energy(), predicted, direct)
 		}
 	}
 }
@@ -75,21 +56,6 @@ func TestSAFindsLABSOptimumSmall(t *testing.T) {
 	}
 }
 
-func TestSAFindsMaxCutOptimum(t *testing.T) {
-	g, err := graphs.RandomRegular(12, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, _, err := problems.MaxCutBrute(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SimulatedAnnealing(NewMaxCutWalker(g, 0), SAOptions{Steps: 30000, Seed: 3})
-	if -res.BestEnergy != float64(best) {
-		t.Errorf("SA cut %v, optimum %d", -res.BestEnergy, best)
-	}
-}
-
 func TestSATargetStopsEarly(t *testing.T) {
 	n := 10
 	opt, _ := problems.LABSOptimalEnergy(n)
@@ -107,42 +73,24 @@ func TestSATargetStopsEarly(t *testing.T) {
 	}
 	// Without UseTarget the run must not stop at step 0 for negative
 	// energies (the zero-value trap).
-	g := graphs.Ring(6)
-	r2 := SimulatedAnnealing(NewMaxCutWalker(g, 0), SAOptions{Steps: 100, Seed: 1})
+	r2 := SimulatedAnnealing(negatedWalker{NewLABSWalker(6, 0)}, SAOptions{Steps: 100, Seed: 1})
 	if r2.StepsToTarget != -1 {
 		t.Error("StepsToTarget set without UseTarget")
 	}
 }
+
+// negatedWalker maximizes the LABS energy: every energy it reports is
+// negative, below the zero-value Target.
+type negatedWalker struct{ *LABSWalker }
+
+func (w negatedWalker) Energy() float64         { return -w.LABSWalker.Energy() }
+func (w negatedWalker) FlipDelta(i int) float64 { return -w.LABSWalker.FlipDelta(i) }
 
 func TestSADeterministic(t *testing.T) {
 	a := SimulatedAnnealing(NewLABSWalker(12, 0), SAOptions{Steps: 5000, Seed: 11})
 	b := SimulatedAnnealing(NewLABSWalker(12, 0), SAOptions{Steps: 5000, Seed: 11})
 	if a.Best != b.Best || a.BestEnergy != b.BestEnergy {
 		t.Error("same seed produced different runs")
-	}
-}
-
-func TestTabuFindsLABSOptimum(t *testing.T) {
-	for _, n := range []int{8, 10, 12} {
-		opt, _ := problems.LABSOptimalEnergy(n)
-		res := TabuSearch(NewLABSWalker(n, 1), TabuOptions{Steps: 5000, Seed: 2})
-		if int(res.BestEnergy) != opt {
-			t.Errorf("n=%d: tabu best %v, optimum %d", n, res.BestEnergy, opt)
-		}
-	}
-}
-
-func TestTabuTargetAndDeterminism(t *testing.T) {
-	n := 10
-	opt, _ := problems.LABSOptimalEnergy(n)
-	res := TabuSearch(NewLABSWalker(n, 0), TabuOptions{Steps: 50000, Seed: 3, Target: float64(opt), UseTarget: true})
-	if res.StepsToTarget < 0 {
-		t.Fatal("tabu never reached the optimum")
-	}
-	a := TabuSearch(NewLABSWalker(12, 0), TabuOptions{Steps: 2000, Seed: 13})
-	b := TabuSearch(NewLABSWalker(12, 0), TabuOptions{Steps: 2000, Seed: 13})
-	if a.Best != b.Best {
-		t.Error("tabu not deterministic per seed")
 	}
 }
 

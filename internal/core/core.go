@@ -236,11 +236,11 @@ type Simulator struct {
 // terms (Eq. 1), precomputing the 2^n cost diagonal with the engine
 // selected by opts (the paper's Fig. 1 "precompute diagonal" stage).
 func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
-	if err := terms.Validate(n); err != nil {
+	if err := costvec.CheckQubits(n); err != nil {
 		return nil, err
 	}
-	if n < 1 || n > 34 {
-		return nil, fmt.Errorf("core: n=%d outside practical range [1,34]", n)
+	if err := terms.Validate(n); err != nil {
+		return nil, err
 	}
 	compiled := poly.Compile(terms)
 	if opts.Backend == BackendSerial {
@@ -254,8 +254,8 @@ func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
 // not copied; callers must not mutate it afterwards. A NaN or ±Inf
 // entry returns an error wrapping poly.ErrNonFiniteCost.
 func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
-	if n < 1 || n > 34 {
-		return nil, fmt.Errorf("core: n=%d outside practical range [1,34]", n)
+	if err := costvec.CheckQubits(n); err != nil {
+		return nil, err
 	}
 	if len(diag) != 1<<uint(n) {
 		return nil, fmt.Errorf("core: diagonal length %d, want 2^%d = %d", len(diag), n, 1<<uint(n))

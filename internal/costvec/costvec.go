@@ -22,6 +22,7 @@
 package costvec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -404,6 +405,20 @@ func PrecomputeTermKernels(p *statevec.Pool, c poly.Compiled, n int) []float64 {
 	return diag
 }
 
+// ErrQubitRange is wrapped by the error CheckQubits returns.
+var ErrQubitRange = errors.New("costvec: qubit count outside [1, 34]")
+
+// CheckQubits rejects a qubit count outside [1, 34], the range every
+// state-vector engine accepts: below one there is no state, and above
+// 34 the 8·2^n-byte cost diagonal alone exceeds 128 GiB (at n ≥ 63,
+// 2^n no longer fits an int).
+func CheckQubits(n int) error {
+	if n < 1 || n > 34 {
+		return fmt.Errorf("%w: n=%d", ErrQubitRange, n)
+	}
+	return nil
+}
+
 // FromFunc fills the diagonal from an arbitrary cost callback, the
 // analogue of QOKit's Python-lambda input path.
 func FromFunc(n int, f func(x uint64) float64) []float64 {
@@ -429,23 +444,6 @@ func MinMax(diag []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// GroundStates returns every index whose cost is within tol of the
-// minimum — the solution set used by the overlap output (the paper's
-// get_overlap measures probability mass on these states).
-func GroundStates(diag []float64, tol float64) []uint64 {
-	if len(diag) == 0 {
-		return nil
-	}
-	lo, _ := MinMax(diag)
-	var states []uint64
-	for i, v := range diag {
-		if v <= lo+tol {
-			states = append(states, uint64(i))
-		}
-	}
-	return states
 }
 
 // Quantized is the uint16-compressed cost diagonal of §V-B: value_i =

@@ -608,44 +608,11 @@ func TestFromFunc(t *testing.T) {
 	}
 }
 
-func TestMinMaxAndGroundStates(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	diag := []float64{3, -1, 4, -1, 5}
 	lo, hi := MinMax(diag)
 	if lo != -1 || hi != 5 {
 		t.Fatalf("MinMax = (%v,%v)", lo, hi)
-	}
-	gs := GroundStates(diag, 1e-9)
-	if len(gs) != 2 || gs[0] != 1 || gs[1] != 3 {
-		t.Fatalf("GroundStates = %v", gs)
-	}
-	if got := GroundStates(nil, 0); got != nil {
-		t.Fatalf("GroundStates(nil) = %v", got)
-	}
-}
-
-func TestGroundStatesMatchLABSBruteForce(t *testing.T) {
-	n := 10
-	diag := Precompute(poly.Compile(problems.LABSTerms(n)), n)
-	got := GroundStates(diag, 1e-6)
-	want, energy, err := problems.LABSGroundStates(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, _ := MinMax(diag)
-	if math.Abs(lo-float64(energy)) > 1e-9 {
-		t.Fatalf("min diag %v, brute-force optimum %d", lo, energy)
-	}
-	wantSet := map[uint64]bool{}
-	for _, s := range want {
-		wantSet[s] = true
-	}
-	if len(got) != len(wantSet) {
-		t.Fatalf("found %d ground states, want %d", len(got), len(wantSet))
-	}
-	for _, s := range got {
-		if !wantSet[s] {
-			t.Fatalf("spurious ground state %b", s)
-		}
 	}
 }
 

@@ -38,12 +38,13 @@
 // swap with its mirror subchunk before the all-to-all (shard.go).
 //
 // Every entry point — the GradEngine's energy, gradient, outputs and
-// streaming, and the one-shot SimulateQAOA* functions, which run one
-// lease of a fresh engine — goes through one evolution function,
-// shard.evolve. grad.go adds the adjoint gradient: the ket and the
-// cost-weighted bra walk backwards through the tiled joint reverse
-// step, and one vector all-reduce (AllreduceSumVec) combines the
-// per-layer partials — communication stays mixer-shaped.
+// streaming, and the forward one-shots SimulateQAOA and
+// SimulateQAOACheckpointed, which run one lease of a fresh engine —
+// goes through one evolution function, shard.evolve. grad.go adds the
+// adjoint gradient: the ket and the cost-weighted bra walk backwards
+// through the tiled joint reverse step, and one vector all-reduce
+// (AllreduceSumVec) combines the per-layer partials — communication
+// stays mixer-shaped.
 package distsim
 
 import (
@@ -53,6 +54,7 @@ import (
 
 	"qokit/internal/cluster"
 	"qokit/internal/core"
+	"qokit/internal/costvec"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/statevec"
@@ -88,16 +90,18 @@ type Options struct {
 	// fabric bytes, at the single-node SoA32 accuracy (state error ~few
 	// ULPs per layer, gradient band ~2e-3).
 	Precision Precision
-	// Fault, when non-nil, is installed on every rank group this run
-	// creates (cluster.Group.SetFault) — the test-only fault injector
-	// the checkpoint/restart suite uses to kill ranks mid-collective.
-	// Production callers leave it nil.
-	Fault cluster.FaultFn
+	// fault, when non-nil, is installed on every rank group this run
+	// creates (cluster.Group.SetFault): the fault injector the package's
+	// checkpoint/restart tests use to kill ranks mid-collective.
+	fault cluster.FaultFn
 }
 
 // validate checks the option set against the problem size and resolves
 // k = log2(Ranks). Every violation names the offending Options field.
 func (o Options) validate(n int) (k int, err error) {
+	if err := costvec.CheckQubits(n); err != nil {
+		return 0, err
+	}
 	if o.Ranks < 1 {
 		return 0, fmt.Errorf("distsim: Options.Ranks=%d must be ≥ 1", o.Ranks)
 	}
@@ -125,7 +129,7 @@ func (o Options) validate(n int) (k int, err error) {
 		return 0, fmt.Errorf("distsim: Options.Precision=%v unknown (want PrecisionFloat64 or PrecisionFloat32)", o.Precision)
 	}
 	if o.Gather && o.Precision == PrecisionFloat32 {
-		return 0, fmt.Errorf("distsim: Options.Gather=true does not compose with Options.Precision=float32 — the memory-reduced shards exist to avoid materializing node-scale buffers; use the gather-free outputs (SimulateQAOAOutputs or GradEngine.Outputs: sampling, CVaR, overlap, probability queries)")
+		return 0, fmt.Errorf("distsim: Options.Gather=true does not compose with Options.Precision=float32 — the memory-reduced shards exist to avoid materializing node-scale buffers; use the gather-free outputs (GradEngine.Outputs: sampling, CVaR, overlap, probability queries)")
 	}
 	return k, nil
 }
@@ -148,8 +152,8 @@ func (o Options) hammingWeight(n int) int {
 
 // Result carries the distributed outputs plus per-run communication
 // statistics. The CVaR, Samples, Probs, and MaxProb* fields are filled
-// only by the gather-free output entry points (SimulateQAOAOutputs,
-// GradEngine.Outputs) according to their OutputSpec.
+// only by the gather-free GradEngine.Outputs, according to its
+// OutputSpec.
 type Result struct {
 	Expectation float64
 	Overlap     float64

@@ -80,7 +80,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 
 			boom := errors.New("node failure")
 			killed := tc.opts
-			killed.Fault = killAt(tc.victim, tc.op, tc.call, boom)
+			killed.fault = killAt(tc.victim, tc.op, tc.call, boom)
 			if _, err := SimulateQAOACheckpointed(context.Background(), n, ts, gamma, beta, killed, ck); !errors.Is(err, boom) {
 				t.Fatalf("killed run returned %v, want the injected fault", err)
 			}
@@ -117,7 +117,7 @@ func TestCheckpointCompatMismatch(t *testing.T) {
 
 	// Leave a ranks=2 float64 snapshot on disk via an injected kill.
 	boom := errors.New("node failure")
-	killed := Options{Ranks: 2, Fault: killAt(0, "Alltoall", 2, boom)}
+	killed := Options{Ranks: 2, fault: killAt(0, "Alltoall", 2, boom)}
 	if _, err := SimulateQAOACheckpointed(context.Background(), n, ts, gamma, beta, killed, ck); !errors.Is(err, boom) {
 		t.Fatalf("killed run returned %v, want the injected fault", err)
 	}
@@ -145,7 +145,7 @@ func TestCheckpointCompatMismatch(t *testing.T) {
 	// Depth shallower than the snapshot's layer must also refuse. The
 	// AllreduceSum kill leaves a snapshot at the final (third) layer.
 	path2 := filepath.Join(t.TempDir(), "deep.ckpt")
-	killed = Options{Ranks: 2, Fault: killAt(0, "AllreduceSum", 0, boom)}
+	killed = Options{Ranks: 2, fault: killAt(0, "AllreduceSum", 0, boom)}
 	if _, err := SimulateQAOACheckpointed(context.Background(), n, ts, gamma, beta, killed, CheckpointOptions{Path: path2}); !errors.Is(err, boom) {
 		t.Fatalf("killed run returned %v, want the injected fault", err)
 	}
@@ -313,7 +313,7 @@ func TestShardedAdamResumeBitIdentical(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "adam.ckpt")
 				boom := errors.New("node failure")
 				killed := opts
-				killed.Fault = killAt(ranks-1, "AllreduceSumVec", killCall, boom)
+				killed.fault = killAt(ranks-1, "AllreduceSumVec", killCall, boom)
 				if res := run(t, n, ts, killed, path, false); !errors.Is(res.Err, boom) {
 					t.Fatalf("killed run stopped with %v, want the injected fault", res.Err)
 				}

@@ -109,11 +109,11 @@ type gradLease struct {
 // buffers are leased per evaluation, up to Options.Concurrency in
 // flight at once.
 func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
-	if err := terms.Validate(n); err != nil {
-		return nil, err
-	}
 	k, err := opts.validate(n)
 	if err != nil {
+		return nil, err
+	}
+	if err := terms.Validate(n); err != nil {
 		return nil, err
 	}
 	full := make([]float64, 1<<uint(n))
@@ -162,7 +162,7 @@ func (e *GradEngine) newLease() (*gradLease, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetFault(e.opts.Fault)
+	g.SetFault(e.opts.fault)
 	l := &gradLease{group: g, shards: make([]evolver, e.opts.Ranks)}
 	for r := range l.shards {
 		if e.opts.Precision == PrecisionFloat32 {
@@ -434,55 +434,4 @@ func (e *GradEngine) FlatObjective(ctx context.Context, simErr *error) func(x, g
 		}
 		return v
 	}
-}
-
-// GradResult carries one distributed gradient evaluation's outputs
-// plus the run's communication counters.
-type GradResult struct {
-	Energy    float64
-	GradGamma []float64
-	GradBeta  []float64
-	// Comm is the summed traffic with critical-path wall time.
-	Comm cluster.Counters
-	// PerRank holds each rank's counters.
-	PerRank []cluster.Counters
-}
-
-// SimulateQAOAGrad evaluates the distributed energy and exact adjoint
-// gradient with a fresh engine. Optimizer loops should build one
-// GradEngine (or use FlatObjective) and call EnergyGradAngles instead.
-func SimulateQAOAGrad(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options) (*GradResult, error) {
-	gradGamma := make([]float64, len(gamma))
-	gradBeta := make([]float64, len(beta))
-	energy, comm, perRank, err := simulateGradInto(ctx, n, terms, gamma, beta, gradGamma, gradBeta, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &GradResult{
-		Energy:    energy,
-		GradGamma: gradGamma,
-		GradBeta:  gradBeta,
-		Comm:      comm,
-		PerRank:   perRank,
-	}, nil
-}
-
-// SimulateQAOAGradInto is SimulateQAOAGrad writing into caller-owned
-// gradient storage (length p each); it returns the energy and the
-// run's summed communication counters.
-func SimulateQAOAGradInto(ctx context.Context, n int, terms poly.Terms, gamma, beta, gradGamma, gradBeta []float64, opts Options) (float64, cluster.Counters, error) {
-	energy, comm, _, err := simulateGradInto(ctx, n, terms, gamma, beta, gradGamma, gradBeta, opts)
-	return energy, comm, err
-}
-
-func simulateGradInto(ctx context.Context, n int, terms poly.Terms, gamma, beta, gradGamma, gradBeta []float64, opts Options) (float64, cluster.Counters, []cluster.Counters, error) {
-	eng, err := NewGradEngine(n, terms, opts)
-	if err != nil {
-		return 0, cluster.Counters{}, nil, err
-	}
-	energy, err := eng.EnergyGradAngles(ctx, gamma, beta, gradGamma, gradBeta)
-	if err != nil {
-		return 0, cluster.Counters{}, nil, err
-	}
-	return energy, eng.Counters(), eng.perRank(), nil
 }

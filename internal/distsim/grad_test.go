@@ -30,6 +30,39 @@ func maxAbs(xs ...[]float64) float64 {
 	return m
 }
 
+// gradResult is one adjoint-gradient evaluation with the traffic it
+// moved.
+type gradResult struct {
+	Energy              float64
+	GradGamma, GradBeta []float64
+	Comm                cluster.Counters
+	PerRank             []cluster.Counters
+}
+
+// simulateGrad evaluates the energy and adjoint gradient on a fresh
+// engine, so the engine's counters hold that one evaluation's traffic.
+func simulateGrad(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options) (*gradResult, error) {
+	eng, err := NewGradEngine(n, terms, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &gradResult{GradGamma: make([]float64, len(gamma)), GradBeta: make([]float64, len(beta))}
+	if res.Energy, err = eng.EnergyGradAngles(ctx, gamma, beta, res.GradGamma, res.GradBeta); err != nil {
+		return nil, err
+	}
+	res.Comm, res.PerRank = eng.Counters(), eng.perRank()
+	return res, nil
+}
+
+// outputsOnce serves spec on a fresh engine.
+func outputsOnce(n int, terms poly.Terms, gamma, beta []float64, opts Options, spec OutputSpec) (*Result, error) {
+	eng, err := NewGradEngine(n, terms, opts)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Outputs(context.Background(), gamma, beta, spec)
+}
+
 func randomAngles(rng *rand.Rand, p int) (gamma, beta []float64) {
 	gamma = make([]float64, p)
 	beta = make([]float64, p)
@@ -74,7 +107,7 @@ func TestDistributedGradMatchesSingleNode(t *testing.T) {
 				}
 				scale := math.Max(maxAbs(refGG, refGB), 1)
 				for _, ranks := range []int{1, 2, 4, 8} {
-					res, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, Options{
+					res, err := simulateGrad(context.Background(), n, terms, gamma, beta, Options{
 						Ranks: ranks, Algo: cluster.Transpose, Mixer: mixer,
 					})
 					if err != nil {
@@ -105,11 +138,11 @@ func TestDistributedGradPairwiseAlgo(t *testing.T) {
 	terms := problems.LABSTerms(n)
 	rng := rand.New(rand.NewSource(74))
 	gamma, beta := randomAngles(rng, p)
-	a, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: 4, Algo: cluster.Transpose})
+	a, err := simulateGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: 4, Algo: cluster.Transpose})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: 4, Algo: cluster.Pairwise})
+	b, err := simulateGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: 4, Algo: cluster.Pairwise})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +174,7 @@ func TestGradCommStaysMixerShaped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, opts)
+		res, err := simulateGrad(context.Background(), n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +190,7 @@ func TestGradCommStaysMixerShaped(t *testing.T) {
 	// all-to-alls, each moving (K−1) subchunks of 2^{n−k}/K amplitudes.
 	k := 2 // log2(4)
 	sub := (1 << uint(n-k)) / ranks
-	res, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: ranks, Algo: cluster.Transpose})
+	res, err := simulateGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: ranks, Algo: cluster.Transpose})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +225,7 @@ func TestGradEngineReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: 4, Algo: cluster.Transpose})
+		fresh, err := simulateGrad(context.Background(), n, terms, gamma, beta, Options{Ranks: 4, Algo: cluster.Transpose})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +396,7 @@ func TestGradEngineConcurrentEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	gamma, beta := randomAngles(rng, p)
 	for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
-		ref, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, Options{
+		ref, err := simulateGrad(context.Background(), n, terms, gamma, beta, Options{
 			Ranks: 4, Algo: cluster.Transpose, Mixer: mixer,
 		})
 		if err != nil {
@@ -471,7 +504,7 @@ func TestGradEngineCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("evaluation after cancellation: %v", err)
 	}
-	ref, err := SimulateQAOAGrad(context.Background(), n, terms, gamma[:2], beta[:2], Options{Ranks: 4, Algo: cluster.Transpose})
+	ref, err := simulateGrad(context.Background(), n, terms, gamma[:2], beta[:2], Options{Ranks: 4, Algo: cluster.Transpose})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,11 +155,11 @@ func TestHalfShardTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			halfGrad, err := SimulateQAOAGrad(ctx, n, labs, gamma, beta, opts)
+			halfGrad, err := simulateGrad(ctx, n, labs, gamma, beta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullGrad, err := SimulateQAOAGrad(ctx, n, oddCost(n), gamma, beta, opts)
+			fullGrad, err := simulateGrad(ctx, n, oddCost(n), gamma, beta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,9 +451,9 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 		killed := opts
 		// Snapshots follow every layer; the kill lands in layer 3, at
 		// its capture on one rank, inside its second all-to-all on K ranks.
-		killed.Fault = killAt(0, "Barrier", 4, boom)
+		killed.fault = killAt(0, "Barrier", 4, boom)
 		if opts.Ranks > 1 {
-			killed.Fault = killAt(opts.Ranks-1, "Alltoall", 5, boom)
+			killed.fault = killAt(opts.Ranks-1, "Alltoall", 5, boom)
 		}
 		if _, err := SimulateQAOACheckpointed(ctx, n, terms, gamma, beta, killed, ck); !errors.Is(err, boom) {
 			t.Fatalf("%s: killed run returned %v, want the injected fault", name, err)

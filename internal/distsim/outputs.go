@@ -56,7 +56,6 @@ import (
 
 	"qokit/internal/cluster"
 	"qokit/internal/evaluator"
-	"qokit/internal/poly"
 	"qokit/internal/sampling"
 )
 
@@ -487,39 +486,15 @@ func rankCVaR(c *cluster.Comm, v shardView, alphas []float64) ([]float64, error)
 	return out, nil
 }
 
-// SimulateQAOAOutputs runs the distributed forward pipeline and
-// serves the gather-free outputs the spec selects — sampling, CVaR,
-// overlap, probability queries — on any shard representation
-// (float64 or float32 planes, float64 or coded diagonal slices): one
-// lease of a fresh GradEngine. It is the output path the
-// Gather-rejection errors point at: nothing here materializes a
-// node-scale buffer, so it composes with every §V-B memory reduction. Options.Gather must be false (gathering is
-// exactly what this entry point exists to avoid).
-func SimulateQAOAOutputs(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options, spec OutputSpec) (*Result, error) {
-	if opts.Gather {
-		return nil, fmt.Errorf("distsim: Options.Gather=true is redundant with SimulateQAOAOutputs — the outputs are computed shard-locally; use SimulateQAOA for a gathered state")
-	}
-	if err := spec.Validate(n); err != nil {
-		return nil, err
-	}
-	eng, err := NewGradEngine(n, terms, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Outputs(ctx, gamma, beta, spec)
-	if err != nil {
-		return nil, err
-	}
-	res.Comm, res.PerRank = eng.Counters(), eng.perRank()
-	return res, nil
-}
-
-// Outputs evaluates the gather-free outputs at (γ, β) on a leased rank
-// group — the engine-resident counterpart of SimulateQAOAOutputs, with
-// warm per-rank state buffers and the engine's shared diagonal
-// representation. Safe for up to Options.Concurrency concurrent calls.
-// Communication accumulates on the engine's counters (Counters /
-// RankCounters); Result.Comm and Result.PerRank are left zero here.
+// Outputs evaluates the gather-free outputs the spec selects —
+// sampling, CVaR, overlap, probability queries — at (γ, β) on a leased
+// rank group, with warm per-rank state buffers and the engine's shared
+// diagonal representation. Nothing here materializes a node-scale
+// buffer, so it composes with every §V-B memory reduction (float32
+// planes, coded diagonal slices); Options.Gather plays no part. Safe
+// for up to Options.Concurrency concurrent calls. Communication
+// accumulates on the engine's counters (Counters / RankCounters);
+// Result.Comm and Result.PerRank are left zero here.
 func (e *GradEngine) Outputs(ctx context.Context, gamma, beta []float64, spec OutputSpec) (*Result, error) {
 	if err := spec.Validate(e.n); err != nil {
 		return nil, err

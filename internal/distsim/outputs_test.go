@@ -67,7 +67,7 @@ func TestDistributedCVaROverlapMatchSingleNode(t *testing.T) {
 
 	for _, ranks := range []int{1, 2, 4, 8} {
 		spec := OutputSpec{CVaRAlphas: alphas, ProbIndices: queries}
-		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: ranks}, spec)
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
@@ -154,7 +154,7 @@ func TestDistributedVarianceMatchesSingleNode(t *testing.T) {
 	}
 
 	for _, ranks := range []int{1, 2, 4} {
-		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: ranks}, OutputSpec{Variance: true})
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
@@ -166,7 +166,7 @@ func TestDistributedVarianceMatchesSingleNode(t *testing.T) {
 
 	// Float32 dynamics carry single-precision error; the variance must
 	// still land within a coarse band of the float64 value.
-	res32, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+	res32, err := outputsOnce(n, ts, gamma, beta,
 		Options{Ranks: 4, Precision: PrecisionFloat32}, OutputSpec{Variance: true})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestDistributedOutputsXYMixer(t *testing.T) {
 		}
 	}
 	for _, ranks := range []int{1, 2, 4} {
-		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: ranks, Mixer: core.MixerXYRing}, OutputSpec{CVaRAlphas: alphas})
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
@@ -273,7 +273,7 @@ func TestDistributedOutputsFloat32(t *testing.T) {
 		all[i] = uint64(i)
 	}
 	for _, ranks := range []int{1, 2, 4, 8} {
-		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: ranks, Precision: PrecisionFloat32},
 			OutputSpec{CVaRAlphas: alphas, ProbIndices: all})
 		if err != nil {
@@ -376,7 +376,7 @@ func TestTwoStageSamplingChiSquared(t *testing.T) {
 	}
 
 	for _, ranks := range []int{2, 8} {
-		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: ranks}, OutputSpec{Shots: shots, Seed: 4242})
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
@@ -413,7 +413,7 @@ func TestTwoStageSamplingDeterministic(t *testing.T) {
 	gamma := []float64{0.3}
 	beta := []float64{0.4}
 	run := func() []uint64 {
-		res, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta,
+		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: 4}, OutputSpec{Shots: 500, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -431,9 +431,9 @@ func TestTwoStageSamplingDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineOutputsMatchStandalone: GradEngine.Outputs on a leased rank
-// group returns the same values as the standalone entry point, for
-// float64 and float32 shards and for slices held as codes alone
+// TestEngineOutputsMatchStandalone: GradEngine.Outputs on a warm leased
+// rank group returns the same values as a fresh engine's first call,
+// for float64 and float32 shards and for slices held as codes alone
 // (codedProblem), and EvalOutputs round-trips through the evaluator
 // contract.
 func TestEngineOutputsMatchStandalone(t *testing.T) {
@@ -454,12 +454,15 @@ func TestEngineOutputsMatchStandalone(t *testing.T) {
 		{8, problems.LABSTerms(8), Options{Ranks: 4, Precision: PrecisionFloat32}},
 	} {
 		n, ts, opts := c.n, c.ts, c.opts
-		ref, err := SimulateQAOAOutputs(context.Background(), n, ts, gamma, beta, opts, spec)
+		ref, err := outputsOnce(n, ts, gamma, beta, opts, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e, err := NewGradEngine(n, ts, opts)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Outputs(context.Background(), []float64{0.1, 0.2}, []float64{0.3, 0.4}, spec); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Outputs(context.Background(), gamma, beta, spec)
@@ -610,27 +613,23 @@ func TestCVaROrderConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestOutputsValidation: Gather is rejected, bad specs name the field,
-// and the zero spec still serves the always-present outputs.
+// TestOutputsValidation: bad specs name the field, and the zero spec
+// still serves the always-present outputs.
 func TestOutputsValidation(t *testing.T) {
 	n := 6
 	ts := problems.LABSTerms(n)
-	if _, err := SimulateQAOAOutputs(context.Background(), n, ts, []float64{0.1}, []float64{0.2},
-		Options{Ranks: 2, Gather: true}, OutputSpec{}); err == nil {
-		t.Error("Gather=true accepted by SimulateQAOAOutputs")
-	}
-	if _, err := SimulateQAOAOutputs(context.Background(), n, ts, []float64{0.1}, []float64{0.2},
+	if _, err := outputsOnce(n, ts, []float64{0.1}, []float64{0.2},
 		Options{Ranks: 2}, OutputSpec{CVaRAlphas: []float64{0}}); err == nil {
 		t.Error("CVaR level 0 accepted")
 	}
-	if _, err := SimulateQAOAOutputs(context.Background(), n, ts, []float64{0.1}, []float64{0.2},
+	if _, err := outputsOnce(n, ts, []float64{0.1}, []float64{0.2},
 		Options{Ranks: 2}, OutputSpec{ProbIndices: []uint64{1 << uint(n)}}); err == nil {
 		t.Error("out-of-range probability index accepted")
 	}
 	if err := (evaluator.OutputSpec{Shots: -1}).Validate(n); err == nil {
 		t.Error("negative Shots accepted")
 	}
-	res, err := SimulateQAOAOutputs(context.Background(), n, ts, []float64{0.1}, []float64{0.2},
+	res, err := outputsOnce(n, ts, []float64{0.1}, []float64{0.2},
 		Options{Ranks: 2}, OutputSpec{})
 	if err != nil {
 		t.Fatal(err)

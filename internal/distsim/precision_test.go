@@ -29,13 +29,13 @@ func TestDistributedFloat32GradBand(t *testing.T) {
 			gamma, beta := randomAngles(rng, p)
 			for _, ranks := range []int{1, 2, 4, 8} {
 				base := Options{Ranks: ranks, Algo: cluster.Transpose, Mixer: mixer}
-				ref, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, base)
+				ref, err := simulateGrad(context.Background(), n, terms, gamma, beta, base)
 				if err != nil {
 					t.Fatal(err)
 				}
 				f32opts := base
 				f32opts.Precision = PrecisionFloat32
-				got, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, f32opts)
+				got, err := simulateGrad(context.Background(), n, terms, gamma, beta, f32opts)
 				if err != nil {
 					t.Fatalf("%v K=%d p=%d float32: %v", mixer, ranks, p, err)
 				}
@@ -73,7 +73,7 @@ func TestFloat32AgainstSingleNodeSoA32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta,
+	got, err := simulateGrad(context.Background(), n, terms, gamma, beta,
 		Options{Ranks: 4, Algo: cluster.Transpose, Precision: PrecisionFloat32})
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +123,11 @@ func TestFloat32TrafficHalved(t *testing.T) {
 				mixer, fwd32.Comm.Messages, fwd64.Comm.Messages)
 		}
 
-		grad64, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, base)
+		grad64, err := simulateGrad(context.Background(), n, terms, gamma, beta, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grad32, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, f32opts)
+		grad32, err := simulateGrad(context.Background(), n, terms, gamma, beta, f32opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestPrecisionEnginesConcurrent(t *testing.T) {
 		{8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing, Precision: PrecisionFloat32, Concurrency: 2}},
 	} {
 		n, terms, opts := c.n, c.terms, c.opts
-		ref, err := SimulateQAOAGrad(context.Background(), n, terms, gamma, beta, opts)
+		ref, err := simulateGrad(context.Background(), n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

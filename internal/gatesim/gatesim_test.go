@@ -336,3 +336,41 @@ func minInt(a, b int) int {
 	}
 	return b
 }
+
+// TestXYEqualsRXXRYY verifies that the XY gate (statevec.ApplyXY) is
+// the RXX·RYY pair gate frameworks compile it to:
+// exp(−iβ(XX+YY)/2) = RXX(β)·RYY(β).
+func TestXYEqualsRXXRYY(t *testing.T) {
+	beta := 0.83
+	viaXY := statevec.NewUniform(2)
+	for i := range viaXY {
+		viaXY[i] *= complex(float64(i)+0.5, -float64(i)) // arbitrary, then normalize
+	}
+	viaXY.Normalize()
+	viaFactors := viaXY.Clone()
+
+	statevec.ApplyXY(viaXY, 0, 1, beta)
+
+	// RXX(β) then RYY(β) via explicit matrices.
+	s, c := math.Sin(beta/2), math.Cos(beta/2)
+	cc, ss := complex(c, 0), complex(0, -s)
+	rxx := [4][4]complex128{
+		{cc, 0, 0, ss},
+		{0, cc, ss, 0},
+		{0, ss, cc, 0},
+		{ss, 0, 0, cc},
+	}
+	// RYY(θ) = exp(−iθ YY/2): YY flips both bits with signs
+	// (+|00⟩↔−|11⟩ sector sign): YY|00⟩ = −|11⟩, YY|01⟩ = |10⟩.
+	ryy := [4][4]complex128{
+		{cc, 0, 0, -ss},
+		{0, cc, ss, 0},
+		{0, ss, cc, 0},
+		{-ss, 0, 0, cc},
+	}
+	statevec.Apply2Q(viaFactors, 0, 1, rxx)
+	statevec.Apply2Q(viaFactors, 0, 1, ryy)
+	if d := statevec.MaxAbsDiff(viaXY, viaFactors); d > 1e-12 {
+		t.Errorf("XY vs RXX·RYY: %g", d)
+	}
+}

@@ -9,8 +9,8 @@ import (
 // writes ∇f(x) into grad (len(grad) == len(x)). The evaluation
 // service's adjoint objective (serve.Service.GradObjective) produces
 // these for QAOA parameters at ≈ 4 simulations' cost regardless of
-// dimension, which is what makes the gradient optimizers below
-// asymptotically cheaper than Nelder–Mead at high depth.
+// dimension, which is what makes Adam below asymptotically cheaper
+// than Nelder–Mead at high depth.
 type FuncGrad func(x, grad []float64) float64
 
 // CountingGrad wraps a FuncGrad and counts evaluations; read Calls
@@ -154,110 +154,6 @@ func Adam(f FuncGrad, x0 []float64, opt AdamOptions) AdamResult {
 				V:     append([]float64(nil), v...),
 				B1t:   b1t,
 				B2t:   b2t,
-				Iter:  k + 1,
-				BestX: append([]float64(nil), res.X...),
-				BestF: res.F,
-				Evals: cf.Calls,
-			}
-			if err := opt.Checkpoint(st); err != nil {
-				res.Err = err
-				break
-			}
-		}
-	}
-	res.Evals = cf.Calls
-	return res
-}
-
-// GDOptions configures GradientDescent. Zero values select defaults.
-type GDOptions struct {
-	// MaxIter bounds iterations (default 200).
-	MaxIter int
-	// Step is the learning rate (default 0.01).
-	Step float64
-	// Decay shrinks the step as Step/(1+Decay·k); 0 keeps it fixed.
-	Decay float64
-	// TolGrad stops when ‖∇f‖∞ falls below it (default 1e-6).
-	TolGrad float64
-	// Ctx, when non-nil, cancels the optimization at the next
-	// iteration boundary.
-	Ctx context.Context
-	// Resume restores a checkpointed run; see AdamOptions.Resume. The
-	// decaying step depends only on the iteration index, so a resumed
-	// trajectory is bit-identical to an uninterrupted one.
-	Resume *GDState
-	// Checkpoint is called after every completed iteration; see
-	// AdamOptions.Checkpoint.
-	Checkpoint func(*GDState) error
-}
-
-// GDResult reports the optimum found by gradient descent.
-type GDResult struct {
-	// X and F are the best iterate seen.
-	X     []float64
-	F     float64
-	Evals int
-	Iters int
-	// Converged is true when TolGrad was reached before MaxIter.
-	Converged bool
-	// Err is non-nil when the run stopped early on a Checkpoint
-	// callback error or an invalid Resume state.
-	Err error
-}
-
-// GradientDescent minimizes f with plain (optionally decaying-step)
-// gradient descent. Adam is the better default on QAOA landscapes;
-// this exists as the transparent baseline and for smooth convex
-// subproblems.
-func GradientDescent(f FuncGrad, x0 []float64, opt GDOptions) GDResult {
-	dim := len(x0)
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 200
-	}
-	if opt.Step == 0 {
-		opt.Step = 0.01
-	}
-	if opt.TolGrad == 0 {
-		opt.TolGrad = 1e-6
-	}
-	cf := &CountingGrad{F: f}
-	x := append([]float64(nil), x0...)
-	g := make([]float64, dim)
-	res := GDResult{X: append([]float64(nil), x0...), F: math.Inf(1)}
-	start := 0
-	if st := opt.Resume; st != nil {
-		if err := st.validate(dim); err != nil {
-			res.Err = err
-			return res
-		}
-		copy(x, st.X)
-		start = st.Iter
-		cf.Calls = st.Evals
-		res.Iters = st.Iter
-		res.F = st.BestF
-		copy(res.X, st.BestX)
-	}
-	for k := start; k < opt.MaxIter; k++ {
-		if ctxDone(opt.Ctx) {
-			break
-		}
-		fx := cf.Eval(x, g)
-		res.Iters++
-		if fx < res.F {
-			res.F = fx
-			copy(res.X, x)
-		}
-		if normInf(g) < opt.TolGrad {
-			res.Converged = true
-			break
-		}
-		step := opt.Step / (1 + opt.Decay*float64(k))
-		for j := 0; j < dim; j++ {
-			x[j] -= step * g[j]
-		}
-		if opt.Checkpoint != nil {
-			st := &GDState{
-				X:     append([]float64(nil), x...),
 				Iter:  k + 1,
 				BestX: append([]float64(nil), res.X...),
 				BestF: res.F,

@@ -34,19 +34,6 @@ func TestAdamQuadratic(t *testing.T) {
 	}
 }
 
-func TestGradientDescentQuadratic(t *testing.T) {
-	c := []float64{-0.5, 3}
-	res := GradientDescent(quadratic(c), make([]float64, 2), GDOptions{MaxIter: 5000, Step: 0.1})
-	if !res.Converged {
-		t.Errorf("GD did not converge: %+v", res)
-	}
-	for j := range c {
-		if math.Abs(res.X[j]-c[j]) > 1e-4 {
-			t.Errorf("x[%d] = %v, want %v", j, res.X[j], c[j])
-		}
-	}
-}
-
 // TestAdamReturnsBestIterate pins the best-seen contract: on an
 // objective where large steps overshoot, the reported optimum is never
 // worse than any visited iterate.
@@ -71,10 +58,6 @@ func TestGradientOptimizerDefaults(t *testing.T) {
 	res := Adam(quadratic([]float64{1}), []float64{0}, AdamOptions{})
 	if res.Iters == 0 || res.Evals == 0 {
 		t.Errorf("Adam with default options did not run: %+v", res)
-	}
-	gd := GradientDescent(quadratic([]float64{1}), []float64{0}, GDOptions{})
-	if gd.Iters == 0 || gd.Evals == 0 {
-		t.Errorf("GD with default options did not run: %+v", gd)
 	}
 }
 

@@ -1,17 +1,14 @@
 // Package optimize provides the derivative-free local optimizers used
 // to tune QAOA parameters — the outer loop of the paper's Fig. 1,
 // whose repeated objective evaluations the precomputed diagonal
-// accelerates. Nelder–Mead is the typical QOKit/SciPy default; SPSA is
-// the common noisy-hardware alternative; TQAInit supplies the
-// Trotterized-quantum-annealing linear-ramp initialization (the
-// paper's Ref. [44]) that makes high-depth optimization tractable.
+// accelerates. Nelder–Mead is the typical QOKit/SciPy default; TQAInit
+// supplies the Trotterized-quantum-annealing linear-ramp initialization
+// (the paper's Ref. [44]) that makes high-depth optimization tractable.
 package optimize
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -173,68 +170,6 @@ func NelderMead(f Func, x0 []float64, opt NMOptions) NMResult {
 	res.F = simplex[0].f
 	res.Evals = cf.Calls
 	return res
-}
-
-// SPSAOptions configures SPSA. Zero values select defaults.
-type SPSAOptions struct {
-	// Steps is the iteration count (default 100).
-	Steps int
-	// A and C scale the gain sequences a_k = A/(k+1+A/10)^0.602 and
-	// c_k = C/(k+1)^0.101 (defaults 0.2 and 0.1).
-	A, C float64
-	// Seed makes the perturbation sequence deterministic.
-	Seed int64
-	// Ctx, when non-nil, cancels the optimization at the next step.
-	Ctx context.Context
-}
-
-// SPSAResult reports the optimum found by SPSA.
-type SPSAResult struct {
-	X     []float64
-	F     float64
-	Evals int
-}
-
-// SPSA minimizes f by simultaneous-perturbation stochastic
-// approximation: each step estimates the gradient from two objective
-// evaluations at a random ± perturbation.
-func SPSA(f Func, x0 []float64, opt SPSAOptions) SPSAResult {
-	if opt.Steps <= 0 {
-		opt.Steps = 100
-	}
-	if opt.A == 0 {
-		opt.A = 0.2
-	}
-	if opt.C == 0 {
-		opt.C = 0.1
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	cf := &Counting{F: f}
-	x := append([]float64(nil), x0...)
-	delta := make([]float64, len(x))
-	xp := make([]float64, len(x))
-	xm := make([]float64, len(x))
-	for k := 0; k < opt.Steps; k++ {
-		if ctxDone(opt.Ctx) {
-			break
-		}
-		ak := opt.A / math.Pow(float64(k+1)+opt.A/10, 0.602)
-		ck := opt.C / math.Pow(float64(k+1), 0.101)
-		for j := range delta {
-			if rng.Intn(2) == 0 {
-				delta[j] = 1
-			} else {
-				delta[j] = -1
-			}
-			xp[j] = x[j] + ck*delta[j]
-			xm[j] = x[j] - ck*delta[j]
-		}
-		g := (cf.Eval(xp) - cf.Eval(xm)) / (2 * ck)
-		for j := range x {
-			x[j] -= ak * g / delta[j]
-		}
-	}
-	return SPSAResult{X: x, F: cf.Eval(x), Evals: cf.Calls}
 }
 
 // TQAInit returns the Trotterized-quantum-annealing linear-ramp

@@ -77,48 +77,6 @@ func TestAdamResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGDResumeBitIdentical is the gradient-descent analogue, with step
-// decay active so the resumed iteration index matters.
-func TestGDResumeBitIdentical(t *testing.T) {
-	x0 := []float64{2.0, -1.5, 0.5}
-	const kHalf, kFull = 7, 20
-	opts := GDOptions{MaxIter: kFull, Step: 0.02, Decay: 0.1}
-
-	full := GradientDescent(rosenGrad, x0, opts)
-	if full.Err != nil {
-		t.Fatal(full.Err)
-	}
-
-	path := filepath.Join(t.TempDir(), "gd.ckpt")
-	half := opts
-	half.MaxIter = kHalf
-	half.Checkpoint = func(st *GDState) error { return SaveGDState(path, st) }
-	if r := GradientDescent(rosenGrad, x0, half); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-
-	st, err := LoadGDState(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := GradientDescent(rosenGrad, x0, GDOptions{MaxIter: kFull, Step: 0.02, Decay: 0.1, Resume: st})
-	if resumed.Err != nil {
-		t.Fatal(resumed.Err)
-	}
-	if resumed.Iters != full.Iters || resumed.Evals != full.Evals {
-		t.Errorf("counters: resumed (%d iters, %d evals) vs full (%d, %d)",
-			resumed.Iters, resumed.Evals, full.Iters, full.Evals)
-	}
-	for j := range full.X {
-		if math.Float64bits(resumed.X[j]) != math.Float64bits(full.X[j]) {
-			t.Errorf("X[%d]: resumed %v vs full %v (bits differ)", j, resumed.X[j], full.X[j])
-		}
-	}
-	if math.Float64bits(resumed.F) != math.Float64bits(full.F) {
-		t.Errorf("F: resumed %v vs full %v", resumed.F, full.F)
-	}
-}
-
 // TestAdamStateRoundTrip covers the codec directly, including the
 // non-finite BestF a fresh checkpoint can carry.
 func TestAdamStateRoundTrip(t *testing.T) {
@@ -187,9 +145,5 @@ func TestResumeDimensionMismatch(t *testing.T) {
 	}
 	if res.Evals != 0 {
 		t.Errorf("objective was evaluated %d times despite invalid resume", res.Evals)
-	}
-	gres := GradientDescent(rosenGrad, []float64{1, 2, 3}, GDOptions{Resume: &GDState{X: []float64{1}, BestX: []float64{1}}})
-	if gres.Err == nil || !strings.Contains(gres.Err.Error(), "dimension") {
-		t.Fatalf("GD Err = %v, want dimension mismatch", gres.Err)
 	}
 }

@@ -6,13 +6,11 @@ import (
 	"qokit/internal/checkpoint"
 )
 
-// Checkpoint kind tags and per-kind payload versions. The frame
-// container carries its own version; these cover the field layout.
+// The checkpoint kind tag and payload version of AdamState. The frame
+// container carries its own version; this one covers the field layout.
 const (
 	adamStateKind    = "qokit/adam-state"
-	gdStateKind      = "qokit/gd-state"
 	adamStateVersion = 1
-	gdStateVersion   = 1
 )
 
 // AdamState is the complete Adam trajectory state after a finished
@@ -100,69 +98,4 @@ func LoadAdamState(path string) (*AdamState, error) {
 		return nil, err
 	}
 	return DecodeAdamState(payload)
-}
-
-// GDState is the gradient-descent analogue of AdamState: the plain
-// update keeps no moments, so the iterate, iteration index (which
-// fixes the decayed step), best-so-far, and counters suffice.
-type GDState struct {
-	X     []float64
-	Iter  int
-	BestX []float64
-	BestF float64
-	Evals int
-}
-
-func (st *GDState) validate(dim int) error {
-	if len(st.X) != dim || len(st.BestX) != dim {
-		return fmt.Errorf("optimize: resume state dimensions (x=%d best=%d) do not match problem dimension %d",
-			len(st.X), len(st.BestX), dim)
-	}
-	if st.Iter < 0 {
-		return fmt.Errorf("optimize: resume state has negative iteration count %d", st.Iter)
-	}
-	return nil
-}
-
-// Encode serializes the state into a checkpoint payload.
-func (st *GDState) Encode() []byte {
-	var e checkpoint.Encoder
-	e.U32(gdStateVersion)
-	e.F64s(st.X)
-	e.Int(st.Iter)
-	e.F64s(st.BestX)
-	e.F64(st.BestF)
-	e.Int(st.Evals)
-	return e.Bytes()
-}
-
-// DecodeGDState parses a payload produced by Encode.
-func DecodeGDState(payload []byte) (*GDState, error) {
-	d := checkpoint.NewDecoder(payload)
-	if v := d.U32(); d.Err() == nil && v != gdStateVersion {
-		return nil, fmt.Errorf("optimize: gd state version %d unsupported (want %d)", v, gdStateVersion)
-	}
-	st := &GDState{X: d.F64s()}
-	st.Iter = d.Int()
-	st.BestX = d.F64s()
-	st.BestF = d.F64()
-	st.Evals = d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// SaveGDState atomically writes the state to path.
-func SaveGDState(path string, st *GDState) error {
-	return checkpoint.WriteFile(path, gdStateKind, st.Encode())
-}
-
-// LoadGDState reads a state written by SaveGDState.
-func LoadGDState(path string) (*GDState, error) {
-	payload, err := checkpoint.ReadFile(path, gdStateKind)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeGDState(payload)
 }

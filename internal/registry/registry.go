@@ -123,8 +123,8 @@ func New(opts Options) *Registry {
 // A NaN or ±Inf canonical weight returns an error wrapping
 // poly.ErrNonFiniteCost.
 func KeyFor(spec Spec) (Key, error) {
-	if spec.N < 1 || spec.N > 34 {
-		return "", fmt.Errorf("registry: n=%d outside supported range [1, 34]", spec.N)
+	if err := costvec.CheckQubits(spec.N); err != nil {
+		return "", err
 	}
 	canon := spec.Terms.Canonical()
 	for _, t := range canon {

@@ -21,9 +21,7 @@ import (
 //
 // A Sampler is NOT safe for concurrent use: every draw mutates the
 // shared rand.Rand. Concurrent consumers (the serve pool's workers, a
-// sharded sampling stage) must each hold their own sampler — Split
-// derives one per goroutine in O(1), sharing the alias tables
-// read-only.
+// sharded sampling stage) must each hold their own sampler.
 type Sampler struct {
 	prob  []float64 // alias-method acceptance probabilities
 	alias []int
@@ -50,56 +48,48 @@ func NewSampler(probs []float64, seed int64) (*Sampler, error) {
 	}
 
 	// Walker alias construction: scale to mean 1, split into small
-	// (< 1) and large (≥ 1) buckets, pair them off.
-	scaled := make([]float64, n)
-	for i, p := range probs {
-		scaled[i] = p * float64(n) / total
-	}
+	// (< 1) and large (≥ 1) buckets, pair them off. prob holds the
+	// scaled values until an entry is paired, which fixes it. Both
+	// bucket stacks share one n-entry worklist, small growing from the
+	// front and large from the back: every index sits in at most one.
 	s := &Sampler{
 		prob:  make([]float64, n),
 		alias: make([]int, n),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, p := range scaled {
-		if p < 1 {
-			small = append(small, i)
+	work := make([]int, n)
+	ns, nl := 0, 0 // small = work[:ns], large = work[n-nl:], tops at ns−1 and n−nl
+	for i, p := range probs {
+		s.prob[i] = p * float64(n) / total
+		if s.prob[i] < 1 {
+			work[ns] = i
+			ns++
 		} else {
-			large = append(large, i)
+			nl++
+			work[n-nl] = i
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		l := small[len(small)-1]
-		small = small[:len(small)-1]
-		g := large[len(large)-1]
-		s.prob[l] = scaled[l]
+	for ns > 0 && nl > 0 {
+		ns--
+		l := work[ns]
+		g := work[n-nl]
 		s.alias[l] = g
-		scaled[g] = scaled[g] + scaled[l] - 1
-		if scaled[g] < 1 {
-			large = large[:len(large)-1]
-			small = append(small, g)
+		s.prob[g] = s.prob[g] + s.prob[l] - 1
+		if s.prob[g] < 1 {
+			nl--
+			work[ns] = g
+			ns++
 		}
 	}
-	for _, i := range large {
+	for _, i := range work[n-nl:] {
 		s.prob[i] = 1
 		s.alias[i] = i
 	}
-	for _, i := range small {
+	for _, i := range work[:ns] {
 		s.prob[i] = 1
 		s.alias[i] = i
 	}
 	return s, nil
-}
-
-// Split returns a new sampler over the same distribution with an
-// independent RNG stream seeded by seed. The alias tables are shared
-// read-only — O(1), no rebuild — so a pool can hand each worker
-// goroutine its own stream while paying the O(2^n) construction once.
-// Draws from the parent and a split sampler are independent streams;
-// neither is safe to share across goroutines.
-func (s *Sampler) Split(seed int64) *Sampler {
-	return &Sampler{prob: s.prob, alias: s.alias, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Sample draws one index.
@@ -109,24 +99,6 @@ func (s *Sampler) Sample() uint64 {
 		return uint64(i)
 	}
 	return uint64(s.alias[i])
-}
-
-// SampleN draws k indices.
-func (s *Sampler) SampleN(k int) []uint64 {
-	out := make([]uint64, k)
-	for i := range out {
-		out[i] = s.Sample()
-	}
-	return out
-}
-
-// Counts tallies samples into a histogram.
-func Counts(samples []uint64) map[uint64]int {
-	h := make(map[uint64]int)
-	for _, x := range samples {
-		h[x]++
-	}
-	return h
 }
 
 // EstimateExpectation returns the sample mean and standard error of
@@ -156,20 +128,6 @@ func EstimateExpectation(samples []uint64, cost func(uint64) float64) (mean, std
 		}
 	}
 	return mean, stderr
-}
-
-// Best returns the lowest-cost sample and its cost.
-func Best(samples []uint64, cost func(uint64) float64) (argmin uint64, min float64) {
-	if len(samples) == 0 {
-		return 0, math.Inf(1)
-	}
-	argmin, min = samples[0], cost(samples[0])
-	for _, x := range samples[1:] {
-		if c := cost(x); c < min {
-			argmin, min = x, c
-		}
-	}
-	return argmin, min
 }
 
 // SamplesToSolution returns the expected number of independent shots

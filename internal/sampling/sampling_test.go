@@ -2,10 +2,19 @@ package sampling
 
 import (
 	"math"
-	"sync"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// draw tallies k draws of s by index.
+func draw(s *Sampler, k int) map[uint64]int {
+	counts := make(map[uint64]int)
+	for i := 0; i < k; i++ {
+		counts[s.Sample()]++
+	}
+	return counts
+}
 
 func TestNewSamplerValidation(t *testing.T) {
 	if _, err := NewSampler(nil, 1); err == nil {
@@ -41,7 +50,7 @@ func TestFrequenciesMatchDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shots = 200000
-	counts := Counts(s.SampleN(shots))
+	counts := draw(s, shots)
 	for i, want := range probs {
 		got := float64(counts[uint64(i)]) / shots
 		if math.Abs(got-want) > 0.01 {
@@ -56,7 +65,7 @@ func TestUnnormalizedInputAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := Counts(s.SampleN(100000))
+	counts := draw(s, 100000)
 	frac := float64(counts[1]) / 100000
 	if math.Abs(frac-0.75) > 0.01 {
 		t.Errorf("frequency of index 1 = %.4f, want 0.75", frac)
@@ -96,20 +105,13 @@ func TestEstimateConvergesToTrueExpectation(t *testing.T) {
 	probs := []float64{0.5, 0, 0, 0.5} // cost 0 and 3 equally likely
 	s, _ := NewSampler(probs, 11)
 	cost := func(x uint64) float64 { return float64(x) }
-	mean, stderr := EstimateExpectation(s.SampleN(50000), cost)
+	samples := make([]uint64, 50000)
+	for i := range samples {
+		samples[i] = s.Sample()
+	}
+	mean, stderr := EstimateExpectation(samples, cost)
 	if math.Abs(mean-1.5) > 5*stderr+0.05 {
 		t.Errorf("mean %v ± %v far from 1.5", mean, stderr)
-	}
-}
-
-func TestBest(t *testing.T) {
-	cost := func(x uint64) float64 { return math.Abs(float64(x) - 3) }
-	arg, min := Best([]uint64{7, 1, 3, 5}, cost)
-	if arg != 3 || min != 0 {
-		t.Errorf("Best = (%d, %v)", arg, min)
-	}
-	if _, min := Best(nil, cost); !math.IsInf(min, 1) {
-		t.Error("empty Best must be +Inf")
 	}
 }
 
@@ -173,55 +175,29 @@ func TestEstimateExpectationLargeOffset(t *testing.T) {
 	}
 }
 
-// The concurrency contract under -race: one Sampler per goroutine via
-// Split (shared read-only alias tables, private RNG streams) is safe,
-// and every stream still draws the parent's distribution.
-func TestSplitPerGoroutineSamplers(t *testing.T) {
-	probs := []float64{0.1, 0.2, 0.3, 0.4}
-	parent, err := NewSampler(probs, 5)
-	if err != nil {
-		t.Fatal(err)
+// TestSamplerBuildBytes bounds what NewSampler allocates: the prob and
+// alias tables and one shared worklist, 24 B per entry, plus the
+// seeded source.
+func TestSamplerBuildBytes(t *testing.T) {
+	const n = 1 << 14
+	probs := make([]float64, n)
+	for i := range probs {
+		probs[i] = float64(i%7) + 0.5
 	}
-	const workers = 8
-	const shotsEach = 25000
-	counts := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := parent.Split(int64(100 + w))
-			c := make([]int, len(probs))
-			for i := 0; i < shotsEach; i++ {
-				c[s.Sample()]++
-			}
-			counts[w] = c
-		}(w)
-	}
-	// The parent keeps its own stream while the splits draw.
-	for i := 0; i < shotsEach; i++ {
-		_ = parent.Sample()
-	}
-	wg.Wait()
-	total := make([]int, len(probs))
-	for _, c := range counts {
-		for i, v := range c {
-			total[i] += v
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for rep := 0; rep < 3; rep++ {
+		runtime.ReadMemStats(&before)
+		if _, err := NewSampler(probs, int64(rep)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b < least {
+			least = b
 		}
 	}
-	for i, want := range probs {
-		got := float64(total[i]) / float64(workers*shotsEach)
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("index %d: merged frequency %.4f, want %.2f", i, got, want)
-		}
-	}
-	// Two different split seeds give different streams; the same seed
-	// reproduces the same stream.
-	a, b := parent.Split(1), parent.Split(1)
-	for i := 0; i < 50; i++ {
-		if a.Sample() != b.Sample() {
-			t.Fatal("same split seed diverged")
-		}
+	if limit := uint64(24*n + 8<<10); least > limit {
+		t.Errorf("NewSampler over %d entries allocated %d B, want ≤ %d (24 B per entry + 8 KiB)", n, least, limit)
 	}
 }
 

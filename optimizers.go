@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"qokit/internal/optimize"
+	"qokit/internal/params"
 )
 
 // NMOptions configures the Nelder–Mead optimizer.
@@ -13,21 +14,9 @@ type NMOptions = optimize.NMOptions
 // NMResult reports a Nelder–Mead optimum.
 type NMResult = optimize.NMResult
 
-// SPSAOptions configures the SPSA optimizer.
-type SPSAOptions = optimize.SPSAOptions
-
-// SPSAResult reports an SPSA optimum.
-type SPSAResult = optimize.SPSAResult
-
 // NelderMead minimizes f from x0 with the downhill-simplex method.
 func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) NMResult {
 	return optimize.NelderMead(f, x0, opt)
-}
-
-// SPSA minimizes f with simultaneous-perturbation stochastic
-// approximation.
-func SPSA(f func([]float64) float64, x0 []float64, opt SPSAOptions) SPSAResult {
-	return optimize.SPSA(f, x0, opt)
 }
 
 // TQAInit returns the Trotterized-quantum-annealing linear-ramp
@@ -57,7 +46,7 @@ func OptimizeParametersInterp(sim *Simulator, pmax, evalsPerDepth int) (gamma, b
 	gamma, beta = TQAInit(1, 0.75)
 	for p := 1; p <= pmax; p++ {
 		if p > 1 {
-			gamma, beta = InterpAngles(gamma, beta)
+			gamma, beta = params.InterpAngles(gamma, beta)
 		}
 		x0 := optimize.JoinAngles(gamma, beta)
 		res := optimize.NelderMead(objective, x0, optimize.NMOptions{MaxEvals: evalsPerDepth})

@@ -19,15 +19,6 @@ type WeightedEdge = graphs.WeightedEdge
 // MaxCut workload family of the paper's Fig. 2.
 func RandomRegular(n, d int, seed int64) (Graph, error) { return graphs.RandomRegular(n, d, seed) }
 
-// Ring returns the n-cycle.
-func Ring(n int) Graph { return graphs.Ring(n) }
-
-// Complete returns K_n.
-func Complete(n int) Graph { return graphs.Complete(n) }
-
-// ErdosRenyi samples a seeded G(n, p) graph.
-func ErdosRenyi(n int, p float64, seed int64) Graph { return graphs.ErdosRenyi(n, p, seed) }
-
 // MaxCutTerms builds the MaxCut cost polynomial f(x) = −cut(x)
 // (including the −|E|/2 offset).
 func MaxCutTerms(g Graph) Terms { return problems.MaxCutTerms(g) }

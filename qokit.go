@@ -20,6 +20,11 @@
 //     the distributed engine with its float32 and uint16-coded shards)
 //     for everything else.
 //
+// The surface is the simulator, its outputs and the engines that serve
+// them. Baselines and analytics (classical heuristics, sampling
+// statistics, the p = 1 formulas, tensor-network contraction) live in
+// internal packages that the CLIs, tests and examples import directly.
+//
 // A minimal end-to-end evaluation of the QAOA objective — the paper's
 // Listing 1 — looks like:
 //
@@ -143,28 +148,12 @@ func NewSimulatorFromDiagonal(n int, diag []float64, opts Options) (*Simulator, 
 // with the former "parallel" as a further SoA alias) into a constructor
 // with the transverse-field mixer.
 func ChooseSimulator(name string) (func(n int, terms Terms) (*Simulator, error), error) {
-	return chooseWithMixer(name, MixerX)
-}
-
-// ChooseSimulatorXYRing is ChooseSimulator with the xy-ring mixer
-// (QOKit's choose_simulator_xyring).
-func ChooseSimulatorXYRing(name string) (func(n int, terms Terms) (*Simulator, error), error) {
-	return chooseWithMixer(name, MixerXYRing)
-}
-
-// ChooseSimulatorXYComplete is ChooseSimulator with the xy-complete
-// mixer (QOKit's choose_simulator_xycomplete).
-func ChooseSimulatorXYComplete(name string) (func(n int, terms Terms) (*Simulator, error), error) {
-	return chooseWithMixer(name, MixerXYComplete)
-}
-
-func chooseWithMixer(name string, mixer Mixer) (func(n int, terms Terms) (*Simulator, error), error) {
 	backend, err := core.ParseBackend(name)
 	if err != nil {
 		return nil, err
 	}
 	return func(n int, terms Terms) (*Simulator, error) {
-		return core.New(n, terms, Options{Backend: backend, Mixer: mixer})
+		return core.New(n, terms, Options{Backend: backend})
 	}, nil
 }
 
@@ -189,6 +178,9 @@ func ArgMinEnergies(energies []float64) int {
 // feeding NewSimulatorFromDiagonal. Finite weights whose sum overflows
 // to ±Inf return an error wrapping ErrNonFiniteCost.
 func PrecomputeDiagonal(n int, terms Terms) ([]float64, error) {
+	if err := costvec.CheckQubits(n); err != nil {
+		return nil, err
+	}
 	if err := terms.Validate(n); err != nil {
 		return nil, err
 	}
@@ -197,10 +189,4 @@ func PrecomputeDiagonal(n int, terms Terms) ([]float64, error) {
 		return nil, fmt.Errorf("qokit: %w", err)
 	}
 	return diag, nil
-}
-
-// GroundStates returns the indices attaining the minimum of a cost
-// diagonal within tol.
-func GroundStates(diag []float64, tol float64) []uint64 {
-	return costvec.GroundStates(diag, tol)
 }

@@ -3,6 +3,9 @@ package qokit
 import (
 	"math"
 	"testing"
+
+	"qokit/internal/gatesim"
+	"qokit/internal/tensornet"
 )
 
 // TestListing1Flow reproduces the paper's Listing 1: weighted
@@ -48,12 +51,8 @@ func TestListing1Flow(t *testing.T) {
 // TestListing2Flow reproduces Listing 2: LABS with the xy-complete
 // mixer.
 func TestListing2Flow(t *testing.T) {
-	simclass, err := ChooseSimulatorXYComplete("serial")
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 8
-	sim, err := simclass(n, LABSTerms(n))
+	sim, err := NewSimulator(n, LABSTerms(n), Options{Backend: BackendSerial, Mixer: MixerXYComplete})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +92,6 @@ func TestChooseSimulatorRejectsUnknown(t *testing.T) {
 	if _, err := ChooseSimulator("tpu"); err == nil {
 		t.Error("unknown backend accepted")
 	}
-	if _, err := ChooseSimulatorXYRing("tpu"); err == nil {
-		t.Error("unknown backend accepted (xyring)")
-	}
 }
 
 func TestPrecomputeDiagonalAndGroundStates(t *testing.T) {
@@ -104,7 +100,11 @@ func TestPrecomputeDiagonalAndGroundStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := GroundStates(diag, 1e-9)
+	sim, err := NewSimulatorFromDiagonal(n, diag, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := sim.GroundStates()
 	wantStates, wantE, err := LABSGroundStates(n)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestBaselinesAgreeWithFastSimulator(t *testing.T) {
 		}
 	}
 	// Tensor-network amplitude for one bitstring.
-	amp, err := TNAmplitude(circ, 5, TNGreedySize, 0)
+	amp, err := tensornet.Amplitude(circ, 5, tensornet.GreedySize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBaselinesAgreeWithFastSimulator(t *testing.T) {
 		t.Fatalf("TN |amplitude|² %v, fast %v", real(amp)*real(amp)+imag(amp)*imag(amp), fp[5])
 	}
 	// Gate-count stats are consistent.
-	st := LayerStats(n, terms)
+	st := gatesim.LayerStats(n, terms)
 	if st.Terms == 0 || st.RawGates <= st.MixerGates {
 		t.Errorf("implausible layer stats %+v", st)
 	}
@@ -229,18 +229,6 @@ func TestSKAndObjectivesFacade(t *testing.T) {
 	}
 	if cvar < sim.MinCost()-1e-9 {
 		t.Errorf("CVaR(0.1)=%v below ground energy %v", cvar, sim.MinCost())
-	}
-	// QASM round trip for a compiled circuit.
-	circ, err := BuildQAOACircuit(n, terms, gamma, beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := CircuitQASM(circ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(src) == 0 || src[:13] != "OPENQASM 2.0;" {
-		t.Errorf("QASM output malformed: %.40q", src)
 	}
 	// Single precision through the facade.
 	sp, err := NewSimulator(n, terms, Options{SinglePrecision: true})

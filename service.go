@@ -1,6 +1,7 @@
 package qokit
 
 import (
+	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
 	"qokit/internal/poly"
 	"qokit/internal/serve"
@@ -71,6 +72,13 @@ var ErrNonFiniteAngle = evaluator.ErrNonFiniteAngle
 // ProblemKeyFor) returns for a NaN or ±Inf term weight or diagonal
 // entry.
 var ErrNonFiniteCost = poly.ErrNonFiniteCost
+
+// ErrQubitRange is wrapped by the error every entry point that takes a
+// qubit count n (NewSimulator, NewSimulatorFromDiagonal,
+// PrecomputeDiagonal, ProblemKeyFor, ProblemRegistry.Register,
+// NewDistributedGradEngine, SimulateQAOADistributed and
+// SimulateQAOADistributedCheckpointed) returns for n outside [1, 34].
+var ErrQubitRange = costvec.ErrQubitRange
 
 const (
 	// MaxShotsPerRequest bounds OutputSpec.Shots on the buffered
