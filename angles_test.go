@@ -11,7 +11,7 @@ import (
 
 // TestNonFiniteAnglesRejected sends NaN, +Inf and −Inf in each of γ and
 // β through every evaluation entry point of a registry-backed Service,
-// through Simulator.SimulateQAOA and through every distributed entry
+// through Simulator.SimulateQAOA and ApplyLayer and through every distributed entry
 // point (the forward one-shots and the engine's gradient, outputs and
 // energy): each must return an error wrapping ErrNonFiniteAngle that
 // names the offending index, never a NaN result, and the pool must
@@ -58,6 +58,16 @@ func TestNonFiniteAnglesRejected(t *testing.T) {
 			check("Service.EvalOutputs", err)
 			_, err = sim.SimulateQAOA(x[:2], x[2:])
 			check("Simulator.SimulateQAOA", err)
+			if idx%2 == 0 { // one layer's angles: γ₀ and β₀
+				r, err := sim.SimulateQAOA(good[:2], good[2:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("Simulator.ApplyLayer", sim.ApplyLayer(r, x[0], x[2]))
+				if e := r.Expectation(); math.IsNaN(e) {
+					t.Errorf("ApplyLayer with %s = %v left a NaN state", name, bad)
+				}
+			}
 
 			gamma, beta := x[:2], x[2:]
 			_, err = SimulateQAOADistributed(n, LABSTerms(n), gamma, beta, dopts)
@@ -66,8 +76,8 @@ func TestNonFiniteAnglesRejected(t *testing.T) {
 			check("SimulateQAOADistributedCheckpointed", err)
 			_, err = deng.EnergyGradAngles(ctx, gamma, beta, make([]float64, 2), make([]float64, 2))
 			check("DistributedGradEngine.EnergyGradAngles", err)
-			_, err = deng.Outputs(ctx, gamma, beta, OutputSpec{Shots: 4, CVaRAlphas: []float64{0.5}})
-			check("DistributedGradEngine.Outputs", err)
+			_, err = deng.EvalOutputs(ctx, x, OutputSpec{Shots: 4, CVaRAlphas: []float64{0.5}})
+			check("DistributedGradEngine.EvalOutputs", err)
 			_, err = deng.Energy(ctx, x)
 			check("DistributedGradEngine.Energy", err)
 		}

@@ -133,7 +133,9 @@ func BenchmarkFig3Layer(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sim.ApplyLayer(r, gamma, beta)
+					if err := sim.ApplyLayer(r, gamma, beta); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

@@ -112,7 +112,9 @@ func runFig3(w io.Writer, args []string) error {
 				return err
 			}
 			t, _ := benchutil.TimeRepeat(*reps, func() {
-				sim.ApplyLayer(r, gamma, beta)
+				if err := sim.ApplyLayer(r, gamma, beta); err != nil {
+					panic(err)
+				}
 			})
 			series[4+i].Add(float64(n), t.Seconds())
 		}

@@ -65,7 +65,9 @@ func runFig4(w io.Writer, args []string) error {
 		return err
 	}
 	tLayer, _ := benchutil.TimeRepeat(*reps, func() {
-		sim.ApplyLayer(r, gamma, beta)
+		if err := sim.ApplyLayer(r, gamma, beta); err != nil {
+			panic(err)
+		}
 	})
 
 	layer := gatesim.NewCircuit(*n)

@@ -410,12 +410,12 @@ func runSuite(w io.Writer, args []string) error {
 		{"distributed_sample", evaluator.OutputSpec{Shots: 1024, Seed: 1}},
 	}
 	for _, ws := range outSpecs {
-		if _, err := deng.Outputs(ctx, gamma, beta, ws.spec); err != nil {
+		if _, err := deng.EvalOutputs(ctx, x, ws.spec); err != nil {
 			return err
 		}
 		before := deng.Counters()
 		tO, _ := benchutil.TimeRepeat(*reps, func() {
-			if _, err := deng.Outputs(ctx, gamma, beta, ws.spec); err != nil {
+			if _, err := deng.EvalOutputs(ctx, x, ws.spec); err != nil {
 				panic(err)
 			}
 		})

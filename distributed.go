@@ -33,7 +33,8 @@ func DefaultNetworkModel() NetworkModel { return cluster.DefaultNetworkModel() }
 
 // DistOptions configures a distributed QAOA simulation (§III-C):
 // rank count K (power of two, 2·log2(K) ≤ n), the all-to-all
-// algorithm, the mixer family, whether to gather the full state, and
+// algorithm, the mixer family, whether the forward one-shots gather
+// the full state, and
 // the §V-B state precision — float64 or float32 shards (float32 halves
 // state memory and fabric bytes). The diagonal's form follows from the
 // problem alone: a rank whose slice is an exact grid of at most
@@ -56,7 +57,10 @@ const (
 	DistFloat32 = distsim.PrecisionFloat32
 )
 
-// DistResult carries the distributed outputs and per-rank counters.
+// DistResult carries a forward one-shot's energy, ground-state overlap
+// and minimum cost, the gathered state under DistOptions.Gather, and
+// per-rank counters. An engine's measurement-style outputs come from
+// DistributedGradEngine.EvalOutputs instead.
 type DistResult = distsim.Result
 
 // SimulateQAOADistributed runs QAOA with the state vector sharded over
@@ -81,12 +85,15 @@ func SimulateQAOADistributed(n int, terms Terms, gamma, beta []float64, opts Dis
 // plugs straight into Adam, so gradient-based optimization of a state
 // too large for one node costs ≈ 4 sharded simulations per step,
 // independent of depth — the single-node adjoint win carried onto the
-// cluster. Outputs (and EvalOutputs) serve the measurement-style
-// outputs gather-free: CVaR levels, shots, ground-state overlap and
-// probability queries are computed on the shards, so no node holds a
-// 2^n buffer; shots take a two-stage alias draw (rank by global mass,
+// cluster. EvalOutputs serves the measurement-style outputs
+// gather-free through the output stage single-node simulators run as
+// one rank: CVaR levels, the cost variance, shots, ground-state overlap
+// and probability queries are computed on the shards, so no node holds
+// a 2^n buffer; shots take a two-stage alias draw (rank by global mass,
 // then index within the winning shard), reproducible for a fixed
-// OutputSpec.Seed. Safe for up to
+// OutputSpec.Seed, and StreamSamples streams them in chunks. The engine
+// rejects DistOptions.Gather, which only the forward one-shots read.
+// Safe for up to
 // DistOptions.Concurrency concurrent evaluations: each one leases its
 // own rank group and buffers (NewService with WorkersPerEvaluator up to
 // that concurrency builds a request queue over exactly this).

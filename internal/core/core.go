@@ -19,12 +19,15 @@
 //	         cache-tiled F = 2 mixer, in float64 or float32 planes
 //
 // The distributed backends of §III-C live in internal/distsim and
-// share this package's Mixer and options types.
+// share this package's Mixer and options types. Both engines serve
+// their measurement-style outputs (overlap, CVaR, variance, the most
+// probable state, probability queries, shots) through one output stage,
+// internal/evaluator's Stage; a simulator runs it over its stored
+// amplitudes as a single rank.
 package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"qokit/internal/costvec"
 	"qokit/internal/graphs"
@@ -196,11 +199,12 @@ type Options struct {
 // 2^(n−h) indices whose top h bits are zero only: 2^−h of the memory
 // and of the traffic of every pass. MaxCut and SK take h = 1, the half
 // state; LABS takes h = 2, a quarter state, two qubits where §V-B's
-// float32 gains one. The stored values are the full state's amplitudes;
-// outputs (StateVector, Probabilities, Overlap, CVaR, Variance,
-// samples) expand them to all 2^n basis states through x ↦ x ⊕ g, g
-// the element that carries x's top bits, and Caps still reports the
-// full state as an upper bound. Serial, the xy mixers, costs whose
+// float32 gains one. The stored values are the full state's amplitudes:
+// StateVector and Probabilities expand them to all 2^n basis states
+// through x ↦ x ⊕ g, g the element that carries x's top bits; Overlap,
+// CVaR, Variance and EvalOutputs read them where they are (each stands
+// for its 2^h basis states), and Caps still reports the full state as
+// an upper bound. Serial, the xy mixers, costs whose
 // symmetries carry no top bit (h = 0) and any caller-supplied
 // InitialState keep the full state.
 type Simulator struct {
@@ -336,10 +340,7 @@ func (s *Simulator) setupInitialState() error {
 		s.initial = statevec.NewUniform(s.n)
 		return nil
 	}
-	k := s.opts.HammingWeight
-	if k <= 0 {
-		k = s.n / 2
-	}
+	k := s.hammingWeight()
 	if k > s.n {
 		return fmt.Errorf("core: Hamming weight %d exceeds n=%d", k, s.n)
 	}
@@ -352,25 +353,14 @@ func (s *Simulator) setupInitialState() error {
 // weight) subspace, since the dynamics never leaves it.
 func (s *Simulator) computeGroundStates() {
 	const tol = 1e-9
-	restrict := s.opts.Mixer != MixerX && s.opts.InitialState == nil
-	k := s.opts.HammingWeight
-	if k <= 0 {
-		k = s.n / 2
-	}
 	first := true
 	for x, v := range s.diag {
-		if restrict && bits.OnesCount(uint(x)) != k {
-			continue
-		}
-		if first || v < s.minCost {
+		if s.feasible(x) && (first || v < s.minCost) {
 			s.minCost, first = v, false
 		}
 	}
 	for x, v := range s.diag {
-		if restrict && bits.OnesCount(uint(x)) != k {
-			continue
-		}
-		if v <= s.minCost+tol {
+		if s.feasible(x) && v <= s.minCost+tol {
 			s.groundStates = append(s.groundStates, uint64(x))
 		}
 	}
@@ -397,7 +387,9 @@ func (s *Simulator) CostDiagonal() []float64 { return s.diag }
 // MinCost returns the smallest cost over the (feasible) search space.
 func (s *Simulator) MinCost() float64 { return s.minCost }
 
-// GroundStates returns the argmin set used by Overlap.
+// GroundStates returns the argmin set of the cost over the searched
+// subspace (the feasible one for the xy mixers): the basis states whose
+// probability Overlap sums.
 func (s *Simulator) GroundStates() []uint64 { return s.groundStates }
 
 // InitialState returns a copy of the initial state.

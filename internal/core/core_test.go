@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"qokit/internal/costvec"
+	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/problems"
@@ -90,6 +91,45 @@ func TestSimulateQAOAValidation(t *testing.T) {
 	}
 	if d := statevec.MaxAbsDiff(r.StateVector(), statevec.NewUniform(3)); d > 1e-12 {
 		t.Errorf("p=0 state differs from initial: %g", d)
+	}
+}
+
+// TestApplyLayerValidation: ApplyLayer and SimulateQAOAInto return an
+// error, and leave a valid state untouched, for a nil Result, a Result
+// of another simulator's size or backend and (ApplyLayer) a NaN or
+// infinite angle, on every backend.
+func TestApplyLayerValidation(t *testing.T) {
+	for _, opts := range []Options{{Backend: BackendSerial}, {Backend: BackendSoA}, {Backend: BackendSoA, SinglePrecision: true}} {
+		s, err := New(6, problems.LABSTerms(6), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := New(5, problems.LABSTerms(5), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.SimulateQAOA([]float64{0.3}, []float64{0.4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r.StateVector()
+		if err := s.ApplyLayer(nil, 0.1, 0.2); err == nil {
+			t.Errorf("%v: ApplyLayer(nil) accepted", s.Backend())
+		}
+		if err := s.SimulateQAOAInto(nil, []float64{0.1}, []float64{0.2}); err == nil {
+			t.Errorf("%v: SimulateQAOAInto(nil) accepted", s.Backend())
+		}
+		if err := s.ApplyLayer(other.NewResult(), 0.1, 0.2); err == nil {
+			t.Errorf("%v: ApplyLayer on another simulator's Result accepted", s.Backend())
+		}
+		for _, bad := range [][2]float64{{math.NaN(), 0.2}, {0.1, math.Inf(1)}, {math.Inf(-1), 0.2}} {
+			if err := s.ApplyLayer(r, bad[0], bad[1]); !errors.Is(err, evaluator.ErrNonFiniteAngle) {
+				t.Errorf("%v: ApplyLayer(%v, %v) error %v, want ErrNonFiniteAngle", s.Backend(), bad[0], bad[1], err)
+			}
+		}
+		if d := statevec.MaxAbsDiff(r.StateVector(), want); d != 0 || math.IsNaN(r.Expectation()) {
+			t.Errorf("%v: rejected layers changed the state by %g", s.Backend(), d)
+		}
 	}
 }
 
@@ -267,7 +307,9 @@ func TestApplyLayerIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		for l := 0; l < p; l++ {
-			s.ApplyLayer(inc, gamma[l], beta[l])
+			if err := s.ApplyLayer(inc, gamma[l], beta[l]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if d := statevec.MaxAbsDiff(whole.StateVector(), inc.StateVector()); d > 1e-11 {
 			t.Errorf("%v: incremental layers differ: %g", backend, d)

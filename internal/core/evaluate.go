@@ -6,12 +6,16 @@ import (
 	"qokit/internal/evaluator"
 )
 
-// The Simulator implements evaluator.Evaluator directly: each call
-// evolves in a fresh Workspace, so it is safe for any number of
-// concurrent evaluations at the cost of allocating state per call.
-// Sustained workloads should keep one Workspace per worker instead,
-// which evaluates with zero warm allocations.
-var _ evaluator.Evaluator = (*Simulator)(nil)
+// The Simulator implements evaluator.Evaluator and the output and
+// streaming contracts directly: each call evolves in a fresh Workspace,
+// so it is safe for any number of concurrent evaluations at the cost of
+// allocating state per call. Sustained workloads should keep one
+// Workspace per worker instead, which evaluates without allocating
+// state.
+var (
+	_ evaluator.Evaluator      = (*Simulator)(nil)
+	_ evaluator.SampleStreamer = (*Simulator)(nil)
+)
 
 // Energy evaluates the QAOA objective at the flat parameter vector
 // [γ₀…γ_{p−1}, β₀…β_{p−1}].
@@ -23,6 +27,19 @@ func (s *Simulator) Energy(ctx context.Context, x []float64) (float64, error) {
 // the flat parameter vector, writing ∇E into grad.
 func (s *Simulator) EnergyGrad(ctx context.Context, x, grad []float64) (float64, error) {
 	return s.NewWorkspace().EnergyGrad(ctx, x, grad)
+}
+
+// EvalOutputs evolves the state at the flat parameter vector once and
+// returns the outputs the spec selects (evaluator.OutputEvaluator).
+func (s *Simulator) EvalOutputs(ctx context.Context, x []float64, spec evaluator.OutputSpec) (*evaluator.Outputs, error) {
+	return s.NewWorkspace().EvalOutputs(ctx, x, spec)
+}
+
+// StreamSamples evolves the state at the flat parameter vector once
+// and streams spec.Shots sampled basis indices to fn in chunks
+// (evaluator.SampleStreamer).
+func (s *Simulator) StreamSamples(ctx context.Context, x []float64, spec evaluator.OutputSpec, fn func(chunk []uint64) error) error {
+	return s.NewWorkspace().StreamSamples(ctx, x, spec, fn)
 }
 
 // Caps reports the simulator's evaluation metadata: gradient-capable,

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/problems"
+	"qokit/internal/statevec"
 )
 
 // skTerms builds a Sherrington–Kirkpatrick instance: all-to-all random
@@ -524,5 +528,56 @@ func TestAdjointGradObsValidation(t *testing.T) {
 	g1 := []float64{0.3}
 	if _, err := s.SimulateQAOAGradObsInto(w, g1, g1, make([]float64, 16), []float64{0}, []float64{0}); err == nil {
 		t.Error("short observable accepted")
+	}
+}
+
+// TestNonFiniteObservableRejected: a NaN or ±Inf observable entry makes
+// ExpectationOf and SimulateQAOAGradObsInto return an error wrapping
+// poly.ErrNonFiniteCost that names the entry, the gradient path before
+// it writes any gradient, on the full, half and quarter states and in
+// both precisions.
+func TestNonFiniteObservableRejected(t *testing.T) {
+	const n = 5
+	g, err := graphs.RandomRegular(6, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+		ts   poly.Terms
+		opts Options
+	}{
+		{"labs serial", n, problems.LABSTerms(n), Options{Backend: BackendSerial}},
+		{"labs soa", n, problems.LABSTerms(n), Options{}},
+		{"labs soa32", n, problems.LABSTerms(n), Options{SinglePrecision: true}},
+		{"maxcut soa", 6, problems.MaxCutTerms(g), Options{}},
+		{"labs soa full", n, problems.LABSTerms(n), Options{InitialState: statevec.NewUniform(n)}},
+	} {
+		s, err := New(c.n, c.ts, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gamma, beta := []float64{0.3, -0.2}, []float64{0.4, 0.1}
+		r, err := s.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := s.NewGradBuffers()
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			obs := append([]float64(nil), s.CostDiagonal()...)
+			obs[3] = bad
+			wantEntry := fmt.Sprintf("entry %d", 3)
+			if _, err := r.ExpectationOf(obs); !errors.Is(err, poly.ErrNonFiniteCost) || !strings.Contains(err.Error(), wantEntry) {
+				t.Errorf("%s: ExpectationOf with %v: error %v, want ErrNonFiniteCost naming %s", c.name, bad, err, wantEntry)
+			}
+			gg, gb := []float64{7, 7}, []float64{7, 7}
+			if _, err := s.SimulateQAOAGradObsInto(w, gamma, beta, obs, gg, gb); !errors.Is(err, poly.ErrNonFiniteCost) {
+				t.Errorf("%s: GradObs with %v: error %v, want ErrNonFiniteCost", c.name, bad, err)
+			}
+			if gg[0] != 7 || gg[1] != 7 || gb[0] != 7 || gb[1] != 7 {
+				t.Errorf("%s: GradObs with %v wrote the gradient (%v, %v) before failing", c.name, bad, gg, gb)
+			}
+		}
 	}
 }

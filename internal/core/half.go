@@ -58,24 +58,6 @@ func (s *Simulator) stored() int { return 1 << uint(s.storedQubits()) }
 // amplitudes scale by it, exactly.
 func (s *Simulator) weight() float64 { return float64(len(s.group)) }
 
-// rep returns the stored index of basis state x: x ⊕ g for the group
-// element g that carries x's top h bits.
-func (s *Simulator) rep(x uint64) uint64 { return x ^ s.group[x>>uint(s.storedQubits())] }
-
-// groupFill completes a vector over all 2^n basis states from its
-// first len(v)/len(group) entries: block t (the indices whose top bits
-// are t) takes entry i ⊕ μ_t for its i-th entry.
-func groupFill[E any](v []E, group []uint64) {
-	size := len(v) / len(group)
-	for t := 1; t < len(group); t++ {
-		mu := int(group[t]) & (size - 1)
-		blk := v[t*size : (t+1)*size]
-		for i := range blk {
-			blk[i] = v[i^mu]
-		}
-	}
-}
-
 // planesInto writes split planes into the first len(re) entries of v.
 func planesInto[T ~float32 | ~float64](v statevec.Vec, re, im []T) {
 	for i := range re {

@@ -308,7 +308,9 @@ func checkHalfOutputs(t *testing.T, label string, half, full *Simulator, gamma, 
 		t.Fatal(err)
 	}
 	for l := range gamma {
-		half.ApplyLayer(inc, gamma[l], beta[l])
+		if err := half.ApplyLayer(inc, gamma[l], beta[l]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sv := rh.StateVector()
 	if d := statevec.MaxAbsDiff(inc.StateVector(), sv); d != 0 {

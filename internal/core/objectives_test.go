@@ -130,12 +130,14 @@ func TestCVaRProperties(t *testing.T) {
 		}
 		prev = v
 	}
-	// Invalid levels.
-	if _, err := r.CVaR(0); err == nil {
-		t.Error("CVaR(0) accepted")
-	}
-	if _, err := r.CVaR(1.5); err == nil {
-		t.Error("CVaR(1.5) accepted")
+	// Invalid levels, NaN included, fail OutputSpec's rule.
+	for _, alpha := range []float64{0, 1.5, -0.5, math.NaN(), math.Inf(1)} {
+		if v, err := r.CVaR(alpha); err == nil {
+			t.Errorf("CVaR(%v) accepted: %v", alpha, v)
+		}
+		if err := (evaluator.OutputSpec{CVaRAlphas: []float64{alpha}}).Validate(n); err == nil {
+			t.Errorf("OutputSpec accepted CVaR level %v", alpha)
+		}
 	}
 }
 

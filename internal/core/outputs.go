@@ -1,168 +1,121 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
+	"math/bits"
+	"sync"
 
+	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
-	"qokit/internal/sampling"
 )
 
-// The Simulator also serves the measurement-style output contract:
-// sampling, CVaR, overlap, and probability queries from one evolution.
-// Like Energy, every call owns its state buffer, so concurrent
-// EvalOutputs calls are safe.
-var _ evaluator.OutputEvaluator = (*Simulator)(nil)
+// A Result's measurement-style outputs (Overlap, CVaR, Variance, and
+// through EvalOutputs the most probable state, probability queries and
+// shots) come from the output stage the distributed engine also runs
+// (evaluator.Stage and View), here over the whole stored state as a
+// single rank: evaluator.OneRank's reductions return their argument.
+// The stage walks the 2^(n−h) stored amplitudes and never expands a
+// group state; each stored amplitude stands for its 2^h basis states,
+// which share its cost and its probability.
 
-// EvalOutputs evolves the state at the flat parameter vector once and
-// returns the outputs the spec selects (evaluator.OutputEvaluator).
-func (s *Simulator) EvalOutputs(ctx context.Context, x []float64, spec evaluator.OutputSpec) (*evaluator.Outputs, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	gamma, beta, err := evaluator.SplitFlat(x)
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(s.n); err != nil {
-		return nil, err
-	}
-	r, err := s.SimulateQAOA(gamma, beta)
-	if err != nil {
-		return nil, err
-	}
-	out := &evaluator.Outputs{
-		Energy:  r.Expectation(),
-		Overlap: r.Overlap(),
-		MinCost: s.MinCost(),
-	}
-	if len(spec.CVaRAlphas) > 0 {
-		out.CVaR = make([]float64, len(spec.CVaRAlphas))
-		for i, a := range spec.CVaRAlphas {
-			if out.CVaR[i], err = r.CVaR(a); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Every output below walks the stored amplitudes; none expands a
-	// group state to 2^n entries.
-	out.MaxProb, out.MaxProbIndex = r.maxProb()
-	if len(spec.ProbIndices) > 0 {
-		out.Probs = make([]float64, len(spec.ProbIndices))
-		for i, q := range spec.ProbIndices {
-			out.Probs[i] = r.prob(int(s.rep(q)))
-		}
-	}
-	if spec.Variance {
-		out.Variance = r.Variance()
-	}
-	if spec.Shots > 0 {
-		// Validate bounded Shots by MaxShotsPerRequest, so this is the
-		// largest buffer a request can pin; the draw itself goes through
-		// the same chunked path the streaming contract uses, checking
-		// ctx at every chunk boundary.
-		out.Samples = make([]uint64, 0, spec.Shots)
-		err := r.sampleInChunks(ctx, spec.Shots, spec.Seed, func(chunk []uint64) error {
-			out.Samples = append(out.Samples, chunk...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// The Simulator also serves the chunked sampling contract: shot counts
-// beyond MaxShotsPerRequest stream through a SampleChunkSize buffer.
-var _ evaluator.SampleStreamer = (*Simulator)(nil)
-
-// StreamSamples evolves the state at the flat parameter vector once
-// and streams spec.Shots sampled basis indices to fn in chunks of at
-// most evaluator.SampleChunkSize (evaluator.SampleStreamer). With the
-// same seed, the concatenated chunks equal the Outputs.Samples that
-// EvalOutputs returns; only spec.Shots and spec.Seed are consulted.
-func (s *Simulator) StreamSamples(ctx context.Context, x []float64, spec evaluator.OutputSpec, fn func(chunk []uint64) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	gamma, beta, err := evaluator.SplitFlat(x)
-	if err != nil {
-		return err
-	}
-	if err := spec.ValidateStreaming(s.n); err != nil {
-		return err
-	}
-	if spec.Shots == 0 {
-		return nil
-	}
-	r, err := s.SimulateQAOA(gamma, beta)
-	if err != nil {
-		return err
-	}
-	return r.sampleInChunks(ctx, spec.Shots, spec.Seed, fn)
-}
-
-// maxProb returns the largest |ψ_x|² and the first basis index x that
-// attains it. It walks the stored amplitudes only: on a group state
-// every other basis state repeats a stored value at a larger index, so
-// the first maximum over all 2^n states is a stored index.
-func (r *Result) maxProb() (float64, uint64) {
-	maxP, maxIdx := -1.0, uint64(0)
-	for i := 0; i < r.sim.stored(); i++ {
-		if p := r.prob(i); p > maxP {
-			maxP, maxIdx = p, uint64(i)
-		}
-	}
-	return maxP, maxIdx
-}
-
-// sampleInChunks draws shots basis indices from r's |ψ|² into one
-// reused chunk buffer, delivering each full (or final partial) chunk to
-// fn. Both the buffered and the streaming sample paths draw through
-// this one loop, which is what guarantees their shot sequences
-// coincide. A shot draws a stored index i from an alias sampler over
-// the stored |ψ_i|² (seeded by seed); on a group state it then takes
-// i ⊕ g for an element g drawn uniformly from a second stream (seed+1),
-// so basis state i ⊕ g comes up with probability |ψ_i|², as over the
-// expanded state. This is how distsim's half shards draw, with the
-// coin generalized to 2^h elements; a full state takes no second draw.
-func (r *Result) sampleInChunks(ctx context.Context, shots int, seed int64, fn func(chunk []uint64) error) error {
+// view returns the output stage's view of r's stored amplitudes.
+func (r *Result) view() evaluator.View {
 	s := r.sim
-	probs := make([]float64, s.stored())
-	for i := range probs {
-		probs[i] = r.prob(i)
+	return evaluator.View{
+		Amplitudes:    (*amplitudes)(r),
+		N:             s.n,
+		Len:           s.stored(),
+		Group:         s.group,
+		Restrict:      s.restrict(),
+		HammingWeight: s.hammingWeight(),
 	}
-	sampler, err := sampling.NewSampler(probs, seed)
+}
+
+// amplitudes is a Result as the output stage reads it.
+type amplitudes Result
+
+// Prob returns |ψ_i|² of stored amplitude i, in float64.
+func (a *amplitudes) Prob(i int) float64 {
+	switch {
+	case a.soa32 != nil:
+		re, im := float64(a.soa32.Re[i]), float64(a.soa32.Im[i])
+		return re*re + im*im
+	case a.soa != nil:
+		return a.soa.Re[i]*a.soa.Re[i] + a.soa.Im[i]*a.soa.Im[i]
+	default:
+		v := a.vec[i]
+		return real(v)*real(v) + imag(v)*imag(v)
+	}
+}
+
+func (a *amplitudes) Cost(i int) float64 { return a.sim.diag[i] }
+
+func (a *amplitudes) Ascending() []int { return a.sim.costOrder() }
+
+// restrict reports whether the dynamics stays in the fixed-Hamming-
+// weight subspace of the xy mixers' Dicke start, which the ground-state
+// search is then limited to.
+func (s *Simulator) restrict() bool { return s.opts.Mixer != MixerX && s.opts.InitialState == nil }
+
+// hammingWeight returns the Dicke-state weight of the xy mixers.
+func (s *Simulator) hammingWeight() int {
+	if k := s.opts.HammingWeight; k > 0 {
+		return k
+	}
+	return s.n / 2
+}
+
+// feasible reports whether basis state x lies in the searched subspace.
+func (s *Simulator) feasible(x int) bool {
+	return !s.restrict() || bits.OnesCount(uint(x)) == s.hammingWeight()
+}
+
+// Overlap returns the probability of measuring an optimal solution:
+// Σ_{x∈argmin} |ψ_x|² (QOKit's get_overlap), over the feasible
+// subspace for the xy mixers.
+func (r *Result) Overlap() float64 {
+	_, overlap, _ := r.view().Ground(evaluator.OneRank{})
+	return overlap
+}
+
+// Variance returns Var(Ĉ) = ⟨Ĉ²⟩ − ⟨Ĉ⟩² over the evolved state, the value
+// EvalOutputs reports, by a weighted Welford pass over the stored
+// amplitudes (no ⟨Ĉ²⟩ − ⟨Ĉ⟩² cancellation); it allocates nothing. The
+// variance vanishes on eigenstates, so a small variance near a low
+// expectation signals concentration on good solutions.
+func (r *Result) Variance() float64 {
+	v, _ := r.view().Variance(evaluator.OneRank{})
+	return v
+}
+
+// CVaR returns the Conditional Value at Risk objective at level
+// α ∈ (0, 1]: the expected cost over the best (lowest-cost) α-fraction
+// of the measurement distribution (evaluator.View.CVaR). CVaR(1) equals
+// the expectation. A level outside (0, 1], NaN included, returns an
+// error. The stage reads the costs along the diagonal's ascending
+// order, which the simulator builds on first use and caches (one more
+// reuse of the §III-A precomputation).
+func (r *Result) CVaR(alpha float64) (float64, error) {
+	cvar, err := r.view().CVaR(evaluator.OneRank{}, []float64{alpha})
 	if err != nil {
-		return fmt.Errorf("core: sampling: %w", err)
+		return 0, err
 	}
-	draw := sampler.Sample
-	if len(s.group) > 1 {
-		pick := rand.New(rand.NewSource(seed + 1))
-		draw = func() uint64 { return sampler.Sample() ^ s.group[pick.Intn(len(s.group))] }
-	}
-	chunkLen := evaluator.SampleChunkSize
-	if shots < chunkLen {
-		chunkLen = shots
-	}
-	chunk := make([]uint64, chunkLen)
-	for drawn := 0; drawn < shots; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		c := chunk
-		if rem := shots - drawn; rem < len(c) {
-			c = c[:rem]
-		}
-		for i := range c {
-			c[i] = draw()
-		}
-		drawn += len(c)
-		if err := fn(c); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cvar[0], nil
+}
+
+// costOrderCache lazily holds the ascending-cost order of the stored
+// indices; the sync.Once guard keeps the first build safe when
+// concurrent Results on one Simulator hit CVaR simultaneously.
+type costOrderCache struct {
+	once  sync.Once
+	order []int
+}
+
+// costOrder returns (building and caching on first use) the stored
+// indices by ascending cost, ties by index: a counting sort by level
+// code when the simulator holds codes (costvec.Ascending, which
+// distsim's ranks share).
+func (s *Simulator) costOrder() []int {
+	c := &s.costCache
+	c.once.Do(func() { c.order = costvec.Ascending(s.diag[:s.stored()], s.levels) })
+	return c.order
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 
+	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
+	"qokit/internal/poly"
 	"qokit/internal/statevec"
 )
 
@@ -82,7 +84,7 @@ func (s *Simulator) SimulateQAOAInto(r *Result, gamma, beta []float64) error {
 		return err
 	}
 	for l := range gamma {
-		s.ApplyLayer(r, gamma[l], beta[l])
+		s.applyLayer(r, gamma[l], beta[l])
 	}
 	return nil
 }
@@ -109,6 +111,9 @@ func (s *Simulator) resetResult(r *Result) error {
 // the shared validation step of resetResult and the adjoint reverse
 // pass (which rebinds the λ buffer without resetting it).
 func (s *Simulator) bindResult(r *Result) error {
+	if r == nil {
+		return fmt.Errorf("core: nil Result; use NewResult")
+	}
 	size := s.stored()
 	switch {
 	case s.backend == BackendSoA && s.opts.SinglePrecision:
@@ -131,11 +136,26 @@ func (s *Simulator) bindResult(r *Result) error {
 // ApplyLayer applies one more QAOA layer e^{−iβM}·e^{−iγĈ} to an
 // existing result. It lets callers build up depth incrementally (e.g.
 // the Fig. 4 sweep reuses a single evolution instead of re-simulating
-// prefixes). With the x mixer the split layouts fold the phase into the
-// tiled F = 2 layer, and a group state then runs its top qubits' pivot
-// passes; the Serial reference and the xy mixers run a phase pass, then
-// the mixer.
-func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) {
+// prefixes). A NaN or infinite angle returns an error wrapping
+// evaluator.ErrNonFiniteAngle, and a nil Result or one whose storage
+// does not match this simulator an error, both before any amplitude
+// changes.
+func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) error {
+	if err := evaluator.CheckAngles([]float64{gamma}, []float64{beta}); err != nil {
+		return err
+	}
+	if err := s.bindResult(r); err != nil {
+		return err
+	}
+	s.applyLayer(r, gamma, beta)
+	return nil
+}
+
+// applyLayer is ApplyLayer on a checked Result and finite angles. With
+// the x mixer the split layouts fold the phase into the tiled F = 2
+// layer, and a group state then runs its top qubits' pivot passes; the
+// Serial reference and the xy mixers run a phase pass, then the mixer.
+func (s *Simulator) applyLayer(r *Result, gamma, beta float64) {
 	ph := s.phase(r, gamma)
 	switch {
 	case s.opts.Mixer != MixerX:
@@ -218,53 +238,42 @@ var ErrObservableLength = errors.New("core: observable diagonal has the wrong le
 // ExpectationOf evaluates the expectation of a caller-supplied
 // diagonal observable (QOKit's get_expectation with a custom costs
 // argument). A diagonal whose length is not 2^n returns an error
-// wrapping ErrObservableLength.
+// wrapping ErrObservableLength, and one with a NaN or ±Inf entry an
+// error wrapping poly.ErrNonFiniteCost.
 func (r *Result) ExpectationOf(diag []float64) (float64, error) {
 	s := r.sim
 	if len(diag) != 1<<uint(s.n) {
 		return 0, fmt.Errorf("%w: %d, want 2^%d = %d", ErrObservableLength, len(diag), s.n, 1<<uint(s.n))
 	}
+	var e float64
 	switch {
 	case len(s.group) > 1 && r.soa32 != nil:
-		return expectGroup(s.pool, r.soa32.Re, r.soa32.Im, diag, s.group), nil
+		e = expectGroup(s.pool, r.soa32.Re, r.soa32.Im, diag, s.group)
 	case len(s.group) > 1:
-		return expectGroup(s.pool, r.soa.Re, r.soa.Im, diag, s.group), nil
-	}
-	if r.soa32 != nil {
-		return r.soa32.ExpectationDiag(s.pool, diag), nil
-	}
-	if r.soa != nil {
-		return r.soa.ExpectationDiag(s.pool, diag), nil
-	}
-	return statevec.ExpectationDiag(r.vec, diag), nil
-}
-
-// Overlap returns the probability of measuring an optimal solution:
-// Σ_{x∈argmin} |ψ_x|² (QOKit's get_overlap). A group state reads each
-// ground state at its stored index.
-func (r *Result) Overlap() float64 {
-	if r.vec != nil {
-		return statevec.OverlapStates(r.vec, r.sim.groundStates)
-	}
-	var s float64
-	for _, x := range r.sim.groundStates {
-		s += r.prob(int(r.sim.rep(x)))
-	}
-	return s
-}
-
-// prob returns |ψ_i|² of stored amplitude i, in float64.
-func (r *Result) prob(i int) float64 {
-	switch {
+		e = expectGroup(s.pool, r.soa.Re, r.soa.Im, diag, s.group)
 	case r.soa32 != nil:
-		re, im := float64(r.soa32.Re[i]), float64(r.soa32.Im[i])
-		return re*re + im*im
+		e = r.soa32.ExpectationDiag(s.pool, diag)
 	case r.soa != nil:
-		return r.soa.Re[i]*r.soa.Re[i] + r.soa.Im[i]*r.soa.Im[i]
+		e = r.soa.ExpectationDiag(s.pool, diag)
 	default:
-		a := r.vec[i]
-		return real(a)*real(a) + imag(a)*imag(a)
+		e = statevec.ExpectationDiag(r.vec, diag)
 	}
+	return finiteExpectation(e, diag)
+}
+
+// finiteExpectation returns e, an expectation of obs over a finite
+// state. Every entry of obs meets a probability in the reduction, and
+// a NaN or ±Inf entry makes it non-finite even against a zero one, so
+// only a non-finite e needs the scan that names the entry; the error
+// wraps poly.ErrNonFiniteCost.
+func finiteExpectation(e float64, obs []float64) (float64, error) {
+	if !math.IsNaN(e) && !math.IsInf(e, 0) {
+		return e, nil
+	}
+	if _, err := costvec.CheckDiagonal(obs); err != nil {
+		return 0, fmt.Errorf("core: observable: %w", err)
+	}
+	return 0, fmt.Errorf("core: observable: %w: the expectation overflows to %v", poly.ErrNonFiniteCost, e)
 }
 
 // StateVector returns the evolved state as a complex128 vector
@@ -278,7 +287,7 @@ func (r *Result) StateVector() statevec.Vec {
 		} else {
 			planesInto(v, r.soa.Re, r.soa.Im)
 		}
-		groupFill(v, r.sim.group)
+		evaluator.FillGroup(v, r.sim.group)
 		return v
 	}
 	if r.soa32 != nil {
@@ -310,7 +319,7 @@ func (r *Result) Probabilities(dst []float64, preserveState bool) []float64 {
 		} else {
 			r.soa.Probabilities(dst[:r.sim.stored()])
 		}
-		groupFill(dst, r.sim.group)
+		evaluator.FillGroup(dst, r.sim.group)
 		return dst
 	}
 	if r.soa32 != nil {

@@ -38,13 +38,19 @@ func (w *Workspace) Energy(ctx context.Context, x []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	r, err := w.evolve(gamma, beta)
+	if err != nil {
+		return 0, err
+	}
+	return r.Expectation(), nil
+}
+
+// evolve evolves ψ to (γ, β) and returns it.
+func (w *Workspace) evolve(gamma, beta []float64) (*Result, error) {
 	if w.buf.psi == nil {
 		w.buf.psi = w.sim.NewResult()
 	}
-	if err := w.sim.SimulateQAOAInto(w.buf.psi, gamma, beta); err != nil {
-		return 0, err
-	}
-	return w.buf.psi.Expectation(), nil
+	return w.buf.psi, w.sim.SimulateQAOAInto(w.buf.psi, gamma, beta)
 }
 
 // EnergyGrad evaluates the objective and its exact adjoint gradient at
@@ -83,15 +89,55 @@ func workspaceCaps(c evaluator.Caps) evaluator.Caps {
 
 var _ evaluator.OutputEvaluator = (*Workspace)(nil)
 
-// EvalOutputs forwards to the simulator, which evolves a state of its
-// own for the call.
+// EvalOutputs evolves ψ to the flat parameter vector once and returns
+// the outputs the spec selects (evaluator.OutputEvaluator): the energy,
+// then the output stage (evaluator.Stage) over ψ as a single rank.
 func (w *Workspace) EvalOutputs(ctx context.Context, x []float64, spec evaluator.OutputSpec) (*evaluator.Outputs, error) {
-	return w.sim.EvalOutputs(ctx, x, spec)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	gamma, beta, err := evaluator.SplitFlat(x)
+	if err != nil {
+		return nil, err
+	}
+	out := &evaluator.Outputs{}
+	st, err := evaluator.NewStage(w.sim.n, spec, out)
+	if err != nil {
+		return nil, err
+	}
+	r, err := w.evolve(gamma, beta)
+	if err != nil {
+		return nil, err
+	}
+	out.Energy = r.Expectation()
+	if err := st.Run(ctx, evaluator.OneRank{}, r.view()); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 var _ evaluator.SampleStreamer = (*Workspace)(nil)
 
-// StreamSamples forwards to the simulator.
+// StreamSamples evolves ψ to the flat parameter vector once and streams
+// spec.Shots sampled basis indices to fn in chunks of at most
+// evaluator.SampleChunkSize (evaluator.SampleStreamer). With the same
+// seed, the concatenated chunks equal the Outputs.Samples that
+// EvalOutputs returns; only spec.Shots and spec.Seed are consulted.
 func (w *Workspace) StreamSamples(ctx context.Context, x []float64, spec evaluator.OutputSpec, fn func(chunk []uint64) error) error {
-	return w.sim.StreamSamples(ctx, x, spec, fn)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	gamma, beta, err := evaluator.SplitFlat(x)
+	if err != nil {
+		return err
+	}
+	st, err := evaluator.NewStream(w.sim.n, spec, fn)
+	if err != nil || spec.Shots == 0 {
+		return err
+	}
+	r, err := w.evolve(gamma, beta)
+	if err != nil {
+		return err
+	}
+	return st.Run(ctx, evaluator.OneRank{}, r.view())
 }

@@ -40,7 +40,10 @@
 // Every entry point — the GradEngine's energy, gradient, outputs and
 // streaming, and the forward one-shots SimulateQAOA and
 // SimulateQAOACheckpointed, which run one lease of a fresh engine —
-// goes through one evolution function, shard.evolve. grad.go adds the
+// goes through one evolution function, shard.evolve. The outputs are
+// internal/evaluator's output stage, run on every rank over its shard
+// with the rank's cluster endpoint as the collective: the stage core
+// runs as a single rank. grad.go adds the
 // adjoint gradient: the ket and the cost-weighted bra walk backwards
 // through the tiled joint reverse step, and one vector all-reduce
 // (AllreduceSumVec) combines the per-layer partials — communication
@@ -55,6 +58,7 @@ import (
 	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/costvec"
+	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/statevec"
@@ -67,8 +71,10 @@ type Options struct {
 	// Algo selects the all-to-all implementation (the paper's custom
 	// MPI code vs cuStateVec distributed index swap, Fig. 5).
 	Algo cluster.AlltoallAlgo
-	// Gather controls whether the full state vector is assembled on
-	// return (the mpi_gather=True output mode of Listing 3).
+	// Gather controls whether the forward one-shots (SimulateQAOA,
+	// SimulateQAOACheckpointed) assemble the full state vector on return
+	// (the mpi_gather=True output mode of Listing 3). Engines and their
+	// factories reject it: they serve outputs gather-free (EvalOutputs).
 	Gather bool
 	// Mixer selects the mixing operator: the transverse-field mixer
 	// (Algorithm 4, as in the paper's large-scale runs) or one of the
@@ -129,9 +135,19 @@ func (o Options) validate(n int) (k int, err error) {
 		return 0, fmt.Errorf("distsim: Options.Precision=%v unknown (want PrecisionFloat64 or PrecisionFloat32)", o.Precision)
 	}
 	if o.Gather && o.Precision == PrecisionFloat32 {
-		return 0, fmt.Errorf("distsim: Options.Gather=true does not compose with Options.Precision=float32 — the memory-reduced shards exist to avoid materializing node-scale buffers; use the gather-free outputs (GradEngine.Outputs: sampling, CVaR, overlap, probability queries)")
+		return 0, fmt.Errorf("distsim: Options.Gather=true does not compose with Options.Precision=float32 — the memory-reduced shards exist to avoid materializing node-scale buffers; use the gather-free outputs (EvalOutputs: sampling, CVaR, overlap, probability queries)")
 	}
 	return k, nil
+}
+
+// validateEngine is validate for the engines and their factories, which
+// serve outputs gather-free and reject Options.Gather: only the forward
+// one-shots gather the state.
+func (o Options) validateEngine(n int) (k int, err error) {
+	if k, err = o.validate(n); err == nil && o.Gather {
+		err = fmt.Errorf("distsim: Options.Gather=true applies only to the forward one-shots (SimulateQAOA, SimulateQAOACheckpointed); an engine serves its outputs gather-free through EvalOutputs")
+	}
+	return k, err
 }
 
 // concurrency resolves the lease cap the options select.
@@ -150,30 +166,15 @@ func (o Options) hammingWeight(n int) int {
 	return n / 2
 }
 
-// Result carries the distributed outputs plus per-run communication
-// statistics. The CVaR, Samples, Probs, and MaxProb* fields are filled
-// only by the gather-free GradEngine.Outputs, according to its
-// OutputSpec.
+// Result carries a forward one-shot's outputs plus per-run
+// communication statistics. An engine's measurement-style outputs come
+// from GradEngine.EvalOutputs.
 type Result struct {
 	Expectation float64
-	Overlap     float64
-	MinCost     float64
-	// CVaR holds CVaR(α) per OutputSpec.CVaRAlphas entry, matching
-	// core.Result.CVaR to floating-point reassociation.
-	CVaR []float64
-	// Samples holds OutputSpec.Shots global basis indices from the
-	// two-stage distributed draw.
-	Samples []uint64
-	// Probs holds |ψ_x|² per OutputSpec.ProbIndices entry.
-	Probs []float64
-	// MaxProbIndex and MaxProb identify the most probable basis state
-	// (ties resolve to the lowest global index).
-	MaxProbIndex uint64
-	MaxProb      float64
-	// Variance is Var(C) over the measurement distribution, filled when
-	// OutputSpec.Variance is set — per-rank Welford triples merged by
-	// one allreduce, matching core's single-pass value to rounding.
-	Variance float64
+	// Overlap is the ground-state probability and MinCost the minimum
+	// cost (over the feasible subspace for the xy mixers).
+	Overlap float64
+	MinCost float64
 	// State is the gathered state vector (nil unless Options.Gather).
 	State statevec.Vec
 	// Comm is the summed traffic with critical-path wall time.
@@ -194,15 +195,15 @@ func SimulateQAOA(ctx context.Context, n int, terms poly.Terms, gamma, beta []fl
 // plan is a plain run; SimulateQAOACheckpointed passes a plan that
 // seeds the shards from a snapshot and captures layer boundaries.
 func simulate(ctx context.Context, n int, terms poly.Terms, gamma, beta []float64, opts Options, plan ckptPlan) (*Result, error) {
-	eng, err := NewGradEngine(n, terms, opts)
+	eng, err := buildEngine(n, terms, opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	r := &run{
 		gamma: gamma, beta: beta, plan: plan, energy: &res.Expectation,
-		outputs: func(c *cluster.Comm, v shardView) error {
-			gmin, overlap, err := rankGround(c, v)
+		outputs: func(c *cluster.Comm, v evaluator.View) error {
+			gmin, overlap, err := v.Ground(c)
 			if c.Rank() == 0 {
 				res.MinCost, res.Overlap = gmin, overlap
 			}

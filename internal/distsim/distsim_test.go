@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qokit/internal/cluster"
 	"qokit/internal/core"
+	"qokit/internal/costvec"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/problems"
@@ -240,6 +242,38 @@ func TestGatherFalseOmitsState(t *testing.T) {
 	}
 	if res.Expectation == 0 && res.Overlap == 0 {
 		t.Error("outputs missing without gather")
+	}
+}
+
+// TestEnginesRejectGather: an engine serves its outputs gather-free
+// (EvalOutputs), so NewGradEngine, NewFactory and NewFactoryFromSource
+// reject Options.Gather with an error naming it, while the forward
+// one-shot still gathers under the same options.
+func TestEnginesRejectGather(t *testing.T) {
+	const n = 8
+	terms := problems.LABSTerms(n)
+	opts := Options{Ranks: 2, Gather: true}
+	source := func(context.Context) (core.DiagSource, error) {
+		return core.StaticDiag(costvec.Precompute(poly.Compile(terms), n)), nil
+	}
+	for _, c := range []struct {
+		name  string
+		build func() error
+	}{
+		{"NewGradEngine", func() error { _, err := NewGradEngine(n, terms, opts); return err }},
+		{"NewFactory", func() error { _, err := NewFactory(n, terms, opts); return err }},
+		{"NewFactoryFromSource", func() error { _, err := NewFactoryFromSource(n, opts, source); return err }},
+	} {
+		if err := c.build(); err == nil || !strings.Contains(err.Error(), "Options.Gather") {
+			t.Errorf("%s with Options.Gather: error %v, want one naming Options.Gather", c.name, err)
+		}
+	}
+	res, err := SimulateQAOA(context.Background(), n, terms, []float64{0.3}, []float64{0.4}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.State) != 1<<n {
+		t.Errorf("SimulateQAOA with Options.Gather returned %d amplitudes, want %d", len(res.State), 1<<n)
 	}
 }
 

@@ -56,7 +56,7 @@ func NewFactory(n int, terms poly.Terms, opts Options) (*Factory, error) {
 // shards are slices of it, acquired on the first build and released
 // after the last retire.
 func NewFactoryFromSource(n int, opts Options, acquire core.AcquireFunc) (*Factory, error) {
-	if _, err := opts.validate(n); err != nil {
+	if _, err := opts.validateEngine(n); err != nil {
 		return nil, err
 	}
 	if _, err := core.MixerSweepEdges(n, opts.Mixer); err != nil {

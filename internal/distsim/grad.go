@@ -38,7 +38,6 @@ import (
 	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
-	"qokit/internal/statevec"
 )
 
 // GradEngine evaluates distributed energies and exact adjoint
@@ -61,8 +60,9 @@ import (
 // after every layer, as on single-node SoA, so each rank stores only
 // its 2^(n−1−k) representatives x < 2^(n−1). That halves shard memory,
 // kernel work and all-to-all bytes at the same message and sync
-// counts. Outputs weight each representative twice and still cover all
-// 2^n basis states. No option selects it; every other case keeps full
+// counts. The output stage sees a state stored over {0, 2^n−1}: it
+// weights each representative twice and still covers all 2^n basis
+// states. No option selects it; every other case keeps full
 // shards. Shards use the complement alone: the mirror swap pairs each
 // representative with its complement, so LABS's other flips, which a
 // single-node simulator also stores over (a quarter state), stay
@@ -71,8 +71,11 @@ type GradEngine struct {
 	n, k, hw int
 	opts     Options
 	edges    []graphs.Edge
-	// half is set on half shards (cutShards).
-	half bool
+	// half is set on half shards (cutShards); group is the symmetry
+	// group the ranks store the state over, {0, 2^n−1} on half shards
+	// and {0} otherwise.
+	half  bool
+	group []uint64
 
 	// costs holds each rank's slice of the diagonal, shared read-only
 	// by every lease: float64 entries, or on an exact grid uint16 codes
@@ -107,8 +110,18 @@ type gradLease struct {
 // problem given as polynomial terms: each rank's diagonal slice is
 // precomputed locally (no communication). Rank groups and state
 // buffers are leased per evaluation, up to Options.Concurrency in
-// flight at once.
+// flight at once. An engine serves its outputs gather-free
+// (EvalOutputs), so Options.Gather is rejected.
 func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
+	if _, err := opts.validateEngine(n); err != nil {
+		return nil, err
+	}
+	return buildEngine(n, terms, opts)
+}
+
+// buildEngine is NewGradEngine for any valid options; the forward
+// one-shots reach it with Options.Gather set.
+func buildEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	k, err := opts.validate(n)
 	if err != nil {
 		return nil, err
@@ -145,9 +158,13 @@ func newEngine(n int, opts Options, costs []rankCost, half bool) (*GradEngine, e
 		opts:     opts,
 		edges:    edges,
 		half:     half,
+		group:    []uint64{0},
 		costs:    costs,
 		slots:    make(chan *gradLease, opts.concurrency()),
 		deadRank: make([]cluster.Counters, opts.Ranks),
+	}
+	if half {
+		e.group = append(e.group, 1<<uint(n)-1)
 	}
 	for i := 0; i < opts.concurrency(); i++ {
 		e.slots <- nil
@@ -245,28 +262,9 @@ func (e *GradEngine) localQubits() int {
 }
 
 // weight is the number of basis states each stored amplitude stands
-// for: 2 on half shards, else 1. Energies and gradient reductions over
-// the stored amplitudes scale by it, exactly.
-func (e *GradEngine) weight() float64 {
-	if e.half {
-		return 2
-	}
-	return 1
-}
-
-// expand returns the 2^n state from the gathered stored amplitudes: on
-// half shards entry x ≥ 2^(n−1) takes the value of its complement.
-func (e *GradEngine) expand(stored statevec.Vec) statevec.Vec {
-	if !e.half {
-		return stored
-	}
-	full := append(stored, make(statevec.Vec, len(stored))...)
-	last := len(full) - 1
-	for i, a := range stored {
-		full[last-i] = a
-	}
-	return full
-}
+// for, the group's size: 2 on half shards, else 1. Energies and
+// gradient reductions over the stored amplitudes scale by it, exactly.
+func (e *GradEngine) weight() float64 { return float64(len(e.group)) }
 
 // Ranks returns K, the number of simulated nodes.
 func (e *GradEngine) Ranks() int { return e.opts.Ranks }

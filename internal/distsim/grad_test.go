@@ -12,6 +12,7 @@ import (
 
 	"qokit/internal/cluster"
 	"qokit/internal/core"
+	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/optimize"
 	"qokit/internal/poly"
@@ -55,12 +56,12 @@ func simulateGrad(ctx context.Context, n int, terms poly.Terms, gamma, beta []fl
 }
 
 // outputsOnce serves spec on a fresh engine.
-func outputsOnce(n int, terms poly.Terms, gamma, beta []float64, opts Options, spec OutputSpec) (*Result, error) {
+func outputsOnce(n int, terms poly.Terms, gamma, beta []float64, opts Options, spec evaluator.OutputSpec) (*evaluator.Outputs, error) {
 	eng, err := NewGradEngine(n, terms, opts)
 	if err != nil {
 		return nil, err
 	}
-	return eng.Outputs(context.Background(), gamma, beta, spec)
+	return eng.EvalOutputs(context.Background(), append(append([]float64(nil), gamma...), beta...), spec)
 }
 
 func randomAngles(rng *rand.Rand, p int) (gamma, beta []float64) {

@@ -289,8 +289,10 @@ func halfChiSquared(probs []float64, samples []uint64) float64 {
 // TestHalfShardGradAndOutputsMatchSingleNode is the half-shard
 // differential: LABS, MaxCut and SK × K ∈ {1, 2, 4, 8} × p ∈ {1, 4, 12}
 // on half shards against the single-node Serial engine, which keeps the
-// full state. Energy, gradient, Overlap, MinCost, CVaR, Variance,
-// MaxProb and ProbIndices on both sides of 2^(n−1) agree to rtol 1e-10
+// full state: its energy and gradient, and brute-force outputs over its
+// 2^n probabilities (bruteOutputs). Energy, gradient, Overlap, MinCost,
+// CVaR, Variance, MaxProb and ProbIndices on both sides of 2^(n−1)
+// agree to rtol 1e-10
 // in float64 and within the SoA32 band (2e-3) in float32; MaxProbIndex
 // attains the maximum and is the lower index of its mirror pair; the
 // shots pass a χ² test against the full distribution (df = 19,
@@ -339,15 +341,16 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 					t.Fatal(err)
 				}
 				refGrad := append(append([]float64(nil), refGG...), refGB...)
-				refOut, err := single.EvalOutputs(ctx, x, evaluator.OutputSpec{CVaRAlphas: spec.CVaRAlphas, ProbIndices: queries, Variance: true})
-				if err != nil {
-					t.Fatal(err)
-				}
 				refState, err := single.SimulateQAOA(gamma, beta)
 				if err != nil {
 					t.Fatal(err)
 				}
 				probs := refState.Probabilities(nil, true)
+				want := bruteOutputs(probs, single.CostDiagonal(), single.GroundStates(), spec.CVaRAlphas)
+				var maxP float64
+				for _, q := range probs {
+					maxP = math.Max(maxP, q)
+				}
 				for _, c := range []struct {
 					name string
 					eng  *GradEngine
@@ -367,18 +370,18 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 							t.Errorf("%s %s: gradient %d = %v, single-node %v", where, c.name, i, got.grad[i], refGrad[i])
 						}
 					}
-					near("Energy", out.Energy, refOut.Energy)
-					near("Overlap", out.Overlap, refOut.Overlap)
-					near("MinCost", out.MinCost, refOut.MinCost)
-					near("Variance", out.Variance, refOut.Variance)
-					near("MaxProb", out.MaxProb, refOut.MaxProb)
-					for i := range refOut.CVaR {
-						near(fmt.Sprintf("CVaR(%v)", spec.CVaRAlphas[i]), out.CVaR[i], refOut.CVaR[i])
+					near("Energy", out.Energy, refE)
+					near("Overlap", out.Overlap, want.overlap)
+					near("MinCost", out.MinCost, single.MinCost())
+					near("Variance", out.Variance, want.variance)
+					near("MaxProb", out.MaxProb, maxP)
+					for i := range want.cvar {
+						near(fmt.Sprintf("CVaR(%v)", spec.CVaRAlphas[i]), out.CVaR[i], want.cvar[i])
 					}
 					for i, q := range queries {
-						near(fmt.Sprintf("prob[%d]", q), out.Probs[i], refOut.Probs[i])
+						near(fmt.Sprintf("prob[%d]", q), out.Probs[i], probs[q])
 					}
-					near("prob at MaxProbIndex", probs[out.MaxProbIndex], refOut.MaxProb)
+					near("prob at MaxProbIndex", probs[out.MaxProbIndex], maxP)
 					// A state and its mirror tie exactly; the lower one wins.
 					if out.MaxProbIndex >= 1<<(n-1) {
 						t.Errorf("%s %s: MaxProbIndex %d is not the lower of its mirror pair", where, c.name, out.MaxProbIndex)

@@ -28,12 +28,65 @@ func rtolDiff(a, b float64) float64 {
 	return d / scale
 }
 
+// bruteRef holds the brute-force reference outputs of one state.
+type bruteRef struct {
+	cvar              []float64
+	overlap, variance float64
+}
+
+// bruteOutputs computes the reference outputs from a state's 2^n
+// probabilities and costs, independently of the output stage: CVaR from
+// the (cost, probability) pairs sorted by cost, any shortfall of the
+// mass charged at the largest cost carrying mass; the overlap as the
+// mass of the ground states; and the variance by two passes.
+func bruteOutputs(probs, diag []float64, ground []uint64, alphas []float64) bruteRef {
+	type pair struct{ c, p float64 }
+	pairs := make([]pair, 0, len(probs))
+	var w, mean float64
+	for x, p := range probs {
+		if p > 0 {
+			pairs = append(pairs, pair{diag[x], p})
+		}
+		w += p
+		mean += p * diag[x]
+	}
+	mean /= w
+	sort.Slice(pairs, func(a, b int) bool { return pairs[a].c < pairs[b].c })
+	var ref bruteRef
+	for _, alpha := range alphas {
+		remaining := alpha
+		var acc, last float64
+		for _, e := range pairs {
+			last = e.c
+			if e.p >= remaining {
+				acc += remaining * e.c
+				remaining = 0
+				break
+			}
+			acc += e.p * e.c
+			remaining -= e.p
+		}
+		if remaining > 1e-12 {
+			acc += remaining * last
+		}
+		ref.cvar = append(ref.cvar, acc/alpha)
+	}
+	for _, x := range ground {
+		ref.overlap += probs[x]
+	}
+	for x, p := range probs {
+		ref.variance += p * (diag[x] - mean) * (diag[x] - mean)
+	}
+	ref.variance /= w
+	return ref
+}
+
 // TestDistributedCVaROverlapMatchSingleNode is the tentpole acceptance
 // differential: gather-free CVaR, overlap, most-probable-state, and
-// per-index probabilities computed on sharded states must match the
-// single-node values to rtol 1e-10 over ranks {1, 2, 4, 8}. Slices held
-// as codes alone give the same outputs bit for bit
-// (TestShardCostFormsMatchBitwise).
+// per-index probabilities computed on sharded states must match a
+// brute-force reference over the single-node state (bruteOutputs) to
+// rtol 1e-10 over ranks {1, 2, 4, 8}. Slices held as codes alone give
+// the same outputs bit for bit (TestShardCostFormsMatchBitwise).
 func TestDistributedCVaROverlapMatchSingleNode(t *testing.T) {
 	const rtol = 1e-10
 	rng := rand.New(rand.NewSource(71))
@@ -56,35 +109,30 @@ func TestDistributedCVaROverlapMatchSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCVaR := make([]float64, len(alphas))
-	for i, a := range alphas {
-		if refCVaR[i], err = ref.CVaR(a); err != nil {
-			t.Fatal(err)
-		}
-	}
 	refProbs := ref.Probabilities(nil, true)
+	want := bruteOutputs(refProbs, single.CostDiagonal(), single.GroundStates(), alphas)
 	queries := []uint64{0, 7, 128, 255}
 
 	for _, ranks := range []int{1, 2, 4, 8} {
-		spec := OutputSpec{CVaRAlphas: alphas, ProbIndices: queries}
+		spec := evaluator.OutputSpec{CVaRAlphas: alphas, ProbIndices: queries}
 		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: ranks}, spec)
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
 		}
-		if d := rtolDiff(res.Expectation, ref.Expectation()); d > rtol {
+		if d := rtolDiff(res.Energy, ref.Expectation()); d > rtol {
 			t.Errorf("K=%d: expectation rtol %g", ranks, d)
 		}
-		if d := rtolDiff(res.Overlap, ref.Overlap()); d > rtol {
+		if d := rtolDiff(res.Overlap, want.overlap); d > rtol {
 			t.Errorf("K=%d: overlap rtol %g", ranks, d)
 		}
 		if d := rtolDiff(res.MinCost, single.MinCost()); d > rtol {
 			t.Errorf("K=%d: min cost rtol %g", ranks, d)
 		}
 		for i := range alphas {
-			if d := rtolDiff(res.CVaR[i], refCVaR[i]); d > rtol {
+			if d := rtolDiff(res.CVaR[i], want.cvar[i]); d > rtol {
 				t.Errorf("K=%d: CVaR(%v) = %v, want %v (rtol %g)",
-					ranks, alphas[i], res.CVaR[i], refCVaR[i], d)
+					ranks, alphas[i], res.CVaR[i], want.cvar[i], d)
 			}
 		}
 		for i, q := range queries {
@@ -110,11 +158,10 @@ func TestDistributedCVaROverlapMatchSingleNode(t *testing.T) {
 }
 
 // TestDistributedVarianceMatchesSingleNode: the Welford second-moment
-// allreduce must reproduce the single-node cost variance to rtol 1e-10
-// over every rank count and shard representation, and must agree with
-// the naive ⟨C²⟩ − ⟨C⟩² computed directly from the gathered reference
-// probabilities. Also covers the engine-resident Outputs/EvalOutputs
-// path.
+// allreduce must reproduce the cost variance of the single-node state,
+// computed by two passes over its 2^n probabilities (bruteOutputs), to
+// rtol 1e-10 over every rank count, and float32 shards must land in a
+// coarse band of it. An unset spec leaves the field zero.
 func TestDistributedVarianceMatchesSingleNode(t *testing.T) {
 	const rtol = 1e-10
 	rng := rand.New(rand.NewSource(43))
@@ -132,63 +179,36 @@ func TestDistributedVarianceMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := append(append([]float64{}, gamma...), beta...)
-	refOut, err := single.EvalOutputs(context.Background(), x, evaluator.OutputSpec{Variance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent naive check: E[C²] − E[C]² from the gathered state.
 	ref, err := single.SimulateQAOA(gamma, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := ref.Probabilities(nil, true)
-	diag := single.CostDiagonal()
-	var ec, ec2 float64
-	for i, pr := range probs {
-		ec += pr * diag[i]
-		ec2 += pr * diag[i] * diag[i]
-	}
-	if d := rtolDiff(refOut.Variance, ec2-ec*ec); d > 1e-9 {
-		t.Fatalf("single-node Welford variance %v vs naive %v (rtol %g)", refOut.Variance, ec2-ec*ec, d)
-	}
+	want := bruteOutputs(ref.Probabilities(nil, true), single.CostDiagonal(), nil, nil).variance
 
 	for _, ranks := range []int{1, 2, 4} {
 		res, err := outputsOnce(n, ts, gamma, beta,
-			Options{Ranks: ranks}, OutputSpec{Variance: true})
+			Options{Ranks: ranks}, evaluator.OutputSpec{Variance: true})
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
 		}
-		if d := rtolDiff(res.Variance, refOut.Variance); d > rtol {
-			t.Errorf("K=%d: Variance = %v, want %v (rtol %g)", ranks, res.Variance, refOut.Variance, d)
+		if d := rtolDiff(res.Variance, want); d > rtol {
+			t.Errorf("K=%d: Variance = %v, want %v (rtol %g)", ranks, res.Variance, want, d)
 		}
 	}
 
 	// Float32 dynamics carry single-precision error; the variance must
 	// still land within a coarse band of the float64 value.
 	res32, err := outputsOnce(n, ts, gamma, beta,
-		Options{Ranks: 4, Precision: PrecisionFloat32}, OutputSpec{Variance: true})
+		Options{Ranks: 4, Precision: PrecisionFloat32}, evaluator.OutputSpec{Variance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := rtolDiff(res32.Variance, refOut.Variance); d > 1e-4 {
+	if d := rtolDiff(res32.Variance, want); d > 1e-4 {
 		t.Errorf("float32 K=4: Variance rtol %g vs float64 reference", d)
 	}
 
-	// Engine-resident path (the one the elastic pool schedules).
-	e, err := NewGradEngine(n, ts, Options{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := e.EvalOutputs(context.Background(), x, evaluator.OutputSpec{Variance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := rtolDiff(outs.Variance, refOut.Variance); d > rtol {
-		t.Errorf("engine EvalOutputs Variance rtol %g", d)
-	}
 	// An unset spec leaves the field zero — no hidden second pass.
-	plain, err := e.EvalOutputs(context.Background(), x, evaluator.OutputSpec{})
+	plain, err := outputsOnce(n, ts, gamma, beta, Options{Ranks: 2}, evaluator.OutputSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,28 +237,23 @@ func TestDistributedOutputsXYMixer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCVaR := make([]float64, len(alphas))
-	for i, a := range alphas {
-		if refCVaR[i], err = ref.CVaR(a); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := bruteOutputs(ref.Probabilities(nil, true), single.CostDiagonal(), single.GroundStates(), alphas)
 	for _, ranks := range []int{1, 2, 4} {
 		res, err := outputsOnce(n, ts, gamma, beta,
-			Options{Ranks: ranks, Mixer: core.MixerXYRing}, OutputSpec{CVaRAlphas: alphas})
+			Options{Ranks: ranks, Mixer: core.MixerXYRing}, evaluator.OutputSpec{CVaRAlphas: alphas})
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
 		}
-		if d := rtolDiff(res.Overlap, ref.Overlap()); d > rtol {
+		if d := rtolDiff(res.Overlap, want.overlap); d > rtol {
 			t.Errorf("K=%d: overlap rtol %g", ranks, d)
 		}
 		if d := rtolDiff(res.MinCost, single.MinCost()); d > rtol {
 			t.Errorf("K=%d: min cost %v, want %v", ranks, res.MinCost, single.MinCost())
 		}
 		for i := range alphas {
-			if d := rtolDiff(res.CVaR[i], refCVaR[i]); d > rtol {
+			if d := rtolDiff(res.CVaR[i], want.cvar[i]); d > rtol {
 				t.Errorf("K=%d: CVaR(%v) = %v, want %v (rtol %g)",
-					ranks, alphas[i], res.CVaR[i], refCVaR[i], d)
+					ranks, alphas[i], res.CVaR[i], want.cvar[i], d)
 			}
 		}
 	}
@@ -275,42 +290,17 @@ func TestDistributedOutputsFloat32(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 8} {
 		res, err := outputsOnce(n, ts, gamma, beta,
 			Options{Ranks: ranks, Precision: PrecisionFloat32},
-			OutputSpec{CVaRAlphas: alphas, ProbIndices: all})
+			evaluator.OutputSpec{CVaRAlphas: alphas, ProbIndices: all})
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
 		}
 		// Reconstruct the exact outputs of THIS float32 state.
 		probs := res.Probs
-		type pe struct{ c, p float64 }
-		ents := make([]pe, 0, len(probs))
-		var mass float64
-		for x, p := range probs {
-			if p > 0 {
-				ents = append(ents, pe{diag[x], p})
-				mass += p
-			}
-		}
-		sort.Slice(ents, func(a, b int) bool { return ents[a].c < ents[b].c })
-		for i, alpha := range alphas {
-			remaining := alpha
-			var acc, last float64
-			for _, e := range ents {
-				last = e.c
-				if e.p >= remaining {
-					acc += remaining * e.c
-					remaining = 0
-					break
-				}
-				acc += e.p * e.c
-				remaining -= e.p
-			}
-			if remaining > 1e-12 {
-				acc += remaining * last
-			}
-			want := acc / alpha
-			if d := rtolDiff(res.CVaR[i], want); d > rtol {
+		want := bruteOutputs(probs, diag, nil, alphas)
+		for i := range alphas {
+			if d := rtolDiff(res.CVaR[i], want.cvar[i]); d > rtol {
 				t.Errorf("K=%d: CVaR(%v) = %v, reconstructed %v (rtol %g)",
-					ranks, alphas[i], res.CVaR[i], want, d)
+					ranks, alphas[i], res.CVaR[i], want.cvar[i], d)
 			}
 		}
 		var wantOverlap float64
@@ -323,7 +313,7 @@ func TestDistributedOutputsFloat32(t *testing.T) {
 			t.Errorf("K=%d: overlap %v, reconstructed %v", ranks, res.Overlap, wantOverlap)
 		}
 		// Single-precision dynamics stays in a coarse band of float64.
-		if d := math.Abs(res.Expectation - ref.Expectation()); d > 2e-3 {
+		if d := math.Abs(res.Energy - ref.Expectation()); d > 2e-3 {
 			t.Errorf("K=%d: float32 expectation drifted %g from float64", ranks, d)
 		}
 		if d := math.Abs(res.Overlap - ref.Overlap()); d > 2e-3 {
@@ -377,7 +367,7 @@ func TestTwoStageSamplingChiSquared(t *testing.T) {
 
 	for _, ranks := range []int{2, 8} {
 		res, err := outputsOnce(n, ts, gamma, beta,
-			Options{Ranks: ranks}, OutputSpec{Shots: shots, Seed: 4242})
+			Options{Ranks: ranks}, evaluator.OutputSpec{Shots: shots, Seed: 4242})
 		if err != nil {
 			t.Fatalf("K=%d: %v", ranks, err)
 		}
@@ -414,7 +404,7 @@ func TestTwoStageSamplingDeterministic(t *testing.T) {
 	beta := []float64{0.4}
 	run := func() []uint64 {
 		res, err := outputsOnce(n, ts, gamma, beta,
-			Options{Ranks: 4}, OutputSpec{Shots: 500, Seed: 7})
+			Options{Ranks: 4}, evaluator.OutputSpec{Shots: 500, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,17 +421,16 @@ func TestTwoStageSamplingDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineOutputsMatchStandalone: GradEngine.Outputs on a warm leased
-// rank group returns the same values as a fresh engine's first call,
-// for float64 and float32 shards and for slices held as codes alone
-// (codedProblem), and EvalOutputs round-trips through the evaluator
-// contract.
+// TestEngineOutputsMatchStandalone: EvalOutputs on a warm leased rank
+// group returns the same values as a fresh engine's first call, for
+// float64 and float32 shards and for slices held as codes alone
+// (codedProblem).
 func TestEngineOutputsMatchStandalone(t *testing.T) {
 	const rtol = 1e-10
 	gamma := []float64{0.3, -0.2}
 	beta := []float64{0.4, 0.1}
 	alphas := []float64{1, 0.1}
-	spec := OutputSpec{CVaRAlphas: alphas, Shots: 64, Seed: 11, ProbIndices: []uint64{0, 255}}
+	spec := evaluator.OutputSpec{CVaRAlphas: alphas, Shots: 64, Seed: 11, ProbIndices: []uint64{0, 255}}
 	codedN, codedTerms := codedProblem(t)
 
 	for _, c := range []struct {
@@ -462,17 +451,17 @@ func TestEngineOutputsMatchStandalone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Outputs(context.Background(), []float64{0.1, 0.2}, []float64{0.3, 0.4}, spec); err != nil {
+		if _, err := e.EvalOutputs(context.Background(), []float64{0.1, 0.2, 0.3, 0.4}, spec); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Outputs(context.Background(), gamma, beta, spec)
+		res, err := e.EvalOutputs(context.Background(), append(append([]float64{}, gamma...), beta...), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !e.Caps().Outputs {
 			t.Error("engine Caps().Outputs = false")
 		}
-		if d := rtolDiff(res.Expectation, ref.Expectation); d > rtol {
+		if d := rtolDiff(res.Energy, ref.Energy); d > rtol {
 			t.Errorf("%+v: expectation rtol %g", opts, d)
 		}
 		if d := rtolDiff(res.Overlap, ref.Overlap); d > rtol {
@@ -488,29 +477,20 @@ func TestEngineOutputsMatchStandalone(t *testing.T) {
 				t.Errorf("%+v: prob[%d] rtol %g", opts, i, d)
 			}
 		}
+		if len(res.Samples) != spec.Shots || len(res.CVaR) != len(alphas) {
+			t.Errorf("%+v: EvalOutputs lengths %d/%d", opts, len(res.Samples), len(res.CVaR))
+		}
 		for i := range ref.Samples {
 			if res.Samples[i] != ref.Samples[i] {
 				t.Errorf("%+v: shot %d differs: %d vs %d", opts, i, res.Samples[i], ref.Samples[i])
 				break
 			}
 		}
-		// EvalOutputs through the flat-vector contract.
-		x := append(append([]float64{}, gamma...), beta...)
-		outs, err := e.EvalOutputs(context.Background(), x, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := rtolDiff(outs.Energy, ref.Expectation); d > rtol {
-			t.Errorf("%+v: EvalOutputs energy rtol %g", opts, d)
-		}
-		if len(outs.Samples) != spec.Shots || len(outs.CVaR) != len(alphas) {
-			t.Errorf("%+v: EvalOutputs lengths %d/%d", opts, len(outs.Samples), len(outs.CVaR))
-		}
 	}
 }
 
-// TestEngineOutputsConcurrent exercises concurrent Outputs calls on one
-// engine (run under -race in CI) interleaved with Energy calls.
+// TestEngineOutputsConcurrent exercises concurrent EvalOutputs calls on
+// one engine (run under -race in CI) interleaved with Energy calls.
 func TestEngineOutputsConcurrent(t *testing.T) {
 	n := 7
 	ts := problems.LABSTerms(n)
@@ -518,14 +498,12 @@ func TestEngineOutputsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gamma := []float64{0.3}
-	beta := []float64{0.4}
-	spec := OutputSpec{CVaRAlphas: []float64{0.5}, Shots: 100, Seed: 3}
-	want, err := e.Outputs(context.Background(), gamma, beta, spec)
+	spec := evaluator.OutputSpec{CVaRAlphas: []float64{0.5}, Shots: 100, Seed: 3}
+	x := []float64{0.3, 0.4}
+	want, err := e.EvalOutputs(context.Background(), x, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := []float64{0.3, 0.4}
 	wantE, err := e.Energy(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
@@ -537,13 +515,13 @@ func TestEngineOutputsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			if w%2 == 0 {
-				res, err := e.Outputs(context.Background(), gamma, beta, spec)
+				res, err := e.EvalOutputs(context.Background(), x, spec)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if res.CVaR[0] != want.CVaR[0] || res.Overlap != want.Overlap {
-					t.Errorf("concurrent Outputs diverged")
+					t.Errorf("concurrent EvalOutputs diverged")
 				}
 			} else {
 				got, err := e.Energy(context.Background(), x)
@@ -571,7 +549,7 @@ func TestEngineOutputsConcurrent(t *testing.T) {
 func TestCVaROrderConcurrentFirstUse(t *testing.T) {
 	ctx := context.Background()
 	x := []float64{0.3, -0.2, 0.4, 0.1}
-	spec := OutputSpec{CVaRAlphas: []float64{0.5, 0.1}}
+	spec := evaluator.OutputSpec{CVaRAlphas: []float64{0.5, 0.1}}
 	codedN, codedTerms := codedProblem(t)
 	for _, c := range []struct {
 		n  int
@@ -619,18 +597,18 @@ func TestOutputsValidation(t *testing.T) {
 	n := 6
 	ts := problems.LABSTerms(n)
 	if _, err := outputsOnce(n, ts, []float64{0.1}, []float64{0.2},
-		Options{Ranks: 2}, OutputSpec{CVaRAlphas: []float64{0}}); err == nil {
+		Options{Ranks: 2}, evaluator.OutputSpec{CVaRAlphas: []float64{0}}); err == nil {
 		t.Error("CVaR level 0 accepted")
 	}
 	if _, err := outputsOnce(n, ts, []float64{0.1}, []float64{0.2},
-		Options{Ranks: 2}, OutputSpec{ProbIndices: []uint64{1 << uint(n)}}); err == nil {
+		Options{Ranks: 2}, evaluator.OutputSpec{ProbIndices: []uint64{1 << uint(n)}}); err == nil {
 		t.Error("out-of-range probability index accepted")
 	}
 	if err := (evaluator.OutputSpec{Shots: -1}).Validate(n); err == nil {
 		t.Error("negative Shots accepted")
 	}
 	res, err := outputsOnce(n, ts, []float64{0.1}, []float64{0.2},
-		Options{Ranks: 2}, OutputSpec{})
+		Options{Ranks: 2}, evaluator.OutputSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +621,7 @@ func TestOutputsValidation(t *testing.T) {
 }
 
 // TestStreamSamplesMatchesBuffered: the chunked distributed sample
-// stream must reproduce the buffered Outputs shot sequence exactly —
+// stream must reproduce the buffered EvalOutputs shot sequence exactly —
 // same two-stage samplers, same seeds, chunking invisible — across
 // rank counts, shard representations (codedProblem's slices hold codes
 // alone), and the restricted-subspace mixer. 10 000 shots cross two
@@ -653,7 +631,7 @@ func TestStreamSamplesMatchesBuffered(t *testing.T) {
 	beta := []float64{0.4, 0.1}
 	x := append(append([]float64{}, gamma...), beta...)
 	const shots = 10_000
-	spec := OutputSpec{Shots: shots, Seed: 11}
+	spec := evaluator.OutputSpec{Shots: shots, Seed: 11}
 	codedN, codedTerms := codedProblem(t)
 	for _, c := range []struct {
 		n    int
@@ -674,7 +652,7 @@ func TestStreamSamplesMatchesBuffered(t *testing.T) {
 		if !e.Caps().Streaming {
 			t.Errorf("%+v: Caps().Streaming = false", opts)
 		}
-		want, err := e.Outputs(context.Background(), gamma, beta, spec)
+		want, err := e.EvalOutputs(context.Background(), x, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -719,7 +697,7 @@ func TestStreamSamplesLargeShotCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.3, 0.4}
-	spec := OutputSpec{Shots: evaluator.MaxShotsPerRequest + 5, Seed: 7}
+	spec := evaluator.OutputSpec{Shots: evaluator.MaxShotsPerRequest + 5, Seed: 7}
 	if _, err := e.EvalOutputs(context.Background(), x, spec); err == nil {
 		t.Error("buffered path accepted Shots beyond MaxShotsPerRequest")
 	}
@@ -754,7 +732,7 @@ func TestStreamSamplesFnError(t *testing.T) {
 	x := []float64{0.3, 0.4}
 	sentinel := errors.New("sink full")
 	calls := 0
-	err = e.StreamSamples(context.Background(), x, OutputSpec{Shots: 3 * evaluator.SampleChunkSize, Seed: 1},
+	err = e.StreamSamples(context.Background(), x, evaluator.OutputSpec{Shots: 3 * evaluator.SampleChunkSize, Seed: 1},
 		func(chunk []uint64) error {
 			calls++
 			if calls == 2 {
@@ -769,7 +747,7 @@ func TestStreamSamplesFnError(t *testing.T) {
 		t.Errorf("fn ran %d times after aborting on call 2", calls)
 	}
 	// Zero shots: fn never runs, no error.
-	if err := e.StreamSamples(context.Background(), x, OutputSpec{}, func([]uint64) error {
+	if err := e.StreamSamples(context.Background(), x, evaluator.OutputSpec{}, func([]uint64) error {
 		t.Error("fn called with zero shots")
 		return nil
 	}); err != nil {
@@ -780,7 +758,7 @@ func TestStreamSamplesFnError(t *testing.T) {
 		t.Fatalf("Energy after aborted stream: %v", err)
 	}
 	got := 0
-	if err := e.StreamSamples(context.Background(), x, OutputSpec{Shots: 100, Seed: 1}, func(chunk []uint64) error {
+	if err := e.StreamSamples(context.Background(), x, evaluator.OutputSpec{Shots: 100, Seed: 1}, func(chunk []uint64) error {
 		got += len(chunk)
 		return nil
 	}); err != nil {

@@ -25,6 +25,7 @@ import (
 	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/costvec"
+	"qokit/internal/evaluator"
 	"qokit/internal/statevec"
 )
 
@@ -162,7 +163,7 @@ type run struct {
 	// energy, when non-nil, receives ⟨Ĉ⟩ from one AllreduceSum.
 	energy *float64
 	// outputs, when non-nil, runs on every rank over its evolved shard.
-	outputs func(c *cluster.Comm, v shardView) error
+	outputs func(c *cluster.Comm, v evaluator.View) error
 	// state, when non-nil, receives the gathered state vector.
 	state *statevec.Vec
 	// gradGamma and gradBeta, when non-nil, receive the adjoint
@@ -239,7 +240,12 @@ func (sh *shard[T]) evolve(c *cluster.Comm, r *run) error {
 			return err
 		}
 		if sh.rank == 0 {
-			*r.state = sh.e.expand(full)
+			// A half shard's gather holds the representatives; the group
+			// fill adds their mirrors.
+			group := sh.e.group
+			full = append(full, make(statevec.Vec, (len(group)-1)*len(full))...)
+			evaluator.FillGroup(full, group)
+			*r.state = full
 		}
 	}
 	if r.gradGamma != nil {
@@ -525,19 +531,4 @@ func rotatePair[T statevec.Float](s, remote planes[T], x, j int, cs, sn T) {
 	r, m := s.re[x], s.im[x]
 	s.re[x] = cs*r + sn*remote.im[j]
 	s.im[x] = cs*m - sn*remote.re[j]
-}
-
-// view is the output stage's read-only view of the evolved ψ.
-func (sh *shard[T]) view() shardView {
-	re, im := sh.psi.re, sh.psi.im
-	return shardView{
-		size: len(re), localN: sh.e.localQubits(), offset: sh.cost.offset,
-		restrict: sh.e.opts.Mixer != core.MixerX, hw: sh.e.hw,
-		half: sh.e.half, n: sh.e.n,
-		prob: func(i int) float64 {
-			r, m := float64(re[i]), float64(im[i])
-			return r*r + m*m
-		},
-		cost: sh.cost.value, ascending: sh.cost.ascending,
-	}
 }

@@ -11,7 +11,9 @@
 // and its per-worker workspaces (core.Workspace), the sharded cluster
 // engine (distsim.GradEngine) and the light-cone engine are
 // interchangeable behind it. internal/serve schedules requests over
-// pools of these.
+// pools of these. The package also holds the one output stage the
+// single-node and sharded engines share (Stage, over a View of each
+// rank's stored amplitudes and a Collective).
 package evaluator
 
 import (

@@ -3,15 +3,15 @@ package evaluator
 import (
 	"context"
 	"fmt"
-	"math"
 )
 
 // OutputSpec selects the measurement-style outputs of one evaluation —
 // the quantities a hardware QAOA run would produce from shots rather
-// than from the exact state. Every engine computes them gather-free:
-// the distributed implementations never materialize a node-scale
-// buffer, which is what lets the §V-B memory-reduced shards (float32
-// planes, uint16-coded diagonal slices) serve as full solver backends.
+// than from the exact state. The state-vector engines compute them with
+// one output stage (Stage), gather-free: a sharded engine never
+// materializes a node-scale buffer, which is what lets the §V-B
+// memory-reduced shards (float32 planes, uint16-coded diagonal slices)
+// serve as full solver backends.
 //
 // The zero value requests nothing beyond the always-present outputs
 // (energy, ground-state overlap, minimum cost, most probable state).
@@ -71,7 +71,7 @@ func (s OutputSpec) Validate(n int) error {
 // streaming allocates per chunk, not per shot.
 func (s OutputSpec) ValidateStreaming(n int) error {
 	for i, a := range s.CVaRAlphas {
-		if math.IsNaN(a) || a <= 0 || a > 1 {
+		if !validLevel(a) {
 			return fmt.Errorf("evaluator: OutputSpec.CVaRAlphas[%d]=%v outside (0,1]", i, a)
 		}
 	}

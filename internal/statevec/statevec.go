@@ -176,18 +176,6 @@ func ExpectationDiag(v Vec, diag []float64) float64 {
 	return s
 }
 
-// OverlapStates returns Σ_{x∈states} |v_x|², the probability of
-// measuring any of the given basis states (the paper's get_overlap
-// with the ground-state set).
-func OverlapStates(v Vec, states []uint64) float64 {
-	var s float64
-	for _, x := range states {
-		a := v[x]
-		s += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return s
-}
-
 // MaxAbsDiff returns max_x |a_x − b_x|, used by tests to compare
 // simulator backends.
 func MaxAbsDiff(a, b Vec) float64 {

@@ -104,13 +104,6 @@ func TestDotAndExpectation(t *testing.T) {
 	}
 }
 
-func TestOverlapStates(t *testing.T) {
-	v := Vec{complex(0.5, 0), complex(0, 0.5), complex(0.5, 0), complex(0, 0.5)}
-	if got := OverlapStates(v, []uint64{1, 3}); math.Abs(got-0.5) > tol {
-		t.Errorf("OverlapStates = %v, want 0.5", got)
-	}
-}
-
 func TestApplySU2AgainstDirectMatrix(t *testing.T) {
 	// For random SU(2) blocks and qubits, compare Algorithm 1 against
 	// naive per-amplitude matrix application.
