@@ -36,12 +36,17 @@ func DefaultNetworkModel() NetworkModel { return cluster.DefaultNetworkModel() }
 // algorithm, the mixer family, whether the forward one-shots gather
 // the full state, and
 // the §V-B state precision — float64 or float32 shards (float32 halves
-// state memory and fabric bytes). The diagonal's form follows from the
-// problem alone: a rank whose slice is an exact grid of at most
-// 2^(n−k)/16 levels keeps only its uint16 codes, 2 bytes per amplitude
-// instead of 8, with results bit-identical to float64 slices.
-// Caps().StateBytes reflects the chosen precision, so service pools
-// pack honestly.
+// state memory and fabric bytes). The shard form follows from the
+// problem alone. With the x mixer the ranks store the state over the
+// cost's XOR-symmetry group, by the single-node rule, when their layout
+// holds it: LABS keeps a quarter of the state (h = 2), MaxCut and SK
+// half, which divides each rank's state memory, kernel work and
+// all-to-all bytes by 2^h at the same message counts. A rank whose cost
+// slice is an exact grid of at most 2^(n−k)/16 levels keeps only its
+// uint16 codes, 2 bytes per amplitude instead of 8, with results
+// bit-identical to float64 slices. Caps().StateBytes reflects the
+// chosen precision at full-state figures, an upper bound, so service
+// pools pack honestly.
 type DistOptions = distsim.Options
 
 // DistPrecision selects the sharded amplitude storage (see the

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"qokit/internal/costvec"
 	"qokit/internal/graphs"
@@ -227,12 +228,18 @@ type Simulator struct {
 	// mixerPairs is the ordered edge list swept by the xy mixers.
 	mixerPairs []graphs.Edge
 
+	// minCost and groundStates are built on the first MinCost or
+	// GroundStates call (groundOnce): the output stage finds its own
+	// ground cost, so most simulators never need the argmin list.
+	groundOnce   sync.Once
 	minCost      float64
 	groundStates []uint64
 	// costCache holds the lazily-built ascending-cost order of the
 	// stored indices for CVaR.
 	costCache costOrderCache
 
+	// initial is the caller's InitialState or the Dicke start; nil for
+	// the x mixer's |+⟩ start, which resetResult fills directly.
 	initial statevec.Vec
 }
 
@@ -297,7 +304,7 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil {
 		pivots = costvec.SymmetryPivots(diag, flip)
 	}
-	s.group = groupOf(pivots)
+	s.group = costvec.Group(pivots)
 	// A group state's codes cover the stored indices only, which hold
 	// every level.
 	if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/PhaseTableRatio); err == nil {
@@ -316,7 +323,6 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if err := s.setupInitialState(); err != nil {
 		return nil, err
 	}
-	s.computeGroundStates()
 	return s, nil
 }
 
@@ -327,7 +333,8 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 const PhaseTableRatio = 16
 
 // setupInitialState resolves the initial state: a caller-provided
-// vector, |+⟩^n for the x mixer, or a Dicke state for xy mixers.
+// vector, or a Dicke state for xy mixers. The x mixer's |+⟩^n keeps no
+// vector: every amplitude is 1/√2^n, which resetResult writes.
 func (s *Simulator) setupInitialState() error {
 	if s.opts.InitialState != nil {
 		if len(s.opts.InitialState) != 1<<uint(s.n) {
@@ -337,7 +344,6 @@ func (s *Simulator) setupInitialState() error {
 		return nil
 	}
 	if s.opts.Mixer == MixerX {
-		s.initial = statevec.NewUniform(s.n)
 		return nil
 	}
 	k := s.hammingWeight()
@@ -348,9 +354,9 @@ func (s *Simulator) setupInitialState() error {
 	return nil
 }
 
-// computeGroundStates records the minimal cost and its argmin set. For
-// xy mixers the search is restricted to the feasible (fixed Hamming
-// weight) subspace, since the dynamics never leaves it.
+// computeGroundStates records the minimal cost and its argmin set, once
+// (groundOnce). For xy mixers the search is restricted to the feasible
+// (fixed Hamming weight) subspace, since the dynamics never leaves it.
 func (s *Simulator) computeGroundStates() {
 	const tol = 1e-9
 	first := true
@@ -385,15 +391,29 @@ func (s *Simulator) MixerRoute() MixerRoute { return RouteSweep }
 func (s *Simulator) CostDiagonal() []float64 { return s.diag }
 
 // MinCost returns the smallest cost over the (feasible) search space.
-func (s *Simulator) MinCost() float64 { return s.minCost }
+// The first MinCost or GroundStates call scans the diagonal.
+func (s *Simulator) MinCost() float64 {
+	s.groundOnce.Do(s.computeGroundStates)
+	return s.minCost
+}
 
 // GroundStates returns the argmin set of the cost over the searched
 // subspace (the feasible one for the xy mixers): the basis states whose
-// probability Overlap sums.
-func (s *Simulator) GroundStates() []uint64 { return s.groundStates }
+// probability Overlap sums. The first MinCost or GroundStates call
+// builds it; later calls return the same slice.
+func (s *Simulator) GroundStates() []uint64 {
+	s.groundOnce.Do(s.computeGroundStates)
+	return s.groundStates
+}
 
-// InitialState returns a copy of the initial state.
-func (s *Simulator) InitialState() statevec.Vec { return s.initial.Clone() }
+// InitialState returns a copy of the initial state (for the x mixer's
+// |+⟩ start, a fresh uniform vector).
+func (s *Simulator) InitialState() statevec.Vec {
+	if s.initial == nil {
+		return statevec.NewUniform(s.n)
+	}
+	return s.initial.Clone()
+}
 
 // ringSweep orders the ring edges even-first then odd (one Trotter
 // step of the xy-ring mixer; each pass contains disjoint pairs).

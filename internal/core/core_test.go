@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"qokit/internal/costvec"
@@ -590,6 +591,108 @@ func TestNewFromDiagonalSharesStorage(t *testing.T) {
 	}
 	if &s.CostDiagonal()[0] != &diag[0] {
 		t.Error("NewFromDiagonal copied the diagonal; documented as shared")
+	}
+}
+
+// constructionBytes returns what build allocates, by runtime.MemStats'
+// TotalAlloc, which garbage collection does not lower.
+func constructionBytes(t *testing.T, build func() (*Simulator, error)) (*Simulator, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := build()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestGroundStatesBuiltOnFirstUse: a diagonal with 2^(n−1) tied minima
+// (0 on the lower half, 1 on the upper; symmetry group {0}) builds
+// without its argmin list. Construction keeps the 2 B-per-entry level
+// codes and allocates less than the 8·2^(n−1) bytes the list alone
+// takes. MinCost and GroundStates, called first from several goroutines
+// at once (run under -race), still return 0 and every tied index, the
+// same slice to every caller.
+func TestGroundStatesBuiltOnFirstUse(t *testing.T) {
+	const n, callers = 16, 4
+	diag := make([]float64, 1<<n)
+	for x := 1 << (n - 1); x < len(diag); x++ {
+		diag[x] = 1
+	}
+	s, bytes := constructionBytes(t, func() (*Simulator, error) { return NewFromDiagonal(n, diag, Options{Workers: 1}) })
+	requirePivots(t, "tied minima", s, 0)
+	if bound := uint64(8 << (n - 1)); bytes >= bound {
+		t.Errorf("construction allocated %d B, want < %d (the argmin list of 2^(n−1) entries alone)", bytes, bound)
+	}
+	lists := make([][]uint64, callers)
+	mins := make([]float64, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				mins[i], lists[i] = s.MinCost(), s.GroundStates()
+			} else {
+				lists[i], mins[i] = s.GroundStates(), s.MinCost()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range lists {
+		if mins[i] != 0 || len(got) != 1<<(n-1) {
+			t.Fatalf("caller %d: MinCost %v with %d ground states, want 0 with %d", i, mins[i], len(got), 1<<(n-1))
+		}
+		if &got[0] != &lists[0][0] {
+			t.Errorf("caller %d got its own ground-state list", i)
+		}
+		for x, v := range got {
+			if v != uint64(x) {
+				t.Fatalf("caller %d: ground state %d is %d, want %d", i, x, v, x)
+			}
+		}
+	}
+}
+
+// TestUniformStartKeepsNoVector: a simulator with the |+⟩ start keeps no
+// 2^n initial vector. Building LABS n = 18 (a quarter state) from its
+// diagonal allocates less than one 2^n complex128 vector, 16·2^n bytes.
+// The start each backend writes, and InitialState's copy, equal
+// statevec.NewUniform's amplitudes bit for bit (rounded to float32 on
+// SoA32).
+func TestUniformStartKeepsNoVector(t *testing.T) {
+	const n = 18
+	diag := costvec.Precompute(poly.Compile(problems.LABSTerms(n)), n)
+	s, bytes := constructionBytes(t, func() (*Simulator, error) { return NewFromDiagonal(n, diag, Options{Workers: 1}) })
+	requirePivots(t, "labs n=18", s, 2)
+	if bound := uint64(16 << n); bytes >= bound {
+		t.Errorf("construction allocated %d B, want < %d (one 2^n complex128 vector)", bytes, bound)
+	}
+	const small = 6
+	want := statevec.NewUniform(small)
+	for _, opts := range []Options{{Backend: BackendSerial}, {Workers: 1}, {Workers: 1, SinglePrecision: true}} {
+		sim, err := New(small, problems.LABSTerms(small), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sim.InitialState(), want) {
+			t.Errorf("%+v: InitialState differs from the uniform vector", opts)
+		}
+		r, err := sim.SimulateQAOA(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		amp := real(want[0])
+		if opts.SinglePrecision {
+			amp = float64(float32(amp))
+		}
+		for x, a := range r.StateVector() {
+			if a != complex(amp, 0) {
+				t.Fatalf("%+v: amplitude %d is %v, want %v", opts, x, a, amp)
+			}
+		}
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 // ψ(x ⊕ g) = ψ(x) after every layer, and the adjoint's bra λ = Ĉψ keeps
 // the same symmetry. costvec.SymmetryPivots picks h pivots in H, one
 // per top qubit n−h+j, whose top h bits are that qubit's alone; their
-// 2^h products form s.group, indexed by top bits: group[t] is the
-// element whose top h bits are t. A group state stores the full state's
-// amplitude values at the 2^(n−h) indices whose top h bits are zero, so
-// ‖ψ_stored‖² = 2^−h and every scale factor is an exact power of two;
-// basis state x is read at x ⊕ group[x >> (n−h)]. h = 1 with the
-// complement is the half state; LABS takes h = 2.
+// 2^h products (costvec.Group) form s.group, indexed by top bits:
+// group[t] is the element whose top h bits are t. A group state stores
+// the full state's amplitude values at the 2^(n−h) indices whose top h
+// bits are zero, so ‖ψ_stored‖² = 2^−h and every scale factor is an
+// exact power of two; basis state x is read at x ⊕ group[x >> (n−h)].
+// h = 1 with the complement is the half state; LABS takes h = 2.
 //
 // Qubits 0…n−h−1 map stored indices to stored indices, so the tiled
 // forward layer and reverse step run on the stored planes unchanged,
@@ -29,20 +29,6 @@ import (
 // layer, then one pass per pivot; a reverse step is the pivots'
 // reverse passes, then the tiled reverse, whose last pass reads and
 // undoes the phase after every RX is undone.
-
-// groupOf returns the 2^h elements the pivots generate, indexed by
-// their top h bits; {0} (the full state) for no pivots.
-func groupOf(pivots []uint64) []uint64 {
-	group := make([]uint64, 1<<uint(len(pivots)))
-	for t := range group {
-		for j, g := range pivots {
-			if t>>uint(j)&1 == 1 {
-				group[t] ^= g
-			}
-		}
-	}
-	return group
-}
 
 // pivots returns h, the number of top qubits the group carries.
 func (s *Simulator) pivots() int { return bits.TrailingZeros(uint(len(s.group))) }

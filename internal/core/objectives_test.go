@@ -221,8 +221,10 @@ func TestCostOrderCached(t *testing.T) {
 // allocates nothing; an EvalOutputs call with CVaR, the variance and
 // probability queries allocates less than one 2^n-entry float64 buffer
 // (8·2^n bytes, which the call's own state already half fills); and
-// 1024 shots add less than 16 bytes per basis state, the size of the
-// acceptance and alias tables of a sampler over all 2^n states alone.
+// 1024 shots add less than the sampler over the stored amplitudes
+// (24 bytes per entry: acceptance, alias and worklist), the shot buffer
+// and 32 KiB for the three seeded streams — the masses are read in
+// place, with no 8-byte-per-entry copy (418,252 bytes measured).
 func TestGroupOutputsWalkStoredAmplitudes(t *testing.T) {
 	const n = 16
 	sim, err := New(n, problems.LABSTerms(n), Options{Workers: 1})
@@ -261,7 +263,8 @@ func TestGroupOutputsWalkStoredAmplitudes(t *testing.T) {
 		t.Errorf("EvalOutputs without shots allocates %d B per call, want < %d (one 2^n float64 buffer)", base, 8<<n)
 	}
 	spec.Shots, spec.Seed = 1024, 3
-	if extra := perCall(spec) - base; extra >= 16<<n {
-		t.Errorf("1024 shots add %d B per call, want < %d (16 B per basis state)", extra, 16<<n)
+	bound := uint64(24<<(n-2) + 8*spec.Shots + 32<<10)
+	if extra := perCall(spec) - base; extra >= bound {
+		t.Errorf("1024 shots add %d B per call, want < %d (the stored sampler, the shots and the streams)", extra, bound)
 	}
 }

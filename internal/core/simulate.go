@@ -90,10 +90,25 @@ func (s *Simulator) SimulateQAOAInto(r *Result, gamma, beta []float64) error {
 }
 
 // resetResult rebinds r to this simulator and overwrites its storage
-// with the initial state, without allocating.
+// with the initial state, without allocating. The |+⟩ start writes its
+// one amplitude 1/√2^n (imaginary part 0) into every stored entry.
 func (s *Simulator) resetResult(r *Result) error {
 	if err := s.bindResult(r); err != nil {
 		return err
+	}
+	if s.initial == nil {
+		amp := 1 / math.Sqrt(float64(uint64(1)<<uint(s.n)))
+		switch {
+		case r.soa32 != nil:
+			fillPlanes(r.soa32.Re, r.soa32.Im, float32(amp))
+		case r.soa != nil:
+			fillPlanes(r.soa.Re, r.soa.Im, amp)
+		default:
+			for i := range r.vec {
+				r.vec[i] = complex(amp, 0)
+			}
+		}
+		return nil
 	}
 	switch {
 	case r.soa32 != nil:
@@ -104,6 +119,13 @@ func (s *Simulator) resetResult(r *Result) error {
 		copy(r.vec, s.initial)
 	}
 	return nil
+}
+
+// fillPlanes sets every amplitude of split planes to the real value amp.
+func fillPlanes[T ~float32 | ~float64](re, im []T, amp T) {
+	for i := range re {
+		re[i], im[i] = amp, 0
+	}
 }
 
 // bindResult checks that r's storage matches this simulator's backend

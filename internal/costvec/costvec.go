@@ -198,10 +198,10 @@ func signed(w float64, x uint64) float64 {
 // complement pair (x, x̄) together. It returns an error wrapping
 // poly.ErrNonFiniteCost that names a NaN or ±Inf entry, and otherwise
 // reports whether diag[x] == diag[x̄] bitwise for every x: the flip
-// symmetry that lets the distributed engine hold half shards. The
-// single-node engine hands that report to SymmetryPivots, which
-// searches the wider symmetry group. Only weights that fail exactSums
-// can overflow to ±Inf.
+// symmetry. Both engines hand that report to SymmetryPivots, which
+// searches the wider symmetry group; the distributed engine falls back
+// to the complement alone when its rank layout cannot hold the pivots
+// it finds. Only weights that fail exactSums can overflow to ±Inf.
 func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 	mask := len(diag) - 1
 	symmetric = true
@@ -250,6 +250,22 @@ const searchPasses = 4
 func SymmetryPivots(diag []float64, flip bool) []uint64 {
 	pivots, _ := symmetryPivots(diag, flip, searchPasses*len(diag))
 	return pivots
+}
+
+// Group returns the 2^h elements the pivots generate, indexed by their
+// top h bits: group[t] is the XOR of the pivots j with bit j of t set,
+// and {0} (the full state) for no pivots. Both engines store a state
+// over it.
+func Group(pivots []uint64) []uint64 {
+	group := make([]uint64, 1<<uint(len(pivots)))
+	for t := range group {
+		for j, g := range pivots {
+			if t>>uint(j)&1 == 1 {
+				group[t] ^= g
+			}
+		}
+	}
+	return group
 }
 
 // symmetryPivots is SymmetryPivots with an explicit read budget; it

@@ -215,7 +215,8 @@ func TestPrecomputeBitIdentical(t *testing.T) {
 }
 
 // TestCheckDiagonal pins the scan that rejects non-finite diagonals
-// and decides distsim's half shards: bitwise flip symmetry for
+// and reports the complement that distsim falls back to when its ranks
+// cannot hold the pivots SymmetryPivots finds: bitwise flip symmetry for
 // even-degree costs, none for a cost with an odd-degree term or for a
 // −0 facing a +0, and an error wrapping poly.ErrNonFiniteCost that
 // names a NaN or ±Inf entry in either half, down to the one-entry

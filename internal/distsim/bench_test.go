@@ -13,8 +13,9 @@ import (
 // BenchmarkShardEngine times one warm engine's Energy, EnergyGrad and
 // EvalOutputs (1024 shots, CVaR 0.1, variance) at n = 16, p = 3, on
 // K ∈ {1, 2, 4} ranks: the evaluations a sharded registry service
-// runs. LABS runs half shards; LABS plus one Z₀ field, an odd-degree
-// cost, keeps full shards, so both shard forms stay timed.
+// runs. LABS runs quarter shards (h = 2); LABS plus Z₀ and Z₁ fields,
+// whose symmetry group is {0}, keeps full shards, so both shard forms
+// stay timed.
 func BenchmarkShardEngine(b *testing.B) {
 	const n = 16
 	x := []float64{0.11, 0.23, 0.35, 0.61, 0.42, 0.18}
@@ -23,7 +24,7 @@ func BenchmarkShardEngine(b *testing.B) {
 	for _, cost := range []struct {
 		name  string
 		terms poly.Terms
-	}{{"labs", problems.LABSTerms(n)}, {"labs+z0", oddCost(n)}} {
+	}{{"labs", problems.LABSTerms(n)}, {"labs+z0+z1", fixedCost(n)}} {
 		for _, ranks := range []int{1, 2, 4} {
 			eng, err := NewGradEngine(n, cost.terms, Options{Ranks: ranks})
 			if err != nil {

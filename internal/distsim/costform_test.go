@@ -43,7 +43,7 @@ func formEngine(t *testing.T, n int, terms poly.Terms, opts Options, form costFo
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, half, err := cutShards(costvec.Precompute(poly.Compile(terms), n), n, k, opts)
+	diags, sym, err := cutShards(costvec.Precompute(poly.Compile(terms), n), n, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func formEngine(t *testing.T, n int, terms poly.Terms, opts Options, form costFo
 			costs[r].levels = q
 		}
 	}
-	e, err := newEngine(n, opts, costs, half)
+	e, err := newEngine(n, opts, costs, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,9 @@ func codedProblem(t *testing.T) (int, poly.Terms) {
 // traffic and EvalOutputs (CVaR, probabilities, variance, buffered and
 // streamed shots) bit for bit, and order their slices by cost alike,
 // over K ∈ {1, 2, 4, 8} × {x, xy-ring} × p ∈ {1, 4, 12} ×
-// float64/float32, on half shards (LABS with x) and full shards (LABS
-// with xy-ring, LABS + Z₀). Min + Scale·code equals
+// float64/float32, on group shards (LABS with x: quarter shards at
+// K ≤ 4, half shards at K = 8) and full shards (LABS with xy-ring,
+// LABS + Z₀ + Z₁). Min + Scale·code equals
 // the float64 entry bitwise, every reader forms that same value, and a
 // table entry is the sincos of the float64 entry.
 func TestShardCostFormsMatchBitwise(t *testing.T) {
@@ -108,7 +109,7 @@ func TestShardCostFormsMatchBitwise(t *testing.T) {
 	for _, prob := range []struct {
 		name  string
 		terms poly.Terms
-	}{{"labs", problems.LABSTerms(n)}, {"labs+z0", oddCost(n)}} {
+	}{{"labs", problems.LABSTerms(n)}, {"labs+z0+z1", fixedCost(n)}} {
 		for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
 			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 				for _, ranks := range []int{1, 2, 4, 8} {
@@ -202,12 +203,13 @@ func TestCodedShardRule(t *testing.T) {
 		n     int
 		terms poly.Terms
 		ranks int
+		h     int
 		coded bool
 	}{
-		{"labs n=16 K=2", 16, problems.LABSTerms(16), 2, true},
-		{"maxcut n=12 K=4", 12, problems.MaxCutTerms(g), 4, true},
-		{"labs n=14 K=4", 14, problems.LABSTerms(14), 4, false},
-		{"sk n=10 K=2", 10, problems.SKTerms(10, 6), 2, false},
+		{"labs n=16 K=2", 16, problems.LABSTerms(16), 2, 2, true},
+		{"maxcut n=12 K=4", 12, problems.MaxCutTerms(g), 4, 1, true},
+		{"labs n=14 K=4", 14, problems.LABSTerms(14), 4, 2, false},
+		{"sk n=10 K=2", 10, problems.SKTerms(10, 6), 2, 1, false},
 	} {
 		opts := Options{Ranks: tc.ranks}
 		eng, err := NewGradEngine(tc.n, tc.terms, opts)
@@ -233,8 +235,8 @@ func TestCodedShardRule(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for src, e := range map[string]*GradEngine{"NewGradEngine": eng, "registry Factory": built} {
-			if !e.half {
-				t.Errorf("%s %s: runs full shards", tc.name, src)
+			if h := e.sym.pivots(); h != tc.h {
+				t.Errorf("%s %s: stores the state over h = %d pivots, want %d", tc.name, src, h, tc.h)
 			}
 			for r := range e.costs {
 				if rc := &e.costs[r]; (rc.diag == nil) != tc.coded || (rc.levels != nil) != tc.coded {

@@ -30,12 +30,16 @@
 // Algorithm 4 requires 2k ≤ n so each all-to-all subchunk holds at
 // least one amplitude.
 //
-// When the cost is bitwise flip-symmetric (LABS, MaxCut, SK), the mixer
-// is x, n ≥ 2 and 2k ≤ n − 2, the ranks hold half shards: only the
-// representatives x < 2^(n−1) of the symmetric state, 2^(n−1−k) per
-// rank, with qubit n−1 applied as a mirror pass while the planes are
-// transposed. The stricter bound leaves each subchunk an upper half to
-// swap with its mirror subchunk before the all-to-all (shard.go).
+// With the x mixer, the ranks store the state over the cost's
+// XOR-symmetry group, by the rule the single-node engine uses
+// (costvec.SymmetryPivots): h pivots carry the top h qubits, and the
+// ranks hold only the 2^(n−h) amplitudes whose top h bits are zero,
+// 2^(n−h−k) per rank, with each top qubit applied as a pivot pass while
+// the planes are transposed. A relabel of subchunk parts before each
+// all-to-all brings every pivot pair onto one rank (shard.go). LABS
+// takes h = 2 (quarter shards) when the ranks can hold its pivots;
+// MaxCut and SK, and LABS at larger K, the complement alone (half
+// shards, 2k ≤ n − 2); every other case keeps full shards.
 //
 // Every entry point — the GradEngine's energy, gradient, outputs and
 // streaming, and the forward one-shots SimulateQAOA and
@@ -323,7 +327,7 @@ func MixerOnly(n int, ranks int, algo cluster.AlltoallAlgo, slices []*statevec.S
 	}
 	err = g.Run(func(c *cluster.Comm) error {
 		s := slices[c.Rank()]
-		return mixerX(c, planes[float64]{s.Re, s.Im}, statevec.Phase{}, k, beta, false)
+		return mixerX(c, planes[float64]{s.Re, s.Im}, statevec.Phase{}, k, beta, &symmetry{group: []uint64{0}})
 	})
 	if err != nil {
 		return cluster.Counters{}, err

@@ -70,11 +70,11 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 
 func TestCommunicationOnlyForGlobalQubits(t *testing.T) {
 	// K=1 must perform zero communication; K>1 exactly 2 all-to-alls
-	// per layer (Algorithm 4), visible through the byte counters. The
-	// odd-degree cost keeps full shards (TestHalfShardTraffic pins the
-	// halved volume of half shards).
+	// per layer (Algorithm 4), visible through the byte counters. LABS
+	// plus Z₀ and Z₁ fields keeps full shards (TestHalfShardTraffic pins
+	// the volume of group shards).
 	n, p := 8, 2
-	ts := oddCost(n)
+	ts := fixedCost(n)
 	gamma := []float64{0.3, 0.5}
 	beta := []float64{0.4, 0.1}
 	res1, err := SimulateQAOA(context.Background(), n, ts, gamma[:p], beta[:p], Options{Ranks: 1, Algo: cluster.Transpose})
@@ -352,9 +352,9 @@ func TestXYHalfSliceTraffic(t *testing.T) {
 }
 
 // oddCost is LABS plus one Z₀ field: the odd-degree term breaks the
-// flip symmetry, so every engine keeps full shards on it. (Single-node
-// simulators still store it over one pivot at even n, whose symmetry
-// group keeps LABS's flip of the odd positions; see fixedCost.)
+// flip symmetry, but at even n its symmetry group keeps LABS's flip of
+// the odd positions, {0, 1010…10}, so both engines store it over that
+// one pivot there; see fixedCost for a cost with no symmetry.
 func oddCost(n int) poly.Terms {
 	return problems.LABSTerms(n).Plus(poly.New(poly.NewTerm(1, 0)))
 }
@@ -392,7 +392,7 @@ func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
 }
 
 // TestShardStatesMatchSingleNodeBitwise pins what running the
-// single-node kernels on the shards gives, for both shard forms. Full
+// single-node kernels on the shards gives, for every shard form. Full
 // shards (LABS plus Z₀ and Z₁ fields, symmetry group {0}, n ∈ {8, 10}):
 // with n − k and k even, every amplitude sees the same phase factor and
 // the same ascending RX⊗RX pair blocks as the single-node tiled layer,
@@ -400,31 +400,32 @@ func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
 // full state bit for bit; the single-node simulator keeps the full
 // state through an explicit uniform InitialState. Half shards (SK,
 // whose group is the complement alone, n ∈ {9, 11}): with n − 1 − k
-// and k even, every representative also sees the same mirror pair
+// and k even, every stored amplitude also sees the same pivot pair
 // update, so the gathered shards equal the single-node half state.
 // MaxCut on the n = 11 ring runs half shards whose slices are held as
-// uint16 codes alone, and matches the same way. (Single-node LABS
-// stores a quarter state, which half shards do not.)
+// uint16 codes alone, and matches the same way. Quarter shards (LABS
+// n = 10, h = 2): with n − 2 − k and k even, the gathered shards equal
+// the single-node quarter state, both pivot passes included.
 func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	ringMaxCut := func(n int) poly.Terms { return problems.MaxCutTerms(mustRing(t, n)) }
 	sk := func(n int) poly.Terms { return problems.SKTerms(n, int64(n)) }
 	for _, form := range []struct {
-		half, coded bool
-		ns          []int
-		terms       func(n int) poly.Terms
+		h     int
+		coded bool
+		ns    []int
+		terms func(n int) poly.Terms
 	}{
-		{false, false, []int{8, 10}, fixedCost},
-		{true, false, []int{9, 11}, sk},
-		{true, true, []int{11}, ringMaxCut},
+		{0, false, []int{8, 10}, fixedCost},
+		{1, false, []int{9, 11}, sk},
+		{1, true, []int{11}, ringMaxCut},
+		{2, false, []int{10}, problems.LABSTerms},
 	} {
 		for _, n := range form.ns {
 			terms := form.terms(n)
-			stored := 1 << uint(n)
+			stored := 1 << uint(n-form.h)
 			var initial statevec.Vec
-			if form.half {
-				stored /= 2
-			} else {
+			if form.h == 0 {
 				initial = statevec.NewUniform(n)
 			}
 			for _, p := range []int{1, 4, 12} {
@@ -448,8 +449,8 @@ func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if eng.half != form.half || coded(eng) != form.coded {
-							t.Fatalf("n=%d K=%d: half=%v, codes alone %v; want %v, %v", n, ranks, eng.half, coded(eng), form.half, form.coded)
+						if h := eng.sym.pivots(); h != form.h || coded(eng) != form.coded {
+							t.Fatalf("n=%d K=%d: h = %d, codes alone %v; want %d, %v", n, ranks, h, coded(eng), form.h, form.coded)
 						}
 						if _, err := eng.Energy(context.Background(), x); err != nil {
 							t.Fatal(err)

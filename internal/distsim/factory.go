@@ -14,8 +14,9 @@ import (
 
 // Factory builds distributed gradient engines on demand. The per-rank
 // diagonal shards are materialized once — sliced out of one shared
-// full diagonal lease after one scan for non-finite entries and flip
-// symmetry (which picks half shards, see GradEngine), and scanned for
+// full diagonal lease after one scan for non-finite entries and the
+// symmetry search (which picks the group shards store the state over,
+// see GradEngine), and scanned for
 // each slice's phase-table grid, as NewGradEngine does — and shared
 // read-only across every build, so an elastic pool growing a new engine
 // (one rank-group lease each, since builds run Concurrency 1 by
@@ -31,7 +32,7 @@ type Factory struct {
 	mu     sync.Mutex
 	src    core.DiagSource
 	costs  []rankCost
-	half   bool
+	sym    symmetry
 	builds map[*GradEngine]bool
 }
 
@@ -81,12 +82,12 @@ func (f *Factory) shardsLocked(ctx context.Context) error {
 		return err
 	}
 	k, _ := f.opts.validate(f.n) // validated at construction
-	diags, half, err := cutShards(src.Diag(), f.n, k, f.opts)
+	diags, sym, err := cutShards(src.Diag(), f.n, k, f.opts)
 	if err != nil {
 		src.Release()
 		return err
 	}
-	f.src, f.costs, f.half = src, rankCosts(diags, half), half
+	f.src, f.costs, f.sym = src, rankCosts(diags, len(sym.group)), sym
 	return nil
 }
 
@@ -106,7 +107,7 @@ func (f *Factory) NewGradEngine(ctx context.Context) (*GradEngine, error) {
 	if err := f.shardsLocked(ctx); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(f.n, f.opts, f.costs, f.half)
+	e, err := newEngine(f.n, f.opts, f.costs, f.sym)
 	if err != nil {
 		return nil, err
 	}

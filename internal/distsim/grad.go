@@ -13,9 +13,10 @@
 // vector all-reduce (cluster.Comm.AllreduceSumVec) at the end combines
 // all 2p of them.
 //
-// On half shards the reverse step runs the joint mirror reverse
+// On group shards the reverse step runs the joint pivot reverse steps
 // (ReverseMirrorRXPlanes) on the transposed planes before the range
-// step, and every reduction over the stored amplitudes doubles exactly.
+// step, and every reduction over the stored amplitudes scales by 2^h
+// exactly.
 //
 // Communication therefore stays mixer-shaped: the reverse pass replays
 // the forward mixer's collectives once per state (two states ⇒ exactly
@@ -55,27 +56,26 @@ import (
 // per-evaluation state-vector allocations; memory grows linearly with
 // Concurrency, not with call rate.
 //
-// When the diagonal is bitwise flip-symmetric (LABS, MaxCut, SK), the
-// mixer is x and 2k ≤ n−2, the engine runs half shards: ψ(x) = ψ(x̄)
-// after every layer, as on single-node SoA, so each rank stores only
-// its 2^(n−1−k) representatives x < 2^(n−1). That halves shard memory,
-// kernel work and all-to-all bytes at the same message and sync
-// counts. The output stage sees a state stored over {0, 2^n−1}: it
-// weights each representative twice and still covers all 2^n basis
-// states. No option selects it; every other case keeps full
-// shards. Shards use the complement alone: the mirror swap pairs each
-// representative with its complement, so LABS's other flips, which a
-// single-node simulator also stores over (a quarter state), stay
-// unused here.
+// With the x mixer the engine stores the state over the cost's
+// XOR-symmetry group where the rank layout can hold it (symmetryFor):
+// ψ(x ⊕ g) = ψ(x) after every layer for every g of the group, as on
+// single-node SoA, so each rank stores only its 2^(n−h−k) amplitudes
+// of the 2^(n−h) whose top h bits are zero. LABS takes its h = 2
+// pivots, a quarter state, when the ranks hold them (at n = 16 for
+// K ≤ 4); MaxCut and SK, and LABS at larger K, take the complement
+// alone (half shards, 2k ≤ n − 2). That divides shard memory, kernel
+// work and all-to-all bytes by 2^h at the same message and sync
+// counts. The output stage sees a state stored over the group: it
+// weights each stored amplitude 2^h times and still covers all 2^n
+// basis states. No option selects it; every other case keeps full
+// shards.
 type GradEngine struct {
 	n, k, hw int
 	opts     Options
 	edges    []graphs.Edge
-	// half is set on half shards (cutShards); group is the symmetry
-	// group the ranks store the state over, {0, 2^n−1} on half shards
-	// and {0} otherwise.
-	half  bool
-	group []uint64
+	// sym is the symmetry group the ranks store the state over
+	// (cutShards), {0} on full shards.
+	sym symmetry
 
 	// costs holds each rank's slice of the diagonal, shared read-only
 	// by every lease: float64 entries, or on an exact grid uint16 codes
@@ -135,16 +135,16 @@ func buildEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	for r := 0; r < opts.Ranks; r++ {
 		costvec.PrecomputeRange(compiled, uint64(r*localSize), full[r*localSize:(r+1)*localSize])
 	}
-	diags, half, err := cutShards(full, n, k, opts)
+	diags, sym, err := cutShards(full, n, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(n, opts, rankCosts(diags, half), half)
+	return newEngine(n, opts, rankCosts(diags, len(sym.group)), sym)
 }
 
-// newEngine builds an engine over per-rank cost slices, cut for half
-// shards when half is set.
-func newEngine(n int, opts Options, costs []rankCost, half bool) (*GradEngine, error) {
+// newEngine builds an engine over per-rank cost slices, cut for the
+// state stored over sym.
+func newEngine(n int, opts Options, costs []rankCost, sym symmetry) (*GradEngine, error) {
 	k, err := opts.validate(n)
 	if err != nil {
 		return nil, err
@@ -157,14 +157,10 @@ func newEngine(n int, opts Options, costs []rankCost, half bool) (*GradEngine, e
 		n: n, k: k, hw: opts.hammingWeight(n),
 		opts:     opts,
 		edges:    edges,
-		half:     half,
-		group:    []uint64{0},
+		sym:      sym,
 		costs:    costs,
 		slots:    make(chan *gradLease, opts.concurrency()),
 		deadRank: make([]cluster.Counters, opts.Ranks),
-	}
-	if half {
-		e.group = append(e.group, 1<<uint(n)-1)
 	}
 	for i := 0; i < opts.concurrency(); i++ {
 		e.slots <- nil
@@ -252,19 +248,14 @@ func addCounters(dst *cluster.Counters, src cluster.Counters) {
 // NumQubits returns n.
 func (e *GradEngine) NumQubits() int { return e.n }
 
-// localQubits returns the qubit count of one rank's stored slice: n−k,
-// or n−1−k on half shards.
-func (e *GradEngine) localQubits() int {
-	if e.half {
-		return e.n - 1 - e.k
-	}
-	return e.n - e.k
-}
+// localQubits returns the qubit count of one rank's stored slice,
+// n−h−k.
+func (e *GradEngine) localQubits() int { return e.n - e.sym.pivots() - e.k }
 
 // weight is the number of basis states each stored amplitude stands
-// for, the group's size: 2 on half shards, else 1. Energies and
-// gradient reductions over the stored amplitudes scale by it, exactly.
-func (e *GradEngine) weight() float64 { return float64(len(e.group)) }
+// for, the group's size 2^h. Energies and gradient reductions over the
+// stored amplitudes scale by it, exactly.
+func (e *GradEngine) weight() float64 { return float64(len(e.sym.group)) }
 
 // Ranks returns K, the number of simulated nodes.
 func (e *GradEngine) Ranks() int { return e.opts.Ranks }
@@ -387,11 +378,11 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n) }
 
 // caps is the Caps of an engine for n qubits under o. It counts the
-// full-state figures, an upper bound on half shards, which hold half of
-// each: ψ and λ, plus for the x mixer at K ≥ 2 the receive scratch each
-// rank's all-to-all keeps for the lease's lifetime (a whole slice under
-// Transpose, one subchunk under Pairwise), or for the xy mixers the
-// partner-exchange receive planes of both states.
+// full-state figures, an upper bound on group shards, which hold 2^−h
+// of each: ψ and λ, plus for the x mixer at K ≥ 2 the receive scratch
+// each rank's all-to-all keeps for the lease's lifetime (a whole slice
+// under Transpose, one subchunk under Pairwise), or for the xy mixers
+// the partner-exchange receive planes of both states.
 func (o Options) caps(n int) evaluator.Caps {
 	amps := int64(2) << uint(n) // psi + lam
 	switch {

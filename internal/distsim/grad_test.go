@@ -161,11 +161,11 @@ func TestDistributedGradPairwiseAlgo(t *testing.T) {
 // bytes and messages — the per-layer scalar/vector all-reduces are
 // accounted as synchronization only. Checked for both mixer families
 // and, for the transverse-field mixer, against the closed-form
-// Algorithm 4 volume. The odd-degree cost keeps full shards
-// (TestHalfShardTraffic pins half shards).
+// Algorithm 4 volume. LABS plus Z₀ and Z₁ fields keeps full shards
+// (TestHalfShardTraffic pins group shards).
 func TestGradCommStaysMixerShaped(t *testing.T) {
 	const n, p, ranks = 8, 3, 4
-	terms := oddCost(n)
+	terms := fixedCost(n)
 	rng := rand.New(rand.NewSource(75))
 	gamma, beta := randomAngles(rng, p)
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,54 +52,82 @@ func halfProblems(t *testing.T, n int) []halfProblem {
 	}
 }
 
-// fullShardEngine builds an engine that keeps full shards on a cost
-// that would take half shards: the form every engine ran before.
-func fullShardEngine(t *testing.T, n int, terms poly.Terms, opts Options) *GradEngine {
+// shardEngine builds an engine that stores the state over the group
+// the pivots generate (nil: full shards) on a cost whose own rule may
+// pick another group, cutting the shards as cutShards does.
+func shardEngine(t *testing.T, n int, terms poly.Terms, opts Options, pivots []uint64) *GradEngine {
 	t.Helper()
 	k, err := opts.validate(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sym := symmetry{group: []uint64{0}}
+	if pivots != nil {
+		var ok bool
+		if sym, ok = shardSymmetry(pivots, n, k); !ok {
+			t.Fatalf("n=%d K=%d cannot hold pivots %b", n, opts.Ranks, pivots)
+		}
+	}
 	full := costvec.Precompute(poly.Compile(terms), n)
-	size := len(full) >> uint(k)
+	size := len(full) >> uint(k+sym.pivots())
 	diags := make([][]float64, opts.Ranks)
 	for r := range diags {
 		diags[r] = full[r*size : (r+1)*size]
 	}
-	e, err := newEngine(n, opts, rankCosts(diags, false), false)
+	e, err := newEngine(n, opts, rankCosts(diags, len(sym.group)), sym)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-// TestHalfShardRule pins which engines take half shards: the x mixer on
-// a bitwise flip-symmetric cost with n ≥ 2 and 2k ≤ n − 2, decided the
-// same way by NewGradEngine and by a Factory over the full diagonal.
-// xy mixers, a cost with an odd-degree term and rank counts with
-// 2k > n − 2 keep full shards.
+// labsPivots returns LABS's two pivots at even n: the flips of the even
+// and of the odd positions, carrying qubits n−2 and n−1.
+func labsPivots(n int) []uint64 {
+	even := uint64(0)
+	for q := 0; q < n; q += 2 {
+		even |= 1 << uint(q)
+	}
+	return []uint64{even, even << 1}
+}
+
+// TestHalfShardRule pins which group the shards store the state over:
+// the pivots costvec.SymmetryPivots finds when the rank layout holds
+// them, else the complement when the cost is flip-symmetric and
+// 2k ≤ n − 2, else none, decided the same way by NewGradEngine and by
+// a Factory over the full diagonal. LABS takes h = 2 at n = 8 for
+// K ∈ {1, 2, 4}, falls back to the complement at K = 8 (no w bits left
+// to relabel) and keeps full shards at K = 16; MaxCut and SK take the
+// complement; LABS + Z₀ takes its one pivot 1010…10 at even n; xy
+// mixers and a cost whose group is {0} keep full shards.
 func TestHalfShardRule(t *testing.T) {
 	const n = 8
 	ctx := context.Background()
 	probs := halfProblems(t, n)
 	labs := probs[0].terms
+	flip := func(n int) []uint64 { return []uint64{1<<uint(n) - 1} }
 	cases := []struct {
-		name  string
-		n     int
-		terms poly.Terms
-		opts  Options
-		half  bool
+		name   string
+		n      int
+		terms  poly.Terms
+		opts   Options
+		pivots []uint64
 	}{
-		{"labs K=1", n, labs, Options{Ranks: 1}, true},
-		{"labs K=8 (2k = n−2)", n, labs, Options{Ranks: 8}, true},
-		{"labs K=16 (2k > n−2)", n, labs, Options{Ranks: 16}, false},
-		{"labs n=2 K=1", 2, problems.LABSTerms(2), Options{Ranks: 1}, true},
-		{"labs n=3 K=2 (2k > n−2)", 3, problems.LABSTerms(3), Options{Ranks: 2}, false},
-		{"maxcut float32", n, probs[1].terms, Options{Ranks: 4, Precision: PrecisionFloat32}, true},
-		{"sk pairwise", n, probs[2].terms, Options{Ranks: 2, Algo: cluster.Pairwise}, true},
-		{"odd-degree cost", n, oddCost(n), Options{Ranks: 4}, false},
-		{"labs xy-ring", n, labs, Options{Ranks: 4, Mixer: core.MixerXYRing}, false},
-		{"labs xy-complete", n, labs, Options{Ranks: 2, Mixer: core.MixerXYComplete}, false},
+		{"labs K=1", n, labs, Options{Ranks: 1}, labsPivots(n)},
+		{"labs K=2", n, labs, Options{Ranks: 2}, labsPivots(n)},
+		{"labs K=4", n, labs, Options{Ranks: 4, Algo: cluster.Pairwise}, labsPivots(n)},
+		{"labs K=8 (complement)", n, labs, Options{Ranks: 8}, flip(n)},
+		{"labs K=16 (2k > n−2)", n, labs, Options{Ranks: 16}, nil},
+		{"labs n=2 K=1", 2, problems.LABSTerms(2), Options{Ranks: 1}, flip(2)},
+		{"labs n=3 K=1", 3, problems.LABSTerms(3), Options{Ranks: 1}, []uint64{0b101}},
+		{"labs n=3 K=2", 3, problems.LABSTerms(3), Options{Ranks: 2}, nil},
+		{"maxcut float32", n, probs[1].terms, Options{Ranks: 4, Precision: PrecisionFloat32}, flip(n)},
+		{"sk pairwise", n, probs[2].terms, Options{Ranks: 2, Algo: cluster.Pairwise}, flip(n)},
+		{"labs+z0", n, oddCost(n), Options{Ranks: 4}, []uint64{0b10101010}},
+		{"labs+z0 n=9", 9, oddCost(9), Options{Ranks: 2}, nil},
+		{"labs+z0+z1", n, fixedCost(n), Options{Ranks: 1}, nil},
+		{"labs xy-ring", n, labs, Options{Ranks: 4, Mixer: core.MixerXYRing}, nil},
+		{"labs xy-complete", n, labs, Options{Ranks: 2, Mixer: core.MixerXYComplete}, nil},
 	}
 	for _, tc := range cases {
 		eng, err := NewGradEngine(tc.n, tc.terms, tc.opts)
@@ -112,13 +142,11 @@ func TestHalfShardRule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		wantLocal := tc.n - eng.k
-		if tc.half {
-			wantLocal--
-		}
+		want := costvec.Group(tc.pivots)
+		wantLocal := tc.n - len(tc.pivots) - eng.k
 		for _, e := range []*GradEngine{eng, built} {
-			if e.half != tc.half || e.localQubits() != wantLocal {
-				t.Errorf("%s: half=%v with %d local qubits, want half=%v with %d", tc.name, e.half, e.localQubits(), tc.half, wantLocal)
+			if !slices.Equal(e.sym.group, want) || e.localQubits() != wantLocal {
+				t.Errorf("%s: group %b with %d local qubits, want %b with %d", tc.name, e.sym.group, e.localQubits(), want, wantLocal)
 			}
 		}
 		if err := f.Retire(built); err != nil {
@@ -127,11 +155,105 @@ func TestHalfShardRule(t *testing.T) {
 	}
 }
 
-// TestHalfShardTraffic pins the wire contract of half shards on LABS:
-// per rank, exactly half the bytes of the full-shard Algorithm 4 closed
-// form, at the message and sync counts of full shards (the odd-degree
-// cost at the same n, K and p), for both all-to-all algorithms; and a
-// gradient still moves 3× the forward bytes and messages.
+// TestShardSymmetryPairsMeetOnOneRank checks the relabel on random
+// pivot sets (h ≤ 3, n ≤ 9, K ≤ 4): whenever shardSymmetry accepts the
+// pivots, relabel followed by an all-to-all puts every stored index x
+// and its partner x ⊕ μ_j on one rank at local indices that differ by
+// ν_j, and relabel is its own inverse; whenever it refuses them at
+// K ≥ 2 with room for the layout, no linear f of the w bits solves
+// f(w-part of μ_j) = a-part of μ_j (checked over every k × (n−h−2k)
+// matrix).
+func TestShardSymmetryPairsMeetOnOneRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	accepted, refused := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 3 + rng.Intn(7)
+		h := 1 + rng.Intn(min(3, n-1))
+		k := rng.Intn(3)
+		pivots := make([]uint64, h)
+		for j := range pivots {
+			pivots[j] = 1<<uint(n-h+j) | uint64(rng.Int63n(1<<uint(n-h)))
+		}
+		sym, ok := shardSymmetry(pivots, n, k)
+		local, low := n-h-k, n-h-2*k
+		if !ok {
+			if k == 0 || local < 1 || low < 0 {
+				continue
+			}
+			refused++
+			for f := 0; f < 1<<uint(k*low); f++ {
+				apply := func(w int) (a int) {
+					for b := 0; b < low; b++ {
+						if w>>uint(b)&1 == 1 {
+							a ^= f >> uint(k*b) & (1<<uint(k) - 1)
+						}
+					}
+					return a
+				}
+				solves := true
+				for _, g := range pivots {
+					mu := int(g) & (1<<uint(n-h) - 1)
+					if apply(mu&(1<<uint(low)-1)) != mu>>uint(low)&(1<<uint(k)-1) || mu&(1<<uint(local)-1) == 0 && mu>>uint(local) == 0 {
+						solves = false
+						break
+					}
+				}
+				if solves {
+					t.Fatalf("n=%d k=%d pivots %b refused, but f=%b solves the layout", n, k, pivots, f)
+				}
+			}
+			continue
+		}
+		accepted++
+		ranks, size := 1<<uint(k), 1<<uint(local)
+		// Each rank's plane holds the stored index of every amplitude.
+		shards := make([]planes[float64], ranks)
+		for r := range shards {
+			shards[r] = newPlanes[float64](size)
+			for l := range shards[r].re {
+				shards[r].re[l] = float64(r*size + l)
+			}
+			relabel(shards[r], &sym, ranks)
+		}
+		// The all-to-all: subchunk a of rank r lands at subchunk r of rank a.
+		sub := size / ranks
+		where := make([][2]int, ranks*size) // stored index → (rank, local)
+		for r := range shards {
+			for a := 0; a < ranks; a++ {
+				for w := 0; w < sub; w++ {
+					where[int(shards[r].re[a*sub+w])] = [2]int{a, r*sub + w}
+				}
+			}
+		}
+		for x := range where {
+			for j, g := range pivots {
+				y := x ^ int(g)&(1<<uint(n-h)-1)
+				if where[y][0] != where[x][0] || where[y][1] != where[x][1]^sym.masks[j] {
+					t.Fatalf("n=%d k=%d pivots %b: %d at %v, partner %d at %v, want rank %d local %d",
+						n, k, pivots, x, where[x], y, where[y], where[x][0], where[x][1]^sym.masks[j])
+				}
+			}
+		}
+		for r := range shards {
+			relabel(shards[r], &sym, ranks)
+			for l, v := range shards[r].re {
+				if int(v) != r*size+l {
+					t.Fatalf("n=%d k=%d pivots %b: relabel is not its own inverse", n, k, pivots)
+				}
+			}
+		}
+	}
+	if accepted < 500 || refused < 100 {
+		t.Errorf("%d layouts accepted, %d refused: too few to exercise both branches", accepted, refused)
+	}
+}
+
+// TestHalfShardTraffic pins the wire contract of group shards on LABS:
+// per rank, exactly 2^−h of the bytes of the full-shard Algorithm 4
+// closed form (h = 2 at K ∈ {2, 4}, the complement's h = 1 at K = 8),
+// at the message and sync counts of full shards (LABS + Z₀ + Z₁ at the
+// same n, K and p), for both all-to-all algorithms; and a gradient
+// still moves 3× the forward bytes and messages.
 func TestHalfShardTraffic(t *testing.T) {
 	const n, p = 8, 3
 	ctx := context.Background()
@@ -139,48 +261,48 @@ func TestHalfShardTraffic(t *testing.T) {
 	gamma, beta := randomAngles(rng, p)
 	labs := problems.LABSTerms(n)
 	for _, algo := range []cluster.AlltoallAlgo{cluster.Transpose, cluster.Pairwise} {
-		for _, ranks := range []int{2, 4, 8} {
-			opts := Options{Ranks: ranks, Algo: algo}
+		for _, c := range []struct{ ranks, h int }{{2, 2}, {4, 2}, {8, 1}} {
+			opts := Options{Ranks: c.ranks, Algo: algo}
 			k, err := opts.validate(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub := int64(1<<uint(n-k)) / int64(ranks)
-			fullForward := int64(2*p) * int64(ranks-1) * sub * 16
-			half, err := SimulateQAOA(ctx, n, labs, gamma, beta, opts)
+			sub := int64(1<<uint(n-k)) / int64(c.ranks)
+			fullForward := int64(2*p) * int64(c.ranks-1) * sub * 16
+			group, err := SimulateQAOA(ctx, n, labs, gamma, beta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := SimulateQAOA(ctx, n, oddCost(n), gamma, beta, opts)
+			full, err := SimulateQAOA(ctx, n, fixedCost(n), gamma, beta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			halfGrad, err := simulateGrad(ctx, n, labs, gamma, beta, opts)
+			groupGrad, err := simulateGrad(ctx, n, labs, gamma, beta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullGrad, err := simulateGrad(ctx, n, oddCost(n), gamma, beta, opts)
+			fullGrad, err := simulateGrad(ctx, n, fixedCost(n), gamma, beta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r := 0; r < ranks; r++ {
-				h, f := half.PerRank[r], full.PerRank[r]
-				if 2*h.BytesSent != fullForward || f.BytesSent != fullForward {
-					t.Errorf("%v K=%d rank %d: forward sent %d B (full shards %d B), want %d = half of %d",
-						algo, ranks, r, h.BytesSent, f.BytesSent, fullForward/2, fullForward)
+			for r := 0; r < c.ranks; r++ {
+				g, f := group.PerRank[r], full.PerRank[r]
+				if g.BytesSent<<uint(c.h) != fullForward || f.BytesSent != fullForward {
+					t.Errorf("%v K=%d rank %d: forward sent %d B (full shards %d B), want %d = 2^−%d of %d",
+						algo, c.ranks, r, g.BytesSent, f.BytesSent, fullForward>>uint(c.h), c.h, fullForward)
 				}
-				if h.Messages != f.Messages || h.Syncs != f.Syncs {
+				if g.Messages != f.Messages || g.Syncs != f.Syncs {
 					t.Errorf("%v K=%d rank %d: forward %d msgs / %d syncs, full shards %d / %d",
-						algo, ranks, r, h.Messages, h.Syncs, f.Messages, f.Syncs)
+						algo, c.ranks, r, g.Messages, g.Syncs, f.Messages, f.Syncs)
 				}
-				hg, fg := halfGrad.PerRank[r], fullGrad.PerRank[r]
-				if hg.BytesSent != 3*h.BytesSent || hg.Messages != 3*h.Messages {
+				gg, fg := groupGrad.PerRank[r], fullGrad.PerRank[r]
+				if gg.BytesSent != 3*g.BytesSent || gg.Messages != 3*g.Messages {
 					t.Errorf("%v K=%d rank %d: gradient moved %d B in %d msgs, want 3× forward (%d B, %d msgs)",
-						algo, ranks, r, hg.BytesSent, hg.Messages, 3*h.BytesSent, 3*h.Messages)
+						algo, c.ranks, r, gg.BytesSent, gg.Messages, 3*g.BytesSent, 3*g.Messages)
 				}
-				if 2*hg.BytesSent != fg.BytesSent || hg.Messages != fg.Messages || hg.Syncs != fg.Syncs {
+				if gg.BytesSent<<uint(c.h) != fg.BytesSent || gg.Messages != fg.Messages || gg.Syncs != fg.Syncs {
 					t.Errorf("%v K=%d rank %d: gradient (%d B, %d msgs, %d syncs), full shards (%d B, %d, %d)",
-						algo, ranks, r, hg.BytesSent, hg.Messages, hg.Syncs, fg.BytesSent, fg.Messages, fg.Syncs)
+						algo, c.ranks, r, gg.BytesSent, gg.Messages, gg.Syncs, fg.BytesSent, fg.Messages, fg.Syncs)
 				}
 			}
 		}
@@ -240,13 +362,14 @@ func sameEval(a, b halfEval) error {
 }
 
 // halfChiSquared is the goodness-of-fit statistic of samples against
-// the n-qubit distribution probs over 20 bins: ten runs of
-// probability-ranked states of about equal mass, each split at 2^(n−1),
-// so a draw that never (or always) takes the mirror of its
-// representative fails. A sample with zero reference probability
-// returns +Inf.
-func halfChiSquared(probs []float64, samples []uint64) float64 {
+// the n-qubit distribution probs over 10·2^h bins: ten runs of
+// probability-ranked states of about equal mass, each split by the top
+// h bits, so a draw that never (or always) takes some member of its
+// stored amplitude's orbit fails. A sample with zero reference
+// probability returns +Inf.
+func halfChiSquared(probs []float64, samples []uint64, h int) float64 {
 	const runs = 10
+	n := bits.Len(uint(len(probs))) - 1
 	order := make([]int, len(probs))
 	for i := range order {
 		order[i] = i
@@ -255,20 +378,17 @@ func halfChiSquared(probs []float64, samples []uint64) float64 {
 	binOf := make([]int, len(probs))
 	b, acc := 0, 0.0
 	for _, x := range order {
-		binOf[x] = 2 * b
-		if x >= len(probs)/2 {
-			binOf[x]++
-		}
+		binOf[x] = b<<uint(h) + x>>uint(n-h)
 		acc += probs[x]
 		if acc > float64(b+1)/runs && b < runs-1 {
 			b++
 		}
 	}
-	want := make([]float64, 2*runs)
+	want := make([]float64, runs<<uint(h))
 	for x, p := range probs {
 		want[binOf[x]] += p * float64(len(samples))
 	}
-	got := make([]float64, 2*runs)
+	got := make([]float64, runs<<uint(h))
 	for _, x := range samples {
 		got[binOf[x]]++
 	}
@@ -286,25 +406,30 @@ func halfChiSquared(probs []float64, samples []uint64) float64 {
 	return chi2
 }
 
-// TestHalfShardGradAndOutputsMatchSingleNode is the half-shard
+// chi2Bound is the χ² critical value at p = 1e-5 for the 10·2^h − 1
+// degrees of freedom of halfChiSquared at h = 1 and 2.
+var chi2Bound = map[int]float64{1: 57.373, 2: 88.604}
+
+// TestHalfShardGradAndOutputsMatchSingleNode is the group-shard
 // differential: LABS, MaxCut and SK × K ∈ {1, 2, 4, 8} × p ∈ {1, 4, 12}
-// on half shards against the single-node Serial engine, which keeps the
-// full state: its energy and gradient, and brute-force outputs over its
-// 2^n probabilities (bruteOutputs). Energy, gradient, Overlap, MinCost,
-// CVaR, Variance, MaxProb and ProbIndices on both sides of 2^(n−1)
-// agree to rtol 1e-10
-// in float64 and within the SoA32 band (2e-3) in float32; MaxProbIndex
-// attains the maximum and is the lower index of its mirror pair; the
-// shots pass a χ² test against the full distribution (df = 19,
-// p = 1e-5) and stream exactly as they buffer; Gather returns all 2^n
-// amplitudes. Results on slices held as codes alone, shots included,
-// equal float64 ones bit for bit (SK on its weights rounded to the 1/16
-// step, an exact grid).
+// on group shards (LABS's h = 2 up to K = 4, the complement otherwise)
+// against the single-node Serial engine, which keeps the full state:
+// its energy and gradient, and brute-force outputs over its 2^n
+// probabilities (bruteOutputs). Energy, gradient, Overlap, MinCost,
+// CVaR, Variance, MaxProb and ProbIndices in every block of the top
+// bits agree to rtol 1e-10 in float64 and within the SoA32 band (2e-3)
+// in float32; MaxProbIndex attains the maximum and is the lowest index
+// of its orbit, a stored index below 2^(n−h); the shots pass a χ² test
+// against the full distribution over bins split by the top h bits
+// (df = 10·2^h − 1, p = 1e-5) and stream exactly as they buffer; Gather
+// returns all 2^n amplitudes. Results on slices held as codes alone,
+// shots included, equal float64 ones bit for bit (SK on its weights
+// rounded to the 1/16 step, an exact grid).
 func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 	const n, rtol, band, shots = 8, 1e-10, 2e-3, 10_000
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(83))
-	queries := []uint64{0, 5, 1<<(n-1) - 1, 1 << (n - 1), 1<<n - 6, 1<<n - 1}
+	queries := []uint64{0, 5, 1<<(n-2) + 3, 1<<(n-1) - 1, 1 << (n - 1), 3<<(n-2) + 9, 1<<n - 6, 1<<n - 1}
 	for _, prob := range halfProblems(t, n) {
 		single, err := core.New(n, prob.terms, core.Options{Backend: core.BackendSerial})
 		if err != nil {
@@ -316,7 +441,7 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !eng.half {
+				if eng.sym.pivots() == 0 {
 					t.Fatalf("%s K=%d %+v: runs full shards", prob.name, ranks, opts)
 				}
 				return eng
@@ -325,7 +450,7 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 			f32 := engine(prob.terms, Options{Ranks: ranks, Precision: PrecisionFloat32})
 			grid := engine(prob.grid, Options{Ranks: ranks})
 			quant := formEngine(t, n, prob.grid, Options{Ranks: ranks}, codesOnly)
-			if !quant.half {
+			if quant.sym.pivots() == 0 {
 				t.Fatalf("%s K=%d coded: runs full shards", prob.name, ranks)
 			}
 			for _, p := range []int{1, 4, 12} {
@@ -382,12 +507,14 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 						near(fmt.Sprintf("prob[%d]", q), out.Probs[i], probs[q])
 					}
 					near("prob at MaxProbIndex", probs[out.MaxProbIndex], maxP)
-					// A state and its mirror tie exactly; the lower one wins.
-					if out.MaxProbIndex >= 1<<(n-1) {
-						t.Errorf("%s %s: MaxProbIndex %d is not the lower of its mirror pair", where, c.name, out.MaxProbIndex)
+					// The members of an orbit tie exactly; the lowest, the
+					// stored index, wins.
+					h := c.eng.sym.pivots()
+					if out.MaxProbIndex >= 1<<uint(n-h) {
+						t.Errorf("%s %s: MaxProbIndex %d is not the lowest of its orbit (h = %d)", where, c.name, out.MaxProbIndex, h)
 					}
-					if chi2 := halfChiSquared(probs, out.Samples); chi2 > 57.373 {
-						t.Errorf("%s %s: χ² = %v over 20 bins exceeds 57.373 (p < 1e-5)", where, c.name, chi2)
+					if chi2 := halfChiSquared(probs, out.Samples, h); chi2 > chi2Bound[h] {
+						t.Errorf("%s %s: χ² = %v over %d bins exceeds %v (p < 1e-5)", where, c.name, chi2, 10<<uint(h), chi2Bound[h])
 					}
 					if len(got.stream) != shots {
 						t.Fatalf("%s %s: streamed %d shots, want %d", where, c.name, len(got.stream), shots)
@@ -418,13 +545,16 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 	}
 }
 
-// TestHalfShardResumeBitIdentical is the half-shard durability check: a
-// run killed mid-collective leaves a snapshot of the full state, as full
-// shards write it, and resumes from it bit-identical to an
-// uninterrupted half-shard run, in every shard representation (LABS
-// n = 8 on float64 slices, codedProblem on slices held as codes alone);
-// and a snapshot written by full shards (its mirror amplitudes rounded
-// independently) resumes within rounding of the uninterrupted run.
+// TestHalfShardResumeBitIdentical is the group-shard durability check:
+// a run killed mid-collective leaves a snapshot of the full state, as
+// full shards write it (every member of each orbit holds the stored
+// amplitude), and resumes from it bit-identical to an uninterrupted
+// run, in every shard representation: quarter shards (LABS n = 8 at
+// K ∈ {1, 4}, float64 and float32) and half shards (LABS at K = 8,
+// codedProblem on slices held as codes alone). A snapshot written by
+// each other shard form that fits the ranks — full shards (orbit
+// members rounded independently), half shards and, for LABS, quarter
+// shards — resumes within rounding of the uninterrupted run.
 func TestHalfShardResumeBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	codedN, codedTerms := codedProblem(t)
@@ -444,6 +574,11 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 	} {
 		n, terms, opts := c.n, c.terms, c.opts
 		name := fmt.Sprintf("%s K=%d %v", c.name, opts.Ranks, opts.Precision)
+		eng, err := NewGradEngine(n, terms, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		group := eng.sym.group
 		base, err := SimulateQAOA(ctx, n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -466,20 +601,22 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 			t.Fatalf("%s: no snapshot after the kill: %v", name, err)
 		}
 		// The file holds the full state, as full shards write it: every
-		// amplitude at x and at its mirror, with unit norm.
-		amp := func(x int) complex128 {
-			size := (1 << n) / opts.Ranks
+		// member of each orbit holds its stored amplitude, with unit norm.
+		amp := func(x uint64) complex128 {
+			size := uint64(1<<n) / uint64(opts.Ranks)
 			if snap.Precision == PrecisionFloat32 {
 				return complex(float64(snap.Re[x/size][x%size]), float64(snap.Im[x/size][x%size]))
 			}
 			return snap.Shards[x/size][x%size]
 		}
 		var norm float64
-		for x := 0; x < 1<<n; x++ {
+		for x := uint64(0); x < 1<<n; x++ {
 			a := amp(x)
 			norm += real(a)*real(a) + imag(a)*imag(a)
-			if a != amp(1<<n-1-x) {
-				t.Fatalf("%s: snapshot amplitude %d is %v, its mirror %v", name, x, a, amp(1<<n-1-x))
+			for _, g := range group {
+				if a != amp(x^g) {
+					t.Fatalf("%s: snapshot amplitude %d is %v, its orbit member %d %v", name, x, a, x^g, amp(x^g))
+				}
 			}
 		}
 		if math.Abs(norm-1) > 1e-5 {
@@ -497,45 +634,62 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 			t.Errorf("%s: completed run left the checkpoint behind (stat: %v)", name, err)
 		}
 
-		// A full-shard snapshot after two layers: its mirror amplitudes
-		// differ from the representatives' in the last bits.
+		// Snapshots after two layers from the other shard forms.
 		const layer = 2
-		full := fullShardEngine(t, n, terms, opts)
-		if err := full.eval(ctx, &run{gamma: gamma[:layer], beta: beta[:layer]}); err != nil {
-			t.Fatal(err)
+		k := eng.k
+		writers := [][]uint64{nil}
+		if _, ok := shardSymmetry([]uint64{1<<uint(n) - 1}, n, k); ok {
+			writers = append(writers, []uint64{1<<uint(n) - 1})
 		}
-		fs := &ShardSnapshot{
-			N: n, Ranks: opts.Ranks, Mixer: core.MixerX, HammingWeight: n / 2,
-			Precision: opts.Precision,
-			Layer:     layer, GammaPrefix: gamma[:layer], BetaPrefix: beta[:layer],
+		if _, ok := shardSymmetry(labsPivots(n), n, k); ok && c.name == "labs" {
+			writers = append(writers, labsPivots(n))
 		}
-		if opts.Precision == PrecisionFloat32 {
-			for _, ev := range full.all[0].shards {
-				sh := ev.(*shard[float32])
-				fs.Re = append(fs.Re, sh.psi.re)
-				fs.Im = append(fs.Im, sh.psi.im)
+		for _, pivots := range writers {
+			w := shardEngine(t, n, terms, opts, pivots)
+			if slices.Equal(w.sym.group, group) {
+				continue
 			}
-		} else {
-			for _, ev := range full.all[0].shards {
-				fs.Shards = append(fs.Shards, ev.(*shard[float64]).psi.vec())
+			if err := w.eval(ctx, &run{gamma: gamma[:layer], beta: beta[:layer]}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := SaveShardSnapshot(path, fs); err != nil {
-			t.Fatal(err)
-		}
-		res, err = SimulateQAOACheckpointed(ctx, n, terms, gamma, beta, opts, ck)
-		if err != nil {
-			t.Fatalf("%s: resume from a full-shard snapshot failed: %v", name, err)
-		}
-		tol := 1e-12
-		if opts.Precision == PrecisionFloat32 {
-			tol = 1e-5
-		}
-		if d := math.Abs(res.Expectation - base.Expectation); d > tol*math.Max(math.Abs(base.Expectation), 1) {
-			t.Errorf("%s: resumed from a full-shard snapshot at energy %v, uninterrupted %v", name, res.Expectation, base.Expectation)
-		}
-		if d := math.Abs(res.Overlap - base.Overlap); d > tol {
-			t.Errorf("%s: resumed from a full-shard snapshot at overlap %v, uninterrupted %v", name, res.Overlap, base.Overlap)
+			fs := &ShardSnapshot{
+				N: n, Ranks: opts.Ranks, Mixer: core.MixerX, HammingWeight: n / 2,
+				Precision: opts.Precision,
+				Layer:     layer, GammaPrefix: gamma[:layer], BetaPrefix: beta[:layer],
+			}
+			localSize := (1 << n) / opts.Ranks
+			for r := 0; r < opts.Ranks; r++ {
+				if opts.Precision == PrecisionFloat32 {
+					fs.Re = append(fs.Re, make([]float32, localSize))
+					fs.Im = append(fs.Im, make([]float32, localSize))
+				} else {
+					fs.Shards = append(fs.Shards, make(statevec.Vec, localSize))
+				}
+			}
+			for _, ev := range w.all[0].shards {
+				if opts.Precision == PrecisionFloat32 {
+					ev.(*shard[float32]).store(fs)
+				} else {
+					ev.(*shard[float64]).store(fs)
+				}
+			}
+			if err := SaveShardSnapshot(path, fs); err != nil {
+				t.Fatal(err)
+			}
+			res, err = SimulateQAOACheckpointed(ctx, n, terms, gamma, beta, opts, ck)
+			if err != nil {
+				t.Fatalf("%s: resume from a snapshot of group %b failed: %v", name, w.sym.group, err)
+			}
+			tol := 1e-12
+			if opts.Precision == PrecisionFloat32 {
+				tol = 1e-5
+			}
+			if d := math.Abs(res.Expectation - base.Expectation); d > tol*math.Max(math.Abs(base.Expectation), 1) {
+				t.Errorf("%s: resumed from a snapshot of group %b at energy %v, uninterrupted %v", name, w.sym.group, res.Expectation, base.Expectation)
+			}
+			if d := math.Abs(res.Overlap - base.Overlap); d > tol {
+				t.Errorf("%s: resumed from a snapshot of group %b at overlap %v, uninterrupted %v", name, w.sym.group, res.Overlap, base.Overlap)
+			}
 		}
 	}
 }

@@ -4,9 +4,9 @@
 // so no node ever holds a node-scale buffer. Each rank needs only |ψ_x|²
 // and the cost of the basis states it stores, so the §V-B
 // memory-reduced shards (float32 planes, uint16-coded diagonal slices)
-// serve as full solver backends. A half shard is a state stored over
-// the group {0, 2^n−1}: each stored amplitude stands for a
-// representative and its mirror.
+// serve as full solver backends. Group shards hold a state stored over
+// the cost's symmetry group (GradEngine): each stored amplitude stands
+// for the 2^h members of its orbit, {x, x ⊕ 1…1} on half shards.
 package distsim
 
 import (
@@ -25,7 +25,7 @@ func (sh *shard[T]) view() evaluator.View {
 		N:             e.n,
 		Offset:        sh.cost.offset,
 		Len:           len(sh.psi.re),
-		Group:         e.group,
+		Group:         e.sym.group,
 		Restrict:      e.opts.Mixer != core.MixerX,
 		HammingWeight: e.hw,
 	}

@@ -554,7 +554,7 @@ func TestCVaROrderConcurrentFirstUse(t *testing.T) {
 	for _, c := range []struct {
 		n  int
 		ts poly.Terms
-	}{{codedN, codedTerms}, {8, oddCost(8)}} {
+	}{{codedN, codedTerms}, {8, fixedCost(8)}} {
 		ref, err := NewGradEngine(c.n, c.ts, Options{Ranks: 2})
 		if err != nil {
 			t.Fatal(err)

@@ -2,24 +2,32 @@
 // outputs, sampling, checkpointed and gathered runs — is one call of
 // shard.evolve per rank. A shard holds its rank's ψ and λ as split
 // (re, im) planes of either precision and runs the single-node plane
-// kernels on them (statevec's phase tables, tiled F = 2 layer, mirror
+// kernels on them (statevec's phase tables, tiled F = 2 layer, pivot
 // kernels and joint reverse step), with the cluster collectives moving
 // the same planes.
 //
-// A half shard (see GradEngine) holds the representatives x < 2^(n−1)
-// of a flip-symmetric state, 2^(n−1−k) per rank, and runs qubit n−1 as
-// the mirror kernel inside the all-to-all the x mixer already makes:
-// before the transpose each rank swaps the upper halves of its
-// subchunks s and K−1−s (swapMirrorHalves), so that after it every
-// amplitude's mirror partner 2^(n−1)−1−x sits at its local complement
-// on the same rank. The swap needs 2k ≤ n−2, so that a subchunk has an
-// upper half. At K = 1 the mirror pass is simply local.
+// Group shards (see GradEngine) hold a state stored over h pivots of
+// the cost's symmetry group, 2^(n−h−k) amplitudes per rank, and run the
+// top qubits n−h+j as pivot passes inside the all-to-all the x mixer
+// already makes. Pivot j pairs stored index x with x ⊕ μ_j. Write a
+// stored index as (r, a, w): the k rank bits, the k bits of the
+// subchunk the all-to-all sends to rank a, and the n−h−2k bits w below
+// them. Before the transpose each rank moves the part of subchunk a at
+// w to subchunk a ⊕ f(w) (relabel), f linear in h bits of w and solved
+// over GF(2) so that f(w-part of μ_j) = a-part of μ_j for every pivot.
+// After the transpose, x and x ⊕ μ_j then sit on the same rank, at
+// local indices (r, w) and (r, w) ⊕ ν_j, and pivot j's pass runs there
+// with the local mask ν_j. The relabel is its own inverse, so the
+// transpose back undoes it. The complement, μ = 1…1, gives f(w) = (K−1)
+// times w's top bit: subchunks a and K−1−a swap their upper halves. At
+// K = 1 the pivot passes are simply local.
 package distsim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"qokit/internal/cluster"
@@ -85,45 +93,127 @@ func (rc *rankCost) phase(gamma float64, tab []complex128) statevec.Phase {
 	return ph
 }
 
+// symmetry is how a lease's shards store the state (shardSymmetry):
+// over the group of 2^h XOR masks, with the pivot passes' local masks
+// and the relabel that brings every pivot pair onto one rank.
+type symmetry struct {
+	// group holds the 2^h elements, indexed by their top h bits: {0}
+	// on full shards.
+	group []uint64
+	// masks[j] is pivot j's pair mask ν_j over local indices: in the
+	// transposed layout, or in the rank layout at K = 1.
+	masks []int
+	// The relabel moves the part of a subchunk at local index w by the
+	// XOR of xors[i] over the bits[i] set in w.
+	bits, xors []int
+}
+
+// pivots returns h.
+func (sym *symmetry) pivots() int { return len(sym.masks) }
+
+// shardSymmetry returns the layout that stores an n-qubit state over
+// the group the pivots generate on K = 2^k ranks (see the file
+// comment), or false when the ranks cannot hold it: each rank needs at
+// least two amplitudes and a subchunk per rank, and the system
+// f(w-part of μ_j) = (a-part of μ_j) must be solvable. Gauss–Jordan
+// elimination keeps the w-parts in reduced echelon form, each row's
+// leading bit (its highest on entry) set in no other row; a pivot that
+// reduces to a zero w-part must reduce to a zero a-part too, and the
+// leading bit of each row with a nonzero a-part becomes a relabel bit.
+func shardSymmetry(pivots []uint64, n, k int) (symmetry, bool) {
+	h := len(pivots)
+	local := n - h - k
+	low := local - k
+	if h == 0 || local < 1 || low < 0 {
+		return symmetry{}, false
+	}
+	sym := symmetry{group: costvec.Group(pivots)}
+	type row struct{ lead, w, a int }
+	var rows []row
+	for _, g := range pivots {
+		mu := int(g) & (1<<uint(n-h) - 1)
+		r := row{w: mu & (1<<uint(low) - 1), a: mu >> uint(low) & (1<<uint(k) - 1)}
+		nu := mu>>uint(local)<<uint(low) | r.w
+		if nu == 0 {
+			return symmetry{}, false
+		}
+		sym.masks = append(sym.masks, nu)
+		for _, b := range rows {
+			if r.w>>uint(b.lead)&1 == 1 {
+				r.w, r.a = r.w^b.w, r.a^b.a
+			}
+		}
+		if r.w == 0 {
+			if r.a != 0 {
+				return symmetry{}, false
+			}
+			continue
+		}
+		r.lead = bits.Len(uint(r.w)) - 1
+		for i, b := range rows {
+			if b.w>>uint(r.lead)&1 == 1 {
+				rows[i].w, rows[i].a = b.w^r.w, b.a^r.a
+			}
+		}
+		rows = append(rows, r)
+	}
+	for _, r := range rows {
+		if r.a != 0 {
+			sym.bits = append(sym.bits, r.lead)
+			sym.xors = append(sym.xors, r.a)
+		}
+	}
+	return sym, true
+}
+
+// symmetryFor picks the group the shards store the state over, from
+// the diagonal, the mixer, n and k alone: the pivots
+// costvec.SymmetryPivots finds when the ranks can hold them, else the
+// complement when the diagonal is flip-symmetric (flip, CheckDiagonal's
+// report) and the ranks can hold it (2k ≤ n − 2), else the full state.
+// Only the x mixer with the |+⟩ start keeps the symmetry.
+func symmetryFor(full []float64, flip bool, n, k int, mixer core.Mixer) symmetry {
+	if mixer == core.MixerX {
+		if sym, ok := shardSymmetry(costvec.SymmetryPivots(full, flip), n, k); ok {
+			return sym
+		}
+		if sym, ok := shardSymmetry([]uint64{uint64(len(full) - 1)}, n, k); flip && ok {
+			return sym
+		}
+	}
+	return symmetry{group: []uint64{0}}
+}
+
 // cutShards scans the full diagonal once with costvec.CheckDiagonal,
-// rejecting NaN/±Inf and testing flip symmetry, and cuts each rank's
-// cost slice: 2^(n−k) entries of the whole diagonal, or on half shards
-// 2^(n−1−k) entries of its first half. Half shards take the
-// single-node rule restricted to the complement, plus the room the
-// mirror swap needs: the x mixer, 2k ≤ n−2 (so n ≥ 2) and a bitwise
-// flip-symmetric diagonal.
-func cutShards(full []float64, n, k int, opts Options) (diags [][]float64, half bool, err error) {
-	symmetric, err := costvec.CheckDiagonal(full)
+// rejecting NaN/±Inf and testing flip symmetry, picks the group the
+// shards store the state over (symmetryFor) and cuts each rank's cost
+// slice: 2^(n−h−k) entries of the diagonal's first 2^(n−h), the stored
+// index space.
+func cutShards(full []float64, n, k int, opts Options) (diags [][]float64, sym symmetry, err error) {
+	flip, err := costvec.CheckDiagonal(full)
 	if err != nil {
-		return nil, false, fmt.Errorf("distsim: %w", err)
+		return nil, symmetry{}, fmt.Errorf("distsim: %w", err)
 	}
-	half = symmetric && opts.Mixer == core.MixerX && 2*k <= n-2
-	size := len(full) >> uint(k)
-	if half {
-		size /= 2
-	}
+	sym = symmetryFor(full, flip, n, k, opts.Mixer)
+	size := len(full) >> uint(k+sym.pivots())
 	diags = make([][]float64, opts.Ranks)
 	for r := range diags {
 		diags[r] = full[r*size : (r+1)*size]
 	}
-	return diags, half, nil
+	return diags, sym, nil
 }
 
 // rankCosts builds each rank's cost source from its float64 slice of
 // the diagonal. A slice that is an exact grid of at most
 // 2^(n−k)/core.PhaseTableRatio levels keeps only its uint16 codes, for
 // phase tables and every reduction: the single-node table bound, which
-// on half shards counts the basis states a slice stands for, twice its
+// counts the basis states a slice stands for, weight (2^h) times its
 // entries. Any other slice keeps its float64 entries.
-func rankCosts(diags [][]float64, half bool) []rankCost {
+func rankCosts(diags [][]float64, weight int) []rankCost {
 	costs := make([]rankCost, len(diags))
 	for r, diag := range diags {
 		costs[r].offset = uint64(r) * uint64(len(diag))
-		maxLevels := len(diag) / core.PhaseTableRatio
-		if half {
-			maxLevels *= 2
-		}
-		if q, err := costvec.QuantizeExact(diag, maxLevels); err == nil {
+		if q, err := costvec.QuantizeExact(diag, len(diag)/core.PhaseTableRatio*weight); err == nil {
 			costs[r].levels = q
 		} else {
 			costs[r].diag = diag
@@ -240,9 +330,9 @@ func (sh *shard[T]) evolve(c *cluster.Comm, r *run) error {
 			return err
 		}
 		if sh.rank == 0 {
-			// A half shard's gather holds the representatives; the group
-			// fill adds their mirrors.
-			group := sh.e.group
+			// Group shards gather the stored indices; the group fill
+			// adds the rest of each orbit.
+			group := sh.e.sym.group
 			full = append(full, make(statevec.Vec, (len(group)-1)*len(full))...)
 			evaluator.FillGroup(full, group)
 			*r.state = full
@@ -256,7 +346,7 @@ func (sh *shard[T]) evolve(c *cluster.Comm, r *run) error {
 
 // initial fills ψ with the rank's slice of the QAOA initial state: the
 // uniform superposition for the transverse-field mixer (with the
-// full-state amplitude on a half shard too), or the Dicke state
+// full-state amplitude on group shards too), or the Dicke state
 // |D^n_hw⟩ for the xy mixers — the entries whose full index (rank bits
 // ‖ local index) has Hamming weight hw.
 func (sh *shard[T]) initial() {
@@ -282,7 +372,7 @@ func (sh *shard[T]) initial() {
 func (sh *shard[T]) forward(c *cluster.Comm, gamma, beta float64) error {
 	ph := sh.cost.phase(gamma, sh.tab)
 	if sh.e.opts.Mixer == core.MixerX {
-		return mixerX(c, sh.psi, ph, sh.e.k, beta, sh.e.half)
+		return mixerX(c, sh.psi, ph, sh.e.k, beta, &sh.e.sym)
 	}
 	statevec.ApplyPhasePlanes(serialPool, sh.psi.re, sh.psi.im, ph)
 	return sh.mixerXY(c, beta)
@@ -292,35 +382,48 @@ func (sh *shard[T]) forward(c *cluster.Comm, gamma, beta float64) error {
 // the local qubits (with ph in its first pass when ph has a cost
 // source), the all-to-all that swaps the k global qubits in at the top
 // k local positions, one tiled pass over them, and the all-to-all
-// back. On a half shard the mirror kernel runs qubit n−1 while the
+// back. On group shards the pivot passes run the top qubits while the
 // planes are transposed (or in place at K = 1).
-func mixerX[T statevec.Float](c *cluster.Comm, s planes[T], ph statevec.Phase, k int, beta float64, half bool) error {
+func mixerX[T statevec.Float](c *cluster.Comm, s planes[T], ph statevec.Phase, k int, beta float64, sym *symmetry) error {
 	statevec.UniformRXPlanes(serialPool, s.re, s.im, ph, beta)
 	if k == 0 {
-		if half {
-			statevec.MirrorRXPlanes(serialPool, s.re, s.im, len(s.re)-1, beta)
-		}
+		mirrorRX(s, sym, beta)
 		return nil
 	}
-	if err := transpose(c, half, s); err != nil {
+	if err := transpose(c, sym, s); err != nil {
 		return err
 	}
 	localN := bits.TrailingZeros(uint(len(s.re)))
 	statevec.UniformRXRangePlanes(serialPool, s.re, s.im, localN-k, localN, beta)
-	if half {
-		statevec.MirrorRXPlanes(serialPool, s.re, s.im, len(s.re)-1, beta)
+	mirrorRX(s, sym, beta)
+	return transposeBack(c, sym, s)
+}
+
+// mirrorRX applies the top qubits' RX(β) on group shards, one pivot
+// pass each, in pivot order as the single-node group state does.
+func mirrorRX[T statevec.Float](s planes[T], sym *symmetry, beta float64) {
+	for _, mu := range sym.masks {
+		statevec.MirrorRXPlanes(serialPool, s.re, s.im, mu, beta)
 	}
-	return transposeBack(c, half, s)
+}
+
+// reverseMirrorRX runs the top qubits' joint reverse steps on group
+// shards, the last pivot first, and returns their Im ⟨λ|X_q|ψ⟩ over the
+// stored amplitudes.
+func reverseMirrorRX[T statevec.Float](lam, psi planes[T], sym *symmetry, beta float64) float64 {
+	var d float64
+	for j := len(sym.masks) - 1; j >= 0; j-- {
+		d += statevec.ReverseMirrorRXPlanes(serialPool, lam.re, lam.im, psi.re, psi.im, sym.masks[j], beta)
+	}
+	return d
 }
 
 // transpose runs the all-to-all into the swapped layout on each state
-// in turn. On a half shard it first swaps the mirror halves, so that
-// each amplitude's mirror partner arrives at its local complement.
-func transpose[T statevec.Float](c *cluster.Comm, half bool, states ...planes[T]) error {
+// in turn. On group shards it first relabels the subchunk parts, so
+// that each amplitude's pivot partners arrive on its rank.
+func transpose[T statevec.Float](c *cluster.Comm, sym *symmetry, states ...planes[T]) error {
 	for _, s := range states {
-		if half {
-			swapMirrorHalves(s, c.Size())
-		}
+		relabel(s, sym, c.Size())
 		if err := cluster.Alltoall(c, s.re, s.im); err != nil {
 			return err
 		}
@@ -329,33 +432,41 @@ func transpose[T statevec.Float](c *cluster.Comm, half bool, states ...planes[T]
 }
 
 // transposeBack runs the all-to-all back to the rank layout on each
-// state in turn, then on a half shard the inverse swap.
-func transposeBack[T statevec.Float](c *cluster.Comm, half bool, states ...planes[T]) error {
+// state in turn, then the inverse relabel.
+func transposeBack[T statevec.Float](c *cluster.Comm, sym *symmetry, states ...planes[T]) error {
 	for _, s := range states {
 		if err := cluster.Alltoall(c, s.re, s.im); err != nil {
 			return err
 		}
-		if half {
-			swapMirrorHalves(s, c.Size())
-		}
+		relabel(s, sym, c.Size())
 	}
 	return nil
 }
 
-// swapMirrorHalves exchanges the upper halves of subchunks a and
-// K−1−a of a half shard's planes, for every a < K/2; it is its own
-// inverse. Subchunk a holds the amplitudes destined for rank a, and the
-// mirror of a representative in the lower half of rank r's subchunk a
-// lies in the upper half of rank K−1−r's subchunk K−1−a. After the swap
-// both travel to rank a, where they land at complementary local
-// indices.
-func swapMirrorHalves[T statevec.Float](s planes[T], ranks int) {
+// relabel moves the part of each subchunk a at local index w to
+// subchunk a ⊕ f(w), f the XOR of sym.xors[i] over the sym.bits[i] set
+// in w, by swapping runs of 2^min(bits) amplitudes in place: it is its
+// own inverse, and a no-op without relabel bits.
+func relabel[T statevec.Float](s planes[T], sym *symmetry, ranks int) {
+	if len(sym.bits) == 0 {
+		return
+	}
 	sub := len(s.re) / ranks
-	h := sub / 2
-	for a := 0; a < ranks/2; a++ {
-		lo, hi := a*sub+h, (ranks-1-a)*sub+h
-		swapRuns(s.re[lo:lo+h], s.re[hi:hi+h])
-		swapRuns(s.im[lo:lo+h], s.im[hi:hi+h])
+	run := 1 << uint(slices.Min(sym.bits))
+	for w := 0; w < sub; w += run {
+		var x int
+		for i, b := range sym.bits {
+			if w>>uint(b)&1 == 1 {
+				x ^= sym.xors[i]
+			}
+		}
+		for a := 0; a < ranks; a++ {
+			if b := a ^ x; a < b {
+				lo, hi := a*sub+w, b*sub+w
+				swapRuns(s.re[lo:lo+run], s.re[hi:hi+run])
+				swapRuns(s.im[lo:lo+run], s.im[hi:hi+run])
+			}
+		}
 	}
 }
 
@@ -412,13 +523,13 @@ func (sh *shard[T]) adjoint(c *cluster.Comm, r *run) error {
 // reverse walks ψ and λ back through one layer and returns this rank's
 // shares of Im ⟨λ|M|ψ⟩ and Im ⟨λ|Ĉ|ψ⟩ over its stored amplitudes,
 // undoing the phase only when undo is set. For the x mixer the joint
-// mirror reverse of a half shard goes first, then the swapped-in global
-// qubits, then the local ones: every X_q commutes with the layer's
-// mixer, so reading and undoing them in any order is exact. Each state
-// crosses the all-to-all twice, so a gradient moves 3× the forward
-// traffic.
+// pivot reverse steps of group shards go first, then the swapped-in
+// global qubits, then the local ones: every X_q commutes with the
+// layer's mixer, so reading and undoing them in any order is exact.
+// Each state crosses the all-to-all twice, so a gradient moves 3× the
+// forward traffic.
 func (sh *shard[T]) reverse(c *cluster.Comm, ph statevec.Phase, beta float64, undo bool) (dBeta, dGamma float64, err error) {
-	psi, lam, half := sh.psi, sh.lam, sh.e.half
+	psi, lam, sym := sh.psi, sh.lam, &sh.e.sym
 	if sh.e.opts.Mixer != core.MixerX {
 		if dBeta, err = sh.reverseXY(c, beta); err != nil {
 			return 0, 0, err
@@ -427,17 +538,15 @@ func (sh *shard[T]) reverse(c *cluster.Comm, ph statevec.Phase, beta float64, un
 	}
 	k := sh.e.k
 	if k > 0 {
-		if err := transpose(c, half, psi, lam); err != nil {
+		if err := transpose(c, sym, psi, lam); err != nil {
 			return 0, 0, err
 		}
 	}
-	if half {
-		dBeta = statevec.ReverseMirrorRXPlanes(serialPool, lam.re, lam.im, psi.re, psi.im, len(lam.re)-1, beta)
-	}
+	dBeta = reverseMirrorRX(lam, psi, sym, beta)
 	if k > 0 {
 		localN := sh.e.localQubits()
 		dBeta += statevec.ReverseRXRangePlanes(serialPool, lam.re, lam.im, psi.re, psi.im, localN-k, localN, beta)
-		if err := transposeBack(c, half, psi, lam); err != nil {
+		if err := transposeBack(c, sym, psi, lam); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -214,10 +214,10 @@ type ckptPlan struct {
 }
 
 // A snapshot always holds the full state, split over the ranks in
-// 2^(n−k)-amplitude slices, whichever shard form wrote it. A half
-// shard stores each representative's amplitude at the representative
-// and at its mirror, and loads its representatives only, so full and
-// half shards resume from each other's files.
+// 2^(n−k)-amplitude slices, whichever shard form wrote it. Group shards
+// store each stored amplitude at every member of its orbit and load
+// their stored indices only, so full, half and group shards resume from
+// each other's files.
 
 // slot returns the (rank, local index) of global basis index x in the
 // snapshot layout.
@@ -240,8 +240,8 @@ func (sh *shard[T]) load(s *ShardSnapshot) {
 	}
 }
 
-// store copies ψ into s: each stored amplitude at its global index and,
-// on a half shard, at its mirror. Ranks write disjoint slots.
+// store copies ψ into s: each stored amplitude at every member x ⊕ g of
+// its orbit. Ranks write disjoint slots.
 func (sh *shard[T]) store(s *ShardSnapshot) {
 	put := func(x uint64, re, im T) {
 		r, j := sh.slot(x)
@@ -251,12 +251,10 @@ func (sh *shard[T]) store(s *ShardSnapshot) {
 			s.Shards[r][j] = complex(float64(re), float64(im))
 		}
 	}
-	flip := uint64(1)<<uint(sh.e.n) - 1
 	for i, re := range sh.psi.re {
 		x, im := sh.cost.offset+uint64(i), sh.psi.im[i]
-		put(x, re, im)
-		if sh.e.half {
-			put(x^flip, re, im)
+		for _, g := range sh.e.sym.group {
+			put(x^g, re, im)
 		}
 	}
 }

@@ -75,8 +75,9 @@ type View struct {
 	Offset uint64
 	Len    int
 	// Group holds the 2^h elements of the XOR-symmetry group the state
-	// is stored over, indexed by their top h bits: {0} for a full state,
-	// {0, 2^n−1} for a half shard.
+	// is stored over, indexed by their top h bits (costvec.Group): {0}
+	// for a full state, {0, 2^n−1} for a half state or half shard, four
+	// elements for LABS's quarter state or quarter shards.
 	Group []uint64
 	// Restrict limits the ground-state search to the basis states of
 	// Hamming weight HammingWeight, the feasible subspace the xy mixers
@@ -374,21 +375,21 @@ func (v View) CVaR(c Collective, alphas []float64) ([]float64, error) {
 // samplers builds the two stages of the shot draw: the rank sampler
 // over the all-reduced rank masses, seeded with seed and so identical
 // on every rank (every rank agrees on which rank wins each shot with no
-// further communication), and this rank's draw of a basis state. The draw takes
-// a stored index from an alias sampler over the rank's masses
-// (seed+rank+1; nil for a rank without mass, which never wins), and on
-// a group state then the element group[Int63() & (2^h−1)] from a second
-// stream (seed+K+rank+1), so basis state i ⊕ g comes up with the
+// further communication), and this rank's draw of a basis state. The
+// draw takes a stored index from an alias sampler built straight from
+// the rank's masses, with no copy of them (seed+rank+1; nil for a rank
+// without mass, which never wins), and on a group state then the
+// element group[Int63() & (2^h−1)] from a second stream
+// (seed+K+rank+1), so basis state i ⊕ g comes up with the
 // probability of its orbit's stored amplitude, as over the expanded
 // state.
 func (v View) samplers(c Collective, seed int64) (*sampling.Sampler, func() uint64, error) {
 	rank, size := c.Rank(), c.Size()
 	weight := v.weight()
-	probs := make([]float64, v.Len)
+	massOf := func(i int) float64 { return weight * v.Prob(i) }
 	var mass float64
-	for i := range probs {
-		probs[i] = weight * v.Prob(i)
-		mass += probs[i]
+	for i := 0; i < v.Len; i++ {
+		mass += massOf(i)
 	}
 	masses := make([]float64, size)
 	masses[rank] = mass
@@ -402,7 +403,7 @@ func (v View) samplers(c Collective, seed int64) (*sampling.Sampler, func() uint
 	if mass == 0 {
 		return rankSampler, nil, nil
 	}
-	local, err := sampling.NewSampler(probs, seed+int64(rank)+1)
+	local, err := sampling.NewSamplerFunc(v.Len, massOf, seed+int64(rank)+1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("evaluator: rank %d distribution: %w", rank, err)
 	}

@@ -30,14 +30,23 @@ type Sampler struct {
 
 // NewSampler builds a seeded sampler over probs (non-negative; any
 // positive total is normalized away, so unnormalized |ψ|² vectors are
-// accepted directly).
+// accepted directly). probs is only read.
 func NewSampler(probs []float64, seed int64) (*Sampler, error) {
-	n := len(probs)
+	return NewSamplerFunc(len(probs), func(i int) float64 { return probs[i] }, seed)
+}
+
+// NewSamplerFunc is NewSampler over the n masses mass(0), …, mass(n−1),
+// read in place instead of from a slice: a caller whose masses are a
+// function of its own storage (a state's |ψ_i|²) builds the tables
+// without copying them out first. mass must return the same value for
+// an index on every call; it is read twice per index.
+func NewSamplerFunc(n int, mass func(i int) float64, seed int64) (*Sampler, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("sampling: empty distribution")
 	}
 	var total float64
-	for i, p := range probs {
+	for i := 0; i < n; i++ {
+		p := mass(i)
 		if p < 0 || math.IsNaN(p) {
 			return nil, fmt.Errorf("sampling: probability %v at index %d", p, i)
 		}
@@ -59,8 +68,8 @@ func NewSampler(probs []float64, seed int64) (*Sampler, error) {
 	}
 	work := make([]int, n)
 	ns, nl := 0, 0 // small = work[:ns], large = work[n-nl:], tops at ns−1 and n−nl
-	for i, p := range probs {
-		s.prob[i] = p * float64(n) / total
+	for i := range s.prob {
+		s.prob[i] = mass(i) * float64(n) / total
 		if s.prob[i] < 1 {
 			work[ns] = i
 			ns++

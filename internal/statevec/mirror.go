@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the pivot kernels of a state stored over a bit-flip
-// symmetry group (internal/core's group state, distsim's half shards).
+// symmetry group (internal/core's group state, distsim's group shards).
 // If ψ(x ⊕ g) = ψ(x) for every x and every g of a group whose elements
 // carry each of the top h bits, the state can be stored over the
 // 2^(n−h) indices whose top h bits are zero, holding the full state's
@@ -19,7 +19,8 @@ import (
 // i ⊕ μ. On the stored planes, qubit q's RX therefore pairs amplitude i
 // with i ⊕ μ. A nonzero μ makes the pairs disjoint, so chunks of them
 // run in parallel. μ = len−1 (the complement group {0, 1…1}, h = 1)
-// pairs i with its mirror len−1−i.
+// pairs i with its mirror len−1−i. Any nonzero μ < len works, so a
+// distributed rank passes the pair mask its layout gives the pivot.
 
 // ApplyMirrorRX applies the RX(β) of a pivot qubit to the stored state
 // s: the pair update of ApplyRX on every pair (i, i ⊕ mu).
@@ -72,9 +73,9 @@ func forPairRuns(lo, hi, top int, fn func(i, end int)) {
 }
 
 // MirrorRXPlanes is the pivot kernel on split planes, behind
-// ApplyMirrorRX: RX(β) on every pair (i, i ⊕ mu). A distributed half
-// shard runs it with mu = len(re)−1 on planes whose local complement
-// is the mirror partner of each amplitude.
+// ApplyMirrorRX: RX(β) on every pair (i, i ⊕ mu). A distributed group
+// shard runs it once per pivot on its transposed planes, with the local
+// mask at which each amplitude's pivot partner lies there.
 func MirrorRXPlanes[T Float](p *Pool, re, im []T, mu int, beta float64) {
 	top := checkMirror("ApplyMirrorRX", len(re), mu)
 	sn64, cs64 := math.Sincos(beta)
