@@ -66,7 +66,7 @@ func runOpt(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	cf := core.NewFactory(*n, core.Options{Backend: core.BackendSoA}, func(ctx context.Context) (core.DiagSource, error) {
+	cf := core.NewFactory(*n, terms, core.Options{Backend: core.BackendSoA}, func(ctx context.Context) (core.DiagSource, error) {
 		h, err := reg.Acquire(ctx, key)
 		if err != nil {
 			return nil, err

@@ -207,7 +207,7 @@ func runSuite(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	rcf := core.NewFactory(*n, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
+	rcf := core.NewFactory(*n, terms, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
 		h, err := reg.Acquire(ctx, rkey)
 		if err != nil {
 			return nil, err

@@ -175,8 +175,9 @@ func run(problem string, n, p, d, k, clauses, budget int, seed int64, evals int,
 	}
 	// The pinned handle reads the same cached spectrum the evaluators
 	// use (feasibility-restricted for the xy mixers' Dicke sector).
+	diag := h.Diag() // one 8·2^n expansion of the stored form per report
 	optimal := 0
-	for i, c := range h.Diag() {
+	for i, c := range diag {
 		if mixer != qokit.MixerX && bits.OnesCount64(uint64(i)) != hw {
 			continue
 		}
@@ -187,7 +188,7 @@ func run(problem string, n, p, d, k, clauses, budget int, seed int64, evals int,
 	fmt.Printf("ground-state overlap: %.4g (%d optimal states)\n", outs.Overlap, optimal)
 	fmt.Printf("cost variance:       %.6f (flat ≈ sharp diagnostic at the optimum)\n", outs.Variance)
 	fmt.Printf("most probable outcome: %0*b (p=%.4g, cost %.4f)\n",
-		n, outs.MaxProbIndex, outs.MaxProb, h.Diag()[outs.MaxProbIndex])
+		n, outs.MaxProbIndex, outs.MaxProb, diag[outs.MaxProbIndex])
 	if problem == "labs" {
 		e := qokit.LABSEnergy(outs.MaxProbIndex, n)
 		fmt.Printf("  as LABS sequence: E=%d, merit factor %.3f\n", e, qokit.MeritFactor(n, e))
@@ -216,8 +217,8 @@ func runDistributed(problem string, reg *qokit.ProblemRegistry, key qokit.Proble
 		return fmt.Errorf("unknown precision %q (float64 | float32)", precision)
 	}
 	// The mixer and Hamming-weight sector come from the registered spec;
-	// each elastic build is one rank-group lease whose diagonal shards
-	// are slices of the registry's cached full diagonal.
+	// each elastic build is one rank-group lease whose cost slices are
+	// cut from the registry's cached stored form.
 	dopts := qokit.DistOptions{Ranks: ranks, Algo: qokit.Transpose, Precision: prec}
 	start := time.Now()
 	svc, err := qokit.NewRegistryService(reg, key, qokit.RegistryServiceOptions{

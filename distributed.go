@@ -44,9 +44,9 @@ func DefaultNetworkModel() NetworkModel { return cluster.DefaultNetworkModel() }
 // all-to-all bytes by 2^h at the same message counts. A rank whose cost
 // slice is an exact grid of at most 2^(n−k)/16 levels keeps only its
 // uint16 codes, 2 bytes per amplitude instead of 8, with results
-// bit-identical to float64 slices. Caps().StateBytes reflects the
-// chosen precision at full-state figures, an upper bound, so service
-// pools pack honestly.
+// bit-identical to float64 slices. Caps().StateBytes reports the
+// stored shards exactly, in the chosen precision, from the terms before
+// any build, so service pools pack honestly.
 type DistOptions = distsim.Options
 
 // DistPrecision selects the sharded amplitude storage (see the

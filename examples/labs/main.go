@@ -36,13 +36,13 @@ func run(w io.Writer) error {
 		n, len(terms), optE, qokit.MeritFactor(n, optE))
 
 	// One simulator instance; the precomputed diagonal is reused for
-	// every depth and every optimizer evaluation below. At n = 14 the
-	// LABS energies take at most 2^n/16 integer values, so the
-	// simulator keeps uint16 level codes beside the float64 diagonal
-	// and gathers each phase from a per-γ table instead of calling
-	// sincos per amplitude. The codes add memory rather than save it:
-	// the §V-B memory saving, which drops the float64 diagonal, is made
-	// by distributed ranks whose diagonal slice is such a grid.
+	// every depth and every optimizer evaluation below. The terms give
+	// LABS's two symmetry pivots, so the simulator precomputes and keeps
+	// only the quarter of the diagonal its quarter state is stored
+	// over. At n = 14 those entries take at most 2^n/16 integer values,
+	// so it keeps them as uint16 level codes alone (§V-B's memory
+	// saving: 2 B per entry instead of 8) and gathers each phase from a
+	// per-γ table instead of calling sincos per amplitude.
 	sim, err := qokit.NewSimulator(n, terms, qokit.Options{})
 	if err != nil {
 		return err

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"qokit/internal/costvec"
@@ -141,14 +142,14 @@ func (r MixerRoute) String() string {
 
 // Options configures a Simulator. The zero value requests the auto
 // backend (SoA), the transverse-field mixer, a GOMAXPROCS-sized pool
-// and float64 planes. The options and the diagonal alone fix which
+// and float64 planes. The options and the cost alone fix which
 // kernels a simulator runs: nothing is calibrated against the clock,
 // and no option switches an optimization off. With the x mixer, SoA
 // folds the phase into the cache-tiled F = 2 mixer (§VI's gate fusion,
 // RX⊗RX on qubit pairs) in either precision, and Serial runs a phase
 // pass, then Algorithm 2's per-qubit sweep. Likewise no option selects
 // the group state (see Simulator): it follows from the backend, the
-// mixer, InitialState and the diagonal, and setting InitialState, even
+// mixer, InitialState and the cost, and setting InitialState, even
 // to the uniform state, keeps the full state.
 type Options struct {
 	Backend Backend
@@ -174,40 +175,45 @@ type Options struct {
 }
 
 // Simulator is a QAOA fast simulator bound to one problem instance
-// (one precomputed cost diagonal). After construction it is read-only,
-// so one Simulator may serve many goroutines at once as long as each
-// evolves its own Result (NewResult + SimulateQAOAInto) or Workspace —
-// the sharing pattern the evaluation service is built on. The precomputed
-// diagonal is shared by every evaluation, never copied.
+// (one precomputed cost diagonal, held in its stored form). After
+// construction it is read-only, so one Simulator may serve many
+// goroutines at once as long as each evolves its own Result (NewResult
+// + SimulateQAOAInto) or Workspace — the sharing pattern the evaluation
+// service is built on. The cost data is shared by every evaluation,
+// never copied.
 //
-// When the diagonal is exactly an affine grid Min + Scale·k with at
-// most 2^n/PhaseTableRatio points (LABS, unweighted MaxCut, any integer
-// cost of modest range), the simulator also keeps its uint16 level
-// codes, and each phase application gathers e^{−iγ·level} from a
-// per-γ table instead of calling sincos per amplitude. The table
-// entries are the sincos of the same float64 values the diagonal
-// holds, so states are bit-identical either way; other diagonals (SK,
-// portfolio) keep per-amplitude sincos.
-//
-// When the cost diagonal is invariant under XOR masks — diag[x ⊕ g] ==
-// diag[x] bitwise for every x and every g of a group H, as the
-// complement is for LABS, MaxCut and SK (terms of even degree) and the
-// alternating flip is for LABS — and the simulator runs SoA (in either
-// precision) with the x mixer and the default |+⟩ start, every state
-// it evolves keeps ψ(x ⊕ g) = ψ(x), and so does the adjoint's bra.
-// costvec.SymmetryPivots picks h ≤ n−1 elements of H that carry the
-// top h bits one each, and the simulator stores ψ and λ over the
-// 2^(n−h) indices whose top h bits are zero only: 2^−h of the memory
-// and of the traffic of every pass. MaxCut and SK take h = 1, the half
-// state; LABS takes h = 2, a quarter state, two qubits where §V-B's
-// float32 gains one. The stored values are the full state's amplitudes:
-// StateVector and Probabilities expand them to all 2^n basis states
-// through x ↦ x ⊕ g, g the element that carries x's top bits; Overlap,
-// CVaR, Variance and EvalOutputs read them where they are (each stands
-// for its 2^h basis states), and Caps still reports the full state as
-// an upper bound. Serial, the xy mixers, costs whose
+// When the cost is invariant under XOR masks — C(x ⊕ g) == C(x) for
+// every x and every g of a group H, as the complement is for LABS,
+// MaxCut and SK (terms of even degree) and the alternating flip is for
+// LABS — and the simulator runs SoA (in either precision) with the x
+// mixer and the default |+⟩ start, every state it evolves keeps
+// ψ(x ⊕ g) = ψ(x), and so does the adjoint's bra. h ≤ n−1 elements of H
+// that carry the top h bits one each (costvec.TermPivots from the
+// terms, costvec.SymmetryPivots from a caller's diagonal) fix how the
+// simulator stores ψ and λ: over the 2^(n−h) indices whose top h bits
+// are zero only, 2^−h of the memory and of the traffic of every pass.
+// MaxCut and SK take h = 1, the half state; LABS takes h = 2, a quarter
+// state, two qubits where §V-B's float32 gains one. The stored values
+// are the full state's amplitudes: StateVector and Probabilities expand
+// them to all 2^n basis states through x ↦ x ⊕ g, g the element that
+// carries x's top bits; Overlap, CVaR, Variance and EvalOutputs read
+// them where they are (each stands for its 2^h basis states), and Caps
+// reports the stored state. Serial, the xy mixers, costs whose
 // symmetries carry no top bit (h = 0) and any caller-supplied
 // InitialState keep the full state.
+//
+// The cost is held over the same indices (costvec.Stored): only the
+// 2^(n−h) stored entries are precomputed and kept. When they are
+// exactly an affine grid Min + Scale·k with at most
+// 2^n/costvec.PhaseTableRatio points (LABS, unweighted MaxCut, any
+// integer cost of modest range), the simulator keeps their uint16
+// level codes alone: each phase application gathers e^{−iγ·level} from
+// a per-γ table instead of calling sincos per amplitude, and every
+// reduction reads Min + Scale·code, which equals the float64 entry bit
+// for bit, so states and outputs are bit-identical to a float64
+// diagonal's. Other costs (SK, portfolio) keep float64 entries and
+// per-amplitude sincos. Serial also keeps all 2^n float64 entries,
+// which its complex128 reductions read.
 type Simulator struct {
 	n       int
 	opts    Options
@@ -218,10 +224,13 @@ type Simulator struct {
 	// state.
 	group []uint64
 
+	// cost is the stored form of the diagonal over group.
+	cost *costvec.Stored
+	// diag holds the float64 entries the reductions read: the form's,
+	// nil when it holds codes, and on Serial all 2^n entries.
 	diag []float64
-	// levels holds the level codes the phase tables are indexed by (an
-	// exact grid found at construction); nil selects per-amplitude
-	// sincos. nlevels is the table length.
+	// levels holds the level codes the phase tables are indexed by;
+	// nil selects per-amplitude sincos. nlevels is the table length.
 	levels  *costvec.Quantized
 	nlevels int
 
@@ -244,8 +253,10 @@ type Simulator struct {
 }
 
 // New builds a simulator for an n-qubit problem given as polynomial
-// terms (Eq. 1), precomputing the 2^n cost diagonal with the engine
-// selected by opts (the paper's Fig. 1 "precompute diagonal" stage).
+// terms (Eq. 1). The terms fix the symmetry group the state is stored
+// over before any entry exists (costvec.TermPivots), so the paper's
+// Fig. 1 "precompute diagonal" stage computes only the 2^(n−h) stored
+// entries, on the pool opts select.
 func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
 	if err := costvec.CheckQubits(n); err != nil {
 		return nil, err
@@ -253,17 +264,29 @@ func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
 	if err := terms.Validate(n); err != nil {
 		return nil, err
 	}
-	compiled := poly.Compile(terms)
-	if opts.Backend == BackendSerial {
-		return NewFromDiagonal(n, costvec.Precompute(compiled, n), opts)
+	backend, workers, err := resolveBackend(opts)
+	if err != nil {
+		return nil, err
 	}
-	return NewFromDiagonal(n, costvec.PrecomputePool(statevec.NewPool(opts.Workers), compiled, n), opts)
+	compiled := poly.Compile(terms)
+	pivots, flip := costvec.TermPivots(n, compiled.Masks)
+	if !groupState(backend, opts) {
+		pivots = nil
+	}
+	cost, err := costvec.NewStored(statevec.NewPool(workers), compiled, n, pivots, flip)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return newSimulator(n, cost, opts)
 }
 
 // NewFromDiagonal builds a simulator from an existing cost diagonal
-// (QOKit's `costs` constructor argument). The diagonal is retained,
-// not copied; callers must not mutate it afterwards. A NaN or ±Inf
-// entry returns an error wrapping poly.ErrNonFiniteCost.
+// (QOKit's `costs` constructor argument), which has no terms: one scan
+// rejects NaN and ±Inf entries (an error wrapping poly.ErrNonFiniteCost)
+// and a search of the diagonal finds its symmetry group
+// (costvec.SymmetryPivots) before the stored entries are kept. A
+// float64 form retains a sub-slice of diag, not a copy; callers must
+// not mutate it afterwards.
 func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if err := costvec.CheckQubits(n); err != nil {
 		return nil, err
@@ -271,45 +294,89 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	if len(diag) != 1<<uint(n) {
 		return nil, fmt.Errorf("core: diagonal length %d, want 2^%d = %d", len(diag), n, 1<<uint(n))
 	}
-	backend := opts.Backend
-	switch backend {
-	case BackendAuto:
-		backend = BackendSoA
-	case BackendSerial, BackendSoA:
-	default:
-		return nil, fmt.Errorf("core: unknown backend %v", opts.Backend)
-	}
-	workers := opts.Workers
-	if backend == BackendSerial {
-		// The serial backend never consults the pool; normalize the
-		// worker count to 1 so Options cannot silently claim parallelism
-		// the engine does not deliver.
-		workers = 1
-	}
-	s := &Simulator{
-		n:       n,
-		opts:    opts,
-		backend: backend,
-		pool:    statevec.NewPool(workers),
-		diag:    diag,
-	}
-	if opts.SinglePrecision && backend != BackendSoA {
-		return nil, fmt.Errorf("core: SinglePrecision requires the SoA backend, got %v", backend)
+	backend, _, err := resolveBackend(opts)
+	if err != nil {
+		return nil, err
 	}
 	flip, err := costvec.CheckDiagonal(diag)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var pivots []uint64
-	if backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil {
+	if groupState(backend, opts) {
 		pivots = costvec.SymmetryPivots(diag, flip)
 	}
-	s.group = costvec.Group(pivots)
-	// A group state's codes cover the stored indices only, which hold
-	// every level.
-	if q, err := costvec.QuantizeExact(diag[:s.stored()], len(diag)/PhaseTableRatio); err == nil {
-		s.levels = q
-		s.nlevels = int(q.MaxCode()) + 1
+	return newSimulator(n, costvec.FromDiagonal(diag, pivots, flip), opts)
+}
+
+// newFromCost builds a simulator over a stored cost form, such as a
+// registry entry's: a group state takes the form's group as it is, and
+// any other state expands the form to the full diagonal once.
+func newFromCost(n int, cost *costvec.Stored, opts Options) (*Simulator, error) {
+	if cost.N != n {
+		return nil, fmt.Errorf("core: cost form over %d qubits, want %d", cost.N, n)
+	}
+	backend, _, err := resolveBackend(opts)
+	if err != nil {
+		return nil, err
+	}
+	if !groupState(backend, opts) {
+		cost = cost.Full()
+	}
+	return newSimulator(n, cost, opts)
+}
+
+// resolveBackend checks opts' backend and precision and returns the
+// backend and kernel-pool size a simulator runs. The serial backend
+// never consults the pool, so its worker count is normalized to 1:
+// Options cannot silently claim parallelism the engine does not
+// deliver.
+func resolveBackend(opts Options) (Backend, int, error) {
+	backend := opts.Backend
+	switch backend {
+	case BackendAuto:
+		backend = BackendSoA
+	case BackendSerial, BackendSoA:
+	default:
+		return 0, 0, fmt.Errorf("core: unknown backend %v", opts.Backend)
+	}
+	if opts.SinglePrecision && backend != BackendSoA {
+		return 0, 0, fmt.Errorf("core: SinglePrecision requires the SoA backend, got %v", backend)
+	}
+	if backend == BackendSerial {
+		return backend, 1, nil
+	}
+	return backend, opts.Workers, nil
+}
+
+// groupState reports whether a simulator on backend with opts stores
+// its states over the cost's symmetry group (see Simulator).
+func groupState(backend Backend, opts Options) bool {
+	return backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil
+}
+
+// newSimulator builds a simulator over a stored form whose group is
+// the one its states are stored over.
+func newSimulator(n int, cost *costvec.Stored, opts Options) (*Simulator, error) {
+	backend, workers, err := resolveBackend(opts)
+	if err != nil {
+		return nil, err
+	}
+	s := &Simulator{
+		n:       n,
+		opts:    opts,
+		backend: backend,
+		pool:    statevec.NewPool(workers),
+		group:   costvec.Group(cost.Pivots),
+		cost:    cost,
+		diag:    cost.Diag,
+		levels:  cost.Codes,
+	}
+	if backend == BackendSerial && s.diag == nil {
+		s.diag = cost.Expand()
+	}
+	if s.levels != nil {
+		s.nlevels = int(s.levels.MaxCode()) + 1
 	}
 	switch opts.Mixer {
 	case MixerX:
@@ -325,12 +392,6 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	}
 	return s, nil
 }
-
-// PhaseTableRatio bounds the grids that take phase tables to 2^n/16
-// points, so one per-γ table build costs at most 1/16 of the 2^n
-// sincos calls it replaces. The distributed engine applies the same
-// bound to each rank's slice.
-const PhaseTableRatio = 16
 
 // setupInitialState resolves the initial state: a caller-provided
 // vector, or a Dicke state for xy mixers. The x mixer's |+⟩^n keeps no
@@ -355,21 +416,26 @@ func (s *Simulator) setupInitialState() error {
 }
 
 // computeGroundStates records the minimal cost and its argmin set, once
-// (groundOnce). For xy mixers the search is restricted to the feasible
-// (fixed Hamming weight) subspace, since the dynamics never leaves it.
+// (groundOnce), from the stored entries: each stored index x stands for
+// x ⊕ g for every g of the group, which share its cost. For xy mixers
+// the search is restricted to the feasible (fixed Hamming weight)
+// subspace, since the dynamics never leaves it.
 func (s *Simulator) computeGroundStates() {
 	const tol = 1e-9
 	first := true
-	for x, v := range s.diag {
-		if s.feasible(x) && (first || v < s.minCost) {
+	for x := 0; x < s.stored(); x++ {
+		if v := s.cost.Value(x); s.feasible(x) && (first || v < s.minCost) {
 			s.minCost, first = v, false
 		}
 	}
-	for x, v := range s.diag {
-		if s.feasible(x) && v <= s.minCost+tol {
-			s.groundStates = append(s.groundStates, uint64(x))
+	for x := 0; x < s.stored(); x++ {
+		if s.feasible(x) && s.cost.Value(x) <= s.minCost+tol {
+			for _, g := range s.group {
+				s.groundStates = append(s.groundStates, uint64(x)^g)
+			}
 		}
 	}
+	slices.Sort(s.groundStates)
 }
 
 // NumQubits returns n.
@@ -386,12 +452,15 @@ func (s *Simulator) Workers() int { return s.pool.Workers }
 // the MixerRoute type).
 func (s *Simulator) MixerRoute() MixerRoute { return RouteSweep }
 
-// CostDiagonal returns the precomputed cost vector (shared storage —
-// do not mutate). This is QOKit's get_cost_diagonal.
-func (s *Simulator) CostDiagonal() []float64 { return s.diag }
+// CostDiagonal returns the full 2^n cost vector, QOKit's
+// get_cost_diagonal: a fresh expansion of the stored entries through
+// the group on every call (8·2^n bytes), equal bit for bit to the
+// diagonal PrecomputeDiagonal returns. The simulator itself holds only
+// the stored form.
+func (s *Simulator) CostDiagonal() []float64 { return s.cost.Expand() }
 
 // MinCost returns the smallest cost over the (feasible) search space.
-// The first MinCost or GroundStates call scans the diagonal.
+// The first MinCost or GroundStates call scans the stored entries.
 func (s *Simulator) MinCost() float64 {
 	s.groundOnce.Do(s.computeGroundStates)
 	return s.minCost

@@ -518,7 +518,8 @@ func TestPhaseTableRule(t *testing.T) {
 		}
 		requireTableSide(t, c.label, s, c.table)
 		if len(s.group) > 1 && s.levels != nil {
-			full, err := costvec.QuantizeExact(s.diag, len(s.diag)/PhaseTableRatio)
+			diag := s.CostDiagonal()
+			full, err := costvec.QuantizeExact(diag, len(diag)/costvec.PhaseTableRatio)
 			if err != nil || !slices.Equal(s.levels.Codes, full.Codes[:s.stored()]) {
 				t.Errorf("%s: group-state codes are not the stored prefix of the full diagonal's (%v)", c.label, err)
 			}
@@ -583,14 +584,22 @@ func TestMixerAndBackendStrings(t *testing.T) {
 	}
 }
 
+// TestNewFromDiagonalSharesStorage: a simulator built from a diagonal
+// that is not an exact grid keeps the caller's float64 entries, not a
+// copy, while CostDiagonal hands out a fresh expansion that a caller
+// may mutate freely.
 func TestNewFromDiagonalSharesStorage(t *testing.T) {
 	diag := costvec.Precompute(poly.Compile(problems.LABSTerms(4)), 4)
 	s, err := NewFromDiagonal(4, diag, Options{Backend: BackendSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &s.CostDiagonal()[0] != &diag[0] {
+	if &s.diag[0] != &diag[0] {
 		t.Error("NewFromDiagonal copied the diagonal; documented as shared")
+	}
+	got := s.CostDiagonal()
+	if &got[0] == &diag[0] || !slices.Equal(got, diag) {
+		t.Error("CostDiagonal must return a fresh copy of the diagonal")
 	}
 }
 

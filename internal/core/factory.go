@@ -5,18 +5,20 @@ import (
 	"fmt"
 	"sync"
 
+	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
+	"qokit/internal/poly"
 )
 
-// DiagSource leases a problem's precomputed cost diagonal to an
-// evaluator factory. internal/registry's Handle implements it; a
-// static in-memory diagonal does too (StaticDiag), so factories work
-// with or without a registry behind them. Release must be called
-// exactly once when the factory is done with the lease; the diagonal
-// must not be read afterwards.
+// DiagSource leases a problem's cost diagonal, in its stored form, to
+// an evaluator factory. internal/registry's Handle implements it; an
+// in-memory diagonal does too (StaticDiag), so factories work with or
+// without a registry behind them. Release must be called exactly once
+// when the factory is done with the lease; the form must not be read
+// afterwards.
 type DiagSource interface {
-	// Diag returns the float64 cost diagonal (read-only).
-	Diag() []float64
+	// Cost returns the stored cost form (read-only).
+	Cost() *costvec.Stored
 	// Release ends the lease.
 	Release()
 }
@@ -25,28 +27,32 @@ type DiagSource interface {
 // the first build so registering a problem stays free of precompute.
 type AcquireFunc func(ctx context.Context) (DiagSource, error)
 
-// StaticDiag wraps an in-memory diagonal as a never-expiring
-// DiagSource, for callers that precomputed (or loaded) the diagonal
-// themselves.
-func StaticDiag(diag []float64) DiagSource { return &staticDiag{diag: diag} }
-
-type staticDiag struct{ diag []float64 }
-
-func (s *staticDiag) Diag() []float64 { return s.diag }
-
-func (s *staticDiag) Release() {}
-
-// capsFor reports the Caps a Simulator built from (n, opts) will
-// advertise, without building one — the up-front cost metadata the
-// Factory contract requires.
-func capsFor(n int, opts Options) evaluator.Caps {
-	backend := opts.Backend
-	if backend == BackendAuto {
-		backend = BackendSoA
+// StaticDiag wraps an in-memory 2^n diagonal that has no terms
+// (QOKit's costs path) as a never-expiring DiagSource. It scans the
+// diagonal once, as NewFromDiagonal does — a NaN or ±Inf entry returns
+// an error wrapping poly.ErrNonFiniteCost — searches its symmetry group
+// (costvec.SymmetryPivots) and converts it to the stored form.
+func StaticDiag(diag []float64) (DiagSource, error) {
+	flip, err := costvec.CheckDiagonal(diag)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	stateBytes := int64(16) << uint(n)
-	if backend == BackendSoA && opts.SinglePrecision {
-		stateBytes = 8 << uint(n)
+	return staticDiag{costvec.FromDiagonal(diag, costvec.SymmetryPivots(diag, flip), flip)}, nil
+}
+
+type staticDiag struct{ cost *costvec.Stored }
+
+func (s staticDiag) Cost() *costvec.Stored { return s.cost }
+
+func (staticDiag) Release() {}
+
+// capsFor reports the Caps a Simulator built under opts with its state
+// stored over h pivots advertises, without building one — the up-front
+// cost metadata the Factory contract requires.
+func capsFor(n, h int, opts Options) evaluator.Caps {
+	stateBytes := int64(16) << uint(n-h)
+	if opts.SinglePrecision {
+		stateBytes /= 2
 	}
 	return evaluator.Caps{
 		NumQubits:  n,
@@ -58,6 +64,19 @@ func capsFor(n int, opts Options) evaluator.Caps {
 	}
 }
 
+// storedPivots returns the number of pivots a simulator built from
+// terms under opts stores its states over: the term group's
+// (costvec.TermPivots) on a group state, else 0. It reads the terms
+// only, so it runs before any precompute.
+func storedPivots(n int, terms poly.Terms, opts Options) int {
+	backend, _, err := resolveBackend(opts)
+	if err != nil || !groupState(backend, opts) {
+		return 0
+	}
+	pivots, _ := costvec.TermPivots(n, poly.Compile(terms).Masks)
+	return len(pivots)
+}
+
 // Factory builds workspaces over one shared Simulator whose diagonal it
 // leases. Every build is a Workspace over the same read-only Simulator
 // (evolution never mutates it), so growing a pool by one build costs
@@ -65,7 +84,7 @@ func capsFor(n int, opts Options) evaluator.Caps {
 // registry acquire, and any precompute behind it, waits for the first
 // New; the lease is held until the last build retires.
 type Factory struct {
-	n       int
+	n, h    int
 	opts    Options
 	acquire AcquireFunc
 
@@ -77,14 +96,16 @@ type Factory struct {
 
 var _ evaluator.Factory = (*Factory)(nil)
 
-// NewFactory builds a workspace factory for an n-qubit problem whose
-// diagonal comes from acquire.
-func NewFactory(n int, opts Options, acquire AcquireFunc) *Factory {
-	return &Factory{n: n, opts: opts, acquire: acquire, builds: make(map[*Workspace]bool)}
+// NewFactory builds a workspace factory for an n-qubit problem with
+// the given terms whose stored cost form comes from acquire (built from
+// the same terms). The terms fix the stored state, and so Caps, before
+// the first acquire.
+func NewFactory(n int, terms poly.Terms, opts Options, acquire AcquireFunc) *Factory {
+	return &Factory{n: n, h: storedPivots(n, terms, opts), opts: opts, acquire: acquire, builds: make(map[*Workspace]bool)}
 }
 
 // Caps reports the metadata of the workspaces this factory builds.
-func (f *Factory) Caps() evaluator.Caps { return workspaceCaps(capsFor(f.n, f.opts)) }
+func (f *Factory) Caps() evaluator.Caps { return workspaceCaps(capsFor(f.n, f.h, f.opts)) }
 
 // New returns a workspace over the shared simulator, building the
 // simulator (and acquiring the diagonal lease) on first use.
@@ -96,7 +117,7 @@ func (f *Factory) New(ctx context.Context) (evaluator.Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := NewFromDiagonal(f.n, src.Diag(), f.opts)
+		sim, err := newFromCost(f.n, src.Cost(), f.opts)
 		if err != nil {
 			src.Release()
 			return nil, err

@@ -163,7 +163,7 @@ func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBet
 // and the xy mixers undo the mixer, then the phase.
 func (s *Simulator) reverseLayer(w *GradBuffers, gamma, beta float64, undo bool) (dBeta, dGamma float64) {
 	lam, psi := w.lam, w.psi
-	ph := statevec.Phase{Diag: s.diag[:s.stored()], Gamma: gamma}
+	ph := s.costSource(gamma)
 	if undo {
 		ph = s.phase(psi, gamma)
 	}
@@ -225,29 +225,39 @@ func (s *Simulator) reversePhase(w *GradBuffers, ph statevec.Phase, undo bool) f
 	}
 }
 
-// seedBra sets λ = obs⊙ψ without allocating, with the cost diagonal
-// for a nil obs: a copy and a diagonal multiply on the full state, and
-// on a group state one pass of seedGroup, which reads each orbit entry
-// of obs on the fly (the cost's one entry per orbit suffices).
+// seedBra sets λ = obs⊙ψ without allocating, with the cost for a nil
+// obs: a copy and a multiply by the stored cost entries, which a group
+// state's cost already is on every stored index; a caller's full-length
+// obs on a group state takes one pass of seedGroup, which reads each
+// orbit entry of obs on the fly.
 func (s *Simulator) seedBra(w *GradBuffers, obs []float64) {
 	lam, psi := w.lam, w.psi
-	group := s.group
-	if obs == nil {
-		obs, group = s.diag, group[:1]
-	}
+	grouped := len(s.group) > 1 && obs != nil
 	switch {
-	case len(s.group) > 1 && psi.soa32 != nil:
-		seedGroup(s.pool, lam.soa32.Re, lam.soa32.Im, psi.soa32.Re, psi.soa32.Im, obs, group)
-	case len(s.group) > 1:
-		seedGroup(s.pool, lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im, obs, group)
+	case grouped && psi.soa32 != nil:
+		seedGroup(s.pool, lam.soa32.Re, lam.soa32.Im, psi.soa32.Re, psi.soa32.Im, obs, s.group)
+	case grouped:
+		seedGroup(s.pool, lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im, obs, s.group)
 	case psi.soa32 != nil:
 		lam.soa32.Copy(psi.soa32)
-		lam.soa32.MulDiag(s.pool, obs)
+		statevec.MulDiagPlanes(s.pool, lam.soa32.Re, lam.soa32.Im, s.obsSource(obs))
 	case psi.soa != nil:
 		lam.soa.Copy(psi.soa)
-		lam.soa.MulDiag(s.pool, obs)
+		statevec.MulDiagPlanes(s.pool, lam.soa.Re, lam.soa.Im, s.obsSource(obs))
 	default:
 		copy(lam.vec, psi.vec)
+		if obs == nil {
+			obs = s.diag
+		}
 		statevec.MulDiag(lam.vec, obs)
 	}
+}
+
+// obsSource returns a full-state observable as a cost source, or the
+// simulator's cost for a nil obs.
+func (s *Simulator) obsSource(obs []float64) statevec.Phase {
+	if obs == nil {
+		return s.costSource(0)
+	}
+	return statevec.Phase{Diag: obs}
 }

@@ -11,8 +11,9 @@ import (
 // XOR masks g with C(x ⊕ g) = C(x) for every x. With the |+⟩ start and
 // the x mixer, every layer commutes with X^g for each g ∈ H, so
 // ψ(x ⊕ g) = ψ(x) after every layer, and the adjoint's bra λ = Ĉψ keeps
-// the same symmetry. costvec.SymmetryPivots picks h pivots in H, one
-// per top qubit n−h+j, whose top h bits are that qubit's alone; their
+// the same symmetry. costvec.TermPivots (from the terms) or
+// costvec.SymmetryPivots (from a caller's diagonal) picks h pivots in H,
+// one per top qubit n−h+j, whose top h bits are that qubit's alone; their
 // 2^h products (costvec.Group) form s.group, indexed by top bits:
 // group[t] is the element whose top h bits are t. A group state stores
 // the full state's amplitude values at the 2^(n−h) indices whose top h
@@ -22,8 +23,8 @@ import (
 //
 // Qubits 0…n−h−1 map stored indices to stored indices, so the tiled
 // forward layer and reverse step run on the stored planes unchanged,
-// as an (n−h)-qubit state, with the phase read from the first 2^(n−h)
-// entries of the diagonal and the level codes. Top qubit n−h+j pairs
+// as an (n−h)-qubit state, with the phase read from the stored cost
+// entries, the first 2^(n−h) of the diagonal. Top qubit n−h+j pairs
 // amplitude i with i ⊕ μ_j, μ_j = group[2^j] mod 2^(n−h) (statevec's
 // ApplyMirrorRX and ReverseMirrorRX): a forward layer is the tiled
 // layer, then one pass per pivot; a reverse step is the pivots'

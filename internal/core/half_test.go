@@ -91,9 +91,9 @@ func quarterProblems(t *testing.T, n int) []namedTerms {
 
 // TestHalfStateRule pins which simulators store a group state, and over
 // how many pivots: SoA in either precision with the x mixer, the
-// default start and a diagonal whose symmetry group carries top bits,
-// whatever the phase options; nothing else. Caps keeps reporting the
-// full state.
+// default start and a cost whose symmetry group carries top bits,
+// whatever the phase options; nothing else. Caps reports the stored
+// state, 2^(n−h) amplitudes.
 func TestHalfStateRule(t *testing.T) {
 	const n = 8
 	g, err := graphs.RandomRegular(n, 3, 5)
@@ -137,19 +137,20 @@ func TestHalfStateRule(t *testing.T) {
 			t.Fatalf("%s: %v", c.label, err)
 		}
 		requirePivots(t, c.label, s, c.h)
-		for x := range s.diag {
+		diag := s.CostDiagonal()
+		for x := range diag {
 			for _, g := range s.group {
-				if s.diag[x] != s.diag[uint64(x)^g] {
+				if diag[x] != diag[uint64(x)^g] {
 					t.Fatalf("%s: group element %b does not fix the cost at %d", c.label, g, x)
 				}
 			}
 		}
-		want := int64(16) << uint(c.n)
+		want := int64(16) << uint(c.n-c.h)
 		if c.opts.SinglePrecision {
 			want /= 2
 		}
 		if got := s.Caps().StateBytes; got != want {
-			t.Errorf("%s: Caps().StateBytes = %d, want the full state's %d", c.label, got, want)
+			t.Errorf("%s: Caps().StateBytes = %d, want the stored state's %d", c.label, got, want)
 		}
 	}
 }
@@ -610,6 +611,60 @@ func TestNonFiniteDiagonalRejected(t *testing.T) {
 				if !errors.Is(err, poly.ErrNonFiniteCost) || !strings.Contains(err.Error(), fmt.Sprintf("entry %d ", x)) {
 					t.Errorf("entry %d = %v, %+v: error %v, want ErrNonFiniteCost naming the entry", x, bad, opts, err)
 				}
+			}
+		}
+	}
+}
+
+// TestHalfStateWiderTermGroup: costs whose term group is larger than the
+// budgeted diagonal search finds — a constant at n = 10 (term h = 9,
+// searched h = 3) and Z₀Z₁ alone (8 and 3) — store the state over the
+// term group when built from terms, as a two- and a four-amplitude
+// state, and still match Serial, the searched group's state and the
+// full state within the differential tolerances in both precisions.
+func TestHalfStateWiderTermGroup(t *testing.T) {
+	const n = 10
+	rng := rand.New(rand.NewSource(67))
+	for _, c := range []struct {
+		name         string
+		terms        poly.Terms
+		term, search int
+	}{
+		{"constant", poly.New(poly.NewTerm(0.5)), 9, 3},
+		{"z0z1", poly.New(poly.NewTerm(1, 0, 1)), 8, 3},
+	} {
+		serial, err := New(n, c.terms, Options{Backend: BackendSerial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diag := serial.CostDiagonal()
+		for _, single := range []bool{false, true} {
+			label := fmt.Sprintf("%s single=%v", c.name, single)
+			opts := Options{SinglePrecision: single, Workers: 2}
+			wide, err := New(n, c.terms, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			searched, err := NewFromDiagonal(n, diag, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.InitialState = statevec.NewUniform(n)
+			full, err := New(n, c.terms, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requirePivots(t, label+" terms", wide, c.term)
+			requirePivots(t, label+" search", searched, c.search)
+			tol := 1e-12
+			if single {
+				tol = 2e-3
+			}
+			for _, p := range []int{1, 4} {
+				gamma, beta := randomAngles(rng, p)
+				pl := fmt.Sprintf("%s p=%d", label, p)
+				checkHalfGrad(t, pl, wide, map[string]*Simulator{"serial": serial, "searched": searched, "full": full}, gamma, beta, map[string][]float64{"cost": nil}, tol)
+				checkHalfOutputs(t, pl, wide, full, gamma, beta, tol)
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func (a *amplitudes) Prob(i int) float64 {
 	}
 }
 
-func (a *amplitudes) Cost(i int) float64 { return a.sim.diag[i] }
+func (a *amplitudes) Cost(i int) float64 { return a.sim.cost.Value(i) }
 
 func (a *amplitudes) Ascending() []int { return a.sim.costOrder() }
 
@@ -116,6 +116,6 @@ type costOrderCache struct {
 // distsim's ranks share).
 func (s *Simulator) costOrder() []int {
 	c := &s.costCache
-	c.once.Do(func() { c.order = costvec.Ascending(s.diag[:s.stored()], s.levels) })
+	c.once.Do(func() { c.order = costvec.Ascending(s.diag, s.levels) })
 	return c.order
 }

@@ -198,9 +198,9 @@ func (s *Simulator) applyLayer(r *Result, gamma, beta float64) {
 // phase returns the source of e^{−iγĈ} over the stored amplitudes:
 // with level codes, the per-γ table rebuilt in r's scratch (a few
 // hundred sincos calls instead of 2^n); otherwise per-amplitude sincos
-// of the diagonal.
+// of the float64 entries.
 func (s *Simulator) phase(r *Result, gamma float64) statevec.Phase {
-	ph := statevec.Phase{Diag: s.diag[:s.stored()], Gamma: gamma}
+	ph := s.costSource(gamma)
 	if s.levels == nil {
 		return ph
 	}
@@ -210,7 +210,18 @@ func (s *Simulator) phase(r *Result, gamma float64) statevec.Phase {
 	}
 	r.tab = r.tab[:s.nlevels]
 	s.levels.PhaseTableInto(r.tab, gamma)
-	ph.Codes, ph.Tab = s.levels.Codes, r.tab
+	ph.Tab = r.tab
+	return ph
+}
+
+// costSource returns the cost over the stored amplitudes without a
+// phase table, as the reductions read it: the float64 entries, or the
+// codes with their grid (Min + Scale·code, the entries bit for bit).
+func (s *Simulator) costSource(gamma float64) statevec.Phase {
+	ph := statevec.Phase{Diag: s.diag, Gamma: gamma}
+	if q := s.levels; q != nil {
+		ph.Codes, ph.Min, ph.Scale = q.Codes, q.Min, q.Scale
+	}
 	return ph
 }
 
@@ -239,16 +250,16 @@ func (s *Simulator) applyXY(r *Result, beta float64) {
 	}
 }
 
-// Expectation returns ⟨γ,β|Ĉ|γ,β⟩ against the cached cost diagonal —
+// Expectation returns ⟨γ,β|Ĉ|γ,β⟩ against the cached cost entries —
 // the QAOA objective, evaluated as a single inner product (QOKit's
 // get_expectation).
 func (r *Result) Expectation() float64 {
 	s := r.sim
 	if r.soa32 != nil {
-		return s.weight() * r.soa32.ExpectationDiag(s.pool, s.diag[:s.stored()])
+		return s.weight() * statevec.ExpectationPlanes(s.pool, r.soa32.Re, r.soa32.Im, s.costSource(0))
 	}
 	if r.soa != nil {
-		return s.weight() * r.soa.ExpectationDiag(s.pool, s.diag[:s.stored()])
+		return s.weight() * statevec.ExpectationPlanes(s.pool, r.soa.Re, r.soa.Im, s.costSource(0))
 	}
 	return statevec.ExpectationDiag(r.vec, s.diag)
 }

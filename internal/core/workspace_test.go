@@ -388,22 +388,24 @@ func TestWorkspaceEvaluatorContract(t *testing.T) {
 }
 
 // TestFactoryCapsMatchBuild: a single-node build pins two states, ψ and
-// λ, and the factory reports exactly the Caps of what New builds, in
-// float64 and in single precision.
+// λ, each LABS's quarter state, and the factory reports exactly the
+// Caps of what New builds, in float64 and in single precision, from the
+// terms before any acquire.
 func TestFactoryCapsMatchBuild(t *testing.T) {
 	const n = 6
 	diag := problemDiag(t, n)
 	for _, opts := range []Options{{}, {Backend: BackendSoA, SinglePrecision: true}} {
-		f := NewFactory(n, opts, func(context.Context) (DiagSource, error) { return StaticDiag(diag), nil })
+		f := NewFactory(n, problems.LABSTerms(n), opts, func(context.Context) (DiagSource, error) { return StaticDiag(diag) })
+		fc := f.Caps()
 		ev, err := f.New(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		one := int64(16) << n
+		one := int64(16) << (n - 2)
 		if opts.SinglePrecision {
-			one = 8 << n
+			one = 8 << (n - 2)
 		}
-		if fc, bc := f.Caps(), ev.Caps(); fc != bc || fc.StateBytes != 2*one || fc.MaxConcurrent != 1 {
+		if bc := ev.Caps(); fc != bc || fc.StateBytes != 2*one || fc.MaxConcurrent != 1 {
 			t.Errorf("single=%v: factory Caps %+v, build Caps %+v, want StateBytes %d and MaxConcurrent 1",
 				opts.SinglePrecision, fc, bc, 2*one)
 		}
@@ -429,9 +431,10 @@ func TestFactoryLifecycle(t *testing.T) {
 	const n = 6
 	diag := problemDiag(t, n)
 	var acquires, releases int
-	f := NewFactory(n, Options{}, func(context.Context) (DiagSource, error) {
+	f := NewFactory(n, problems.LABSTerms(n), Options{}, func(context.Context) (DiagSource, error) {
 		acquires++
-		return countedLease{StaticDiag(diag), &releases}, nil
+		src, err := StaticDiag(diag)
+		return countedLease{src, &releases}, err
 	})
 	ctx := context.Background()
 	a, err := f.New(ctx)
@@ -450,7 +453,7 @@ func TestFactoryLifecycle(t *testing.T) {
 		t.Fatal("builds must be distinct workspaces over one shared simulator")
 	}
 
-	other := NewFactory(n, Options{}, func(context.Context) (DiagSource, error) { return StaticDiag(diag), nil })
+	other := NewFactory(n, problems.LABSTerms(n), Options{}, func(context.Context) (DiagSource, error) { return StaticDiag(diag) })
 	foreign, err := other.New(ctx)
 	if err != nil {
 		t.Fatal(err)

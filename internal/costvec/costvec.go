@@ -13,6 +13,11 @@
 //     paper-faithful one-kernel-per-term variant for ablation,
 //   - range-sliced precomputation for the distributed simulator
 //     (each rank computes its slice with no communication, §III-C),
+//   - the symmetry group of a cost, read off its terms (TermPivots) or
+//     searched in a diagonal that has none (SymmetryPivots), and the
+//     stored form the engines hold (Stored): the entries at the
+//     2^(n−h) indices a state stored over that group keeps, and
+//     nothing else,
 //   - a uint16 code store for diagonals on an exact power-of-two grid,
 //     reproducing the paper's §V-B memory optimization (state 16
 //     B/amplitude, costs 2 B/amplitude ⇒ +12.5%), and
@@ -46,15 +51,22 @@ func Precompute(c poly.Compiled, n int) []float64 {
 // for bit.
 func PrecomputePool(p *statevec.Pool, c poly.Compiled, n int) []float64 {
 	diag := make([]float64, 1<<uint(n))
-	if !exactSums(c.Weights) {
-		p.Run(len(diag), func(lo, hi int) { sumTerms(c, uint64(lo), diag[lo:hi]) })
-		return diag
-	}
-	b := min(n, blockBits)
-	p.RunTasks(len(diag)>>uint(b), len(diag), func(lo, hi int) {
-		transformBlocks(c, uint64(lo)<<uint(b), diag[lo<<uint(b):hi<<uint(b)], b)
-	})
+	precomputePrefix(p, c, diag)
 	return diag
+}
+
+// precomputePrefix fills out[i] = f(i) on the worker pool, for a
+// power-of-two len(out): the first len(out) entries of the diagonal,
+// bit for bit.
+func precomputePrefix(p *statevec.Pool, c poly.Compiled, out []float64) {
+	if !exactSums(c.Weights) {
+		p.Run(len(out), func(lo, hi int) { sumTerms(c, uint64(lo), out[lo:hi]) })
+		return
+	}
+	b := min(bits.TrailingZeros(uint(len(out))), blockBits)
+	p.RunTasks(len(out)>>uint(b), len(out), func(lo, hi int) {
+		transformBlocks(c, uint64(lo)<<uint(b), out[lo<<uint(b):hi<<uint(b)], b)
+	})
 }
 
 // PrecomputeRange fills out[i] = f(offset + i) for the compiled terms:
@@ -198,10 +210,12 @@ func signed(w float64, x uint64) float64 {
 // complement pair (x, x̄) together. It returns an error wrapping
 // poly.ErrNonFiniteCost that names a NaN or ±Inf entry, and otherwise
 // reports whether diag[x] == diag[x̄] bitwise for every x: the flip
-// symmetry. Both engines hand that report to SymmetryPivots, which
-// searches the wider symmetry group; the distributed engine falls back
-// to the complement alone when its rank layout cannot hold the pivots
-// it finds. Only weights that fail exactSums can overflow to ±Inf.
+// symmetry. A caller that has a diagonal but no terms (QOKit's costs
+// path) hands that report to SymmetryPivots, which searches the wider
+// symmetry group, and keeps it in the stored form, where the
+// distributed engine reads it to fall back to the complement alone
+// when its rank layout cannot hold the pivots. Only weights that fail
+// exactSums can overflow to ±Inf.
 func CheckDiagonal(diag []float64) (symmetric bool, err error) {
 	mask := len(diag) - 1
 	symmetric = true
@@ -271,12 +285,19 @@ func Group(pivots []uint64) []uint64 {
 // symmetryPivots is SymmetryPivots with an explicit read budget; it
 // also returns the reads spent.
 func symmetryPivots(diag []float64, flip bool, budget int) ([]uint64, int) {
-	n := bits.Len(uint(len(diag))) - 1
 	s := &groupSearch{diag: diag, flip: flip, budget: budget}
+	return groupPivots(bits.Len(uint(len(diag)))-1, s.find), s.reads
+}
+
+// groupPivots reduces a symmetry group of an n-qubit cost to pivots, as
+// SymmetryPivots describes, given the group by its membership oracle:
+// find(l) returns the largest element whose leading bit is l, or 0 when
+// there is none (or none is known).
+func groupPivots(n int, find func(l int) uint64) []uint64 {
 	// basis[i] has leading bit n−1−i.
 	var basis []uint64
 	for l := n - 1; l >= 1; l-- {
-		g := s.find(l)
+		g := find(l)
 		if g == 0 {
 			break
 		}
@@ -302,7 +323,7 @@ func symmetryPivots(diag []float64, flip bool, budget int) ([]uint64, int) {
 		}
 		var low uint64
 		for l := from; l >= 0 && low == 0; l-- {
-			low = s.find(l)
+			low = find(l)
 		}
 		if low == 0 && h > 0 {
 			// Without one, the lowest pivot becomes the lower-only
@@ -321,7 +342,7 @@ func symmetryPivots(diag []float64, flip bool, budget int) ([]uint64, int) {
 	for i := h - 1; i >= 0; i-- {
 		pivots = append(pivots, basis[i])
 	}
-	return pivots, s.reads
+	return pivots
 }
 
 // zeroLower reports whether some element of basis has no bit below
@@ -398,6 +419,18 @@ func (s *groupSearch) verify(m, l int) bool {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// CheckFinite returns an error wrapping poly.ErrNonFiniteCost that
+// names the first NaN or ±Inf entry of a slice of the diagonal that
+// starts at entry offset, or nil.
+func CheckFinite(entries []float64, offset uint64) error {
+	for i, v := range entries {
+		if !finite(v) {
+			return fmt.Errorf("%w: diagonal entry %d is %v", poly.ErrNonFiniteCost, offset+uint64(i), v)
+		}
+	}
+	return nil
+}
+
 // PrecomputeTermKernels is the paper-faithful variant: one data-
 // parallel kernel launch per term, each accumulating into the diagonal
 // in place ("iterate over terms in T, applying a GPU kernel in-parallel
@@ -433,16 +466,6 @@ func CheckQubits(n int) error {
 		return fmt.Errorf("%w: n=%d", ErrQubitRange, n)
 	}
 	return nil
-}
-
-// FromFunc fills the diagonal from an arbitrary cost callback, the
-// analogue of QOKit's Python-lambda input path.
-func FromFunc(n int, f func(x uint64) float64) []float64 {
-	diag := make([]float64, 1<<uint(n))
-	for i := range diag {
-		diag[i] = f(uint64(i))
-	}
-	return diag
 }
 
 // MinMax returns the extreme values of the diagonal.
@@ -524,15 +547,6 @@ func quantize(diag []float64, lo, scale float64) (*Quantized, error) {
 // Value reconstructs the cost of index i.
 func (q *Quantized) Value(i int) float64 { return q.Min + q.Scale*float64(q.Codes[i]) }
 
-// Expand reconstructs the full float64 diagonal.
-func (q *Quantized) Expand() []float64 {
-	out := make([]float64, len(q.Codes))
-	for i := range out {
-		out[i] = q.Value(i)
-	}
-	return out
-}
-
 // MemoryBytes returns the size of the compressed store (2 bytes per
 // amplitude, the +12.5% figure against a 16-byte complex128 state).
 func (q *Quantized) MemoryBytes() int { return 2 * len(q.Codes) }
@@ -581,18 +595,11 @@ func Ascending(diag []float64, q *Quantized) []int {
 	return order
 }
 
-// PhaseTable tabulates e^{−iγ(Min+Scale·k)} for every code k in use.
-// One table build (≤ 2^16 sincos calls) replaces 2^n of them per phase
-// application; the multiply itself becomes a gather from the table.
-func (q *Quantized) PhaseTable(gamma float64) []complex128 {
-	tab := make([]complex128, int(q.MaxCode())+1)
-	q.PhaseTableInto(tab, gamma)
-	return tab
-}
-
-// PhaseTableInto is PhaseTable into caller-owned storage: it fills
-// tab[k] = e^{−iγ(Min+Scale·k)} for k < len(tab), so a caller that
-// sized tab to MaxCode()+1 once rebuilds it per γ without allocating.
+// PhaseTableInto tabulates e^{−iγ(Min+Scale·k)} for every code k <
+// len(tab). One table build (≤ 2^16 sincos calls) replaces one sincos
+// per amplitude in each phase application, which becomes a gather from
+// the table; a caller that sized tab to MaxCode()+1 once rebuilds it
+// per γ without allocating.
 func (q *Quantized) PhaseTableInto(tab []complex128, gamma float64) {
 	for k := range tab {
 		s, c := math.Sincos(-gamma * (q.Min + q.Scale*float64(k)))

@@ -599,16 +599,6 @@ func TestAscending(t *testing.T) {
 	}
 }
 
-func TestFromFunc(t *testing.T) {
-	diag := FromFunc(6, func(x uint64) float64 { return float64(problems.LABSEnergy(x, 6)) })
-	want := Precompute(poly.Compile(problems.LABSTerms(6)), 6)
-	for i := range diag {
-		if math.Abs(diag[i]-want[i]) > 1e-9 {
-			t.Fatalf("FromFunc[%d] = %v, want %v", i, diag[i], want[i])
-		}
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	diag := []float64{3, -1, 4, -1, 5}
 	lo, hi := MinMax(diag)
@@ -628,11 +618,7 @@ func TestQuantizeExactRoundTripLABS(t *testing.T) {
 	if q.Scale != 1 {
 		t.Errorf("Scale = %v, want 1", q.Scale)
 	}
-	expanded := q.Expand()
 	for i := range diag {
-		if diag[i] != expanded[i] {
-			t.Fatalf("lossy at %d: %v vs %v", i, expanded[i], diag[i])
-		}
 		if q.Value(i) != diag[i] {
 			t.Fatalf("Value(%d) = %v, want %v", i, q.Value(i), diag[i])
 		}
@@ -750,24 +736,31 @@ func TestPhaseTableAndApply(t *testing.T) {
 	direct := v.Clone()
 	statevec.PhaseDiag(direct, diag, gamma)
 	viaTable := v.Clone()
-	statevec.ApplyPhase(viaTable, statevec.Phase{Diag: diag, Gamma: gamma, Codes: q.Codes, Tab: q.PhaseTable(gamma)})
+	tab := phaseTable(q, gamma)
+	statevec.ApplyPhase(viaTable, statevec.Phase{Diag: diag, Gamma: gamma, Codes: q.Codes, Tab: tab})
 	if d := statevec.MaxAbsDiff(direct, viaTable); d > 1e-12 {
 		t.Fatalf("quantized phase apply differs: %g", d)
 	}
-	// The in-place table build fills exactly PhaseTable's entries.
-	tab := q.PhaseTable(gamma)
-	into := make([]complex128, len(tab))
-	q.PhaseTableInto(into, gamma)
+	// Each table entry is the sincos of its level, the value the
+	// diagonal holds.
 	for k := range tab {
-		if into[k] != tab[k] {
-			t.Fatalf("PhaseTableInto[%d] = %v, want %v", k, into[k], tab[k])
+		s, c := math.Sincos(-gamma * (q.Min + q.Scale*float64(k)))
+		if tab[k] != complex(c, s) {
+			t.Fatalf("PhaseTableInto[%d] = %v, want %v", k, tab[k], complex(c, s))
 		}
 	}
 }
 
+// phaseTable builds the phase table of every code q holds.
+func phaseTable(q *Quantized, gamma float64) []complex128 {
+	tab := make([]complex128, int(q.MaxCode())+1)
+	q.PhaseTableInto(tab, gamma)
+	return tab
+}
+
 func TestPhaseTableSize(t *testing.T) {
 	q := &Quantized{Codes: []uint16{0, 3, 7}, Min: -2, Scale: 0.5}
-	tab := q.PhaseTable(1.0)
+	tab := phaseTable(q, 1.0)
 	if len(tab) != 8 {
 		t.Fatalf("table size %d, want 8 (MaxCode+1)", len(tab))
 	}
@@ -842,11 +835,8 @@ func TestQuantizeConstantDiagonal(t *testing.T) {
 				t.Fatalf("constant %v: Value(%d) = %v, want %v", c, i, q.Value(i), c)
 			}
 		}
-		if got := q.Expand(); got[0] != c {
-			t.Fatalf("constant %v: Expand()[0] = %v, want %v", c, got[0], c)
-		}
-		if tab := q.PhaseTable(0.7); len(tab) != 1 {
-			t.Fatalf("constant %v: PhaseTable size %d, want 1", c, len(tab))
+		if tab := phaseTable(q, 0.7); len(tab) != 1 {
+			t.Fatalf("constant %v: phase table size %d, want 1", c, len(tab))
 		}
 
 		// The table phase and the expectation agree with the float64 path.
@@ -854,7 +844,7 @@ func TestQuantizeConstantDiagonal(t *testing.T) {
 		v := statevec.NewUniform(2)
 		direct := v.Clone()
 		statevec.PhaseDiag(direct, diag, 0.7)
-		statevec.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.7, Codes: q.Codes, Tab: q.PhaseTable(0.7)})
+		statevec.ApplyPhase(v, statevec.Phase{Diag: diag, Gamma: 0.7, Codes: q.Codes, Tab: phaseTable(q, 0.7)})
 		if d := statevec.MaxAbsDiff(direct, v); d > 1e-15 {
 			t.Fatalf("constant %v: table phase differs by %g", c, d)
 		}
@@ -924,7 +914,7 @@ func TestQuantizedAdjointHelpers(t *testing.T) {
 	}
 	const gamma = 0.41
 	p := statevec.NewPool(1)
-	tab := q.PhaseTable(gamma)
+	tab := phaseTable(q, gamma)
 	codesOnly := statevec.Phase{Gamma: gamma, Codes: q.Codes, Tab: tab, Min: q.Min, Scale: q.Scale}
 	for name, ref := range map[string]statevec.Phase{
 		"sincos": {Diag: diag, Gamma: gamma},
@@ -949,6 +939,165 @@ func TestQuantizedAdjointHelpers(t *testing.T) {
 		statevec.MulDiagPlanes(p, b.Re, b.Im, codesOnly)
 		if d := statevec.MaxAbsDiff(a.ToVec(), b.ToVec()); d > 0 {
 			t.Errorf("%s: codes-only MulDiag differs by %g", name, d)
+		}
+	}
+}
+
+// termLibrary returns the problem library at n qubits: LABS, LABS with
+// a Z₀ field and with Z₀ and Z₁ fields, SK, portfolio, 3-SAT, and
+// 3-regular MaxCut (4-regular at odd n) with and without a field.
+func termLibrary(t *testing.T, n int) map[string]poly.Terms {
+	t.Helper()
+	labs := problems.LABSTerms(n)
+	lib := map[string]poly.Terms{
+		"labs":      labs,
+		"labs+z0":   labs.Plus(poly.New(poly.NewTerm(1, 0))),
+		"sk":        problems.SKTerms(n, int64(n)),
+		"portfolio": problems.SyntheticPortfolio(n, max(1, n/2), 0.5, int64(n)).PortfolioTerms(),
+	}
+	if n >= 2 {
+		lib["labs+z0+z1"] = lib["labs+z0"].Plus(poly.New(poly.NewTerm(1, 1)))
+	}
+	if n >= 3 {
+		sat, err := problems.RandomKSAT(n, 3, 4*n, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib["3-sat"] = problems.SATTerms(sat)
+	}
+	if n >= 4 {
+		g, err := graphs.RandomRegular(n, 3+n%2, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxcut := problems.MaxCutTerms(g)
+		lib["maxcut"] = maxcut
+		lib["maxcut+field"] = maxcut.Plus(poly.New(poly.NewTerm(0.5, n/2)))
+	}
+	return lib
+}
+
+// TestTermPivotsMatchScan: the pivots read off the terms
+// (TermPivots, the null space of the canonical masks) are exactly the
+// pivots the budgeted diagonal search finds (SymmetryPivots), and the
+// flip bit is CheckDiagonal's, over the problem library at n = 1…16;
+// and on random integer-weighted polynomials, whose diagonal groups
+// are their term groups, they match a search given reads enough to
+// finish.
+func TestTermPivotsMatchScan(t *testing.T) {
+	cases := 0
+	for n := 1; n <= 16; n++ {
+		for name, terms := range termLibrary(t, n) {
+			c := poly.Compile(terms)
+			diag := Precompute(c, n)
+			flip := flipOf(t, diag)
+			pivots, tflip := TermPivots(n, c.Masks)
+			if want := SymmetryPivots(diag, flip); fmt.Sprint(pivots) != fmt.Sprint(want) || tflip != flip {
+				t.Errorf("%s n=%d: term pivots %b flip %v, the search %b flip %v", name, n, pivots, tflip, want, flip)
+			}
+			cases++
+		}
+	}
+	if cases < 90 {
+		t.Fatalf("the library gave only %d cases", cases)
+	}
+	rng := rand.New(rand.NewSource(157))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(10)
+		var terms poly.Terms
+		for k := rng.Intn(2 * n); k >= 0; k-- {
+			var vars []int
+			for q := 0; q < n; q++ {
+				if rng.Intn(3) == 0 {
+					vars = append(vars, q)
+				}
+			}
+			terms = append(terms, poly.NewTerm(float64(1+rng.Intn(5)), vars...))
+		}
+		c := poly.Compile(terms)
+		diag := Precompute(c, n)
+		want, _ := symmetryPivots(diag, flipOf(t, diag), 1<<30)
+		if got, _ := TermPivots(n, c.Masks); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("trial %d n=%d masks %b: term pivots %b, the search %b", trial, n, c.Masks, got, want)
+		}
+	}
+}
+
+// TestTermPivotsWiderThanScan: where many entries tie with entry 0, the
+// budgeted search stops early and the terms give the larger group. A
+// constant at n = 10 takes h = 9 from the terms and 3 from the search;
+// Z₀Z₁ alone takes 8 and 3. The term pivots fix the diagonal bitwise.
+func TestTermPivotsWiderThanScan(t *testing.T) {
+	const n = 10
+	for _, c := range []struct {
+		name         string
+		terms        poly.Terms
+		term, search int
+	}{
+		{"constant", poly.New(poly.NewTerm(0.5)), 9, 3},
+		{"z0z1", poly.New(poly.NewTerm(1, 0, 1)), 8, 3},
+	} {
+		comp := poly.Compile(c.terms)
+		diag := Precompute(comp, n)
+		pivots, _ := TermPivots(n, comp.Masks)
+		checkPivots(t, c.name, diag, pivots)
+		if got := len(SymmetryPivots(diag, flipOf(t, diag))); len(pivots) != c.term || got != c.search {
+			t.Errorf("%s: %d term pivots and %d searched, want %d and %d", c.name, len(pivots), got, c.term, c.search)
+		}
+	}
+}
+
+// TestStoredFormExpands: a stored form, coded or float64, built from
+// the terms over their group expands to the full diagonal bit for bit
+// (Expand, Range at every rank offset, Full), and its entries are the
+// full diagonal's first 2^(n−h).
+func TestStoredFormExpands(t *testing.T) {
+	pool := statevec.NewPool(2)
+	for _, n := range []int{8, 14} {
+		for name, terms := range termLibrary(t, n) {
+			c := poly.Compile(terms)
+			want := Precompute(c, n)
+			pivots, flip := TermPivots(n, c.Masks)
+			s, err := NewStored(pool, c, n, pivots, flip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s n=%d", name, n)
+			if (s.Codes == nil) == (s.Diag == nil) || s.Len() != len(want)>>uint(len(pivots)) {
+				t.Fatalf("%s: codes %v, float64 %v, %d entries", label, s.Codes != nil, s.Diag != nil, s.Len())
+			}
+			for i := 0; i < s.Len(); i++ {
+				if math.Float64bits(s.Value(i)) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: stored entry %d = %v, want %v", label, i, s.Value(i), want[i])
+				}
+			}
+			got := s.Expand()
+			for x := range want {
+				if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+					t.Fatalf("%s: expanded entry %d = %v, want %v", label, x, got[x], want[x])
+				}
+			}
+			part := make([]float64, len(want)/4)
+			for r := 0; r < 4; r++ {
+				s.Range(uint64(r*len(part)), part)
+				for i, v := range part {
+					if math.Float64bits(v) != math.Float64bits(want[r*len(part)+i]) {
+						t.Fatalf("%s: Range entry %d = %v, want %v", label, r*len(part)+i, v, want[r*len(part)+i])
+					}
+				}
+			}
+			full := s.Full()
+			if len(full.Pivots) != 0 || full.Len() != len(want) || (full.Codes == nil) != (s.Codes == nil) {
+				t.Fatalf("%s: Full has %d pivots, %d entries, codes %v", label, len(full.Pivots), full.Len(), full.Codes != nil)
+			}
+			if q, err := QuantizeExact(want, len(want)/PhaseTableRatio); err == nil && fmt.Sprint(q.Codes) != fmt.Sprint(full.Codes.Codes) {
+				t.Errorf("%s: Full's codes differ from quantizing the full diagonal", label)
+			}
+			for x := range want {
+				if math.Float64bits(full.Value(x)) != math.Float64bits(want[x]) {
+					t.Fatalf("%s: Full entry %d = %v, want %v", label, x, full.Value(x), want[x])
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package distsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,20 +36,21 @@ func (f costForm) String() string {
 }
 
 // formEngine builds an engine whose every rank holds its cost slice in
-// form, cutting the shards as NewGradEngine does. The codes are taken
-// at any number of levels, so every grid cost has all three forms.
+// form, over the group NewGradEngine picks. The codes are taken at any
+// number of levels, so every grid cost has all three forms.
 func formEngine(t *testing.T, n int, terms poly.Terms, opts Options, form costForm) *GradEngine {
 	t.Helper()
 	k, err := opts.validate(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, sym, err := cutShards(costvec.Precompute(poly.Compile(terms), n), n, k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := make([]rankCost, len(diags))
-	for r, diag := range diags {
+	compiled := poly.Compile(terms)
+	pivots, flip := costvec.TermPivots(n, compiled.Masks)
+	sym := symmetryFor(pivots, flip, n, k, opts.Mixer)
+	costs := make([]rankCost, opts.Ranks)
+	for r := range costs {
+		diag := make([]float64, 1<<uint(n-sym.pivots()-k))
+		costvec.PrecomputeRange(compiled, uint64(r*len(diag)), diag)
 		costs[r].offset = uint64(r) * uint64(len(diag))
 		if form != codesOnly {
 			costs[r].diag = diag
@@ -66,6 +68,17 @@ func formEngine(t *testing.T, n int, terms poly.Terms, opts Options, form costFo
 		t.Fatal(err)
 	}
 	return e
+}
+
+// registrySource leases a registered problem's stored form.
+func registrySource(reg *registry.Registry, key registry.Key) core.AcquireFunc {
+	return func(ctx context.Context) (core.DiagSource, error) {
+		h, err := reg.Acquire(ctx, key)
+		if err != nil {
+			return nil, err
+		}
+		return h, nil
+	}
 }
 
 // coded reports whether every rank of e holds its slice as codes alone.
@@ -220,13 +233,7 @@ func TestCodedShardRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFactoryFromSource(tc.n, opts, func(ctx context.Context) (core.DiagSource, error) {
-			h, err := reg.Acquire(ctx, key)
-			if err != nil {
-				return nil, err
-			}
-			return h, nil
-		})
+		f, err := NewFactoryFromSource(tc.n, tc.terms, opts, registrySource(reg, key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,6 +264,125 @@ func TestCodedShardRule(t *testing.T) {
 		}
 		if !coded(eng) {
 			t.Errorf("codedProblem at K=%d keeps a float64 slice", ranks)
+		}
+	}
+}
+
+// TestRankSlicesMatchPrecompute: every rank's cost slice, precomputed
+// from the terms (NewGradEngine) or cut from a registry entry's stored
+// form (a registry Factory), coded or float64, holds the full
+// diagonal's entries at its stored indices bit for bit, on group and
+// full shards.
+func TestRankSlicesMatchPrecompute(t *testing.T) {
+	ctx := context.Background()
+	reg := registry.New(registry.Options{})
+	for _, tc := range []struct {
+		name  string
+		n     int
+		terms poly.Terms
+		opts  Options
+	}{
+		{"labs n=16 K=2", 16, problems.LABSTerms(16), Options{Ranks: 2}},
+		{"labs n=14 K=4", 14, problems.LABSTerms(14), Options{Ranks: 4}},
+		{"labs n=10 K=8 (complement)", 10, problems.LABSTerms(10), Options{Ranks: 8}},
+		{"sk n=10 K=2", 10, problems.SKTerms(10, 6), Options{Ranks: 2}},
+		{"labs+z0+z1 n=10 K=4", 10, fixedCost(10), Options{Ranks: 4}},
+		{"labs n=10 K=2 xy-ring", 10, problems.LABSTerms(10), Options{Ranks: 2, Mixer: core.MixerXYRing}},
+	} {
+		want := costvec.Precompute(poly.Compile(tc.terms), tc.n)
+		eng, err := NewGradEngine(tc.n, tc.terms, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := reg.Register(registry.Spec{N: tc.n, Terms: tc.terms, Mixer: tc.opts.Mixer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewFactoryFromSource(tc.n, tc.terms, tc.opts, registrySource(reg, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := f.NewGradEngine(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src, e := range map[string]*GradEngine{"NewGradEngine": eng, "registry Factory": built} {
+			size := 1 << uint(e.localQubits())
+			for r := range e.costs {
+				rc := &e.costs[r]
+				if rc.offset != uint64(r*size) {
+					t.Fatalf("%s %s rank %d: offset %d, want %d", tc.name, src, r, rc.offset, r*size)
+				}
+				for i := 0; i < size; i++ {
+					if got := rc.value(i); math.Float64bits(got) != math.Float64bits(want[r*size+i]) {
+						t.Fatalf("%s %s rank %d: entry %d = %v, want %v", tc.name, src, r, i, got, want[r*size+i])
+					}
+				}
+			}
+		}
+		if err := f.Retire(built); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWiderTermGroupShards: costs whose term group is larger than the
+// budgeted diagonal search finds — a constant at n = 10 (term h = 9)
+// and Z₀Z₁ alone (term h = 8) — take the term group at K = 1, fall back
+// to the complement where the ranks cannot hold it, and match Serial's
+// energy and gradient to 1e-12 at K ∈ {1, 2, 4} in float64, and within
+// the float32 band in float32.
+func TestWiderTermGroupShards(t *testing.T) {
+	const n = 10
+	rng := rand.New(rand.NewSource(97))
+	for _, c := range []struct {
+		name  string
+		terms poly.Terms
+		h1    int
+	}{
+		{"constant", poly.New(poly.NewTerm(0.5)), 9},
+		{"z0z1", poly.New(poly.NewTerm(1, 0, 1)), 8},
+	} {
+		serial, err := core.New(n, c.terms, core.Options{Backend: core.BackendSerial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 4} {
+			gamma, beta := randomAngles(rng, p)
+			refE, refGG, refGB, err := serial.SimulateQAOAGrad(gamma, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scale := math.Max(maxAbs(refGG, refGB), 1)
+			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+				tol := 1e-12
+				if prec == PrecisionFloat32 {
+					tol = 2e-3
+				}
+				for _, ranks := range []int{1, 2, 4} {
+					where := fmt.Sprintf("%s %v K=%d p=%d", c.name, prec, ranks, p)
+					eng, err := NewGradEngine(n, c.terms, Options{Ranks: ranks, Precision: prec})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ranks == 1 && eng.sym.pivots() != c.h1 {
+						t.Errorf("%s: stores the state over %d pivots, want %d", where, eng.sym.pivots(), c.h1)
+					}
+					gg, gb := make([]float64, p), make([]float64, p)
+					e, err := eng.EnergyGradAngles(context.Background(), gamma, beta, gg, gb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := math.Abs(e - refE); d > tol*math.Max(math.Abs(refE), 1) {
+						t.Errorf("%s: energy %v, serial %v", where, e, refE)
+					}
+					for l := 0; l < p; l++ {
+						if d := math.Max(math.Abs(gg[l]-refGG[l]), math.Abs(gb[l]-refGB[l])); d > tol*scale {
+							t.Errorf("%s: layer %d gradient differs by %g", where, l, d)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -7,8 +7,9 @@
 // Each rank runs the single-node split-layout kernels on its slice,
 // held as (re, im) planes in float64 or float32 (shard.go). Per layer:
 //   - the phase operator and the cost-diagonal precomputation touch
-//     only local data (each rank computed its diagonal slice from the
-//     terms with PrecomputeRange — no communication, §III-A locality);
+//     only local data (each rank computed the 2^(n−h−k) entries of its
+//     slice from the terms with PrecomputeRange — no communication,
+//     §III-A locality);
 //     when the rank's slice is an exact grid, the phase gathers from
 //     per-γ tables, as single-node does, and the rank keeps only the
 //     slice's uint16 codes (§V-B: 2 B per amplitude instead of 8),
@@ -31,8 +32,8 @@
 // least one amplitude.
 //
 // With the x mixer, the ranks store the state over the cost's
-// XOR-symmetry group, by the rule the single-node engine uses
-// (costvec.SymmetryPivots): h pivots carry the top h qubits, and the
+// XOR-symmetry group, read off the terms as the single-node engine
+// reads it (costvec.TermPivots): h pivots carry the top h qubits, and the
 // ranks hold only the 2^(n−h) amplitudes whose top h bits are zero,
 // 2^(n−h−k) per rank, with each top qubit applied as a pivot pass while
 // the planes are transposed. A relabel of subchunk parts before each

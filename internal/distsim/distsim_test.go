@@ -254,7 +254,7 @@ func TestEnginesRejectGather(t *testing.T) {
 	terms := problems.LABSTerms(n)
 	opts := Options{Ranks: 2, Gather: true}
 	source := func(context.Context) (core.DiagSource, error) {
-		return core.StaticDiag(costvec.Precompute(poly.Compile(terms), n)), nil
+		return core.StaticDiag(costvec.Precompute(poly.Compile(terms), n))
 	}
 	for _, c := range []struct {
 		name  string
@@ -262,7 +262,7 @@ func TestEnginesRejectGather(t *testing.T) {
 	}{
 		{"NewGradEngine", func() error { _, err := NewGradEngine(n, terms, opts); return err }},
 		{"NewFactory", func() error { _, err := NewFactory(n, terms, opts); return err }},
-		{"NewFactoryFromSource", func() error { _, err := NewFactoryFromSource(n, opts, source); return err }},
+		{"NewFactoryFromSource", func() error { _, err := NewFactoryFromSource(n, terms, opts, source); return err }},
 	} {
 		if err := c.build(); err == nil || !strings.Contains(err.Error(), "Options.Gather") {
 			t.Errorf("%s with Options.Gather: error %v, want one naming Options.Gather", c.name, err)

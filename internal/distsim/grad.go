@@ -74,7 +74,7 @@ type GradEngine struct {
 	opts     Options
 	edges    []graphs.Edge
 	// sym is the symmetry group the ranks store the state over
-	// (cutShards), {0} on full shards.
+	// (symmetryFor), {0} on full shards.
 	sym symmetry
 
 	// costs holds each rank's slice of the diagonal, shared read-only
@@ -107,8 +107,10 @@ type gradLease struct {
 }
 
 // NewGradEngine builds a distributed gradient engine for an n-qubit
-// problem given as polynomial terms: each rank's diagonal slice is
-// precomputed locally (no communication). Rank groups and state
+// problem given as polynomial terms: the terms fix the group the shards
+// store the state over (costvec.TermPivots, symmetryFor), and each rank
+// precomputes only its 2^(n−h−k) stored entries, locally (no
+// communication). Rank groups and state
 // buffers are leased per evaluation, up to Options.Concurrency in
 // flight at once. An engine serves its outputs gather-free
 // (EvalOutputs), so Options.Gather is rejected.
@@ -129,17 +131,14 @@ func buildEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	if err := terms.Validate(n); err != nil {
 		return nil, err
 	}
-	full := make([]float64, 1<<uint(n))
 	compiled := poly.Compile(terms)
-	localSize := len(full) >> uint(k)
-	for r := 0; r < opts.Ranks; r++ {
-		costvec.PrecomputeRange(compiled, uint64(r*localSize), full[r*localSize:(r+1)*localSize])
-	}
-	diags, sym, err := cutShards(full, n, k, opts)
+	pivots, flip := costvec.TermPivots(n, compiled.Masks)
+	sym := symmetryFor(pivots, flip, n, k, opts.Mixer)
+	costs, err := rankCostsFromTerms(compiled, n, k, sym)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(n, opts, rankCosts(diags, len(sym.group)), sym)
+	return newEngine(n, opts, costs, sym)
 }
 
 // newEngine builds an engine over per-rank cost slices, cut for the
@@ -375,23 +374,24 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 // for float64 planes, 8 B for float32, so a scheduler packing
 // heterogeneous pools by StateBytes sees the real footprint of each
 // precision.
-func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n) }
+func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n, e.sym.pivots()) }
 
-// caps is the Caps of an engine for n qubits under o. It counts the
-// full-state figures, an upper bound on group shards, which hold 2^−h
-// of each: ψ and λ, plus for the x mixer at K ≥ 2 the receive scratch
-// each rank's all-to-all keeps for the lease's lifetime (a whole slice
-// under Transpose, one subchunk under Pairwise), or for the xy mixers
-// the partner-exchange receive planes of both states.
-func (o Options) caps(n int) evaluator.Caps {
-	amps := int64(2) << uint(n) // psi + lam
+// caps is the Caps of an engine for n qubits under o whose shards
+// store the state over h pivots: exactly the 2^(n−h) stored amplitudes
+// of ψ and λ, plus for the x mixer at K ≥ 2 the receive scratch each
+// rank's all-to-all keeps for the lease's lifetime (a whole slice under
+// Transpose, one subchunk under Pairwise), or for the xy mixers the
+// partner-exchange receive planes of both states.
+func (o Options) caps(n, h int) evaluator.Caps {
+	stored := int64(1) << uint(n-h)
+	amps := 2 * stored // psi + lam
 	switch {
 	case o.Mixer != core.MixerX:
 		amps *= 2 // + recvPsi + recvLam (send is half, ignored)
 	case o.Ranks > 1 && o.Algo == cluster.Transpose:
-		amps += 1 << uint(n)
+		amps += stored
 	case o.Ranks > 1:
-		amps += (int64(1) << uint(n)) / int64(o.Ranks)
+		amps += stored / int64(o.Ranks)
 	}
 	return evaluator.Caps{
 		NumQubits:     n,

@@ -20,6 +20,7 @@ import (
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/problems"
+	"qokit/internal/registry"
 	"qokit/internal/statevec"
 )
 
@@ -54,7 +55,8 @@ func halfProblems(t *testing.T, n int) []halfProblem {
 
 // shardEngine builds an engine that stores the state over the group
 // the pivots generate (nil: full shards) on a cost whose own rule may
-// pick another group, cutting the shards as cutShards does.
+// pick another group, precomputing the rank slices as NewGradEngine
+// does.
 func shardEngine(t *testing.T, n int, terms poly.Terms, opts Options, pivots []uint64) *GradEngine {
 	t.Helper()
 	k, err := opts.validate(n)
@@ -68,13 +70,11 @@ func shardEngine(t *testing.T, n int, terms poly.Terms, opts Options, pivots []u
 			t.Fatalf("n=%d K=%d cannot hold pivots %b", n, opts.Ranks, pivots)
 		}
 	}
-	full := costvec.Precompute(poly.Compile(terms), n)
-	size := len(full) >> uint(k+sym.pivots())
-	diags := make([][]float64, opts.Ranks)
-	for r := range diags {
-		diags[r] = full[r*size : (r+1)*size]
+	costs, err := rankCostsFromTerms(poly.Compile(terms), n, k, sym)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e, err := newEngine(n, opts, rankCosts(diags, len(sym.group)), sym)
+	e, err := newEngine(n, opts, costs, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,11 @@ func labsPivots(n int) []uint64 {
 }
 
 // TestHalfShardRule pins which group the shards store the state over:
-// the pivots costvec.SymmetryPivots finds when the rank layout holds
-// them, else the complement when the cost is flip-symmetric and
-// 2k ≤ n − 2, else none, decided the same way by NewGradEngine and by
-// a Factory over the full diagonal. LABS takes h = 2 at n = 8 for
+// the pivots of the term group (costvec.TermPivots) when the rank
+// layout holds them, else the complement when the cost is
+// flip-symmetric and 2k ≤ n − 2, else none, decided the same way by
+// NewGradEngine, by a Factory over the terms and by a Factory over a
+// registry entry. LABS takes h = 2 at n = 8 for
 // K ∈ {1, 2, 4}, falls back to the complement at K = 8 (no w bits left
 // to relabel) and keeps full shards at K = 16; MaxCut and SK take the
 // complement; LABS + Z₀ takes its one pivot 1010…10 at even n; xy
@@ -103,6 +104,7 @@ func labsPivots(n int) []uint64 {
 func TestHalfShardRule(t *testing.T) {
 	const n = 8
 	ctx := context.Background()
+	reg := registry.New(registry.Options{})
 	probs := halfProblems(t, n)
 	labs := probs[0].terms
 	flip := func(n int) []uint64 { return []uint64{1<<uint(n) - 1} }
@@ -142,15 +144,35 @@ func TestHalfShardRule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		key, err := reg.Register(registry.Spec{N: tc.n, Terms: tc.terms, Mixer: tc.opts.Mixer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf, err := NewFactoryFromSource(tc.n, tc.terms, tc.opts, registrySource(reg, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromEntry, err := rf.NewGradEngine(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		want := costvec.Group(tc.pivots)
 		wantLocal := tc.n - len(tc.pivots) - eng.k
-		for _, e := range []*GradEngine{eng, built} {
+		for _, e := range []*GradEngine{eng, built, fromEntry} {
 			if !slices.Equal(e.sym.group, want) || e.localQubits() != wantLocal {
 				t.Errorf("%s: group %b with %d local qubits, want %b with %d", tc.name, e.sym.group, e.localQubits(), want, wantLocal)
 			}
 		}
-		if err := f.Retire(built); err != nil {
-			t.Fatal(err)
+		for _, fe := range []struct {
+			f *Factory
+			e *GradEngine
+		}{{f, built}, {rf, fromEntry}} {
+			if fc, ec := fe.f.Caps(), fe.e.Caps(); fc != ec {
+				t.Errorf("%s: factory Caps %+v, build Caps %+v", tc.name, fc, ec)
+			}
+			if err := fe.f.Retire(fe.e); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

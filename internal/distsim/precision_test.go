@@ -199,19 +199,20 @@ func TestCapsStateBytesReflectPrecision(t *testing.T) {
 			t.Errorf("%v: StateBytes float32 %d vs float64 %d — want exactly half", mixer, b32, b64)
 		}
 	}
-	// The figures count full states (an upper bound on half shards): ψ
-	// and λ, plus the all-to-all receive scratch an x-mixer lease keeps
-	// at K ≥ 2 — a slice per rank under Transpose, a subchunk under
-	// Pairwise — or the xy mixers' two receive planes.
-	const state = int64(16) << 8
+	// The figures count the stored states exactly — LABS's quarter
+	// shards under the x mixer, full shards under xy: ψ and λ, plus the
+	// all-to-all receive scratch an x-mixer lease keeps at K ≥ 2 — a
+	// slice per rank under Transpose, a subchunk under Pairwise — or the
+	// xy mixers' two receive planes.
+	const quarter, state = int64(16) << 6, int64(16) << 8
 	for _, c := range []struct {
 		opts Options
 		want int64
 	}{
-		{Options{Ranks: 1, Algo: cluster.Transpose}, 2 * state},
-		{Options{Ranks: 4, Algo: cluster.Transpose}, 3 * state},
-		{Options{Ranks: 4, Algo: cluster.Pairwise}, 2*state + state/4},
-		{Options{Ranks: 2, Algo: cluster.Pairwise}, 2*state + state/2},
+		{Options{Ranks: 1, Algo: cluster.Transpose}, 2 * quarter},
+		{Options{Ranks: 4, Algo: cluster.Transpose}, 3 * quarter},
+		{Options{Ranks: 4, Algo: cluster.Pairwise}, 2*quarter + quarter/4},
+		{Options{Ranks: 2, Algo: cluster.Pairwise}, 2*quarter + quarter/2},
 		{Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing}, 4 * state},
 	} {
 		e, err := NewGradEngine(8, terms, c.opts)

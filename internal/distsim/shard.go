@@ -34,6 +34,7 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
+	"qokit/internal/poly"
 	"qokit/internal/statevec"
 )
 
@@ -166,60 +167,79 @@ func shardSymmetry(pivots []uint64, n, k int) (symmetry, bool) {
 	return sym, true
 }
 
-// symmetryFor picks the group the shards store the state over, from
-// the diagonal, the mixer, n and k alone: the pivots
-// costvec.SymmetryPivots finds when the ranks can hold them, else the
-// complement when the diagonal is flip-symmetric (flip, CheckDiagonal's
-// report) and the ranks can hold it (2k ≤ n − 2), else the full state.
-// Only the x mixer with the |+⟩ start keeps the symmetry.
-func symmetryFor(full []float64, flip bool, n, k int, mixer core.Mixer) symmetry {
+// symmetryFor picks the group the shards store the state over from
+// the cost's pivots and flip bit (costvec.TermPivots, or a stored
+// form's), the mixer, n and k alone: the pivots when the ranks can hold
+// them, else the complement when it fixes the cost (flip) and the ranks
+// can hold it (2k ≤ n − 2), else the full state. Only the x mixer with
+// the |+⟩ start keeps the symmetry.
+func symmetryFor(pivots []uint64, flip bool, n, k int, mixer core.Mixer) symmetry {
 	if mixer == core.MixerX {
-		if sym, ok := shardSymmetry(costvec.SymmetryPivots(full, flip), n, k); ok {
+		if sym, ok := shardSymmetry(pivots, n, k); ok {
 			return sym
 		}
-		if sym, ok := shardSymmetry([]uint64{uint64(len(full) - 1)}, n, k); flip && ok {
+		if sym, ok := shardSymmetry([]uint64{1<<uint(n) - 1}, n, k); flip && ok {
 			return sym
 		}
 	}
 	return symmetry{group: []uint64{0}}
 }
 
-// cutShards scans the full diagonal once with costvec.CheckDiagonal,
-// rejecting NaN/±Inf and testing flip symmetry, picks the group the
-// shards store the state over (symmetryFor) and cuts each rank's cost
-// slice: 2^(n−h−k) entries of the diagonal's first 2^(n−h), the stored
-// index space.
-func cutShards(full []float64, n, k int, opts Options) (diags [][]float64, sym symmetry, err error) {
-	flip, err := costvec.CheckDiagonal(full)
-	if err != nil {
-		return nil, symmetry{}, fmt.Errorf("distsim: %w", err)
+// rankCostsFromTerms precomputes each rank's cost slice from the
+// compiled terms (costvec.PrecomputeRange, no communication): the
+// 2^(n−h−k) entries of the stored index space the rank holds, and no
+// others. A NaN or ±Inf entry returns an error wrapping
+// poly.ErrNonFiniteCost.
+func rankCostsFromTerms(c poly.Compiled, n, k int, sym symmetry) ([]rankCost, error) {
+	size := 1 << uint(n-sym.pivots()-k)
+	costs := make([]rankCost, 1<<uint(k))
+	for r := range costs {
+		offset := uint64(r) * uint64(size)
+		vals := make([]float64, size)
+		costvec.PrecomputeRange(c, offset, vals)
+		if err := costvec.CheckFinite(vals, offset); err != nil {
+			return nil, fmt.Errorf("distsim: %w", err)
+		}
+		costs[r].set(offset, vals, len(sym.group))
 	}
-	sym = symmetryFor(full, flip, n, k, opts.Mixer)
-	size := len(full) >> uint(k+sym.pivots())
-	diags = make([][]float64, opts.Ranks)
-	for r := range diags {
-		diags[r] = full[r*size : (r+1)*size]
-	}
-	return diags, sym, nil
+	return costs, nil
 }
 
-// rankCosts builds each rank's cost source from its float64 slice of
-// the diagonal. A slice that is an exact grid of at most
-// 2^(n−k)/core.PhaseTableRatio levels keeps only its uint16 codes, for
-// phase tables and every reduction: the single-node table bound, which
-// counts the basis states a slice stands for, weight (2^h) times its
-// entries. Any other slice keeps its float64 entries.
-func rankCosts(diags [][]float64, weight int) []rankCost {
-	costs := make([]rankCost, len(diags))
-	for r, diag := range diags {
-		costs[r].offset = uint64(r) * uint64(len(diag))
-		if q, err := costvec.QuantizeExact(diag, len(diag)/core.PhaseTableRatio*weight); err == nil {
-			costs[r].levels = q
+// rankCostsFromForm cuts each rank's cost slice out of a stored cost
+// form (a registry entry's): a sub-slice of the form's float64 entries
+// when the shards store the state over the form's own group, else the
+// rank's entries read through the form's group (Stored.Range).
+func rankCostsFromForm(form *costvec.Stored, k int, sym symmetry) []rankCost {
+	size := 1 << uint(form.N-sym.pivots()-k)
+	same := form.Diag != nil && slices.Equal(costvec.Group(form.Pivots), sym.group)
+	costs := make([]rankCost, 1<<uint(k))
+	for r := range costs {
+		offset := uint64(r) * uint64(size)
+		var vals []float64
+		if same {
+			vals = form.Diag[offset : offset+uint64(size)]
 		} else {
-			costs[r].diag = diag
+			vals = make([]float64, size)
+			form.Range(offset, vals)
 		}
+		costs[r].set(offset, vals, len(sym.group))
 	}
 	return costs
+}
+
+// set makes vals, the rank's slice at offset, its cost source. A slice
+// that is an exact grid of at most 2^(n−k)/costvec.PhaseTableRatio
+// levels keeps only its uint16 codes, for phase tables and every
+// reduction: the single-node table bound, which counts the basis
+// states a slice stands for, weight (2^h) times its entries. Any other
+// slice keeps its float64 entries.
+func (rc *rankCost) set(offset uint64, vals []float64, weight int) {
+	rc.offset = offset
+	if q, err := costvec.QuantizeExact(vals, len(vals)/costvec.PhaseTableRatio*weight); err == nil {
+		rc.levels = q
+	} else {
+		rc.diag = vals
+	}
 }
 
 // planes is one split-layout state: a rank's ψ or λ, or exchange

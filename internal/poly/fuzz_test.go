@@ -10,7 +10,7 @@ package poly_test
 //	Terms.Eval  ≈  Canonical().Eval  ≈  Compiled.Eval
 //	Compiled.Eval  ==  costvec.Precompute  ==  costvec.PrecomputePool
 //	               ==  costvec.PrecomputeRange slices   (bit for bit)
-//	            ==  QuantizeExact(…).Expand()   (all weights dyadic)
+//	            ==  QuantizeExact(…).Value      (all weights dyadic)
 //
 // A decoded weight may be divided by 3, so inputs reach both of the
 // precompute's routes: the blocked WHT for weights that sum exactly
@@ -129,9 +129,9 @@ func FuzzTermsCompileAndPrecompute(f *testing.F) {
 			if err != nil {
 				t.Fatalf("exact-representable diagonal rejected: %v", err)
 			}
-			for x, v := range q.Expand() {
-				if v != diag[x] {
-					t.Fatalf("x=%d: quantized round-trip %v != %v", x, v, diag[x])
+			for x, v := range diag {
+				if q.Value(x) != v {
+					t.Fatalf("x=%d: quantized round-trip %v != %v", x, q.Value(x), v)
 				}
 			}
 		}
@@ -154,8 +154,10 @@ func FuzzTermsCompileAndPrecompute(f *testing.F) {
 				}
 			}
 			if len(diag) > 0 {
-				if tab := q.PhaseTable(0.3); len(tab) != 1 {
-					t.Fatalf("constant diagonal: phase table size %d, want 1", len(tab))
+				tab := make([]complex128, int(q.MaxCode())+1)
+				q.PhaseTableInto(tab, 0.3)
+				if s, c := math.Sincos(-0.3 * lo); len(tab) != 1 || tab[0] != complex(c, s) {
+					t.Fatalf("constant diagonal: phase table %v, want the one entry e^{−i·0.3·%v}", tab, lo)
 				}
 			}
 		}

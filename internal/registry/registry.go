@@ -1,14 +1,22 @@
 // Package registry decouples problem definition from evaluator
 // construction: callers register a problem once (terms + qubit count +
 // mixer family) and get back a canonical key; every evaluator factory
-// then acquires the problem's precomputed float64 cost diagonal from a
-// byte-budgeted LRU cache instead of re-building the 2ⁿ diagonal per
-// construction. A second EvalBatch for the same graph therefore
-// performs zero diagonal-precompute work, which is the property the
-// registry_cache_hit bench row gates.
+// then acquires the problem's cost diagonal, in the stored form its
+// engines evolve over (costvec.Stored), from a byte-budgeted LRU cache
+// instead of re-building it per construction. A second EvalBatch for
+// the same graph therefore performs zero diagonal-precompute work,
+// which is the property the registry_cache_hit bench row gates.
+//
+// An entry holds the pivots of the cost's symmetry group and the
+// entries at the 2^(n−h) indices a state stored over it keeps, as
+// uint16 codes when they form an exact grid: the term group under the
+// x mixer (costvec.TermPivots, read off the terms before any entry
+// exists), the full diagonal (h = 0) under the xy mixers. A LABS entry
+// under the x mixer holds 2 B per entry over 2^(n−2) indices, 1/16 of
+// a float64 diagonal.
 //
 // Entries are refcounted: eviction under budget pressure removes an
-// entry from the LRU immediately, but its diagonal is only reclaimed
+// entry from the LRU immediately, but its cost data is only reclaimed
 // once the last in-flight acquisition releases it, so an evaluation
 // that is mid-sweep when its problem is evicted keeps reading valid
 // data. An acquire that arrives while an evicted entry is still
@@ -57,30 +65,31 @@ type Key string
 
 // Options configures a Registry.
 type Options struct {
-	// MaxBytes caps the resident bytes of cached diagonals (8·2ⁿ per
-	// entry, the same byte accounting evaluator Caps().StateBytes uses
-	// for state buffers). 0 means unlimited. Entries pinned by
-	// in-flight acquisitions may hold the cache transiently over
-	// budget; they are reclaimed on final release.
+	// MaxBytes caps the resident bytes of cached cost forms (each
+	// entry counts its stored entries, costvec.Stored.Bytes: 2 B per
+	// code or 8 B per float64 entry over 2^(n−h) indices). 0 means
+	// unlimited. Entries pinned by in-flight acquisitions may hold the
+	// cache transiently over budget; they are reclaimed on final
+	// release.
 	MaxBytes int64
 }
 
 // Stats reports registry cache behavior. Precomputes counts actual
-// diagonal evaluations — the counter the warm-path assertions check
-// stays flat across repeated acquisitions.
+// cost-form builds — the counter the warm-path assertions check stays
+// flat across repeated acquisitions.
 type Stats struct {
 	Problems      int   // registered problems
 	Hits          int64 // acquisitions served from cache (incl. resurrections)
 	Misses        int64 // acquisitions that had to precompute
-	Precomputes   int64 // float64 diagonal precomputes actually run
+	Precomputes   int64 // stored-form builds (2^(n−h) entries each) actually run
 	Evictions     int64 // LRU evictions under budget pressure
-	ResidentBytes int64 // bytes of cached diagonals currently in the LRU
+	ResidentBytes int64 // bytes of cached cost forms currently in the LRU
 	PinnedBytes   int64 // bytes held by evicted-but-still-referenced entries
 }
 
 // Registry is the problem cache. All methods are safe for concurrent
-// use; diagonal precompute runs outside the registry lock so a large
-// miss does not stall unrelated hits.
+// use; the precompute runs outside the registry lock so a large miss
+// does not stall unrelated hits.
 type Registry struct {
 	mu    sync.Mutex
 	opts  Options
@@ -97,11 +106,11 @@ type entry struct {
 	spec     Spec
 	compiled poly.Compiled
 
-	// The cached diagonal. diag == nil means not materialized (never
+	// The cached cost form. cost == nil means not materialized (never
 	// built, or reclaimed after eviction). building is non-nil while a
 	// build is in flight so concurrent acquirers wait instead of
 	// duplicating the precompute.
-	diag     []float64
+	cost     *costvec.Stored
 	bytes    int64
 	refs     int
 	evicted  bool
@@ -202,8 +211,8 @@ func (r *Registry) Stats() Stats {
 	return r.stats
 }
 
-// Handle is one refcounted acquisition of a problem's cached diagonal.
-// The diagonal it exposes stays valid — even across an eviction —
+// Handle is one refcounted acquisition of a problem's cached cost
+// form. The data it exposes stays valid — even across an eviction —
 // until Release.
 type Handle struct {
 	r        *Registry
@@ -211,12 +220,12 @@ type Handle struct {
 	released bool
 }
 
-// Acquire returns a handle on the problem's float64 diagonal,
-// precomputing it on first use. Concurrent acquirers of a cold entry
-// share one precompute. ctx bounds the wait on an in-flight build. A
-// diagonal with a NaN or ±Inf entry (finite weights whose sum
-// overflows) returns an error wrapping poly.ErrNonFiniteCost and is
-// not cached.
+// Acquire returns a handle on the problem's stored cost form,
+// precomputing it on first use; a hit makes no pass over the entries.
+// Concurrent acquirers of a cold entry share one precompute. ctx bounds
+// the wait on an in-flight build. A cost with a NaN or ±Inf entry
+// (finite weights whose sum overflows) returns an error wrapping
+// poly.ErrNonFiniteCost and is not cached.
 func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 	for {
 		r.mu.Lock()
@@ -225,7 +234,7 @@ func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 			r.mu.Unlock()
 			return nil, fmt.Errorf("registry: unknown problem key %s", key)
 		}
-		if e.diag != nil {
+		if e.cost != nil {
 			// Hit: resident, or evicted-but-pinned (resurrect).
 			if e.evicted {
 				r.stats.PinnedBytes -= e.bytes
@@ -257,8 +266,8 @@ func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 		r.stats.Precomputes++
 		r.mu.Unlock()
 
-		diag := costvec.PrecomputePool(r.pool, e.compiled, e.spec.N)
-		if _, err := costvec.CheckDiagonal(diag); err != nil {
+		cost, err := r.build(e)
+		if err != nil {
 			r.mu.Lock()
 			close(e.building)
 			e.building = nil
@@ -267,8 +276,8 @@ func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 		}
 
 		r.mu.Lock()
-		e.diag = diag
-		e.bytes = int64(8 * len(diag))
+		e.cost = cost
+		e.bytes = cost.Bytes()
 		e.refs++
 		close(e.building)
 		e.building = nil
@@ -278,6 +287,17 @@ func (r *Registry) Acquire(ctx context.Context, key Key) (*Handle, error) {
 		r.mu.Unlock()
 		return &Handle{r: r, e: e}, nil
 	}
+}
+
+// build precomputes an entry's stored form: over the term group under
+// the x mixer, over the full index space under the xy mixers, whose
+// states have no symmetry to store over.
+func (r *Registry) build(e *entry) (*costvec.Stored, error) {
+	pivots, flip := costvec.TermPivots(e.spec.N, e.compiled.Masks)
+	if e.spec.Mixer != core.MixerX {
+		pivots = nil
+	}
+	return costvec.NewStored(r.pool, e.compiled, e.spec.N, pivots, flip)
 }
 
 // evictLocked pops LRU victims until the resident bytes fit the
@@ -299,22 +319,31 @@ func (r *Registry) evictLocked() {
 	}
 }
 
-// reclaim drops an entry's cached diagonal, poisoning it with NaN
-// first so any use-after-release — the bug class the refcounting exists
-// to prevent — turns into a loud non-finite energy instead of a silent
-// stale read.
+// reclaim drops an entry's cached form, poisoning it with NaN first —
+// the float64 entries, or a coded form's grid, from which every level
+// is read — so any use-after-release, the bug class the refcounting
+// exists to prevent, turns into a loud non-finite energy instead of a
+// silent stale read.
 func reclaim(e *entry) {
-	for i := range e.diag {
-		e.diag[i] = math.NaN()
+	if q := e.cost.Codes; q != nil {
+		q.Min, q.Scale = math.NaN(), math.NaN()
 	}
-	e.diag = nil
+	for i := range e.cost.Diag {
+		e.cost.Diag[i] = math.NaN()
+	}
+	e.cost = nil
 	e.bytes = 0
 	e.evicted = false
 }
 
-// Diag returns the cached float64 cost diagonal. Callers must treat it
-// as read-only and must not retain it past Release.
-func (h *Handle) Diag() []float64 { return h.e.diag }
+// Cost returns the cached stored cost form. Callers must treat it as
+// read-only and must not retain it past Release.
+func (h *Handle) Cost() *costvec.Stored { return h.e.cost }
+
+// Diag returns the full 2^n cost diagonal, expanded from the stored
+// form on every call (8·2^n fresh bytes): equal bit for bit to the
+// diagonal of the terms. It must not be called after Release.
+func (h *Handle) Diag() []float64 { return h.e.cost.Expand() }
 
 // Key returns the problem key this handle is bound to.
 func (h *Handle) Key() Key { return h.e.key }
@@ -323,7 +352,7 @@ func (h *Handle) Key() Key { return h.e.key }
 func (h *Handle) Spec() Spec { return h.e.spec }
 
 // Release drops the handle's reference. When the last reference to an
-// evicted entry is released, its diagonal is reclaimed; a later
+// evicted entry is released, its cost form is reclaimed; a later
 // Acquire recomputes from scratch.
 func (h *Handle) Release() {
 	r, e := h.r, h.e

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"qokit/internal/core"
 	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
+	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/serve"
@@ -116,13 +118,113 @@ func TestConcurrentColdAcquire(t *testing.T) {
 	}
 }
 
-// TestEvictionAndRecompute: a budget for one diagonal evicts LRU-first
+// entryBytes returns the bytes an entry for spec reports once built,
+// from a registry of its own.
+func entryBytes(t *testing.T, spec Spec) int64 {
+	t.Helper()
+	r := New(Options{})
+	h, err := r.Acquire(context.Background(), mustRegister(t, r, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	return r.Stats().ResidentBytes
+}
+
+// oneEntryBudget returns a budget that holds the larger of two entries
+// but not both, so each acquire evicts the other.
+func oneEntryBudget(t *testing.T, a, b Spec) int64 {
+	t.Helper()
+	return max(entryBytes(t, a), entryBytes(t, b))
+}
+
+// TestEntryBytesFromStoredForm pins what an entry holds and reports:
+// its stored form (costvec.Stored), over the term group under the x
+// mixer and the full index space under the xy mixers, as 2 B codes on
+// an exact grid (LABS, MaxCut) and 8 B float64 entries otherwise (SK).
+// Every handle expands it back to the terms' full diagonal bit for bit.
+func TestEntryBytesFromStoredForm(t *testing.T) {
+	const n = 16
+	g, err := graphs.RandomRegular(n, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want int64
+	}{
+		{"labs", Spec{N: n, Terms: problems.LABSTerms(n)}, 2 << (n - 2)},
+		{"labs xy-ring", Spec{N: n, Terms: problems.LABSTerms(n), Mixer: core.MixerXYRing}, 2 << n},
+		{"maxcut", Spec{N: n, Terms: problems.MaxCutTerms(g)}, 2 << (n - 1)},
+		{"sk", Spec{N: n, Terms: problems.SKTerms(n, 3)}, 8 << (n - 1)},
+	} {
+		r := New(Options{})
+		h, err := r.Acquire(context.Background(), mustRegister(t, r, c.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Stats().ResidentBytes; got != c.want || h.Cost().Bytes() != c.want {
+			t.Errorf("%s: ResidentBytes %d, form %d B, want %d", c.name, got, h.Cost().Bytes(), c.want)
+		}
+		want := costvec.Precompute(poly.Compile(c.spec.Terms), n)
+		if got := h.Diag(); !slices.Equal(got, want) {
+			t.Errorf("%s: Handle.Diag() differs from the precomputed diagonal", c.name)
+		}
+		h.Release()
+	}
+}
+
+// TestReclaimPoisonsForm: reclaiming an evicted entry poisons its form
+// before dropping it, so a read through a form retained past Release
+// sees NaN: a coded entry's grid and a float64 entry's values alike.
+func TestReclaimPoisonsForm(t *testing.T) {
+	other := Spec{N: 8, Terms: poly.Terms{poly.NewTerm(1, 0, 1)}}
+	for _, c := range []struct {
+		name  string
+		spec  Spec
+		coded bool
+	}{
+		{"coded labs n=14", Spec{N: 14, Terms: problems.LABSTerms(14)}, true},
+		{"float64 sk n=8", Spec{N: 8, Terms: problems.SKTerms(8, 3)}, false},
+	} {
+		r := New(Options{MaxBytes: oneEntryBudget(t, c.spec, other)})
+		ka, kb := mustRegister(t, r, c.spec), mustRegister(t, r, other)
+		ctx := context.Background()
+		ha, err := r.Acquire(ctx, ka)
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := ha.Cost()
+		if (form.Codes != nil) != c.coded {
+			t.Fatalf("%s: entry holds codes %v, want %v", c.name, form.Codes != nil, c.coded)
+		}
+		hb, err := r.Acquire(ctx, kb) // evicts the entry, pinned by ha
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb.Release()
+		if v := form.Value(3); math.IsNaN(v) {
+			t.Fatalf("%s: a pinned entry was poisoned before its last release", c.name)
+		}
+		ha.Release() // the last release reclaims it
+		for i := 0; i < form.Len(); i++ {
+			if v := form.Value(i); !math.IsNaN(v) {
+				t.Fatalf("%s: entry %d reads %v after reclaim, want NaN", c.name, i, v)
+			}
+		}
+	}
+}
+
+// TestEvictionAndRecompute: a budget for one entry evicts LRU-first
 // and recomputes on re-acquisition.
 func TestEvictionAndRecompute(t *testing.T) {
 	const n = 8
-	r := New(Options{MaxBytes: 8 << n}) // exactly one float64 diagonal
-	ka := mustRegister(t, r, Spec{N: n, Terms: problems.LABSTerms(n)})
-	kb := mustRegister(t, r, Spec{N: n, Terms: poly.Terms{poly.NewTerm(1, 0, 1)}})
+	a := Spec{N: n, Terms: problems.LABSTerms(n)}
+	b := Spec{N: n, Terms: poly.Terms{poly.NewTerm(1, 0, 1)}}
+	budget := oneEntryBudget(t, a, b)
+	r := New(Options{MaxBytes: budget})
+	ka, kb := mustRegister(t, r, a), mustRegister(t, r, b)
 
 	ctx := context.Background()
 	for _, key := range []Key{ka, kb, ka} {
@@ -139,8 +241,8 @@ func TestEvictionAndRecompute(t *testing.T) {
 	if st.Precomputes != 3 {
 		t.Errorf("Precomputes = %d, want 3 (third acquire recomputes)", st.Precomputes)
 	}
-	if st.ResidentBytes != 8<<n || st.PinnedBytes != 0 {
-		t.Errorf("Resident/Pinned = %d/%d, want %d/0", st.ResidentBytes, st.PinnedBytes, 8<<n)
+	if want := entryBytes(t, a); st.ResidentBytes != want || st.PinnedBytes != 0 {
+		t.Errorf("Resident/Pinned = %d/%d, want %d/0", st.ResidentBytes, st.PinnedBytes, want)
 	}
 }
 
@@ -152,9 +254,11 @@ func TestEvictionAndRecompute(t *testing.T) {
 func TestEvictionUnderConcurrentEvalBatch(t *testing.T) {
 	const n, p, points, rounds = 8, 2, 16, 8
 	terms := problems.LABSTerms(n)
-	r := New(Options{MaxBytes: 8 << n}) // room for one diagonal: every new acquire evicts the other problem
-	ka := mustRegister(t, r, Spec{N: n, Terms: terms})
-	kb := mustRegister(t, r, Spec{N: n, Terms: poly.Terms{poly.NewTerm(1, 0, 1), poly.NewTerm(0.5, 2, 3)}})
+	a := Spec{N: n, Terms: terms}
+	b := Spec{N: n, Terms: poly.Terms{poly.NewTerm(1, 0, 1), poly.NewTerm(0.5, 2, 3)}}
+	// Room for one entry: every new acquire evicts the other problem.
+	r := New(Options{MaxBytes: oneEntryBudget(t, a, b)})
+	ka, kb := mustRegister(t, r, a), mustRegister(t, r, b)
 
 	rng := rand.New(rand.NewSource(5))
 	xs := make([][]float64, points)
@@ -197,7 +301,7 @@ func TestEvictionUnderConcurrentEvalBatch(t *testing.T) {
 		}
 	}()
 	for round := 0; round < rounds; round++ {
-		cf := core.NewFactory(n, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
+		cf := core.NewFactory(n, terms, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
 			h, err := r.Acquire(ctx, ka)
 			if err != nil {
 				return nil, err
@@ -240,9 +344,10 @@ func TestEvictionUnderConcurrentEvalBatch(t *testing.T) {
 // (counted as a hit) instead of recomputing a second copy.
 func TestResurrection(t *testing.T) {
 	const n = 8
-	r := New(Options{MaxBytes: 8 << n})
-	ka := mustRegister(t, r, Spec{N: n, Terms: problems.LABSTerms(n)})
-	kb := mustRegister(t, r, Spec{N: n, Terms: poly.Terms{poly.NewTerm(1, 0, 1)}})
+	a := Spec{N: n, Terms: problems.LABSTerms(n)}
+	b := Spec{N: n, Terms: poly.Terms{poly.NewTerm(1, 0, 1)}}
+	r := New(Options{MaxBytes: oneEntryBudget(t, a, b)})
+	ka, kb := mustRegister(t, r, a), mustRegister(t, r, b)
 
 	ctx := context.Background()
 	ha, err := r.Acquire(ctx, ka)
@@ -254,8 +359,8 @@ func TestResurrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb.Release()
-	if st := r.Stats(); st.PinnedBytes != 8<<n {
-		t.Fatalf("PinnedBytes = %d with A evicted under a live handle, want %d", st.PinnedBytes, 8<<n)
+	if st, want := r.Stats(), entryBytes(t, a); st.PinnedBytes != want {
+		t.Fatalf("PinnedBytes = %d with A evicted under a live handle, want %d", st.PinnedBytes, want)
 	}
 	ha2, err := r.Acquire(ctx, ka) // resurrects A
 	if err != nil {

@@ -176,8 +176,8 @@ func TestElasticFixedParity(t *testing.T) {
 	}
 	defer fixed.Close()
 
-	cf := core.NewFactory(n, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
-		return core.StaticDiag(sim.CostDiagonal()), nil
+	cf := core.NewFactory(n, terms, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
+		return core.StaticDiag(sim.CostDiagonal())
 	})
 	elastic, err := NewElastic([]evaluator.Factory{cf}, ElasticOptions{
 		MinWorkers: 1, MaxWorkers: 4, IdleDecay: 10 * time.Millisecond,
@@ -242,8 +242,8 @@ func TestElasticSteadyStateAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := core.NewFactory(n, core.Options{Backend: core.BackendSerial}, func(ctx context.Context) (core.DiagSource, error) {
-		return core.StaticDiag(ref.CostDiagonal()), nil
+	cf := core.NewFactory(n, terms, core.Options{Backend: core.BackendSerial}, func(ctx context.Context) (core.DiagSource, error) {
+		return core.StaticDiag(ref.CostDiagonal())
 	})
 	// ScaleThreshold 2 keeps sequential (backlog ≤ 1) load from
 	// re-growing the decayed pool, so the measurement runs entirely on

@@ -137,8 +137,10 @@ func NewSimulator(n int, terms Terms, opts Options) (*Simulator, error) {
 }
 
 // NewSimulatorFromDiagonal builds a simulator from a precomputed cost
-// diagonal (QOKit's costs argument). The diagonal is shared, not
-// copied.
+// diagonal (QOKit's costs argument). Having no terms, it scans the
+// diagonal once for its symmetry group; the simulator then keeps the
+// entries at its stored indices, as uint16 codes on an exact grid or
+// else as a shared prefix of diag, not a copy.
 func NewSimulatorFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	return core.NewFromDiagonal(n, diag, opts)
 }

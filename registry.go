@@ -16,8 +16,13 @@ import (
 // elastic evaluation service — the registered-problem → autoscaled-pool
 // layer that replaces caller-built simulators feeding a fixed pool:
 //
-//   - ProblemRegistry holds each registered problem's precomputed
-//     float64 cost diagonal (8·2ⁿ bytes) in a byte-budgeted LRU keyed by a canonical hash of the terms, qubit
+//   - ProblemRegistry holds each registered problem's precomputed cost
+//     diagonal in the stored form its engines evolve over: the entries
+//     at the 2^(n−h) indices a state stored over the cost's symmetry
+//     group keeps (the term group under the x mixer, h = 0 under the
+//     xy mixers), as 2-byte codes when they form an exact grid — a
+//     LABS entry is 2·2^(n−2) bytes instead of 8·2ⁿ. Entries live in a
+//     byte-budgeted LRU keyed by a canonical hash of the terms, qubit
 //     count, and mixer family. Every evaluator factory for the same
 //     problem shares one precompute; a second batch against the same
 //     graph performs zero diagonal work.
@@ -47,8 +52,8 @@ type ProblemKey = registry.Key
 // use; see RegistryStats for its counters.
 type ProblemRegistry = registry.Registry
 
-// RegistryOptions configures a ProblemRegistry (its diagonal-cache
-// byte budget).
+// RegistryOptions configures a ProblemRegistry (its byte budget over
+// the entries' stored forms).
 type RegistryOptions = registry.Options
 
 // RegistryStats reports registry cache behavior — Precomputes is the
@@ -56,8 +61,9 @@ type RegistryOptions = registry.Options
 type RegistryStats = registry.Stats
 
 // ProblemHandle is one refcounted acquisition of a registered
-// problem's cached diagonal forms; the data stays valid until Release
-// even if the entry is evicted meanwhile.
+// problem's cached stored form; the data stays valid until Release
+// even if the entry is evicted meanwhile. Diag expands it to the full
+// 2^n diagonal on each call.
 type ProblemHandle = registry.Handle
 
 // NewProblemRegistry builds an empty problem registry.
@@ -106,10 +112,11 @@ func registeredSpec(reg *ProblemRegistry, key ProblemKey) (ProblemSpec, error) {
 
 // NewSweepFactory builds single-node workspaces (energies and adjoint
 // gradients) over a registered problem. Every build shares one
-// read-only simulator whose diagonal comes from the registry cache, and
-// pins two state buffers of its own. The workersPerBuild argument is
-// ignored: every build serves one evaluation at a time. The spec's
-// mixer and Hamming weight override opts.
+// read-only simulator over the registry entry's stored form, and pins
+// two state buffers of its own; Caps reports them exactly, from the
+// registered terms, before the first build. The workersPerBuild
+// argument is ignored: every build serves one evaluation at a time.
+// The spec's mixer and Hamming weight override opts.
 func NewSweepFactory(reg *ProblemRegistry, key ProblemKey, opts Options, workersPerBuild int) (EvaluatorFactory, error) {
 	spec, err := registeredSpec(reg, key)
 	if err != nil {
@@ -117,16 +124,16 @@ func NewSweepFactory(reg *ProblemRegistry, key ProblemKey, opts Options, workers
 	}
 	opts.Mixer = spec.Mixer
 	opts.HammingWeight = spec.HammingWeight
-	return core.NewFactory(spec.N, opts, registryAcquire(reg, key)), nil
+	return core.NewFactory(spec.N, spec.Terms, opts, registryAcquire(reg, key)), nil
 }
 
 // NewDistributedFactory builds sharded cluster engines over a
 // registered problem. Each build is one rank-group lease whose per-rank
-// diagonal shards are slices of the registry's cached full diagonal —
+// cost slices are cut from the registry entry's stored form —
 // growing the pool by one engine pays for cluster state buffers only,
-// never a second precompute. A rank whose slice is an exact grid holds
-// its uint16 codes, as NewDistributedGradEngine does, but the
-// registry's float64 diagonal stays cached beside them. The spec's
+// never a second precompute. Each rank holds only its 2^(n−h−k)
+// entries, as uint16 codes alone when they form an exact grid, as
+// NewDistributedGradEngine's ranks do. The spec's
 // mixer and Hamming weight override dopts.
 func NewDistributedFactory(reg *ProblemRegistry, key ProblemKey, dopts DistOptions) (EvaluatorFactory, error) {
 	spec, err := registeredSpec(reg, key)
@@ -135,7 +142,7 @@ func NewDistributedFactory(reg *ProblemRegistry, key ProblemKey, dopts DistOptio
 	}
 	dopts.Mixer = spec.Mixer
 	dopts.HammingWeight = spec.HammingWeight
-	return distsim.NewFactoryFromSource(spec.N, dopts, registryAcquire(reg, key))
+	return distsim.NewFactoryFromSource(spec.N, spec.Terms, dopts, registryAcquire(reg, key))
 }
 
 // NewLightConeFactory builds the light-cone MaxCut backend over a
