@@ -312,14 +312,14 @@ func BenchmarkQuantizedPhase(b *testing.B) {
 	s := statevec.NewSoAUniform(n)
 	b.Run("sincos-f64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.ApplyPhase(pool, statevec.Phase{Diag: diag, Gamma: 0.31})
+			statevec.ApplyPhasePlanes(pool, s.Re, s.Im, statevec.Phase{Diag: diag, Gamma: 0.31})
 		}
 	})
 	b.Run("uint16-table", func(b *testing.B) {
 		tab := make([]complex128, int(q.MaxCode())+1)
 		for i := 0; i < b.N; i++ {
 			q.PhaseTableInto(tab, 0.31)
-			s.ApplyPhase(pool, statevec.Phase{Diag: diag, Gamma: 0.31, Codes: q.Codes, Tab: tab})
+			statevec.ApplyPhasePlanes(pool, s.Re, s.Im, statevec.Phase{Diag: diag, Gamma: 0.31, Codes: q.Codes, Tab: tab})
 		}
 	})
 }
@@ -360,7 +360,7 @@ func BenchmarkMixerKernels(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for q := 0; q < n; q++ {
-				s.ApplyRX(pool, q, 0.57)
+				statevec.UniformRXRangePlanes(pool, s.Re, s.Im, q, q+1, 0.57)
 			}
 		}
 	})
@@ -372,10 +372,14 @@ func BenchmarkMixerKernels(b *testing.B) {
 		}
 	})
 	b.Run("soa32-tiled-f2", func(b *testing.B) {
-		s := statevec.NewSoA32Uniform(n)
+		s := statevec.NewSoAUniform(n)
+		re, im := make([]float32, len(s.Re)), make([]float32, len(s.Im))
+		for i := range re {
+			re[i] = float32(s.Re[i])
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyUniformRX(pool, 0.57)
+			statevec.UniformRXPlanes(pool, re, im, statevec.Phase{}, 0.57)
 		}
 	})
 	b.Run("fwht-method-ref43", func(b *testing.B) {

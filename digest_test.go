@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,6 +25,7 @@ import (
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
 	"qokit/internal/problems"
+	"qokit/internal/statevec"
 )
 
 // The digest table: one SHA-256 line per engine configuration, over
@@ -178,7 +180,237 @@ func digestLines(t *testing.T) []string {
 			}
 		}
 	}
+	return append(lines, moreDigestLines(t)...)
+}
+
+// moreDigestLines is the second part of the table, appended after the
+// first 400 lines so that those stay as they are: the Serial reference,
+// an explicit uniform InitialState and the xy-complete mixer on the
+// core engines; the state-level outputs of every core configuration
+// (moreCoreLines); and distsim's checkpointed and gathered forward
+// one-shots (distsimRunLines).
+func moreDigestLines(t *testing.T) []string {
+	t.Helper()
+	ctx := context.Background()
+	type coreConfig struct {
+		name  string
+		opts  core.Options
+		mixer core.Mixer
+	}
+	var configs, added []coreConfig
+	for _, single := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("core/soa/w%d", workers)
+			if single {
+				name = fmt.Sprintf("core/soa32/w%d", workers)
+			}
+			opts := core.Options{Backend: core.BackendSoA, Workers: workers, SinglePrecision: single}
+			for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
+				opts.Mixer = mixer
+				configs = append(configs, coreConfig{name, opts, mixer})
+			}
+		}
+	}
+	for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
+		added = append(added, coreConfig{"core/serial", core.Options{Backend: core.BackendSerial, Mixer: mixer}, mixer})
+	}
+	for _, c := range configs {
+		if c.mixer != core.MixerX {
+			continue
+		}
+		init := c
+		init.name += "/init"
+		added = append(added, init)
+		complete := c
+		complete.opts.Mixer, complete.mixer = core.MixerXYComplete, core.MixerXYComplete
+		added = append(added, complete)
+	}
+	build := func(n int, terms poly.Terms, c coreConfig) *core.Simulator {
+		opts := c.opts
+		if strings.HasSuffix(c.name, "/init") {
+			opts.InitialState = statevec.NewUniform(n)
+		}
+		sim, err := core.New(n, terms, opts)
+		if err != nil {
+			t.Fatalf("%s n=%d %v: %v", c.name, n, c.mixer, err)
+		}
+		return sim
+	}
+	var lines []string
+	for _, n := range []int{8, 12} {
+		for _, c := range added {
+			for _, prob := range digestProblems(t, n) {
+				sim := build(n, prob.terms, c)
+				for _, p := range []int{1, 4} {
+					label := fmt.Sprintf("%s %s n=%d %v p=%d", c.name, prob.name, n, c.mixer, p)
+					d, err := digestOf(ctx, sim.NewWorkspace(), sim, n, p)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					lines = append(lines, label+" "+d)
+				}
+			}
+		}
+	}
+	for _, n := range []int{8, 12} {
+		for _, c := range append(configs, added...) {
+			for _, prob := range digestProblems(t, n) {
+				sim := build(n, prob.terms, c)
+				for _, p := range []int{1, 4} {
+					label := fmt.Sprintf("%s %s n=%d %v p=%d state", c.name, prob.name, n, c.mixer, p)
+					d, err := stateDigest(sim, n, p)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					lines = append(lines, label+" "+d)
+				}
+			}
+		}
+	}
+	return append(lines, distsimRunLines(t)...)
+}
+
+// digestAngles returns the flat angles of configuration (n, p), split.
+func digestAngles(n, p int) (gamma, beta []float64) {
+	rng := rand.New(rand.NewSource(int64(100*n + p)))
+	x := make([]float64, 2*p)
+	for i := range x {
+		x[i] = 0.1 + 0.8*rng.Float64()
+	}
+	return x[:p], x[p:]
+}
+
+// stateDigest hashes what a core simulator returns about the state
+// itself at the angles of (n, p): the state vector, the probabilities
+// with and without preserving the state, the norm, the expectation and
+// adjoint gradient of Z₀ (which no symmetry group of the table fixes),
+// and the states after three more ApplyLayer calls.
+func stateDigest(sim *core.Simulator, n, p int) (string, error) {
+	gamma, beta := digestAngles(n, p)
+	h := digestHash{sha256.New()}
+	r, err := sim.SimulateQAOA(gamma, beta)
+	if err != nil {
+		return "", err
+	}
+	sv := r.StateVector()
+	h.f(sim.InitialState().Norm())
+	for _, a := range sv {
+		h.f(real(a))
+		h.f(imag(a))
+	}
+	h.fs(r.Probabilities(nil, true))
+	h.f(r.Norm())
+	z0 := make([]float64, 1<<uint(n))
+	for x := range z0 {
+		z0[x] = float64(1 - 2*(x&1))
+	}
+	e, err := r.ExpectationOf(z0)
+	if err != nil {
+		return "", err
+	}
+	h.f(e)
+	gg, gb := make([]float64, p), make([]float64, p)
+	if e, err = sim.SimulateQAOAGradObsInto(sim.NewGradBuffers(), gamma, beta, z0, gg, gb); err != nil {
+		return "", err
+	}
+	h.f(e)
+	h.fs(gg)
+	h.fs(gb)
+	for l := 0; l < 3; l++ {
+		if err := sim.ApplyLayer(r, gamma[l%p]/2, beta[l%p]/3); err != nil {
+			return "", err
+		}
+		h.f(r.Expectation())
+		for _, a := range r.StateVector() {
+			h.f(real(a))
+			h.f(imag(a))
+		}
+	}
+	h.fs(slices.Clone(r.Probabilities(nil, false)))
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// distsimRunLines hashes distsim's forward one-shots at p = 4: the
+// float64 gather of SimulateQAOA, and SimulateQAOACheckpointed resumed
+// from a snapshot taken after layer 2. A completed checkpointed run
+// removes its file, so the snapshot is written from the gathered
+// float64 state of the first two layers (rounded to float32 for
+// float32 shards) in the layout SimulateQAOACheckpointed writes, and
+// the resumed run applies layers 3 and 4.
+func distsimRunLines(t *testing.T) []string {
+	t.Helper()
+	ctx := context.Background()
+	dir := t.TempDir()
+	const p = 4
+	var lines []string
+	for _, n := range []int{8, 12} {
+		gamma, beta := digestAngles(n, p)
+		for _, ranks := range []int{1, 2, 4} {
+			for _, prob := range digestProblems(t, n) {
+				for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
+					opts := distsim.Options{Ranks: ranks, Mixer: mixer, Gather: true}
+					label := fmt.Sprintf("distsim/K%d %s n=%d %v p=%d", ranks, prob.name, n, mixer, p)
+					res, err := distsim.SimulateQAOA(ctx, n, prob.terms, gamma, beta, opts)
+					if err != nil {
+						t.Fatalf("%s gather: %v", label, err)
+					}
+					lines = append(lines, label+" gather "+runDigest(res))
+					half, err := distsim.SimulateQAOA(ctx, n, prob.terms, gamma[:2], beta[:2], opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for _, prec := range []distsim.Precision{distsim.PrecisionFloat64, distsim.PrecisionFloat32} {
+						path := filepath.Join(dir, "snap")
+						snap := &distsim.ShardSnapshot{
+							N: n, Ranks: ranks, Mixer: mixer, HammingWeight: n / 2, Precision: prec,
+							Layer: 2, GammaPrefix: gamma[:2], BetaPrefix: beta[:2],
+						}
+						size := len(half.State) / ranks
+						for r := 0; r < ranks; r++ {
+							part := half.State[r*size : (r+1)*size]
+							if prec == distsim.PrecisionFloat64 {
+								snap.Shards = append(snap.Shards, part)
+								continue
+							}
+							re, im := make([]float32, size), make([]float32, size)
+							for i, a := range part {
+								re[i], im[i] = float32(real(a)), float32(imag(a))
+							}
+							snap.Re, snap.Im = append(snap.Re, re), append(snap.Im, im)
+						}
+						if err := distsim.SaveShardSnapshot(path, snap); err != nil {
+							t.Fatal(err)
+						}
+						ro := distsim.Options{Ranks: ranks, Mixer: mixer, Precision: prec, Gather: prec == distsim.PrecisionFloat64}
+						res, err := distsim.SimulateQAOACheckpointed(ctx, n, prob.terms, gamma, beta, ro, distsim.CheckpointOptions{Path: path})
+						if err != nil {
+							t.Fatalf("%s %v resume: %v", label, prec, err)
+						}
+						if _, err := os.Stat(path); !os.IsNotExist(err) {
+							t.Fatalf("%s %v: the completed run left its checkpoint (%v)", label, prec, err)
+						}
+						lines = append(lines, fmt.Sprintf("%s resume/%v %s", label, prec, runDigest(res)))
+					}
+				}
+			}
+		}
+	}
 	return lines
+}
+
+// runDigest hashes a distsim forward one-shot's values and gathered
+// state.
+func runDigest(res *distsim.Result) string {
+	h := digestHash{sha256.New()}
+	h.f(res.Expectation)
+	h.f(res.Overlap)
+	h.f(res.MinCost)
+	h.u(uint64(len(res.State)))
+	for _, a := range res.State {
+		h.f(real(a))
+		h.f(imag(a))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // digestOf hashes the energy, the gradient, every EvalOutputs field, a

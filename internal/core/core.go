@@ -13,17 +13,20 @@
 //	Serial — portable straight-line complex128 loops ("python"): a
 //	         phase pass, then Algorithm 2's per-qubit sweep; the
 //	         reference the fast path is tested against
-//	SoA    — worker-pool split real/imag kernels ("c", "nbcuda"/GPU
-//	         analogue; see internal/statevec for why SoA stands in for
-//	         the vendor-tuned kernels): the phase folded into the
-//	         cache-tiled F = 2 mixer, in float64 or float32 planes
+//	SoA    — split real/imag planes on a worker pool ("c", "nbcuda"/GPU
+//	         analogue): the phase folded into the cache-tiled F = 2
+//	         mixer, in float64 or float32 planes
 //
-// The distributed backends of §III-C live in internal/distsim and
-// share this package's Mixer and options types. Both engines serve
-// their measurement-style outputs (overlap, CVaR, variance, the most
-// probable state, probability queries, shots) through one output stage,
-// internal/evaluator's Stage; a simulator runs it over its stored
-// amplitudes as a single rank.
+// SoA is the one split-plane engine of internal/shard run as a single
+// rank (k = 0) on the simulator's pool: the same engine each rank of
+// the distributed simulator (internal/distsim, §III-C) runs, which adds
+// only the all-to-all that brings its global qubits local. Both take
+// the group a state is stored over from one rule (shard.SymmetryFor)
+// and read one stored cost form (costvec.Stored), here whole. Both
+// serve their measurement-style outputs (overlap, CVaR, variance, the
+// most probable state, probability queries, shots) through one output
+// stage, internal/evaluator's Stage; a simulator runs it over its
+// stored amplitudes as a single rank.
 package core
 
 import (
@@ -34,6 +37,7 @@ import (
 	"qokit/internal/costvec"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
+	"qokit/internal/shard"
 	"qokit/internal/statevec"
 )
 
@@ -218,24 +222,13 @@ type Simulator struct {
 	n       int
 	opts    Options
 	backend Backend
-	pool    *statevec.Pool
-	// group holds the 2^h symmetry-group elements a state is stored
-	// over, indexed by their top h bits (half.go); {0} stores the full
-	// state.
-	group []uint64
-
-	// cost is the stored form of the diagonal over group.
-	cost *costvec.Stored
-	// diag holds the float64 entries the reductions read: the form's,
-	// nil when it holds codes, and on Serial all 2^n entries.
-	diag []float64
-	// levels holds the level codes the phase tables are indexed by;
-	// nil selects per-amplitude sincos. nlevels is the table length.
-	levels  *costvec.Quantized
-	nlevels int
-
-	// mixerPairs is the ordered edge list swept by the xy mixers.
-	mixerPairs []graphs.Edge
+	// eng is the split-plane engine the simulator runs as one rank: its
+	// kernel pool, the group states are stored over, the stored cost
+	// form and the mixer's edges.
+	eng *shard.Engine
+	// serial is the complex128 arm of BackendSerial (serial.go), nil on
+	// SoA.
+	serial *serialArm
 
 	// minCost and groundStates are built on the first MinCost or
 	// GroundStates call (groundOnce): the output stage finds its own
@@ -243,13 +236,6 @@ type Simulator struct {
 	groundOnce   sync.Once
 	minCost      float64
 	groundStates []uint64
-	// costCache holds the lazily-built ascending-cost order of the
-	// stored indices for CVaR.
-	costCache costOrderCache
-
-	// initial is the caller's InitialState or the Dicke start; nil for
-	// the x mixer's |+⟩ start, which resetResult fills directly.
-	initial statevec.Vec
 }
 
 // New builds a simulator for an n-qubit problem given as polynomial
@@ -270,10 +256,8 @@ func New(n int, terms poly.Terms, opts Options) (*Simulator, error) {
 	}
 	compiled := poly.Compile(terms)
 	pivots, flip := costvec.TermPivots(n, compiled.Masks)
-	if !groupState(backend, opts) {
-		pivots = nil
-	}
-	cost, err := costvec.NewStored(statevec.NewPool(workers), compiled, n, pivots, flip)
+	sym := shard.SymmetryFor(pivots, flip, n, 0, groupState(backend, opts))
+	cost, err := costvec.NewStored(statevec.NewPool(workers), compiled, n, sym.Pivots, flip)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -309,23 +293,6 @@ func NewFromDiagonal(n int, diag []float64, opts Options) (*Simulator, error) {
 	return newSimulator(n, costvec.FromDiagonal(diag, pivots, flip), opts)
 }
 
-// newFromCost builds a simulator over a stored cost form, such as a
-// registry entry's: a group state takes the form's group as it is, and
-// any other state expands the form to the full diagonal once.
-func newFromCost(n int, cost *costvec.Stored, opts Options) (*Simulator, error) {
-	if cost.N != n {
-		return nil, fmt.Errorf("core: cost form over %d qubits, want %d", cost.N, n)
-	}
-	backend, _, err := resolveBackend(opts)
-	if err != nil {
-		return nil, err
-	}
-	if !groupState(backend, opts) {
-		cost = cost.Full()
-	}
-	return newSimulator(n, cost, opts)
-}
-
 // resolveBackend checks opts' backend and precision and returns the
 // backend and kernel-pool size a simulator runs. The serial backend
 // never consults the pool, so its worker count is normalized to 1:
@@ -355,64 +322,43 @@ func groupState(backend Backend, opts Options) bool {
 	return backend == BackendSoA && opts.Mixer == MixerX && opts.InitialState == nil
 }
 
-// newSimulator builds a simulator over a stored form whose group is
-// the one its states are stored over.
+// newSimulator builds a simulator over a stored form of its cost, such
+// as a registry entry's. The group its states are stored over follows
+// from the backend, the mixer, InitialState and the form's pivots
+// (shard.SymmetryFor at k = 0, which keeps any pivots a single rank is
+// given); a form over another group is expanded once.
 func newSimulator(n int, cost *costvec.Stored, opts Options) (*Simulator, error) {
 	backend, workers, err := resolveBackend(opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{
-		n:       n,
-		opts:    opts,
-		backend: backend,
-		pool:    statevec.NewPool(workers),
-		group:   costvec.Group(cost.Pivots),
-		cost:    cost,
-		diag:    cost.Diag,
-		levels:  cost.Codes,
-	}
-	if backend == BackendSerial && s.diag == nil {
-		s.diag = cost.Expand()
-	}
-	if s.levels != nil {
-		s.nlevels = int(s.levels.MaxCode()) + 1
-	}
-	switch opts.Mixer {
-	case MixerX:
-	case MixerXYRing:
-		s.mixerPairs = ringSweep(n)
-	case MixerXYComplete:
-		s.mixerPairs = completeSweep(n)
-	default:
-		return nil, fmt.Errorf("core: unknown mixer %v", opts.Mixer)
-	}
-	if err := s.setupInitialState(); err != nil {
+	edges, err := MixerSweepEdges(n, opts.Mixer)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// setupInitialState resolves the initial state: a caller-provided
-// vector, or a Dicke state for xy mixers. The x mixer's |+⟩^n keeps no
-// vector: every amplitude is 1/√2^n, which resetResult writes.
-func (s *Simulator) setupInitialState() error {
-	if s.opts.InitialState != nil {
-		if len(s.opts.InitialState) != 1<<uint(s.n) {
-			return fmt.Errorf("core: initial state length %d, want %d", len(s.opts.InitialState), 1<<uint(s.n))
+	s := &Simulator{n: n, opts: opts, backend: backend}
+	cfg := shard.Config{
+		N: n, Ranks: 1, Pool: statevec.NewPool(workers),
+		Sym:   shard.SymmetryFor(cost.Pivots, cost.Flip, n, 0, groupState(backend, opts)),
+		XY:    opts.Mixer != MixerX,
+		Edges: edges, HammingWeight: s.hammingWeight(),
+	}
+	switch {
+	case opts.InitialState != nil:
+		if len(opts.InitialState) != 1<<uint(n) {
+			return nil, fmt.Errorf("core: initial state length %d, want %d", len(opts.InitialState), 1<<uint(n))
 		}
-		s.initial = s.opts.InitialState.Clone()
-		return nil
+		cfg.Initial = opts.InitialState.Clone()
+	case cfg.XY && cfg.HammingWeight > n:
+		return nil, fmt.Errorf("core: Hamming weight %d exceeds n=%d", cfg.HammingWeight, n)
 	}
-	if s.opts.Mixer == MixerX {
-		return nil
+	if s.eng, err = shard.New(cfg, cost); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	k := s.hammingWeight()
-	if k > s.n {
-		return fmt.Errorf("core: Hamming weight %d exceeds n=%d", k, s.n)
+	if backend == BackendSerial {
+		s.serial = newSerialArm(s)
 	}
-	s.initial = statevec.NewDicke(s.n, k)
-	return nil
+	return s, nil
 }
 
 // computeGroundStates records the minimal cost and its argmin set, once
@@ -423,14 +369,15 @@ func (s *Simulator) setupInitialState() error {
 func (s *Simulator) computeGroundStates() {
 	const tol = 1e-9
 	first := true
-	for x := 0; x < s.stored(); x++ {
-		if v := s.cost.Value(x); s.feasible(x) && (first || v < s.minCost) {
+	cost := s.eng.Form()
+	for x := 0; x < cost.Len(); x++ {
+		if v := cost.Value(x); s.feasible(x) && (first || v < s.minCost) {
 			s.minCost, first = v, false
 		}
 	}
-	for x := 0; x < s.stored(); x++ {
-		if s.feasible(x) && s.cost.Value(x) <= s.minCost+tol {
-			for _, g := range s.group {
+	for x := 0; x < cost.Len(); x++ {
+		if s.feasible(x) && cost.Value(x) <= s.minCost+tol {
+			for _, g := range s.group() {
 				s.groundStates = append(s.groundStates, uint64(x)^g)
 			}
 		}
@@ -446,7 +393,7 @@ func (s *Simulator) Backend() Backend { return s.backend }
 
 // Workers returns the resolved kernel-pool size: Options.Workers
 // (GOMAXPROCS when ≤ 0) on SoA, always 1 on Serial.
-func (s *Simulator) Workers() int { return s.pool.Workers }
+func (s *Simulator) Workers() int { return s.eng.Config().Pool.Workers }
 
 // MixerRoute reports the mixer route, which is always RouteSweep (see
 // the MixerRoute type).
@@ -457,7 +404,7 @@ func (s *Simulator) MixerRoute() MixerRoute { return RouteSweep }
 // the group on every call (8·2^n bytes), equal bit for bit to the
 // diagonal PrecomputeDiagonal returns. The simulator itself holds only
 // the stored form.
-func (s *Simulator) CostDiagonal() []float64 { return s.cost.Expand() }
+func (s *Simulator) CostDiagonal() []float64 { return s.eng.Form().Expand() }
 
 // MinCost returns the smallest cost over the (feasible) search space.
 // The first MinCost or GroundStates call scans the stored entries.
@@ -475,13 +422,18 @@ func (s *Simulator) GroundStates() []uint64 {
 	return s.groundStates
 }
 
-// InitialState returns a copy of the initial state (for the x mixer's
-// |+⟩ start, a fresh uniform vector).
+// InitialState returns a copy of the initial state: the caller's
+// InitialState, the Dicke start of the xy mixers, or for the x mixer's
+// |+⟩ start a fresh uniform vector.
 func (s *Simulator) InitialState() statevec.Vec {
-	if s.initial == nil {
+	switch {
+	case s.opts.InitialState != nil:
+		return s.eng.Config().Initial.Clone()
+	case s.opts.Mixer != MixerX:
+		return statevec.NewDicke(s.n, s.hammingWeight())
+	default:
 		return statevec.NewUniform(s.n)
 	}
-	return s.initial.Clone()
 }
 
 // ringSweep orders the ring edges even-first then odd (one Trotter

@@ -517,10 +517,10 @@ func TestPhaseTableRule(t *testing.T) {
 			t.Fatalf("%s: %v", c.label, err)
 		}
 		requireTableSide(t, c.label, s, c.table)
-		if len(s.group) > 1 && s.levels != nil {
+		if len(s.group()) > 1 && s.eng.Form().Codes != nil {
 			diag := s.CostDiagonal()
 			full, err := costvec.QuantizeExact(diag, len(diag)/costvec.PhaseTableRatio)
-			if err != nil || !slices.Equal(s.levels.Codes, full.Codes[:s.stored()]) {
+			if err != nil || !slices.Equal(s.eng.Form().Codes.Codes, full.Codes[:s.eng.Len()]) {
 				t.Errorf("%s: group-state codes are not the stored prefix of the full diagonal's (%v)", c.label, err)
 			}
 		}
@@ -594,7 +594,7 @@ func TestNewFromDiagonalSharesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &s.diag[0] != &diag[0] {
+	if &s.serial.diag[0] != &diag[0] {
 		t.Error("NewFromDiagonal copied the diagonal; documented as shared")
 	}
 	got := s.CostDiagonal()

@@ -22,13 +22,13 @@ import (
 // float64 entries beside the codes (table phases, float64 reductions).
 func withForm(t *testing.T, s *Simulator, codes bool) *Simulator {
 	t.Helper()
-	entries := make([]float64, s.stored())
+	entries := make([]float64, s.eng.Len())
 	for i := range entries {
-		entries[i] = s.cost.Value(i)
+		entries[i] = s.eng.Form().Value(i)
 	}
-	form := &costvec.Stored{N: s.n, Pivots: s.cost.Pivots, Flip: s.cost.Flip, Diag: entries}
+	form := &costvec.Stored{N: s.n, Pivots: s.eng.Form().Pivots, Flip: s.eng.Form().Flip, Diag: entries}
 	if codes {
-		form.Codes = s.levels
+		form.Codes = s.eng.Form().Codes
 	}
 	f, err := newSimulator(s.n, form, s.opts)
 	if err != nil {
@@ -123,8 +123,8 @@ func TestSimulatorCostFormsMatchBitwise(t *testing.T) {
 					t.Fatal(err)
 				}
 				requirePivots(t, label, coded, c.h)
-				if coded.diag != nil || coded.levels == nil {
-					t.Fatalf("%s: holds float64 entries %v and codes %v, want codes alone", label, coded.diag != nil, coded.levels != nil)
+				if coded.eng.Form().Diag != nil || coded.eng.Form().Codes == nil {
+					t.Fatalf("%s: holds float64 entries %v and codes %v, want codes alone", label, coded.eng.Form().Diag != nil, coded.eng.Form().Codes != nil)
 				}
 				forms := map[string]*Simulator{"float64 + codes": withForm(t, coded, true), "float64": withForm(t, coded, false)}
 				for _, p := range []int{1, 4} {
@@ -189,8 +189,8 @@ func TestSimulatorRetainsStoredForm(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	requirePivots(t, "labs n=22", s, 2)
-	if s.diag != nil || s.levels == nil {
-		t.Fatalf("labs n=22 holds float64 entries %v and codes %v, want codes alone", s.diag != nil, s.levels != nil)
+	if s.eng.Form().Diag != nil || s.eng.Form().Codes == nil {
+		t.Fatalf("labs n=22 holds float64 entries %v and codes %v, want codes alone", s.eng.Form().Diag != nil, s.eng.Form().Codes != nil)
 	}
 	if retained >= 4<<20 {
 		t.Errorf("a LABS n=%d simulator retains %d B, want under 4 MiB", n, retained)

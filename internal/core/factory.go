@@ -8,14 +8,13 @@ import (
 	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
 	"qokit/internal/poly"
+	"qokit/internal/shard"
 )
 
 // DiagSource leases a problem's cost diagonal, in its stored form, to
-// an evaluator factory. internal/registry's Handle implements it; an
-// in-memory diagonal does too (StaticDiag), so factories work with or
-// without a registry behind them. Release must be called exactly once
-// when the factory is done with the lease; the form must not be read
-// afterwards.
+// an evaluator factory; internal/registry's Handle implements it.
+// Release must be called exactly once when the factory is done with the
+// lease; the form must not be read afterwards.
 type DiagSource interface {
 	// Cost returns the stored cost form (read-only).
 	Cost() *costvec.Stored
@@ -26,25 +25,6 @@ type DiagSource interface {
 // AcquireFunc obtains a diagonal lease; factories call it lazily on
 // the first build so registering a problem stays free of precompute.
 type AcquireFunc func(ctx context.Context) (DiagSource, error)
-
-// StaticDiag wraps an in-memory 2^n diagonal that has no terms
-// (QOKit's costs path) as a never-expiring DiagSource. It scans the
-// diagonal once, as NewFromDiagonal does — a NaN or ±Inf entry returns
-// an error wrapping poly.ErrNonFiniteCost — searches its symmetry group
-// (costvec.SymmetryPivots) and converts it to the stored form.
-func StaticDiag(diag []float64) (DiagSource, error) {
-	flip, err := costvec.CheckDiagonal(diag)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return staticDiag{costvec.FromDiagonal(diag, costvec.SymmetryPivots(diag, flip), flip)}, nil
-}
-
-type staticDiag struct{ cost *costvec.Stored }
-
-func (s staticDiag) Cost() *costvec.Stored { return s.cost }
-
-func (staticDiag) Release() {}
 
 // capsFor reports the Caps a Simulator built under opts with its state
 // stored over h pivots advertises, without building one — the up-front
@@ -65,16 +45,16 @@ func capsFor(n, h int, opts Options) evaluator.Caps {
 }
 
 // storedPivots returns the number of pivots a simulator built from
-// terms under opts stores its states over: the term group's
-// (costvec.TermPivots) on a group state, else 0. It reads the terms
-// only, so it runs before any precompute.
+// terms under opts stores its states over (costvec.TermPivots, then
+// shard.SymmetryFor at k = 0). It reads the terms only, so it runs
+// before any precompute.
 func storedPivots(n int, terms poly.Terms, opts Options) int {
 	backend, _, err := resolveBackend(opts)
-	if err != nil || !groupState(backend, opts) {
+	if err != nil {
 		return 0
 	}
-	pivots, _ := costvec.TermPivots(n, poly.Compile(terms).Masks)
-	return len(pivots)
+	pivots, flip := costvec.TermPivots(n, poly.Compile(terms).Masks)
+	return len(shard.SymmetryFor(pivots, flip, n, 0, groupState(backend, opts)).Pivots)
 }
 
 // Factory builds workspaces over one shared Simulator whose diagonal it
@@ -117,7 +97,7 @@ func (f *Factory) New(ctx context.Context) (evaluator.Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := newFromCost(f.n, src.Cost(), f.opts)
+		sim, err := newSimulator(f.n, src.Cost(), f.opts)
 		if err != nil {
 			src.Release()
 			return nil, err

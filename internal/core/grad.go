@@ -31,10 +31,10 @@ import (
 // qubit (per edge for the xy mixers) it adds up Im ⟨λ|X_q|ψ⟩ and
 // applies RX(−β) to both states, then it adds up Im ⟨λ|Ĉ|ψ⟩ and undoes
 // the phase on both from a single table read or sincos per amplitude.
-// On the split layouts (SoA, SoA32) the whole x-mixer step, phase
-// included, is one cache-tiled kernel (statevec's ReverseUniformRX):
-// 2–3 passes over the state pair per layer instead of n + 1, and the
-// forward layer is the tiled F = 2 kernel, 2–3 passes instead of n.
+// On SoA the one-rank shard (internal/shard) runs the whole x-mixer
+// step, phase included, as one cache-tiled kernel: 2–3 passes over the
+// state pair per layer instead of n + 1, and the forward layer is the
+// tiled F = 2 kernel, 2–3 passes instead of n.
 // The Serial reference runs one joint pass per qubit and one phase
 // pass. A gradient therefore costs one forward pass plus one joint
 // reverse pass, versus 4p simulations for central finite differences —
@@ -47,21 +47,22 @@ import (
 // it is scaled by 2^h.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
-// evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
-// the reverse pass evolves, and the phase-table scratch inside them.
-// Allocate once per goroutine with NewGradBuffers and reuse across
-// arbitrarily many SimulateQAOAGradInto calls; after warm-up a
-// gradient evaluation performs zero state-buffer allocations. A
-// GradBuffers must not be shared by concurrent evaluations — give each
-// worker its own pair, as each Workspace holds one.
+// evaluation: the ket ψ's Result, whose one-rank shard also holds the
+// cost-weighted bra λ on SoA, and Serial's λ vector beside it. Allocate
+// once per goroutine with NewGradBuffers and reuse across arbitrarily
+// many SimulateQAOAGradInto calls; the first evaluation allocates λ,
+// and after warm-up a gradient evaluation performs zero state-buffer
+// allocations. A GradBuffers must not be shared by concurrent
+// evaluations — give each worker its own, as each Workspace holds one.
 type GradBuffers struct {
-	psi, lam *Result
+	psi *Result
+	lam statevec.Vec
 }
 
 // NewGradBuffers allocates a gradient workspace sized for this
-// simulator's backend (two state buffers).
+// simulator's backend.
 func (s *Simulator) NewGradBuffers() *GradBuffers {
-	return &GradBuffers{psi: s.NewResult(), lam: s.NewResult()}
+	return &GradBuffers{psi: s.NewResult()}
 }
 
 // SimulateQAOAGrad runs the adjoint gradient evaluation with fresh
@@ -85,9 +86,9 @@ func (s *Simulator) SimulateQAOAGrad(gamma, beta []float64) (energy float64, gra
 // walks both buffers back through the layers, and the per-layer
 // derivatives are written into gradGamma and gradBeta (which must have
 // length p). w must come from NewGradBuffers on a simulator with the
-// same backend and qubit count; its previous contents are overwritten.
-// On return, w's ψ buffer no longer holds the final state — callers
-// needing the state should run SimulateQAOAInto separately.
+// same backend, precision and stored size; its previous contents are
+// overwritten. On return, w's ψ buffer no longer holds the final state
+// — callers needing the state should run SimulateQAOAInto separately.
 //
 // Distinct GradBuffers may be evolved concurrently against one shared
 // Simulator, exactly like Results in SimulateQAOAInto.
@@ -100,12 +101,12 @@ func (s *Simulator) SimulateQAOAGradInto(w *GradBuffers, gamma, beta, gradGamma,
 // it returns ⟨obs⟩ after evolving under THIS simulator's cost diagonal
 // together with ∂⟨obs⟩/∂γ_ℓ and ∂⟨obs⟩/∂β_ℓ. The reverse pass is the
 // standard adjoint with one change — the bra is seeded λ = obs⊙ψ_p
-// rather than Ĉ|ψ_p⟩; every per-layer reduction still runs against the
-// evolution diagonal, because that is the generator the γ angles
-// multiply. The light-cone backend uses this with obs = Z_uZ_v on a
-// cone's root edge while evolving under the cone's full MaxCut cost.
-// obs must have length 2^n; storage contracts match
-// SimulateQAOAGradInto.
+// (its symmetric projection on a group state) rather than Ĉ|ψ_p⟩;
+// every per-layer reduction still runs against the evolution diagonal,
+// because that is the generator the γ angles multiply. The light-cone
+// backend uses this with obs = Z_uZ_v on a cone's root edge while
+// evolving under the cone's full MaxCut cost. obs must have length
+// 2^n; storage contracts match SimulateQAOAGradInto.
 func (s *Simulator) SimulateQAOAGradObsInto(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(obs) != 1<<uint(s.n) {
 		return 0, fmt.Errorf("%w: %d, want 2^%d = %d", ErrObservableLength, len(obs), s.n, 1<<uint(s.n))
@@ -113,9 +114,8 @@ func (s *Simulator) SimulateQAOAGradObsInto(w *GradBuffers, gamma, beta, obs, gr
 	return s.adjoint(w, gamma, beta, obs, gradGamma, gradBeta)
 }
 
-// adjoint is the shared gradient loop: forward pass, λ = obs⊙ψ_p (the
-// cost diagonal when obs is nil; its symmetric projection on a group
-// state), then one joint reverse step per layer.
+// adjoint is the shared gradient loop: forward pass, the energy, then
+// the shard's adjoint (Serial's on the complex128 reference).
 func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(gamma) != len(beta) {
 		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
@@ -124,13 +124,10 @@ func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBet
 		return 0, fmt.Errorf("core: gradient storage lengths (%d, %d) do not match depth p=%d",
 			len(gradGamma), len(gradBeta), len(gamma))
 	}
-	if w == nil || w.psi == nil || w.lam == nil {
+	if w == nil || w.psi == nil {
 		return 0, fmt.Errorf("core: nil GradBuffers; use NewGradBuffers")
 	}
 	if err := s.SimulateQAOAInto(w.psi, gamma, beta); err != nil {
-		return 0, err
-	}
-	if err := s.bindResult(w.lam); err != nil {
 		return 0, err
 	}
 	var energy float64
@@ -142,122 +139,14 @@ func (s *Simulator) adjoint(w *GradBuffers, gamma, beta, obs, gradGamma, gradBet
 			return 0, err
 		}
 	}
-
-	// Seed the bra side: λ = obs⊙|ψ_p⟩ (the only non-unitary step).
-	s.seedBra(w, obs)
-
-	scale := 2 * s.weight()
-	for l := len(gamma) - 1; l >= 0; l-- {
-		// The phase undo is skipped on the last step, where no earlier
-		// derivative needs the states.
-		dBeta, dGamma := s.reverseLayer(w, gamma[l], beta[l], l > 0)
-		gradBeta[l], gradGamma[l] = scale*dBeta, scale*dGamma
+	if s.serial == nil {
+		// A one-rank shard calls no collective, so it cannot fail.
+		_ = w.psi.st.Adjoint(nil, gamma, beta, obs, gradGamma, gradBeta)
+		return energy, nil
 	}
+	if len(w.lam) != len(w.psi.vec) {
+		w.lam = statevec.New(s.n)
+	}
+	s.serial.adjoint(w.lam, w.psi.vec, gamma, beta, obs, gradGamma, gradBeta)
 	return energy, nil
-}
-
-// reverseLayer walks both states back through one layer and returns
-// Im ⟨λ|M|ψ⟩ and Im ⟨λ|Ĉ|ψ⟩, undoing the phase only when undo is set.
-// On the split layouts the x-mixer step and the phase are one tiled
-// kernel, after the pivot passes of a group state; the Serial reference
-// and the xy mixers undo the mixer, then the phase.
-func (s *Simulator) reverseLayer(w *GradBuffers, gamma, beta float64, undo bool) (dBeta, dGamma float64) {
-	lam, psi := w.lam, w.psi
-	ph := s.costSource(gamma)
-	if undo {
-		ph = s.phase(psi, gamma)
-	}
-	if s.opts.Mixer != MixerX || lam.vec != nil {
-		return s.reverseMixer(w, beta), s.reversePhase(w, ph, undo)
-	}
-	// The pivots go first: the tiled step reads the phase term in its
-	// last pass, after every RX of the layer is undone.
-	mirror := s.reverseMirrorRX(w, beta)
-	if lam.soa32 != nil {
-		dBeta, dGamma = lam.soa32.ReverseUniformRX(s.pool, psi.soa32, beta, ph, undo)
-	} else {
-		dBeta, dGamma = lam.soa.ReverseUniformRX(s.pool, psi.soa, beta, ph, undo)
-	}
-	return mirror + dBeta, dGamma
-}
-
-// reverseMixer undoes the layer's mixer on both states and returns
-// Im ⟨λ|M|ψ⟩ for the post-mixer pair: per qubit on the Serial
-// reference's x mixer, where each qubit's term commutes with every RX
-// factor, so the per-qubit joint passes read it at any point of the
-// undo; per edge for the Trotterized xy mixers, whose edge factors do
-// not commute, so the edges are undone in reverse application order,
-// each reading its own term.
-func (s *Simulator) reverseMixer(w *GradBuffers, beta float64) float64 {
-	lam, psi := w.lam, w.psi
-	var d float64
-	if s.opts.Mixer == MixerX {
-		for q := 0; q < s.n; q++ {
-			d += statevec.ReverseRX(lam.vec, psi.vec, q, beta)
-		}
-		return d
-	}
-	for k := len(s.mixerPairs) - 1; k >= 0; k-- {
-		e := s.mixerPairs[k]
-		switch {
-		case lam.soa32 != nil:
-			d += lam.soa32.ReverseXY(s.pool, psi.soa32, e.U, e.V, beta)
-		case lam.soa != nil:
-			d += lam.soa.ReverseXY(s.pool, psi.soa, e.U, e.V, beta)
-		default:
-			d += statevec.ReverseXY(lam.vec, psi.vec, e.U, e.V, beta)
-		}
-	}
-	return d
-}
-
-// reversePhase returns Im ⟨λ|Ĉ|ψ⟩ and, when undo is set, undoes the
-// layer's phase ph on both states.
-func (s *Simulator) reversePhase(w *GradBuffers, ph statevec.Phase, undo bool) float64 {
-	lam, psi := w.lam, w.psi
-	switch {
-	case lam.soa32 != nil:
-		return lam.soa32.ReversePhase(s.pool, psi.soa32, ph, undo)
-	case lam.soa != nil:
-		return lam.soa.ReversePhase(s.pool, psi.soa, ph, undo)
-	default:
-		return statevec.ReversePhase(lam.vec, psi.vec, ph, undo)
-	}
-}
-
-// seedBra sets λ = obs⊙ψ without allocating, with the cost for a nil
-// obs: a copy and a multiply by the stored cost entries, which a group
-// state's cost already is on every stored index; a caller's full-length
-// obs on a group state takes one pass of seedGroup, which reads each
-// orbit entry of obs on the fly.
-func (s *Simulator) seedBra(w *GradBuffers, obs []float64) {
-	lam, psi := w.lam, w.psi
-	grouped := len(s.group) > 1 && obs != nil
-	switch {
-	case grouped && psi.soa32 != nil:
-		seedGroup(s.pool, lam.soa32.Re, lam.soa32.Im, psi.soa32.Re, psi.soa32.Im, obs, s.group)
-	case grouped:
-		seedGroup(s.pool, lam.soa.Re, lam.soa.Im, psi.soa.Re, psi.soa.Im, obs, s.group)
-	case psi.soa32 != nil:
-		lam.soa32.Copy(psi.soa32)
-		statevec.MulDiagPlanes(s.pool, lam.soa32.Re, lam.soa32.Im, s.obsSource(obs))
-	case psi.soa != nil:
-		lam.soa.Copy(psi.soa)
-		statevec.MulDiagPlanes(s.pool, lam.soa.Re, lam.soa.Im, s.obsSource(obs))
-	default:
-		copy(lam.vec, psi.vec)
-		if obs == nil {
-			obs = s.diag
-		}
-		statevec.MulDiag(lam.vec, obs)
-	}
-}
-
-// obsSource returns a full-state observable as a cost source, or the
-// simulator's cost for a nil obs.
-func (s *Simulator) obsSource(obs []float64) statevec.Phase {
-	if obs == nil {
-		return s.costSource(0)
-	}
-	return statevec.Phase{Diag: obs}
 }

@@ -105,7 +105,7 @@ func testInstances(t *testing.T, n int) map[string]poly.Terms {
 // so a test meant to cover one side cannot silently drift to the other.
 func requireTableSide(t *testing.T, label string, s *Simulator, want bool) {
 	t.Helper()
-	if got := s.levels != nil; got != want {
+	if got := s.eng.Form().Codes != nil; got != want {
 		t.Fatalf("%s: takes phase tables = %v, want %v", label, got, want)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // meant to cover one side cannot silently drift to the other.
 func requireGroupSide(tb testing.TB, label string, s *Simulator, want bool) {
 	tb.Helper()
-	if got := len(s.group) > 1; got != want {
+	if got := len(s.group()) > 1; got != want {
 		tb.Fatalf("%s: stores a group state = %v, want %v", label, got, want)
 	}
 }
@@ -139,7 +139,7 @@ func TestHalfStateRule(t *testing.T) {
 		requirePivots(t, c.label, s, c.h)
 		diag := s.CostDiagonal()
 		for x := range diag {
-			for _, g := range s.group {
+			for _, g := range s.group() {
 				if diag[x] != diag[uint64(x)^g] {
 					t.Fatalf("%s: group element %b does not fix the cost at %d", c.label, g, x)
 				}
@@ -318,7 +318,7 @@ func checkHalfOutputs(t *testing.T, label string, half, full *Simulator, gamma, 
 		t.Errorf("%s: incremental ApplyLayer differs from SimulateQAOA by %g", label, d)
 	}
 	for x := range sv {
-		for _, g := range half.group {
+		for _, g := range half.group() {
 			if sv[x] != sv[uint64(x)^g] {
 				t.Fatalf("%s: expanded state not fixed by group element %b at %d", label, g, x)
 			}
@@ -498,38 +498,47 @@ func checkHalfGateLevel(t *testing.T, label string, half *Simulator, terms poly.
 // TestHalfSeedSymmetricObsBitwise: on a group state (LABS, two pivots)
 // the adjoint's bra seed for an observable the group fixes equals
 // obs_i·ψ_i bit for bit, as the full state's copy-and-multiply seed
-// computes it.
+// computes it. The cost diagonal is such an observable: its gradient
+// through the observable seed (the orbit sum over the group, divided by
+// 2^h) must equal the cost gradient, seeded by the copy and multiply,
+// bit for bit, and so must the expectations.
 func TestHalfSeedSymmetricObsBitwise(t *testing.T) {
-	const n = 9
+	const n, p = 9, 3
 	rng := rand.New(rand.NewSource(67))
-	gamma, beta := randomAngles(rng, 3)
-	obs := make([]float64, 1<<n)
-	for x := range obs {
-		obs[x] = float64(1 - 2*((x^x>>(n-1))&1))
-	}
+	gamma, beta := randomAngles(rng, p)
 	for _, single := range []bool{false, true} {
 		s, err := New(n, problems.LABSTerms(n), Options{SinglePrecision: single})
 		if err != nil {
 			t.Fatal(err)
 		}
 		requirePivots(t, "labs", s, 2)
-		w := s.NewGradBuffers()
-		if err := s.SimulateQAOAInto(w.psi, gamma, beta); err != nil {
+		obs := s.CostDiagonal()
+		gg, gb := make([]float64, p), make([]float64, p)
+		e, err := s.SimulateQAOAGradObsInto(s.NewGradBuffers(), gamma, beta, obs, gg, gb)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s.seedBra(w, obs)
-		want := s.NewResult()
-		if single {
-			want.soa32.Copy(w.psi.soa32)
-			want.soa32.MulDiag(s.pool, obs[:s.stored()])
-		} else {
-			want.soa.Copy(w.psi.soa)
-			want.soa.MulDiag(s.pool, obs[:s.stored()])
+		want, wg, wb, err := s.SimulateQAOAGrad(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := statevec.MaxAbsDiff(w.lam.StateVector(), want.StateVector()); d != 0 {
-			t.Errorf("single=%v: symmetric seed differs from obs⊙ψ by %g", single, d)
+		if math.Float64bits(e) != math.Float64bits(want) || !bitsEqual(gg, wg) || !bitsEqual(gb, wb) {
+			t.Errorf("single=%v: symmetric seed gives (%v, %v, %v), copy-and-multiply (%v, %v, %v)", single, e, gg, gb, want, wg, wb)
 		}
 	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // halfSink keeps the benchmarked energies live.

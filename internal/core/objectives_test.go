@@ -202,8 +202,8 @@ func TestCostOrderCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sim.costOrder()
-	b := sim.costOrder()
+	a := sim.eng.Ascending(0)
+	b := sim.eng.Ascending(0)
 	if &a[0] != &b[0] {
 		t.Error("cost order not cached")
 	}

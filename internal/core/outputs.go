@@ -2,9 +2,7 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
-	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
 )
 
@@ -17,39 +15,35 @@ import (
 // group state; each stored amplitude stands for its 2^h basis states,
 // which share its cost and its probability.
 
-// view returns the output stage's view of r's stored amplitudes.
+// view returns the output stage's view of r's stored amplitudes: the
+// shard's, or on Serial the full vector's.
 func (r *Result) view() evaluator.View {
+	if r.st != nil {
+		return r.st.View()
+	}
 	s := r.sim
 	return evaluator.View{
-		Amplitudes:    (*amplitudes)(r),
+		Amplitudes:    (*serialAmplitudes)(r),
 		N:             s.n,
-		Len:           s.stored(),
-		Group:         s.group,
+		Len:           len(r.vec),
+		Group:         s.group(),
 		Restrict:      s.restrict(),
 		HammingWeight: s.hammingWeight(),
 	}
 }
 
-// amplitudes is a Result as the output stage reads it.
-type amplitudes Result
+// serialAmplitudes is a Serial Result as the output stage reads it.
+type serialAmplitudes Result
 
-// Prob returns |ψ_i|² of stored amplitude i, in float64.
-func (a *amplitudes) Prob(i int) float64 {
-	switch {
-	case a.soa32 != nil:
-		re, im := float64(a.soa32.Re[i]), float64(a.soa32.Im[i])
-		return re*re + im*im
-	case a.soa != nil:
-		return a.soa.Re[i]*a.soa.Re[i] + a.soa.Im[i]*a.soa.Im[i]
-	default:
-		v := a.vec[i]
-		return real(v)*real(v) + imag(v)*imag(v)
-	}
+// Prob returns |ψ_i|² of amplitude i.
+func (a *serialAmplitudes) Prob(i int) float64 {
+	v := a.vec[i]
+	return real(v)*real(v) + imag(v)*imag(v)
 }
 
-func (a *amplitudes) Cost(i int) float64 { return a.sim.cost.Value(i) }
+func (a *serialAmplitudes) Cost(i int) float64 { return a.sim.serial.diag[i] }
 
-func (a *amplitudes) Ascending() []int { return a.sim.costOrder() }
+func (a *serialAmplitudes) Ascending() []int { return a.sim.eng.Ascending(0) }
 
 // restrict reports whether the dynamics stays in the fixed-Hamming-
 // weight subspace of the xy mixers' Dicke start, which the ground-state
@@ -100,22 +94,4 @@ func (r *Result) CVaR(alpha float64) (float64, error) {
 		return 0, err
 	}
 	return cvar[0], nil
-}
-
-// costOrderCache lazily holds the ascending-cost order of the stored
-// indices; the sync.Once guard keeps the first build safe when
-// concurrent Results on one Simulator hit CVaR simultaneously.
-type costOrderCache struct {
-	once  sync.Once
-	order []int
-}
-
-// costOrder returns (building and caching on first use) the stored
-// indices by ascending cost, ties by index: a counting sort by level
-// code when the simulator holds codes (costvec.Ascending, which
-// distsim's ranks share).
-func (s *Simulator) costOrder() []int {
-	c := &s.costCache
-	c.once.Do(func() { c.order = costvec.Ascending(s.diag, s.levels) })
-	return c.order
 }

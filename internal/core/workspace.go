@@ -69,9 +69,6 @@ func (w *Workspace) EnergyGrad(ctx context.Context, x, grad []float64) (float64,
 	if w.buf.psi == nil {
 		w.buf.psi = w.sim.NewResult()
 	}
-	if w.buf.lam == nil {
-		w.buf.lam = w.sim.NewResult()
-	}
 	p := len(gamma)
 	return w.sim.SimulateQAOAGradInto(&w.buf, gamma, beta, grad[:p], grad[p:])
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/poly"
@@ -395,7 +396,7 @@ func TestFactoryCapsMatchBuild(t *testing.T) {
 	const n = 6
 	diag := problemDiag(t, n)
 	for _, opts := range []Options{{}, {Backend: BackendSoA, SinglePrecision: true}} {
-		f := NewFactory(n, problems.LABSTerms(n), opts, func(context.Context) (DiagSource, error) { return StaticDiag(diag) })
+		f := NewFactory(n, problems.LABSTerms(n), opts, func(context.Context) (DiagSource, error) { return diagSource(diag) })
 		fc := f.Caps()
 		ev, err := f.New(context.Background())
 		if err != nil {
@@ -413,6 +414,24 @@ func TestFactoryCapsMatchBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// formSource is a never-expiring lease of a stored cost form, the
+// tests' stand-in for a registry handle.
+type formSource struct{ form *costvec.Stored }
+
+func (s formSource) Cost() *costvec.Stored { return s.form }
+
+func (formSource) Release() {}
+
+// diagSource leases the stored form of an in-memory diagonal over the
+// symmetry group a search of it finds, as NewFromDiagonal stores it.
+func diagSource(diag []float64) (DiagSource, error) {
+	flip, err := costvec.CheckDiagonal(diag)
+	if err != nil {
+		return nil, err
+	}
+	return formSource{costvec.FromDiagonal(diag, costvec.SymmetryPivots(diag, flip), flip)}, nil
 }
 
 // countedLease is a diagonal lease that counts its releases.
@@ -433,7 +452,7 @@ func TestFactoryLifecycle(t *testing.T) {
 	var acquires, releases int
 	f := NewFactory(n, problems.LABSTerms(n), Options{}, func(context.Context) (DiagSource, error) {
 		acquires++
-		src, err := StaticDiag(diag)
+		src, err := diagSource(diag)
 		return countedLease{src, &releases}, err
 	})
 	ctx := context.Background()
@@ -453,7 +472,7 @@ func TestFactoryLifecycle(t *testing.T) {
 		t.Fatal("builds must be distinct workspaces over one shared simulator")
 	}
 
-	other := NewFactory(n, problems.LABSTerms(n), Options{}, func(context.Context) (DiagSource, error) { return StaticDiag(diag) })
+	other := NewFactory(n, problems.LABSTerms(n), Options{}, func(context.Context) (DiagSource, error) { return diagSource(diag) })
 	foreign, err := other.New(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -1001,5 +1020,48 @@ func BenchmarkBatchEvaluation(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmAllocsBounded pins the allocations of warm Workspace.Energy
+// and EnergyGrad calls on LABS at p = 8, in both precisions, as an
+// upper bound: the counts measured before the single-node engine became
+// the one-rank shard. At Workers 1 every kernel runs inline, so the
+// counts are the kernel launches' closures; at Workers 2 they add the
+// goroutines and partials of the split launches.
+func TestWarmAllocsBounded(t *testing.T) {
+	cases := []struct {
+		n, workers   int
+		energy, grad float64
+	}{
+		{14, 1, 41, 90},
+		{18, 1, 49, 106},
+		{14, 2, 49, 103},
+		{18, 2, 217, 519},
+	}
+	const p = 8
+	x := make([]float64, 2*p)
+	for i := range x {
+		x[i] = 0.1 + 0.05*float64(i)
+	}
+	grad := make([]float64, 2*p)
+	ctx := context.Background()
+	for _, c := range cases {
+		for _, single := range []bool{false, true} {
+			sim, err := New(c.n, problems.LABSTerms(c.n), Options{Workers: c.workers, SinglePrecision: single})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := sim.NewWorkspace()
+			if _, err := w.EnergyGrad(ctx, x, grad); err != nil {
+				t.Fatal(err)
+			}
+			energy := testing.AllocsPerRun(3, func() { w.Energy(ctx, x) })
+			grads := testing.AllocsPerRun(3, func() { w.EnergyGrad(ctx, x, grad) })
+			if energy > c.energy || grads > c.grad {
+				t.Errorf("n=%d workers=%d single=%v: warm Energy/EnergyGrad allocate %v/%v times, want at most %v/%v",
+					c.n, c.workers, single, energy, grads, c.energy, c.grad)
+			}
+		}
 	}
 }

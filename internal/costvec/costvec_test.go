@@ -848,7 +848,7 @@ func TestQuantizeConstantDiagonal(t *testing.T) {
 		if d := statevec.MaxAbsDiff(direct, v); d > 1e-15 {
 			t.Fatalf("constant %v: table phase differs by %g", c, d)
 		}
-		s := statevec.SoAFromVec(v)
+		s := soaOf(v)
 		codesOnly := statevec.Phase{Codes: q.Codes, Min: q.Min, Scale: q.Scale}
 		if got, want := statevec.ExpectationPlanes(p, s.Re, s.Im, codesOnly), statevec.ExpectationDiag(direct, diag); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("constant %v: expectation %v, want %v", c, got, want)
@@ -920,24 +920,24 @@ func TestQuantizedAdjointHelpers(t *testing.T) {
 		"sincos": {Diag: diag, Gamma: gamma},
 		"table":  {Diag: diag, Gamma: gamma, Codes: q.Codes, Tab: tab},
 	} {
-		a, b := statevec.SoAFromVec(psi), statevec.SoAFromVec(psi)
+		a, b := soaOf(psi), soaOf(psi)
 		statevec.ApplyPhasePlanes(p, a.Re, a.Im, ref)
 		statevec.ApplyPhasePlanes(p, b.Re, b.Im, codesOnly)
-		if d := statevec.MaxAbsDiff(a.ToVec(), b.ToVec()); d > 0 {
+		if d := statevec.MaxAbsDiff(vecOf(a), vecOf(b)); d > 0 {
 			t.Errorf("%s: codes-only phase differs by %g", name, d)
 		}
 		if got, want := statevec.ExpectationPlanes(p, b.Re, b.Im, codesOnly), statevec.ExpectationPlanes(p, a.Re, a.Im, ref); got != want {
 			t.Errorf("%s: codes-only expectation %v, want %v", name, got, want)
 		}
-		la, lb := statevec.SoAFromVec(lam), statevec.SoAFromVec(lam)
+		la, lb := soaOf(lam), soaOf(lam)
 		got := statevec.ReversePhasePlanes(p, lb.Re, lb.Im, b.Re, b.Im, codesOnly, true)
 		want := statevec.ReversePhasePlanes(p, la.Re, la.Im, a.Re, a.Im, ref, true)
-		if got != want || statevec.MaxAbsDiff(a.ToVec(), b.ToVec()) > 0 || statevec.MaxAbsDiff(la.ToVec(), lb.ToVec()) > 0 {
+		if got != want || statevec.MaxAbsDiff(vecOf(a), vecOf(b)) > 0 || statevec.MaxAbsDiff(vecOf(la), vecOf(lb)) > 0 {
 			t.Errorf("%s: codes-only reverse phase %v, want %v (states must match bitwise)", name, got, want)
 		}
 		statevec.MulDiagPlanes(p, a.Re, a.Im, ref)
 		statevec.MulDiagPlanes(p, b.Re, b.Im, codesOnly)
-		if d := statevec.MaxAbsDiff(a.ToVec(), b.ToVec()); d > 0 {
+		if d := statevec.MaxAbsDiff(vecOf(a), vecOf(b)); d > 0 {
 			t.Errorf("%s: codes-only MulDiag differs by %g", name, d)
 		}
 	}
@@ -1086,18 +1086,36 @@ func TestStoredFormExpands(t *testing.T) {
 					}
 				}
 			}
-			full := s.Full()
+			full := s.Over(nil)
 			if len(full.Pivots) != 0 || full.Len() != len(want) || (full.Codes == nil) != (s.Codes == nil) {
-				t.Fatalf("%s: Full has %d pivots, %d entries, codes %v", label, len(full.Pivots), full.Len(), full.Codes != nil)
+				t.Fatalf("%s: Over(nil) has %d pivots, %d entries, codes %v", label, len(full.Pivots), full.Len(), full.Codes != nil)
 			}
 			if q, err := QuantizeExact(want, len(want)/PhaseTableRatio); err == nil && fmt.Sprint(q.Codes) != fmt.Sprint(full.Codes.Codes) {
-				t.Errorf("%s: Full's codes differ from quantizing the full diagonal", label)
+				t.Errorf("%s: Over(nil)'s codes differ from quantizing the full diagonal", label)
 			}
 			for x := range want {
 				if math.Float64bits(full.Value(x)) != math.Float64bits(want[x]) {
-					t.Fatalf("%s: Full entry %d = %v, want %v", label, x, full.Value(x), want[x])
+					t.Fatalf("%s: Over(nil) entry %d = %v, want %v", label, x, full.Value(x), want[x])
 				}
 			}
 		}
 	}
+}
+
+// soaOf converts v into split float64 planes.
+func soaOf(v statevec.Vec) *statevec.SoA {
+	s := &statevec.SoA{Re: make([]float64, len(v)), Im: make([]float64, len(v))}
+	for i, a := range v {
+		s.Re[i], s.Im[i] = real(a), imag(a)
+	}
+	return s
+}
+
+// vecOf converts split planes back to a complex128 vector.
+func vecOf(s *statevec.SoA) statevec.Vec {
+	v := make(statevec.Vec, len(s.Re))
+	for i := range v {
+		v[i] = complex(s.Re[i], s.Im[i])
+	}
+	return v
 }

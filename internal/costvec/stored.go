@@ -2,6 +2,7 @@ package costvec
 
 import (
 	"math/bits"
+	"slices"
 
 	"qokit/internal/poly"
 	"qokit/internal/statevec"
@@ -9,8 +10,8 @@ import (
 
 // PhaseTableRatio bounds the grids that take phase tables, and that a
 // stored form keeps as codes, to 2^n/16 points: one per-γ table build
-// then costs at most 1/16 of the 2^n sincos calls it replaces. The
-// distributed engine applies the same bound to each rank's slice.
+// then costs at most 1/16 of the 2^n sincos calls it replaces. It is
+// the one rule: a distributed rank reads its window of the same form.
 const PhaseTableRatio = 16
 
 // TermPivots returns the pivots of the term group of an n-qubit cost
@@ -192,26 +193,30 @@ func (s *Stored) Expand() []float64 {
 	return out
 }
 
-// Full returns the form over the trivial group (h = 0), for a consumer
-// that stores all 2^n indices: s itself when it has no pivots, else the
-// entries expanded through the group, as codes with the same grid when
-// s holds codes (a full diagonal with the same values quantizes to the
-// same grid, code for code).
-func (s *Stored) Full() *Stored {
-	if len(s.Pivots) == 0 {
+// Over returns the form over the group the pivots generate, another
+// symmetry group of the same cost, for a consumer that stores its state
+// over it: s itself when the groups agree, else the entries at the new
+// group's stored indices read through s's group (nil pivots expand to
+// all 2^n). Every value of the diagonal is a stored entry under either
+// group, so the codes-or-float64 rule decides as it did for s, and codes
+// keep s's grid, code for code.
+func (s *Stored) Over(pivots []uint64) *Stored {
+	group := Group(s.Pivots)
+	if slices.Equal(Group(pivots), group) {
 		return s
 	}
-	full := &Stored{N: s.N, Flip: s.Flip}
+	out := &Stored{N: s.N, Pivots: pivots, Flip: s.Flip}
+	size := 1 << uint(s.N-len(pivots))
 	if s.Codes == nil {
-		full.Diag = s.Expand()
-		return full
+		out.Diag = make([]float64, size)
+		s.Range(0, out.Diag)
+		return out
 	}
-	group := Group(s.Pivots)
 	low := uint(s.N - len(s.Pivots))
-	q := &Quantized{Codes: make([]uint16, 1<<uint(s.N)), Min: s.Codes.Min, Scale: s.Codes.Scale}
+	q := &Quantized{Codes: make([]uint16, size), Min: s.Codes.Min, Scale: s.Codes.Scale}
 	for x := range q.Codes {
 		q.Codes[x] = s.Codes.Codes[uint64(x)^group[uint64(x)>>low]]
 	}
-	full.Codes = q
-	return full
+	out.Codes = q
+	return out
 }

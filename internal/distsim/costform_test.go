@@ -15,14 +15,16 @@ import (
 	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/registry"
+	"qokit/internal/shard"
 )
 
-// costForm is one way a rank can hold its slice of the diagonal.
+// costForm is one way an engine can hold its stored cost form, which
+// every rank windows.
 type costForm int
 
 const (
-	// codesOnly keeps the uint16 codes alone: what rankCosts picks for
-	// an exact grid within the table bound.
+	// codesOnly keeps the uint16 codes alone: what the form's rule
+	// picks for an exact grid within the table bound.
 	codesOnly costForm = iota
 	// float64AndCodes keeps the float64 entries beside the codes: table
 	// phases, float64 reductions.
@@ -35,9 +37,10 @@ func (f costForm) String() string {
 	return [...]string{"codes only", "float64 + codes", "float64 only"}[f]
 }
 
-// formEngine builds an engine whose every rank holds its cost slice in
-// form, over the group NewGradEngine picks. The codes are taken at any
-// number of levels, so every grid cost has all three forms.
+// formEngine builds an engine whose stored cost form, and so every
+// rank's window of it, is held in form, over the group NewGradEngine
+// picks. The codes are taken at any number of levels, so every grid
+// cost has all three forms.
 func formEngine(t *testing.T, n int, terms poly.Terms, opts Options, form costForm) *GradEngine {
 	t.Helper()
 	k, err := opts.validate(n)
@@ -46,28 +49,39 @@ func formEngine(t *testing.T, n int, terms poly.Terms, opts Options, form costFo
 	}
 	compiled := poly.Compile(terms)
 	pivots, flip := costvec.TermPivots(n, compiled.Masks)
-	sym := symmetryFor(pivots, flip, n, k, opts.Mixer)
-	costs := make([]rankCost, opts.Ranks)
-	for r := range costs {
-		diag := make([]float64, 1<<uint(n-sym.pivots()-k))
-		costvec.PrecomputeRange(compiled, uint64(r*len(diag)), diag)
-		costs[r].offset = uint64(r) * uint64(len(diag))
-		if form != codesOnly {
-			costs[r].diag = diag
-		}
-		if form != float64Only {
-			q, err := costvec.QuantizeExact(diag, 1<<16)
-			if err != nil {
-				t.Fatalf("rank %d slice is not an exact grid: %v", r, err)
-			}
-			costs[r].levels = q
-		}
+	sym := shard.SymmetryFor(pivots, flip, n, k, opts.Mixer == core.MixerX)
+	entries := make([]float64, 1<<uint(n-len(sym.Pivots)))
+	costvec.PrecomputeRange(compiled, 0, entries)
+	stored := &costvec.Stored{N: n, Pivots: sym.Pivots, Flip: flip}
+	if form != codesOnly {
+		stored.Diag = entries
 	}
-	e, err := newEngine(n, opts, costs, sym)
+	if form != float64Only {
+		q, err := costvec.QuantizeExact(entries, 1<<16)
+		if err != nil {
+			t.Fatalf("the stored entries are not an exact grid: %v", err)
+		}
+		stored.Codes = q
+	}
+	se, err := shardEngine(n, opts, sym, stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(n, opts, se)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// rankEntry returns entry i of rank r's cost window, as the kernels
+// read it.
+func rankEntry(e *GradEngine, r, i int) float64 {
+	ph := e.eng.Phase(r, 0, nil)
+	if ph.Diag != nil {
+		return ph.Diag[i]
+	}
+	return ph.Min + ph.Scale*float64(ph.Codes[i])
 }
 
 // registrySource leases a registered problem's stored form.
@@ -81,19 +95,21 @@ func registrySource(reg *registry.Registry, key registry.Key) core.AcquireFunc {
 	}
 }
 
-// coded reports whether every rank of e holds its slice as codes alone.
+// coded reports whether e's stored cost form, and so every rank's
+// window of it, holds codes alone.
 func coded(e *GradEngine) bool {
-	for r := range e.costs {
-		if rc := &e.costs[r]; rc.diag != nil || rc.levels == nil {
+	form := e.eng.Form()
+	for r := 0; r < e.Ranks(); r++ {
+		if ph := e.eng.Phase(r, 0, nil); ph.Diag != nil || ph.Codes == nil {
 			return false
 		}
 	}
-	return true
+	return form.Diag == nil && form.Codes != nil
 }
 
-// codedProblem is 3-regular MaxCut on 10 vertices: at K ≤ 4 its half
-// slices are exact grids within the table bound, so NewGradEngine keeps
-// their codes alone.
+// codedProblem is 3-regular MaxCut on 10 vertices: its stored entries
+// are an exact grid within the table bound, so NewGradEngine keeps
+// their codes alone at every K.
 func codedProblem(t *testing.T) (int, poly.Terms) {
 	t.Helper()
 	g, err := graphs.RandomRegular(10, 3, 5)
@@ -104,7 +120,7 @@ func codedProblem(t *testing.T) (int, poly.Terms) {
 }
 
 // TestShardCostFormsMatchBitwise is the cost-form acceptance matrix:
-// rank slices held as codes alone, as float64 entries beside the codes,
+// rank windows held as codes alone, as float64 entries beside the codes,
 // or as float64 entries alone give the same energies, gradients,
 // traffic and EvalOutputs (CVaR, probabilities, variance, buffered and
 // streamed shots) bit for bit, and order their slices by cost alike,
@@ -133,8 +149,8 @@ func TestShardCostFormsMatchBitwise(t *testing.T) {
 					}
 					// The counting sort of coded slices orders like the
 					// comparison sort of float64 slices.
-					for r := range engs[0].costs {
-						a, b := engs[codesOnly].costs[r].ascending(), engs[float64Only].costs[r].ascending()
+					for r := 0; r < ranks; r++ {
+						a, b := engs[codesOnly].eng.Ascending(r), engs[float64Only].eng.Ascending(r)
 						for i := range a {
 							if a[i] != b[i] {
 								t.Errorf("%s %v K=%d rank %d: cost order differs at %d: %d vs %d", prob.name, mixer, ranks, r, i, a[i], b[i])
@@ -196,14 +212,14 @@ func TestShardCostFormsMatchBitwise(t *testing.T) {
 	}
 }
 
-// TestCodedShardRule pins which rank slices keep their uint16 codes
-// alone: those that are an exact grid within the single-node table
-// bound, 2^(n−k)/core.PhaseTableRatio levels (basis states, twice a
-// half slice's entries). LABS n = 16 at K = 2 (1217 levels, bound
-// 2048) and 3-regular MaxCut n = 12 at K = 4 hold no float64 slice;
-// LABS n = 14 at K = 4 (bound 256) and SK keep their float64 slices and
-// no codes. NewGradEngine and a Factory over a registry handle decide
-// alike.
+// TestCodedShardRule pins which engines keep their cost as uint16
+// codes alone: those whose stored cost form is an exact grid within the
+// form's one bound, 2^n/costvec.PhaseTableRatio levels, the rule the
+// single-node simulator applies; every rank reads its window of the
+// form. LABS n = 16 at K = 2 (1217 levels, bound 4096), LABS n = 14 at
+// K = 4 (801 levels, bound 1024) and 3-regular MaxCut n = 12 at K = 4
+// hold no float64 entries; SK keeps its float64 entries and no codes.
+// NewGradEngine and a Factory over a registry handle decide alike.
 func TestCodedShardRule(t *testing.T) {
 	ctx := context.Background()
 	g, err := graphs.RandomRegular(12, 3, 5)
@@ -221,7 +237,7 @@ func TestCodedShardRule(t *testing.T) {
 	}{
 		{"labs n=16 K=2", 16, problems.LABSTerms(16), 2, 2, true},
 		{"maxcut n=12 K=4", 12, problems.MaxCutTerms(g), 4, 1, true},
-		{"labs n=14 K=4", 14, problems.LABSTerms(14), 4, 2, false},
+		{"labs n=14 K=4", 14, problems.LABSTerms(14), 4, 2, true},
 		{"sk n=10 K=2", 10, problems.SKTerms(10, 6), 2, 1, false},
 	} {
 		opts := Options{Ranks: tc.ranks}
@@ -242,13 +258,13 @@ func TestCodedShardRule(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for src, e := range map[string]*GradEngine{"NewGradEngine": eng, "registry Factory": built} {
-			if h := e.sym.pivots(); h != tc.h {
+			if h := e.pivots(); h != tc.h {
 				t.Errorf("%s %s: stores the state over h = %d pivots, want %d", tc.name, src, h, tc.h)
 			}
-			for r := range e.costs {
-				if rc := &e.costs[r]; (rc.diag == nil) != tc.coded || (rc.levels != nil) != tc.coded {
-					t.Errorf("%s %s rank %d: float64 slice %v, codes %v; want codes alone %v",
-						tc.name, src, r, rc.diag != nil, rc.levels != nil, tc.coded)
+			for r := 0; r < tc.ranks; r++ {
+				if ph := e.eng.Phase(r, 0, nil); (ph.Diag == nil) != tc.coded || (ph.Codes != nil) != tc.coded {
+					t.Errorf("%s %s rank %d: float64 window %v, codes %v; want codes alone %v",
+						tc.name, src, r, ph.Diag != nil, ph.Codes != nil, tc.coded)
 				}
 			}
 		}
@@ -268,11 +284,10 @@ func TestCodedShardRule(t *testing.T) {
 	}
 }
 
-// TestRankSlicesMatchPrecompute: every rank's cost slice, precomputed
-// from the terms (NewGradEngine) or cut from a registry entry's stored
-// form (a registry Factory), coded or float64, holds the full
-// diagonal's entries at its stored indices bit for bit, on group and
-// full shards.
+// TestRankSlicesMatchPrecompute: every rank's window of the stored cost
+// form, precomputed from the terms (NewGradEngine) or a registry entry's
+// (a registry Factory), coded or float64, holds the full diagonal's
+// entries at its stored indices bit for bit, on group and full shards.
 func TestRankSlicesMatchPrecompute(t *testing.T) {
 	ctx := context.Background()
 	reg := registry.New(registry.Options{})
@@ -307,14 +322,10 @@ func TestRankSlicesMatchPrecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		for src, e := range map[string]*GradEngine{"NewGradEngine": eng, "registry Factory": built} {
-			size := 1 << uint(e.localQubits())
-			for r := range e.costs {
-				rc := &e.costs[r]
-				if rc.offset != uint64(r*size) {
-					t.Fatalf("%s %s rank %d: offset %d, want %d", tc.name, src, r, rc.offset, r*size)
-				}
+			size := e.eng.Len()
+			for r := 0; r < e.Ranks(); r++ {
 				for i := 0; i < size; i++ {
-					if got := rc.value(i); math.Float64bits(got) != math.Float64bits(want[r*size+i]) {
+					if got := rankEntry(e, r, i); math.Float64bits(got) != math.Float64bits(want[r*size+i]) {
 						t.Fatalf("%s %s rank %d: entry %d = %v, want %v", tc.name, src, r, i, got, want[r*size+i])
 					}
 				}
@@ -365,8 +376,8 @@ func TestWiderTermGroupShards(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ranks == 1 && eng.sym.pivots() != c.h1 {
-						t.Errorf("%s: stores the state over %d pivots, want %d", where, eng.sym.pivots(), c.h1)
+					if ranks == 1 && eng.pivots() != c.h1 {
+						t.Errorf("%s: stores the state over %d pivots, want %d", where, eng.pivots(), c.h1)
 					}
 					gg, gb := make([]float64, p), make([]float64, p)
 					e, err := eng.EnergyGradAngles(context.Background(), gamma, beta, gg, gb)
@@ -384,5 +395,50 @@ func TestWiderTermGroupShards(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRegistryShardsReadEntryInPlace: a registry-built engine for LABS
+// n = 16 at K = 2 (tenants' sharded LABS problem) holds no cost entries of
+// its own. The shards store the state over the term group the entry is
+// stored over, so the engine's form is the leased entry itself and
+// every rank's window is a sub-slice of the entry's codes.
+func TestRegistryShardsReadEntryInPlace(t *testing.T) {
+	const n, ranks = 16, 2
+	ctx := context.Background()
+	terms := problems.LABSTerms(n)
+	reg := registry.New(registry.Options{})
+	key, err := reg.Register(registry.Spec{N: n, Terms: terms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFactoryFromSource(n, terms, Options{Ranks: ranks}, registrySource(reg, key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := f.NewGradEngine(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := reg.Acquire(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	entry := h.Cost()
+	if built.eng.Form() != entry {
+		t.Fatal("the engine holds a cost form of its own, not the leased entry")
+	}
+	if entry.Codes == nil || entry.Diag != nil {
+		t.Fatalf("LABS n=%d entry holds codes %v and float64 entries %v, want codes alone", n, entry.Codes != nil, entry.Diag != nil)
+	}
+	size := built.eng.Len()
+	for r := 0; r < ranks; r++ {
+		if codes := built.eng.Phase(r, 0, nil).Codes; &codes[0] != &entry.Codes.Codes[r*size] || len(codes) != size {
+			t.Errorf("rank %d does not read entries [%d, %d) of the leased codes in place", r, r*size, (r+1)*size)
+		}
+	}
+	if err := f.Retire(built); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,55 +4,33 @@
 // index bits are the "global" qubits fixed by the rank id, the rest
 // are "local".
 //
-// Each rank runs the single-node split-layout kernels on its slice,
-// held as (re, im) planes in float64 or float32 (shard.go). Per layer:
-//   - the phase operator and the cost-diagonal precomputation touch
-//     only local data (each rank computed the 2^(n−h−k) entries of its
-//     slice from the terms with PrecomputeRange — no communication,
-//     §III-A locality);
-//     when the rank's slice is an exact grid, the phase gathers from
-//     per-γ tables, as single-node does, and the rank keeps only the
-//     slice's uint16 codes (§V-B: 2 B per amplitude instead of 8),
-//   - the transverse-field mixer runs the tiled F = 2 layer on the n−k
-//     local qubits, with the phase in its first pass, performs one
-//     all-to-all (which transposes the rank bits with the top k local
-//     bits), runs one tiled pass over the k swapped-in qubits — now
-//     local, at positions n−2k…n−k−1 — and restores the layout with a
-//     second all-to-all,
-//   - the xy mixers sweep their edge list in the exact single-node
-//     order (core.MixerSweepEdges): edges between local qubits run the
-//     single-node kernel; an edge touching a global qubit couples each
-//     amplitude to one on exactly one partner rank (the rank id with
-//     that qubit's bit flipped), so it costs one point-to-point slice
-//     exchange (cluster.Sendrecv, the cuStateVec index-bit-swap
-//     pattern) instead of an all-to-all.
+// Each rank is a shard of the one split-plane engine that the
+// single-node simulator runs as a single rank (internal/shard): the
+// same phase tables, tiled F = 2 layer, pivot passes, xy edge kernels
+// and joint reverse step, on an inline kernel pool, plus the one step
+// Algorithm 4 adds, the all-to-all (or, for an xy edge that touches a
+// global qubit, the partner exchange) that brings the global qubits
+// local. The phase and the cost precomputation touch only local data:
+// the engine holds one stored cost form (costvec.Stored), precomputed
+// from the terms or leased from a registry entry, and each rank reads
+// its window [offset, offset + 2^(n−h−k)) of it in place, as uint16
+// codes or float64 entries under the form's one rule.
 //
-// The objective is one local partial inner product plus an all-reduce.
-// Algorithm 4 requires 2k ≤ n so each all-to-all subchunk holds at
-// least one amplitude.
-//
-// With the x mixer, the ranks store the state over the cost's
-// XOR-symmetry group, read off the terms as the single-node engine
-// reads it (costvec.TermPivots): h pivots carry the top h qubits, and the
-// ranks hold only the 2^(n−h) amplitudes whose top h bits are zero,
-// 2^(n−h−k) per rank, with each top qubit applied as a pivot pass while
-// the planes are transposed. A relabel of subchunk parts before each
-// all-to-all brings every pivot pair onto one rank (shard.go). LABS
-// takes h = 2 (quarter shards) when the ranks can hold its pivots;
-// MaxCut and SK, and LABS at larger K, the complement alone (half
-// shards, 2k ≤ n − 2); every other case keeps full shards.
+// With the x mixer the ranks store the state over the cost's
+// XOR-symmetry group where their layout can hold it (shard.SymmetryFor,
+// the rule the single-node simulator applies at k = 0): LABS takes
+// quarter shards (h = 2) at n = 16 for K ≤ 4, MaxCut and SK, and LABS
+// at larger K, the complement alone (half shards, 2k ≤ n − 2); every
+// other case keeps full shards.
 //
 // Every entry point — the GradEngine's energy, gradient, outputs and
 // streaming, and the forward one-shots SimulateQAOA and
 // SimulateQAOACheckpointed, which run one lease of a fresh engine —
-// goes through one evolution function, shard.evolve. The outputs are
-// internal/evaluator's output stage, run on every rank over its shard
-// with the rank's cluster endpoint as the collective: the stage core
-// runs as a single rank. grad.go adds the
-// adjoint gradient: the ket and the cost-weighted bra walk backwards
-// through the tiled joint reverse step, and one vector all-reduce
-// (AllreduceSumVec) combines the per-layer partials — communication
-// stays mixer-shaped.
+// goes through one rank loop, GradEngine.evolve (run.go), which adds
+// to the shard's work the all-reduces of the energy and the gradient,
+// the gather and the snapshots. The outputs are internal/evaluator's
+// output stage, run on every rank over its shard with the rank's
+// cluster endpoint as the collective.
 package distsim
 
 import (
@@ -64,8 +42,8 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
-	"qokit/internal/graphs"
 	"qokit/internal/poly"
+	"qokit/internal/shard"
 	"qokit/internal/statevec"
 )
 
@@ -225,85 +203,6 @@ func simulate(ctx context.Context, n int, terms poly.Terms, gamma, beta []float6
 	return res, nil
 }
 
-func binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	c := 1
-	for i := 0; i < k; i++ {
-		c = c * (n - i) / (i + 1)
-	}
-	return c
-}
-
-// orderEdge returns the edge's qubits with u < v (the xy factor is
-// symmetric in its qubits, so normalizing loses nothing).
-func orderEdge(e graphs.Edge) (u, v int) {
-	if e.U < e.V {
-		return e.U, e.V
-	}
-	return e.V, e.U
-}
-
-// remoteEdge is one rank's side of an xy edge with at least one global
-// qubit: the partner rank holding the paired amplitudes, the
-// local-index bit flip between pair halves (uMask, 0 when both qubits
-// are global), and the value x & uMask of the local entries this rank
-// owns and updates (selVal). partner < 0 means the edge acts as the
-// identity on this rank's amplitudes (both of the edge's rank bits
-// agree: the |00⟩/|11⟩ subspace); such ranks still join the exchange's
-// synchronization but move no data.
-//
-// The xy factor rotates each (|…1_u…0_v…⟩, |…0_u…1_v…⟩) amplitude
-// pair by the symmetric matrix [[cos β, −i sin β], [−i sin β, cos β]]
-// — symmetry is what lets one formula (local ← c·local + s·remote)
-// cover both halves of every pair.
-type remoteEdge struct{ partner, uMask, selVal int }
-
-// xyEdgePlan maps an xy edge with at least one global qubit
-// (u < v, v ≥ localN) onto this rank's exchange.
-func xyEdgePlan(rank, localN, u, v int) remoteEdge {
-	jb := 1 << uint(v-localN)
-	if u < localN {
-		// Half-remote: u stays a local bit, v is rank bit j. A rank
-		// with v-bit b owns the pair halves whose u-bit is 1−b.
-		re := remoteEdge{partner: rank ^ jb, uMask: 1 << uint(u)}
-		if rank&jb == 0 {
-			re.selVal = re.uMask
-		}
-		return re
-	}
-	ib := 1 << uint(u-localN)
-	if (rank&ib != 0) == (rank&jb != 0) {
-		return remoteEdge{partner: -1}
-	}
-	// Both qubits are rank bits: the paired amplitude sits at the same
-	// local index on the rank with both bits flipped.
-	return remoteEdge{partner: rank ^ ib ^ jb}
-}
-
-// forPairs calls fn(x, j) for every local index x this rank updates,
-// in ascending order, with j the index of x's partner amplitude in the
-// received planes: the packed position for a half-remote edge (both
-// sides share every index bit except u, so ascending order on the
-// sender lines up with the receiver's), x itself for a fully global
-// one.
-func (re remoteEdge) forPairs(size int, fn func(x, j int)) {
-	if re.partner < 0 {
-		return
-	}
-	j := 0
-	for x := re.selVal; x < size; x++ {
-		if x&re.uMask == re.selVal {
-			fn(x, j)
-			j++
-		}
-	}
-}
-
 // MixerOnly runs just the distributed transverse-field mixer once on a
 // caller-provided distributed state (one 2^(n−k)-amplitude slice per
 // rank, modified in place) and returns the group counters. It is the
@@ -326,9 +225,10 @@ func MixerOnly(n int, ranks int, algo cluster.AlltoallAlgo, slices []*statevec.S
 	if err != nil {
 		return cluster.Counters{}, err
 	}
+	full := shard.FullState()
 	err = g.Run(func(c *cluster.Comm) error {
 		s := slices[c.Rank()]
-		return mixerX(c, planes[float64]{s.Re, s.Im}, statevec.Phase{}, k, beta, &symmetry{group: []uint64{0}})
+		return shard.MixerX(c, serialPool, shard.Planes[float64]{Re: s.Re, Im: s.Im}, statevec.Phase{}, k, beta, &full)
 	})
 	if err != nil {
 		return cluster.Counters{}, err

@@ -200,7 +200,11 @@ func TestMixerOnlyMatchesSingleNode(t *testing.T) {
 		slices := make([]*statevec.SoA, k)
 		sliceLen := len(full) / k
 		for r := 0; r < k; r++ {
-			slices[r] = statevec.SoAFromVec(full[r*sliceLen : (r+1)*sliceLen])
+			part := full[r*sliceLen : (r+1)*sliceLen]
+			slices[r] = &statevec.SoA{Re: make([]float64, sliceLen), Im: make([]float64, sliceLen)}
+			for i, a := range part {
+				slices[r].Re[i], slices[r].Im[i] = real(a), imag(a)
+			}
 		}
 		ctr, err := MixerOnly(n, k, cluster.Transpose, slices, beta)
 		if err != nil {
@@ -211,7 +215,9 @@ func TestMixerOnlyMatchesSingleNode(t *testing.T) {
 		}
 		got := make(statevec.Vec, 0, len(full))
 		for _, s := range slices {
-			got = append(got, s.ToVec()...)
+			for i := range s.Re {
+				got = append(got, complex(s.Re[i], s.Im[i]))
+			}
 		}
 		if d := statevec.MaxAbsDiff(got, want); d > 1e-11 {
 			t.Errorf("K=%d: distributed mixer differs by %g", k, d)
@@ -226,7 +232,7 @@ func TestMixerOnlyValidation(t *testing.T) {
 	if _, err := MixerOnly(4, 16, cluster.Transpose, make([]*statevec.SoA, 16), 0.1); err == nil {
 		t.Error("2k > n accepted")
 	}
-	if _, err := MixerOnly(4, 2, cluster.Transpose, []*statevec.SoA{statevec.NewSoA(2), statevec.NewSoA(3)}, 0.1); err == nil {
+	if _, err := MixerOnly(4, 2, cluster.Transpose, []*statevec.SoA{statevec.NewSoAUniform(2), statevec.NewSoAUniform(3)}, 0.1); err == nil {
 		t.Error("wrong slice length accepted")
 	}
 }
@@ -253,9 +259,7 @@ func TestEnginesRejectGather(t *testing.T) {
 	const n = 8
 	terms := problems.LABSTerms(n)
 	opts := Options{Ranks: 2, Gather: true}
-	source := func(context.Context) (core.DiagSource, error) {
-		return core.StaticDiag(costvec.Precompute(poly.Compile(terms), n))
-	}
+	source := leaseTerms(n, terms)
 	for _, c := range []struct {
 		name  string
 		build func() error
@@ -374,19 +378,17 @@ func mustRing(t *testing.T, n int) graphs.Graph {
 	return g
 }
 
-// shardState returns the ψ planes of every rank of eng's one lease, in
-// rank order, as one full state: after a forward evaluation they hold
-// the evolved state.
-func shardState[T statevec.Float](t *testing.T, eng *GradEngine) planes[T] {
+// shardState returns the stored amplitudes of every rank of eng's one
+// lease, in rank order, as one state: after a forward evaluation they
+// hold the evolved state.
+func shardState(t *testing.T, eng *GradEngine) statevec.Vec {
 	t.Helper()
 	if len(eng.all) != 1 {
 		t.Fatalf("engine holds %d leases, want 1", len(eng.all))
 	}
-	var full planes[T]
-	for _, ev := range eng.all[0].shards {
-		sh := ev.(*shard[T])
-		full.re = append(full.re, sh.psi.re...)
-		full.im = append(full.im, sh.psi.im...)
+	var full statevec.Vec
+	for _, rs := range eng.all[0].ranks {
+		full = append(full, rs.Vec()...)
 	}
 	return full
 }
@@ -449,18 +451,13 @@ func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if h := eng.sym.pivots(); h != form.h || coded(eng) != form.coded {
+						if h := eng.pivots(); h != form.h || coded(eng) != form.coded {
 							t.Fatalf("n=%d K=%d: h = %d, codes alone %v; want %d, %v", n, ranks, h, coded(eng), form.h, form.coded)
 						}
 						if _, err := eng.Energy(context.Background(), x); err != nil {
 							t.Fatal(err)
 						}
-						var got statevec.Vec
-						if prec == PrecisionFloat32 {
-							got = shardState[float32](t, eng).vec()
-						} else {
-							got = shardState[float64](t, eng).vec()
-						}
+						got := shardState(t, eng)
 						if len(got) != len(want) {
 							t.Fatalf("n=%d K=%d: shards hold %d amplitudes, want %d", n, ranks, len(got), len(want))
 						}
@@ -474,5 +471,28 @@ func TestShardStatesMatchSingleNodeBitwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// formSource is a never-expiring lease of a stored cost form, the
+// tests' stand-in for a registry handle.
+type formSource struct{ form *costvec.Stored }
+
+func (s formSource) Cost() *costvec.Stored { return s.form }
+
+func (formSource) Release() {}
+
+// leaseTerms returns an acquire function that leases the stored form of
+// the terms' cost over their term group, as a registry entry stores it
+// under the x mixer.
+func leaseTerms(n int, terms poly.Terms) core.AcquireFunc {
+	return func(context.Context) (core.DiagSource, error) {
+		c := poly.Compile(terms)
+		pivots, flip := costvec.TermPivots(n, c.Masks)
+		form, err := costvec.NewStored(statevec.NewPool(1), c, n, pivots, flip)
+		if err != nil {
+			return nil, err
+		}
+		return formSource{form}, nil
 	}
 }

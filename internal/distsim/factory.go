@@ -9,39 +9,41 @@ import (
 	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
 	"qokit/internal/poly"
+	"qokit/internal/shard"
 )
 
-// Factory builds distributed gradient engines on demand. The per-rank
-// cost slices are materialized once, on the first build, and shared
-// read-only across every build, so an elastic pool growing a new engine
-// (one rank-group lease each, since builds run Concurrency 1 by
-// default) pays for cluster state buffers only, never a second
-// precompute. Each rank holds only its 2^(n−h−k) entries, as
-// NewGradEngine's ranks do: precomputed from the terms, or cut from a
-// source's stored form (a registry entry, whose lease stays held until
-// the last retire; the entry holds the same 2^(n−h) entries, as codes
-// when they form an exact grid, so no float64 diagonal stays resident
-// beside the ranks' slices).
+// Factory builds distributed gradient engines on demand. The shard
+// engine — the group and one stored cost form the ranks window — is
+// built once, on the first build, and shared read-only across every
+// build, so an elastic pool growing a new engine (one rank-group lease
+// each, since builds run Concurrency 1 by default) pays for cluster
+// state buffers only, never a second precompute. The form is
+// precomputed from the terms, or a source's (a registry entry, whose
+// lease stays held until the last retire): when the entry stores the
+// cost over the shards' group, as the term group under the x mixer
+// does wherever the ranks can hold it, the ranks read the entry's codes
+// or entries in place and the engine holds no cost data of its own.
 type Factory struct {
 	n, k int
 	opts Options
 	// caps is the Caps of every build, from the group the terms give.
 	caps    evaluator.Caps
 	terms   poly.Compiled
+	flip    bool
 	acquire core.AcquireFunc
 
 	mu     sync.Mutex
 	src    core.DiagSource
-	costs  []rankCost
-	sym    symmetry
+	eng    *shard.Engine
+	sym    shard.Symmetry
 	builds map[*GradEngine]bool
 }
 
 var _ evaluator.Factory = (*Factory)(nil)
 
 // NewFactory builds a distributed-engine factory for an n-qubit
-// problem given as terms. The ranks precompute their slices lazily on
-// the first build, and every build shares them. opts.Concurrency ≤ 0
+// problem given as terms. The stored cost form is precomputed lazily
+// on the first build, and every build shares it. opts.Concurrency ≤ 0
 // means one lease per build (the elastic scheduler's unit of growth).
 func NewFactory(n int, terms poly.Terms, opts Options) (*Factory, error) {
 	if err := terms.Validate(n); err != nil {
@@ -52,8 +54,8 @@ func NewFactory(n int, terms poly.Terms, opts Options) (*Factory, error) {
 
 // NewFactoryFromSource builds a distributed-engine factory whose stored
 // cost form, built from the given terms, comes from acquire (typically
-// a registry handle); per-rank slices are cut from it, acquired on the
-// first build and released after the last retire. The terms fix the
+// a registry handle); the ranks window it, acquired on the first build
+// and released after the last retire. The terms fix the
 // group the shards store the state over, and so Caps, before the first
 // acquire.
 func NewFactoryFromSource(n int, terms poly.Terms, opts Options, acquire core.AcquireFunc) (*Factory, error) {
@@ -70,11 +72,12 @@ func newFactory(n int, terms poly.Terms, opts Options, acquire core.AcquireFunc)
 	}
 	compiled := poly.Compile(terms)
 	pivots, flip := costvec.TermPivots(n, compiled.Masks)
-	sym := symmetryFor(pivots, flip, n, k, opts.Mixer)
+	sym := shard.SymmetryFor(pivots, flip, n, k, opts.Mixer == core.MixerX)
 	return &Factory{
 		n: n, k: k, opts: opts,
-		caps:    opts.caps(n, sym.pivots()),
+		caps:    opts.caps(n, len(sym.Pivots)),
 		terms:   compiled,
+		flip:    flip,
 		acquire: acquire,
 		sym:     sym,
 		builds:  make(map[*GradEngine]bool),
@@ -86,15 +89,14 @@ func newFactory(n int, terms poly.Terms, opts Options, acquire core.AcquireFunc)
 // concurrent evaluation each).
 func (f *Factory) Caps() evaluator.Caps { return f.caps }
 
-// shardsLocked materializes the per-rank slices on first use
-// (f.mu held).
+// shardsLocked builds the shard engine on first use (f.mu held).
 func (f *Factory) shardsLocked(ctx context.Context) error {
-	if f.costs != nil {
+	if f.eng != nil {
 		return nil
 	}
 	if f.acquire == nil {
-		costs, err := rankCostsFromTerms(f.terms, f.n, f.k, f.sym)
-		f.costs = costs
+		var err error
+		f.eng, err = termsEngine(f.n, f.opts, f.terms, f.sym, f.flip)
 		return err
 	}
 	src, err := f.acquire(ctx)
@@ -106,8 +108,12 @@ func (f *Factory) shardsLocked(ctx context.Context) error {
 		src.Release()
 		return fmt.Errorf("distsim: cost form over %d qubits, want %d", form.N, f.n)
 	}
-	f.sym = symmetryFor(form.Pivots, form.Flip, f.n, f.k, f.opts.Mixer)
-	f.src, f.costs = src, rankCostsFromForm(form, f.k, f.sym)
+	f.sym = shard.SymmetryFor(form.Pivots, form.Flip, f.n, f.k, f.opts.Mixer == core.MixerX)
+	if f.eng, err = shardEngine(f.n, f.opts, f.sym, form); err != nil {
+		src.Release()
+		return err
+	}
+	f.src = src
 	return nil
 }
 
@@ -127,7 +133,7 @@ func (f *Factory) NewGradEngine(ctx context.Context) (*GradEngine, error) {
 	if err := f.shardsLocked(ctx); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(f.n, f.opts, f.costs, f.sym)
+	e, err := newEngine(f.n, f.opts, f.eng)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +142,7 @@ func (f *Factory) NewGradEngine(ctx context.Context) (*GradEngine, error) {
 }
 
 // Retire drops one engine (its rank groups and leases become garbage);
-// the last retire drops the rank slices and releases the source's
+// the last retire drops the shard engine and releases the source's
 // lease.
 func (f *Factory) Retire(ev evaluator.Evaluator) error {
 	eng, ok := ev.(*GradEngine)
@@ -153,7 +159,7 @@ func (f *Factory) Retire(ev evaluator.Evaluator) error {
 		if f.src != nil {
 			f.src.Release()
 		}
-		f.src, f.costs = nil, nil
+		f.src, f.eng = nil, nil
 	}
 	return nil
 }

@@ -1,22 +1,9 @@
 // Distributed adjoint-mode gradients: the exact ∂E/∂γ_ℓ, ∂E/∂β_ℓ of
-// the QAOA objective, evaluated on the state vector sharded over the
-// in-process cluster. The algorithm is core's adjoint run per rank:
-// one forward pass fills the sharded ket ψ, the bra is seeded locally
-// as λ = Ĉψ (the diagonal is already sharded), and both states walk
-// backwards through the single-node joint reverse kernels with every
-// reduction evaluated on the local slice. For the x mixer each layer
-// transposes both states, runs the joint reverse RX step over the k
-// swapped-in qubits (ReverseRXRangePlanes), transposes back and runs
-// the tiled ReverseUniformRX over the local qubits with the phase
-// reduction and undo in its last pass; the xy mixers use ReverseXY and
-// partner exchanges. Per-layer partials accumulate rank-locally; one
-// vector all-reduce (cluster.Comm.AllreduceSumVec) at the end combines
-// all 2p of them.
-//
-// On group shards the reverse step runs the joint pivot reverse steps
-// (ReverseMirrorRXPlanes) on the transposed planes before the range
-// step, and every reduction over the stored amplitudes scales by 2^h
-// exactly.
+// the QAOA objective on the sharded state. Each rank runs the shard
+// engine's adjoint (shard.State.Adjoint) on its slice, the single-node
+// algorithm with the reverse step's collectives at k > 0, and one vector
+// all-reduce (cluster.Comm.AllreduceSumVec) at the end combines the 2p
+// per-layer partials of all ranks.
 //
 // Communication therefore stays mixer-shaped: the reverse pass replays
 // the forward mixer's collectives once per state (two states ⇒ exactly
@@ -37,8 +24,9 @@ import (
 	"qokit/internal/core"
 	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
-	"qokit/internal/graphs"
 	"qokit/internal/poly"
+	"qokit/internal/shard"
+	"qokit/internal/statevec"
 )
 
 // GradEngine evaluates distributed energies and exact adjoint
@@ -57,31 +45,22 @@ import (
 // Concurrency, not with call rate.
 //
 // With the x mixer the engine stores the state over the cost's
-// XOR-symmetry group where the rank layout can hold it (symmetryFor):
-// ψ(x ⊕ g) = ψ(x) after every layer for every g of the group, as on
-// single-node SoA, so each rank stores only its 2^(n−h−k) amplitudes
-// of the 2^(n−h) whose top h bits are zero. LABS takes its h = 2
-// pivots, a quarter state, when the ranks hold them (at n = 16 for
-// K ≤ 4); MaxCut and SK, and LABS at larger K, take the complement
-// alone (half shards, 2k ≤ n − 2). That divides shard memory, kernel
-// work and all-to-all bytes by 2^h at the same message and sync
-// counts. The output stage sees a state stored over the group: it
-// weights each stored amplitude 2^h times and still covers all 2^n
-// basis states. No option selects it; every other case keeps full
-// shards.
+// XOR-symmetry group where the rank layout can hold it
+// (shard.SymmetryFor): ψ(x ⊕ g) = ψ(x) after every layer for every g of
+// the group, as on the single-node simulator, so each rank stores only
+// its 2^(n−h−k) amplitudes of the 2^(n−h) whose top h bits are zero.
+// That divides shard memory, kernel work and all-to-all bytes by 2^h at
+// the same message and sync counts. The output stage sees a state
+// stored over the group: it weights each stored amplitude 2^h times and
+// still covers all 2^n basis states. No option selects it; every other
+// case keeps full shards.
 type GradEngine struct {
-	n, k, hw int
-	opts     Options
-	edges    []graphs.Edge
-	// sym is the symmetry group the ranks store the state over
-	// (symmetryFor), {0} on full shards.
-	sym symmetry
-
-	// costs holds each rank's slice of the diagonal, shared read-only
-	// by every lease: float64 entries, or on an exact grid uint16 codes
-	// against the slice's own (min, scale) — 2 B per amplitude instead
-	// of 8 (§V-B).
-	costs []rankCost
+	n, k int
+	opts Options
+	// eng is the shard engine every lease's ranks run: the group the
+	// state is stored over and one window per rank of the stored cost
+	// form, shared read-only by every lease.
+	eng *shard.Engine
 
 	// slots holds one token per allowed concurrent evaluation; a nil
 	// token means the lease is allocated on first use. Leases poisoned
@@ -102,18 +81,18 @@ type GradEngine struct {
 // gradLease is one evaluation's worth of mutable distributed state: a
 // rank group plus one shard workspace per rank.
 type gradLease struct {
-	group  *cluster.Group
-	shards []evolver
+	group *cluster.Group
+	ranks []rankState
 }
 
 // NewGradEngine builds a distributed gradient engine for an n-qubit
 // problem given as polynomial terms: the terms fix the group the shards
-// store the state over (costvec.TermPivots, symmetryFor), and each rank
-// precomputes only its 2^(n−h−k) stored entries, locally (no
-// communication). Rank groups and state
-// buffers are leased per evaluation, up to Options.Concurrency in
-// flight at once. An engine serves its outputs gather-free
-// (EvalOutputs), so Options.Gather is rejected.
+// store the state over (costvec.TermPivots, shard.SymmetryFor), and the
+// stored cost form holds only the 2^(n−h) stored entries, precomputed
+// once with no communication. Rank groups and state buffers are leased
+// per evaluation, up to Options.Concurrency in flight at once. An
+// engine serves its outputs gather-free (EvalOutputs), so
+// Options.Gather is rejected.
 func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	if _, err := opts.validateEngine(n); err != nil {
 		return nil, err
@@ -133,31 +112,47 @@ func buildEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
 	}
 	compiled := poly.Compile(terms)
 	pivots, flip := costvec.TermPivots(n, compiled.Masks)
-	sym := symmetryFor(pivots, flip, n, k, opts.Mixer)
-	costs, err := rankCostsFromTerms(compiled, n, k, sym)
+	sym := shard.SymmetryFor(pivots, flip, n, k, opts.Mixer == core.MixerX)
+	eng, err := termsEngine(n, opts, compiled, sym, flip)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(n, opts, costs, sym)
+	return newEngine(n, opts, eng)
 }
 
-// newEngine builds an engine over per-rank cost slices, cut for the
-// state stored over sym.
-func newEngine(n int, opts Options, costs []rankCost, sym symmetry) (*GradEngine, error) {
-	k, err := opts.validate(n)
+// termsEngine precomputes the stored cost form of the compiled terms
+// over sym, once for every rank, and builds the shard engine over it.
+func termsEngine(n int, opts Options, c poly.Compiled, sym shard.Symmetry, flip bool) (*shard.Engine, error) {
+	form, err := costvec.NewStored(statevec.NewPool(0), c, n, sym.Pivots, flip)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("distsim: %w", err)
 	}
+	return shardEngine(n, opts, sym, form)
+}
+
+// shardEngine builds the shard engine of an n-qubit run under opts over
+// a stored cost form, whose ranks store the state over sym.
+func shardEngine(n int, opts Options, sym shard.Symmetry, form *costvec.Stored) (*shard.Engine, error) {
 	edges, err := core.MixerSweepEdges(n, opts.Mixer)
 	if err != nil {
 		return nil, err
 	}
+	return shard.New(shard.Config{
+		N: n, Ranks: opts.Ranks, Pool: serialPool, Sym: sym,
+		XY: opts.Mixer != core.MixerX, Edges: edges, HammingWeight: opts.hammingWeight(n),
+	}, form)
+}
+
+// newEngine builds an engine over a shard engine.
+func newEngine(n int, opts Options, eng *shard.Engine) (*GradEngine, error) {
+	k, err := opts.validate(n)
+	if err != nil {
+		return nil, err
+	}
 	e := &GradEngine{
-		n: n, k: k, hw: opts.hammingWeight(n),
+		n: n, k: k,
 		opts:     opts,
-		edges:    edges,
-		sym:      sym,
-		costs:    costs,
+		eng:      eng,
 		slots:    make(chan *gradLease, opts.concurrency()),
 		deadRank: make([]cluster.Counters, opts.Ranks),
 	}
@@ -175,13 +170,9 @@ func (e *GradEngine) newLease() (*gradLease, error) {
 		return nil, err
 	}
 	g.SetFault(e.opts.fault)
-	l := &gradLease{group: g, shards: make([]evolver, e.opts.Ranks)}
-	for r := range l.shards {
-		if e.opts.Precision == PrecisionFloat32 {
-			l.shards[r] = newShard[float32](e, r)
-		} else {
-			l.shards[r] = newShard[float64](e, r)
-		}
+	l := &gradLease{group: g, ranks: make([]rankState, e.opts.Ranks)}
+	for r := range l.ranks {
+		l.ranks[r].Shard = shard.NewShard(e.eng, r, e.opts.Precision == PrecisionFloat32)
 	}
 	e.mu.Lock()
 	e.all = append(e.all, l)
@@ -247,14 +238,9 @@ func addCounters(dst *cluster.Counters, src cluster.Counters) {
 // NumQubits returns n.
 func (e *GradEngine) NumQubits() int { return e.n }
 
-// localQubits returns the qubit count of one rank's stored slice,
-// n−h−k.
-func (e *GradEngine) localQubits() int { return e.n - e.sym.pivots() - e.k }
-
-// weight is the number of basis states each stored amplitude stands
-// for, the group's size 2^h. Energies and gradient reductions over the
-// stored amplitudes scale by it, exactly.
-func (e *GradEngine) weight() float64 { return float64(len(e.sym.group)) }
+// pivots returns h, the number of pivots of the group the shards store
+// the state over.
+func (e *GradEngine) pivots() int { return len(e.eng.Config().Sym.Pivots) }
 
 // Ranks returns K, the number of simulated nodes.
 func (e *GradEngine) Ranks() int { return e.opts.Ranks }
@@ -311,7 +297,7 @@ func (e *GradEngine) eval(ctx context.Context, r *run) error {
 		return err
 	}
 	err = lease.group.RunContext(ctx, func(c *cluster.Comm) error {
-		return lease.shards[c.Rank()].evolve(c, r)
+		return e.evolve(c, &lease.ranks[c.Rank()], r)
 	})
 	e.release(lease, err != nil)
 	return err
@@ -374,7 +360,7 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 // for float64 planes, 8 B for float32, so a scheduler packing
 // heterogeneous pools by StateBytes sees the real footprint of each
 // precision.
-func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n, e.sym.pivots()) }
+func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n, e.pivots()) }
 
 // caps is the Caps of an engine for n qubits under o whose shards
 // store the state over h pivots: exactly the 2^(n−h) stored amplitudes

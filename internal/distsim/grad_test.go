@@ -513,3 +513,33 @@ func TestGradEngineCancellation(t *testing.T) {
 		t.Errorf("post-cancellation energy %v != %v", e2, ref.Energy)
 	}
 }
+
+// TestWarmEngineAllocsBounded pins the allocations of a warm engine's
+// Energy and EnergyGrad on LABS n = 14 at p = 8 as an upper bound: the
+// counts measured before the shard engine moved into internal/shard.
+func TestWarmEngineAllocsBounded(t *testing.T) {
+	const n, p = 14, 8
+	x := make([]float64, 2*p)
+	for i := range x {
+		x[i] = 0.1 + 0.05*float64(i)
+	}
+	grad := make([]float64, 2*p)
+	ctx := context.Background()
+	for _, c := range []struct {
+		ranks        int
+		energy, grad float64
+	}{{1, 49, 98}, {2, 125, 271}} {
+		e, err := NewGradEngine(n, problems.LABSTerms(n), Options{Ranks: c.ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.EnergyGrad(ctx, x, grad); err != nil {
+			t.Fatal(err)
+		}
+		energy := testing.AllocsPerRun(3, func() { e.Energy(ctx, x) })
+		grads := testing.AllocsPerRun(3, func() { e.EnergyGrad(ctx, x, grad) })
+		if energy > c.energy || grads > c.grad {
+			t.Errorf("K=%d: warm Energy/EnergyGrad allocate %v/%v times, want at most %v/%v", c.ranks, energy, grads, c.energy, c.grad)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"qokit/internal/poly"
 	"qokit/internal/problems"
 	"qokit/internal/registry"
+	"qokit/internal/shard"
 	"qokit/internal/statevec"
 )
 
@@ -53,32 +54,41 @@ func halfProblems(t *testing.T, n int) []halfProblem {
 	}
 }
 
-// shardEngine builds an engine that stores the state over the group
+// engineOver builds an engine that stores the state over the group
 // the pivots generate (nil: full shards) on a cost whose own rule may
-// pick another group, precomputing the rank slices as NewGradEngine
-// does.
-func shardEngine(t *testing.T, n int, terms poly.Terms, opts Options, pivots []uint64) *GradEngine {
+// pick another group, precomputing the stored cost form over it as
+// NewGradEngine does.
+func engineOver(t *testing.T, n int, terms poly.Terms, opts Options, pivots []uint64) *GradEngine {
 	t.Helper()
 	k, err := opts.validate(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym := symmetry{group: []uint64{0}}
-	if pivots != nil {
-		var ok bool
-		if sym, ok = shardSymmetry(pivots, n, k); !ok {
-			t.Fatalf("n=%d K=%d cannot hold pivots %b", n, opts.Ranks, pivots)
-		}
+	sym := shard.SymmetryFor(pivots, false, n, k, true)
+	if len(sym.Pivots) != len(pivots) {
+		t.Fatalf("n=%d K=%d cannot hold pivots %b", n, opts.Ranks, pivots)
 	}
-	costs, err := rankCostsFromTerms(poly.Compile(terms), n, k, sym)
+	compiled := poly.Compile(terms)
+	_, flip := costvec.TermPivots(n, compiled.Masks)
+	form, err := costvec.NewStored(statevec.NewPool(1), compiled, n, sym.Pivots, flip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(n, opts, costs, sym)
+	se, err := shardEngine(n, opts, sym, form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(n, opts, se)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// holds reports whether n qubits on 2^k ranks can store the state
+// over the group the pivots generate.
+func holds(pivots []uint64, n, k int) bool {
+	return len(shard.SymmetryFor(pivots, false, n, k, true).Pivots) > 0
 }
 
 // labsPivots returns LABS's two pivots at even n: the flips of the even
@@ -159,8 +169,8 @@ func TestHalfShardRule(t *testing.T) {
 		want := costvec.Group(tc.pivots)
 		wantLocal := tc.n - len(tc.pivots) - eng.k
 		for _, e := range []*GradEngine{eng, built, fromEntry} {
-			if !slices.Equal(e.sym.group, want) || e.localQubits() != wantLocal {
-				t.Errorf("%s: group %b with %d local qubits, want %b with %d", tc.name, e.sym.group, e.localQubits(), want, wantLocal)
+			if !slices.Equal(e.eng.Config().Sym.Group, want) || bits.TrailingZeros(uint(e.eng.Len())) != wantLocal {
+				t.Errorf("%s: group %b with %d local qubits, want %b with %d", tc.name, e.eng.Config().Sym.Group, bits.TrailingZeros(uint(e.eng.Len())), want, wantLocal)
 			}
 		}
 		for _, fe := range []struct {
@@ -174,99 +184,6 @@ func TestHalfShardRule(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-}
-
-// TestShardSymmetryPairsMeetOnOneRank checks the relabel on random
-// pivot sets (h ≤ 3, n ≤ 9, K ≤ 4): whenever shardSymmetry accepts the
-// pivots, relabel followed by an all-to-all puts every stored index x
-// and its partner x ⊕ μ_j on one rank at local indices that differ by
-// ν_j, and relabel is its own inverse; whenever it refuses them at
-// K ≥ 2 with room for the layout, no linear f of the w bits solves
-// f(w-part of μ_j) = a-part of μ_j (checked over every k × (n−h−2k)
-// matrix).
-func TestShardSymmetryPairsMeetOnOneRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	accepted, refused := 0, 0
-	for trial := 0; trial < 3000; trial++ {
-		n := 3 + rng.Intn(7)
-		h := 1 + rng.Intn(min(3, n-1))
-		k := rng.Intn(3)
-		pivots := make([]uint64, h)
-		for j := range pivots {
-			pivots[j] = 1<<uint(n-h+j) | uint64(rng.Int63n(1<<uint(n-h)))
-		}
-		sym, ok := shardSymmetry(pivots, n, k)
-		local, low := n-h-k, n-h-2*k
-		if !ok {
-			if k == 0 || local < 1 || low < 0 {
-				continue
-			}
-			refused++
-			for f := 0; f < 1<<uint(k*low); f++ {
-				apply := func(w int) (a int) {
-					for b := 0; b < low; b++ {
-						if w>>uint(b)&1 == 1 {
-							a ^= f >> uint(k*b) & (1<<uint(k) - 1)
-						}
-					}
-					return a
-				}
-				solves := true
-				for _, g := range pivots {
-					mu := int(g) & (1<<uint(n-h) - 1)
-					if apply(mu&(1<<uint(low)-1)) != mu>>uint(low)&(1<<uint(k)-1) || mu&(1<<uint(local)-1) == 0 && mu>>uint(local) == 0 {
-						solves = false
-						break
-					}
-				}
-				if solves {
-					t.Fatalf("n=%d k=%d pivots %b refused, but f=%b solves the layout", n, k, pivots, f)
-				}
-			}
-			continue
-		}
-		accepted++
-		ranks, size := 1<<uint(k), 1<<uint(local)
-		// Each rank's plane holds the stored index of every amplitude.
-		shards := make([]planes[float64], ranks)
-		for r := range shards {
-			shards[r] = newPlanes[float64](size)
-			for l := range shards[r].re {
-				shards[r].re[l] = float64(r*size + l)
-			}
-			relabel(shards[r], &sym, ranks)
-		}
-		// The all-to-all: subchunk a of rank r lands at subchunk r of rank a.
-		sub := size / ranks
-		where := make([][2]int, ranks*size) // stored index → (rank, local)
-		for r := range shards {
-			for a := 0; a < ranks; a++ {
-				for w := 0; w < sub; w++ {
-					where[int(shards[r].re[a*sub+w])] = [2]int{a, r*sub + w}
-				}
-			}
-		}
-		for x := range where {
-			for j, g := range pivots {
-				y := x ^ int(g)&(1<<uint(n-h)-1)
-				if where[y][0] != where[x][0] || where[y][1] != where[x][1]^sym.masks[j] {
-					t.Fatalf("n=%d k=%d pivots %b: %d at %v, partner %d at %v, want rank %d local %d",
-						n, k, pivots, x, where[x], y, where[y], where[x][0], where[x][1]^sym.masks[j])
-				}
-			}
-		}
-		for r := range shards {
-			relabel(shards[r], &sym, ranks)
-			for l, v := range shards[r].re {
-				if int(v) != r*size+l {
-					t.Fatalf("n=%d k=%d pivots %b: relabel is not its own inverse", n, k, pivots)
-				}
-			}
-		}
-	}
-	if accepted < 500 || refused < 100 {
-		t.Errorf("%d layouts accepted, %d refused: too few to exercise both branches", accepted, refused)
 	}
 }
 
@@ -463,7 +380,7 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if eng.sym.pivots() == 0 {
+				if eng.pivots() == 0 {
 					t.Fatalf("%s K=%d %+v: runs full shards", prob.name, ranks, opts)
 				}
 				return eng
@@ -472,7 +389,7 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 			f32 := engine(prob.terms, Options{Ranks: ranks, Precision: PrecisionFloat32})
 			grid := engine(prob.grid, Options{Ranks: ranks})
 			quant := formEngine(t, n, prob.grid, Options{Ranks: ranks}, codesOnly)
-			if quant.sym.pivots() == 0 {
+			if quant.pivots() == 0 {
 				t.Fatalf("%s K=%d coded: runs full shards", prob.name, ranks)
 			}
 			for _, p := range []int{1, 4, 12} {
@@ -531,7 +448,7 @@ func TestHalfShardGradAndOutputsMatchSingleNode(t *testing.T) {
 					near("prob at MaxProbIndex", probs[out.MaxProbIndex], maxP)
 					// The members of an orbit tie exactly; the lowest, the
 					// stored index, wins.
-					h := c.eng.sym.pivots()
+					h := c.eng.pivots()
 					if out.MaxProbIndex >= 1<<uint(n-h) {
 						t.Errorf("%s %s: MaxProbIndex %d is not the lowest of its orbit (h = %d)", where, c.name, out.MaxProbIndex, h)
 					}
@@ -600,7 +517,7 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		group := eng.sym.group
+		group := eng.eng.Config().Sym.Group
 		base, err := SimulateQAOA(ctx, n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -660,15 +577,15 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 		const layer = 2
 		k := eng.k
 		writers := [][]uint64{nil}
-		if _, ok := shardSymmetry([]uint64{1<<uint(n) - 1}, n, k); ok {
+		if holds([]uint64{1<<uint(n) - 1}, n, k) {
 			writers = append(writers, []uint64{1<<uint(n) - 1})
 		}
-		if _, ok := shardSymmetry(labsPivots(n), n, k); ok && c.name == "labs" {
+		if holds(labsPivots(n), n, k) && c.name == "labs" {
 			writers = append(writers, labsPivots(n))
 		}
 		for _, pivots := range writers {
-			w := shardEngine(t, n, terms, opts, pivots)
-			if slices.Equal(w.sym.group, group) {
+			w := engineOver(t, n, terms, opts, pivots)
+			if slices.Equal(w.eng.Config().Sym.Group, group) {
 				continue
 			}
 			if err := w.eval(ctx, &run{gamma: gamma[:layer], beta: beta[:layer]}); err != nil {
@@ -688,29 +605,25 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 					fs.Shards = append(fs.Shards, make(statevec.Vec, localSize))
 				}
 			}
-			for _, ev := range w.all[0].shards {
-				if opts.Precision == PrecisionFloat32 {
-					ev.(*shard[float32]).store(fs)
-				} else {
-					ev.(*shard[float64]).store(fs)
-				}
+			for _, rs := range w.all[0].ranks {
+				w.store(rs.Shard, fs)
 			}
 			if err := SaveShardSnapshot(path, fs); err != nil {
 				t.Fatal(err)
 			}
 			res, err = SimulateQAOACheckpointed(ctx, n, terms, gamma, beta, opts, ck)
 			if err != nil {
-				t.Fatalf("%s: resume from a snapshot of group %b failed: %v", name, w.sym.group, err)
+				t.Fatalf("%s: resume from a snapshot of group %b failed: %v", name, w.eng.Config().Sym.Group, err)
 			}
 			tol := 1e-12
 			if opts.Precision == PrecisionFloat32 {
 				tol = 1e-5
 			}
 			if d := math.Abs(res.Expectation - base.Expectation); d > tol*math.Max(math.Abs(base.Expectation), 1) {
-				t.Errorf("%s: resumed from a snapshot of group %b at energy %v, uninterrupted %v", name, w.sym.group, res.Expectation, base.Expectation)
+				t.Errorf("%s: resumed from a snapshot of group %b at energy %v, uninterrupted %v", name, w.eng.Config().Sym.Group, res.Expectation, base.Expectation)
 			}
 			if d := math.Abs(res.Overlap - base.Overlap); d > tol {
-				t.Errorf("%s: resumed from a snapshot of group %b at overlap %v, uninterrupted %v", name, w.sym.group, res.Overlap, base.Overlap)
+				t.Errorf("%s: resumed from a snapshot of group %b at overlap %v, uninterrupted %v", name, w.eng.Config().Sym.Group, res.Overlap, base.Overlap)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Gather-free distributed outputs: every rank runs the shared output
-// stage (evaluator.Stage) over its evolved shard inside the shared
-// evolution (shard.evolve), with its cluster endpoint as the collective,
+// stage (evaluator.Stage) over its evolved shard's View inside the rank
+// loop (GradEngine.evolve), with its cluster endpoint as the collective,
 // so no node ever holds a node-scale buffer. Each rank needs only |ψ_x|²
 // and the cost of the basis states it stores, so the §V-B
 // memory-reduced shards (float32 planes, uint16-coded diagonal slices)
@@ -13,35 +13,8 @@ import (
 	"context"
 
 	"qokit/internal/cluster"
-	"qokit/internal/core"
 	"qokit/internal/evaluator"
 )
-
-// view is the output stage's view of this rank's evolved ψ.
-func (sh *shard[T]) view() evaluator.View {
-	e := sh.e
-	return evaluator.View{
-		Amplitudes:    sh,
-		N:             e.n,
-		Offset:        sh.cost.offset,
-		Len:           len(sh.psi.re),
-		Group:         e.sym.group,
-		Restrict:      e.opts.Mixer != core.MixerX,
-		HammingWeight: e.hw,
-	}
-}
-
-// Prob returns |ψ_i|² of local index i (evaluator.Amplitudes).
-func (sh *shard[T]) Prob(i int) float64 {
-	r, m := float64(sh.psi.re[i]), float64(sh.psi.im[i])
-	return r*r + m*m
-}
-
-// Cost returns the cost of local index i.
-func (sh *shard[T]) Cost(i int) float64 { return sh.cost.value(i) }
-
-// Ascending returns the slice's local indices by ascending cost.
-func (sh *shard[T]) Ascending() []int { return sh.cost.ascending() }
 
 // The distributed engine serves the output and chunked sampling
 // contracts, so a serving layer schedules sampling and CVaR requests

@@ -1,14 +1,15 @@
 // Single-precision distributed shards (§V-B carried onto the
 // cluster): a shard's ψ and λ are float32 (re, im) planes, 8 B per
-// amplitude, the layout of the single-node SoA32 backend. The shard
-// engine is generic over the plane element (shard.go), so float32
-// shards run the same kernels as float64 ones, and every collective
+// amplitude, the layout of the single-node single-precision SoA
+// backend. The shard engine is generic over the plane element
+// (internal/shard), so float32 shards run the same kernels as float64
+// ones, and every collective
 // (cluster.Alltoall and cluster.Sendrecv instantiated at float32) moves
 // 8 B per amplitude: half the per-rank state memory and half the fabric
 // bytes, at identical message and synchronization counts. Phase factors,
 // rotation coefficients and all reductions stay float64 — only storage
 // and wire are single precision — so the distributed float32 path
-// inherits the single-node SoA32 error model (a few ULPs per layer,
+// inherits the single-node single-precision error model (a few ULPs per layer,
 // gradient band ~2e-3).
 package distsim
 

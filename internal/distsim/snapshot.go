@@ -27,6 +27,7 @@ import (
 	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/poly"
+	"qokit/internal/shard"
 	"qokit/internal/statevec"
 )
 
@@ -201,7 +202,7 @@ func (s *ShardSnapshot) compat(n int, gamma, beta []float64, opts Options) error
 	return nil
 }
 
-// ckptPlan threads resume and capture state through shard.evolve; the
+// ckptPlan threads resume and capture state through GradEngine.evolve; the
 // zero value is a plain uncheckpointed run. When snap is set, every
 // rank stores its shard in it after each layer l with l%every == 0 and
 // after the last layer, and rank 0 writes it to path.
@@ -221,42 +222,37 @@ type ckptPlan struct {
 
 // slot returns the (rank, local index) of global basis index x in the
 // snapshot layout.
-func (sh *shard[T]) slot(x uint64) (r, i uint64) {
-	localN := uint(sh.e.n - sh.e.k)
+func (e *GradEngine) slot(x uint64) (r, i uint64) {
+	localN := uint(e.n - e.k)
 	return x >> localN, x & (1<<localN - 1)
 }
 
-// load copies this rank's stored amplitudes out of s.
-func (sh *shard[T]) load(s *ShardSnapshot) {
-	re, im := sh.psi.re, sh.psi.im
-	for i := range re {
-		r, j := sh.slot(sh.cost.offset + uint64(i))
+// load copies a rank's stored amplitudes out of s.
+func (e *GradEngine) load(sh shard.Shard, s *ShardSnapshot) {
+	sh.Load(func(x uint64) (float64, float64) {
+		r, j := e.slot(x)
 		if s.Precision == PrecisionFloat32 {
-			re[i], im[i] = T(s.Re[r][j]), T(s.Im[r][j])
-		} else {
-			a := s.Shards[r][j]
-			re[i], im[i] = T(real(a)), T(imag(a))
+			return float64(s.Re[r][j]), float64(s.Im[r][j])
 		}
-	}
+		a := s.Shards[r][j]
+		return real(a), imag(a)
+	})
 }
 
-// store copies ψ into s: each stored amplitude at every member x ⊕ g of
-// its orbit. Ranks write disjoint slots.
-func (sh *shard[T]) store(s *ShardSnapshot) {
-	put := func(x uint64, re, im T) {
-		r, j := sh.slot(x)
-		if s.Precision == PrecisionFloat32 {
-			s.Re[r][j], s.Im[r][j] = float32(re), float32(im)
-		} else {
-			s.Shards[r][j] = complex(float64(re), float64(im))
+// store copies a rank's ψ into s: each stored amplitude at every member
+// x ⊕ g of its orbit. Ranks write disjoint slots.
+func (e *GradEngine) store(sh shard.Shard, s *ShardSnapshot) {
+	group := e.eng.Config().Sym.Group
+	sh.Store(func(x uint64, re, im float64) {
+		for _, g := range group {
+			r, j := e.slot(x ^ g)
+			if s.Precision == PrecisionFloat32 {
+				s.Re[r][j], s.Im[r][j] = float32(re), float32(im)
+			} else {
+				s.Shards[r][j] = complex(re, im)
+			}
 		}
-	}
-	for i, re := range sh.psi.re {
-		x, im := sh.cost.offset+uint64(i), sh.psi.im[i]
-		for _, g := range sh.e.sym.group {
-			put(x^g, re, im)
-		}
-	}
+	})
 }
 
 // CheckpointOptions configures durable layer-boundary snapshots for a

@@ -9,8 +9,11 @@ import (
 	"time"
 
 	"qokit/internal/core"
+	"qokit/internal/costvec"
 	"qokit/internal/evaluator"
+	"qokit/internal/poly"
 	"qokit/internal/problems"
+	"qokit/internal/statevec"
 )
 
 // fakeFactory builds gated fakeEvals and counts builds/retires, so the
@@ -176,9 +179,7 @@ func TestElasticFixedParity(t *testing.T) {
 	}
 	defer fixed.Close()
 
-	cf := core.NewFactory(n, terms, core.Options{}, func(ctx context.Context) (core.DiagSource, error) {
-		return core.StaticDiag(sim.CostDiagonal())
-	})
+	cf := core.NewFactory(n, terms, core.Options{}, leaseTerms(n, terms))
 	elastic, err := NewElastic([]evaluator.Factory{cf}, ElasticOptions{
 		MinWorkers: 1, MaxWorkers: 4, IdleDecay: 10 * time.Millisecond,
 	})
@@ -238,13 +239,7 @@ func TestElasticSteadyStateAllocations(t *testing.T) {
 	const n, p, count = 12, 4, 64
 	stateBytes := 16 << n
 	terms := problems.LABSTerms(n)
-	ref, err := core.New(n, terms, core.Options{Backend: core.BackendSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf := core.NewFactory(n, terms, core.Options{Backend: core.BackendSerial}, func(ctx context.Context) (core.DiagSource, error) {
-		return core.StaticDiag(ref.CostDiagonal())
-	})
+	cf := core.NewFactory(n, terms, core.Options{Backend: core.BackendSerial}, leaseTerms(n, terms))
 	// ScaleThreshold 2 keeps sequential (backlog ≤ 1) load from
 	// re-growing the decayed pool, so the measurement runs entirely on
 	// the floor worker's warm buffers; the burst still grows it.
@@ -291,5 +286,28 @@ func TestElasticSteadyStateAllocations(t *testing.T) {
 	perPoint := (after.TotalAlloc - before.TotalAlloc) / count
 	if perPoint > uint64(stateBytes)/8 {
 		t.Errorf("%d bytes allocated per request; want ≪ one %d-byte state buffer", perPoint, stateBytes)
+	}
+}
+
+// formSource is a never-expiring lease of a stored cost form, the
+// tests' stand-in for a registry handle.
+type formSource struct{ form *costvec.Stored }
+
+func (s formSource) Cost() *costvec.Stored { return s.form }
+
+func (formSource) Release() {}
+
+// leaseTerms returns an acquire function that leases the stored form of
+// the terms' cost over their term group, as a registry entry stores it
+// under the x mixer.
+func leaseTerms(n int, terms poly.Terms) core.AcquireFunc {
+	return func(context.Context) (core.DiagSource, error) {
+		c := poly.Compile(terms)
+		pivots, flip := costvec.TermPivots(n, c.Masks)
+		form, err := costvec.NewStored(statevec.NewPool(1), c, n, pivots, flip)
+		if err != nil {
+			return nil, err
+		}
+		return formSource{form}, nil
 	}
 }

@@ -19,14 +19,14 @@ func TestFusedMixerMatchesAlgorithm2(t *testing.T) {
 			ApplyUniformRX(want, beta)
 			for _, workers := range []int{1, 3} {
 				p := NewPool(workers)
-				soa := SoAFromVec(v)
-				soa.ApplyUniformRX(p, beta)
-				if d := MaxAbsDiff(soa.ToVec(), want); d > 1e-12 {
+				soa := splitOf[float64](v)
+				UniformRXPlanes(p, soa.Re, soa.Im, Phase{}, beta)
+				if d := MaxAbsDiff(toVec(soa.Re, soa.Im), want); d > 1e-12 {
 					t.Fatalf("n=%d β=%v workers=%d: SoA tiled mixer differs by %g", n, beta, workers, d)
 				}
-				soa32 := SoA32FromVec(v)
-				soa32.ApplyUniformRX(p, beta)
-				if d := MaxAbsDiff(soa32.ToVec(), want); d > 1e-5 {
+				soa32 := splitOf[float32](v)
+				UniformRXPlanes(p, soa32.Re, soa32.Im, Phase{}, beta)
+				if d := MaxAbsDiff(toVec(soa32.Re, soa32.Im), want); d > 1e-5 {
 					t.Fatalf("n=%d β=%v workers=%d: SoA32 tiled mixer differs by %g", n, beta, workers, d)
 				}
 			}
@@ -42,9 +42,9 @@ func TestQuickFusedUnitary(t *testing.T) {
 	p := NewPool(1)
 	f := func(raw int8) bool {
 		beta := float64(raw) / 13
-		w := SoAFromVec(v)
-		w.ApplyUniformRX(p, beta)
-		return math.Abs(w.ToVec().Norm()-v.Norm()) < 1e-9
+		w := splitOf[float64](v)
+		UniformRXPlanes(p, w.Re, w.Im, Phase{}, beta)
+		return math.Abs(toVec(w.Re, w.Im).Norm()-v.Norm()) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -66,7 +66,7 @@ func BenchmarkFusedVsPerQubitMixer(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for q := 0; q < n; q++ {
-				s.ApplyRX(p, q, 0.57)
+				applyRXPlanes(p, s.Re, s.Im, q, 0.57)
 			}
 		}
 	})
@@ -74,7 +74,7 @@ func BenchmarkFusedVsPerQubitMixer(b *testing.B) {
 		s := NewSoAUniform(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyUniformRX(p, 0.57)
+			UniformRXPlanes(p, s.Re, s.Im, Phase{}, 0.57)
 		}
 	})
 }

@@ -96,20 +96,20 @@ func checkFusedLayer(t *testing.T, n int, v Vec, ph Phase, beta float64) {
 		p.minParallel = 1
 		// The split layouts run the tiled F = 2 layer: bit-identical to
 		// its own separate phase pass, and close to the per-qubit sweep.
-		soa := SoAFromVec(v)
-		soa.ApplyPhaseThenUniformRX(p, ph, beta)
-		soaSep := SoAFromVec(v)
-		soaSep.PhaseDiag(p, diag, gamma)
-		soaSep.ApplyUniformRX(p, beta)
-		exact("soa", soa.ToVec(), soaSep.ToVec())
-		check("soa", soa.ToVec(), want)
+		soa := splitOf[float64](v)
+		UniformRXPlanes(p, soa.Re, soa.Im, ph, beta)
+		soaSep := splitOf[float64](v)
+		ApplyPhasePlanes(p, soaSep.Re, soaSep.Im, Phase{Diag: diag, Gamma: gamma})
+		UniformRXPlanes(p, soaSep.Re, soaSep.Im, Phase{}, beta)
+		exact("soa", toVec(soa.Re, soa.Im), toVec(soaSep.Re, soaSep.Im))
+		check("soa", toVec(soa.Re, soa.Im), want)
 
-		soa32 := SoA32FromVec(v)
-		soa32.ApplyPhaseThenUniformRX(p, ph, beta)
-		soa32Sep := SoA32FromVec(v)
-		soa32Sep.PhaseDiag(p, diag, gamma)
-		soa32Sep.ApplyUniformRX(p, beta)
-		exact("soa32", soa32.ToVec(), soa32Sep.ToVec())
+		soa32 := splitOf[float32](v)
+		UniformRXPlanes(p, soa32.Re, soa32.Im, ph, beta)
+		soa32Sep := splitOf[float32](v)
+		ApplyPhasePlanes(p, soa32Sep.Re, soa32Sep.Im, Phase{Diag: diag, Gamma: gamma})
+		UniformRXPlanes(p, soa32Sep.Re, soa32Sep.Im, Phase{}, beta)
+		exact("soa32", toVec(soa32.Re, soa32.Im), toVec(soa32Sep.Re, soa32Sep.Im))
 	}
 }
 
@@ -139,9 +139,9 @@ func TestFusedLayerOddTail(t *testing.T) {
 	for i := range diag {
 		diag[i] = float64(i%7) - 3
 	}
-	s := SoAFromVec(v)
-	s.ApplyPhaseThenUniformRX(NewPool(1), Phase{Diag: diag, Gamma: 0.9}, 0.4)
-	if d := s.ToVec().Norm(); d < 1-1e-12 || d > 1+1e-12 {
+	s := splitOf[float64](v)
+	UniformRXPlanes(NewPool(1), s.Re, s.Im, Phase{Diag: diag, Gamma: 0.9}, 0.4)
+	if d := toVec(s.Re, s.Im).Norm(); d < 1-1e-12 || d > 1+1e-12 {
 		t.Fatalf("odd-n tiled layer broke the norm: %v", d)
 	}
 }
@@ -158,15 +158,15 @@ func BenchmarkFusedLayer(b *testing.B) {
 		s := NewSoAUniform(n)
 		b.SetBytes(int64(16 * len(diag)))
 		for i := 0; i < b.N; i++ {
-			s.PhaseDiag(p, diag, 0.7)
-			s.ApplyUniformRX(p, 0.3)
+			ApplyPhasePlanes(p, s.Re, s.Im, Phase{Diag: diag, Gamma: 0.7})
+			UniformRXPlanes(p, s.Re, s.Im, Phase{}, 0.3)
 		}
 	})
 	b.Run("fused", func(b *testing.B) {
 		s := NewSoAUniform(n)
 		b.SetBytes(int64(16 * len(diag)))
 		for i := 0; i < b.N; i++ {
-			s.ApplyPhaseThenUniformRX(p, Phase{Diag: diag, Gamma: 0.7}, 0.3)
+			UniformRXPlanes(p, s.Re, s.Im, Phase{Diag: diag, Gamma: 0.7}, 0.3)
 		}
 	})
 }

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// This file holds the kernels behind the adjoint-mode gradient engine
-// (internal/core.SimulateQAOAGrad). The adjoint method walks the QAOA
+// This file holds the kernels behind the adjoint-mode gradient engines
+// (internal/shard's, and internal/core's Serial reference). The adjoint method walks the QAOA
 // circuit backwards with two states — the ket ψ and the cost-weighted
 // bra λ = Ĉ|ψ⟩ — and reads every parameter derivative off a reduction
 // of the pair:
@@ -23,12 +23,12 @@ import (
 // to both states, and one elementwise pass (ReversePhase) adds up the
 // phase derivative and undoes the phase on both states from a single
 // table read or sincos per amplitude. ReverseXY and ReversePhase come
-// in the package's three representations (serial complex128, SoA,
-// SoA32 — the last accumulating in float64); ReverseRX is serial
-// complex128 only, because the split layouts run a whole x-mixer
-// reverse step, phase included, as one tiled kernel
-// (ReverseUniformRX, tiled.go) in 2–3 cache-sized passes instead of
-// n + 1 full ones. All of them apply the same rotation arithmetic as
+// for complex128 vectors (the Serial reference) and as generic kernels
+// on split planes of either precision (accumulating in float64);
+// ReverseRX is complex128 only, because the split planes run a whole
+// x-mixer reverse step, phase included, as one tiled kernel
+// (ReverseUniformRXPlanes, tiled.go) in 2–3 cache-sized passes instead
+// of n + 1 full ones. All of them apply the same rotation arithmetic as
 // the forward kernels at the negated angle.
 //
 // The standalone complex128 reductions below (ImDotDiag, ImDotXAll,
@@ -136,34 +136,6 @@ func ImDotXY(lam, psi Vec, i, j int) float64 {
 	}
 	return s
 }
-
-// Copy overwrites s with src without allocating; it panics on length
-// mismatch. The adjoint reverse pass uses it to seed λ from ψ.
-func (s *SoA) Copy(src *SoA) {
-	if len(s.Re) != len(src.Re) {
-		panic(fmt.Sprintf("statevec: Copy length mismatch %d vs %d", len(s.Re), len(src.Re)))
-	}
-	copy(s.Re, src.Re)
-	copy(s.Im, src.Im)
-}
-
-// MulDiag multiplies amplitude x by diag_x in place (SoA layout: one
-// real scale per component slice).
-func (s *SoA) MulDiag(p *Pool, diag []float64) { MulDiagPlanes(p, s.Re, s.Im, Phase{Diag: diag}) }
-
-// Copy overwrites s with src without allocating; it panics on length
-// mismatch.
-func (s *SoA32) Copy(src *SoA32) {
-	if len(s.Re) != len(src.Re) {
-		panic(fmt.Sprintf("statevec: Copy length mismatch %d vs %d", len(s.Re), len(src.Re)))
-	}
-	copy(s.Re, src.Re)
-	copy(s.Im, src.Im)
-}
-
-// MulDiag multiplies amplitude x by diag_x in place. The product is
-// formed in float64 and rounded once on store.
-func (s *SoA32) MulDiag(p *Pool, diag []float64) { MulDiagPlanes(p, s.Re, s.Im, Phase{Diag: diag}) }
 
 // MulDiagPlanes multiplies amplitude x of split planes by its cost C_x
 // in place, ψ ← Ĉ|ψ⟩ for the cost source of ph (Gamma and Tab are not
@@ -335,19 +307,9 @@ func reversePhaseRange(lam, psi Vec, ph Phase, undo bool, lo, hi int) float64 {
 	return acc
 }
 
-// ReverseXY is the split-layout joint xy reverse step with s as λ.
-func (s *SoA) ReverseXY(p *Pool, psi *SoA, i, j int, beta float64) float64 {
-	return ReverseXYPlanes(p, s.Re, s.Im, psi.Re, psi.Im, i, j, beta)
-}
-
-// ReverseXY is the single-precision joint xy reverse step with s as λ,
-// accumulating in float64.
-func (s *SoA32) ReverseXY(p *Pool, psi *SoA32, i, j int, beta float64) float64 {
-	return ReverseXYPlanes(p, s.Re, s.Im, psi.Re, psi.Im, i, j, beta)
-}
-
 // ReverseXYPlanes is the joint xy reverse step on split planes with
-// (lr, li) as λ, the kernel behind SoA.ReverseXY and SoA32.ReverseXY.
+// (lr, li) as λ: it undoes ApplyXYPlanes(·, i, j, β) on both states and
+// returns Im ⟨λ|H_e|ψ⟩, accumulated in float64.
 func ReverseXYPlanes[T Float](p *Pool, lr, li, pr, pi []T, i, j int, beta float64) float64 {
 	checkPair("ReverseXY", len(lr), len(pr))
 	lo, hi := checkEdge("ReverseXY", numQubits(len(lr)), i, j)
@@ -376,20 +338,9 @@ func ReverseXYPlanes[T Float](p *Pool, lr, li, pr, pi []T, i, j int, beta float6
 	})
 }
 
-// ReversePhase is the split-layout joint phase reverse step with s as λ.
-func (s *SoA) ReversePhase(p *Pool, psi *SoA, ph Phase, undo bool) float64 {
-	return ReversePhasePlanes(p, s.Re, s.Im, psi.Re, psi.Im, ph, undo)
-}
-
-// ReversePhase is the single-precision joint phase reverse step with s
-// as λ: factors in float64 rounded once, reduction in float64.
-func (s *SoA32) ReversePhase(p *Pool, psi *SoA32, ph Phase, undo bool) float64 {
-	return ReversePhasePlanes(p, s.Re, s.Im, psi.Re, psi.Im, ph, undo)
-}
-
 // ReversePhasePlanes is the joint phase reverse step on split planes
-// with (lr, li) as λ, the kernel behind SoA.ReversePhase and
-// SoA32.ReversePhase.
+// with (lr, li) as λ: it returns Im ⟨λ|Ĉ|ψ⟩ and, when undo is set,
+// undoes ph on both states, factors in float64 rounded once.
 func ReversePhasePlanes[T Float](p *Pool, lr, li, pr, pi []T, ph Phase, undo bool) float64 {
 	checkPair("ReversePhase", len(lr), len(pr))
 	ph.check("ReversePhase", len(lr))

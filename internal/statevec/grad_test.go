@@ -81,12 +81,12 @@ func TestImDotDiagAgainstReference(t *testing.T) {
 				t.Errorf("serial ReversePhase(undo=%v, table=%v) = %v, want %v", undo, ph.Codes != nil, g, want)
 			}
 			for _, sph := range split {
-				sl, sp := SoAFromVec(lam), SoAFromVec(psi)
-				if g := sl.ReversePhase(gradPool(), sp, sph, undo); math.Abs(g-want) > 1e-12 {
+				sl, sp := splitOf[float64](lam), splitOf[float64](psi)
+				if g := ReversePhasePlanes(gradPool(), sl.Re, sl.Im, sp.Re, sp.Im, sph, undo); math.Abs(g-want) > 1e-12 {
 					t.Errorf("SoA ReversePhase(undo=%v, codes-only=%v) = %v, want %v", undo, sph.Diag == nil, g, want)
 				}
-				sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
-				if g := sl32.ReversePhase(gradPool(), sp32, sph, undo); math.Abs(g-want) > 1e-5 {
+				sl32, sp32 := splitOf[float32](lam), splitOf[float32](psi)
+				if g := ReversePhasePlanes(gradPool(), sl32.Re, sl32.Im, sp32.Re, sp32.Im, sph, undo); math.Abs(g-want) > 1e-5 {
 					t.Errorf("SoA32 ReversePhase(undo=%v, codes-only=%v) = %v, want %v", undo, sph.Diag == nil, g, want)
 				}
 			}
@@ -105,14 +105,14 @@ func TestMulDiagBackends(t *testing.T) {
 	want := v.Clone()
 	MulDiag(want, diag)
 
-	soa := SoAFromVec(v)
-	soa.MulDiag(gradPool(), diag)
-	if d := MaxAbsDiff(want, soa.ToVec()); d > 1e-15 {
+	soa := splitOf[float64](v)
+	MulDiagPlanes(gradPool(), soa.Re, soa.Im, Phase{Diag: diag})
+	if d := MaxAbsDiff(want, toVec(soa.Re, soa.Im)); d > 1e-15 {
 		t.Errorf("SoA MulDiag differs by %v", d)
 	}
-	soa32 := SoA32FromVec(v)
-	soa32.MulDiag(gradPool(), diag)
-	if d := MaxAbsDiff(want, soa32.ToVec()); d > 1e-6 {
+	soa32 := splitOf[float32](v)
+	MulDiagPlanes(gradPool(), soa32.Re, soa32.Im, Phase{Diag: diag})
+	if d := MaxAbsDiff(want, toVec(soa32.Re, soa32.Im)); d > 1e-6 {
 		t.Errorf("SoA32 MulDiag differs by %v", d)
 	}
 }
@@ -136,15 +136,15 @@ func TestImDotXAllAgainstReference(t *testing.T) {
 	if got := ImDotXAll(lam, psi); math.Abs(got-want) > 1e-12 {
 		t.Errorf("serial ImDotXAll = %v, want %v", got, want)
 	}
-	sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
+	sl32, sp32 := splitOf[float32](lam), splitOf[float32](psi)
 	var got [3]float64
 	l, ps := lam.Clone(), psi.Clone()
 	for q := 0; q < n; q++ {
 		got[0] += ReverseRX(l, ps, q, beta)
 	}
-	sl, sp := SoAFromVec(lam), SoAFromVec(psi)
-	got[1], _ = sl.ReverseUniformRX(gradPool(), sp, beta, Phase{}, false)
-	got[2], _ = sl32.ReverseUniformRX(gradPool(), sp32, beta, Phase{}, false)
+	sl, sp := splitOf[float64](lam), splitOf[float64](psi)
+	got[1], _ = ReverseUniformRXPlanes(gradPool(), sl.Re, sl.Im, sp.Re, sp.Im, beta, Phase{}, false)
+	got[2], _ = ReverseUniformRXPlanes(gradPool(), sl32.Re, sl32.Im, sp32.Re, sp32.Im, beta, Phase{}, false)
 	for k, name := range []string{"serial", "soa", "soa32"} {
 		tol := 1e-12
 		if name == "soa32" {
@@ -175,12 +175,12 @@ func TestImDotXYAgainstReference(t *testing.T) {
 			if got := ReverseXY(lam.Clone(), psi.Clone(), i, j, 0.4); math.Abs(got-want) > 1e-12 {
 				t.Errorf("serial ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
-			sl, sp := SoAFromVec(lam), SoAFromVec(psi)
-			if got := sl.ReverseXY(gradPool(), sp, i, j, 0.4); math.Abs(got-want) > 1e-12 {
+			sl, sp := splitOf[float64](lam), splitOf[float64](psi)
+			if got := ReverseXYPlanes(gradPool(), sl.Re, sl.Im, sp.Re, sp.Im, i, j, 0.4); math.Abs(got-want) > 1e-12 {
 				t.Errorf("SoA ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
-			sl32, sp32 := SoA32FromVec(lam), SoA32FromVec(psi)
-			if got := sl32.ReverseXY(gradPool(), sp32, i, j, 0.4); math.Abs(got-want) > 1e-5 {
+			sl32, sp32 := splitOf[float32](lam), splitOf[float32](psi)
+			if got := ReverseXYPlanes(gradPool(), sl32.Re, sl32.Im, sp32.Re, sp32.Im, i, j, 0.4); math.Abs(got-want) > 1e-5 {
 				t.Errorf("SoA32 ReverseXY (%d,%d): got %v, want %v", i, j, got, want)
 			}
 		}
@@ -234,45 +234,28 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 		// The split layouts: the tiled ReverseUniformRX undoes the tiled
 		// F = 2 forward mixer and the phase in one call.
 		p := gradPool()
-		sl, sp := SoAFromVec(lam0), SoAFromVec(psi0)
-		for _, v := range []*SoA{sl, sp} {
-			v.ApplyPhase(p, ph)
-			v.ApplyUniformRX(p, beta)
-			v.ApplyXY(p, 1, 4, beta)
+		sl, sp := splitOf[float64](lam0), splitOf[float64](psi0)
+		for _, v := range []*split[float64]{sl, sp} {
+			ApplyPhasePlanes(p, v.Re, v.Im, ph)
+			UniformRXPlanes(p, v.Re, v.Im, Phase{}, beta)
+			ApplyXYPlanes(p, v.Re, v.Im, 1, 4, beta)
 		}
-		sl.ReverseXY(p, sp, 1, 4, beta)
-		sl.ReverseUniformRX(p, sp, beta, ph, true)
-		if d := MaxAbsDiff(sl.ToVec(), lam0) + MaxAbsDiff(sp.ToVec(), psi0); d > 1e-12 {
+		ReverseXYPlanes(p, sl.Re, sl.Im, sp.Re, sp.Im, 1, 4, beta)
+		ReverseUniformRXPlanes(p, sl.Re, sl.Im, sp.Re, sp.Im, beta, ph, true)
+		if d := MaxAbsDiff(toVec(sl.Re, sl.Im), lam0) + MaxAbsDiff(toVec(sp.Re, sp.Im), psi0); d > 1e-12 {
 			t.Errorf("SoA table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
-		sl32, sp32 := SoA32FromVec(lam0), SoA32FromVec(psi0)
-		for _, v := range []*SoA32{sl32, sp32} {
-			v.ApplyPhase(p, ph)
-			v.ApplyUniformRX(p, beta)
-			v.ApplyXY(p, 1, 4, beta)
+		sl32, sp32 := splitOf[float32](lam0), splitOf[float32](psi0)
+		for _, v := range []*split[float32]{sl32, sp32} {
+			ApplyPhasePlanes(p, v.Re, v.Im, ph)
+			UniformRXPlanes(p, v.Re, v.Im, Phase{}, beta)
+			ApplyXYPlanes(p, v.Re, v.Im, 1, 4, beta)
 		}
-		sl32.ReverseXY(p, sp32, 1, 4, beta)
-		sl32.ReverseUniformRX(p, sp32, beta, ph, true)
-		if d := MaxAbsDiff(sl32.ToVec(), lam0) + MaxAbsDiff(sp32.ToVec(), psi0); d > 1e-5 {
+		ReverseXYPlanes(p, sl32.Re, sl32.Im, sp32.Re, sp32.Im, 1, 4, beta)
+		ReverseUniformRXPlanes(p, sl32.Re, sl32.Im, sp32.Re, sp32.Im, beta, ph, true)
+		if d := MaxAbsDiff(toVec(sl32.Re, sl32.Im), lam0) + MaxAbsDiff(toVec(sp32.Re, sp32.Im), psi0); d > 1e-5 {
 			t.Errorf("SoA32 table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
-	}
-}
-
-func TestSoACopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	v := randState(rng, 4)
-	src := SoAFromVec(v)
-	dst := NewSoA(4)
-	dst.Copy(src)
-	if d := MaxAbsDiff(v, dst.ToVec()); d != 0 {
-		t.Errorf("SoA Copy differs by %v", d)
-	}
-	src32 := SoA32FromVec(v)
-	dst32 := NewSoA32(4)
-	dst32.Copy(src32)
-	if d := MaxAbsDiff(src32.ToVec(), dst32.ToVec()); d != 0 {
-		t.Errorf("SoA32 Copy differs by %v", d)
 	}
 }
 
@@ -324,18 +307,18 @@ func TestSoA32ImDotXRange(t *testing.T) {
 	n := 7
 	lam64 := randState(rng, n)
 	psi64 := randState(rng, n)
-	lam32 := SoA32FromVec(lam64)
-	psi32 := SoA32FromVec(psi64)
-	lamR := lam32.ToVec()
-	psiR := psi32.ToVec()
+	lam32 := splitOf[float32](lam64)
+	psi32 := splitOf[float32](psi64)
+	lamR := toVec(lam32.Re, lam32.Im)
+	psiR := toVec(psi32.Re, psi32.Im)
 	p := NewPool(2)
 	for _, r := range [][2]int{{0, n}, {0, 3}, {3, n}, {5, 5}, {2, 4}, {4, n}} {
 		want := ImDotXRange(lamR, psiR, r[0], r[1])
-		l, ps := SoAFromVec(lamR), SoAFromVec(psiR)
+		l, ps := splitOf[float64](lamR), splitOf[float64](psiR)
 		if got := ReverseRXRangePlanes(p, l.Re, l.Im, ps.Re, ps.Im, r[0], r[1], 0.37); math.Abs(got-want) > 1e-12 {
 			t.Errorf("range [%d,%d): SoA %v, complex128 %v", r[0], r[1], got, want)
 		}
-		l32, ps32 := SoA32FromVec(lamR), SoA32FromVec(psiR)
+		l32, ps32 := splitOf[float32](lamR), splitOf[float32](psiR)
 		if got := ReverseRXRangePlanes(p, l32.Re, l32.Im, ps32.Re, ps32.Im, r[0], r[1], 0.37); math.Abs(got-want) > 1e-5 {
 			t.Errorf("range [%d,%d): SoA32 %v, complex128 %v", r[0], r[1], got, want)
 		}

@@ -7,7 +7,8 @@ import (
 )
 
 // This file holds the pivot kernels of a state stored over a bit-flip
-// symmetry group (internal/core's group state, distsim's group shards).
+// symmetry group (internal/shard's group states, single-rank or
+// sharded).
 // If ψ(x ⊕ g) = ψ(x) for every x and every g of a group whose elements
 // carry each of the top h bits, the state can be stored over the
 // 2^(n−h) indices whose top h bits are zero, holding the full state's
@@ -21,28 +22,6 @@ import (
 // run in parallel. μ = len−1 (the complement group {0, 1…1}, h = 1)
 // pairs i with its mirror len−1−i. Any nonzero μ < len works, so a
 // distributed rank passes the pair mask its layout gives the pivot.
-
-// ApplyMirrorRX applies the RX(β) of a pivot qubit to the stored state
-// s: the pair update of ApplyRX on every pair (i, i ⊕ mu).
-func (s *SoA) ApplyMirrorRX(p *Pool, mu int, beta float64) { MirrorRXPlanes(p, s.Re, s.Im, mu, beta) }
-
-// ApplyMirrorRX applies the RX(β) of a pivot qubit to the
-// single-precision stored state s.
-func (s *SoA32) ApplyMirrorRX(p *Pool, mu int, beta float64) { MirrorRXPlanes(p, s.Re, s.Im, mu, beta) }
-
-// ReverseMirrorRX is the adjoint reverse step of a pivot qubit on a
-// stored state pair, with s as the bra λ: it applies RX(−β) on the pairs
-// (i, i ⊕ mu) of λ and ψ and returns Im ⟨λ|X_q|ψ⟩ summed over the
-// stored amplitudes, accumulated in float64.
-func (s *SoA) ReverseMirrorRX(p *Pool, psi *SoA, mu int, beta float64) float64 {
-	return ReverseMirrorRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, mu, beta)
-}
-
-// ReverseMirrorRX is the single-precision pivot reverse step with s as
-// λ.
-func (s *SoA32) ReverseMirrorRX(p *Pool, psi *SoA32, mu int, beta float64) float64 {
-	return ReverseMirrorRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, mu, beta)
-}
 
 // checkMirror panics unless a stored state of size amplitudes has the
 // pairs (i, i ⊕ mu): a power of two of at least 2, and 0 < mu < size.
@@ -72,10 +51,10 @@ func forPairRuns(lo, hi, top int, fn func(i, end int)) {
 	}
 }
 
-// MirrorRXPlanes is the pivot kernel on split planes, behind
-// ApplyMirrorRX: RX(β) on every pair (i, i ⊕ mu). A distributed group
-// shard runs it once per pivot on its transposed planes, with the local
-// mask at which each amplitude's pivot partner lies there.
+// MirrorRXPlanes is the pivot kernel on split planes: RX(β) on every
+// pair (i, i ⊕ mu). A group shard runs it once per pivot, on its
+// transposed planes at k > 0, with the local mask at which each
+// amplitude's pivot partner lies there.
 func MirrorRXPlanes[T Float](p *Pool, re, im []T, mu int, beta float64) {
 	top := checkMirror("ApplyMirrorRX", len(re), mu)
 	sn64, cs64 := math.Sincos(beta)
@@ -95,8 +74,10 @@ func MirrorRXPlanes[T Float](p *Pool, re, im []T, mu int, beta float64) {
 	})
 }
 
-// ReverseMirrorRXPlanes is the joint pivot reverse step on split
-// planes, behind ReverseMirrorRX, with (lr, li) as λ.
+// ReverseMirrorRXPlanes is the adjoint reverse step of a pivot qubit on
+// a stored state pair with (lr, li) as the bra λ: it applies RX(−β) on
+// the pairs (i, i ⊕ mu) of λ and ψ and returns Im ⟨λ|X_q|ψ⟩ summed over
+// the stored amplitudes, accumulated in float64.
 func ReverseMirrorRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, mu int, beta float64) float64 {
 	checkPair("ReverseMirrorRX", len(lr), len(pr))
 	top := checkMirror("ReverseMirrorRX", len(lr), mu)

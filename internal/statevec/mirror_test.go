@@ -228,17 +228,22 @@ func checkComplementBitwise[T Float](t *testing.T) {
 func TestMirrorRXComplementBitwise(t *testing.T)   { checkComplementBitwise[float64](t) }
 func TestMirrorRXComplementBitwise32(t *testing.T) { checkComplementBitwise[float32](t) }
 
+// reverseMirror runs the pivot reverse step with mask mu on (lam, psi).
+func reverseMirror[T Float](p *Pool, lam, psi *split[T], mu int) {
+	ReverseMirrorRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, mu, 0.3)
+}
+
 // TestMirrorRXPanics: a stored state needs at least one pair, a pair
 // mask in (0, len), and the reverse step a λ and ψ of one length.
 func TestMirrorRXPanics(t *testing.T) {
 	p := NewPool(1)
 	for name, f := range map[string]func(){
-		"one amplitude":   func() { NewSoA(0).ApplyMirrorRX(p, 1, 0.3) },
-		"zero mask":       func() { NewSoA(3).ApplyMirrorRX(p, 0, 0.3) },
-		"mask too wide":   func() { NewSoA32(3).ApplyMirrorRX(p, 8, 0.3) },
-		"reverse one":     func() { NewSoA32(0).ReverseMirrorRX(p, NewSoA32(0), 1, 0.3) },
-		"reverse zero":    func() { NewSoA(3).ReverseMirrorRX(p, NewSoA(3), 0, 0.3) },
-		"reverse lengths": func() { NewSoA(3).ReverseMirrorRX(p, NewSoA(4), 7, 0.3) },
+		"one amplitude":   func() { s := newSplit[float64](0); MirrorRXPlanes(p, s.Re, s.Im, 1, 0.3) },
+		"zero mask":       func() { s := newSplit[float64](3); MirrorRXPlanes(p, s.Re, s.Im, 0, 0.3) },
+		"mask too wide":   func() { s := newSplit[float32](3); MirrorRXPlanes(p, s.Re, s.Im, 8, 0.3) },
+		"reverse one":     func() { reverseMirror(p, newSplit[float32](0), newSplit[float32](0), 1) },
+		"reverse zero":    func() { reverseMirror(p, newSplit[float64](3), newSplit[float64](3), 0) },
+		"reverse lengths": func() { reverseMirror(p, newSplit[float64](3), newSplit[float64](4), 7) },
 	} {
 		func() {
 			defer func() {
@@ -271,22 +276,22 @@ func BenchmarkMirrorRX(b *testing.B) {
 		psi, lam := NewSoAUniform(n-c.h), NewSoAUniform(n-c.h)
 		b.Run(c.name+"/forward/mirror", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				psi.ApplyMirrorRX(p, c.mu, 0.3)
+				MirrorRXPlanes(p, psi.Re, psi.Im, c.mu, 0.3)
 			}
 		})
 		b.Run(c.name+"/forward/tiled", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				psi.ApplyPhaseThenUniformRX(p, ph, 0.3)
+				UniformRXPlanes(p, psi.Re, psi.Im, ph, 0.3)
 			}
 		})
 		b.Run(c.name+"/reverse/mirror", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lam.ReverseMirrorRX(p, psi, c.mu, 0.3)
+				ReverseMirrorRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, c.mu, 0.3)
 			}
 		})
 		b.Run(c.name+"/reverse/tiled", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lam.ReverseUniformRX(p, psi, 0.3, ph, true)
+				ReverseUniformRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, 0.3, ph, true)
 			}
 		})
 	}

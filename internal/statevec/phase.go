@@ -65,23 +65,17 @@ func phaseRange(v Vec, ph Phase, lo, hi int) {
 }
 
 // Float is the element type of the split-layout states' real and
-// imaginary planes: float64 for SoA, float32 for SoA32. The SoA and
-// SoA32 kernels run the same arithmetic on either, with rotation
+// imaginary planes: float64, or float32 for the single-precision mode.
+// The *Planes kernels run the same arithmetic on either, with rotation
 // coefficients and phase factors computed in float64 and rounded once
 // to the plane type, and reductions accumulated in float64.
 type Float interface {
 	float32 | float64
 }
 
-// ApplyPhase multiplies amplitude x by e^{−iγ·diag_x} in place.
-func (s *SoA) ApplyPhase(p *Pool, ph Phase) { ApplyPhasePlanes(p, s.Re, s.Im, ph) }
-
-// ApplyPhase multiplies amplitude x by e^{−iγ·diag_x}; the phase
-// factors are evaluated in double precision and rounded once.
-func (s *SoA32) ApplyPhase(p *Pool, ph Phase) { ApplyPhasePlanes(p, s.Re, s.Im, ph) }
-
-// ApplyPhasePlanes is the phase operator on split planes, the kernel
-// behind SoA.ApplyPhase and SoA32.ApplyPhase.
+// ApplyPhasePlanes is the phase operator on split planes: each
+// amplitude times e^{−iγ·diag_x}, the factor evaluated in float64 and
+// rounded once to the plane type.
 func ApplyPhasePlanes[T Float](p *Pool, re, im []T, ph Phase) {
 	ph.check("ApplyPhase", len(re))
 	p.Run(len(re), func(lo, hi int) { phaseRangePlanes(re, im, ph, lo, hi) })

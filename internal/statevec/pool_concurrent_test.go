@@ -45,10 +45,10 @@ func TestPoolPhaseDiagConcurrent(t *testing.T) {
 	pool.minParallel = 1 // force the parallel code path at 2^11 amplitudes
 
 	type job struct {
-		soa    *SoA
-		soa32  *SoA32
+		soa    *split[float64]
+		soa32  *split[float32]
 		want   Vec
-		want32 *SoA32
+		want32 *split[float32]
 		diag   []float64
 		gamma  float64
 	}
@@ -61,28 +61,28 @@ func TestPoolPhaseDiagConcurrent(t *testing.T) {
 			diag[i] = rng.NormFloat64()
 		}
 		jobs[k] = job{
-			soa:    SoAFromVec(v),
-			soa32:  SoA32FromVec(v),
+			soa:    splitOf[float64](v),
+			soa32:  splitOf[float32](v),
 			want:   v.Clone(),
-			want32: SoA32FromVec(v),
+			want32: splitOf[float32](v),
 			diag:   diag,
 			gamma:  rng.Float64(),
 		}
 		PhaseDiag(jobs[k].want, diag, jobs[k].gamma) // serial reference
-		jobs[k].want32.PhaseDiag(NewPool(1), diag, jobs[k].gamma)
+		ApplyPhasePlanes(NewPool(1), jobs[k].want32.Re, jobs[k].want32.Im, Phase{Diag: diag, Gamma: jobs[k].gamma})
 	}
 
 	concurrently(workers, func(id int) {
 		j := &jobs[id]
-		j.soa.PhaseDiag(pool, j.diag, j.gamma)
-		j.soa32.PhaseDiag(pool, j.diag, j.gamma)
+		ApplyPhasePlanes(pool, j.soa.Re, j.soa.Im, Phase{Diag: j.diag, Gamma: j.gamma})
+		ApplyPhasePlanes(pool, j.soa32.Re, j.soa32.Im, Phase{Diag: j.diag, Gamma: j.gamma})
 	})
 
 	for k, j := range jobs {
-		if d := MaxAbsDiff(j.soa.ToVec(), j.want); d != 0 {
+		if d := MaxAbsDiff(toVec(j.soa.Re, j.soa.Im), j.want); d != 0 {
 			t.Errorf("worker %d: SoA PhaseDiag deviates from serial by %g", k, d)
 		}
-		if d := MaxAbsDiff(j.soa32.ToVec(), j.want32.ToVec()); d != 0 {
+		if d := MaxAbsDiff(toVec(j.soa32.Re, j.soa32.Im), toVec(j.want32.Re, j.want32.Im)); d != 0 {
 			t.Errorf("worker %d: SoA32 PhaseDiag deviates from a one-worker run by %g", k, d)
 		}
 	}
@@ -116,14 +116,14 @@ func TestPoolApplyUniformRXConcurrent(t *testing.T) {
 		apply func(v Vec, beta float64) Vec
 	}{
 		{"soa", 1e-13, func(v Vec, beta float64) Vec {
-			s := SoAFromVec(v)
-			s.ApplyUniformRX(pool, beta)
-			return s.ToVec()
+			s := splitOf[float64](v)
+			UniformRXPlanes(pool, s.Re, s.Im, Phase{}, beta)
+			return toVec(s.Re, s.Im)
 		}},
 		{"soa32", 1e-4, func(v Vec, beta float64) Vec {
-			s := SoA32FromVec(v)
-			s.ApplyUniformRX(pool, beta)
-			return s.ToVec()
+			s := splitOf[float32](v)
+			UniformRXPlanes(pool, s.Re, s.Im, Phase{}, beta)
+			return toVec(s.Re, s.Im)
 		}},
 	}
 	for _, vt := range variants {
@@ -158,7 +158,7 @@ func TestPoolApplyXYConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	type job struct {
 		vec  Vec
-		soa  *SoA
+		soa  *split[float64]
 		want Vec
 		i, j int
 		beta float64
@@ -169,21 +169,21 @@ func TestPoolApplyXYConcurrent(t *testing.T) {
 		i := rng.Intn(n)
 		j := (i + 1 + rng.Intn(n-1)) % n
 		beta := rng.Float64() * 2
-		jobs[k] = job{vec: v.Clone(), soa: SoAFromVec(v), want: v.Clone(), i: i, j: j, beta: beta}
+		jobs[k] = job{vec: v.Clone(), soa: splitOf[float64](v), want: v.Clone(), i: i, j: j, beta: beta}
 		ApplyXY(jobs[k].want, i, j, beta) // serial reference
 	}
 
 	concurrently(workers, func(id int) {
 		j := &jobs[id]
 		pool.ApplyXY(j.vec, j.i, j.j, j.beta)
-		j.soa.ApplyXY(pool, j.i, j.j, j.beta)
+		ApplyXYPlanes(pool, j.soa.Re, j.soa.Im, j.i, j.j, j.beta)
 	})
 
 	for k, j := range jobs {
 		if d := MaxAbsDiff(j.vec, j.want); d != 0 {
 			t.Errorf("worker %d: pool ApplyXY(%d,%d) deviates from serial by %g", k, j.i, j.j, d)
 		}
-		if d := MaxAbsDiff(j.soa.ToVec(), j.want); d != 0 {
+		if d := MaxAbsDiff(toVec(j.soa.Re, j.soa.Im), j.want); d != 0 {
 			t.Errorf("worker %d: SoA ApplyXY(%d,%d) deviates from serial by %g", k, j.i, j.j, d)
 		}
 	}
@@ -200,22 +200,22 @@ func TestPoolReduceConcurrent(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(31))
 	v := randomVec(rng, n)
-	soa, soa32 := SoAFromVec(v), SoA32FromVec(v)
+	soa, soa32 := splitOf[float64](v), splitOf[float32](v)
 	diag := make([]float64, len(v))
 	for i := range diag {
 		diag[i] = rng.NormFloat64()
 	}
 	want := [2][2]float64{
-		{soa.ExpectationDiag(pool, diag), soa.NormSquared(pool)},
-		{soa32.ExpectationDiag(pool, diag), soa32.NormSquared(pool)},
+		{ExpectationPlanes(pool, soa.Re, soa.Im, Phase{Diag: diag}), normSquared(pool, soa.Re, soa.Im)},
+		{ExpectationPlanes(pool, soa32.Re, soa32.Im, Phase{Diag: diag}), normSquared(pool, soa32.Re, soa32.Im)},
 	}
 
 	results := make([][2]float64, workers)
 	concurrently(workers, func(id int) {
 		if id%2 == 0 {
-			results[id] = [2]float64{soa.ExpectationDiag(pool, diag), soa.NormSquared(pool)}
+			results[id] = [2]float64{ExpectationPlanes(pool, soa.Re, soa.Im, Phase{Diag: diag}), normSquared(pool, soa.Re, soa.Im)}
 		} else {
-			results[id] = [2]float64{soa32.ExpectationDiag(pool, diag), soa32.NormSquared(pool)}
+			results[id] = [2]float64{ExpectationPlanes(pool, soa32.Re, soa32.Im, Phase{Diag: diag}), normSquared(pool, soa32.Re, soa32.Im)}
 		}
 	})
 	for k, r := range results {

@@ -10,10 +10,11 @@
 //   - serial complex128 loops over a Vec (the portable reference, and
 //     the gate-based baseline's substrate, whose xy and generic 1-qubit
 //     gates also have worker-pool forms), and
-//   - split real/imaginary planes (SoA, SoA32) run on a worker Pool,
-//     the CPU analogue of the paper's CUDA grid (the index space is
-//     split into independent chunks) and of the vendor-tuned cuStateVec
-//     kernels.
+//   - generic kernels on split real/imaginary planes of float64 or
+//     float32 (the *Planes functions) run on a worker Pool, the CPU
+//     analogue of the paper's CUDA grid (the index space is split into
+//     independent chunks) and of the vendor-tuned cuStateVec kernels;
+//     internal/shard holds the simulators' states in this form.
 package statevec
 
 import (

@@ -406,33 +406,33 @@ func TestSoAKernelsMatchAoS(t *testing.T) {
 	}
 
 	aos := v.Clone()
-	soa := SoAFromVec(v)
+	soa := splitOf[float64](v)
 
 	ApplyUniformRX(aos, 0.71)
-	soa.ApplyUniformRX(p, 0.71)
-	if d := MaxAbsDiff(aos, soa.ToVec()); d > tol {
+	UniformRXPlanes(p, soa.Re, soa.Im, Phase{}, 0.71)
+	if d := MaxAbsDiff(aos, toVec(soa.Re, soa.Im)); d > tol {
 		t.Fatalf("SoA UniformRX mismatch: %g", d)
 	}
 
 	ApplyXY(aos, 0, 3, 0.42)
-	soa.ApplyXY(p, 0, 3, 0.42)
-	if d := MaxAbsDiff(aos, soa.ToVec()); d > tol {
+	ApplyXYPlanes(p, soa.Re, soa.Im, 0, 3, 0.42)
+	if d := MaxAbsDiff(aos, toVec(soa.Re, soa.Im)); d > tol {
 		t.Fatalf("SoA XY mismatch: %g", d)
 	}
 
 	PhaseDiag(aos, diag, 1.21)
-	soa.PhaseDiag(p, diag, 1.21)
-	if d := MaxAbsDiff(aos, soa.ToVec()); d > tol {
+	ApplyPhasePlanes(p, soa.Re, soa.Im, Phase{Diag: diag, Gamma: 1.21})
+	if d := MaxAbsDiff(aos, toVec(soa.Re, soa.Im)); d > tol {
 		t.Fatalf("SoA PhaseDiag mismatch: %g", d)
 	}
 
-	if a, b := ExpectationDiag(aos, diag), soa.ExpectationDiag(p, diag); math.Abs(a-b) > 1e-10 {
+	if a, b := ExpectationDiag(aos, diag), ExpectationPlanes(p, soa.Re, soa.Im, Phase{Diag: diag}); math.Abs(a-b) > 1e-10 {
 		t.Fatalf("SoA expectation mismatch: %v vs %v", a, b)
 	}
-	if a, b := aos.Norm()*aos.Norm(), soa.NormSquared(p); math.Abs(a-b) > 1e-10 {
+	if a, b := aos.Norm()*aos.Norm(), normSquared(p, soa.Re, soa.Im); math.Abs(a-b) > 1e-10 {
 		t.Fatalf("SoA norm² mismatch: %v vs %v", a, b)
 	}
-	pa, pb := aos.Probabilities(nil), soa.Probabilities(nil)
+	pa, pb := aos.Probabilities(nil), toVec(soa.Re, soa.Im).Probabilities(nil)
 	for i := range pa {
 		if math.Abs(pa[i]-pb[i]) > tol {
 			t.Fatalf("SoA probabilities mismatch at %d", i)
@@ -449,17 +449,17 @@ func TestSoAPhaseTable(t *testing.T) {
 	v := randomState(rng, 4)
 	gamma := 0.55
 	diag, codes, tab := randomLevels(rng, len(v), gamma)
-	a := SoAFromVec(v)
-	b := SoAFromVec(v)
-	a.PhaseDiag(p, diag, gamma)
-	b.ApplyPhase(p, Phase{Diag: diag, Gamma: gamma, Codes: codes, Tab: tab})
-	if d := MaxAbsDiff(a.ToVec(), b.ToVec()); d != 0 {
+	a := splitOf[float64](v)
+	b := splitOf[float64](v)
+	ApplyPhasePlanes(p, a.Re, a.Im, Phase{Diag: diag, Gamma: gamma})
+	ApplyPhasePlanes(p, b.Re, b.Im, Phase{Diag: diag, Gamma: gamma, Codes: codes, Tab: tab})
+	if d := MaxAbsDiff(toVec(a.Re, a.Im), toVec(b.Re, b.Im)); d != 0 {
 		t.Errorf("table phase vs PhaseDiag: %g", d)
 	}
 }
 
 func TestNewUniformSoA(t *testing.T) {
-	a := NewSoAUniform(5).ToVec()
+	a := soaVec(NewSoAUniform(5))
 	b := NewUniform(5)
 	if d := MaxAbsDiff(a, b); d > tol {
 		t.Errorf("NewSoAUniform mismatch: %g", d)

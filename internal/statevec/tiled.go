@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the cache-tiled transverse-field mixer kernels of the
-// split layouts (SoA, SoA32): one forward layer and one adjoint reverse
+// split planes: one forward layer and one adjoint reverse
 // step, each a handful of passes over cache-sized tiles instead of one
 // pass over the whole state per qubit (Algorithm 2) or per qubit pair
 // (§VI's F = 2 fusion). The mixer is memory-bound, so the passes, not
@@ -100,47 +100,12 @@ func newRXCoeffs[T Float](beta float64) rxCoeffs[T] {
 // the tiled F = 2 kernel.
 func (s *SoA) ApplyUniformRX(p *Pool, beta float64) { UniformRXPlanes(p, s.Re, s.Im, Phase{}, beta) }
 
-// ApplyUniformRX applies the transverse-field mixer with the tiled
-// F = 2 kernel in single precision.
-func (s *SoA32) ApplyUniformRX(p *Pool, beta float64) { UniformRXPlanes(p, s.Re, s.Im, Phase{}, beta) }
-
-// ApplyPhaseThenUniformRX applies one QAOA layer e^{−iβΣX_q}·e^{−iγĈ}
-// with the tiled F = 2 kernel, the phase applied to each first-pass
-// block while it is in cache. The result is bit-identical to ApplyPhase
-// followed by ApplyUniformRX.
-func (s *SoA) ApplyPhaseThenUniformRX(p *Pool, ph Phase, beta float64) {
-	ph.check("ApplyPhaseThenUniformRX", len(s.Re))
-	UniformRXPlanes(p, s.Re, s.Im, ph, beta)
-}
-
-// ApplyPhaseThenUniformRX is the single-precision tiled layer. Phase
-// factors and rotation coefficients are evaluated in float64 and
-// rounded once; the amplitude arithmetic is float32.
-func (s *SoA32) ApplyPhaseThenUniformRX(p *Pool, ph Phase, beta float64) {
-	ph.check("ApplyPhaseThenUniformRX", len(s.Re))
-	UniformRXPlanes(p, s.Re, s.Im, ph, beta)
-}
-
-// ReverseUniformRX is the adjoint reverse step of one x-mixer layer,
-// with s as the bra λ: for q = 0, …, n−1 it adds Im ⟨λ|X_q|ψ⟩ and
-// applies RX(−β) on qubit q to λ and ψ, and returns the sum as mixer.
-// When ph has a cost source it then returns Im ⟨λ|Ĉ|ψ⟩ as phase and,
-// with undo, undoes ph on both states. The states end bit-identical to
-// per-qubit ApplyRX(−β) steps followed by ReversePhase; reductions
-// accumulate in float64.
-func (s *SoA) ReverseUniformRX(p *Pool, psi *SoA, beta float64, ph Phase, undo bool) (mixer, phase float64) {
-	return ReverseUniformRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta, ph, undo)
-}
-
-// ReverseUniformRX is the single-precision tiled reverse step with s
-// as λ.
-func (s *SoA32) ReverseUniformRX(p *Pool, psi *SoA32, beta float64, ph Phase, undo bool) (mixer, phase float64) {
-	return ReverseUniformRXPlanes(p, s.Re, s.Im, psi.Re, psi.Im, beta, ph, undo)
-}
-
-// UniformRXPlanes is the tiled forward layer on split planes, the
-// kernel behind ApplyPhaseThenUniformRX; a zero ph applies the mixer
-// alone.
+// UniformRXPlanes is the tiled forward layer on split planes: one QAOA
+// layer e^{−iβΣX_q}·e^{−iγĈ} with the phase of ph applied to each
+// first-pass block while it is in cache, bit-identical to
+// ApplyPhasePlanes followed by the mixer; a zero ph applies the mixer
+// alone. Phase factors and rotation coefficients are evaluated in
+// float64 and rounded once to the plane type.
 func UniformRXPlanes[T Float](p *Pool, re, im []T, ph Phase, beta float64) {
 	if ph.active() {
 		ph.check("UniformRXPlanes", len(re))
@@ -323,8 +288,14 @@ func rxPairRun[T Float](re, im []T, i, s int, k rxCoeffs[T]) {
 	}
 }
 
-// ReverseUniformRXPlanes is the tiled reverse step on split planes, the
-// kernel behind ReverseUniformRX; a zero ph runs the mixer alone.
+// ReverseUniformRXPlanes is the adjoint reverse step of one x-mixer
+// layer on split planes, with (lr, li) as the bra λ: for q = 0, …, n−1
+// it adds Im ⟨λ|X_q|ψ⟩ and applies RX(−β) on qubit q to λ and ψ, and
+// returns the sum as mixer. When ph has a cost source it then returns
+// Im ⟨λ|Ĉ|ψ⟩ as phase and, with undo, undoes ph on both states; a zero
+// ph runs the mixer alone. The states end bit-identical to per-qubit
+// RX(−β) steps followed by ReversePhasePlanes; reductions accumulate in
+// float64.
 func ReverseUniformRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, beta float64, ph Phase, undo bool) (mixer, phase float64) {
 	checkPair("ReverseUniformRX", len(lr), len(pr))
 	if ph.active() {

@@ -256,17 +256,18 @@ func TestTiledKernelsConcurrent(t *testing.T) {
 	p := NewPool(3)
 	ph := tiledPhases(rng, 1<<n, 0.7)["table"]
 	type job struct {
-		lam, psi     *SoA
+		lam, psi     *split[float64]
 		mixer, phase float64
 	}
 	run := func(j *job, beta float64) {
-		j.psi.ApplyPhaseThenUniformRX(p, ph, beta)
-		j.lam.Copy(j.psi)
-		j.mixer, j.phase = j.lam.ReverseUniformRX(p, j.psi, beta, ph, true)
+		UniformRXPlanes(p, j.psi.Re, j.psi.Im, ph, beta)
+		copy(j.lam.Re, j.psi.Re)
+		copy(j.lam.Im, j.psi.Im)
+		j.mixer, j.phase = ReverseUniformRXPlanes(p, j.lam.Re, j.lam.Im, j.psi.Re, j.psi.Im, beta, ph, true)
 	}
 	fresh := func(seed int64) *job {
 		r := rand.New(rand.NewSource(seed))
-		return &job{lam: NewSoA(n), psi: SoAFromVec(randState(r, n))}
+		return &job{lam: newSplit[float64](n), psi: splitOf[float64](randState(r, n))}
 	}
 	alone := []*job{fresh(1), fresh(2)}
 	for k, j := range alone {
@@ -284,7 +285,7 @@ func TestTiledKernelsConcurrent(t *testing.T) {
 	wg.Wait()
 	for k := range shared {
 		a, b := alone[k], shared[k]
-		if MaxAbsDiff(a.psi.ToVec(), b.psi.ToVec()) != 0 || MaxAbsDiff(a.lam.ToVec(), b.lam.ToVec()) != 0 {
+		if MaxAbsDiff(toVec(a.psi.Re, a.psi.Im), toVec(b.psi.Re, b.psi.Im)) != 0 || MaxAbsDiff(toVec(a.lam.Re, a.lam.Im), toVec(b.lam.Re, b.lam.Im)) != 0 {
 			t.Errorf("state %d: concurrent tiled kernels changed the states", k)
 		}
 		if a.mixer != b.mixer || a.phase != b.phase {
@@ -320,15 +321,15 @@ func BenchmarkTiledMixer(b *testing.B) {
 	psi, lam := NewSoAUniform(n), NewSoAUniform(n)
 	b.Run("forward/per-qubit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psi.ApplyPhase(p, ph)
+			ApplyPhasePlanes(p, psi.Re, psi.Im, ph)
 			for q := 0; q < n; q++ {
-				psi.ApplyRX(p, q, 0.3)
+				applyRXPlanes(p, psi.Re, psi.Im, q, 0.3)
 			}
 		}
 	})
 	b.Run("forward/tiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psi.ApplyPhaseThenUniformRX(p, ph, 0.3)
+			UniformRXPlanes(p, psi.Re, psi.Im, ph, 0.3)
 		}
 	})
 	b.Run("reverse/per-qubit", func(b *testing.B) {
@@ -339,12 +340,12 @@ func BenchmarkTiledMixer(b *testing.B) {
 					return reverseRXRangePlanes(lam.Re, lam.Im, psi.Re, psi.Im, q, cs, sn, lo, hi)
 				})
 			}
-			lam.ReversePhase(p, psi, ph, true)
+			ReversePhasePlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, ph, true)
 		}
 	})
 	b.Run("reverse/tiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lam.ReverseUniformRX(p, psi, 0.3, ph, true)
+			ReverseUniformRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, 0.3, ph, true)
 		}
 	})
 }
