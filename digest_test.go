@@ -180,24 +180,22 @@ func digestLines(t *testing.T) []string {
 			}
 		}
 	}
-	return append(lines, moreDigestLines(t)...)
+	lines = append(lines, moreDigestLines(t)...)
+	return append(lines, forwardDigestLines(t)...)
 }
 
-// moreDigestLines is the second part of the table, appended after the
-// first 400 lines so that those stay as they are: the Serial reference,
-// an explicit uniform InitialState and the xy-complete mixer on the
-// core engines; the state-level outputs of every core configuration
-// (moreCoreLines); and distsim's checkpointed and gathered forward
-// one-shots (distsimRunLines).
-func moreDigestLines(t *testing.T) []string {
-	t.Helper()
-	ctx := context.Background()
-	type coreConfig struct {
-		name  string
-		opts  core.Options
-		mixer core.Mixer
-	}
-	var configs, added []coreConfig
+// coreConfig is one core simulator configuration of the table.
+type coreConfig struct {
+	name  string
+	opts  core.Options
+	mixer core.Mixer
+}
+
+// digestCoreConfigs returns the core configurations of the table:
+// configs, the SoA and SoA32 engines of the first 400 lines with the x
+// and xy-ring mixers, and added, the configurations moreDigestLines
+// adds (Serial, an explicit uniform InitialState, xy-complete).
+func digestCoreConfigs() (configs, added []coreConfig) {
 	for _, single := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
 			name := fmt.Sprintf("core/soa/w%d", workers)
@@ -225,22 +223,38 @@ func moreDigestLines(t *testing.T) []string {
 		complete.opts.Mixer, complete.mixer = core.MixerXYComplete, core.MixerXYComplete
 		added = append(added, complete)
 	}
-	build := func(n int, terms poly.Terms, c coreConfig) *core.Simulator {
-		opts := c.opts
-		if strings.HasSuffix(c.name, "/init") {
-			opts.InitialState = statevec.NewUniform(n)
-		}
-		sim, err := core.New(n, terms, opts)
-		if err != nil {
-			t.Fatalf("%s n=%d %v: %v", c.name, n, c.mixer, err)
-		}
-		return sim
+	return configs, added
+}
+
+// build returns the configuration's simulator for a problem.
+func (c coreConfig) build(t *testing.T, n int, terms poly.Terms) *core.Simulator {
+	t.Helper()
+	opts := c.opts
+	if strings.HasSuffix(c.name, "/init") {
+		opts.InitialState = statevec.NewUniform(n)
 	}
+	sim, err := core.New(n, terms, opts)
+	if err != nil {
+		t.Fatalf("%s n=%d %v: %v", c.name, n, c.mixer, err)
+	}
+	return sim
+}
+
+// moreDigestLines is the second part of the table, appended after the
+// first 400 lines so that those stay as they are: the Serial reference,
+// an explicit uniform InitialState and the xy-complete mixer on the
+// core engines; the state-level outputs of every core configuration
+// (stateDigest); and distsim's checkpointed and gathered forward
+// one-shots (distsimRunLines).
+func moreDigestLines(t *testing.T) []string {
+	t.Helper()
+	ctx := context.Background()
+	configs, added := digestCoreConfigs()
 	var lines []string
 	for _, n := range []int{8, 12} {
 		for _, c := range added {
 			for _, prob := range digestProblems(t, n) {
-				sim := build(n, prob.terms, c)
+				sim := c.build(t, n, prob.terms)
 				for _, p := range []int{1, 4} {
 					label := fmt.Sprintf("%s %s n=%d %v p=%d", c.name, prob.name, n, c.mixer, p)
 					d, err := digestOf(ctx, sim.NewWorkspace(), sim, n, p)
@@ -255,7 +269,7 @@ func moreDigestLines(t *testing.T) []string {
 	for _, n := range []int{8, 12} {
 		for _, c := range append(configs, added...) {
 			for _, prob := range digestProblems(t, n) {
-				sim := build(n, prob.terms, c)
+				sim := c.build(t, n, prob.terms)
 				for _, p := range []int{1, 4} {
 					label := fmt.Sprintf("%s %s n=%d %v p=%d state", c.name, prob.name, n, c.mixer, p)
 					d, err := stateDigest(sim, n, p)
@@ -286,11 +300,20 @@ func digestAngles(n, p int) (gamma, beta []float64) {
 // adjoint gradient of Z₀ (which no symmetry group of the table fixes),
 // and the states after three more ApplyLayer calls.
 func stateDigest(sim *core.Simulator, n, p int) (string, error) {
-	gamma, beta := digestAngles(n, p)
 	h := digestHash{sha256.New()}
+	if err := hashState(h, sim, n, p, true); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// hashState writes stateDigest's values into h, the Z₀ gradient only
+// when grad is set.
+func hashState(h digestHash, sim *core.Simulator, n, p int, grad bool) error {
+	gamma, beta := digestAngles(n, p)
 	r, err := sim.SimulateQAOA(gamma, beta)
 	if err != nil {
-		return "", err
+		return err
 	}
 	sv := r.StateVector()
 	h.f(sim.InitialState().Norm())
@@ -306,19 +329,21 @@ func stateDigest(sim *core.Simulator, n, p int) (string, error) {
 	}
 	e, err := r.ExpectationOf(z0)
 	if err != nil {
-		return "", err
+		return err
 	}
 	h.f(e)
-	gg, gb := make([]float64, p), make([]float64, p)
-	if e, err = sim.SimulateQAOAGradObsInto(sim.NewGradBuffers(), gamma, beta, z0, gg, gb); err != nil {
-		return "", err
+	if grad {
+		gg, gb := make([]float64, p), make([]float64, p)
+		if e, err = sim.SimulateQAOAGradObsInto(sim.NewGradBuffers(), gamma, beta, z0, gg, gb); err != nil {
+			return err
+		}
+		h.f(e)
+		h.fs(gg)
+		h.fs(gb)
 	}
-	h.f(e)
-	h.fs(gg)
-	h.fs(gb)
 	for l := 0; l < 3; l++ {
 		if err := sim.ApplyLayer(r, gamma[l%p]/2, beta[l%p]/3); err != nil {
-			return "", err
+			return err
 		}
 		h.f(r.Expectation())
 		for _, a := range r.StateVector() {
@@ -327,7 +352,7 @@ func stateDigest(sim *core.Simulator, n, p int) (string, error) {
 		}
 	}
 	h.fs(slices.Clone(r.Probabilities(nil, false)))
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return nil
 }
 
 // distsimRunLines hashes distsim's forward one-shots at p = 4: the
@@ -402,6 +427,11 @@ func distsimRunLines(t *testing.T) []string {
 // state.
 func runDigest(res *distsim.Result) string {
 	h := digestHash{sha256.New()}
+	hashRun(h, res)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func hashRun(h digestHash, res *distsim.Result) {
 	h.f(res.Expectation)
 	h.f(res.Overlap)
 	h.f(res.MinCost)
@@ -410,30 +440,40 @@ func runDigest(res *distsim.Result) string {
 		h.f(real(a))
 		h.f(imag(a))
 	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // digestOf hashes the energy, the gradient, every EvalOutputs field, a
 // 1,000-shot stream and, for a core simulator, its cost diagonal,
 // minimum cost and ground states, at angles fixed by n and p.
 func digestOf(ctx context.Context, ev evaluator.OutputEvaluator, sim *core.Simulator, n, p int) (string, error) {
+	h := digestHash{sha256.New()}
+	if err := hashOutputs(ctx, h, ev, sim, n, p, true); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// hashOutputs writes digestOf's values into h, the EnergyGrad call's
+// energy and gradient only when grad is set.
+func hashOutputs(ctx context.Context, h digestHash, ev evaluator.OutputEvaluator, sim *core.Simulator, n, p int, grad bool) error {
 	rng := rand.New(rand.NewSource(int64(100*n + p)))
 	x := make([]float64, 2*p)
 	for i := range x {
 		x[i] = 0.1 + 0.8*rng.Float64()
 	}
-	h := digestHash{sha256.New()}
 	e, err := ev.Energy(ctx, x)
 	if err != nil {
-		return "", err
+		return err
 	}
 	h.f(e)
-	grad := make([]float64, len(x))
-	if e, err = ev.EnergyGrad(ctx, x, grad); err != nil {
-		return "", err
+	if grad {
+		g := make([]float64, len(x))
+		if e, err = ev.EnergyGrad(ctx, x, g); err != nil {
+			return err
+		}
+		h.f(e)
+		h.fs(g)
 	}
-	h.f(e)
-	h.fs(grad)
 	spec := evaluator.OutputSpec{
 		CVaRAlphas:  []float64{0.5, 0.1},
 		Shots:       200,
@@ -443,7 +483,7 @@ func digestOf(ctx context.Context, ev evaluator.OutputEvaluator, sim *core.Simul
 	}
 	out, err := ev.EvalOutputs(ctx, x, spec)
 	if err != nil {
-		return "", err
+		return err
 	}
 	h.f(out.Energy)
 	h.f(out.Overlap)
@@ -462,14 +502,75 @@ func digestOf(ctx context.Context, ev evaluator.OutputEvaluator, sim *core.Simul
 		return nil
 	})
 	if err != nil {
-		return "", err
+		return err
 	}
 	if sim != nil {
 		h.fs(sim.CostDiagonal())
 		h.f(sim.MinCost())
 		h.us(sim.GroundStates())
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return nil
+}
+
+// forwardDigestLines is the last part of the table: one line per
+// configuration of a line above that carries a gradient, hashing what
+// it returns without one. Core configurations hash digestOf's values
+// but the EnergyGrad call, then stateDigest's but the Z₀ gradient;
+// distsim engines hash digestOf's values but the EnergyGrad call, then
+// the forward one-shot at the same options, gathered in float64. A
+// change to the reverse step alone moves none of these lines.
+func forwardDigestLines(t *testing.T) []string {
+	t.Helper()
+	ctx := context.Background()
+	configs, added := digestCoreConfigs()
+	var lines []string
+	for _, n := range []int{8, 12} {
+		for _, c := range append(configs, added...) {
+			for _, prob := range digestProblems(t, n) {
+				sim := c.build(t, n, prob.terms)
+				for _, p := range []int{1, 4} {
+					label := fmt.Sprintf("%s %s n=%d %v p=%d forward", c.name, prob.name, n, c.mixer, p)
+					h := digestHash{sha256.New()}
+					if err := hashOutputs(ctx, h, sim.NewWorkspace(), sim, n, p, false); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if err := hashState(h, sim, n, p, false); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					lines = append(lines, label+" "+hex.EncodeToString(h.Sum(nil)))
+				}
+			}
+		}
+		for _, prec := range []distsim.Precision{distsim.PrecisionFloat64, distsim.PrecisionFloat32} {
+			for _, ranks := range []int{1, 2, 4} {
+				for _, prob := range digestProblems(t, n) {
+					for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
+						opts := distsim.Options{Ranks: ranks, Mixer: mixer, Precision: prec}
+						eng, err := distsim.NewGradEngine(n, prob.terms, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Gather = prec == distsim.PrecisionFloat64
+						for _, p := range []int{1, 4} {
+							label := fmt.Sprintf("distsim/%v/K%d %s n=%d %v p=%d forward", prec, ranks, prob.name, n, mixer, p)
+							h := digestHash{sha256.New()}
+							if err := hashOutputs(ctx, h, eng, nil, n, p, false); err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							gamma, beta := digestAngles(n, p)
+							res, err := distsim.SimulateQAOA(ctx, n, prob.terms, gamma, beta, opts)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							hashRun(h, res)
+							lines = append(lines, label+" "+hex.EncodeToString(h.Sum(nil)))
+						}
+					}
+				}
+			}
+		}
+	}
+	return lines
 }
 
 // digestHash writes values into a SHA-256 as little-endian bits.

@@ -1025,19 +1025,21 @@ func BenchmarkBatchEvaluation(b *testing.B) {
 
 // TestWarmAllocsBounded pins the allocations of warm Workspace.Energy
 // and EnergyGrad calls on LABS at p = 8, in both precisions, as an
-// upper bound: the counts measured before the single-node engine became
-// the one-rank shard. At Workers 1 every kernel runs inline, so the
-// counts are the kernel launches' closures; at Workers 2 they add the
-// goroutines and partials of the split launches.
+// upper bound: the energy counts measured before the single-node engine
+// became the one-rank shard, the gradient counts since the x-mixer
+// reverse step runs in the Walsh basis (90/106/103/519 before). At
+// Workers 1 every kernel runs inline, so the counts are the forward
+// kernel launches' closures (the reverse step makes none); at Workers 2
+// they add the goroutines and partials of the split launches.
 func TestWarmAllocsBounded(t *testing.T) {
 	cases := []struct {
 		n, workers   int
 		energy, grad float64
 	}{
-		{14, 1, 41, 90},
-		{18, 1, 49, 106},
-		{14, 2, 49, 103},
-		{18, 2, 217, 519},
+		{14, 1, 41, 42},
+		{18, 1, 49, 50},
+		{14, 2, 49, 55},
+		{18, 2, 217, 439},
 	}
 	const p = 8
 	x := make([]float64, 2*p)

@@ -363,20 +363,23 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n, e.pivots()) }
 
 // caps is the Caps of an engine for n qubits under o whose shards
-// store the state over h pivots: exactly the 2^(n−h) stored amplitudes
-// of ψ and λ, plus for the x mixer at K ≥ 2 the receive scratch each
-// rank's all-to-all keeps for the lease's lifetime (a whole slice under
-// Transpose, one subchunk under Pairwise), or for the xy mixers the
-// partner-exchange receive planes of both states.
+// store the state over h pivots: exactly the planes a warm lease holds,
+// the 2^(n−h) stored amplitudes of ψ and λ, plus at K ≥ 2 the receive
+// scratch each rank's all-to-all keeps for the x mixer (a whole slice
+// under Transpose, one subchunk under Pairwise), or the xy mixers'
+// partner-exchange planes (shard.State.Bind and Adjoint): a receive
+// slice for each state and a half-slice send buffer. At K = 1 the xy
+// mixers exchange nothing.
 func (o Options) caps(n, h int) evaluator.Caps {
 	stored := int64(1) << uint(n-h)
 	amps := 2 * stored // psi + lam
 	switch {
+	case o.Ranks == 1:
 	case o.Mixer != core.MixerX:
-		amps *= 2 // + recvPsi + recvLam (send is half, ignored)
-	case o.Ranks > 1 && o.Algo == cluster.Transpose:
+		amps += 2*stored + stored/2 // recvPsi + recvLam + send
+	case o.Algo == cluster.Transpose:
 		amps += stored
-	case o.Ranks > 1:
+	default:
 		amps += stored / int64(o.Ranks)
 	}
 	return evaluator.Caps{

@@ -516,7 +516,9 @@ func TestGradEngineCancellation(t *testing.T) {
 
 // TestWarmEngineAllocsBounded pins the allocations of a warm engine's
 // Energy and EnergyGrad on LABS n = 14 at p = 8 as an upper bound: the
-// counts measured before the shard engine moved into internal/shard.
+// energy counts measured before the shard engine moved into
+// internal/shard, the gradient counts since the x-mixer reverse step
+// runs in the Walsh basis (98/271 before).
 func TestWarmEngineAllocsBounded(t *testing.T) {
 	const n, p = 14, 8
 	x := make([]float64, 2*p)
@@ -528,7 +530,7 @@ func TestWarmEngineAllocsBounded(t *testing.T) {
 	for _, c := range []struct {
 		ranks        int
 		energy, grad float64
-	}{{1, 49, 98}, {2, 125, 271}} {
+	}{{1, 49, 50}, {2, 125, 127}} {
 		e, err := NewGradEngine(n, problems.LABSTerms(n), Options{Ranks: c.ranks})
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -203,7 +204,7 @@ func TestCapsStateBytesReflectPrecision(t *testing.T) {
 	// shards under the x mixer, full shards under xy: ψ and λ, plus the
 	// all-to-all receive scratch an x-mixer lease keeps at K ≥ 2 — a
 	// slice per rank under Transpose, a subchunk under Pairwise — or the
-	// xy mixers' two receive planes.
+	// xy mixers' two receive planes and half-size send buffer.
 	const quarter, state = int64(16) << 6, int64(16) << 8
 	for _, c := range []struct {
 		opts Options
@@ -213,7 +214,7 @@ func TestCapsStateBytesReflectPrecision(t *testing.T) {
 		{Options{Ranks: 4, Algo: cluster.Transpose}, 3 * quarter},
 		{Options{Ranks: 4, Algo: cluster.Pairwise}, 2*quarter + quarter/4},
 		{Options{Ranks: 2, Algo: cluster.Pairwise}, 2*quarter + quarter/2},
-		{Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing}, 4 * state},
+		{Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing}, 4*state + state/2},
 	} {
 		e, err := NewGradEngine(8, terms, c.opts)
 		if err != nil {
@@ -223,6 +224,66 @@ func TestCapsStateBytesReflectPrecision(t *testing.T) {
 			t.Errorf("K=%d %v %v: StateBytes %d, want %d", c.opts.Ranks, c.opts.Algo, c.opts.Mixer, got, c.want)
 		}
 	}
+}
+
+// TestCapsStateBytesMatchWarmPlanes requires Caps.StateBytes to equal
+// the planes a warm engine holds, at K ∈ {1, 2}, for the x, xy-ring
+// and xy-complete mixers in both precisions: every split plane of every
+// rank's shard state, and the all-to-all receive scratch of the lease's
+// rank group, counted by walking them with reflection.
+func TestCapsStateBytesMatchWarmPlanes(t *testing.T) {
+	const n, p = 8, 2
+	x := []float64{0.3, 0.2, 0.4, 0.1}
+	grad := make([]float64, 2*p)
+	for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing, core.MixerXYComplete} {
+		for _, ranks := range []int{1, 2} {
+			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+				e, err := NewGradEngine(n, problems.LABSTerms(n), Options{Ranks: ranks, Mixer: mixer, Precision: prec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.EnergyGrad(context.Background(), x, grad); err != nil {
+					t.Fatal(err)
+				}
+				var held int64
+				for _, l := range e.all {
+					for _, rs := range l.ranks {
+						held += planeBytes(reflect.ValueOf(rs.Shard).Elem())
+					}
+					g := reflect.ValueOf(l.group).Elem()
+					for _, f := range []string{"planes64", "planes32"} {
+						held += planeBytes(g.FieldByName(f).FieldByName("scratch"))
+					}
+				}
+				if got := e.Caps().StateBytes; got != held {
+					t.Errorf("%v K=%d %v: Caps.StateBytes %d, a warm engine holds %d bytes of planes", mixer, ranks, prec, got, held)
+				}
+			}
+		}
+	}
+}
+
+// planeBytes returns the bytes of every float32 and float64 slice
+// reachable from v through structs, arrays and slices.
+func planeBytes(v reflect.Value) int64 {
+	switch v.Kind() {
+	case reflect.Struct:
+		var b int64
+		for i := 0; i < v.NumField(); i++ {
+			b += planeBytes(v.Field(i))
+		}
+		return b
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k == reflect.Float64 || k == reflect.Float32 {
+			return int64(v.Len()) * int64(v.Type().Elem().Size())
+		}
+		var b int64
+		for i := 0; i < v.Len(); i++ {
+			b += planeBytes(v.Index(i))
+		}
+		return b
+	}
+	return 0
 }
 
 // TestPrecisionEnginesConcurrent hammers engines on coded slices

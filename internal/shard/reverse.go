@@ -11,21 +11,24 @@ import (
 // V_ℓ = B(β_ℓ)G(γ_ℓ), the bra is seeded λ = obs⊙ψ_p (the cost Ĉ by
 // default), and walking the layers backwards
 //
-//	∂E/∂β_ℓ = 2·Im ⟨λ|M|ψ⟩          (per qubit for the x mixer, per
+//	∂E/∂β_ℓ = 2·Im ⟨λ|M|ψ⟩          (Σ_q X_q for the x mixer, per
 //	                                 edge for the Trotterized xy ones)
 //	∂E/∂γ_ℓ = 2·Im ⟨λ|Ĉ|ψ⟩          (after undoing the mixer)
 //
 // while both states go back through the exact inverses B(−β_ℓ), G(−γ_ℓ).
 // Each generator commutes with its own factor of the layer, so the
 // joint reverse kernels read each derivative off the amplitudes they are
-// rotating. For the x mixer one tiled kernel (ReverseUniformRXPlanes)
-// undoes the local qubits and reads and undoes the phase in its last
-// pass; the pivot passes of a group state, and at k > 0 the swapped-in
-// global qubits, run first, on the transposed planes. Every X_q commutes
-// with the layer's mixer, so reading and undoing them in any order is
-// exact. Each state crosses the all-to-all twice, so a gradient moves
-// 3× the forward traffic. Every reduction over the stored amplitudes of
-// a group state is 2^−h of the full state's, so it is scaled by 2^h.
+// undoing. For the x mixer one kernel (statevec.ReverseXPlanes) runs
+// the step in the Walsh basis, where Σ_q X_q is the diagonal
+// n − 2w(y): it reads all of ∂E/∂β off that diagonal, undoes the mixer
+// there, and reads and undoes the phase in its last pass. A group
+// state's pivots are parities of the diagonal (Engine.walsh), so the
+// step runs no pivot pass and no relabel. At k > 0 the kernel runs its
+// local passes, one plain all-to-all of both states, the passes over
+// the swapped-in qubits with the diagonal, and the all-to-all back: each
+// state crosses the all-to-all twice, so a gradient moves 3× the
+// forward traffic. Every reduction over the stored amplitudes of a
+// group state is 2^−h of the full state's, so it is scaled by 2^h.
 
 // Adjoint runs the adjoint gradient on the evolved ψ (see Shard); obs,
 // when set, has all 2^n entries. It fails only in a collective, at
@@ -82,28 +85,18 @@ func (s *State[T]) seed(obs []float64) {
 // undoing the phase only when undo is set.
 func (s *State[T]) reverse(c *cluster.Comm, ph statevec.Phase, beta float64, undo bool) (dBeta, dGamma float64, err error) {
 	e, psi, lam := s.e, s.psi, s.lam
-	pool, sym := e.cfg.Pool, &e.cfg.Sym
+	pool := e.cfg.Pool
 	if e.cfg.XY {
 		if dBeta, err = s.reverseXY(c, beta); err != nil {
 			return 0, 0, err
 		}
 		return dBeta, statevec.ReversePhasePlanes(pool, lam.Re, lam.Im, psi.Re, psi.Im, ph, undo), nil
 	}
+	var swap func() error
 	if e.k > 0 {
-		if err := transpose(c, sym, psi, lam); err != nil {
-			return 0, 0, err
-		}
+		swap = func() error { return alltoall(c, psi, lam) }
 	}
-	dBeta = reverseMirrorRX(pool, lam, psi, sym, beta)
-	if e.k > 0 {
-		localN := e.cfg.N - len(sym.Pivots) - e.k
-		dBeta += statevec.ReverseRXRangePlanes(pool, lam.Re, lam.Im, psi.Re, psi.Im, localN-e.k, localN, beta)
-		if err := transposeBack(c, sym, psi, lam); err != nil {
-			return 0, 0, err
-		}
-	}
-	mixer, phase := statevec.ReverseUniformRXPlanes(pool, lam.Re, lam.Im, psi.Re, psi.Im, beta, ph, undo)
-	return dBeta + mixer, phase, nil
+	return statevec.ReverseXPlanes(pool, lam.Re, lam.Im, psi.Re, psi.Im, beta, e.walsh(s.rank), ph, undo, swap)
 }
 
 // orbitSum returns Σ_{g∈group} obs[i ⊕ g], summed pairwise in group

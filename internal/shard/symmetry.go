@@ -11,7 +11,10 @@ import (
 
 // Symmetry is how the shards store the state: over the group of 2^h XOR
 // masks the pivots generate, with the pivot passes' local masks and the
-// relabel that brings every pivot pair onto one rank.
+// relabel that brings every pivot pair onto one rank. The pivot passes
+// and the relabel serve only the forward layer: the reverse step reads
+// each ν_j as a parity mask of the mixer's Walsh diagonal (walsh),
+// after a plain all-to-all.
 //
 // Pivot j pairs stored index x with x ⊕ μ_j. Write a stored index as
 // (r, a, w): the k rank bits, the k bits of the subchunk the all-to-all
@@ -124,23 +127,29 @@ func mirrorRX[T statevec.Float](pool *statevec.Pool, s Planes[T], sym *Symmetry,
 	}
 }
 
-// reverseMirrorRX runs the top qubits' joint reverse steps on a group
-// state pair, the last pivot first, and returns their Im ⟨λ|X_q|ψ⟩ over
-// the stored amplitudes.
-func reverseMirrorRX[T statevec.Float](pool *statevec.Pool, lam, psi Planes[T], sym *Symmetry, beta float64) float64 {
-	var d float64
-	for j := len(sym.masks) - 1; j >= 0; j-- {
-		d += statevec.ReverseMirrorRXPlanes(pool, lam.Re, lam.Im, psi.Re, psi.Im, sym.masks[j], beta)
+// walsh returns the x mixer's Walsh diagonal on rank's planes for the
+// reverse step (statevec.XDiag): over the stored indices at k = 0, and
+// at k > 0 in the layout a plain all-to-all leaves, where rank a holds
+// stored index (r, a, w) at local index (r, w). There each pivot's
+// parity mask over local indices is ν_j, and the a bits add their
+// popcount to the weight and their parity with the a-part of μ_j.
+func (e *Engine) walsh(rank int) statevec.XDiag {
+	sym := &e.cfg.Sym
+	h := len(sym.Pivots)
+	d := statevec.XDiag{N: e.cfg.N, Stored: e.cfg.N - h, Masks: sym.masks, Weight: bits.OnesCount(uint(rank))}
+	low := e.cfg.N - h - 2*e.k
+	for j, mu := range sym.Pivots {
+		a := int(mu>>uint(low)) & (e.cfg.Ranks - 1)
+		d.Parity |= uint64(bits.OnesCount(uint(a&rank))&1) << uint(j)
 	}
 	return d
 }
 
-// transpose runs the all-to-all into the swapped layout on each state
-// in turn. On group shards it first relabels the subchunk parts, so
-// that each amplitude's pivot partners arrive on its rank.
-func transpose[T statevec.Float](c *cluster.Comm, sym *Symmetry, states ...Planes[T]) error {
+// alltoall runs the plain all-to-all, with no relabel, on each state in
+// turn: it swaps the rank bits with the top k local bits, and is its
+// own inverse.
+func alltoall[T statevec.Float](c *cluster.Comm, states ...Planes[T]) error {
 	for _, s := range states {
-		relabel(s, sym, c.Size())
 		if err := cluster.Alltoall(c, s.Re, s.Im); err != nil {
 			return err
 		}
@@ -148,15 +157,21 @@ func transpose[T statevec.Float](c *cluster.Comm, sym *Symmetry, states ...Plane
 	return nil
 }
 
-// transposeBack runs the all-to-all back to the rank layout on each
-// state in turn, then the inverse relabel.
-func transposeBack[T statevec.Float](c *cluster.Comm, sym *Symmetry, states ...Planes[T]) error {
-	for _, s := range states {
-		if err := cluster.Alltoall(c, s.Re, s.Im); err != nil {
-			return err
-		}
-		relabel(s, sym, c.Size())
+// transpose runs the forward layer's all-to-all into the swapped
+// layout. On group shards it first relabels the subchunk parts, so that
+// each amplitude's pivot partners arrive on its rank.
+func transpose[T statevec.Float](c *cluster.Comm, sym *Symmetry, s Planes[T]) error {
+	relabel(s, sym, c.Size())
+	return alltoall(c, s)
+}
+
+// transposeBack runs the all-to-all back to the rank layout, then the
+// inverse relabel.
+func transposeBack[T statevec.Float](c *cluster.Comm, sym *Symmetry, s Planes[T]) error {
+	if err := alltoall(c, s); err != nil {
+		return err
 	}
+	relabel(s, sym, c.Size())
 	return nil
 }
 

@@ -24,18 +24,19 @@ import (
 // phase derivative and undoes the phase on both states from a single
 // table read or sincos per amplitude. ReverseXY and ReversePhase come
 // for complex128 vectors (the Serial reference) and as generic kernels
-// on split planes of either precision (accumulating in float64);
-// ReverseRX is complex128 only, because the split planes run a whole
-// x-mixer reverse step, phase included, as one tiled kernel
-// (ReverseUniformRXPlanes, tiled.go) in 2–3 cache-sized passes instead
-// of n + 1 full ones. All of them apply the same rotation arithmetic as
-// the forward kernels at the negated angle.
+// on split planes of either precision (accumulating in float64), all
+// with the forward kernels' rotation arithmetic at the negated angle.
+// ReverseRX is complex128 only: on split planes the x mixer is a
+// diagonal in the Walsh basis, Σ_q X_q = H^⊗n·diag(n − 2|y|)·H^⊗n, and
+// one tiled kernel (ReverseXPlanes, tiled.go) takes λ and ψ to that
+// basis, reads the whole mixer derivative off the diagonal, undoes the
+// mixer there and brings both states back, the phase reduction and
+// undo in its last pass. A group state's pivots are parities of that
+// diagonal, so it runs no pivot pass.
 //
 // The standalone complex128 reductions below (ImDotDiag, ImDotXAll,
 // ImDotXRange, ImDotXY) are the references the tiled, mirror and
-// costvec tests check the kernels against. The distributed engine runs
-// the split-layout kernels on its shards and splits the mixer
-// derivative at the shard boundary with ReverseRXRangePlanes.
+// costvec tests check the kernels against.
 
 // MulDiag multiplies amplitude x by the real scalar diag_x in place:
 // ψ ← Ĉ|ψ⟩ for a diagonal observable, the "cost-weighted" seed of the
@@ -83,13 +84,8 @@ func ImDotXAll(lam, psi Vec) float64 {
 }
 
 // ImDotXRange returns Σ_{q∈[lo,hi)} Im ⟨λ|X_q|ψ⟩ — ImDotXAll
-// restricted to a contiguous qubit range. The distributed adjoint
-// gradient uses it to split the transverse-field mixer derivative at
-// the shard boundary: each rank reduces its local qubits with
-// ImDotXAll, transposes, and reduces the k global qubits (then local,
-// at the top of the slice) with this kernel. Both reductions are
-// invariant under the commuting RX undo sweeps, so the split sums to
-// the single-node value exactly.
+// restricted to a contiguous qubit range, the per-qubit reference of
+// the mixer derivative over part of the qubits.
 func ImDotXRange(lam, psi Vec, lo, hi int) float64 {
 	if len(lam) != len(psi) {
 		panic(fmt.Sprintf("statevec: ImDotXRange length mismatch %d vs %d", len(lam), len(psi)))

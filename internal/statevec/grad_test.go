@@ -120,9 +120,9 @@ func TestMulDiagBackends(t *testing.T) {
 // TestImDotXAllAgainstReference checks the transverse-field mixer
 // derivative Σ_q Im ⟨λ|X_q|ψ⟩: the fused serial reduction,
 // the sum of the per-qubit ReverseRX reductions on the complex128
-// representation, and the mixer reduction of the split layouts' tiled
-// ReverseUniformRX (each qubit's term is invariant under the RX undos
-// of the other qubits, so the running sweep reads the same value).
+// representation, and the mixer reduction of the split layouts'
+// reverse step, which reads the whole sum off the Walsh diagonal
+// (ReverseXPlanes).
 func TestImDotXAllAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 5
@@ -143,8 +143,9 @@ func TestImDotXAllAgainstReference(t *testing.T) {
 		got[0] += ReverseRX(l, ps, q, beta)
 	}
 	sl, sp := splitOf[float64](lam), splitOf[float64](psi)
-	got[1], _ = ReverseUniformRXPlanes(gradPool(), sl.Re, sl.Im, sp.Re, sp.Im, beta, Phase{}, false)
-	got[2], _ = ReverseUniformRXPlanes(gradPool(), sl32.Re, sl32.Im, sp32.Re, sp32.Im, beta, Phase{}, false)
+	d := XDiag{N: n, Stored: n}
+	got[1], _, _ = ReverseXPlanes(gradPool(), sl.Re, sl.Im, sp.Re, sp.Im, beta, d, Phase{}, false, nil)
+	got[2], _, _ = ReverseXPlanes(gradPool(), sl32.Re, sl32.Im, sp32.Re, sp32.Im, beta, d, Phase{}, false, nil)
 	for k, name := range []string{"serial", "soa", "soa32"} {
 		tol := 1e-12
 		if name == "soa32" {
@@ -231,8 +232,8 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 		if d := MaxAbsDiff(l, lam0) + MaxAbsDiff(ps, psi0); d > 1e-12 {
 			t.Errorf("table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
-		// The split layouts: the tiled ReverseUniformRX undoes the tiled
-		// F = 2 forward mixer and the phase in one call.
+		// The split layouts: ReverseXPlanes undoes the tiled F = 2
+		// forward mixer and the phase in one call.
 		p := gradPool()
 		sl, sp := splitOf[float64](lam0), splitOf[float64](psi0)
 		for _, v := range []*split[float64]{sl, sp} {
@@ -241,7 +242,7 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 			ApplyXYPlanes(p, v.Re, v.Im, 1, 4, beta)
 		}
 		ReverseXYPlanes(p, sl.Re, sl.Im, sp.Re, sp.Im, 1, 4, beta)
-		ReverseUniformRXPlanes(p, sl.Re, sl.Im, sp.Re, sp.Im, beta, ph, true)
+		ReverseXPlanes(p, sl.Re, sl.Im, sp.Re, sp.Im, beta, XDiag{N: n, Stored: n}, ph, true, nil)
 		if d := MaxAbsDiff(toVec(sl.Re, sl.Im), lam0) + MaxAbsDiff(toVec(sp.Re, sp.Im), psi0); d > 1e-12 {
 			t.Errorf("SoA table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
@@ -252,7 +253,7 @@ func TestReverseKernelsUndoForward(t *testing.T) {
 			ApplyXYPlanes(p, v.Re, v.Im, 1, 4, beta)
 		}
 		ReverseXYPlanes(p, sl32.Re, sl32.Im, sp32.Re, sp32.Im, 1, 4, beta)
-		ReverseUniformRXPlanes(p, sl32.Re, sl32.Im, sp32.Re, sp32.Im, beta, ph, true)
+		ReverseXPlanes(p, sl32.Re, sl32.Im, sp32.Re, sp32.Im, beta, XDiag{N: n, Stored: n}, ph, true, nil)
 		if d := MaxAbsDiff(toVec(sl32.Re, sl32.Im), lam0) + MaxAbsDiff(toVec(sp32.Re, sp32.Im), psi0); d > 1e-5 {
 			t.Errorf("SoA32 table=%v: reverse steps leave the states off by %g", ph.Codes != nil, d)
 		}
@@ -291,37 +292,6 @@ func TestImDotXRangePanics(t *testing.T) {
 			}()
 			ImDotXRange(lam, psi, r[0], r[1])
 		}()
-	}
-}
-
-// TestSoA32ImDotXRange checks the single-precision range reduction,
-// which the joint reverse step over a qubit range (ReverseRXRangePlanes)
-// returns, against the complex128 ImDotXRange on the same (rounded)
-// input states. The kernel accumulates in float64 but reads each later
-// qubit's pairs after the earlier qubits' float32 rotations, so it
-// agrees to float32 rounding; on float64 planes it agrees to 1e-12.
-// Ranges starting at qubit 4 or above run the tiled passes, lower ones
-// the untiled per-qubit passes.
-func TestSoA32ImDotXRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n := 7
-	lam64 := randState(rng, n)
-	psi64 := randState(rng, n)
-	lam32 := splitOf[float32](lam64)
-	psi32 := splitOf[float32](psi64)
-	lamR := toVec(lam32.Re, lam32.Im)
-	psiR := toVec(psi32.Re, psi32.Im)
-	p := NewPool(2)
-	for _, r := range [][2]int{{0, n}, {0, 3}, {3, n}, {5, 5}, {2, 4}, {4, n}} {
-		want := ImDotXRange(lamR, psiR, r[0], r[1])
-		l, ps := splitOf[float64](lamR), splitOf[float64](psiR)
-		if got := ReverseRXRangePlanes(p, l.Re, l.Im, ps.Re, ps.Im, r[0], r[1], 0.37); math.Abs(got-want) > 1e-12 {
-			t.Errorf("range [%d,%d): SoA %v, complex128 %v", r[0], r[1], got, want)
-		}
-		l32, ps32 := splitOf[float32](lamR), splitOf[float32](psiR)
-		if got := ReverseRXRangePlanes(p, l32.Re, l32.Im, ps32.Re, ps32.Im, r[0], r[1], 0.37); math.Abs(got-want) > 1e-5 {
-			t.Errorf("range [%d,%d): SoA32 %v, complex128 %v", r[0], r[1], got, want)
-		}
 	}
 }
 

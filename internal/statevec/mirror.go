@@ -73,34 +73,3 @@ func MirrorRXPlanes[T Float](p *Pool, re, im []T, mu int, beta float64) {
 		})
 	})
 }
-
-// ReverseMirrorRXPlanes is the adjoint reverse step of a pivot qubit on
-// a stored state pair with (lr, li) as the bra λ: it applies RX(−β) on
-// the pairs (i, i ⊕ mu) of λ and ψ and returns Im ⟨λ|X_q|ψ⟩ summed over
-// the stored amplitudes, accumulated in float64.
-func ReverseMirrorRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, mu int, beta float64) float64 {
-	checkPair("ReverseMirrorRX", len(lr), len(pr))
-	top := checkMirror("ReverseMirrorRX", len(lr), mu)
-	sn64, cs64 := math.Sincos(-beta)
-	sn, cs := T(sn64), T(cs64)
-	return p.Reduce(len(lr)/2, func(lo, hi int) float64 {
-		var acc float64
-		forPairRuns(lo, hi, top, func(i, end int) {
-			for ; i < end; i++ {
-				m := i ^ mu
-				a1, b1, a2, b2 := lr[i], li[i], lr[m], li[m]
-				c1, d1, c2, d2 := pr[i], pi[i], pr[m], pi[m]
-				acc += float64(a1)*float64(d2) - float64(b1)*float64(c2) + float64(a2)*float64(d1) - float64(b2)*float64(c1)
-				lr[i] = cs*a1 + sn*b2
-				li[i] = cs*b1 - sn*a2
-				lr[m] = cs*a2 + sn*b1
-				li[m] = cs*b2 - sn*a1
-				pr[i] = cs*c1 + sn*d2
-				pi[i] = cs*d1 - sn*c2
-				pr[m] = cs*c2 + sn*d1
-				pi[m] = cs*d2 - sn*c1
-			}
-		})
-		return acc
-	})
-}

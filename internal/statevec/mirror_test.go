@@ -118,39 +118,6 @@ func checkMirrorRX[T Float](t *testing.T) {
 func TestMirrorRXMatchesFullState(t *testing.T)      { checkMirrorRX[float64](t) }
 func TestMirrorRXSoA32MatchesFullState(t *testing.T) { checkMirrorRX[float32](t) }
 
-// checkReverseMirrorRX requires each pivot's reverse step on a stored
-// pair to end bit for bit equal to the stored blocks of the full-state
-// joint RX(−β) step on that pivot's qubit, and its reduction to be
-// 2^−h of the full state's Im ⟨λ|X_q|ψ⟩ to 1e-12 relative.
-func checkReverseMirrorRX[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	for _, sh := range pivotShapes() {
-		p := NewPool(sh.workers)
-		lam := expandPlanes(sh, randomPlanes[T](rng, sh.n))
-		psi := expandPlanes(sh, randomPlanes[T](rng, sh.n))
-		hl, hp := storedPart(sh, lam), storedPart(sh, psi)
-		for j := range sh.pivots {
-			q := sh.n - len(sh.pivots) + j
-			beta := 0.71 - 0.04*float64(sh.n) + 0.13*float64(j)
-			got := ReverseMirrorRXPlanes(p, hl.re, hl.im, hp.re, hp.im, sh.mu(j), beta)
-			want := ImDotXRange(lam.vec(), psi.vec(), q, q+1) / float64(len(sh.group()))
-			applyRXPlanes(p, lam.re, lam.im, q, -beta)
-			applyRXPlanes(p, psi.re, psi.im, q, -beta)
-			label := fmt.Sprintf("%s n=%d workers=%d qubit %d", sh.name, sh.n, sh.workers, q)
-			if i := bitDiff(hl, storedPart(sh, lam)); i >= 0 {
-				t.Fatalf("%s: λ differs from the full-state reverse at %d", label, i)
-			}
-			if i := bitDiff(hp, storedPart(sh, psi)); i >= 0 {
-				t.Fatalf("%s: ψ differs from the full-state reverse at %d", label, i)
-			}
-			relClose(t, label, got, want)
-		}
-	}
-}
-
-func TestReverseMirrorRXMatchesFullState(t *testing.T)      { checkReverseMirrorRX[float64](t) }
-func TestReverseMirrorRXSoA32MatchesFullState(t *testing.T) { checkReverseMirrorRX[float32](t) }
-
 // complementRX is the complement-only mirror kernel the pivot kernel
 // generalizes, kept as the reference its μ = 1…1 case must match bit
 // for bit: RX(β) on every pair (i, len−1−i), over p.Run(len/2).
@@ -171,35 +138,9 @@ func complementRX[T Float](p *Pool, re, im []T, beta float64) {
 	})
 }
 
-// reverseComplementRX is the complement-only mirror reverse step, the
-// reference of ReverseMirrorRXPlanes at μ = 1…1.
-func reverseComplementRX[T Float](p *Pool, lr, li, pr, pi []T, beta float64) float64 {
-	sn64, cs64 := math.Sincos(-beta)
-	sn, cs := T(sn64), T(cs64)
-	last := len(lr) - 1
-	return p.Reduce(len(lr)/2, func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			m := last - i
-			a1, b1, a2, b2 := lr[i], li[i], lr[m], li[m]
-			c1, d1, c2, d2 := pr[i], pi[i], pr[m], pi[m]
-			acc += float64(a1)*float64(d2) - float64(b1)*float64(c2) + float64(a2)*float64(d1) - float64(b2)*float64(c1)
-			lr[i] = cs*a1 + sn*b2
-			li[i] = cs*b1 - sn*a2
-			lr[m] = cs*a2 + sn*b1
-			li[m] = cs*b2 - sn*a1
-			pr[i] = cs*c1 + sn*d2
-			pi[i] = cs*d1 - sn*c2
-			pr[m] = cs*c2 + sn*d1
-			pi[m] = cs*d2 - sn*c1
-		}
-		return acc
-	})
-}
-
-// checkComplementBitwise requires the pivot kernels at μ = len−1 to
-// give the complement-only kernels' states and reductions bit for bit,
-// at every pool size: the half state's pairing is unchanged.
+// checkComplementBitwise requires the pivot kernel at μ = len−1 to give
+// the complement-only kernel's states bit for bit, at every pool size:
+// the half state's pairing is unchanged.
 func checkComplementBitwise[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	for _, stored := range []int{1, 2, 3, 13, 14, 16} {
@@ -214,13 +155,6 @@ func checkComplementBitwise[T Float](t *testing.T) {
 			if i := bitDiff(s, ref); i >= 0 {
 				t.Fatalf("%s: forward differs from the complement kernel at %d", label, i)
 			}
-			lam, psi := randomPlanes[T](rng, stored), randomPlanes[T](rng, stored)
-			rl, rp := lam.clone(), psi.clone()
-			got := ReverseMirrorRXPlanes(p, lam.re, lam.im, psi.re, psi.im, mu, 0.29)
-			want := reverseComplementRX(p, rl.re, rl.im, rp.re, rp.im, 0.29)
-			if math.Float64bits(got) != math.Float64bits(want) || bitDiff(lam, rl) >= 0 || bitDiff(psi, rp) >= 0 {
-				t.Fatalf("%s: reverse differs from the complement kernel (reduction %v vs %v)", label, got, want)
-			}
 		}
 	}
 }
@@ -228,22 +162,14 @@ func checkComplementBitwise[T Float](t *testing.T) {
 func TestMirrorRXComplementBitwise(t *testing.T)   { checkComplementBitwise[float64](t) }
 func TestMirrorRXComplementBitwise32(t *testing.T) { checkComplementBitwise[float32](t) }
 
-// reverseMirror runs the pivot reverse step with mask mu on (lam, psi).
-func reverseMirror[T Float](p *Pool, lam, psi *split[T], mu int) {
-	ReverseMirrorRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, mu, 0.3)
-}
-
-// TestMirrorRXPanics: a stored state needs at least one pair, a pair
-// mask in (0, len), and the reverse step a λ and ψ of one length.
+// TestMirrorRXPanics: a stored state needs at least one pair and a pair
+// mask in (0, len).
 func TestMirrorRXPanics(t *testing.T) {
 	p := NewPool(1)
 	for name, f := range map[string]func(){
-		"one amplitude":   func() { s := newSplit[float64](0); MirrorRXPlanes(p, s.Re, s.Im, 1, 0.3) },
-		"zero mask":       func() { s := newSplit[float64](3); MirrorRXPlanes(p, s.Re, s.Im, 0, 0.3) },
-		"mask too wide":   func() { s := newSplit[float32](3); MirrorRXPlanes(p, s.Re, s.Im, 8, 0.3) },
-		"reverse one":     func() { reverseMirror(p, newSplit[float32](0), newSplit[float32](0), 1) },
-		"reverse zero":    func() { reverseMirror(p, newSplit[float64](3), newSplit[float64](3), 0) },
-		"reverse lengths": func() { reverseMirror(p, newSplit[float64](3), newSplit[float64](4), 7) },
+		"one amplitude": func() { s := newSplit[float64](0); MirrorRXPlanes(p, s.Re, s.Im, 1, 0.3) },
+		"zero mask":     func() { s := newSplit[float64](3); MirrorRXPlanes(p, s.Re, s.Im, 0, 0.3) },
+		"mask too wide": func() { s := newSplit[float32](3); MirrorRXPlanes(p, s.Re, s.Im, 8, 0.3) },
 	} {
 		func() {
 			defer func() {
@@ -256,10 +182,9 @@ func TestMirrorRXPanics(t *testing.T) {
 	}
 }
 
-// BenchmarkMirrorRX times the forward pivot pass and the joint pivot
-// reverse step on the half state of n = 18 (2^17 amplitudes, μ = 1…1)
-// and on LABS's quarter state (2^16 amplitudes, μ = 0101…01), next to
-// the tiled layer and reverse step they follow and precede.
+// BenchmarkMirrorRX times the forward pivot pass on the half state of
+// n = 18 (2^17 amplitudes, μ = 1…1) and on LABS's quarter state (2^16
+// amplitudes, μ = 0101…01), next to the tiled layer it follows.
 func BenchmarkMirrorRX(b *testing.B) {
 	const n = 18
 	rng := rand.New(rand.NewSource(113))
@@ -273,7 +198,7 @@ func BenchmarkMirrorRX(b *testing.B) {
 		{"quarter", 2, int(alternating(n-2, 0))},
 	} {
 		ph := tiledPhases(rng, 1<<(n-c.h), 0.7)["table"]
-		psi, lam := NewSoAUniform(n-c.h), NewSoAUniform(n-c.h)
+		psi := NewSoAUniform(n - c.h)
 		b.Run(c.name+"/forward/mirror", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MirrorRXPlanes(p, psi.Re, psi.Im, c.mu, 0.3)
@@ -282,16 +207,6 @@ func BenchmarkMirrorRX(b *testing.B) {
 		b.Run(c.name+"/forward/tiled", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				UniformRXPlanes(p, psi.Re, psi.Im, ph, 0.3)
-			}
-		})
-		b.Run(c.name+"/reverse/mirror", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ReverseMirrorRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, c.mu, 0.3)
-			}
-		})
-		b.Run(c.name+"/reverse/tiled", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ReverseUniformRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, 0.3, ph, true)
 			}
 		})
 	}

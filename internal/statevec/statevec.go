@@ -87,9 +87,12 @@ func binomial(n, k int) int {
 	return c
 }
 
+// maxQubits is the most qubits a state may have.
+const maxQubits = 40
+
 func checkQubits(n int) {
-	if n < 0 || n > 40 {
-		panic(fmt.Sprintf("statevec: n=%d out of supported range [0,40]", n))
+	if n < 0 || n > maxQubits {
+		panic(fmt.Sprintf("statevec: n=%d out of supported range [0,%d]", n, maxQubits))
 	}
 }
 

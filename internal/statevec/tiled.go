@@ -3,39 +3,49 @@ package statevec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // This file holds the cache-tiled transverse-field mixer kernels of the
-// split planes: one forward layer and one adjoint reverse
-// step, each a handful of passes over cache-sized tiles instead of one
-// pass over the whole state per qubit (Algorithm 2) or per qubit pair
-// (§VI's F = 2 fusion). The mixer is memory-bound, so the passes, not
-// the arithmetic, set its cost.
+// split planes: one forward layer and one adjoint reverse step, each a
+// handful of passes over cache-sized tiles instead of one pass over the
+// whole state per qubit (Algorithm 2) or per qubit pair (§VI's F = 2
+// fusion). The mixer is memory-bound, so the passes, not the
+// arithmetic, set its cost.
 //
 // Pass 1 works through blocks of 2^low contiguous amplitudes (low ≤ 12)
 // and applies every qubit below low while the block is in cache. Each
 // later pass takes a group of up to 8 higher qubits; its tile is the
 // group's 2^g rows (the amplitudes that differ only in the group's
-// bits) times one run of 16 contiguous amplitudes. Tiles are closed
-// under the operations of their pass and every qubit's operation still
-// runs in the sweep's order, so each amplitude sees the same sequence
-// of arithmetic as in the untiled sweep: tiling changes where the data
-// sits, not the results. Only reductions, summed per tile, change their
-// summation order.
+// bits) times one run of 16 or more contiguous amplitudes. Tiles are
+// closed under the operations of their pass and every qubit's operation
+// still runs in the untiled order, so each amplitude sees the same
+// sequence of arithmetic as in the untiled composition: tiling changes
+// where the data sits, not the results. Only reductions, summed per
+// tile, change their summation order.
 //
 // The forward layer is the F = 2 sweep: RX⊗RX blocks on the pairs
 // (0,1), (2,3), …, with the last qubit alone when n is odd. Pass 1
 // applies the phase to each block while it is in cache, so the phase
-// costs no pass of its own. The reverse step is per qubit — a
-// pair-fused reverse measured slower — and folds the phase reduction
-// and undo into its last pass.
+// costs no pass of its own. A group state's top qubits then run as
+// pivot passes (mirror.go).
 //
-// The qubit-range kernels (UniformRXRangePlanes, ReverseRXRangePlanes)
-// run the later passes alone over a range [lo, hi) of qubits. A
-// distributed shard applies them to the global qubits that an
-// all-to-all has swapped into its top local positions, so the layer on
-// the local qubits and the range pass together give each amplitude the
-// single-node layer's arithmetic.
+// The reverse step (ReverseXPlanes) runs in the Walsh basis instead:
+// Hadamard stages (a, b) → (a+b, a−b) in the forward passes' blocks and
+// tiles take λ and ψ there, the last group's pass reads the mixer
+// derivative off the diagonal n − 2w(y) and undoes the mixer, the same
+// stages in reverse bring both states back, and the last pass reads and
+// undoes the phase. It reads a group state's pivots as parities of the
+// diagonal, so the pivot passes and the relabel serve only the forward
+// layer. The per-qubit tiled reverse step it replaced and a pair-fused
+// one measured slower (README, "Cache-tiled F = 2 mixer").
+//
+// The qubit-range kernel UniformRXRangePlanes runs the later forward
+// passes alone over a range [lo, hi) of qubits. A distributed shard
+// applies it to the global qubits that an all-to-all has swapped into
+// its top local positions, so the layer on the local qubits and the
+// range pass together give each amplitude the single-node layer's
+// arithmetic; the reverse step does the same with its own passes.
 
 // Tile shape. These are constants of the kernels, not settings.
 const (
@@ -288,146 +298,493 @@ func rxPairRun[T Float](re, im []T, i, s int, k rxCoeffs[T]) {
 	}
 }
 
-// ReverseUniformRXPlanes is the adjoint reverse step of one x-mixer
-// layer on split planes, with (lr, li) as the bra λ: for q = 0, …, n−1
-// it adds Im ⟨λ|X_q|ψ⟩ and applies RX(−β) on qubit q to λ and ψ, and
-// returns the sum as mixer. When ph has a cost source it then returns
-// Im ⟨λ|Ĉ|ψ⟩ as phase and, with undo, undoes ph on both states; a zero
-// ph runs the mixer alone. The states end bit-identical to per-qubit
-// RX(−β) steps followed by ReversePhasePlanes; reductions accumulate in
-// float64.
-func ReverseUniformRXPlanes[T Float](p *Pool, lr, li, pr, pi []T, beta float64, ph Phase, undo bool) (mixer, phase float64) {
-	checkPair("ReverseUniformRX", len(lr), len(pr))
+// XDiag is the transverse-field mixer Σ_q X_q of an n-qubit state as a
+// diagonal in the Walsh basis of the planes a reverse step runs on
+// (ReverseXPlanes): Σ_q X_q = H^⊗n·diag(n − 2|y|)·H^⊗n. A state stored
+// over a group of 2^h bit flips (pivot j carrying qubit n−h+j, μ_j its
+// stored-index part) has Walsh weight only on the y whose top bits are
+// the parities of y ∧ μ_j, so on the stored planes the diagonal is
+// n − 2w(y) with w(y) = |y| + Σ_j parity(y ∧ μ_j).
+type XDiag struct {
+	// N is the full state's qubit count and Stored the stored state's,
+	// n − h: the transform spans 2^Stored amplitudes, on one set of
+	// planes or over 2^(Stored − log2 len) shards.
+	N, Stored int
+	// Masks are the pivots' parity masks over plane indices: μ_j on one
+	// set of planes.
+	Masks []int
+	// Weight and Parity are what the index bits outside the planes add
+	// to |y| and to the pivots' parities (bit j for pivot j): zero on
+	// one set of planes, a shard's rank bits on a distributed one.
+	Weight int
+	Parity uint64
+}
+
+// ReverseXPlanes is the adjoint reverse step of one x-mixer layer on
+// split planes, with (lr, li) as the bra λ: it returns
+// mixer = Σ_q Im ⟨λ|X_q|ψ⟩ over the stored amplitudes and undoes
+// e^{−iβΣX_q} on both states, in the Walsh basis of d. The first
+// transform T1 takes both states to that basis by the Hadamard stages
+// (a, b) → (a+b, a−b) of the qubits in ascending order; one pass then
+// reads
+//
+//	mixer = Σ_y (n − 2w(y))·Im(conj(λ̂_y)·ψ̂_y) / 2^Stored
+//
+// and multiplies both by e^{iβ(n−2w(y))}/2^Stored from an (n+1)-entry
+// table; T2, the same stages in reverse order, takes them back. When ph
+// has a cost source the last pass then returns Im ⟨λ|Ĉ|ψ⟩ as phase and,
+// with undo, undoes ph on both states; a zero ph runs the mixer alone.
+// Reductions accumulate in float64.
+//
+// The passes are tiled as in the forward layer: pass 1 runs the stages
+// below tileLowQubits on cache-sized blocks, each later pass a group of
+// up to tileGroup qubits, the diagonal inside the last group's pass.
+// Every amplitude sees the stages in one order however they are split
+// into passes and sweeps, so the states do not depend on the tile shape
+// or the pool size; only the reductions' summation order does.
+//
+// On one of 2^k shards (len = 2^(Stored−k)), swap must run an
+// all-to-all of both states that brings the k global qubits to the top
+// k plane positions, where d describes the planes: the local stages of
+// T1 run first, then swap, T1, the diagonal and T2 on the swapped-in
+// qubits, swap back and the local stages of T2. At k = 0 swap is not
+// called and may be nil; err is swap's.
+func ReverseXPlanes[T Float](p *Pool, lr, li, pr, pi []T, beta float64, d XDiag, ph Phase, undo bool, swap func() error) (mixer, phase float64, err error) {
+	checkPair("ReverseX", len(lr), len(pr))
 	if ph.active() {
-		ph.check("ReverseUniformRX", len(lr))
+		ph.check("ReverseX", len(lr))
 	}
 	n := numQubits(len(lr))
-	sn64, cs64 := math.Sincos(-beta)
-	sn, cs := T(sn64), T(cs64)
+	k := d.Stored - n
+	checkQubits(d.N)
+	if k < 0 || d.Stored > d.N || k > 0 && swap == nil {
+		panic(fmt.Sprintf("statevec: ReverseX on 2^%d amplitudes of a %d-qubit stored state of %d qubits", n, d.Stored, d.N))
+	}
+	st := newWalshStep(lr, li, pr, pi, beta, d, ph, undo)
 	low := tileLowQubits(n, p.workers())
-	size := 1 << uint(low)
-	phaseInBlocks := ph.active() && low == n
-	mixer, phase = p.reduceTasks(len(lr)>>uint(low), len(lr)/2, func(lo, hi int) (dx, dc float64) {
-		for b := lo * size; b < hi*size; b += size {
-			for q := 0; q < min(low, tileRunBits); q++ {
-				dx += reverseRXRangePlanes(lr, li, pr, pi, q, cs, sn, b/2, (b+size)/2)
-			}
-			for q := tileRunBits; q < low; q++ {
-				s := 1 << uint(q)
-				for i := b; i < b+size; i += 2 * s {
-					for c := i; c < i+s; c += tileRun {
-						dx += reverseRXRun(lr, li, pr, pi, c, s, cs, sn)
-					}
-				}
-			}
-			if phaseInBlocks {
-				dc += reversePhaseRangePlanes(lr, li, pr, pi, ph, undo, b, b+size)
+	last := walshOut
+	if ph.active() {
+		last |= walshPhase
+	}
+	if k == 0 && low == n {
+		mixer, phase = st.blocks(p, 0, n, walshInto|walshDiag|last)
+		return math.Ldexp(mixer, -d.Stored), phase, nil
+	}
+	st.blocks(p, 0, low, walshInto)
+	if k == 0 {
+		mixer = st.groups(p, low, n, walshInto|walshDiag|walshOut)
+	} else {
+		st.groups(p, low, n, walshInto)
+		if err := swap(); err != nil {
+			return 0, 0, err
+		}
+		if n-k >= tileRunBits {
+			mixer = st.groups(p, n-k, n, walshInto|walshDiag|walshOut)
+		} else {
+			mixer, _ = st.blocks(p, n-k, n, walshInto|walshDiag|walshOut)
+		}
+		if err := swap(); err != nil {
+			return 0, 0, err
+		}
+		st.groups(p, low, n, walshOut)
+	}
+	_, phase = st.blocks(p, 0, low, last)
+	return math.Ldexp(mixer, -d.Stored), phase, nil
+}
+
+// What one pass of the reverse step runs on each block or tile, in
+// this order.
+const (
+	walshInto  = 1 << iota // T1's stages of the pass's qubits
+	walshDiag              // the diagonal: read the mixer, multiply by the undo factor
+	walshOut               // T2's stages of the pass's qubits
+	walshPhase             // read and, with undo, undo the phase
+)
+
+// walshStep is one reverse step's state and the pass it runs next:
+// blocks of the qubits [q0, q1) when g is 0, else tiles of the group
+// [q0, q0+g). Passes run it by value, so a pass on an inline pool
+// allocates nothing.
+type walshStep[T Float] struct {
+	lr, li, pr, pi []T
+	ph             Phase
+	undo           bool
+	// fac[w] holds the weight-w factor e^{iβ(n−2w)}/2^Stored and n − 2w.
+	fac    [maxQubits + 1]walshFactor[T]
+	masks  []int
+	weight int
+	parity uint64
+	// lowParity[c] is the parity bits of the run offset c.
+	lowParity [tileRun]uint64
+
+	mode, q0, q1, g int
+	// cols is log2 of a tile row's length, at least tileRunBits.
+	cols int
+}
+
+// walshFactor is the undo factor c + i·s of one Walsh weight and the
+// weight's mixer eigenvalue k = n − 2w.
+type walshFactor[T Float] struct {
+	c, s T
+	k    float64
+}
+
+func newWalshStep[T Float](lr, li, pr, pi []T, beta float64, d XDiag, ph Phase, undo bool) walshStep[T] {
+	st := walshStep[T]{lr: lr, li: li, pr: pr, pi: pi, ph: ph, undo: undo, masks: d.Masks, weight: d.Weight, parity: d.Parity}
+	for w := 0; w <= d.N; w++ {
+		sn, cs := math.Sincos(beta * float64(d.N-2*w))
+		st.fac[w] = walshFactor[T]{c: T(math.Ldexp(cs, -d.Stored)), s: T(math.Ldexp(sn, -d.Stored)), k: float64(d.N - 2*w)}
+	}
+	for c := range st.lowParity {
+		st.lowParity[c] = st.parities(c)
+	}
+	return st
+}
+
+// parities returns the parity of y ∧ mask_j as bit j.
+func (st *walshStep[T]) parities(y int) uint64 {
+	var b uint64
+	for j, m := range st.masks {
+		b |= uint64(bits.OnesCount(uint(y&m))&1) << uint(j)
+	}
+	return b
+}
+
+// blocks runs one pass over the blocks of 2^q1 amplitudes on the
+// qubits [q0, q1) with the given mode, returning its reductions.
+func (st walshStep[T]) blocks(p *Pool, q0, q1, mode int) (dx, dc float64) {
+	st.mode, st.q0, st.q1, st.g = mode, q0, q1, 0
+	return st.launch(p, len(st.lr)>>uint(q1))
+}
+
+// groups runs the tiled passes over the qubits [lo, hi), lo ≥
+// tileRunBits, tileGroup qubits per pass: with walshInto, T1 on the
+// groups in ascending order; with walshOut, T2 in descending order;
+// the last group's pass runs the whole mode, and so the diagonal,
+// between them. It returns the mixer reduction.
+func (st walshStep[T]) groups(p *Pool, lo, hi, mode int) float64 {
+	if lo >= hi {
+		return 0
+	}
+	last := lo + (hi-lo-1)/tileGroup*tileGroup
+	if mode&walshInto != 0 {
+		for q0 := lo; q0 < last; q0 += tileGroup {
+			st.tiles(p, q0, tileGroup, walshInto)
+		}
+	}
+	dx, _ := st.tiles(p, last, hi-last, mode)
+	if mode&walshOut != 0 {
+		for q0 := last - tileGroup; q0 >= lo; q0 -= tileGroup {
+			st.tiles(p, q0, tileGroup, walshOut)
+		}
+	}
+	return dx
+}
+
+// tiles runs one tiled pass over the group [q0, q0+g). Its rows are
+// as long as a tile of one pass-1 block per plane allows, 2^(tileLow−g)
+// amplitudes, but at least tileRun.
+func (st walshStep[T]) tiles(p *Pool, q0, g, mode int) (dx, dc float64) {
+	st.mode, st.q0, st.g = mode, q0, g
+	st.cols = max(tileRunBits, min(q0, tileLow-g))
+	return st.launch(p, len(st.lr)>>uint(g+st.cols))
+}
+
+// launch runs the pass st describes over its tasks, inline and with
+// no closure when the pool would not split them.
+func (st walshStep[T]) launch(p *Pool, tasks int) (dx, dc float64) {
+	work := len(st.lr) / 2
+	if _, count := p.split(tasks, work); count == 1 {
+		return st.run(0, tasks)
+	}
+	return p.reduceTasks(tasks, work, st.run)
+}
+
+// run runs the pass on the blocks or tiles [lo, hi). Tile t enumerates
+// the row starts below q0, then the index bits above the group.
+func (st walshStep[T]) run(lo, hi int) (dx, dc float64) {
+	if st.g > 0 {
+		cols := uint(st.q0 - st.cols)
+		for t := lo; t < hi; t++ {
+			dx += st.tile((t>>cols)<<uint(st.q0+st.g) | (t&(1<<cols-1))<<uint(st.cols))
+		}
+		return dx, 0
+	}
+	size := 1 << uint(st.q1)
+	for b := lo * size; b < hi*size; b += size {
+		x, c := st.block(b, b+size)
+		dx += x
+		dc += c
+	}
+	return dx, dc
+}
+
+// block runs the pass on the amplitudes [lo, hi), which hold whole
+// groups of the qubits [q0, q1). Each plane takes its stages while its
+// block is in cache.
+func (st *walshStep[T]) block(lo, hi int) (dx, dc float64) {
+	planes := [4][]T{st.lr, st.li, st.pr, st.pi}
+	if st.mode&walshInto != 0 {
+		for _, x := range planes {
+			walshStages(x, lo, hi, st.q0, st.q1, false)
+		}
+	}
+	if st.mode&walshDiag != 0 {
+		if hi-lo < tileRun {
+			dx = st.diagRange(lo, hi)
+		} else {
+			for i := lo; i < hi; i += tileRun {
+				dx += st.diagRun(i)
 			}
 		}
-		return dx, dc
-	})
-	return reversePasses(p, lr, li, pr, pi, cs, sn, low, n, ph, undo, mixer, phase)
+	}
+	if st.mode&walshOut != 0 {
+		for _, x := range planes {
+			walshStages(x, lo, hi, st.q0, st.q1, true)
+		}
+	}
+	if st.mode&walshPhase != 0 {
+		dc = reversePhaseRangePlanes(st.lr, st.li, st.pr, st.pi, st.ph, st.undo, lo, hi)
+	}
+	return dx, dc
 }
 
-// ReverseRXRangePlanes is the joint reverse step on the qubits
-// [lo, hi) of split planes with (lr, li) as λ: for each qubit q it adds
-// Im ⟨λ|X_q|ψ⟩ and applies RX(−β) to λ and ψ, and returns the sum. It
-// runs the tiled reverse step's later passes over the range; below
-// tileRunBits it takes one untiled pass per qubit.
-func ReverseRXRangePlanes[T Float](p *Pool, lr, li, pr, pi []T, lo, hi int, beta float64) float64 {
-	checkPair("ReverseRXRangePlanes", len(lr), len(pr))
-	checkRange("ReverseRXRangePlanes", numQubits(len(lr)), lo, hi)
-	sn64, cs64 := math.Sincos(-beta)
-	sn, cs := T(sn64), T(cs64)
-	if lo >= tileRunBits {
-		mixer, _ := reversePasses(p, lr, li, pr, pi, cs, sn, lo, hi, Phase{}, false, 0, 0)
-		return mixer
+// tile runs the pass on the tile at base: 2^g rows of 2^cols
+// amplitudes, 2^q0 apart.
+func (st *walshStep[T]) tile(base int) (dx float64) {
+	planes := [4][]T{st.lr, st.li, st.pr, st.pi}
+	if st.mode&walshInto != 0 {
+		for _, x := range planes {
+			st.tileStages(x, base, false)
+		}
 	}
-	var mixer float64
-	for q := lo; q < hi; q++ {
-		dx, _ := p.reduceTasks(len(lr)/2, len(lr)/2, func(a, b int) (float64, float64) {
-			return reverseRXRangePlanes(lr, li, pr, pi, q, cs, sn, a, b), 0
-		})
-		mixer += dx
+	if st.mode&walshDiag != 0 {
+		for r := 0; r < 1<<uint(st.g); r++ {
+			row := base + r<<uint(st.q0)
+			for i := row; i < row+1<<uint(st.cols); i += tileRun {
+				dx += st.diagRun(i)
+			}
+		}
 	}
-	return mixer
+	if st.mode&walshOut != 0 {
+		for _, x := range planes {
+			st.tileStages(x, base, true)
+		}
+	}
+	return dx
 }
 
-// reversePasses runs the tiled reverse passes over the qubits
-// [lo, hi), tileGroup qubits per pass, with the phase reduction and
-// undo in the last pass when ph has a cost source, and adds each
-// pass's reductions to mixer and phase in pass order; lo ≥ tileRunBits
-// unless the range is empty.
-func reversePasses[T Float](p *Pool, lr, li, pr, pi []T, cs, sn T, lo, hi int, ph Phase, undo bool, mixer, phase float64) (float64, float64) {
-	for q0 := lo; q0 < hi; q0 += tileGroup {
-		g := min(tileGroup, hi-q0)
-		last := ph.active() && q0+g == hi
-		dx, dc := p.reduceTasks(len(lr)>>uint(g+tileRunBits), len(lr)/2, func(a, b int) (dx, dc float64) {
-			for t := a; t < b; t++ {
-				base := tileBase(t, q0, g)
-				for j := 0; j < g; j++ {
-					s := 1 << uint(q0+j)
-					forTileRows(base, q0, g, j, 1, func(i int) { dx += reverseRXRun(lr, li, pr, pi, i, s, cs, sn) })
-				}
-				if last {
-					forTileRows(base, q0, g, 0, 0, func(i int) {
-						dc += reversePhaseRangePlanes(lr, li, pr, pi, ph, undo, i, i+tileRun)
-					})
+// tileStages runs the stages of the group's qubits on the tile at base
+// of plane x, as walshStages does on a block: up to three per sweep,
+// ascending, or with inverse descending.
+func (st *walshStep[T]) tileStages(x []T, base int, inverse bool) {
+	rows, cols := 1<<uint(st.g), 1<<uint(st.cols)
+	for done := 0; done < st.g; {
+		m := min(3, st.g-done)
+		j := done
+		if inverse {
+			j = st.g - done - m
+		}
+		s := 1 << uint(st.q0+j)
+		for hi := 0; hi < rows; hi += 1 << uint(j+m) {
+			for r := hi; r < hi+1<<uint(j); r++ {
+				row := base + r<<uint(st.q0)
+				for i := row; i < row+cols; i += tileRun {
+					butterflyRun(x, i, s, m, inverse)
 				}
 			}
-			return dx, dc
-		})
-		mixer += dx
-		phase += dc
+		}
+		done += m
 	}
-	return mixer, phase
 }
 
-// reverseRXRangePlanes runs the joint RX(−β) reverse step on qubit q
-// over the amplitude pairs t ∈ [lo, hi) of λ (lr, li) and ψ (pr, pi),
-// returning their share of Im ⟨λ|X_q|ψ⟩; (cs, sn) = (cos, sin)(−β).
-func reverseRXRangePlanes[T Float](lr, li, pr, pi []T, q int, cs, sn T, lo, hi int) float64 {
-	stride := 1 << uint(q)
-	mask := stride - 1
+// diagRun runs the diagonal on the tileRun amplitudes from i, a
+// multiple of tileRun: their weights differ from i's by the run
+// offset's popcount and parities. It returns their share of the mixer
+// reduction.
+func (st *walshStep[T]) diagRun(i int) float64 {
+	a, b := (*[tileRun]T)(st.lr[i:]), (*[tileRun]T)(st.li[i:])
+	c, d := (*[tileRun]T)(st.pr[i:]), (*[tileRun]T)(st.pi[i:])
+	w0 := st.weight + bits.OnesCount(uint(i))
+	p0 := st.parity ^ st.parities(i)
 	var acc float64
-	for t := lo; t < hi; t++ {
-		l1 := (t>>uint(q))<<uint(q+1) | (t & mask)
-		l2 := l1 + stride
-		a1, b1, a2, b2 := lr[l1], li[l1], lr[l2], li[l2]
-		c1, d1, c2, d2 := pr[l1], pi[l1], pr[l2], pi[l2]
-		acc += float64(a1)*float64(d2) - float64(b1)*float64(c2) + float64(a2)*float64(d1) - float64(b2)*float64(c1)
-		lr[l1] = cs*a1 + sn*b2
-		li[l1] = cs*b1 - sn*a2
-		lr[l2] = cs*a2 + sn*b1
-		li[l2] = cs*b2 - sn*a1
-		pr[l1] = cs*c1 + sn*d2
-		pi[l1] = cs*d1 - sn*c2
-		pr[l2] = cs*c2 + sn*d1
-		pi[l2] = cs*d2 - sn*c1
+	for j := 0; j < tileRun; j++ {
+		f := st.fac[w0+bits.OnesCount8(uint8(j))+bits.OnesCount64(p0^st.lowParity[j])]
+		ar, ai, cr, ci := a[j], b[j], c[j], d[j]
+		acc += f.k * (float64(ar)*float64(ci) - float64(ai)*float64(cr))
+		a[j], b[j] = ar*f.c-ai*f.s, ar*f.s+ai*f.c
+		c[j], d[j] = cr*f.c-ci*f.s, cr*f.s+ci*f.c
 	}
 	return acc
 }
 
-// reverseRXRun is reverseRXRangePlanes on the tileRun pairs
-// (i+c, i+s+c) of a tile row.
-func reverseRXRun[T Float](lr, li, pr, pi []T, i, s int, cs, sn T) float64 {
-	lr1, li1 := (*[tileRun]T)(lr[i:]), (*[tileRun]T)(li[i:])
-	lr2, li2 := (*[tileRun]T)(lr[i+s:]), (*[tileRun]T)(li[i+s:])
-	pr1, pi1 := (*[tileRun]T)(pr[i:]), (*[tileRun]T)(pi[i:])
-	pr2, pi2 := (*[tileRun]T)(pr[i+s:]), (*[tileRun]T)(pi[i+s:])
+// diagRange runs the diagonal amplitude by amplitude on [lo, hi).
+func (st *walshStep[T]) diagRange(lo, hi int) float64 {
 	var acc float64
+	for i := lo; i < hi; i++ {
+		f := st.fac[st.weight+bits.OnesCount(uint(i))+bits.OnesCount64(st.parity^st.parities(i))]
+		ar, ai, cr, ci := st.lr[i], st.li[i], st.pr[i], st.pi[i]
+		acc += f.k * (float64(ar)*float64(ci) - float64(ai)*float64(cr))
+		st.lr[i], st.li[i] = ar*f.c-ai*f.s, ar*f.s+ai*f.c
+		st.pr[i], st.pi[i] = cr*f.c-ci*f.s, cr*f.s+ci*f.c
+	}
+	return acc
+}
+
+// walshStages runs the Hadamard stages (a, b) → (a+b, a−b) of the
+// qubits [q0, q1) on x[lo:hi), which holds whole groups of them: T1's
+// order, ascending, or with inverse T2's, descending. Stages of the
+// same qubits in the same order give the same bits however they are
+// grouped into sweeps: from qubit 0 the stages of qubits 0–3 run as one
+// butterfly per run of 16, other stages below 4 one sweep each, and the
+// rest up to three per sweep.
+func walshStages[T Float](x []T, lo, hi, q0, q1 int, inverse bool) {
+	from := q0
+	if q0 == 0 && q1 >= 4 {
+		from = 4
+	}
+	if !inverse && from > q0 {
+		for i := lo; i < hi; i += 16 {
+			butterfly16((*[16]T)(x[i:]), false)
+		}
+	}
+	for done := 0; done < q1-from; {
+		// The sweep takes the stages [q, q+m): the lowest left in T1,
+		// the highest left in T2.
+		q, m := from+done, 1
+		if inverse {
+			q = q1 - 1 - done
+		}
+		if q >= tileRunBits {
+			m = min(3, q1-from-done)
+			if inverse {
+				m = min(m, q-tileRunBits+1)
+				q -= m - 1
+			}
+		}
+		walshRun(x, lo, hi, q, m, inverse)
+		done += m
+	}
+	if inverse && from > q0 {
+		for i := lo; i < hi; i += 16 {
+			butterfly16((*[16]T)(x[i:]), true)
+		}
+	}
+}
+
+// walshRun runs the m stages of the qubits [q, q+m) on x[lo:hi) in one
+// sweep, ascending or with inverse descending; below qubit tileRunBits,
+// m is 1.
+func walshRun[T Float](x []T, lo, hi, q, m int, inverse bool) {
+	s := 1 << uint(q)
+	if q < tileRunBits {
+		for i := lo; i < hi; i += 2 * s {
+			for c := i; c < i+s; c++ {
+				a, b := x[c], x[c+s]
+				x[c], x[c+s] = a+b, a-b
+			}
+		}
+		return
+	}
+	for i := lo; i < hi; i += s << uint(m) {
+		for c := i; c < i+s; c += tileRun {
+			butterflyRun(x, c, s, m, inverse)
+		}
+	}
+}
+
+// butterflyRun runs the m ≤ 3 stages of strides s, 2s, 4s on the
+// tileRun columns from i of x: in that order, or with inverse in the
+// reverse one.
+func butterflyRun[T Float](x []T, i, s, m int, inverse bool) {
+	switch {
+	case m == 1:
+		butterfly2Run(x, i, s)
+	case m == 2 && inverse:
+		butterfly4Run(x, i, 2*s, s)
+	case m == 2:
+		butterfly4Run(x, i, s, 2*s)
+	case inverse:
+		butterfly8Run(x, i, 4*s, 2*s, s)
+	default:
+		butterfly8Run(x, i, s, 2*s, 4*s)
+	}
+}
+
+// butterfly2Run runs the stage of stride s on the tileRun pairs
+// (i+c, i+s+c) of x.
+func butterfly2Run[T Float](x []T, i, s int) {
+	x0, x1 := (*[tileRun]T)(x[i:]), (*[tileRun]T)(x[i+s:])
 	for c := 0; c < tileRun; c++ {
-		a1, b1, a2, b2 := lr1[c], li1[c], lr2[c], li2[c]
-		c1, d1, c2, d2 := pr1[c], pi1[c], pr2[c], pi2[c]
-		acc += float64(a1)*float64(d2) - float64(b1)*float64(c2) + float64(a2)*float64(d1) - float64(b2)*float64(c1)
-		lr1[c] = cs*a1 + sn*b2
-		li1[c] = cs*b1 - sn*a2
-		lr2[c] = cs*a2 + sn*b1
-		li2[c] = cs*b2 - sn*a1
-		pr1[c] = cs*c1 + sn*d2
-		pi1[c] = cs*d1 - sn*c2
-		pr2[c] = cs*c2 + sn*d1
-		pi2[c] = cs*d2 - sn*c1
+		a, b := x0[c], x1[c]
+		x0[c], x1[c] = a+b, a-b
 	}
-	return acc
+}
+
+// butterfly4Run runs the stages of strides s1, then s2, on the tileRun
+// quadruples (i+c, i+s1+c, i+s2+c, i+s1+s2+c) of x.
+func butterfly4Run[T Float](x []T, i, s1, s2 int) {
+	x0, x1 := (*[tileRun]T)(x[i:]), (*[tileRun]T)(x[i+s1:])
+	x2, x3 := (*[tileRun]T)(x[i+s2:]), (*[tileRun]T)(x[i+s1+s2:])
+	for c := 0; c < tileRun; c++ {
+		a, b := x0[c]+x1[c], x0[c]-x1[c]
+		d0, d1 := x2[c]+x3[c], x2[c]-x3[c]
+		x0[c], x1[c], x2[c], x3[c] = a+d0, b+d1, a-d0, b-d1
+	}
+}
+
+// butterfly8Run runs the stages of strides s1, s2, s3, in that order,
+// on the tileRun octets from i of x.
+func butterfly8Run[T Float](x []T, i, s1, s2, s3 int) {
+	x0, x1 := (*[tileRun]T)(x[i:]), (*[tileRun]T)(x[i+s1:])
+	x2, x3 := (*[tileRun]T)(x[i+s2:]), (*[tileRun]T)(x[i+s1+s2:])
+	x4, x5 := (*[tileRun]T)(x[i+s3:]), (*[tileRun]T)(x[i+s1+s3:])
+	x6, x7 := (*[tileRun]T)(x[i+s2+s3:]), (*[tileRun]T)(x[i+s1+s2+s3:])
+	for c := 0; c < tileRun; c++ {
+		a0, a1 := x0[c]+x1[c], x0[c]-x1[c]
+		a2, a3 := x2[c]+x3[c], x2[c]-x3[c]
+		a4, a5 := x4[c]+x5[c], x4[c]-x5[c]
+		a6, a7 := x6[c]+x7[c], x6[c]-x7[c]
+		b0, b2 := a0+a2, a0-a2
+		b1, b3 := a1+a3, a1-a3
+		b4, b6 := a4+a6, a4-a6
+		b5, b7 := a5+a7, a5-a7
+		x0[c], x4[c] = b0+b4, b0-b4
+		x1[c], x5[c] = b1+b5, b1-b5
+		x2[c], x6[c] = b2+b6, b2-b6
+		x3[c], x7[c] = b3+b7, b3-b7
+	}
+}
+
+// butterfly16 runs the stages of qubits 0–3 on 16 amplitudes: 0, 1,
+// 2, 3, or with inverse 3, 2, 1, 0.
+func butterfly16[T Float](v *[16]T, inverse bool) {
+	if !inverse {
+		butterfly4(v, 0, 1, 2, 3)
+		butterfly4(v, 4, 5, 6, 7)
+		butterfly4(v, 8, 9, 10, 11)
+		butterfly4(v, 12, 13, 14, 15)
+		butterfly4(v, 0, 4, 8, 12)
+		butterfly4(v, 1, 5, 9, 13)
+		butterfly4(v, 2, 6, 10, 14)
+		butterfly4(v, 3, 7, 11, 15)
+		return
+	}
+	butterfly4(v, 0, 8, 4, 12)
+	butterfly4(v, 1, 9, 5, 13)
+	butterfly4(v, 2, 10, 6, 14)
+	butterfly4(v, 3, 11, 7, 15)
+	butterfly4(v, 0, 2, 1, 3)
+	butterfly4(v, 4, 6, 5, 7)
+	butterfly4(v, 8, 10, 9, 11)
+	butterfly4(v, 12, 14, 13, 15)
+}
+
+// butterfly4 runs two stages on the amplitudes (i0, i1, i2, i3) of v:
+// the first on the pairs (i0, i1) and (i2, i3), the second on (i0, i2)
+// and (i1, i3).
+func butterfly4[T Float](v *[16]T, i0, i1, i2, i3 int) {
+	a, b := v[i0]+v[i1], v[i0]-v[i1]
+	c, d := v[i2]+v[i3], v[i2]-v[i3]
+	v[i0], v[i1], v[i2], v[i3] = a+c, b+d, a-c, b-d
 }

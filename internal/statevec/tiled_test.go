@@ -3,6 +3,7 @@ package statevec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -178,74 +179,417 @@ func checkTiledLayer[T Float](t *testing.T) {
 func TestTiledLayerMatchesPairwise(t *testing.T)      { checkTiledLayer[float64](t) }
 func TestTiledLayerSoA32MatchesPairwise(t *testing.T) { checkTiledLayer[float32](t) }
 
-// checkTiledReverse runs the tiled reverse step and requires the
-// states to end bit-identical to per-qubit ApplyRX(−β) steps on both
-// followed by the phase undo (the forward phase at −γ), and both
-// reductions to agree with the serial ImDotXRange / ImDotDiag read at
-// the same points to 1e-12 relative. For float64, where the per-qubit
-// terms do not depend on the point of the sweep they are read at, the
-// mixer reduction must also agree with ImDotXAll of the input pair.
-func checkTiledReverse[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	_, single := any([]T(nil)).([]float32)
-	for _, sh := range tiledShapes(t) {
-		if sh.n > 18 {
-			continue
+// walshReverseRef is the untiled reference composition of
+// ReverseXPlanes on one set of planes: T1 one full pass per qubit,
+// ascending; the diagonal one amplitude at a time; T2 one full pass per
+// qubit, descending; then the phase over the whole state. Each
+// amplitude sees the kernel's arithmetic in the kernel's order, so the
+// states must match the kernel bit for bit at any tile shape and pool
+// size; the reductions differ in summation order only.
+func walshReverseRef[T Float](lam, psi planes[T], beta float64, d XDiag, ph Phase, undo bool) (mixer, phase float64) {
+	n := numQubits(len(lam.re))
+	all := [4][]T{lam.re, lam.im, psi.re, psi.im}
+	stage := func(q int) {
+		s := 1 << uint(q)
+		for _, x := range all {
+			for i := range x {
+				if i&s == 0 {
+					a, b := x[i], x[i+s]
+					x[i], x[i+s] = a+b, a-b
+				}
+			}
 		}
-		p := NewPool(sh.workers)
-		beta, gamma := 0.61-0.03*float64(sh.n), 0.43+0.07*float64(sh.n)
-		lam0, psi0 := randomPlanes[T](rng, sh.n), randomPlanes[T](rng, sh.n)
-		for name, ph := range tiledPhases(rng, len(lam0.re), gamma) {
+	}
+	for q := 0; q < n; q++ {
+		stage(q)
+	}
+	for i := range lam.re {
+		w := d.Weight + bits.OnesCount(uint(i))
+		for j, m := range d.Masks {
+			w += int(uint64(bits.OnesCount(uint(i&m))&1) ^ d.Parity>>uint(j)&1)
+		}
+		sn, cs := math.Sincos(beta * float64(d.N-2*w))
+		fc, fs := T(math.Ldexp(cs, -d.Stored)), T(math.Ldexp(sn, -d.Stored))
+		ar, ai, cr, ci := lam.re[i], lam.im[i], psi.re[i], psi.im[i]
+		mixer += float64(d.N-2*w) * (float64(ar)*float64(ci) - float64(ai)*float64(cr))
+		lam.re[i], lam.im[i] = ar*fc-ai*fs, ar*fs+ai*fc
+		psi.re[i], psi.im[i] = cr*fc-ci*fs, cr*fs+ci*fc
+	}
+	for q := n - 1; q >= 0; q-- {
+		stage(q)
+	}
+	if ph.active() {
+		phase = reversePhaseRangePlanes(lam.re, lam.im, psi.re, psi.im, ph, undo, 0, len(lam.re))
+	}
+	return math.Ldexp(mixer, -d.Stored), phase
+}
+
+// reversePerQubit is the per-qubit reference of one x-mixer reverse
+// step on a stored state whose pivots pair i with i ⊕ μ_j: it returns
+// Σ_q Im ⟨λ|X_q|ψ⟩ of the input pair, pivots included, then applies
+// RX(−β) on every qubit and pivot to both states, reads Im ⟨λ|Ĉ|ψ⟩
+// when ph has a diagonal and, with undo, undoes the phase. Both
+// reductions sum term by term with compensation (compSum), so that
+// their own rounding stays far below the kernels' tolerances.
+func reversePerQubit[T Float](p *Pool, lam, psi planes[T], beta float64, mus []int, ph Phase, undo bool) (mixer, phase float64) {
+	l, s := lam.vec(), psi.vec()
+	var acc compSum
+	for i := range l {
+		for q := 0; q < numQubits(len(l)); q++ {
+			acc.add(real(l[i])*imag(s[i^1<<uint(q)]) - imag(l[i])*real(s[i^1<<uint(q)]))
+		}
+		for _, mu := range mus {
+			acc.add(real(l[i])*imag(s[i^mu]) - imag(l[i])*real(s[i^mu]))
+		}
+	}
+	mixer = acc.sum()
+	for _, x := range []planes[T]{lam, psi} {
+		for q := 0; q < numQubits(len(x.re)); q++ {
+			applyRXPlanes(p, x.re, x.im, q, -beta)
+		}
+		for _, mu := range mus {
+			MirrorRXPlanes(p, x.re, x.im, mu, -beta)
+		}
+	}
+	if ph.Diag != nil {
+		var acc compSum
+		for i := range lam.re {
+			acc.add(ph.Diag[i] * (float64(lam.re[i])*float64(psi.im[i]) - float64(lam.im[i])*float64(psi.re[i])))
+		}
+		phase = acc.sum()
+	}
+	if undo {
+		back := Phase{Diag: ph.Diag, Gamma: -ph.Gamma}
+		phaseRangePlanes(lam.re, lam.im, back, 0, len(lam.re))
+		phaseRangePlanes(psi.re, psi.im, back, 0, len(psi.re))
+	}
+	return mixer, phase
+}
+
+// compSum is a Neumaier compensated sum.
+type compSum struct{ s, c float64 }
+
+func (k *compSum) add(x float64) {
+	t := k.s + x
+	if math.Abs(k.s) >= math.Abs(x) {
+		k.c += (k.s - t) + x
+	} else {
+		k.c += (x - t) + k.s
+	}
+	k.s = t
+}
+
+func (k compSum) sum() float64 { return k.s + k.c }
+
+// reverseShapes returns the pool sizes a reverse-step case of n qubits
+// runs at: 1, 2 and 3, and at n = 13 and 14 also the pools that shrink
+// pass 1 to 4 qubits, so that the step takes a full group pass and an
+// odd one (n = 13) or two even ones (n = 14).
+func reverseShapes(n int) []int {
+	switch n {
+	case 13:
+		return []int{1, 2, 3, 512}
+	case 14:
+		return []int{1, 2, 3, 1024}
+	}
+	return []int{1, 2, 3}
+}
+
+// checkTiledReverse runs the reverse step on full states of 1 to 20
+// qubits (16 in short mode) at every pool size of reverseShapes, and
+// requires λ and ψ to match the untiled reference composition bit for
+// bit, with both reductions close to the reference's. It then requires
+// the states within tol of per-qubit RX(−β) steps followed by the phase
+// undo (reversePerQubit), and the reductions within rtol of the
+// per-qubit reference's, of ImDotXAll of the input pair and of
+// ImDotDiag of the undone pair. Above 14 qubits only the mixer alone and the table phase
+// with its undo run.
+func checkTiledReverse[T Float](t *testing.T, tol, rtol float64) {
+	rng := rand.New(rand.NewSource(89))
+	maxN := 20
+	if testing.Short() {
+		maxN = 16
+	}
+	for n := 1; n <= maxN; n++ {
+		beta, gamma := 0.61-0.03*float64(n), 0.43+0.07*float64(n)
+		lam0, psi0 := randomPlanes[T](rng, n), randomPlanes[T](rng, n)
+		d := XDiag{N: n, Stored: n}
+		phases := tiledPhases(rng, 1<<n, gamma)
+		for _, name := range []string{"mixer", "sincos", "table"} {
+			ph := phases[name]
 			for _, undo := range []bool{false, true} {
-				if ph.Diag == nil && undo {
+				if ph.Diag == nil && undo || n > 14 && name != "mixer" && (name != "table" || !undo) {
 					continue
 				}
-				label := fmt.Sprintf("n=%d workers=%d %s undo=%v", sh.n, sh.workers, name, undo)
-				lam, psi := lam0.clone(), psi0.clone()
-				mixer, phase := ReverseUniformRXPlanes(p, lam.re, lam.im, psi.re, psi.im, beta, ph, undo)
-
+				label := fmt.Sprintf("n=%d %s undo=%v", n, name, undo)
 				wl, wp := lam0.clone(), psi0.clone()
-				var wantMixer, wantPhase float64
-				for q := 0; q < sh.n; q++ {
-					wantMixer += ImDotXRange(wl.vec(), wp.vec(), q, q+1)
-					applyRXPlanes(p, wl.re, wl.im, q, -beta)
-					applyRXPlanes(p, wp.re, wp.im, q, -beta)
+				wantMixer, wantPhase := walshReverseRef(wl, wp, beta, d, ph, undo)
+				for _, workers := range reverseShapes(n) {
+					lam, psi := lam0.clone(), psi0.clone()
+					mixer, phase, err := ReverseXPlanes(NewPool(workers), lam.re, lam.im, psi.re, psi.im, beta, d, ph, undo, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i := bitDiff(lam, wl); i >= 0 {
+						t.Fatalf("%s workers=%d: λ differs from the reference composition at %d", label, workers, i)
+					}
+					if i := bitDiff(psi, wp); i >= 0 {
+						t.Fatalf("%s workers=%d: ψ differs from the reference composition at %d", label, workers, i)
+					}
+					relClose(t, fmt.Sprintf("%s workers=%d mixer", label, workers), mixer, wantMixer, 1e-12)
+					relClose(t, fmt.Sprintf("%s workers=%d phase", label, workers), phase, wantPhase, 1e-12)
 				}
+				pl, pp := lam0.clone(), psi0.clone()
+				refMixer, refPhase := reversePerQubit(NewPool(1), pl, pp, beta, nil, ph, undo)
+				if dl, dp := MaxAbsDiff(wl.vec(), pl.vec()), MaxAbsDiff(wp.vec(), pp.vec()); dl > tol || dp > tol {
+					t.Fatalf("%s: states differ from the per-qubit reference by %g, %g", label, dl, dp)
+				}
+				relClose(t, label+" mixer vs the per-qubit reference", wantMixer, refMixer, rtol)
+				relClose(t, label+" phase vs the per-qubit reference", wantPhase, refPhase, rtol)
+				relClose(t, label+" mixer vs ImDotXAll", wantMixer, ImDotXAll(lam0.vec(), psi0.vec()), rtol)
 				if ph.Diag != nil {
-					wantPhase = ImDotDiag(wl.vec(), wp.vec(), ph.Diag)
-				}
-				if undo {
-					back := Phase{Diag: ph.Diag, Gamma: -gamma}
-					phaseRangePlanes(wl.re, wl.im, back, 0, len(wl.re))
-					phaseRangePlanes(wp.re, wp.im, back, 0, len(wp.re))
-				}
-				if i := bitDiff(lam, wl); i >= 0 {
-					t.Fatalf("%s: λ differs from the per-qubit reference at %d", label, i)
-				}
-				if i := bitDiff(psi, wp); i >= 0 {
-					t.Fatalf("%s: ψ differs from the per-qubit reference at %d", label, i)
-				}
-				relClose(t, label+" mixer", mixer, wantMixer)
-				relClose(t, label+" phase", phase, wantPhase)
-				if !single {
-					relClose(t, label+" mixer vs ImDotXAll", mixer, ImDotXAll(lam0.vec(), psi0.vec()))
+					relClose(t, label+" phase vs ImDotDiag", wantPhase, ImDotDiag(pl.vec(), pp.vec(), ph.Diag), rtol)
 				}
 			}
 		}
 	}
 }
 
-// relClose requires |got − want| ≤ 1e-12·(|want| + 1); the states are
+// relClose requires |got − want| ≤ tol·(|want| + 1); the states are
 // normalized, so 1 bounds each per-qubit term.
-func relClose(t *testing.T, label string, got, want float64) {
+func relClose(t *testing.T, label string, got, want, tol float64) {
 	t.Helper()
-	if d := math.Abs(got - want); d > 1e-12*(math.Abs(want)+1) {
+	if d := math.Abs(got - want); d > tol*(math.Abs(want)+1) {
 		t.Fatalf("%s: reduction %v, want %v (off by %g)", label, got, want, d)
 	}
 }
 
-func TestTiledReverseMatchesPerQubit(t *testing.T)      { checkTiledReverse[float64](t) }
-func TestTiledReverseSoA32MatchesPerQubit(t *testing.T) { checkTiledReverse[float32](t) }
+func TestTiledReverseMatchesPerQubit(t *testing.T)      { checkTiledReverse[float64](t, 1e-14, 1e-12) }
+func TestTiledReverseSoA32MatchesPerQubit(t *testing.T) { checkTiledReverse[float32](t, 1e-5, 1e-5) }
+
+// checkReverseXGroup runs the reverse step on the stored planes of a
+// group state, with the pivots as parity masks, and on the full state
+// expanded through the group, under a cost the group fixes: the stored
+// block of the full state's λ and ψ must match the stored planes to
+// tol, and the stored reductions must be 2^−h of the full state's, to
+// rtol.
+func checkReverseXGroup[T Float](t *testing.T, tol, rtol float64) {
+	rng := rand.New(rand.NewSource(109))
+	for _, sh := range pivotShapes() {
+		p := NewPool(sh.workers)
+		h, size := len(sh.pivots), sh.stored()
+		beta, gamma := 0.71-0.04*float64(sh.n), 0.37+0.05*float64(sh.n)
+		lam := expandPlanes(sh, randomPlanes[T](rng, sh.n))
+		psi := expandPlanes(sh, randomPlanes[T](rng, sh.n))
+		group := sh.group()
+		diag := make([]float64, 1<<uint(sh.n))
+		for x := range diag {
+			if x < size {
+				diag[x] = rng.NormFloat64() * 3
+			} else {
+				diag[x] = diag[uint64(x)^group[x/size]]
+			}
+		}
+		masks := make([]int, h)
+		for j := range masks {
+			masks[j] = sh.mu(j)
+		}
+		hl, hp := storedPart(sh, lam), storedPart(sh, psi)
+		mixer, phase, err := ReverseXPlanes(p, hl.re, hl.im, hp.re, hp.im, beta,
+			XDiag{N: sh.n, Stored: sh.n - h, Masks: masks}, Phase{Diag: diag[:size], Gamma: gamma}, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullMixer, fullPhase, err := ReverseXPlanes(p, lam.re, lam.im, psi.re, psi.im, beta,
+			XDiag{N: sh.n, Stored: sh.n}, Phase{Diag: diag, Gamma: gamma}, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%s n=%d workers=%d", sh.name, sh.n, sh.workers)
+		if dl, dp := MaxAbsDiff(hl.vec(), storedPart(sh, lam).vec()), MaxAbsDiff(hp.vec(), storedPart(sh, psi).vec()); dl > tol || dp > tol {
+			t.Fatalf("%s: stored states differ from the full-state reverse by %g, %g", label, dl, dp)
+		}
+		weight := float64(len(group))
+		relClose(t, label+" mixer", weight*mixer, fullMixer, rtol)
+		relClose(t, label+" phase", weight*phase, fullPhase, rtol)
+	}
+}
+
+func TestReverseXGroupMatchesFullState(t *testing.T)      { checkReverseXGroup[float64](t, 1e-13, 1e-12) }
+func TestReverseXGroupSoA32MatchesFullState(t *testing.T) { checkReverseXGroup[float32](t, 1e-5, 1e-5) }
+
+// shardDiag returns the reverse step's diagonal on shard a of 2^k in
+// the layout a plain all-to-all leaves, where shard a holds stored
+// index (r, a, w) at local index (r, w): the pivots' parity masks over
+// (r, w), and the weight and parities the a bits add.
+func shardDiag(n, stored, k, a int, mus []int) XDiag {
+	local := stored - k
+	low := local - k
+	d := XDiag{N: n, Stored: stored, Weight: bits.OnesCount(uint(a))}
+	for j, mu := range mus {
+		d.Masks = append(d.Masks, mu>>uint(local)<<uint(low)|mu&(1<<uint(low)-1))
+		d.Parity |= uint64(bits.OnesCount(uint(a&(mu>>uint(low))&(1<<uint(k)-1)))&1) << uint(j)
+	}
+	return d
+}
+
+// alltoallShards swaps subchunk a of shard r with subchunk r of shard
+// a in every plane.
+func alltoallShards[T Float](shards [][4][]T) {
+	k := len(shards)
+	sub := len(shards[0][0]) / k
+	for r := 0; r < k; r++ {
+		for a := r + 1; a < k; a++ {
+			for pl := 0; pl < 4; pl++ {
+				x, y := shards[r][pl][a*sub:(a+1)*sub], shards[a][pl][r*sub:(r+1)*sub]
+				for i := range x {
+					x[i], y[i] = y[i], x[i]
+				}
+			}
+		}
+	}
+}
+
+// checkReverseXShards runs the reverse step on the 2^k shards of a
+// stored state at once, each on its own goroutine, with an all-to-all
+// between them as swap. The gathered states must match the step on one
+// set of planes to tol, and the shards' summed reductions its
+// reductions to rtol; for float64 the mixer reduction must also match
+// the per-qubit reference with the pivots' terms. The sizes take the tiled pass over
+// the swapped-in qubits (n − h − 2k ≥ 4) and the untiled one, with and
+// without pivots.
+func checkReverseXShards[T Float](t *testing.T, tol, rtol float64) {
+	rng := rand.New(rand.NewSource(139))
+	_, single := any([]T(nil)).([]float32)
+	for _, c := range []struct {
+		stored, k int
+		mus       []int
+	}{
+		{6, 1, nil}, {6, 3, []int{0b101011}}, {9, 2, []int{0b101010101, 0b010101010}},
+		{14, 1, nil}, {14, 2, []int{int(alternating(14, 0)), int(alternating(14, 1))}}, {15, 3, []int{1<<15 - 1}},
+	} {
+		const beta, gamma = 0.53, -0.31
+		n := c.stored + len(c.mus)
+		label := fmt.Sprintf("2^%d stored, k=%d, %d pivots", c.stored, c.k, len(c.mus))
+		lam0, psi0 := randomPlanes[T](rng, c.stored), randomPlanes[T](rng, c.stored)
+		ph := tiledPhases(rng, 1<<uint(c.stored), gamma)["table"]
+		wl, wp := lam0.clone(), psi0.clone()
+		wantMixer, wantPhase, err := ReverseXPlanes(NewPool(2), wl.re, wl.im, wp.re, wp.im, beta, XDiag{N: n, Stored: c.stored, Masks: c.mus}, ph, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks, size := 1<<uint(c.k), 1<<uint(c.stored-c.k)
+		lam, psi := lam0.clone(), psi0.clone()
+		shards := make([][4][]T, ranks)
+		for r := range shards {
+			lo, hi := r*size, (r+1)*size
+			shards[r] = [4][]T{lam.re[lo:hi], lam.im[lo:hi], psi.re[lo:hi], psi.im[lo:hi]}
+		}
+		arrive, release := make(chan struct{}), make([]chan struct{}, ranks)
+		for r := range release {
+			release[r] = make(chan struct{})
+		}
+		go func() {
+			for round := 0; round < 2; round++ {
+				for r := 0; r < ranks; r++ {
+					<-arrive
+				}
+				alltoallShards(shards)
+				for _, ch := range release {
+					ch <- struct{}{}
+				}
+			}
+		}()
+		mixers, phases := make([]float64, ranks), make([]float64, ranks)
+		var wg sync.WaitGroup
+		for r := 0; r < ranks; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				s, lo, hi := shards[r], r*size, (r+1)*size
+				swap := func() error {
+					arrive <- struct{}{}
+					<-release[r]
+					return nil
+				}
+				window := Phase{Diag: ph.Diag[lo:hi], Gamma: gamma, Codes: ph.Codes[lo:hi], Tab: ph.Tab}
+				mixers[r], phases[r], _ = ReverseXPlanes(NewPool(1), s[0], s[1], s[2], s[3], beta, shardDiag(n, c.stored, c.k, r, c.mus), window, true, swap)
+			}(r)
+		}
+		wg.Wait()
+		var mixer, phase float64
+		for r := range mixers {
+			mixer += mixers[r]
+			phase += phases[r]
+		}
+		if dl, dp := MaxAbsDiff(lam.vec(), wl.vec()), MaxAbsDiff(psi.vec(), wp.vec()); dl > tol || dp > tol {
+			t.Fatalf("%s: gathered shards differ from one set of planes by %g, %g", label, dl, dp)
+		}
+		relClose(t, label+" mixer", mixer, wantMixer, rtol)
+		relClose(t, label+" phase", phase, wantPhase, rtol)
+		if !single {
+			ref, _ := reversePerQubit(NewPool(1), lam0.clone(), psi0.clone(), beta, c.mus, Phase{}, false)
+			relClose(t, label+" mixer vs ImDotXAll", mixer, ref, 1e-12)
+		}
+	}
+}
+
+func TestReverseXShardsMatchOnePlane(t *testing.T) {
+	checkReverseXShards[float64](t, 1e-13, 1e-12)
+	checkReverseXShards[float32](t, 1e-5, 1e-5)
+}
+
+// TestReverseXPanics: λ and ψ must have one length, and the planes must
+// hold the 2^Stored amplitudes of at most n qubits, or 2^(Stored−k)
+// with a swap.
+func TestReverseXPanics(t *testing.T) {
+	p := NewPool(1)
+	for name, f := range map[string]func(){
+		"lengths": func() {
+			l, s := newSplit[float64](3), newSplit[float64](4)
+			ReverseXPlanes(p, l.Re, l.Im, s.Re, s.Im, 0.3, XDiag{N: 4, Stored: 4}, Phase{}, false, nil)
+		},
+		"more than stored": func() {
+			l, s := newSplit[float32](4), newSplit[float32](4)
+			ReverseXPlanes(p, l.Re, l.Im, s.Re, s.Im, 0.3, XDiag{N: 4, Stored: 3}, Phase{}, false, nil)
+		},
+		"shard without swap": func() {
+			l, s := newSplit[float64](3), newSplit[float64](3)
+			ReverseXPlanes(p, l.Re, l.Im, s.Re, s.Im, 0.3, XDiag{N: 4, Stored: 4}, Phase{}, false, nil)
+		},
+		"stored above n": func() {
+			l, s := newSplit[float64](3), newSplit[float64](3)
+			ReverseXPlanes(p, l.Re, l.Im, s.Re, s.Im, 0.3, XDiag{N: 2, Stored: 3}, Phase{}, false, nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestReverseXNoAllocs: the reverse step on an inline pool allocates
+// nothing, in one block pass (n = 10) and with tile passes (n = 16).
+func TestReverseXNoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	p := NewPool(1)
+	for _, n := range []int{10, 16} {
+		lam, psi := randomPlanes[float64](rng, n), randomPlanes[float64](rng, n)
+		ph := tiledPhases(rng, 1<<n, 0.4)["table"]
+		d := XDiag{N: n + 2, Stored: n, Masks: []int{int(alternating(n, 0)), int(alternating(n, 1))}}
+		allocs := testing.AllocsPerRun(5, func() {
+			ReverseXPlanes(p, lam.re, lam.im, psi.re, psi.im, 0.3, d, ph, true, nil)
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: %v allocations per reverse step, want 0", n, allocs)
+		}
+	}
+}
 
 // TestTiledKernelsConcurrent runs two states through the tiled forward
 // layer and reverse step on one shared pool at once; each must end
@@ -263,7 +607,7 @@ func TestTiledKernelsConcurrent(t *testing.T) {
 		UniformRXPlanes(p, j.psi.Re, j.psi.Im, ph, beta)
 		copy(j.lam.Re, j.psi.Re)
 		copy(j.lam.Im, j.psi.Im)
-		j.mixer, j.phase = ReverseUniformRXPlanes(p, j.lam.Re, j.lam.Im, j.psi.Re, j.psi.Im, beta, ph, true)
+		j.mixer, j.phase, _ = ReverseXPlanes(p, j.lam.Re, j.lam.Im, j.psi.Re, j.psi.Im, beta, XDiag{N: n, Stored: n}, ph, true, nil)
 	}
 	fresh := func(seed int64) *job {
 		r := rand.New(rand.NewSource(seed))
@@ -309,10 +653,10 @@ func TestTileLowQubits(t *testing.T) {
 }
 
 // BenchmarkTiledMixer times the tiled layer against the per-qubit
-// ApplyRX sweep and the tiled reverse step against per-qubit reverse
-// passes (one Reduce over the same loop per qubit, as the split layouts
-// ran them before the tiled kernel) plus a ReversePhase pass, on SoA at
-// n = 18 with a level-table phase.
+// ApplyRX sweep, and the reverse step in the Walsh basis against
+// per-qubit reverse passes (reverseRXPerQubit, one Reduce per qubit, as
+// the split layouts ran them before the tiled kernels) plus a
+// ReversePhase pass, on SoA at n = 18 with a level-table phase.
 func BenchmarkTiledMixer(b *testing.B) {
 	const n = 18
 	rng := rand.New(rand.NewSource(101))
@@ -333,29 +677,49 @@ func BenchmarkTiledMixer(b *testing.B) {
 		}
 	})
 	b.Run("reverse/per-qubit", func(b *testing.B) {
-		sn, cs := math.Sincos(-0.3)
 		for i := 0; i < b.N; i++ {
 			for q := 0; q < n; q++ {
-				p.Reduce(1<<(n-1), func(lo, hi int) float64 {
-					return reverseRXRangePlanes(lam.Re, lam.Im, psi.Re, psi.Im, q, cs, sn, lo, hi)
-				})
+				reverseRXPerQubit(p, lam.Re, lam.Im, psi.Re, psi.Im, q, 0.3)
 			}
 			ReversePhasePlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, ph, true)
 		}
 	})
-	b.Run("reverse/tiled", func(b *testing.B) {
+	b.Run("reverse/walsh", func(b *testing.B) {
+		d := XDiag{N: n, Stored: n}
 		for i := 0; i < b.N; i++ {
-			ReverseUniformRXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, 0.3, ph, true)
+			ReverseXPlanes(p, lam.Re, lam.Im, psi.Re, psi.Im, 0.3, d, ph, true, nil)
 		}
 	})
 }
 
-// checkRXRange runs the qubit-range forward and reverse kernels over
-// ranges that take the tiled passes (lo ≥ tileRunBits) and the untiled
-// ones, and requires their states to match one full pass per pair (per
-// qubit in reverse) bit for bit; the reverse reduction must agree with
-// ImDotXRange of the input pair.
-func checkRXRange[T Float](t *testing.T, tol float64) {
+// reverseRXPerQubit is the joint RX(−β) reverse step of qubit q on
+// split planes in one pass over its pairs: it returns Im ⟨λ|X_q|ψ⟩ and
+// rotates λ and ψ.
+func reverseRXPerQubit[T Float](p *Pool, lr, li, pr, pi []T, q int, beta float64) float64 {
+	sn64, cs64 := math.Sincos(-beta)
+	sn, cs := T(sn64), T(cs64)
+	stride := 1 << uint(q)
+	return p.Reduce(len(lr)/2, func(lo, hi int) float64 {
+		var acc float64
+		for t := lo; t < hi; t++ {
+			l1 := (t>>uint(q))<<uint(q+1) | t&(stride-1)
+			l2 := l1 + stride
+			a1, b1, a2, b2 := lr[l1], li[l1], lr[l2], li[l2]
+			c1, d1, c2, d2 := pr[l1], pi[l1], pr[l2], pi[l2]
+			acc += float64(a1)*float64(d2) - float64(b1)*float64(c2) + float64(a2)*float64(d1) - float64(b2)*float64(c1)
+			lr[l1], li[l1] = cs*a1+sn*b2, cs*b1-sn*a2
+			lr[l2], li[l2] = cs*a2+sn*b1, cs*b2-sn*a1
+			pr[l1], pi[l1] = cs*c1+sn*d2, cs*d1-sn*c2
+			pr[l2], pi[l2] = cs*c2+sn*d1, cs*d2-sn*c1
+		}
+		return acc
+	})
+}
+
+// checkRXRange runs the qubit-range forward kernel over ranges that
+// take the tiled passes (lo ≥ tileRunBits) and the untiled ones, and
+// requires its states to match one full pass per pair bit for bit.
+func checkRXRange[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	const beta = 0.61
 	for _, n := range []int{3, 6, 9, 14} {
@@ -379,35 +743,20 @@ func checkRXRange[T Float](t *testing.T, tol float64) {
 			if i := bitDiff(got, want); i >= 0 {
 				t.Errorf("%s forward: amplitude %d differs from the per-pair passes", label, i)
 			}
-
-			lam, psi := randomPlanes[T](rng, n), randomPlanes[T](rng, n)
-			wl, wp := lam.clone(), psi.clone()
-			wantMixer := ImDotXRange(lam.vec(), psi.vec(), lo, hi)
-			mixer := ReverseRXRangePlanes(NewPool(2), lam.re, lam.im, psi.re, psi.im, lo, hi, beta)
-			sn64, cs64 := math.Sincos(-beta)
-			for q := lo; q < hi; q++ {
-				reverseRXRangePlanes(wl.re, wl.im, wp.re, wp.im, q, T(cs64), T(sn64), 0, len(wl.re)/2)
-			}
-			if bitDiff(lam, wl) >= 0 || bitDiff(psi, wp) >= 0 {
-				t.Errorf("%s reverse: states differ from the per-qubit passes", label)
-			}
-			if d := math.Abs(mixer - wantMixer); d > tol*(math.Abs(wantMixer)+1) {
-				t.Errorf("%s reverse: reduction %v, want %v", label, mixer, wantMixer)
-			}
 		}
 	}
 }
 
 func TestRXRangePlanes(t *testing.T) {
-	checkRXRange[float64](t, 1e-12)
-	checkRXRange[float32](t, 1e-5)
+	checkRXRange[float64](t)
+	checkRXRange[float32](t)
 }
 
 // checkCodesOnlyPhase requires every split-layout kernel that reads a
 // cost source to give bit-identical states and reductions for a
 // codes-only source (Diag nil, levels Min + Scale·code) and for the
-// Diag source of the same grid: the forward layer, the tiled reverse
-// step with its phase in pass 1 (n = 5) and in the last later pass
+// Diag source of the same grid: the forward layer, the reverse step
+// with its phase in its one block pass (n = 5) and after tile passes
 // (n = 14), the reverse phase, the expectation and MulDiag.
 func checkCodesOnlyPhase[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
@@ -429,9 +778,10 @@ func checkCodesOnlyPhase[T Float](t *testing.T) {
 		}
 		lam := randomPlanes[T](rng, n)
 		la, lb := lam.clone(), lam.clone()
+		d := XDiag{N: n, Stored: n}
 		for _, undo := range []bool{false, true} {
-			ma, pa := ReverseUniformRXPlanes(p, la.re, la.im, a.re, a.im, beta, withDiag, undo)
-			mb, pb := ReverseUniformRXPlanes(p, lb.re, lb.im, b.re, b.im, beta, codesOnly, undo)
+			ma, pa, _ := ReverseXPlanes(p, la.re, la.im, a.re, a.im, beta, d, withDiag, undo, nil)
+			mb, pb, _ := ReverseXPlanes(p, lb.re, lb.im, b.re, b.im, beta, d, codesOnly, undo, nil)
 			if ma != mb || pa != pb || bitDiff(la, lb) >= 0 || bitDiff(a, b) >= 0 {
 				t.Errorf("n=%d undo=%v reverse step differs", n, undo)
 			}
