@@ -88,7 +88,7 @@ func runDistGrad(w io.Writer, args []string) error {
 			if err != nil {
 				return err
 			}
-			svc, err := serve.New([]evaluator.Evaluator{deng}, serve.Options{WorkersPerEvaluator: 1})
+			svc, err := serve.New([]evaluator.Evaluator{deng})
 			if err != nil {
 				return err
 			}

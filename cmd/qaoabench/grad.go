@@ -47,7 +47,7 @@ func runGrad(w io.Writer, args []string) error {
 	// its timing includes the (sub-µs) queue hop; the FD baseline calls
 	// the simulator directly on one reused state, being generous to the
 	// baseline.
-	svc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()}, serve.Options{})
+	svc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		return err
 	}

@@ -88,7 +88,7 @@ func runLandscape(w io.Writer, args []string) error {
 	for i := range evals {
 		evals[i] = sim.NewWorkspace()
 	}
-	svc, err := serve.New(evals, serve.Options{})
+	svc, err := serve.New(evals)
 	if err != nil {
 		return err
 	}
@@ -159,7 +159,7 @@ func runLandscapeLightCone(w io.Writer, graphN, degree int, seed int64, grid, wo
 	}
 	tSerial := time.Since(startSerial)
 
-	svc, err := serve.New([]evaluator.Evaluator{eng}, serve.Options{})
+	svc, err := serve.New([]evaluator.Evaluator{eng})
 	if err != nil {
 		return err
 	}

@@ -162,7 +162,7 @@ func runOptLightCone(w io.Writer, graphN, degree int, seed int64, p, evals int) 
 		return err
 	}
 	st := eng.Stats()
-	svc, err := serve.New([]evaluator.Evaluator{eng}, serve.Options{WorkersPerEvaluator: 1})
+	svc, err := serve.New([]evaluator.Evaluator{eng})
 	if err != nil {
 		return err
 	}

@@ -144,7 +144,7 @@ func runSuite(w io.Writer, args []string) error {
 	ctx := context.Background()
 	x := optimize.JoinAngles(gamma, beta)
 	gFlat := make([]float64, 2**p)
-	gsvc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()}, serve.Options{})
+	gsvc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func runSuite(w io.Writer, args []string) error {
 	for i := range sevals {
 		sevals[i] = sim.NewWorkspace()
 	}
-	ssvc, err := serve.New(sevals, serve.Options{})
+	ssvc, err := serve.New(sevals)
 	if err != nil {
 		return err
 	}
@@ -331,7 +331,7 @@ func runSuite(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	dsvc, err := serve.New([]evaluator.Evaluator{deng}, serve.Options{WorkersPerEvaluator: 1})
+	dsvc, err := serve.New([]evaluator.Evaluator{deng})
 	if err != nil {
 		return err
 	}
@@ -376,7 +376,7 @@ func runSuite(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	psvc, err := serve.New([]evaluator.Evaluator{peng}, serve.Options{WorkersPerEvaluator: 1})
+	psvc, err := serve.New([]evaluator.Evaluator{peng})
 	if err != nil {
 		return err
 	}

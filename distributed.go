@@ -98,10 +98,11 @@ func SimulateQAOADistributed(n int, terms Terms, gamma, beta []float64, opts Dis
 // then index within the winning shard), reproducible for a fixed
 // OutputSpec.Seed, and StreamSamples streams them in chunks. The engine
 // rejects DistOptions.Gather, which only the forward one-shots read.
-// Safe for up to
-// DistOptions.Concurrency concurrent evaluations: each one leases its
-// own rank group and buffers (NewService with WorkersPerEvaluator up to
-// that concurrency builds a request queue over exactly this).
+// One evaluation runs at a time on the engine's one rank group;
+// concurrent callers take turns on it. More sharded evaluations in
+// flight take more engines: let an elastic service build them over one
+// precompute (NewDistributedFactory), or list several in NewService,
+// each of which precomputes its own cost form.
 type DistributedGradEngine = distsim.GradEngine
 
 // NewDistributedGradEngine builds a distributed gradient engine: each

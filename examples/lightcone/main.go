@@ -136,7 +136,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	svc, err := qokit.NewService([]qokit.Evaluator{eng}, qokit.ServiceOptions{})
+	svc, err := qokit.NewService([]qokit.Evaluator{eng})
 	if err != nil {
 		return err
 	}

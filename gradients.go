@@ -59,7 +59,7 @@ func OptimizeParametersAdam(sim *Simulator, p int, opt AdamOptions) (gamma, beta
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth p=%d < 1", p)
 	}
 	g0, b0 := TQAInit(p, 0.75)
-	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -85,7 +85,7 @@ func OptimizeParametersAdamInterp(sim *Simulator, pmax, itersPerDepth int) (gamm
 	if pmax < 1 {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth pmax=%d < 1", pmax)
 	}
-	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -125,7 +125,7 @@ func OptimizeParametersAdamFourier(sim *Simulator, pmax, q, itersPerDepth int) (
 	if q < 1 || q > pmax {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: Fourier components q=%d outside [1, pmax=%d]", q, pmax)
 	}
-	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

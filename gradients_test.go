@@ -161,7 +161,7 @@ func TestSweepGradFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService([]Evaluator{sim.NewWorkspace(), sim.NewWorkspace()}, ServiceOptions{})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace(), sim.NewWorkspace()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,5 @@ func (s *Simulator) StreamSamples(ctx context.Context, x []float64, spec evaluat
 }
 
 // Caps reports the simulator's evaluation metadata: gradient-capable,
-// no concurrency limit (every call owns its buffers), single rank, and
-// the bytes of one stored state buffer.
+// single rank, and the bytes of one stored state buffer.
 func (s *Simulator) Caps() evaluator.Caps { return capsFor(s.n, s.pivots(), s.opts) }

@@ -27,24 +27,28 @@ import (
 // and both states are evolved one layer backwards through the exact
 // inverses B(−β_ℓ), G(−γ_ℓ). Each generator term commutes with its own
 // factor of the layer, so the reverse pass evolves ψ and λ together and
-// reads each derivative off the amplitudes it is already rotating: per
-// qubit (per edge for the xy mixers) it adds up Im ⟨λ|X_q|ψ⟩ and
-// applies RX(−β) to both states, then it adds up Im ⟨λ|Ĉ|ψ⟩ and undoes
-// the phase on both from a single table read or sincos per amplitude.
-// On SoA the one-rank shard (internal/shard) runs the whole x-mixer
-// step, phase included, as one cache-tiled kernel: 2–3 passes over the
-// state pair per layer instead of n + 1, and the forward layer is the
-// tiled F = 2 kernel, 2–3 passes instead of n.
-// The Serial reference runs one joint pass per qubit and one phase
-// pass. A gradient therefore costs one forward pass plus one joint
-// reverse pass, versus 4p simulations for central finite differences —
-// the asymptotic win the high-depth regime needs. The reverse stays
-// per qubit even where the forward pass fuses qubit pairs: a pair-fused
-// reverse measured slower. On a group state (see Simulator) both states
-// hold the 2^(n−h) stored indices only, each top qubit's joint step is
-// a pivot reverse pass that runs before the tiled step, and every
-// reduction over the stored amplitudes is 2^−h of the full state's, so
-// it is scaled by 2^h.
+// reads each derivative off the amplitudes it is undoing:
+//
+//   - The Serial reference (complex128) runs one joint pass per qubit
+//     (per edge for the xy mixers) that adds up Im ⟨λ|X_q|ψ⟩ and
+//     applies RX(−β) to both states, then one pass that adds up
+//     Im ⟨λ|Ĉ|ψ⟩ and undoes the phase from a single table read or
+//     sincos per amplitude.
+//   - On SoA the one-rank shard (internal/shard, reverse.go) runs the
+//     x-mixer step as one tiled kernel (statevec.ReverseXPlanes) in the
+//     Walsh basis, where Σ_q X_q is the diagonal n − 2w(y): it reads
+//     all of ∂E/∂β off that diagonal, undoes the mixer there, and reads
+//     and undoes the phase in its last pass. A group state's pivots
+//     are parities of that diagonal, so the step runs no pivot pass.
+//     The xy mixers run the per-edge joint kernels on the planes. The
+//     forward layer stays the tiled F = 2 sweep with its pivot passes.
+//
+// A gradient therefore costs one forward pass plus one joint reverse
+// pass, versus 4p simulations for central finite differences — the
+// asymptotic win the high-depth regime needs. On a group state (see
+// Simulator) both states hold the 2^(n−h) stored indices only, and
+// every reduction over the stored amplitudes is 2^−h of the full
+// state's, so it is scaled by 2^h.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the ket ψ's Result, whose one-rank shard also holds the

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"qokit/internal/evaluator"
 	"qokit/internal/gatesim"
@@ -549,6 +550,10 @@ var halfSink float64
 // rule: LABS on its quarter state (labs-h2) and on the full state of
 // the same diagonal, reached through an explicit uniform InitialState
 // (labs-full), and 3-regular MaxCut on its half state (maxcut-h1).
+// Each iteration runs one forward evaluation and then one gradient,
+// timed apart, so both read the same stretch of host speed: fwd-ns/op
+// and grad-ns/op are their mean times, and grad/fwd their ratio, the
+// gradient's cost in forward passes.
 func BenchmarkHalfState(b *testing.B) {
 	const p = 8
 	gamma, beta := make([]float64, p), make([]float64, p)
@@ -583,22 +588,26 @@ func BenchmarkHalfState(b *testing.B) {
 			}
 			requirePivots(b, side.name, s, side.h)
 			r, buf := s.NewResult(), s.NewGradBuffers()
-			b.Run(fmt.Sprintf("n=%d/forward/%s", n, side.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/%s", n, side.name), func(b *testing.B) {
+				var fwd, grad time.Duration
 				for i := 0; i < b.N; i++ {
+					t0 := time.Now()
 					if err := s.SimulateQAOAInto(r, gamma, beta); err != nil {
 						b.Fatal(err)
 					}
 					halfSink = r.Expectation()
-				}
-			})
-			b.Run(fmt.Sprintf("n=%d/gradient/%s", n, side.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
+					t1 := time.Now()
 					e, err := s.SimulateQAOAGradInto(buf, gamma, beta, gG, gB)
 					if err != nil {
 						b.Fatal(err)
 					}
 					halfSink = e
+					fwd += t1.Sub(t0)
+					grad += time.Since(t1)
 				}
+				b.ReportMetric(float64(fwd.Nanoseconds())/float64(b.N), "fwd-ns/op")
+				b.ReportMetric(float64(grad.Nanoseconds())/float64(b.N), "grad-ns/op")
+				b.ReportMetric(float64(grad)/float64(fwd), "grad/fwd")
 			})
 		}
 	}

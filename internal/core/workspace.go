@@ -73,13 +73,12 @@ func (w *Workspace) EnergyGrad(ctx context.Context, x, grad []float64) (float64,
 	return w.sim.SimulateQAOAGradInto(&w.buf, gamma, beta, grad[:p], grad[p:])
 }
 
-// Caps reports one evaluation at a time, pinning the ψ/λ pair.
+// Caps reports the state memory of the ψ/λ pair a workspace pins.
 func (w *Workspace) Caps() evaluator.Caps { return workspaceCaps(w.sim.Caps()) }
 
 // workspaceCaps turns a simulator's Caps into those of one workspace
 // over it.
 func workspaceCaps(c evaluator.Caps) evaluator.Caps {
-	c.MaxConcurrent = 1
 	c.StateBytes *= 2
 	return c
 }

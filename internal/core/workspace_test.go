@@ -72,7 +72,7 @@ func servedWorkspaces(t *testing.T, sim *Simulator, k int) *serve.Service {
 	for i := range evs {
 		evs[i] = sim.NewWorkspace()
 	}
-	svc, err := serve.New(evs, serve.Options{})
+	svc, err := serve.New(evs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestWorkspaceEvaluatorContract(t *testing.T) {
 	}
 	ws := sim.NewWorkspace()
 	caps := ws.Caps()
-	if caps.NumQubits != n || !caps.Grad || caps.MaxConcurrent != 1 || caps.Ranks != 1 ||
+	if caps.NumQubits != n || !caps.Grad || caps.Ranks != 1 ||
 		caps.StateBytes != 2*sim.Caps().StateBytes || !caps.Outputs || !caps.Streaming {
 		t.Errorf("Caps = %+v", caps)
 	}
@@ -406,8 +406,8 @@ func TestFactoryCapsMatchBuild(t *testing.T) {
 		if opts.SinglePrecision {
 			one = 8 << (n - 2)
 		}
-		if bc := ev.Caps(); fc != bc || fc.StateBytes != 2*one || fc.MaxConcurrent != 1 {
-			t.Errorf("single=%v: factory Caps %+v, build Caps %+v, want StateBytes %d and MaxConcurrent 1",
+		if bc := ev.Caps(); fc != bc || fc.StateBytes != 2*one {
+			t.Errorf("single=%v: factory Caps %+v, build Caps %+v, want StateBytes %d",
 				opts.SinglePrecision, fc, bc, 2*one)
 		}
 		if err := f.Retire(ev); err != nil {
@@ -1004,7 +1004,7 @@ func BenchmarkBatchEvaluation(b *testing.B) {
 			for i := range evs {
 				evs[i] = sim.NewWorkspace()
 			}
-			svc, err := serve.New(evs, serve.Options{})
+			svc, err := serve.New(evs)
 			if err != nil {
 				b.Fatal(err)
 			}

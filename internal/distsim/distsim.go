@@ -68,11 +68,6 @@ type Options struct {
 	// mixers (≤ 0 selects n/2, matching the single-node default).
 	// Ignored for MixerX.
 	HammingWeight int
-	// Concurrency is the number of evaluations a GradEngine may run in
-	// flight at once (≤ 0 selects 1, the memory footprint of the old
-	// single-flight engine). Each concurrent evaluation leases its own
-	// rank group and state buffers, so memory grows linearly with it.
-	Concurrency int
 	// Precision selects the sharded amplitude storage (§V-B): float64
 	// planes (the default), or float32 planes with float32 wire formats
 	// on every collective — half the state memory per rank and half the
@@ -109,9 +104,6 @@ func (o Options) validate(n int) (k int, err error) {
 	if o.Mixer != core.MixerX && o.HammingWeight > n {
 		return 0, fmt.Errorf("distsim: Options.HammingWeight=%d exceeds n=%d", o.HammingWeight, n)
 	}
-	if o.Concurrency < 0 {
-		return 0, fmt.Errorf("distsim: Options.Concurrency=%d must be ≥ 0", o.Concurrency)
-	}
 	switch o.Precision {
 	case PrecisionFloat64, PrecisionFloat32:
 	default:
@@ -131,14 +123,6 @@ func (o Options) validateEngine(n int) (k int, err error) {
 		err = fmt.Errorf("distsim: Options.Gather=true applies only to the forward one-shots (SimulateQAOA, SimulateQAOACheckpointed); an engine serves its outputs gather-free through EvalOutputs")
 	}
 	return k, err
-}
-
-// concurrency resolves the lease cap the options select.
-func (o Options) concurrency() int {
-	if o.Concurrency > 0 {
-		return o.Concurrency
-	}
-	return 1
 }
 
 // hammingWeight resolves the Dicke weight the options select.

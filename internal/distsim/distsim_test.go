@@ -252,9 +252,9 @@ func TestGatherFalseOmitsState(t *testing.T) {
 }
 
 // TestEnginesRejectGather: an engine serves its outputs gather-free
-// (EvalOutputs), so NewGradEngine, NewFactory and NewFactoryFromSource
-// reject Options.Gather with an error naming it, while the forward
-// one-shot still gathers under the same options.
+// (EvalOutputs), so NewGradEngine and NewFactoryFromSource reject
+// Options.Gather with an error naming it, while the forward one-shot
+// still gathers under the same options.
 func TestEnginesRejectGather(t *testing.T) {
 	const n = 8
 	terms := problems.LABSTerms(n)
@@ -265,7 +265,6 @@ func TestEnginesRejectGather(t *testing.T) {
 		build func() error
 	}{
 		{"NewGradEngine", func() error { _, err := NewGradEngine(n, terms, opts); return err }},
-		{"NewFactory", func() error { _, err := NewFactory(n, terms, opts); return err }},
 		{"NewFactoryFromSource", func() error { _, err := NewFactoryFromSource(n, terms, opts, source); return err }},
 	} {
 		if err := c.build(); err == nil || !strings.Contains(err.Error(), "Options.Gather") {
@@ -378,16 +377,16 @@ func mustRing(t *testing.T, n int) graphs.Graph {
 	return g
 }
 
-// shardState returns the stored amplitudes of every rank of eng's one
+// shardState returns the stored amplitudes of every rank of eng's
 // lease, in rank order, as one state: after a forward evaluation they
 // hold the evolved state.
 func shardState(t *testing.T, eng *GradEngine) statevec.Vec {
 	t.Helper()
-	if len(eng.all) != 1 {
-		t.Fatalf("engine holds %d leases, want 1", len(eng.all))
+	if eng.lease == nil {
+		t.Fatal("engine holds no lease")
 	}
 	var full statevec.Vec
-	for _, rs := range eng.all[0].ranks {
+	for _, rs := range eng.lease.ranks {
 		full = append(full, rs.Vec()...)
 	}
 	return full

@@ -16,20 +16,17 @@ import (
 // engine — the group and one stored cost form the ranks window — is
 // built once, on the first build, and shared read-only across every
 // build, so an elastic pool growing a new engine (one rank-group lease
-// each, since builds run Concurrency 1 by default) pays for cluster
-// state buffers only, never a second precompute. The form is
-// precomputed from the terms, or a source's (a registry entry, whose
-// lease stays held until the last retire): when the entry stores the
-// cost over the shards' group, as the term group under the x mixer
-// does wherever the ranks can hold it, the ranks read the entry's codes
-// or entries in place and the engine holds no cost data of its own.
+// each) pays for cluster state buffers only, never a second
+// precompute. The form is a source's (a registry entry, whose lease
+// stays held until the last retire): when the entry stores the cost
+// over the shards' group, as the term group under the x mixer does
+// wherever the ranks can hold it, the ranks read the entry's codes or
+// entries in place and the engine holds no cost data of its own.
 type Factory struct {
 	n, k int
 	opts Options
 	// caps is the Caps of every build, from the group the terms give.
 	caps    evaluator.Caps
-	terms   poly.Compiled
-	flip    bool
 	acquire core.AcquireFunc
 
 	mu     sync.Mutex
@@ -41,17 +38,6 @@ type Factory struct {
 
 var _ evaluator.Factory = (*Factory)(nil)
 
-// NewFactory builds a distributed-engine factory for an n-qubit
-// problem given as terms. The stored cost form is precomputed lazily
-// on the first build, and every build shares it. opts.Concurrency ≤ 0
-// means one lease per build (the elastic scheduler's unit of growth).
-func NewFactory(n int, terms poly.Terms, opts Options) (*Factory, error) {
-	if err := terms.Validate(n); err != nil {
-		return nil, err
-	}
-	return newFactory(n, terms, opts, nil)
-}
-
 // NewFactoryFromSource builds a distributed-engine factory whose stored
 // cost form, built from the given terms, comes from acquire (typically
 // a registry handle); the ranks window it, acquired on the first build
@@ -59,10 +45,6 @@ func NewFactory(n int, terms poly.Terms, opts Options) (*Factory, error) {
 // group the shards store the state over, and so Caps, before the first
 // acquire.
 func NewFactoryFromSource(n int, terms poly.Terms, opts Options, acquire core.AcquireFunc) (*Factory, error) {
-	return newFactory(n, terms, opts, acquire)
-}
-
-func newFactory(n int, terms poly.Terms, opts Options, acquire core.AcquireFunc) (*Factory, error) {
 	k, err := opts.validateEngine(n)
 	if err != nil {
 		return nil, err
@@ -70,14 +52,11 @@ func newFactory(n int, terms poly.Terms, opts Options, acquire core.AcquireFunc)
 	if _, err := core.MixerSweepEdges(n, opts.Mixer); err != nil {
 		return nil, err
 	}
-	compiled := poly.Compile(terms)
-	pivots, flip := costvec.TermPivots(n, compiled.Masks)
+	pivots, flip := costvec.TermPivots(n, poly.Compile(terms).Masks)
 	sym := shard.SymmetryFor(pivots, flip, n, k, opts.Mixer == core.MixerX)
 	return &Factory{
 		n: n, k: k, opts: opts,
 		caps:    opts.caps(n, len(sym.Pivots)),
-		terms:   compiled,
-		flip:    flip,
 		acquire: acquire,
 		sym:     sym,
 		builds:  make(map[*GradEngine]bool),
@@ -85,19 +64,13 @@ func newFactory(n int, terms poly.Terms, opts Options, acquire core.AcquireFunc)
 }
 
 // Caps reports per-build metadata: the rank count and the cluster
-// state bytes one in-flight evaluation pins (builds default to one
-// concurrent evaluation each).
+// state bytes one build's lease pins.
 func (f *Factory) Caps() evaluator.Caps { return f.caps }
 
 // shardsLocked builds the shard engine on first use (f.mu held).
 func (f *Factory) shardsLocked(ctx context.Context) error {
 	if f.eng != nil {
 		return nil
-	}
-	if f.acquire == nil {
-		var err error
-		f.eng, err = termsEngine(f.n, f.opts, f.terms, f.sym, f.flip)
-		return err
 	}
 	src, err := f.acquire(ctx)
 	if err != nil {
@@ -141,7 +114,7 @@ func (f *Factory) NewGradEngine(ctx context.Context) (*GradEngine, error) {
 	return e, nil
 }
 
-// Retire drops one engine (its rank groups and leases become garbage);
+// Retire drops one engine (its rank group and lease become garbage);
 // the last retire drops the shard engine and releases the source's
 // lease.
 func (f *Factory) Retire(ev evaluator.Evaluator) error {

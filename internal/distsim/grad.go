@@ -31,18 +31,15 @@ import (
 
 // GradEngine evaluates distributed energies and exact adjoint
 // gradients for one problem instance. The per-rank diagonal slices are
-// precomputed once and shared read-only; everything an in-flight
-// evaluation mutates — the cluster rank group and the per-rank state,
-// scratch, and partial buffers — is bundled into a lease. The engine
-// keeps up to Options.Concurrency leases (default 1), so it IS safe
-// for concurrent use: each evaluation checks out its own rank group,
-// runs the full collective pipeline on it, and returns it warm for the
-// next evaluation. This is what lifts the old single-flight
-// restriction — two optimizers (or one serving layer's workers) drive
-// the same engine and their rank groups interleave on the host like
-// two jobs on a real cluster. A warmed-up loop still performs no
-// per-evaluation state-vector allocations; memory grows linearly with
-// Concurrency, not with call rate.
+// precomputed once and shared read-only; everything an evaluation
+// mutates — the cluster rank group and the per-rank state, scratch,
+// and partial buffers — is bundled into the engine's one lease. One
+// evaluation runs at a time, as on one group of ranks of a real
+// cluster: the engine is safe for concurrent use, but concurrent
+// callers take turns on the lease, so listing it twice in a service
+// only queues the second worker. More evaluations in flight take more
+// engines, one per elastic build of a Factory over one precompute. A
+// warmed-up loop performs no per-evaluation state-vector allocations.
 //
 // With the x mixer the engine stores the state over the cost's
 // XOR-symmetry group where the rank layout can hold it
@@ -57,23 +54,23 @@ import (
 type GradEngine struct {
 	n, k int
 	opts Options
-	// eng is the shard engine every lease's ranks run: the group the
+	// eng is the shard engine the lease's ranks run: the group the
 	// state is stored over and one window per rank of the stored cost
-	// form, shared read-only by every lease.
+	// form, shared read-only.
 	eng *shard.Engine
 
-	// slots holds one token per allowed concurrent evaluation; a nil
-	// token means the lease is allocated on first use. Leases poisoned
-	// by cancellation are dropped and their token returns as nil again.
-	slots chan *gradLease
+	// token is a one-slot semaphore: its holder runs the one
+	// evaluation in flight on lease.
+	token chan struct{}
 
-	// mu guards the lease registry and the dead-lease counter
-	// snapshots. all holds only live leases; a lease discarded after
-	// cancellation folds its counters into deadTotal/deadRank and is
-	// dropped, so its state buffers are released to the GC instead of
-	// pinning state-vector-scale memory per cancellation.
+	// mu guards lease and the dead-lease counters. lease is the rank
+	// group and shards evaluations run on, nil before first use and
+	// after a cancelled run dropped it; only the token holder writes
+	// it. A dropped lease folds its counters into deadTotal/deadRank,
+	// so its state buffers are released to the GC instead of pinning
+	// state-vector-scale memory per cancellation.
 	mu        sync.Mutex
-	all       []*gradLease
+	lease     *gradLease
 	deadTotal cluster.Counters
 	deadRank  []cluster.Counters
 }
@@ -89,8 +86,8 @@ type gradLease struct {
 // problem given as polynomial terms: the terms fix the group the shards
 // store the state over (costvec.TermPivots, shard.SymmetryFor), and the
 // stored cost form holds only the 2^(n−h) stored entries, precomputed
-// once with no communication. Rank groups and state buffers are leased
-// per evaluation, up to Options.Concurrency in flight at once. An
+// once with no communication. The rank group and state buffers are
+// allocated on the first evaluation and reused by every later one. An
 // engine serves its outputs gather-free (EvalOutputs), so
 // Options.Gather is rejected.
 func NewGradEngine(n int, terms poly.Terms, opts Options) (*GradEngine, error) {
@@ -153,21 +150,18 @@ func newEngine(n int, opts Options, eng *shard.Engine) (*GradEngine, error) {
 		n: n, k: k,
 		opts:     opts,
 		eng:      eng,
-		slots:    make(chan *gradLease, opts.concurrency()),
+		token:    make(chan struct{}, 1),
 		deadRank: make([]cluster.Counters, opts.Ranks),
-	}
-	for i := 0; i < opts.concurrency(); i++ {
-		e.slots <- nil
 	}
 	return e, nil
 }
 
-// newLease allocates one evaluation's rank group and shards and
-// registers it for counter aggregation.
-func (e *GradEngine) newLease() (*gradLease, error) {
+// newLease allocates the rank group and shards of one evaluation and
+// makes them the engine's lease (token held).
+func (e *GradEngine) newLease() error {
 	g, err := cluster.NewGroup(e.opts.Ranks, e.opts.Algo)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	g.SetFault(e.opts.fault)
 	l := &gradLease{group: g, ranks: make([]rankState, e.opts.Ranks)}
@@ -175,53 +169,45 @@ func (e *GradEngine) newLease() (*gradLease, error) {
 		l.ranks[r].Shard = shard.NewShard(e.eng, r, e.opts.Precision == PrecisionFloat32)
 	}
 	e.mu.Lock()
-	e.all = append(e.all, l)
+	e.lease = l
 	e.mu.Unlock()
-	return l, nil
+	return nil
 }
 
-// acquire checks out a lease (allocating it on first use), or returns
-// early when ctx is cancelled while every lease is busy.
+// acquire takes the token and returns the lease, allocating it when
+// there is none, or returns early when ctx is cancelled while another
+// evaluation holds the token.
 func (e *GradEngine) acquire(ctx context.Context) (*gradLease, error) {
 	select {
-	case l := <-e.slots:
-		if l == nil {
-			var err error
-			if l, err = e.newLease(); err != nil {
-				e.slots <- nil // return the token
-				return nil, err
-			}
-		}
-		return l, nil
+	case e.token <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	if e.lease == nil {
+		if err := e.newLease(); err != nil {
+			<-e.token
+			return nil, err
+		}
+	}
+	return e.lease, nil
 }
 
-// release returns a lease's slot. A lease whose run was aborted
-// (cancelled mid-collective) is dropped — its group is permanently
-// poisoned — after folding its counters into the dead-lease
-// snapshots; the token comes back empty so the next acquire allocates
-// fresh buffers. The dropped lease's state buffers are unreferenced,
-// so repeated cancellations pin no memory beyond the Concurrency cap.
-func (e *GradEngine) release(l *gradLease, dead bool) {
+// release returns the token. A lease whose run was aborted (cancelled
+// mid-collective) is dropped — its group is permanently poisoned —
+// after folding its counters into the dead-lease snapshots, so the
+// next acquire allocates fresh buffers and repeated cancellations pin
+// no memory beyond one lease.
+func (e *GradEngine) release(dead bool) {
 	if dead {
 		e.mu.Lock()
-		addCounters(&e.deadTotal, l.group.TotalCounters())
-		for r := 0; r < e.opts.Ranks; r++ {
-			addCounters(&e.deadRank[r], l.group.Counters(r))
+		addCounters(&e.deadTotal, e.lease.group.TotalCounters())
+		for r := range e.deadRank {
+			addCounters(&e.deadRank[r], e.lease.group.Counters(r))
 		}
-		for i, cand := range e.all {
-			if cand == l {
-				e.all = append(e.all[:i], e.all[i+1:]...)
-				break
-			}
-		}
+		e.lease = nil
 		e.mu.Unlock()
-		e.slots <- nil
-		return
 	}
-	e.slots <- l
+	<-e.token
 }
 
 // addCounters folds src into dst: traffic adds, wall time takes the
@@ -246,28 +232,28 @@ func (e *GradEngine) pivots() int { return len(e.eng.Config().Sym.Pivots) }
 func (e *GradEngine) Ranks() int { return e.opts.Ranks }
 
 // Counters returns the summed communication counters accumulated over
-// every evaluation so far, aggregated across leases (bytes, messages,
-// and synchronizations add; wall time takes the per-lease critical
-// path's maximum). Call it only while no evaluation is in flight —
-// counters are written lock-free by rank goroutines.
+// every evaluation so far, the current lease's and every dropped one's
+// (bytes, messages, and synchronizations add; wall time takes the
+// per-lease critical path's maximum). Call it only while no evaluation
+// is in flight — counters are written lock-free by rank goroutines.
 func (e *GradEngine) Counters() cluster.Counters {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t := e.deadTotal
-	for _, l := range e.all {
-		addCounters(&t, l.group.TotalCounters())
+	if e.lease != nil {
+		addCounters(&t, e.lease.group.TotalCounters())
 	}
 	return t
 }
 
-// RankCounters returns rank r's accumulated counters, summed across
-// leases. Same quiescence caveat as Counters.
+// RankCounters returns rank r's accumulated counters, summed like
+// Counters. Same quiescence caveat as Counters.
 func (e *GradEngine) RankCounters(r int) cluster.Counters {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t := e.deadRank[r]
-	for _, l := range e.all {
-		addCounters(&t, l.group.Counters(r))
+	if e.lease != nil {
+		addCounters(&t, e.lease.group.Counters(r))
 	}
 	return t
 }
@@ -282,7 +268,7 @@ func (e *GradEngine) perRank() []cluster.Counters {
 }
 
 // eval is the entry every evaluation shares: it rejects mismatched or
-// non-finite angles, checks out a lease and runs r on every rank of it.
+// non-finite angles, checks out the lease and runs r on every rank of it.
 // Cancelling ctx releases every rank from its next collective and
 // returns ctx.Err().
 func (e *GradEngine) eval(ctx context.Context, r *run) error {
@@ -299,7 +285,7 @@ func (e *GradEngine) eval(ctx context.Context, r *run) error {
 	err = lease.group.RunContext(ctx, func(c *cluster.Comm) error {
 		return e.evolve(c, &lease.ranks[c.Rank()], r)
 	})
-	e.release(lease, err != nil)
+	e.release(err != nil)
 	return err
 }
 
@@ -307,8 +293,9 @@ func (e *GradEngine) eval(ctx context.Context, r *run) error {
 // the exact adjoint gradients ∂E/∂γ_ℓ, ∂E/∂β_ℓ into gradGamma and
 // gradBeta (length p each). The result is identical (to floating-point
 // reassociation) to core.SimulateQAOAGrad on a single node. Safe for
-// up to Options.Concurrency concurrent calls; cancelling ctx releases
-// every rank from its next collective and returns ctx.Err().
+// concurrent calls, which take turns on the engine's lease; cancelling
+// ctx releases every rank from its next collective and returns
+// ctx.Err().
 func (e *GradEngine) EnergyGradAngles(ctx context.Context, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
 	if p := len(gamma); len(gradGamma) != p || len(gradBeta) != p {
 		return 0, fmt.Errorf("distsim: gradient storage lengths (%d, %d) do not match depth p=%d",
@@ -355,11 +342,10 @@ func (e *GradEngine) EnergyGrad(ctx context.Context, x, grad []float64) (float64
 }
 
 // Caps reports the engine's evaluation metadata: K ranks behind each
-// evaluation, Options.Concurrency evaluations in flight at once, and
-// the sharded state memory one evaluation pins — per amplitude 16 B
-// for float64 planes, 8 B for float32, so a scheduler packing
-// heterogeneous pools by StateBytes sees the real footprint of each
-// precision.
+// evaluation and the sharded state memory its lease pins — per
+// amplitude 16 B for float64 planes, 8 B for float32, so a scheduler
+// packing heterogeneous pools by StateBytes sees the real footprint of
+// each precision.
 func (e *GradEngine) Caps() evaluator.Caps { return e.opts.caps(e.n, e.pivots()) }
 
 // caps is the Caps of an engine for n qubits under o whose shards
@@ -383,13 +369,12 @@ func (o Options) caps(n, h int) evaluator.Caps {
 		amps += stored / int64(o.Ranks)
 	}
 	return evaluator.Caps{
-		NumQubits:     n,
-		Grad:          true,
-		MaxConcurrent: o.concurrency(),
-		Ranks:         o.Ranks,
-		StateBytes:    amps * o.Precision.AmpBytes(),
-		Outputs:       true,
-		Streaming:     true,
+		NumQubits:  n,
+		Grad:       true,
+		Ranks:      o.Ranks,
+		StateBytes: amps * o.Precision.AmpBytes(),
+		Outputs:    true,
+		Streaming:  true,
 	}
 }
 

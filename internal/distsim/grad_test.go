@@ -333,30 +333,25 @@ func TestGradValidationNamesFields(t *testing.T) {
 	}
 }
 
-// TestGradEngineLeases pins the per-evaluation rank-group lease
-// mechanics that lifted the single-flight restriction: an engine with
-// Concurrency=2 hands out exactly two leases without blocking, a third
-// acquire waits until cancelled, and released leases are reused (no
-// unbounded buffer growth).
+// TestGradEngineLeases pins the engine's one rank-group lease: it is
+// allocated on first use, a second acquire waits until cancelled
+// while it is out, and a released lease serves the next evaluation
+// again instead of a new allocation.
 func TestGradEngineLeases(t *testing.T) {
 	terms := problems.LABSTerms(8)
-	eng, err := NewGradEngine(8, terms, Options{Ranks: 4, Algo: cluster.Transpose, Concurrency: 2})
+	eng, err := NewGradEngine(8, terms, Options{Ranks: 4, Algo: cluster.Transpose})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if eng.lease != nil {
+		t.Fatal("engine allocated a lease before its first evaluation")
 	}
 	ctx := context.Background()
-	l1, err := eng.acquire(ctx)
+	l, err := eng.acquire(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := eng.acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1 == l2 {
-		t.Fatal("two concurrent acquires returned the same lease")
-	}
-	// Third acquire must block until its context is cancelled.
+	// A second acquire must block until its context is cancelled.
 	blocked, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)
 	go func() {
@@ -365,90 +360,110 @@ func TestGradEngineLeases(t *testing.T) {
 	}()
 	select {
 	case err := <-got:
-		t.Fatalf("third acquire did not block (err %v)", err)
+		t.Fatalf("second acquire did not block (err %v)", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	cancel()
 	if err := <-got; !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked acquire returned %v, want context.Canceled", err)
 	}
-	eng.release(l1, false)
-	eng.release(l2, false)
-	if n := len(eng.all); n != 2 {
-		t.Errorf("engine built %d leases, want 2", n)
-	}
-	// The released leases serve evaluations again without growth.
+	eng.release(false)
+	// The released lease serves evaluations again without growth.
 	gg, gb := make([]float64, 2), make([]float64, 2)
-	if _, err := eng.EnergyGradAngles(ctx, []float64{0.3, 0.1}, []float64{0.2, 0.4}, gg, gb); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(eng.all); n != 2 {
-		t.Errorf("evaluation after release grew the lease set to %d", n)
+	for i := 0; i < 2; i++ {
+		if _, err := eng.EnergyGradAngles(ctx, []float64{0.3, 0.1}, []float64{0.2, 0.4}, gg, gb); err != nil {
+			t.Fatal(err)
+		}
+		if eng.lease != l {
+			t.Fatalf("evaluation %d after release replaced the lease", i)
+		}
 	}
 }
 
-// TestGradEngineConcurrentEvaluations hammers one distributed engine
-// from several goroutines (run under -race in CI): concurrent
-// evaluations on leased rank groups must reproduce the single-flight
-// results exactly, for both mixer families.
+// TestGradEngineConcurrentEvaluations hammers distributed engines from
+// several goroutines (run under -race in CI), for both mixer families:
+// each goroutine on its own engine of one factory, so rank groups of
+// different engines read the shared shard engine at once, and all
+// goroutines on one engine, taking turns on its lease. Every caller
+// must reproduce the single-flight results exactly.
 func TestGradEngineConcurrentEvaluations(t *testing.T) {
 	const n, p, goroutines, reps = 8, 3, 4, 3
 	terms := problems.LABSTerms(n)
 	rng := rand.New(rand.NewSource(81))
 	gamma, beta := randomAngles(rng, p)
 	for _, mixer := range []core.Mixer{core.MixerX, core.MixerXYRing} {
-		ref, err := simulateGrad(context.Background(), n, terms, gamma, beta, Options{
-			Ranks: 4, Algo: cluster.Transpose, Mixer: mixer,
-		})
+		opts := Options{Ranks: 4, Algo: cluster.Transpose, Mixer: mixer}
+		ref, err := simulateGrad(context.Background(), n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewGradEngine(n, terms, Options{Ranks: 4, Algo: cluster.Transpose, Mixer: mixer, Concurrency: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				gg := make([]float64, p)
-				gb := make([]float64, p)
-				for r := 0; r < reps; r++ {
-					e, err := eng.EnergyGradAngles(context.Background(), gamma, beta, gg, gb)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if e != ref.Energy {
-						t.Errorf("%v: concurrent energy %v != %v", mixer, e, ref.Energy)
-						return
-					}
-					for l := 0; l < p; l++ {
-						if gg[l] != ref.GradGamma[l] || gb[l] != ref.GradBeta[l] {
-							t.Errorf("%v: concurrent gradient layer %d mismatch", mixer, l)
+		for _, shared := range []bool{false, true} {
+			engs := concurrentEngines(t, n, terms, opts, goroutines, shared)
+			var wg sync.WaitGroup
+			for _, eng := range engs {
+				wg.Add(1)
+				go func(eng *GradEngine) {
+					defer wg.Done()
+					gg := make([]float64, p)
+					gb := make([]float64, p)
+					for r := 0; r < reps; r++ {
+						e, err := eng.EnergyGradAngles(context.Background(), gamma, beta, gg, gb)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if e != ref.Energy {
+							t.Errorf("%v shared=%v: concurrent energy %v != %v", mixer, shared, e, ref.Energy)
+							return
+						}
+						for l := 0; l < p; l++ {
+							if gg[l] != ref.GradGamma[l] || gb[l] != ref.GradBeta[l] {
+								t.Errorf("%v shared=%v: concurrent gradient layer %d mismatch", mixer, shared, l)
+								return
+							}
+						}
+						// Forward-only energies interleave with gradients.
+						x := append(append([]float64(nil), gamma...), beta...)
+						fe, err := eng.Energy(context.Background(), x)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if fe != ref.Energy {
+							t.Errorf("%v shared=%v: concurrent Energy %v != %v", mixer, shared, fe, ref.Energy)
 							return
 						}
 					}
-					// Forward-only energies interleave with gradients.
-					x := append(append([]float64(nil), gamma...), beta...)
-					fe, err := eng.Energy(context.Background(), x)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if fe != ref.Energy {
-						t.Errorf("%v: concurrent Energy %v != %v", mixer, fe, ref.Energy)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if got := len(eng.all); got > 2 {
-			t.Errorf("%v: %d leases built, cap is 2", mixer, got)
+				}(eng)
+			}
+			wg.Wait()
 		}
 	}
+}
+
+// concurrentEngines returns count engines for count concurrent callers:
+// distinct builds of one factory over a terms-built stored form, which
+// share one shard engine, or with shared one engine count times.
+func concurrentEngines(t *testing.T, n int, terms poly.Terms, opts Options, count int, shared bool) []*GradEngine {
+	t.Helper()
+	f, err := NewFactoryFromSource(n, terms, opts, leaseTerms(n, terms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engs := make([]*GradEngine, count)
+	for i := range engs {
+		if shared && i > 0 {
+			engs[i] = engs[0]
+			continue
+		}
+		if engs[i], err = f.NewGradEngine(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if engs[i].eng != engs[0].eng {
+			t.Fatal("two builds of one factory hold different shard engines")
+		}
+	}
+	return engs
 }
 
 // TestGradEngineCancellation: cancelling mid-evaluation releases every
@@ -488,22 +503,36 @@ func TestGradEngineCancellation(t *testing.T) {
 		t.Fatal("cancelled evaluation deadlocked")
 	}
 	// The poisoned lease was dropped — its state buffers are not
-	// pinned by the registry (only its counters survive, folded into
+	// pinned by the engine (only its counters survive, folded into
 	// the dead-lease snapshot).
 	eng.mu.Lock()
-	live := len(eng.all)
+	live := eng.lease
 	deadBytes := eng.deadTotal.BytesSent
 	eng.mu.Unlock()
-	if live != 0 {
-		t.Errorf("%d leases still registered after cancellation, want 0", live)
+	if live != nil {
+		t.Error("cancelled lease still held by the engine")
 	}
 	if deadBytes == 0 {
 		t.Error("cancelled lease's traffic was not folded into the dead-lease counters")
 	}
-	// The engine recovers on a fresh lease; the poisoned one is gone.
+	// The engine recovers on a fresh lease, which later evaluations
+	// reuse; the counters keep the poisoned lease's traffic.
 	e2, err := eng.EnergyGradAngles(context.Background(), gamma[:2], beta[:2], gg[:2], gb[:2])
 	if err != nil {
 		t.Fatalf("evaluation after cancellation: %v", err)
+	}
+	fresh := eng.lease
+	if fresh == nil {
+		t.Fatal("no lease after the evaluation that followed cancellation")
+	}
+	if _, err := eng.EnergyGradAngles(context.Background(), gamma[:2], beta[:2], gg[:2], gb[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if eng.lease != fresh {
+		t.Error("the replacement lease was not reused")
+	}
+	if got := eng.Counters().BytesSent; got <= deadBytes {
+		t.Errorf("Counters().BytesSent = %d after recovery, want more than the dropped lease's %d", got, deadBytes)
 	}
 	ref, err := simulateGrad(context.Background(), n, terms, gamma[:2], beta[:2], Options{Ranks: 4, Algo: cluster.Transpose})
 	if err != nil {

@@ -146,7 +146,7 @@ func TestHalfShardRule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		f, err := NewFactory(tc.n, tc.terms, tc.opts)
+		f, err := NewFactoryFromSource(tc.n, tc.terms, tc.opts, leaseTerms(tc.n, tc.terms))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -605,7 +605,7 @@ func TestHalfShardResumeBitIdentical(t *testing.T) {
 					fs.Shards = append(fs.Shards, make(statevec.Vec, localSize))
 				}
 			}
-			for _, rs := range w.all[0].ranks {
+			for _, rs := range w.lease.ranks {
 				w.store(rs.Shard, fs)
 			}
 			if err := SaveShardSnapshot(path, fs); err != nil {

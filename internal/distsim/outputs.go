@@ -18,15 +18,15 @@ import (
 
 // The distributed engine serves the output and chunked sampling
 // contracts, so a serving layer schedules sampling and CVaR requests
-// over rank-group leases exactly like energy requests.
+// over its rank-group lease exactly like energy requests.
 var _ evaluator.SampleStreamer = (*GradEngine)(nil)
 
 // EvalOutputs evolves the sharded state at the flat parameter vector
-// once on a leased rank group and returns the spec's outputs
+// once on the engine's rank group and returns the spec's outputs
 // (evaluator.OutputEvaluator): CVaR levels, the cost variance, the
 // ground-state overlap, the most probable state, probability queries
-// and shots, reproducible for a fixed spec.Seed. Safe for up to
-// Options.Concurrency concurrent calls; communication accumulates on
+// and shots, reproducible for a fixed spec.Seed. Safe for concurrent
+// calls, which take turns on the lease; communication accumulates on
 // the engine's counters (Counters / RankCounters).
 func (e *GradEngine) EvalOutputs(ctx context.Context, x []float64, spec evaluator.OutputSpec) (*evaluator.Outputs, error) {
 	gamma, beta, err := evaluator.SplitFlat(x)

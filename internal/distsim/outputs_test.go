@@ -489,12 +489,15 @@ func TestEngineOutputsMatchStandalone(t *testing.T) {
 	}
 }
 
-// TestEngineOutputsConcurrent exercises concurrent EvalOutputs calls on
-// one engine (run under -race in CI) interleaved with Energy calls.
+// TestEngineOutputsConcurrent exercises concurrent EvalOutputs calls
+// interleaved with Energy calls (run under -race in CI), each caller on
+// its own engine of one factory and all on one engine
+// (concurrentEngines).
 func TestEngineOutputsConcurrent(t *testing.T) {
 	n := 7
 	ts := problems.LABSTerms(n)
-	e, err := NewGradEngine(n, ts, Options{Ranks: 2, Concurrency: 3})
+	opts := Options{Ranks: 2}
+	e, err := NewGradEngine(n, ts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,44 +511,46 @@ func TestEngineOutputsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 24)
-	for w := 0; w < 12; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if w%2 == 0 {
-				res, err := e.EvalOutputs(context.Background(), x, spec)
-				if err != nil {
-					errs <- err
-					return
+	for _, shared := range []bool{false, true} {
+		var wg sync.WaitGroup
+		errs := make(chan error, 24)
+		for w, eng := range concurrentEngines(t, n, ts, opts, 12, shared) {
+			wg.Add(1)
+			go func(w int, eng *GradEngine) {
+				defer wg.Done()
+				if w%2 == 0 {
+					res, err := eng.EvalOutputs(context.Background(), x, spec)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if res.CVaR[0] != want.CVaR[0] || res.Overlap != want.Overlap {
+						t.Errorf("shared=%v: concurrent EvalOutputs diverged", shared)
+					}
+				} else {
+					got, err := eng.Energy(context.Background(), x)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if math.Abs(got-wantE) > 1e-12 {
+						t.Errorf("shared=%v: concurrent Energy diverged", shared)
+					}
 				}
-				if res.CVaR[0] != want.CVaR[0] || res.Overlap != want.Overlap {
-					t.Errorf("concurrent EvalOutputs diverged")
-				}
-			} else {
-				got, err := e.Energy(context.Background(), x)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if math.Abs(got-wantE) > 1e-12 {
-					t.Errorf("concurrent Energy diverged")
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			}(w, eng)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestCVaROrderConcurrentFirstUse: two leases of a Concurrency-2
-// engine computing CVaR at once both reach the lazy build of each rank
-// slice's cost order (run under -race), on coded and on float64 slices,
-// and both match a single-flight engine bit for bit.
+// TestCVaROrderConcurrentFirstUse: two engines of one factory computing
+// CVaR at once both reach the lazy build of each rank slice's cost
+// order in their shared shard engine (run under -race), on coded and
+// on float64 slices, and both match a lone engine bit for bit.
 func TestCVaROrderConcurrentFirstUse(t *testing.T) {
 	ctx := context.Background()
 	x := []float64{0.3, -0.2, 0.4, 0.1}
@@ -563,13 +568,17 @@ func TestCVaROrderConcurrentFirstUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewGradEngine(c.n, c.ts, Options{Ranks: 2, Concurrency: 2})
+		f, err := NewFactoryFromSource(c.n, c.ts, Options{Ranks: 2}, leaseTerms(c.n, c.ts))
 		if err != nil {
 			t.Fatal(err)
 		}
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 2; g++ {
+			eng, err := f.NewGradEngine(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -246,14 +246,12 @@ func TestCapsStateBytesMatchWarmPlanes(t *testing.T) {
 					t.Fatal(err)
 				}
 				var held int64
-				for _, l := range e.all {
-					for _, rs := range l.ranks {
-						held += planeBytes(reflect.ValueOf(rs.Shard).Elem())
-					}
-					g := reflect.ValueOf(l.group).Elem()
-					for _, f := range []string{"planes64", "planes32"} {
-						held += planeBytes(g.FieldByName(f).FieldByName("scratch"))
-					}
+				for _, rs := range e.lease.ranks {
+					held += planeBytes(reflect.ValueOf(rs.Shard).Elem())
+				}
+				g := reflect.ValueOf(e.lease.group).Elem()
+				for _, f := range []string{"planes64", "planes32"} {
+					held += planeBytes(g.FieldByName(f).FieldByName("scratch"))
 				}
 				if got := e.Caps().StateBytes; got != held {
 					t.Errorf("%v K=%d %v: Caps.StateBytes %d, a warm engine holds %d bytes of planes", mixer, ranks, prec, got, held)
@@ -287,8 +285,9 @@ func planeBytes(v reflect.Value) int64 {
 }
 
 // TestPrecisionEnginesConcurrent hammers engines on coded slices
-// (codedProblem) and on float32 shards with concurrent evaluations (run
-// under -race in CI): leased rank groups must reproduce the
+// (codedProblem) and on float32 shards with concurrent callers (run
+// under -race in CI), each on its own engine of one factory and all on
+// one engine (concurrentEngines): every caller must reproduce the
 // single-flight results exactly per representation.
 func TestPrecisionEnginesConcurrent(t *testing.T) {
 	const p, goroutines, reps = 3, 4, 2
@@ -300,45 +299,43 @@ func TestPrecisionEnginesConcurrent(t *testing.T) {
 		terms poly.Terms
 		opts  Options
 	}{
-		{codedN, codedTerms, Options{Ranks: 4, Algo: cluster.Transpose, Concurrency: 2}},
-		{8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose, Precision: PrecisionFloat32, Concurrency: 2}},
-		{8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing, Precision: PrecisionFloat32, Concurrency: 2}},
+		{codedN, codedTerms, Options{Ranks: 4, Algo: cluster.Transpose}},
+		{8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose, Precision: PrecisionFloat32}},
+		{8, problems.LABSTerms(8), Options{Ranks: 4, Algo: cluster.Transpose, Mixer: core.MixerXYRing, Precision: PrecisionFloat32}},
 	} {
 		n, terms, opts := c.n, c.terms, c.opts
 		ref, err := simulateGrad(context.Background(), n, terms, gamma, beta, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewGradEngine(n, terms, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				gg := make([]float64, p)
-				gb := make([]float64, p)
-				for r := 0; r < reps; r++ {
-					e, err := eng.EnergyGradAngles(context.Background(), gamma, beta, gg, gb)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if e != ref.Energy {
-						t.Errorf("opts %+v: concurrent energy %v != %v", opts, e, ref.Energy)
-						return
-					}
-					for l := 0; l < p; l++ {
-						if gg[l] != ref.GradGamma[l] || gb[l] != ref.GradBeta[l] {
-							t.Errorf("opts %+v: concurrent gradient layer %d mismatch", opts, l)
+		for _, shared := range []bool{false, true} {
+			var wg sync.WaitGroup
+			for _, eng := range concurrentEngines(t, n, terms, opts, goroutines, shared) {
+				wg.Add(1)
+				go func(eng *GradEngine) {
+					defer wg.Done()
+					gg := make([]float64, p)
+					gb := make([]float64, p)
+					for r := 0; r < reps; r++ {
+						e, err := eng.EnergyGradAngles(context.Background(), gamma, beta, gg, gb)
+						if err != nil {
+							t.Error(err)
 							return
 						}
+						if e != ref.Energy {
+							t.Errorf("opts %+v shared=%v: concurrent energy %v != %v", opts, shared, e, ref.Energy)
+							return
+						}
+						for l := 0; l < p; l++ {
+							if gg[l] != ref.GradGamma[l] || gb[l] != ref.GradBeta[l] {
+								t.Errorf("opts %+v shared=%v: concurrent gradient layer %d mismatch", opts, shared, l)
+								return
+							}
+						}
 					}
-				}
-			}()
+				}(eng)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 	}
 }

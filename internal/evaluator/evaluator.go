@@ -24,18 +24,15 @@ import (
 )
 
 // Caps describes what an evaluator can do and what one evaluation
-// costs, so a scheduler can size worker pools and place requests.
+// costs, so a scheduler can place requests and budget memory. It
+// carries no concurrency: a service binds one worker to each evaluator
+// it holds, so its pool size is the only concurrency setting.
 type Caps struct {
 	// NumQubits is the problem size the evaluator is bound to.
 	NumQubits int
 	// Grad reports whether EnergyGrad is implemented (engines without
 	// an adjoint path must return ErrNoGrad from EnergyGrad).
 	Grad bool
-	// MaxConcurrent is the number of evaluations the engine can serve
-	// concurrently without transient buffer allocations or queueing
-	// (0 = no inherent limit). Schedulers should not run more workers
-	// against one evaluator than this.
-	MaxConcurrent int
 	// Ranks is the cluster width behind one evaluation (1 for
 	// single-node engines).
 	Ranks int
@@ -54,9 +51,10 @@ type Caps struct {
 // Evaluator is the unified evaluation contract. x is the flat
 // parameter vector [γ₀…γ_{p−1}, β₀…β_{p−1}] (even length); the depth
 // p is inferred per call, so one evaluator serves mixed-depth
-// workloads. Implementations must be safe for at least
-// Caps().MaxConcurrent concurrent calls and must honor ctx
-// cancellation between (not necessarily within) simulator passes.
+// workloads. Implementations must honor ctx cancellation between (not
+// necessarily within) simulator passes. A service calls each evaluator
+// it holds from one worker; an evaluator that is safe for concurrent
+// calls serves more workers by being listed more than once.
 type Evaluator interface {
 	// Energy evaluates E(x) = ⟨γ,β|Ĉ|γ,β⟩.
 	Energy(ctx context.Context, x []float64) (float64, error)

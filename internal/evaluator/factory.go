@@ -18,8 +18,8 @@ import "context"
 type Factory interface {
 	// Caps reports the capability and cost metadata of the evaluators
 	// this factory builds. StateBytes is the per-build pinned memory
-	// (the cost-model term an elastic scheduler budgets against);
-	// MaxConcurrent is the per-build worker capacity.
+	// (the cost-model term an elastic scheduler budgets against).
+	// Each build serves one worker.
 	Caps() Caps
 
 	// New builds one evaluator. ctx bounds construction work only

@@ -50,7 +50,9 @@ type coneClass struct {
 // light-cone decomposition behind the evaluator contract: sweep,
 // serve, qokit.Service, and the optimizers drive it unchanged. It is
 // read-only after construction; Energy/EnergyGrad are safe for
-// concurrent use (each call draws worker workspaces from a pool).
+// concurrent use (each call draws worker workspaces from a pool), so a
+// service that lists the engine k times runs k evaluations at once,
+// each fanning across Options.Workers.
 type Engine struct {
 	nVertices  int
 	radius     int
@@ -218,15 +220,13 @@ func (e *Engine) Stats() Stats {
 
 // Caps reports the true cost model: state memory scales with the
 // largest cone (workers × two buffers per distinct cone size), not
-// 2^NumQubits — the entire point of the backend. MaxConcurrent is 1
-// because a single evaluation already fans across all workers.
+// 2^NumQubits — the entire point of the backend.
 func (e *Engine) Caps() evaluator.Caps {
 	return evaluator.Caps{
-		NumQubits:     e.nVertices,
-		Grad:          true,
-		MaxConcurrent: 1,
-		Ranks:         1,
-		StateBytes:    e.stateBytes,
+		NumQubits:  e.nVertices,
+		Grad:       true,
+		Ranks:      1,
+		StateBytes: e.stateBytes,
 	}
 }
 

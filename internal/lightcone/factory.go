@@ -14,9 +14,9 @@ import (
 // isomorphism dedup — the expensive part — run once at factory
 // construction (they are needed for Caps anyway); every New returns
 // the same engine, whose evaluation path is safe for concurrent use
-// with per-call pooled buffers. MaxConcurrent stays 1 per build
-// because one evaluation already fans across all the engine's
-// workers; an elastic pool binding more workers to this factory gets
+// with per-call pooled buffers. Each build serves one worker, as every
+// build does, and one evaluation already fans across all the engine's
+// workers; an elastic pool growing more workers from this factory gets
 // concurrent *evaluations*, each fanning internally.
 type Factory struct {
 	eng *Engine

@@ -40,7 +40,7 @@ func TestAdamBeatsNelderMeadBudget(t *testing.T) {
 		return r.Expectation()
 	}, x0, optimize.NMOptions{})
 
-	svc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()}, serve.Options{})
+	svc, err := serve.New([]evaluator.Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type slowFactory struct {
 }
 
 func (f *slowFactory) Caps() evaluator.Caps {
-	return evaluator.Caps{NumQubits: f.n, Grad: true, MaxConcurrent: 1, Ranks: 1, StateBytes: f.stateBytes}
+	return evaluator.Caps{NumQubits: f.n, Grad: true, Ranks: 1, StateBytes: f.stateBytes}
 }
 
 func (f *slowFactory) New(ctx context.Context) (evaluator.Evaluator, error) {

@@ -67,7 +67,7 @@ func TestPopSettlesCancelledTasks(t *testing.T) {
 // must run as the very next evaluation.
 func TestCancelledQueueDoesNotStarveLiveRequest(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	s, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	s, err := New([]evaluator.Evaluator{fe})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,23 @@
 // Elastic scheduling: the Service's worker pool grows and shrinks from
-// observed queue depth. Workers are built on demand from
-// evaluator.Factory descriptors — so the pool can pack heterogeneous
+// observed queue depth. Each worker builds its own evaluator from an
+// evaluator.Factory descriptor — so the pool can pack heterogeneous
 // capacity (float64/float32 workspaces, sharded rank groups,
 // light-cone fan-outs) against one memory budget using each factory's
-// up-front Caps().StateBytes cost metadata — and retire back to their
-// factories after sitting idle, returning state-vector-scale memory.
+// up-front Caps().StateBytes cost metadata — and retires it back to its
+// factory after sitting idle, returning state-vector-scale memory.
 //
 // Every service runs this one worker loop and this one pop. Scale-up
 // happens at push time (a queued task with no idle worker spawns one,
 // up to MaxWorkers and the budget); scale-down happens at pop time (a
 // worker above the MinWorkers floor that stays idle past IdleDecay
-// exits and, when it was its evaluator's last worker, retires the
-// evaluator). New's pool of caller-built evaluators is the degenerate
-// case: its workers start bound, and MinWorkers == MaxWorkers, so
-// neither path ever fires.
+// exits and retires its evaluator). New's pool of caller-built
+// evaluators is the degenerate case: its workers start with their
+// evaluators, and MinWorkers == MaxWorkers, so neither path ever fires.
 package serve
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -27,21 +25,19 @@ import (
 )
 
 // ElasticOptions configures an elastic service. The zero value gives a
-// pool with floor 1, a ceiling of the factories' combined preferred
-// capacity, no memory budget, and a 100 ms idle decay.
+// pool with floor 1, a ceiling of one worker per factory, no memory
+// budget, and a 100 ms idle decay.
 type ElasticOptions struct {
 	// MinWorkers is the pool floor (≤ 0 means 1): that many workers
 	// start immediately and never decay, so the degenerate
 	// MinWorkers == MaxWorkers configuration is a fixed pool.
 	MinWorkers int
-	// MaxWorkers caps growth (≤ 0 means the sum of the factories'
-	// per-build MaxConcurrent, with GOMAXPROCS standing in for
-	// unlimited builds).
+	// MaxWorkers caps growth (≤ 0 means one worker per factory). Each
+	// worker holds one build, so this also caps the builds.
 	MaxWorkers int
 	// MemoryBudget bounds the summed Caps().StateBytes of built
-	// evaluators (0 = unlimited). Growth that would exceed it binds
-	// spare capacity on existing builds or does not happen; the first
-	// build is always allowed so the floor can serve.
+	// evaluators (0 = unlimited). Growth that would exceed it does not
+	// happen; the first build is always allowed so the floor can serve.
 	MemoryBudget int64
 	// ScaleThreshold is the unserved backlog (queued tasks minus idle
 	// workers) that triggers one spawn at push time (≤ 0 means 1).
@@ -75,32 +71,20 @@ type elastic struct {
 	idle      int   // workers parked waiting for tasks
 	peak      int   // high-water mark of live
 	usedBytes int64 // Σ StateBytes of current and in-flight builds
-	building  int   // builds charged to usedBytes whose New has not returned
-	buildErr  error // latched most-recent factory failure
+	builds    int   // builds charged to usedBytes, current or in flight
 }
 
-// factorySlot is one factory plus its current builds.
+// factorySlot is one factory and the Caps of its builds.
 type factorySlot struct {
-	f      evaluator.Factory
-	caps   evaluator.Caps
-	builds []*elBuild
-}
-
-// elBuild is one built evaluator and the workers bound to it. A nil
-// slot marks an evaluator the caller built (New), never retired.
-type elBuild struct {
-	slot     *factorySlot
-	ev       evaluator.Evaluator
-	workers  int
-	capacity int // per-build worker cap (0 = unlimited)
+	f    evaluator.Factory
+	caps evaluator.Caps
 }
 
 // NewElastic builds an autoscaled service over evaluator factories and
 // starts its floor workers. All factories must be bound to the same
 // qubit count; the aggregate Caps reports Grad/Outputs/Streaming only
-// when every factory's builds support them, MaxConcurrent as the
-// worker ceiling, and StateBytes as the memory bound (the budget when
-// set, else the worst-case packing).
+// when every factory's builds support them, and StateBytes as the
+// memory bound (the budget when set, else the worst-case packing).
 func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, error) {
 	if len(factories) == 0 {
 		return nil, fmt.Errorf("serve: no factories")
@@ -113,9 +97,7 @@ func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, e
 	opts = opts.withDefaults()
 	var slots []*factorySlot
 	caps := factories[0].Caps()
-	caps.MaxConcurrent = 0
 	caps.StateBytes = 0
-	capacity := 0
 	var maxBuild int64
 	for i, f := range factories {
 		c := f.Caps()
@@ -129,23 +111,17 @@ func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, e
 		if c.Ranks > caps.Ranks {
 			caps.Ranks = c.Ranks
 		}
-		pref := c.MaxConcurrent
-		if pref <= 0 {
-			pref = runtime.GOMAXPROCS(0)
-		}
-		capacity += pref
 		if c.StateBytes > maxBuild {
 			maxBuild = c.StateBytes
 		}
 		slots = append(slots, &factorySlot{f: f, caps: c})
 	}
 	if opts.MaxWorkers <= 0 {
-		opts.MaxWorkers = capacity
+		opts.MaxWorkers = len(factories)
 	}
 	if opts.MaxWorkers < opts.MinWorkers {
 		opts.MaxWorkers = opts.MinWorkers
 	}
-	caps.MaxConcurrent = opts.MaxWorkers
 	if opts.MemoryBudget > 0 {
 		caps.StateBytes = opts.MemoryBudget
 	} else {
@@ -154,7 +130,7 @@ func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, e
 	s := newService(caps, opts, slots)
 	for i := 0; i < opts.MinWorkers; i++ {
 		s.wg.Add(1)
-		go s.worker(nil)
+		go s.worker(nil, nil)
 	}
 	return s, nil
 }
@@ -173,7 +149,7 @@ func newService(caps evaluator.Caps, opts ElasticOptions, slots []*factorySlot) 
 }
 
 // LiveWorkers reports the current worker count (including workers
-// still binding an evaluator); for a pool built by New it equals
+// still building an evaluator); for a pool built by New it equals
 // Workers().
 func (s *Service) LiveWorkers() int {
 	s.mu.Lock()
@@ -190,7 +166,7 @@ func (s *Service) PeakWorkers() int {
 }
 
 // maybeGrowLocked spawns one worker when the unserved backlog crosses
-// the threshold (s.mu held, called from push). The worker binds its
+// the threshold (s.mu held, called from push). The worker builds its
 // evaluator on its own goroutine, so a slow first build never blocks
 // the submitter.
 func (s *Service) maybeGrowLocked() {
@@ -204,18 +180,20 @@ func (s *Service) maybeGrowLocked() {
 		el.peak = el.live
 	}
 	s.wg.Add(1)
-	go s.worker(nil)
+	go s.worker(nil, nil)
 }
 
-// worker serves tasks against one bound evaluator until close or idle
-// decay, then unbinds. A worker started unbound (b == nil) first binds
-// one, building it if needed. The binding is what makes buffer reuse
-// worker-affine: an evaluator's buffers are touched by at most its
-// capacity of workers, so the warm path never allocates states.
-func (s *Service) worker(b *elBuild) {
+// worker serves tasks against one evaluator until close or idle decay.
+// A worker of New's pool starts with its caller-built evaluator (slot
+// nil), which stays the caller's; an elastic worker (ev nil) first
+// builds its own and retires it when it exits. A worker calls its
+// evaluator alone unless the caller listed it more than once, so a
+// workspace's buffers stay warm and the warm path never allocates
+// states.
+func (s *Service) worker(slot *factorySlot, ev evaluator.Evaluator) {
 	defer s.wg.Done()
-	if b == nil {
-		if b = s.bind(); b == nil {
+	if ev == nil {
+		if slot, ev = s.build(); ev == nil {
 			return
 		}
 	}
@@ -224,44 +202,28 @@ func (s *Service) worker(b *elBuild) {
 		if t == nil {
 			break
 		}
-		s.serveTask(b.ev, t)
+		s.serveTask(ev, t)
 	}
-	s.unbind(b)
+	if slot != nil {
+		s.retire(slot, ev)
+	}
 }
 
-// bind attaches the calling worker to a build with spare capacity, or
-// builds a new evaluator from the cheapest factory that fits the
-// remaining memory budget. A nil return means the worker could not be
-// supplied (budget exhausted with no spare capacity, or the factory
+// build makes the calling worker an evaluator from the cheapest factory
+// that fits the remaining memory budget. A nil evaluator means the
+// worker could not be supplied (budget exhausted, or the factory
 // failed) and has already been discounted from live.
-func (s *Service) bind() *elBuild {
+func (s *Service) build() (*factorySlot, evaluator.Evaluator) {
 	s.mu.Lock()
 	el := s.el
-	// Spare capacity on an existing build is free — prefer it.
-	for _, slot := range el.slots {
-		for _, b := range slot.builds {
-			if b.capacity == 0 || b.workers < b.capacity {
-				b.workers++
-				s.mu.Unlock()
-				return b
-			}
-		}
-	}
 	// Pick the cheapest factory fitting the budget. The first build
 	// ever is exempt so a too-small budget degrades to one evaluator
 	// instead of a pool that can serve nothing. A build still in New
-	// already holds its charge, so it counts as existing: cold binds
-	// racing the first build do not all claim the exemption.
+	// already holds its charge, so it counts as existing: cold builds
+	// racing the first one do not all claim the exemption.
 	var slot *factorySlot
-	haveAny := el.building > 0
 	for _, cand := range el.slots {
-		if len(cand.builds) > 0 {
-			haveAny = true
-			break
-		}
-	}
-	for _, cand := range el.slots {
-		if haveAny && el.opts.MemoryBudget > 0 && el.usedBytes+cand.caps.StateBytes > el.opts.MemoryBudget {
+		if el.builds > 0 && el.opts.MemoryBudget > 0 && el.usedBytes+cand.caps.StateBytes > el.opts.MemoryBudget {
 			continue
 		}
 		if slot == nil || cand.caps.StateBytes < slot.caps.StateBytes {
@@ -271,73 +233,46 @@ func (s *Service) bind() *elBuild {
 	if slot == nil {
 		el.live--
 		s.mu.Unlock()
-		return nil
+		return nil, nil
 	}
-	// Charge the budget while building so concurrent binds cannot
+	// Charge the budget while building so concurrent builds cannot
 	// collectively overshoot it.
 	el.usedBytes += slot.caps.StateBytes
-	el.building++
+	el.builds++
 	s.mu.Unlock()
 
 	ev, err := slot.f.New(context.Background())
-
-	s.mu.Lock()
-	el.building--
-	if err != nil {
-		el.usedBytes -= slot.caps.StateBytes
-		el.buildErr = err
-		el.live--
-		dead := el.live == 0
-		var stranded []*task
-		if dead {
-			// No worker will ever serve the queue; fail it loudly
-			// rather than hanging submitters.
-			stranded = append(stranded, s.queue[s.head:]...)
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
-		s.mu.Unlock()
-		for _, t := range stranded {
-			s.finish(t, 0, fmt.Errorf("serve: elastic pool has no workers: %w", err))
-		}
-		return nil
+	if err == nil {
+		return slot, ev
 	}
-	b := &elBuild{slot: slot, ev: ev, workers: 1, capacity: slot.caps.MaxConcurrent}
-	slot.builds = append(slot.builds, b)
+	s.mu.Lock()
+	el.usedBytes -= slot.caps.StateBytes
+	el.builds--
+	el.live--
+	var stranded []*task
+	if el.live == 0 {
+		// No worker will ever serve the queue; fail it loudly rather
+		// than hanging submitters.
+		stranded = append(stranded, s.queue[s.head:]...)
+		s.queue = s.queue[:0]
+		s.head = 0
+	}
 	s.mu.Unlock()
-	return b
+	for _, t := range stranded {
+		s.finish(t, 0, fmt.Errorf("serve: elastic pool has no workers: %w", err))
+	}
+	return nil, nil
 }
 
-// unbind detaches a worker from its build; the build's last worker
-// retires the evaluator back to its factory. Caller-built evaluators
-// stay with the caller.
-func (s *Service) unbind(b *elBuild) {
-	if b.slot == nil {
-		return
-	}
+// retire returns an exiting worker's evaluator to its factory and its
+// charge to the budget.
+func (s *Service) retire(slot *factorySlot, ev evaluator.Evaluator) {
 	s.mu.Lock()
-	b.workers--
-	retire := b.workers == 0
-	if retire {
-		builds := b.slot.builds
-		for i, ob := range builds {
-			if ob == b {
-				builds[i] = builds[len(builds)-1]
-				b.slot.builds = builds[:len(builds)-1]
-				break
-			}
-		}
-		s.el.usedBytes -= b.slot.caps.StateBytes
-	}
+	s.el.usedBytes -= slot.caps.StateBytes
+	s.el.builds--
 	s.mu.Unlock()
-	if retire {
-		// Best-effort: a retire error has no caller to surface to.
-		if err := b.slot.f.Retire(b.ev); err != nil {
-			s.mu.Lock()
-			s.el.buildErr = err
-			s.mu.Unlock()
-		}
-	}
+	// Best-effort: a retire error has no caller to surface to.
+	_ = slot.f.Retire(ev)
 }
 
 // pop blocks for the oldest live task; nil means the service closed or,

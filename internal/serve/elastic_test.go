@@ -20,7 +20,6 @@ import (
 // scale tests can observe the pool's evaluator lifecycle directly.
 type fakeFactory struct {
 	n          int
-	perBuild   int // MaxConcurrent per build
 	stateBytes int64
 	gate       chan struct{}
 
@@ -30,10 +29,7 @@ type fakeFactory struct {
 }
 
 func (f *fakeFactory) Caps() evaluator.Caps {
-	return evaluator.Caps{
-		NumQubits: f.n, Grad: true,
-		MaxConcurrent: f.perBuild, Ranks: 1, StateBytes: f.stateBytes,
-	}
+	return evaluator.Caps{NumQubits: f.n, Grad: true, Ranks: 1, StateBytes: f.stateBytes}
 }
 
 func (f *fakeFactory) New(ctx context.Context) (evaluator.Evaluator, error) {
@@ -74,7 +70,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // and every evaluator built above the floor is retired to its factory.
 func TestElasticGrowsAndShrinks(t *testing.T) {
 	const points, maxW = 64, 8
-	f := &fakeFactory{n: 4, perBuild: 1, stateBytes: 1, gate: make(chan struct{})}
+	f := &fakeFactory{n: 4, stateBytes: 1, gate: make(chan struct{})}
 	svc, err := NewElastic([]evaluator.Factory{f}, ElasticOptions{
 		MinWorkers: 1, MaxWorkers: maxW, IdleDecay: 20 * time.Millisecond,
 	})
@@ -130,11 +126,11 @@ func TestElasticGrowsAndShrinks(t *testing.T) {
 }
 
 // TestElasticMemoryBudget: a budget with room for one build limits the
-// pool to that build's capacity no matter the backlog, and the first
+// pool to that build's one worker no matter the backlog, and the first
 // build is always admitted.
 func TestElasticMemoryBudget(t *testing.T) {
 	const points = 16
-	f := &fakeFactory{n: 4, perBuild: 2, stateBytes: 100, gate: make(chan struct{})}
+	f := &fakeFactory{n: 4, stateBytes: 100, gate: make(chan struct{})}
 	svc, err := NewElastic([]evaluator.Factory{f}, ElasticOptions{
 		MinWorkers: 1, MaxWorkers: 8, MemoryBudget: 150, IdleDecay: 20 * time.Millisecond,
 	})
@@ -173,7 +169,7 @@ func TestElasticFixedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := New(workspaces(sim, 2), Options{})
+	fixed, err := New(workspaces(sim, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

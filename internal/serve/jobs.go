@@ -1,6 +1,6 @@
 // Durable optimization jobs: a serving pool drives a gradient
 // optimizer whose complete state is checkpointed through
-// internal/optimize's on-disk codec after every saved iteration. A
+// internal/optimize's on-disk codec after every iteration. A
 // pool that crashes (or is deliberately restarted) picks the job back
 // up from the checkpoint and finishes it bit-identical to a pool that
 // never stopped — Adam is deterministic, and the snapshot fully
@@ -25,13 +25,9 @@ type JobOptions struct {
 	// by the job runner — setting either is an error.
 	Adam optimize.AdamOptions
 	// CheckpointPath, when non-empty, makes the job durable: optimizer
-	// state lands there after every CheckpointEvery-th iteration, an
-	// existing file resumes the job from it, and a completed job
-	// removes it.
+	// state lands there after every iteration, an existing file
+	// resumes the job from it, and a completed job removes it.
 	CheckpointPath string
-	// CheckpointEvery is the save cadence in iterations (≤ 0 selects
-	// every iteration).
-	CheckpointEvery int
 }
 
 // OptimizeAdam runs a (optionally durable) Adam trajectory against the
@@ -48,10 +44,6 @@ func (s *Service) OptimizeAdam(ctx context.Context, x0 []float64, jo JobOptions)
 		return optimize.AdamResult{}, fmt.Errorf("serve: JobOptions.Adam.Resume/Checkpoint are managed by the job runner")
 	}
 	opt := jo.Adam
-	every := jo.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
 	var simErr error
 	if jo.CheckpointPath != "" {
 		st, err := optimize.LoadAdamState(jo.CheckpointPath)
@@ -69,9 +61,6 @@ func (s *Service) OptimizeAdam(ctx context.Context, x0 []float64, jo JobOptions)
 		opt.Checkpoint = func(st *optimize.AdamState) error {
 			if simErr != nil {
 				return simErr // stop instead of iterating on garbage zeros
-			}
-			if st.Iter%every != 0 {
-				return nil
 			}
 			return optimize.SaveAdamState(jo.CheckpointPath, st)
 		}

@@ -54,7 +54,7 @@ func (q *quadEval) EnergyGrad(ctx context.Context, x, g []float64) (float64, err
 }
 
 func (q *quadEval) Caps() evaluator.Caps {
-	return evaluator.Caps{NumQubits: q.n, Grad: true, MaxConcurrent: 2, Ranks: 1, StateBytes: 1}
+	return evaluator.Caps{NumQubits: q.n, Grad: true, Ranks: 1, StateBytes: 1}
 }
 
 // TestOptimizeAdamRestartedPool is the serving-layer durability
@@ -71,7 +71,7 @@ func TestOptimizeAdamRestartedPool(t *testing.T) {
 	}
 	newPool := func(t *testing.T, q *quadEval) *Service {
 		t.Helper()
-		s, err := New([]evaluator.Evaluator{q}, Options{WorkersPerEvaluator: 1})
+		s, err := New([]evaluator.Evaluator{q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestOptimizeAdamRestartedPool(t *testing.T) {
 // checkpoint.
 func TestOptimizeAdamValidation(t *testing.T) {
 	q := &quadEval{n: 4}
-	s, err := New([]evaluator.Evaluator{q}, Options{WorkersPerEvaluator: 1})
+	s, err := New([]evaluator.Evaluator{q})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestServiceOutputsMatchEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewWorkspace()
-	s, err := New(workspaces(sim, 4), Options{})
+	s, err := New(workspaces(sim, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestServiceOutputsDistributedPool(t *testing.T) {
 		n    int
 		ts   poly.Terms
 	}{{"labs", 7, problems.LABSTerms(7)}, {"maxcut", 10, problems.MaxCutTerms(g)}} {
-		eng, err := distsim.NewGradEngine(prob.n, prob.ts, distsim.Options{Ranks: 2, Concurrency: 2})
+		eng, err := distsim.NewGradEngine(prob.n, prob.ts, distsim.Options{Ranks: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New([]evaluator.Evaluator{eng}, Options{})
+		s, err := New([]evaluator.Evaluator{eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestServiceOutputsDistributedPool(t *testing.T) {
 // TestServiceOutputsUnsupportedPool: a pool with any output-less
 // evaluator rejects EvalOutputs up front without queueing.
 func TestServiceOutputsUnsupportedPool(t *testing.T) {
-	s, err := New([]evaluator.Evaluator{&fakeEval{n: 5, grad: true}}, Options{})
+	s, err := New([]evaluator.Evaluator{&fakeEval{n: 5, grad: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestServiceOutputsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(workspaces(sim, 1), Options{})
+	s, err := New(workspaces(sim, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

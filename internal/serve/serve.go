@@ -11,9 +11,11 @@
 //     fans out as per-point tasks, so its points fill every idle
 //     worker instead of serializing behind one;
 //   - workers are evaluator-affine: each worker is bound to one
-//     evaluator for its lifetime, so the evaluator's buffers stay warm
-//     per worker and a steady request stream performs no per-request
-//     state allocations;
+//     evaluator for its lifetime and runs one evaluation at a time, so
+//     the evaluator's buffers stay warm per worker and a steady request
+//     stream performs no per-request state allocations. The pool's
+//     size — the evaluators passed to New, or NewElastic's MinWorkers
+//     and MaxWorkers — is the service's only concurrency setting;
 //   - the queue is strictly FIFO — a point query enqueued after a
 //     large batch runs after that batch's points, and nothing
 //     reorders within a batch — which makes latency predictable under
@@ -33,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"qokit/internal/evaluator"
@@ -42,16 +43,6 @@ import (
 // ErrClosed is returned for requests submitted to (or stranded in) a
 // closed service.
 var ErrClosed = errors.New("serve: service closed")
-
-// Options configures a Service.
-type Options struct {
-	// WorkersPerEvaluator is the number of workers bound to each
-	// evaluator, clamped to the evaluator's Caps().MaxConcurrent.
-	// 0 selects the evaluator's own preferred concurrency
-	// (MaxConcurrent, or GOMAXPROCS when the evaluator reports no
-	// limit).
-	WorkersPerEvaluator int
-}
 
 // Service schedules evaluation requests over a pool of evaluators.
 // All methods are safe for concurrent use.
@@ -129,13 +120,18 @@ func (tr *batchTracker) failedErr() error {
 	return tr.firstErr
 }
 
-// New builds a service over caller-built evaluators and starts its
-// workers. All evaluators must be bound to the same qubit count; the
-// aggregate Caps reports Grad only when every evaluator supports it.
-// Each evaluator is a build bound to its workers at start and never
-// retired (the caller owns it), so the pool is the elastic one with
+// New builds a service over caller-built evaluators and starts one
+// worker per evaluator, so the list's length is the pool's size: an
+// evaluator that is safe for concurrent calls (a core.Simulator, the
+// light-cone engine, another Service) gets k workers by being listed k
+// times. A distsim.GradEngine takes its callers in turn, so more
+// sharded evaluations take more engines. All evaluators must be bound
+// to the same qubit count; the aggregate Caps reports Grad only when
+// every evaluator supports it and sums StateBytes over the list, an
+// evaluator listed k times k times. The evaluators stay the caller's
+// and are never retired, so the pool is the elastic one with
 // MinWorkers == MaxWorkers: it never grows or decays.
-func New(evals []evaluator.Evaluator, opts Options) (*Service, error) {
+func New(evals []evaluator.Evaluator) (*Service, error) {
 	if len(evals) == 0 {
 		return nil, fmt.Errorf("serve: no evaluators")
 	}
@@ -147,9 +143,7 @@ func New(evals []evaluator.Evaluator, opts Options) (*Service, error) {
 	// Validate the whole pool before starting any worker: a mismatch
 	// must not leak goroutines parked on a queue no one will close.
 	caps := evals[0].Caps()
-	caps.MaxConcurrent = 0
 	caps.StateBytes = 0
-	builds := make([]*elBuild, len(evals))
 	for i, ev := range evals {
 		c := ev.Caps()
 		if c.NumQubits != caps.NumQubits {
@@ -162,37 +156,18 @@ func New(evals []evaluator.Evaluator, opts Options) (*Service, error) {
 		if c.Ranks > caps.Ranks {
 			caps.Ranks = c.Ranks
 		}
-		w := workersFor(c, opts)
-		caps.MaxConcurrent += w
-		caps.StateBytes += int64(w) * c.StateBytes
-		builds[i] = &elBuild{ev: ev, workers: w, capacity: w}
+		caps.StateBytes += c.StateBytes
 	}
-	s := newService(caps, ElasticOptions{MinWorkers: caps.MaxConcurrent, MaxWorkers: caps.MaxConcurrent}, nil)
-	for _, b := range builds {
-		for k := 0; k < b.workers; k++ {
-			s.wg.Add(1)
-			go s.worker(b)
-		}
+	s := newService(caps, ElasticOptions{MinWorkers: len(evals), MaxWorkers: len(evals)}, nil)
+	for _, ev := range evals {
+		s.wg.Add(1)
+		go s.worker(nil, ev)
 	}
 	return s, nil
 }
 
-// workersFor resolves the worker count one evaluator contributes.
-func workersFor(c evaluator.Caps, opts Options) int {
-	pref := c.MaxConcurrent
-	if pref <= 0 {
-		pref = runtime.GOMAXPROCS(0)
-	}
-	w := opts.WorkersPerEvaluator
-	if w <= 0 || w > pref {
-		w = pref
-	}
-	return w
-}
-
-// Caps reports the pool's aggregate metadata: MaxConcurrent is the
-// total worker count, StateBytes the state memory pinned at full
-// load, Ranks the widest substrate in the pool.
+// Caps reports the pool's aggregate metadata: StateBytes is the state
+// memory pinned at full load, Ranks the widest substrate in the pool.
 func (s *Service) Caps() evaluator.Caps { return s.caps }
 
 // Workers returns the pool's floor: every worker of a pool built by

@@ -68,7 +68,7 @@ func (f *fakeEval) EnergyGrad(ctx context.Context, x, g []float64) (float64, err
 }
 
 func (f *fakeEval) Caps() evaluator.Caps {
-	return evaluator.Caps{NumQubits: f.n, Grad: f.grad, MaxConcurrent: 4, Ranks: 1, StateBytes: 1}
+	return evaluator.Caps{NumQubits: f.n, Grad: f.grad, Ranks: 1, StateBytes: 1}
 }
 
 func flat(vals ...float64) []float64 { return vals }
@@ -93,7 +93,7 @@ func TestServiceMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewWorkspace()
-	svc, err := New(workspaces(sim, 4), Options{})
+	svc, err := New(workspaces(sim, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestServiceMatchesEngine(t *testing.T) {
 // and across a batch and the requests submitted behind it.
 func TestServiceFIFO(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := New([]evaluator.Evaluator{fe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestServiceConcurrentMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewWorkspace()
-	svc, err := New(workspaces(sim, 4), Options{})
+	svc, err := New(workspaces(sim, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestServiceConcurrentMixed(t *testing.T) {
 // without being evaluated; and the pool keeps serving afterwards.
 func TestServiceCancellation(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := New([]evaluator.Evaluator{fe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestServiceCancellation(t *testing.T) {
 // submissions are rejected, Close is idempotent.
 func TestServiceClose(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 16)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := New([]evaluator.Evaluator{fe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,13 +460,13 @@ func TestServiceClose(t *testing.T) {
 // TestServiceValidation rejects malformed requests and mismatched
 // pools up front.
 func TestServiceValidation(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("empty pool accepted")
 	}
-	if _, err := New([]evaluator.Evaluator{&fakeEval{n: 4}, &fakeEval{n: 6}}, Options{}); err == nil {
+	if _, err := New([]evaluator.Evaluator{&fakeEval{n: 4}, &fakeEval{n: 6}}); err == nil {
 		t.Error("mixed qubit counts accepted")
 	}
-	if _, err := New([]evaluator.Evaluator{&fakeEval{n: 4}, nil}, Options{}); err == nil ||
+	if _, err := New([]evaluator.Evaluator{&fakeEval{n: 4}, nil}); err == nil ||
 		!strings.Contains(err.Error(), "evaluator 1 is nil") {
 		t.Errorf("nil evaluator: err = %v", err)
 	}
@@ -475,7 +475,7 @@ func TestServiceValidation(t *testing.T) {
 		t.Errorf("nil factory: err = %v", err)
 	}
 	noGrad := &fakeEval{n: 4, grad: false}
-	svc, err := New([]evaluator.Evaluator{noGrad}, Options{})
+	svc, err := New([]evaluator.Evaluator{noGrad})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,38 +495,40 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
-// TestServiceWorkerSizing pins the worker-pool arithmetic against the
-// evaluators' declared concurrency.
+// TestServiceWorkerSizing pins the worker-pool arithmetic: one worker
+// per listed evaluator, with an evaluator listed twice counted twice
+// in the workers and in the pinned state memory.
 func TestServiceWorkerSizing(t *testing.T) {
-	fe := &fakeEval{n: 4, grad: true} // MaxConcurrent 4
-	svc, err := New([]evaluator.Evaluator{fe}, Options{})
+	fe := &fakeEval{n: 4, grad: true}
+	svc, err := New([]evaluator.Evaluator{fe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Workers() != 4 || svc.LiveWorkers() != 4 || svc.PeakWorkers() != 4 {
-		t.Errorf("default workers %d (live %d, peak %d), want the evaluator's MaxConcurrent 4",
+	if svc.Workers() != 1 || svc.LiveWorkers() != 1 || svc.PeakWorkers() != 1 {
+		t.Errorf("one evaluator: workers %d (live %d, peak %d), want 1",
 			svc.Workers(), svc.LiveWorkers(), svc.PeakWorkers())
 	}
 	svc.Close()
-	svc, err = New([]evaluator.Evaluator{fe, fe}, Options{WorkersPerEvaluator: 2})
+	svc, err = New([]evaluator.Evaluator{fe, fe, &fakeEval{n: 4, grad: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Workers() != 4 {
-		t.Errorf("2 evaluators × 2 workers = %d, want 4", svc.Workers())
+	if svc.Workers() != 3 || svc.LiveWorkers() != 3 || svc.PeakWorkers() != 3 {
+		t.Errorf("three listed evaluators: workers %d (live %d, peak %d), want 3",
+			svc.Workers(), svc.LiveWorkers(), svc.PeakWorkers())
 	}
-	if caps := svc.Caps(); caps.MaxConcurrent != 4 || caps.StateBytes != 4 {
-		t.Errorf("aggregate caps %+v", caps)
+	if caps := svc.Caps(); caps.StateBytes != 3 {
+		t.Errorf("aggregate caps %+v, want StateBytes 3", caps)
 	}
 	svc.Close()
 }
 
-// TestServiceConcurrencyObserved: with a gated evaluator and multiple
-// workers, the pool demonstrably holds ≥ 2 evaluations in flight at
+// TestServiceConcurrencyObserved: with a gated evaluator listed three
+// times, the pool demonstrably holds three evaluations in flight at
 // once — the scheduling property the whole layer exists for.
 func TestServiceConcurrencyObserved(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 3})
+	svc, err := New([]evaluator.Evaluator{fe, fe, fe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +549,7 @@ func TestServiceConcurrencyObserved(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if max := fe.maxSeen.Load(); max < 3 {
+	if max := fe.maxSeen.Load(); max != 3 {
 		t.Errorf("max in-flight %d, want 3 (one per worker)", max)
 	}
 }
@@ -566,7 +568,7 @@ func TestServiceNoPerRequestStateAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(workspaces(sim, 2), Options{})
+	svc, err := New(workspaces(sim, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +617,7 @@ func TestGradObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(workspaces(sim, 1), Options{})
+	svc, err := New(workspaces(sim, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,18 +648,19 @@ func TestGradObjective(t *testing.T) {
 }
 
 // TestServiceComposes: a Service is itself an evaluator, so it nests
-// inside another Service and behind any engine-shaped API.
+// inside another Service — listed twice, for two outer workers — and
+// behind any engine-shaped API.
 func TestServiceComposes(t *testing.T) {
 	sim, err := core.New(6, problems.LABSTerms(6), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := New(workspaces(sim, 2), Options{})
+	inner, err := New(workspaces(sim, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	outer, err := New([]evaluator.Evaluator{inner}, Options{WorkersPerEvaluator: 2})
+	outer, err := New([]evaluator.Evaluator{inner, inner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +698,7 @@ func (f *failingEval) Energy(ctx context.Context, x []float64) (float64, error) 
 // for their evaluations.
 func TestBatchAbandonsAfterError(t *testing.T) {
 	fe := &failingEval{fakeEval: fakeEval{n: 4, grad: true}, failAt: 2}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := New([]evaluator.Evaluator{fe})
 	if err != nil {
 		t.Fatal(err)
 	}

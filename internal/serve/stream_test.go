@@ -21,7 +21,7 @@ func TestServiceStreamSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewWorkspace()
-	s, err := New(workspaces(sim, 4), Options{})
+	s, err := New(workspaces(sim, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestServiceStreamSamples(t *testing.T) {
 // TestServiceStreamUnsupportedPool: a pool with any non-streaming
 // evaluator rejects StreamSamples up front without queueing.
 func TestServiceStreamUnsupportedPool(t *testing.T) {
-	s, err := New([]evaluator.Evaluator{&fakeEval{n: 5, grad: true}}, Options{})
+	s, err := New([]evaluator.Evaluator{&fakeEval{n: 5, grad: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestServiceStreamClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(workspaces(sim, 1), Options{})
+	s, err := New(workspaces(sim, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,8 @@ import (
 // undo in its last pass. A group state's pivots are parities of that
 // diagonal, so it runs no pivot pass.
 //
-// The standalone complex128 reductions below (ImDotDiag, ImDotXAll,
-// ImDotXRange, ImDotXY) are the references the tiled, mirror and
-// costvec tests check the kernels against.
+// ImDotXY below is the standalone complex128 per-edge reduction; the
+// tests hold the other references the kernels are checked against.
 
 // MulDiag multiplies amplitude x by the real scalar diag_x in place:
 // ψ ← Ĉ|ψ⟩ for a diagonal observable, the "cost-weighted" seed of the
@@ -48,58 +47,6 @@ func MulDiag(v Vec, diag []float64) {
 	for i := range v {
 		v[i] *= complex(diag[i], 0)
 	}
-}
-
-// ImDotDiag returns Σ_x diag_x · Im(conj(lam_x)·psi_x) = Im ⟨λ|Ĉ|ψ⟩:
-// the phase-operator derivative reduction. It panics on length
-// mismatch.
-func ImDotDiag(lam, psi Vec, diag []float64) float64 {
-	if len(lam) != len(psi) || len(lam) != len(diag) {
-		panic(fmt.Sprintf("statevec: ImDotDiag length mismatch %d/%d/%d", len(lam), len(psi), len(diag)))
-	}
-	var s float64
-	for i := range lam {
-		s += diag[i] * (real(lam[i])*imag(psi[i]) - imag(lam[i])*real(psi[i]))
-	}
-	return s
-}
-
-// ImDotXAll returns Σ_q Im ⟨λ|X_q|ψ⟩ — the whole transverse-field
-// mixer derivative in one pass over the pair, with the qubit loop
-// innermost so the reduction costs one kernel launch instead of n.
-func ImDotXAll(lam, psi Vec) float64 {
-	if len(lam) != len(psi) {
-		panic(fmt.Sprintf("statevec: ImDotXAll length mismatch %d vs %d", len(lam), len(psi)))
-	}
-	n := lam.NumQubits()
-	var s float64
-	for i := range lam {
-		lr, li := real(lam[i]), imag(lam[i])
-		for q := 0; q < n; q++ {
-			j := i ^ (1 << uint(q))
-			s += lr*imag(psi[j]) - li*real(psi[j])
-		}
-	}
-	return s
-}
-
-// ImDotXRange returns Σ_{q∈[lo,hi)} Im ⟨λ|X_q|ψ⟩ — ImDotXAll
-// restricted to a contiguous qubit range, the per-qubit reference of
-// the mixer derivative over part of the qubits.
-func ImDotXRange(lam, psi Vec, lo, hi int) float64 {
-	if len(lam) != len(psi) {
-		panic(fmt.Sprintf("statevec: ImDotXRange length mismatch %d vs %d", len(lam), len(psi)))
-	}
-	checkRange("ImDotXRange", lam.NumQubits(), lo, hi)
-	var s float64
-	for i := range lam {
-		lr, li := real(lam[i]), imag(lam[i])
-		for q := lo; q < hi; q++ {
-			j := i ^ (1 << uint(q))
-			s += lr*imag(psi[j]) - li*real(psi[j])
-		}
-	}
-	return s
 }
 
 // ImDotXY returns Im ⟨λ|H_e|ψ⟩ for H_e = (X_iX_j + Y_iY_j)/2, which

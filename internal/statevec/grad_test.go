@@ -1,6 +1,7 @@
 package statevec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,6 +19,42 @@ func randState(rng *rand.Rand, n int) Vec {
 
 // imDot returns Im ⟨a|b⟩ directly.
 func imDot(a, b Vec) float64 { return imag(Dot(a, b)) }
+
+// imDotDiag returns Σ_x diag_x · Im(conj(lam_x)·psi_x) = Im ⟨λ|Ĉ|ψ⟩,
+// the phase-operator derivative, summed with compensation (compSum) so
+// that its own rounding stays far below the kernels' tolerances.
+func imDotDiag(lam, psi Vec, diag []float64) float64 {
+	if len(lam) != len(psi) || len(lam) != len(diag) {
+		panic(fmt.Sprintf("statevec: imDotDiag length mismatch %d/%d/%d", len(lam), len(psi), len(diag)))
+	}
+	var acc compSum
+	for i := range lam {
+		acc.add(diag[i] * (real(lam[i])*imag(psi[i]) - imag(lam[i])*real(psi[i])))
+	}
+	return acc.sum()
+}
+
+// imDotXAll returns Σ_q Im ⟨λ|X_q|ψ⟩, the whole transverse-field mixer
+// derivative, summed with compensation.
+func imDotXAll(lam, psi Vec) float64 { return imDotXRange(lam, psi, 0, lam.NumQubits()) }
+
+// imDotXRange returns Σ_{q∈[lo,hi)} Im ⟨λ|X_q|ψ⟩, the mixer derivative
+// over a contiguous qubit range, summed with compensation.
+func imDotXRange(lam, psi Vec, lo, hi int) float64 {
+	if len(lam) != len(psi) {
+		panic(fmt.Sprintf("statevec: imDotXRange length mismatch %d vs %d", len(lam), len(psi)))
+	}
+	checkRange("imDotXRange", lam.NumQubits(), lo, hi)
+	var acc compSum
+	for i := range lam {
+		lr, li := real(lam[i]), imag(lam[i])
+		for q := lo; q < hi; q++ {
+			j := i ^ (1 << uint(q))
+			acc.add(lr*imag(psi[j]) - li*real(psi[j]))
+		}
+	}
+	return acc.sum()
+}
 
 // applyXRef returns X_q|v⟩ by explicit bit flip.
 func applyXRef(v Vec, q int) Vec {
@@ -49,7 +86,7 @@ func applyXYRef(v Vec, i, j int) Vec {
 func gradPool() *Pool { return &Pool{Workers: 4} }
 
 // TestImDotDiagAgainstReference checks every Im ⟨λ|Ĉ|ψ⟩ reduction
-// against the explicit inner product: the standalone serial reduction,
+// against the explicit inner product: the compensated serial reference,
 // and ReversePhase on all three representations, with and without the
 // phase undo and through every phase source (the split layouts also
 // through the codes-only source of the same grid).
@@ -69,8 +106,8 @@ func TestImDotDiagAgainstReference(t *testing.T) {
 		MulDiag(cpsi, diag)
 		want := imDot(lam, cpsi)
 
-		if got := ImDotDiag(lam, psi, diag); math.Abs(got-want) > 1e-12 {
-			t.Errorf("serial ImDotDiag = %v, want %v", got, want)
+		if got := imDotDiag(lam, psi, diag); math.Abs(got-want) > 1e-12 {
+			t.Errorf("serial imDotDiag = %v, want %v", got, want)
 		}
 		split := []Phase{ph}
 		if ph.Codes != nil {
@@ -118,7 +155,7 @@ func TestMulDiagBackends(t *testing.T) {
 }
 
 // TestImDotXAllAgainstReference checks the transverse-field mixer
-// derivative Σ_q Im ⟨λ|X_q|ψ⟩: the fused serial reduction,
+// derivative Σ_q Im ⟨λ|X_q|ψ⟩: the compensated serial reference,
 // the sum of the per-qubit ReverseRX reductions on the complex128
 // representation, and the mixer reduction of the split layouts'
 // reverse step, which reads the whole sum off the Walsh diagonal
@@ -133,8 +170,8 @@ func TestImDotXAllAgainstReference(t *testing.T) {
 	for q := 0; q < n; q++ {
 		want += imDot(lam, applyXRef(psi, q))
 	}
-	if got := ImDotXAll(lam, psi); math.Abs(got-want) > 1e-12 {
-		t.Errorf("serial ImDotXAll = %v, want %v", got, want)
+	if got := imDotXAll(lam, psi); math.Abs(got-want) > 1e-12 {
+		t.Errorf("serial imDotXAll = %v, want %v", got, want)
 	}
 	sl32, sp32 := splitOf[float32](lam), splitOf[float32](psi)
 	var got [3]float64
@@ -270,14 +307,14 @@ func TestImDotXRangeAgainstReference(t *testing.T) {
 		for q := lo; q < hi; q++ {
 			want += imDot(lam, applyXRef(psi, q))
 		}
-		got := ImDotXRange(lam, psi, lo, hi)
+		got := imDotXRange(lam, psi, lo, hi)
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("range [%d,%d): got %v, want %v", lo, hi, got, want)
 		}
 	}
-	// The full range must agree with the fused all-qubit kernel.
-	if a, b := ImDotXRange(lam, psi, 0, n), ImDotXAll(lam, psi); math.Abs(a-b) > 1e-12 {
-		t.Errorf("ImDotXRange(0,n)=%v != ImDotXAll=%v", a, b)
+	// The full range must agree with the all-qubit reduction.
+	if a, b := imDotXRange(lam, psi, 0, n), imDotXAll(lam, psi); math.Abs(a-b) > 1e-12 {
+		t.Errorf("imDotXRange(0,n)=%v != imDotXAll=%v", a, b)
 	}
 }
 
@@ -290,7 +327,7 @@ func TestImDotXRangePanics(t *testing.T) {
 					t.Errorf("range [%d,%d) did not panic", r[0], r[1])
 				}
 			}()
-			ImDotXRange(lam, psi, r[0], r[1])
+			imDotXRange(lam, psi, r[0], r[1])
 		}()
 	}
 }

@@ -301,8 +301,8 @@ func reverseShapes(n int) []int {
 // bit, with both reductions close to the reference's. It then requires
 // the states within tol of per-qubit RX(−β) steps followed by the phase
 // undo (reversePerQubit), and the reductions within rtol of the
-// per-qubit reference's, of ImDotXAll of the input pair and of
-// ImDotDiag of the undone pair. Above 14 qubits only the mixer alone and the table phase
+// per-qubit reference's, of imDotXAll of the input pair and of
+// imDotDiag of the undone pair. Above 14 qubits only the mixer alone and the table phase
 // with its undo run.
 func checkTiledReverse[T Float](t *testing.T, tol, rtol float64) {
 	rng := rand.New(rand.NewSource(89))
@@ -346,9 +346,9 @@ func checkTiledReverse[T Float](t *testing.T, tol, rtol float64) {
 				}
 				relClose(t, label+" mixer vs the per-qubit reference", wantMixer, refMixer, rtol)
 				relClose(t, label+" phase vs the per-qubit reference", wantPhase, refPhase, rtol)
-				relClose(t, label+" mixer vs ImDotXAll", wantMixer, ImDotXAll(lam0.vec(), psi0.vec()), rtol)
+				relClose(t, label+" mixer vs imDotXAll", wantMixer, imDotXAll(lam0.vec(), psi0.vec()), rtol)
 				if ph.Diag != nil {
-					relClose(t, label+" phase vs ImDotDiag", wantPhase, ImDotDiag(pl.vec(), pp.vec(), ph.Diag), rtol)
+					relClose(t, label+" phase vs imDotDiag", wantPhase, imDotDiag(pl.vec(), pp.vec(), ph.Diag), rtol)
 				}
 			}
 		}
@@ -529,7 +529,7 @@ func checkReverseXShards[T Float](t *testing.T, tol, rtol float64) {
 		relClose(t, label+" phase", phase, wantPhase, rtol)
 		if !single {
 			ref, _ := reversePerQubit(NewPool(1), lam0.clone(), psi0.clone(), beta, c.mus, Phase{}, false)
-			relClose(t, label+" mixer vs ImDotXAll", mixer, ref, 1e-12)
+			relClose(t, label+" mixer vs imDotXAll", mixer, ref, 1e-12)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func OptimizeParametersInterp(sim *Simulator, pmax, evalsPerDepth int) (gamma, b
 	if pmax < 1 {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth pmax=%d < 1", pmax)
 	}
-	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -73,7 +73,7 @@ func OptimizeParameters(sim *Simulator, p int, opt NMOptions) (gamma, beta []flo
 	}
 	g0, b0 := TQAInit(p, 0.75)
 	x0 := optimize.JoinAngles(g0, b0)
-	svc, err := NewService([]Evaluator{sim.NewWorkspace()}, ServiceOptions{})
+	svc, err := NewService([]Evaluator{sim.NewWorkspace()})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

@@ -32,8 +32,8 @@ import (
 //     memory budget.
 //   - NewElasticService schedules the same FIFO request queue as
 //     NewService over a worker pool that grows from observed queue
-//     depth and decays back to a floor, building evaluators from
-//     factories and retiring them when idle.
+//     depth and decays back to a floor, each worker building its own
+//     evaluator from a factory and retiring it when idle.
 //
 // NewRegistryService ties the three together: registry + key + options
 // in, autoscaled service out, routed to the single-node, distributed,
@@ -82,9 +82,11 @@ type ElasticOptions = serve.ElasticOptions
 
 // NewElasticService builds an autoscaled service over evaluator
 // factories: MinWorkers workers start immediately, queue backlog grows
-// the pool toward MaxWorkers within the memory budget, and workers
-// idle past IdleDecay retire their evaluators back to the factories.
-// The request API — and its numerics — are identical to NewService's.
+// the pool toward MaxWorkers (≤ 0: one worker per factory) within the
+// memory budget, and workers idle past IdleDecay retire their
+// evaluators back to the factories. Each worker builds and retires its
+// own evaluator. The request API — and its numerics — are identical to
+// NewService's.
 func NewElasticService(factories []EvaluatorFactory, opts ElasticOptions) (*Service, error) {
 	return serve.NewElastic(factories, opts)
 }
@@ -115,7 +117,7 @@ func registeredSpec(reg *ProblemRegistry, key ProblemKey) (ProblemSpec, error) {
 // read-only simulator over the registry entry's stored form, and pins
 // two state buffers of its own; Caps reports them exactly, from the
 // registered terms, before the first build. The workersPerBuild
-// argument is ignored: every build serves one evaluation at a time.
+// argument is ignored: every build serves one worker.
 // The spec's mixer and Hamming weight override opts.
 func NewSweepFactory(reg *ProblemRegistry, key ProblemKey, opts Options, workersPerBuild int) (EvaluatorFactory, error) {
 	spec, err := registeredSpec(reg, key)
@@ -163,16 +165,15 @@ func NewLightConeFactory(reg *ProblemRegistry, key ProblemKey, opts LightConeOpt
 
 // RegistryServiceOptions configures NewRegistryService. The zero value
 // serves the single-node statevector backend with default simulator
-// options on a one-worker pool: Elastic.MaxWorkers defaults to the
-// per-build capacity, which is one evaluation for a single-node build,
-// so set Elastic.MaxWorkers to let the pool grow with queue depth.
+// options on a one-worker pool: each build serves one worker, and
+// Elastic.MaxWorkers ≤ 0 means one worker per factory, so set
+// Elastic.MaxWorkers to let the pool grow with queue depth.
 type RegistryServiceOptions struct {
 	// Simulator configures single-node builds (backend, precision,
 	// worker count, …). The registered spec's mixer and Hamming weight
 	// always win over the same fields here.
 	Simulator Options
-	// WorkersPerBuild is ignored: every single-node build serves one
-	// evaluation at a time.
+	// WorkersPerBuild is ignored: every build serves one worker.
 	WorkersPerBuild int
 	// Distributed, when non-nil, serves the problem on the sharded
 	// cluster backend instead: each elastic build is one rank-group
@@ -183,10 +184,10 @@ type RegistryServiceOptions struct {
 	// under the transverse-field mixer).
 	LightCone *LightConeOptions
 	// Elastic configures the pool (floor, ceiling, memory budget,
-	// idle decay). MaxWorkers ≤ 0 means the per-build capacity (one
-	// worker for single-node builds). The degenerate MinWorkers ==
-	// MaxWorkers setting is a fixed pool with the registry still
-	// deduplicating precompute.
+	// idle decay), its worker count the service's only concurrency
+	// setting. MaxWorkers ≤ 0 means one worker. The degenerate
+	// MinWorkers == MaxWorkers setting is a fixed pool with the
+	// registry still deduplicating precompute.
 	Elastic ElasticOptions
 }
 

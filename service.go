@@ -14,13 +14,14 @@ import (
 //
 //   - Evaluator is the contract every engine implements: Energy and
 //     EnergyGrad on the flat parameter vector [γ…, β…], plus Caps
-//     metadata (qubit count, gradient support, concurrency, ranks,
-//     state memory) a scheduler can place work with. Simulator,
-//     Workspace, DistributedGradEngine, the light-cone and gate
-//     engines all satisfy it, as does Service itself.
+//     metadata (qubit count, gradient support, ranks, state memory) a
+//     scheduler can place work with. Simulator, Workspace,
+//     DistributedGradEngine, the light-cone and gate engines all
+//     satisfy it, as does Service itself.
 //   - Service schedules point, gradient, and batch requests FIFO over
-//     a pool of workers, each bound to one evaluator, with
-//     context.Context cancellation at every layer.
+//     a pool of workers, each bound to one evaluator and running one
+//     evaluation at a time, with context.Context cancellation at every
+//     layer. The pool's size is the only concurrency setting.
 //
 // Three constructors build a Service: NewService over caller-built
 // evaluators, NewElasticService over evaluator factories, and
@@ -93,16 +94,16 @@ const (
 // Evaluator itself, so services compose.
 type Service = serve.Service
 
-// ServiceOptions configures a Service's worker pool.
-type ServiceOptions = serve.Options
-
 // NewService builds a service over caller-built evaluators — single-
 // node workspaces (one per worker: Simulator.NewWorkspace), distributed
 // engines, light-cone and gate engines, mixed freely as long as they
-// are bound to the same problem size. Each evaluator gets
-// ServiceOptions.WorkersPerEvaluator workers, capped by its
-// Caps().MaxConcurrent. Close the service to stop its workers; the
-// evaluators stay the caller's.
-func NewService(evals []Evaluator, opts ServiceOptions) (*Service, error) {
-	return serve.New(evals, opts)
+// are bound to the same problem size. Each evaluator gets one worker,
+// so the list's length is the pool's size; an engine that is safe for
+// concurrent calls (a Simulator, the light-cone engine, a Service) gets
+// more workers by being listed more than once. A DistributedGradEngine
+// runs one evaluation at a time, so listing it twice only queues: more
+// sharded evaluations take more engines (NewDistributedFactory). Close
+// the service to stop its workers; the evaluators stay the caller's.
+func NewService(evals []Evaluator) (*Service, error) {
+	return serve.New(evals)
 }

@@ -17,8 +17,9 @@ func relDiff(a, b float64) float64 {
 
 // TestServiceRoundTrip: one Service round-trips the same three request
 // shapes — a single point, a 64-point grid, and an Adam run — on both
-// a pool of single-node workspaces and a ranks=4 distributed engine,
-// matching the direct simulator paths to rtol 1e-10.
+// a pool of single-node workspaces and a pool of two ranks=4
+// distributed engines, matching the direct simulator paths to rtol
+// 1e-10.
 func TestServiceRoundTrip(t *testing.T) {
 	const n, p, rtol = 8, 3, 1e-10
 	terms := LABSTerms(n)
@@ -69,14 +70,27 @@ func TestServiceRoundTrip(t *testing.T) {
 		build func() (*Service, error)
 	}{
 		{"local", func() (*Service, error) {
-			return NewService([]Evaluator{sim.NewWorkspace(), sim.NewWorkspace()}, ServiceOptions{})
+			return NewService([]Evaluator{sim.NewWorkspace(), sim.NewWorkspace()})
 		}},
 		{"distributed-4ranks", func() (*Service, error) {
-			deng, err := NewDistributedGradEngine(n, terms, DistOptions{Ranks: 4, Algo: Transpose, Concurrency: 2})
+			// Two engines of one factory: two sharded evaluations in
+			// flight over one registry precompute.
+			reg := NewProblemRegistry(RegistryOptions{})
+			key, err := reg.Register(ProblemSpec{N: n, Terms: terms})
 			if err != nil {
 				return nil, err
 			}
-			return NewService([]Evaluator{deng}, ServiceOptions{WorkersPerEvaluator: 2})
+			f, err := NewDistributedFactory(reg, key, DistOptions{Ranks: 4, Algo: Transpose})
+			if err != nil {
+				return nil, err
+			}
+			evals := make([]Evaluator, 2)
+			for i := range evals {
+				if evals[i], err = f.New(ctx); err != nil {
+					return nil, err
+				}
+			}
+			return NewService(evals)
 		}},
 	}
 	for _, tc := range services {
@@ -131,58 +145,67 @@ func TestServiceRoundTrip(t *testing.T) {
 	}
 }
 
-// gatedEvaluator wraps an Evaluator with a size-2 rendezvous: the
-// first two evaluations must be in flight simultaneously before
-// either proceeds. If the service ever serialized distributed
-// evaluations, the rendezvous would time out and fail the test — so
-// passing *demonstrates* ≥ 2 concurrent sharded evaluations.
-type gatedEvaluator struct {
-	Evaluator
+// rendezvous is a size-2 barrier: the first two evaluations must be in
+// flight simultaneously before either proceeds. If the service ever
+// serialized distributed evaluations, the rendezvous would time out and
+// fail the test — so passing *demonstrates* ≥ 2 concurrent sharded
+// evaluations.
+type rendezvous struct {
 	t       *testing.T
 	mu      sync.Mutex
 	arrived int
 	ready   chan struct{}
 }
 
-func (g *gatedEvaluator) rendezvous() {
-	g.mu.Lock()
-	g.arrived++
-	n := g.arrived
-	g.mu.Unlock()
+func (r *rendezvous) wait() {
+	r.mu.Lock()
+	r.arrived++
+	n := r.arrived
+	r.mu.Unlock()
 	if n == 2 {
-		close(g.ready)
+		close(r.ready)
 	}
 	select {
-	case <-g.ready:
+	case <-r.ready:
 	case <-time.After(30 * time.Second):
-		g.t.Error("second concurrent distributed evaluation never arrived: service serialized")
+		r.t.Error("second concurrent distributed evaluation never arrived: service serialized")
 	}
 }
 
+// gatedEvaluator wraps an Evaluator so that its evaluations pass the
+// shared rendezvous first.
+type gatedEvaluator struct {
+	Evaluator
+	r *rendezvous
+}
+
 func (g *gatedEvaluator) Energy(ctx context.Context, x []float64) (float64, error) {
-	g.rendezvous()
+	g.r.wait()
 	return g.Evaluator.Energy(ctx, x)
 }
 
 func (g *gatedEvaluator) EnergyGrad(ctx context.Context, x, grad []float64) (float64, error) {
-	g.rendezvous()
+	g.r.wait()
 	return g.Evaluator.EnergyGrad(ctx, x, grad)
 }
 
 // TestDistributedServiceConcurrentEvaluations: two sharded
-// evaluations are demonstrably in flight at once on the ranks=4
-// substrate (run under -race in CI), and both produce exact results.
+// evaluations, one on each of two engines the service holds, are
+// demonstrably in flight at once on the ranks=4 substrate (run under
+// -race in CI), and both produce exact results.
 func TestDistributedServiceConcurrentEvaluations(t *testing.T) {
 	const n, p = 8, 2
 	terms := LABSTerms(n)
-	deng, err := NewDistributedGradEngine(n, terms, DistOptions{
-		Ranks: 4, Algo: Transpose, Concurrency: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	r := &rendezvous{t: t, ready: make(chan struct{})}
+	var gates []Evaluator
+	for i := 0; i < 2; i++ {
+		deng, err := NewDistributedGradEngine(n, terms, DistOptions{Ranks: 4, Algo: Transpose})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates = append(gates, &gatedEvaluator{Evaluator: deng, r: r})
 	}
-	gate := &gatedEvaluator{Evaluator: deng, t: t, ready: make(chan struct{})}
-	svc, err := NewService([]Evaluator{gate}, ServiceOptions{WorkersPerEvaluator: 2})
+	svc, err := NewService(gates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +265,7 @@ func TestNilInputsRejected(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = NewService([]Evaluator{sim.NewWorkspace(), nil}, ServiceOptions{})
+			_, err = NewService([]Evaluator{sim.NewWorkspace(), nil})
 			return err
 		}},
 		{"NewElasticService", "factory 0 is nil", func() error {

@@ -37,7 +37,7 @@ var facadeSurface = []string{
 	"RandomKSAT", "RandomRegular", "RegistryOptions", "RegistryServiceOptions",
 	"RegistryStats", "Result", "RouteAuto", "RouteFWHT", "RouteSweep", "SATInstance",
 	"SATTerms", "SKTerms", "SampleChunkSize", "SampleStreamer", "Service",
-	"ServiceOptions", "SimulateQAOADistributed", "SimulateQAOADistributedCheckpointed",
+	"SimulateQAOADistributed", "SimulateQAOADistributedCheckpointed",
 	"Simulator", "StateVector", "SweepGrid", "SyntheticPortfolio", "TQAInit", "Term",
 	"Terms", "Transpose", "WeightedEdge", "WeightedMaxCutTerms", "Workspace",
 }
